@@ -41,6 +41,13 @@ var checkpointMagic = []byte("QCKP")
 
 const checkpointVersion = 1
 
+// encodeSlack is Encode's size allowance for everything but the
+// session logs (counters, histograms, active sessions): on flood
+// traffic the logs are > 95 % of an image and this covers the rest, so
+// the writer never regrows; a state with more beside its sessions
+// grows by append from there.
+const encodeSlack = 16 << 10
+
 const (
 	maxCkptWorkers  = 1 << 12
 	maxCkptSessions = 1 << 26
@@ -75,10 +82,31 @@ type decodedShard struct {
 	items        uint64
 }
 
+// logSessions extends the shard's session log over the sessions
+// emitted since the previous tick. It runs under the streamer's barrier
+// (the shard worker is parked), and only ever appends: a frozen clone
+// holds a cap-limited header of the log as it stood at its own tick,
+// so the bytes a concurrent Encode reads are never written again —
+// growth either lands past every frozen length or moves to a new array.
+func (sh *pipelineShard) logSessions() {
+	w := ckpt.NewWriter(sh.sessLog)
+	for _, s := range sh.sessions[sh.sessLogN:] {
+		sessions.EncodeSession(w, s)
+	}
+	sh.sessLog, sh.sessLogN = w.Bytes(), len(sh.sessions)
+}
+
 // Encode serializes the checkpoint. The stored clones are only read,
-// so Encode is repeatable and composes with Analysis().
+// so Encode is repeatable and composes with Analysis(). Emitted
+// sessions come from the shard's session log in one copy; only what the
+// log does not cover (everything, for a final or a resumed checkpoint)
+// is encoded here.
 func (c *StreamCheckpoint) Encode() []byte {
-	w := &ckpt.Writer{}
+	size := encodeSlack
+	for _, sh := range c.shards {
+		size += len(sh.sessLog)
+	}
+	w := ckpt.NewWriter(make([]byte, 0, size))
 	w.Raw(checkpointMagic)
 	w.U64(checkpointVersion)
 	w.U64(c.cfg.Seed)
@@ -107,7 +135,8 @@ func (c *StreamCheckpoint) Encode() []byte {
 		w.U64(m.OpenerResets)
 		w.U64(sh.nonQUIC)
 		w.U64(uint64(len(sh.sessions)))
-		for _, s := range sh.sessions {
+		w.Raw(sh.sessLog)
+		for _, s := range sh.sessions[sh.sessLogN:] {
 			sessions.EncodeSession(w, s)
 		}
 		w.U64(c.counts[i])

@@ -14,6 +14,7 @@ import (
 	"quicsand/internal/engine"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/telemetry"
+	"quicsand/internal/telescope"
 )
 
 // serveDaemon is the -window serve loop: the socket reader maps every
@@ -140,22 +141,23 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	}
 
 	// Read loop on this goroutine: map each datagram onto the telescope
-	// model and offer it. The streamer copies the packet before any
-	// cross-shard dispatch, so the payload copy here is the only one the
-	// trace sink and single-worker path need.
+	// model and offer it. Offer only borrows the packet — the trace sink
+	// writes it synchronously, the single-worker path never retains a
+	// payload, and cross-shard dispatch copies into the streamer's own
+	// batches — so one Packet over the read buffer serves every datagram.
 	buf := make([]byte, 65535)
+	var p telescope.Packet
 	var skipped uint64
 	for {
 		sz, addr, err := pc.ReadFrom(buf)
 		if err != nil {
 			break // socket closed: the signal handler's graceful drain
 		}
-		p := recordPacket(addr, netmodel.TelescopePrefix.Base, 443, append([]byte(nil), buf[:sz]...))
-		if p == nil {
+		if !recordPacket(&p, addr, netmodel.TelescopePrefix.Base, 443, buf[:sz]) {
 			skipped++ // non-IPv4 remote: unrepresentable in the model
 			continue
 		}
-		s.Offer(p)
+		s.Offer(&p)
 	}
 	close(stopTick)
 	twg.Wait()
@@ -253,14 +255,14 @@ func (d *daemonState) emit(ck *quicsand.StreamCheckpoint, diag io.Writer) {
 			fmt.Fprintf(diag, "telescoped: checkpoint %s: %v\n", d.opts.checkpoint, err)
 		}
 	}
-	a := ck.Analysis()
+	quicSessions, telescopeTotal := ck.Totals()
 	d.snapshots = append(d.snapshots, telemetry.StreamSnapshot{
 		ElapsedNS:      time.Since(d.start).Nanoseconds(),
 		Position:       ck.Position(),
 		Alerts:         len(ck.Alerts),
 		AlertsTotal:    d.alertsTotal,
-		QUICSessions:   len(a.QUICSessions),
-		TelescopeTotal: a.Telescope.Total,
+		QUICSessions:   quicSessions,
+		TelescopeTotal: telescopeTotal,
 		Checkpoint:     d.opts.checkpoint,
 	})
 }

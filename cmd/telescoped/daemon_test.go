@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"quicsand/internal/capture"
 	"quicsand/internal/detect"
 	"quicsand/internal/handshake"
+	"quicsand/internal/telemetry"
 )
 
 // sendInitials fires n copies of one genuine QUIC Initial at addr from
@@ -152,12 +154,41 @@ func TestDaemonAlertsCheckpointManifest(t *testing.T) {
 	if got := resumed.Position(); got != 40 {
 		t.Errorf("resumed daemon checkpoint at position %d, want 40", got)
 	}
-	resumed.Close()
+	reduced := resumed.Close().Analysis()
 
 	// Manifest: snapshot rows accumulated, the final one at the drain.
 	mdata, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The rows are computed from the frozen shards without reducing an
+	// Analysis; they must equal what the reduction gives. The final row
+	// is checked against the reduced final image, every row against the
+	// stream itself: all 40 packets are captured QUIC from one source,
+	// so a row at position N > 0 reduces to N packets in one session.
+	var doc struct {
+		Snapshots []telemetry.StreamSnapshot `json:"snapshots"`
+	}
+	if err := json.Unmarshal(mdata, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Snapshots) < 2 {
+		t.Fatalf("manifest has %d snapshot rows, want a ticked one and the drain", len(doc.Snapshots))
+	}
+	for i, row := range doc.Snapshots {
+		wantSessions := 0
+		if row.Position > 0 {
+			wantSessions = 1
+		}
+		if row.TelescopeTotal != row.Position || row.QUICSessions != wantSessions {
+			t.Errorf("snapshot %d at position %d: telescope_total=%d quic_sessions=%d, want %d and %d",
+				i, row.Position, row.TelescopeTotal, row.QUICSessions, row.Position, wantSessions)
+		}
+	}
+	last := doc.Snapshots[len(doc.Snapshots)-1]
+	if last.QUICSessions != len(reduced.QUICSessions) || last.TelescopeTotal != reduced.Telescope.Total {
+		t.Errorf("final snapshot row quic_sessions=%d telescope_total=%d, Analysis() reduces to %d and %d",
+			last.QUICSessions, last.TelescopeTotal, len(reduced.QUICSessions), reduced.Telescope.Total)
 	}
 	for _, want := range []string{`"snapshots"`, `"alerts_total"`, `"position": 40`, `"window": "1m0s"`} {
 		if !strings.Contains(string(mdata), want) {

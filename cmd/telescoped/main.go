@@ -246,6 +246,7 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	// keeps the read loop free of per-packet hasher allocations.
 	go func() {
 		buf := make([]byte, 65535)
+		var recPkt telescope.Packet
 		for {
 			sz, addr, err := pc.ReadFrom(buf)
 			if err != nil {
@@ -256,8 +257,8 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 			}
 			d := datagram{addr: addr.String(), data: append([]byte(nil), buf[:sz]...)}
 			if rec != nil {
-				if p := recordPacket(addr, dstAddr, dstPort, d.data); p != nil {
-					rec.Capture(p)
+				if recordPacket(&recPkt, addr, dstAddr, dstPort, d.data) {
+					rec.Capture(&recPkt)
 				} else {
 					recSkipped++
 				}
@@ -402,18 +403,19 @@ func localIPv4(a net.Addr) (netmodel.Addr, uint16) {
 }
 
 // recordPacket shapes one received datagram into the telescope store's
-// packet model. Non-IPv4 remotes have no representation in the 32-bit
-// address space and return nil (counted as record drops).
-func recordPacket(remote net.Addr, dst netmodel.Addr, dstPort uint16, data []byte) *telescope.Packet {
+// packet model, overwriting *p (which then aliases data). Non-IPv4
+// remotes have no representation in the 32-bit address space and
+// report false (counted as record drops).
+func recordPacket(p *telescope.Packet, remote net.Addr, dst netmodel.Addr, dstPort uint16, data []byte) bool {
 	ua, ok := remote.(*net.UDPAddr)
 	if !ok {
-		return nil
+		return false
 	}
 	ip4 := ua.IP.To4()
 	if ip4 == nil {
-		return nil
+		return false
 	}
-	return &telescope.Packet{
+	*p = telescope.Packet{
 		TS:      telescope.TS(time.Now()),
 		Src:     netmodel.Addr(uint32(ip4[0])<<24 | uint32(ip4[1])<<16 | uint32(ip4[2])<<8 | uint32(ip4[3])),
 		Dst:     dst,
@@ -423,6 +425,7 @@ func recordPacket(remote net.Addr, dst netmodel.Addr, dstPort uint16, data []byt
 		Size:    uint16(len(data)),
 		Payload: data,
 	}
+	return true
 }
 
 // describe classifies one datagram into printable lines; quic reports

@@ -20,25 +20,64 @@ import (
 // the opposite direction.
 const (
 	scatterBatch = 256
-	// scatterArenaCap sizes a batch's payload arena for a full batch of
-	// QUIC-sized datagrams; oversize payloads fall back to individual
-	// allocation without invalidating earlier aliases.
-	scatterArenaCap = scatterBatch * 1500
 	// scatterDepth is the per-shard queue depth in batches — the
 	// reader's run-ahead window over the slowest shard.
 	scatterDepth = 4
 )
 
-// batch is one scatter unit: pkts is the slab the shard worker
-// processes, arena backs the payload bytes the slab entries alias.
-// On the decode-after-scatter path spans carries the raw record spans
-// instead and pkts starts empty — the shard decodes spans into pkts
-// itself (arena then backs the span bytes, unless the source hands out
-// stable spans).
-type batch struct {
-	pkts  []telescope.Packet
-	spans [][]byte
+// PacketBatch is one dispatch unit of the §9 slab contract: Pkts is the
+// value-typed slab a shard worker processes, arena backs the payload
+// bytes the slab entries alias. The reader (Scatter) or the producer
+// (the root Streamer) fills it by Append, hands it to exactly one
+// shard worker, and may Reset and refill it once that worker is done.
+type PacketBatch struct {
+	Pkts  []telescope.Packet
 	arena []byte
+}
+
+// NewPacketBatch allocates a batch of n slab entries with an arena
+// sized for n QUIC-sized datagrams.
+func NewPacketBatch(n int) *PacketBatch {
+	return &PacketBatch{
+		Pkts:  make([]telescope.Packet, 0, n),
+		arena: make([]byte, 0, n*1500),
+	}
+}
+
+// Append copies p into the slab and its payload bytes into the arena,
+// so the caller may recycle p as soon as Append returns.
+func (b *PacketBatch) Append(p *telescope.Packet) {
+	b.Pkts = append(b.Pkts, *p)
+	if len(p.Payload) == 0 {
+		return
+	}
+	q := &b.Pkts[len(b.Pkts)-1]
+	if cap(b.arena)-len(b.arena) >= len(p.Payload) {
+		// Arena append never regrows (capacity checked), so earlier
+		// packets' payload aliases stay valid.
+		off := len(b.arena)
+		b.arena = append(b.arena, p.Payload...)
+		q.Payload = b.arena[off:len(b.arena):len(b.arena)]
+	} else {
+		// Oversize payloads fall back to individual allocation without
+		// invalidating earlier aliases.
+		q.Payload = append([]byte(nil), p.Payload...)
+	}
+}
+
+// Reset empties the batch for reuse, keeping slab and arena capacity.
+func (b *PacketBatch) Reset() {
+	b.Pkts = b.Pkts[:0]
+	b.arena = b.arena[:0]
+}
+
+// batch is one scatter unit. On the decode-after-scatter path spans
+// carries the raw record spans instead and Pkts starts empty — the
+// shard decodes spans into Pkts itself (arena then backs the span
+// bytes, unless the source hands out stable spans).
+type batch struct {
+	PacketBatch
+	spans [][]byte
 }
 
 // shardDecode is one shard's decode-side state: counters for the
@@ -339,13 +378,12 @@ func (s *Scatter) feed(i int, emit func(*telescope.Packet)) {
 		if len(b.spans) > 0 {
 			s.decodeBatch(i, b)
 		}
-		for j := range b.pkts {
-			emit(&b.pkts[j])
+		for j := range b.Pkts {
+			emit(&b.Pkts[j])
 		}
 		if s.recycle {
-			b.pkts = b.pkts[:0]
+			b.Reset()
 			b.spans = b.spans[:0]
-			b.arena = b.arena[:0]
 			select {
 			case s.free[i] <- b:
 			default:
@@ -358,7 +396,7 @@ func (s *Scatter) feed(i int, emit func(*telescope.Packet)) {
 }
 
 // decodeBatch parses one batch of framed spans into its packet slab,
-// on the shard's own goroutine — the decode-after-scatter half. pkts
+// on the shard's own goroutine — the decode-after-scatter half. Pkts
 // has capacity for a full batch, so the appends never reallocate and
 // the emitted pointers stay inside the slab. Per-slice decode spans
 // land on the shard's flight-recorder ring: batch composition is a
@@ -374,12 +412,12 @@ func (s *Scatter) decodeBatch(i int, b *batch) {
 		t0 = sd.ring.Now()
 	}
 	for _, sp := range b.spans {
-		n := len(b.pkts)
-		b.pkts = append(b.pkts, telescope.Packet{})
-		if s.dec.DecodeSpan(sp, &b.pkts[n]) {
+		n := len(b.Pkts)
+		b.Pkts = append(b.Pkts, telescope.Packet{})
+		if s.dec.DecodeSpan(sp, &b.Pkts[n]) {
 			sd.decoded++
 		} else {
-			b.pkts = b.pkts[:n]
+			b.Pkts = b.Pkts[:n]
 			sd.drops++
 		}
 	}
@@ -412,9 +450,11 @@ func (s *Scatter) nextBatch(k int) *batch {
 		return b
 	default:
 		s.tel.BatchAllocs++
-		b := &batch{pkts: make([]telescope.Packet, 0, scatterBatch)}
-		if !s.stable {
-			b.arena = make([]byte, 0, scatterArenaCap)
+		b := &batch{}
+		if s.stable {
+			b.Pkts = make([]telescope.Packet, 0, scatterBatch)
+		} else {
+			b.PacketBatch = *NewPacketBatch(scatterBatch)
 		}
 		return b
 	}
@@ -423,7 +463,7 @@ func (s *Scatter) nextBatch(k int) *batch {
 // sendBatch hands a complete batch to shard k's pump.
 func (s *Scatter) sendBatch(k int, b *batch) {
 	s.tel.Batches++
-	fill := uint64(len(b.pkts))
+	fill := uint64(len(b.Pkts))
 	if len(b.spans) > 0 {
 		fill = uint64(len(b.spans))
 	}
@@ -468,28 +508,16 @@ func (s *Scatter) scatterPackets() {
 			b = s.nextBatch(k)
 			building[k] = b
 		}
-		b.pkts = append(b.pkts, *p)
-		if len(p.Payload) > 0 {
-			q := &b.pkts[len(b.pkts)-1]
-			if cap(b.arena)-len(b.arena) >= len(p.Payload) {
-				// Arena append never regrows (capacity checked), so
-				// earlier packets' payload aliases stay valid.
-				off := len(b.arena)
-				b.arena = append(b.arena, p.Payload...)
-				q.Payload = b.arena[off:len(b.arena):len(b.arena)]
-			} else {
-				q.Payload = append([]byte(nil), p.Payload...)
-			}
-		}
+		b.Append(p)
 		s.packets++
 		s.recordIngest()
-		if len(b.pkts) == scatterBatch {
+		if len(b.Pkts) == scatterBatch {
 			s.sendBatch(k, b)
 			building[k] = nil
 		}
 	}
 	for k, b := range building {
-		if b != nil && len(b.pkts) > 0 {
+		if b != nil && len(b.Pkts) > 0 {
 			s.sendBatch(k, b)
 		}
 	}

@@ -22,6 +22,11 @@ type Writer struct {
 	b []byte
 }
 
+// NewWriter returns a Writer that appends to b (which may be nil, or an
+// empty slice pre-sized for the encoding to come). Bytes returns b
+// extended by everything written since.
+func NewWriter(b []byte) *Writer { return &Writer{b: b} }
+
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.b }
 

@@ -1,7 +1,7 @@
 package sessions
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"quicsand/internal/ckpt"
@@ -80,7 +80,7 @@ func EncodeSession(w *ckpt.Writer, s *Session) {
 		for v := range s.versions.m {
 			keys = append(keys, v)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		w.U64(uint64(len(keys)))
 		for _, v := range keys {
 			w.U64(uint64(v))
@@ -102,7 +102,7 @@ func EncodeSession(w *ckpt.Writer, s *Session) {
 		for k := range s.scids.m {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		w.U64(uint64(len(keys)))
 		for _, k := range keys {
 			w.String(k)
@@ -122,7 +122,7 @@ func EncodeSession(w *ckpt.Writer, s *Session) {
 		for k := range s.peerAddrs.m {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		w.U64(uint64(len(keys)))
 		for _, k := range keys {
 			w.U64(uint64(k))
@@ -142,7 +142,7 @@ func EncodeSession(w *ckpt.Writer, s *Session) {
 		for k := range s.peerPorts.m {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		w.U64(uint64(len(keys)))
 		for _, k := range keys {
 			w.U64(uint64(k))
@@ -299,7 +299,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	for src := range sz.active {
 		srcs = append(srcs, src)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
 	w.U64(uint64(len(srcs)))
 	for _, src := range srcs {
 		EncodeSession(w, sz.active[src])
@@ -313,7 +313,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 		for src := range sz.lastSeen {
 			seen = append(seen, src)
 		}
-		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
+		slices.Sort(seen)
 		w.U64(uint64(len(seen)))
 		for _, src := range seen {
 			w.U64(uint64(src))
@@ -393,7 +393,7 @@ func (t *TimeoutSweep) EncodeTo(w *ckpt.Writer) {
 	for a := range t.Sources {
 		srcs = append(srcs, a)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
 	w.U64(uint64(len(srcs)))
 	for _, a := range srcs {
 		w.U64(uint64(a))

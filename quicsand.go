@@ -216,6 +216,14 @@ type pipelineShard struct {
 	// live is the shard's atomic progress bank (Config.Live), nil when
 	// no concurrent observer is attached.
 	live *telemetry.LiveShard
+
+	// sessLog is the append-only QCKP encoding of sessions[:sessLogN]
+	// (streaming checkpoints only, DESIGN.md §17): emitted sessions are
+	// immutable, so each is encoded once, at the first tick after its
+	// emission. Batch runs leave it nil; it sits last so the fields the
+	// batch hot path reads keep their offsets (EXPERIMENTS.md PR-12).
+	sessLog  []byte
+	sessLogN int
 }
 
 // shardFlight accumulates one recorder slice's sub-stage shares: how
@@ -362,7 +370,9 @@ func (sh *pipelineShard) process(p *telescope.Packet) bool {
 
 // clone snapshots the shard's analysis state without disturbing it:
 // counter structures clone deeply, emitted sessions (immutable after
-// emission) are shared behind a copied slice header, and the
+// emission) are shared behind a copied slice header — as is the prefix
+// of the session log that encodes them, cap-limited so nothing
+// appended on either side is ever visible from the other — and the
 // sessionizer clones re-wire their emit hooks onto the copy. The
 // detector bank is intentionally not cloned — alerts are a drained
 // stream, not reduced state. The clone is what Checkpoint reduces
@@ -376,6 +386,8 @@ func (sh *pipelineShard) clone() *pipelineShard {
 		sweep:        sh.sweep.Clone(),
 		commonDet:    sh.commonDet.Clone(),
 		nonQUIC:      sh.nonQUIC,
+		sessLog:      sh.sessLog[:len(sh.sessLog):len(sh.sessLog)],
+		sessLogN:     sh.sessLogN,
 	}
 	if len(sh.sessions) > 0 {
 		c.sessions = append(make([]*sessions.Session, 0, len(sh.sessions)), sh.sessions...)

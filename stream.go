@@ -64,13 +64,17 @@ type Streamer struct {
 	counts   []uint64 // captured packets per shard
 
 	// workers>1 plumbing: per-shard op channels + parked-worker barrier.
+	// pending[k] is the batch Offer is filling for shard k; free[k]
+	// carries drained batches back from the shard worker (§9: a batch
+	// has one owner at a time — producer, queue, worker, free list).
 	chans   []chan shardOp
-	pending [][]*telescope.Packet
+	pending []*capture.PacketBatch
+	free    []chan *capture.PacketBatch
 	wg      sync.WaitGroup
 }
 
 type shardOp struct {
-	batch []*telescope.Packet
+	batch *capture.PacketBatch
 	bar   *streamBarrier
 }
 
@@ -79,8 +83,22 @@ type streamBarrier struct {
 	release chan struct{}
 }
 
-// streamBatch is the dispatch granularity for workers>1.
-const streamBatch = 256
+const (
+	// streamBatch is the dispatch granularity for workers>1.
+	streamBatch = 256
+	// streamDepth is the per-shard queue depth in batches: the
+	// producer's run-ahead window over a busy shard worker, and the
+	// backlog a Checkpoint barrier waits behind. Eight batches measured
+	// the same flood throughput as 64 at half the tick latency and a
+	// sixth of the pooled arena memory.
+	streamDepth = 8
+	// streamPool is a shard's free-list capacity. Offer allocates a
+	// batch only when the free list is empty, so it covers every batch
+	// that can exist at once — one filling, streamDepth queued, one
+	// being processed: a worker returning a drained batch never blocks
+	// and the steady state allocates nothing.
+	streamPool = streamDepth + 2
+)
 
 // NewStreamer builds the incremental pipeline. The substrate
 // (Internet, census, scheduled ground truth) is prepared exactly as
@@ -136,11 +154,13 @@ func (s *Streamer) startWorkers() {
 		return
 	}
 	s.chans = make([]chan shardOp, s.workers)
-	s.pending = make([][]*telescope.Packet, s.workers)
+	s.pending = make([]*capture.PacketBatch, s.workers)
+	s.free = make([]chan *capture.PacketBatch, s.workers)
 	for i := range s.chans {
-		s.chans[i] = make(chan shardOp, 64)
+		s.chans[i] = make(chan shardOp, streamDepth)
+		s.free[i] = make(chan *capture.PacketBatch, streamPool)
 		sh := s.shards[i]
-		ch := s.chans[i]
+		ch, free := s.chans[i], s.free[i]
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -150,9 +170,11 @@ func (s *Streamer) startWorkers() {
 					<-op.bar.release
 					continue
 				}
-				for _, p := range op.batch {
-					sh.process(p)
+				for j := range op.batch.Pkts {
+					sh.process(&op.batch.Pkts[j])
 				}
+				op.batch.Reset()
+				free <- op.batch // never blocks: see streamPool
 			}
 		}()
 	}
@@ -175,11 +197,11 @@ func (s *Streamer) Position() uint64 {
 // Offer ingests one packet and reports whether the telescope captured
 // it. Packets must arrive in non-decreasing time order (the capture
 // and generator sources both guarantee this). The packet is only
-// borrowed: with workers>1 it is copied before dispatch, so callers
-// may recycle it as soon as Offer returns. Captured packets are also
-// written to cfg.Trace (in offer order — the canonical stream order)
-// before dispatch, so a recording daemon's trace replays to the same
-// state.
+// borrowed: with workers>1 it is copied (struct and payload bytes) into
+// the shard's recycled dispatch batch, so callers may recycle it as
+// soon as Offer returns. Captured packets are also written to cfg.Trace
+// (in offer order — the canonical stream order) before dispatch, so a
+// recording daemon's trace replays to the same state.
 func (s *Streamer) Offer(p *telescope.Packet) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,16 +225,29 @@ func (s *Streamer) Offer(p *telescope.Packet) bool {
 		s.shards[0].process(p)
 		return true
 	}
-	q := *p
-	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
+	b := s.pending[k]
+	if b == nil {
+		select {
+		case b = <-s.free[k]:
+		default:
+			b = capture.NewPacketBatch(streamBatch)
+		}
+		s.pending[k] = b
 	}
-	s.pending[k] = append(s.pending[k], &q)
-	if len(s.pending[k]) >= streamBatch {
-		s.chans[k] <- shardOp{batch: s.pending[k]}
-		s.pending[k] = nil
+	b.Append(p)
+	if len(b.Pkts) >= streamBatch {
+		s.flushPending(k)
 	}
 	return true
+}
+
+// flushPending hands shard k's filling batch, if any, to its worker.
+// Caller holds s.mu.
+func (s *Streamer) flushPending(k int) {
+	if b := s.pending[k]; b != nil {
+		s.chans[k] <- shardOp{batch: b}
+		s.pending[k] = nil
+	}
 }
 
 // barrier parks every shard worker (having first flushed pending
@@ -226,10 +261,7 @@ func (s *Streamer) barrier(fn func()) {
 	bar := &streamBarrier{release: make(chan struct{})}
 	bar.arrived.Add(s.workers)
 	for i, ch := range s.chans {
-		if len(s.pending[i]) > 0 {
-			ch <- shardOp{batch: s.pending[i]}
-			s.pending[i] = nil
-		}
+		s.flushPending(i)
 		ch <- shardOp{bar: bar}
 	}
 	bar.arrived.Wait()
@@ -287,6 +319,13 @@ func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 			if final && sh.det != nil {
 				sh.det.Flush()
 			}
+			if s.closed {
+				// No tick follows: drop the log, so the final
+				// checkpoint retains only the analysis state.
+				sh.sessLog, sh.sessLogN = nil, 0
+			} else {
+				sh.logSessions()
+			}
 			c.shards[i] = sh.clone()
 			if sh.det != nil {
 				c.detMet = append(c.detMet, sh.det.Metrics)
@@ -308,10 +347,7 @@ func (s *Streamer) Close() *StreamCheckpoint {
 	defer s.mu.Unlock()
 	if !s.closed && s.workers > 1 {
 		for i, ch := range s.chans {
-			if len(s.pending[i]) > 0 {
-				ch <- shardOp{batch: s.pending[i]}
-				s.pending[i] = nil
-			}
+			s.flushPending(i)
 			close(ch)
 		}
 		s.wg.Wait()
@@ -342,6 +378,19 @@ func (c *StreamCheckpoint) Analysis() *Analysis {
 	}
 	a.Pipeline = pstats
 	return a
+}
+
+// Totals returns the checkpoint's two headline counts straight from the
+// frozen shards, without reducing an Analysis: quicSessions is what
+// len(Analysis().QUICSessions) would be (emitted sessions plus the
+// still-active ones the reduction's flush emits), telescopeTotal is
+// Analysis().Telescope.Total.
+func (c *StreamCheckpoint) Totals() (quicSessions int, telescopeTotal uint64) {
+	for _, sh := range c.shards {
+		quicSessions += len(sh.sessions) + sh.quicSz.ActiveSessions()
+		telescopeTotal += sh.tel.Total
+	}
+	return quicSessions, telescopeTotal
 }
 
 // StreamLive runs the streamer over its own scheduled generator — the
