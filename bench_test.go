@@ -281,8 +281,7 @@ func BenchmarkReplayIngest(b *testing.B) {
 // BenchmarkScenario measures one complete generate→analyze cycle per
 // built-in scenario (internal/scenario) at the BenchmarkPipeline
 // scale: compilation resolves phases at setup, so throughput should
-// track the paper month's for comparable packet mixes. Snapshots land
-// in BENCH_PR4.json via scripts/bench_snapshot.sh.
+// track the paper month's for comparable packet mixes.
 func BenchmarkScenario(b *testing.B) {
 	for _, name := range scenario.Builtins() {
 		sc, err := scenario.Builtin(name)
@@ -445,8 +444,7 @@ func BenchmarkFigure13(b *testing.B) {
 // month (research scanners skipped so flood handling dominates), with
 // the detected Moore-threshold attack count reported alongside
 // throughput and asserted against the analytic oracle's tolerance-free
-// cap (internal/oracle). Snapshots land in BENCH_PR5.json via
-// scripts/bench_snapshot.sh.
+// cap (internal/oracle).
 func BenchmarkTable1Floods(b *testing.B) {
 	for _, name := range []string{"handshake-flood-qfam", "retry-mitigated-flood", "multi-vector-burst"} {
 		sc, err := scenario.Builtin(name)

@@ -505,10 +505,13 @@ func (g *Generator) scheduleCommonAttacks(rng *netmodel.RNG, quicEvents []FloodE
 		commonVictims[i] = RandomCommonVictim(in, rng)
 		vWeights[i] = rng.Pareto(1, 1.5)
 	}
+	// One sampler for the whole fill: rng.Pick would re-sum and scan the
+	// V-entry table for each of the A draws (O(A·V), quadratic in Scale).
+	popularity := netmodel.NewSampler(vWeights)
 	for i := 0; i < nIndependent; i++ {
 		dur := clampF(rng.LogNormal(math.Log(1499), 1.2), 65, 90000)
 		start := rng.Float64() * (measurementSeconds - dur)
-		g.addCommonFlood(rng, commonVictims[rng.Pick(vWeights)], start, dur, "cattack", idx, "paper/common")
+		g.addCommonFlood(rng, commonVictims[popularity.Pick(rng)], start, dur, "cattack", idx, "paper/common")
 		idx++
 	}
 }

@@ -394,8 +394,9 @@ func assignVictimRefs(pool []VictimRef, n int, skew float64, rng *netmodel.RNG) 
 		for i := 0; i < len(cold) && len(out) < n; i++ {
 			out = append(out, cold[i])
 		}
+		popularity := netmodel.NewSampler(hotWeights)
 		for len(out) < n {
-			out = append(out, hot[rng.Pick(hotWeights)])
+			out = append(out, hot[popularity.Pick(rng)])
 		}
 	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })

@@ -9,7 +9,8 @@
 package ibr
 
 import (
-	"quicsand/internal/losertree"
+	"slices"
+
 	"quicsand/internal/netmodel"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
@@ -39,56 +40,72 @@ type Source interface {
 	Next() (*telescope.Packet, bool)
 }
 
-// mergeEntry is one loser-tree leaf: either a not-yet-activated source
-// (keyed by StartTime, pkt nil) or an active one (keyed by its buffered
-// packet), or an exhausted one (ordered after every live entry).
+// mergeKey orders the merge by (timestamp, source address, schedule
+// index) — a strict total order. The address component makes the order
+// reconstructible across shard counts: packets of one address always
+// share a shard, so a cross-shard merge keyed on (timestamp, address)
+// with per-shard stability reproduces exactly this sequence (see
+// DESIGN.md §8).
+type mergeKey struct {
+	at  telescope.Timestamp
+	src netmodel.Addr
+	id  int32 // schedule-order index: the canonical tie-break
+}
+
+func (k *mergeKey) before(o *mergeKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	if k.src != o.src {
+		return k.src < o.src
+	}
+	return k.id < o.id
+}
+
+// mergeEntry is one registered source, keyed by its StartTime until it
+// is activated; from then on it carries the source's buffered packet.
 type mergeEntry struct {
-	at        telescope.Timestamp
-	src       netmodel.Addr
-	id        int // schedule-order index: the canonical tie-break
-	exhausted bool
-	pkt       *telescope.Packet // nil until activated
-	source    Source
+	mergeKey
+	pkt    *telescope.Packet // the live source's next packet
+	source Source
+}
+
+// liveEntry is a live source's place in the heap: its buffered
+// packet's key and the index of its mergeEntry. It holds no pointers,
+// so sifting moves three words and never meets a write barrier.
+type liveEntry struct {
+	mergeKey
+	pos int32
 }
 
 // Merger interleaves many sources into one canonically ordered stream
 // while materializing each source's state only once its first packet
 // is due, keeping memory proportional to concurrently active events.
 //
-// The k-way merge is a loser tree over value-typed entries: advancing
-// the winner costs ⌈log2 k⌉ integer-indexed comparisons with no
-// interface calls or heap sift allocations — the previous
-// container/heap implementation boxed entries and burned ~2× the
-// comparisons on the per-packet Fix path.
+// Sources wait in a list sorted once by (StartTime, src, id); the ones
+// that have produced a packet also sit in a binary min-heap keyed
+// (pkt.TS, src, id). The next packet comes from whichever of the
+// waiting head and the heap minimum orders first — the minimum over
+// every unexhausted source, exactly what a tournament over the whole
+// schedule would pick — so the per-packet cost follows the number of
+// sources live at that instant (tens), not the number scheduled (tens
+// of thousands), and exhausted sources leave the structure.
 type Merger struct {
+	// entries holds every registered source: in registration order
+	// until the first Next, then entries[next:] sorted by start key;
+	// entries before next have been activated and no longer move. It is
+	// never truncated: its length is the planned-event count and the
+	// next schedule index.
 	entries []mergeEntry
-	tree    *losertree.Tree
+	next    int
+	sorted  bool
+	live    []liveEntry // min-heap of activated, unexhausted sources
 	// pool is always present as the shard's stats conduit; its freelist
 	// only engages after EnableRecycling.
 	pool *slabPool
 	// tel accumulates this shard's generator counters; read via
 	// Telemetry after the stream is drained.
 	tel telemetry.Generate
-}
-
-// less orders live entries by (timestamp, source address, schedule
-// index) — a strict total order. Exhausted entries sort after all live
-// ones. The address component makes the order reconstructible across
-// shard counts: packets of one address always share a shard, so a
-// cross-shard merge keyed on (timestamp, address) with per-shard
-// stability reproduces exactly this sequence (see DESIGN.md §8).
-func (m *Merger) less(a, b int32) bool {
-	ea, eb := &m.entries[a], &m.entries[b]
-	if ea.exhausted != eb.exhausted {
-		return !ea.exhausted
-	}
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.src != eb.src {
-		return ea.src < eb.src
-	}
-	return ea.id < eb.id
 }
 
 // NewMerger builds a merger over the sources. Source order fixes the
@@ -98,7 +115,7 @@ func NewMerger(sources ...Source) *Merger {
 	m := &Merger{entries: make([]mergeEntry, 0, len(sources))}
 	m.pool = &slabPool{stats: &m.tel}
 	for _, s := range sources {
-		m.addEntry(s)
+		m.Add(s)
 	}
 	return m
 }
@@ -120,60 +137,110 @@ func (m *Merger) EnableRecycling() {
 	m.pool.recycle = true
 }
 
-func (m *Merger) addEntry(s Source) {
+// Add registers another source; legal at any time, also mid-stream
+// (the unactivated tail is re-sorted on the following Next).
+func (m *Merger) Add(s Source) {
 	if p, ok := s.(pooled); ok {
 		p.setPool(m.pool)
 	}
 	m.entries = append(m.entries, mergeEntry{
-		at: s.StartTime(), src: s.Src(), id: len(m.entries), source: s,
+		mergeKey: mergeKey{at: s.StartTime(), src: s.Src(), id: int32(len(m.entries))},
+		source:   s,
 	})
-}
-
-// Add registers another source (rebuilds the tournament lazily).
-func (m *Merger) Add(s Source) {
-	m.addEntry(s)
-	m.tree = nil
+	m.sorted = false
 }
 
 // Next returns the globally next packet, or nil at end of stream.
+//
+// Sources are activated (first packet pulled, slabs drawn from the
+// pool) only here, before the packet to return is chosen, and the
+// winner is advanced just before returning — so a slab released by an
+// exhausted source can be handed to another source no earlier than the
+// following Next call, after the caller has consumed the packet that
+// still points into it (DESIGN.md §9).
 func (m *Merger) Next() *telescope.Packet {
-	if m.tree == nil {
-		m.tree = losertree.New(len(m.entries), m.less)
+	if !m.sorted {
+		slices.SortFunc(m.entries[m.next:], func(a, b mergeEntry) int {
+			switch {
+			case a.before(&b.mergeKey):
+				return -1
+			case b.before(&a.mergeKey):
+				return 1
+			}
+			return 0
+		})
+		m.sorted = true
 	}
-	if len(m.entries) == 0 {
+	// Activate while the waiting head orders before every live packet:
+	// pull its first packet and key it on the true timestamp (StartTime
+	// is only a lower bound). A source empty on activation is dropped.
+	for m.next < len(m.entries) && (len(m.live) == 0 || m.entries[m.next].before(&m.live[0].mergeKey)) {
+		e := &m.entries[m.next]
+		if pkt, ok := e.source.Next(); ok {
+			m.tel.EventsEmitted++
+			e.pkt = pkt
+			m.push(liveEntry{mergeKey{pkt.TS, e.src, e.id}, int32(m.next)})
+		}
+		m.next++
+	}
+	if len(m.live) == 0 {
 		return nil
 	}
-	for {
-		w := m.tree.Winner()
-		e := &m.entries[w]
-		if e.exhausted {
-			return nil // champion exhausted ⇒ all sources drained
-		}
-		if e.pkt == nil {
-			// Activate: pull the first packet and re-key on its true
-			// timestamp (StartTime is only a lower bound).
-			if pkt, ok := e.source.Next(); ok {
-				m.tel.EventsEmitted++
-				e.pkt = pkt
-				e.at = pkt.TS
-			} else {
-				e.exhausted = true
-			}
-			m.tree.Fix(w)
-			continue
-		}
-		out := e.pkt
-		m.tel.Packets++
-		if nxt, ok := e.source.Next(); ok {
-			e.pkt = nxt
-			e.at = nxt.TS
-		} else {
-			e.pkt = nil
-			e.exhausted = true
-		}
-		m.tree.Fix(w)
-		return out
+	top := &m.live[0]
+	e := &m.entries[top.pos]
+	out := e.pkt
+	m.tel.Packets++
+	if nxt, ok := e.source.Next(); ok {
+		e.pkt, top.at = nxt, nxt.TS
+	} else {
+		last := len(m.live) - 1
+		m.live[0] = m.live[last]
+		m.live = m.live[:last]
 	}
+	m.fixTop()
+	return out
+}
+
+// push adds an activated source to the live heap.
+func (m *Merger) push(e liveEntry) {
+	m.live = append(m.live, e)
+	h := m.live
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent].mergeKey) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// fixTop restores the heap after the root's key grew (or the root was
+// replaced by the last leaf).
+func (m *Merger) fixTop() {
+	h := m.live
+	if len(h) < 2 {
+		return
+	}
+	e := h[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(&h[c].mergeKey) {
+			c++
+		}
+		if !h[c].before(&e.mergeKey) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // Run drains the merged stream into sink.

@@ -48,6 +48,10 @@ type AS struct {
 	Type     NetworkType
 	Country  string // ISO 3166-1 alpha-2
 	Prefixes []Prefix
+
+	// hosts draws a prefix index weighted by prefix size; built by
+	// Registry.Add (nil for an AS without prefixes).
+	hosts *Sampler
 }
 
 // Registry is the PeeringDB stand-in: a prefix-to-AS longest-prefix
@@ -87,6 +91,13 @@ func (reg *Registry) Add(as *AS) error {
 		}
 	}
 	reg.asns[as.ASN] = as
+	if len(as.Prefixes) > 0 {
+		sizes := make([]float64, len(as.Prefixes))
+		for i, p := range as.Prefixes {
+			sizes[i] = float64(p.Size())
+		}
+		as.hosts = NewSampler(sizes)
+	}
 	for _, p := range as.Prefixes {
 		reg.prefixes = append(reg.prefixes, regEntry{prefix: p, as: as})
 	}

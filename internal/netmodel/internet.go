@@ -39,7 +39,16 @@ type Internet struct {
 	// match the paper's origin mix (BD 34 %, US 27 %, DZ 8 %, rest
 	// elsewhere).
 	EyeballASNs []uint32
+
+	// research holds the ResearchASNs' prefixes as (mask, base) pairs, so
+	// the per-packet sanitization test is two mask compares instead of a
+	// registry search. Allocations are disjoint (Registry.Add rejects
+	// overlap), which is what makes "inside one of these prefixes" equal
+	// to "Lookup returns a research AS".
+	research []maskedBase
 }
+
+type maskedBase struct{ mask, base Addr }
 
 // BuildInternet constructs the simulated topology. It panics on any
 // overlap in the static table (a build-time invariant, unit-tested).
@@ -109,18 +118,19 @@ func BuildInternet() *Internet {
 		ContentASNs:  []uint32{ASNGoogle, ASNFacebook, ASNCloudflare, ASNAkamai, ASNFastly, 22822},
 		EyeballASNs:  []uint32{63526, 58717, 45245, 7922, 20115, 7018, 36947, 45899, 4134, 12389, 28573, 9829},
 	}
+	for _, asn := range inet.ResearchASNs {
+		for _, p := range reg.ByASN(asn).Prefixes {
+			inet.research = append(inet.research, maskedBase{p.mask(), p.Base})
+		}
+	}
 	return inet
 }
 
 // IsResearchSource reports whether an address belongs to one of the
 // research scanner networks — the Figure 2 sanitization predicate.
 func (in *Internet) IsResearchSource(a Addr) bool {
-	as := in.Registry.Lookup(a)
-	if as == nil {
-		return false
-	}
-	for _, asn := range in.ResearchASNs {
-		if as.ASN == asn {
+	for _, p := range in.research {
+		if a&p.mask == p.base {
 			return true
 		}
 	}
@@ -134,11 +144,7 @@ func (in *Internet) RandomHostOf(asn uint32, r *RNG) Addr {
 	if as == nil || len(as.Prefixes) == 0 {
 		panic("netmodel: no prefixes for ASN")
 	}
-	weights := make([]float64, len(as.Prefixes))
-	for i, p := range as.Prefixes {
-		weights[i] = float64(p.Size())
-	}
-	return as.Prefixes[r.Pick(weights)].Random(r)
+	return as.Prefixes[as.hosts.Pick(r)].Random(r)
 }
 
 // InTelescope reports whether an address falls inside the darknet.

@@ -101,7 +101,9 @@ func (r *RNG) Bytes(b []byte) {
 }
 
 // Pick returns a random element index weighted by weights. The weights
-// need not sum to one. It panics on an empty or all-zero slice.
+// need not sum to one. It panics on an empty or all-zero slice. Each
+// call is O(len(weights)); repeated draws from one table belong on a
+// Sampler, which returns the same indices.
 func (r *RNG) Pick(weights []float64) int {
 	var total float64
 	for _, w := range weights {
@@ -110,14 +112,7 @@ func (r *RNG) Pick(weights []float64) int {
 	if total <= 0 {
 		panic("netmodel: Pick with non-positive total weight")
 	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
+	return scanWeights(weights, r.Float64()*total)
 }
 
 // Shuffle performs a Fisher–Yates shuffle over n elements.

@@ -93,7 +93,23 @@ type HourlyCounter struct {
 	Series map[string][]uint64
 	// Classify labels each packet; empty string drops it.
 	Classify func(p *Packet) string
+
+	// recent resolves the handful of labels a classifier returns to
+	// their series without hashing the label per packet. It only ever
+	// mirrors entries of this counter's own Series: Clone and decode
+	// start with it empty and Merge drops it, so it never carries a
+	// slice belonging to another counter.
+	recent []labelSeries
 }
+
+type labelSeries struct {
+	label  string
+	series []uint64
+}
+
+// maxRecentLabels bounds the linear label scan; a classifier with more
+// labels than this pays the map lookup for the overflow.
+const maxRecentLabels = 8
 
 // NewHourlyCounter builds a counter with the given classifier.
 func NewHourlyCounter(classify func(p *Packet) string) *HourlyCounter {
@@ -110,18 +126,32 @@ func (h *HourlyCounter) Capture(p *Packet) {
 	if hour < 0 || hour >= HoursInMeasurement {
 		return
 	}
+	h.seriesOf(label)[hour] += p.EffectiveWeight()
+}
+
+// seriesOf returns the label's series, creating it on first use.
+func (h *HourlyCounter) seriesOf(label string) []uint64 {
+	for i := range h.recent {
+		if h.recent[i].label == label {
+			return h.recent[i].series
+		}
+	}
 	s := h.Series[label]
 	if s == nil {
 		s = make([]uint64, HoursInMeasurement)
 		h.Series[label] = s
 	}
-	s[hour] += p.EffectiveWeight()
+	if len(h.recent) < maxRecentLabels {
+		h.recent = append(h.recent, labelSeries{label, s})
+	}
+	return s
 }
 
 // Merge adds another counter's series into h, element-wise. Addition
 // commutes, so merging shard counters in any order gives the same
 // histogram as sequential counting.
 func (h *HourlyCounter) Merge(o *HourlyCounter) {
+	h.recent = h.recent[:0]
 	for label, src := range o.Series {
 		dst := h.Series[label]
 		if dst == nil {

@@ -51,7 +51,8 @@ func DecodeTelescope(r *ckpt.Reader) *Telescope {
 }
 
 // Clone returns a deep copy of the counter; the classifier func is
-// shared (it is stateless).
+// shared (it is stateless). The label cache is not carried over — it
+// points into h's series — and refills from the copy's own.
 func (h *HourlyCounter) Clone() *HourlyCounter {
 	c := &HourlyCounter{Series: make(map[string][]uint64, len(h.Series)), Classify: h.Classify}
 	for label, s := range h.Series {

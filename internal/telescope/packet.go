@@ -59,10 +59,21 @@ func TS(t time.Time) Timestamp { return Timestamp(t.UnixMilli()) }
 // Time converts back to time.Time (UTC).
 func (ts Timestamp) Time() time.Time { return time.UnixMilli(int64(ts)).UTC() }
 
+// measurementStartMilli is MeasurementStart on the Timestamp scale,
+// computed once: Hour runs per captured packet.
+var measurementStartMilli = MeasurementStart.UnixMilli()
+
 // Hour returns the hour index since MeasurementStart, the Figure 2/3
-// binning unit.
+// binning unit. It floors, so timestamps before the start map to
+// negative hours (−1 for the hour leading up to it), never to bin 0.
 func (ts Timestamp) Hour() int {
-	return int((int64(ts) - MeasurementStart.UnixMilli()) / 3_600_000)
+	const msPerHour = 3_600_000
+	ms := int64(ts) - measurementStartMilli
+	h := ms / msPerHour
+	if ms < h*msPerHour {
+		h--
+	}
+	return int(h)
 }
 
 // Seconds returns the timestamp in (fractional) seconds.

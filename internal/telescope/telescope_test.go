@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
 )
 
@@ -65,6 +66,39 @@ func TestTimestampHelpers(t *testing.T) {
 	if HoursInMeasurement != 720 {
 		t.Errorf("HoursInMeasurement = %d", HoursInMeasurement)
 	}
+	// Hour floors: time before the start is a negative hour, not bin 0.
+	for _, tc := range []struct {
+		off  time.Duration
+		want int
+	}{
+		{0, 0}, {time.Hour - time.Millisecond, 0}, {time.Hour, 1},
+		{-time.Millisecond, -1}, {-time.Hour, -1}, {-time.Hour - time.Millisecond, -2},
+		{MeasurementEnd.Sub(MeasurementStart) - time.Millisecond, HoursInMeasurement - 1},
+		{MeasurementEnd.Sub(MeasurementStart), HoursInMeasurement},
+	} {
+		if got := TS(MeasurementStart.Add(tc.off)).Hour(); got != tc.want {
+			t.Errorf("Hour(start%+v) = %d, want %d", tc.off, got, tc.want)
+		}
+	}
+}
+
+// TestHourlyCounterWindowEdges pins both ends of the Figure 2/3 window:
+// a packet 1 ms before MeasurementStart (foreign pcaps and the live
+// daemon can deliver one) and one at MeasurementEnd are dropped, one at
+// MeasurementStart opens bin 0.
+func TestHourlyCounterWindowEdges(t *testing.T) {
+	hc := NewHourlyCounter(func(*Packet) string { return "x" })
+	hc.Capture(mkPacket(MeasurementStart.Add(-time.Millisecond), "1.1.1.1", "44.0.0.1", 999, 443))
+	hc.Capture(mkPacket(MeasurementStart.Add(-59*time.Minute), "1.1.1.1", "44.0.0.1", 999, 443))
+	hc.Capture(mkPacket(MeasurementEnd, "1.1.1.1", "44.0.0.1", 999, 443))
+	if n := hc.TotalOf("x"); n != 0 {
+		t.Fatalf("out-of-window packets binned: total %d, bin 0 = %d", n, hc.Series["x"][0])
+	}
+	hc.Capture(mkPacket(MeasurementStart, "1.1.1.1", "44.0.0.1", 999, 443))
+	hc.Capture(mkPacket(MeasurementEnd.Add(-time.Millisecond), "1.1.1.1", "44.0.0.1", 999, 443))
+	if s := hc.Series["x"]; s[0] != 1 || s[HoursInMeasurement-1] != 1 || hc.TotalOf("x") != 2 {
+		t.Fatalf("bins: first %d last %d total %d", s[0], s[HoursInMeasurement-1], hc.TotalOf("x"))
+	}
 }
 
 func TestTelescopeFiltersAndCounts(t *testing.T) {
@@ -117,6 +151,70 @@ func TestHourlyCounter(t *testing.T) {
 	}
 	if hc.Series["resp"][26] != 1 {
 		t.Errorf("resp bin 26 = %d", hc.Series["resp"][26])
+	}
+}
+
+// TestHourlyCounterCopiesAreIndependent guards the label → series
+// cache: a Clone and a decoded copy must count into their own series
+// (a copied cache would alias the original's), and after a Merge
+// creates or extends series, captures must land in those.
+func TestHourlyCounterCopiesAreIndependent(t *testing.T) {
+	classify := func(p *Packet) string {
+		if p.IsRequest() {
+			return "req"
+		}
+		return "resp"
+	}
+	req := func(hour int) *Packet {
+		return mkPacket(MeasurementStart.Add(time.Duration(hour)*time.Hour), "1.1.1.1", "44.0.0.1", 999, 443)
+	}
+	resp := func(hour int) *Packet {
+		return mkPacket(MeasurementStart.Add(time.Duration(hour)*time.Hour), "142.250.0.1", "44.0.0.2", 443, 999)
+	}
+
+	orig := NewHourlyCounter(classify)
+	orig.Capture(req(0)) // cache warm on "req"
+	orig.Capture(req(0))
+
+	clone := orig.Clone()
+	w := ckpt.NewWriter(nil)
+	orig.EncodeTo(w)
+	decoded := DecodeHourlyCounter(ckpt.NewReader(w.Bytes()), classify)
+	if decoded == nil {
+		t.Fatal("decode failed")
+	}
+	for _, c := range []*HourlyCounter{clone, decoded} {
+		c.Capture(req(0))
+		c.Capture(resp(3))
+		if c.Series["req"][0] != 3 || c.Series["resp"][3] != 1 {
+			t.Errorf("copy bins: req[0]=%d resp[3]=%d", c.Series["req"][0], c.Series["resp"][3])
+		}
+	}
+	if orig.Series["req"][0] != 2 || orig.Series["resp"] != nil {
+		t.Fatalf("original changed through a copy: req[0]=%d resp=%v", orig.Series["req"][0], orig.Series["resp"] != nil)
+	}
+	// The original keeps counting into its own series afterwards.
+	orig.Capture(req(0))
+	if orig.Series["req"][0] != 3 || clone.Series["req"][0] != 3 {
+		t.Fatalf("after original capture: orig %d clone %d", orig.Series["req"][0], clone.Series["req"][0])
+	}
+
+	// Merge brings a label the target has never seen and adds to one it
+	// has cached; later captures must hit the merged series.
+	other := NewHourlyCounter(classify)
+	other.Capture(resp(5))
+	other.Capture(req(0))
+	orig.Merge(other)
+	orig.Capture(resp(5))
+	orig.Capture(req(0))
+	if orig.Series["resp"][5] != 2 || orig.Series["req"][0] != 5 {
+		t.Fatalf("after merge: resp[5]=%d req[0]=%d", orig.Series["resp"][5], orig.Series["req"][0])
+	}
+	if other.Series["resp"][5] != 1 || other.Series["req"][0] != 1 {
+		t.Fatalf("merge source changed: resp[5]=%d req[0]=%d", other.Series["resp"][5], other.Series["req"][0])
+	}
+	if orig.TotalOf("req") != 5 || orig.TotalOf("resp") != 2 {
+		t.Fatalf("totals: req %d resp %d", orig.TotalOf("req"), orig.TotalOf("resp"))
 	}
 }
 
