@@ -498,8 +498,7 @@ func TestSalvageCLI(t *testing.T) {
 // TestReplayAlertsCLI covers `replay -alerts`: the capture streams
 // through the sliding-window detectors, alert episodes land as JSON
 // lines, and the analysis output stays bit-identical to the batch
-// replay (modulo ingest provenance, which the streaming path does not
-// stamp). The flood built-in at golden scale is proven to alert
+// replay. The flood built-in at golden scale is proven to alert
 // (TestAlertOracle), so an empty stream here is a regression.
 func TestReplayAlertsCLI(t *testing.T) {
 	dir := t.TempDir()
@@ -521,7 +520,7 @@ func TestReplayAlertsCLI(t *testing.T) {
 	if err := run(append([]string{"replay", "-i", qsnd, "-workers", "2", "-alerts", alertFile}, sim...), &streamed, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if stripIngest(streamed.String()) != stripIngest(plain.String()) {
+	if streamed.String() != plain.String() {
 		t.Errorf("streaming replay diverged from batch replay:\n--- batch ---\n%s\n--- stream ---\n%s",
 			plain.String(), streamed.String())
 	}

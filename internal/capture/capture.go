@@ -18,6 +18,16 @@
 //     per-shard engine feeds, sharded by source address with
 //     slab-batched zero-copy decode — quicsand.Replay's input path.
 //
+// Both readers — PcapReader here, telescope.Reader for QSND — frame
+// records the same way: over a salvage.Window, validating a whole
+// record on peeked bytes and consuming it only then, so each format has
+// one framer whether its bytes stream through an io.Reader or lie in a
+// memory-mapped file (OpenFile), and a record that fails validation is
+// still entirely unread when salvage resyncs past it (DESIGN.md §14,
+// §16). Framed spans are handed to the scatter as they are: aliased
+// when the window is stable (the mapping), copied once into the routed
+// shard's arena when it slides.
+//
 // Export uses real wire encapsulation (Ethernet/IPv4 with valid
 // checksums), so generated months open cleanly in tcpdump/Wireshark;
 // a 12-byte Ethernet trailer carries the fields pcap cannot express
@@ -27,7 +37,7 @@
 package capture
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -64,10 +74,10 @@ type SpanDecoder interface {
 
 // SpanSource is the framing-side interface of the decode-after-scatter
 // path. Sources that implement it let the scatter split ingest in two:
-// FrameNext on the reader goroutine parses just enough of the next
-// record to size its span and route it (source address), TakeSpan
-// completes the raw bytes into the destination shard's arena, and the
-// shard decodes batches of spans with the SpanDecoder. The scatter
+// FrameNext on the reader goroutine validates the next record and
+// parses just enough of it to route it (source address), TakeSpan puts
+// the raw bytes into the destination shard's arena, and the shard
+// decodes batches of spans with the SpanDecoder. The scatter
 // probes for this interface and falls back to Next when absent (e.g.
 // fault-injection wrappers, which must stay on the sequential path so
 // injected faults keep their record-accurate semantics).
@@ -77,13 +87,11 @@ type SpanSource interface {
 	// the source address for shard routing; io.EOF at a clean end of
 	// stream. Salvage policy applies exactly as in Next.
 	FrameNext() (int, netmodel.Addr, error)
-	// TakeSpan completes the framed record into dst (len(dst) is the
-	// length FrameNext returned) and returns the span to hand to the
-	// shard — dst itself, or a stable subslice of source-owned memory
-	// when SpanStable (dst is ignored then and may be nil). A
-	// salvage.ErrRecordLost return means the framed record was lost to
-	// a mid-payload resync (drop it, keep framing); io.EOF a torn tail.
-	TakeSpan(dst []byte) ([]byte, error)
+	// TakeSpan hands out the framed record: a copy in dst (len(dst) is
+	// the length FrameNext returned), or the source's own stable span
+	// when SpanStable (dst is ignored then and may be nil). It cannot
+	// fail — FrameNext returns only complete, validated records.
+	TakeSpan(dst []byte) []byte
 	// SpanStable reports whether returned spans outlive the next
 	// FrameNext without copying — true for memory-backed sources,
 	// where the caller must then not recycle span memory.
@@ -148,44 +156,44 @@ func FormatForPath(path string) Format {
 	return FormatQSND
 }
 
-// sniffFormat identifies the container by its leading magic without
-// consuming it.
-func sniffFormat(br *bufio.Reader) (Format, error) {
-	magic, err := br.Peek(4)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return FormatUnknown, io.EOF
-		}
-		return FormatUnknown, err
-	}
+// sniffFormat identifies the container by its leading magic.
+func sniffFormat(magic []byte) Format {
 	switch {
-	case magic[0] == 0x44 && magic[1] == 0x4e && magic[2] == 0x53 && magic[3] == 0x51:
-		// "QSND" little endian.
-		return FormatQSND, nil
+	case isQSNDMagic(magic):
+		return FormatQSND
 	case isPcapMagic(magic):
-		return FormatPcap, nil
+		return FormatPcap
 	}
-	return FormatUnknown, ErrUnknownFormat
+	return FormatUnknown
+}
+
+// isQSNDMagic reports whether b starts with the QSND store magic
+// ("QSND" little endian).
+func isQSNDMagic(b []byte) bool {
+	return b[0] == 0x44 && b[1] == 0x4e && b[2] == 0x53 && b[3] == 0x51
 }
 
 // NewSource opens a stored packet stream, auto-detecting QSND vs pcap
-// by magic. The returned Source reuses one packet and payload buffer
-// across Next calls (see the Source ownership contract).
+// by magic. The returned Source reuses one packet across Next calls and
+// its payload aliases the reader's buffer (see the Source ownership
+// contract).
 func NewSource(r io.Reader) (Source, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	f, err := sniffFormat(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
+	var magic [4]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, fmt.Errorf("capture: empty stream: %w", ErrUnknownFormat)
 		}
 		return nil, err
 	}
-	switch f {
+	// The readers parse their own headers: hand the sniffed bytes back.
+	r = io.MultiReader(bytes.NewReader(magic[:]), r)
+	switch sniffFormat(magic[:]) {
 	case FormatQSND:
-		return &qsndSource{r: telescope.NewReader(br)}, nil
-	default:
-		return NewPcapReader(br)
+		return &qsndSource{r: telescope.NewReader(r)}, nil
+	case FormatPcap:
+		return NewPcapReader(r)
 	}
+	return nil, ErrUnknownFormat
 }
 
 // NewSink creates an export sink writing the given format.
@@ -196,12 +204,14 @@ func NewSink(w io.Writer, f Format) Sink {
 	return telescope.NewWriter(w)
 }
 
-// qsndSource adapts telescope.Reader to Source with buffer reuse: the
-// allocation-free ReadInto path recycles one Packet and its payload
-// capacity, honoring the Source validity contract.
+// qsndSource adapts telescope.Reader — streamed or laid over a byte
+// slice — to Source and SpanSource: one reused Packet whose payload
+// aliases the reader's window, honoring the Source validity contract.
+// close unmaps when the data is a memory mapping (OpenFile).
 type qsndSource struct {
-	r *telescope.Reader
-	p telescope.Packet
+	r     *telescope.Reader
+	p     telescope.Packet
+	close func() error
 }
 
 func (s *qsndSource) Next() (*telescope.Packet, error) {
@@ -209,6 +219,18 @@ func (s *qsndSource) Next() (*telescope.Packet, error) {
 		return nil, err
 	}
 	return &s.p, nil
+}
+
+// Close releases the mapping (if any). Spans and payloads handed out
+// earlier alias the mapped pages — the caller must be done with the
+// analysis before closing.
+func (s *qsndSource) Close() error {
+	if s.close != nil {
+		c := s.close
+		s.close = nil
+		return c()
+	}
+	return nil
 }
 
 // qsndDecoder is the QSND span decoder: telescope.DecodeRecord behind
@@ -222,22 +244,23 @@ func (qsndDecoder) DecodeSpan(span []byte, p *telescope.Packet) bool {
 }
 
 // SpanSource implementation: framing delegates to the telescope
-// reader, which streams each payload directly into the shard's arena.
+// reader; spans are stable exactly when its window is (NewQSNDBuffer,
+// OpenFile's mapping).
 func (s *qsndSource) FrameNext() (int, netmodel.Addr, error) { return s.r.FrameNext() }
-func (s *qsndSource) TakeSpan(dst []byte) ([]byte, error)    { return s.r.TakeSpan(dst) }
-func (s *qsndSource) SpanStable() bool                       { return false }
+func (s *qsndSource) TakeSpan(dst []byte) []byte             { return s.r.TakeSpan(dst) }
+func (s *qsndSource) SpanStable() bool                       { return s.r.Stable() }
 func (s *qsndSource) SpanDecoder() SpanDecoder               { return qsndDecoder{} }
 
-// SpanSource implementation for the pcap reader: spans are framed into
-// the reader's reused buffer, so they must be copied out (not stable).
-func (pr *PcapReader) SpanStable() bool         { return false }
+// SpanSource implementation for the pcap reader (FrameNext/TakeSpan in
+// pcap.go). OpenFile streams pcaps, so in practice spans are copied.
+func (pr *PcapReader) SpanStable() bool         { return pr.w.Stable() }
 func (pr *PcapReader) SpanDecoder() SpanDecoder { return pr.pcapDecoder }
 
 // SourceFormat reports which container a Source produced by NewSource
 // is reading.
 func SourceFormat(src Source) Format {
 	switch src.(type) {
-	case *qsndSource, *qsndBufSource:
+	case *qsndSource:
 		return FormatQSND
 	case *PcapReader:
 		return FormatPcap
@@ -268,8 +291,6 @@ func SetSalvage(src Source, pol SalvagePolicy) {
 	switch s := src.(type) {
 	case *qsndSource:
 		s.r.SetSalvage(pol)
-	case *qsndBufSource:
-		s.b.SetSalvage(pol)
 	case *PcapReader:
 		s.SetSalvage(pol)
 	}
@@ -281,8 +302,6 @@ func SourceSalvage(src Source) SalvageStats {
 	switch s := src.(type) {
 	case *qsndSource:
 		return s.r.Salvage()
-	case *qsndBufSource:
-		return s.b.Salvage()
 	case *PcapReader:
 		return s.Salvage()
 	}

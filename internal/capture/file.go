@@ -7,43 +7,8 @@ import (
 	"math"
 	"os"
 
-	"quicsand/internal/netmodel"
 	"quicsand/internal/telescope"
 )
-
-// qsndBufSource adapts telescope.Buffer — the QSND store over a byte
-// slice — to Source and SpanSource. Spans are stable subslices of the
-// underlying data (zero copy); close unmaps when the data is a memory
-// mapping.
-type qsndBufSource struct {
-	b     *telescope.Buffer
-	p     telescope.Packet
-	close func() error
-}
-
-func (s *qsndBufSource) Next() (*telescope.Packet, error) {
-	if err := s.b.ReadInto(&s.p); err != nil {
-		return nil, err
-	}
-	return &s.p, nil
-}
-
-func (s *qsndBufSource) FrameNext() (int, netmodel.Addr, error) { return s.b.FrameNext() }
-func (s *qsndBufSource) TakeSpan(_ []byte) ([]byte, error)      { return s.b.TakeSpan(), nil }
-func (s *qsndBufSource) SpanStable() bool                       { return true }
-func (s *qsndBufSource) SpanDecoder() SpanDecoder               { return qsndDecoder{} }
-
-// Close releases the mapping (if any). Spans and payloads handed out
-// earlier alias the mapped pages — the caller must be done with the
-// analysis before closing.
-func (s *qsndBufSource) Close() error {
-	if s.close != nil {
-		c := s.close
-		s.close = nil
-		return c()
-	}
-	return nil
-}
 
 // NewQSNDBuffer opens an in-memory QSND stream as a Source. The
 // returned source frames by offset arithmetic and hands out stable
@@ -56,12 +21,7 @@ func NewQSNDBuffer(data []byte) (Source, error) {
 	if len(data) < 4 || !isQSNDMagic(data) {
 		return nil, ErrUnknownFormat
 	}
-	return &qsndBufSource{b: telescope.NewBuffer(data)}, nil
-}
-
-// isQSNDMagic reports whether b starts with the QSND store magic.
-func isQSNDMagic(b []byte) bool {
-	return b[0] == 0x44 && b[1] == 0x4e && b[2] == 0x53 && b[3] == 0x51
+	return &qsndSource{r: telescope.NewBuffer(data)}, nil
 }
 
 // OpenFile opens a capture file as a Source, picking the fastest path
@@ -84,13 +44,7 @@ func OpenFile(f *os.File) (Source, error) {
 	if isQSNDMagic(magic[:]) {
 		if st, err := f.Stat(); err == nil && st.Size() > 0 && st.Size() <= math.MaxInt {
 			if data, unmap, err := mapFile(f, int(st.Size())); err == nil {
-				src, err := NewQSNDBuffer(data)
-				if err != nil {
-					_ = unmap()
-					return nil, err
-				}
-				src.(*qsndBufSource).close = unmap
-				return src, nil
+				return &qsndSource{r: telescope.NewBuffer(data), close: unmap}, nil
 			}
 		}
 		// Mapping unavailable (platform, filesystem, size): stream.

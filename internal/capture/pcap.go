@@ -290,10 +290,11 @@ func (pw *PcapWriter) Flush() error {
 // ---------------------------------------------------------------------------
 // Reader
 
-// PcapReader ingests classic pcap streams. Frames that cannot be
-// represented as telescope packets (non-IPv4, later IP fragments,
-// unsupported transports) are skipped and counted, mirroring how the
-// real telescope's capture filter drops out-of-scope traffic.
+// PcapReader ingests classic pcap streams, framing records over a
+// salvage.Window. Frames that cannot be represented as telescope
+// packets (non-IPv4, later IP fragments, unsupported transports) are
+// skipped and counted, mirroring how the real telescope's capture
+// filter drops out-of-scope traffic.
 //
 // With SetSalvage, record-level corruption stops being terminal: the
 // reader scans forward for the next plausible record header
@@ -304,18 +305,11 @@ func (pw *PcapWriter) Flush() error {
 // The returned packet follows the Source contract: it and its payload
 // alias reader-owned buffers valid until the next Next call.
 type PcapReader struct {
-	sc salvage.Scanner
+	w *salvage.Window
 	pcapDecoder
-	buf []byte
-	pkt telescope.Packet
-	// rh backs record-header reads (a stack array would escape
-	// through io.ReadFull's interface call, one allocation per frame).
-	rh [16]byte
-	// rec counts framed records so far (decode-skips included);
-	// recStart/suspect describe the record being read, for resync.
-	rec      uint64
-	recStart uint64
-	suspect  []byte
+	pkt  telescope.Packet
+	rec  uint64 // records framed so far (decode-skips included)
+	span []byte // framed by FrameNext, handed out by TakeSpan
 
 	// Skipped counts records dropped during decapsulation.
 	Skipped uint64
@@ -323,12 +317,14 @@ type PcapReader struct {
 
 // NewPcapReader parses the global header and returns a reader.
 func NewPcapReader(r io.Reader) (*PcapReader, error) {
-	pr := &PcapReader{
-		sc:  salvage.Scanner{R: bufio.NewReaderSize(r, 1<<16)},
-		buf: make([]byte, 0, 2048),
-	}
-	var gh [24]byte
-	if _, err := pr.sc.ReadFull(gh[:]); err != nil {
+	return newPcapReader(salvage.NewWindow(r))
+}
+
+// newPcapReader parses the global header at the head of w.
+func newPcapReader(w *salvage.Window) (*PcapReader, error) {
+	pr := &PcapReader{w: w}
+	gh, err := w.Peek(24)
+	if err != nil {
 		return nil, fmt.Errorf("capture: truncated pcap global header: %w", ErrBadPcap)
 	}
 	switch {
@@ -351,19 +347,21 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 		return nil, fmt.Errorf("capture: unsupported link type %d (want Ethernet=1, raw-IP=101, Linux-SLL=113): %w",
 			pr.link, ErrBadPcap)
 	}
+	w.Advance(24)
 	return pr, nil
 }
 
-// Offset returns bytes consumed so far.
-func (pr *PcapReader) Offset() uint64 { return pr.sc.Offset() }
+// Offset returns bytes consumed so far — after an error, the start of
+// the record that could not be read.
+func (pr *PcapReader) Offset() uint64 { return pr.w.Offset() }
 
 // SetSalvage installs the degraded-ingest policy. The zero policy is
 // the default fail-fast behavior.
-func (pr *PcapReader) SetSalvage(pol salvage.Policy) { pr.sc.Pol = pol }
+func (pr *PcapReader) SetSalvage(pol salvage.Policy) { pr.w.Pol = pol }
 
 // Salvage returns the skipped-record ledger accumulated so far. All
 // zeros on an undamaged stream.
-func (pr *PcapReader) Salvage() salvage.Stats { return pr.sc.Stats }
+func (pr *PcapReader) Salvage() salvage.Stats { return pr.w.Stats }
 
 // badf builds an ErrBadPcap annotated with the failing record's index
 // and byte offset.
@@ -401,167 +399,107 @@ func (pr *PcapReader) boundary() salvage.Boundary {
 	}
 }
 
+// short classifies a failed Peek of hdr+want bytes that returned have:
+// nothing at all is a clean end of stream (only possible at a record
+// boundary), a partial read a truncated tail reported at the byte
+// where the stream ended; other I/O errors pass through unwrapped.
+func (pr *PcapReader) short(err error, what string, have, hdr, want int) error {
+	if err == io.ErrUnexpectedEOF {
+		return pr.badf(pr.w.Offset()+uint64(have), "truncated %s (%d of %d bytes)", what, have-hdr, want)
+	}
+	return err
+}
+
+// frame validates one complete record — the 16-byte header plus the
+// link-layer frame — on peeked bytes and consumes it, returning its
+// span. On any error nothing of the record has been consumed.
+func (pr *PcapReader) frame() ([]byte, error) {
+	recStart := pr.w.Offset()
+	rh, err := pr.w.Peek(16)
+	if err != nil {
+		return nil, pr.short(err, "record header", len(rh), 0, 16)
+	}
+	incl := pr.order.Uint32(rh[8:])
+	if incl > maxFrame {
+		return nil, pr.badf(recStart, "captured length %d", incl)
+	}
+	span, err := pr.w.Peek(16 + int(incl))
+	if err != nil {
+		return nil, pr.short(err, "frame", len(span), 16, int(incl))
+	}
+	pr.w.Advance(len(span))
+	pr.rec++
+	return span, nil
+}
+
+// next frames the next record, salvaging corruption per policy.
+// Salvage applies only to record-level ErrBadPcap (the global header
+// was parsed in NewPcapReader); genuine I/O errors are not corruption
+// to skip over.
+func (pr *PcapReader) next() ([]byte, error) {
+	for {
+		span, err := pr.frame()
+		if err == nil || !pr.w.Pol.SkipCorrupt || !errors.Is(err, ErrBadPcap) {
+			return span, err
+		}
+		if pr.w.Resync(pr.boundary()) != nil {
+			return nil, io.EOF // torn tail: everything salvageable was read
+		}
+	}
+}
+
 // Next returns the next representable packet, or io.EOF.
 func (pr *PcapReader) Next() (*telescope.Packet, error) {
 	for {
-		p, ok, err := pr.nextFrame()
+		span, err := pr.next()
 		if err != nil {
-			// Salvage applies only to record-level ErrBadPcap (the
-			// global header was parsed in NewPcapReader); genuine I/O
-			// errors are not corruption to skip over.
-			if errors.Is(err, io.EOF) || !pr.sc.Pol.SkipCorrupt || !errors.Is(err, ErrBadPcap) {
-				return nil, err
-			}
-			if rerr := pr.sc.Resync(pr.recStart, pr.suspect, pr.boundary()); rerr != nil {
-				return nil, io.EOF // torn tail: everything salvageable was read
-			}
-			continue
+			return nil, err
 		}
-		if ok {
-			return p, nil
+		if pr.DecodeSpan(span, &pr.pkt) {
+			return &pr.pkt, nil
 		}
 		pr.Skipped++
 	}
 }
 
-// nextFrame reads one record; ok=false means the frame was skipped.
-// On an ErrBadPcap failure it leaves recStart/suspect describing the
-// bytes a resync must rescan.
-func (pr *PcapReader) nextFrame() (*telescope.Packet, bool, error) {
-	pr.recStart = pr.sc.Offset()
-	rh := &pr.rh
-	n, err := pr.sc.ReadFull(rh[:])
-	if err != nil {
-		if n == 0 && errors.Is(err, io.EOF) {
-			return nil, false, io.EOF
-		}
-		pr.suspect = append(pr.suspect[:0], rh[:n]...)
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, false, pr.badf(pr.sc.Offset(), "truncated record header (%d of %d bytes)", n, len(rh))
-		}
-		return nil, false, err
-	}
-	sec := pr.order.Uint32(rh[0:])
-	sub := pr.order.Uint32(rh[4:])
-	incl := pr.order.Uint32(rh[8:])
-	if incl > maxFrame {
-		pr.suspect = append(pr.suspect[:0], rh[:]...)
-		return nil, false, pr.badf(pr.recStart, "captured length %d", incl)
-	}
-	if cap(pr.buf) < int(incl) {
-		pr.buf = make([]byte, incl)
-	}
-	pr.buf = pr.buf[:incl]
-	n, err = pr.sc.ReadFull(pr.buf)
-	if err != nil {
-		pr.suspect = append(append(pr.suspect[:0], rh[:]...), pr.buf[:n]...)
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, false, pr.badf(pr.sc.Offset(), "truncated frame (%d of %d bytes)", n, incl)
-		}
-		return nil, false, err
-	}
-	pr.rec++
-
-	var ms int64
-	if pr.nanos {
-		ms = int64(sec)*1000 + int64(sub)/1_000_000
-	} else {
-		ms = int64(sec)*1000 + int64(sub)/1000
-	}
-
-	ipStart, ok := pr.decap(pr.buf)
-	if !ok {
-		return nil, false, nil
-	}
-	if !pr.parseIPv4(&pr.pkt, pr.buf, ipStart, telescope.Timestamp(ms)) {
-		return nil, false, nil
-	}
-	return &pr.pkt, true, nil
-}
-
-// FrameNext reads and frames the next routable record, returning its
-// span length (the 16-byte record header plus the frame) and the
-// IPv4 source address for shard routing; complete the record with
-// TakeSpan before the next FrameNext. Frames the decapsulation cannot
-// route (non-IP link payloads, non-IPv4, headerless runts) are counted
-// in Skipped and skipped here, exactly as in Next; the deeper
-// packet-model rejections surface later as DecodeSpan drops, so
-// reader-side Skipped plus shard-side drops equals the sequential
-// path's Skipped. Corruption is salvaged per policy as in Next.
+// FrameNext frames the next routable record, returning its span length
+// (the 16-byte record header plus the frame) and the IPv4 source
+// address for shard routing; collect the span with TakeSpan before the
+// next FrameNext. It probes just far enough (link decap, IPv4 version
+// and header reach) to extract the routing address, leaving the full
+// decode to the shards: frames the decapsulation cannot route (non-IP
+// link payloads, non-IPv4, headerless runts) are counted in Skipped and
+// skipped here, exactly as in Next; the deeper packet-model rejections
+// surface later as DecodeSpan drops, so reader-side Skipped plus
+// shard-side drops equals the sequential path's Skipped. Corruption is
+// salvaged per policy as in Next.
 func (pr *PcapReader) FrameNext() (int, netmodel.Addr, error) {
 	for {
-		spanLen, src, routable, err := pr.frameSpan()
+		span, err := pr.next()
 		if err != nil {
-			if errors.Is(err, io.EOF) || !pr.sc.Pol.SkipCorrupt || !errors.Is(err, ErrBadPcap) {
-				return 0, 0, err
-			}
-			if rerr := pr.sc.Resync(pr.recStart, pr.suspect, pr.boundary()); rerr != nil {
-				return 0, 0, io.EOF // torn tail: everything salvageable was read
-			}
-			continue
+			return 0, 0, err
 		}
-		if !routable {
+		f := span[16:]
+		ipStart, ok := pr.decap(f)
+		if !ok || len(f)-ipStart < 20 || f[ipStart]>>4 != 4 {
 			pr.Skipped++
 			continue
 		}
-		return spanLen, src, nil
+		pr.span = span
+		return len(span), netmodel.Addr(binary.BigEndian.Uint32(f[ipStart+12:])), nil
 	}
 }
 
-// frameSpan is nextFrame's framing half: it reads one record — header
-// and frame — into pr.buf as a single contiguous span and probes just
-// far enough (link decap, IPv4 version and header reach) to extract
-// the routing address, leaving the full decode to the shards.
-// Error text, offsets and suspect-byte tracking match nextFrame.
-func (pr *PcapReader) frameSpan() (int, netmodel.Addr, bool, error) {
-	pr.recStart = pr.sc.Offset()
-	rh := &pr.rh
-	n, err := pr.sc.ReadFull(rh[:])
-	if err != nil {
-		if n == 0 && errors.Is(err, io.EOF) {
-			return 0, 0, false, io.EOF
-		}
-		pr.suspect = append(pr.suspect[:0], rh[:n]...)
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, false, pr.badf(pr.sc.Offset(), "truncated record header (%d of %d bytes)", n, len(rh))
-		}
-		return 0, 0, false, err
+// TakeSpan hands out the record framed by the last FrameNext: the span
+// itself when the window is stable (dst is ignored), otherwise a copy
+// in dst, whose length must be the framed span length — the one copy
+// between the stream and the arena a shard decodes from.
+func (pr *PcapReader) TakeSpan(dst []byte) []byte {
+	if pr.w.Stable() {
+		return pr.span
 	}
-	incl := pr.order.Uint32(rh[8:])
-	if incl > maxFrame {
-		pr.suspect = append(pr.suspect[:0], rh[:]...)
-		return 0, 0, false, pr.badf(pr.recStart, "captured length %d", incl)
-	}
-	spanLen := 16 + int(incl)
-	if cap(pr.buf) < spanLen {
-		pr.buf = make([]byte, spanLen)
-	}
-	pr.buf = pr.buf[:spanLen]
-	copy(pr.buf, rh[:])
-	n, err = pr.sc.ReadFull(pr.buf[16:])
-	if err != nil {
-		pr.suspect = append(append(pr.suspect[:0], rh[:]...), pr.buf[16:16+n]...)
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, false, pr.badf(pr.sc.Offset(), "truncated frame (%d of %d bytes)", n, incl)
-		}
-		return 0, 0, false, err
-	}
-	pr.rec++
-	f := pr.buf[16:]
-	ipStart, ok := pr.decap(f)
-	if !ok || len(f)-ipStart < 20 || f[ipStart]>>4 != 4 {
-		return 0, 0, false, nil
-	}
-	src := netmodel.Addr(binary.BigEndian.Uint32(f[ipStart+12:]))
-	return spanLen, src, true, nil
-}
-
-// TakeSpan copies the record framed by the last FrameNext into dst
-// (len(dst) must be the returned span length). The frame is already
-// fully read, so unlike the QSND streamed reader this cannot fail.
-func (pr *PcapReader) TakeSpan(dst []byte) ([]byte, error) {
-	copy(dst, pr.buf)
-	return dst, nil
+	copy(dst, pr.span)
+	return dst
 }
 
 // pcapDecoder is the pure record-decode half of the pcap reader: the

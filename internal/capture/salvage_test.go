@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"quicsand/internal/faultinject"
@@ -48,13 +49,19 @@ func pcapRecordOffsets(t testing.TB, data []byte) []uint64 {
 	return offs
 }
 
-// drainPcap reads a pcap byte stream to termination under pol.
+// drainPcap reads a streamed pcap to termination under pol.
 func drainPcap(t testing.TB, data []byte, pol salvage.Policy) ([]*telescope.Packet, error, salvage.Stats) {
 	t.Helper()
 	pr, err := NewPcapReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("global header: %v", err)
 	}
+	return drainPcapReader(pr, pol)
+}
+
+// drainPcapReader reads pr to termination under pol, returning the
+// recovered packets, the terminal error and the salvage ledger.
+func drainPcapReader(pr *PcapReader, pol salvage.Policy) ([]*telescope.Packet, error, salvage.Stats) {
 	pr.SetSalvage(pol)
 	var out []*telescope.Packet
 	for {
@@ -180,6 +187,106 @@ func TestPcapSalvageTornTail(t *testing.T) {
 	// worst-case lost records — the bound is conservative by design.
 	if sv.CorruptRecords != 1 || sv.MaxLostRecords != 2 {
 		t.Errorf("ledger = %+v, want 1 corrupt record and a loss bound of 2", sv)
+	}
+}
+
+// TestPcapArrivalShapes is the pcap half of the arrival-shape table
+// (telescope.TestBufferMatchesReader is the QSND half): the damage
+// cases under fail-fast and salvage policies, through a slice window
+// and every streamed arrival, must yield the same packets, the same
+// error text — from the constructor for global-header damage — and the
+// same salvage ledger.
+func TestPcapArrivalShapes(t *testing.T) {
+	data, err := encodeCapture(salvagePackets(20), FormatPcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := pcapRecordOffsets(t, data)
+	flip := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(flip[offs[12]+8:], 0xFFFF0000) // incl > maxFrame
+	cases := map[string][]byte{
+		"clean":           data,
+		"mid-record-flip": flip,
+		"garbage-splice": faultinject.Apply(data, faultinject.Fault{
+			Kind: faultinject.Garbage, Offset: offs[7], Len: 53, Seed: 11,
+		}),
+		"torn-tail":        data[:offs[len(offs)-1]+21],
+		"torn-file-header": data[:11],
+		"magic-flip": faultinject.Apply(data, faultinject.Fault{
+			Kind: faultinject.BitFlip, Offset: 1, XorMask: 0x40,
+		}),
+	}
+	type result struct {
+		pkts []*telescope.Packet
+		err  error
+		sv   salvage.Stats
+	}
+	drain := func(pr *PcapReader, err error, pol salvage.Policy) result {
+		if err != nil {
+			return result{err: err}
+		}
+		var r result
+		r.pkts, r.err, r.sv = drainPcapReader(pr, pol)
+		return r
+	}
+	for name, bad := range cases {
+		for pname, pol := range map[string]salvage.Policy{"fail-fast": {}, "salvage": {SkipCorrupt: true}} {
+			t.Run(name+"/"+pname, func(t *testing.T) {
+				pr, err := newPcapReader(salvage.NewSliceWindow(bad))
+				want := drain(pr, err, pol)
+				for _, a := range faultinject.Arrivals() {
+					pr, err := NewPcapReader(a.Open(bad))
+					got := drain(pr, err, pol)
+					if len(got.pkts) != len(want.pkts) {
+						t.Fatalf("%s decoded %d frames, slice %d", a.Name, len(got.pkts), len(want.pkts))
+					}
+					for i := range want.pkts {
+						if !samePcapPacket(got.pkts[i], want.pkts[i]) {
+							t.Errorf("frame %d differs:\n %s %+v\n slice %+v", i, a.Name, got.pkts[i], want.pkts[i])
+						}
+					}
+					if got.err.Error() != want.err.Error() {
+						t.Errorf("terminal errors differ:\n %s %q\n slice %q", a.Name, got.err, want.err)
+					}
+					if got.sv != want.sv {
+						t.Errorf("salvage ledgers differ:\n %s %+v\n slice %+v", a.Name, got.sv, want.sv)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPcapOversizeFrame frames a record at the format's bound — a
+// maxFrame-byte frame, sixteen times the window's initial buffer —
+// between ordinary ones, through every arrival shape.
+func TestPcapOversizeFrame(t *testing.T) {
+	small := rawIPv4UDP("8.8.8.8", "44.3.2.1", 1, 443, []byte{1, 2, 3})
+	big := append(rawIPv4UDP("8.8.4.4", "44.3.2.1", 2, 443, []byte{4, 5, 6}), make([]byte, maxFrame)...)[:maxFrame]
+	data := writeForeignPcap(binary.LittleEndian, false, LinkRawIP, [][]byte{small, big, small})
+	readers := map[string]func() (*PcapReader, error){
+		"slice": func() (*PcapReader, error) { return newPcapReader(salvage.NewSliceWindow(data)) },
+	}
+	for _, a := range faultinject.Arrivals() {
+		readers[a.Name] = func() (*PcapReader, error) { return NewPcapReader(a.Open(data)) }
+	}
+	for name, open := range readers {
+		pr, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err, sv := drainPcapReader(pr, salvage.Policy{})
+		if !errors.Is(err, io.EOF) || len(got) != 3 || sv != (salvage.Stats{}) {
+			t.Fatalf("%s: %d frames, err %v, ledger %+v", name, len(got), err, sv)
+		}
+		for i, want := range []struct {
+			src     string
+			payload []byte
+		}{{"8.8.8.8", []byte{1, 2, 3}}, {"8.8.4.4", []byte{4, 5, 6}}, {"8.8.8.8", []byte{1, 2, 3}}} {
+			if got[i].Src != netmodel.MustAddr(want.src) || !bytes.Equal(got[i].Payload, want.payload) {
+				t.Errorf("%s: frame %d misdecoded: %+v", name, i, got[i])
+			}
+		}
 	}
 }
 
@@ -333,6 +440,22 @@ func FuzzPcapReader(f *testing.F) {
 		}
 		if salvaged < failFast {
 			t.Fatalf("salvage recovered %d frames, fail-fast got %d", salvaged, failFast)
+		}
+		// How the bytes arrive must not show: the slice window and a
+		// one-byte-at-a-time stream account the damage identically.
+		for name, w := range map[string]*salvage.Window{
+			"slice":    salvage.NewSliceWindow(data),
+			"one-byte": salvage.NewWindow(iotest.OneByteReader(bytes.NewReader(data))),
+		} {
+			pr, err := newPcapReader(w)
+			if err != nil {
+				t.Fatalf("%s: global header accepted then rejected: %v", name, err)
+			}
+			got, _, sv := drainPcapReader(pr, salvage.Policy{SkipCorrupt: true})
+			if len(got) != salvaged || sv != spr.Salvage() || pr.Skipped != spr.Skipped {
+				t.Fatalf("%s: %d frames, %d skipped, %+v; stream %d, %d, %+v",
+					name, len(got), pr.Skipped, sv, salvaged, spr.Skipped, spr.Salvage())
+			}
 		}
 	})
 }

@@ -280,9 +280,10 @@ func (s *Scatter) Feeds() []engine.Feed[*telescope.Packet] {
 // Must be set before the feeds start running. Byte-level salvage lives
 // in the sources themselves (capture.SetSalvage); this layer retries
 // record-level Temporary() failures from Next, assuming the source's
-// position survives a failed call — true for the format readers (a
-// transient read fails before any bytes are consumed) and for the
-// fault injector's record wrappers.
+// position survives a failed call — true for the format readers (they
+// consume a record only once all of it has been read, so a failed read
+// leaves them at the record start) and for the fault injector's record
+// wrappers.
 func (s *Scatter) SetSalvage(pol SalvagePolicy) { s.pol = pol }
 
 // next reads one record, retrying transient failures per policy. Runs
@@ -524,11 +525,9 @@ func (s *Scatter) scatterPackets() {
 }
 
 // scatterSpans is the decode-after-scatter reader loop: the source
-// only frames records; raw spans land in the routed shard's arena (or
-// alias source-owned memory when stable) and the shard decodes them.
-// The streamed QSND reader writes each payload straight from its
-// buffered stream into the arena, so this path also removes one copy
-// per record relative to sequential decode.
+// only frames records; raw spans are copied from its window into the
+// routed shard's arena (or alias source-owned memory when stable) and
+// the shard decodes them.
 func (s *Scatter) scatterSpans() {
 	building := make([]*batch, s.n)
 	for {
@@ -546,34 +545,17 @@ func (s *Scatter) scatterSpans() {
 			building[k] = b
 		}
 		var span []byte
-		if s.stable {
-			span, err = s.span.TakeSpan(nil)
-		} else {
-			// Arena capacity is checked before extending, preserving the
-			// never-regrow rule for earlier spans' aliases; on a TakeSpan
-			// failure the extension rolls back — nothing aliases it yet.
-			arenaOff := -1
-			target := []byte(nil)
-			if cap(b.arena)-len(b.arena) >= spanLen {
-				arenaOff = len(b.arena)
-				b.arena = b.arena[:arenaOff+spanLen]
-				target = b.arena[arenaOff : arenaOff+spanLen : arenaOff+spanLen]
-			} else {
-				target = make([]byte, spanLen)
-			}
-			span, err = s.span.TakeSpan(target)
-			if err != nil && arenaOff >= 0 {
-				b.arena = b.arena[:arenaOff]
-			}
-		}
-		if err != nil {
-			if errors.Is(err, salvage.ErrRecordLost) {
-				continue // mid-payload resync consumed the record; keep framing
-			}
-			if !errors.Is(err, io.EOF) {
-				s.err = err
-			}
-			break
+		switch {
+		case s.stable:
+			span = s.span.TakeSpan(nil)
+		case cap(b.arena)-len(b.arena) >= spanLen:
+			// Capacity is checked before extending, preserving the
+			// never-regrow rule for earlier spans' aliases.
+			off := len(b.arena)
+			b.arena = b.arena[:off+spanLen]
+			span = s.span.TakeSpan(b.arena[off : off+spanLen : off+spanLen])
+		default:
+			span = s.span.TakeSpan(make([]byte, spanLen))
 		}
 		b.spans = append(b.spans, span)
 		s.tel.SpanBytes += uint64(spanLen)

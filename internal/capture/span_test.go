@@ -43,10 +43,7 @@ func drainSpans(t *testing.T, src Source) ([]*telescope.Packet, uint64) {
 		if !span.SpanStable() {
 			buf = make([]byte, spanLen)
 		}
-		s, err := span.TakeSpan(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := span.TakeSpan(buf)
 		if len(s) != spanLen {
 			t.Fatalf("span length %d, framed %d", len(s), spanLen)
 		}
@@ -215,8 +212,8 @@ func TestOpenFileRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*qsndBufSource); !ok {
-		t.Fatalf("qsnd OpenFile → %T, want the buffer source", src)
+	if sp, ok := src.(SpanSource); !ok || !sp.SpanStable() {
+		t.Fatalf("qsnd OpenFile → %T, want the mapped (stable-span) source", src)
 	}
 	got := drain(t, src)
 	expectSamePackets(t, "openfile qsnd", samplePackets(), got)

@@ -11,7 +11,10 @@
 //     garbage splices) for fixture generation, and Reader/Writer wrap
 //     raw io.Reader/io.Writer to inject short reads, transient
 //     EAGAIN-class errors, on-the-fly bit-flips, truncation, and
-//     ENOSPC at exact offsets;
+//     ENOSPC at exact offsets; Arrivals lists the ways an undamaged
+//     delivery of the same bytes can still differ (read sizes, data
+//     arriving together with io.EOF), for tests that pin framing as
+//     arrival-independent;
 //   - the record plane: WrapSource and WrapSink wrap anything shaped
 //     like a capture.Source/Sink (via Go generics, so this package
 //     stays import-free of the capture stack) to drop, mutate, or
@@ -23,10 +26,12 @@
 package faultinject
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"testing/iotest"
 )
 
 // Kind enumerates byte-plane fault types.
@@ -233,6 +238,45 @@ func (fr *Reader) Read(b []byte) (int, error) {
 	}
 	fr.off += uint64(n)
 	return n, err
+}
+
+// Arrival is one way the same bytes can reach a reader. Framing must
+// not depend on it: a reader over any arrival of a stream — damaged or
+// not — yields the same records, the same terminal error and the same
+// salvage ledger.
+type Arrival struct {
+	Name string
+	Open func(data []byte) io.Reader
+}
+
+// Arrivals lists the streamed arrival shapes the capture readers are
+// tested across: reads that fill the buffer offered, one byte per read,
+// seeded random short reads, and final bytes delivered together with
+// io.EOF.
+func Arrivals() []Arrival {
+	whole := func(data []byte) io.Reader { return bytes.NewReader(data) }
+	return []Arrival{
+		{"full-reads", whole},
+		{"one-byte", func(data []byte) io.Reader { return iotest.OneByteReader(whole(data)) }},
+		{"short-reads", func(data []byte) io.Reader {
+			return &shortReader{r: whole(data), rng: rand.New(rand.NewSource(int64(len(data))))}
+		}},
+		{"data-with-eof", func(data []byte) io.Reader { return iotest.DataErrReader(whole(data)) }},
+	}
+}
+
+// shortReader serves 1..61 bytes per Read, so record headers, payloads
+// and resync probes all straddle read boundaries somewhere.
+type shortReader struct {
+	r   io.Reader
+	rng *rand.Rand
+}
+
+func (s *shortReader) Read(b []byte) (int, error) {
+	if n := 1 + s.rng.Intn(61); n < len(b) {
+		b = b[:n]
+	}
+	return s.r.Read(b)
 }
 
 // Writer wraps an io.Writer and injects WriteFull (sticky ENOSPC once

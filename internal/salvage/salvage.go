@@ -6,13 +6,18 @@
 // filesystems — instead of aborting on the first bad byte.
 //
 // The package deliberately knows nothing about record formats: readers
-// drive a Scanner for their byte I/O and hand it a format-specific
-// Boundary probe when a record fails to parse. The Scanner then scans
-// forward for the next position where a plausible record starts and is
-// confirmed by a plausible successor (or a clean end of stream), counts
-// the skipped span, and resumes decoding there. Every skipped byte and
-// record flows into Stats, which the telemetry layer exposes and the
-// oracle consumes as the degraded-run error budget (DESIGN.md §14).
+// frame their records over a Window — peeking at unread bytes and
+// advancing only past a complete, validated record — and hand it a
+// format-specific Boundary probe when a record fails to parse. The
+// Window then scans forward from that record's first byte for the next
+// position where a plausible record starts and is confirmed by a
+// plausible successor (or a clean end of stream), counts the skipped
+// span, and leaves decoding to resume there. The same Window serves a
+// streamed capture (a sliding buffer over an io.Reader) and a
+// memory-mapped one (the whole file as one slice), so there is one
+// framer per format and one resync. Every skipped byte and record flows
+// into Stats, which the telemetry layer exposes and the oracle consumes
+// as the degraded-run error budget (DESIGN.md §14).
 package salvage
 
 import (
@@ -88,14 +93,6 @@ func (s *Stats) Add(o Stats) {
 	s.MaxLostRecords += o.MaxLostRecords
 }
 
-// ErrRecordLost reports that a record framed before the damage was
-// detected cannot be recovered: the resync scan found the next
-// boundary inside what the caller had already treated as record bytes.
-// Span-framing readers (telescope.Buffer, Reader.TakeSpan) return it
-// so the scatter can drop the half-framed record and keep going; the
-// skipped span is already accounted in Stats when it surfaces.
-var ErrRecordLost = errors.New("salvage: framed record lost to resync")
-
 // Transient marks an error as retryable, in the net.Error tradition:
 // EAGAIN-class failures from network filesystems and the fault
 // injector implement it. Readers never import the fault layer — the
@@ -120,188 +117,178 @@ type Boundary struct {
 	Plausible func(hdr []byte) (recLen int, ok bool)
 }
 
-// resyncChunk is the scan window granularity: how much is read ahead
-// per fill and how far the window slides before discarding scanned
-// prefix, keeping memory bounded on arbitrarily long damaged spans.
-const resyncChunk = 64 << 10
+const (
+	// windowSize is a stream window's initial buffer and the granule it
+	// grows by: a record longer than the buffer reallocates it to the
+	// next multiple that holds the record, so the window settles at the
+	// largest record seen and never shrinks.
+	windowSize = 64 << 10
+	// maxEmptyReads bounds consecutive (0, nil) reads before the window
+	// gives up with io.ErrNoProgress instead of spinning on a broken
+	// io.Reader.
+	maxEmptyReads = 100
+)
 
-// Scanner drives a reader's byte consumption with offset accounting,
-// transient-retry, and a pending buffer that resync scans push
-// unconsumed lookahead back into. Readers embed one and route every
-// read through ReadFull; with a zero Policy the added work is a nil
-// check per call.
-type Scanner struct {
-	// R is the underlying stream (typically a bufio.Reader).
-	R io.Reader
+// Window is the byte window every capture framer reads through: the
+// unread bytes of a stream, inspected with Peek and consumed with
+// Advance. Framers validate a record entirely on peeked bytes and
+// advance only past a complete one, so a record that fails validation
+// has consumed nothing and Resync starts from its first byte — there is
+// no push-back buffer and no copy of "bytes already read" to rescan.
+//
+// One struct serves both arrivals. NewWindow slides over an io.Reader:
+// a buffer that compacts on fill, grows to the largest record seen and
+// retries Temporary() errors per Pol. NewSliceWindow is the same struct
+// already full and at end of stream — the memory-mapped case: it never
+// reads or moves bytes, so the spans it hands out are stable.
+type Window struct {
 	// Pol is the active salvage policy.
 	Pol Policy
 	// Stats is the skipped-record ledger.
 	Stats Stats
 
-	off     uint64
-	pending []byte
+	r    io.Reader // nil for a slice window: buf is the whole stream
+	buf  []byte    // buf[pos:] is the unread window
+	pos  int
+	base uint64 // stream offset of buf[0]
 }
 
-// Offset returns the logical stream position of the next byte to be
-// consumed — after a terminal error, the start of the undecodable
-// region.
-func (s *Scanner) Offset() uint64 { return s.off }
+// NewWindow returns a sliding window over r.
+func NewWindow(r io.Reader) *Window {
+	return &Window{r: r, buf: make([]byte, 0, windowSize)}
+}
 
-// read performs one raw read: pending lookahead first, then the
-// underlying stream with transient-retry per policy.
-func (s *Scanner) read(b []byte) (int, error) {
-	if len(s.pending) > 0 {
-		n := copy(b, s.pending)
-		s.pending = s.pending[n:]
-		return n, nil
-	}
-	retries := 0
-	for {
-		n, err := s.R.Read(b)
-		if err != nil && n == 0 && retries < s.Pol.MaxRetries && IsTransient(err) {
-			retries++
-			s.Stats.TransientRetries++
-			s.Pol.Wait(retries)
-			continue
+// NewSliceWindow returns a window over data, which holds the whole
+// stream and must stay alive and unmodified while spans are in use.
+func NewSliceWindow(data []byte) *Window { return &Window{buf: data} }
+
+// Stable reports whether slices returned by Peek stay valid for the
+// window's lifetime (slice windows) or only until the next Peek or
+// Resync (stream windows, whose buffer compacts and grows).
+func (w *Window) Stable() bool { return w.r == nil }
+
+// Offset returns the stream position of the next unread byte. A failed
+// Peek consumes nothing, so after a framing error — corruption or an
+// I/O error alike — this is still the start of the record being read.
+func (w *Window) Offset() uint64 { return w.base + uint64(w.pos) }
+
+// Peek returns the next n unread bytes without consuming them. When the
+// stream cannot supply n it returns the bytes there are and why, with
+// io.ReadFull's contract: io.EOF only when none are left,
+// io.ErrUnexpectedEOF after a partial fill; other read errors pass
+// through unchanged and leave the bytes buffered, so a later Peek
+// retries the read.
+func (w *Window) Peek(n int) ([]byte, error) {
+	if len(w.buf)-w.pos < n {
+		if err := w.fill(n); err != nil {
+			return w.buf[w.pos:], err
 		}
-		return n, err
 	}
+	return w.buf[w.pos : w.pos+n : w.pos+n], nil
 }
 
-// ReadFull fills b entirely, advancing the offset by the bytes
-// consumed. The error contract mirrors io.ReadFull: io.EOF only when
-// nothing was read, io.ErrUnexpectedEOF after a partial fill; other
-// underlying errors pass through unchanged.
-func (s *Scanner) ReadFull(b []byte) (int, error) {
-	n := 0
-	var err error
-	for n < len(b) && err == nil {
-		var m int
-		m, err = s.read(b[n:])
-		n += m
+// Advance consumes n bytes, which a Peek must have returned.
+func (w *Window) Advance(n int) { w.pos += n }
+
+// fill reads until n unread bytes are buffered. It is entered with
+// fewer than n unread — less than one record — so moving them to the
+// front of the buffer first is cheap and leaves the largest possible
+// read; transient errors are retried here per policy.
+func (w *Window) fill(n int) error {
+	if w.r == nil {
+		return endOfStream(len(w.buf) - w.pos)
 	}
-	s.off += uint64(n)
-	if n >= len(b) {
-		return n, nil
+	unread := w.buf[w.pos:]
+	if n > cap(w.buf) {
+		w.buf = make([]byte, len(unread), (n+windowSize-1)/windowSize*windowSize)
+	} else {
+		w.buf = w.buf[:len(unread)]
 	}
-	if errors.Is(err, io.EOF) && n > 0 {
-		err = io.ErrUnexpectedEOF
+	copy(w.buf, unread)
+	w.base += uint64(w.pos)
+	w.pos = 0
+
+	retries, empty := 0, 0
+	for len(w.buf) < n {
+		m, err := w.r.Read(w.buf[len(w.buf):cap(w.buf)])
+		w.buf = w.buf[:len(w.buf)+m]
+		switch {
+		case m > 0:
+			// Progress; an error that came with the bytes recurs on the
+			// next read if they were not enough.
+			retries, empty = 0, 0
+		case err == nil:
+			if empty++; empty >= maxEmptyReads {
+				return io.ErrNoProgress
+			}
+		case retries < w.Pol.MaxRetries && IsTransient(err):
+			retries++
+			w.Stats.TransientRetries++
+			w.Pol.Wait(retries)
+		case errors.Is(err, io.EOF):
+			return endOfStream(len(w.buf))
+		default:
+			return err
+		}
 	}
-	return n, err
+	return nil
 }
 
-// ResyncBuffer is Resync for fully in-memory streams: data holds the
-// whole capture, recStart is the byte offset where the corrupt record
-// begins, and everything from recStart to the end of data is the scan
-// window. The boundary-confirmation rule and the Stats accounting are
-// identical to Scanner.Resync — a damaged capture salvaged through a
-// memory-mapped source must report the exact same ledger as the same
-// bytes streamed through a Scanner. On success the returned offset is
-// the accepted boundary (where decoding resumes); io.EOF means the
-// buffer ended without another boundary (torn tail) and the returned
-// offset is len(data).
-func ResyncBuffer(data []byte, recStart int, b Boundary, stats *Stats) (int, error) {
-	stats.CorruptRecords++
-	stats.ResyncScans++
-	tail := data[recStart:]
-	accept := func(skipped int) {
-		stats.SalvagedBytes += uint64(skipped)
-		stats.MaxLostRecords += uint64(skipped)/uint64(b.HdrLen) + 1
+// endOfStream is the error for a stream that ended with `left` unread
+// bytes where more were wanted.
+func endOfStream(left int) error {
+	if left == 0 {
+		return io.EOF
 	}
-	// As in Scanner.Resync, the corrupt record's own start is never a
-	// candidate: skipping at least one byte guarantees progress.
-	for i := 1; i+b.HdrLen <= len(tail); i++ {
-		n, ok := b.Plausible(tail[i : i+b.HdrLen])
+	return io.ErrUnexpectedEOF
+}
+
+// Resync recovers from a corrupt record at the current offset. It scans
+// forward for the next offset where b.Plausible accepts a header AND
+// the record it frames is followed by another plausible header or the
+// end of the stream — double confirmation keeps random garbage from
+// masquerading as a boundary — consuming the scanned bytes as it goes,
+// so memory stays bounded on arbitrarily long damaged spans. On success
+// the window is left at the accepted boundary, the skipped span is
+// accounted in Stats and nil is returned; io.EOF means the stream ended
+// without another boundary (torn tail — the span to the end is
+// accounted the same way). Any read error ends the scan like EOF: a
+// damaged span is already being skipped, and whatever was readable is
+// all there is to salvage.
+func (w *Window) Resync(b Boundary) error {
+	w.Stats.CorruptRecords++
+	w.Stats.ResyncScans++
+	var skipped uint64
+	account := func() {
+		w.Stats.SalvagedBytes += skipped
+		w.Stats.MaxLostRecords += skipped/uint64(b.HdrLen) + 1
+	}
+	for {
+		// The corrupt record's own start is never a candidate: skipping
+		// at least one byte guarantees progress.
+		w.Advance(1)
+		skipped++
+		hdr, _ := w.Peek(b.HdrLen)
+		if len(hdr) < b.HdrLen {
+			skipped += uint64(len(hdr))
+			w.Advance(len(hdr))
+			account()
+			return io.EOF
+		}
+		n, ok := b.Plausible(hdr)
 		if !ok {
 			continue
 		}
-		end := i + n
-		confirmed := false
-		if end+b.HdrLen <= len(tail) {
-			_, confirmed = b.Plausible(tail[end : end+b.HdrLen])
-		} else {
-			confirmed = len(tail) >= end
+		rec, _ := w.Peek(n + b.HdrLen)
+		// A record that fits with less than a header after it ends the
+		// stream; trailing junk surfaces as its own torn-tail span.
+		confirmed := len(rec) >= n
+		if len(rec) == n+b.HdrLen {
+			_, confirmed = b.Plausible(rec[n:])
 		}
 		if confirmed {
-			accept(i)
-			return recStart + i, nil
-		}
-	}
-	accept(len(tail))
-	return len(data), io.EOF
-}
-
-// Resync recovers from a corrupt record detected at recStart. seed
-// holds the suspect bytes already consumed from recStart on (the
-// failed record's header, plus any partial body). The scan looks for
-// the next offset where b.Plausible accepts a header AND the record it
-// frames is followed by another plausible header or the end of the
-// stream — double confirmation keeps random garbage from masquerading
-// as a boundary. On success the accepted boundary's bytes are pushed
-// into the pending buffer, the skipped span is accounted in Stats, and
-// nil is returned; io.EOF means the stream ended without another
-// boundary (torn tail — the span to EOF is accounted the same way).
-func (s *Scanner) Resync(recStart uint64, seed []byte, b Boundary) error {
-	s.Stats.CorruptRecords++
-	s.Stats.ResyncScans++
-	buf := append([]byte(nil), seed...)
-	var slid uint64 // bytes discarded as the scan window moved
-	eof := false
-	// need grows buf to n bytes; false means the stream ended first.
-	need := func(n int) bool {
-		for !eof && len(buf) < n {
-			grow := n - len(buf)
-			if grow < resyncChunk {
-				grow = resyncChunk
-			}
-			at := len(buf)
-			buf = append(buf, make([]byte, grow)...)
-			m, err := s.read(buf[at : at+grow])
-			buf = buf[:at+m]
-			if err != nil {
-				// Any terminal read error ends the scan like EOF; a
-				// damaged span is already being skipped, and whatever
-				// was readable is all there is to salvage.
-				eof = true
-			}
-		}
-		return len(buf) >= n
-	}
-	accept := func(skipped uint64, rest []byte) {
-		s.Stats.SalvagedBytes += skipped
-		s.Stats.MaxLostRecords += skipped/uint64(b.HdrLen) + 1
-		s.off = recStart + skipped
-		s.pending = append(s.pending[:0], rest...)
-	}
-	// The corrupt record's own start is never a candidate: skipping at
-	// least one byte guarantees progress.
-	for i := 1; ; i++ {
-		if !need(i + b.HdrLen) {
-			// Torn tail: no boundary before the end of the stream.
-			skipped := slid + uint64(len(buf))
-			accept(skipped, nil)
-			return io.EOF
-		}
-		if n, ok := b.Plausible(buf[i : i+b.HdrLen]); ok {
-			end := i + n
-			confirmed := false
-			if need(end + b.HdrLen) {
-				_, confirmed = b.Plausible(buf[end : end+b.HdrLen])
-			} else {
-				// The record fits and the stream ends at (or shortly
-				// after) it; trailing junk shorter than a header will
-				// surface as its own torn-tail span.
-				confirmed = len(buf) >= end
-			}
-			if confirmed {
-				accept(slid+uint64(i), buf[i:])
-				return nil
-			}
-		}
-		if i >= resyncChunk {
-			slid += uint64(i)
-			buf = append(buf[:0], buf[i:]...)
-			i = 0
+			account()
+			return nil
 		}
 	}
 }

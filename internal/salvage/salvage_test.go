@@ -7,9 +7,11 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"quicsand/internal/faultinject"
 )
 
-// fakeRec builds a toy record format for Scanner tests: an 8-byte
+// fakeRec builds a toy record format for Window tests: an 8-byte
 // header (u32 magic 0xFEEDFACE | u32 bodyLen) followed by the body.
 const fakeMagic = 0xFEEDFACE
 
@@ -73,25 +75,26 @@ func TestIsTransient(t *testing.T) {
 	}
 }
 
+// The TestReadFull* cases pin Window.Peek's read contract; they keep
+// the names they had when the same contract lived in a ReadFull method.
+
 func TestReadFullRetriesTransient(t *testing.T) {
 	var slept []time.Duration
-	s := &Scanner{
-		R: &flakyReader{r: bytes.NewReader([]byte("abcdef")), fail: 3},
-		Pol: Policy{
-			MaxRetries: 5,
-			Backoff:    time.Millisecond,
-			Sleep:      func(d time.Duration) { slept = append(slept, d) },
-		},
+	w := NewWindow(&flakyReader{r: bytes.NewReader([]byte("abcdef")), fail: 3})
+	w.Pol = Policy{
+		MaxRetries: 5,
+		Backoff:    time.Millisecond,
+		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 	}
-	buf := make([]byte, 6)
-	if _, err := s.ReadFull(buf); err != nil {
-		t.Fatalf("ReadFull: %v", err)
+	buf, err := w.Peek(6)
+	if err != nil {
+		t.Fatalf("Peek: %v", err)
 	}
 	if string(buf) != "abcdef" {
 		t.Fatalf("got %q", buf)
 	}
-	if s.Stats.TransientRetries != 3 {
-		t.Fatalf("TransientRetries = %d, want 3", s.Stats.TransientRetries)
+	if w.Stats.TransientRetries != 3 {
+		t.Fatalf("TransientRetries = %d, want 3", w.Stats.TransientRetries)
 	}
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
 	if len(slept) != len(want) {
@@ -102,85 +105,119 @@ func TestReadFullRetriesTransient(t *testing.T) {
 			t.Fatalf("backoff[%d] = %v, want %v", i, slept[i], want[i])
 		}
 	}
-	if s.Offset() != 6 {
-		t.Fatalf("offset = %d, want 6", s.Offset())
+	if w.Offset() != 0 {
+		t.Fatalf("offset = %d after Peek, want 0 (nothing consumed)", w.Offset())
+	}
+	w.Advance(6)
+	if w.Offset() != 6 {
+		t.Fatalf("offset = %d, want 6", w.Offset())
 	}
 }
 
 func TestReadFullExhaustsRetries(t *testing.T) {
-	s := &Scanner{
-		R:   &flakyReader{r: bytes.NewReader(nil), fail: 100},
-		Pol: Policy{MaxRetries: 2, Sleep: func(time.Duration) {}},
-	}
-	_, err := s.ReadFull(make([]byte, 4))
+	w := NewWindow(&flakyReader{r: bytes.NewReader(nil), fail: 100})
+	w.Pol = Policy{MaxRetries: 2, Sleep: func(time.Duration) {}}
+	_, err := w.Peek(4)
 	if !IsTransient(err) {
 		t.Fatalf("want the transient error surfaced after retries, got %v", err)
 	}
-	if s.Stats.TransientRetries != 2 {
-		t.Fatalf("TransientRetries = %d, want 2", s.Stats.TransientRetries)
+	if w.Stats.TransientRetries != 2 {
+		t.Fatalf("TransientRetries = %d, want 2", w.Stats.TransientRetries)
 	}
 }
 
 func TestReadFullNoRetryByDefault(t *testing.T) {
-	s := &Scanner{R: &flakyReader{r: bytes.NewReader([]byte("ab")), fail: 1}}
-	_, err := s.ReadFull(make([]byte, 2))
+	w := NewWindow(&flakyReader{r: bytes.NewReader([]byte("ab")), fail: 1})
+	_, err := w.Peek(2)
 	if !IsTransient(err) {
 		t.Fatalf("zero policy must fail fast on transient errors, got %v", err)
+	}
+	// The failed read consumed nothing and is not sticky: the caller's
+	// own retry (capture.Scatter's record-level loop) sees the bytes.
+	if buf, err := w.Peek(2); err != nil || string(buf) != "ab" {
+		t.Fatalf("Peek after the transient error = %q, %v", buf, err)
 	}
 }
 
 func TestReadFullEOFContract(t *testing.T) {
-	s := &Scanner{R: bytes.NewReader(nil)}
-	if _, err := s.ReadFull(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("empty stream: got %v, want io.EOF", err)
-	}
-	s = &Scanner{R: bytes.NewReader([]byte("ab"))}
-	if _, err := s.ReadFull(make([]byte, 4)); err != io.ErrUnexpectedEOF {
-		t.Fatalf("partial fill: got %v, want io.ErrUnexpectedEOF", err)
-	}
-	if s.Offset() != 2 {
-		t.Fatalf("offset = %d, want 2", s.Offset())
+	for name, open := range map[string]func([]byte) *Window{
+		"stream": func(b []byte) *Window { return NewWindow(bytes.NewReader(b)) },
+		"slice":  NewSliceWindow,
+	} {
+		if _, err := open(nil).Peek(1); err != io.EOF {
+			t.Fatalf("%s: empty stream: got %v, want io.EOF", name, err)
+		}
+		w := open([]byte("ab"))
+		buf, err := w.Peek(4)
+		if err != io.ErrUnexpectedEOF || string(buf) != "ab" {
+			t.Fatalf("%s: partial fill: got %q, %v, want \"ab\", io.ErrUnexpectedEOF", name, buf, err)
+		}
+		if w.Offset() != 0 {
+			t.Fatalf("%s: offset = %d after a failed Peek, want 0", name, w.Offset())
+		}
 	}
 }
 
-// readRecords drains the stream through the fake format, resyncing on
-// corruption the way a real reader does.
-func readRecords(t *testing.T, s *Scanner, b Boundary) [][]byte {
+// TestPeekTransientMidRecordKeepsOffset pins what makes a caller-level
+// retry sound: a transient error that arrives after part of a record
+// leaves Offset at the record start and the bytes buffered, so the
+// retried Peek returns the whole record.
+func TestPeekTransientMidRecordKeepsOffset(t *testing.T) {
+	rec := fakeRec([]byte("interrupted"))
+	data := append(fakeRec([]byte("first")), rec...)
+	start := len(data) - len(rec)
+	w := NewWindow(io.MultiReader(
+		bytes.NewReader(data[:start+5]),
+		&flakyReader{r: bytes.NewReader(data[start+5:]), fail: 1}))
+	got := drainFake(t, w, fakeBoundary(), 1)
+	if len(got) != 1 || string(got[0]) != "first" {
+		t.Fatalf("before the fault: %q", got)
+	}
+	if _, err := w.Peek(len(rec)); !IsTransient(err) {
+		t.Fatalf("mid-record Peek err = %v, want the transient error", err)
+	}
+	if w.Offset() != uint64(start) {
+		t.Fatalf("offset = %d after the failed Peek, want the record start %d", w.Offset(), start)
+	}
+	if buf, err := w.Peek(len(rec)); err != nil || !bytes.Equal(buf, rec) {
+		t.Fatalf("retried Peek = %q, %v", buf, err)
+	}
+}
+
+// drainFake drains w through the toy format the way the real framers
+// do — validate on peeked bytes, advance only past a complete record,
+// Resync on anything else — stopping after max records (0 = all).
+func drainFake(t *testing.T, w *Window, b Boundary, max int) [][]byte {
 	t.Helper()
 	var out [][]byte
-	for {
-		start := s.Offset()
-		hdr := make([]byte, 8)
-		if _, err := s.ReadFull(hdr); err != nil {
-			if err == io.EOF {
-				return out
-			}
-			// Partial header: torn tail.
-			if err == io.ErrUnexpectedEOF {
-				if rerr := s.Resync(start, nil, b); rerr == io.EOF {
-					return out
+	for max == 0 || len(out) < max {
+		hdr, err := w.Peek(b.HdrLen)
+		switch err {
+		case io.EOF:
+			return out
+		case nil:
+			if n, ok := b.Plausible(hdr); ok {
+				if rec, err := w.Peek(n); err == nil {
+					out = append(out, append([]byte(nil), rec[b.HdrLen:]...))
+					w.Advance(n)
+					continue
 				}
-				continue
 			}
-			t.Fatalf("header read: %v", err)
+		case io.ErrUnexpectedEOF: // torn tail inside a header
+		default:
+			t.Fatalf("header peek: %v", err)
 		}
-		n, ok := b.Plausible(hdr)
-		if !ok {
-			if rerr := s.Resync(start, hdr, b); rerr == io.EOF {
-				return out
-			}
-			continue
+		if w.Resync(b) == io.EOF {
+			return out
 		}
-		body := make([]byte, n-8)
-		if m, err := s.ReadFull(body); err != nil {
-			seed := append(append([]byte(nil), hdr...), body[:m]...)
-			if rerr := s.Resync(start, seed, b); rerr == io.EOF {
-				return out
-			}
-			continue
-		}
-		out = append(out, body)
 	}
+	return out
+}
+
+func salvaging(data []byte) *Window {
+	w := NewWindow(bytes.NewReader(data))
+	w.Pol = Policy{SkipCorrupt: true}
+	return w
 }
 
 func TestResyncSkipsGarbageSplice(t *testing.T) {
@@ -194,8 +231,8 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 	r0 := len(fakeRec(recs[0]))
 	damaged := append(append(append([]byte(nil), clean.Bytes()[:r0]...), garbage...), clean.Bytes()[r0:]...)
 
-	s := &Scanner{R: bytes.NewReader(damaged), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	w := salvaging(damaged)
+	got := drainFake(t, w, fakeBoundary(), 0)
 	if len(got) != 3 {
 		t.Fatalf("salvaged %d records, want 3", len(got))
 	}
@@ -204,7 +241,7 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, got[i], r)
 		}
 	}
-	st := s.Stats
+	st := w.Stats
 	if st.CorruptRecords != 1 || st.ResyncScans != 1 {
 		t.Fatalf("counters = %+v, want 1 corrupt / 1 resync", st)
 	}
@@ -215,8 +252,8 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 	if st.MaxLostRecords != wantLost {
 		t.Fatalf("MaxLostRecords = %d, want %d", st.MaxLostRecords, wantLost)
 	}
-	if s.Offset() != uint64(len(damaged)) {
-		t.Fatalf("final offset = %d, want %d", s.Offset(), len(damaged))
+	if w.Offset() != uint64(len(damaged)) {
+		t.Fatalf("final offset = %d, want %d", w.Offset(), len(damaged))
 	}
 }
 
@@ -224,34 +261,37 @@ func TestResyncTornTail(t *testing.T) {
 	full := append(fakeRec([]byte("one")), fakeRec([]byte("two"))...)
 	// Tear mid-way through record two's body.
 	torn := full[:len(full)-2]
-	s := &Scanner{R: bytes.NewReader(torn), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	w := salvaging(torn)
+	got := drainFake(t, w, fakeBoundary(), 0)
 	if len(got) != 1 || string(got[0]) != "one" {
 		t.Fatalf("salvaged %v, want [one]", got)
 	}
-	if s.Stats.CorruptRecords != 1 || s.Stats.MaxLostRecords == 0 {
-		t.Fatalf("counters = %+v", s.Stats)
+	if w.Stats.CorruptRecords != 1 || w.Stats.MaxLostRecords == 0 {
+		t.Fatalf("counters = %+v", w.Stats)
 	}
-	if s.Offset() != uint64(len(torn)) {
-		t.Fatalf("offset = %d, want %d (end of stream)", s.Offset(), len(torn))
+	if w.Offset() != uint64(len(torn)) {
+		t.Fatalf("offset = %d, want %d (end of stream)", w.Offset(), len(torn))
 	}
 }
 
 func TestResyncLongSpanSlidesWindow(t *testing.T) {
-	// A damaged span several windows long must still converge and
-	// account every skipped byte exactly once.
-	span := bytes.Repeat([]byte{0x13, 0x37}, (3*resyncChunk)/2) // 3 windows of junk
+	// A damaged span several windows long must still converge, account
+	// every skipped byte exactly once, and slide rather than grow.
+	span := bytes.Repeat([]byte{0x13, 0x37}, (3*windowSize)/2) // 3 windows of junk
 	data := append(append(fakeRec([]byte("pre")), span...), fakeRec([]byte("post"))...)
-	s := &Scanner{R: bytes.NewReader(data), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	w := salvaging(data)
+	got := drainFake(t, w, fakeBoundary(), 0)
 	if len(got) != 2 || string(got[0]) != "pre" || string(got[1]) != "post" {
 		t.Fatalf("salvaged %d records: %q", len(got), got)
 	}
-	if s.Stats.SalvagedBytes != uint64(len(span)) {
-		t.Fatalf("SalvagedBytes = %d, want %d", s.Stats.SalvagedBytes, len(span))
+	if w.Stats.SalvagedBytes != uint64(len(span)) {
+		t.Fatalf("SalvagedBytes = %d, want %d", w.Stats.SalvagedBytes, len(span))
 	}
-	if s.Offset() != uint64(len(data)) {
-		t.Fatalf("offset = %d, want %d", s.Offset(), len(data))
+	if w.Offset() != uint64(len(data)) {
+		t.Fatalf("offset = %d, want %d", w.Offset(), len(data))
+	}
+	if cap(w.buf) != windowSize {
+		t.Fatalf("window grew to %d bytes scanning junk, want it to slide at %d", cap(w.buf), windowSize)
 	}
 }
 
@@ -264,10 +304,35 @@ func TestResyncRejectsFalseBoundary(t *testing.T) {
 	binary.LittleEndian.PutUint32(fake[4:8], 5) // claims 5-byte body
 	junk := append(append(bytes.Repeat([]byte{0xEE}, 11), fake...), bytes.Repeat([]byte{0xEE}, 9)...)
 	data := append(append(fakeRec([]byte("first")), junk...), fakeRec([]byte("second"))...)
-	s := &Scanner{R: bytes.NewReader(data), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	got := drainFake(t, salvaging(data), fakeBoundary(), 0)
 	if len(got) != 2 || string(got[0]) != "first" || string(got[1]) != "second" {
 		t.Fatalf("salvaged %q, want [first second]", got)
+	}
+}
+
+// TestWindowGrowsToLargestRecord frames a record longer than the
+// initial buffer: the window reallocates once, to the windowSize
+// multiple that holds it, and keeps framing small records after.
+func TestWindowGrowsToLargestRecord(t *testing.T) {
+	big := bytes.Repeat([]byte{0x5a}, windowSize+windowSize/2)
+	b := fakeBoundary()
+	b.Plausible = func(hdr []byte) (int, bool) {
+		if binary.LittleEndian.Uint32(hdr[0:4]) != fakeMagic {
+			return 0, false
+		}
+		return 8 + int(binary.LittleEndian.Uint32(hdr[4:8])), true
+	}
+	data := append(append(fakeRec([]byte("small")), fakeRec(big)...), fakeRec([]byte("after"))...)
+	w := NewWindow(bytes.NewReader(data))
+	got := drainFake(t, w, b, 0)
+	if len(got) != 3 || string(got[0]) != "small" || !bytes.Equal(got[1], big) || string(got[2]) != "after" {
+		t.Fatalf("framed %d records around the oversize one", len(got))
+	}
+	if cap(w.buf) != 2*windowSize {
+		t.Fatalf("window is %d bytes, want %d", cap(w.buf), 2*windowSize)
+	}
+	if w.Stats != (Stats{}) {
+		t.Fatalf("clean stream left a ledger: %+v", w.Stats)
 	}
 }
 
@@ -290,42 +355,11 @@ func TestPolicyEnabled(t *testing.T) {
 	}
 }
 
-// readRecordsBuf is readRecords' in-memory twin: it walks data through
-// the fake format with ResyncBuffer standing in for Scanner.Resync —
-// the framing loop a buffer-backed (mmap) reader runs.
-func readRecordsBuf(data []byte, b Boundary, stats *Stats) [][]byte {
-	var out [][]byte
-	off := 0
-	for off < len(data) {
-		start := off
-		if len(data)-off < b.HdrLen {
-			// Torn tail inside a header.
-			n, err := ResyncBuffer(data, start, b, stats)
-			if err == io.EOF {
-				return out
-			}
-			off = n
-			continue
-		}
-		n, ok := b.Plausible(data[off : off+b.HdrLen])
-		if !ok || off+n > len(data) {
-			n, err := ResyncBuffer(data, start, b, stats)
-			if err == io.EOF {
-				return out
-			}
-			off = n
-			continue
-		}
-		out = append(out, data[off+b.HdrLen:off+n])
-		off += n
-	}
-	return out
-}
-
-// TestResyncBufferMatchesScanner is the differential between the two
-// resync implementations: for every damage shape, the in-memory scan
-// must recover the same records and account the same ledger as the
-// streamed Scanner.
+// TestResyncBufferMatchesScanner drives every damage shape through
+// every arrival — the whole stream as one slice (the memory-mapped
+// case) and the streamed shapes — and requires the same records and
+// the same ledger from each. (It keeps the name it had when slice and
+// stream were two resync implementations held equal by this table.)
 func TestResyncBufferMatchesScanner(t *testing.T) {
 	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma-longer"), []byte("delta4")}
 	var clean bytes.Buffer
@@ -345,7 +379,7 @@ func TestResyncBufferMatchesScanner(t *testing.T) {
 	junk := append(append(bytes.Repeat([]byte{0xEE}, 11), fake...), bytes.Repeat([]byte{0xEE}, 9)...)
 	falseBoundary := append(append(fakeRec([]byte("first")), junk...), fakeRec([]byte("second"))...)
 
-	longSpan := bytes.Repeat([]byte{0x13, 0x37}, (3*resyncChunk)/2)
+	longSpan := bytes.Repeat([]byte{0x13, 0x37}, (3*windowSize)/2)
 
 	cases := map[string][]byte{
 		"clean":          clean.Bytes(),
@@ -357,65 +391,27 @@ func TestResyncBufferMatchesScanner(t *testing.T) {
 		"long-span":      append(append(fakeRec([]byte("pre")), longSpan...), fakeRec([]byte("post"))...),
 		"garbage-tail":   append(append([]byte(nil), clean.Bytes()...), bytes.Repeat([]byte{0xEE}, 23)...),
 	}
-	// A faithful streamed drain: unlike readRecords above, it seeds
-	// Resync with the partial header bytes on a torn tail — the way
-	// the real record readers do — so the byte accounting lines up
-	// with the buffer scan, which always sees the whole tail.
-	scanRecords := func(t *testing.T, s *Scanner, b Boundary) [][]byte {
-		t.Helper()
-		var out [][]byte
-		for {
-			start := s.Offset()
-			hdr := make([]byte, b.HdrLen)
-			m, err := s.ReadFull(hdr)
-			if err == io.EOF {
-				return out
-			}
-			if err == io.ErrUnexpectedEOF {
-				if rerr := s.Resync(start, hdr[:m], b); rerr == io.EOF {
-					return out
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("header read: %v", err)
-			}
-			n, ok := b.Plausible(hdr)
-			if !ok {
-				if rerr := s.Resync(start, hdr, b); rerr == io.EOF {
-					return out
-				}
-				continue
-			}
-			body := make([]byte, n-b.HdrLen)
-			if m, err := s.ReadFull(body); err != nil {
-				seed := append(append([]byte(nil), hdr...), body[:m]...)
-				if rerr := s.Resync(start, seed, b); rerr == io.EOF {
-					return out
-				}
-				continue
-			}
-			out = append(out, body)
-		}
-	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			s := &Scanner{R: bytes.NewReader(data), Pol: Policy{SkipCorrupt: true}}
-			want := scanRecords(t, s, fakeBoundary())
-
-			var stats Stats
-			got := readRecordsBuf(data, fakeBoundary(), &stats)
-
-			if len(want) != len(got) {
-				t.Fatalf("scanner recovered %d records, buffer %d", len(want), len(got))
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Errorf("record %d: scanner %q, buffer %q", i, want[i], got[i])
+			slice := NewSliceWindow(data)
+			want := drainFake(t, slice, fakeBoundary(), 0)
+			for _, a := range faultinject.Arrivals() {
+				w := NewWindow(a.Open(data))
+				got := drainFake(t, w, fakeBoundary(), 0)
+				if len(want) != len(got) {
+					t.Fatalf("%s recovered %d records, slice %d", a.Name, len(got), len(want))
 				}
-			}
-			if s.Stats != stats {
-				t.Errorf("ledgers differ:\n scanner %+v\n buffer  %+v", s.Stats, stats)
+				for i := range want {
+					if !bytes.Equal(want[i], got[i]) {
+						t.Errorf("%s record %d: %q, slice %q", a.Name, i, got[i], want[i])
+					}
+				}
+				if w.Stats != slice.Stats {
+					t.Errorf("ledgers differ:\n %s %+v\n slice %+v", a.Name, w.Stats, slice.Stats)
+				}
+				if w.Offset() != slice.Offset() {
+					t.Errorf("%s ended at offset %d, slice at %d", a.Name, w.Offset(), slice.Offset())
+				}
 			}
 		})
 	}

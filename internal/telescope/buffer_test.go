@@ -1,42 +1,43 @@
 package telescope
 
-// Differential tests for the in-memory Buffer decoder: Buffer is the
-// offset-arithmetic twin of the streamed Reader (the mmap ingest
-// path), and must reproduce it exactly — same packets, same terminal
-// error text, same salvage ledger — on clean and damaged stores alike.
+// Arrival-shape tests for the QSND framer. There is one framer, so the
+// only seam left is how the bytes reach its window: as one slice
+// (NewBuffer, the memory-mapped path) or through an io.Reader in
+// whatever pieces it delivers (NewReader). Every arrival must yield the
+// same packets, the same terminal error text and the same salvage
+// ledger, on clean and damaged stores alike.
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"quicsand/internal/faultinject"
+	"quicsand/internal/netmodel"
 	"quicsand/internal/salvage"
 )
 
-// drainBufferSalvage mirrors drainSalvage through the Buffer decoder.
-func drainBufferSalvage(data []byte, pol salvage.Policy) ([]*Packet, error, salvage.Stats) {
-	b := NewBuffer(data)
-	b.SetSalvage(pol)
+// drainReader reads r to termination under pol, returning the
+// recovered packets, the terminal error and the salvage ledger.
+func drainReader(r *Reader, pol salvage.Policy) ([]*Packet, error, salvage.Stats) {
+	r.SetSalvage(pol)
 	var out []*Packet
 	for {
-		var p Packet
-		if err := b.ReadInto(&p); err != nil {
-			return out, err, b.Salvage()
+		p, err := r.Read()
+		if err != nil {
+			return out, err, r.Salvage()
 		}
-		q := p
-		q.Payload = append([]byte(nil), p.Payload...)
-		if len(p.Payload) == 0 {
-			q.Payload = nil
-		}
-		out = append(out, &q)
+		out = append(out, p)
 	}
 }
 
-// TestBufferMatchesReader runs both decoders over the same stores —
-// clean, and damaged in every way the fault injector knows — under
-// fail-fast and salvage policies, and demands identical packets,
-// identical terminal error text, and an identical salvage ledger.
+// TestBufferMatchesReader runs the damage table — clean, and damaged
+// in every way the fault injector knows — under fail-fast and salvage
+// policies through every arrival shape, with the slice window as the
+// reference. (It keeps the name it had when Buffer and Reader were two
+// framers held equal by this table.)
 func TestBufferMatchesReader(t *testing.T) {
 	data, _, offs := salvageTrace(t, 20)
 	k := 11
@@ -64,34 +65,35 @@ func TestBufferMatchesReader(t *testing.T) {
 	for name, bad := range cases {
 		for pname, pol := range policies {
 			t.Run(name+"/"+pname, func(t *testing.T) {
-				rp, rerr, rsv := drainSalvage(bad, pol)
-				bp, berr, bsv := drainBufferSalvage(bad, pol)
-
-				if len(rp) != len(bp) {
-					t.Fatalf("reader decoded %d records, buffer %d", len(rp), len(bp))
-				}
-				for i := range rp {
-					if !samePacket(rp[i], bp[i]) {
-						t.Errorf("record %d differs:\n reader %+v\n buffer %+v", i, rp[i], bp[i])
+				bp, berr, bsv := drainReader(NewBuffer(bad), pol)
+				for _, a := range faultinject.Arrivals() {
+					rp, rerr, rsv := drainReader(NewReader(a.Open(bad)), pol)
+					if len(rp) != len(bp) {
+						t.Fatalf("%s decoded %d records, slice %d", a.Name, len(rp), len(bp))
 					}
-				}
-				if errors.Is(rerr, io.EOF) != errors.Is(berr, io.EOF) {
-					t.Fatalf("terminal errors disagree: reader %v, buffer %v", rerr, berr)
-				}
-				if !errors.Is(rerr, io.EOF) && rerr.Error() != berr.Error() {
-					t.Errorf("error text differs:\n reader %q\n buffer %q", rerr, berr)
-				}
-				if rsv != bsv {
-					t.Errorf("salvage ledgers differ:\n reader %+v\n buffer %+v", rsv, bsv)
+					for i := range rp {
+						if !samePacket(rp[i], bp[i]) {
+							t.Errorf("record %d differs:\n %s %+v\n slice %+v", i, a.Name, rp[i], bp[i])
+						}
+					}
+					if errors.Is(rerr, io.EOF) != errors.Is(berr, io.EOF) {
+						t.Fatalf("terminal errors disagree: %s %v, slice %v", a.Name, rerr, berr)
+					}
+					if !errors.Is(rerr, io.EOF) && rerr.Error() != berr.Error() {
+						t.Errorf("error text differs:\n %s %q\n slice %q", a.Name, rerr, berr)
+					}
+					if rsv != bsv {
+						t.Errorf("salvage ledgers differ:\n %s %+v\n slice %+v", a.Name, rsv, bsv)
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestBufferSpanFraming pins the zero-copy contract: TakeSpan returns
-// a subslice of the input covering exactly the framed record, and
-// DecodeRecord over that span reproduces ReadInto.
+// TestBufferSpanFraming pins the zero-copy contract: over a slice,
+// TakeSpan returns a subslice of the input covering exactly the framed
+// record, and DecodeRecord over that span reproduces ReadInto.
 func TestBufferSpanFraming(t *testing.T) {
 	data, pkts, offs := salvageTrace(t, 10)
 	b := NewBuffer(data)
@@ -100,7 +102,7 @@ func TestBufferSpanFraming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		span := b.TakeSpan()
+		span := b.TakeSpan(nil)
 		if len(span) != spanLen {
 			t.Fatalf("record %d: span %d bytes, framed %d", i, len(span), spanLen)
 		}
@@ -118,5 +120,81 @@ func TestBufferSpanFraming(t *testing.T) {
 	}
 	if _, _, err := b.FrameNext(); !errors.Is(err, io.EOF) {
 		t.Fatalf("tail err = %v, want io.EOF", err)
+	}
+}
+
+// TestReaderOversizeRecord frames a record larger than the window's
+// initial buffer — the format's maximum, a 65 535-byte payload — between
+// ordinary ones, through every arrival shape.
+func TestReaderOversizeRecord(t *testing.T) {
+	mk := func(n int, fill byte) *Packet {
+		return &Packet{
+			TS: TS(MeasurementStart.Add(time.Second)), Src: netmodel.MustAddr("1.2.3.4"),
+			Dst: netmodel.MustAddr("44.0.0.1"), SrcPort: 1, DstPort: 443, Proto: ProtoUDP,
+			Size: uint16(n), Payload: bytes.Repeat([]byte{fill}, n),
+		}
+	}
+	want := []*Packet{mk(9, 1), mk(0xffff, 2), mk(11, 3)}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, p := range want {
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]*Reader{"slice": NewBuffer(buf.Bytes())}
+	for _, a := range faultinject.Arrivals() {
+		readers[a.Name] = NewReader(a.Open(buf.Bytes()))
+	}
+	for name, r := range readers {
+		got, err, sv := drainReader(r, salvage.Policy{})
+		if !errors.Is(err, io.EOF) || len(got) != len(want) || sv != (salvage.Stats{}) {
+			t.Fatalf("%s: %d records, err %v, ledger %+v", name, len(got), err, sv)
+		}
+		for i := range want {
+			if !samePacket(got[i], want[i]) {
+				t.Errorf("%s: record %d differs", name, i)
+			}
+		}
+	}
+}
+
+// TestReaderTransientMidRecord pins what makes capture.Scatter's
+// record-level retry sound: a transient error that arrives after part
+// of a record has been read leaves Offset at the record start, and the
+// retried call returns that record whole.
+func TestReaderTransientMidRecord(t *testing.T) {
+	data, pkts, offs := salvageTrace(t, 6)
+	k := 3
+	mid := offs[k] + 17
+	// The short-read span makes reads stop at mid, so the transient
+	// error fires there and not on the first buffer-sized read.
+	fr := faultinject.NewReader(bytes.NewReader(data),
+		faultinject.Fault{Kind: faultinject.ShortRead, Offset: mid - 4, Len: 8},
+		faultinject.Fault{Kind: faultinject.Transient, Offset: mid})
+	r := NewReader(fr)
+	var p Packet
+	for i := 0; i < k; i++ {
+		if err := r.ReadInto(&p); err != nil || !samePacket(&p, pkts[i]) {
+			t.Fatalf("record %d before the fault: %v", i, err)
+		}
+	}
+	var te *faultinject.TransientError
+	if err := r.ReadInto(&p); !errors.As(err, &te) {
+		t.Fatalf("mid-record err = %v, want the injected TransientError", err)
+	}
+	if fr.Offset() != mid {
+		t.Fatalf("fault fired with %d bytes served, want %d (mid-record)", fr.Offset(), mid)
+	}
+	if r.Offset() != offs[k] {
+		t.Fatalf("offset = %d after the failed read, want the record start %d", r.Offset(), offs[k])
+	}
+	for i := k; i < len(pkts); i++ {
+		if err := r.ReadInto(&p); err != nil || !samePacket(&p, pkts[i]) {
+			t.Fatalf("record %d after the retry: %v", i, err)
+		}
 	}
 }

@@ -44,19 +44,9 @@ func salvageTrace(t testing.TB, n int) (data []byte, pkts []*Packet, offs []uint
 	return buf.Bytes(), pkts, offs
 }
 
-// drainSalvage reads data to termination under pol, returning the
-// recovered packets, the terminal error and the salvage ledger.
+// drainSalvage reads data, streamed, to termination under pol.
 func drainSalvage(data []byte, pol salvage.Policy) ([]*Packet, error, salvage.Stats) {
-	r := NewReader(bytes.NewReader(data))
-	r.SetSalvage(pol)
-	var out []*Packet
-	for {
-		p, err := r.Read()
-		if err != nil {
-			return out, err, r.Salvage()
-		}
-		out = append(out, p)
-	}
+	return drainReader(NewReader(bytes.NewReader(data)), pol)
 }
 
 // samePacket compares every stored field.

@@ -163,11 +163,17 @@ func (tw *Writer) Capture(p *Packet) {
 	_ = tw.Write(p)
 }
 
-// Reader deserializes packets from a stream. Corruption — a foreign
-// magic, an unsupported version, a record whose payload length exceeds
-// its datagram size, or a truncated tail — surfaces as an error
-// wrapping ErrBadTrace that names the record index and byte offset;
-// io.EOF is returned only at a clean record boundary.
+// Reader deserializes packets from a QSND stream, framing records over
+// a salvage.Window: NewReader slides the window over an io.Reader,
+// NewBuffer lays it over a byte slice holding the whole stream (the
+// memory-mapped case, where framing is offset arithmetic and spans and
+// payloads alias the data). Everything else — validation order, error
+// text, byte offsets, salvage accounting — is one code path.
+//
+// Corruption — a foreign magic, an unsupported version, a record whose
+// payload length exceeds its datagram size, or a truncated tail —
+// surfaces as an error wrapping ErrBadTrace that names the record index
+// and byte offset; io.EOF is returned only at a clean record boundary.
 //
 // With SetSalvage, record-level corruption stops being terminal: the
 // reader scans forward for the next plausible record boundary (QSND v2
@@ -177,67 +183,56 @@ func (tw *Writer) Capture(p *Packet) {
 // record loss in Salvage(). File-header corruption stays terminal
 // either way.
 type Reader struct {
-	sc     salvage.Scanner
+	w      *salvage.Window
 	header bool
-	rec    uint64 // records decoded so far = index of the next record
-	// recStart/suspect describe the record being decoded, for resync:
-	// where it began and which of its bytes were already consumed.
-	recStart uint64
-	suspect  []byte
-	// scratch backs the record header reads (see Writer.scratch);
-	// payload is the reused ReadInto payload buffer.
-	scratch [recHdrLen + 2]byte
-	payload []byte
+	rec    uint64 // records framed so far = index of the next record
+	span   []byte // framed by FrameNext, handed out by TakeSpan
 }
 
 // NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{sc: salvage.Scanner{R: bufio.NewReaderSize(r, 1<<16)}}
-}
+func NewReader(r io.Reader) *Reader { return &Reader{w: salvage.NewWindow(r)} }
+
+// NewBuffer reads data, a complete QSND stream starting at the file
+// header, in place: nothing is copied on ingest, so data must stay
+// alive and unmodified while spans or payloads are in use.
+func NewBuffer(data []byte) *Reader { return &Reader{w: salvage.NewSliceWindow(data)} }
 
 // SetSalvage installs the degraded-ingest policy. The zero policy is
 // the default fail-fast behavior.
-func (tr *Reader) SetSalvage(pol salvage.Policy) { tr.sc.Pol = pol }
+func (tr *Reader) SetSalvage(pol salvage.Policy) { tr.w.Pol = pol }
 
 // Salvage returns the skipped-record ledger accumulated so far. All
 // zeros on an undamaged stream.
-func (tr *Reader) Salvage() salvage.Stats { return tr.sc.Stats }
+func (tr *Reader) Salvage() salvage.Stats { return tr.w.Stats }
 
 // Offset returns the number of bytes consumed so far — after an error,
-// the start of the undecodable region.
-func (tr *Reader) Offset() uint64 { return tr.sc.Offset() }
+// the start of the record that could not be read.
+func (tr *Reader) Offset() uint64 { return tr.w.Offset() }
+
+// Stable reports whether spans and payloads handed out alias memory
+// that outlives the next read (NewBuffer) or the reader's sliding
+// buffer, valid only until the next read (NewReader).
+func (tr *Reader) Stable() bool { return tr.w.Stable() }
 
 // corruptf builds an ErrBadTrace annotated with the failing record's
 // index and byte offset.
 func (tr *Reader) corruptf(at uint64, format string, args ...any) error {
-	return corruptf(tr.rec, at, format, args...)
-}
-
-// corruptf is the shared error constructor behind Reader and Buffer,
-// so both paths report corruption with byte-identical text.
-func corruptf(rec, at uint64, format string, args ...any) error {
 	return fmt.Errorf("telescope: %s at record %d, byte offset %d: %w",
-		fmt.Sprintf(format, args...), rec, at, ErrBadTrace)
+		fmt.Sprintf(format, args...), tr.rec, at, ErrBadTrace)
 }
 
-// readFull reads exactly len(b) bytes, advancing the offset, and
-// reports how many arrived. atStart marks a clean record boundary
-// where a zero-byte read is plain EOF; a partial read is a truncated
-// tail (ErrBadTrace). Non-EOF I/O errors — e.g. transient failures
-// that survived the retry budget — pass through unwrapped so salvage
-// never mistakes a dying disk for trace corruption.
-func (tr *Reader) readFull(b []byte, atStart bool, what string) (int, error) {
-	n, err := tr.sc.ReadFull(b)
-	if err == nil {
-		return n, nil
+// short classifies a failed Peek of hdr+want bytes that returned have:
+// nothing at all is a clean end of stream (only possible at a record
+// boundary, where hdr is 0), a partial read is a truncated tail
+// (ErrBadTrace) reported at the byte where the stream ended. Non-EOF
+// I/O errors — e.g. transient failures that survived the retry budget —
+// pass through unwrapped so salvage never mistakes a dying disk for
+// trace corruption.
+func (tr *Reader) short(err error, what string, have, hdr, want int) error {
+	if err == io.ErrUnexpectedEOF {
+		return tr.corruptf(tr.w.Offset()+uint64(have), "truncated %s (%d of %d bytes)", what, have-hdr, want)
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		if atStart && n == 0 {
-			return n, io.EOF
-		}
-		return n, tr.corruptf(tr.sc.Offset(), "truncated %s (%d of %d bytes)", what, n, len(b))
-	}
-	return n, err
+	return err
 }
 
 // qsndBoundary is the resync probe for QSND v2 framing: a candidate
@@ -264,38 +259,82 @@ var qsndBoundary = salvage.Boundary{
 	},
 }
 
-// ReadInto decodes the next record into p — the allocation-free path
-// capture.Source wrappers use. p.Payload (nil for payload-less
-// records) aliases reader-owned storage valid only until the next
-// ReadInto/Read call; retainers must copy. On io.EOF or corruption p
-// is left in an undefined state.
-func (tr *Reader) ReadInto(p *Packet) error {
+// frame validates the file header lazily, then validates one complete
+// record on peeked bytes and consumes it, returning its span (header +
+// payload). On any error nothing of the record has been consumed.
+func (tr *Reader) frame() ([]byte, error) {
+	if !tr.header {
+		fh, err := tr.w.Peek(8)
+		if err != nil {
+			return nil, tr.short(err, "file header", len(fh), 0, 8)
+		}
+		if magic := binary.LittleEndian.Uint32(fh[0:]); magic != storeMagic {
+			return nil, tr.corruptf(0, "magic %#08x (want %#08x)", magic, storeMagic)
+		}
+		if v := binary.LittleEndian.Uint32(fh[4:]); v != storeVersion {
+			return nil, tr.corruptf(4, "unsupported trace version %d (want %d)", v, storeVersion)
+		}
+		tr.w.Advance(8)
+		tr.header = true
+	}
+	recStart := tr.w.Offset()
+	hdr, err := tr.w.Peek(recHdrLen + 2)
+	if err != nil {
+		return nil, tr.short(err, "record header", len(hdr), 0, recHdrLen+2)
+	}
+	if hdr[20] > byte(ProtoICMP) {
+		return nil, tr.corruptf(recStart, "unknown protocol %d", hdr[20])
+	}
+	size := binary.LittleEndian.Uint16(hdr[22:])
+	n := int(binary.LittleEndian.Uint16(hdr[28:]))
+	if n > int(size) {
+		return nil, tr.corruptf(recStart, "payload length %d exceeds datagram size %d", n, size)
+	}
+	span, err := tr.w.Peek(recHdrLen + 2 + n)
+	if err != nil {
+		return nil, tr.short(err, "payload", len(span), recHdrLen+2, n)
+	}
+	tr.w.Advance(len(span))
+	tr.rec++
+	return span, nil
+}
+
+// next frames the next record, salvaging corruption per policy.
+// Salvage applies only to record-level ErrBadTrace after a valid file
+// header: a damaged preamble condemns the file, and genuine I/O errors
+// are not corruption to skip over.
+func (tr *Reader) next() ([]byte, error) {
 	for {
-		err := tr.readRecord(p)
-		if err == nil {
-			tr.rec++
-			return nil
+		span, err := tr.frame()
+		if err == nil || !tr.w.Pol.SkipCorrupt || !tr.header || !errors.Is(err, ErrBadTrace) {
+			return span, err
 		}
-		// Salvage applies only to record-level ErrBadTrace after a
-		// valid file header: a damaged preamble condemns the file, and
-		// genuine I/O errors are not corruption to skip over.
-		if errors.Is(err, io.EOF) || !tr.sc.Pol.SkipCorrupt ||
-			!tr.header || !errors.Is(err, ErrBadTrace) {
-			return err
-		}
-		if rerr := tr.sc.Resync(tr.recStart, tr.suspect, qsndBoundary); rerr != nil {
-			return io.EOF // torn tail: everything salvageable was read
+		if tr.w.Resync(qsndBoundary) != nil {
+			return nil, io.EOF // torn tail: everything salvageable was read
 		}
 	}
 }
 
+// ReadInto decodes the next record into p — the allocation-free path
+// capture.Source wrappers use. p.Payload (nil for payload-less
+// records) aliases the span: valid only until the next read unless the
+// reader is Stable; retainers must copy. On io.EOF or corruption p is
+// left untouched.
+func (tr *Reader) ReadInto(p *Packet) error {
+	span, err := tr.next()
+	if err != nil {
+		return err
+	}
+	DecodeRecord(span, p)
+	return nil
+}
+
 // DecodeRecord decodes a complete QSND v2 record span — the fixed
-// header plus its payload, as framed by FrameNext/TakeSpan or a
-// Buffer — into p. The span must already be validated by the framer;
-// decode itself cannot fail. p.Payload aliases the span (nil for
-// payload-less records, matching ReadInto), so the span's owner
-// decides the lifetime. Safe for concurrent use: decoding touches no
-// shared state.
+// header plus its payload, as framed by FrameNext/TakeSpan — into p.
+// The span must already be validated by the framer; decode itself
+// cannot fail. p.Payload aliases the span (nil for payload-less
+// records), so the span's owner decides the lifetime. Safe for
+// concurrent use: decoding touches no shared state.
 func DecodeRecord(span []byte, p *Packet) {
 	*p = Packet{
 		TS:      Timestamp(binary.LittleEndian.Uint64(span[0:])),
@@ -313,152 +352,29 @@ func DecodeRecord(span []byte, p *Packet) {
 	}
 }
 
-// FrameNext reads and validates the next record's fixed header,
-// returning the full span length (header + payload) and the record's
-// source address for shard routing. The header bytes are retained; the
-// caller must complete the record with TakeSpan before the next
-// FrameNext. Corruption is salvaged per policy exactly as in ReadInto;
-// io.EOF means a clean end of stream.
+// FrameNext frames the next record, returning its span length (header +
+// payload) and its source address for shard routing; collect the span
+// with TakeSpan before the next FrameNext. Corruption is salvaged per
+// policy exactly as in ReadInto; io.EOF means a clean end of stream.
 func (tr *Reader) FrameNext() (int, netmodel.Addr, error) {
-	for {
-		spanLen, src, err := tr.frameRecord()
-		if err == nil {
-			return spanLen, src, nil
-		}
-		if errors.Is(err, io.EOF) || !tr.sc.Pol.SkipCorrupt ||
-			!tr.header || !errors.Is(err, ErrBadTrace) {
-			return 0, 0, err
-		}
-		if rerr := tr.sc.Resync(tr.recStart, tr.suspect, qsndBoundary); rerr != nil {
-			return 0, 0, io.EOF // torn tail: everything salvageable was read
-		}
-	}
-}
-
-// frameRecord is readRecord's header half: file-header validation,
-// record-header read and sanity checks, with identical error text and
-// suspect-byte tracking — but no payload consumption.
-func (tr *Reader) frameRecord() (int, netmodel.Addr, error) {
-	if !tr.header {
-		fh := tr.scratch[:8]
-		if _, err := tr.readFull(fh, true, "file header"); err != nil {
-			return 0, 0, err
-		}
-		if magic := binary.LittleEndian.Uint32(fh[0:]); magic != storeMagic {
-			return 0, 0, tr.corruptf(0, "magic %#08x (want %#08x)", magic, storeMagic)
-		}
-		if v := binary.LittleEndian.Uint32(fh[4:]); v != storeVersion {
-			return 0, 0, tr.corruptf(4, "unsupported trace version %d (want %d)", v, storeVersion)
-		}
-		tr.header = true
-	}
-	recStart := tr.sc.Offset()
-	tr.recStart = recStart
-	hdr := &tr.scratch
-	if n, err := tr.readFull(hdr[:], true, "record header"); err != nil {
-		tr.suspect = append(tr.suspect[:0], hdr[:n]...)
+	span, err := tr.next()
+	if err != nil {
 		return 0, 0, err
 	}
-	if hdr[20] > byte(ProtoICMP) {
-		tr.suspect = append(tr.suspect[:0], hdr[:]...)
-		return 0, 0, tr.corruptf(recStart, "unknown protocol %d", hdr[20])
-	}
-	size := binary.LittleEndian.Uint16(hdr[22:])
-	n := int(binary.LittleEndian.Uint16(hdr[28:]))
-	if n > int(size) {
-		tr.suspect = append(tr.suspect[:0], hdr[:]...)
-		return 0, 0, tr.corruptf(recStart, "payload length %d exceeds datagram size %d", n, size)
-	}
-	src := netmodel.Addr(binary.LittleEndian.Uint32(hdr[8:]))
-	return recHdrLen + 2 + n, src, nil
+	tr.span = span
+	return len(span), netmodel.Addr(binary.LittleEndian.Uint32(span[8:])), nil
 }
 
-// TakeSpan completes the record framed by the last FrameNext into dst
-// (len(dst) must be the returned span length): the retained header is
-// copied and the payload read straight from the stream — the spans a
-// shard decodes later never pass through an intermediate buffer. On
-// payload truncation the salvage policy applies: if the resync scan
-// recovers a later boundary the framed record itself is unrecoverable
-// and TakeSpan returns salvage.ErrRecordLost (the caller drops the
-// span and keeps framing); a torn tail returns io.EOF after
-// accounting, exactly like ReadInto.
-func (tr *Reader) TakeSpan(dst []byte) ([]byte, error) {
-	copy(dst, tr.scratch[:])
-	if len(dst) > recHdrLen+2 {
-		if m, err := tr.readFull(dst[recHdrLen+2:], false, "payload"); err != nil {
-			tr.suspect = append(tr.suspect[:0], dst[:recHdrLen+2+m]...)
-			if errors.Is(err, io.EOF) || !tr.sc.Pol.SkipCorrupt ||
-				!errors.Is(err, ErrBadTrace) {
-				return nil, err
-			}
-			if rerr := tr.sc.Resync(tr.recStart, tr.suspect, qsndBoundary); rerr != nil {
-				return nil, io.EOF
-			}
-			return nil, salvage.ErrRecordLost
-		}
+// TakeSpan hands out the record framed by the last FrameNext: the span
+// itself when the reader is Stable (dst is ignored), otherwise a copy
+// in dst, whose length must be the framed span length — the one copy
+// between the stream and the arena a shard decodes from.
+func (tr *Reader) TakeSpan(dst []byte) []byte {
+	if tr.w.Stable() {
+		return tr.span
 	}
-	tr.rec++
-	return dst, nil
-}
-
-// readRecord decodes one record, tracking the suspect bytes a resync
-// would need to rescan on failure.
-func (tr *Reader) readRecord(p *Packet) error {
-	if !tr.header {
-		fh := tr.scratch[:8]
-		if _, err := tr.readFull(fh, true, "file header"); err != nil {
-			return err
-		}
-		if magic := binary.LittleEndian.Uint32(fh[0:]); magic != storeMagic {
-			return tr.corruptf(0, "magic %#08x (want %#08x)", magic, storeMagic)
-		}
-		if v := binary.LittleEndian.Uint32(fh[4:]); v != storeVersion {
-			return tr.corruptf(4, "unsupported trace version %d (want %d)", v, storeVersion)
-		}
-		tr.header = true
-	}
-	recStart := tr.sc.Offset()
-	tr.recStart = recStart
-	hdr := &tr.scratch
-	if n, err := tr.readFull(hdr[:], true, "record header"); err != nil {
-		tr.suspect = append(tr.suspect[:0], hdr[:n]...)
-		return err
-	}
-	*p = Packet{
-		TS:      Timestamp(binary.LittleEndian.Uint64(hdr[0:])),
-		Src:     netmodel.Addr(binary.LittleEndian.Uint32(hdr[8:])),
-		Dst:     netmodel.Addr(binary.LittleEndian.Uint32(hdr[12:])),
-		SrcPort: binary.LittleEndian.Uint16(hdr[16:]),
-		DstPort: binary.LittleEndian.Uint16(hdr[18:]),
-		Proto:   Proto(hdr[20]),
-		Flags:   hdr[21],
-		Size:    binary.LittleEndian.Uint16(hdr[22:]),
-		Weight:  binary.LittleEndian.Uint32(hdr[24:]),
-	}
-	if p.Proto > ProtoICMP {
-		tr.suspect = append(tr.suspect[:0], hdr[:]...)
-		return tr.corruptf(recStart, "unknown protocol %d", byte(p.Proto))
-	}
-	n := int(binary.LittleEndian.Uint16(hdr[28:]))
-	if n > int(p.Size) {
-		tr.suspect = append(tr.suspect[:0], hdr[:]...)
-		return tr.corruptf(recStart, "payload length %d exceeds datagram size %d", n, p.Size)
-	}
-	if n == 0 {
-		return nil
-	}
-	// The buffer lives on the Reader, not the packet, so payload-less
-	// records interleaved in the stream never discard its capacity.
-	if cap(tr.payload) < n {
-		tr.payload = make([]byte, n)
-	}
-	tr.payload = tr.payload[:n]
-	p.Payload = tr.payload
-	if m, err := tr.readFull(p.Payload, false, "payload"); err != nil {
-		tr.suspect = append(append(tr.suspect[:0], hdr[:]...), p.Payload[:m]...)
-		return err
-	}
-	return nil
+	copy(dst, tr.span)
+	return dst
 }
 
 // Read returns the next packet, freshly allocated (safe to retain), or
@@ -469,7 +385,7 @@ func (tr *Reader) Read() (*Packet, error) {
 		return nil, err
 	}
 	if p.Payload != nil {
-		p.Payload = append([]byte(nil), p.Payload...)
+		p.Payload = append([]byte(nil), p.Payload...) // off the window
 	}
 	return p, nil
 }

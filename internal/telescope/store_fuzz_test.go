@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"quicsand/internal/faultinject"
@@ -106,6 +107,15 @@ func FuzzQSNDReader(f *testing.F) {
 		}
 		if salvaged < len(decoded) {
 			t.Fatalf("salvage recovered %d records, fail-fast got %d", salvaged, len(decoded))
+		}
+		// How the bytes arrive must not show: the slice window and a
+		// one-byte-at-a-time stream account the damage identically.
+		bp, berr, bsv := drainReader(NewBuffer(data), salvage.Policy{SkipCorrupt: true})
+		op, oerr, osv := drainReader(NewReader(iotest.OneByteReader(bytes.NewReader(data))), salvage.Policy{SkipCorrupt: true})
+		if len(bp) != salvaged || len(op) != salvaged || bsv != sr.Salvage() || osv != bsv ||
+			berr.Error() != oerr.Error() {
+			t.Fatalf("arrivals disagree: stream %d records %+v; slice %d %+v (%v); one-byte %d %+v (%v)",
+				salvaged, sr.Salvage(), len(bp), bsv, berr, len(op), osv, oerr)
 		}
 		// Accepted records re-encode canonically.
 		var buf bytes.Buffer

@@ -548,81 +548,24 @@ func collectTelemetry(cfg Config, shards []*pipelineShard, pstats *engine.Stats)
 	return snap
 }
 
-// Run generates the month and performs every analysis stage in one
-// sharded streaming pass (see Config.Workers).
-func Run(cfg Config) (*Analysis, error) {
-	schedStart := time.Now()
-	workers := engine.Config{Workers: cfg.Workers}.ResolveWorkers()
-	rec := cfg.FlightRecorder
-	rec.Prepare(workers)
-	drv := rec.DriverRing()
-
-	a := &Analysis{Config: cfg}
-	plan0 := drv.Now()
-	gen, tum, rwth, err := prepare(cfg, a)
-	if err != nil {
-		return nil, err
-	}
-	drv.Span(telemetry.StagePlan, plan0, drv.Now()-plan0, uint64(len(gen.Sources())))
-	schedWall := time.Since(schedStart)
-
-	shards := newShards(a, tum, rwth, workers)
-	for i, sh := range shards {
-		sh.setRecorder(rec.ShardRing(i), rec.SliceItems())
-		if cfg.Live != nil {
-			sh.live = cfg.Live.Shard(i)
-		}
-	}
-	feeds := make([]engine.Feed[*telescope.Packet], workers)
-	// Packet-slab recycling is legal only when nothing retains packet
-	// pointers past the sink call; the trace tap buffers packets across
-	// goroutines, so checkpointing runs pay the allocations instead.
-	mergers := gen.Feeds(workers, cfg.Trace == nil)
-	for i, m := range mergers {
-		feeds[i] = m.Run
-	}
-
-	pstats := engine.Run(
-		engine.Config{Workers: cfg.Workers, Recorder: rec, FeedStage: telemetry.StageGenerate},
-		feeds,
-		func(i int, p *telescope.Packet) bool { return shards[i].process(p) }, traceTap(cfg))
-	a.Truth = gen.Truth
-
-	reduceStart := time.Now()
-	red0 := drv.Now()
-	a.reduce(shards, tum, rwth)
-	a.Telemetry = collectTelemetry(cfg, shards, pstats)
-	for _, m := range mergers {
-		g := m.Telemetry()
-		a.Telemetry.Generate.Merge(&g)
-	}
-	drv.Span(telemetry.StageReduce, red0, drv.Now()-red0, uint64(len(a.QUICSessions)))
-
-	pstats.AddStage("reduce", uint64(len(a.QUICSessions)), time.Since(reduceStart))
-	pstats.Stages = append(
-		[]engine.Stage{{Name: "schedule", Items: uint64(len(gen.Sources())), Wall: schedWall}},
-		pstats.Stages...)
-	pstats.Wall = time.Since(schedStart)
-	a.Pipeline = pstats
-	a.Flight = rec.Timeline(pstats.Wall)
-	return a, nil
+// pipelineFeed is what distinguishes the batch entry points: where the
+// packets come from. Everything else — planning, shard wiring, the
+// engine run, reduction, telemetry, stage stitching — is runPipeline.
+type pipelineFeed struct {
+	// stage labels the feed goroutines' flight-recorder spans.
+	stage telemetry.Stage
+	feeds []engine.Feed[*telescope.Packet]
+	// err reports the feed side's first failure once the engine has
+	// drained; nil when the feed cannot fail.
+	err func() error
+	// report folds the feed side's counters into the run's telemetry.
+	report func(*telemetry.Snapshot)
 }
 
-// Replay performs the full analysis over a stored packet stream — a
-// QSND checkpoint or a pcap — instead of generating one (see
-// internal/capture). Packets scatter to the sharded engine by source
-// address through per-shard slabs, so `Run → trace to disk → Replay`
-// produces an Analysis bit-identical to the direct run for any worker
-// count, on either side (DESIGN.md §10).
-//
-// cfg must carry the recorded run's seed/scale/thinning parameters:
-// the schedule-derived ground truth (victim organizations, bot tags
-// for the GreyNoise join) is rebuilt by re-scheduling, never stored in
-// the trace. Workers and Trace are free — replaying with a trace sink
-// re-checkpoints the stream (the convert path with analysis). For
-// foreign captures the ground truth is simply empty simulation state;
-// every packet-derived figure still computes.
-func Replay(cfg Config, src capture.Source) (*Analysis, error) {
+// runPipeline is the batch driver behind Run and Replay: plan the
+// month, wire one analysis shard per worker, run the engine over the
+// feeds wire builds for the resolved worker count, reduce.
+func runPipeline(cfg Config, wire func(gen *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed) (*Analysis, error) {
 	schedStart := time.Now()
 	workers := engine.Config{Workers: cfg.Workers}.ResolveWorkers()
 	rec := cfg.FlightRecorder
@@ -646,44 +589,23 @@ func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 			sh.live = cfg.Live.Shard(i)
 		}
 	}
-	// Replayed packets live in scatter-owned slabs under the same §9
-	// ownership contract as generator slabs: recycling is legal exactly
-	// when no trace tap buffers packet pointers past the sink call.
-	sc := capture.NewScatter(src, workers, cfg.Trace == nil)
-	sc.SetRecorder(rec)
-	if cfg.Salvage.Enabled() {
-		// Byte-level salvage (resync, short-read retry) lives in the
-		// source; the scatter adds record-level transient retry on top.
-		capture.SetSalvage(src, cfg.Salvage)
-		sc.SetSalvage(cfg.Salvage)
-	}
+	feed := wire(gen, workers, rec)
 
 	pstats := engine.Run(
-		engine.Config{Workers: cfg.Workers, Recorder: rec, FeedStage: telemetry.StageScatter},
-		sc.Feeds(),
+		engine.Config{Workers: cfg.Workers, Recorder: rec, FeedStage: feed.stage},
+		feed.feeds,
 		func(i int, p *telescope.Packet) bool { return shards[i].process(p) }, traceTap(cfg))
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("quicsand: replay: %w", err)
+	if feed.err != nil {
+		if err := feed.err(); err != nil {
+			return nil, err
+		}
 	}
 
 	reduceStart := time.Now()
 	red0 := drv.Now()
 	a.reduce(shards, tum, rwth)
 	a.Telemetry = collectTelemetry(cfg, shards, pstats)
-	a.Telemetry.Ingest = sc.Telemetry()
-	a.Telemetry.Ingest.Format = capture.SourceFormat(src).String()
-	// Reader-side skips add to whatever the decode side counted: on the
-	// sequential path the shards drop nothing and this is the whole
-	// number; on the span path it completes the shard drops to the same
-	// worker-invariant total.
-	a.Telemetry.Ingest.DecodeDrops += capture.SourceSkipped(src)
-	if sv := capture.SourceSalvage(src); sv != (capture.SalvageStats{}) {
-		a.Telemetry.Ingest.CorruptRecords = sv.CorruptRecords
-		a.Telemetry.Ingest.ResyncScans = sv.ResyncScans
-		a.Telemetry.Ingest.SalvagedBytes = sv.SalvagedBytes
-		a.Telemetry.Ingest.SalvageMaxLost = sv.MaxLostRecords
-		a.Telemetry.Ingest.TransientRetries += sv.TransientRetries
-	}
+	feed.report(a.Telemetry)
 	drv.Span(telemetry.StageReduce, red0, drv.Now()-red0, uint64(len(a.QUICSessions)))
 
 	pstats.AddStage("reduce", uint64(len(a.QUICSessions)), time.Since(reduceStart))
@@ -694,6 +616,92 @@ func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 	a.Pipeline = pstats
 	a.Flight = rec.Timeline(pstats.Wall)
 	return a, nil
+}
+
+// Run generates the month and performs every analysis stage in one
+// sharded streaming pass (see Config.Workers).
+func Run(cfg Config) (*Analysis, error) {
+	return runPipeline(cfg, func(gen *ibr.Generator, workers int, _ *telemetry.Recorder) pipelineFeed {
+		// Packet-slab recycling is legal only when nothing retains packet
+		// pointers past the sink call; the trace tap buffers packets across
+		// goroutines, so checkpointing runs pay the allocations instead.
+		mergers := gen.Feeds(workers, cfg.Trace == nil)
+		feeds := make([]engine.Feed[*telescope.Packet], workers)
+		for i, m := range mergers {
+			feeds[i] = m.Run
+		}
+		return pipelineFeed{
+			stage: telemetry.StageGenerate,
+			feeds: feeds,
+			report: func(snap *telemetry.Snapshot) {
+				for _, m := range mergers {
+					g := m.Telemetry()
+					snap.Generate.Merge(&g)
+				}
+			},
+		}
+	})
+}
+
+// Replay performs the full analysis over a stored packet stream — a
+// QSND checkpoint or a pcap — instead of generating one (see
+// internal/capture). Packets scatter to the sharded engine by source
+// address through per-shard slabs, so `Run → trace to disk → Replay`
+// produces an Analysis bit-identical to the direct run for any worker
+// count, on either side (DESIGN.md §10).
+//
+// cfg must carry the recorded run's seed/scale/thinning parameters:
+// the schedule-derived ground truth (victim organizations, bot tags
+// for the GreyNoise join) is rebuilt by re-scheduling, never stored in
+// the trace. Workers and Trace are free — replaying with a trace sink
+// re-checkpoints the stream (the convert path with analysis). For
+// foreign captures the ground truth is simply empty simulation state;
+// every packet-derived figure still computes.
+func Replay(cfg Config, src capture.Source) (*Analysis, error) {
+	return runPipeline(cfg, func(_ *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed {
+		// Replayed packets live in scatter-owned slabs under the same §9
+		// ownership contract as generator slabs: recycling is legal exactly
+		// when no trace tap buffers packet pointers past the sink call.
+		sc := capture.NewScatter(src, workers, cfg.Trace == nil)
+		sc.SetRecorder(rec)
+		if cfg.Salvage.Enabled() {
+			// Byte-level salvage (resync, short-read retry) lives in the
+			// source; the scatter adds record-level transient retry on top.
+			capture.SetSalvage(src, cfg.Salvage)
+			sc.SetSalvage(cfg.Salvage)
+		}
+		return pipelineFeed{
+			stage: telemetry.StageScatter,
+			feeds: sc.Feeds(),
+			err: func() error {
+				if err := sc.Err(); err != nil {
+					return fmt.Errorf("quicsand: replay: %w", err)
+				}
+				return nil
+			},
+			report: func(snap *telemetry.Snapshot) { snap.Ingest = ingestLedger(sc.Telemetry(), src) },
+		}
+	})
+}
+
+// ingestLedger completes a replay's ingest counters with what only the
+// source knows: the container format, the reader-side decode skips and
+// the salvage ledger. Replay and StreamReplay both report through it.
+func ingestLedger(in telemetry.Ingest, src capture.Source) telemetry.Ingest {
+	in.Format = capture.SourceFormat(src).String()
+	// Reader-side skips add to whatever the decode side counted: on the
+	// sequential path the shards drop nothing and this is the whole
+	// number; on the span path it completes the shard drops to the same
+	// worker-invariant total.
+	in.DecodeDrops += capture.SourceSkipped(src)
+	if sv := capture.SourceSalvage(src); sv != (capture.SalvageStats{}) {
+		in.CorruptRecords = sv.CorruptRecords
+		in.ResyncScans = sv.ResyncScans
+		in.SalvagedBytes = sv.SalvagedBytes
+		in.SalvageMaxLost = sv.MaxLostRecords
+		in.TransientRetries += sv.TransientRetries
+	}
+	return in
 }
 
 // Expect computes the analytic oracle's prediction for cfg without

@@ -183,8 +183,8 @@ func TestReplaySalvagedDegradedOracle(t *testing.T) {
 		{"qsnd", capture.FormatQSND, qsnd, openStream},
 		{"pcap", capture.FormatPcap, pcap, openStream},
 		// The same damaged checkpoint through the mmap path: the
-		// in-buffer resync must account identically to the streamed
-		// Scanner's.
+		// resync over the mapped slice must account identically to the
+		// one over the streamed window.
 		{"qsnd-mmap", capture.FormatQSND, qsnd, openMmap},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -330,11 +330,11 @@ func TestReplayTruncatedTail(t *testing.T) {
 	}
 }
 
-// TestSalvageLedgerMmapMatchesStream is the differential for the two
-// resync implementations: the in-buffer resync (mmap path) and the
-// streamed Scanner must account a damaged capture with the exact same
-// salvage ledger and produce the same record count, at every worker
-// count.
+// TestSalvageLedgerMmapMatchesStream pins, end to end, that how the
+// bytes reach the reader does not show in the ledger: the mapped file
+// (slice window) and the streamed one (sliding window) must account a
+// damaged capture with the exact same salvage ledger and produce the
+// same record count, at every worker count.
 func TestSalvageLedgerMmapMatchesStream(t *testing.T) {
 	cfg, _, qsnd, _ := salvageFixture(t)
 	bad, _ := damageMidRecord(qsnd, capture.FormatQSND)
@@ -379,5 +379,65 @@ func TestReplaySalvageOffByDefault(t *testing.T) {
 	}
 	if obs := a.OracleObserved(); obs.LostRecords != 0 {
 		t.Errorf("clean replay claims a loss budget of %d", obs.LostRecords)
+	}
+}
+
+// TestStreamReplaySalvage pins that the streaming replay honours
+// cfg.Salvage and reports the batch replay's ingest ledger: a capture
+// with one destroyed mid-file record (and, for pcap, one frame outside
+// the packet model) streams to completion under SkipCorrupt, and the
+// final checkpoint's analysis carries the same format, record count,
+// decode drops, salvage counters and oracle loss budget as Replay over
+// the same bytes.
+func TestStreamReplaySalvage(t *testing.T) {
+	cfg, _, qsnd, pcap := salvageFixture(t)
+	cfg.Salvage = capture.SalvagePolicy{SkipCorrupt: true}
+
+	// One ARP frame appended to the pcap: dropped by the reader on every
+	// path, so DecodeDrops is 1 rather than vacuously 0.
+	offs := pcapOffsets(pcap)
+	arp := append([]byte(nil), pcap[offs[len(offs)-1]:][:16]...) // reuse the last timestamp
+	binary.LittleEndian.PutUint32(arp[8:], 42)
+	binary.LittleEndian.PutUint32(arp[12:], 42)
+	arp = append(arp, make([]byte, 42)...)
+	arp[16+12], arp[16+13] = 0x08, 0x06
+	pcap = append(append([]byte(nil), pcap...), arp...)
+
+	for _, tc := range []struct {
+		name   string
+		format capture.Format
+		data   []byte
+		drops  uint64
+	}{
+		{"qsnd", capture.FormatQSND, qsnd, 0},
+		{"pcap", capture.FormatPcap, pcap, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, _ := damageMidRecord(tc.data, tc.format)
+			batch, err := Replay(cfg, openStream(t, bad))
+			if err != nil {
+				t.Fatalf("batch salvage replay: %v", err)
+			}
+			final, err := StreamReplay(StreamConfig{Config: cfg}, openStream(t, bad), 0, nil)
+			if err != nil {
+				t.Fatalf("stream salvage replay: %v", err)
+			}
+			a := final.Analysis()
+			si, bi := a.Telemetry.Ingest, batch.Telemetry.Ingest
+			if si.Format != bi.Format || si.Records != bi.Records || si.DecodeDrops != bi.DecodeDrops ||
+				si.CorruptRecords != bi.CorruptRecords || si.ResyncScans != bi.ResyncScans ||
+				si.SalvagedBytes != bi.SalvagedBytes || si.SalvageMaxLost != bi.SalvageMaxLost {
+				t.Errorf("ingest ledgers differ:\n stream %+v\n batch  %+v", si, bi)
+			}
+			if si.CorruptRecords != 1 || si.DecodeDrops != tc.drops {
+				t.Errorf("ledger = %+v, want 1 corrupt record and %d decode drops", si, tc.drops)
+			}
+			if got, want := a.OracleObserved().LostRecords, batch.OracleObserved().LostRecords; got != want || got == 0 {
+				t.Errorf("oracle loss budget = %d, batch %d, want equal and non-zero", got, want)
+			}
+			if a.RenderAll() != batch.RenderAll() {
+				t.Error("salvaged stream analysis diverged from the salvaged batch analysis")
+			}
+		})
 	}
 }

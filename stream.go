@@ -284,6 +284,11 @@ type StreamCheckpoint struct {
 	shards   []*pipelineShard
 	detMet   []telemetry.Detect
 
+	// ingest is the capture-side ledger (format, decode skips, salvage)
+	// of the replay that produced the checkpoint; StreamReplay stamps it
+	// on its final checkpoint, everything else leaves it zero.
+	ingest telemetry.Ingest
+
 	// Alerts are the detector episodes closed since the previous
 	// checkpoint (canonically ordered, merged across shards).
 	Alerts []detect.Alert
@@ -373,6 +378,7 @@ func (c *StreamCheckpoint) Analysis() *Analysis {
 	a.reduce(clones, c.tum, c.rwth)
 	pstats := &engine.Stats{Workers: c.workers, ShardItems: append([]uint64(nil), c.counts...)}
 	a.Telemetry = collectTelemetry(c.cfg.Config, clones, pstats)
+	a.Telemetry.Ingest = c.ingest
 	for i := range c.detMet {
 		a.Telemetry.Detect.Merge(&c.detMet[i])
 	}
@@ -422,13 +428,18 @@ func StreamLive(cfg StreamConfig, interval uint64, onCheckpoint func(*StreamChec
 
 // StreamReplay drives a stored capture through the streamer — the
 // streaming twin of Replay, used by `quicsand replay -alerts`.
-// interval and onCheckpoint as in StreamLive.
+// interval and onCheckpoint as in StreamLive. cfg.Salvage applies to
+// the source as in Replay, and the final checkpoint's Analysis carries
+// the same ingest ledger Replay reports.
 func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheckpoint func(*StreamCheckpoint)) (*StreamCheckpoint, error) {
 	s, err := NewStreamer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var captured, next uint64
+	if cfg.Salvage.Enabled() {
+		capture.SetSalvage(src, cfg.Salvage)
+	}
+	var records, captured, next uint64
 	next = interval
 	for {
 		p, err := src.Next()
@@ -439,6 +450,7 @@ func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheck
 			s.Close()
 			return nil, fmt.Errorf("quicsand: stream replay: %w", err)
 		}
+		records++
 		if s.Offer(p) {
 			captured++
 			if interval > 0 && onCheckpoint != nil && captured >= next {
@@ -447,7 +459,9 @@ func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheck
 			}
 		}
 	}
-	return s.Close(), nil
+	final := s.Close()
+	final.ingest = ingestLedger(telemetry.Ingest{Records: records, DecodePath: "inline"}, src)
+	return final, nil
 }
 
 // ExpectAlerts derives the analytic alert-stream prediction for cfg
