@@ -611,12 +611,10 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 		a, err = replayAlerts(cfg, src, *alerts, *window, *detectConfig, stdout, stderr)
 		return err
 	})
-	if hb != nil {
-		// Progress ends with the pipeline; stopping here (Stop waits for
-		// the ticker goroutine) leaves the report writes below as the
-		// only stderr writer.
-		hb.Stop()
-	}
+	// Progress ends with the pipeline; stopping here (Stop waits for the
+	// ticker goroutine) leaves the report writes below as the only
+	// stderr writer.
+	hb.Stop()
 	if err != nil {
 		return fmt.Errorf("%s: %w", *in, err)
 	}

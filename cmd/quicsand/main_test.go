@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,31 @@ func TestRunHeadlineSmoke(t *testing.T) {
 	}
 	if m.Command != "quicsand simulate" || m.Config["seed"] != float64(3) || m.Telemetry == nil {
 		t.Errorf("manifest content wrong: %+v", m)
+	}
+
+	// The telemetry object's key set is a consumer-facing schema: it must
+	// stay what PR 15 wrote for this invocation (the metric table keeps
+	// the json tags; omitempty fields that are zero here stay absent).
+	var keys []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		obj, ok := v.(map[string]any)
+		if !ok {
+			keys = append(keys, path)
+			return
+		}
+		for k, v := range obj {
+			walk(strings.TrimPrefix(path+"."+k, "."), v)
+		}
+	}
+	walk("", m.Telemetry)
+	sort.Strings(keys)
+	want, err := os.ReadFile("testdata/manifest_telemetry_keys.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(keys, "\n") + "\n"; got != string(want) {
+		t.Errorf("manifest telemetry keys changed:\n got\n%s want\n%s", got, want)
 	}
 }
 

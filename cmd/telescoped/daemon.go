@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"quicsand"
-	"quicsand/internal/capture"
 	"quicsand/internal/detect"
-	"quicsand/internal/engine"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
@@ -45,25 +43,12 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		return err
 	}
 
-	n := engine.Config{Workers: opts.workers}.ResolveWorkers()
-	live := telemetry.NewLive(n)
-	var srv *telemetry.Server
-	if opts.metrics != "" {
-		s, err := telemetry.NewServer(opts.metrics, live)
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer s.Close()
-		srv = s
-		fmt.Fprintf(diag, "telescoped: metrics on http://%s/metrics (pprof on /debug/pprof)\n", s.Addr())
+	obs, err := startObservability(opts, diag)
+	if err != nil {
+		return err
 	}
-	var hb *telemetry.Heartbeat
-	if opts.heartbeat > 0 {
-		hb = telemetry.StartHeartbeat(live, srv, opts.heartbeat, func(format string, args ...any) {
-			fmt.Fprintf(diag, "telescoped: "+format+"\n", args...)
-		})
-		defer hb.Stop()
-	}
+	defer obs.close()
+	n := obs.workers
 
 	var alertW io.Writer
 	var alertFile *os.File
@@ -80,35 +65,19 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		alertW = f
 	}
 
-	var rec capture.Sink
-	var recFile *os.File
-	if opts.record != "" {
-		f, err := os.Create(opts.record)
-		if err != nil {
-			return fmt.Errorf("record: %w", err)
-		}
-		recFile = f
-		rec = capture.NewSink(f, capture.FormatForPath(opts.record))
-	}
-
 	cfg := quicsand.StreamConfig{
 		Config: quicsand.Config{
 			Seed:    opts.seed,
 			Scale:   opts.scale,
 			Workers: opts.workers,
-			Live:    live,
+			Live:    obs.live,
+			Trace:   obs.rec,
 		},
 		Detect:            &dcfg,
 		MaxActiveSessions: opts.memBudget,
 	}
-	if rec != nil {
-		cfg.Trace = rec
-	}
 	s, err := quicsand.NewStreamer(cfg)
 	if err != nil {
-		if recFile != nil {
-			recFile.Close()
-		}
 		if alertFile != nil {
 			alertFile.Close()
 		}
@@ -161,70 +130,40 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	}
 	close(stopTick)
 	twg.Wait()
-	if hb != nil {
-		hb.Stop()
-	}
+	obs.hb.Stop()
 
 	final := s.Close()
 	st.emit(final, diag)
 	a := final.Analysis()
-
-	snap := a.Telemetry
-	snap.ShardPackets = live.ShardCounts()
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			fmt.Fprintf(diag, "telescoped: record %s: %v\n", opts.record, err)
-		}
-		if err := recFile.Close(); err != nil {
-			return fmt.Errorf("record %s: %w", opts.record, err)
-		}
-		snap.Trace.Written = rec.Count()
-		snap.Trace.Dropped = rec.Dropped() + skipped
-		fmt.Fprintf(diag, "telescoped: record drained: %d records written to %s, %d dropped\n",
-			rec.Count(), opts.record, snap.Trace.Dropped)
-	}
 	if alertFile != nil {
 		if err := alertFile.Close(); err != nil {
 			return fmt.Errorf("alerts %s: %w", opts.alerts, err)
 		}
 	}
-	if srv != nil {
-		srv.SetFinal(snap)
-	}
-	wall := time.Since(st.start)
-	fmt.Fprintf(out, "telescoped: daemon drained: %d captured packets, %d alerts, %d checkpoints\n",
-		final.Position(), st.alertsTotal, len(st.snapshots))
-	fmt.Fprint(out, snap.Text())
 
-	if opts.manifest != "" {
-		m := &telemetry.Manifest{
-			Command: "telescoped",
-			Config: map[string]any{
-				"listen":           pc.LocalAddr().String(),
-				"workers":          n,
-				"record":           opts.record,
-				"window":           opts.window.String(),
-				"checkpoint_every": opts.ckptEvery.String(),
-				"checkpoint":       opts.checkpoint,
-				"alerts":           opts.alerts,
-				"mem_budget":       opts.memBudget,
-				"seed":             opts.seed,
-				"scale":            opts.scale,
-			},
-			Workers:       n,
-			WallNS:        wall.Nanoseconds(),
-			PacketsPerSec: float64(final.Position()) / wall.Seconds(),
-			ShardPackets:  snap.ShardPackets,
-			ShardSkew:     snap.Skew(),
-			Telemetry:     snap,
-			Snapshots:     st.snapshots,
-		}
-		if err := m.WriteFile(opts.manifest); err != nil {
-			return fmt.Errorf("manifest: %w", err)
-		}
-		fmt.Fprintf(diag, "telescoped: manifest written to %s\n", opts.manifest)
+	snap := a.Telemetry
+	wall := time.Since(st.start)
+	if err := obs.finish(snap, skipped, out, fmt.Sprintf(
+		"telescoped: daemon drained: %d captured packets, %d alerts, %d checkpoints\n",
+		final.Position(), st.alertsTotal, len(st.snapshots))); err != nil {
+		return err
 	}
-	return nil
+
+	config := obs.manifestConfig(pc.LocalAddr())
+	config["window"] = opts.window.String()
+	config["checkpoint_every"] = opts.ckptEvery.String()
+	config["checkpoint"] = opts.checkpoint
+	config["alerts"] = opts.alerts
+	config["mem_budget"] = opts.memBudget
+	config["seed"] = opts.seed
+	config["scale"] = opts.scale
+	return obs.writeManifest(&telemetry.Manifest{
+		Config:        config,
+		Workers:       n,
+		WallNS:        wall.Nanoseconds(),
+		PacketsPerSec: float64(final.Position()) / wall.Seconds(),
+		Snapshots:     st.snapshots,
+	}, snap)
 }
 
 // daemonState accumulates per-checkpoint artifacts: the alert stream,

@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"quicsand/internal/capture"
 	"quicsand/internal/dissect"
 	"quicsand/internal/engine"
 	"quicsand/internal/netmodel"
@@ -193,47 +192,22 @@ type datagram struct {
 // with a mutex (completion order — a live view, not a canonical
 // trace).
 func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
-	n := engine.Config{Workers: opts.workers}.ResolveWorkers()
-	live := telemetry.NewLive(n)
+	obs, err := startObservability(opts, diag)
+	if err != nil {
+		return err
+	}
+	defer obs.close()
+	n, live := obs.workers, obs.live
 	var flight *telemetry.Recorder
 	if opts.traceOut != "" {
 		flight = telemetry.NewRecorder(telemetry.RecorderConfig{})
 	}
 
-	var srv *telemetry.Server
-	if opts.metrics != "" {
-		s, err := telemetry.NewServer(opts.metrics, live)
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer s.Close()
-		srv = s
-		fmt.Fprintf(diag, "telescoped: metrics on http://%s/metrics (pprof on /debug/pprof)\n", s.Addr())
-	}
-	var hb *telemetry.Heartbeat
-	if opts.heartbeat > 0 {
-		hb = telemetry.StartHeartbeat(live, srv, opts.heartbeat, func(format string, args ...any) {
-			fmt.Fprintf(diag, "telescoped: "+format+"\n", args...)
-		})
-		defer hb.Stop()
-	}
-
 	// Optional capture: the socket reader goroutine feeds the sink
 	// before dispatch, so the recording preserves arrival order and
-	// needs no locking. Capture is fire-and-forget — write failures
-	// (full disk) are sticky in the sink and surface as the drained
-	// Dropped() count at shutdown, never by stalling the read loop.
-	var rec capture.Sink
-	var recFile *os.File
+	// needs no locking.
+	rec := obs.rec
 	var recSkipped uint64
-	if opts.record != "" {
-		f, err := os.Create(opts.record)
-		if err != nil {
-			return fmt.Errorf("record: %w", err)
-		}
-		recFile = f
-		rec = capture.NewSink(f, capture.FormatForPath(opts.record))
-	}
 	dstAddr, dstPort := localIPv4(pc.LocalAddr())
 
 	chans := make([]chan datagram, n)
@@ -304,42 +278,20 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		return false
 	}, nil)
 
-	// Progress ends when the pipeline drains; stopping the heartbeat
-	// here (Stop waits for its goroutine) leaves the shutdown writes
-	// below as the only diag writer.
-	if hb != nil {
-		hb.Stop()
-	}
+	// Progress ends when the pipeline drains; Stop waits for the ticker
+	// goroutine, leaving the shutdown writes as the only diag writer.
+	obs.hb.Stop()
 
 	// Final snapshot: merge the per-shard dissector banks, publish to
-	// the endpoint (scrapable until the process exits), and flush the
-	// human-readable form.
+	// the endpoint, and flush the human-readable form.
 	snap := &telemetry.Snapshot{Workers: n}
 	for _, d := range dissectors {
 		snap.Dissect.Merge(&d.Metrics)
 	}
-	snap.ShardPackets = live.ShardCounts()
 	snap.Engine = st.Engine
-	if rec != nil {
-		// Drain the capture: flush, close, and fold the sink's ledger
-		// into the snapshot so -manifest and /metrics expose how much
-		// of the observed traffic the file actually holds.
-		if err := rec.Flush(); err != nil {
-			fmt.Fprintf(diag, "telescoped: record %s: %v\n", opts.record, err)
-		}
-		if err := recFile.Close(); err != nil {
-			return fmt.Errorf("record %s: %w", opts.record, err)
-		}
-		snap.Trace.Written = rec.Count()
-		snap.Trace.Dropped = rec.Dropped() + recSkipped
-		fmt.Fprintf(diag, "telescoped: record drained: %d records written to %s, %d dropped\n",
-			rec.Count(), opts.record, snap.Trace.Dropped)
+	if err := obs.finish(snap, recSkipped, out, st.String()); err != nil {
+		return err
 	}
-	if srv != nil {
-		srv.SetFinal(snap)
-	}
-	fmt.Fprint(out, st)
-	fmt.Fprint(out, snap.Text())
 
 	if flight != nil {
 		tl := flight.Timeline(st.Wall)
@@ -358,33 +310,14 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		fmt.Fprintf(diag, "telescoped: trace written to %s (%d spans)\n", opts.traceOut, tl.SpanCount())
 	}
 
-	if opts.manifest != "" {
-		m := &telemetry.Manifest{
-			Command: "telescoped",
-			Config: map[string]any{
-				"listen":  pc.LocalAddr().String(),
-				"workers": n,
-				"record":  opts.record,
-			},
-			Workers:       st.Workers,
-			WallNS:        st.Wall.Nanoseconds(),
-			PacketsPerSec: st.Throughput(),
-			ShardPackets:  snap.ShardPackets,
-			ShardSkew:     snap.Skew(),
-			TraceFile:     opts.traceOut,
-			Telemetry:     snap,
-		}
-		for _, s := range st.Stages {
-			m.Stages = append(m.Stages, telemetry.StageTiming{
-				Name: s.Name, Items: s.Items, WallNS: s.Wall.Nanoseconds(),
-			})
-		}
-		if err := m.WriteFile(opts.manifest); err != nil {
-			return fmt.Errorf("manifest: %w", err)
-		}
-		fmt.Fprintf(diag, "telescoped: manifest written to %s\n", opts.manifest)
-	}
-	return nil
+	return obs.writeManifest(&telemetry.Manifest{
+		Config:        obs.manifestConfig(pc.LocalAddr()),
+		Workers:       st.Workers,
+		WallNS:        st.Wall.Nanoseconds(),
+		PacketsPerSec: st.Throughput(),
+		Stages:        st.StageTimings(),
+		TraceFile:     opts.traceOut,
+	}, snap)
 }
 
 // localIPv4 resolves the bound socket address into the telescope

@@ -180,6 +180,15 @@ func (st *Stats) StageNamed(name string) Stage {
 	return Stage{}
 }
 
+// StageTimings returns the stages in manifest form.
+func (st *Stats) StageTimings() []telemetry.StageTiming {
+	var out []telemetry.StageTiming
+	for _, s := range st.Stages {
+		out = append(out, telemetry.StageTiming{Name: s.Name, Items: s.Items, WallNS: s.Wall.Nanoseconds()})
+	}
+	return out
+}
+
 // Throughput returns overall items per second over the total wall time.
 func (st *Stats) Throughput() float64 {
 	if st.Wall <= 0 {

@@ -39,11 +39,8 @@ func (l *Live) Shard(i int) *LiveShard { return &l.shards[i] }
 
 // ShardCounts returns the current per-shard packet counts.
 func (l *Live) ShardCounts() []uint64 {
-	out := make([]uint64, len(l.shards))
-	for i := range l.shards {
-		out[i] = l.shards[i].Packets.Load()
-	}
-	return out
+	_, counts := l.totals()
+	return counts
 }
 
 // Progress is one heartbeat's view of a running pipeline.
@@ -58,9 +55,10 @@ type Progress struct {
 	Goroutines    int     `json:"goroutines"`
 }
 
-// Progress samples the live counters into a Progress, including
-// process-level memory and goroutine gauges.
-func (l *Live) Progress() Progress {
+// totals is the one summation of the shard banks: the four counter
+// totals (as a Progress with no derived gauges yet) and the per-shard
+// packet counts. The heartbeat and the /metrics handler both read it.
+func (l *Live) totals() (Progress, []uint64) {
 	var p Progress
 	counts := make([]uint64, len(l.shards))
 	for i := range l.shards {
@@ -71,6 +69,13 @@ func (l *Live) Progress() Progress {
 		p.NonQUIC += s.NonQUIC.Load()
 		p.Alerts += s.Alerts.Load()
 	}
+	return p, counts
+}
+
+// Progress samples the live counters into a Progress, including
+// process-level memory and goroutine gauges.
+func (l *Live) Progress() Progress {
+	p, counts := l.totals()
 	if el := time.Since(l.start).Seconds(); el > 0 {
 		p.PacketsPerSec = float64(p.Packets) / el
 	}
@@ -125,8 +130,12 @@ func StartHeartbeat(live *Live, srv *Server, interval time.Duration, logf func(f
 	return h
 }
 
-// Stop halts the heartbeat and waits for its goroutine to exit.
+// Stop halts the heartbeat and waits for its goroutine to exit. A nil
+// Heartbeat (progress logging off) has nothing to stop.
 func (h *Heartbeat) Stop() {
+	if h == nil {
+		return
+	}
 	h.once.Do(func() { close(h.stop) })
 	<-h.done
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 )
 
@@ -91,77 +92,44 @@ func promHist(w io.Writer, name, help string, h *Hist) {
 	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
 }
 
-// WritePrometheus renders the snapshot in the Prometheus text
-// exposition format under the given metric prefix (e.g. "quicsand").
-// The output order is fixed, so equal snapshots expose byte-equal
-// documents.
-func (s *Snapshot) WritePrometheus(w io.Writer, prefix string) {
-	p := func(suffix string) string { return prefix + "_" + suffix }
-	promGaugeF(w, p("workers"), "Shard count of the run.", float64(s.Workers))
-	if len(s.ShardPackets) > 0 {
-		name := p("shard_packets_total")
-		fmt.Fprintf(w, "# HELP %s Packets processed per shard.\n# TYPE %s counter\n", name, name)
-		for i, n := range s.ShardPackets {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, n)
-		}
-		promGaugeF(w, p("shard_skew"), "Max/mean shard packet ratio (1 = balanced).", s.Skew())
+// promShards writes one counter family with a sample per shard.
+func promShards(w io.Writer, name, help string, counts []uint64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	for i, n := range counts {
+		fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, n)
 	}
+}
 
-	d := &s.Dissect
-	promCounter(w, p("dissect_datagrams_total"), "UDP payloads offered to the dissector.", d.Datagrams)
-	promCounter(w, p("dissect_packets_total"), "Structurally valid QUIC packets (incl. coalesced).", d.Packets)
-	promCounter(w, p("dissect_parse_failures_total"), "Datagrams rejected as not-QUIC.", d.ParseFailures)
-	promCounter(w, p("dissect_decrypted_total"), "Initials decrypted with on-wire DCID keys.", d.Decrypted)
-	promCounter(w, p("dissect_client_hellos_total"), "Decrypted Initials carrying a ClientHello.", d.ClientHellos)
-	promCounter(w, p("dissect_opener_hits_total"), "Initial-opener cache hits.", d.OpenerHits)
-	promCounter(w, p("dissect_opener_misses_total"), "Initial-opener cache misses (HKDF+AES derivations).", d.OpenerMisses)
-	promCounter(w, p("dissect_opener_resets_total"), "Wholesale opener-cache resets.", d.OpenerResets)
+// promLabel writes a string metric as an info-style gauge: constant
+// value 1, the string carried in a label named after the field.
+func promLabel(w io.Writer, name, help, label, v string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s{%s=%q} 1\n", name, help, name, name, label, v)
+}
 
-	x := &s.Sessions
-	promCounter(w, p("sessions_emitted_total"), "Completed sessions.", x.Emitted)
-	promCounter(w, p("sessions_timeout_splits_total"), "Sessions closed inline by a timeout gap.", x.TimeoutSplits)
-	promCounter(w, p("sessions_sweep_evicted_total"), "Sessions closed by the lazy expiry sweep.", x.SweepEvicted)
-	promCounter(w, p("sessions_flush_emitted_total"), "Sessions force-closed at end of stream.", x.FlushEmitted)
-	promCounter(w, p("sessions_budget_evicted_total"), "Sessions force-closed by the memory budget.", x.BudgetEvicted)
-	promCounter(w, p("sessions_set_spills_total"), "Inline anatomy sets spilled to maps.", x.SetSpills)
-
-	g := &s.Generate
-	promCounter(w, p("generate_events_planned_total"), "Scheduled generator sources.", g.EventsPlanned)
-	promCounter(w, p("generate_events_emitted_total"), "Generator sources activated.", g.EventsEmitted)
-	promCounter(w, p("generate_packets_total"), "Generated packets.", g.Packets)
-	promCounter(w, p("generate_payload_hits_total"), "Payload-cache hits.", g.PayloadHits)
-	promCounter(w, p("generate_payload_misses_total"), "Payload-cache misses (datagrams built).", g.PayloadMisses)
-	promCounter(w, p("generate_slab_gets_total"), "Packet-slab requests.", g.SlabGets)
-	promCounter(w, p("generate_slab_reuses_total"), "Packet-slab freelist hits.", g.SlabReuses)
-
-	in := &s.Ingest
-	promCounter(w, p("ingest_records_total"), "Records read from the replay source.", in.Records)
-	promCounter(w, p("ingest_decode_drops_total"), "Records dropped during decapsulation.", in.DecodeDrops)
-	promCounter(w, p("ingest_batches_total"), "Scatter batches dealt to shards.", in.Batches)
-	promCounter(w, p("ingest_batch_reuses_total"), "Scatter batches recycled from shards.", in.BatchReuses)
-	promCounter(w, p("ingest_batch_allocs_total"), "Scatter batches freshly allocated.", in.BatchAllocs)
-	promHist(w, p("ingest_batch_fill"), "Scatter batch fill (packets per batch).", &in.BatchFill)
-	promCounter(w, p("ingest_corrupt_records_total"), "Corrupt records skipped by salvage mode.", in.CorruptRecords)
-	promCounter(w, p("ingest_resync_scans_total"), "Forward scans for a plausible record boundary.", in.ResyncScans)
-	promCounter(w, p("ingest_salvaged_bytes_total"), "Damaged bytes skipped past by salvage resyncs.", in.SalvagedBytes)
-	promCounter(w, p("ingest_salvage_max_lost_total"), "Worst-case records destroyed inside skipped spans.", in.SalvageMaxLost)
-	promCounter(w, p("ingest_transient_retries_total"), "Source reads retried after transient errors.", in.TransientRetries)
-
-	e := &s.Engine
-	promCounter(w, p("engine_tap_batches_total"), "Tap batches sent to the merge.", e.TapBatches)
-	promCounter(w, p("engine_buf_reuses_total"), "Tap buffers recycled from the merge.", e.BufReuses)
-	promCounter(w, p("engine_buf_allocs_total"), "Tap buffers freshly allocated.", e.BufAllocs)
-	promGaugeF(w, p("engine_queue_high_water"), "Deepest per-shard tap queue seen (batches).", float64(e.QueueHighWater))
-	promHist(w, p("engine_tap_batch_fill"), "Tap batch fill (items per batch).", &e.TapBatchFill)
-
-	t := &s.Trace
-	promCounter(w, p("trace_written_total"), "Checkpoint records written.", t.Written)
-	promCounter(w, p("trace_dropped_total"), "Checkpoint records dropped after a write error.", t.Dropped)
-
-	dt := &s.Detect
-	promCounter(w, p("detect_observed_total"), "QUIC-candidate packets offered to the detectors.", dt.Observed)
-	promCounter(w, p("detect_alerts_opened_total"), "Alert episodes opened.", dt.AlertsOpened)
-	promCounter(w, p("detect_alerts_closed_total"), "Alert episodes closed.", dt.AlertsClosed)
-	promCounter(w, p("detect_sources_tracked_total"), "Distinct sources given window state.", dt.SourcesTracked)
-	promCounter(w, p("detect_sources_evicted_total"), "Cold source states dropped by the source budget.", dt.SourcesEvicted)
+// WritePrometheus renders the snapshot in the Prometheus text
+// exposition format under the given metric prefix (e.g. "quicsand"):
+// the run-shape gauges, then one family per table metric, named
+// prefix_section_field with the kind's suffix (_total for counters,
+// _info for labels). Table order is fixed, so equal snapshots expose
+// byte-equal documents.
+func (s *Snapshot) WritePrometheus(w io.Writer, prefix string) {
+	promGaugeF(w, prefix+"_workers", "Shard count of the run.", float64(s.Workers))
+	if len(s.ShardPackets) > 0 {
+		promShards(w, prefix+"_shard_packets_total", "Packets processed per shard.", s.ShardPackets)
+		promGaugeF(w, prefix+"_shard_skew", "Max/mean shard packet ratio (1 = balanced).", s.Skew())
+	}
+	v := reflect.ValueOf(s).Elem()
+	for _, m := range table {
+		name, f := prefix+"_"+m.section+"_"+m.name, v.FieldByIndex(m.index)
+		switch m.kind {
+		case kindSum:
+			promCounter(w, name+"_total", m.help, f.Uint())
+		case kindMax:
+			promGaugeF(w, name, m.help, float64(f.Uint()))
+		case kindHist:
+			promHist(w, name, m.help, f.Addr().Interface().(*Hist))
+		case kindLabel:
+			promLabel(w, name+"_info", m.help, m.name, f.String())
+		}
+	}
 }

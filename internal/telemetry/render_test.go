@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -117,6 +119,83 @@ func TestPrometheusSalvageCounters(t *testing.T) {
 	} {
 		if !strings.Contains(doc, name) {
 			t.Errorf("exposition missing %q", name)
+		}
+	}
+}
+
+// promFamilies splits an exposition document into families keyed by
+// name, each the family's full text (HELP, TYPE, samples). It fails the
+// test on a family without both preamble lines or a sample outside one.
+func promFamilies(t *testing.T, doc string) map[string]string {
+	t.Helper()
+	fams := map[string]string{}
+	var cur string
+	for _, line := range strings.SplitAfter(doc, "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) == 0:
+			continue
+		case f[0] == "#" && f[1] == "HELP" && len(f) > 3:
+			if _, dup := fams[f[2]]; dup {
+				t.Errorf("family %s declared twice", f[2])
+			}
+			cur = f[2]
+		case f[0] == "#" && f[1] == "TYPE" && len(f) == 4:
+			if f[2] != cur || strings.Count(fams[cur], "\n") != 1 {
+				t.Errorf("TYPE line %q does not follow its HELP", line)
+			}
+		case len(f) != 2 || !strings.HasPrefix(f[0], cur) || strings.Count(fams[cur], "\n") < 2:
+			t.Errorf("malformed sample %q in family %q", line, cur)
+		}
+		fams[cur] += line
+	}
+	return fams
+}
+
+// TestWritePrometheusFromTable checks the derived exposition: one
+// well-formed family per table row plus the three run-shape families,
+// and — against the document the hand-written PR-15 exposition produced
+// for the same snapshot — every family that existed then is still
+// served with the same name, HELP, TYPE and samples. The snapshot is
+// loaded from the JSON PR 15 wrote and must marshal back to those
+// bytes, which pins every json key of the manifest's telemetry object.
+func TestWritePrometheusFromTable(t *testing.T) {
+	golden, err := os.ReadFile("testdata/pr15_snapshot.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Snapshot
+	if err := json.Unmarshal(golden, &s); err != nil {
+		t.Fatal(err)
+	}
+	if back, _ := json.MarshalIndent(&s, "", "  "); string(back)+"\n" != string(golden) {
+		t.Errorf("snapshot JSON changed shape:\n%s", back)
+	}
+
+	var b strings.Builder
+	s.WritePrometheus(&b, "quicsand")
+	got := promFamilies(t, b.String())
+	if want := len(table) + 3; len(got) != want {
+		t.Errorf("%d families, want %d (table rows + workers/shard_packets/shard_skew)", len(got), want)
+	}
+	for _, name := range []string{
+		"quicsand_ingest_span_bytes_total", "quicsand_ingest_decode_path_info", "quicsand_ingest_format_info",
+	} {
+		if got[name] == "" {
+			t.Errorf("family %s missing", name)
+		}
+	}
+
+	parent, err := os.ReadFile("testdata/pr15_exposition.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	was := promFamilies(t, string(parent))
+	if len(was) != 47 {
+		t.Fatalf("PR-15 golden holds %d families, want 47", len(was))
+	}
+	for name, text := range was {
+		if got[name] != text {
+			t.Errorf("family %s changed:\n was %q\n now %q", name, text, got[name])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -80,23 +79,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Live counters are sampled fresh on every scrape; the heartbeat's
 	// derived gauges (rate, skew, heap) refresh at its cadence.
 	if live != nil {
-		var packets, bytes, nonQUIC, alerts uint64
-		for i := range live.shards {
-			sh := &live.shards[i]
-			packets += sh.Packets.Load()
-			bytes += sh.Bytes.Load()
-			nonQUIC += sh.NonQUIC.Load()
-			alerts += sh.Alerts.Load()
-		}
-		promCounter(w, "quicsand_live_packets_total", "Packets observed so far.", packets)
-		promCounter(w, "quicsand_live_bytes_total", "Payload bytes observed so far.", bytes)
-		promCounter(w, "quicsand_live_non_quic_total", "Non-QUIC datagrams observed so far.", nonQUIC)
-		promCounter(w, "quicsand_live_alerts_total", "Detector alert episodes opened so far.", alerts)
-		name := "quicsand_live_shard_packets_total"
-		fmt.Fprintf(w, "# HELP %s Packets observed per shard so far.\n# TYPE %s counter\n", name, name)
-		for i := range live.shards {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, live.shards[i].Packets.Load())
-		}
+		t, counts := live.totals()
+		promCounter(w, "quicsand_live_packets_total", "Packets observed so far.", t.Packets)
+		promCounter(w, "quicsand_live_bytes_total", "Payload bytes observed so far.", t.Bytes)
+		promCounter(w, "quicsand_live_non_quic_total", "Non-QUIC datagrams observed so far.", t.NonQUIC)
+		promCounter(w, "quicsand_live_alerts_total", "Detector alert episodes opened so far.", t.Alerts)
+		promShards(w, "quicsand_live_shard_packets_total", "Packets observed per shard so far.", counts)
 	}
 	if hasProg {
 		promGaugeF(w, "quicsand_progress_packets_per_sec", "Throughput at the last heartbeat.", p.PacketsPerSec)

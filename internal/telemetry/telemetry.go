@@ -7,16 +7,27 @@
 // worker count folds to the same totals where the underlying quantity
 // is a property of the packet stream.
 //
-// Two determinism classes coexist in one Snapshot (DESIGN.md §13):
+// The counter structs below are the only declaration of a metric. Each
+// field carries its json name, its help text, its determinism class and
+// (where it is not a plain sum) its merge rule as struct tags; table.go
+// walks them once at init into the metric table, and Merge, Stream,
+// WritePrometheus and the table-driven tests are loops over that table.
+// Adding a metric is one field line. Only reduce-time code reflects;
+// operators bump the plain fields directly.
 //
-//   - stream-derived counters (packets dissected, parse failures,
-//     sessions emitted, payload-cache hits, records replayed) are
-//     bit-identical for every worker count and for live vs replayed
-//     runs — the Stream projection exposes exactly these, and the
+// Two determinism classes coexist in one Snapshot (DESIGN.md §13), as
+// the class tag of each field:
+//
+//   - class:"stream" metrics (packets dissected, parse failures,
+//     sessions emitted, payload-cache hits, records replayed, alerts
+//     opened) are equal for every worker count and for live vs replayed
+//     runs — the Stream projection keeps exactly these, and the
 //     telemetry determinism tests assert their invariance;
-//   - runtime counters (opener-cache hits, slab/batch recycling, tap
-//     batch fill, queue high-water, per-shard balance) describe how a
-//     particular execution ran and legitimately vary with scheduling.
+//   - class:"runtime" metrics (opener-cache hits, slab/batch recycling,
+//     tap batch fill, queue high-water) describe how a particular
+//     execution ran and legitimately vary with scheduling. A metric
+//     that the determinism tests catch varying is retagged runtime,
+//     with the reason in its doc comment.
 //
 // The live exposition side (Live, Server, Heartbeat) uses one
 // cache-line-padded atomic bank per shard instead: telescoped's socket
@@ -25,7 +36,10 @@
 // workers.
 package telemetry
 
-import "math/bits"
+import (
+	"math/bits"
+	"reflect"
+)
 
 // HistBuckets is the fixed bucket count of Hist: powers of two from
 // <=1 up to >=2^14, plus the zero bucket.
@@ -78,37 +92,28 @@ func (h *Hist) Mean() float64 {
 // cache triple, which depends on how traffic interleaved on the shard.
 type Dissect struct {
 	// Datagrams counts UDP payloads offered to Dissect.
-	Datagrams uint64 `json:"datagrams"`
+	Datagrams uint64 `json:"datagrams" help:"UDP payloads offered to the dissector." class:"stream"`
 	// Packets counts structurally valid QUIC packets (including
 	// coalesced ones) inside accepted datagrams.
-	Packets uint64 `json:"packets"`
+	Packets uint64 `json:"packets" help:"Structurally valid QUIC packets (incl. coalesced)." class:"stream"`
 	// ParseFailures counts datagrams rejected as not-QUIC — the deep
 	// validation filter the paper's §4.1 false-positive ablation is
 	// about.
-	ParseFailures uint64 `json:"parse_failures"`
+	ParseFailures uint64 `json:"parse_failures" help:"Datagrams rejected as not-QUIC." class:"stream"`
 	// Decrypted counts Initials whose protection was removable with
 	// the on-wire DCID (genuine client Initials).
-	Decrypted uint64 `json:"decrypted"`
+	Decrypted uint64 `json:"decrypted" help:"Initials decrypted with on-wire DCID keys." class:"stream"`
 	// ClientHellos counts decrypted Initials carrying a parseable
 	// ClientHello.
-	ClientHellos uint64 `json:"client_hellos"`
+	ClientHellos uint64 `json:"client_hellos" help:"Decrypted Initials carrying a ClientHello." class:"stream"`
 	// Opener cache behavior (runtime: shard interleaving dependent).
-	OpenerHits   uint64 `json:"opener_hits"`
-	OpenerMisses uint64 `json:"opener_misses"`
-	OpenerResets uint64 `json:"opener_resets"`
+	OpenerHits   uint64 `json:"opener_hits" help:"Initial-opener cache hits." class:"runtime"`
+	OpenerMisses uint64 `json:"opener_misses" help:"Initial-opener cache misses (HKDF+AES derivations)." class:"runtime"`
+	OpenerResets uint64 `json:"opener_resets" help:"Wholesale opener-cache resets." class:"runtime"`
 }
 
-// Merge folds o into d (commutative).
-func (d *Dissect) Merge(o *Dissect) {
-	d.Datagrams += o.Datagrams
-	d.Packets += o.Packets
-	d.ParseFailures += o.ParseFailures
-	d.Decrypted += o.Decrypted
-	d.ClientHellos += o.ClientHellos
-	d.OpenerHits += o.OpenerHits
-	d.OpenerMisses += o.OpenerMisses
-	d.OpenerResets += o.OpenerResets
-}
+// Merge folds o into d field by field, as the metric table directs.
+func (d *Dissect) Merge(o *Dissect) { mergeSection(d, o) }
 
 // Sessions counts sessionizer activity. Emitted and SetSpills are
 // stream-derived; the eviction-cause split (gap-split vs lazy sweep vs
@@ -116,33 +121,28 @@ func (d *Dissect) Merge(o *Dissect) {
 // shard count.
 type Sessions struct {
 	// Emitted counts completed sessions.
-	Emitted uint64 `json:"emitted"`
+	Emitted uint64 `json:"emitted" help:"Completed sessions." class:"stream"`
 	// TimeoutSplits counts sessions closed inline by a same-source gap
 	// exceeding the timeout.
-	TimeoutSplits uint64 `json:"timeout_splits"`
+	TimeoutSplits uint64 `json:"timeout_splits" help:"Sessions closed inline by a timeout gap." class:"runtime"`
 	// SweepEvicted counts sessions closed by the lazy expiry sweep.
-	SweepEvicted uint64 `json:"sweep_evicted"`
+	SweepEvicted uint64 `json:"sweep_evicted" help:"Sessions closed by the lazy expiry sweep." class:"runtime"`
 	// FlushEmitted counts sessions force-closed at end of stream.
-	FlushEmitted uint64 `json:"flush_emitted"`
+	FlushEmitted uint64 `json:"flush_emitted" help:"Sessions force-closed at end of stream." class:"runtime"`
 	// BudgetEvicted counts sessions force-closed because the active set
 	// exceeded the sessionizer's hard memory budget (daemon mode); the
 	// coldest session is evicted first. Zero when no budget is set.
-	BudgetEvicted uint64 `json:"budget_evicted,omitempty"`
+	// Runtime: which sessions a budget splits depends on per-shard
+	// residency.
+	BudgetEvicted uint64 `json:"budget_evicted,omitempty" help:"Sessions force-closed by the memory budget." class:"runtime"`
 	// SetSpills counts inline anatomy sets (peer addrs/ports, SCIDs,
 	// versions) that outgrew their inline arms and spilled to a map —
 	// the compact-session optimization's miss counter.
-	SetSpills uint64 `json:"set_spills"`
+	SetSpills uint64 `json:"set_spills" help:"Inline anatomy sets spilled to maps." class:"stream"`
 }
 
-// Merge folds o into s (commutative).
-func (s *Sessions) Merge(o *Sessions) {
-	s.Emitted += o.Emitted
-	s.TimeoutSplits += o.TimeoutSplits
-	s.SweepEvicted += o.SweepEvicted
-	s.FlushEmitted += o.FlushEmitted
-	s.BudgetEvicted += o.BudgetEvicted
-	s.SetSpills += o.SetSpills
-}
+// Merge folds o into s field by field, as the metric table directs.
+func (s *Sessions) Merge(o *Sessions) { mergeSection(s, o) }
 
 // Detect counts the sliding-window detector's work (internal/detect).
 // Observed/alert counters are stream-derived for a fixed window config
@@ -151,57 +151,43 @@ func (s *Sessions) Merge(o *Sessions) {
 // results depend on per-shard residency and is therefore runtime-class.
 type Detect struct {
 	// Observed counts QUIC-candidate packets offered to the detectors.
-	Observed uint64 `json:"observed"`
+	Observed uint64 `json:"observed" help:"QUIC-candidate packets offered to the detectors." class:"stream"`
 	// AlertsOpened / AlertsClosed count alert episodes started and
 	// finished (closed ≤ opened until the final flush).
-	AlertsOpened uint64 `json:"alerts_opened"`
-	AlertsClosed uint64 `json:"alerts_closed"`
+	AlertsOpened uint64 `json:"alerts_opened" help:"Alert episodes opened." class:"stream"`
+	AlertsClosed uint64 `json:"alerts_closed" help:"Alert episodes closed." class:"stream"`
 	// SourcesTracked counts distinct sources ever given window state.
-	SourcesTracked uint64 `json:"sources_tracked"`
+	SourcesTracked uint64 `json:"sources_tracked" help:"Distinct sources given window state." class:"stream"`
 	// SourcesEvicted counts cold source states dropped to stay under
 	// the detector's source budget (runtime: shard-residency dependent).
-	SourcesEvicted uint64 `json:"sources_evicted,omitempty"`
+	SourcesEvicted uint64 `json:"sources_evicted,omitempty" help:"Cold source states dropped by the source budget." class:"runtime"`
 }
 
-// Merge folds o into d (commutative).
-func (d *Detect) Merge(o *Detect) {
-	d.Observed += o.Observed
-	d.AlertsOpened += o.AlertsOpened
-	d.AlertsClosed += o.AlertsClosed
-	d.SourcesTracked += o.SourcesTracked
-	d.SourcesEvicted += o.SourcesEvicted
-}
+// Merge folds o into d field by field, as the metric table directs.
+func (d *Detect) Merge(o *Detect) { mergeSection(d, o) }
 
 // Generate counts the background-radiation generator's work: one
 // struct per shard merger. Event and packet counts plus the per-event
 // payload cache are stream-derived; slab recycling is runtime.
 type Generate struct {
 	// EventsPlanned counts scheduled sources on the shard.
-	EventsPlanned uint64 `json:"events_planned"`
+	EventsPlanned uint64 `json:"events_planned" help:"Scheduled generator sources." class:"stream"`
 	// EventsEmitted counts sources actually activated by the merger
 	// (equal to EventsPlanned once the stream drains).
-	EventsEmitted uint64 `json:"events_emitted"`
+	EventsEmitted uint64 `json:"events_emitted" help:"Generator sources activated." class:"stream"`
 	// Packets counts generated packets.
-	Packets uint64 `json:"packets"`
+	Packets uint64 `json:"packets" help:"Generated packets." class:"stream"`
 	// Payload-interning cache (per event, so stream-derived).
-	PayloadHits   uint64 `json:"payload_hits"`
-	PayloadMisses uint64 `json:"payload_misses"`
+	PayloadHits   uint64 `json:"payload_hits" help:"Payload-cache hits." class:"stream"`
+	PayloadMisses uint64 `json:"payload_misses" help:"Payload-cache misses (datagrams built)." class:"stream"`
 	// Packet-slab freelist behavior (runtime: reuse depends on shard
 	// activation order).
-	SlabGets   uint64 `json:"slab_gets"`
-	SlabReuses uint64 `json:"slab_reuses"`
+	SlabGets   uint64 `json:"slab_gets" help:"Packet-slab requests." class:"runtime"`
+	SlabReuses uint64 `json:"slab_reuses" help:"Packet-slab freelist hits." class:"runtime"`
 }
 
-// Merge folds o into g (commutative).
-func (g *Generate) Merge(o *Generate) {
-	g.EventsPlanned += o.EventsPlanned
-	g.EventsEmitted += o.EventsEmitted
-	g.Packets += o.Packets
-	g.PayloadHits += o.PayloadHits
-	g.PayloadMisses += o.PayloadMisses
-	g.SlabGets += o.SlabGets
-	g.SlabReuses += o.SlabReuses
-}
+// Merge folds o into g field by field, as the metric table directs.
+func (g *Generate) Merge(o *Generate) { mergeSection(g, o) }
 
 // Ingest counts the replay path: records read from a stored capture
 // and how they were batched toward the shards. Records, DecodeDrops
@@ -209,96 +195,66 @@ func (g *Generate) Merge(o *Generate) {
 type Ingest struct {
 	// Format is the source container ("qsnd", "pcap"); empty for
 	// generated (non-replay) runs.
-	Format string `json:"format,omitempty"`
+	Format string `json:"format,omitempty" help:"Replay source container format." class:"stream"`
 	// Records counts packets read from the source.
-	Records uint64 `json:"records"`
+	Records uint64 `json:"records" help:"Records read from the replay source." class:"stream"`
 	// DecodeDrops counts records the decapsulation could not represent
 	// (pcap: non-IPv4, fragments, unsupported transports).
-	DecodeDrops uint64 `json:"decode_drops"`
+	DecodeDrops uint64 `json:"decode_drops" help:"Records dropped during decapsulation." class:"stream"`
 	// Salvage-mode degradation ledger (DESIGN.md §14): all zero on
 	// undamaged inputs, stream-derived given a fixed fault pattern —
 	// except TransientRetries, which depends on I/O timing and is
 	// runtime-class.
-	CorruptRecords   uint64 `json:"corrupt_records,omitempty"`
-	ResyncScans      uint64 `json:"resync_scans,omitempty"`
-	SalvagedBytes    uint64 `json:"salvaged_bytes,omitempty"`
-	SalvageMaxLost   uint64 `json:"salvage_max_lost,omitempty"`
-	TransientRetries uint64 `json:"transient_retries,omitempty"`
+	CorruptRecords   uint64 `json:"corrupt_records,omitempty" help:"Corrupt records skipped by salvage mode." class:"stream"`
+	ResyncScans      uint64 `json:"resync_scans,omitempty" help:"Forward scans for a plausible record boundary." class:"stream"`
+	SalvagedBytes    uint64 `json:"salvaged_bytes,omitempty" help:"Damaged bytes skipped past by salvage resyncs." class:"stream"`
+	SalvageMaxLost   uint64 `json:"salvage_max_lost,omitempty" help:"Worst-case records destroyed inside skipped spans." class:"stream"`
+	TransientRetries uint64 `json:"transient_retries,omitempty" help:"Source reads retried after transient errors." class:"runtime"`
 	// Scatter batching (runtime).
-	Batches     uint64 `json:"batches"`
-	BatchFill   Hist   `json:"batch_fill"`
-	BatchReuses uint64 `json:"batch_reuses"`
-	BatchAllocs uint64 `json:"batch_allocs"`
+	Batches     uint64 `json:"batches" help:"Scatter batches dealt to shards." class:"runtime"`
+	BatchFill   Hist   `json:"batch_fill" help:"Scatter batch fill (packets per batch)." class:"runtime"`
+	BatchReuses uint64 `json:"batch_reuses" help:"Scatter batches recycled from shards." class:"runtime"`
+	BatchAllocs uint64 `json:"batch_allocs" help:"Scatter batches freshly allocated." class:"runtime"`
 	// Decode-after-scatter provenance (runtime: depends on the worker
-	// count and source capabilities, so excluded from Stream).
+	// count and source capabilities).
 	// DecodePath is "shard" when record decode ran on the shard
 	// workers, "inline" when the reader decoded sequentially; SpanBytes
 	// counts raw record-span bytes handed to shards on the span path.
-	DecodePath string `json:"decode_path,omitempty"`
-	SpanBytes  uint64 `json:"span_bytes,omitempty"`
+	DecodePath string `json:"decode_path,omitempty" help:"Where record decode ran: shard workers or inline on the reader." class:"runtime"`
+	SpanBytes  uint64 `json:"span_bytes,omitempty" help:"Raw record-span bytes handed to shards undecoded." class:"runtime"`
 }
 
-// Merge folds o into i (commutative; a non-empty Format wins).
-func (i *Ingest) Merge(o *Ingest) {
-	if i.Format == "" {
-		i.Format = o.Format
-	}
-	i.Records += o.Records
-	i.DecodeDrops += o.DecodeDrops
-	i.CorruptRecords += o.CorruptRecords
-	i.ResyncScans += o.ResyncScans
-	i.SalvagedBytes += o.SalvagedBytes
-	i.SalvageMaxLost += o.SalvageMaxLost
-	i.TransientRetries += o.TransientRetries
-	i.Batches += o.Batches
-	i.BatchFill.Merge(&o.BatchFill)
-	i.BatchReuses += o.BatchReuses
-	i.BatchAllocs += o.BatchAllocs
-	if i.DecodePath == "" {
-		i.DecodePath = o.DecodePath
-	}
-	i.SpanBytes += o.SpanBytes
-}
+// Merge folds o into i field by field, as the metric table directs.
+func (i *Ingest) Merge(o *Ingest) { mergeSection(i, o) }
 
 // Engine counts the sharded engine's tap-merge machinery: batch sends,
 // buffer recycling, and the deepest tap queue observed. All runtime.
 type Engine struct {
 	// TapBatches counts batches sent to the merge goroutine.
-	TapBatches uint64 `json:"tap_batches"`
+	TapBatches uint64 `json:"tap_batches" help:"Tap batches sent to the merge." class:"runtime"`
 	// TapBatchFill is the batch-size distribution (full batches land
 	// in one bucket; the tail batch per shard is partial).
-	TapBatchFill Hist `json:"tap_batch_fill"`
+	TapBatchFill Hist `json:"tap_batch_fill" help:"Tap batch fill (items per batch)." class:"runtime"`
 	// Buffer recycling between merge and workers.
-	BufReuses uint64 `json:"buf_reuses"`
-	BufAllocs uint64 `json:"buf_allocs"`
+	BufReuses uint64 `json:"buf_reuses" help:"Tap buffers recycled from the merge." class:"runtime"`
+	BufAllocs uint64 `json:"buf_allocs" help:"Tap buffers freshly allocated." class:"runtime"`
 	// QueueHighWater is the deepest per-shard tap queue seen (in
 	// batches) — how far a fast shard ran ahead of the merge.
-	QueueHighWater uint64 `json:"queue_high_water"`
+	QueueHighWater uint64 `json:"queue_high_water" help:"Deepest per-shard tap queue seen (batches)." class:"runtime" merge:"max"`
 }
 
-// Merge folds o into e; QueueHighWater takes the maximum.
-func (e *Engine) Merge(o *Engine) {
-	e.TapBatches += o.TapBatches
-	e.TapBatchFill.Merge(&o.TapBatchFill)
-	e.BufReuses += o.BufReuses
-	e.BufAllocs += o.BufAllocs
-	if o.QueueHighWater > e.QueueHighWater {
-		e.QueueHighWater = o.QueueHighWater
-	}
-}
+// Merge folds o into e field by field, as the metric table directs.
+func (e *Engine) Merge(o *Engine) { mergeSection(e, o) }
 
 // Trace counts the checkpoint writer: records written and records
 // discarded after a sticky write error. Stream-derived.
 type Trace struct {
-	Written uint64 `json:"written"`
-	Dropped uint64 `json:"dropped"`
+	Written uint64 `json:"written" help:"Checkpoint records written." class:"stream"`
+	Dropped uint64 `json:"dropped" help:"Checkpoint records dropped after a write error." class:"stream"`
 }
 
-// Merge folds o into t (commutative).
-func (t *Trace) Merge(o *Trace) {
-	t.Written += o.Written
-	t.Dropped += o.Dropped
-}
+// Merge folds o into t field by field, as the metric table directs.
+func (t *Trace) Merge(o *Trace) { mergeSection(t, o) }
 
 // Snapshot is the merged end-of-run view of every instrumented layer —
 // the telemetry twin of Analysis. Runs assemble it at reduce time from
@@ -321,9 +277,10 @@ type Snapshot struct {
 	Detect   Detect   `json:"detect"`
 }
 
-// Merge folds o into s. All component merges commute; ShardPackets
-// merges element-wise (growing as needed) and Workers takes the
-// maximum, so partial snapshots combine deterministically.
+// Merge folds o into s. Every table metric merges by its declared kind
+// (all commute); ShardPackets merges element-wise (growing as needed)
+// and Workers takes the maximum, so partial snapshots combine
+// deterministically.
 func (s *Snapshot) Merge(o *Snapshot) {
 	if o.Workers > s.Workers {
 		s.Workers = o.Workers
@@ -334,13 +291,27 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	for i, n := range o.ShardPackets {
 		s.ShardPackets[i] += n
 	}
-	s.Dissect.Merge(&o.Dissect)
-	s.Sessions.Merge(&o.Sessions)
-	s.Generate.Merge(&o.Generate)
-	s.Ingest.Merge(&o.Ingest)
-	s.Engine.Merge(&o.Engine)
-	s.Trace.Merge(&o.Trace)
-	s.Detect.Merge(&o.Detect)
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	for _, m := range table {
+		m.merge(sv.FieldByIndex(m.index), ov.FieldByIndex(m.index))
+	}
+}
+
+// Stream is the worker-invariant projection of the snapshot: a copy
+// with every runtime-class metric, Workers and ShardPackets zeroed.
+// What remains is a pure property of the packet stream, so two runs
+// over the same stream — any worker count, live or replayed — produce
+// equal Streams. The telemetry determinism tests compare exactly this.
+func (s *Snapshot) Stream() Snapshot {
+	st := *s
+	st.Workers, st.ShardPackets = 0, nil
+	v := reflect.ValueOf(&st).Elem()
+	for _, m := range table {
+		if m.runtime {
+			v.FieldByIndex(m.index).SetZero()
+		}
+	}
+	return st
 }
 
 // Skew returns the shard balance ratio max/mean of ShardPackets
@@ -365,63 +336,4 @@ func skew(counts []uint64) float64 {
 	}
 	mean := float64(total) / float64(len(counts))
 	return float64(max) / mean
-}
-
-// Stream is the worker-invariant projection of a Snapshot: every field
-// is a pure property of the packet stream, so two runs over the same
-// stream — any worker count, live or replayed — produce bit-identical
-// Streams. The telemetry determinism tests compare exactly this.
-type Stream struct {
-	Datagrams     uint64 `json:"datagrams"`
-	QUICPackets   uint64 `json:"quic_packets"`
-	ParseFailures uint64 `json:"parse_failures"`
-	Decrypted     uint64 `json:"decrypted"`
-	ClientHellos  uint64 `json:"client_hellos"`
-
-	SessionsEmitted uint64 `json:"sessions_emitted"`
-	SetSpills       uint64 `json:"set_spills"`
-
-	EventsPlanned    uint64 `json:"events_planned"`
-	GeneratedPackets uint64 `json:"generated_packets"`
-	PayloadHits      uint64 `json:"payload_hits"`
-	PayloadMisses    uint64 `json:"payload_misses"`
-
-	IngestRecords uint64 `json:"ingest_records"`
-	DecodeDrops   uint64 `json:"decode_drops"`
-
-	// Salvage degradation is stream-derived for a fixed fault pattern
-	// (the single reader goroutine skips the same spans every run);
-	// TransientRetries is excluded — retry counts depend on I/O timing.
-	CorruptRecords uint64 `json:"corrupt_records"`
-	ResyncScans    uint64 `json:"resync_scans"`
-	SalvagedBytes  uint64 `json:"salvaged_bytes"`
-	SalvageMaxLost uint64 `json:"salvage_max_lost"`
-
-	TraceWritten uint64 `json:"trace_written"`
-	TraceDropped uint64 `json:"trace_dropped"`
-}
-
-// Stream projects the worker-invariant counters out of the snapshot.
-func (s *Snapshot) Stream() Stream {
-	return Stream{
-		Datagrams:        s.Dissect.Datagrams,
-		QUICPackets:      s.Dissect.Packets,
-		ParseFailures:    s.Dissect.ParseFailures,
-		Decrypted:        s.Dissect.Decrypted,
-		ClientHellos:     s.Dissect.ClientHellos,
-		SessionsEmitted:  s.Sessions.Emitted,
-		SetSpills:        s.Sessions.SetSpills,
-		EventsPlanned:    s.Generate.EventsPlanned,
-		GeneratedPackets: s.Generate.Packets,
-		PayloadHits:      s.Generate.PayloadHits,
-		PayloadMisses:    s.Generate.PayloadMisses,
-		IngestRecords:    s.Ingest.Records,
-		DecodeDrops:      s.Ingest.DecodeDrops,
-		CorruptRecords:   s.Ingest.CorruptRecords,
-		ResyncScans:      s.Ingest.ResyncScans,
-		SalvagedBytes:    s.Ingest.SalvagedBytes,
-		SalvageMaxLost:   s.Ingest.SalvageMaxLost,
-		TraceWritten:     s.Trace.Written,
-		TraceDropped:     s.Trace.Dropped,
-	}
 }

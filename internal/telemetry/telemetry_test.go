@@ -60,55 +60,120 @@ func TestHistMergeAndMean(t *testing.T) {
 	}
 }
 
-// fillSnapshot produces a snapshot with every field distinct, keyed off
-// base, so merge tests notice any dropped or swapped field.
+// fillSnapshot produces a snapshot with every table metric distinct,
+// keyed off base, so merge tests notice any dropped or swapped field.
 func fillSnapshot(base uint64) *Snapshot {
 	s := &Snapshot{Workers: int(base % 7), ShardPackets: []uint64{base, base + 1}}
 	v := reflect.ValueOf(s).Elem()
 	n := base
-	var fill func(reflect.Value)
-	fill = func(v reflect.Value) {
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			switch f.Kind() {
-			case reflect.Uint64:
-				n++
-				f.SetUint(n)
-			case reflect.Struct:
-				fill(f)
-			case reflect.Array:
-				for j := 0; j < f.Len(); j++ {
-					n++
-					f.Index(j).SetUint(n)
-				}
-			case reflect.String:
-				f.SetString(fmt.Sprintf("fmt%d", base))
+	next := func() uint64 { n++; return n }
+	for _, m := range table {
+		switch f := v.FieldByIndex(m.index); m.kind {
+		case kindHist:
+			h := f.Addr().Interface().(*Hist)
+			for i := range h.Buckets {
+				h.Buckets[i] = next()
+			}
+			h.Count, h.Sum = next(), next()
+		case kindLabel:
+			f.SetString(fmt.Sprintf("fmt%d", base))
+		default:
+			f.SetUint(next())
+		}
+	}
+	return s
+}
+
+// TestTableCoversSnapshot walks Snapshot without the table builder and
+// checks the table against it: every uint64, Hist and string field
+// reachable from Snapshot is one row, rows are unique (so Prometheus
+// family names are), and each carries help text. Class and merge tags
+// are validated when the table is built.
+func TestTableCoversSnapshot(t *testing.T) {
+	var leaves []string
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch {
+			case f.Type == histType, f.Type.Kind() == reflect.Uint64, f.Type.Kind() == reflect.String:
+				leaves = append(leaves, path+f.Name)
+			case f.Type.Kind() == reflect.Struct:
+				walk(path+f.Name+".", f.Type)
 			}
 		}
 	}
-	fill(v.FieldByName("Dissect"))
-	fill(v.FieldByName("Sessions"))
-	fill(v.FieldByName("Generate"))
-	fill(v.FieldByName("Ingest"))
-	fill(v.FieldByName("Engine"))
-	fill(v.FieldByName("Trace"))
-	return s
+	st := reflect.TypeOf(Snapshot{})
+	walk("", st)
+
+	rows := map[string]int{}
+	families := map[string]bool{}
+	for _, m := range table {
+		sf := st.Field(m.index[0])
+		rows[sf.Name+"."+sf.Type.Field(m.index[1]).Name]++
+		if m.help == "" || m.section == "" || m.name == "" {
+			t.Errorf("row %s.%s incomplete: %+v", m.section, m.name, m)
+		}
+		if families[m.section+"_"+m.name] {
+			t.Errorf("duplicate family %s_%s", m.section, m.name)
+		}
+		families[m.section+"_"+m.name] = true
+	}
+	if len(leaves) != len(table) {
+		t.Errorf("Snapshot has %d metric fields, table has %d rows", len(leaves), len(table))
+	}
+	for _, leaf := range leaves {
+		if rows[leaf] != 1 {
+			t.Errorf("%s appears %d times in the table, want once", leaf, rows[leaf])
+		}
+	}
 }
 
 // TestSnapshotMergeCommutes asserts a⊕b == b⊕a for fully-populated
 // snapshots — the property that makes reduce-time merging independent
-// of worker completion order.
+// of worker completion order — and that each row folded by its kind.
 func TestSnapshotMergeCommutes(t *testing.T) {
+	a, b := fillSnapshot(100), fillSnapshot(2000)
 	ab := fillSnapshot(100)
-	ab.Merge(fillSnapshot(2000))
+	ab.Merge(b)
 	ba := fillSnapshot(2000)
-	ba.Merge(fillSnapshot(100))
-	// Format and DecodePath differ (first non-empty wins) — align
-	// before comparing.
-	ba.Ingest.Format = ab.Ingest.Format
-	ba.Ingest.DecodePath = ab.Ingest.DecodePath
+	ba.Merge(a)
+
+	av, bv := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	abv, bav := reflect.ValueOf(ab).Elem(), reflect.ValueOf(ba).Elem()
+	for _, m := range table {
+		x, y, got := av.FieldByIndex(m.index), bv.FieldByIndex(m.index), abv.FieldByIndex(m.index)
+		var ok bool
+		switch m.kind {
+		case kindSum:
+			ok = got.Uint() == x.Uint()+y.Uint()
+		case kindMax:
+			ok = got.Uint() == max(x.Uint(), y.Uint())
+		case kindHist:
+			want := x.Interface().(Hist)
+			want.Merge(y.Addr().Interface().(*Hist))
+			ok = got.Interface().(Hist) == want
+		case kindLabel:
+			// First non-empty wins, the one order-dependent kind (shards
+			// of one run agree on labels) — align before comparing.
+			ok = got.String() == x.String()
+			bav.FieldByIndex(m.index).SetString(got.String())
+		}
+		if !ok {
+			t.Errorf("%s.%s: %v ⊕ %v = %v", m.section, m.name, x, y, got)
+		}
+	}
 	if !reflect.DeepEqual(ab, ba) {
 		t.Errorf("merge not commutative:\n a⊕b %+v\n b⊕a %+v", ab, ba)
+	}
+
+	// The per-section Merge methods are the same rows.
+	d := a.Detect
+	d.Merge(&b.Detect)
+	e := a.Engine
+	e.Merge(&b.Engine)
+	if d != ab.Detect || e != ab.Engine {
+		t.Errorf("section Merge disagrees with Snapshot.Merge:\n %+v vs %+v\n %+v vs %+v", d, ab.Detect, e, ab.Engine)
 	}
 }
 
@@ -144,28 +209,37 @@ func TestSkew(t *testing.T) {
 	}
 }
 
-// TestStreamProjection asserts Stream picks exactly the stream-derived
-// fields and none of the runtime ones.
+// TestStreamProjection asserts Stream keeps exactly the stream-class
+// metrics and zeroes the runtime ones and the run shape, and pins a few
+// of each class by name so a retagged field is a visible diff here.
 func TestStreamProjection(t *testing.T) {
 	s := fillSnapshot(10)
 	st := s.Stream()
-	if st.Datagrams != s.Dissect.Datagrams || st.QUICPackets != s.Dissect.Packets ||
-		st.ParseFailures != s.Dissect.ParseFailures || st.Decrypted != s.Dissect.Decrypted ||
-		st.ClientHellos != s.Dissect.ClientHellos {
-		t.Error("dissect projection wrong")
+	if st.Workers != 0 || st.ShardPackets != nil {
+		t.Errorf("run shape survived: workers %d, shards %v", st.Workers, st.ShardPackets)
 	}
-	if st.SessionsEmitted != s.Sessions.Emitted || st.SetSpills != s.Sessions.SetSpills {
-		t.Error("sessions projection wrong")
+	sv, stv := reflect.ValueOf(s).Elem(), reflect.ValueOf(&st).Elem()
+	for _, m := range table {
+		got, orig := stv.FieldByIndex(m.index), sv.FieldByIndex(m.index)
+		if m.runtime && !got.IsZero() {
+			t.Errorf("runtime metric %s.%s survived projection", m.section, m.name)
+		}
+		if !m.runtime && !reflect.DeepEqual(got.Interface(), orig.Interface()) {
+			t.Errorf("stream metric %s.%s altered by projection", m.section, m.name)
+		}
 	}
-	if st.EventsPlanned != s.Generate.EventsPlanned || st.GeneratedPackets != s.Generate.Packets ||
-		st.PayloadHits != s.Generate.PayloadHits || st.PayloadMisses != s.Generate.PayloadMisses {
-		t.Error("generate projection wrong")
+	if st.Dissect.Datagrams != s.Dissect.Datagrams || st.Sessions.Emitted != s.Sessions.Emitted ||
+		st.Detect.AlertsOpened != s.Detect.AlertsOpened || st.Ingest.Format != s.Ingest.Format ||
+		st.Trace.Written != s.Trace.Written {
+		t.Errorf("stream-class metrics lost: %+v", st)
 	}
-	if st.IngestRecords != s.Ingest.Records || st.DecodeDrops != s.Ingest.DecodeDrops {
-		t.Error("ingest projection wrong")
+	if st.Dissect.OpenerHits != 0 || st.Sessions.SweepEvicted != 0 || st.Detect.SourcesEvicted != 0 ||
+		st.Generate.SlabReuses != 0 || st.Ingest.SpanBytes != 0 || st.Ingest.DecodePath != "" ||
+		st.Ingest.BatchFill != (Hist{}) || st.Engine != (Engine{}) {
+		t.Errorf("runtime-class metrics kept: %+v", st)
 	}
-	if st.TraceWritten != s.Trace.Written || st.TraceDropped != s.Trace.Dropped {
-		t.Error("trace projection wrong")
+	if s.Dissect.OpenerHits == 0 || s.Workers == 0 {
+		t.Error("projection modified its receiver")
 	}
 }
 

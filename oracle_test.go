@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quicsand/internal/capture"
+	"quicsand/internal/netmodel"
 	"quicsand/internal/oracle"
 	"quicsand/internal/scenario"
 	"quicsand/internal/telescope"
@@ -120,6 +121,23 @@ func TestOracleModerateScale(t *testing.T) {
 	assertOracle(t, "paper-0.05", exp, a)
 }
 
+// lowestResponder returns the lowest observed responder address that
+// satisfies ok; it fails the test when none qualifies.
+func lowestResponder(t *testing.T, o *oracle.Observed, ok func(netmodel.Addr) bool) netmodel.Addr {
+	t.Helper()
+	var best netmodel.Addr
+	found := false
+	for a := range o.Responders {
+		if ok(a) && (!found || a < best) {
+			best, found = a, true
+		}
+	}
+	if !found {
+		t.Fatal("no responder qualifies for this tamper case")
+	}
+	return best
+}
+
 // TestOracleDetectsDivergence guards the oracle's teeth: an Observed
 // doctored in any single dimension must violate at least one check —
 // otherwise the matrix above is vacuous.
@@ -137,9 +155,16 @@ func TestOracleDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(oracle.Check(exp, a.OracleObserved())); n != 0 {
+	obs := a.OracleObserved()
+	if n := len(oracle.Check(exp, obs)); n != 0 {
 		t.Fatalf("clean run violates %d checks", n)
 	}
+
+	// The responders the tamper cases doctor, picked by address so every
+	// run doctors the same ones whatever the map order.
+	victim := lowestResponder(t, obs, func(a netmodel.Addr) bool { return exp.Victims[a] != nil })
+	misconf := lowestResponder(t, obs, func(a netmodel.Addr) bool { return exp.Victims[a] == nil && exp.Misconf[a] != nil })
+	clean := lowestResponder(t, obs, func(a netmodel.Addr) bool { return exp.Victims[a] != nil && !exp.Victims[a].AnyRetry })
 
 	tamper := []struct {
 		name string
@@ -151,19 +176,14 @@ func TestOracleDetectsDivergence(t *testing.T) {
 		{"distinct-sources", func(o *oracle.Observed) { o.DistinctQUICSources-- }},
 		{"mixed", func(o *oracle.Observed) { o.MixedSessions = 1 }},
 		{"responder-volume", func(o *oracle.Observed) {
-			for _, r := range o.Responders {
-				r.Packets++
-				break
-			}
+			o.Responders[victim].Packets = exp.Victims[victim].PacketRange.Max + 1
 		}},
-		{"retry-from-clean-victim", func(o *oracle.Observed) {
-			for a, r := range o.Responders {
-				if exp.Victims[a] != nil && !exp.Victims[a].AnyRetry {
-					r.RetryPackets = 1
-					break
-				}
-			}
+		{"misconf-volume", func(o *oracle.Observed) {
+			// Sub-threshold backscatter from a scheduled misconfigured
+			// responder is bounded by a range, not pinned: step past it.
+			o.Responders[misconf].Packets = exp.Misconf[misconf].Packets.Max + 1
 		}},
+		{"retry-from-clean-victim", func(o *oracle.Observed) { o.Responders[clean].RetryPackets = 1 }},
 		{"attack-flood", func(o *oracle.Observed) {
 			for i := 0; i < 100000; i++ {
 				o.QUICAttacks = append(o.QUICAttacks, o.QUICAttacks[0])

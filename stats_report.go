@@ -55,11 +55,7 @@ func (a *Analysis) Manifest(command string) *telemetry.Manifest {
 		m.Workers = p.Workers
 		m.WallNS = p.Wall.Nanoseconds()
 		m.PacketsPerSec = p.Throughput()
-		for _, s := range p.Stages {
-			m.Stages = append(m.Stages, telemetry.StageTiming{
-				Name: s.Name, Items: s.Items, WallNS: s.Wall.Nanoseconds(),
-			})
-		}
+		m.Stages = p.StageTimings()
 	}
 	if t := a.Telemetry; t != nil {
 		m.ShardPackets = t.ShardPackets

@@ -2,25 +2,38 @@ package quicsand
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"quicsand/internal/capture"
+	"quicsand/internal/detect"
+	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 )
 
 // TestTelemetryStreamDeterminism is the telemetry layer's determinism
 // contract (DESIGN.md §13): the Stream projection of a run's Snapshot —
-// the stream-derived counters — must be bit-identical for every worker
-// count, and a replay of the run's checkpoint must reproduce the same
-// dissect/session/trace-side stream counters again, at any worker
-// count, from either container format.
+// every class:"stream" metric in the table — must be equal for every
+// worker count; a replay of the run's checkpoint must reproduce the
+// same dissect/session-side counters again, at any worker count, from
+// either container format; and the streaming pipeline with a detector
+// bank must reach the same counters plus worker-invariant Detect ones.
+// A metric that fails here is not special-cased: it is retagged
+// class:"runtime" with the reason in its doc comment.
 func TestTelemetryStreamDeterminism(t *testing.T) {
 	id, err := tlsmini.GenerateSelfSigned("quic.example.net", 600)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := Config{Seed: 97, Scale: 0.01, ResearchThin: 1 << 14, Identity: id}
+	same := func(label string, got, want telemetry.Snapshot) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stream diverged:\n want %+v\n got  %+v", label, want, got)
+		}
+	}
 
 	runWith := func(workers int) (*Analysis, []byte) {
 		var trace bytes.Buffer
@@ -41,22 +54,20 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 		t.Fatal("Run produced no telemetry snapshot")
 	}
 	want := ref.Telemetry.Stream()
-	if want.Datagrams == 0 || want.SessionsEmitted == 0 || want.EventsPlanned == 0 ||
-		want.TraceWritten == 0 {
+	if want.Dissect.Datagrams == 0 || want.Sessions.Emitted == 0 || want.Generate.EventsPlanned == 0 ||
+		want.Trace.Written == 0 {
 		t.Fatalf("reference stream implausibly empty: %+v", want)
 	}
 	// Cross-check against the analysis itself: the trace recorded every
 	// telescope capture. (Dissect.Datagrams is smaller — only UDP
 	// QUIC-candidates reach deep dissection.)
-	if want.TraceWritten != ref.Telescope.Total || want.TraceDropped != 0 {
-		t.Errorf("trace counters %d/%d, want %d/0", want.TraceWritten, want.TraceDropped, ref.Telescope.Total)
+	if want.Trace.Written != ref.Telescope.Total || want.Trace.Dropped != 0 {
+		t.Errorf("trace counters %d/%d, want %d/0", want.Trace.Written, want.Trace.Dropped, ref.Telescope.Total)
 	}
 
 	for _, workers := range []int{2, 8} {
 		a, _ := runWith(workers)
-		if got := a.Telemetry.Stream(); got != want {
-			t.Errorf("workers=%d: stream diverged:\n want %+v\n got  %+v", workers, want, got)
-		}
+		same(fmt.Sprintf("workers=%d", workers), a.Telemetry.Stream(), want)
 		if got := len(a.Telemetry.ShardPackets); got != workers {
 			t.Errorf("workers=%d: %d shard counts", workers, got)
 		}
@@ -64,19 +75,18 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 
 	// Replays: same dissect/session stream counters, no generate-side
 	// counters (nothing was generated), ingest provenance filled in.
-	pcap := convertToPcap(t, qsnd)
+	type input struct {
+		format string
+		data   []byte // nil: the streamer's own generator (live)
+	}
+	inputs := []input{{"qsnd", qsnd}, {"pcap", convertToPcap(t, qsnd)}}
 	replayWant := want
-	replayWant.EventsPlanned, replayWant.GeneratedPackets = 0, 0
-	replayWant.PayloadHits, replayWant.PayloadMisses = 0, 0
-	replayWant.TraceWritten = 0 // replay ran without a trace sink
-	replayWant.IngestRecords = ref.Telescope.Total
+	replayWant.Generate = telemetry.Generate{}
+	replayWant.Trace.Written = 0 // replay ran without a trace sink
+	replayWant.Ingest.Records = ref.Telescope.Total
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, in := range []struct {
-			name   string
-			data   []byte
-			format string
-		}{{"qsnd", qsnd, "qsnd"}, {"pcap", pcap, "pcap"}} {
+		for _, in := range inputs {
 			src, err := capture.NewSource(bytes.NewReader(in.data))
 			if err != nil {
 				t.Fatal(err)
@@ -87,21 +97,56 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := a.Telemetry
-			if snap == nil {
-				t.Fatalf("%s/workers=%d: no telemetry", in.name, workers)
+			if a.Telemetry == nil {
+				t.Fatalf("%s/workers=%d: no telemetry", in.format, workers)
 			}
-			if got := snap.Stream(); got != replayWant {
-				t.Errorf("%s/workers=%d: replay stream diverged:\n want %+v\n got  %+v",
-					in.name, workers, replayWant, got)
+			replayWant.Ingest.Format = in.format
+			same(fmt.Sprintf("replay %s/workers=%d", in.format, workers), a.Telemetry.Stream(), replayWant)
+		}
+	}
+
+	// Streaming, with detectors: Detect.* joins the comparison. The
+	// workers=1 run of each input is the reference for the others, and
+	// with Detect set aside it must equal the batch run's projection.
+	dcfg := detect.Default()
+	stream := func(workers int, data []byte) telemetry.Snapshot {
+		cfg := StreamConfig{Config: base, Detect: &dcfg}
+		cfg.Workers = workers
+		var final *StreamCheckpoint
+		var err error
+		if data == nil {
+			final, err = StreamLive(cfg, 0, nil)
+		} else {
+			var src capture.Source
+			if src, err = capture.NewSource(bytes.NewReader(data)); err == nil {
+				final, err = StreamReplay(cfg, src, 0, nil)
 			}
-			if snap.Ingest.Format != in.format {
-				t.Errorf("%s/workers=%d: ingest format = %q", in.name, workers, snap.Ingest.Format)
-			}
-			if snap.Ingest.Records != ref.Telescope.Total {
-				t.Errorf("%s/workers=%d: ingest records = %d, want %d",
-					in.name, workers, snap.Ingest.Records, ref.Telescope.Total)
-			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return final.Analysis().Telemetry.Stream()
+	}
+	// StreamLive drives the generator itself and reports no generate-side
+	// counters; it ran without a trace sink.
+	liveWant := want
+	liveWant.Generate = telemetry.Generate{}
+	liveWant.Trace.Written = 0
+	for _, in := range append(inputs, input{"live", nil}) {
+		sref := stream(1, in.data)
+		if d := sref.Detect; d.Observed == 0 || d.SourcesTracked == 0 || d.AlertsOpened == 0 ||
+			d.AlertsClosed != d.AlertsOpened {
+			t.Errorf("stream %s: detect counters implausible: %+v", in.format, d)
+		}
+		batch := liveWant
+		if in.data != nil {
+			batch = replayWant
+			batch.Ingest.Format = in.format
+		}
+		batch.Detect = sref.Detect
+		same("stream "+in.format+" vs batch", sref, batch)
+		for _, workers := range []int{2, 8} {
+			same(fmt.Sprintf("stream %s/workers=%d", in.format, workers), stream(workers, in.data), sref)
 		}
 	}
 }
