@@ -593,9 +593,10 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	// OpenFile memory-maps QSND checkpoints (zero-copy ingest) and
-	// streams everything else; the source owns the mapping until the
-	// analysis below is fully rendered.
+	// OpenFile memory-maps a regular capture file of either format
+	// (zero-copy ingest) and streams anything else, such as a pipe on
+	// /dev/stdin; the source owns the mapping until the analysis below
+	// is fully rendered.
 	src, err := capture.OpenFile(f)
 	if err != nil {
 		return fmt.Errorf("%s: %w", *in, err)
@@ -672,8 +673,8 @@ func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window t
 	return final.Analysis(), nil
 }
 
-// closeSource releases source-owned resources (the QSND mmap) once the
-// analysis no longer aliases them.
+// closeSource releases source-owned resources (the capture's mapping)
+// once the analysis no longer aliases them.
 func closeSource(src capture.Source) {
 	if c, ok := src.(io.Closer); ok {
 		_ = c.Close()

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -166,66 +164,57 @@ func TestReplayBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The mmap variant replays the same checkpoint through the
+	// The mmap variants replay the same two captures through the
 	// capture.OpenFile zero-copy path (stable spans, offset framing).
-	qsndPath := filepath.Join(t.TempDir(), "trace.qsnd")
-	if err := os.WriteFile(qsndPath, qsnd, 0o644); err != nil {
-		t.Fatal(err)
+	pcapData := pcapBuf.Bytes()
+	qsndPath, pcapPath := writeCapture(t, qsnd), writeCapture(t, pcapData)
+	inputs := []struct {
+		name string
+		open func() capture.Source
+	}{
+		{"qsnd", func() capture.Source { return openStream(t, qsnd) }},
+		{"pcap", func() capture.Source { return openStream(t, pcapData) }},
+		{"qsnd-mmap", func() capture.Source { return openMapped(t, qsndPath) }},
+		{"pcap-mmap", func() capture.Source { return openMapped(t, pcapPath) }},
 	}
 
-	pcapData := pcapBuf.Bytes()
 	for _, workers := range []int{1, 2, 8} {
-		for _, in := range []struct {
-			name string
-			open func() (capture.Source, error)
-		}{
-			{"qsnd", func() (capture.Source, error) { return capture.NewSource(bytes.NewReader(qsnd)) }},
-			{"pcap", func() (capture.Source, error) { return capture.NewSource(bytes.NewReader(pcapData)) }},
-			{"mmap", func() (capture.Source, error) {
-				f, err := os.Open(qsndPath)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close() // the mapping outlives the descriptor
-				return capture.OpenFile(f)
-			}},
-		} {
+		for _, in := range inputs {
 			cfg := base
 			cfg.Workers = workers
-			src, err := in.open()
-			if err != nil {
-				t.Fatal(err)
-			}
+			src := in.open()
 			replayed, err := Replay(cfg, src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			expectSameAnalysis(t, fmt.Sprintf("%s/workers=%d", in.name, workers), direct, replayed)
-			if c, ok := src.(io.Closer); ok {
-				if err := c.Close(); err != nil {
-					t.Fatal(err)
-				}
+			if err := src.(io.Closer).Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 
 	// Replay with a trace sink re-checkpoints the identical byte
-	// stream (the analyze-while-converting path).
-	var retrace bytes.Buffer
-	cfg := base
-	cfg.Workers, cfg.Trace = 8, telescope.NewWriter(&retrace)
-	src2, err := capture.NewSource(bytes.NewReader(qsnd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(cfg, src2); err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Trace.(*telescope.Writer).Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(qsnd, retrace.Bytes()) {
-		t.Errorf("re-checkpoint differs: %d vs %d bytes (or content)", len(qsnd), len(retrace.Bytes()))
+	// stream (the analyze-while-converting path). From a mapped capture
+	// the tapped packets' payloads alias the mapping across goroutines
+	// until the source is closed, after the run.
+	for _, in := range inputs {
+		var retrace bytes.Buffer
+		cfg := base
+		cfg.Workers, cfg.Trace = 8, telescope.NewWriter(&retrace)
+		src := in.open()
+		if _, err := Replay(cfg, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Trace.(*telescope.Writer).Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.(io.Closer).Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(qsnd, retrace.Bytes()) {
+			t.Errorf("%s: re-checkpoint differs: %d vs %d bytes (or content)", in.name, len(qsnd), len(retrace.Bytes()))
+		}
 	}
 }
 

@@ -22,10 +22,12 @@
 // records the same way: over a salvage.Window, validating a whole
 // record on peeked bytes and consuming it only then, so each format has
 // one framer whether its bytes stream through an io.Reader or lie in a
-// memory-mapped file (OpenFile), and a record that fails validation is
-// still entirely unread when salvage resyncs past it (DESIGN.md §14,
-// §16). Framed spans are handed to the scatter as they are: aliased
-// when the window is stable (the mapping), copied once into the routed
+// memory-mapped file, and a record that fails validation is still
+// entirely unread when salvage resyncs past it (DESIGN.md §14, §16).
+// OpenFile maps a regular file of either format and streams everything
+// else (pipes, platforms without mmap). Framed spans are handed to the
+// scatter as they are: aliased when the window is stable (the mapping,
+// valid until the source is closed), copied once into the routed
 // shard's arena when it slides.
 //
 // Export uses real wire encapsulation (Ethernet/IPv4 with valid
@@ -93,8 +95,10 @@ type SpanSource interface {
 	// fail — FrameNext returns only complete, validated records.
 	TakeSpan(dst []byte) []byte
 	// SpanStable reports whether returned spans outlive the next
-	// FrameNext without copying — true for memory-backed sources,
-	// where the caller must then not recycle span memory.
+	// FrameNext without copying — true for memory-backed sources (an
+	// OpenFile mapping of either format, NewQSNDBuffer), whose spans
+	// stay readable until the source is closed and whose memory the
+	// caller must not recycle.
 	SpanStable() bool
 	// SpanDecoder returns the source's concurrent-safe decoder.
 	SpanDecoder() SpanDecoder
@@ -207,11 +211,11 @@ func NewSink(w io.Writer, f Format) Sink {
 // qsndSource adapts telescope.Reader — streamed or laid over a byte
 // slice — to Source and SpanSource: one reused Packet whose payload
 // aliases the reader's window, honoring the Source validity contract.
-// close unmaps when the data is a memory mapping (OpenFile).
+// Close unmaps when the data is a memory mapping (OpenFile).
 type qsndSource struct {
-	r     *telescope.Reader
-	p     telescope.Packet
-	close func() error
+	r *telescope.Reader
+	p telescope.Packet
+	mapping
 }
 
 func (s *qsndSource) Next() (*telescope.Packet, error) {
@@ -219,18 +223,6 @@ func (s *qsndSource) Next() (*telescope.Packet, error) {
 		return nil, err
 	}
 	return &s.p, nil
-}
-
-// Close releases the mapping (if any). Spans and payloads handed out
-// earlier alias the mapped pages — the caller must be done with the
-// analysis before closing.
-func (s *qsndSource) Close() error {
-	if s.close != nil {
-		c := s.close
-		s.close = nil
-		return c()
-	}
-	return nil
 }
 
 // qsndDecoder is the QSND span decoder: telescope.DecodeRecord behind
@@ -252,7 +244,8 @@ func (s *qsndSource) SpanStable() bool                       { return s.r.Stable
 func (s *qsndSource) SpanDecoder() SpanDecoder               { return qsndDecoder{} }
 
 // SpanSource implementation for the pcap reader (FrameNext/TakeSpan in
-// pcap.go). OpenFile streams pcaps, so in practice spans are copied.
+// pcap.go): stable over OpenFile's mapping, copied from a sliding
+// window (NewPcapReader, NewSource).
 func (pr *PcapReader) SpanStable() bool         { return pr.w.Stable() }
 func (pr *PcapReader) SpanDecoder() SpanDecoder { return pr.pcapDecoder }
 

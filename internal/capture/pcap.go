@@ -304,12 +304,18 @@ func (pw *PcapWriter) Flush() error {
 //
 // The returned packet follows the Source contract: it and its payload
 // alias reader-owned buffers valid until the next Next call.
+//
+// The window decides how bytes arrive, nothing else: NewPcapReader
+// slides one over an io.Reader, OpenFile lays one over the mapped file,
+// whose spans are then stable (SpanStable) until Close unmaps it; on a
+// streamed reader Close does nothing.
 type PcapReader struct {
 	w *salvage.Window
 	pcapDecoder
 	pkt  telescope.Packet
 	rec  uint64 // records framed so far (decode-skips included)
 	span []byte // framed by FrameNext, handed out by TakeSpan
+	mapping
 
 	// Skipped counts records dropped during decapsulation.
 	Skipped uint64

@@ -123,8 +123,9 @@ type Scatter struct {
 	// Decode-after-scatter (DESIGN.md §16): when the source frames
 	// spans, the reader goroutine stops decoding records and only
 	// routes raw spans; each shard parses its own batches (dec is
-	// concurrent-safe). stable spans alias source-owned memory (mmap)
-	// and skip the arena copy entirely.
+	// concurrent-safe). stable spans alias source-owned memory (an
+	// OpenFile mapping of either format) and skip the arena — its
+	// allocation and the copy into it — entirely.
 	span     SpanSource
 	dec      SpanDecoder
 	stable   bool
@@ -344,6 +345,9 @@ func (s *Scatter) Telemetry() telemetry.Ingest {
 		t.Records = decoded
 		t.DecodeDrops += drops
 		t.DecodePath = "shard"
+		if !s.stable {
+			t.SpanCopyBytes = t.SpanBytes // every span went window → arena
+		}
 	} else {
 		t.DecodePath = "inline"
 	}
@@ -443,7 +447,10 @@ func (s *Scatter) flushDecode(i int) {
 
 // nextBatch recycles a drained batch for shard k, or allocates one.
 // Stable-span sources never touch the arena, so its allocation is
-// skipped for them.
+// skipped for them. On the span path a fresh batch gets its span table
+// at full size: a reader that outruns the shards (a mapped file always
+// does) allocates batches steadily, and growing each table by append
+// would cost nine reallocations per batch.
 func (s *Scatter) nextBatch(k int) *batch {
 	select {
 	case b := <-s.free[k]:
@@ -456,6 +463,9 @@ func (s *Scatter) nextBatch(k int) *batch {
 			b.Pkts = make([]telescope.Packet, 0, scatterBatch)
 		} else {
 			b.PacketBatch = *NewPacketBatch(scatterBatch)
+		}
+		if s.span != nil {
+			b.spans = make([][]byte, 0, scatterBatch)
 		}
 		return b
 	}

@@ -13,8 +13,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
+	"quicsand/internal/engine"
+	"quicsand/internal/salvage"
 	"quicsand/internal/telescope"
 )
 
@@ -141,11 +145,57 @@ func TestSpanPathMatchesNextQSNDBuffer(t *testing.T) {
 	expectSamePackets(t, "buffer vs stream", drain(t, streamSrc), want)
 }
 
-// TestSpanPathMatchesNextPcap pins the pcap skip split: reader-side
-// skips (decap failure, short or non-IPv4 headers) counted in Skipped
-// plus shard-side decode drops must equal the sequential reader's
-// Skipped total, with identical surviving packets.
-func TestSpanPathMatchesNextPcap(t *testing.T) {
+// fileOf writes data to a temporary file and opens it for OpenFile; the
+// descriptor is closed with the test.
+func fileOf(t *testing.T, data []byte) *os.File {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "capture.bin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// pipeOf returns the read end of a pipe that delivers data and then
+// ends — `cat capture | quicsand replay -i /dev/stdin` as OpenFile sees
+// it: a file that can be neither sought nor mapped.
+func pipeOf(t *testing.T, data []byte) *os.File {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		// A reader that stops early (fail-fast error) closes r with the
+		// test, which fails the blocked write; nothing to report.
+		_, _ = w.Write(data)
+		w.Close()
+	}()
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// openClosed opens f through OpenFile and closes the source with the
+// test.
+func openClosed(t *testing.T, f *os.File) Source {
+	t.Helper()
+	src, err := OpenFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.(io.Closer).Close() })
+	return src
+}
+
+// skipSplitPcap is the pcap skip-split fixture: frames the reader skips
+// while routing (ARP, a headerless runt), frames only the full decode
+// rejects (a later fragment, SCTP), and one representable datagram.
+func skipSplitPcap() []byte {
 	ip := rawIPv4UDP("8.8.8.8", "44.3.2.1", 12345, 443, []byte{0x40, 1, 2, 3})
 	arp := append([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x08, 0x06}, make([]byte, 28)...)
 	short := []byte{0x45}
@@ -161,7 +211,16 @@ func TestSpanPathMatchesNextPcap(t *testing.T) {
 		append([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x08, 0x00}, sctp...),
 		append([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x08, 0x00}, ip...),
 	}
-	data := writeForeignPcap(binary.LittleEndian, false, LinkEthernet, frames)
+	return writeForeignPcap(binary.LittleEndian, false, LinkEthernet, frames)
+}
+
+// TestSpanPathMatchesNextPcap pins the pcap skip split: reader-side
+// skips (decap failure, short or non-IPv4 headers) counted in Skipped
+// plus shard-side decode drops must equal the sequential reader's
+// Skipped total, with identical surviving packets — whether the reader
+// slides over a stream or lies over OpenFile's mapping.
+func TestSpanPathMatchesNextPcap(t *testing.T) {
+	data := skipSplitPcap()
 
 	seq, err := NewPcapReader(bytes.NewReader(data))
 	if err != nil {
@@ -170,74 +229,180 @@ func TestSpanPathMatchesNextPcap(t *testing.T) {
 	want := drain(t, seq)
 	wantSkipped := seq.Skipped
 
-	r, err := NewPcapReader(bytes.NewReader(data))
+	streamed, err := NewPcapReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, drops := drainSpans(t, r)
-	expectSamePackets(t, "pcap", want, got)
-	if r.Skipped+drops != wantSkipped {
-		t.Errorf("skip split %d reader + %d shard != sequential %d",
-			r.Skipped, drops, wantSkipped)
-	}
-	if drops == 0 {
-		t.Error("fixture exercised no shard-side drops (frag/sctp should decode-drop)")
-	}
-	if r.Skipped == 0 {
-		t.Error("fixture exercised no reader-side skips (arp/short should frame-skip)")
+	for name, r := range map[string]*PcapReader{
+		"streamed": streamed,
+		"mapped":   openClosed(t, fileOf(t, data)).(*PcapReader),
+	} {
+		if r.SpanStable() != (name == "mapped") {
+			t.Errorf("%s: SpanStable() = %v", name, r.SpanStable())
+		}
+		got, drops := drainSpans(t, r)
+		expectSamePackets(t, name, want, got)
+		if r.Skipped+drops != wantSkipped {
+			t.Errorf("%s: skip split %d reader + %d shard != sequential %d",
+				name, r.Skipped, drops, wantSkipped)
+		}
+		if drops == 0 {
+			t.Errorf("%s: fixture exercised no shard-side drops (frag/sctp should decode-drop)", name)
+		}
+		if r.Skipped == 0 {
+			t.Errorf("%s: fixture exercised no reader-side skips (arp/short should frame-skip)", name)
+		}
 	}
 }
 
-// TestOpenFileRouting checks the container sniff: QSND files come back
-// as the zero-copy buffer source (with a working Close), pcap files as
-// the streaming reader, and junk as ErrUnknownFormat.
+// TestScatterLendsMappedSpans runs the skip-split fixture through the
+// sharded scatter from a mapped file and from a pipe: the same packets
+// and the same reader-plus-shard drop total as the sequential reader,
+// with every span byte lent by the mapping (nothing copied, no arena)
+// and every span byte copied from the stream. The fixture's frames share
+// one source, so one shard emits them in stored order.
+func TestScatterLendsMappedSpans(t *testing.T) {
+	data := skipSplitPcap()
+	seq, err := NewPcapReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drain(t, seq)
+
+	for name, f := range map[string]*os.File{"mapped": fileOf(t, data), "piped": pipeOf(t, data)} {
+		src := openClosed(t, f)
+		sc := NewScatter(src, 4, true)
+		var got []*telescope.Packet
+		var mu sync.Mutex
+		engine.Run(engine.Config{Workers: 4}, sc.Feeds(), func(_ int, p *telescope.Packet) bool {
+			cp := *p
+			cp.Payload = append([]byte(nil), p.Payload...)
+			mu.Lock()
+			got = append(got, &cp)
+			mu.Unlock()
+			return false
+		}, nil)
+		if err := sc.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		expectSamePackets(t, name, want, got)
+		tel := sc.Telemetry()
+		if total := SourceSkipped(src) + tel.DecodeDrops; total != seq.Skipped {
+			t.Errorf("%s: %d reader skips + %d shard drops != sequential %d",
+				name, SourceSkipped(src), tel.DecodeDrops, seq.Skipped)
+		}
+		if tel.DecodePath != "shard" || tel.SpanBytes == 0 {
+			t.Fatalf("%s: span path not taken: %+v", name, tel)
+		}
+		wantCopied := tel.SpanBytes
+		if name == "mapped" {
+			wantCopied = 0
+		}
+		if tel.SpanCopyBytes != wantCopied {
+			t.Errorf("%s: %d of %d span bytes copied, want %d", name, tel.SpanCopyBytes, tel.SpanBytes, wantCopied)
+		}
+	}
+}
+
+// TestOpenFileRouting checks what OpenFile decides from the file: a
+// regular file of either container comes back as its reader over the
+// mapping (stable spans, a Close that is safe to repeat), a pipe as the
+// same reader over a sliding window, and junk or nothing as
+// ErrUnknownFormat on both routes.
 func TestOpenFileRouting(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, data []byte) *os.File {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		return f
-	}
-
 	qsnd := qsndBytes(t, samplePackets())
-	src, err := OpenFile(write("a.qsnd", qsnd))
+	pcap, err := encodeCapture(samplePackets(), FormatPcap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp, ok := src.(SpanSource); !ok || !sp.SpanStable() {
-		t.Fatalf("qsnd OpenFile → %T, want the mapped (stable-span) source", src)
-	}
-	got := drain(t, src)
-	expectSamePackets(t, "openfile qsnd", samplePackets(), got)
-	if err := src.(io.Closer).Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := src.(io.Closer).Close(); err != nil {
-		t.Fatalf("second close not idempotent: %v", err)
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		format Format
+	}{{"qsnd", qsnd, FormatQSND}, {"pcap", pcap, FormatPcap}} {
+		for route, open := range map[string]func(*testing.T, []byte) *os.File{"file": fileOf, "pipe": pipeOf} {
+			src, err := OpenFile(open(t, tc.data))
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, route, err)
+			}
+			if got := SourceFormat(src); got != tc.format {
+				t.Errorf("%s %s: format %v", tc.name, route, got)
+			}
+			if sp, ok := src.(SpanSource); !ok || sp.SpanStable() != (route == "file") {
+				t.Errorf("%s %s → %T, stable spans must mean a mapped file", tc.name, route, src)
+			}
+			expectSamePackets(t, tc.name+" "+route, samplePackets(), drain(t, src))
+			// Spans and payloads are the caller's to stop using first, as
+			// for QSND; the copies drain took are all this test kept.
+			if err := src.(io.Closer).Close(); err != nil {
+				t.Fatalf("%s %s: close: %v", tc.name, route, err)
+			}
+			if err := src.(io.Closer).Close(); err != nil {
+				t.Fatalf("%s %s: second close not idempotent: %v", tc.name, route, err)
+			}
+		}
 	}
 
-	pcap := writeForeignPcap(binary.LittleEndian, false, LinkRawIP,
-		[][]byte{rawIPv4UDP("1.1.1.1", "44.0.0.1", 1, 443, nil)})
-	psrc, err := OpenFile(write("a.pcap", pcap))
+	for route, open := range map[string]func(*testing.T, []byte) *os.File{"file": fileOf, "pipe": pipeOf} {
+		_, err := OpenFile(open(t, []byte("not a capture")))
+		if !errors.Is(err, ErrUnknownFormat) || err.Error() != ErrUnknownFormat.Error() {
+			t.Errorf("junk %s: err = %v, want ErrUnknownFormat unadorned", route, err)
+		}
+		_, err = OpenFile(open(t, nil))
+		if !errors.Is(err, ErrUnknownFormat) || !strings.HasPrefix(err.Error(), "capture: empty stream: ") {
+			t.Errorf("empty %s: err = %v, want the empty-stream ErrUnknownFormat", route, err)
+		}
+	}
+	// A header the reader rejects is reported the same from a mapping
+	// (which is then released) as from a stream.
+	badLink := writeForeignPcap(binary.LittleEndian, false, 999, nil)
+	_, ferr := OpenFile(fileOf(t, badLink))
+	_, perr := OpenFile(pipeOf(t, badLink))
+	if !errors.Is(ferr, ErrBadPcap) || ferr.Error() != perr.Error() {
+		t.Errorf("bad link type: file %v, pipe %v", ferr, perr)
+	}
+}
+
+// TestOpenFileDamagedPcapMappedMatchesStreamed pins that the route
+// OpenFile picks does not show in how a damaged pcap is read: fail-fast
+// stops with the same error text (record index and byte offset
+// included) after the same packets, and salvage recovers the same
+// packets with the same ledger and skip total.
+func TestOpenFileDamagedPcapMappedMatchesStreamed(t *testing.T) {
+	data, err := encodeCapture(salvagePackets(40), FormatPcap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := psrc.(*PcapReader); !ok {
-		t.Fatalf("pcap OpenFile → %T, want *PcapReader", psrc)
-	}
+	offs := pcapRecordOffsets(t, data)
+	bad := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(bad[offs[17]+8:], 0xFFFF0000) // incl > maxFrame
+	bad = bad[:offs[len(offs)-1]+21]                            // and a torn tail
 
-	if _, err := OpenFile(write("junk", []byte("not a capture"))); !errors.Is(err, ErrUnknownFormat) {
-		t.Errorf("junk OpenFile err = %v, want ErrUnknownFormat", err)
-	}
-	if _, err := OpenFile(write("empty", nil)); !errors.Is(err, ErrUnknownFormat) {
-		t.Errorf("empty OpenFile err = %v, want ErrUnknownFormat", err)
+	for pname, pol := range map[string]salvage.Policy{"fail-fast": {}, "salvage": {SkipCorrupt: true}} {
+		mapped := openClosed(t, fileOf(t, bad)).(*PcapReader)
+		piped := openClosed(t, pipeOf(t, bad)).(*PcapReader)
+		want, werr, wsv := drainPcapReader(piped, pol)
+		got, gerr, gsv := drainPcapReader(mapped, pol)
+		if len(got) != len(want) {
+			t.Fatalf("%s: mapped read %d packets, streamed %d", pname, len(got), len(want))
+		}
+		for i := range want {
+			if !samePcapPacket(got[i], want[i]) {
+				t.Errorf("%s: packet %d differs:\n mapped   %+v\n streamed %+v", pname, i, got[i], want[i])
+			}
+		}
+		if gerr.Error() != werr.Error() {
+			t.Errorf("%s: terminal errors differ:\n mapped   %q\n streamed %q", pname, gerr, werr)
+		}
+		if pname == "fail-fast" && !strings.Contains(gerr.Error(), "at record 17, byte offset") {
+			t.Errorf("fail-fast error lost its position: %v", gerr)
+		}
+		if gsv != wsv || mapped.Skipped != piped.Skipped || mapped.Offset() != piped.Offset() {
+			t.Errorf("%s: accounting differs: mapped %+v skipped %d offset %d, streamed %+v skipped %d offset %d",
+				pname, gsv, mapped.Skipped, mapped.Offset(), wsv, piped.Skipped, piped.Offset())
+		}
+		if pname == "salvage" && gsv.CorruptRecords != 2 {
+			t.Errorf("salvage ledger %+v, want the flipped record and the torn tail", gsv)
+		}
 	}
 }

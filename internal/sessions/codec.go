@@ -305,19 +305,28 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 		EncodeSession(w, sz.active[src])
 	}
 
+	// The last-seen table as the format has always stored it: one entry
+	// per source ever observed. A source with an active session was last
+	// seen at that session's End (its lastSeen entry, if any, is stale).
 	if sz.lastSeen == nil {
 		w.Bool(false)
 	} else {
 		w.Bool(true)
-		seen := make([]netmodel.Addr, 0, len(sz.lastSeen))
+		seen := append(make([]netmodel.Addr, 0, len(srcs)+len(sz.lastSeen)), srcs...)
 		for src := range sz.lastSeen {
-			seen = append(seen, src)
+			if _, active := sz.active[src]; !active {
+				seen = append(seen, src)
+			}
 		}
 		slices.Sort(seen)
 		w.U64(uint64(len(seen)))
 		for _, src := range seen {
+			ts := sz.lastSeen[src]
+			if s := sz.active[src]; s != nil {
+				ts = s.End
+			}
 			w.U64(uint64(src))
-			w.I64(int64(sz.lastSeen[src]))
+			w.I64(int64(ts))
 		}
 	}
 }

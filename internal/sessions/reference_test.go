@@ -1,0 +1,428 @@
+package sessions
+
+// The sessionizer against its old bookkeeping. Until PR 17 every packet
+// wrote lastSeen[src] and the caller registered the source with the
+// sweep on every packet; now both are touched only when a session opens
+// or finishes, on the invariant that an active session's End is its
+// source's last packet time. The ref* functions below are the old
+// per-packet logic, kept verbatim over the same struct (the decoded and
+// cloned states mean the same under both readings: one lastSeen entry
+// per source ever seen is a valid, merely redundant, state for the new
+// code). Seeded random streams drive both and everything observable
+// must agree: emitted sessions, the gap histogram and source set, every
+// counter, and the checkpoint bytes at arbitrary cut points.
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"quicsand/internal/ckpt"
+	"quicsand/internal/dissect"
+	"quicsand/internal/netmodel"
+	"quicsand/internal/telescope"
+	"quicsand/internal/wire"
+)
+
+func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
+	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
+
+	if sz.GapRecorder != nil {
+		if sz.lastSeen == nil {
+			sz.lastSeen = make(map[netmodel.Addr]telescope.Timestamp)
+		}
+		if last, ok := sz.lastSeen[p.Src]; ok && p.TS > last {
+			sz.GapRecorder(time.Duration(p.TS-last) * time.Millisecond)
+		}
+		sz.lastSeen[p.Src] = p.TS
+	}
+
+	s := sz.active[p.Src]
+	if s != nil {
+		if gap := p.TS - s.End; gap > timeoutMS {
+			sz.Metrics.TimeoutSplits++
+			refFinish(sz, s)
+			delete(sz.active, p.Src)
+			s = nil
+		}
+	}
+	if s == nil {
+		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
+		sz.active[p.Src] = s
+		if sz.MaxActive > 0 && len(sz.active) > sz.MaxActive {
+			refEvictColdest(sz)
+		}
+	}
+
+	s.End = p.TS
+	s.Packets++
+	s.Bytes += uint64(p.Size)
+	isResponse := p.IsResponse()
+	if p.IsRequest() {
+		s.Requests++
+	} else if isResponse {
+		s.Responses++
+	}
+	s.peerAddrs.add(p.Dst)
+	if isResponse {
+		s.peerPorts.add(p.DstPort)
+	} else {
+		s.peerPorts.add(p.SrcPort)
+	}
+	minute := int64(p.TS) / 60000
+	if minute != s.curMinute {
+		if s.curCount > s.maxPerMin {
+			s.maxPerMin = s.curCount
+		}
+		s.curMinute = minute
+		s.curCount = 0
+	}
+	s.curCount++
+
+	if r != nil {
+		for i := range r.Packets {
+			pi := &r.Packets[i]
+			if int(pi.Type) < len(s.TypeCounts) {
+				s.TypeCounts[pi.Type]++
+			}
+			s.totalQUICPk++
+			if pi.Type != wire.PacketTypeOneRTT && pi.Version != 0 {
+				s.versions.add(pi.Version)
+			}
+			if len(pi.SCID) > 0 && isResponse {
+				s.scids.add(pi.SCID)
+			}
+			if pi.HasClientHello {
+				s.hasCH++
+			}
+		}
+	}
+
+	if p.TS-sz.lastSweep > timeoutMS {
+		sz.lastSweep = p.TS
+		for src, old := range sz.active {
+			if p.TS-old.End > timeoutMS {
+				sz.Metrics.SweepEvicted++
+				refFinish(sz, old)
+				delete(sz.active, src)
+			}
+		}
+	}
+}
+
+func refFinish(sz *Sessionizer, s *Session) {
+	if s.curCount > s.maxPerMin {
+		s.maxPerMin = s.curCount
+	}
+	s.curCount = 0
+	sz.Emitted++
+	sz.Metrics.Emitted++
+	if s.peerAddrs.m != nil {
+		sz.Metrics.SetSpills++
+	}
+	if s.peerPorts.m != nil {
+		sz.Metrics.SetSpills++
+	}
+	if s.scids.m != nil {
+		sz.Metrics.SetSpills++
+	}
+	if s.versions.m != nil {
+		sz.Metrics.SetSpills++
+	}
+	if sz.Emit != nil {
+		sz.Emit(s)
+	}
+}
+
+func refEvictColdest(sz *Sessionizer) {
+	var victim *Session
+	for _, s := range sz.active {
+		if victim == nil || s.End < victim.End ||
+			(s.End == victim.End && s.Src < victim.Src) {
+			victim = s
+		}
+	}
+	if victim == nil {
+		return
+	}
+	sz.Metrics.BudgetEvicted++
+	refFinish(sz, victim)
+	delete(sz.active, victim.Src)
+}
+
+func refFlush(sz *Sessionizer) {
+	for src, s := range sz.active {
+		sz.Metrics.FlushEmitted++
+		refFinish(sz, s)
+		delete(sz.active, src)
+	}
+}
+
+func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
+	w.I64(int64(sz.Timeout))
+	w.U64(uint64(sz.MaxActive))
+	w.I64(int64(sz.lastSweep))
+	w.U64(uint64(sz.Emitted))
+	m := &sz.Metrics
+	w.U64(m.Emitted)
+	w.U64(m.TimeoutSplits)
+	w.U64(m.SweepEvicted)
+	w.U64(m.FlushEmitted)
+	w.U64(m.BudgetEvicted)
+	w.U64(m.SetSpills)
+
+	srcs := make([]netmodel.Addr, 0, len(sz.active))
+	for src := range sz.active {
+		srcs = append(srcs, src)
+	}
+	slices.Sort(srcs)
+	w.U64(uint64(len(srcs)))
+	for _, src := range srcs {
+		EncodeSession(w, sz.active[src])
+	}
+
+	if sz.lastSeen == nil {
+		w.Bool(false)
+	} else {
+		w.Bool(true)
+		seen := make([]netmodel.Addr, 0, len(sz.lastSeen))
+		for src := range sz.lastSeen {
+			seen = append(seen, src)
+		}
+		slices.Sort(seen)
+		w.U64(uint64(len(seen)))
+		for _, src := range seen {
+			w.U64(uint64(src))
+			w.I64(int64(sz.lastSeen[src]))
+		}
+	}
+}
+
+// rig is one sessionizer with the wiring a pipeline shard gives it: the
+// sweep that receives its gaps and sources, and the emitted sessions.
+// ref selects the old bookkeeping for every operation that differs.
+type rig struct {
+	ref   bool
+	sz    *Sessionizer
+	sweep *TimeoutSweep
+	out   []*Session
+}
+
+func newRig(ref bool, maxActive int) *rig {
+	g := &rig{ref: ref, sweep: NewTimeoutSweep()}
+	g.sz = NewSessionizer(g.emit)
+	g.sz.GapRecorder = g.sweep.RecordGap
+	g.sz.MaxActive = maxActive
+	return g
+}
+
+func (g *rig) emit(s *Session) { g.out = append(g.out, s) }
+
+func (g *rig) observe(p *telescope.Packet, r *dissect.Result) {
+	if g.ref {
+		g.sweep.RecordSource(p.Src)
+		refObserve(g.sz, p, r)
+	} else if g.sz.Observe(p, r) {
+		g.sweep.RecordSource(p.Src)
+	}
+}
+
+func (g *rig) flush() {
+	if g.ref {
+		refFlush(g.sz)
+	} else {
+		g.sz.Flush()
+	}
+}
+
+// encode is the shard's checkpoint fragment: sweep, then sessionizer.
+func (g *rig) encode() []byte {
+	w := ckpt.NewWriter(nil)
+	g.sweep.EncodeTo(w)
+	if g.ref {
+		refEncodeTo(g.sz, w)
+	} else {
+		g.sz.EncodeTo(w)
+	}
+	return w.Bytes()
+}
+
+// clone continues on a deep copy, as a checkpoint tick's frozen shard
+// does when it is reduced.
+func (g *rig) clone() *rig {
+	c := &rig{ref: g.ref, sweep: g.sweep.Clone(), out: slices.Clone(g.out)}
+	c.sz = g.sz.Clone(c.emit, c.sweep.RecordGap)
+	return c
+}
+
+// restore continues on the decoded image, hooks wired after the parse
+// as ResumeStreamer does.
+func (g *rig) restore(t *testing.T) *rig {
+	t.Helper()
+	r := ckpt.NewReader(g.encode())
+	c := &rig{ref: g.ref, out: slices.Clone(g.out)}
+	c.sweep = DecodeTimeoutSweep(r)
+	c.sz = DecodeSessionizer(r, nil, nil)
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("restore: err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	c.sz.Emit = c.emit
+	c.sz.GapRecorder = c.sweep.RecordGap
+	return c
+}
+
+// expectSameRigs compares everything a run can observe of the two.
+func expectSameRigs(t *testing.T, at string, got, want *rig) {
+	t.Helper()
+	if !bytes.Equal(got.encode(), want.encode()) {
+		t.Fatalf("%s: checkpoint bytes differ", at)
+	}
+	if got.sz.Metrics != want.sz.Metrics || got.sz.Emitted != want.sz.Emitted ||
+		got.sz.ActiveSessions() != want.sz.ActiveSessions() {
+		t.Fatalf("%s: counters differ:\n got  %+v emitted %d active %d\n want %+v emitted %d active %d", at,
+			got.sz.Metrics, got.sz.Emitted, got.sz.ActiveSessions(),
+			want.sz.Metrics, want.sz.Emitted, want.sz.ActiveSessions())
+	}
+	if got.sweep.gapMinutes != want.sweep.gapMinutes || got.sweep.over60 != want.sweep.over60 {
+		t.Fatalf("%s: gap histograms differ:\n got  %v +%d\n want %v +%d", at,
+			got.sweep.gapMinutes, got.sweep.over60, want.sweep.gapMinutes, want.sweep.over60)
+	}
+	if !reflect.DeepEqual(got.sweep.Sources, want.sweep.Sources) {
+		t.Fatalf("%s: source sets differ: %d vs %d sources", at, len(got.sweep.Sources), len(want.sweep.Sources))
+	}
+	// Sweeps walk the active map, so emission order within one sweep is
+	// the map's; the canonical order is what every consumer sorts to.
+	a, b := slices.Clone(got.out), slices.Clone(want.out)
+	SortCanonical(a)
+	SortCanonical(b)
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d sessions emitted, want %d", at, len(a), len(b))
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("%s: session %d differs:\n got  %+v\n want %+v", at, i, a[i], b[i])
+		}
+	}
+}
+
+// randomPacket draws the stream's next packet: time advances by nothing
+// (equal timestamps), a little, just under/at/over the timeout, or past
+// an hour; the source comes from a small pool so sessions continue,
+// split, get swept and — under a budget — get evicted.
+func randomPacket(rng *rand.Rand, now *telescope.Timestamp, timeout time.Duration) (*telescope.Packet, *dissect.Result) {
+	tmo := telescope.Timestamp(timeout.Milliseconds())
+	switch k := rng.Intn(100); {
+	case k < 25:
+	case k < 80:
+		*now += telescope.Timestamp(1 + rng.Intn(20_000))
+	case k < 95:
+		*now += tmo - 1 + telescope.Timestamp(rng.Intn(3))
+	case k < 99:
+		*now += tmo + telescope.Timestamp(rng.Intn(30*60_000))
+	default:
+		*now += telescope.Timestamp(61 * 60_000)
+	}
+	p := &telescope.Packet{
+		TS:   *now,
+		Src:  netmodel.Addr(0x0a000000 + uint32(rng.Intn(24))),
+		Dst:  netmodel.Addr(0x2c000000 + uint32(rng.Intn(40))),
+		Size: uint16(40 + rng.Intn(1300)),
+	}
+	if rng.Intn(2) == 0 {
+		p.SrcPort, p.DstPort = 443, uint16(1024+rng.Intn(64))
+	} else {
+		p.SrcPort, p.DstPort = uint16(1024+rng.Intn(64)), 443
+	}
+	if rng.Intn(3) == 0 {
+		return p, nil
+	}
+	r := &dissect.Result{Valid: true}
+	for i := 0; i <= rng.Intn(3); i++ {
+		r.Packets = append(r.Packets, dissect.PacketInfo{
+			Type:           wire.PacketType(rng.Intn(5)),
+			Version:        wire.Version(1 + rng.Intn(6)),
+			SCID:           wire.ConnectionID{byte(rng.Intn(12)), 7},
+			HasClientHello: rng.Intn(4) == 0,
+		})
+	}
+	return p, r
+}
+
+func TestSessionizerMatchesPerPacketBookkeeping(t *testing.T) {
+	for seed := int64(1); seed <= 9; seed++ {
+		maxActive := 0
+		if seed%3 == 0 {
+			maxActive = 2 // evictions on most opens, self-evictions on ties
+		}
+		rng := rand.New(rand.NewSource(seed))
+		got, want := newRig(false, maxActive), newRig(true, maxActive)
+		now := telescope.TS(telescope.MeasurementStart)
+		for i := 0; i < 3000; i++ {
+			switch k := rng.Intn(400); k {
+			case 0:
+				got, want = got.clone(), want.clone()
+			case 1:
+				got, want = got.restore(t), want.restore(t)
+			case 2, 3:
+				expectSameRigs(t, "mid-stream", got, want)
+			}
+			p, r := randomPacket(rng, &now, got.sz.Timeout)
+			got.observe(p, r)
+			want.observe(p, r)
+		}
+		expectSameRigs(t, "end of stream", got, want)
+		if m := want.sz.Metrics; m.TimeoutSplits == 0 || m.SweepEvicted == 0 || m.SetSpills == 0 ||
+			(maxActive > 0) != (m.BudgetEvicted > 0) || want.sweep.over60 == 0 {
+			t.Fatalf("seed %d: stream exercised too little: %+v, over60 %d", seed, m, want.sweep.over60)
+		}
+		// A session opened at the coldest End with the smallest source is
+		// itself the budget's victim: finished empty, then filled in. Only
+		// such a session ends with a count in its open minute slot.
+		if selfEvicted := slices.ContainsFunc(want.out, func(s *Session) bool { return s.curCount != 0 }); selfEvicted != (maxActive > 0) {
+			t.Fatalf("seed %d: self-eviction seen = %v under MaxActive %d", seed, selfEvicted, maxActive)
+		}
+
+		// The resume path whose first call is Flush: decoded state, hooks
+		// wired afterwards, no packet before the sessions finish.
+		got, want = got.restore(t), want.restore(t)
+		got.flush()
+		want.flush()
+		expectSameRigs(t, "flushed after restore", got, want)
+		if got.sz.ActiveSessions() != 0 || got.sz.Metrics.FlushEmitted == 0 {
+			t.Fatalf("seed %d: flush left %d active, %d flushed", seed, got.sz.ActiveSessions(), got.sz.Metrics.FlushEmitted)
+		}
+	}
+}
+
+// TestObserveTouchesLastSeenOnlyAtSessionEdges pins the point of the
+// change: a packet that continues an active session leaves lastSeen
+// alone (the session's End carries the time), so the steady state is
+// one map probe per packet.
+func TestObserveTouchesLastSeenOnlyAtSessionEdges(t *testing.T) {
+	var gaps []time.Duration
+	sz := NewSessionizer(nil)
+	sz.GapRecorder = func(g time.Duration) { gaps = append(gaps, g) }
+	if !sz.Observe(pkt("5.5.5.5", 0, false), nil) {
+		t.Fatal("first packet did not report an opened session")
+	}
+	for i := 1; i <= 3; i++ {
+		if sz.Observe(pkt("5.5.5.5", time.Duration(i)*time.Second, false), nil) {
+			t.Fatal("continuing packet reported an opened session")
+		}
+	}
+	if len(sz.lastSeen) != 0 {
+		t.Errorf("lastSeen written while the session is active: %v", sz.lastSeen)
+	}
+	if !sz.Observe(pkt("5.5.5.5", 10*time.Minute, false), nil) { // gap-split: finish, reopen
+		t.Fatal("packet past the timeout did not report an opened session")
+	}
+	if got := sz.lastSeen[netmodel.MustAddr("5.5.5.5")]; got != telescope.TS(telescope.MeasurementStart.Add(3*time.Second)) {
+		t.Errorf("finish stored %d, want the finished session's End", got)
+	}
+	if want := []time.Duration{time.Second, time.Second, time.Second, 10*time.Minute - 3*time.Second}; !slices.Equal(gaps, want) {
+		t.Errorf("gaps %v, want %v", gaps, want)
+	}
+}

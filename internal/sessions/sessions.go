@@ -344,12 +344,22 @@ type Sessionizer struct {
 	lastSweep telescope.Timestamp
 
 	// GapRecorder, when set, receives every intra-source gap — the
-	// Figure 4 sweep consumes these.
+	// Figure 4 sweep consumes these. Set it before the first Observe
+	// (on a decoded sessionizer: before the stream continues).
 	GapRecorder func(gap time.Duration)
 	// lastSeen persists each source's previous packet time past lazy
 	// session eviction, so gap recording is a pure per-source property
 	// of the stream: every inter-packet gap is recorded exactly once,
 	// whatever the sweep cadence (which varies with shard count).
+	//
+	// While a source has an active session that time is the session's
+	// End, so Observe reads it there — the one map probe it makes anyway
+	// — and lastSeen is touched only when a session opens (read) or
+	// finishes (finish stores End). An entry for a source that is active
+	// is therefore stale and never read; EncodeTo writes End in its
+	// place, which keeps checkpoint bytes what they were when every
+	// packet updated the map. Non-nil from the first session opened with
+	// a GapRecorder on.
 	lastSeen map[netmodel.Addr]telescope.Timestamp
 
 	// MaxActive, when positive, is a hard budget on the active session
@@ -377,31 +387,36 @@ func NewSessionizer(emit func(*Session)) *Sessionizer {
 	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: make(map[netmodel.Addr]*Session)}
 }
 
-// Observe ingests one classified packet with its (optional) dissection.
-// Packets must arrive in non-decreasing time order.
-func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) {
+// Observe ingests one classified packet with its (optional) dissection
+// and reports whether the packet opened a session — the only packets on
+// which a caller keeping a per-source set (TimeoutSweep.RecordSource)
+// can learn of a new source. Packets must arrive in non-decreasing time
+// order.
+func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
 
-	if sz.GapRecorder != nil {
+	s := sz.active[p.Src]
+	if s != nil {
+		gap := p.TS - s.End
+		if gap > 0 && sz.GapRecorder != nil {
+			sz.GapRecorder(time.Duration(gap) * time.Millisecond)
+		}
+		if gap > timeoutMS {
+			sz.Metrics.TimeoutSplits++
+			sz.finish(s)
+			delete(sz.active, p.Src)
+			s = nil
+		}
+	} else if sz.GapRecorder != nil {
 		if sz.lastSeen == nil {
 			sz.lastSeen = make(map[netmodel.Addr]telescope.Timestamp)
 		}
 		if last, ok := sz.lastSeen[p.Src]; ok && p.TS > last {
 			sz.GapRecorder(time.Duration(p.TS-last) * time.Millisecond)
 		}
-		sz.lastSeen[p.Src] = p.TS
 	}
-
-	s := sz.active[p.Src]
-	if s != nil {
-		if gap := p.TS - s.End; gap > timeoutMS {
-			sz.Metrics.TimeoutSplits++
-			sz.finish(s)
-			delete(sz.active, p.Src)
-			s = nil
-		}
-	}
-	if s == nil {
+	opened := s == nil
+	if opened {
 		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
 		sz.active[p.Src] = s
 		if sz.MaxActive > 0 && len(sz.active) > sz.MaxActive {
@@ -468,9 +483,13 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) {
 			}
 		}
 	}
+	return opened
 }
 
 func (sz *Sessionizer) finish(s *Session) {
+	if sz.lastSeen != nil {
+		sz.lastSeen[s.Src] = s.End // the source's last packet, for the next gap
+	}
 	// Fold the final minute slot; maxPerMin is final after this.
 	if s.curCount > s.maxPerMin {
 		s.maxPerMin = s.curCount
@@ -546,7 +565,10 @@ func NewTimeoutSweep() *TimeoutSweep {
 	return &TimeoutSweep{Sources: make(map[netmodel.Addr]struct{})}
 }
 
-// RecordSource registers a distinct source.
+// RecordSource registers a distinct source. Calling it for every packet
+// is correct; calling it only when Sessionizer.Observe reports an
+// opened session registers the same set, since a source's first packet
+// always opens one.
 func (t *TimeoutSweep) RecordSource(a netmodel.Addr) {
 	t.Sources[a] = struct{}{}
 }

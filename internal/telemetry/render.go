@@ -49,6 +49,11 @@ func (s *Snapshot) Text() string {
 			fmt.Fprintf(&b, ", %d batches (mean fill %.1f, %d reused / %d allocated)",
 				in.Batches, in.BatchFill.Mean(), in.BatchReuses, in.BatchAllocs)
 		}
+		if in.SpanBytes > 0 {
+			// Lent spans alias a mapped capture; copied ones went from
+			// the reader's window into a shard arena first.
+			fmt.Fprintf(&b, ", span bytes %d lent / %d copied", in.SpanBytes-in.SpanCopyBytes, in.SpanCopyBytes)
+		}
 		b.WriteByte('\n')
 		if in.CorruptRecords > 0 || in.ResyncScans > 0 || in.TransientRetries > 0 {
 			fmt.Fprintf(&b, "  salvage:  %d corrupt records skipped over %d resyncs, %d bytes salvaged past, <= %d records lost, %d transient retries\n",

@@ -178,7 +178,8 @@ func TestWritePrometheusFromTable(t *testing.T) {
 		t.Errorf("%d families, want %d (table rows + workers/shard_packets/shard_skew)", len(got), want)
 	}
 	for _, name := range []string{
-		"quicsand_ingest_span_bytes_total", "quicsand_ingest_decode_path_info", "quicsand_ingest_format_info",
+		"quicsand_ingest_span_bytes_total", "quicsand_ingest_span_copy_bytes_total",
+		"quicsand_ingest_decode_path_info", "quicsand_ingest_format_info",
 	} {
 		if got[name] == "" {
 			t.Errorf("family %s missing", name)

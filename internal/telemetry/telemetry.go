@@ -222,6 +222,11 @@ type Ingest struct {
 	// counts raw record-span bytes handed to shards on the span path.
 	DecodePath string `json:"decode_path,omitempty" help:"Where record decode ran: shard workers or inline on the reader." class:"runtime"`
 	SpanBytes  uint64 `json:"span_bytes,omitempty" help:"Raw record-span bytes handed to shards undecoded." class:"runtime"`
+	// SpanCopyBytes is the part of SpanBytes the reader copied from its
+	// window into a shard arena before handing it over: all of it for a
+	// streamed capture, 0 for a mapped one, whose spans are lent as
+	// aliases of the file (DESIGN.md §16).
+	SpanCopyBytes uint64 `json:"span_copy_bytes" help:"Record-span bytes copied from the reader window into shard arenas (0: spans alias a mapped capture)." class:"runtime"`
 }
 
 // Merge folds o into i field by field, as the metric table directs.

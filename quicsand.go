@@ -282,16 +282,17 @@ func (sh *pipelineShard) dissectPkt(payload []byte) (*dissect.Result, error) {
 	return r, err
 }
 
-// observe meters one sessionizer offer when the recorder is on.
-func (sh *pipelineShard) observe(sz *sessions.Sessionizer, p *telescope.Packet, res *dissect.Result) {
+// observe meters one sessionizer offer when the recorder is on, and
+// passes on whether the packet opened a session.
+func (sh *pipelineShard) observe(sz *sessions.Sessionizer, p *telescope.Packet, res *dissect.Result) bool {
 	if sh.ring == nil {
-		sz.Observe(p, res)
-		return
+		return sz.Observe(p, res)
 	}
 	t0 := sh.ring.Now()
-	sz.Observe(p, res)
+	opened := sz.Observe(p, res)
 	sh.fl.sessNS += sh.ring.Now() - t0
 	sh.fl.sessN++
+	return opened
 }
 
 func newPipelineShard(in *netmodel.Internet, tum, rwth netmodel.Prefix) *pipelineShard {
@@ -356,8 +357,11 @@ func (sh *pipelineShard) process(p *telescope.Packet) bool {
 			res = r
 		}
 		sh.hourlyType.Capture(p)
-		sh.sweep.RecordSource(p.Src)
-		sh.observe(sh.quicSz, p, res)
+		if sh.observe(sh.quicSz, p, res) {
+			// A source's first packet opens a session, so the sweep's
+			// source set needs touching on no other packet.
+			sh.sweep.RecordSource(p.Src)
+		}
 		if sh.det != nil {
 			sh.det.Observe(p, res)
 			if sh.live != nil {

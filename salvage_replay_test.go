@@ -118,14 +118,22 @@ func openStream(t *testing.T, data []byte) capture.Source {
 	return src
 }
 
-// openMmap round-trips data through a file and capture.OpenFile — the
-// memory-mapped zero-copy path on QSND checkpoints.
-func openMmap(t *testing.T, data []byte) capture.Source {
+// writeCapture writes data to a file under the test's temporary
+// directory and returns its path.
+func writeCapture(t *testing.T, data []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "capture.bin")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// openMapped opens the capture file at path through capture.OpenFile —
+// the memory-mapped zero-copy path of either container — and closes the
+// source with the test.
+func openMapped(t *testing.T, path string) capture.Source {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +149,12 @@ func openMmap(t *testing.T, data []byte) capture.Source {
 		}
 	})
 	return src
+}
+
+// openMmap round-trips data through a file and capture.OpenFile.
+func openMmap(t *testing.T, data []byte) capture.Source {
+	t.Helper()
+	return openMapped(t, writeCapture(t, data))
 }
 
 // TestReplaySalvagedDegradedOracle is the PR's acceptance path for
@@ -186,6 +200,7 @@ func TestReplaySalvagedDegradedOracle(t *testing.T) {
 		// resync over the mapped slice must account identically to the
 		// one over the streamed window.
 		{"qsnd-mmap", capture.FormatQSND, qsnd, openMmap},
+		{"pcap-mmap", capture.FormatPcap, pcap, openMmap},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad, k := damageMidRecord(tc.data, tc.format)
@@ -304,6 +319,7 @@ func TestReplayTruncatedTail(t *testing.T) {
 		{"qsnd", qsnd, qsndOffsets(qsnd), openStream},
 		{"pcap", pcap, pcapOffsets(pcap), openStream},
 		{"qsnd-mmap", qsnd, qsndOffsets(qsnd), openMmap},
+		{"pcap-mmap", pcap, pcapOffsets(pcap), openMmap},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			last := tc.offs[len(tc.offs)-1]
@@ -336,27 +352,38 @@ func TestReplayTruncatedTail(t *testing.T) {
 // damaged capture with the exact same salvage ledger and produce the
 // same record count, at every worker count.
 func TestSalvageLedgerMmapMatchesStream(t *testing.T) {
-	cfg, _, qsnd, _ := salvageFixture(t)
-	bad, _ := damageMidRecord(qsnd, capture.FormatQSND)
-	for _, workers := range []int{1, 2, 8} {
-		scfg := cfg
-		scfg.Workers = workers
-		scfg.Salvage = capture.SalvagePolicy{SkipCorrupt: true}
-		stream, err := Replay(scfg, openStream(t, bad))
-		if err != nil {
-			t.Fatalf("workers=%d: stream replay: %v", workers, err)
+	cfg, _, qsnd, pcap := salvageFixture(t)
+	for _, tc := range []struct {
+		format capture.Format
+		data   []byte
+	}{{capture.FormatQSND, qsnd}, {capture.FormatPcap, pcap}} {
+		bad, _ := damageMidRecord(tc.data, tc.format)
+		// Fail-fast names the same record at the same byte offset.
+		_, serr := Replay(cfg, openStream(t, bad))
+		_, merr := Replay(cfg, openMmap(t, bad))
+		if serr == nil || merr == nil || serr.Error() != merr.Error() {
+			t.Errorf("%v: fail-fast errors differ:\n stream %v\n mmap   %v", tc.format, serr, merr)
 		}
-		mmap, err := Replay(scfg, openMmap(t, bad))
-		if err != nil {
-			t.Fatalf("workers=%d: mmap replay: %v", workers, err)
-		}
-		si, mi := stream.Telemetry.Ingest, mmap.Telemetry.Ingest
-		if si.Records != mi.Records ||
-			si.CorruptRecords != mi.CorruptRecords ||
-			si.ResyncScans != mi.ResyncScans ||
-			si.SalvagedBytes != mi.SalvagedBytes ||
-			si.SalvageMaxLost != mi.SalvageMaxLost {
-			t.Errorf("workers=%d: ledgers differ:\n stream %+v\n mmap   %+v", workers, si, mi)
+		for _, workers := range []int{1, 2, 8} {
+			scfg := cfg
+			scfg.Workers = workers
+			scfg.Salvage = capture.SalvagePolicy{SkipCorrupt: true}
+			stream, err := Replay(scfg, openStream(t, bad))
+			if err != nil {
+				t.Fatalf("%v/workers=%d: stream replay: %v", tc.format, workers, err)
+			}
+			mmap, err := Replay(scfg, openMmap(t, bad))
+			if err != nil {
+				t.Fatalf("%v/workers=%d: mmap replay: %v", tc.format, workers, err)
+			}
+			si, mi := stream.Telemetry.Ingest, mmap.Telemetry.Ingest
+			if si.Records != mi.Records || si.DecodeDrops != mi.DecodeDrops ||
+				si.CorruptRecords != mi.CorruptRecords ||
+				si.ResyncScans != mi.ResyncScans ||
+				si.SalvagedBytes != mi.SalvagedBytes ||
+				si.SalvageMaxLost != mi.SalvageMaxLost {
+				t.Errorf("%v/workers=%d: ledgers differ:\n stream %+v\n mmap   %+v", tc.format, workers, si, mi)
+			}
 		}
 	}
 }

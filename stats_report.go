@@ -9,9 +9,9 @@ import (
 
 // StatsReport renders the full observability view of a run: the
 // engine's per-stage table, the per-shard packet balance (so manifests
-// and operators can attribute skew to specific shards), replay ingest
-// provenance, and the merged telemetry counter block. This is the
-// `-fig stats` view and the payload behind `-stats`.
+// and operators can attribute skew to specific shards) and the merged
+// telemetry counter block, whose ingest line is a replay's provenance.
+// This is the `-fig stats` view and the payload behind `-stats`.
 func (a *Analysis) StatsReport() string {
 	var b strings.Builder
 	if a.Pipeline != nil {
@@ -23,10 +23,6 @@ func (a *Analysis) StatsReport() string {
 			for i, n := range t.ShardPackets {
 				fmt.Fprintf(&b, "  shard %-3d %12d packets\n", i, n)
 			}
-		}
-		if t.Ingest.Format != "" {
-			fmt.Fprintf(&b, "ingest source: %s (%d records, %d decode drops)\n",
-				t.Ingest.Format, t.Ingest.Records, t.Ingest.DecodeDrops)
 		}
 		b.WriteString(t.Text())
 	}

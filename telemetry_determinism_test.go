@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quicsand/internal/capture"
@@ -78,18 +79,23 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 	type input struct {
 		format string
 		data   []byte // nil: the streamer's own generator (live)
+		mapped bool   // replayed from a file through capture.OpenFile
 	}
-	inputs := []input{{"qsnd", qsnd}, {"pcap", convertToPcap(t, qsnd)}}
+	pcap := convertToPcap(t, qsnd)
+	inputs := []input{{"qsnd", qsnd, false}, {"pcap", pcap, false}}
 	replayWant := want
 	replayWant.Generate = telemetry.Generate{}
 	replayWant.Trace.Written = 0 // replay ran without a trace sink
 	replayWant.Ingest.Records = ref.Telescope.Total
 
+	pcapPath := writeCapture(t, pcap)
 	for _, workers := range []int{1, 2, 8} {
-		for _, in := range inputs {
-			src, err := capture.NewSource(bytes.NewReader(in.data))
-			if err != nil {
-				t.Fatal(err)
+		// How the bytes reached the reader is runtime-class: the mapped
+		// pcap must project to the streamed pcap's stream counters.
+		for _, in := range append(inputs, input{"pcap", pcap, true}) {
+			src := openStream(t, in.data)
+			if in.mapped {
+				src = openMapped(t, pcapPath)
 			}
 			cfg := base
 			cfg.Workers = workers
@@ -101,7 +107,22 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 				t.Fatalf("%s/workers=%d: no telemetry", in.format, workers)
 			}
 			replayWant.Ingest.Format = in.format
-			same(fmt.Sprintf("replay %s/workers=%d", in.format, workers), a.Telemetry.Stream(), replayWant)
+			label := fmt.Sprintf("replay %s/mapped=%v/workers=%d", in.format, in.mapped, workers)
+			same(label, a.Telemetry.Stream(), replayWant)
+
+			// The one runtime counter that says which: span bytes are all
+			// copied from a stream, all lent by a mapping — on every surface.
+			ing := a.Telemetry.Ingest
+			wantCopied, wantText := ing.SpanBytes, fmt.Sprintf("span bytes 0 lent / %d copied", ing.SpanBytes)
+			if in.mapped {
+				wantCopied, wantText = 0, fmt.Sprintf("span bytes %d lent / 0 copied", ing.SpanBytes)
+			}
+			if (ing.SpanBytes > 0) != (workers > 1) || ing.SpanCopyBytes != wantCopied {
+				t.Errorf("%s: %d span bytes, %d copied, want %d copied", label, ing.SpanBytes, ing.SpanCopyBytes, wantCopied)
+			}
+			if txt := a.StatsReport(); strings.Contains(txt, wantText) != (workers > 1) || strings.Count(txt, in.format) != 1 {
+				t.Errorf("%s: -stats must name the container once and say %q:\n%s", label, wantText, txt)
+			}
 		}
 	}
 
@@ -132,7 +153,7 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 	liveWant := want
 	liveWant.Generate = telemetry.Generate{}
 	liveWant.Trace.Written = 0
-	for _, in := range append(inputs, input{"live", nil}) {
+	for _, in := range append(inputs, input{format: "live"}) {
 		sref := stream(1, in.data)
 		if d := sref.Detect; d.Observed == 0 || d.SourcesTracked == 0 || d.AlertsOpened == 0 ||
 			d.AlertsClosed != d.AlertsOpened {
