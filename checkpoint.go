@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"quicsand/internal/ckpt"
+	"quicsand/internal/dissect"
 	"quicsand/internal/dosdetect"
 	"quicsand/internal/engine"
 	"quicsand/internal/sessions"
@@ -65,23 +66,6 @@ type checkpointHeader struct {
 	position     uint64
 }
 
-// decodedShard is one shard block's parsed state, hooks and
-// classifiers still unwired (decode is a pure parse; ResumeStreamer
-// attaches the runtime closures).
-type decodedShard struct {
-	tel          *telescope.Telescope
-	hourlySource *telescope.HourlyCounter
-	hourlyType   *telescope.HourlyCounter
-	sweep        *sessions.TimeoutSweep
-	commonDet    *dosdetect.Detector
-	quicSz       *sessions.Sessionizer
-	commonSz     *sessions.Sessionizer
-	disMetrics   telemetry.Dissect
-	nonQUIC      uint64
-	sessions     []*sessions.Session
-	items        uint64
-}
-
 // logSessions extends the shard's session log over the sessions
 // emitted since the previous tick. It runs under the streamer's barrier
 // (the shard worker is parked), and only ever appends: a frozen clone
@@ -117,39 +101,70 @@ func (c *StreamCheckpoint) Encode() []byte {
 	w.U64(uint64(c.workers))
 	w.U64(c.position)
 	for i, sh := range c.shards {
-		sh.tel.EncodeTo(w)
-		sh.hourlySource.EncodeTo(w)
-		sh.hourlyType.EncodeTo(w)
-		sh.sweep.EncodeTo(w)
-		sh.commonDet.EncodeTo(w)
-		sh.quicSz.EncodeTo(w)
-		sh.commonSz.EncodeTo(w)
-		m := &sh.dis.Metrics
-		w.U64(m.Datagrams)
-		w.U64(m.Packets)
-		w.U64(m.ParseFailures)
-		w.U64(m.Decrypted)
-		w.U64(m.ClientHellos)
-		w.U64(m.OpenerHits)
-		w.U64(m.OpenerMisses)
-		w.U64(m.OpenerResets)
-		w.U64(sh.nonQUIC)
-		w.U64(uint64(len(sh.sessions)))
-		w.Raw(sh.sessLog)
-		for _, s := range sh.sessions[sh.sessLogN:] {
-			sessions.EncodeSession(w, s)
-		}
-		w.U64(c.counts[i])
+		sh.encodeTo(w, c.counts[i])
 	}
 	return w.Bytes()
 }
 
-// decodeCheckpoint parses a checkpoint image. It is a pure parse —
-// hooks and classifiers stay nil — so FuzzCheckpoint can drive it
-// directly: any malformed input must error (offset-annotated), never
-// panic, and never be silently accepted.
-func decodeCheckpoint(data []byte) (checkpointHeader, []*decodedShard, error) {
-	var hdr checkpointHeader
+// dissectCounters lists a shard block's dissector counters in wire order.
+func dissectCounters(m *telemetry.Dissect) [8]*uint64 {
+	return [8]*uint64{&m.Datagrams, &m.Packets, &m.ParseFailures, &m.Decrypted,
+		&m.ClientHellos, &m.OpenerHits, &m.OpenerMisses, &m.OpenerResets}
+}
+
+// encodeTo writes one shard block (items: its captured-packet count) in
+// the field order decodeShard reads; changing it bumps checkpointVersion.
+func (sh *pipelineShard) encodeTo(w *ckpt.Writer, items uint64) {
+	sh.tel.EncodeTo(w)
+	sh.hourlySource.EncodeTo(w)
+	sh.hourlyType.EncodeTo(w)
+	sh.sweep.EncodeTo(w)
+	sh.commonDet.EncodeTo(w)
+	sh.quicSz.EncodeTo(w)
+	sh.commonSz.EncodeTo(w)
+	for _, v := range dissectCounters(&sh.dis.Metrics) {
+		w.U64(*v)
+	}
+	w.U64(sh.nonQUIC)
+	w.U64(uint64(len(sh.sessions)))
+	w.Raw(sh.sessLog)
+	for _, s := range sh.sessions[sh.sessLogN:] {
+		sessions.EncodeSession(w, s)
+	}
+	w.U64(items)
+}
+
+// decodeShard reads one shard block into an unwired shard (planPipeline
+// wires it like a fresh one); unusable once the reader's error is set.
+func decodeShard(r *ckpt.Reader) (sh *pipelineShard, items uint64) {
+	sh = &pipelineShard{dis: dissect.NewDissector()}
+	sh.tel = telescope.DecodeTelescope(r)
+	sh.hourlySource = telescope.DecodeHourlyCounter(r, nil)
+	sh.hourlyType = telescope.DecodeHourlyCounter(r, nil)
+	sh.sweep = sessions.DecodeTimeoutSweep(r)
+	sh.commonDet = dosdetect.DecodeDetector(r)
+	sh.quicSz = sessions.DecodeSessionizer(r, nil, nil)
+	sh.commonSz = sessions.DecodeSessionizer(r, nil, nil)
+	for _, v := range dissectCounters(&sh.dis.Metrics) {
+		*v = r.U64()
+	}
+	sh.nonQUIC = r.U64()
+	n := r.Int(maxCkptSessions)
+	for j := 0; j < n && r.Err() == nil; j++ {
+		s := sessions.DecodeSession(r)
+		if s == nil {
+			break
+		}
+		sh.sessions = append(sh.sessions, s)
+	}
+	return sh, r.U64()
+}
+
+// decodeCheckpoint parses a checkpoint image into its header, unwired
+// shards and their captured-packet counts. It is a pure parse, so
+// FuzzCheckpoint can drive it directly: any malformed input must error
+// (offset-annotated), never panic, and never be silently accepted.
+func decodeCheckpoint(data []byte) (hdr checkpointHeader, shards []*pipelineShard, counts []uint64, err error) {
 	r := ckpt.NewReader(data)
 	r.Expect(checkpointMagic, "checkpoint magic")
 	if v := r.U64(); r.Err() == nil && v != checkpointVersion {
@@ -165,55 +180,23 @@ func decodeCheckpoint(data []byte) (checkpointHeader, []*decodedShard, error) {
 		r.Errorf("checkpoint workers %d (want >= 1)", hdr.workers)
 	}
 	hdr.position = r.U64()
-	if r.Err() != nil {
-		return hdr, nil, r.Err()
-	}
 
-	shards := make([]*decodedShard, 0, hdr.workers)
 	var total uint64
-	for i := 0; i < hdr.workers; i++ {
-		d := &decodedShard{}
-		d.tel = telescope.DecodeTelescope(r)
-		d.hourlySource = telescope.DecodeHourlyCounter(r, nil)
-		d.hourlyType = telescope.DecodeHourlyCounter(r, nil)
-		d.sweep = sessions.DecodeTimeoutSweep(r)
-		d.commonDet = dosdetect.DecodeDetector(r)
-		d.quicSz = sessions.DecodeSessionizer(r, nil, nil)
-		d.commonSz = sessions.DecodeSessionizer(r, nil, nil)
-		m := &d.disMetrics
-		m.Datagrams = r.U64()
-		m.Packets = r.U64()
-		m.ParseFailures = r.U64()
-		m.Decrypted = r.U64()
-		m.ClientHellos = r.U64()
-		m.OpenerHits = r.U64()
-		m.OpenerMisses = r.U64()
-		m.OpenerResets = r.U64()
-		d.nonQUIC = r.U64()
-		n := r.Int(maxCkptSessions)
-		for j := 0; j < n && r.Err() == nil; j++ {
-			s := sessions.DecodeSession(r)
-			if s == nil {
-				break
-			}
-			d.sessions = append(d.sessions, s)
-		}
-		d.items = r.U64()
-		total += d.items
-		if r.Err() != nil {
-			return hdr, nil, r.Err()
-		}
-		shards = append(shards, d)
+	for i := 0; i < hdr.workers && r.Err() == nil; i++ {
+		sh, items := decodeShard(r)
+		shards, counts = append(shards, sh), append(counts, items)
+		total += items
 	}
-	if total != hdr.position {
+	if r.Err() == nil && total != hdr.position {
 		r.Errorf("shard packet counts sum to %d, header position %d", total, hdr.position)
-		return hdr, nil, r.Err()
 	}
-	if r.Remaining() != 0 {
+	if r.Err() == nil && r.Remaining() != 0 {
 		r.Errorf("%d trailing bytes after checkpoint", r.Remaining())
-		return hdr, nil, r.Err()
 	}
-	return hdr, shards, nil
+	if r.Err() != nil {
+		return hdr, nil, nil, r.Err()
+	}
+	return hdr, shards, counts, nil
 }
 
 // ResumeStreamer rebuilds a Streamer from an encoded checkpoint. cfg
@@ -225,7 +208,7 @@ func decodeCheckpoint(data []byte) (checkpointHeader, []*decodedShard, error) {
 // remainder of the original stream (capture.Skip(src, position))
 // reproduces the full-run Analysis byte-for-byte.
 func ResumeStreamer(cfg StreamConfig, data []byte) (*Streamer, error) {
-	hdr, dec, err := decodeCheckpoint(data)
+	hdr, shards, counts, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("quicsand: resume: %w", err)
 	}
@@ -244,39 +227,5 @@ func ResumeStreamer(cfg StreamConfig, data []byte) (*Streamer, error) {
 		return nil, fmt.Errorf("quicsand: resume: checkpoint has %d shards, config resolves to %d workers", hdr.workers, workers)
 	}
 	cfg.Workers = hdr.workers
-	s, err := NewStreamer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Swap the decoded state under each fresh shard and wire the
-	// runtime hooks the pure parse left nil. The worker goroutines are
-	// parked on empty channels; the first Offer's channel send orders
-	// these writes before any shard touches them.
-	for i, d := range dec {
-		sh := s.shards[i]
-		sh.tel = d.tel
-		sh.hourlySource = d.hourlySource
-		sh.hourlySource.Classify = sourceClassifier(s.tum, s.rwth)
-		sh.hourlyType = d.hourlyType
-		sh.hourlyType.Classify = typeClassifier
-		sh.sweep = d.sweep
-		sh.commonDet = d.commonDet
-		sh.quicSz = d.quicSz
-		sh.quicSz.Emit = func(sess *sessions.Session) {
-			sh.sessions = append(sh.sessions, sess)
-		}
-		sh.quicSz.GapRecorder = sh.sweep.RecordGap
-		sh.commonSz = d.commonSz
-		sh.commonSz.Emit = sh.commonDet.Offer
-		sh.dis.Metrics = d.disMetrics
-		sh.nonQUIC = d.nonQUIC
-		sh.sessions = d.sessions
-		if s.cfg.MaxActiveSessions > 0 {
-			sh.quicSz.MaxActive = s.cfg.MaxActiveSessions
-			sh.commonSz.MaxActive = s.cfg.MaxActiveSessions
-		}
-		s.counts[i] = d.items
-	}
-	s.position = hdr.position
-	return s, nil
+	return newStreamer(cfg, shards, counts)
 }

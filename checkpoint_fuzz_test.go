@@ -55,15 +55,15 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte("QCKP"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, shards, err := decodeCheckpoint(data)
+		hdr, shards, counts, err := decodeCheckpoint(data)
 		if err != nil {
 			if !strings.Contains(err.Error(), "offset 0x") {
 				t.Fatalf("malformed checkpoint rejected without a byte offset: %v", err)
 			}
 			return
 		}
-		if hdr.workers < 1 || len(shards) != hdr.workers {
-			t.Fatalf("accepted checkpoint with %d shards for %d workers", len(shards), hdr.workers)
+		if hdr.workers < 1 || len(shards) != hdr.workers || len(counts) != hdr.workers {
+			t.Fatalf("accepted checkpoint with %d shards, %d counts for %d workers", len(shards), len(counts), hdr.workers)
 		}
 		var total uint64
 		for i, d := range shards {
@@ -71,7 +71,7 @@ func FuzzCheckpoint(f *testing.F) {
 				d.sweep == nil || d.commonDet == nil || d.hourlySource == nil || d.hourlyType == nil {
 				t.Fatalf("accepted checkpoint with incomplete shard %d state", i)
 			}
-			total += d.items
+			total += counts[i]
 		}
 		if total != hdr.position {
 			t.Fatalf("accepted checkpoint whose shard counts (%d) miss the header position (%d)", total, hdr.position)

@@ -1,0 +1,104 @@
+package quicsand
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// The QCKP format fixture (ROADMAP item 1(d)): one mid-stream flood
+// checkpoint written by the build that introduced QCKP v1's current
+// codec, checked in with the headline it reduces to. Every later build
+// must resume it to the same state and re-encode it byte for byte — or
+// reject it with a version error, never misread it.
+//
+// Regenerate only for an intentional format change (with a version
+// bump): go test -run TestCheckpointGoldenImage -update
+const (
+	qckpGoldenImage    = "testdata/qckp/handshake-flood-qfam.w2.qckp"
+	qckpGoldenHeadline = "testdata/qckp/handshake-flood-qfam.w2.headline.json"
+)
+
+// qckpGoldenConfig is the run the fixture was taken from: the flood
+// built-in without research scanners at two shards. The identity only
+// matters when regenerating — a resume generates no packet.
+func qckpGoldenConfig(t *testing.T) StreamConfig {
+	cfg := goldenConfig("handshake-flood-qfam", 0.02, goldenIdentity(t), t)
+	cfg.SkipResearch = true
+	cfg.Workers = 2
+	return StreamConfig{Config: cfg}
+}
+
+func TestCheckpointGoldenImage(t *testing.T) {
+	cfg := qckpGoldenConfig(t)
+	if *update {
+		// Freeze halfway through the month, so the image carries active
+		// sessions next to emitted ones.
+		whole, err := StreamLive(cfg, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mid *StreamCheckpoint
+		if _, err := StreamLive(cfg, whole.Position()/2, func(c *StreamCheckpoint) {
+			if mid == nil {
+				mid = c
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		active := 0
+		for _, sh := range mid.shards {
+			active += sh.quicSz.ActiveSessions()
+		}
+		if active == 0 {
+			t.Fatal("mid-stream checkpoint holds no active session; pick another position")
+		}
+		if err := os.MkdirAll(filepath.Dir(qckpGoldenImage), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(qckpGoldenImage, mid.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(qckpGoldenHeadline, []byte(mid.Analysis().HeadlineJSON()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s at position %d (%d active sessions)", qckpGoldenImage, mid.Position(), active)
+	}
+
+	image, err := os.ReadFile(qckpGoldenImage)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run TestCheckpointGoldenImage -update` to create it)", err)
+	}
+	headline, err := os.ReadFile(qckpGoldenHeadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := ResumeStreamer(cfg, image)
+	if err != nil {
+		t.Fatalf("checked-in QCKP v1 image no longer resumes: %v", err)
+	}
+	final := s.Close()
+	if re := final.Encode(); !bytes.Equal(re, image) {
+		t.Errorf("resumed image re-encodes to %d bytes that differ from the %d checked in", len(re), len(image))
+	}
+	if got := final.Analysis().HeadlineJSON(); got != string(headline) {
+		t.Errorf("resumed image reduces to a different headline:\n--- stored ---\n%s--- got ---\n%s", headline, got)
+	}
+
+	// The version varint is the byte after the magic. A build that does
+	// not know the version must say so, with the offset it stopped at.
+	bumped := append([]byte(nil), image...)
+	bumped[len(checkpointMagic)] = checkpointVersion + 1
+	_, err = ResumeStreamer(cfg, bumped)
+	if err == nil {
+		t.Fatal("image with a bumped version resumed")
+	}
+	for _, want := range []string{"unsupported checkpoint version 2 (want 1)", "offset 0x5"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("version rejection %q does not say %q", err, want)
+		}
+	}
+}

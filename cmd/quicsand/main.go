@@ -449,9 +449,16 @@ func (o *simOpts) report(a *quicsand.Analysis, command string, stderr io.Writer)
 		fmt.Fprint(stderr, a.StatsReport())
 	}
 	if o.traceOut != nil && *o.traceOut != "" {
-		if err := writeTrace(a.Flight, *o.traceOut, stderr); err != nil {
+		// A nil timeline means the recorder was never armed — a wiring
+		// bug, not a user error, so it surfaces loudly.
+		if a.Flight == nil {
+			return errors.New("trace-out: run recorded no flight timeline")
+		}
+		if err := a.Flight.WriteFile(*o.traceOut); err != nil {
 			return err
 		}
+		fmt.Fprintf(stderr, "trace-out: %d spans across %d events written to %s\n",
+			a.Flight.SpanCount(), len(a.Flight.Events), *o.traceOut)
 	}
 	if *o.manifest != "" {
 		m := a.Manifest(command)
@@ -462,29 +469,6 @@ func (o *simOpts) report(a *quicsand.Analysis, command string, stderr io.Writer)
 			return fmt.Errorf("manifest: %w", err)
 		}
 	}
-	return nil
-}
-
-// writeTrace exports a flight-recorder timeline as Chrome trace-event
-// JSON. A nil timeline means the recorder was never armed — a wiring
-// bug, not a user error, so it surfaces loudly.
-func writeTrace(t *telemetry.Timeline, path string, stderr io.Writer) error {
-	if t == nil {
-		return errors.New("trace-out: run recorded no flight timeline")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace-out: %w", err)
-	}
-	if err := t.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("trace-out %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trace-out %s: %w", path, err)
-	}
-	fmt.Fprintf(stderr, "trace-out: %d spans across %d events written to %s\n",
-		t.SpanCount(), len(t.Events), path)
 	return nil
 }
 

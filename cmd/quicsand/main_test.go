@@ -542,8 +542,13 @@ func TestReplayAlertsCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	errOut.Reset()
+	// -trace-out and -stats ride along: the streaming replay runs on the
+	// batch replay's engine, so it must record the same timeline tracks
+	// and print a real stage table.
+	traceFile := filepath.Join(dir, "stream-flight.json")
 	var streamed bytes.Buffer
-	if err := run(append([]string{"replay", "-i", qsnd, "-workers", "2", "-alerts", alertFile}, sim...), &streamed, &errOut); err != nil {
+	if err := run(append([]string{"replay", "-i", qsnd, "-workers", "2", "-alerts", alertFile,
+		"-trace-out", traceFile, "-stats"}, sim...), &streamed, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if streamed.String() != plain.String() {
@@ -552,6 +557,20 @@ func TestReplayAlertsCLI(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "alerts (window=1m0s)") {
 		t.Errorf("alert summary missing on stderr:\n%s", errOut.String())
+	}
+	stages := loadTrace(t, traceFile).spanStages()
+	for _, want := range []string{"plan", "scatter", "analyze", "dissect", "sessions", "reduce"} {
+		if stages[want] == 0 {
+			t.Errorf("streaming replay trace has no %q spans: %v", want, stages)
+		}
+	}
+	for _, want := range []string{"  schedule ", "  analyze ", "  reduce ", "busiest shard", "stage-busy % per"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("-stats of a streaming replay misses %q:\n%s", want, errOut.String())
+		}
+	}
+	if strings.Contains(errOut.String(), " 0s wall") {
+		t.Errorf("-stats of a streaming replay reports a zero wall clock:\n%s", errOut.String())
 	}
 	data, err := os.ReadFile(alertFile)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -27,9 +28,6 @@ import (
 // MAPPED packet (via the streamer's trace hook, in offer order), so a
 // recorded capture replays to bit-identical daemon state.
 func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
-	if opts.traceOut != "" {
-		return fmt.Errorf("-trace-out is not supported with -window (the streaming pipeline has no stage timeline)")
-	}
 	dcfg := detect.Default()
 	if opts.detectConfig != "" {
 		c, err := detect.LoadConfigFile(opts.detectConfig)
@@ -67,11 +65,12 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 
 	cfg := quicsand.StreamConfig{
 		Config: quicsand.Config{
-			Seed:    opts.seed,
-			Scale:   opts.scale,
-			Workers: opts.workers,
-			Live:    obs.live,
-			Trace:   obs.rec,
+			Seed:           opts.seed,
+			Scale:          opts.scale,
+			Workers:        opts.workers,
+			Live:           obs.live,
+			Trace:          obs.rec,
+			FlightRecorder: obs.flight,
 		},
 		Detect:            &dcfg,
 		MaxActiveSessions: opts.memBudget,
@@ -114,11 +113,18 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	// writes it synchronously, the single-worker path never retains a
 	// payload, and cross-shard dispatch copies into the streamer's own
 	// batches — so one Packet over the read buffer serves every datagram.
+	// Those batches wait to fill: idleFlush of silence flushes them.
 	buf := make([]byte, 65535)
 	var p telescope.Packet
 	var skipped uint64
 	for {
+		// Unchecked: on a closed socket the read below fails as well.
+		_ = pc.SetReadDeadline(time.Now().Add(idleFlush))
 		sz, addr, err := pc.ReadFrom(buf)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.Flush()
+			continue
+		}
 		if err != nil {
 			break // socket closed: the signal handler's graceful drain
 		}
@@ -142,7 +148,6 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	}
 
 	snap := a.Telemetry
-	wall := time.Since(st.start)
 	if err := obs.finish(snap, skipped, out, fmt.Sprintf(
 		"telescoped: daemon drained: %d captured packets, %d alerts, %d checkpoints\n",
 		final.Position(), st.alertsTotal, len(st.snapshots))); err != nil {
@@ -157,13 +162,9 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	config["mem_budget"] = opts.memBudget
 	config["seed"] = opts.seed
 	config["scale"] = opts.scale
-	return obs.writeManifest(&telemetry.Manifest{
-		Config:        config,
-		Workers:       n,
-		WallNS:        wall.Nanoseconds(),
-		PacketsPerSec: float64(final.Position()) / wall.Seconds(),
-		Snapshots:     st.snapshots,
-	}, snap)
+	m := a.Manifest("telescoped") // timing and stages are the final Analysis's own
+	m.Config, m.Snapshots = config, st.snapshots
+	return obs.export(a.Flight, out, m, snap)
 }
 
 // daemonState accumulates per-checkpoint artifacts: the alert stream,
@@ -205,6 +206,10 @@ func (d *daemonState) emit(ck *quicsand.StreamCheckpoint, diag io.Writer) {
 		Checkpoint:     d.opts.checkpoint,
 	})
 }
+
+// idleFlush is how long the socket stays quiet before the read loop
+// flushes: short for a scrape or heartbeat, long for a flood's packet gaps.
+const idleFlush = 100 * time.Millisecond
 
 // writeFileAtomic writes data next to path and renames it into place,
 // so a crashed daemon never leaves a torn checkpoint image behind.

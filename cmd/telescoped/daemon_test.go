@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -65,6 +66,36 @@ func scrapeUntil(t *testing.T, url, needle string) {
 	}
 }
 
+// runDaemon serves opts (metrics endpoint forced on) on a fresh loopback
+// socket, sends n same-source Initials, waits until /metrics shows all of
+// them analysed, runs beforeClose (may be nil) with ingest still live,
+// then closes the socket and waits for the graceful drain.
+func runDaemon(t *testing.T, opts serveOpts, n int, beforeClose func()) (out, diag *lockedBuffer) {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.metrics = "127.0.0.1:0"
+	out, diag = &lockedBuffer{}, &lockedBuffer{}
+	done := make(chan error, 1)
+	go func() { done <- serveDaemon(opts, pc, out, diag) }()
+	waitFor(t, diag, "metrics on http://", "daemon mode")
+	line := diag.String()
+	url := strings.Fields(line[strings.Index(line, "http://"):])[0]
+
+	sendInitials(t, pc.LocalAddr().String(), n)
+	scrapeUntil(t, url, fmt.Sprintf("quicsand_live_packets_total %d", n))
+	if beforeClose != nil {
+		beforeClose()
+	}
+	pc.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return out, diag
+}
+
 // TestDaemonAlertsCheckpointManifest is the daemon end-to-end: 40
 // same-source Initials stream through the incremental pipeline, the
 // checkpoint ticker rewrites the image while ingest runs, and the
@@ -77,13 +108,8 @@ func TestDaemonAlertsCheckpointManifest(t *testing.T) {
 	manifest := filepath.Join(dir, "manifest.json")
 	record := filepath.Join(dir, "daemon.qsnd")
 
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := serveOpts{
 		workers:    2,
-		metrics:    "127.0.0.1:0",
 		window:     time.Minute,
 		ckptEvery:  50 * time.Millisecond,
 		alerts:     alerts,
@@ -93,36 +119,20 @@ func TestDaemonAlertsCheckpointManifest(t *testing.T) {
 		seed:       7,
 		scale:      0.001,
 	}
-	out := &lockedBuffer{}
-	diag := &lockedBuffer{}
-	done := make(chan error, 1)
-	go func() { done <- serveDaemon(opts, pc, out, diag) }()
-
-	waitFor(t, diag, "metrics on http://", "daemon mode")
-	line := diag.String()
-	url := line[strings.Index(line, "http://"):]
-	url = strings.Fields(url)[0]
-
-	sendInitials(t, pc.LocalAddr().String(), 40)
-	scrapeUntil(t, url, "quicsand_live_packets_total 40")
-
-	// Let the ticker freeze at least one mid-stream checkpoint with
-	// ingest still live before shutting down.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if data, err := os.ReadFile(ckpt); err == nil && len(data) > 4 {
-			break
+	out, diag := runDaemon(t, opts, 40, func() {
+		// Let the ticker freeze at least one mid-stream checkpoint with
+		// ingest still live before shutting down.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if data, err := os.ReadFile(ckpt); err == nil && len(data) > 4 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("checkpoint ticker never wrote an image")
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoint ticker never wrote an image")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	pc.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	// Alert stream: 40 same-source Initials in under a window must have
 	// opened a rate episode; the final flush closed it into the file.
@@ -206,70 +216,121 @@ func TestDaemonAlertsCheckpointManifest(t *testing.T) {
 // TestDaemonRecordReplaysToSameState closes the loop the daemon's
 // destination rewrite exists for: the capture a daemon records replays
 // through the streaming pipeline to the exact position and alert
-// stream the daemon itself produced.
+// stream the daemon itself produced. No checkpoint ticks, and 35
+// packets fill no dispatch batch: at workers 2 it is the read loop's
+// idle flush that lets /metrics see them before the drain.
 func TestDaemonRecordReplaysToSameState(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			record := filepath.Join(dir, "daemon.qsnd")
+			alerts := filepath.Join(dir, "alerts.jsonl")
+			runDaemon(t, serveOpts{
+				workers: workers,
+				window:  time.Minute, ckptEvery: 0,
+				alerts: alerts, record: record,
+				seed: 7, scale: 0.001,
+			}, 35, nil)
+
+			// Replay the recorded capture with the same detector window (the
+			// path `quicsand replay -alerts` takes): the replayed alert stream
+			// must byte-match the daemon's, and the position must agree.
+			f, err := os.Open(record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			src, err := capture.NewSource(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dcfg := detect.Default()
+			final, err := quicsand.StreamReplay(quicsand.StreamConfig{
+				Config: quicsand.Config{Seed: 7, Scale: 0.001, Workers: workers},
+				Detect: &dcfg,
+			}, src, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := final.Position(); got != 35 {
+				t.Errorf("replayed capture position %d, want 35", got)
+			}
+			var got bytes.Buffer
+			if err := detect.WriteAlerts(&got, final.Alerts); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(alerts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, got.Bytes()) {
+				t.Errorf("replayed alert stream differs from daemon's:\n--- daemon ---\n%s--- replay ---\n%s", want, got.Bytes())
+			}
+		})
+	}
+}
+
+// TestDaemonTraceOut runs the daemon with -trace-out at two workers:
+// the streaming pipeline records the flight timeline the batch runs do,
+// the drain writes it as loadable Chrome trace JSON and prints the
+// stage table, and the manifest references the file and carries the
+// engine's stage timings.
+func TestDaemonTraceOut(t *testing.T) {
 	dir := t.TempDir()
-	record := filepath.Join(dir, "daemon.qsnd")
-	alerts := filepath.Join(dir, "alerts.jsonl")
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := serveOpts{
-		workers: 1, metrics: "127.0.0.1:0",
-		window: time.Minute, ckptEvery: 0,
-		alerts: alerts, record: record,
+	trace := filepath.Join(dir, "daemon-trace.json")
+	manifest := filepath.Join(dir, "manifest.json")
+	out, _ := runDaemon(t, serveOpts{
+		workers: 2,
+		window:  time.Minute, ckptEvery: 20 * time.Millisecond,
+		traceOut: trace, manifest: manifest,
 		seed: 7, scale: 0.001,
-	}
-	out := &lockedBuffer{}
-	diag := &lockedBuffer{}
-	done := make(chan error, 1)
-	go func() { done <- serveDaemon(opts, pc, out, diag) }()
-	waitFor(t, diag, "metrics on http://")
-	line := diag.String()
-	url := line[strings.Index(line, "http://"):]
-	url = strings.Fields(url)[0]
+	}, 30, nil)
 
-	sendInitials(t, pc.LocalAddr().String(), 35)
-	scrapeUntil(t, url, "quicsand_live_packets_total 35")
-	pc.Close()
-	if err := <-done; err != nil {
+	data, err := os.ReadFile(trace)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("daemon trace is not valid JSON: %v", err)
+	}
+	spans := map[string]int{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			spans[e.Name]++
+		}
+	}
+	for _, want := range []string{"plan", "scatter", "analyze", "dissect", "sessions", "reduce"} {
+		if spans[want] == 0 {
+			t.Errorf("daemon trace has no %q spans: %v", want, spans)
+		}
+	}
+	if s := out.String(); !strings.Contains(s, "stage-busy % per") {
+		t.Errorf("drain output misses the stage table:\n%s", s)
 	}
 
-	// Replay the recorded capture with the same detector window (the
-	// path `quicsand replay -alerts` takes): the replayed alert stream
-	// must byte-match the daemon's, and the position must agree.
-	f, err := os.Open(record)
+	mdata, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	src, err := capture.NewSource(f)
-	if err != nil {
+	var m telemetry.Manifest
+	if err := json.Unmarshal(mdata, &m); err != nil {
 		t.Fatal(err)
 	}
-	dcfg := detect.Default()
-	final, err := quicsand.StreamReplay(quicsand.StreamConfig{
-		Config: quicsand.Config{Seed: 7, Scale: 0.001, Workers: 1},
-		Detect: &dcfg,
-	}, src, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	if m.TraceFile != trace {
+		t.Errorf("manifest trace_file = %q, want %q", m.TraceFile, trace)
 	}
-	if got := final.Position(); got != 35 {
-		t.Errorf("replayed capture position %d, want 35", got)
+	stages := map[string]uint64{}
+	for _, st := range m.Stages {
+		stages[st.Name] = st.Items
 	}
-	var got bytes.Buffer
-	if err := detect.WriteAlerts(&got, final.Alerts); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(alerts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got.Bytes()) {
-		t.Errorf("replayed alert stream differs from daemon's:\n--- daemon ---\n%s--- replay ---\n%s", want, got.Bytes())
+	if len(m.Stages) != 3 || stages["analyze"] != 30 || stages["schedule"] == 0 {
+		t.Errorf("manifest stages = %+v, want schedule, analyze (30 items), reduce", m.Stages)
 	}
 }
 
@@ -279,35 +340,15 @@ func TestDaemonRecordReplaysToSameState(t *testing.T) {
 func TestDaemonNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		dir := t.TempDir()
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := serveOpts{
+		runDaemon(t, serveOpts{
 			workers:   2,
-			metrics:   "127.0.0.1:0",
 			heartbeat: 10 * time.Millisecond,
 			window:    time.Minute,
 			ckptEvery: 10 * time.Millisecond,
-			alerts:    filepath.Join(dir, "alerts.jsonl"),
+			alerts:    filepath.Join(t.TempDir(), "alerts.jsonl"),
 			seed:      7,
 			scale:     0.001,
-		}
-		out := &lockedBuffer{}
-		diag := &lockedBuffer{}
-		done := make(chan error, 1)
-		go func() { done <- serveDaemon(opts, pc, out, diag) }()
-		waitFor(t, diag, "metrics on http://")
-		line := diag.String()
-		url := line[strings.Index(line, "http://"):]
-		url = strings.Fields(url)[0]
-		sendInitials(t, pc.LocalAddr().String(), 5)
-		scrapeUntil(t, url, "quicsand_live_packets_total 5")
-		pc.Close()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+		}, 5, nil)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

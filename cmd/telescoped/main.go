@@ -33,7 +33,8 @@
 // -mem-budget bounds per-shard session state by evicting the coldest
 // source, and -detect-config loads detector thresholds from JSON. Each
 // checkpoint also appends an analysis snapshot to the -manifest record.
-// Shutdown drains the stream and emits the final checkpoint.
+// Shutdown drains the stream and emits the final checkpoint; the
+// observability flags above, -trace-out included, work in this mode too.
 //
 // Point any QUIC client at it (or run cmd/quicsand's generated trace
 // through it) to watch the classification logic work on live traffic.
@@ -197,11 +198,7 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		return err
 	}
 	defer obs.close()
-	n, live := obs.workers, obs.live
-	var flight *telemetry.Recorder
-	if opts.traceOut != "" {
-		flight = telemetry.NewRecorder(telemetry.RecorderConfig{})
-	}
+	n, live, flight := obs.workers, obs.live, obs.flight
 
 	// Optional capture: the socket reader goroutine feeds the sink
 	// before dispatch, so the recording preserves arrival order and
@@ -293,30 +290,12 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		return err
 	}
 
-	if flight != nil {
-		tl := flight.Timeline(st.Wall)
-		f, err := os.Create(opts.traceOut)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		if err := tl.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return fmt.Errorf("trace-out %s: %w", opts.traceOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("trace-out %s: %w", opts.traceOut, err)
-		}
-		fmt.Fprint(out, tl.StageTable(10))
-		fmt.Fprintf(diag, "telescoped: trace written to %s (%d spans)\n", opts.traceOut, tl.SpanCount())
-	}
-
-	return obs.writeManifest(&telemetry.Manifest{
+	return obs.export(flight.Timeline(st.Wall), out, &telemetry.Manifest{
 		Config:        obs.manifestConfig(pc.LocalAddr()),
 		Workers:       st.Workers,
 		WallNS:        st.Wall.Nanoseconds(),
 		PacketsPerSec: st.Throughput(),
 		Stages:        st.StageTimings(),
-		TraceFile:     opts.traceOut,
 	}, snap)
 }
 

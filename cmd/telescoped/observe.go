@@ -22,6 +22,7 @@ type observability struct {
 	live    *telemetry.Live
 	srv     *telemetry.Server    // nil without -metrics
 	hb      *telemetry.Heartbeat // nil without -heartbeat
+	flight  *telemetry.Recorder  // nil without -trace-out
 	// rec is the -record sink, nil when off. Capture is fire-and-forget:
 	// write failures (full disk) are sticky in the sink and surface as
 	// the drained Dropped() count, never by stalling the read loop.
@@ -46,6 +47,9 @@ func startObservability(opts serveOpts, diag io.Writer) (*observability, error) 
 		o.hb = telemetry.StartHeartbeat(o.live, o.srv, opts.heartbeat, func(format string, args ...any) {
 			fmt.Fprintf(diag, "telescoped: "+format+"\n", args...)
 		})
+	}
+	if opts.traceOut != "" {
+		o.flight = telemetry.NewRecorder(telemetry.RecorderConfig{})
 	}
 	if opts.record != "" {
 		f, err := os.Create(opts.record)
@@ -106,14 +110,21 @@ func (o *observability) manifestConfig(listen net.Addr) map[string]any {
 	return map[string]any{"listen": listen.String(), "workers": o.workers, "record": o.opts.record}
 }
 
-// writeManifest completes m — the caller sets Config and the timing
-// fields — with the snapshot and writes it to -manifest (a no-op when
-// off).
-func (o *observability) writeManifest(m *telemetry.Manifest, snap *telemetry.Snapshot) error {
+// export writes the run's files at shutdown: the flight timeline (nil
+// when off) to -trace-out, its stage table going onto out, then m — the
+// caller sets Config and timing — with the snapshot to -manifest.
+func (o *observability) export(tl *telemetry.Timeline, out io.Writer, m *telemetry.Manifest, snap *telemetry.Snapshot) error {
+	if tl != nil {
+		if err := tl.WriteFile(o.opts.traceOut); err != nil {
+			return err
+		}
+		fmt.Fprint(out, tl.StageTable(10))
+		fmt.Fprintf(o.diag, "telescoped: trace written to %s (%d spans)\n", o.opts.traceOut, tl.SpanCount())
+	}
 	if o.opts.manifest == "" {
 		return nil
 	}
-	m.Command = "telescoped"
+	m.Command, m.TraceFile = "telescoped", o.opts.traceOut
 	m.ShardPackets, m.ShardSkew, m.Telemetry = snap.ShardPackets, snap.Skew(), snap
 	if err := m.WriteFile(o.opts.manifest); err != nil {
 		return fmt.Errorf("manifest: %w", err)

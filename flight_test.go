@@ -115,6 +115,92 @@ func TestFlightStructuralDeterminism(t *testing.T) {
 	}
 }
 
+// TestFlightStreamDeterminism is the streaming leg of the contract: a
+// Streamer's shards run on the batch runs' engine, so StreamReplay at a
+// fixed worker count records a repeatable span structure whose worker
+// tracks equal batch Replay's, every offered packet is inside exactly
+// one analyze span, and the inline workers==1 path — which runs no
+// engine — records the documented reduced track set.
+func TestFlightStreamDeterminism(t *testing.T) {
+	id, err := tlsmini.GenerateSelfSigned("quic.example.net", 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{Seed: 97, Scale: 0.01, ResearchThin: 1 << 14, Identity: id}
+	var traceBuf bytes.Buffer
+	w := telescope.NewWriter(&traceBuf)
+	rcfg := base
+	rcfg.Workers, rcfg.Trace = 2, w
+	if _, err := Run(rcfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	qsnd := traceBuf.Bytes()
+
+	streamed := func(workers int) (*Analysis, uint64) {
+		src, err := capture.NewSource(bytes.NewReader(qsnd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := base
+		cfg.Workers, cfg.FlightRecorder = workers, flightRec()
+		final, err := StreamReplay(StreamConfig{Config: cfg}, src, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := final.Analysis()
+		if a.Flight == nil {
+			t.Fatalf("workers=%d: recorder armed but the final checkpoint's Analysis has no Flight", workers)
+		}
+		return a, final.Position()
+	}
+
+	const workers = 3
+	a, position := streamed(workers)
+	spans := a.Flight.StageSpans()
+	if again, _ := streamed(workers); !sameSpans(again.Flight.StageSpans(), spans) {
+		t.Errorf("repeated stream replay diverged:\n want %v\n got  %v", spans, again.Flight.StageSpans())
+	}
+	var analyzed uint64
+	for i := range a.Flight.Events {
+		if e := &a.Flight.Events[i]; e.IsSpan() && e.Stage == telemetry.StageAnalyze {
+			analyzed += e.Items
+		}
+	}
+	if analyzed != position || position == 0 {
+		t.Errorf("analyze spans cover %d items, stream position %d", analyzed, position)
+	}
+	if st := a.Pipeline.StageNamed("analyze"); st.Items != position || st.Wall <= 0 || a.Pipeline.Wall <= 0 ||
+		len(a.Pipeline.ShardBusy) != workers {
+		t.Errorf("final checkpoint's Pipeline lacks the engine's run: %+v", a.Pipeline)
+	}
+
+	src, err := capture.NewSource(bytes.NewReader(qsnd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcfg := base
+	bcfg.Workers, bcfg.FlightRecorder = workers, flightRec()
+	batch, err := Replay(bcfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := batch.Flight.StageSpans()
+	for _, stage := range []string{"plan", "scatter", "analyze", "dissect", "sessions", "reduce"} {
+		if spans[stage] == 0 || spans[stage] != bs[stage] {
+			t.Errorf("stage %q: stream replay %d spans, batch replay %d", stage, spans[stage], bs[stage])
+		}
+	}
+
+	inline, _ := streamed(1)
+	is := inline.Flight.StageSpans()
+	if is["plan"] != 1 || is["reduce"] != 1 || is["dissect"] == 0 || is["sessions"] == 0 || len(is) != 4 {
+		t.Errorf("workers=1 stream timeline = %v, want only plan, reduce, dissect and sessions tracks", is)
+	}
+}
+
 // sameSpans compares two per-stage span-count maps.
 func sameSpans(a, b map[string]uint64) bool {
 	if len(a) != len(b) {

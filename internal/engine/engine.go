@@ -343,8 +343,15 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 					tapChans[i] <- buf
 					buf = nil
 				}
+				// Counted in a line of the worker's own and stored once below:
+				// a store per item into neighbouring words — ShardItems, or
+				// locals allocated side by side — keeps one line bouncing.
+				var local struct {
+					items uint64
+					_     [56]byte
+				}
 				feeds[i](func(item T) {
-					st.ShardItems[i]++
+					local.items++
 					var keep bool
 					if ring == nil {
 						keep = process(i, item)
@@ -379,6 +386,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 					}
 					close(tapChans[i])
 				}
+				st.ShardItems[i] = local.items
 				st.ShardBusy[i] = time.Since(start)
 			})
 		}(i)

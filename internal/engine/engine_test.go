@@ -67,6 +67,49 @@ func TestRunShardIsolation(t *testing.T) {
 	}
 }
 
+// TestShardItemsMatchFeeds pins Stats.ShardItems to what each feed
+// emitted — uneven counts, an empty feed included — at workers 1/3/8,
+// tapped and untapped: the parallel workers count in a local and store
+// it once, when their feed returns.
+func TestShardItemsMatchFeeds(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		for _, tapped := range []bool{false, true} {
+			emitted := make([]uint64, workers)
+			feeds := make([]Feed[int], workers)
+			for i := range feeds {
+				i := i
+				n := 300 + 97*i
+				if i == 1 {
+					n = 0 // one feed of every multi-shard run stays empty
+				}
+				feeds[i] = func(emit func(int)) {
+					for v := 0; v < n; v++ {
+						emit(v*workers + i) // increasing per shard, distinct across
+						emitted[i]++
+					}
+				}
+			}
+			var tap *Tap[int]
+			var sunk uint64
+			if tapped {
+				tap = &Tap[int]{Less: func(a, b int) bool { return a < b }, Sink: func(int) { sunk++ }}
+			}
+			st := Run(Config{Workers: workers, BatchSize: 16}, feeds, func(int, int) bool { return true }, tap)
+			var total uint64
+			for i, want := range emitted {
+				total += want
+				if st.ShardItems[i] != want {
+					t.Errorf("workers=%d tap=%v: ShardItems[%d] = %d, feed emitted %d", workers, tapped, i, st.ShardItems[i], want)
+				}
+			}
+			if st.Items() != total || st.StageNamed("analyze").Items != total || (tapped && sunk != total) {
+				t.Errorf("workers=%d tap=%v: items %d, analyze stage %d, sunk %d, want %d",
+					workers, tapped, st.Items(), st.StageNamed("analyze").Items, sunk, total)
+			}
+		}
+	}
+}
+
 // TestTapMergeOrder checks the k-way tap merge restores the canonical
 // global order from per-shard sorted streams, for several worker
 // counts and batch sizes (forcing batch boundaries mid-stream).

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -68,6 +69,23 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "\n]}\n")
 	return bw.Flush()
+}
+
+// WriteFile writes the timeline as Chrome trace-event JSON to path —
+// what `-trace-out FILE` does in both CLIs, whose flag the errors name.
+func (t *Timeline) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("trace-out: %w", err)
+	}
+	err = t.WriteChromeTrace(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trace-out %s: %w", path, err)
+	}
+	return nil
 }
 
 // StageTable renders the per-stage time-sliced busy table `-stats`

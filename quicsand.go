@@ -241,13 +241,6 @@ type shardFlight struct {
 	sessN  uint64
 }
 
-// setRecorder attaches the shard's ring. Call before the run starts.
-func (sh *pipelineShard) setRecorder(ring *telemetry.Ring, sliceItems int) {
-	sh.ring = ring
-	sh.fl.slice = uint64(sliceItems)
-	sh.fl.start = ring.Now()
-}
-
 // flightSlice closes the open slice: one aggregated dissect span, one
 // aggregated sessions span (anchored at the slice start), and one
 // cumulative packet-count sample — the counter track whose slope is
@@ -295,23 +288,48 @@ func (sh *pipelineShard) observe(sz *sessions.Sessionizer, p *telescope.Packet, 
 	return opened
 }
 
-func newPipelineShard(in *netmodel.Internet, tum, rwth netmodel.Prefix) *pipelineShard {
+// newPipelineShard builds one shard's empty analysis state, unwired.
+func newPipelineShard() *pipelineShard {
 	sh := &pipelineShard{
-		internet:     in,
 		tel:          telescope.New(),
-		hourlySource: telescope.NewHourlyCounter(sourceClassifier(tum, rwth)),
-		hourlyType:   telescope.NewHourlyCounter(typeClassifier),
+		hourlySource: telescope.NewHourlyCounter(nil),
+		hourlyType:   telescope.NewHourlyCounter(nil),
 		sweep:        sessions.NewTimeoutSweep(),
+		quicSz:       sessions.NewSessionizer(nil),
+		commonSz:     sessions.NewSessionizer(nil),
 		commonDet:    dosdetect.NewDetector(dosdetect.VectorCommon),
 		dis:          dissect.NewDissector(),
 	}
 	sh.commonDet.DropExcluded = true
-	sh.quicSz = sessions.NewSessionizer(func(s *sessions.Session) {
-		sh.sessions = append(sh.sessions, s)
-	})
-	sh.quicSz.GapRecorder = sh.sweep.RecordGap
-	sh.commonSz = sessions.NewSessionizer(sh.commonDet.Offer)
 	return sh
+}
+
+// wire connects shard i's state, fresh or decoded from a checkpoint, to
+// a run: its substrate, the hooks that chain its parts, and the run's
+// attachments — recorder ring and live bank, plus a streaming config's
+// detector bank and session budget. Nothing else sets any of these.
+func (sh *pipelineShard) wire(i int, c *pipelinePlan) {
+	sh.internet = c.proto.Internet
+	sh.hourlySource.Classify = sourceClassifier(c.tum, c.rwth)
+	sh.hourlyType.Classify = typeClassifier
+	sh.quicSz.Emit = func(s *sessions.Session) { sh.sessions = append(sh.sessions, s) }
+	sh.quicSz.GapRecorder = sh.sweep.RecordGap
+	sh.commonSz.Emit = sh.commonDet.Offer
+
+	rec := c.cfg.FlightRecorder
+	sh.ring = rec.ShardRing(i)
+	sh.fl.slice = uint64(rec.SliceItems())
+	sh.fl.start = sh.ring.Now()
+	if c.cfg.Live != nil {
+		sh.live = c.cfg.Live.Shard(i)
+	}
+	if c.cfg.Detect != nil {
+		sh.det = detect.NewShard(*c.cfg.Detect)
+	}
+	if c.cfg.MaxActiveSessions > 0 {
+		sh.quicSz.MaxActive = c.cfg.MaxActiveSessions
+		sh.commonSz.MaxActive = c.cfg.MaxActiveSessions
+	}
 }
 
 // process runs one packet through the shard's analysis chain and
@@ -410,12 +428,25 @@ func (sh *pipelineShard) flush() {
 	sh.commonSz.Flush()
 }
 
-// prepare builds the seed-determined substrate Run and Replay share:
-// the simulated Internet, the active-scan census, and the scheduled
+// pipelinePlan is what planning fixes for a run: substrate, worker count,
+// schedule timing. A Streamer shares it with every checkpoint it freezes;
+// the generator is not in it, so a kept checkpoint keeps no schedule.
+type pipelinePlan struct {
+	cfg       StreamConfig
+	workers   int
+	proto     *Analysis // substrate holder: Config/Internet/Census/Truth
+	tum, rwth netmodel.Prefix
+	start     time.Time    // planning began: the origin of Pipeline.Wall
+	sched     engine.Stage // the "schedule" stage
+}
+
+// prepare builds the seed-determined substrate every run shares: the
+// simulated Internet, the active-scan census, and the scheduled
 // generator. Scheduling alone fixes the ground truth (victim → org,
 // bot tags) — packets need not be generated for it, which is what
 // lets Replay rebuild the joins for a stored month.
-func prepare(cfg Config, a *Analysis) (gen *ibr.Generator, tum, rwth netmodel.Prefix, err error) {
+func (c *pipelinePlan) prepare() (gen *ibr.Generator, err error) {
+	cfg, a := c.cfg.Config, c.proto
 	a.Internet = netmodel.BuildInternet()
 	// Census shared with the generator (same seed path).
 	a.Census = activescan.Build(a.Internet, netmodel.NewRNG(cfg.Seed).Fork("census"), activescan.Config{})
@@ -434,20 +465,65 @@ func prepare(cfg Config, a *Analysis) (gen *ibr.Generator, tum, rwth netmodel.Pr
 		gen, err = ibr.New(icfg)
 	}
 	if err != nil {
-		return nil, tum, rwth, fmt.Errorf("quicsand: generator: %w", err)
+		return nil, fmt.Errorf("quicsand: generator: %w", err)
 	}
-	tum = a.Internet.Registry.ByASN(netmodel.ASNTUM).Prefixes[0]
-	rwth = a.Internet.Registry.ByASN(netmodel.ASNRWTH).Prefixes[0]
-	return gen, tum, rwth, nil
+	a.Truth = gen.Truth
+	c.tum = a.Internet.Registry.ByASN(netmodel.ASNTUM).Prefixes[0]
+	c.rwth = a.Internet.Registry.ByASN(netmodel.ASNRWTH).Prefixes[0]
+	return gen, nil
 }
 
-// newShards builds one pipelineShard per worker.
-func newShards(a *Analysis, tum, rwth netmodel.Prefix, workers int) []*pipelineShard {
-	shards := make([]*pipelineShard, workers)
-	for i := range shards {
-		shards[i] = newPipelineShard(a.Internet, tum, rwth)
+// planPipeline plans the month and wires one analysis shard per worker
+// — Run, Replay, NewStreamer and ResumeStreamer all start here. shards
+// is nil, or the unwired state ResumeStreamer decoded from a checkpoint.
+func planPipeline(cfg StreamConfig, shards []*pipelineShard) (*pipelinePlan, *ibr.Generator, []*pipelineShard, error) {
+	c := &pipelinePlan{
+		cfg:     cfg,
+		workers: engine.Config{Workers: cfg.Workers}.ResolveWorkers(),
+		proto:   &Analysis{Config: cfg.Config},
+		start:   time.Now(),
 	}
-	return shards
+	cfg.FlightRecorder.Prepare(c.workers)
+	drv := cfg.FlightRecorder.DriverRing()
+	plan0 := drv.Now()
+	gen, err := c.prepare()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	planned := uint64(len(gen.Sources()))
+	drv.Span(telemetry.StagePlan, plan0, drv.Now()-plan0, planned)
+	c.sched = engine.Stage{Name: "schedule", Items: planned, Wall: time.Since(c.start)}
+
+	for len(shards) < c.workers { // none when resuming: one was decoded per worker
+		shards = append(shards, newPipelineShard())
+	}
+	for i, sh := range shards {
+		sh.wire(i, c)
+	}
+	return c, gen, shards, nil
+}
+
+// analysis reduces shards into an Analysis. pstats arrives with the
+// engine's part and, as Wall, the time since c.start, and leaves with the
+// schedule and reduce stages; a non-nil rec's timeline ends here.
+func (c *pipelinePlan) analysis(shards []*pipelineShard, pstats *engine.Stats, rec *telemetry.Recorder) *Analysis {
+	reduceStart := time.Now()
+	drv := rec.DriverRing()
+	red0 := drv.Now()
+	a := *c.proto // the substrate; every result field is still zero
+	a.reduce(shards, c.tum, c.rwth)
+	a.Telemetry = collectTelemetry(c.cfg.Config, shards, pstats)
+	reduced := uint64(len(a.QUICSessions))
+	drv.Span(telemetry.StageReduce, red0, drv.Now()-red0, reduced)
+
+	// Built afresh: every Analysis() of a final checkpoint gets one Stages.
+	reduceWall := time.Since(reduceStart)
+	pstats.Stages = append(append([]engine.Stage{c.sched}, pstats.Stages...),
+		engine.Stage{Name: "reduce", Items: reduced, Wall: reduceWall})
+	pstats.Wall += reduceWall
+	a.Pipeline = pstats
+	a.Flight = rec.Timeline(pstats.Wall)
+	return &a
 }
 
 // traceTap builds the checkpoint tap when a trace sink is configured.
@@ -536,9 +612,6 @@ func collectTelemetry(cfg Config, shards []*pipelineShard, pstats *engine.Stats)
 		snap.Dissect.Merge(&sh.dis.Metrics)
 		snap.Sessions.Merge(&sh.quicSz.Metrics)
 		snap.Sessions.Merge(&sh.commonSz.Metrics)
-		if sh.det != nil {
-			snap.Detect.Merge(&sh.det.Metrics)
-		}
 	}
 	snap.ShardPackets = append([]uint64(nil), pstats.ShardItems...)
 	snap.Engine = pstats.Engine
@@ -566,34 +639,16 @@ type pipelineFeed struct {
 	report func(*telemetry.Snapshot)
 }
 
-// runPipeline is the batch driver behind Run and Replay: plan the
-// month, wire one analysis shard per worker, run the engine over the
-// feeds wire builds for the resolved worker count, reduce.
+// runPipeline is the batch driver behind Run and Replay: plan and wire
+// the pipeline, run the engine over the feeds wire builds for the
+// resolved worker count, reduce.
 func runPipeline(cfg Config, wire func(gen *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed) (*Analysis, error) {
-	schedStart := time.Now()
-	workers := engine.Config{Workers: cfg.Workers}.ResolveWorkers()
-	rec := cfg.FlightRecorder
-	rec.Prepare(workers)
-	drv := rec.DriverRing()
-
-	a := &Analysis{Config: cfg}
-	plan0 := drv.Now()
-	gen, tum, rwth, err := prepare(cfg, a)
+	plan, gen, shards, err := planPipeline(StreamConfig{Config: cfg}, nil)
 	if err != nil {
 		return nil, err
 	}
-	drv.Span(telemetry.StagePlan, plan0, drv.Now()-plan0, uint64(len(gen.Sources())))
-	a.Truth = gen.Truth // scheduling alone fixes the ground truth
-	schedWall := time.Since(schedStart)
-
-	shards := newShards(a, tum, rwth, workers)
-	for i, sh := range shards {
-		sh.setRecorder(rec.ShardRing(i), rec.SliceItems())
-		if cfg.Live != nil {
-			sh.live = cfg.Live.Shard(i)
-		}
-	}
-	feed := wire(gen, workers, rec)
+	rec := cfg.FlightRecorder
+	feed := wire(gen, plan.workers, rec)
 
 	pstats := engine.Run(
 		engine.Config{Workers: cfg.Workers, Recorder: rec, FeedStage: feed.stage},
@@ -604,21 +659,9 @@ func runPipeline(cfg Config, wire func(gen *ibr.Generator, workers int, rec *tel
 			return nil, err
 		}
 	}
-
-	reduceStart := time.Now()
-	red0 := drv.Now()
-	a.reduce(shards, tum, rwth)
-	a.Telemetry = collectTelemetry(cfg, shards, pstats)
+	pstats.Wall = time.Since(plan.start)
+	a := plan.analysis(shards, pstats, rec)
 	feed.report(a.Telemetry)
-	drv.Span(telemetry.StageReduce, red0, drv.Now()-red0, uint64(len(a.QUICSessions)))
-
-	pstats.AddStage("reduce", uint64(len(a.QUICSessions)), time.Since(reduceStart))
-	pstats.Stages = append(
-		[]engine.Stage{{Name: "schedule", Items: uint64(len(gen.Sources())), Wall: schedWall}},
-		pstats.Stages...)
-	pstats.Wall = time.Since(schedStart)
-	a.Pipeline = pstats
-	a.Flight = rec.Timeline(pstats.Wall)
 	return a, nil
 }
 

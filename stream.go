@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"quicsand/internal/capture"
 	"quicsand/internal/detect"
@@ -45,17 +46,19 @@ type StreamConfig struct {
 // clone reduces with the same commutative merges and canonical sorts
 // the batch reduction uses.
 //
+// With workers>1 the shards run on the batch runs' driver: one engine.Run
+// call, started by the constructor and joined by Close, drains each
+// shard's dispatch queue as an engine feed, so flight recorder, live
+// banks, pprof labels and stage statistics are Run's and Replay's. With
+// workers==1 Offer processes inline — the sequential reference, on which
+// a packet is analysed the moment it arrives — and a recorded timeline has
+// plan, reduce, dissect and sessions but no analyze/scatter split.
+//
 // Offer and Checkpoint are safe to call from different goroutines
 // (the daemon's checkpoint ticker); each is serialized by one mutex.
 type Streamer struct {
-	cfg     StreamConfig
-	workers int
-
-	proto *Analysis // substrate holder: Internet/Census/Truth/Config
-	gen   *ibr.Generator
-	tum   netmodel.Prefix
-	rwth  netmodel.Prefix
-
+	*pipelinePlan
+	gen    *ibr.Generator
 	shards []*pipelineShard
 
 	mu       sync.Mutex
@@ -63,23 +66,23 @@ type Streamer struct {
 	position uint64   // captured packets offered so far
 	counts   []uint64 // captured packets per shard
 
-	// workers>1 plumbing: per-shard op channels + parked-worker barrier.
-	// pending[k] is the batch Offer is filling for shard k; free[k]
-	// carries drained batches back from the shard worker (§9: a batch
+	// workers>1 plumbing: per-shard op queues, which the engine drains as
+	// feeds. pending[k] is the batch Offer is filling for shard k; free[k]
+	// carries drained batches back from the shard's feed (§9: a batch
 	// has one owner at a time — producer, queue, worker, free list).
 	chans   []chan shardOp
 	pending []*capture.PacketBatch
 	free    []chan *capture.PacketBatch
-	wg      sync.WaitGroup
+	parked  chan struct{}      // one send per worker per barrier
+	run     chan *engine.Stats // the engine's Run call returned
+	stats   *engine.Stats      // what Close received from run
 }
 
+// shardOp is one dispatch-queue entry: a batch to analyse or, with
+// release non-nil, a barrier — the worker reports on the streamer's
+// parked channel and waits inside its feed until release closes.
 type shardOp struct {
-	batch *capture.PacketBatch
-	bar   *streamBarrier
-}
-
-type streamBarrier struct {
-	arrived sync.WaitGroup
+	batch   *capture.PacketBatch
 	release chan struct{}
 }
 
@@ -95,7 +98,7 @@ const (
 	// streamPool is a shard's free-list capacity. Offer allocates a
 	// batch only when the free list is empty, so it covers every batch
 	// that can exist at once — one filling, streamDepth queued, one
-	// being processed: a worker returning a drained batch never blocks
+	// being processed: a feed returning a drained batch never blocks
 	// and the steady state allocates nothing.
 	streamPool = streamDepth + 2
 )
@@ -104,80 +107,72 @@ const (
 // (Internet, census, scheduled ground truth) is prepared exactly as
 // Run/Replay do, so checkpoints carry the same joins.
 func NewStreamer(cfg StreamConfig) (*Streamer, error) {
+	return newStreamer(cfg, nil, nil)
+}
+
+// newStreamer builds a Streamer over fresh shards or, for ResumeStreamer,
+// over a checkpoint's decoded shards and their captured-packet counts.
+func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*Streamer, error) {
 	if cfg.Detect != nil {
 		if err := cfg.Detect.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	workers := engine.Config{Workers: cfg.Workers}.ResolveWorkers()
-	proto := &Analysis{Config: cfg.Config}
-	gen, tum, rwth, err := prepare(cfg.Config, proto)
+	plan, gen, shards, err := planPipeline(cfg, decoded)
 	if err != nil {
 		return nil, err
 	}
-	proto.Truth = gen.Truth // scheduling alone fixes the ground truth
-	s := &Streamer{
-		cfg:     cfg,
-		workers: workers,
-		proto:   proto,
-		gen:     gen,
-		tum:     tum,
-		rwth:    rwth,
-		shards:  newShards(proto, tum, rwth, workers),
-		counts:  make([]uint64, workers),
+	if counts == nil {
+		counts = make([]uint64, plan.workers)
 	}
-	s.configureShards()
-	s.startWorkers()
+	s := &Streamer{pipelinePlan: plan, gen: gen, shards: shards, counts: counts}
+	for _, n := range counts {
+		s.position += n
+	}
+	if s.workers > 1 {
+		s.startEngine()
+	}
 	return s, nil
 }
 
-// configureShards attaches streaming-only state to each shard.
-func (s *Streamer) configureShards() {
-	for i, sh := range s.shards {
-		if s.cfg.Detect != nil {
-			sh.det = detect.NewShard(*s.cfg.Detect)
-		}
-		if s.cfg.MaxActiveSessions > 0 {
-			sh.quicSz.MaxActive = s.cfg.MaxActiveSessions
-			sh.commonSz.MaxActive = s.cfg.MaxActiveSessions
-		}
-		if s.cfg.Live != nil {
-			sh.live = s.cfg.Live.Shard(i)
-		}
-	}
-}
-
-// startWorkers launches the shard goroutines (workers>1 only;
-// workers==1 processes inline in Offer, the classic sequential pass).
-func (s *Streamer) startWorkers() {
-	if s.workers == 1 {
-		return
-	}
+// startEngine wraps each shard's dispatch queue as an engine feed and
+// starts the one engine.Run call that drives them (workers>1 only).
+func (s *Streamer) startEngine() {
 	s.chans = make([]chan shardOp, s.workers)
 	s.pending = make([]*capture.PacketBatch, s.workers)
 	s.free = make([]chan *capture.PacketBatch, s.workers)
-	for i := range s.chans {
-		s.chans[i] = make(chan shardOp, streamDepth)
-		s.free[i] = make(chan *capture.PacketBatch, streamPool)
-		sh := s.shards[i]
-		ch, free := s.chans[i], s.free[i]
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
+	parked := make(chan struct{}, s.workers)
+	s.parked = parked
+	feeds := make([]engine.Feed[*telescope.Packet], s.workers)
+	for i := range feeds {
+		ch := make(chan shardOp, streamDepth)
+		free := make(chan *capture.PacketBatch, streamPool)
+		s.chans[i], s.free[i] = ch, free
+		feeds[i] = func(emit func(*telescope.Packet)) {
 			for op := range ch {
-				if op.bar != nil {
-					op.bar.arrived.Done()
-					<-op.bar.release
+				if op.release != nil {
+					parked <- struct{}{}
+					<-op.release
 					continue
 				}
 				for j := range op.batch.Pkts {
-					sh.process(&op.batch.Pkts[j])
+					emit(&op.batch.Pkts[j])
 				}
 				op.batch.Reset()
 				free <- op.batch // never blocks: see streamPool
 			}
-		}()
+		}
 	}
+	// A local on purpose: s.shards would be re-read through *Streamer on
+	// every packet, from the cache line Offer dirties with position,
+	// counts and the mutex (false sharing: EXPERIMENTS.md PR-18).
+	shards := s.shards
+	ecfg := engine.Config{Workers: s.workers, Recorder: s.cfg.FlightRecorder, FeedStage: telemetry.StageScatter}
+	run := make(chan *engine.Stats, 1)
+	s.run = run
+	go func() {
+		run <- engine.Run(ecfg, feeds, func(i int, p *telescope.Packet) bool { return shards[i].process(p) }, nil)
+	}()
 }
 
 // Generator exposes the scheduled generator (ledger, sources, feeds)
@@ -250,6 +245,18 @@ func (s *Streamer) flushPending(k int) {
 	}
 }
 
+// Flush hands every partly filled dispatch batch to its worker (no
+// barrier, no clone), so that live telemetry and the detectors see what a
+// now quiet source already offered. Offer never does so itself: a flood's
+// cold shard queue is mostly empty, and each packet would pay a wake-up.
+func (s *Streamer) Flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.pending {
+		s.flushPending(k)
+	}
+}
+
 // barrier parks every shard worker (having first flushed pending
 // batches), runs fn over the quiescent shards, then releases them.
 // Caller holds s.mu.
@@ -258,15 +265,16 @@ func (s *Streamer) barrier(fn func()) {
 		fn()
 		return
 	}
-	bar := &streamBarrier{release: make(chan struct{})}
-	bar.arrived.Add(s.workers)
+	release := make(chan struct{})
 	for i, ch := range s.chans {
 		s.flushPending(i)
-		ch <- shardOp{bar: bar}
+		ch <- shardOp{release: release}
 	}
-	bar.arrived.Wait()
+	for range s.chans {
+		<-s.parked
+	}
 	fn()
-	close(bar.release)
+	close(release)
 }
 
 // StreamCheckpoint is one frozen view of the pipeline at a captured
@@ -274,20 +282,23 @@ func (s *Streamer) barrier(fn func()) {
 // since the previous drain. Analysis() and Encode() are both
 // repeatable — each works on fresh copies of the frozen state.
 type StreamCheckpoint struct {
-	cfg      StreamConfig
-	workers  int
+	*pipelinePlan
 	position uint64
 	counts   []uint64
-	tum      netmodel.Prefix
-	rwth     netmodel.Prefix
-	proto    *Analysis
 	shards   []*pipelineShard
 	detMet   []telemetry.Detect
+	wall     time.Duration // since the streamer's planning began
 
-	// ingest is the capture-side ledger (format, decode skips, salvage)
-	// of the replay that produced the checkpoint; StreamReplay stamps it
-	// on its final checkpoint, everything else leaves it zero.
-	ingest telemetry.Ingest
+	// Only Close's checkpoint has these: the engine's statistics (nil at
+	// workers==1) and the recorder whose timeline Analysis() closes.
+	stats *engine.Stats
+	rec   *telemetry.Recorder
+
+	// ingest and generate are the feed side's counters: a replay's capture
+	// ledger, a live run's merger. StreamReplay and StreamLive stamp them
+	// on their final checkpoint, everything else leaves them zero.
+	ingest   telemetry.Ingest
+	generate telemetry.Generate
 
 	// Alerts are the detector episodes closed since the previous
 	// checkpoint (canonically ordered, merged across shards).
@@ -309,20 +320,25 @@ func (s *Streamer) Checkpoint() *StreamCheckpoint {
 
 func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 	c := &StreamCheckpoint{
-		cfg:      s.cfg,
-		workers:  s.workers,
-		position: s.position,
-		counts:   append([]uint64(nil), s.counts...),
-		tum:      s.tum,
-		rwth:     s.rwth,
-		proto:    s.proto,
+		pipelinePlan: s.pipelinePlan,
+		position:     s.position,
+		counts:       append([]uint64(nil), s.counts...),
+		wall:         time.Since(s.start),
+	}
+	if final {
+		c.stats, c.rec = s.stats, s.cfg.FlightRecorder
 	}
 	var lists [][]detect.Alert
 	s.barrier(func() {
 		c.shards = make([]*pipelineShard, len(s.shards))
 		for i, sh := range s.shards {
-			if final && sh.det != nil {
-				sh.det.Flush()
+			if final {
+				// Clones carry no ring, so no reduction can close the live
+				// shard's open slice; Close joined the ring's writer.
+				sh.flightClose()
+				if sh.det != nil {
+					sh.det.Flush()
+				}
 			}
 			if s.closed {
 				// No tick follows: drop the log, so the final
@@ -344,9 +360,9 @@ func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 	return c
 }
 
-// Close drains the shard workers and returns the final checkpoint,
-// with every open detector episode flushed into its alert stream.
-// Offer returns false after Close; Close is idempotent.
+// Close drains the shard workers, joins the engine and returns the
+// final checkpoint, with every open detector episode flushed into its
+// alert stream. Offer returns false after Close; Close is idempotent.
 func (s *Streamer) Close() *StreamCheckpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -355,7 +371,7 @@ func (s *Streamer) Close() *StreamCheckpoint {
 			s.flushPending(i)
 			close(ch)
 		}
-		s.wg.Wait()
+		s.stats = <-s.run
 	}
 	s.closed = true
 	return s.checkpointLocked(true)
@@ -364,25 +380,25 @@ func (s *Streamer) Close() *StreamCheckpoint {
 // Analysis reduces the checkpoint into a full Analysis — the same
 // reduction batch Run performs, over re-cloned shard state so the
 // checkpoint itself stays frozen and Analysis can be called again.
+// Close's checkpoint also reports the run — the engine's stages and busy
+// times in Pipeline, the recorder's timeline in Flight; each call adds
+// its reduce span to that timeline, so such calls must not overlap.
 func (c *StreamCheckpoint) Analysis() *Analysis {
-	a := &Analysis{
-		Config:   c.cfg.Config,
-		Internet: c.proto.Internet,
-		Census:   c.proto.Census,
-		Truth:    c.proto.Truth,
-	}
 	clones := make([]*pipelineShard, len(c.shards))
 	for i, sh := range c.shards {
 		clones[i] = sh.clone()
 	}
-	a.reduce(clones, c.tum, c.rwth)
-	pstats := &engine.Stats{Workers: c.workers, ShardItems: append([]uint64(nil), c.counts...)}
-	a.Telemetry = collectTelemetry(c.cfg.Config, clones, pstats)
-	a.Telemetry.Ingest = c.ingest
+	// ShardItems are the captured counts, not the engine's: a resumed
+	// streamer's engine saw only the packets since the image.
+	pstats := &engine.Stats{Workers: c.workers, ShardItems: append([]uint64(nil), c.counts...), Wall: c.wall}
+	if c.stats != nil {
+		pstats.ShardBusy, pstats.Stages, pstats.Engine = c.stats.ShardBusy, c.stats.Stages, c.stats.Engine
+	}
+	a := c.analysis(clones, pstats, c.rec)
+	a.Telemetry.Ingest, a.Telemetry.Generate = c.ingest, c.generate
 	for i := range c.detMet {
 		a.Telemetry.Detect.Merge(&c.detMet[i])
 	}
-	a.Pipeline = pstats
 	return a
 }
 
@@ -399,6 +415,20 @@ func (c *StreamCheckpoint) Totals() (quicSessions int, telescopeTotal uint64) {
 	return quicSessions, telescopeTotal
 }
 
+// ticked is Offer plus onCheckpoint every interval captured packets.
+func (s *Streamer) ticked(interval uint64, onCheckpoint func(*StreamCheckpoint)) func(*telescope.Packet) {
+	captured, next := uint64(0), interval
+	return func(p *telescope.Packet) {
+		if !s.Offer(p) {
+			return
+		}
+		if captured++; interval > 0 && onCheckpoint != nil && captured >= next {
+			onCheckpoint(s.Checkpoint())
+			next += interval
+		}
+	}
+}
+
 // StreamLive runs the streamer over its own scheduled generator — the
 // full scenario month as one time-ordered stream — checkpointing every
 // `interval` captured packets when onCheckpoint is non-nil. It is the
@@ -412,18 +442,10 @@ func StreamLive(cfg StreamConfig, interval uint64, onCheckpoint func(*StreamChec
 	// whatever the analysis worker count; slab recycling is legal
 	// because Offer consumes (or copies) the packet before returning.
 	mergers := s.Generator().Feeds(1, true)
-	var captured, next uint64
-	next = interval
-	mergers[0].Run(func(p *telescope.Packet) {
-		if s.Offer(p) {
-			captured++
-			if interval > 0 && onCheckpoint != nil && captured >= next {
-				onCheckpoint(s.Checkpoint())
-				next += interval
-			}
-		}
-	})
-	return s.Close(), nil
+	mergers[0].Run(s.ticked(interval, onCheckpoint))
+	final := s.Close()
+	final.generate = mergers[0].Telemetry()
+	return final, nil
 }
 
 // StreamReplay drives a stored capture through the streamer — the
@@ -439,8 +461,8 @@ func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheck
 	if cfg.Salvage.Enabled() {
 		capture.SetSalvage(src, cfg.Salvage)
 	}
-	var records, captured, next uint64
-	next = interval
+	var records uint64
+	offer := s.ticked(interval, onCheckpoint)
 	for {
 		p, err := src.Next()
 		if err != nil {
@@ -451,13 +473,7 @@ func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheck
 			return nil, fmt.Errorf("quicsand: stream replay: %w", err)
 		}
 		records++
-		if s.Offer(p) {
-			captured++
-			if interval > 0 && onCheckpoint != nil && captured >= next {
-				onCheckpoint(s.Checkpoint())
-				next += interval
-			}
-		}
+		offer(p)
 	}
 	final := s.Close()
 	final.ingest = ingestLedger(telemetry.Ingest{Records: records, DecodePath: "inline"}, src)
@@ -475,19 +491,4 @@ func ExpectAlerts(cfg Config, dcfg detect.Config) (*oracle.AlertExpectation, err
 		SkipResearch: cfg.SkipResearch,
 		Identity:     cfg.Identity,
 	}, dcfg)
-}
-
-// sessionizerBudgetProbe reports the shards' current active-session
-// counts (QUIC then common, per shard) — the lifecycle tests assert
-// the memory budget holds while streaming.
-func (s *Streamer) sessionizerBudgetProbe() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []int
-	s.barrier(func() {
-		for _, sh := range s.shards {
-			out = append(out, sh.quicSz.ActiveSessions(), sh.commonSz.ActiveSessions())
-		}
-	})
-	return out
 }

@@ -192,3 +192,18 @@ func TestStreamerNoGoroutineLeak(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 }
+
+// sessionizerBudgetProbe reports the shards' current active-session
+// counts (QUIC then common, per shard) — the lifecycle tests assert
+// the memory budget holds while streaming.
+func (s *Streamer) sessionizerBudgetProbe() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []int
+	s.barrier(func() {
+		for _, sh := range s.shards {
+			out = append(out, sh.quicSz.ActiveSessions(), sh.commonSz.ActiveSessions())
+		}
+	})
+	return out
+}
