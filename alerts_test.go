@@ -1,10 +1,14 @@
 package quicsand
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"quicsand/internal/detect"
 	"quicsand/internal/oracle"
+	"quicsand/internal/telescope"
 )
 
 // streamAlerts runs the full scenario month through the streaming
@@ -94,5 +98,109 @@ func TestAlertOracleDetectsDivergence(t *testing.T) {
 	alerts := streamAlerts(t, cfg, deaf)
 	if n := oracle.CountViolations(oracle.CheckAlerts(ae, alerts)); n == 0 {
 		t.Fatal("perturbed detector satisfied the strict expectation; alert checks are vacuous")
+	}
+}
+
+// TestReplayAlertsEqualsStreamReplay is the differential for the batch
+// alert driver, with the push driver as its reference: for every golden
+// built-in, at workers ∈ {1, 2, 8}, from the QSND checkpoint and its pcap
+// export, streamed and mapped, ReplayAlerts must write the alert bytes
+// StreamReplay's final checkpoint holds at the same worker count, reduce
+// to the direct run's Analysis, and report the same detector counters and
+// the same Stream() projection; with a trace sink attached it must also
+// re-checkpoint the input byte for byte.
+func TestReplayAlertsEqualsStreamReplay(t *testing.T) {
+	dcfg := detect.Default()
+	alertBytes := func(alerts []detect.Alert) []byte {
+		var buf bytes.Buffer
+		if err := detect.WriteAlerts(&buf, alerts); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, run := range streamGoldenConfigs(t, 4) {
+		run := run
+		t.Run(run.name, func(t *testing.T) {
+			var trace bytes.Buffer
+			w := telescope.NewWriter(&trace)
+			recordCfg := run.cfg.Config
+			recordCfg.Trace = w
+			direct, err := Run(recordCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			qsnd := trace.Bytes()
+			inputs := []struct {
+				name string
+				data []byte
+				path string
+			}{{name: "qsnd", data: qsnd}, {name: "pcap", data: convertToPcap(t, qsnd)}}
+			for i := range inputs {
+				inputs[i].path = writeCapture(t, inputs[i].data)
+			}
+
+			var crossWorkers []byte
+			for _, workers := range []int{1, 2, 8} {
+				cfg := run.cfg
+				cfg.Workers, cfg.Detect = workers, &dcfg
+				for _, in := range inputs {
+					ref, err := StreamReplay(cfg, openStream(t, in.data), 0, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, refTel := alertBytes(ref.Alerts), ref.Analysis().Telemetry
+					if crossWorkers == nil {
+						crossWorkers = want
+					} else if !bytes.Equal(want, crossWorkers) {
+						t.Errorf("%s/workers=%d: reference alerts differ across inputs or worker counts", in.name, workers)
+					}
+
+					for _, mapped := range []bool{false, true} {
+						// A trace tap turns batch recycling off, so each leg
+						// runs with and without one.
+						for _, retrace := range []bool{false, true} {
+							label := fmt.Sprintf("%s/mapped=%v/workers=%d/trace=%v", in.name, mapped, workers, retrace)
+							src := openStream(t, in.data)
+							if mapped {
+								src = openMapped(t, in.path)
+							}
+							rcfg := cfg
+							var recheck bytes.Buffer
+							rw := telescope.NewWriter(&recheck)
+							if retrace {
+								rcfg.Trace = rw
+							}
+							a, alerts, err := ReplayAlerts(rcfg, src)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if got := alertBytes(alerts); !bytes.Equal(got, want) {
+								t.Errorf("%s: alerts differ from StreamReplay's:\n--- want ---\n%s--- got ---\n%s", label, want, got)
+							}
+							expectSameAnalysis(t, label, direct, a)
+							if a.Telemetry.Detect != refTel.Detect {
+								t.Errorf("%s: detector counters differ:\n want %+v\n got  %+v", label, refTel.Detect, a.Telemetry.Detect)
+							}
+							if retrace {
+								if err := rw.Flush(); err != nil {
+									t.Fatal(err)
+								}
+								if !bytes.Equal(recheck.Bytes(), qsnd) {
+									t.Errorf("%s: re-checkpoint differs from the recorded trace (%d vs %d bytes)", label, recheck.Len(), len(qsnd))
+								}
+							} else if got, want := a.Telemetry.Stream(), refTel.Stream(); !reflect.DeepEqual(got, want) {
+								t.Errorf("%s: stream projection diverged:\n want %+v\n got  %+v", label, want, got)
+							}
+						}
+					}
+				}
+			}
+			if len(crossWorkers) == 0 && run.name != "paper-2021" && run.name != "versionneg-scan-campaign" {
+				t.Error("flood built-in raised no alert: the comparison is vacuous")
+			}
+		})
 	}
 }

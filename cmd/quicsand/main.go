@@ -16,8 +16,9 @@
 // corrupt record aborts the run with its terminal error; -salvage
 // resyncs past damaged spans and counts the loss instead (reported via
 // -stats, the manifest and the oracle's degraded bounds — DESIGN.md
-// §14), and -salvage-retries retries transient source errors with
-// exponential backoff.
+// §14), and -salvage-retries N retries a transient read error up to N
+// times with exponential backoff — one budget, spent in the capture
+// reader's window, the same on every command.
 //
 // Shared simulation flags:
 //
@@ -31,11 +32,11 @@
 // summarizes it as a per-stage time-sliced busy table, and -manifest
 // references the trace file. `replay -heartbeat DUR` logs the same
 // structured progress line telescoped emits, for long stored-month
-// replays. `replay -alerts FILE|-` routes the capture through the
-// streaming pipeline's sliding-window detectors (DESIGN.md §17),
-// appending closed alert episodes as JSON lines — the analysis output
-// is bit-identical to the batch replay; `-window DUR` and
-// `-detect-config FILE` tune the detector bank.
+// replays. `replay -alerts FILE|-` attaches the sliding-window detectors
+// (DESIGN.md §17) to the same batch replay and writes the alert episodes
+// as JSON lines — the analysis output is bit-identical to the replay
+// without them; `-window DUR` and `-detect-config FILE` tune the
+// detector bank.
 //
 // -scenario selects the workload: a built-in scenario name
 // (`-scenario list` prints the registry), or a declarative spec file
@@ -256,7 +257,7 @@ type salvageOpts struct {
 func addSalvageFlags(fs *flag.FlagSet) *salvageOpts {
 	return &salvageOpts{
 		skip:    fs.Bool("salvage", false, "skip corrupt records: resync to the next plausible boundary and count the damage instead of aborting"),
-		retries: fs.Int("salvage-retries", 0, "retry transient source errors up to N times with exponential backoff"),
+		retries: fs.Int("salvage-retries", 0, "retry a transient read error up to N times in a row with exponential backoff, then fail (the same budget on replay, replay -alerts, convert and compare)"),
 		backoff: fs.Duration("salvage-backoff", 0, "base backoff before the first transient retry (doubles per attempt; 0 = 1ms)"),
 	}
 }
@@ -543,7 +544,7 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 	in := fs.String("i", "", "capture file to replay (required)")
 	fig := fs.String("fig", "headline", "section to print: all, headline, headline-json, 2..13, section6")
 	heartbeat := fs.Duration("heartbeat", 0, "progress-log interval on stderr (0 disables)")
-	alerts := fs.String("alerts", "", "stream through the sliding-window detectors, appending alerts as JSON lines to FILE (- = stdout)")
+	alerts := fs.String("alerts", "", "attach the sliding-window detectors and write their alerts as JSON lines to FILE (- = stdout)")
 	window := fs.Duration("window", 0, "detector sliding window for -alerts (0 = detector default)")
 	detectConfig := fs.String("detect-config", "", "detector-threshold JSON for -alerts")
 	if done, err := parseSim(fs, opts, args, stdout); done || err != nil {
@@ -613,11 +614,10 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 	return renderFigure(a, *fig, stdout)
 }
 
-// replayAlerts is the `-alerts` replay path: the capture streams
-// through the incremental pipeline with a sliding-window detector bank,
-// alert episodes land as JSON lines on FILE (or stdout for "-"), and
-// the final checkpoint reduces to the same Analysis the batch replay
-// produces (the stream≡batch differential suite, DESIGN.md §17).
+// replayAlerts is the `-alerts` replay path: the same batch replay with
+// a sliding-window detector bank on every shard (DESIGN.md §17). Alert
+// episodes land as JSON lines on FILE (or stdout for "-"); the Analysis
+// is the plain replay's plus the detectors' telemetry.
 func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window time.Duration, detectPath string, stdout, stderr io.Writer) (*quicsand.Analysis, error) {
 	dcfg := detect.Default()
 	if detectPath != "" {
@@ -630,7 +630,7 @@ func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window t
 	if window > 0 {
 		dcfg.Window = window
 	}
-	final, err := quicsand.StreamReplay(quicsand.StreamConfig{Config: cfg, Detect: &dcfg}, src, 0, nil)
+	a, alerts, err := quicsand.ReplayAlerts(quicsand.StreamConfig{Config: cfg, Detect: &dcfg}, src)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +642,7 @@ func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window t
 		}
 		w = f
 	}
-	if err := detect.WriteAlerts(w, final.Alerts); err != nil {
+	if err := detect.WriteAlerts(w, alerts); err != nil {
 		if f != nil {
 			f.Close()
 		}
@@ -653,8 +653,8 @@ func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window t
 			return nil, fmt.Errorf("alerts %s: %w", path, err)
 		}
 	}
-	fmt.Fprintf(stderr, "quicsand: replay: %d alerts (window=%s)\n", len(final.Alerts), dcfg.Window)
-	return final.Analysis(), nil
+	fmt.Fprintf(stderr, "quicsand: replay: %d alerts (window=%s)\n", len(alerts), dcfg.Window)
+	return a, nil
 }
 
 // closeSource releases source-owned resources (the capture's mapping)

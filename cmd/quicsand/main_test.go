@@ -542,13 +542,15 @@ func TestReplayAlertsCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	errOut.Reset()
-	// -trace-out and -stats ride along: the streaming replay runs on the
-	// batch replay's engine, so it must record the same timeline tracks
-	// and print a real stage table.
+	// -trace-out, -stats and -manifest ride along: the alert replay is the
+	// batch replay with a detector bank, so it must record the same
+	// timeline tracks, print a real stage table and report the real ingest
+	// ledger.
 	traceFile := filepath.Join(dir, "stream-flight.json")
+	manifest := filepath.Join(dir, "alerts-run.json")
 	var streamed bytes.Buffer
 	if err := run(append([]string{"replay", "-i", qsnd, "-workers", "2", "-alerts", alertFile,
-		"-trace-out", traceFile, "-stats"}, sim...), &streamed, &errOut); err != nil {
+		"-trace-out", traceFile, "-stats", "-manifest", manifest}, sim...), &streamed, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if streamed.String() != plain.String() {
@@ -558,8 +560,27 @@ func TestReplayAlertsCLI(t *testing.T) {
 	if !strings.Contains(errOut.String(), "alerts (window=1m0s)") {
 		t.Errorf("alert summary missing on stderr:\n%s", errOut.String())
 	}
+	// The mapped file was scattered as spans and lent, not copied; the
+	// shards decoded.
+	var m struct {
+		Telemetry struct {
+			Ingest struct {
+				DecodePath    string  `json:"decode_path"`
+				SpanBytes     uint64  `json:"span_bytes"`
+				SpanCopyBytes *uint64 `json:"span_copy_bytes"`
+			} `json:"ingest"`
+		} `json:"telemetry"`
+	}
+	if mdata, err := os.ReadFile(manifest); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(mdata, &m); err != nil {
+		t.Fatalf("manifest not valid JSON: %v", err)
+	}
+	if in := m.Telemetry.Ingest; in.DecodePath != "shard" || in.SpanBytes == 0 || in.SpanCopyBytes == nil || *in.SpanCopyBytes != 0 {
+		t.Errorf("manifest ingest = %+v, want decode_path shard and every span byte lent", in)
+	}
 	stages := loadTrace(t, traceFile).spanStages()
-	for _, want := range []string{"plan", "scatter", "analyze", "dissect", "sessions", "reduce"} {
+	for _, want := range []string{"plan", "ingest", "decode", "scatter", "analyze", "dissect", "sessions", "reduce"} {
 		if stages[want] == 0 {
 			t.Errorf("streaming replay trace has no %q spans: %v", want, stages)
 		}
@@ -592,6 +613,46 @@ func TestReplayAlertsCLI(t *testing.T) {
 	}
 	if !sawRate {
 		t.Errorf("no rate alert in stream:\n%s", data)
+	}
+
+	// The alert stream does not depend on the worker count.
+	alerts8 := filepath.Join(dir, "alerts8.jsonl")
+	if err := run(append([]string{"replay", "-i", qsnd, "-workers", "8", "-alerts", alerts8}, sim...), &streamed, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if data8, err := os.ReadFile(alerts8); err != nil || !bytes.Equal(data8, data) {
+		t.Errorf("alert file differs between -workers 2 and -workers 8 (err=%v)", err)
+	}
+
+	// An invalid detector configuration fails before any packet is read:
+	// over a capture whose first record is junk, the detector error is the
+	// one reported — from the config file and from the shared driver's
+	// validation of the -window override alike — and no alert file appears.
+	recorded, err := os.ReadFile(qsnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := filepath.Join(dir, "junk.qsnd")
+	if err := os.WriteFile(junk, append(recorded[:8:8], bytes.Repeat([]byte{0xff}, 64)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badConfig := filepath.Join(dir, "detect.json")
+	if err := os.WriteFile(badConfig, []byte(`{"buckets": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noAlerts := filepath.Join(dir, "never.jsonl")
+	if err := run(append([]string{"replay", "-i", junk, "-alerts", noAlerts}, sim...), &streamed, &errOut); err == nil ||
+		strings.Contains(err.Error(), "detect:") {
+		t.Fatalf("junk capture with valid detectors: err = %v, want the capture's corruption error", err)
+	}
+	for _, bad := range [][]string{{"-detect-config", badConfig}, {"-window", "5ms"}} {
+		args := append([]string{"replay", "-i", junk, "-alerts", noAlerts}, bad...)
+		if err := run(append(args, sim...), &streamed, &errOut); err == nil || !strings.Contains(err.Error(), "detect: ") {
+			t.Errorf("replay %v: err = %v, want the detector validation error", bad, err)
+		}
+	}
+	if _, err := os.Stat(noAlerts); !os.IsNotExist(err) {
+		t.Errorf("failed replays left an alert file behind (stat err=%v)", err)
 	}
 
 	// -window spelled without -alerts is a loud error, not a no-op.

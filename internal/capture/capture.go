@@ -15,8 +15,9 @@
 //     auto-detection (NewSource), and the matching Sink over both
 //     writers (NewSink);
 //   - the scatter stage (Scatter) that fans one stored stream out to
-//     per-shard engine feeds, sharded by source address with
-//     slab-batched zero-copy decode — quicsand.Replay's input path.
+//     per-shard engine feeds, sharded by source address: the reader
+//     frames records and routes their raw spans, the shards decode —
+//     the input path of every quicsand replay, with or without alerts.
 //
 // Both readers — PcapReader here, telescope.Reader for QSND — frame
 // records the same way: over a salvage.Window, validating a whole
@@ -28,7 +29,10 @@
 // else (pipes, platforms without mmap). Framed spans are handed to the
 // scatter as they are: aliased when the window is stable (the mapping,
 // valid until the source is closed), copied once into the routed
-// shard's arena when it slides.
+// shard's arena when it slides. The window is also the one place a
+// Temporary() read error is retried (SalvagePolicy.MaxRetries), so one
+// retry budget holds whoever drives the reader — Scatter, Copy or a
+// caller's own Next loop.
 //
 // Export uses real wire encapsulation (Ethernet/IPv4 with valid
 // checksums), so generated months open cleanly in tcpdump/Wireshark;
@@ -54,7 +58,9 @@ import (
 // twin of ibr.Source, with the same ownership contract: the packet
 // returned by Next — including its Payload bytes — is valid only until
 // the following Next call. Consumers that retain packets must copy
-// them (the scatter stage copies into per-shard slabs).
+// them (the root Streamer copies into per-shard batches). A sharded
+// Scatter does not call Next at all: it needs the source to be a
+// SpanSource as well.
 type Source interface {
 	// Next returns the next packet, or io.EOF at a clean end of
 	// stream. Any other error means the stream is corrupt or unreadable
@@ -79,10 +85,11 @@ type SpanDecoder interface {
 // FrameNext on the reader goroutine validates the next record and
 // parses just enough of it to route it (source address), TakeSpan puts
 // the raw bytes into the destination shard's arena, and the shard
-// decodes batches of spans with the SpanDecoder. The scatter
-// probes for this interface and falls back to Next when absent (e.g.
-// fault-injection wrappers, which must stay on the sequential path so
-// injected faults keep their record-accurate semantics).
+// decodes batches of spans with the SpanDecoder. Both format readers
+// implement it over either kind of window, so every source NewSource,
+// OpenFile and NewQSNDBuffer return does; a Scatter over more than one
+// shard accepts nothing else (byte-plane fault injection wraps the
+// io.Reader underneath and keeps the interface).
 type SpanSource interface {
 	Source
 	// FrameNext frames the next record, returning the span length and

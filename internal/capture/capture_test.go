@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"quicsand/internal/engine"
+	"quicsand/internal/faultinject"
 	"quicsand/internal/ibr"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/telescope"
@@ -438,27 +441,11 @@ func TestFormatDetection(t *testing.T) {
 	}
 }
 
-// sliceSource replays an in-memory packet list through the Source
-// contract (reusing one packet value, like the real readers).
-type sliceSource struct {
-	pkts []*telescope.Packet
-	i    int
-	p    telescope.Packet
-}
-
-func (s *sliceSource) Next() (*telescope.Packet, error) {
-	if s.i >= len(s.pkts) {
-		return nil, io.EOF
-	}
-	s.p = *s.pkts[s.i]
-	s.i++
-	return &s.p, nil
-}
-
 // TestScatterShardsByAddressInOrder pins the replay sharding
 // invariant: every packet lands on ibr.ShardOf(src) and per-shard
-// order is the stored order — for both the inline and concurrent
-// paths, with and without recycling.
+// order is the stored order — for the inline and the sharded feed, over
+// a streamed source (spans copied into shard arenas) and a stable one
+// (spans lent), with and without recycling.
 func TestScatterShardsByAddressInOrder(t *testing.T) {
 	var pkts []*telescope.Packet
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
@@ -470,39 +457,81 @@ func TestScatterShardsByAddressInOrder(t *testing.T) {
 			Proto: telescope.ProtoUDP, Size: 4, Payload: payload,
 		})
 	}
-	for _, workers := range []int{1, 3, 8} {
-		for _, recycle := range []bool{false, true} {
-			sc := NewScatter(&sliceSource{pkts: pkts}, workers, recycle)
-			got := make([][]telescope.Packet, workers)
-			engine.Run(engine.Config{Workers: workers}, sc.Feeds(),
-				func(shard int, p *telescope.Packet) bool {
-					if !bytes.Equal(p.Payload, payload) {
-						t.Fatalf("payload corrupted on shard %d", shard)
+	data := qsndBytes(t, pkts)
+	for name, open := range map[string]func() (Source, error){
+		"streamed": func() (Source, error) { return NewSource(bytes.NewReader(data)) },
+		"stable":   func() (Source, error) { return NewQSNDBuffer(data) },
+	} {
+		for _, workers := range []int{1, 3, 8} {
+			for _, recycle := range []bool{false, true} {
+				label := fmt.Sprintf("%s/workers=%d/recycle=%v", name, workers, recycle)
+				src, err := open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if src.(SpanSource).SpanStable() != (name == "stable") {
+					t.Fatalf("%s: SpanStable() = %v", label, name != "stable")
+				}
+				sc := NewScatter(src, workers, recycle)
+				got := make([][]telescope.Packet, workers)
+				engine.Run(engine.Config{Workers: workers}, sc.Feeds(),
+					func(shard int, p *telescope.Packet) bool {
+						if !bytes.Equal(p.Payload, payload) {
+							t.Errorf("%s: payload corrupted on shard %d", label, shard)
+						}
+						cp := *p
+						cp.Payload = append([]byte(nil), p.Payload...)
+						got[shard] = append(got[shard], cp)
+						return false
+					}, nil)
+				if err := sc.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if sc.Packets() != uint64(len(pkts)) {
+					t.Fatalf("%s: scattered %d packets, want %d", label, sc.Packets(), len(pkts))
+				}
+				idx := make([]int, workers)
+				for _, want := range pkts {
+					k := ibr.ShardOf(want.Src, workers)
+					sh := got[k]
+					if idx[k] >= len(sh) {
+						t.Fatalf("%s: shard %d ran out of packets", label, k)
 					}
-					cp := *p
-					cp.Payload = append([]byte(nil), p.Payload...)
-					got[shard] = append(got[shard], cp)
-					return false
-				}, nil)
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if sc.Packets() != uint64(len(pkts)) {
-				t.Fatalf("scattered %d packets, want %d", sc.Packets(), len(pkts))
-			}
-			idx := make([]int, workers)
-			for _, want := range pkts {
-				k := ibr.ShardOf(want.Src, workers)
-				sh := got[k]
-				if idx[k] >= len(sh) {
-					t.Fatalf("workers=%d recycle=%v: shard %d ran out of packets", workers, recycle, k)
-				}
-				p := sh[idx[k]]
-				idx[k]++
-				if p.TS != want.TS || p.Src != want.Src || p.SrcPort != want.SrcPort {
-					t.Fatalf("workers=%d recycle=%v: shard %d out of order", workers, recycle, k)
+					p := sh[idx[k]]
+					idx[k]++
+					if p.TS != want.TS || p.Src != want.Src || p.SrcPort != want.SrcPort {
+						t.Fatalf("%s: shard %d out of order", label, k)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestScatterNeedsSpansToShard pins what a Next-only source gets: one
+// shard replays it inline; more than one deliver nothing and report why,
+// naming the source's type (there is no second, packet-copying scatter).
+func TestScatterNeedsSpansToShard(t *testing.T) {
+	data := qsndBytes(t, salvagePackets(40))
+	for _, workers := range []int{1, 4} {
+		src, err := NewSource(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScatter(Limit(src, 25), workers, true)
+		var n uint64
+		drainScatter(sc, &n)
+		if workers == 1 {
+			if err := sc.Err(); err != nil || n != 25 || sc.Packets() != 25 {
+				t.Errorf("workers=1: %d emitted, %d scattered, err %v; want the 25 records Limit passes", n, sc.Packets(), err)
+			}
+			continue
+		}
+		if err := sc.Err(); err == nil || !strings.Contains(err.Error(), "*capture.limitSource frames no spans") {
+			t.Errorf("workers=%d: err = %v, want the one naming *capture.limitSource", workers, err)
+		}
+		if n != 0 || sc.Packets() != 0 {
+			t.Errorf("workers=%d: %d packets emitted, %d scattered from an unshardable source", workers, n, sc.Packets())
 		}
 	}
 }
@@ -560,25 +589,43 @@ func TestStreamingAllocs(t *testing.T) {
 	}
 }
 
-type errSource struct{ n int }
-
-var errBroken = errors.New("broken stream")
-
-func (s *errSource) Next() (*telescope.Packet, error) {
-	if s.n == 0 {
-		return nil, errBroken
-	}
-	s.n--
-	return &telescope.Packet{Src: netmodel.Addr(uint32(s.n)), Proto: telescope.ProtoUDP}, nil
-}
-
+// TestScatterSurfacesReadError breaks the stream under the reader after
+// record 700: both feeds deliver exactly the 700 records read before the
+// failure and report it through Err.
 func TestScatterSurfacesReadError(t *testing.T) {
+	var buf bytes.Buffer
+	w := telescope.NewWriter(&buf)
+	var breakAt uint64
+	for i, p := range salvagePackets(900) {
+		if i == 700 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			breakAt = uint64(buf.Len())
+		}
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
-		sc := NewScatter(&errSource{n: 700}, workers, true)
+		// The short-read span stops the window's buffer-sized reads at the
+		// break, so every record before it is framed before the read that
+		// fails; with no retry budget the failure is terminal.
+		src, err := NewSource(faultinject.NewReader(bytes.NewReader(buf.Bytes()),
+			faultinject.Fault{Kind: faultinject.ShortRead, Offset: breakAt - 1},
+			faultinject.Fault{Kind: faultinject.Transient, Offset: breakAt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScatter(src, workers, true)
 		engine.Run(engine.Config{Workers: workers}, sc.Feeds(),
 			func(int, *telescope.Packet) bool { return false }, nil)
-		if !errors.Is(sc.Err(), errBroken) {
-			t.Errorf("workers=%d: err = %v", workers, sc.Err())
+		var te *faultinject.TransientError
+		if !errors.As(sc.Err(), &te) || te.Offset != breakAt {
+			t.Errorf("workers=%d: err = %v, want the failure injected at byte %d", workers, sc.Err(), breakAt)
 		}
 		if sc.Packets() != 700 {
 			t.Errorf("workers=%d: packets before error = %d", workers, sc.Packets())

@@ -7,10 +7,9 @@ import (
 )
 
 // Limit returns a Source that yields at most n records from src, then
-// reports a clean io.EOF. The wrapper deliberately hides any
-// SpanSource implementation of src: record counting is exact only on
-// the sequential path, which is what the truncated-baseline
-// differential tests need.
+// reports a clean io.EOF. Like Skip it is a Next-only helper for
+// sequential consumers — Copy, a Streamer's Offer loop, a one-worker
+// replay; to replay a prefix sharded, Copy it into a capture first.
 func Limit(src Source, n uint64) Source {
 	return &limitSource{src: src, left: n}
 }

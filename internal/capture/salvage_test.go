@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -290,70 +291,68 @@ func TestPcapOversizeFrame(t *testing.T) {
 	}
 }
 
-// transientSource wraps a Source, failing Next with Temporary() errors
-// per the schedule before delegating.
-type transientSource struct {
-	src     Source
-	fail    map[uint64]int // record index → remaining transient failures
-	idx     uint64
-	retried uint64
-}
-
-func (ts *transientSource) Next() (*telescope.Packet, error) {
-	if n := ts.fail[ts.idx]; n > 0 {
-		ts.fail[ts.idx] = n - 1
-		ts.retried++
-		return nil, &faultinject.TransientError{Offset: ts.idx}
-	}
-	p, err := ts.src.Next()
-	if err == nil {
-		ts.idx++
-	}
-	return p, err
-}
-
-// TestScatterTransientRetry drives the record-level retry loop across
-// worker counts: injected Temporary() failures are retried per policy
-// and counted, and without a budget the first failure is terminal.
+// TestScatterTransientRetry drives transient read failures under both
+// scatter feeds and both containers: the source's window retries them per
+// policy and counts each retry in its ledger — the scatter itself never
+// retries — and without a budget the first failure is terminal.
 func TestScatterTransientRetry(t *testing.T) {
 	pkts := salvagePackets(40)
-	data, err := encodeCapture(pkts, FormatQSND)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		src0, err := NewSource(bytes.NewReader(data))
+	for _, format := range []Format{FormatQSND, FormatPcap} {
+		data, err := encodeCapture(pkts, format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := &transientSource{src: src0, fail: map[uint64]int{3: 2, 17: 1}}
-		sc := NewScatter(ts, workers, true)
-		sc.SetSalvage(SalvagePolicy{MaxRetries: 3, Sleep: func(time.Duration) {}})
-		var n uint64
-		drainScatter(sc, &n)
-		if err := sc.Err(); err != nil {
-			t.Fatalf("workers=%d: scatter err = %v", workers, err)
+		// Two failing offsets, each behind a short-read span that stops the
+		// window's buffer-sized reads there: two fills, retried separately.
+		at := []uint64{uint64(len(data)) / 3, uint64(len(data)) * 2 / 3}
+		open := func(pol SalvagePolicy) Source {
+			src, err := NewSource(faultinject.NewReader(bytes.NewReader(data),
+				faultinject.Fault{Kind: faultinject.ShortRead, Offset: at[0] - 1},
+				faultinject.Fault{Kind: faultinject.Transient, Offset: at[0], Count: 2},
+				faultinject.Fault{Kind: faultinject.ShortRead, Offset: at[1] - 1},
+				faultinject.Fault{Kind: faultinject.Transient, Offset: at[1]}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			SetSalvage(src, pol)
+			return src
 		}
-		if sc.Packets() != uint64(len(pkts)) {
-			t.Errorf("workers=%d: scattered %d packets, want %d", workers, sc.Packets(), len(pkts))
-		}
-		if tel := sc.Telemetry(); tel.TransientRetries != 3 {
-			t.Errorf("workers=%d: TransientRetries = %d, want 3", workers, tel.TransientRetries)
-		}
-	}
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/workers=%d", format, workers)
+			src := open(SalvagePolicy{MaxRetries: 2, Sleep: func(time.Duration) {}})
+			sc := NewScatter(src, workers, true)
+			var n uint64
+			drainScatter(sc, &n)
+			if err := sc.Err(); err != nil {
+				t.Fatalf("%s: scatter err = %v", label, err)
+			}
+			if n != uint64(len(pkts)) || sc.Packets() != n {
+				t.Errorf("%s: %d packets emitted, %d scattered, want %d", label, n, sc.Packets(), len(pkts))
+			}
+			if sv := SourceSalvage(src); sv.TransientRetries != 3 {
+				t.Errorf("%s: window retried %d times, want 3", label, sv.TransientRetries)
+			}
+			if tel := sc.Telemetry(); tel.TransientRetries != 0 {
+				t.Errorf("%s: scatter counted %d retries of its own", label, tel.TransientRetries)
+			}
 
-	// Without a retry budget the transient error is terminal.
-	src0, err := NewSource(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := &transientSource{src: src0, fail: map[uint64]int{3: 1}}
-	sc := NewScatter(ts, 1, true)
-	var n uint64
-	drainScatter(sc, &n)
-	var te *faultinject.TransientError
-	if !errors.As(sc.Err(), &te) {
-		t.Fatalf("unbudgeted scatter err = %v, want the injected TransientError", sc.Err())
+			// One retry is one short of the first offset's two failures, and
+			// no retry is one short of anything: terminal, with the error
+			// the reader saw.
+			for _, budget := range []int{1, 0} {
+				src := open(SalvagePolicy{MaxRetries: budget, Sleep: func(time.Duration) {}})
+				sc := NewScatter(src, workers, true)
+				var n uint64
+				drainScatter(sc, &n)
+				var te *faultinject.TransientError
+				if !errors.As(sc.Err(), &te) || te.Offset != at[0] {
+					t.Errorf("%s: with %d retries err = %v, want the TransientError injected at byte %d", label, budget, sc.Err(), at[0])
+				}
+				if n >= uint64(len(pkts)) {
+					t.Errorf("%s: with %d retries all %d packets arrived past the failure", label, budget, n)
+				}
+			}
+		}
 	}
 }
 

@@ -3,14 +3,13 @@ package capture
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime/pprof"
 	"sync"
 
 	"quicsand/internal/engine"
 	"quicsand/internal/ibr"
-	"quicsand/internal/netmodel"
-	"quicsand/internal/salvage"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 )
@@ -26,10 +25,11 @@ const (
 )
 
 // PacketBatch is one dispatch unit of the §9 slab contract: Pkts is the
-// value-typed slab a shard worker processes, arena backs the payload
-// bytes the slab entries alias. The reader (Scatter) or the producer
-// (the root Streamer) fills it by Append, hands it to exactly one
-// shard worker, and may Reset and refill it once that worker is done.
+// value-typed slab a shard worker processes, arena backs the bytes the
+// slab entries alias. The producer (the root Streamer) fills it by
+// Append — the scatter's shards by decoding spans into it — hands it to
+// exactly one shard worker, and may Reset and refill it once that worker
+// is done.
 type PacketBatch struct {
 	Pkts  []telescope.Packet
 	arena []byte
@@ -71,10 +71,10 @@ func (b *PacketBatch) Reset() {
 	b.arena = b.arena[:0]
 }
 
-// batch is one scatter unit. On the decode-after-scatter path spans
-// carries the raw record spans instead and Pkts starts empty — the
-// shard decodes spans into Pkts itself (arena then backs the span
-// bytes, unless the source hands out stable spans).
+// batch is one scatter unit: spans carries the raw record spans the
+// reader routed and Pkts starts empty — the shard decodes spans into
+// Pkts itself (arena backs the span bytes, unless the source hands out
+// stable spans).
 type batch struct {
 	PacketBatch
 	spans [][]byte
@@ -101,11 +101,15 @@ type shardDecode struct {
 // in stored order, and the sharded replay reduces to results
 // bit-identical to the live run for any worker count (DESIGN.md §10).
 //
-// Packets decode into per-shard slabs: the reader goroutine copies
-// each record's struct into the target shard's building batch and its
-// payload bytes into that batch's arena, then hands complete batches
-// over a bounded queue. No per-packet allocation occurs in the steady
-// state when recycling is on.
+// There is one sharded feed, decode-after-scatter (DESIGN.md §16): the
+// reader goroutine only frames records and routes the raw spans — lent
+// when the source's spans are stable (an OpenFile mapping of either
+// format), copied once into the routed shard's arena otherwise — and
+// each shard decodes its own batches into its packet slab. No per-packet
+// allocation occurs in the steady state when recycling is on. A source
+// that frames no spans cannot be sharded: the scatter delivers nothing
+// and says so through Err. One shard needs no scatter at all: its feed
+// reads Next inline, whatever the source.
 //
 // Slab ownership follows the §9 contract: a packet pointer emitted to
 // the engine is valid only during the sink call. With recycle=true the
@@ -118,14 +122,11 @@ type Scatter struct {
 	src     Source
 	n       int
 	recycle bool
-	pol     SalvagePolicy
 
-	// Decode-after-scatter (DESIGN.md §16): when the source frames
-	// spans, the reader goroutine stops decoding records and only
-	// routes raw spans; each shard parses its own batches (dec is
-	// concurrent-safe). stable spans alias source-owned memory (an
-	// OpenFile mapping of either format) and skip the arena — its
-	// allocation and the copy into it — entirely.
+	// The sharded feed's framing side (nil with one shard): the reader
+	// goroutine frames through span, each shard parses its own batches
+	// with dec (concurrent-safe). stable spans alias source-owned memory
+	// and skip the arena — its allocation and the copy into it — entirely.
 	span     SpanSource
 	dec      SpanDecoder
 	stable   bool
@@ -199,30 +200,32 @@ func (s *Scatter) flushIngest() {
 	s.ingItems = 0
 }
 
-// NewScatter prepares a scatter of src over n shards. Sources that
-// frame spans (SpanSource) get the decode-after-scatter path when
-// sharded; wrapped sources without the interface — notably the fault
-// injector's — keep the sequential decode so injected faults retain
-// their record-accurate semantics.
+// NewScatter prepares a scatter of src over n shards. With n > 1 src
+// must frame spans; every format reader does, and a Next-only wrapper
+// (Limit, Skip) yields the Err described on Scatter instead of packets.
 func NewScatter(src Source, n int, recycle bool) *Scatter {
 	s := &Scatter{src: src, n: n, recycle: recycle}
-	if n > 1 {
-		if sp, ok := src.(SpanSource); ok {
-			s.span = sp
-			s.dec = sp.SpanDecoder()
-			s.stable = sp.SpanStable()
-			s.shardDec = make([]shardDecode, n)
-		}
-		s.in = make([]chan *batch, n)
-		s.chans = make([]chan *batch, n)
-		s.free = make([]chan *batch, n)
-		for i := range s.chans {
-			s.in[i] = make(chan *batch, scatterDepth)
-			s.chans[i] = make(chan *batch, scatterDepth)
-			// One slot of slack so returning a drained batch never
-			// blocks a shard worker.
-			s.free[i] = make(chan *batch, scatterDepth+1)
-		}
+	if n == 1 {
+		return s
+	}
+	sp, ok := src.(SpanSource)
+	if !ok {
+		s.err = fmt.Errorf("capture: %T frames no spans, so it cannot be scattered over %d shards: replay it with one worker", src, n)
+		return s
+	}
+	s.span = sp
+	s.dec = sp.SpanDecoder()
+	s.stable = sp.SpanStable()
+	s.shardDec = make([]shardDecode, n)
+	s.in = make([]chan *batch, n)
+	s.chans = make([]chan *batch, n)
+	s.free = make([]chan *batch, n)
+	for i := range s.chans {
+		s.in[i] = make(chan *batch, scatterDepth)
+		s.chans[i] = make(chan *batch, scatterDepth)
+		// One slot of slack so returning a drained batch never
+		// blocks a shard worker.
+		s.free[i] = make(chan *batch, scatterDepth+1)
 	}
 	return s
 }
@@ -277,62 +280,23 @@ func (s *Scatter) Feeds() []engine.Feed[*telescope.Packet] {
 	return feeds
 }
 
-// SetSalvage installs the retry policy for transient source errors.
-// Must be set before the feeds start running. Byte-level salvage lives
-// in the sources themselves (capture.SetSalvage); this layer retries
-// record-level Temporary() failures from Next, assuming the source's
-// position survives a failed call — true for the format readers (they
-// consume a record only once all of it has been read, so a failed read
-// leaves them at the record start) and for the fault injector's record
-// wrappers.
-func (s *Scatter) SetSalvage(pol SalvagePolicy) { s.pol = pol }
-
-// next reads one record, retrying transient failures per policy. Runs
-// only on the reader goroutine (or feedInline's caller), so the retry
-// counter needs no synchronization.
-func (s *Scatter) next() (*telescope.Packet, error) {
-	attempt := 0
-	for {
-		p, err := s.src.Next()
-		if err != nil && attempt < s.pol.MaxRetries && salvage.IsTransient(err) {
-			attempt++
-			s.tel.TransientRetries++
-			s.pol.Wait(attempt)
-			continue
-		}
-		return p, err
-	}
-}
-
-// frameNext is next's framing twin: one record framed, transient
-// failures retried per policy.
-func (s *Scatter) frameNext() (int, netmodel.Addr, error) {
-	attempt := 0
-	for {
-		spanLen, src, err := s.span.FrameNext()
-		if err != nil && attempt < s.pol.MaxRetries && salvage.IsTransient(err) {
-			attempt++
-			s.tel.TransientRetries++
-			s.pol.Wait(attempt)
-			continue
-		}
-		return spanLen, src, err
-	}
-}
-
-// Err reports the first read error, if any. Valid once the engine run
-// has drained every feed (engine.Run returned).
+// Err reports the first read error, if any — or, from construction on,
+// that the source cannot be sharded. Valid once the engine run has
+// drained every feed (engine.Run returned). Transient errors arrive here
+// only after the source's window has spent its retry budget on them
+// (salvage.Window is the one place that retries).
 func (s *Scatter) Err() error { return s.err }
 
 // Packets returns the number of records scattered. Valid like Err.
 func (s *Scatter) Packets() uint64 { return s.packets }
 
 // Telemetry returns the ingest counters for the completed run. Valid
-// like Err. On the span path Records counts the records the shards
+// like Err. On the sharded feed Records counts the records the shards
 // decoded and DecodeDrops the spans they rejected — summed over
 // shards, these equal the sequential decoder's numbers, keeping the
-// Stream() projection worker-invariant (the reader-side skips are
-// added by Replay via SourceSkipped, as on every path).
+// Stream() projection worker-invariant (the reader-side skips and the
+// salvage ledger, transient retries included, are the source's to
+// report: SourceSkipped, SourceSalvage).
 func (s *Scatter) Telemetry() telemetry.Ingest {
 	t := s.tel
 	t.Records = s.packets
@@ -359,7 +323,7 @@ func (s *Scatter) Telemetry() telemetry.Ingest {
 // the Source contract.
 func (s *Scatter) feedInline(emit func(*telescope.Packet)) {
 	for {
-		p, err := s.next()
+		p, err := s.src.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.err = err
@@ -374,15 +338,16 @@ func (s *Scatter) feedInline(emit func(*telescope.Packet)) {
 }
 
 func (s *Scatter) feed(i int, emit func(*telescope.Packet)) {
+	if s.span == nil {
+		return // nothing to shard: NewScatter set Err
+	}
 	s.once.Do(func() {
 		go pprof.Do(context.Background(),
 			pprof.Labels("shard", "reader", "stage", "ingest"),
 			func(context.Context) { s.scatter() })
 	})
 	for b := range s.chans[i] {
-		if len(b.spans) > 0 {
-			s.decodeBatch(i, b)
-		}
+		s.decodeBatch(i, b)
 		for j := range b.Pkts {
 			emit(&b.Pkts[j])
 		}
@@ -395,9 +360,7 @@ func (s *Scatter) feed(i int, emit func(*telescope.Packet)) {
 			}
 		}
 	}
-	if s.span != nil {
-		s.flushDecode(i)
-	}
+	s.flushDecode(i)
 }
 
 // decodeBatch parses one batch of framed spans into its packet slab,
@@ -447,10 +410,10 @@ func (s *Scatter) flushDecode(i int) {
 
 // nextBatch recycles a drained batch for shard k, or allocates one.
 // Stable-span sources never touch the arena, so its allocation is
-// skipped for them. On the span path a fresh batch gets its span table
-// at full size: a reader that outruns the shards (a mapped file always
-// does) allocates batches steadily, and growing each table by append
-// would cost nine reallocations per batch.
+// skipped for them. A fresh batch gets its span table at full size: a
+// reader that outruns the shards (a mapped file always does) allocates
+// batches steadily, and growing each table by append would cost nine
+// reallocations per batch.
 func (s *Scatter) nextBatch(k int) *batch {
 	select {
 	case b := <-s.free[k]:
@@ -458,14 +421,11 @@ func (s *Scatter) nextBatch(k int) *batch {
 		return b
 	default:
 		s.tel.BatchAllocs++
-		b := &batch{}
+		b := &batch{spans: make([][]byte, 0, scatterBatch)}
 		if s.stable {
 			b.Pkts = make([]telescope.Packet, 0, scatterBatch)
 		} else {
 			b.PacketBatch = *NewPacketBatch(scatterBatch)
-		}
-		if s.span != nil {
-			b.spans = make([][]byte, 0, scatterBatch)
 		}
 		return b
 	}
@@ -474,74 +434,24 @@ func (s *Scatter) nextBatch(k int) *batch {
 // sendBatch hands a complete batch to shard k's pump.
 func (s *Scatter) sendBatch(k int, b *batch) {
 	s.tel.Batches++
-	fill := uint64(len(b.Pkts))
-	if len(b.spans) > 0 {
-		fill = uint64(len(b.spans))
-	}
-	s.tel.BatchFill.Observe(fill)
+	s.tel.BatchFill.Observe(uint64(len(b.spans)))
 	s.in[k] <- b
 }
 
-// scatter is the reader goroutine: it drains the source and deals
-// batches to the per-shard pumps. The bounded reader→pump hop smooths
-// bursts; sustained backpressure lands in the pumps' elastic queues,
-// never on the reader (see pump for why that is load-bearing).
+// scatter is the reader goroutine: it frames the source's records and
+// deals their raw spans — copied from the source's window into the
+// routed shard's arena, or aliasing source-owned memory when stable — to
+// the per-shard pumps in batches; the shards decode them. The bounded
+// reader→pump hop smooths bursts; sustained backpressure lands in the
+// pumps' elastic queues, never on the reader (see pump for why that is
+// load-bearing).
 func (s *Scatter) scatter() {
 	for i := range s.chans {
 		go pump(s.in[i], s.chans[i])
 	}
-	if s.span != nil {
-		s.scatterSpans()
-	} else {
-		s.scatterPackets()
-	}
-	s.flushIngest()
-	for _, ch := range s.in {
-		close(ch)
-	}
-}
-
-// scatterPackets is the sequential-decode reader loop: the source
-// decodes every record and the reader copies packets into shard slabs.
-func (s *Scatter) scatterPackets() {
 	building := make([]*batch, s.n)
 	for {
-		p, err := s.next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				s.err = err
-			}
-			break
-		}
-		k := ibr.ShardOf(p.Src, s.n)
-		b := building[k]
-		if b == nil {
-			b = s.nextBatch(k)
-			building[k] = b
-		}
-		b.Append(p)
-		s.packets++
-		s.recordIngest()
-		if len(b.Pkts) == scatterBatch {
-			s.sendBatch(k, b)
-			building[k] = nil
-		}
-	}
-	for k, b := range building {
-		if b != nil && len(b.Pkts) > 0 {
-			s.sendBatch(k, b)
-		}
-	}
-}
-
-// scatterSpans is the decode-after-scatter reader loop: the source
-// only frames records; raw spans are copied from its window into the
-// routed shard's arena (or alias source-owned memory when stable) and
-// the shard decodes them.
-func (s *Scatter) scatterSpans() {
-	building := make([]*batch, s.n)
-	for {
-		spanLen, src, err := s.frameNext()
+		spanLen, src, err := s.span.FrameNext()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.err = err
@@ -580,5 +490,9 @@ func (s *Scatter) scatterSpans() {
 		if b != nil && len(b.spans) > 0 {
 			s.sendBatch(k, b)
 		}
+	}
+	s.flushIngest()
+	for _, ch := range s.in {
+		close(ch)
 	}
 }

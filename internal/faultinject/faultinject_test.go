@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"reflect"
 	"testing"
 )
 
@@ -119,131 +118,5 @@ func TestReaderTransient(t *testing.T) {
 	var te *TransientError
 	if !errors.As(&TransientError{}, &te) || !te.Temporary() {
 		t.Fatal("TransientError must be Temporary")
-	}
-}
-
-func TestWriterENOSPC(t *testing.T) {
-	var sink bytes.Buffer
-	fw := NewWriter(&sink, Fault{Kind: WriteFull, Offset: 5})
-	n, err := fw.Write([]byte("0123"))
-	if err != nil || n != 4 {
-		t.Fatalf("write 1: n=%d err=%v", n, err)
-	}
-	n, err = fw.Write([]byte("4567"))
-	if !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("write 2: err=%v, want ErrNoSpace", err)
-	}
-	if n != 1 {
-		t.Fatalf("write 2 accepted %d bytes, want the 1 that fit", n)
-	}
-	if sink.String() != "01234" {
-		t.Fatalf("sink = %q", sink.String())
-	}
-	if _, err = fw.Write([]byte("x")); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("write 3: %v, want sticky ErrNoSpace", err)
-	}
-}
-
-func TestPlanDeterministic(t *testing.T) {
-	a := Plan(7, 1000, 5)
-	b := Plan(7, 1000, 5)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Plan not deterministic")
-	}
-	if len(a) != 5 {
-		t.Fatalf("len = %d", len(a))
-	}
-	c := Plan(8, 1000, 5)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical plans")
-	}
-	for _, f := range a {
-		if f.Offset >= 1000 {
-			t.Fatalf("offset %d out of range", f.Offset)
-		}
-	}
-}
-
-// intSource serves ints 0..n-1 then io.EOF.
-type intSource struct{ next, n int }
-
-func (s *intSource) Next() (int, error) {
-	if s.next >= s.n {
-		return 0, io.EOF
-	}
-	v := s.next
-	s.next++
-	return v, nil
-}
-
-func TestWrapSourceDropAndTransient(t *testing.T) {
-	fs := WrapSource[int](&intSource{n: 6},
-		RecordFault{Index: 2, Drop: 2},
-		RecordFault{Index: 4, Transient: 2},
-	)
-	var got []int
-	transients := 0
-	for {
-		v, err := fs.Next()
-		if err == io.EOF {
-			break
-		}
-		var te *TransientError
-		if errors.As(err, &te) {
-			transients++
-			continue
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		got = append(got, v)
-	}
-	if want := []int{0, 1, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	if transients != 2 {
-		t.Fatalf("transients = %d, want 2", transients)
-	}
-}
-
-// memSink is a minimal Sink[int] for wrapper tests.
-type memSink struct {
-	recs    []int
-	flushed bool
-}
-
-func (m *memSink) Capture(v int) { m.recs = append(m.recs, v) }
-func (m *memSink) Write(v int) error {
-	m.recs = append(m.recs, v)
-	return nil
-}
-func (m *memSink) Flush() error    { m.flushed = true; return nil }
-func (m *memSink) Err() error      { return nil }
-func (m *memSink) Count() uint64   { return uint64(len(m.recs)) }
-func (m *memSink) Dropped() uint64 { return 0 }
-
-func TestWrapSinkRefusesRecords(t *testing.T) {
-	m := &memSink{}
-	fs := WrapSink[int](m, RecordFault{Index: 1, Drop: 2})
-	for i := 0; i < 4; i++ {
-		err := fs.Write(i)
-		if (i == 1 || i == 2) != errors.Is(err, ErrNoSpace) {
-			t.Fatalf("write %d: err=%v", i, err)
-		}
-	}
-	if want := []int{0, 3}; !reflect.DeepEqual(m.recs, want) {
-		t.Fatalf("sink got %v, want %v", m.recs, want)
-	}
-	if fs.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", fs.Dropped())
-	}
-	if !errors.Is(fs.Err(), ErrNoSpace) {
-		t.Fatalf("Err = %v", fs.Err())
-	}
-	if err := fs.Flush(); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("Flush = %v", err)
-	}
-	if !m.flushed {
-		t.Fatal("wrapped Flush not called")
 	}
 }

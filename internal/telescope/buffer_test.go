@@ -162,10 +162,11 @@ func TestReaderOversizeRecord(t *testing.T) {
 	}
 }
 
-// TestReaderTransientMidRecord pins what makes capture.Scatter's
-// record-level retry sound: a transient error that arrives after part
-// of a record has been read leaves Offset at the record start, and the
-// retried call returns that record whole.
+// TestReaderTransientMidRecord pins the window's re-entry: a transient
+// error that outlives the retry budget (none here) and arrives after
+// part of a record has been read passes through unsticky with Offset
+// still at the record start, and a caller that calls again gets that
+// record whole.
 func TestReaderTransientMidRecord(t *testing.T) {
 	data, pkts, offs := salvageTrace(t, 6)
 	k := 3

@@ -17,11 +17,13 @@
 // Run executes the whole month and returns an Analysis whose Figure*
 // and Headline methods regenerate every figure and table of the
 // paper's evaluation (see EXPERIMENTS.md for the paper-vs-measured
-// record). The workload is declarative: Config.Scenario selects a
-// built-in or spec-loaded scenario (internal/scenario) in place of
-// the paper's hard-coded month. The server-side DoS benchmark
-// (Table 1) lives in internal/flood with real handshake machinery
-// from internal/quicserver and internal/quicclient.
+// record); Replay does the same over a stored capture and ReplayAlerts
+// adds the sliding-window detectors' alert stream — one batch driver
+// behind all three. The workload is declarative: Config.Scenario
+// selects a built-in or spec-loaded scenario (internal/scenario) in
+// place of the paper's hard-coded month. The server-side DoS benchmark
+// (Table 1) lives in internal/flood with real handshake machinery from
+// internal/quicserver and internal/quicclient.
 package quicsand
 
 import (
@@ -84,8 +86,10 @@ type Config struct {
 	// corrupt record or exhausted read aborts the replay, the historical
 	// behavior. SkipCorrupt resyncs past damaged spans and accounts them
 	// in Telemetry.Ingest; MaxRetries adds bounded exponential-backoff
-	// retries for transient (Temporary()) source errors. Ignored by
-	// live runs — generators do not fail.
+	// retries for transient (Temporary()) read errors — spent in the
+	// source's byte window and nowhere else, so the budget is the same
+	// for Replay, StreamReplay and capture.Copy. Ignored by live runs —
+	// generators do not fail.
 	Salvage capture.SalvagePolicy
 	// FlightRecorder, when non-nil, records the run's stage/shard
 	// timeline (DESIGN.md §15): per-slice spans for every pipeline stage
@@ -204,8 +208,9 @@ type pipelineShard struct {
 	sessions     []*sessions.Session
 	nonQUIC      uint64
 
-	// det is the shard's sliding-window detector bank (streaming
-	// mode only; nil in batch runs keeps the hot path unchanged).
+	// det is the shard's sliding-window detector bank, attached by a
+	// StreamConfig.Detect (a Streamer, ReplayAlerts); nil otherwise,
+	// which keeps the plain batch hot path unchanged.
 	det *detect.Shard
 
 	// Flight-recorder state (DESIGN.md §15): the shard's ring plus the
@@ -428,6 +433,30 @@ func (sh *pipelineShard) flush() {
 	sh.commonSz.Flush()
 }
 
+// drainDetectors collects what the detector banks of quiescent shards
+// have to report: each bank's counters and the alerts closed since the
+// previous drain, merged canonically across shards. final closes every
+// open episode first — the end of the stream. Batch replays call it once
+// the engine has joined, a Streamer at every checkpoint barrier; shards
+// without a bank (no StreamConfig.Detect) report nothing.
+func drainDetectors(shards []*pipelineShard, final bool) ([]telemetry.Detect, []detect.Alert) {
+	var met []telemetry.Detect
+	var lists [][]detect.Alert
+	for _, sh := range shards {
+		if sh.det == nil {
+			continue
+		}
+		if final {
+			sh.det.Flush()
+		}
+		met = append(met, sh.det.Metrics)
+		if l := sh.det.Drain(); len(l) > 0 {
+			lists = append(lists, l)
+		}
+	}
+	return met, detect.MergeAlerts(lists...)
+}
+
 // pipelinePlan is what planning fixes for a run: substrate, worker count,
 // schedule timing. A Streamer shares it with every checkpoint it freezes;
 // the generator is not in it, so a kept checkpoint keeps no schedule.
@@ -477,6 +506,11 @@ func (c *pipelinePlan) prepare() (gen *ibr.Generator, err error) {
 // — Run, Replay, NewStreamer and ResumeStreamer all start here. shards
 // is nil, or the unwired state ResumeStreamer decoded from a checkpoint.
 func planPipeline(cfg StreamConfig, shards []*pipelineShard) (*pipelinePlan, *ibr.Generator, []*pipelineShard, error) {
+	if cfg.Detect != nil {
+		if err := cfg.Detect.Validate(); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	c := &pipelinePlan{
 		cfg:     cfg,
 		workers: engine.Config{Workers: cfg.Workers}.ResolveWorkers(),
@@ -503,16 +537,20 @@ func planPipeline(cfg StreamConfig, shards []*pipelineShard) (*pipelinePlan, *ib
 	return c, gen, shards, nil
 }
 
-// analysis reduces shards into an Analysis. pstats arrives with the
-// engine's part and, as Wall, the time since c.start, and leaves with the
-// schedule and reduce stages; a non-nil rec's timeline ends here.
-func (c *pipelinePlan) analysis(shards []*pipelineShard, pstats *engine.Stats, rec *telemetry.Recorder) *Analysis {
+// analysis reduces shards into an Analysis; detMet is what drainDetectors
+// read off their detector banks. pstats arrives with the engine's part
+// and, as Wall, the time since c.start, and leaves with the schedule and
+// reduce stages; a non-nil rec's timeline ends here.
+func (c *pipelinePlan) analysis(shards []*pipelineShard, detMet []telemetry.Detect, pstats *engine.Stats, rec *telemetry.Recorder) *Analysis {
 	reduceStart := time.Now()
 	drv := rec.DriverRing()
 	red0 := drv.Now()
 	a := *c.proto // the substrate; every result field is still zero
 	a.reduce(shards, c.tum, c.rwth)
 	a.Telemetry = collectTelemetry(c.cfg.Config, shards, pstats)
+	for i := range detMet {
+		a.Telemetry.Detect.Merge(&detMet[i])
+	}
 	reduced := uint64(len(a.QUICSessions))
 	drv.Span(telemetry.StageReduce, red0, drv.Now()-red0, reduced)
 
@@ -641,11 +679,12 @@ type pipelineFeed struct {
 
 // runPipeline is the batch driver behind Run and Replay: plan and wire
 // the pipeline, run the engine over the feeds wire builds for the
-// resolved worker count, reduce.
-func runPipeline(cfg Config, wire func(gen *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed) (*Analysis, error) {
-	plan, gen, shards, err := planPipeline(StreamConfig{Config: cfg}, nil)
+// resolved worker count, drain the detector banks (if cfg attached any)
+// and reduce.
+func runPipeline(cfg StreamConfig, wire func(gen *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed) (*Analysis, []detect.Alert, error) {
+	plan, gen, shards, err := planPipeline(cfg, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rec := cfg.FlightRecorder
 	feed := wire(gen, plan.workers, rec)
@@ -653,22 +692,23 @@ func runPipeline(cfg Config, wire func(gen *ibr.Generator, workers int, rec *tel
 	pstats := engine.Run(
 		engine.Config{Workers: cfg.Workers, Recorder: rec, FeedStage: feed.stage},
 		feed.feeds,
-		func(i int, p *telescope.Packet) bool { return shards[i].process(p) }, traceTap(cfg))
+		func(i int, p *telescope.Packet) bool { return shards[i].process(p) }, traceTap(cfg.Config))
 	if feed.err != nil {
 		if err := feed.err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	pstats.Wall = time.Since(plan.start)
-	a := plan.analysis(shards, pstats, rec)
+	detMet, alerts := drainDetectors(shards, true)
+	a := plan.analysis(shards, detMet, pstats, rec)
 	feed.report(a.Telemetry)
-	return a, nil
+	return a, alerts, nil
 }
 
 // Run generates the month and performs every analysis stage in one
 // sharded streaming pass (see Config.Workers).
 func Run(cfg Config) (*Analysis, error) {
-	return runPipeline(cfg, func(gen *ibr.Generator, workers int, _ *telemetry.Recorder) pipelineFeed {
+	a, _, err := runPipeline(StreamConfig{Config: cfg}, func(gen *ibr.Generator, workers int, _ *telemetry.Recorder) pipelineFeed {
 		// Packet-slab recycling is legal only when nothing retains packet
 		// pointers past the sink call; the trace tap buffers packets across
 		// goroutines, so checkpointing runs pay the allocations instead.
@@ -688,14 +728,15 @@ func Run(cfg Config) (*Analysis, error) {
 			},
 		}
 	})
+	return a, err
 }
 
 // Replay performs the full analysis over a stored packet stream — a
 // QSND checkpoint or a pcap — instead of generating one (see
-// internal/capture). Packets scatter to the sharded engine by source
-// address through per-shard slabs, so `Run → trace to disk → Replay`
-// produces an Analysis bit-identical to the direct run for any worker
-// count, on either side (DESIGN.md §10).
+// internal/capture). Records scatter to the sharded engine by source
+// address as framed spans and each shard decodes its own, so `Run →
+// trace to disk → Replay` produces an Analysis bit-identical to the
+// direct run for any worker count, on either side (DESIGN.md §10).
 //
 // cfg must carry the recorded run's seed/scale/thinning parameters:
 // the schedule-derived ground truth (victim organizations, bot tags
@@ -704,7 +745,23 @@ func Run(cfg Config) (*Analysis, error) {
 // re-checkpoints the stream (the convert path with analysis). For
 // foreign captures the ground truth is simply empty simulation state;
 // every packet-derived figure still computes.
+//
+// With more than one worker src must frame spans (capture.SpanSource),
+// as everything capture.OpenFile, NewSource and NewQSNDBuffer return
+// does; a Next-only source replays at Workers 1.
 func Replay(cfg Config, src capture.Source) (*Analysis, error) {
+	a, _, err := ReplayAlerts(StreamConfig{Config: cfg}, src)
+	return a, err
+}
+
+// ReplayAlerts is Replay with the streaming attachments: cfg.Detect puts
+// one sliding-window detector bank on every shard and the replay also
+// returns the complete alert stream (every episode, the ones still open
+// at end of stream closed there; canonical order, identical for every
+// worker count), cfg.MaxActiveSessions bounds the sessionizers. The
+// Analysis is Replay's plus Telemetry.Detect — the engine of `quicsand
+// replay -alerts`.
+func ReplayAlerts(cfg StreamConfig, src capture.Source) (*Analysis, []detect.Alert, error) {
 	return runPipeline(cfg, func(_ *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed {
 		// Replayed packets live in scatter-owned slabs under the same §9
 		// ownership contract as generator slabs: recycling is legal exactly
@@ -712,10 +769,8 @@ func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 		sc := capture.NewScatter(src, workers, cfg.Trace == nil)
 		sc.SetRecorder(rec)
 		if cfg.Salvage.Enabled() {
-			// Byte-level salvage (resync, short-read retry) lives in the
-			// source; the scatter adds record-level transient retry on top.
+			// Resync and transient retry both live in the source's window.
 			capture.SetSalvage(src, cfg.Salvage)
-			sc.SetSalvage(cfg.Salvage)
 		}
 		return pipelineFeed{
 			stage: telemetry.StageScatter,
@@ -741,13 +796,13 @@ func ingestLedger(in telemetry.Ingest, src capture.Source) telemetry.Ingest {
 	// number; on the span path it completes the shard drops to the same
 	// worker-invariant total.
 	in.DecodeDrops += capture.SourceSkipped(src)
-	if sv := capture.SourceSalvage(src); sv != (capture.SalvageStats{}) {
-		in.CorruptRecords = sv.CorruptRecords
-		in.ResyncScans = sv.ResyncScans
-		in.SalvagedBytes = sv.SalvagedBytes
-		in.SalvageMaxLost = sv.MaxLostRecords
-		in.TransientRetries += sv.TransientRetries
-	}
+	// The source's window keeps the one salvage ledger, retries included.
+	sv := capture.SourceSalvage(src)
+	in.CorruptRecords = sv.CorruptRecords
+	in.ResyncScans = sv.ResyncScans
+	in.SalvagedBytes = sv.SalvagedBytes
+	in.SalvageMaxLost = sv.MaxLostRecords
+	in.TransientRetries = sv.TransientRetries
 	return in
 }
 

@@ -5,13 +5,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"quicsand/internal/capture"
+	"quicsand/internal/detect"
+	"quicsand/internal/faultinject"
 	"quicsand/internal/oracle"
 	"quicsand/internal/scenario"
 	"quicsand/internal/telescope"
@@ -466,5 +470,82 @@ func TestStreamReplaySalvage(t *testing.T) {
 				t.Error("salvaged stream analysis diverged from the salvaged batch analysis")
 			}
 		})
+	}
+}
+
+// TestSalvageTransientOneBudget pins that Salvage.MaxRetries is one
+// budget whoever drives the reader: a read that fails transiently N times
+// in a row is survived — and counted as N retries — by Replay at every
+// worker count, ReplayAlerts, StreamReplay and capture.Copy alike, and
+// one more failure is terminal on all of them, with the injected error.
+// (The scatter used to retry the window's failed call again: N²+2N.)
+func TestSalvageTransientOneBudget(t *testing.T) {
+	cfg, _, qsnd, pcap := salvageFixture(t)
+	const budget = 2
+	cfg.Salvage = capture.SalvagePolicy{MaxRetries: budget, Sleep: func(time.Duration) {}}
+	dcfg := detect.Default()
+
+	type leg struct {
+		name string
+		run  func(src capture.Source) (telemetryRetries uint64, err error)
+	}
+	analysed := func(a *Analysis, err error) (uint64, error) {
+		if err != nil {
+			return 0, err
+		}
+		return a.Telemetry.Ingest.TransientRetries, nil
+	}
+	var legs []leg
+	for _, workers := range []int{1, 2, 8} {
+		wcfg := cfg
+		wcfg.Workers = workers
+		legs = append(legs, leg{fmt.Sprintf("Replay/workers=%d", workers), func(src capture.Source) (uint64, error) {
+			return analysed(Replay(wcfg, src))
+		}})
+	}
+	legs = append(legs,
+		leg{"ReplayAlerts", func(src capture.Source) (uint64, error) {
+			a, _, err := ReplayAlerts(StreamConfig{Config: cfg, Detect: &dcfg}, src)
+			return analysed(a, err)
+		}},
+		leg{"StreamReplay", func(src capture.Source) (uint64, error) {
+			final, err := StreamReplay(StreamConfig{Config: cfg}, src, 0, nil)
+			if err != nil {
+				return 0, err
+			}
+			return analysed(final.Analysis(), nil)
+		}},
+		leg{"Copy", func(src capture.Source) (uint64, error) {
+			capture.SetSalvage(src, cfg.Salvage)
+			_, err := capture.Copy(capture.NewSink(io.Discard, capture.FormatQSND), src)
+			return capture.SourceSalvage(src).TransientRetries, err
+		}})
+
+	for format, data := range map[string][]byte{"qsnd": qsnd, "pcap": pcap} {
+		at := uint64(len(data)) / 2
+		for _, l := range legs {
+			for _, failures := range []int{budget, budget + 1} {
+				// The short-read span stops the window's buffer-sized reads
+				// just before the failing offset, wherever in the capture.
+				src, err := capture.NewSource(faultinject.NewReader(bytes.NewReader(data),
+					faultinject.Fault{Kind: faultinject.ShortRead, Offset: at - 1},
+					faultinject.Fault{Kind: faultinject.Transient, Offset: at, Count: failures}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				retries, err := l.run(src)
+				label := fmt.Sprintf("%s/%s/%d failures", format, l.name, failures)
+				if failures <= budget {
+					if err != nil || retries != budget {
+						t.Errorf("%s: err %v after %d retries, want success after %d", label, err, retries, budget)
+					}
+					continue
+				}
+				var te *faultinject.TransientError
+				if !errors.As(err, &te) || te.Offset != at {
+					t.Errorf("%s: err = %v, want the TransientError injected at byte %d", label, err, at)
+				}
+			}
+		}
 	}
 }

@@ -7,7 +7,10 @@
 #      reproduces the recorded run's headline JSON exactly;
 #   3. the pcap replays to the same document — ingest_* lines included —
 #      whether it is opened as a file (memory-mapped) or piped through
-#      /dev/stdin (streamed), at different worker counts.
+#      /dev/stdin (streamed), at different worker counts;
+#   4. `replay -alerts` — the same replay with the detector bank — writes
+#      the same headline and the same alert bytes from the file and from
+#      the pipe.
 #
 # Usage: scripts/replay_roundtrip.sh [scale]   (default 0.005)
 # Used by the CI replay-roundtrip job; run locally after touching
@@ -51,4 +54,14 @@ cat "$tmp/month.pcap" | "$tmp/quicsand" replay $sim -workers 3 -i /dev/stdin -fi
 diff -u "$tmp/replay.json" "$tmp/piped.json" || {
     echo "FAIL: piped (streamed) pcap replay diverged from the file (mapped) replay" >&2; exit 1; }
 
-echo "replay round trip OK (scale $scale): lossless convert + bit-identical replays, mapped = piped" >&2
+# The same pair with the detectors attached: one replay path, so the
+# headline is the document above and the alert stream is the same bytes
+# either way.
+"$tmp/quicsand" replay $sim -workers 8 -i "$tmp/month.pcap" -alerts "$tmp/alerts.file.jsonl" -fig headline-json > "$tmp/alerts.file.json"
+cat "$tmp/month.pcap" | "$tmp/quicsand" replay $sim -workers 3 -i /dev/stdin -alerts "$tmp/alerts.pipe.jsonl" -fig headline-json > "$tmp/alerts.pipe.json"
+diff -u "$tmp/replay.json" "$tmp/alerts.file.json" && diff -u "$tmp/alerts.file.json" "$tmp/alerts.pipe.json" || {
+    echo "FAIL: replay -alerts headline diverged (plain vs -alerts, or file vs pipe)" >&2; exit 1; }
+cmp "$tmp/alerts.file.jsonl" "$tmp/alerts.pipe.jsonl" || {
+    echo "FAIL: replay -alerts wrote different alerts from the file and from the pipe" >&2; exit 1; }
+
+echo "replay round trip OK (scale $scale): lossless convert + bit-identical replays, mapped = piped, with and without -alerts" >&2

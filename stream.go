@@ -17,13 +17,14 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// StreamConfig parameterizes a Streamer: the batch Config plus the
-// streaming-only knobs.
+// StreamConfig parameterizes a Streamer or a ReplayAlerts call: the
+// batch Config plus the detection-side knobs.
 type StreamConfig struct {
 	Config
 
 	// Detect, when non-nil, attaches one sliding-window detector bank
-	// per shard; alerts drain through Checkpoint/Close.
+	// per shard; alerts drain through Checkpoint/Close (ReplayAlerts
+	// returns them).
 	Detect *detect.Config
 
 	// MaxActiveSessions, when positive, is the per-sessionizer hard
@@ -113,11 +114,6 @@ func NewStreamer(cfg StreamConfig) (*Streamer, error) {
 // newStreamer builds a Streamer over fresh shards or, for ResumeStreamer,
 // over a checkpoint's decoded shards and their captured-packet counts.
 func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*Streamer, error) {
-	if cfg.Detect != nil {
-		if err := cfg.Detect.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	plan, gen, shards, err := planPipeline(cfg, decoded)
 	if err != nil {
 		return nil, err
@@ -328,7 +324,6 @@ func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 	if final {
 		c.stats, c.rec = s.stats, s.cfg.FlightRecorder
 	}
-	var lists [][]detect.Alert
 	s.barrier(func() {
 		c.shards = make([]*pipelineShard, len(s.shards))
 		for i, sh := range s.shards {
@@ -336,9 +331,6 @@ func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 				// Clones carry no ring, so no reduction can close the live
 				// shard's open slice; Close joined the ring's writer.
 				sh.flightClose()
-				if sh.det != nil {
-					sh.det.Flush()
-				}
 			}
 			if s.closed {
 				// No tick follows: drop the log, so the final
@@ -348,15 +340,9 @@ func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 				sh.logSessions()
 			}
 			c.shards[i] = sh.clone()
-			if sh.det != nil {
-				c.detMet = append(c.detMet, sh.det.Metrics)
-				if l := sh.det.Drain(); len(l) > 0 {
-					lists = append(lists, l)
-				}
-			}
 		}
+		c.detMet, c.Alerts = drainDetectors(s.shards, final)
 	})
-	c.Alerts = detect.MergeAlerts(lists...)
 	return c
 }
 
@@ -394,11 +380,8 @@ func (c *StreamCheckpoint) Analysis() *Analysis {
 	if c.stats != nil {
 		pstats.ShardBusy, pstats.Stages, pstats.Engine = c.stats.ShardBusy, c.stats.Stages, c.stats.Engine
 	}
-	a := c.analysis(clones, pstats, c.rec)
+	a := c.analysis(clones, c.detMet, pstats, c.rec)
 	a.Telemetry.Ingest, a.Telemetry.Generate = c.ingest, c.generate
-	for i := range c.detMet {
-		a.Telemetry.Detect.Merge(&c.detMet[i])
-	}
 	return a
 }
 
@@ -448,11 +431,13 @@ func StreamLive(cfg StreamConfig, interval uint64, onCheckpoint func(*StreamChec
 	return final, nil
 }
 
-// StreamReplay drives a stored capture through the streamer — the
-// streaming twin of Replay, used by `quicsand replay -alerts`.
-// interval and onCheckpoint as in StreamLive. cfg.Salvage applies to
-// the source as in Replay, and the final checkpoint's Analysis carries
-// the same ingest ledger Replay reports.
+// StreamReplay drives a stored capture through the streamer by a
+// Source.Next loop — the push driver over a capture, for callers that
+// want mid-stream checkpoints (interval and onCheckpoint as in
+// StreamLive) and the reference ReplayAlerts is held to; a one-shot
+// analysis with alerts is ReplayAlerts. cfg.Salvage applies to the
+// source as in Replay, and the final checkpoint's Analysis carries the
+// same ingest ledger Replay reports.
 func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheckpoint func(*StreamCheckpoint)) (*StreamCheckpoint, error) {
 	s, err := NewStreamer(cfg)
 	if err != nil {

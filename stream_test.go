@@ -83,14 +83,12 @@ func TestStreamEqualsBatch(t *testing.T) {
 			}
 			pcapData := pcapBuf.Bytes()
 
-			// Truncated batch baseline: a fresh Replay over exactly the
-			// first N records of the stream.
+			// Truncated batch baseline: a fresh Replay over a real capture
+			// of exactly the first N records of the stream, sharded like
+			// any other stored capture.
 			n := total / 2
-			truncSrc, err := capture.NewSource(bytes.NewReader(qsnd))
-			if err != nil {
-				t.Fatal(err)
-			}
-			truncated, err := Replay(run.cfg.Config, capture.Limit(truncSrc, n))
+			prefix := copyCapture(t, capture.Limit(openStream(t, qsnd), n), capture.FormatQSND)
+			truncated, err := Replay(run.cfg.Config, openStream(t, prefix))
 			if err != nil {
 				t.Fatal(err)
 			}

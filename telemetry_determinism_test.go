@@ -175,12 +175,14 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 // convertToPcap re-containers a QSND checkpoint as pcap.
 func convertToPcap(t *testing.T, qsnd []byte) []byte {
 	t.Helper()
-	src, err := capture.NewSource(bytes.NewReader(qsnd))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return copyCapture(t, openStream(t, qsnd), capture.FormatPcap)
+}
+
+// copyCapture drains src into a fresh in-memory capture of format f.
+func copyCapture(t *testing.T, src capture.Source, f capture.Format) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	sink := capture.NewSink(&buf, capture.FormatPcap)
+	sink := capture.NewSink(&buf, f)
 	if _, err := capture.Copy(sink, src); err != nil {
 		t.Fatal(err)
 	}
