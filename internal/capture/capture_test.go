@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -444,8 +446,11 @@ func TestFormatDetection(t *testing.T) {
 // TestScatterShardsByAddressInOrder pins the replay sharding
 // invariant: every packet lands on ibr.ShardOf(src) and per-shard
 // order is the stored order — for the inline and the sharded feed, over
-// a streamed source (spans copied into shard arenas) and a stable one
-// (spans lent), with and without recycling.
+// a streamed source (spans copied into batch arenas) and a stable one
+// (spans lent), with and without recycling. It also pins who owns the
+// packet memory on the sharded feed: recycling, every packet of a shard
+// lives in that shard's one slab; not recycling, an emitted pointer stays
+// good after the run (what a trace tap, which buffers pointers, relies on).
 func TestScatterShardsByAddressInOrder(t *testing.T) {
 	var pkts []*telescope.Packet
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
@@ -474,6 +479,7 @@ func TestScatterShardsByAddressInOrder(t *testing.T) {
 				}
 				sc := NewScatter(src, workers, recycle)
 				got := make([][]telescope.Packet, workers)
+				kept := make([][]*telescope.Packet, workers)
 				engine.Run(engine.Config{Workers: workers}, sc.Feeds(),
 					func(shard int, p *telescope.Packet) bool {
 						if !bytes.Equal(p.Payload, payload) {
@@ -482,6 +488,7 @@ func TestScatterShardsByAddressInOrder(t *testing.T) {
 						cp := *p
 						cp.Payload = append([]byte(nil), p.Payload...)
 						got[shard] = append(got[shard], cp)
+						kept[shard] = append(kept[shard], p)
 						return false
 					}, nil)
 				if err := sc.Err(); err != nil {
@@ -501,6 +508,28 @@ func TestScatterShardsByAddressInOrder(t *testing.T) {
 					idx[k]++
 					if p.TS != want.TS || p.Src != want.Src || p.SrcPort != want.SrcPort {
 						t.Fatalf("%s: shard %d out of order", label, k)
+					}
+				}
+				if workers == 1 {
+					continue // inline feed: the packet is the source's own
+				}
+				for k := range got {
+					if recycle {
+						addrs := make(map[*telescope.Packet]struct{})
+						for _, p := range kept[k] {
+							addrs[p] = struct{}{}
+						}
+						if len(addrs) > scatterBatch {
+							t.Errorf("%s: shard %d emitted %d packets from %d distinct addresses, want one slab (≤ %d)",
+								label, k, len(kept[k]), len(addrs), scatterBatch)
+						}
+						continue
+					}
+					for j, p := range kept[k] {
+						if !samePacket(p, &got[k][j]) {
+							t.Fatalf("%s: shard %d packet %d changed after its sink call: %+v, emitted as %+v",
+								label, k, j, *p, got[k][j])
+						}
 					}
 				}
 			}
@@ -533,6 +562,110 @@ func TestScatterNeedsSpansToShard(t *testing.T) {
 		if n != 0 || sc.Packets() != 0 {
 			t.Errorf("workers=%d: %d packets emitted, %d scattered from an unshardable source", workers, n, sc.Packets())
 		}
+	}
+}
+
+// TestScatterFreeStack pins that a returned batch is never dropped: more
+// batches than any channel depth held come back as the same pointers, a
+// warmed put/take cycle allocates nothing, and with several shards
+// putting while the reader takes, each batch is handed out exactly once.
+func TestScatterFreeStack(t *testing.T) {
+	var f freeStack
+	if b := f.take(); b != nil {
+		t.Fatalf("empty stack handed out %p", b)
+	}
+	const k = 64
+	put := make(map[*batch]bool, k)
+	for i := 0; i < k; i++ {
+		b := new(batch)
+		put[b] = true
+		f.put(b)
+	}
+	if avg := testing.AllocsPerRun(100, func() { f.put(f.take()) }); avg != 0 {
+		t.Errorf("warmed take+put: %.2f allocs, want 0", avg)
+	}
+	for i := 0; i < k; i++ {
+		b := f.take()
+		if !put[b] {
+			t.Fatalf("take %d returned %p: not a batch that was put, or one already taken", i, b)
+		}
+		delete(put, b)
+	}
+	if b := f.take(); b != nil {
+		t.Fatalf("drained stack handed out %p", b)
+	}
+
+	const putters, each = 4, 500
+	var wg sync.WaitGroup
+	for g := 0; g < putters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				f.put(new(batch))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	seen := make(map[*batch]bool, putters*each)
+	for putting := true; putting; {
+		select {
+		case <-done:
+			putting = false // one last sweep below takes what is left
+		default:
+		}
+		for b := f.take(); b != nil; b = f.take() {
+			if seen[b] {
+				t.Fatalf("batch %p taken twice", b)
+			}
+			seen[b] = true
+		}
+	}
+	if len(seen) != putters*each {
+		t.Errorf("took %d batches, %d were put", len(seen), putters*each)
+	}
+}
+
+// TestScatterReplayAllocs locks the sharded replay's memory budget over a
+// stable source: at most 40 bytes allocated per record. A span table that
+// is never recycled costs 24 (one slice header per record); packet memory
+// allocated per batch — 56 per record — does not fit beside it, so this
+// fails if the slab moves back from the shard into the batch. The batch
+// ledger must close whatever the scheduling made of the recycling.
+func TestScatterReplayAllocs(t *testing.T) {
+	const workers, records = 3, 120 * scatterBatch
+	pkts := make([]*telescope.Packet, records)
+	payload := []byte{0xc0, 0x00, 0x00, 0x00, 0x01, 0x08}
+	for i := range pkts {
+		pkts[i] = &telescope.Packet{
+			TS:  tsAt(time.Duration(i) * time.Millisecond),
+			Src: netmodel.Addr(0x0a000001 + uint32(i%251)*0x101),
+			Dst: netmodel.MustAddr("44.0.0.1"), SrcPort: 443, DstPort: uint16(i),
+			Proto: telescope.ProtoUDP, Size: uint16(len(payload)), Payload: payload,
+		}
+	}
+	src, err := NewQSNDBuffer(qsndBytes(t, pkts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScatter(src, workers, true)
+	feeds := sc.Feeds()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	engine.Run(engine.Config{Workers: workers}, feeds,
+		func(int, *telescope.Packet) bool { return false }, nil)
+	runtime.ReadMemStats(&after)
+	if err := sc.Err(); err != nil || sc.Packets() != records {
+		t.Fatalf("scattered %d of %d records, err %v", sc.Packets(), records, err)
+	}
+	if perRecord := float64(after.TotalAlloc-before.TotalAlloc) / records; perRecord > 40 {
+		t.Errorf("sharded replay allocated %.1f bytes/record, want ≤ 40", perRecord)
+	}
+	tel := sc.Telemetry()
+	if tel.Batches < 100 || tel.BatchAllocs+tel.BatchReuses != tel.Batches {
+		t.Errorf("batch ledger: %d batches (want ≥ 100) = %d allocated + %d reused",
+			tel.Batches, tel.BatchAllocs, tel.BatchReuses)
 	}
 }
 

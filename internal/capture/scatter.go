@@ -14,22 +14,25 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// Scatter batching: one value-typed packet slab plus one payload arena
-// per in-flight batch, mirroring the engine tap's buffer recycling in
-// the opposite direction.
+// Scatter batching: the reader deals records to the shards as batches of
+// raw spans; each shard decodes them into its own packet slab.
 const (
 	scatterBatch = 256
-	// scatterDepth is the per-shard queue depth in batches — the
-	// reader's run-ahead window over the slowest shard.
+	// scatterDepth is the depth, in batches, of each bounded hop between
+	// the reader and a shard (reader → pump, pump → feed). The hops pace
+	// the reader against bursts; they do not bound how far it runs ahead —
+	// the pumps' elastic queues absorb that (see pump) — so nothing else
+	// may be sized from it.
 	scatterDepth = 4
 )
 
-// PacketBatch is one dispatch unit of the §9 slab contract: Pkts is the
-// value-typed slab a shard worker processes, arena backs the bytes the
-// slab entries alias. The producer (the root Streamer) fills it by
-// Append — the scatter's shards by decoding spans into it — hands it to
-// exactly one shard worker, and may Reset and refill it once that worker
-// is done.
+// PacketBatch is the streaming producer's dispatch unit under the §9
+// slab contract: Pkts is the value-typed slab a shard worker processes,
+// arena backs the bytes the slab entries alias. The producer (the root
+// Streamer) fills it by Append, hands it to exactly one shard worker, and
+// may Reset and refill it once that worker is done. The replay scatter
+// does not use it: there records cross goroutines as spans (batch) and a
+// packet never does.
 type PacketBatch struct {
 	Pkts  []telescope.Packet
 	arena []byte
@@ -71,20 +74,71 @@ func (b *PacketBatch) Reset() {
 	b.arena = b.arena[:0]
 }
 
-// batch is one scatter unit: spans carries the raw record spans the
-// reader routed and Pkts starts empty — the shard decodes spans into
-// Pkts itself (arena backs the span bytes, unless the source hands out
-// stable spans).
+// batch is one scatter unit, the only thing that crosses from the reader
+// to a shard: the raw record spans the reader routed there, in stored
+// order, and — for streamed sources only — the arena those spans were
+// copied into (stable spans alias source-owned memory and need none). It
+// holds no packet: the shard that receives it decodes the spans into its
+// own slab (shardDecode.slab), so packet memory is written and read on
+// one core only.
 type batch struct {
-	PacketBatch
 	spans [][]byte
+	arena []byte
 }
 
-// shardDecode is one shard's decode-side state: counters for the
-// records it decoded and dropped, plus the open flight-recorder slice.
-// Single-writer (the shard's feed goroutine); read after engine.Run
-// joins, exactly like Scatter.tel.
+// freeStack holds the drained batches on their way back to the reader:
+// shards put, the reader takes. It is unbounded on purpose. A mapped
+// reader outruns its shards by hundreds of batches (200–400 of the 1 699
+// on the benchmark's flood pcap), so a free list sized to the channel
+// depth overflows at once and what it cannot hold is allocated again.
+// Every batch in the stack was in flight a moment ago, so the stack adds
+// no memory to the run's peak — it only stops that peak from being
+// reallocated. One stack serves all shards: without a slab a batch is
+// fungible (with a streamed source every batch has an arena, with a
+// stable one none does), and last-in-first-out hands the reader the span
+// table most recently in a cache.
+type freeStack struct {
+	mu sync.Mutex
+	bs []*batch
+}
+
+func (f *freeStack) put(b *batch) {
+	f.mu.Lock()
+	f.bs = append(f.bs, b)
+	f.mu.Unlock()
+}
+
+// take returns a drained batch, or nil when none has come back yet.
+func (f *freeStack) take() *batch {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.bs)
+	if n == 0 {
+		return nil
+	}
+	b := f.bs[n-1]
+	f.bs[n-1] = nil
+	f.bs = f.bs[:n-1]
+	return b
+}
+
+// shardDecode is one shard's decode-side state: the packet slab it
+// decodes every batch into, counters for the records it decoded and
+// dropped, plus the open flight-recorder slice. Single-writer (the
+// shard's feed goroutine); read after engine.Run joins, exactly like
+// Scatter.tel.
 type shardDecode struct {
+	// slab is the shard's one scatterBatch-entry packet slab, allocated by
+	// the shard itself on its first batch and overwritten by every later
+	// one. Only kept when the scatter recycles: reusing it is the same §9
+	// licence as reusing a batch (a pointer is valid only during the sink
+	// call), and a trace tap that buffers pointers gets a fresh slab per
+	// batch instead.
+	slab []telescope.Packet
+	// touched is where the first-touch pass leaves the bytes it loaded, so
+	// the loads have a use the compiler must keep.
+	touched uint64
+
 	decoded uint64
 	drops   uint64
 
@@ -104,20 +158,25 @@ type shardDecode struct {
 // There is one sharded feed, decode-after-scatter (DESIGN.md §16): the
 // reader goroutine only frames records and routes the raw spans — lent
 // when the source's spans are stable (an OpenFile mapping of either
-// format), copied once into the routed shard's arena otherwise — and
-// each shard decodes its own batches into its packet slab. No per-packet
-// allocation occurs in the steady state when recycling is on. A source
-// that frames no spans cannot be sharded: the scatter delivers nothing
-// and says so through Err. One shard needs no scatter at all: its feed
-// reads Next inline, whatever the source.
+// format), copied once into the routed batch's arena otherwise — and
+// each shard decodes its own batches into its own packet slab. A record
+// crosses cores once, as a span; its packet never does. With recycling on
+// the steady state allocates nothing: no packet memory at all after each
+// shard's first batch, and a span table only while the number of batches
+// in flight is still growing. A source that frames no spans cannot be
+// sharded: the scatter delivers nothing and says so through Err. One
+// shard needs no scatter at all: its feed reads Next inline, whatever the
+// source.
 //
 // Slab ownership follows the §9 contract: a packet pointer emitted to
 // the engine is valid only during the sink call. With recycle=true the
-// shard worker returns each drained batch to the reader for reuse —
-// legal only when nothing retains packet pointers past the sink call,
-// so replays that attach a trace tap must pass recycle=false (the tap
-// buffers packets across goroutines), exactly like the generator's
-// slab recycling rule.
+// shard decodes every batch into the same slab and returns the drained
+// batch to the reader through the free stack — legal only when nothing
+// retains packet pointers past the sink call, so replays that attach a
+// trace tap must pass recycle=false (the tap buffers packets across
+// goroutines; each batch then gets a slab of its own, allocated by the
+// shard, and is not reused), exactly like the generator's slab recycling
+// rule.
 type Scatter struct {
 	src     Source
 	n       int
@@ -125,8 +184,9 @@ type Scatter struct {
 
 	// The sharded feed's framing side (nil with one shard): the reader
 	// goroutine frames through span, each shard parses its own batches
-	// with dec (concurrent-safe). stable spans alias source-owned memory
-	// and skip the arena — its allocation and the copy into it — entirely.
+	// with dec (concurrent-safe) into its shardDec slab. stable spans alias
+	// source-owned memory and skip the arena — its allocation and the copy
+	// into it — entirely.
 	span     SpanSource
 	dec      SpanDecoder
 	stable   bool
@@ -134,7 +194,7 @@ type Scatter struct {
 
 	in    []chan *batch // reader → per-shard pump
 	chans []chan *batch // pump → shard feed
-	free  []chan *batch // shard feed → reader (recycling)
+	free  freeStack     // shard feeds → reader (recycling)
 
 	once    sync.Once
 	err     error
@@ -219,13 +279,9 @@ func NewScatter(src Source, n int, recycle bool) *Scatter {
 	s.shardDec = make([]shardDecode, n)
 	s.in = make([]chan *batch, n)
 	s.chans = make([]chan *batch, n)
-	s.free = make([]chan *batch, n)
 	for i := range s.chans {
 		s.in[i] = make(chan *batch, scatterDepth)
 		s.chans[i] = make(chan *batch, scatterDepth)
-		// One slot of slack so returning a drained batch never
-		// blocks a shard worker.
-		s.free[i] = make(chan *batch, scatterDepth+1)
 	}
 	return s
 }
@@ -237,9 +293,15 @@ func NewScatter(src Source, n int, recycle bool) *Scatter {
 // to it, while the reader may need to push many consecutive packets to
 // one stalled shard before the frontier shard's next packet appears in
 // the file. The pump always accepts, so the reader always reaches that
-// packet; queue growth is bounded by how unevenly the stored stream
-// interleaves shards across the merge window (steady-state: empty,
-// batches flow straight through).
+// packet; under a tap queue growth is bounded by how unevenly the stored
+// stream interleaves shards across the merge window. Without one the
+// queue is not empty either: a reader that only frames (a mapped file)
+// is several times faster than a shard that dissects and sessionises, so
+// it runs hundreds of batches ahead and they wait here — measured 200–400
+// of the 1 699 on the benchmark's flood pcap. That is a span table per
+// queued batch, cheap to hold; it is also why drained batches go back
+// through an unbounded free stack and not a list sized to the channel
+// depth.
 func pump(in <-chan *batch, out chan<- *batch) {
 	var q []*batch
 	for in != nil || len(q) > 0 {
@@ -347,30 +409,29 @@ func (s *Scatter) feed(i int, emit func(*telescope.Packet)) {
 			func(context.Context) { s.scatter() })
 	})
 	for b := range s.chans[i] {
-		s.decodeBatch(i, b)
-		for j := range b.Pkts {
-			emit(&b.Pkts[j])
+		pkts := s.decodeBatch(i, b)
+		for j := range pkts {
+			emit(&pkts[j])
 		}
 		if s.recycle {
-			b.Reset()
 			b.spans = b.spans[:0]
-			select {
-			case s.free[i] <- b:
-			default:
-			}
+			b.arena = b.arena[:0]
+			s.free.put(b)
 		}
 	}
 	s.flushDecode(i)
 }
 
-// decodeBatch parses one batch of framed spans into its packet slab,
-// on the shard's own goroutine — the decode-after-scatter half. Pkts
-// has capacity for a full batch, so the appends never reallocate and
-// the emitted pointers stay inside the slab. Per-slice decode spans
-// land on the shard's flight-recorder ring: batch composition is a
-// pure function of the stream and the shard count, so span structure
-// stays deterministic for a fixed worker count.
-func (s *Scatter) decodeBatch(i int, b *batch) {
+// decodeBatch parses one batch of framed spans into the shard's packet
+// slab, on the shard's own goroutine — the decode-after-scatter half —
+// and returns the decoded packets, valid until the shard's next
+// decodeBatch when recycling and for good otherwise. The slab has
+// capacity for a full batch, so the appends never reallocate and the
+// emitted pointers stay inside it. Per-slice decode spans land on the
+// shard's flight-recorder ring: batch composition is a pure function of
+// the stream and the shard count, so span structure stays deterministic
+// for a fixed worker count.
+func (s *Scatter) decodeBatch(i int, b *batch) []telescope.Packet {
 	sd := &s.shardDec[i]
 	var t0 int64
 	if sd.ring != nil {
@@ -379,16 +440,41 @@ func (s *Scatter) decodeBatch(i int, b *batch) {
 		}
 		t0 = sd.ring.Now()
 	}
+	if s.recycle && sd.slab == nil {
+		sd.slab = make([]telescope.Packet, 0, scatterBatch)
+	}
+	pkts := sd.slab
+	if pkts == nil {
+		pkts = make([]telescope.Packet, 0, len(b.spans))
+	}
+	// First touch, in parallel. The reader framed these records on another
+	// core and read only their first line, so the lines the decode and the
+	// dissector are about to read — the record header, the line with the
+	// transport and QUIC long header, the pcap trailer at the far end of an
+	// ≈ 800-byte flood record — are in no cache of this core, and the
+	// decode loop below would take them one dependent stall per record.
+	// This loop does nothing but load them: its iterations are independent,
+	// so the core keeps as many misses in flight as it has fill buffers
+	// (about ten) instead of one. Plain loads, no assembly: Go has no
+	// prefetch intrinsic, and a load the out-of-order window can run ahead
+	// of is what a prefetch would be.
+	var touched uint64
 	for _, sp := range b.spans {
-		n := len(b.Pkts)
-		b.Pkts = append(b.Pkts, telescope.Packet{})
-		if s.dec.DecodeSpan(sp, &b.Pkts[n]) {
-			sd.decoded++
-		} else {
-			b.Pkts = b.Pkts[:n]
-			sd.drops++
+		touched += uint64(sp[0]) + uint64(sp[len(sp)-1])
+		if len(sp) > 64 {
+			touched += uint64(sp[64])
 		}
 	}
+	sd.touched += touched
+	for _, sp := range b.spans {
+		n := len(pkts)
+		pkts = append(pkts, telescope.Packet{})
+		if !s.dec.DecodeSpan(sp, &pkts[n]) {
+			pkts = pkts[:n]
+		}
+	}
+	sd.decoded += uint64(len(pkts))
+	sd.drops += uint64(len(b.spans) - len(pkts))
 	if sd.ring != nil {
 		sd.busy += sd.ring.Now() - t0
 		if sd.items += uint64(len(b.spans)); sd.items >= sd.slice {
@@ -396,6 +482,7 @@ func (s *Scatter) decodeBatch(i int, b *batch) {
 			sd.start, sd.busy, sd.items = 0, 0, 0
 		}
 	}
+	return pkts
 }
 
 // flushDecode closes the shard's partial decode slice at end of feed.
@@ -408,27 +495,24 @@ func (s *Scatter) flushDecode(i int) {
 	sd.busy, sd.items = 0, 0
 }
 
-// nextBatch recycles a drained batch for shard k, or allocates one.
-// Stable-span sources never touch the arena, so its allocation is
-// skipped for them. A fresh batch gets its span table at full size: a
-// reader that outruns the shards (a mapped file always does) allocates
-// batches steadily, and growing each table by append would cost nine
-// reallocations per batch.
-func (s *Scatter) nextBatch(k int) *batch {
-	select {
-	case b := <-s.free[k]:
+// nextBatch takes a drained batch off the free stack, or allocates one
+// when none has come back yet — which happens only while the number of
+// batches in flight is still growing, so BatchAllocs is bounded by that
+// peak. A fresh batch is a span table, at full size (growing it by append
+// would cost nine reallocations), plus an arena for a streamed source;
+// stable spans need none. No packet memory is allocated here, on the
+// reader's core: the slab is the decoding shard's.
+func (s *Scatter) nextBatch() *batch {
+	if b := s.free.take(); b != nil {
 		s.tel.BatchReuses++
 		return b
-	default:
-		s.tel.BatchAllocs++
-		b := &batch{spans: make([][]byte, 0, scatterBatch)}
-		if s.stable {
-			b.Pkts = make([]telescope.Packet, 0, scatterBatch)
-		} else {
-			b.PacketBatch = *NewPacketBatch(scatterBatch)
-		}
-		return b
 	}
+	s.tel.BatchAllocs++
+	b := &batch{spans: make([][]byte, 0, scatterBatch)}
+	if !s.stable {
+		b.arena = make([]byte, 0, scatterBatch*1500)
+	}
+	return b
 }
 
 // sendBatch hands a complete batch to shard k's pump.
@@ -440,8 +524,9 @@ func (s *Scatter) sendBatch(k int, b *batch) {
 
 // scatter is the reader goroutine: it frames the source's records and
 // deals their raw spans — copied from the source's window into the
-// routed shard's arena, or aliasing source-owned memory when stable — to
-// the per-shard pumps in batches; the shards decode them. The bounded
+// routed batch's arena, or aliasing source-owned memory when stable — to
+// the per-shard pumps in batches; the shards decode them. It allocates
+// no packet memory, and no batch once enough are in flight. The bounded
 // reader→pump hop smooths bursts; sustained backpressure lands in the
 // pumps' elastic queues, never on the reader (see pump for why that is
 // load-bearing).
@@ -461,7 +546,7 @@ func (s *Scatter) scatter() {
 		k := ibr.ShardOf(src, s.n)
 		b := building[k]
 		if b == nil {
-			b = s.nextBatch(k)
+			b = s.nextBatch()
 			building[k] = b
 		}
 		var span []byte
