@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"quicsand/internal/dissect"
+	"quicsand/internal/netmodel"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
@@ -87,6 +88,31 @@ func TestResponsePacketCachedAllocs(t *testing.T) {
 	other := c.ResponsePacket(wire.VersionDraft29, kindD1, []byte{1, 1, 1, 1, 1, 1, 1, 1})
 	if &a[0] == &other[0] {
 		t.Error("cache aliased different SCIDs")
+	}
+}
+
+// TestSlabRecyclingFloodScratchAllocs pins where a flood's arrival
+// times live: a second equal-sized flood built through the same warm
+// pool allocates at least one object fewer than build(nil), which has
+// no pool to keep the scratch in. The pool keeps it whether or not it
+// recycles packet slabs.
+func TestSlabRecyclingFloodScratchAllocs(t *testing.T) {
+	mk := func() *floodSpec {
+		return &floodSpec{
+			vector: VectorTCP, victim: netmodel.MustAddr("38.1.2.3"),
+			startSec: 0, durSec: 3600, peakPkts: 400, basePkts: 2000,
+			nAddrs: 4, nPorts: 8, rng: netmodel.NewRNG(6),
+		}
+	}
+	cold := testing.AllocsPerRun(20, func() { mk().build(nil) })
+	for _, recycle := range []bool{false, true} {
+		pool := &slabPool{recycle: recycle}
+		pool.put(mk().build(pool))
+		warm := testing.AllocsPerRun(20, func() { pool.put(mk().build(pool)) })
+		if warm > cold-1 {
+			t.Errorf("recycle %v: warm pool build allocates %.0f objects, build(nil) %.0f; the arrival scratch is not reused",
+				recycle, warm, cold)
+		}
 	}
 }
 

@@ -64,6 +64,8 @@ func (r *researchScan) Src() netmodel.Addr { return r.src }
 
 func (r *researchScan) setPool(p *slabPool) { r.pool = p }
 
+func (r *researchScan) plannedPackets() uint64 { return r.emit }
+
 func (r *researchScan) Next() (*telescope.Packet, bool) {
 	if r.i >= r.emit {
 		// The current chunk's tail may still be buffered upstream;
@@ -119,6 +121,9 @@ type botSpec struct {
 	tpl      *Templates
 	withload bool // carry real QUIC payload bytes
 }
+
+// planned is the bot's expected packet count: pktsPer per visit.
+func (b *botSpec) planned() uint64 { return uint64(len(b.visits) * b.pktsPer) }
 
 // build materializes all of a bot's packets into one value-typed slab.
 // Every packet aliases the shared per-version scan template as its
@@ -200,6 +205,11 @@ type floodSpec struct {
 	retryMitigated bool  // victim answers with Retry crypto challenges
 }
 
+// planned is the exact number of packets build materializes.
+func (f *floodSpec) planned() uint64 {
+	return FloodPackets(f.peakPkts, f.basePkts, f.durSec, f.shape, f.amp)
+}
+
 // build materializes the attack's telescope packets in time order into
 // one slab. QUIC backscatter payloads are interned per (version, kind,
 // SCID): floods pool SCIDs per spoofed tuple, so one attack touches
@@ -210,54 +220,8 @@ func (f *floodSpec) build(pool *slabPool) []telescope.Packet {
 	if amp < 1 {
 		amp = 1
 	}
-	// Arrival budget per shape: burst expands the peak over a window of
-	// up to two minutes; square/ramp spread peak+base directly.
-	arrivals := f.peakPkts + f.basePkts + 2
-	if f.shape == ShapeBurst {
-		arrivals += f.peakPkts
-	}
-	times := make([]float64, 0, arrivals)
-
-	// Bracket packets pin the observed session to the attack's true
-	// extent: victims emit backscatter from first to last spoofed
-	// packet.
-	times = append(times, 0, f.durSec)
-
-	switch f.shape {
-	case ShapeSquare:
-		// Uniform: the whole budget spread evenly over the attack.
-		for i := 0; i < f.peakPkts+f.basePkts; i++ {
-			times = append(times, f.rng.Float64()*f.durSec)
-		}
-	case ShapeRamp:
-		// Escalating: density grows linearly toward the end (CDF t²,
-		// so t = dur·√u).
-		for i := 0; i < f.peakPkts+f.basePkts; i++ {
-			times = append(times, math.Sqrt(f.rng.Float64())*f.durSec)
-		}
-	default:
-		// ShapeBurst, the paper's profile. Burst phase: peakPkts per
-		// minute sustained over a two-minute window placed uniformly
-		// inside the attack. A 120-second window always covers one
-		// full wall-clock minute regardless of phase, so the Moore
-		// max-pps metric observes the intended rate.
-		window := 120.0
-		if f.durSec < window {
-			window = f.durSec
-		}
-		burstStart := 0.0
-		if f.durSec > window {
-			burstStart = f.rng.Float64() * (f.durSec - window)
-		}
-		burstPkts := int(float64(f.peakPkts) * window / 60)
-		for i := 0; i < burstPkts; i++ {
-			times = append(times, burstStart+f.rng.Float64()*window)
-		}
-		for i := 0; i < f.basePkts; i++ {
-			times = append(times, f.rng.Float64()*f.durSec)
-		}
-	}
-	sortFloats(times)
+	s := pool.arrivalScratch()
+	times := s.sort(f.drawArrivals(s))
 
 	// Spoofed client tuples and their stable SCID mapping.
 	addrs := make([]netmodel.Addr, f.nAddrs)
@@ -276,7 +240,7 @@ func (f *floodSpec) build(pool *slabPool) []telescope.Packet {
 	payloads := NewPayloadCache(f.tpl)
 	payloads.Stats = pool.genStats()
 
-	out := pool.get(arrivals * amp)
+	out := pool.get(len(times) * amp)
 	for _, at := range times {
 		ts := tsAt(f.startSec + at)
 		dst := addrs[f.rng.Intn(len(addrs))]
@@ -343,12 +307,55 @@ func (f *floodSpec) build(pool *slabPool) []telescope.Packet {
 	return out
 }
 
-// sortFloats orders packet offsets. This is not a small sort: floods are
-// 3.0 M of sim-paper's 6.0 M packets, floodSpec.build is 36.8 % of that
-// workload's CPU samples and this call 19.3 % (EXPERIMENTS.md PR-20).
-// The arrival times are uniform draws, so an output-identical O(n)
-// bucket sort applies; ROADMAP item 5(d) queues it.
-func sortFloats(x []float64) { sort.Float64s(x) }
+// drawArrivals draws the attack's arrival offsets (seconds from its
+// start) into s, unsorted, as at most two runs: raw[:split] drawn from a
+// and raw[split:] from b.
+func (f *floodSpec) drawArrivals(s *arrivalScratch) (raw []float64, split int, a, b span) {
+	whole := span{0, f.durSec}
+	if f.shape == ShapeSquare || f.shape == ShapeRamp {
+		n := f.peakPkts + f.basePkts
+		raw = s.draws(n + 2)
+		// Bracket packets pin the observed session to the attack's true
+		// extent: victims emit backscatter from first to last spoofed
+		// packet.
+		raw = append(raw, 0, f.durSec)
+		for i := 0; i < n; i++ {
+			u := f.rng.Float64()
+			if f.shape == ShapeRamp {
+				// Escalating: density grows linearly toward the end
+				// (CDF t², so t = dur·√u).
+				u = math.Sqrt(u)
+			}
+			raw = append(raw, u*f.durSec)
+		}
+		return raw, 0, span{}, whole
+	}
+	// ShapeBurst, the paper's profile. Burst phase: peakPkts per minute
+	// sustained over a two-minute window placed uniformly inside the
+	// attack. A 120-second window always covers one full wall-clock
+	// minute regardless of phase, so the Moore max-pps metric observes
+	// the intended rate.
+	window := 120.0
+	if f.durSec < window {
+		window = f.durSec
+	}
+	burstStart := 0.0
+	if f.durSec > window {
+		burstStart = f.rng.Float64() * (f.durSec - window)
+	}
+	burstPkts := int(float64(f.peakPkts) * window / 60)
+	raw = s.draws(burstPkts + 2 + f.basePkts)
+	for i := 0; i < burstPkts; i++ {
+		raw = append(raw, burstStart+f.rng.Float64()*window)
+	}
+	split = len(raw)
+	// The brackets and the base rate span the whole attack.
+	raw = append(raw, 0, f.durSec)
+	for i := 0; i < f.basePkts; i++ {
+		raw = append(raw, f.rng.Float64()*f.durSec)
+	}
+	return raw, split, span{burstStart, burstStart + window}, whole
+}
 
 // ---------------------------------------------------------------------------
 // Misconfiguration noise (Appendix B's excluded response sessions)
@@ -359,6 +366,12 @@ type misconfigSpec struct {
 	visits  []float64
 	rng     *netmodel.RNG
 	tpl     *Templates
+}
+
+// planned is the responder's expected packet count: the mean of the
+// per-visit range for every visit.
+func (m *misconfigSpec) planned() uint64 {
+	return uint64(len(m.visits) * (MisconfMinPacketsPerVisit + MisconfMaxPacketsPerVisit) / 2)
 }
 
 func (m *misconfigSpec) build(pool *slabPool) []telescope.Packet {

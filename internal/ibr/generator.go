@@ -3,6 +3,7 @@ package ibr
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"quicsand/internal/activescan"
@@ -286,7 +287,7 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 		for j := range visits {
 			visits[j] = diurnalOffset(rng)
 		}
-		sortFloats(visits)
+		sort.Float64s(visits)
 		bot := &botSpec{
 			src:     src,
 			version: versions[rng.Pick(versionWeights)],
@@ -299,7 +300,7 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 			// default; it exercises the dissector's ClientHello path.
 			withload: true,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.build))
+		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot.build))
 		g.recordBot("paper/bots", bot)
 		g.Truth.BotAddrs = append(g.Truth.BotAddrs, src)
 		if rng.Float64() < 0.023 {
@@ -457,7 +458,7 @@ func (g *Generator) scheduleQUICAttacks(rng *netmodel.RNG) []FloodEvent {
 			nAddrs: nAddrs, nPorts: nPorts, scidRatio: scidRatio,
 			rng: rng.Fork(fmt.Sprintf("qattack/%d", i)), tpl: g.tpl,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(start), victim, spec.build))
+		g.sources = append(g.sources, newLazySource(tsAt(start), victim, spec.planned(), spec.build))
 		g.recordFlood("paper/quic-attacks", spec, orgNames[orgIdx])
 		plans = append(plans, FloodEvent{Victim: victim, StartSec: start, DurSec: dur})
 	}

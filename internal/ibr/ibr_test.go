@@ -56,7 +56,7 @@ func TestMergerOrdersAcrossSources(t *testing.T) {
 func TestMergerLazyActivation(t *testing.T) {
 	built := 0
 	mkLazy := func(start int64) Source {
-		return newLazySource(telescope.Timestamp(start), 0, func(*slabPool) []telescope.Packet {
+		return newLazySource(telescope.Timestamp(start), 0, 2, func(*slabPool) []telescope.Packet {
 			built++
 			return []telescope.Packet{{TS: telescope.Timestamp(start)}, {TS: telescope.Timestamp(start + 5)}}
 		})
@@ -128,7 +128,7 @@ func TestMergerMatchesBruteForce(t *testing.T) {
 			if len(pkts) > 0 {
 				start = pkts[0].TS - telescope.Timestamp(1+rng.Intn(5))
 			}
-			return newLazySource(start, src, func(pool *slabPool) []telescope.Packet {
+			return newLazySource(start, src, uint64(len(pkts)), func(pool *slabPool) []telescope.Packet {
 				return append(pool.get(len(pkts)), pkts...)
 			})
 		}

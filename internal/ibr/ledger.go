@@ -190,7 +190,7 @@ func (g *Generator) recordFlood(label string, s *floodSpec, org string) {
 		RetryMitigated: s.retryMitigated,
 		NAddrs:         s.nAddrs,
 		NPorts:         s.nPorts,
-		Packets:        FloodPackets(s.peakPkts, s.basePkts, s.durSec, s.shape, s.amp),
+		Packets:        s.planned(),
 	})
 }
 

@@ -202,7 +202,7 @@ func (g *Generator) AddScanPlan(label string, p ScanPlan) {
 				visits[j] = start + rng.Float64()*avail
 			}
 		}
-		sortFloats(visits)
+		sort.Float64s(visits)
 		bot := &botSpec{
 			src:      src,
 			version:  versions[rng.Pick(weights)],
@@ -213,7 +213,7 @@ func (g *Generator) AddScanPlan(label string, p ScanPlan) {
 			tpl:      g.tpl,
 			withload: !p.NoPayload,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.build))
+		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot.build))
 		g.recordBot(label, bot)
 		g.Truth.BotAddrs = append(g.Truth.BotAddrs, src)
 		if rng.Float64() < tagShare {
@@ -349,7 +349,7 @@ func (g *Generator) AddFloodPlan(label string, p FloodPlan) []FloodEvent {
 			rng: rng.Fork(fmt.Sprintf("atk/%d", i)), tpl: g.tpl,
 			shape: p.Shape, amp: amp, retryMitigated: p.RetryMitigated,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(atkStart), v.Addr, spec.build))
+		g.sources = append(g.sources, newLazySource(tsAt(atkStart), v.Addr, spec.planned(), spec.build))
 		g.recordFlood(label, spec, v.Org)
 
 		if vector == VectorQUIC {
@@ -462,7 +462,7 @@ func (g *Generator) addCommonFlood(rng *netmodel.RNG, victim netmodel.Addr, star
 		nAddrs: nAddrs, nPorts: 1 + rng.Intn(64),
 		rng: rng.Fork(fmt.Sprintf("%s/%d", forkPrefix, idx)), tpl: g.tpl,
 	}
-	g.sources = append(g.sources, newLazySource(tsAt(start), victim, spec.build))
+	g.sources = append(g.sources, newLazySource(tsAt(start), victim, spec.planned(), spec.build))
 	g.recordFlood(ledgerLabel, spec, "")
 	g.Truth.CommonAttacks++
 }
@@ -646,12 +646,12 @@ func (g *Generator) scheduleMisconfigSources(rng *netmodel.RNG, n int, visitsMea
 		for j := range visits {
 			visits[j] = start + rng.Float64()*avail
 		}
-		sortFloats(visits)
+		sort.Float64s(visits)
 		spec := &misconfigSpec{
 			src: src, version: version, visits: visits,
 			rng: rng.Fork(fmt.Sprintf("misconf/%d", i)), tpl: g.tpl,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, spec.build))
+		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, spec.planned(), spec.build))
 		g.recordMisconfig(ledgerLabel, spec, start)
 		g.Truth.MisconfSources++
 	}

@@ -36,6 +36,18 @@ type slabPool struct {
 	// stats, when set, counts slab traffic into the owning merger's
 	// Generate bank.
 	stats *telemetry.Generate
+	// arrivals is the shard's flood arrival scratch. It never leaves
+	// floodSpec.build, so it is reused whether or not recycle is set.
+	arrivals arrivalScratch
+}
+
+// arrivalScratch returns the pool's flood arrival scratch; a nil pool
+// gets a fresh one.
+func (p *slabPool) arrivalScratch() *arrivalScratch {
+	if p == nil {
+		return new(arrivalScratch)
+	}
+	return &p.arrivals
 }
 
 // genStats returns the pool's Generate bank, nil-receiver safe, for

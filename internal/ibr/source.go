@@ -9,6 +9,7 @@
 package ibr
 
 import (
+	"cmp"
 	"slices"
 
 	"quicsand/internal/netmodel"
@@ -265,13 +266,68 @@ func ShardOf(a netmodel.Addr, n int) int {
 // address, preserving schedule order within each group. All packets of
 // one address land in one group, so per-group merged streams keep
 // every per-source gap and session boundary intact.
+//
+// Addresses are dealt by planned packets: each address weighs the sum
+// of its sources' plannedPackets (1 for a source that does not say),
+// and the addresses, heaviest first (lower address on ties), go one by
+// one to the least-loaded group (lower index on ties). No group then
+// carries more than the mean plus the heaviest single address. A
+// stored capture cannot be weighed before it is read, so the replay
+// scatter and the Streamer keep ShardOf; only the Analysis is compared
+// across the two maps, and it does not depend on either.
 func Partition(sources []Source, n int) [][]Source {
+	if n == 1 {
+		return [][]Source{sources[:len(sources):len(sources)]}
+	}
+	type addrLoad struct {
+		addr netmodel.Addr
+		load uint64
+	}
+	// slot maps an address to its loads index, then to its group.
+	slot := make(map[netmodel.Addr]int)
+	var loads []addrLoad
+	for _, s := range sources {
+		i, ok := slot[s.Src()]
+		if !ok {
+			i = len(loads)
+			slot[s.Src()] = i
+			loads = append(loads, addrLoad{addr: s.Src()})
+		}
+		loads[i].load += plannedPackets(s)
+	}
+	slices.SortFunc(loads, func(a, b addrLoad) int {
+		if c := cmp.Compare(b.load, a.load); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.addr, b.addr)
+	})
+	total := make([]uint64, n)
+	for _, l := range loads {
+		k := 0
+		for j := 1; j < n; j++ {
+			if total[j] < total[k] {
+				k = j
+			}
+		}
+		total[k] += l.load
+		slot[l.addr] = k
+	}
 	groups := make([][]Source, n)
 	for _, s := range sources {
-		k := ShardOf(s.Src(), n)
+		k := slot[s.Src()]
 		groups[k] = append(groups[k], s)
 	}
 	return groups
+}
+
+// plannedPackets returns the packets s will emit as its schedule says —
+// exactly for research sweeps and floods, in expectation for bots and
+// misconfigured responders — or 1 when s does not say.
+func plannedPackets(s Source) uint64 {
+	if p, ok := s.(interface{ plannedPackets() uint64 }); ok {
+		return p.plannedPackets()
+	}
+	return 1
 }
 
 // sliceSource replays a pre-built, time-sorted packet slab. Event
@@ -314,22 +370,26 @@ func (s *sliceSource) Next() (*telescope.Packet, bool) {
 // lazySource defers building its packets until the merger activates it
 // (first Next call), bounding peak memory to concurrently live events.
 // The build function receives the shard's slab pool (nil when
-// recycling is off) to draw its packet arena from.
+// recycling is off) to draw its packet arena from. planned is the
+// schedule's packet count for the event, its weight in Partition.
 type lazySource struct {
-	start telescope.Timestamp
-	src   netmodel.Addr
-	build func(*slabPool) []telescope.Packet
-	inner sliceSource
-	pool  *slabPool
+	start   telescope.Timestamp
+	src     netmodel.Addr
+	planned uint64
+	build   func(*slabPool) []telescope.Packet
+	inner   sliceSource
+	pool    *slabPool
 }
 
-func newLazySource(start telescope.Timestamp, src netmodel.Addr, build func(*slabPool) []telescope.Packet) *lazySource {
-	return &lazySource{start: start, src: src, build: build}
+func newLazySource(start telescope.Timestamp, src netmodel.Addr, planned uint64, build func(*slabPool) []telescope.Packet) *lazySource {
+	return &lazySource{start: start, src: src, planned: planned, build: build}
 }
 
 func (s *lazySource) StartTime() telescope.Timestamp { return s.start }
 
 func (s *lazySource) Src() netmodel.Addr { return s.src }
+
+func (s *lazySource) plannedPackets() uint64 { return s.planned }
 
 func (s *lazySource) setPool(p *slabPool) { s.pool = p }
 
