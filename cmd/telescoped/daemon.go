@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -11,36 +12,26 @@ import (
 
 	"quicsand"
 	"quicsand/internal/detect"
-	"quicsand/internal/netmodel"
+	"quicsand/internal/dissect"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 )
 
-// serveDaemon is the -window serve loop: the socket reader maps every
-// datagram into the telescope packet model and offers it to the
-// incremental pipeline; a ticker freezes checkpoints without stopping
-// ingest, draining alerts and (re)writing the checkpoint image; socket
-// close drains the stream and emits the final checkpoint.
-//
-// The received destination is rewritten to the telescope prefix base
-// on UDP/443 before Offer — the daemon observes one socket, which
-// stands in for the whole /9 — and the -record sink captures the
-// MAPPED packet (via the streamer's trace hook, in offer order), so a
-// recorded capture replays to bit-identical daemon state.
-func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
-	dcfg := detect.Default()
-	if opts.detectConfig != "" {
-		c, err := detect.LoadConfigFile(opts.detectConfig)
-		if err != nil {
-			return err
-		}
-		dcfg = c
-	}
-	dcfg.Window = opts.window
-	if err := dcfg.Validate(); err != nil {
+// serve is telescoped's one serve loop: the socket reader maps every
+// datagram into the telescope packet model (recordPacket) and offers it
+// to the incremental pipeline — without -window it first prints the
+// datagram's classification line, so remotes the model cannot hold are
+// logged too (and counted at the drain); a ticker freezes checkpoints
+// without stopping ingest, draining alerts and (re)writing the
+// checkpoint image; socket close drains the stream and emits the final
+// checkpoint. The -record sink captures the MAPPED packet (via the
+// streamer's trace hook, in offer order), so a recorded capture replays
+// to bit-identical state.
+func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
+	dcfg, err := opts.detectors()
+	if err != nil {
 		return err
 	}
-
 	obs, err := startObservability(opts, diag)
 	if err != nil {
 		return err
@@ -72,7 +63,7 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 			Trace:          obs.rec,
 			FlightRecorder: obs.flight,
 		},
-		Detect:            &dcfg,
+		Detect:            dcfg,
 		MaxActiveSessions: opts.memBudget,
 	}
 	s, err := quicsand.NewStreamer(cfg)
@@ -82,17 +73,29 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		}
 		return err
 	}
-	fmt.Fprintf(diag, "telescoped: daemon mode: window=%s workers=%d checkpoint-every=%s\n",
-		opts.window, n, opts.ckptEvery)
+	mode := "daemon mode: window=" + opts.window.String()
+	var logDis *dissect.Dissector // the log's dissector; the shards keep their own
+	if dcfg == nil {
+		mode, logDis = "log mode:", dissect.NewDissector()
+	}
+	// Checkpoint ticks only when a tick has an output: the detectors'
+	// alerts, the -checkpoint image or a -manifest snapshot row. Each tick
+	// parks the shards and extends their session logs, so a plain log-mode
+	// run pays neither.
+	every := opts.ckptEvery
+	if dcfg == nil && opts.checkpoint == "" && opts.manifest == "" {
+		every = 0
+	}
+	fmt.Fprintf(diag, "telescoped: %s workers=%d checkpoint-every=%s\n", mode, n, every)
 
 	st := &daemonState{opts: opts, alertW: alertW, start: time.Now()}
 
-	// Checkpoint ticker. It is joined before the final drain below, so
-	// st is only ever touched by one goroutine at a time.
+	// The ticker is joined before the final drain below, so st is only
+	// ever touched by one goroutine at a time.
 	stopTick := make(chan struct{})
 	var twg sync.WaitGroup
-	if opts.ckptEvery > 0 {
-		tick := time.NewTicker(opts.ckptEvery)
+	if every > 0 {
+		tick := time.NewTicker(every)
 		twg.Add(1)
 		go func() {
 			defer twg.Done()
@@ -108,13 +111,16 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		}()
 	}
 
-	// Read loop on this goroutine: map each datagram onto the telescope
-	// model and offer it. Offer only borrows the packet — the trace sink
-	// writes it synchronously, the single-worker path never retains a
-	// payload, and cross-shard dispatch copies into the streamer's own
-	// batches — so one Packet over the read buffer serves every datagram.
-	// Those batches wait to fill: idleFlush of silence flushes them.
+	// Read loop on this goroutine: log each datagram (log mode), map it
+	// onto the telescope model and offer it. Offer only borrows the
+	// packet — the trace sink writes it synchronously, the single-worker
+	// path never retains a payload, and cross-shard dispatch copies into
+	// the streamer's own batches — so one Packet over the read buffer
+	// serves every datagram. Those batches wait to fill: idleFlush of
+	// silence flushes them, and the buffered log with them. Log write
+	// errors are ignored: a lost log line must not stop capture.
 	buf := make([]byte, 65535)
+	log := bufio.NewWriter(out)
 	var p telescope.Packet
 	var skipped uint64
 	for {
@@ -123,17 +129,22 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 		sz, addr, err := pc.ReadFrom(buf)
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			s.Flush()
+			log.Flush()
 			continue
 		}
 		if err != nil {
 			break // socket closed: the signal handler's graceful drain
 		}
-		if !recordPacket(&p, addr, netmodel.TelescopePrefix.Base, 443, buf[:sz]) {
+		if logDis != nil {
+			describe(log, logDis, addr.String(), buf[:sz])
+		}
+		if !recordPacket(&p, addr, buf[:sz]) {
 			skipped++ // non-IPv4 remote: unrepresentable in the model
 			continue
 		}
 		s.Offer(&p)
 	}
+	log.Flush()
 	close(stopTick)
 	twg.Wait()
 	obs.hb.Stop()
@@ -148,22 +159,17 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	}
 
 	snap := a.Telemetry
-	if err := obs.finish(snap, skipped, out, fmt.Sprintf(
-		"telescoped: daemon drained: %d captured packets, %d alerts, %d checkpoints\n",
-		final.Position(), st.alertsTotal, len(st.snapshots))); err != nil {
+	header := fmt.Sprintf("telescoped: daemon drained: %d captured packets, %d alerts, %d checkpoints",
+		final.Position(), st.alertsTotal, len(st.snapshots))
+	if skipped > 0 {
+		header += fmt.Sprintf(", %d non-IPv4 datagrams not analysed", skipped)
+	}
+	if err := obs.finish(snap, skipped, out, header+"\n"); err != nil {
 		return err
 	}
 
-	config := obs.manifestConfig(pc.LocalAddr())
-	config["window"] = opts.window.String()
-	config["checkpoint_every"] = opts.ckptEvery.String()
-	config["checkpoint"] = opts.checkpoint
-	config["alerts"] = opts.alerts
-	config["mem_budget"] = opts.memBudget
-	config["seed"] = opts.seed
-	config["scale"] = opts.scale
 	m := a.Manifest("telescoped") // timing and stages are the final Analysis's own
-	m.Config, m.Snapshots = config, st.snapshots
+	m.Config, m.Snapshots = obs.manifestConfig(pc.LocalAddr()), st.snapshots
 	return obs.export(a.Flight, out, m, snap)
 }
 

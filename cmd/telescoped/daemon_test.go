@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -79,8 +81,8 @@ func runDaemon(t *testing.T, opts serveOpts, n int, beforeClose func()) (out, di
 	opts.metrics = "127.0.0.1:0"
 	out, diag = &lockedBuffer{}, &lockedBuffer{}
 	done := make(chan error, 1)
-	go func() { done <- serveDaemon(opts, pc, out, diag) }()
-	waitFor(t, diag, "metrics on http://", "daemon mode")
+	go func() { done <- serve(opts, pc, out, diag) }()
+	waitFor(t, diag, "metrics on http://", "checkpoint-every=")
 	line := diag.String()
 	url := strings.Fields(line[strings.Index(line, "http://"):])[0]
 
@@ -214,59 +216,111 @@ func TestDaemonAlertsCheckpointManifest(t *testing.T) {
 }
 
 // TestDaemonRecordReplaysToSameState closes the loop the daemon's
-// destination rewrite exists for: the capture a daemon records replays
-// through the streaming pipeline to the exact position and alert
-// stream the daemon itself produced. No checkpoint ticks, and 35
-// packets fill no dispatch batch: at workers 2 it is the read loop's
-// idle flush that lets /metrics see them before the drain.
+// destination rewrite exists for, with and without -window: the capture
+// a run records replays through quicsand.Replay to the analysis of the
+// run's own final checkpoint, and with detectors it streams to the exact
+// alert stream the daemon produced. No checkpoint ticks, and 35 packets
+// fill no dispatch batch: at workers 2 it is the read loop's idle flush
+// that lets /metrics see them before the drain. Both modes' manifests
+// carry the same config keys.
 func TestDaemonRecordReplaysToSameState(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			record := filepath.Join(dir, "daemon.qsnd")
-			alerts := filepath.Join(dir, "alerts.jsonl")
-			runDaemon(t, serveOpts{
-				workers: workers,
-				window:  time.Minute, ckptEvery: 0,
-				alerts: alerts, record: record,
-				seed: 7, scale: 0.001,
-			}, 35, nil)
+	configKeys := map[time.Duration][]string{}
+	for _, window := range []time.Duration{time.Minute, 0} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("workers=%d", workers)
+			if window == 0 {
+				name = "window=0," + name
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				opts := serveOpts{
+					workers: workers,
+					window:  window, ckptEvery: 0,
+					record:     filepath.Join(dir, "daemon.qsnd"),
+					checkpoint: filepath.Join(dir, "state.qckp"),
+					manifest:   filepath.Join(dir, "manifest.json"),
+					seed:       7, scale: 0.001,
+				}
+				if window > 0 {
+					opts.alerts = filepath.Join(dir, "alerts.jsonl")
+				}
+				runDaemon(t, opts, 35, nil)
+				cfg := quicsand.Config{Seed: 7, Scale: 0.001, Workers: workers}
+				openRecord := func() capture.Source {
+					f, err := os.Open(opts.record)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { f.Close() })
+					src, err := capture.NewSource(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return src
+				}
 
-			// Replay the recorded capture with the same detector window (the
-			// path `quicsand replay -alerts` takes): the replayed alert stream
-			// must byte-match the daemon's, and the position must agree.
-			f, err := os.Open(record)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			src, err := capture.NewSource(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dcfg := detect.Default()
-			final, err := quicsand.StreamReplay(quicsand.StreamConfig{
-				Config: quicsand.Config{Seed: 7, Scale: 0.001, Workers: workers},
-				Detect: &dcfg,
-			}, src, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := final.Position(); got != 35 {
-				t.Errorf("replayed capture position %d, want 35", got)
-			}
-			var got bytes.Buffer
-			if err := detect.WriteAlerts(&got, final.Alerts); err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(alerts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got.Bytes()) {
-				t.Errorf("replayed alert stream differs from daemon's:\n--- daemon ---\n%s--- replay ---\n%s", want, got.Bytes())
-			}
-		})
+				// The run's final analysis is its final checkpoint image's.
+				img, err := os.ReadFile(opts.checkpoint)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := quicsand.ResumeStreamer(quicsand.StreamConfig{Config: cfg}, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := resumed.Close().Analysis()
+				replayed, err := quicsand.Replay(cfg, openRecord())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := replayed.Telescope.Total; got != 35 || live.Telescope.Total != 35 {
+					t.Errorf("telescope packets: replayed %d, live %d, want 35", got, live.Telescope.Total)
+				}
+				if replayed.RenderAll() != live.RenderAll() {
+					t.Errorf("replayed analysis differs from the run's:\n--- run ---\n%s--- replay ---\n%s",
+						live.Headline(), replayed.Headline())
+				}
+
+				var m struct {
+					Config map[string]any `json:"config"`
+				}
+				if data, err := os.ReadFile(opts.manifest); err != nil {
+					t.Fatal(err)
+				} else if err := json.Unmarshal(data, &m); err != nil {
+					t.Fatal(err)
+				}
+				configKeys[window] = slices.Sorted(maps.Keys(m.Config))
+				if window == 0 {
+					return
+				}
+
+				// Replay the recorded capture with the same detector window (the
+				// alerts `quicsand replay -alerts` writes): the replayed alert
+				// stream must byte-match the daemon's, and the position must agree.
+				dcfg := detect.Default()
+				final, err := quicsand.StreamReplay(quicsand.StreamConfig{Config: cfg, Detect: &dcfg}, openRecord(), 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := final.Position(); got != 35 {
+					t.Errorf("replayed capture position %d, want 35", got)
+				}
+				var got bytes.Buffer
+				if err := detect.WriteAlerts(&got, final.Alerts); err != nil {
+					t.Fatal(err)
+				}
+				want, err := os.ReadFile(opts.alerts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, got.Bytes()) {
+					t.Errorf("replayed alert stream differs from daemon's:\n--- daemon ---\n%s--- replay ---\n%s", want, got.Bytes())
+				}
+			})
+		}
+	}
+	if a, b := configKeys[time.Minute], configKeys[0]; a != nil && b != nil && !slices.Equal(a, b) {
+		t.Errorf("manifest config keys differ: -window 1m %v, -window 0 %v", a, b)
 	}
 }
 
@@ -366,17 +420,33 @@ func TestDaemonNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestClassicRejectsDaemonFlags pins the flag-validation contract:
-// daemon-only flags without -window fail loudly.
+// TestClassicRejectsDaemonFlags pins the flag contract without -window:
+// the two flags that configure detectors fail loudly, and -checkpoint
+// works as at any window — the drain writes an image ResumeStreamer
+// accepts, positioned after every offered packet.
 func TestClassicRejectsDaemonFlags(t *testing.T) {
 	for _, opts := range []serveOpts{
 		{alerts: "x"},
-		{checkpoint: "x"},
 		{detectConfig: "x"},
-		{memBudget: 10},
 	} {
-		if err := opts.validateClassic(); err == nil || !strings.Contains(err.Error(), "-window") {
+		if _, err := opts.detectors(); err == nil || !strings.Contains(err.Error(), "-window") {
 			t.Errorf("%+v: want a requires -window error, got %v", opts, err)
 		}
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "state.qckp")
+	runDaemon(t, serveOpts{workers: 2, checkpoint: ckpt, seed: 7, scale: 0.001}, 3, nil)
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := quicsand.ResumeStreamer(quicsand.StreamConfig{
+		Config: quicsand.Config{Seed: 7, Scale: 0.001, Workers: 2},
+	}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Close().Position(); got != 3 {
+		t.Errorf("log-mode checkpoint at position %d, want 3", got)
 	}
 }

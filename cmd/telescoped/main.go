@@ -1,12 +1,30 @@
 // Command telescoped is a live miniature telescope: it binds a UDP
-// socket and classifies every arriving datagram with the full QUIC
-// dissector, printing one line per packet — the same pipeline the
-// simulation feeds, attached to a real socket.
+// socket and streams every arriving datagram through the incremental
+// analysis pipeline (DESIGN.md §17) — the sharded pipeline the
+// simulation and the replays feed, attached to a real socket. Each
+// datagram is mapped into the telescope address model and offered to
+// one quicsand.Streamer, sharded by source over -workers (0 = all CPUs).
 //
-// Datagrams are fanned out over the sharded pipeline engine by remote
-// address (-workers, 0 = all CPUs), so each source's packets are
-// dissected in order by a per-shard dissector while the socket reader
-// never blocks on crypto.
+// -window picks what rides on the analysis. At 0, the default, there
+// are no detectors and the read loop prints one classification line per
+// datagram from its own QUIC dissector, in arrival order, through a
+// buffer flushed whenever the socket idles for 100 ms (and when full).
+// Datagrams from non-IPv4 remotes are logged but cannot be analysed; the
+// drain line counts them. A positive -window attaches one sliding-window detector bank of that width per
+// shard: -alerts FILE|- appends closed detector episodes as JSON lines
+// and -detect-config loads detector thresholds from JSON — the two flags
+// that require -window.
+//
+// At any window, -checkpoint FILE atomically rewrites the serialized
+// pipeline state every -checkpoint-every (resumable with matching
+// -seed/-scale), each checkpoint appends an analysis snapshot to the
+// -manifest record, and -record FILE writes every mapped packet to a QSND
+// or pcap capture that `quicsand replay` re-analyzes to the run's state.
+// The ticker runs only when a tick has one of those outputs (detector
+// alerts, the image, a snapshot row). The analysis state grows with the
+// traffic at every window: every session and the per-source counters are
+// kept until shutdown for the final analysis, and -mem-budget bounds only
+// the active sessions, by evicting the coldest source.
 //
 // Observability: -metrics ADDR serves Prometheus text exposition on
 // /metrics (live per-shard counters plus heartbeat gauges, and the
@@ -15,26 +33,11 @@
 // progress log (packets/s, shard skew, heap); -trace-out FILE arms the
 // flight recorder (DESIGN.md §15) and writes the stage/shard timeline
 // as Perfetto-loadable Chrome trace JSON at shutdown (referenced from
-// the manifest); -manifest FILE writes a
-// machine-readable run record at shutdown; -record FILE checkpoints
-// every received datagram to a QSND or pcap capture that `quicsand
-// replay` can re-analyze. SIGINT/SIGTERM stop the capture gracefully:
-// the pipeline drains, the record sink is flushed with its written and
-// dropped counts logged (and folded into the manifest), the final
-// telemetry snapshot is flushed, and the process exits cleanly.
-//
-// Daemon mode (-window DUR) swaps the per-packet log for the full
-// streaming analysis pipeline (DESIGN.md §17): every datagram is mapped
-// into the telescope address model and fed to the incremental analyzer
-// with one sliding-window detector bank per shard. -alerts FILE|-
-// appends closed detector episodes as JSON lines, -checkpoint FILE
-// atomically rewrites the serialized pipeline state every
-// -checkpoint-every (resumable with matching -seed/-scale),
-// -mem-budget bounds per-shard session state by evicting the coldest
-// source, and -detect-config loads detector thresholds from JSON. Each
-// checkpoint also appends an analysis snapshot to the -manifest record.
-// Shutdown drains the stream and emits the final checkpoint; the
-// observability flags above, -trace-out included, work in this mode too.
+// the manifest); -manifest FILE writes a machine-readable run record at
+// shutdown. SIGINT/SIGTERM stop the capture gracefully: the stream
+// drains and emits the final checkpoint, the record sink is flushed with
+// its written and dropped counts logged (and folded into the manifest),
+// the final telemetry snapshot is flushed, and the process exits cleanly.
 //
 // Point any QUIC client at it (or run cmd/quicsand's generated trace
 // through it) to watch the classification logic work on live traffic.
@@ -47,35 +50,33 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"quicsand/internal/detect"
 	"quicsand/internal/dissect"
-	"quicsand/internal/engine"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8443", "UDP address to observe")
-	workers := flag.Int("workers", 0, "dissection shards; 0 = all CPUs")
+	workers := flag.Int("workers", 0, "analysis shards; 0 = all CPUs")
 	metrics := flag.String("metrics", "", "serve Prometheus /metrics and /debug/pprof on this address")
 	heartbeat := flag.Duration("heartbeat", 10*time.Second, "progress-log interval (0 disables)")
 	manifest := flag.String("manifest", "", "write a machine-readable run manifest at shutdown")
 	record := flag.String("record", "", "record received datagrams to this capture file (.pcap/.cap = libpcap, else QSND)")
 	traceOut := flag.String("trace-out", "", "write the run's flight-recorder timeline as Chrome trace-event JSON at shutdown")
-	window := flag.Duration("window", 0, "daemon mode: run the full analysis pipeline with sliding-window detectors of this width (0 = classic per-packet log)")
-	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "daemon checkpoint interval (0 = final drain only)")
-	memBudget := flag.Int("mem-budget", 0, "daemon per-sessionizer active-session budget, coldest evicted past it (0 = unbounded)")
-	alerts := flag.String("alerts", "", "daemon: append detector alerts as JSON lines to FILE, or - for stdout")
-	checkpoint := flag.String("checkpoint", "", "daemon: atomically (re)write the latest checkpoint image to FILE")
-	detectConfig := flag.String("detect-config", "", "daemon: detector-threshold JSON (default thresholds when empty)")
-	seed := flag.Uint64("seed", 2021, "daemon: simulation-substrate seed stamped into checkpoints")
-	scale := flag.Float64("scale", 0.001, "daemon: simulation-substrate scale stamped into checkpoints")
+	window := flag.Duration("window", 0, "detector window; 0 = no detectors, one classification line per datagram")
+	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "checkpoint interval when -window, -checkpoint or -manifest gives a tick an output (0 = final drain only)")
+	memBudget := flag.Int("mem-budget", 0, "per-sessionizer active-session budget, coldest evicted past it (0 = unbounded); finished sessions are still kept until shutdown")
+	alerts := flag.String("alerts", "", "append detector alerts as JSON lines to FILE, or - for stdout (requires -window)")
+	checkpoint := flag.String("checkpoint", "", "atomically (re)write the latest checkpoint image to FILE")
+	detectConfig := flag.String("detect-config", "", "detector-threshold JSON, default thresholds when empty (requires -window)")
+	seed := flag.Uint64("seed", 2021, "simulation-substrate seed stamped into checkpoints")
+	scale := flag.Float64("scale", 0.001, "simulation-substrate scale stamped into checkpoints")
 	flag.Parse()
 
 	opts := serveOpts{
@@ -104,11 +105,6 @@ func main() {
 // serves until the socket closes. The signal goroutine is reaped before
 // run returns (no leak), so tests can call it repeatedly.
 func run(listen string, opts serveOpts, out, diag io.Writer) error {
-	if opts.window <= 0 {
-		if err := opts.validateClassic(); err != nil {
-			return err
-		}
-	}
 	pc, err := net.ListenPacket("udp", listen)
 	if err != nil {
 		return err
@@ -131,11 +127,7 @@ func run(listen string, opts serveOpts, out, diag io.Writer) error {
 		}
 	}()
 
-	if opts.window > 0 {
-		err = serveDaemon(opts, pc, out, diag)
-	} else {
-		err = serve(opts, pc, out, diag)
-	}
+	err = serve(opts, pc, out, diag)
 	signal.Stop(stop)
 	close(done)
 	wg.Wait()
@@ -151,174 +143,54 @@ type serveOpts struct {
 	record    string // capture-file path; "" disables
 	traceOut  string // flight-recorder trace path; "" disables
 
-	// Daemon mode (-window > 0): the streaming analysis pipeline
-	// replaces the per-packet classification log.
+	// window > 0 attaches the detector bank, which alerts and
+	// detectConfig configure; 0 logs every datagram instead.
 	window       time.Duration
-	ckptEvery    time.Duration // periodic checkpoints; 0 = final only
-	memBudget    int           // sessionizer MaxActive; 0 = unbounded
-	alerts       string        // alert JSON-lines path; "-" = out
-	checkpoint   string        // checkpoint-image path; "" disables
-	detectConfig string        // detector-threshold JSON path
-	seed         uint64        // substrate parameters stamped into
-	scale        float64       // checkpoints (resume must match them)
+	alerts       string // alert JSON-lines path; "-" = out
+	detectConfig string // detector-threshold JSON path
+
+	ckptEvery  time.Duration // periodic checkpoints; 0 = final only
+	memBudget  int           // sessionizer MaxActive; 0 = unbounded
+	checkpoint string        // checkpoint-image path; "" disables
+	seed       uint64        // substrate parameters stamped into
+	scale      float64       // checkpoints (resume must match them)
 }
 
-// validateClassic rejects daemon-only flags when -window is off, so a
+// detectors returns the detector bank's configuration, nil without
+// -window. The flags that configure detectors are rejected there, so a
 // typo'd invocation fails loudly instead of silently logging packets.
-func (o serveOpts) validateClassic() error {
-	switch {
-	case o.alerts != "":
-		return fmt.Errorf("-alerts requires -window")
-	case o.checkpoint != "":
-		return fmt.Errorf("-checkpoint requires -window")
-	case o.detectConfig != "":
-		return fmt.Errorf("-detect-config requires -window")
-	case o.memBudget != 0:
-		return fmt.Errorf("-mem-budget requires -window")
-	}
-	return nil
-}
-
-// datagram is one received UDP payload with its remote address.
-type datagram struct {
-	addr string
-	data []byte
-}
-
-// serve drains pc through the sharded engine until the socket closes,
-// then flushes the final telemetry snapshot: the stage table and
-// counter block onto out, the merged snapshot onto the /metrics
-// endpoint, and the optional manifest to disk. Each shard owns one
-// dissector and one live counter bank; lines are serialized onto out
-// with a mutex (completion order — a live view, not a canonical
-// trace).
-func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
-	obs, err := startObservability(opts, diag)
-	if err != nil {
-		return err
-	}
-	defer obs.close()
-	n, live, flight := obs.workers, obs.live, obs.flight
-
-	// Optional capture: the socket reader goroutine feeds the sink
-	// before dispatch, so the recording preserves arrival order and
-	// needs no locking.
-	rec := obs.rec
-	var recSkipped uint64
-	dstAddr, dstPort := localIPv4(pc.LocalAddr())
-
-	chans := make([]chan datagram, n)
-	for i := range chans {
-		chans[i] = make(chan datagram, 64)
-	}
-
-	// Socket reader: hash the remote address onto a shard so one
-	// source's datagrams stay ordered on one dissector. Inline FNV-1a
-	// keeps the read loop free of per-packet hasher allocations.
-	go func() {
-		buf := make([]byte, 65535)
-		var recPkt telescope.Packet
-		for {
-			sz, addr, err := pc.ReadFrom(buf)
-			if err != nil {
-				for _, ch := range chans {
-					close(ch)
-				}
-				return
-			}
-			d := datagram{addr: addr.String(), data: append([]byte(nil), buf[:sz]...)}
-			if rec != nil {
-				if recordPacket(&recPkt, addr, dstAddr, dstPort, d.data) {
-					rec.Capture(&recPkt)
-				} else {
-					recSkipped++
-				}
-			}
-			h := uint32(2166136261)
-			for i := 0; i < len(d.addr); i++ {
-				h = (h ^ uint32(d.addr[i])) * 16777619
-			}
-			chans[h%uint32(n)] <- d
+func (o serveOpts) detectors() (*detect.Config, error) {
+	if o.window <= 0 {
+		switch {
+		case o.alerts != "":
+			return nil, fmt.Errorf("-alerts requires -window")
+		case o.detectConfig != "":
+			return nil, fmt.Errorf("-detect-config requires -window")
 		}
-	}()
-
-	feeds := make([]engine.Feed[datagram], n)
-	for i := range feeds {
-		ch := chans[i]
-		feeds[i] = func(emit func(datagram)) {
-			for d := range ch {
-				emit(d)
-			}
+		return nil, nil
+	}
+	dcfg := detect.Default()
+	if o.detectConfig != "" {
+		c, err := detect.LoadConfigFile(o.detectConfig)
+		if err != nil {
+			return nil, err
 		}
+		dcfg = c
 	}
-
-	dissectors := make([]*dissect.Dissector, n)
-	for i := range dissectors {
-		dissectors[i] = dissect.NewDissector()
+	dcfg.Window = o.window
+	if err := dcfg.Validate(); err != nil {
+		return nil, err
 	}
-	var mu sync.Mutex
-	st := engine.Run(engine.Config{
-		Workers: opts.workers,
-		// Feed-side worker time is waiting on the socket fan-out.
-		Recorder: flight, FeedStage: telemetry.StageIngest,
-	}, feeds, func(shard int, d datagram) bool {
-		bank := live.Shard(shard)
-		bank.Packets.Add(1)
-		bank.Bytes.Add(uint64(len(d.data)))
-		text, quic := describe(dissectors[shard], d)
-		if !quic {
-			bank.NonQUIC.Add(1)
-		}
-		mu.Lock()
-		fmt.Fprint(out, text)
-		mu.Unlock()
-		return false
-	}, nil)
-
-	// Progress ends when the pipeline drains; Stop waits for the ticker
-	// goroutine, leaving the shutdown writes as the only diag writer.
-	obs.hb.Stop()
-
-	// Final snapshot: merge the per-shard dissector banks, publish to
-	// the endpoint, and flush the human-readable form.
-	snap := &telemetry.Snapshot{Workers: n}
-	for _, d := range dissectors {
-		snap.Dissect.Merge(&d.Metrics)
-	}
-	snap.Engine = st.Engine
-	if err := obs.finish(snap, recSkipped, out, st.String()); err != nil {
-		return err
-	}
-
-	return obs.export(flight.Timeline(st.Wall), out, &telemetry.Manifest{
-		Config:        obs.manifestConfig(pc.LocalAddr()),
-		Workers:       st.Workers,
-		WallNS:        st.Wall.Nanoseconds(),
-		PacketsPerSec: st.Throughput(),
-		Stages:        st.StageTimings(),
-	}, snap)
-}
-
-// localIPv4 resolves the bound socket address into the telescope
-// packet model's destination fields (zero when not IPv4).
-func localIPv4(a net.Addr) (netmodel.Addr, uint16) {
-	ua, ok := a.(*net.UDPAddr)
-	if !ok {
-		return 0, 0
-	}
-	ip4 := ua.IP.To4()
-	if ip4 == nil {
-		return 0, uint16(ua.Port)
-	}
-	return netmodel.Addr(uint32(ip4[0])<<24 | uint32(ip4[1])<<16 | uint32(ip4[2])<<8 | uint32(ip4[3])),
-		uint16(ua.Port)
+	return &dcfg, nil
 }
 
 // recordPacket shapes one received datagram into the telescope store's
-// packet model, overwriting *p (which then aliases data). Non-IPv4
+// packet model, overwriting *p (which then aliases data). The
+// destination is the telescope prefix base on UDP/443: the daemon
+// observes one socket, which stands in for the whole /9. Non-IPv4
 // remotes have no representation in the 32-bit address space and
 // report false (counted as record drops).
-func recordPacket(p *telescope.Packet, remote net.Addr, dst netmodel.Addr, dstPort uint16, data []byte) bool {
+func recordPacket(p *telescope.Packet, remote net.Addr, data []byte) bool {
 	ua, ok := remote.(*net.UDPAddr)
 	if !ok {
 		return false
@@ -330,9 +202,9 @@ func recordPacket(p *telescope.Packet, remote net.Addr, dst netmodel.Addr, dstPo
 	*p = telescope.Packet{
 		TS:      telescope.TS(time.Now()),
 		Src:     netmodel.Addr(uint32(ip4[0])<<24 | uint32(ip4[1])<<16 | uint32(ip4[2])<<8 | uint32(ip4[3])),
-		Dst:     dst,
+		Dst:     netmodel.TelescopePrefix.Base,
 		SrcPort: uint16(ua.Port),
-		DstPort: dstPort,
+		DstPort: 443,
 		Proto:   telescope.ProtoUDP,
 		Size:    uint16(len(data)),
 		Payload: data,
@@ -340,25 +212,24 @@ func recordPacket(p *telescope.Packet, remote net.Addr, dst netmodel.Addr, dstPo
 	return true
 }
 
-// describe classifies one datagram into printable lines; quic reports
-// whether deep validation accepted it.
-func describe(d *dissect.Dissector, dg datagram) (text string, quic bool) {
-	r, err := d.Dissect(dg.data)
+// describe writes one datagram's classification lines to w: one per
+// QUIC packet inside it, or a single "not QUIC" line.
+func describe(w io.Writer, d *dissect.Dissector, addr string, data []byte) {
+	r, err := d.Dissect(data)
 	if err != nil {
-		return fmt.Sprintf("%-21s %5dB  not QUIC\n", dg.addr, len(dg.data)), false
+		fmt.Fprintf(w, "%-21s %5dB  not QUIC\n", addr, len(data))
+		return
 	}
-	var b strings.Builder
 	for _, pi := range r.Packets {
-		fmt.Fprintf(&b, "%-21s %5dB  %-18s", dg.addr, len(dg.data), pi.Type)
+		fmt.Fprintf(w, "%-21s %5dB  %-18s", addr, len(data), pi.Type)
 		if pi.Type != wire.PacketTypeOneRTT {
-			fmt.Fprintf(&b, " %-14s scid=%s dcid=%s", pi.Version, pi.SCID, pi.DCID)
+			fmt.Fprintf(w, " %-14s scid=%s dcid=%s", pi.Version, pi.SCID, pi.DCID)
 		}
 		if pi.HasClientHello {
-			fmt.Fprintf(&b, " ClientHello sni=%q", pi.SNI)
+			fmt.Fprintf(w, " ClientHello sni=%q", pi.SNI)
 		} else if pi.Type == wire.PacketTypeInitial && !pi.Decrypted {
-			b.WriteString(" (undecryptable: backscatter-shaped)")
+			io.WriteString(w, " (undecryptable: backscatter-shaped)")
 		}
-		b.WriteByte('\n')
+		io.WriteString(w, "\n")
 	}
-	return b.String(), true
 }

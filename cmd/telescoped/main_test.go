@@ -85,10 +85,19 @@ func waitFor(t *testing.T, out *lockedBuffer, needles ...string) {
 	}
 }
 
+// logMode is serve without -window at the command's default substrate
+// (seed and scale as the flags default them): no detectors, one
+// classification line per datagram.
+func logMode(workers int) serveOpts {
+	return serveOpts{workers: workers, seed: 2021, scale: 0.001}
+}
+
 // TestServeClassifiesDatagrams drives the live pipeline end to end: a
-// genuine QUIC Initial and a junk payload arrive on the socket, the
-// sharded dissectors classify both, and serve returns once the socket
-// closes — flushing pipeline stats and the telemetry counter block.
+// genuine QUIC Initial and a junk payload arrive on the socket, the read
+// loop's log classifies both, and serve returns once the socket closes —
+// flushing the drain summary and the shards' telemetry counter block. A
+// checkpoint interval with nothing to write starts no ticker: the drain's
+// is the run's only checkpoint.
 func TestServeClassifiesDatagrams(t *testing.T) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -97,10 +106,13 @@ func TestServeClassifiesDatagrams(t *testing.T) {
 
 	out := &lockedBuffer{}
 	done := make(chan error, 1)
-	go func() { done <- serve(serveOpts{workers: 2}, pc, out, io.Discard) }()
+	opts := logMode(2)
+	opts.ckptEvery = 5 * time.Millisecond
+	go func() { done <- serve(opts, pc, out, io.Discard) }()
 
 	sendProbes(t, pc.LocalAddr().String())
 	waitFor(t, out, "Initial", "not QUIC")
+	time.Sleep(50 * time.Millisecond) // ten intervals
 
 	pc.Close()
 	if err := <-done; err != nil {
@@ -117,6 +129,44 @@ func TestServeClassifiesDatagrams(t *testing.T) {
 	if !strings.Contains(s, "datagrams") || !strings.Contains(s, "parse failures") {
 		t.Errorf("telemetry counter block missing:\n%s", s)
 	}
+	if want := "daemon drained: 2 captured packets, 0 alerts, 1 checkpoints\n"; !strings.Contains(s, want) {
+		t.Errorf("drain summary is not %q:\n%s", want, s)
+	}
+}
+
+// TestServeCountsNonIPv4 listens on IPv6 loopback: the 32-bit packet
+// model cannot hold the remotes, so both probes are logged but not
+// analysed — and the drain line and the manifest's decode drops say so
+// without -record.
+func TestServeCountsNonIPv4(t *testing.T) {
+	pc, err := net.ListenPacket("udp6", "[::1]:0")
+	if err != nil {
+		t.Skipf("no IPv6 loopback: %v", err)
+	}
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	out := &lockedBuffer{}
+	done := make(chan error, 1)
+	opts := logMode(2)
+	opts.manifest = manifest
+	go func() { done <- serve(opts, pc, out, io.Discard) }()
+
+	sendProbes(t, pc.LocalAddr().String())
+	waitFor(t, out, "Initial", "not QUIC")
+
+	pc.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if want := "daemon drained: 0 captured packets, 0 alerts, 1 checkpoints, 2 non-IPv4 datagrams not analysed\n"; !strings.Contains(out.String(), want) {
+		t.Errorf("drain summary is not %q:\n%s", want, out.String())
+	}
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"decode_drops": 2`) {
+		t.Errorf("manifest misses the skipped datagrams:\n%s", data)
+	}
 }
 
 // TestRunSIGTERMGracefulShutdown asserts the graceful-shutdown path:
@@ -129,7 +179,9 @@ func TestRunSIGTERMGracefulShutdown(t *testing.T) {
 	diag := &lockedBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", serveOpts{workers: 2, manifest: manifest}, out, diag)
+		opts := logMode(2)
+		opts.manifest = manifest
+		done <- run("127.0.0.1:0", opts, out, diag)
 	}()
 
 	// The bound port is dynamic; recover it from the startup line.
@@ -186,9 +238,9 @@ func TestServeRecordsCapture(t *testing.T) {
 	out := &lockedBuffer{}
 	diag := &lockedBuffer{}
 	done := make(chan error, 1)
-	go func() {
-		done <- serve(serveOpts{workers: 2, record: capPath, manifest: manifest}, pc, out, diag)
-	}()
+	opts := logMode(2)
+	opts.record, opts.manifest = capPath, manifest
+	go func() { done <- serve(opts, pc, out, diag) }()
 
 	sendProbes(t, pc.LocalAddr().String())
 	waitFor(t, out, "Initial", "not QUIC")
@@ -258,9 +310,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	diag := &lockedBuffer{}
 	out := &lockedBuffer{}
 	done := make(chan error, 1)
-	go func() {
-		done <- serve(serveOpts{workers: 2, metrics: "127.0.0.1:0", heartbeat: 20 * time.Millisecond}, pc, out, diag)
-	}()
+	opts := logMode(2)
+	opts.metrics, opts.heartbeat = "127.0.0.1:0", 20*time.Millisecond
+	go func() { done <- serve(opts, pc, out, diag) }()
 
 	waitFor(t, diag, "metrics on http://")
 	line := diag.String()
@@ -286,7 +338,10 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		return string(body)
 	}
 
-	// Live scrape: the atomic banks are updated as packets arrive.
+	// Live scrape: the shards update the atomic banks as they analyse,
+	// which at two workers is when the read loop's idle flush hands them
+	// the partly filled dispatch batches — not on arrival.
+	scrapeUntil(t, url, "quicsand_live_packets_total 2")
 	liveDoc := scrape()
 	for _, want := range []string{
 		"# TYPE quicsand_live_packets_total counter",
@@ -334,9 +389,9 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 		}
 		out := &lockedBuffer{}
 		done := make(chan error, 1)
-		go func() {
-			done <- serve(serveOpts{workers: 2, metrics: "127.0.0.1:0", heartbeat: 10 * time.Millisecond}, pc, out, io.Discard)
-		}()
+		opts := logMode(2)
+		opts.metrics, opts.heartbeat = "127.0.0.1:0", 10*time.Millisecond
+		go func() { done <- serve(opts, pc, out, io.Discard) }()
 		sendProbes(t, pc.LocalAddr().String())
 		waitFor(t, out, "Initial", "not QUIC")
 		pc.Close()
@@ -363,9 +418,9 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 }
 
 // TestServeTraceOut runs serve with the flight recorder armed: the
-// probes flow through the instrumented engine, and shutdown writes a
-// parseable Chrome trace, prints the stage table, and references the
-// trace from the manifest.
+// probes flow through the streamer's instrumented engine, and shutdown
+// writes a parseable Chrome trace, prints the stage table, and
+// references the trace from the manifest.
 func TestServeTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "flight.json")
@@ -378,9 +433,9 @@ func TestServeTraceOut(t *testing.T) {
 	out := &lockedBuffer{}
 	diag := &lockedBuffer{}
 	done := make(chan error, 1)
-	go func() {
-		done <- serve(serveOpts{workers: 2, traceOut: tracePath, manifest: manifest}, pc, out, diag)
-	}()
+	opts := logMode(2)
+	opts.traceOut, opts.manifest = tracePath, manifest
+	go func() { done <- serve(opts, pc, out, diag) }()
 
 	sendProbes(t, pc.LocalAddr().String())
 	waitFor(t, out, "Initial", "not QUIC")
@@ -409,9 +464,9 @@ func TestServeTraceOut(t *testing.T) {
 			stages[e.Name]++
 		}
 	}
-	// telescoped's feed side is the socket fan-out (ingest); analyze
-	// spans cover the dissect work on both probes.
-	if stages["analyze"] == 0 || stages["ingest"] == 0 {
+	// The workers' feed side drains the streamer's dispatch queues
+	// (scatter); analyze spans cover the analysis of both probes.
+	if stages["analyze"] == 0 || stages["scatter"] == 0 {
 		t.Errorf("trace missing engine stages: %v", stages)
 	}
 	if s := out.String(); !strings.Contains(s, "flight recorder:") {

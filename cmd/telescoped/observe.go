@@ -11,10 +11,10 @@ import (
 	"quicsand/internal/telemetry"
 )
 
-// observability is what both serve loops wire around their pipeline:
-// the live counter bank, the optional /metrics endpoint, heartbeat and
-// -record sink, and the shutdown sequence that drains them into the
-// final snapshot and the manifest.
+// observability is what serve wires around its pipeline: the live
+// counter bank, the optional /metrics endpoint, heartbeat and -record
+// sink, and the shutdown sequence that drains them into the final
+// snapshot and the manifest.
 type observability struct {
 	opts    serveOpts
 	diag    io.Writer
@@ -77,13 +77,14 @@ func (o *observability) close() {
 }
 
 // finish runs once the pipeline has drained: it stamps the per-shard
-// packet counts, flushes and closes the record sink — folding its
-// ledger into snap.Trace so -manifest and /metrics expose how much of
-// the observed traffic the file actually holds; skipped counts the
-// datagrams the packet model could not represent — publishes snap to
-// the endpoint, and prints header and the counter block onto out.
+// packet counts and the datagrams the packet model could not represent
+// (skipped, as decode drops), flushes and closes the record sink —
+// folding its ledger into snap.Trace so -manifest and /metrics expose
+// how much of the observed traffic the file actually holds — publishes
+// snap to the endpoint, and prints header and the counter block onto out.
 func (o *observability) finish(snap *telemetry.Snapshot, skipped uint64, out io.Writer, header string) error {
 	snap.ShardPackets = o.live.ShardCounts()
+	snap.Ingest.DecodeDrops += skipped
 	if o.rec != nil {
 		if err := o.rec.Flush(); err != nil {
 			fmt.Fprintf(o.diag, "telescoped: record %s: %v\n", o.opts.record, err)
@@ -104,10 +105,21 @@ func (o *observability) finish(snap *telemetry.Snapshot, skipped uint64, out io.
 	return nil
 }
 
-// manifestConfig returns the Config keys every telescoped manifest
-// carries; daemon mode adds its own.
+// manifestConfig returns the Config keys of telescoped's manifest, the
+// same set at every -window.
 func (o *observability) manifestConfig(listen net.Addr) map[string]any {
-	return map[string]any{"listen": listen.String(), "workers": o.workers, "record": o.opts.record}
+	return map[string]any{
+		"listen":           listen.String(),
+		"workers":          o.workers,
+		"record":           o.opts.record,
+		"window":           o.opts.window.String(),
+		"checkpoint_every": o.opts.ckptEvery.String(),
+		"checkpoint":       o.opts.checkpoint,
+		"alerts":           o.opts.alerts,
+		"mem_budget":       o.opts.memBudget,
+		"seed":             o.opts.seed,
+		"scale":            o.opts.scale,
+	}
 }
 
 // export writes the run's files at shutdown: the flight timeline (nil

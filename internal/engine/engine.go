@@ -9,8 +9,9 @@
 // bit-identical to the sequential single-shard run — see DESIGN.md §8.
 //
 // The engine is generic over the item type and knows nothing about
-// packets: quicsand.Run drives it with *telescope.Packet items, and
-// cmd/telescoped with live datagrams.
+// packets: quicsand.Run, Replay and the Streamer drive it with
+// *telescope.Packet items — a generated month, a stored capture, or the
+// live traffic cmd/telescoped offers to a Streamer.
 package engine
 
 import (
@@ -51,8 +52,8 @@ type Config struct {
 	// FeedStage labels the worker's feed-side span track: what the
 	// shard is doing when it is not inside process. Live runs generate
 	// (telemetry.StageGenerate — the zero Stage maps here), replays
-	// drain scatter queues (StageScatter), telescoped waits on its
-	// socket (StageIngest).
+	// drain scatter queues and streamers their dispatch queues
+	// (StageScatter).
 	FeedStage telemetry.Stage
 }
 
