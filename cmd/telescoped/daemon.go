@@ -120,6 +120,10 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	// silence flushes them, and the buffered log with them. Log write
 	// errors are ignored: a lost log line must not stop capture.
 	buf := make([]byte, 65535)
+	var local int // the socket's port: a server reply's destination
+	if ua, ok := pc.LocalAddr().(*net.UDPAddr); ok {
+		local = ua.Port
+	}
 	log := bufio.NewWriter(out)
 	var p telescope.Packet
 	var skipped uint64
@@ -136,9 +140,9 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 			break // socket closed: the signal handler's graceful drain
 		}
 		if logDis != nil {
-			describe(log, logDis, addr.String(), buf[:sz])
+			describe(log, logDis, addr, local, buf[:sz])
 		}
-		if !recordPacket(&p, addr, buf[:sz]) {
+		if !recordPacket(&p, addr, local, buf[:sz]) {
 			skipped++ // non-IPv4 remote: unrepresentable in the model
 			continue
 		}

@@ -2,8 +2,10 @@
 // socket and streams every arriving datagram through the incremental
 // analysis pipeline (DESIGN.md §17) — the sharded pipeline the
 // simulation and the replays feed, attached to a real socket. Each
-// datagram is mapped into the telescope address model and offered to
-// one quicsand.Streamer, sharded by source over -workers (0 = all CPUs).
+// datagram is mapped into the telescope address model — one from remote
+// port 443 as a server's reply to the socket's port, every other as a
+// request to UDP/443 — and offered to one quicsand.Streamer, sharded by
+// source over -workers (0 = all CPUs).
 //
 // -window picks what rides on the analysis. At 0, the default, there
 // are no detectors and the read loop prints one classification line per
@@ -186,11 +188,11 @@ func (o serveOpts) detectors() (*detect.Config, error) {
 
 // recordPacket shapes one received datagram into the telescope store's
 // packet model, overwriting *p (which then aliases data). The
-// destination is the telescope prefix base on UDP/443: the daemon
-// observes one socket, which stands in for the whole /9. Non-IPv4
-// remotes have no representation in the 32-bit address space and
-// report false (counted as record drops).
-func recordPacket(p *telescope.Packet, remote net.Addr, data []byte) bool {
+// destination is the telescope prefix base: the daemon observes one
+// socket, which stands in for the whole /9. Its ports come from
+// udpPorts. Non-IPv4 remotes have no representation in the 32-bit
+// address space and report false (counted as record drops).
+func recordPacket(p *telescope.Packet, remote net.Addr, local int, data []byte) bool {
 	ua, ok := remote.(*net.UDPAddr)
 	if !ok {
 		return false
@@ -203,19 +205,40 @@ func recordPacket(p *telescope.Packet, remote net.Addr, data []byte) bool {
 		TS:      telescope.TS(time.Now()),
 		Src:     netmodel.Addr(uint32(ip4[0])<<24 | uint32(ip4[1])<<16 | uint32(ip4[2])<<8 | uint32(ip4[3])),
 		Dst:     netmodel.TelescopePrefix.Base,
-		SrcPort: uint16(ua.Port),
-		DstPort: 443,
 		Proto:   telescope.ProtoUDP,
 		Size:    uint16(len(data)),
 		Payload: data,
 	}
+	p.SrcPort, p.DstPort = udpPorts(remote, local)
 	return true
 }
 
+// udpPorts maps a datagram's ports into the telescope's port model. A
+// datagram from remote port UDP/443 is a server's reply — backscatter —
+// and keeps the socket's local port as its destination, so it
+// classifies as a response; every other datagram is a request to
+// UDP/443, whatever port the socket listens on. A daemon that itself
+// listens on 443 sees a reply as 443 → 443, which the paper's port
+// classification counts as neither direction.
+func udpPorts(remote net.Addr, local int) (src, dst uint16) {
+	if ua, ok := remote.(*net.UDPAddr); ok {
+		src = uint16(ua.Port)
+	}
+	if src == telescope.PortQUIC {
+		return src, uint16(local)
+	}
+	return src, telescope.PortQUIC
+}
+
 // describe writes one datagram's classification lines to w: one per
-// QUIC packet inside it, or a single "not QUIC" line.
-func describe(w io.Writer, d *dissect.Dissector, addr string, data []byte) {
-	r, err := d.Dissect(data)
+// QUIC packet inside it, or a single "not QUIC" line. The datagram is
+// dissected in its port direction, so a server reply's Initial is not
+// opened.
+func describe(w io.Writer, d *dissect.Dissector, remote net.Addr, local int, data []byte) {
+	p := telescope.Packet{Proto: telescope.ProtoUDP, Payload: data}
+	p.SrcPort, p.DstPort = udpPorts(remote, local)
+	addr := remote.String()
+	r, err := d.DissectPacket(&p)
 	if err != nil {
 		fmt.Fprintf(w, "%-21s %5dB  not QUIC\n", addr, len(data))
 		return
@@ -228,7 +251,11 @@ func describe(w io.Writer, d *dissect.Dissector, addr string, data []byte) {
 		if pi.HasClientHello {
 			fmt.Fprintf(w, " ClientHello sni=%q", pi.SNI)
 		} else if pi.Type == wire.PacketTypeInitial && !pi.Decrypted {
-			io.WriteString(w, " (undecryptable: backscatter-shaped)")
+			if p.IsResponse() {
+				io.WriteString(w, " (server reply: not opened)")
+			} else {
+				io.WriteString(w, " (undecryptable: backscatter-shaped)")
+			}
 		}
 		io.WriteString(w, "\n")
 	}

@@ -16,8 +16,11 @@ import (
 	"time"
 
 	"quicsand/internal/capture"
+	"quicsand/internal/dissect"
 	"quicsand/internal/handshake"
 	"quicsand/internal/telescope"
+	"quicsand/internal/tlsmini"
+	"quicsand/internal/wire"
 )
 
 // lockedBuffer serializes writes (shards print concurrently).
@@ -219,6 +222,75 @@ func TestRunSIGTERMGracefulShutdown(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("manifest missing %s:\n%s", want, data)
 		}
+	}
+}
+
+// TestRecordPacketDirection maps datagrams by their remote port: a reply
+// from UDP/443 is backscatter and lands as a response to the socket's
+// own port, anything else as a request to UDP/443, and a daemon that
+// itself listens on 443 sees a reply as 443 → 443. The log dissects
+// each datagram in that direction, so a reply's Initial is never opened.
+func TestRecordPacketDirection(t *testing.T) {
+	client, err := handshake.NewClient(handshake.ClientConfig{ServerName: "live.test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, err := client.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := wire.ParseLongHeader(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := tlsmini.GenerateSelfSigned("live.test", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := handshake.NewServerConn(handshake.ServerConfig{Identity: id}, wire.Version1, h.DstConnID, h.SrcConnID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight, err := server.HandleDatagram(append([]byte(nil), initial...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := flight[0]
+
+	const local = 8443
+	fromServer := &net.UDPAddr{IP: net.IPv4(142, 250, 0, 1), Port: 443}
+	fromClient := &net.UDPAddr{IP: net.IPv4(103, 110, 0, 5), Port: 40000}
+	var p telescope.Packet
+	if !recordPacket(&p, fromServer, local, reply) || !p.IsResponse() || p.DstPort != local {
+		t.Errorf("reply from port 443 mapped to %d -> %d, want a response to %d", p.SrcPort, p.DstPort, local)
+	}
+	if !recordPacket(&p, fromClient, local, initial) || !p.IsRequest() {
+		t.Errorf("client datagram mapped to %d -> %d, want a request", p.SrcPort, p.DstPort)
+	}
+	if !recordPacket(&p, fromServer, 443, reply) || p.SrcPort != 443 || p.DstPort != 443 {
+		t.Errorf("reply to a daemon on 443 mapped to %d -> %d, want 443 -> 443", p.SrcPort, p.DstPort)
+	}
+
+	var b bytes.Buffer
+	d := dissect.NewDissector()
+	describe(&b, d, fromClient, local, initial)
+	if !strings.Contains(b.String(), `ClientHello sni="live.test"`) {
+		t.Errorf("request line: %q", b.String())
+	}
+	b.Reset()
+	opens := d.Metrics.OpenerHits + d.Metrics.OpenerMisses
+	describe(&b, d, fromServer, local, reply)
+	first, _, _ := strings.Cut(b.String(), "\n")
+	if !strings.Contains(first, "Initial") || !strings.HasSuffix(first, " (server reply: not opened)") {
+		t.Errorf("response line: %q", first)
+	}
+	if got := d.Metrics.OpenerHits + d.Metrics.OpenerMisses; got != opens {
+		t.Errorf("logging a server reply made %d trial opens", got-opens)
+	}
+	b.Reset()
+	describe(&b, d, &net.UDPAddr{IP: net.IPv4(142, 250, 0, 1), Port: 40001}, local, reply)
+	if first, _, _ := strings.Cut(b.String(), "\n"); !strings.HasSuffix(first, " (undecryptable: backscatter-shaped)") {
+		t.Errorf("request-direction reply line: %q", first)
 	}
 }
 

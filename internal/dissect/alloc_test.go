@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"quicsand/internal/handshake"
+	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
 
@@ -11,9 +12,10 @@ import (
 // telescope paths. The dissector recycles result storage, headers,
 // openers, plaintext and crypto buffers; the only steady-state
 // allocations left sit inside TLS message parsing (client initials)
-// and the AEAD internals (failed backscatter opens). These tests lock
-// the budgets so a refactor cannot quietly reintroduce per-packet
-// garbage on the 92 M packet stream.
+// and the AEAD internals of a failed open, which backscatter pays only
+// when dissected without its direction. These tests lock the budgets
+// so a refactor cannot quietly reintroduce per-packet garbage on the
+// 92 M packet stream.
 
 func TestDissectAllocs(t *testing.T) {
 	client, err := handshake.NewClient(handshake.ClientConfig{ServerName: "alloc.test"})
@@ -49,7 +51,17 @@ func TestDissectAllocs(t *testing.T) {
 	}
 
 	// Backscatter (undecryptable server flight): the overwhelmingly
-	// dominant payload class. Budget covers only AEAD-internal scratch.
+	// dominant payload class. In its response direction it is never
+	// opened, so nothing may allocate; without a direction the failed
+	// trial open's AEAD-internal scratch is the budget.
+	resp := &telescope.Packet{SrcPort: 443, DstPort: 51000, Proto: telescope.ProtoUDP, Payload: flight[0]}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := d.DissectPacket(resp); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 0 {
+		t.Errorf("response-direction backscatter dissect allocates %.1f/op, budget 0", avg)
+	}
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := d.Dissect(flight[0]); err != nil {
 			t.Fatal(err)

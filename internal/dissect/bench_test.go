@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"quicsand/internal/handshake"
+	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 	"quicsand/internal/wire"
 )
@@ -42,14 +43,29 @@ func BenchmarkDissectBackscatter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := NewDissector()
-	b.SetBytes(int64(len(flight[0])))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Dissect(flight[0]); err != nil {
-			b.Fatal(err)
+	// unknown: Dissect without a direction pays the doomed trial open;
+	// response: the packet form skips it.
+	b.Run("unknown", func(b *testing.B) {
+		d := NewDissector()
+		b.SetBytes(int64(len(flight[0])))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.Dissect(flight[0]); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("response", func(b *testing.B) {
+		d := NewDissector()
+		p := &telescope.Packet{SrcPort: 443, DstPort: 51000, Proto: telescope.ProtoUDP, Payload: flight[0]}
+		b.SetBytes(int64(len(flight[0])))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.DissectPacket(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func benchIdent(b *testing.B) *tlsmini.Identity {

@@ -1,10 +1,14 @@
 // Package dissect is the telescope's QUIC dissector — the stand-in for
 // the paper's Wireshark payload dissection (§4.1). It validates that a
 // UDP/443 payload is structurally QUIC, walks coalesced packets,
-// removes Initial packet protection where a passive observer can (the
-// Initial keys derive from the DCID on the wire), and extracts the
-// fields the analyses join on: packet types, version, SCID/DCID, and
-// whether an Initial carries a client-visible ClientHello.
+// removes Initial packet protection where a passive observer can, and
+// extracts the fields the analyses join on: packet types, version,
+// SCID/DCID, and whether an Initial carries a client-visible
+// ClientHello. A passive observer can open client Initials only (their
+// keys derive from the DCID on the wire), so DissectPacket trial-opens
+// Initials in request-direction datagrams and leaves server replies
+// (source port UDP/443) opaque without trying; Dissect, for payloads of
+// unknown direction, tries every Initial.
 //
 // The design follows gopacket's DecodingLayer idiom: a reusable
 // Dissector decodes into preallocated result storage and recycles every
@@ -55,7 +59,8 @@ type PacketInfo struct {
 	DCID wire.ConnectionID
 
 	// Decrypted reports whether Initial protection was removable with
-	// the on-wire DCID (true for genuine client Initials).
+	// the on-wire DCID (true for genuine client Initials). It is always
+	// false for response-direction Initials, which are never opened.
 	Decrypted bool
 	// HasClientHello reports a parseable TLS ClientHello inside a
 	// decrypted Initial — §6's backscatter-vs-scan discriminator.
@@ -173,11 +178,29 @@ func NewDissector() *Dissector { return &Dissector{TryDecrypt: true} }
 // ErrNotQUIC reports payloads rejected by deep validation.
 var ErrNotQUIC = errors.New("dissect: not a QUIC datagram")
 
-// Dissect validates and decodes one UDP payload. The returned Result
-// is reused across calls and its connection IDs alias payload — copy
-// what must outlive the next call. Dissect never writes to payload, so
+// Dissect validates and decodes one UDP payload whose direction is
+// unknown, so every Initial is trial-opened. The returned Result is
+// reused across calls and its connection IDs alias payload — copy what
+// must outlive the next call. Dissect never writes to payload, so
 // callers may pass shared read-only datagrams (interned templates).
 func (d *Dissector) Dissect(payload []byte) (*Result, error) {
+	return d.dissect(payload, d.TryDecrypt)
+}
+
+// DissectPacket dissects p's payload in the direction the paper's port
+// classification gives it. A response (source port UDP/443) is parsed
+// and validated exactly like a request, but its Initials are never
+// trial-opened: a server seals them with the server Initial secret, so
+// the client secret the trial open derives from the wire DCID can never
+// open them (DESIGN.md §4). Every other direction is opened as Dissect
+// opens it. The Result follows Dissect's reuse and aliasing rules.
+func (d *Dissector) DissectPacket(p *telescope.Packet) (*Result, error) {
+	return d.dissect(p.Payload, d.TryDecrypt && !p.IsResponse())
+}
+
+// dissect is the one datagram walk behind both entry points; open
+// gates the Initial trial decryption.
+func (d *Dissector) dissect(payload []byte, open bool) (*Result, error) {
 	r := &d.result
 	r.Packets = r.Packets[:0]
 	r.Valid = false
@@ -217,7 +240,7 @@ func (d *Dissector) Dissect(payload []byte) (*Result, error) {
 			r.Valid = true
 		}
 
-		if d.TryDecrypt && h.Type == wire.PacketTypeInitial && h.Version.Known() {
+		if open && h.Type == wire.PacketTypeInitial && h.Version.Known() {
 			d.tryDecryptInitial(h, rest[:h.PacketLen()], info)
 		}
 		rest = rest[h.PacketLen():]
@@ -258,9 +281,9 @@ func (d *Dissector) opener(v wire.Version, dcid wire.ConnectionID) (*quiccrypto.
 
 // tryDecryptInitial attempts to remove protection using the client
 // Initial keys derived from the wire DCID — exactly what a passive
-// dissector can do. Server Initials (backscatter) fail here because
-// their keys derive from the client's original DCID, which never
-// appears in the response header.
+// dissector can do. Server Initials (backscatter) always fail here,
+// because the server seals with its own secret; DissectPacket never
+// tries them.
 func (d *Dissector) tryDecryptInitial(h *wire.Header, pkt []byte, info *PacketInfo) {
 	opener, err := d.opener(h.Version, h.DstConnID)
 	if err != nil {
@@ -273,7 +296,8 @@ func (d *Dissector) tryDecryptInitial(h *wire.Header, pkt []byte, info *PacketIn
 	opener.ResetLargestPN()
 	// Pre-size the plaintext scratch: GCM grows its destination before
 	// authenticating and returns nil on failure, so an undersized buffer
-	// would re-allocate on every undecryptable backscatter datagram.
+	// would re-allocate on every Initial that fails to open (a server
+	// reply dissected without a direction, a damaged client Initial).
 	if cap(d.plain) < len(pkt) {
 		d.plain = make([]byte, 0, len(pkt)+512)
 	}
@@ -356,7 +380,7 @@ func (d *Dissector) Classify(p *telescope.Packet) Class {
 		return ClassNotQUIC
 	}
 	if p.Payload != nil {
-		if _, err := d.Dissect(p.Payload); err != nil {
+		if _, err := d.DissectPacket(p); err != nil {
 			return ClassNotQUIC
 		}
 	}

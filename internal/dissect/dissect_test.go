@@ -1,7 +1,9 @@
 package dissect
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"quicsand/internal/handshake"
@@ -221,6 +223,142 @@ func TestClassifyPipeline(t *testing.T) {
 	tcp := &telescope.Packet{Proto: telescope.ProtoTCP, SrcPort: 443, DstPort: 9}
 	if c := d.Classify(tcp); c != ClassNotQUIC {
 		t.Errorf("tcp classified %v", c)
+	}
+}
+
+// snapshot copies a reused Result out of the dissector, so results of
+// two calls can be compared.
+func snapshot(r *Result) Result {
+	out := Result{Valid: r.Valid}
+	for _, pi := range r.Packets {
+		pi.SCID = append(wire.ConnectionID(nil), pi.SCID...)
+		pi.DCID = append(wire.ConnectionID(nil), pi.DCID...)
+		pi.FrameTypes = append([]wire.FrameType(nil), pi.FrameTypes...)
+		out.Packets = append(out.Packets, pi)
+	}
+	return out
+}
+
+// trialOpens is the number of Initial trial opens d has made.
+func trialOpens(d *Dissector) uint64 { return d.Metrics.OpenerHits + d.Metrics.OpenerMisses }
+
+// TestDissectOpensClientDirectionOnly pins which packets the dissector
+// trial-opens (DESIGN.md §4): Initials in request-direction datagrams
+// only. A response-direction datagram is validated and parsed exactly
+// as before but never touches the opener; a server flight would not
+// open even as a request, because the server seals with its own secret;
+// and datagrams without an Initial dissect the same in both directions.
+// Classify's answer does not depend on the gate.
+func TestDissectOpensClientDirectionOnly(t *testing.T) {
+	initial, flight := clientInitialAndServerFlight(t, wire.Version1)
+	vn := wire.AppendVersionNegotiation(nil, wire.ConnectionID{1, 2}, wire.ConnectionID{3},
+		[]wire.Version{wire.Version1, wire.VersionDraft29}, 0x11)
+	retry, err := quiccrypto.BuildRetry(wire.Version1, wire.ConnectionID{5}, wire.ConnectionID{6, 7}, wire.ConnectionID{8, 8}, []byte("tok"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneRTT := append([]byte{0x41}, make([]byte, 24)...)
+
+	asRequest := func(payload []byte) *telescope.Packet {
+		return &telescope.Packet{
+			Src: netmodel.MustAddr("103.110.0.5"), Dst: netmodel.MustAddr("44.0.0.1"),
+			SrcPort: 40000, DstPort: 443, Proto: telescope.ProtoUDP, Payload: payload,
+		}
+	}
+	asResponse := func(payload []byte) *telescope.Packet {
+		return &telescope.Packet{
+			Src: netmodel.MustAddr("142.250.0.1"), Dst: netmodel.MustAddr("44.0.0.2"),
+			SrcPort: 443, DstPort: 51000, Proto: telescope.ProtoUDP, Payload: payload,
+		}
+	}
+	d := NewDissector()
+
+	// The client Initial as a request opens and yields its ClientHello.
+	r, err := d.DissectPacket(asRequest(initial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pi := r.First(); !pi.Decrypted || !pi.HasClientHello || pi.SNI != "www.google.com" {
+		t.Fatalf("request Initial: decrypted=%v hello=%v sni=%q", pi.Decrypted, pi.HasClientHello, pi.SNI)
+	}
+
+	// The same bytes as a response: parsed and valid, never opened.
+	h, err := wire.ParseLongHeader(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := trialOpens(d)
+	r, err = d.DissectPacket(asResponse(initial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := r.First()
+	if !r.Valid || pi.Type != wire.PacketTypeInitial || pi.Version != wire.Version1 {
+		t.Fatalf("response Initial: valid=%v type=%v version=%v", r.Valid, pi.Type, pi.Version)
+	}
+	if !bytes.Equal(pi.SCID, h.SrcConnID) || !bytes.Equal(pi.DCID, h.DstConnID) {
+		t.Fatalf("response Initial CIDs scid=%s dcid=%s, want %s %s", pi.SCID, pi.DCID, h.SrcConnID, h.DstConnID)
+	}
+	if pi.Decrypted || pi.HasClientHello {
+		t.Fatal("response-direction Initial was opened")
+	}
+	if got := trialOpens(d); got != opens {
+		t.Fatalf("response-direction Initial touched the opener: %d -> %d lookups", opens, got)
+	}
+
+	// The server flight dissected as a request is trial-opened and
+	// still fails: the gate loses nothing a passive observer could see.
+	for i, dgram := range flight {
+		opens := trialOpens(d)
+		r, err := d.DissectPacket(asRequest(dgram))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := snapshot(r)
+		for _, pi := range req.Packets {
+			if pi.Decrypted {
+				t.Fatalf("flight[%d]: server %v opened with client keys", i, pi.Type)
+			}
+		}
+		if r.HasType(wire.PacketTypeInitial) && trialOpens(d) == opens {
+			t.Fatalf("flight[%d]: request-direction Initial was not trial-opened", i)
+		}
+		r, err = d.DissectPacket(asResponse(dgram))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := snapshot(r); !reflect.DeepEqual(req, resp) {
+			t.Fatalf("flight[%d]: request %+v, response %+v", i, req, resp)
+		}
+	}
+
+	// No Initial inside: both directions dissect identically, unopened.
+	for name, dgram := range map[string][]byte{"vn": vn, "retry": retry, "handshake": flight[len(flight)-1], "1-rtt": oneRTT} {
+		opens := trialOpens(d)
+		r, err := d.DissectPacket(asRequest(dgram))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		req := snapshot(r)
+		r, err = d.DissectPacket(asResponse(dgram))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resp := snapshot(r); !reflect.DeepEqual(req, resp) {
+			t.Errorf("%s: request %+v, response %+v", name, req, resp)
+		}
+		if got := trialOpens(d); got != opens {
+			t.Errorf("%s: %d opener lookups without an Initial", name, got-opens)
+		}
+	}
+
+	for i, dgram := range append([][]byte{initial, vn, retry, oneRTT}, flight...) {
+		if c := d.Classify(asRequest(dgram)); c != ClassRequest {
+			t.Errorf("datagram %d as request classified %v", i, c)
+		}
+		if c := d.Classify(asResponse(dgram)); c != ClassResponse {
+			t.Errorf("datagram %d as response classified %v", i, c)
+		}
 	}
 }
 

@@ -107,6 +107,10 @@ type Dissect struct {
 	// ClientHello.
 	ClientHellos uint64 `json:"client_hellos" help:"Decrypted Initials carrying a ClientHello." class:"stream"`
 	// Opener cache behavior (runtime: shard interleaving dependent).
+	// Each hit or miss is one Initial trial open, made only for
+	// request-direction or direction-unknown datagrams, so hits + misses
+	// equal Decrypted unless something failed to open. Their help text
+	// is pinned for scrapers by the exposition golden in testdata/.
 	OpenerHits   uint64 `json:"opener_hits" help:"Initial-opener cache hits." class:"runtime"`
 	OpenerMisses uint64 `json:"opener_misses" help:"Initial-opener cache misses (HKDF+AES derivations)." class:"runtime"`
 	OpenerResets uint64 `json:"opener_resets" help:"Wholesale opener-cache resets." class:"runtime"`

@@ -268,13 +268,14 @@ func (sh *pipelineShard) flightClose() {
 	}
 }
 
-// dissectPkt meters one dissection when the recorder is on.
-func (sh *pipelineShard) dissectPkt(payload []byte) (*dissect.Result, error) {
+// dissectPkt dissects p in its port direction (server replies are
+// never trial-opened), metered when the recorder is on.
+func (sh *pipelineShard) dissectPkt(p *telescope.Packet) (*dissect.Result, error) {
 	if sh.ring == nil {
-		return sh.dis.Dissect(payload)
+		return sh.dis.DissectPacket(p)
 	}
 	t0 := sh.ring.Now()
-	r, err := sh.dis.Dissect(payload)
+	r, err := sh.dis.DissectPacket(p)
 	sh.fl.disNS += sh.ring.Now() - t0
 	sh.fl.disN++
 	return r, err
@@ -369,7 +370,7 @@ func (sh *pipelineShard) process(p *telescope.Packet) bool {
 		}
 		var res *dissect.Result
 		if p.Payload != nil {
-			r, err := sh.dissectPkt(p.Payload)
+			r, err := sh.dissectPkt(p)
 			if err != nil {
 				sh.nonQUIC++
 				if sh.live != nil {
