@@ -1,11 +1,10 @@
 package quicsand
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (run with `go test -bench . -benchmem`). Each
+// The benchmark harness regenerates every figure of the paper's
+// evaluation (run with `go test -bench . -benchmem`). Each
 // BenchmarkFigureN measures the analysis path that produces that
-// figure over a shared generated month; BenchmarkTable1 sweeps the
-// flood capacity model. Ablation benches cover the design choices
-// DESIGN.md §6 lists. End-to-end pipeline, replay and streaming
+// figure over a shared generated month. Ablation benches cover the
+// design choices DESIGN.md §6 lists. End-to-end pipeline, replay and streaming
 // throughput is the repository benchmark's job (bench/, BENCHMARK.json).
 
 import (
@@ -16,7 +15,6 @@ import (
 	"quicsand/internal/correlate"
 	"quicsand/internal/dissect"
 	"quicsand/internal/dosdetect"
-	"quicsand/internal/flood"
 	"quicsand/internal/handshake"
 	"quicsand/internal/ibr"
 	"quicsand/internal/netmodel"
@@ -173,16 +171,6 @@ func BenchmarkFigure13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(a.Figure13()) == 0 {
 			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkTable1 sweeps the paper's nine flood configurations.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := flood.Table1Rows(500000)
-		if len(rows) != 9 {
-			b.Fatal("bad row count")
 		}
 	}
 }

@@ -182,8 +182,11 @@ const (
 	// MaxBuckets bounds Config.Buckets.
 	MaxBuckets = 16
 	// cidSlots is the per-bucket distinct-CID capacity; buckets
-	// saturate at this many distinct CIDs (the ratio test only needs
-	// "many distinct", not an exact count).
+	// saturate at this many distinct CIDs. The CID ratio divides by
+	// the uncapped QUIC packet count, so it can reach MinCIDRatio only
+	// while a window holds at most Buckets·cidSlots/MinCIDRatio QUIC
+	// packets (96 at the defaults): a flood above that never opens a
+	// cid-ratio episode, however many fresh CIDs it carries.
 	cidSlots = 8
 )
 

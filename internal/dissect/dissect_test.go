@@ -401,36 +401,3 @@ func TestResultReuse(t *testing.T) {
 		t.Fatal("stale result data")
 	}
 }
-
-func TestFlowEndpoint(t *testing.T) {
-	p := &telescope.Packet{
-		Src: netmodel.MustAddr("1.2.3.4"), Dst: netmodel.MustAddr("5.6.7.8"),
-		SrcPort: 1000, DstPort: 443,
-	}
-	f := FlowOf(p)
-	if f.String() != "1.2.3.4:1000->5.6.7.8:443" {
-		t.Errorf("flow string = %q", f.String())
-	}
-	if f.Reverse().Src != f.Dst || f.Reverse().Dst != f.Src {
-		t.Error("reverse wrong")
-	}
-	if f.FastHash() != f.Reverse().FastHash() {
-		t.Error("FastHash must be symmetric")
-	}
-	other := Flow{Src: Endpoint{Addr: 1, Port: 2}, Dst: Endpoint{Addr: 3, Port: 4}}
-	if f.FastHash() == other.FastHash() {
-		t.Error("distinct flows collided (unlucky but investigate)")
-	}
-	if !other.Src.LessThan(other.Dst) || other.Dst.LessThan(other.Src) {
-		t.Error("endpoint ordering")
-	}
-	samePort := Endpoint{Addr: 1, Port: 5}
-	if !other.Src.LessThan(samePort) {
-		t.Error("port tiebreak")
-	}
-	// Flows must be usable as map keys.
-	m := map[Flow]int{f: 1, other: 2}
-	if m[f] != 1 || m[other] != 2 {
-		t.Error("flow as map key")
-	}
-}

@@ -501,17 +501,6 @@ func mergeTap[T any](chans, free []chan []T, tap *Tap[T], ring *telemetry.Ring, 
 		return true
 	}
 
-	if n == 1 {
-		// Degenerate single-stream case: no tournament needed.
-		for live > 0 {
-			tap.Sink(heads[0][pos[0]])
-			emitted++
-			record()
-			advance(0)
-		}
-		return emitted
-	}
-
 	// less is a strict total order over stream indices: item order
 	// first, then shard index — equal items must share a shard per the
 	// Tap contract, but the explicit tie-break keeps the merge

@@ -10,8 +10,10 @@
 //     handshake including crypto and state setup). It reproduces the
 //     full 10–100,000 pps sweep instantly and deterministically.
 //   - Live: replay against the real UDP server of internal/quicserver
-//     (used at low rates by tests and examples; absolute throughput
-//     depends on the host).
+//     at low rates (floodbench -live; Send from a caller's socket makes
+//     the server's replies reach that socket's reader, as in
+//     telescoped's backscatter chain test). Absolute throughput
+//     depends on the host.
 //
 // The paper's methodology is mirrored: the trace is recorded with a
 // real QUIC client and only client Initials are replayed ("replaying

@@ -139,6 +139,38 @@ func TestRecordTraceShape(t *testing.T) {
 	}
 }
 
+// TestSendRejectsBadInput pins Send's contract at its edges: a rate that
+// is not positive is an error (it used to be a divide by zero in
+// RunLive), and an empty trace sends nothing.
+func TestSendRejectsBadInput(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	trace := [][]byte{make([]byte, 1200)}
+	for _, tc := range []struct {
+		name    string
+		rate    int
+		trace   [][]byte
+		wantErr bool
+	}{
+		{"zero rate", 0, trace, true},
+		{"negative rate", -5, trace, true},
+		{"empty trace", 100, nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sent, err := Send(pc, pc.LocalAddr(), tc.rate, tc.trace)
+			if (err != nil) != tc.wantErr || sent != 0 {
+				t.Errorf("Send = %d, %v; want 0 sent, error %v", sent, err, tc.wantErr)
+			}
+		})
+	}
+	if _, err := RunLive(LiveConfig{Target: pc.LocalAddr().String(), Trace: trace}); err == nil {
+		t.Error("RunLive at rate 0 returned no error")
+	}
+}
+
 func TestRunLiveAgainstRealServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live replay")

@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"errors"
 	"net"
 	"time"
 
@@ -36,6 +37,30 @@ func RecordTrace(n int, version wire.Version) ([][]byte, error) {
 	return quicclient.RecordInitials(n, version, "bench.quicsand.test")
 }
 
+// Send replays trace to the address to from conn, one datagram every
+// 1/ratePPS seconds, and reports how many were written. The socket is
+// the caller's: whoever reads it sees the server's replies, which is how
+// a telescope's own socket stands in for a spoofed source inside its
+// prefix.
+func Send(conn net.PacketConn, to net.Addr, ratePPS int, trace [][]byte) (sent int, err error) {
+	if ratePPS <= 0 {
+		return 0, errors.New("flood: rate must be positive")
+	}
+	interval := time.Second / time.Duration(ratePPS)
+	next := time.Now()
+	for _, pkt := range trace {
+		if _, err := conn.WriteTo(pkt, to); err != nil {
+			return sent, err
+		}
+		sent++
+		next = next.Add(interval)
+		if d := time.Until(next); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	return sent, nil
+}
+
 // RunLive replays the trace from a single spoofing socket. Responses
 // are counted (not matched per-connection): on loopback the kernel
 // delivers everything, so the response ratio mirrors server-side
@@ -45,7 +70,7 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.DialUDP("udp", nil, raddr)
+	conn, err := net.ListenPacket("udp", ":0")
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +88,7 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 			if err := conn.SetReadDeadline(time.Now().Add(cfg.Collect)); err != nil {
 				return
 			}
-			n, err := conn.Read(buf)
+			n, _, err := conn.ReadFrom(buf)
 			if err != nil {
 				return
 			}
@@ -75,17 +100,11 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	}()
 
 	start := time.Now()
-	interval := time.Second / time.Duration(cfg.RatePPS)
-	next := start
-	for _, pkt := range cfg.Trace {
-		if _, err := conn.Write(pkt); err != nil {
-			return nil, err
-		}
-		res.Sent++
-		next = next.Add(interval)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
+	res.Sent, err = Send(conn, raddr, cfg.RatePPS, cfg.Trace)
+	if err != nil {
+		conn.Close() // ends the collector
+		<-done
+		return nil, err
 	}
 	<-done
 	res.Elapsed = time.Since(start)

@@ -26,10 +26,8 @@ const MinInitialDatagramSize = 1200
 
 // Errors shared by the client and server state machines.
 var (
-	ErrHandshakeComplete = errors.New("handshake: already complete")
 	ErrUnexpectedMessage = errors.New("handshake: unexpected message")
 	ErrAuthFailure       = errors.New("handshake: peer authentication failed")
-	ErrDatagramTooSmall  = errors.New("handshake: initial datagram below 1200 bytes")
 	ErrVersionUnknown    = errors.New("handshake: no mutually supported version")
 )
 

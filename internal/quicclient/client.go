@@ -101,6 +101,7 @@ func DialConn(conn net.Conn, cfg Config) (*Result, error) {
 				}
 				return nil, fmt.Errorf("quicclient: read: %w", err)
 			}
+			retry, vn := client.SawRetry(), client.SawVersionNegotiation()
 			out, err := client.HandleDatagram(append([]byte(nil), buf[:n]...))
 			if err != nil {
 				return nil, err
@@ -112,7 +113,9 @@ func DialConn(conn net.Conn, cfg Config) (*Result, error) {
 						return nil, err
 					}
 				}
-				if client.SawRetry() || client.SawVersionNegotiation() {
+				// Only the datagram that was the Retry or Version
+				// Negotiation costs a round trip, not every later one.
+				if client.SawRetry() != retry || client.SawVersionNegotiation() != vn {
 					res.RTTs++
 					deadline = time.Now().Add(cfg.Timeout)
 				}

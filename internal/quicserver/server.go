@@ -74,9 +74,10 @@ type Server struct {
 
 	Metrics Metrics
 
-	workers []*worker
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	workers  []*worker
+	wg       sync.WaitGroup // the workers
+	readDone chan struct{}  // closed when readLoop returns
+	closed   atomic.Bool
 }
 
 type inbound struct {
@@ -123,7 +124,7 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Server{cfg: cfg, conn: conn}
+	s := &Server{cfg: cfg, conn: conn, readDone: make(chan struct{})}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			srv:   s,
@@ -134,17 +135,20 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go w.run()
 	}
-	s.wg.Add(1)
 	go s.readLoop()
 	return s, nil
 }
 
-// Close stops the server and releases the socket.
+// Close stops the server and releases the socket. The worker queues
+// close only after readLoop has returned: a datagram it read just
+// before the socket closed is still being queued, and a send on a
+// closed channel panics even inside a select with a default.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	err := s.conn.Close()
+	<-s.readDone
 	for _, w := range s.workers {
 		close(w.queue)
 	}
@@ -156,7 +160,7 @@ func (s *Server) Close() error {
 func (s *Server) Addr() net.Addr { return s.conn.LocalAddr() }
 
 func (s *Server) readLoop() {
-	defer s.wg.Done()
+	defer close(s.readDone)
 	buf := make([]byte, 65535)
 	for {
 		n, addr, err := s.conn.ReadFrom(buf)

@@ -2,6 +2,8 @@ package quicserver
 
 import (
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,8 +83,8 @@ func TestHandshakeWithRetry(t *testing.T) {
 	if !res.SawRetry {
 		t.Fatal("no retry although enabled — the §6 probe depends on this signal")
 	}
-	if res.RTTs < 3 {
-		t.Errorf("RTTs = %d, want ≥3 (retry adds a round trip)", res.RTTs)
+	if res.RTTs != 3 {
+		t.Errorf("RTTs = %d, want 3 (retry adds one round trip)", res.RTTs)
 	}
 	if s.Metrics.RetriesSent.Load() == 0 {
 		t.Error("no retries recorded")
@@ -217,6 +219,52 @@ func TestConnectionTableLimit(t *testing.T) {
 	}
 	if s.Metrics.Dropped.Load() == 0 {
 		t.Error("no drops recorded")
+	}
+}
+
+// TestCloseUnderFlood closes servers while two senders pour junk at
+// them. readLoop may hold a datagram it read just before the socket
+// closed; Close must not close the worker queues under it, or queueing
+// that datagram panics with a send on a closed channel.
+func TestCloseUnderFlood(t *testing.T) {
+	junk := []byte("not quic")
+	for i := 0; i < 300; i++ {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(pc, Config{Identity: serverIdentity, Workers: 2, QueuePerWorker: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for j := 0; j < 2; j++ {
+			conn, err := net.Dial("udp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						conn.Write(junk) // refused once the server is gone
+					}
+				}
+			}()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for s.Metrics.Datagrams.Load() < 50 && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		s.Close()
+		close(stop)
+		wg.Wait()
 	}
 }
 

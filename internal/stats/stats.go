@@ -110,41 +110,3 @@ func Percentile(samples []float64, p float64) float64 {
 
 // Median computes the median of unsorted samples.
 func Median(samples []float64) float64 { return Percentile(samples, 50) }
-
-// Histogram counts samples into fixed-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	Under  uint64
-	Over   uint64
-}
-
-// NewHistogram creates a histogram with n bins.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.Under++
-	case v >= h.Hi:
-		h.Over++
-	default:
-		i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns all recorded samples including outliers.
-func (h *Histogram) Total() uint64 {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}

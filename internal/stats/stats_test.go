@@ -118,25 +118,3 @@ func TestPercentileHelpers(t *testing.T) {
 		t.Error("percentile extremes")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(v)
-	}
-	if h.Under != 1 {
-		t.Errorf("under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("over = %d", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0, 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[4] != 1 {
-		t.Errorf("bins = %v", h.Counts)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-}

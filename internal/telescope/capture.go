@@ -10,17 +10,10 @@ type Sink interface {
 	Capture(p *Packet)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(p *Packet)
-
-// Capture implements Sink.
-func (f SinkFunc) Capture(p *Packet) { f(p) }
-
-// Telescope models the darknet: it accepts only packets addressed into
-// its prefix and fans them out to the attached sinks.
+// Telescope models the darknet: it counts the packets addressed into
+// its prefix.
 type Telescope struct {
 	Prefix netmodel.Prefix
-	sinks  []Sink
 
 	// Counters for the §5.1 overview.
 	Total     uint64
@@ -32,21 +25,13 @@ type Telescope struct {
 }
 
 // New creates a telescope for the standard /9 prefix.
-func New(sinks ...Sink) *Telescope {
-	return &Telescope{Prefix: netmodel.TelescopePrefix, sinks: sinks}
+func New() *Telescope {
+	return &Telescope{Prefix: netmodel.TelescopePrefix}
 }
 
-// Attach adds a sink.
-func (t *Telescope) Attach(s Sink) { t.sinks = append(t.sinks, s) }
-
-// Capture ingests one packet if it falls inside the telescope.
-// Packets outside the prefix are silently dropped, mirroring the fact
-// that a darknet never sees them.
-func (t *Telescope) Capture(p *Packet) { t.Offer(p) }
-
-// Offer ingests like Capture and reports whether the packet fell
-// inside the telescope — the predicate the pipeline's trace tap keys
-// on.
+// Offer counts one packet if it falls inside the telescope and reports
+// whether it did. Packets outside the prefix are dropped, mirroring the
+// fact that a darknet never sees them.
 func (t *Telescope) Offer(p *Packet) bool {
 	if !t.Prefix.Contains(p.Dst) {
 		return false
@@ -63,9 +48,6 @@ func (t *Telescope) Offer(p *Packet) bool {
 		t.UDP443++
 	case p.Proto == ProtoTCP || p.Proto == ProtoICMP:
 		t.TCPICMP++
-	}
-	for _, s := range t.sinks {
-		s.Capture(p)
 	}
 	return true
 }

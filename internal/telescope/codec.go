@@ -8,15 +8,14 @@ import (
 )
 
 // Streaming-checkpoint support: deep clones for live snapshots and a
-// ckpt codec for the counter state. Sinks and classifiers are runtime
-// wiring and are never serialized; clones come back detached (no
-// sinks) or share the classifier, which is immutable.
+// ckpt codec for the counter state. Classifiers are runtime wiring and
+// are never serialized; clones share the classifier, which is
+// immutable.
 
-// Clone returns a copy of the telescope's counter state with no sinks
-// attached — the snapshot form the checkpoint reduction consumes.
+// Clone returns a copy of the telescope's counter state — the snapshot
+// form the checkpoint reduction consumes.
 func (t *Telescope) Clone() *Telescope {
 	c := *t
-	c.sinks = nil
 	return &c
 }
 
@@ -32,8 +31,8 @@ func (t *Telescope) EncodeTo(w *ckpt.Writer) {
 	w.I64(int64(t.LastSeen))
 }
 
-// DecodeTelescope reads a telescope encoded by EncodeTo. The result
-// has no sinks. Returns nil on malformed input (reader error set).
+// DecodeTelescope reads a telescope encoded by EncodeTo. Returns nil on
+// malformed input (reader error set).
 func DecodeTelescope(r *ckpt.Reader) *Telescope {
 	t := &Telescope{}
 	t.Prefix.Base = netmodel.Addr(r.U64())

@@ -102,20 +102,15 @@ func TestHourlyCounterWindowEdges(t *testing.T) {
 }
 
 func TestTelescopeFiltersAndCounts(t *testing.T) {
-	var got []*Packet
-	tel := New(SinkFunc(func(p *Packet) { got = append(got, p) }))
+	tel := New()
 
 	inside := mkPacket(MeasurementStart, "1.1.1.1", "44.5.5.5", 1000, 443)
 	outside := mkPacket(MeasurementStart, "1.1.1.1", "45.5.5.5", 1000, 443)
 	tcp := mkPacket(MeasurementStart.Add(time.Minute), "2.2.2.2", "44.9.9.9", 80, 12345)
 	tcp.Proto = ProtoTCP
 
-	tel.Capture(inside)
-	tel.Capture(outside)
-	tel.Capture(tcp)
-
-	if len(got) != 2 {
-		t.Fatalf("sunk %d packets, want 2", len(got))
+	if !tel.Offer(inside) || tel.Offer(outside) || !tel.Offer(tcp) {
+		t.Fatal("Offer admitted the wrong packets: want inside and tcp, not outside")
 	}
 	if tel.Total != 2 || tel.UDP443 != 1 || tel.TCPICMP != 1 {
 		t.Errorf("counters: total=%d udp=%d tcpicmp=%d", tel.Total, tel.UDP443, tel.TCPICMP)
@@ -135,13 +130,12 @@ func TestHourlyCounter(t *testing.T) {
 		}
 		return ""
 	})
-	tel := New(hc)
 	for i := 0; i < 5; i++ {
-		tel.Capture(mkPacket(MeasurementStart.Add(time.Duration(i)*15*time.Minute), "1.1.1.1", "44.0.0.1", 999, 443))
+		hc.Capture(mkPacket(MeasurementStart.Add(time.Duration(i)*15*time.Minute), "1.1.1.1", "44.0.0.1", 999, 443))
 	}
-	tel.Capture(mkPacket(MeasurementStart.Add(26*time.Hour), "142.250.0.1", "44.0.0.2", 443, 999))
+	hc.Capture(mkPacket(MeasurementStart.Add(26*time.Hour), "142.250.0.1", "44.0.0.2", 443, 999))
 	// Out-of-window packet is dropped from bins.
-	tel.Capture(mkPacket(MeasurementEnd.Add(time.Hour), "1.1.1.1", "44.0.0.1", 999, 443))
+	hc.Capture(mkPacket(MeasurementEnd.Add(time.Hour), "1.1.1.1", "44.0.0.1", 999, 443))
 
 	if hc.TotalOf("req") != 5 {
 		t.Errorf("req total = %d", hc.TotalOf("req"))

@@ -79,10 +79,6 @@ const (
 var (
 	ErrTruncated = errors.New("tlsmini: truncated message")
 	ErrMalformed = errors.New("tlsmini: malformed message")
-	// ErrNoClientHello is returned when a CRYPTO stream does not start
-	// with a ClientHello — the telescope dissector's key signal that an
-	// Initial packet is backscatter rather than a scan.
-	ErrNoClientHello = errors.New("tlsmini: not a client hello")
 )
 
 // cursor is a bounds-checked big-endian reader.
