@@ -1,6 +1,7 @@
 package sessions
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -14,8 +15,8 @@ import (
 // contract: deep clones (so a live Streamer can snapshot shard state
 // without stopping ingest) and a ckpt codec that round-trips every
 // field — including whether each anatomy set still lives in its
-// inline arm or has spilled to a map, because the spill state feeds
-// the SetSpills counter and must survive a checkpoint→resume cycle
+// inline arm or has spilled, because the spill state feeds the
+// SetSpills counter and must survive a checkpoint→resume cycle
 // bit-exactly.
 
 // Decode size limits. Sessions are bounded by what one month of
@@ -28,7 +29,7 @@ const (
 )
 
 // Clone returns a deep copy of the session: the value fields are
-// copied wholesale and any spilled anatomy maps are duplicated.
+// copied wholesale and any SCID arena or spilled table is duplicated.
 func (s *Session) Clone() *Session {
 	c := *s
 	if s.versions.m != nil {
@@ -37,29 +38,14 @@ func (s *Session) Clone() *Session {
 			c.versions.m[k] = v
 		}
 	}
-	if s.scids.m != nil {
-		c.scids.m = make(map[string]struct{}, len(s.scids.m))
-		for k := range s.scids.m {
-			c.scids.m[k] = struct{}{}
-		}
-	}
-	if s.peerAddrs.m != nil {
-		c.peerAddrs.m = make(map[netmodel.Addr]struct{}, len(s.peerAddrs.m))
-		for k := range s.peerAddrs.m {
-			c.peerAddrs.m[k] = struct{}{}
-		}
-	}
-	if s.peerPorts.m != nil {
-		c.peerPorts.m = make(map[uint16]struct{}, len(s.peerPorts.m))
-		for k := range s.peerPorts.m {
-			c.peerPorts.m[k] = struct{}{}
-		}
-	}
+	c.scids = s.scids.clone()
+	c.peerAddrs = s.peerAddrs.clone()
+	c.peerPorts = s.peerPorts.clone()
 	return &c
 }
 
 // EncodeSession writes one session. Inline set arms keep their
-// insertion order; spilled maps are written sorted so equal states
+// insertion order; spilled sets are written sorted so equal states
 // encode to equal bytes.
 func EncodeSession(w *ckpt.Writer, s *Session) {
 	w.U64(uint64(s.Src))
@@ -95,71 +81,62 @@ func EncodeSession(w *ckpt.Writer, s *Session) {
 		}
 	}
 
-	// scids
-	if s.scids.m != nil {
-		w.Bool(true)
-		keys := make([]string, 0, len(s.scids.m))
-		for k := range s.scids.m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		w.U64(uint64(len(keys)))
-		for _, k := range keys {
-			w.String(k)
+	// scids: the bytes String wrote when they were strings, and sorted
+	// bytewise when spilled, as strings sort.
+	arena := s.scids.arena
+	w.Bool(s.scids.t != nil)
+	w.U64(uint64(s.scids.count()))
+	if s.scids.t != nil {
+		for _, off := range s.scids.sortedOffsets() {
+			w.Bytes8(scidAt(arena, off))
 		}
 	} else {
-		w.Bool(false)
-		w.U64(uint64(s.scids.n))
-		for i := uint8(0); i < s.scids.n; i++ {
-			w.String(s.scids.inline[i])
+		for off := 0; off < len(arena); off += 1 + int(arena[off]) {
+			w.Bytes8(scidAt(arena, off))
 		}
 	}
 
-	// peerAddrs
-	if s.peerAddrs.m != nil {
-		w.Bool(true)
-		keys := make([]netmodel.Addr, 0, len(s.peerAddrs.m))
-		for k := range s.peerAddrs.m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		w.U64(uint64(len(keys)))
-		for _, k := range keys {
-			w.U64(uint64(k))
-		}
-	} else {
-		w.Bool(false)
-		w.U64(uint64(s.peerAddrs.n))
-		for i := uint8(0); i < s.peerAddrs.n; i++ {
-			w.U64(uint64(s.peerAddrs.inline[i]))
-		}
-	}
-
-	// peerPorts
-	if s.peerPorts.m != nil {
-		w.Bool(true)
-		keys := make([]uint16, 0, len(s.peerPorts.m))
-		for k := range s.peerPorts.m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		w.U64(uint64(len(keys)))
-		for _, k := range keys {
-			w.U64(uint64(k))
-		}
-	} else {
-		w.Bool(false)
-		w.U64(uint64(s.peerPorts.n))
-		for i := uint8(0); i < s.peerPorts.n; i++ {
-			w.U64(uint64(s.peerPorts.inline[i]))
-		}
-	}
+	encodeSmallSet(w, &s.peerAddrs)
+	encodeSmallSet(w, &s.peerPorts)
 
 	w.I64(s.curMinute)
 	w.U64(uint64(s.curCount))
 	w.U64(uint64(s.maxPerMin))
 	w.U64(uint64(s.hasCH))
 	w.U64(uint64(s.totalQUICPk))
+}
+
+// encodeSmallSet writes a peer address or port set: the spill flag, then
+// the inline keys in insertion order or the spilled keys sorted.
+func encodeSmallSet[K intKey](w *ckpt.Writer, s *smallSet[K]) {
+	keys := s.inline[:s.n]
+	if s.t != nil {
+		keys = s.t.sortedKeys()
+	}
+	w.Bool(s.t != nil)
+	w.U64(uint64(len(keys)))
+	for _, k := range keys {
+		w.U64(uint64(k))
+	}
+}
+
+// decodeSmallSet reads what encodeSmallSet wrote into s.
+func decodeSmallSet[K intKey](r *ckpt.Reader, s *smallSet[K]) {
+	if r.Bool() { // spilled
+		n := r.Int(maxSetItems)
+		if r.Err() == nil {
+			s.spill(min(n, 4096))
+			for i := 0; i < n && r.Err() == nil; i++ {
+				s.t.add(K(r.U64()))
+			}
+		}
+		return
+	}
+	n := r.Int(len(s.inline))
+	s.n = uint8(n)
+	for i := 0; i < n; i++ {
+		s.inline[i] = K(r.U64())
+	}
 }
 
 // DecodeSession reads one session. On malformed input it returns nil
@@ -198,50 +175,23 @@ func DecodeSession(r *ckpt.Reader) *Session {
 	if r.Bool() { // scids spilled
 		n := r.Int(maxSetItems)
 		if r.Err() == nil {
-			s.scids.m = make(map[string]struct{}, min(n, 4096))
+			s.scids.spill(min(n, 4096))
 			for i := 0; i < n && r.Err() == nil; i++ {
-				s.scids.m[r.String(maxSCIDBytes)] = struct{}{}
+				if b := r.Bytes8(maxSCIDBytes); r.Err() == nil {
+					s.scids.insert(b)
+				}
 			}
 		}
 	} else {
-		n := r.Int(len(s.scids.inline))
+		n := r.Int(scidInline)
 		s.scids.n = uint8(n)
 		for i := 0; i < n; i++ {
-			s.scids.inline[i] = r.String(maxSCIDBytes)
+			s.scids.arena = appendSCID(s.scids.arena, r.Bytes8(maxSCIDBytes))
 		}
 	}
 
-	if r.Bool() { // peerAddrs spilled
-		n := r.Int(maxSetItems)
-		if r.Err() == nil {
-			s.peerAddrs.m = make(map[netmodel.Addr]struct{}, min(n, 4096))
-			for i := 0; i < n && r.Err() == nil; i++ {
-				s.peerAddrs.m[netmodel.Addr(r.U64())] = struct{}{}
-			}
-		}
-	} else {
-		n := r.Int(len(s.peerAddrs.inline))
-		s.peerAddrs.n = uint8(n)
-		for i := 0; i < n; i++ {
-			s.peerAddrs.inline[i] = netmodel.Addr(r.U64())
-		}
-	}
-
-	if r.Bool() { // peerPorts spilled
-		n := r.Int(maxSetItems)
-		if r.Err() == nil {
-			s.peerPorts.m = make(map[uint16]struct{}, min(n, 4096))
-			for i := 0; i < n && r.Err() == nil; i++ {
-				s.peerPorts.m[uint16(r.U64())] = struct{}{}
-			}
-		}
-	} else {
-		n := r.Int(len(s.peerPorts.inline))
-		s.peerPorts.n = uint8(n)
-		for i := 0; i < n; i++ {
-			s.peerPorts.inline[i] = uint16(r.U64())
-		}
-	}
+	decodeSmallSet(r, &s.peerAddrs)
+	decodeSmallSet(r, &s.peerPorts)
 
 	s.curMinute = r.I64()
 	s.curCount = r.Int(maxSetItems)
@@ -266,10 +216,7 @@ func (sz *Sessionizer) Clone(emit func(*Session), gaps func(time.Duration)) *Ses
 		lastSweep:   sz.lastSweep,
 		Emitted:     sz.Emitted,
 		Metrics:     sz.Metrics,
-		active:      make(map[netmodel.Addr]*Session, len(sz.active)),
-	}
-	for src, s := range sz.active {
-		c.active[src] = s.Clone()
+		active:      sz.active.clone(),
 	}
 	if sz.lastSeen != nil {
 		c.lastSeen = make(map[netmodel.Addr]telescope.Timestamp, len(sz.lastSeen))
@@ -295,14 +242,11 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	w.U64(m.BudgetEvicted)
 	w.U64(m.SetSpills)
 
-	srcs := make([]netmodel.Addr, 0, len(sz.active))
-	for src := range sz.active {
-		srcs = append(srcs, src)
-	}
-	slices.Sort(srcs)
-	w.U64(uint64(len(srcs)))
-	for _, src := range srcs {
-		EncodeSession(w, sz.active[src])
+	active := sz.active.appendSessions(make([]*Session, 0, sz.active.len()))
+	sortBySrc(active)
+	w.U64(uint64(len(active)))
+	for _, s := range active {
+		EncodeSession(w, s)
 	}
 
 	// The last-seen table as the format has always stored it: one entry
@@ -310,24 +254,27 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	// seen at that session's End (its lastSeen entry, if any, is stale).
 	if sz.lastSeen == nil {
 		w.Bool(false)
-	} else {
-		w.Bool(true)
-		seen := append(make([]netmodel.Addr, 0, len(srcs)+len(sz.lastSeen)), srcs...)
-		for src := range sz.lastSeen {
-			if _, active := sz.active[src]; !active {
-				seen = append(seen, src)
-			}
+		return
+	}
+	w.Bool(true)
+	type seenAt struct {
+		src netmodel.Addr
+		ts  telescope.Timestamp
+	}
+	seen := make([]seenAt, 0, len(active)+len(sz.lastSeen))
+	for _, s := range active {
+		seen = append(seen, seenAt{s.Src, s.End})
+	}
+	for src, ts := range sz.lastSeen {
+		if sz.active.lookup(src) < 0 {
+			seen = append(seen, seenAt{src, ts})
 		}
-		slices.Sort(seen)
-		w.U64(uint64(len(seen)))
-		for _, src := range seen {
-			ts := sz.lastSeen[src]
-			if s := sz.active[src]; s != nil {
-				ts = s.End
-			}
-			w.U64(uint64(src))
-			w.I64(int64(ts))
-		}
+	}
+	slices.SortFunc(seen, func(a, b seenAt) int { return cmp.Compare(a.src, b.src) })
+	w.U64(uint64(len(seen)))
+	for _, e := range seen {
+		w.U64(uint64(e.src))
+		w.I64(int64(e.ts))
 	}
 }
 
@@ -335,7 +282,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 // the given Emit and GapRecorder hooks into the result. Returns nil on
 // malformed input (reader error set).
 func DecodeSessionizer(r *ckpt.Reader, emit func(*Session), gaps func(time.Duration)) *Sessionizer {
-	sz := &Sessionizer{Emit: emit, GapRecorder: gaps}
+	sz := &Sessionizer{Emit: emit, GapRecorder: gaps, active: newActiveIndex()}
 	sz.Timeout = time.Duration(r.I64())
 	sz.MaxActive = r.Int(maxActiveSess)
 	sz.lastSweep = telescope.Timestamp(r.I64())
@@ -352,18 +299,18 @@ func DecodeSessionizer(r *ckpt.Reader, emit func(*Session), gaps func(time.Durat
 	if r.Err() != nil {
 		return nil
 	}
-	sz.active = make(map[netmodel.Addr]*Session, min(n, 4096))
 	for i := 0; i < n; i++ {
 		s := DecodeSession(r)
 		if s == nil {
 			return nil
 		}
-		if _, dup := sz.active[s.Src]; dup {
+		if sz.active.lookup(s.Src) >= 0 {
 			r.Errorf("duplicate active session for source %d", uint32(s.Src))
 			return nil
 		}
-		sz.active[s.Src] = s
+		sz.active.insert(s)
 	}
+	sz.active.relink()
 
 	if r.Bool() {
 		n := r.Int(maxActiveSess)

@@ -1,19 +1,24 @@
 package sessions
 
-// The sessionizer against its old bookkeeping. Until PR 17 every packet
-// wrote lastSeen[src] and the caller registered the source with the
-// sweep on every packet; now both are touched only when a session opens
-// or finishes, on the invariant that an active session's End is its
-// source's last packet time. The ref* functions below are the old
-// per-packet logic, kept verbatim over the same struct (the decoded and
-// cloned states mean the same under both readings: one lastSeen entry
-// per source ever seen is a valid, merely redundant, state for the new
-// code). Seeded random streams drive both and everything observable
-// must agree: emitted sessions, the gap histogram and source set, every
+// The sessionizer against reference bookkeeping. The reference writes
+// lastSeen[src] and registers the source with the sweep on every packet;
+// the sessionizer touches both only when a session opens or finishes, on
+// the invariant that an active session's End is its source's last packet
+// time. Its sweeps and budget eviction read the last-touch list; the
+// ref* functions below scan every active session instead —
+// refEvictColdest is the linear victim search the list replaced — over
+// the same struct, using the active index only to find, add and drop a
+// source's session (the decoded and cloned states mean the same under
+// both readings: one lastSeen entry per source ever seen is a valid,
+// merely redundant, state for the sessionizer). Sessions finished
+// together are emitted in source order on both sides. Seeded random
+// streams drive both and everything observable must agree: the emitted
+// sessions in emission order, the gap histogram and source set, every
 // counter, and the checkpoint bytes at arbitrary cut points.
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -40,19 +45,20 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 		sz.lastSeen[p.Src] = p.TS
 	}
 
-	s := sz.active[p.Src]
-	if s != nil {
+	var s *Session
+	if pos := sz.active.lookup(p.Src); pos >= 0 {
+		s = sz.active.entries[pos].s
 		if gap := p.TS - s.End; gap > timeoutMS {
 			sz.Metrics.TimeoutSplits++
 			refFinish(sz, s)
-			delete(sz.active, p.Src)
+			sz.active.remove(pos)
 			s = nil
 		}
 	}
 	if s == nil {
 		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
-		sz.active[p.Src] = s
-		if sz.MaxActive > 0 && len(sz.active) > sz.MaxActive {
+		sz.active.put(s)
+		if sz.MaxActive > 0 && sz.active.len() > sz.MaxActive {
 			refEvictColdest(sz)
 		}
 	}
@@ -103,13 +109,13 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 
 	if p.TS-sz.lastSweep > timeoutMS {
 		sz.lastSweep = p.TS
-		for src, old := range sz.active {
-			if p.TS-old.End > timeoutMS {
-				sz.Metrics.SweepEvicted++
-				refFinish(sz, old)
-				delete(sz.active, src)
+		var expired []*Session
+		for _, e := range sz.active.entries {
+			if p.TS-e.s.End > timeoutMS {
+				expired = append(expired, e.s)
 			}
 		}
+		refFinishAll(sz, expired, &sz.Metrics.SweepEvicted)
 	}
 }
 
@@ -120,13 +126,13 @@ func refFinish(sz *Sessionizer, s *Session) {
 	s.curCount = 0
 	sz.Emitted++
 	sz.Metrics.Emitted++
-	if s.peerAddrs.m != nil {
+	if s.peerAddrs.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.peerPorts.m != nil {
+	if s.peerPorts.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.scids.m != nil {
+	if s.scids.t != nil {
 		sz.Metrics.SetSpills++
 	}
 	if s.versions.m != nil {
@@ -137,10 +143,21 @@ func refFinish(sz *Sessionizer, s *Session) {
 	}
 }
 
+// refFinishAll finishes and drops the given sessions in source order.
+func refFinishAll(sz *Sessionizer, list []*Session, cause *uint64) {
+	slices.SortFunc(list, func(a, b *Session) int { return cmp.Compare(a.Src, b.Src) })
+	for _, s := range list {
+		*cause++
+		refFinish(sz, s)
+		sz.active.remove(sz.active.lookup(s.Src))
+	}
+}
+
+// refEvictColdest is the linear scan the last-touch list replaced.
 func refEvictColdest(sz *Sessionizer) {
 	var victim *Session
-	for _, s := range sz.active {
-		if victim == nil || s.End < victim.End ||
+	for _, e := range sz.active.entries {
+		if s := e.s; victim == nil || s.End < victim.End ||
 			(s.End == victim.End && s.Src < victim.Src) {
 			victim = s
 		}
@@ -150,15 +167,15 @@ func refEvictColdest(sz *Sessionizer) {
 	}
 	sz.Metrics.BudgetEvicted++
 	refFinish(sz, victim)
-	delete(sz.active, victim.Src)
+	sz.active.remove(sz.active.lookup(victim.Src))
 }
 
 func refFlush(sz *Sessionizer) {
-	for src, s := range sz.active {
-		sz.Metrics.FlushEmitted++
-		refFinish(sz, s)
-		delete(sz.active, src)
+	var all []*Session
+	for _, e := range sz.active.entries {
+		all = append(all, e.s)
 	}
+	refFinishAll(sz, all, &sz.Metrics.FlushEmitted)
 }
 
 func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
@@ -174,14 +191,16 @@ func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
 	w.U64(m.BudgetEvicted)
 	w.U64(m.SetSpills)
 
-	srcs := make([]netmodel.Addr, 0, len(sz.active))
-	for src := range sz.active {
-		srcs = append(srcs, src)
+	active := map[netmodel.Addr]*Session{}
+	srcs := make([]netmodel.Addr, 0, sz.active.len())
+	for _, e := range sz.active.entries {
+		active[e.s.Src] = e.s
+		srcs = append(srcs, e.s.Src)
 	}
 	slices.Sort(srcs)
 	w.U64(uint64(len(srcs)))
 	for _, src := range srcs {
-		EncodeSession(w, sz.active[src])
+		EncodeSession(w, active[src])
 	}
 
 	if sz.lastSeen == nil {
@@ -293,11 +312,9 @@ func expectSameRigs(t *testing.T, at string, got, want *rig) {
 	if !reflect.DeepEqual(got.sweep.Sources, want.sweep.Sources) {
 		t.Fatalf("%s: source sets differ: %d vs %d sources", at, len(got.sweep.Sources), len(want.sweep.Sources))
 	}
-	// Sweeps walk the active map, so emission order within one sweep is
-	// the map's; the canonical order is what every consumer sorts to.
-	a, b := slices.Clone(got.out), slices.Clone(want.out)
-	SortCanonical(a)
-	SortCanonical(b)
+	// Emission order included: sessions finished together go out in
+	// source order, whatever the tables' layout.
+	a, b := got.out, want.out
 	if len(a) != len(b) {
 		t.Fatalf("%s: %d sessions emitted, want %d", at, len(a), len(b))
 	}
@@ -394,6 +411,82 @@ func TestSessionizerMatchesPerPacketBookkeeping(t *testing.T) {
 		if got.sz.ActiveSessions() != 0 || got.sz.Metrics.FlushEmitted == 0 {
 			t.Fatalf("seed %d: flush left %d active, %d flushed", seed, got.sz.ActiveSessions(), got.sz.Metrics.FlushEmitted)
 		}
+	}
+}
+
+// TestBudgetEvictionMatchesLinearScan holds the last-touch list's victim
+// to the linear scan under the budgets that press it hardest: most
+// packets tie with the previous one, so the tail's equal-End group is
+// large and the victim is chosen inside it by source, and the source
+// pool is a few times the budget, so most opens evict.
+func TestBudgetEvictionMatchesLinearScan(t *testing.T) {
+	for _, maxActive := range []int{1, 2, 64} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(maxActive)))
+			got, want := newRig(false, maxActive), newRig(true, maxActive)
+			now := telescope.TS(telescope.MeasurementStart)
+			for i := 0; i < 4000; i++ {
+				switch rng.Intn(300) {
+				case 0:
+					got, want = got.clone(), want.clone()
+				case 1:
+					got, want = got.restore(t), want.restore(t)
+				case 2, 3:
+					expectSameRigs(t, "mid-stream", got, want)
+				}
+				next := now
+				p, r := randomPacket(rng, &next, got.sz.Timeout)
+				switch k := rng.Intn(100); {
+				case k < 80:
+				case k < 98:
+					now += telescope.Timestamp(1 + rng.Intn(50))
+				default:
+					now = next // sometimes past the timeout: splits and sweeps
+				}
+				p.TS = now
+				p.Src = netmodel.Addr(0x0a000000 + uint32(rng.Intn(3*maxActive+8)))
+				got.observe(p, r)
+				want.observe(p, r)
+			}
+			expectSameRigs(t, "end of stream", got, want)
+			if m := want.sz.Metrics; m.BudgetEvicted < 500 || (maxActive == 64 && m.SweepEvicted == 0) {
+				t.Fatalf("budget %d seed %d: stream exercised too little: %+v", maxActive, seed, m)
+			}
+			got, want = got.restore(t), want.restore(t)
+			got.flush()
+			want.flush()
+			expectSameRigs(t, "flushed after restore", got, want)
+		}
+	}
+}
+
+// TestSweepAndFlushEmitInSourceOrder pins canonical emission: sessions
+// finished together go out in source order, whatever order their
+// sources arrived in.
+func TestSweepAndFlushEmitInSourceOrder(t *testing.T) {
+	var got []netmodel.Addr
+	sz := NewSessionizer(func(s *Session) { got = append(got, s.Src) })
+	srcs := []string{"9.0.0.1", "3.0.0.7", "200.1.1.1", "3.0.0.2", "77.7.7.7", "0.0.0.0"}
+	for i, src := range srcs {
+		sz.Observe(pkt(src, time.Duration(i)*time.Second, false), nil)
+	}
+	// Past the timeout of all six: the sweep this packet triggers finishes
+	// them together.
+	sz.Observe(pkt("1.2.3.4", 10*time.Minute, false), nil)
+	for i, src := range srcs {
+		sz.Observe(pkt(src, 10*time.Minute+time.Duration(i)*time.Second, true), nil)
+	}
+	sz.Flush()
+	sorted := make([]netmodel.Addr, len(srcs))
+	for i, src := range srcs {
+		sorted[i] = netmodel.MustAddr(src)
+	}
+	slices.Sort(sorted)
+	withProbe := append(slices.Clone(sorted), netmodel.MustAddr("1.2.3.4"))
+	slices.Sort(withProbe)
+	want := append(slices.Clone(sorted), withProbe...)
+	if !slices.Equal(got, want) {
+		t.Errorf("emitted %v, want %v", got, want)
 	}
 }
 

@@ -47,11 +47,11 @@ func (k Kind) String() string {
 //
 // The anatomy accumulators (peer addresses/ports, SCIDs, versions,
 // per-minute rate) are compact inline structures rather than maps: the
-// dominant session class is a tiny single-visit request session, which
-// previously paid five map allocations up front. Small sessions now
-// stay entirely inside the struct; only genuinely diverse sessions
-// (flood backscatter fanning over dozens of spoofed tuples) spill to a
-// map, once.
+// dominant session class is a tiny single-visit request session. Small
+// sessions stay entirely inside the struct (SCIDs in one small arena);
+// only genuinely diverse sessions (flood backscatter fanning over dozens
+// of spoofed tuples) spill, once, into an exact open-addressing table
+// (table.go). The version histogram still spills to a map.
 type Session struct {
 	Src        netmodel.Addr
 	Start, End telescope.Timestamp
@@ -90,119 +90,6 @@ func (s *Session) UniquePeerAddrs() int { return s.peerAddrs.count() }
 
 // UniquePeerPorts returns the number of distinct peer ports.
 func (s *Session) UniquePeerPorts() int { return s.peerPorts.count() }
-
-// addrSet counts distinct peer addresses: inline storage for the tiny
-// common case, one map spill for diverse sessions.
-type addrSet struct {
-	inline [8]netmodel.Addr
-	n      uint8
-	m      map[netmodel.Addr]struct{}
-}
-
-func (s *addrSet) add(a netmodel.Addr) {
-	if s.m != nil {
-		s.m[a] = struct{}{}
-		return
-	}
-	for i := uint8(0); i < s.n; i++ {
-		if s.inline[i] == a {
-			return
-		}
-	}
-	if int(s.n) < len(s.inline) {
-		s.inline[s.n] = a
-		s.n++
-		return
-	}
-	s.m = make(map[netmodel.Addr]struct{}, 2*len(s.inline))
-	for _, v := range s.inline {
-		s.m[v] = struct{}{}
-	}
-	s.m[a] = struct{}{}
-}
-
-func (s *addrSet) count() int {
-	if s.m != nil {
-		return len(s.m)
-	}
-	return int(s.n)
-}
-
-// portSet is addrSet for ports.
-type portSet struct {
-	inline [8]uint16
-	n      uint8
-	m      map[uint16]struct{}
-}
-
-func (s *portSet) add(p uint16) {
-	if s.m != nil {
-		s.m[p] = struct{}{}
-		return
-	}
-	for i := uint8(0); i < s.n; i++ {
-		if s.inline[i] == p {
-			return
-		}
-	}
-	if int(s.n) < len(s.inline) {
-		s.inline[s.n] = p
-		s.n++
-		return
-	}
-	s.m = make(map[uint16]struct{}, 2*len(s.inline))
-	for _, v := range s.inline {
-		s.m[v] = struct{}{}
-	}
-	s.m[p] = struct{}{}
-}
-
-func (s *portSet) count() int {
-	if s.m != nil {
-		return len(s.m)
-	}
-	return int(s.n)
-}
-
-// scidSet interns distinct SCIDs. Lookups convert []byte keys without
-// allocating (inline string comparison, map access via string(b));
-// only a genuinely new SCID pays the string copy.
-type scidSet struct {
-	inline [4]string
-	n      uint8
-	m      map[string]struct{}
-}
-
-func (s *scidSet) add(b []byte) {
-	if s.m != nil {
-		if _, ok := s.m[string(b)]; !ok {
-			s.m[string(b)] = struct{}{}
-		}
-		return
-	}
-	for i := uint8(0); i < s.n; i++ {
-		if s.inline[i] == string(b) {
-			return
-		}
-	}
-	if int(s.n) < len(s.inline) {
-		s.inline[s.n] = string(b)
-		s.n++
-		return
-	}
-	s.m = make(map[string]struct{}, 2*len(s.inline))
-	for _, v := range s.inline {
-		s.m[v] = struct{}{}
-	}
-	s.m[string(b)] = struct{}{}
-}
-
-func (s *scidSet) count() int {
-	if s.m != nil {
-		return len(s.m)
-	}
-	return int(s.n)
-}
 
 // versionCounts is a histogram over wire versions; 2021 traffic shows
 // four, so the inline arm effectively never spills.
@@ -336,12 +223,15 @@ func (s *Session) ClientHelloInitials() int { return s.hasCH }
 // of sources active within one timeout window.
 type Sessionizer struct {
 	Timeout time.Duration
-	// Emit receives completed sessions.
+	// Emit receives completed sessions. Sessions finished together (by
+	// a sweep or Flush) arrive in source-address order.
 	Emit func(*Session)
 
-	active map[netmodel.Addr]*Session
+	active activeIndex
 	// lastSweep bounds the lazy expiry scan.
 	lastSweep telescope.Timestamp
+	// done is the scratch list of sessions a sweep or Flush finishes.
+	done []*Session
 
 	// GapRecorder, when set, receives every intra-source gap — the
 	// Figure 4 sweep consumes these. Set it before the first Observe
@@ -353,17 +243,17 @@ type Sessionizer struct {
 	// whatever the sweep cadence (which varies with shard count).
 	//
 	// While a source has an active session that time is the session's
-	// End, so Observe reads it there — the one map probe it makes anyway
-	// — and lastSeen is touched only when a session opens (read) or
-	// finishes (finish stores End). An entry for a source that is active
-	// is therefore stale and never read; EncodeTo writes End in its
-	// place, which keeps checkpoint bytes what they were when every
+	// End, so Observe reads it there — the one index probe it makes
+	// anyway — and lastSeen is touched only when a session opens (read)
+	// or finishes (finish stores End). An entry for a source that is
+	// active is therefore stale and never read; EncodeTo writes End in
+	// its place, which keeps checkpoint bytes what they were when every
 	// packet updated the map. Non-nil from the first session opened with
 	// a GapRecorder on.
 	lastSeen map[netmodel.Addr]telescope.Timestamp
 
-	// MaxActive, when positive, is a hard budget on the active session
-	// map (daemon mode). Whenever an insert pushes the map past the
+	// MaxActive, when positive, is a hard budget on the active sessions
+	// (daemon mode). Whenever an insert pushes their number past the
 	// budget, the coldest session — smallest End, ties toward the
 	// smallest source — is force-finished and counted in
 	// Metrics.BudgetEvicted. The eviction choice is deterministic for a
@@ -384,7 +274,7 @@ type Sessionizer struct {
 
 // NewSessionizer creates a sessionizer with the paper's defaults.
 func NewSessionizer(emit func(*Session)) *Sessionizer {
-	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: make(map[netmodel.Addr]*Session)}
+	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: newActiveIndex()}
 }
 
 // Observe ingests one classified packet with its (optional) dissection
@@ -395,16 +285,18 @@ func NewSessionizer(emit func(*Session)) *Sessionizer {
 func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
 
-	s := sz.active[p.Src]
-	if s != nil {
+	var s *Session
+	pos := sz.active.lookup(p.Src)
+	if pos >= 0 {
+		s = sz.active.entries[pos].s
 		gap := p.TS - s.End
 		if gap > 0 && sz.GapRecorder != nil {
 			sz.GapRecorder(time.Duration(gap) * time.Millisecond)
 		}
 		if gap > timeoutMS {
 			sz.Metrics.TimeoutSplits++
+			sz.active.remove(pos)
 			sz.finish(s)
-			delete(sz.active, p.Src)
 			s = nil
 		}
 	} else if sz.GapRecorder != nil {
@@ -418,10 +310,12 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	opened := s == nil
 	if opened {
 		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
-		sz.active[p.Src] = s
-		if sz.MaxActive > 0 && len(sz.active) > sz.MaxActive {
+		sz.active.put(s)
+		if sz.MaxActive > 0 && sz.active.len() > sz.MaxActive {
 			sz.evictColdest()
 		}
+	} else {
+		sz.active.touch(pos, p.TS)
 	}
 
 	s.End = p.TS
@@ -472,16 +366,15 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 
 	// Lazy expiry: at most once per timeout interval, sweep sources
 	// whose sessions have aged out, keeping memory proportional to the
-	// active-window population.
+	// active-window population. They are the tail of the last-touch
+	// list, so the sweep visits nothing it does not finish.
 	if p.TS-sz.lastSweep > timeoutMS {
 		sz.lastSweep = p.TS
-		for src, old := range sz.active {
-			if p.TS-old.End > timeoutMS {
-				sz.Metrics.SweepEvicted++
-				sz.finish(old)
-				delete(sz.active, src)
-			}
+		done := sz.done
+		for sz.active.len() > 0 && p.TS-sz.active.entries[sz.active.tail].end > timeoutMS {
+			done = append(done, sz.active.remove(sz.active.tail))
 		}
+		sz.finishAll(done, &sz.Metrics.SweepEvicted)
 	}
 	return opened
 }
@@ -498,14 +391,14 @@ func (sz *Sessionizer) finish(s *Session) {
 	sz.Emitted++
 	sz.Metrics.Emitted++
 	// Spilled sets are the ones whose inline capacity overflowed into a
-	// map — a stream property (same anatomy regardless of sharding).
-	if s.peerAddrs.m != nil {
+	// table — a stream property (same anatomy regardless of sharding).
+	if s.peerAddrs.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.peerPorts.m != nil {
+	if s.peerPorts.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.scids.m != nil {
+	if s.scids.t != nil {
 		sz.Metrics.SetSpills++
 	}
 	if s.versions.m != nil {
@@ -516,36 +409,41 @@ func (sz *Sessionizer) finish(s *Session) {
 	}
 }
 
-// evictColdest force-finishes the coldest active session: smallest
-// End, ties toward the smallest source address. The scan is linear,
-// which is fine at the small active-set sizes a budget implies.
-func (sz *Sessionizer) evictColdest() {
-	var victim *Session
-	for _, s := range sz.active {
-		if victim == nil || s.End < victim.End ||
-			(s.End == victim.End && s.Src < victim.Src) {
-			victim = s
-		}
+// finishAll finishes sessions in source-address order, counting each
+// in cause, so what a sweep or Flush emits never depends on table
+// layout. done becomes the next batch's scratch.
+func (sz *Sessionizer) finishAll(done []*Session, cause *uint64) {
+	sortBySrc(done)
+	for _, s := range done {
+		*cause++
+		sz.finish(s)
 	}
-	if victim == nil {
-		return
-	}
-	sz.Metrics.BudgetEvicted++
-	sz.finish(victim)
-	delete(sz.active, victim.Src)
+	clear(done)
+	sz.done = done[:0]
 }
 
-// ActiveSessions returns the current size of the active session map —
-// the quantity MaxActive bounds.
-func (sz *Sessionizer) ActiveSessions() int { return len(sz.active) }
+// evictColdest force-finishes the coldest active session: smallest
+// End, ties toward the smallest source address. The last-touch list
+// keeps it in the tail's equal-End group, so a spoofed flood that opens
+// a session on every packet pays for that group, not the active set.
+func (sz *Sessionizer) evictColdest() {
+	if sz.active.len() == 0 {
+		return
+	}
+	victim := sz.active.remove(sz.active.coldest())
+	sz.Metrics.BudgetEvicted++
+	sz.finish(victim)
+}
+
+// ActiveSessions returns the number of active sessions — the quantity
+// MaxActive bounds.
+func (sz *Sessionizer) ActiveSessions() int { return sz.active.len() }
 
 // Flush emits all still-active sessions (end of stream).
 func (sz *Sessionizer) Flush() {
-	for src, s := range sz.active {
-		sz.Metrics.FlushEmitted++
-		sz.finish(s)
-		delete(sz.active, src)
-	}
+	done := sz.active.appendSessions(sz.done)
+	sz.active.reset()
+	sz.finishAll(done, &sz.Metrics.FlushEmitted)
 }
 
 // TimeoutSweep reproduces Figure 4: given the gap distribution and the

@@ -156,14 +156,14 @@ func TestLazyExpiryBoundsMemory(t *testing.T) {
 			Dst: netmodel.MustAddr("44.0.0.1"), SrcPort: 443, DstPort: 999, Size: 100,
 		}, nil)
 	}
-	if len(sz.active) > 1000 {
-		t.Errorf("active map holds %d sources; expiry not working", len(sz.active))
+	if sz.ActiveSessions() > 1000 {
+		t.Errorf("active map holds %d sources; expiry not working", sz.ActiveSessions())
 	}
 	sz.Flush()
 	if sz.Emitted != 10000 {
 		t.Errorf("emitted = %d", sz.Emitted)
 	}
-	if len(sz.active) != 0 {
+	if sz.ActiveSessions() != 0 {
 		t.Error("flush left active sessions")
 	}
 }
