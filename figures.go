@@ -3,7 +3,6 @@ package quicsand
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"quicsand/internal/correlate"
@@ -12,7 +11,6 @@ import (
 	"quicsand/internal/report"
 	"quicsand/internal/scenario"
 	"quicsand/internal/stats"
-	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
 
@@ -544,11 +542,3 @@ func (a *Analysis) RenderAll() string {
 	)
 	return strings.Join(sections, "\n")
 }
-
-// sortAttacksByStart is a small helper kept for external callers.
-func sortAttacksByStart(attacks []*dosdetect.Attack) {
-	sort.Slice(attacks, func(i, j int) bool { return attacks[i].Start < attacks[j].Start })
-}
-
-var _ = sortAttacksByStart
-var _ = telescope.HoursInMeasurement

@@ -72,7 +72,9 @@ type Attack struct {
 	Packets    int
 	MaxPPS     float64
 
-	// QUIC anatomy (Figure 9), zero for common attacks.
+	// QUIC anatomy (Figure 9). Zero for common attacks by construction:
+	// the sessionizer records SCIDs, peers and ports from QUIC responses
+	// only, and TCP/ICMP packets carry nothing to dissect.
 	UniqueSCIDs    int
 	SpoofedClients int
 	ClientPorts    int

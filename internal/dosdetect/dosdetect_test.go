@@ -11,9 +11,16 @@ import (
 	"quicsand/internal/wire"
 )
 
-// buildSession fabricates a response session with the given shape by
-// running packets through a real sessionizer.
+// buildSession fabricates a QUIC response session with the given shape
+// by running packets through a real sessionizer.
 func buildSession(t *testing.T, src string, packets int, duration time.Duration, burstPerMin int) *sessions.Session {
+	t.Helper()
+	return buildSessionOf(t, telescope.ProtoUDP, src, packets, duration, burstPerMin)
+}
+
+// buildSessionOf is buildSession for any protocol: a TCP or ICMP session
+// answers the same spoofed peers and ports, with nothing to dissect.
+func buildSessionOf(t *testing.T, proto telescope.Proto, src string, packets int, duration time.Duration, burstPerMin int) *sessions.Session {
 	t.Helper()
 	var got []*sessions.Session
 	sz := sessions.NewSessionizer(func(s *sessions.Session) { got = append(got, s) })
@@ -31,12 +38,15 @@ func buildSession(t *testing.T, src string, packets int, duration time.Duration,
 		p := &telescope.Packet{
 			TS: telescope.TS(start.Add(at)), Src: netmodel.MustAddr(src),
 			Dst: netmodel.Addr(0x2c000000 + uint32(i)), SrcPort: 443, DstPort: uint16(40000 + i),
-			Proto: telescope.ProtoUDP, Size: 300,
+			Proto: proto, Size: 300,
 		}
-		r := &dissect.Result{Valid: true, Packets: []dissect.PacketInfo{{
-			Type: wire.PacketTypeInitial, Version: wire.VersionDraft29,
-			SCID: wire.ConnectionID{byte(i), byte(i >> 8)},
-		}}}
+		var r *dissect.Result
+		if proto == telescope.ProtoUDP {
+			r = &dissect.Result{Valid: true, Packets: []dissect.PacketInfo{{
+				Type: wire.PacketTypeInitial, Version: wire.VersionDraft29,
+				SCID: wire.ConnectionID{byte(i), byte(i >> 8)},
+			}}}
+		}
 		sz.Observe(p, r)
 	}
 	sz.Flush()
@@ -113,6 +123,37 @@ func TestDetectorFlow(t *testing.T) {
 	}
 	if a.Version != wire.VersionDraft29 {
 		t.Errorf("version = %v", a.Version)
+	}
+}
+
+// TestAttackAnatomyOnlyForQUIC: a common attack carries no Figure 9
+// anatomy, while a QUIC attack over the same spoofed peers counts every
+// one of them.
+func TestAttackAnatomyOnlyForQUIC(t *testing.T) {
+	quic := NewDetector(VectorQUIC)
+	quic.Offer(buildSession(t, "142.250.1.1", 200, 5*time.Minute, 40))
+	if len(quic.Attacks) != 1 {
+		t.Fatalf("QUIC: %d attacks, want 1", len(quic.Attacks))
+	}
+	a := quic.Attacks[0]
+	if a.UniqueSCIDs != 200 || a.SpoofedClients != 200 || a.ClientPorts != 200 ||
+		a.Version != wire.VersionDraft29 || a.InitialShare != 1 || a.HandshakeShare != 0 {
+		t.Errorf("QUIC anatomy %+v, want 200 SCIDs, clients and ports, draft-29, all Initials", a)
+	}
+
+	common := NewDetector(VectorCommon)
+	common.DropExcluded = true
+	for i, proto := range []telescope.Proto{telescope.ProtoTCP, telescope.ProtoICMP} {
+		common.Offer(buildSessionOf(t, proto, netmodel.Addr(0x5db8d800+uint32(i)).String(), 200, 5*time.Minute, 40))
+	}
+	if len(common.Attacks) != 2 {
+		t.Fatalf("common: %d attacks, want 2", len(common.Attacks))
+	}
+	for _, c := range common.Attacks {
+		want := Attack{Vector: VectorCommon, Victim: c.Victim, Start: c.Start, End: c.End, Packets: 200, MaxPPS: a.MaxPPS}
+		if *c != want {
+			t.Errorf("common attack %+v, want no anatomy: %+v", *c, want)
+		}
 	}
 }
 

@@ -72,11 +72,9 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 	} else if isResponse {
 		s.Responses++
 	}
-	s.peerAddrs.add(p.Dst)
 	if isResponse {
+		s.peerAddrs.add(p.Dst)
 		s.peerPorts.add(p.DstPort)
-	} else {
-		s.peerPorts.add(p.SrcPort)
 	}
 	minute := int64(p.TS) / 60000
 	if minute != s.curMinute {

@@ -66,7 +66,9 @@ type Session struct {
 	// Version histogram of long-header packets.
 	versions versionCounts
 
-	// Response-session anatomy (Figure 9).
+	// Response-session anatomy (Figure 9), recorded from QUIC responses
+	// only: TCP/ICMP and request packets leave all three sets empty, so
+	// their counts are zero by construction.
 	scids     scidSet // unique server CIDs
 	peerAddrs addrSet
 	peerPorts portSet
@@ -84,11 +86,12 @@ type Session struct {
 // observed in the session's responses.
 func (s *Session) UniqueSCIDs() int { return s.scids.count() }
 
-// UniquePeerAddrs returns the number of distinct peer addresses
-// (spoofed clients, for backscatter).
+// UniquePeerAddrs returns the number of distinct peer addresses the
+// session's QUIC responses went to (spoofed clients, for backscatter).
 func (s *Session) UniquePeerAddrs() int { return s.peerAddrs.count() }
 
-// UniquePeerPorts returns the number of distinct peer ports.
+// UniquePeerPorts returns the number of distinct peer ports the
+// session's QUIC responses went to.
 func (s *Session) UniquePeerPorts() int { return s.peerPorts.count() }
 
 // versionCounts is a histogram over wire versions; 2021 traffic shows
@@ -327,11 +330,9 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	} else if isResponse {
 		s.Responses++
 	}
-	s.peerAddrs.add(p.Dst)
 	if isResponse {
+		s.peerAddrs.add(p.Dst)
 		s.peerPorts.add(p.DstPort)
-	} else {
-		s.peerPorts.add(p.SrcPort)
 	}
 	// Time-ordered arrival means minute slots complete monotonically;
 	// fold the finished slot into the running maximum.
