@@ -16,7 +16,7 @@ import (
 // complete alert stream (Close flushes every open episode).
 func streamAlerts(t *testing.T, cfg Config, dcfg detect.Config) []detect.Alert {
 	t.Helper()
-	final, err := StreamLive(StreamConfig{Config: cfg, Detect: &dcfg}, 0, nil)
+	final, err := streamLive(StreamConfig{Config: cfg, Detect: &dcfg}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAlertOracleDetectsDivergence(t *testing.T) {
 // alert driver, with the push driver as its reference: for every golden
 // built-in, at workers ∈ {1, 2, 8}, from the QSND checkpoint and its pcap
 // export, streamed and mapped, ReplayAlerts must write the alert bytes
-// StreamReplay's final checkpoint holds at the same worker count, reduce
+// streamReplay's final checkpoint holds at the same worker count, reduce
 // to the direct run's Analysis, and report the same detector counters and
 // the same Stream() projection; with a trace sink attached it must also
 // re-checkpoint the input byte for byte.
@@ -147,7 +147,7 @@ func TestReplayAlertsEqualsStreamReplay(t *testing.T) {
 				cfg := run.cfg
 				cfg.Workers, cfg.Detect = workers, &dcfg
 				for _, in := range inputs {
-					ref, err := StreamReplay(cfg, openStream(t, in.data), 0, nil)
+					ref, err := streamReplay(cfg, openStream(t, in.data), 0, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -178,7 +178,7 @@ func TestReplayAlertsEqualsStreamReplay(t *testing.T) {
 								t.Fatalf("%s: %v", label, err)
 							}
 							if got := alertBytes(alerts); !bytes.Equal(got, want) {
-								t.Errorf("%s: alerts differ from StreamReplay's:\n--- want ---\n%s--- got ---\n%s", label, want, got)
+								t.Errorf("%s: alerts differ from streamReplay's:\n--- want ---\n%s--- got ---\n%s", label, want, got)
 							}
 							expectSameAnalysis(t, label, direct, a)
 							if a.Telemetry.Detect != refTel.Detect {

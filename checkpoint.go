@@ -204,9 +204,9 @@ func decodeCheckpoint(data []byte) (hdr checkpointHeader, shards []*pipelineShar
 // thinning) — the substrate is re-prepared from them, exactly as
 // Replay rebuilds ground truth — and resolve to the checkpoint's
 // worker count, since shard state is partitioned by it. Sliding-window
-// detectors resume cold (see the package comment above). Driving the
-// remainder of the original stream (capture.Skip(src, position))
-// reproduces the full-run Analysis byte-for-byte.
+// detectors resume cold (see the package comment above). Offering the
+// original stream's records after the checkpoint's Position reproduces
+// the full-run Analysis byte-for-byte.
 func ResumeStreamer(cfg StreamConfig, data []byte) (*Streamer, error) {
 	hdr, shards, counts, err := decodeCheckpoint(data)
 	if err != nil {
@@ -227,5 +227,6 @@ func ResumeStreamer(cfg StreamConfig, data []byte) (*Streamer, error) {
 		return nil, fmt.Errorf("quicsand: resume: checkpoint has %d shards, config resolves to %d workers", hdr.workers, workers)
 	}
 	cfg.Workers = hdr.workers
-	return newStreamer(cfg, shards, counts)
+	s, _, err := newStreamer(cfg, shards, counts)
+	return s, err
 }

@@ -18,7 +18,7 @@ func fuzzCheckpointImages(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	empty := s.Close().Encode()
-	final, err := StreamLive(cfg, 0, nil)
+	final, err := streamLive(cfg, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

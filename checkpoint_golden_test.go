@@ -36,12 +36,12 @@ func TestCheckpointGoldenImage(t *testing.T) {
 	if *update {
 		// Freeze halfway through the month, so the image carries active
 		// sessions next to emitted ones.
-		whole, err := StreamLive(cfg, 0, nil)
+		whole, err := streamLive(cfg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var mid *StreamCheckpoint
-		if _, err := StreamLive(cfg, whole.Position()/2, func(c *StreamCheckpoint) {
+		if _, err := streamLive(cfg, whole.Position()/2, func(c *StreamCheckpoint) {
 			if mid == nil {
 				mid = c
 			}

@@ -20,7 +20,7 @@ func TestCheckpointImagesByteStable(t *testing.T) {
 			cfg.Workers = 2
 			run := func() [][sha256.Size]byte {
 				var sums [][sha256.Size]byte
-				final, err := StreamLive(StreamConfig{Config: cfg}, 5000, func(c *StreamCheckpoint) {
+				final, err := streamLive(StreamConfig{Config: cfg}, 5000, func(c *StreamCheckpoint) {
 					sums = append(sums, sha256.Sum256(c.Encode()))
 				})
 				if err != nil {

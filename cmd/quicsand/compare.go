@@ -94,13 +94,17 @@ func runCompare(args []string, stdout, stderr io.Writer) error {
 		return errors.New("compare: -i validates one capture against one -scenario")
 	}
 
+	pol, err := sal.policy()
+	if err != nil {
+		return err
+	}
 	var runs []*compareScenario
 	for _, sel := range sels {
 		sc, err := resolveScenario(sel)
 		if err != nil {
 			return err
 		}
-		run, err := compareOne(opts, sc, *in, sal.policy(), stderr)
+		run, err := compareOne(opts, sc, *in, pol, stderr)
 		if err != nil {
 			return fmt.Errorf("compare %s: %w", sc.Name, err)
 		}

@@ -157,6 +157,9 @@ func addBaseSimFlags(fs *flag.FlagSet) *simOpts {
 // value may name a built-in or a spec file; replay must pass the same
 // value as the recorded run (like -seed and -scale).
 func (o *simOpts) config() (quicsand.Config, error) {
+	if *o.workers < 0 {
+		return quicsand.Config{}, fmt.Errorf("-workers must not be negative (got %d)", *o.workers)
+	}
 	cfg := quicsand.Config{
 		Seed:         *o.seed,
 		Scale:        *o.scale,
@@ -262,13 +265,21 @@ func addSalvageFlags(fs *flag.FlagSet) *salvageOpts {
 	}
 }
 
-// policy resolves the flags into the capture-layer salvage policy.
-func (o *salvageOpts) policy() capture.SalvagePolicy {
+// policy resolves the flags into the capture-layer salvage policy. A
+// negative retry budget or backoff is an error: the policy would read it
+// as no retries or as the 1 ms default.
+func (o *salvageOpts) policy() (capture.SalvagePolicy, error) {
+	if *o.retries < 0 {
+		return capture.SalvagePolicy{}, fmt.Errorf("-salvage-retries must not be negative (got %d)", *o.retries)
+	}
+	if *o.backoff < 0 {
+		return capture.SalvagePolicy{}, fmt.Errorf("-salvage-backoff must not be negative (got %v)", *o.backoff)
+	}
 	return capture.SalvagePolicy{
 		SkipCorrupt: *o.skip,
 		MaxRetries:  *o.retries,
 		Backoff:     *o.backoff,
-	}
+	}, nil
 }
 
 // parseSim parses a simulate-style flag set and services the
@@ -556,11 +567,21 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 	if *alerts == "" && (*window != 0 || *detectConfig != "") {
 		return errors.New("replay: -window and -detect-config require -alerts")
 	}
+	// Negative values would silently pick a default: the detector's
+	// window, no progress log.
+	if *window < 0 {
+		return fmt.Errorf("replay: -window must not be negative (got %v)", *window)
+	}
+	if *heartbeat < 0 {
+		return fmt.Errorf("replay: -heartbeat must not be negative (got %v)", *heartbeat)
+	}
 	cfg, err := opts.config()
 	if err != nil {
 		return err
 	}
-	cfg.Salvage = sal.policy()
+	if cfg.Salvage, err = sal.policy(); err != nil {
+		return err
+	}
 	opts.attachRecorder(&cfg)
 	var hb *telemetry.Heartbeat
 	if *heartbeat > 0 {
@@ -699,6 +720,10 @@ func runConvert(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	pol, err := sal.policy()
+	if err != nil {
+		return err
+	}
 	src0, err := os.Open(*in)
 	if err != nil {
 		return err
@@ -708,7 +733,7 @@ func runConvert(args []string, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", *in, err)
 	}
-	if pol := sal.policy(); pol.Enabled() {
+	if pol.Enabled() {
 		capture.SetSalvage(src, pol)
 	}
 	sink, finish, abort, err := traceSink(*out, of, stderr)

@@ -131,6 +131,30 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsNegativeFlags pins that a negative count or duration
+// on replay is an error naming its flag, raised before the capture is
+// opened — never a silent default window, no heartbeat, no retries, the
+// 1 ms backoff or one shard.
+func TestReplayRejectsNegativeFlags(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "absent.qsnd")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-window", []string{"-alerts", "-", "-window", "-1m"}},
+		{"-heartbeat", []string{"-heartbeat", "-1s"}},
+		{"-salvage-retries", []string{"-salvage-retries", "-1"}},
+		{"-salvage-backoff", []string{"-salvage-backoff", "-1ms"}},
+		{"-workers", []string{"-workers", "-1"}},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(append([]string{"replay", "-i", in}, tc.args...), &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" must not be negative") {
+			t.Errorf("%s: want an error naming the flag, got %v", tc.flag, err)
+		}
+	}
+}
+
 // TestRecordConvertReplayRoundTrip drives the full CLI workflow the
 // replay CI job scripts: record a month with its headline JSON,
 // convert QSND → pcap → QSND losslessly, and replay both containers at

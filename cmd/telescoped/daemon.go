@@ -28,6 +28,9 @@ import (
 // streamer's trace hook, in offer order), so a recorded capture replays
 // to bit-identical state.
 func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
+	if err := opts.check(); err != nil {
+		return err
+	}
 	dcfg, err := opts.detectors()
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -163,10 +164,11 @@ func TestDaemonAlertsCheckpointManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resumed.Position(); got != 40 {
+	final := resumed.Close()
+	if got := final.Position(); got != 40 {
 		t.Errorf("resumed daemon checkpoint at position %d, want 40", got)
 	}
-	reduced := resumed.Close().Analysis()
+	reduced := final.Analysis()
 
 	// Manifest: snapshot rows accumulated, the final one at the drain.
 	mdata, err := os.ReadFile(manifest)
@@ -298,10 +300,21 @@ func TestDaemonRecordReplaysToSameState(t *testing.T) {
 				// alerts `quicsand replay -alerts` writes): the replayed alert
 				// stream must byte-match the daemon's, and the position must agree.
 				dcfg := detect.Default()
-				final, err := quicsand.StreamReplay(quicsand.StreamConfig{Config: cfg, Detect: &dcfg}, openRecord(), 0, nil)
+				s, err := quicsand.NewStreamer(quicsand.StreamConfig{Config: cfg, Detect: &dcfg})
 				if err != nil {
 					t.Fatal(err)
 				}
+				for src := openRecord(); ; {
+					p, err := src.Next()
+					if errors.Is(err, io.EOF) {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.Offer(p)
+				}
+				final := s.Close()
 				if got := final.Position(); got != 35 {
 					t.Errorf("replayed capture position %d, want 35", got)
 				}

@@ -158,6 +158,28 @@ type serveOpts struct {
 	scale      float64       // checkpoints (resume must match them)
 }
 
+// check rejects a negative count or duration: each would otherwise pick
+// another mode without a word — log mode for -window, an unbounded
+// budget, no ticks, no progress log, one shard.
+func (o serveOpts) check() error {
+	for _, f := range []struct {
+		flag     string
+		negative bool
+		value    any
+	}{
+		{"-workers", o.workers < 0, o.workers},
+		{"-window", o.window < 0, o.window},
+		{"-mem-budget", o.memBudget < 0, o.memBudget},
+		{"-checkpoint-every", o.ckptEvery < 0, o.ckptEvery},
+		{"-heartbeat", o.heartbeat < 0, o.heartbeat},
+	} {
+		if f.negative {
+			return fmt.Errorf("%s must not be negative (got %v)", f.flag, f.value)
+		}
+	}
+	return nil
+}
+
 // detectors returns the detector bank's configuration, nil without
 // -window. The flags that configure detectors are rejected there, so a
 // typo'd invocation fails loudly instead of silently logging packets.

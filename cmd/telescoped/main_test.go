@@ -95,6 +95,39 @@ func logMode(workers int) serveOpts {
 	return serveOpts{workers: workers, seed: 2021, scale: 0.001}
 }
 
+// TestServeRejectsNegativeFlags pins that a negative count or duration
+// is an error naming its flag, returned before the socket is read —
+// never a silent switch to log mode, an unbounded budget, no ticks, no
+// progress log or one shard.
+func TestServeRejectsNegativeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		set  func(*serveOpts)
+	}{
+		{"-window", func(o *serveOpts) { o.window = -time.Minute }},
+		{"-mem-budget", func(o *serveOpts) { o.memBudget = -1 }},
+		{"-checkpoint-every", func(o *serveOpts) { o.ckptEvery = -time.Second }},
+		{"-heartbeat", func(o *serveOpts) { o.heartbeat = -time.Second }},
+		{"-workers", func(o *serveOpts) { o.workers = -2 }},
+	} {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := logMode(2)
+		tc.set(&opts)
+		out := &lockedBuffer{}
+		err = serve(opts, pc, out, io.Discard)
+		pc.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" must not be negative") {
+			t.Errorf("%s: want an error naming the flag, got %v", tc.flag, err)
+		}
+		if out.String() != "" {
+			t.Errorf("%s: serve ran before rejecting the flag:\n%s", tc.flag, out.String())
+		}
+	}
+}
+
 // TestServeClassifiesDatagrams drives the live pipeline end to end: a
 // genuine QUIC Initial and a junk payload arrive on the socket, the read
 // loop's log classifies both, and serve returns once the socket closes —

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"quicsand/internal/capture"
+	"quicsand/internal/engine"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
@@ -116,7 +118,7 @@ func TestFlightStructuralDeterminism(t *testing.T) {
 }
 
 // TestFlightStreamDeterminism is the streaming leg of the contract: a
-// Streamer's shards run on the batch runs' engine, so StreamReplay at a
+// Streamer's shards run on the batch runs' engine, so streamReplay at a
 // fixed worker count records a repeatable span structure whose worker
 // tracks equal batch Replay's, every offered packet is inside exactly
 // one analyze span, and the inline workers==1 path — which runs no
@@ -146,7 +148,7 @@ func TestFlightStreamDeterminism(t *testing.T) {
 		}
 		cfg := base
 		cfg.Workers, cfg.FlightRecorder = workers, flightRec()
-		final, err := StreamReplay(StreamConfig{Config: cfg}, src, 0, nil)
+		final, err := streamReplay(StreamConfig{Config: cfg}, src, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +174,11 @@ func TestFlightStreamDeterminism(t *testing.T) {
 	if analyzed != position || position == 0 {
 		t.Errorf("analyze spans cover %d items, stream position %d", analyzed, position)
 	}
-	if st := a.Pipeline.StageNamed("analyze"); st.Items != position || st.Wall <= 0 || a.Pipeline.Wall <= 0 ||
+	var st engine.Stage
+	if i := slices.IndexFunc(a.Pipeline.Stages, func(s engine.Stage) bool { return s.Name == "analyze" }); i >= 0 {
+		st = a.Pipeline.Stages[i]
+	}
+	if st.Items != position || st.Wall <= 0 || a.Pipeline.Wall <= 0 ||
 		len(a.Pipeline.ShardBusy) != workers {
 		t.Errorf("final checkpoint's Pipeline lacks the engine's run: %+v", a.Pipeline)
 	}

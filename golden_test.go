@@ -3,6 +3,8 @@ package quicsand
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/x509"
+	"encoding/pem"
 	"flag"
 	"fmt"
 	"io"
@@ -50,6 +52,17 @@ var goldenRuns = []struct {
 	{"multi-vector-burst", 0.002},
 }
 
+// encodeIdentityPEM writes an identity as tlsmini.ParseIdentityPEM reads
+// it: a certificate block followed by an EC private-key block.
+func encodeIdentityPEM(id *tlsmini.Identity) ([]byte, error) {
+	keyDER, err := x509.MarshalECPrivateKey(id.Key)
+	if err != nil {
+		return nil, fmt.Errorf("marshal key: %w", err)
+	}
+	out := pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: id.CertDER})
+	return append(out, pem.EncodeToMemory(&pem.Block{Type: "EC PRIVATE KEY", Bytes: keyDER})...), nil
+}
+
 func goldenIdentity(t *testing.T) *tlsmini.Identity {
 	t.Helper()
 	path := filepath.Join(goldenDir, "identity.pem")
@@ -59,7 +72,7 @@ func goldenIdentity(t *testing.T) *tlsmini.Identity {
 		if genErr != nil {
 			t.Fatal(genErr)
 		}
-		pem, encErr := id.EncodePEM()
+		pem, encErr := encodeIdentityPEM(id)
 		if encErr != nil {
 			t.Fatal(encErr)
 		}

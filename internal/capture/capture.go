@@ -86,8 +86,8 @@ type SpanDecoder interface {
 // parses just enough of it to route it (source address), TakeSpan puts
 // the raw bytes into the destination shard's arena, and the shard
 // decodes batches of spans with the SpanDecoder. Both format readers
-// implement it over either kind of window, so every source NewSource,
-// OpenFile and NewQSNDBuffer return does; a Scatter over more than one
+// implement it over either kind of window, so every source NewSource
+// and OpenFile return does; a Scatter over more than one
 // shard accepts nothing else (byte-plane fault injection wraps the
 // io.Reader underneath and keeps the interface).
 type SpanSource interface {
@@ -103,7 +103,7 @@ type SpanSource interface {
 	TakeSpan(dst []byte) []byte
 	// SpanStable reports whether returned spans outlive the next
 	// FrameNext without copying — true for memory-backed sources (an
-	// OpenFile mapping of either format, NewQSNDBuffer), whose spans
+	// OpenFile mapping of either format), whose spans
 	// stay readable until the source is closed and whose memory the
 	// caller must not recycle.
 	SpanStable() bool
@@ -243,8 +243,8 @@ func (qsndDecoder) DecodeSpan(span []byte, p *telescope.Packet) bool {
 }
 
 // SpanSource implementation: framing delegates to the telescope
-// reader; spans are stable exactly when its window is (NewQSNDBuffer,
-// OpenFile's mapping).
+// reader; spans are stable exactly when its window is (OpenFile's
+// mapping).
 func (s *qsndSource) FrameNext() (int, netmodel.Addr, error) { return s.r.FrameNext() }
 func (s *qsndSource) TakeSpan(dst []byte) []byte             { return s.r.TakeSpan(dst) }
 func (s *qsndSource) SpanStable() bool                       { return s.r.Stable() }

@@ -465,7 +465,7 @@ func TestScatterShardsByAddressInOrder(t *testing.T) {
 	data := qsndBytes(t, pkts)
 	for name, open := range map[string]func() (Source, error){
 		"streamed": func() (Source, error) { return NewSource(bytes.NewReader(data)) },
-		"stable":   func() (Source, error) { return NewQSNDBuffer(data) },
+		"stable":   func() (Source, error) { return newQSNDBuffer(data) },
 	} {
 		for _, workers := range []int{1, 3, 8} {
 			for _, recycle := range []bool{false, true} {
@@ -537,6 +537,25 @@ func TestScatterShardsByAddressInOrder(t *testing.T) {
 	}
 }
 
+// limitSource yields at most left records from src, then a clean
+// io.EOF: a Next-only source.
+type limitSource struct {
+	src  Source
+	left uint64
+}
+
+func (l *limitSource) Next() (*telescope.Packet, error) {
+	if l.left == 0 {
+		return nil, io.EOF
+	}
+	p, err := l.src.Next()
+	if err != nil {
+		return nil, err
+	}
+	l.left--
+	return p, nil
+}
+
 // TestScatterNeedsSpansToShard pins what a Next-only source gets: one
 // shard replays it inline; more than one deliver nothing and report why,
 // naming the source's type (there is no second, packet-copying scatter).
@@ -547,12 +566,12 @@ func TestScatterNeedsSpansToShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := NewScatter(Limit(src, 25), workers, true)
+		sc := NewScatter(&limitSource{src: src, left: 25}, workers, true)
 		var n uint64
 		drainScatter(sc, &n)
 		if workers == 1 {
 			if err := sc.Err(); err != nil || n != 25 || sc.Packets() != 25 {
-				t.Errorf("workers=1: %d emitted, %d scattered, err %v; want the 25 records Limit passes", n, sc.Packets(), err)
+				t.Errorf("workers=1: %d emitted, %d scattered, err %v; want the 25 records limitSource passes", n, sc.Packets(), err)
 			}
 			continue
 		}
@@ -645,7 +664,7 @@ func TestScatterReplayAllocs(t *testing.T) {
 			Proto: telescope.ProtoUDP, Size: uint16(len(payload)), Payload: payload,
 		}
 	}
-	src, err := NewQSNDBuffer(qsndBytes(t, pkts))
+	src, err := newQSNDBuffer(qsndBytes(t, pkts))
 	if err != nil {
 		t.Fatal(err)
 	}

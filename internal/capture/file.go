@@ -11,20 +11,6 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// NewQSNDBuffer opens an in-memory QSND stream as a Source. The
-// returned source frames by offset arithmetic and hands out stable
-// zero-copy spans; data must stay alive and unmodified for the
-// source's lifetime.
-func NewQSNDBuffer(data []byte) (Source, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("capture: empty stream: %w", ErrUnknownFormat)
-	}
-	if len(data) < 4 || !isQSNDMagic(data) {
-		return nil, ErrUnknownFormat
-	}
-	return &qsndSource{r: telescope.NewBuffer(data)}, nil
-}
-
 // mapping is the munmap a source laid over OpenFile's mapping owns. The
 // zero value — a streamed or in-memory source — closes to nothing.
 type mapping struct{ unmap func() error }

@@ -357,10 +357,6 @@ func newPcapReader(w *salvage.Window) (*PcapReader, error) {
 	return pr, nil
 }
 
-// Offset returns bytes consumed so far — after an error, the start of
-// the record that could not be read.
-func (pr *PcapReader) Offset() uint64 { return pr.w.Offset() }
-
 // SetSalvage installs the degraded-ingest policy. The zero policy is
 // the default fail-fast behavior.
 func (pr *PcapReader) SetSalvage(pol salvage.Policy) { pr.w.Pol = pol }

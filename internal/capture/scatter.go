@@ -262,7 +262,7 @@ func (s *Scatter) flushIngest() {
 
 // NewScatter prepares a scatter of src over n shards. With n > 1 src
 // must frame spans; every format reader does, and a Next-only wrapper
-// (Limit, Skip) yields the Err described on Scatter instead of packets.
+// yields the Err described on Scatter instead of packets.
 func NewScatter(src Source, n int, recycle bool) *Scatter {
 	s := &Scatter{src: src, n: n, recycle: recycle}
 	if n == 1 {

@@ -95,6 +95,20 @@ func qsndBytes(t *testing.T, pkts []*telescope.Packet) []byte {
 	return buf.Bytes()
 }
 
+// newQSNDBuffer opens an in-memory QSND stream as a Source that frames
+// by offset arithmetic and hands out stable zero-copy spans, as a mapped
+// file does.
+func newQSNDBuffer(data []byte) (Source, error) {
+	if len(data) < 4 || !isQSNDMagic(data) {
+		return nil, ErrUnknownFormat
+	}
+	return &qsndSource{r: telescope.NewBuffer(data)}, nil
+}
+
+// Offset returns bytes consumed so far — after an error, the start of
+// the record that could not be read.
+func (pr *PcapReader) Offset() uint64 { return pr.w.Offset() }
+
 func TestSpanPathMatchesNextQSND(t *testing.T) {
 	data := qsndBytes(t, samplePackets())
 
@@ -118,13 +132,13 @@ func TestSpanPathMatchesNextQSND(t *testing.T) {
 func TestSpanPathMatchesNextQSNDBuffer(t *testing.T) {
 	data := qsndBytes(t, samplePackets())
 
-	seqSrc, err := NewQSNDBuffer(data)
+	seqSrc, err := newQSNDBuffer(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := drain(t, seqSrc)
 
-	spanSrc, err := NewQSNDBuffer(data)
+	spanSrc, err := newQSNDBuffer(data)
 	if err != nil {
 		t.Fatal(err)
 	}

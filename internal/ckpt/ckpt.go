@@ -30,9 +30,6 @@ func NewWriter(b []byte) *Writer { return &Writer{b: b} }
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.b }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.b) }
-
 // Raw appends b verbatim (magic numbers, nested encodings).
 func (w *Writer) Raw(b []byte) { w.b = append(w.b, b...) }
 
@@ -92,9 +89,6 @@ type Reader struct {
 
 // NewReader wraps data for decoding.
 func NewReader(data []byte) *Reader { return &Reader{b: data} }
-
-// Offset returns the current decode position.
-func (r *Reader) Offset() int { return r.off }
 
 // Err returns the sticky decode error, if any.
 func (r *Reader) Err() error { return r.err }

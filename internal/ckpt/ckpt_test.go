@@ -86,7 +86,7 @@ func TestRoundTrip(t *testing.T) {
 	for i, f := range fields {
 		buf := encode([]field{f})
 		r := NewReader(buf)
-		if !f.read(r) || r.Err() != nil || r.Remaining() != 0 || r.Offset() != len(buf) {
+		if !f.read(r) || r.Err() != nil || r.Remaining() != 0 || r.off != len(buf) {
 			t.Errorf("field %d (%s): round-trip failed: err=%v remaining=%d", i, f.name, r.Err(), r.Remaining())
 		}
 	}
@@ -105,7 +105,7 @@ func TestRoundTrip(t *testing.T) {
 	prefix := []byte("log-so-far")
 	w := NewWriter(append([]byte(nil), prefix...))
 	w.U64(300)
-	if got := w.Bytes(); !bytes.HasPrefix(got, prefix) || w.Len() != len(prefix)+2 {
+	if got := w.Bytes(); !bytes.HasPrefix(got, prefix) || len(got) != len(prefix)+2 {
 		t.Errorf("NewWriter over a prefix produced % x", got)
 	}
 }

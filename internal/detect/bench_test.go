@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -45,6 +47,58 @@ func BenchmarkStreamingDetect(b *testing.B) {
 		d.Observe(p, nil)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/s")
+}
+
+// BenchmarkObserveNewSources prices the detector under the paper's
+// spoofed-source load, as sessions.BenchmarkObserveBudgetNewSources does
+// the sessionizer's: every packet from a source never seen before, eight
+// to a millisecond. Unbounded, each new source keeps its window state
+// for good; under MaxSources (filled before the timer starts) every
+// packet evicts the coldest source. It reports the heap retained per new
+// source (B/source) and the sources holding state at the end.
+func BenchmarkObserveNewSources(b *testing.B) {
+	for _, budget := range []int{0, 1024, 4096} {
+		name := "unbounded"
+		if budget > 0 {
+			name = fmt.Sprintf("max-sources=%d", budget)
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := Default()
+			cfg.MaxSources = budget
+			d := NewShard(cfg)
+			base := telescope.TS(telescope.MeasurementStart)
+			p := &telescope.Packet{
+				Dst: netmodel.TelescopePrefix.Base, SrcPort: 50000, DstPort: 443,
+				Proto: telescope.ProtoUDP, Size: 1200,
+			}
+			next := uint32(0)
+			observe := func() {
+				p.TS = base + telescope.Timestamp(next/8)
+				p.Src = netmodel.Addr(next * 0x9e3779b1) // a bijection: never a repeat
+				next++
+				d.Observe(p, nil)
+			}
+			for d.Sources() < budget {
+				observe()
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				observe()
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(b.N), "B/source")
+			b.ReportMetric(float64(d.Sources()), "sources")
+			if budget > 0 && d.Metrics.SourcesEvicted < uint64(b.N) {
+				b.Fatalf("%d evictions over %d packets", d.Metrics.SourcesEvicted, b.N)
+			}
+		})
+	}
 }
 
 // TestStreamingDetectZeroAllocSteadyState is the allocation gate on

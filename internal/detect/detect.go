@@ -258,9 +258,6 @@ func NewShard(cfg Config) *Shard {
 	}
 }
 
-// Config returns the shard's configuration.
-func (d *Shard) Config() Config { return d.cfg }
-
 // Observe feeds one QUIC-candidate packet (with its optional
 // dissection) into the source's window and updates episodes. Packets
 // must arrive in non-decreasing time order, as everywhere else in the

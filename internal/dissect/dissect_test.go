@@ -401,3 +401,62 @@ func TestResultReuse(t *testing.T) {
 		t.Fatal("stale result data")
 	}
 }
+
+// Class is the top-level traffic classification of §4.1.
+type Class int
+
+// Classification outcomes.
+const (
+	ClassNotQUIC Class = iota
+	ClassRequest
+	ClassResponse
+)
+
+// String implements fmt.Stringer.
+func (c Class) String() string {
+	switch c {
+	case ClassRequest:
+		return "request"
+	case ClassResponse:
+		return "response"
+	}
+	return "not-quic"
+}
+
+// Classify performs the full §4.1 pipeline on a captured packet:
+// port-based preselection plus payload validation.
+func (d *Dissector) Classify(p *telescope.Packet) Class {
+	if !p.IsQUICCandidate() {
+		return ClassNotQUIC
+	}
+	if p.Payload != nil {
+		if _, err := d.DissectPacket(p); err != nil {
+			return ClassNotQUIC
+		}
+	}
+	if p.IsRequest() {
+		return ClassRequest
+	}
+	return ClassResponse
+}
+
+// HasType reports whether any packet has the given type.
+func (r *Result) HasType(t wire.PacketType) bool {
+	for i := range r.Packets {
+		if r.Packets[i].Type == t {
+			return true
+		}
+	}
+	return false
+}
+
+// Version returns the wire version of the first long-header packet, or
+// 0 when none is present.
+func (r *Result) Version() wire.Version {
+	for i := range r.Packets {
+		if r.Packets[i].Type != wire.PacketTypeOneRTT {
+			return r.Packets[i].Version
+		}
+	}
+	return 0
+}

@@ -171,16 +171,6 @@ func (st *Stats) Items() uint64 {
 	return n
 }
 
-// StageNamed returns the stage with the given name, or a zero Stage.
-func (st *Stats) StageNamed(name string) Stage {
-	for _, s := range st.Stages {
-		if s.Name == name {
-			return s
-		}
-	}
-	return Stage{}
-}
-
 // StageTimings returns the stages in manifest form.
 func (st *Stats) StageTimings() []telemetry.StageTiming {
 	var out []telemetry.StageTiming

@@ -111,3 +111,13 @@ func TestEngineTelemetryInvariants(t *testing.T) {
 		t.Errorf("inline run populated engine telemetry: %+v", st.Engine)
 	}
 }
+
+// StageNamed returns the stage with the given name, or a zero Stage.
+func (st *Stats) StageNamed(name string) Stage {
+	for _, s := range st.Stages {
+		if s.Name == name {
+			return s
+		}
+	}
+	return Stage{}
+}

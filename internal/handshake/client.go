@@ -135,12 +135,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// State returns the current handshake state.
-func (c *Client) State() ClientState { return c.state }
-
-// Err returns the failure cause once State is ClientStateFailed.
-func (c *Client) Err() error { return c.err }
-
 // Done reports handshake completion.
 func (c *Client) Done() bool { return c.state == ClientStateDone }
 
@@ -153,16 +147,6 @@ func (c *Client) SawVersionNegotiation() bool { return c.sawVN }
 
 // Version returns the (possibly renegotiated) wire version in use.
 func (c *Client) Version() wire.Version { return c.version }
-
-// SourceCID returns the client's connection ID.
-func (c *Client) SourceCID() wire.ConnectionID { return c.scid }
-
-// ServerCID returns the server's chosen SCID once the first server
-// packet arrived (nil before).
-func (c *Client) ServerCID() wire.ConnectionID { return c.serverCID }
-
-// AppSecrets returns the 1-RTT traffic secrets after completion.
-func (c *Client) AppSecrets() (client, server []byte) { return c.clientApp, c.serverApp }
 
 // Start produces the client's first flight: one Initial datagram
 // padded to 1200 bytes.

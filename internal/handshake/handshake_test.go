@@ -85,7 +85,7 @@ func TestFullHandshakeAllVersions(t *testing.T) {
 			if len(ca) != 32 || bytes.Equal(ca, sa) {
 				t.Fatal("implausible app secrets")
 			}
-			if !client.ServerCID().Equal(server.SourceCID()) {
+			if !bytes.Equal(client.ServerCID(), server.SourceCID()) {
 				t.Fatal("client did not learn server CID")
 			}
 		})
@@ -203,7 +203,7 @@ func TestRetryFlow(t *testing.T) {
 	if !bytes.Equal(h2.Token, token) {
 		t.Fatalf("token not echoed: %x", h2.Token)
 	}
-	if !h2.DstConnID.Equal(retrySCID) {
+	if !bytes.Equal(h2.DstConnID, retrySCID) {
 		t.Fatalf("dcid = %v, want retry SCID", h2.DstConnID)
 	}
 
@@ -413,3 +413,28 @@ func TestCryptoStreamReordering(t *testing.T) {
 		t.Fatal("reassembled bytes differ")
 	}
 }
+
+// State returns the current handshake state.
+func (c *Client) State() ClientState { return c.state }
+
+// Err returns the failure cause once State is ClientStateFailed.
+func (c *Client) Err() error { return c.err }
+
+// SourceCID returns the client's connection ID.
+func (c *Client) SourceCID() wire.ConnectionID { return c.scid }
+
+// ServerCID returns the server's chosen SCID once the first server
+// packet arrived (nil before).
+func (c *Client) ServerCID() wire.ConnectionID { return c.serverCID }
+
+// AppSecrets returns the 1-RTT traffic secrets after completion.
+func (c *Client) AppSecrets() (client, server []byte) { return c.clientApp, c.serverApp }
+
+// State returns the connection's handshake state.
+func (s *ServerConn) State() ServerConnState { return s.state }
+
+// Err returns the failure cause once State is ServerStateFailed.
+func (s *ServerConn) Err() error { return s.err }
+
+// AppSecrets returns the 1-RTT traffic secrets after completion.
+func (s *ServerConn) AppSecrets() (client, server []byte) { return s.clientApp, s.serverApp }

@@ -139,21 +139,12 @@ func NewServerConn(cfg ServerConfig, version wire.Version, dcid, clientSCID wire
 	return s, nil
 }
 
-// State returns the connection's handshake state.
-func (s *ServerConn) State() ServerConnState { return s.state }
-
-// Err returns the failure cause once State is ServerStateFailed.
-func (s *ServerConn) Err() error { return s.err }
-
 // Done reports handshake completion.
 func (s *ServerConn) Done() bool { return s.state == ServerStateDone }
 
 // SourceCID returns the server's chosen connection ID — the quantity
 // Figure 9 counts per attack ("Unique SCIDs").
 func (s *ServerConn) SourceCID() wire.ConnectionID { return s.scid }
-
-// AppSecrets returns the 1-RTT traffic secrets after completion.
-func (s *ServerConn) AppSecrets() (client, server []byte) { return s.clientApp, s.serverApp }
 
 func (s *ServerConn) fail(err error) error {
 	s.state = ServerStateFailed

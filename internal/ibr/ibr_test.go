@@ -523,3 +523,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		t.Fatal("no packets")
 	}
 }
+
+func newSliceSource(start telescope.Timestamp, src netmodel.Addr, pkts []telescope.Packet) *sliceSource {
+	return &sliceSource{start: start, src: src, pkts: pkts}
+}

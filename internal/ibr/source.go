@@ -344,10 +344,6 @@ type sliceSource struct {
 	pool  *slabPool
 }
 
-func newSliceSource(start telescope.Timestamp, src netmodel.Addr, pkts []telescope.Packet) *sliceSource {
-	return &sliceSource{start: start, src: src, pkts: pkts}
-}
-
 func (s *sliceSource) StartTime() telescope.Timestamp { return s.start }
 
 func (s *sliceSource) Src() netmodel.Addr { return s.src }

@@ -80,9 +80,6 @@ func (p Prefix) Contains(a Addr) bool {
 // Size returns the number of addresses covered.
 func (p Prefix) Size() uint64 { return 1 << (32 - p.Bits) }
 
-// Last returns the highest address in the prefix.
-func (p Prefix) Last() Addr { return p.Base + Addr(p.Size()-1) }
-
 // Random draws a uniform address from the prefix.
 func (p Prefix) Random(r *RNG) Addr {
 	return p.Base + Addr(r.Uint64()%p.Size())

@@ -157,34 +157,3 @@ func (reg *Registry) CountryOf(a Addr) string {
 
 // ByASN returns the AS registered under asn, or nil.
 func (reg *Registry) ByASN(asn uint32) *AS { return reg.asns[asn] }
-
-// ByName returns the first AS whose Name matches, or nil.
-func (reg *Registry) ByName(name string) *AS {
-	for _, as := range reg.asns {
-		if as.Name == name {
-			return as
-		}
-	}
-	return nil
-}
-
-// ASes returns all registered ASes (unordered).
-func (reg *Registry) ASes() []*AS {
-	out := make([]*AS, 0, len(reg.asns))
-	for _, as := range reg.asns {
-		out = append(out, as)
-	}
-	return out
-}
-
-// OfType returns all ASes of the given network type.
-func (reg *Registry) OfType(t NetworkType) []*AS {
-	var out []*AS
-	for _, as := range reg.asns {
-		if as.Type == t {
-			out = append(out, as)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
-}

@@ -281,19 +281,6 @@ func TestNetworkTypeStrings(t *testing.T) {
 	}
 }
 
-func TestOfTypeSorted(t *testing.T) {
-	in := BuildInternet()
-	content := in.Registry.OfType(TypeContent)
-	if len(content) < 3 {
-		t.Fatalf("content count = %d", len(content))
-	}
-	for i := 1; i < len(content); i++ {
-		if content[i-1].ASN > content[i].ASN {
-			t.Fatal("OfType not sorted")
-		}
-	}
-}
-
 func TestRNGReadInterface(t *testing.T) {
 	r := NewRNG(1)
 	buf := make([]byte, 33)
@@ -317,4 +304,26 @@ func TestTelescopeShare(t *testing.T) {
 	if math.Abs(TelescopeShare-want) > 1e-12 {
 		t.Errorf("TelescopeShare = %v, want %v", TelescopeShare, want)
 	}
+}
+
+// Last returns the highest address in the prefix.
+func (p Prefix) Last() Addr { return p.Base + Addr(p.Size()-1) }
+
+// ByName returns the first AS whose Name matches, or nil.
+func (reg *Registry) ByName(name string) *AS {
+	for _, as := range reg.asns {
+		if as.Name == name {
+			return as
+		}
+	}
+	return nil
+}
+
+// ASes returns all registered ASes (unordered).
+func (reg *Registry) ASes() []*AS {
+	out := make([]*AS, 0, len(reg.asns))
+	for _, as := range reg.asns {
+		out = append(out, as)
+	}
+	return out
 }

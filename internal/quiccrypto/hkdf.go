@@ -50,12 +50,3 @@ func hkdfExpandLabel(secret []byte, label string, context []byte, length int) []
 	info = append(info, context...)
 	return hkdfExpand(secret, info, length)
 }
-
-// HKDFExtract exposes HKDF-Extract for the TLS key schedule.
-func HKDFExtract(salt, ikm []byte) []byte { return hkdfExtract(salt, ikm) }
-
-// HKDFExpandLabel exposes HKDF-Expand-Label for callers deriving
-// non-packet secrets (e.g. the TLS finished keys).
-func HKDFExpandLabel(secret []byte, label string, context []byte, length int) []byte {
-	return hkdfExpandLabel(secret, label, context, length)
-}

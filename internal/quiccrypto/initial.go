@@ -47,14 +47,6 @@ func (p Perspective) String() string {
 	return "server"
 }
 
-// Opposite returns the peer's perspective.
-func (p Perspective) Opposite() Perspective {
-	if p == PerspectiveClient {
-		return PerspectiveServer
-	}
-	return PerspectiveClient
-}
-
 // InitialSecrets derives the client and server initial secrets from the
 // client's first Destination Connection ID (RFC 9001 §5.2).
 func InitialSecrets(v wire.Version, clientDCID wire.ConnectionID) (clientSecret, serverSecret []byte, err error) {

@@ -112,3 +112,11 @@ func TestPerspective(t *testing.T) {
 		t.Error("opposite")
 	}
 }
+
+// Opposite returns the peer's perspective.
+func (p Perspective) Opposite() Perspective {
+	if p == PerspectiveClient {
+		return PerspectiveServer
+	}
+	return PerspectiveClient
+}

@@ -107,17 +107,17 @@ func TestTranscriptSensitivity(t *testing.T) {
 func TestHKDFExpandLabelLengths(t *testing.T) {
 	secret := make([]byte, 32)
 	for _, n := range []int{1, 12, 16, 32, 48, 64, 100} {
-		out := HKDFExpandLabel(secret, "test", nil, n)
+		out := hkdfExpandLabel(secret, "test", nil, n)
 		if len(out) != n {
 			t.Errorf("len = %d, want %d", len(out), n)
 		}
 	}
 	// Different labels must diverge.
-	if bytes.Equal(HKDFExpandLabel(secret, "a", nil, 16), HKDFExpandLabel(secret, "b", nil, 16)) {
+	if bytes.Equal(hkdfExpandLabel(secret, "a", nil, 16), hkdfExpandLabel(secret, "b", nil, 16)) {
 		t.Error("labels do not separate key material")
 	}
 	// Extract with empty salt equals extract with zero-salt per RFC 5869.
-	if !bytes.Equal(HKDFExtract(nil, []byte{1}), HKDFExtract(make([]byte, 32), []byte{1})) {
+	if !bytes.Equal(hkdfExtract(nil, []byte{1}), hkdfExtract(make([]byte, 32), []byte{1})) {
 		t.Error("nil salt should behave as zero salt")
 	}
 }

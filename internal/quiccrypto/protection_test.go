@@ -47,7 +47,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Type != wire.PacketTypeInitial || !h.DstConnID.Equal(dcid) {
+	if h.Type != wire.PacketTypeInitial || !bytes.Equal(h.DstConnID, dcid) {
 		t.Fatalf("protected header: %+v", h)
 	}
 

@@ -84,15 +84,6 @@ type Stats struct {
 	MaxLostRecords uint64 `json:"max_lost_records"`
 }
 
-// Add folds o into s.
-func (s *Stats) Add(o Stats) {
-	s.CorruptRecords += o.CorruptRecords
-	s.ResyncScans += o.ResyncScans
-	s.SalvagedBytes += o.SalvagedBytes
-	s.TransientRetries += o.TransientRetries
-	s.MaxLostRecords += o.MaxLostRecords
-}
-
 // Transient marks an error as retryable, in the net.Error tradition:
 // EAGAIN-class failures from network filesystems and the fault
 // injector implement it. Readers never import the fault layer — the

@@ -336,16 +336,6 @@ func TestWindowGrowsToLargestRecord(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{CorruptRecords: 1, ResyncScans: 2, SalvagedBytes: 3, TransientRetries: 4, MaxLostRecords: 5}
-	b := Stats{CorruptRecords: 10, ResyncScans: 20, SalvagedBytes: 30, TransientRetries: 40, MaxLostRecords: 50}
-	a.Add(b)
-	want := Stats{CorruptRecords: 11, ResyncScans: 22, SalvagedBytes: 33, TransientRetries: 44, MaxLostRecords: 55}
-	if a != want {
-		t.Fatalf("Add = %+v, want %+v", a, want)
-	}
-}
-
 func TestPolicyEnabled(t *testing.T) {
 	if (Policy{}).Enabled() {
 		t.Fatal("zero policy must be disabled")

@@ -265,15 +265,6 @@ func Builtins() []string {
 	return out
 }
 
-// BuiltinSpec returns the TOML source of a built-in (the examples
-// walkthrough prints it as a template).
-func BuiltinSpec(name string) (string, error) {
-	if spec, ok := builtinSpecs[name]; ok {
-		return spec, nil
-	}
-	return "", fmt.Errorf("scenario: unknown built-in %q", name)
-}
-
 // Describe returns a one-line "name — description" listing of every
 // built-in, for CLI help. A broken registry is an error, not a listing
 // line — callers must not exit 0 over it.

@@ -10,11 +10,7 @@ import (
 // its own Validate (the invariant Compile relies on).
 func FuzzLoad(f *testing.F) {
 	for _, name := range Builtins() {
-		spec, err := BuiltinSpec(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add([]byte(spec))
+		f.Add([]byte(builtinSpecs[name]))
 	}
 	f.Add([]byte(`{"name": "j", "phases": [{"kind": "misconfig", "sources": 3}]}`))
 	f.Add([]byte("name = \"t\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 2\npair = {concurrent_share = 0.5, sequential_share = 0.2}\n[phases.victims]\norg = \"any\"\nsize = 2\n[phases.rate]\nbase_pps = 0.5\nshape = \"ramp\""))

@@ -218,9 +218,6 @@ func (s *Session) HandshakeShare() float64 {
 	return float64(s.TypeCounts[wire.PacketTypeHandshake]) / float64(s.totalQUICPk)
 }
 
-// ClientHelloInitials returns how many Initials carried a ClientHello.
-func (s *Session) ClientHelloInitials() int { return s.hasCH }
-
 // Sessionizer aggregates a time-ordered packet stream into sessions.
 // It is a streaming one-pass operator: memory is bounded by the number
 // of sources active within one timeout window.

@@ -139,8 +139,8 @@ func TestSessionDissectionStats(t *testing.T) {
 	if s.HandshakeShare() != 2.0/3 {
 		t.Errorf("handshake share = %f", s.HandshakeShare())
 	}
-	if s.ClientHelloInitials() != 0 {
-		t.Errorf("client hellos = %d", s.ClientHelloInitials())
+	if s.hasCH != 0 {
+		t.Errorf("client hellos = %d", s.hasCH)
 	}
 }
 

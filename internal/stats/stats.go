@@ -53,14 +53,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
 
-// Min and Max return the sample extremes (NaN when empty).
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[0]
-}
-
 // Max returns the largest sample (NaN when empty).
 func (e *ECDF) Max() float64 {
 	if len(e.sorted) == 0 {
@@ -79,28 +71,6 @@ func (e *ECDF) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(e.sorted))
-}
-
-// Points samples the CDF at n log-spaced x positions between min and
-// max, for plotting. Returns (x, y) pairs.
-func (e *ECDF) Points(n int) (xs, ys []float64) {
-	if len(e.sorted) == 0 || n <= 0 {
-		return nil, nil
-	}
-	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	if lo <= 0 {
-		lo = math.SmallestNonzeroFloat64
-	}
-	if hi <= lo {
-		return []float64{hi}, []float64{1}
-	}
-	logLo, logHi := math.Log10(lo), math.Log10(hi)
-	for i := 0; i < n; i++ {
-		x := math.Pow(10, logLo+(logHi-logLo)*float64(i)/float64(n-1))
-		xs = append(xs, x)
-		ys = append(ys, e.At(x))
-	}
-	return xs, ys
 }
 
 // Percentile computes the p-th percentile (0–100) of unsorted samples.

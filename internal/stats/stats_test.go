@@ -118,3 +118,33 @@ func TestPercentileHelpers(t *testing.T) {
 		t.Error("percentile extremes")
 	}
 }
+
+// Min returns the smallest sample (NaN when empty).
+func (e *ECDF) Min() float64 {
+	if len(e.sorted) == 0 {
+		return math.NaN()
+	}
+	return e.sorted[0]
+}
+
+// Points samples the CDF at n log-spaced x positions between min and
+// max, for plotting. Returns (x, y) pairs.
+func (e *ECDF) Points(n int) (xs, ys []float64) {
+	if len(e.sorted) == 0 || n <= 0 {
+		return nil, nil
+	}
+	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
+	if lo <= 0 {
+		lo = math.SmallestNonzeroFloat64
+	}
+	if hi <= lo {
+		return []float64{hi}, []float64{1}
+	}
+	logLo, logHi := math.Log10(lo), math.Log10(hi)
+	for i := 0; i < n; i++ {
+		x := math.Pow(10, logLo+(logHi-logLo)*float64(i)/float64(n-1))
+		xs = append(xs, x)
+		ys = append(ys, e.At(x))
+	}
+	return xs, ys
+}

@@ -233,9 +233,6 @@ type Ingest struct {
 	SpanCopyBytes uint64 `json:"span_copy_bytes" help:"Record-span bytes copied from the reader window into shard arenas (0: spans alias a mapped capture)." class:"runtime"`
 }
 
-// Merge folds o into i field by field, as the metric table directs.
-func (i *Ingest) Merge(o *Ingest) { mergeSection(i, o) }
-
 // Engine counts the sharded engine's tap-merge machinery: batch sends,
 // buffer recycling, and the deepest tap queue observed. All runtime.
 type Engine struct {
@@ -262,9 +259,6 @@ type Trace struct {
 	Dropped uint64 `json:"dropped" help:"Checkpoint records dropped after a write error." class:"stream"`
 }
 
-// Merge folds o into t field by field, as the metric table directs.
-func (t *Trace) Merge(o *Trace) { mergeSection(t, o) }
-
 // Snapshot is the merged end-of-run view of every instrumented layer —
 // the telemetry twin of Analysis. Runs assemble it at reduce time from
 // the per-shard structs; telescoped assembles it at shutdown from its
@@ -284,26 +278,6 @@ type Snapshot struct {
 	Engine   Engine   `json:"engine"`
 	Trace    Trace    `json:"trace"`
 	Detect   Detect   `json:"detect"`
-}
-
-// Merge folds o into s. Every table metric merges by its declared kind
-// (all commute); ShardPackets merges element-wise (growing as needed)
-// and Workers takes the maximum, so partial snapshots combine
-// deterministically.
-func (s *Snapshot) Merge(o *Snapshot) {
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
-	for len(s.ShardPackets) < len(o.ShardPackets) {
-		s.ShardPackets = append(s.ShardPackets, 0)
-	}
-	for i, n := range o.ShardPackets {
-		s.ShardPackets[i] += n
-	}
-	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
-	for _, m := range table {
-		m.merge(sv.FieldByIndex(m.index), ov.FieldByIndex(m.index))
-	}
 }
 
 // Stream is the worker-invariant projection of the snapshot: a copy

@@ -359,3 +359,23 @@ func TestManifestWriteFile(t *testing.T) {
 		t.Error("telemetry snapshot lost in round trip")
 	}
 }
+
+// Merge folds o into s. Every table metric merges by its declared kind
+// (all commute); ShardPackets merges element-wise (growing as needed)
+// and Workers takes the maximum, so partial snapshots combine
+// deterministically.
+func (s *Snapshot) Merge(o *Snapshot) {
+	if o.Workers > s.Workers {
+		s.Workers = o.Workers
+	}
+	for len(s.ShardPackets) < len(o.ShardPackets) {
+		s.ShardPackets = append(s.ShardPackets, 0)
+	}
+	for i, n := range o.ShardPackets {
+		s.ShardPackets[i] += n
+	}
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	for _, m := range table {
+		m.merge(sv.FieldByIndex(m.index), ov.FieldByIndex(m.index))
+	}
+}

@@ -56,9 +56,6 @@ type Timestamp int64
 // TS converts a time.Time.
 func TS(t time.Time) Timestamp { return Timestamp(t.UnixMilli()) }
 
-// Time converts back to time.Time (UTC).
-func (ts Timestamp) Time() time.Time { return time.UnixMilli(int64(ts)).UTC() }
-
 // measurementStartMilli is MeasurementStart on the Timestamp scale,
 // computed once: Hour runs per captured packet.
 var measurementStartMilli = MeasurementStart.UnixMilli()
@@ -75,9 +72,6 @@ func (ts Timestamp) Hour() int {
 	}
 	return int(h)
 }
-
-// Seconds returns the timestamp in (fractional) seconds.
-func (ts Timestamp) Seconds() float64 { return float64(ts) / 1000 }
 
 // HoursInMeasurement is the number of hourly bins in April 2021.
 const HoursInMeasurement = 30 * 24

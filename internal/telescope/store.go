@@ -205,10 +205,6 @@ func (tr *Reader) SetSalvage(pol salvage.Policy) { tr.w.Pol = pol }
 // zeros on an undamaged stream.
 func (tr *Reader) Salvage() salvage.Stats { return tr.w.Stats }
 
-// Offset returns the number of bytes consumed so far — after an error,
-// the start of the record that could not be read.
-func (tr *Reader) Offset() uint64 { return tr.w.Offset() }
-
 // Stable reports whether spans and payloads handed out alias memory
 // that outlives the next read (NewBuffer) or the reader's sliding
 // buffer, valid only until the next read (NewReader).
@@ -392,19 +388,3 @@ func (tr *Reader) Read() (*Packet, error) {
 
 // Next implements capture.Source over freshly allocated packets.
 func (tr *Reader) Next() (*Packet, error) { return tr.Read() }
-
-// ForEach streams all records through fn.
-func (tr *Reader) ForEach(fn func(*Packet) error) error {
-	for {
-		p, err := tr.Read()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(p); err != nil {
-			return err
-		}
-	}
-}

@@ -335,3 +335,29 @@ func TestProtoStrings(t *testing.T) {
 		t.Error("proto strings")
 	}
 }
+
+// ForEach streams all records through fn.
+func (tr *Reader) ForEach(fn func(*Packet) error) error {
+	for {
+		p, err := tr.Read()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(p); err != nil {
+			return err
+		}
+	}
+}
+
+// Offset returns the number of bytes consumed so far — after an error,
+// the start of the record that could not be read.
+func (tr *Reader) Offset() uint64 { return tr.w.Offset() }
+
+// Time converts back to time.Time (UTC).
+func (ts Timestamp) Time() time.Time { return time.UnixMilli(int64(ts)).UTC() }
+
+// Seconds returns the timestamp in (fractional) seconds.
+func (ts Timestamp) Seconds() float64 { return float64(ts) / 1000 }

@@ -7,22 +7,11 @@ import (
 	"fmt"
 )
 
-// EncodePEM serializes the identity as a certificate block followed by
-// an EC private-key block — the container the golden-trace corpus
-// checks in, so fixture traces reproduce byte-identically across
-// processes (template payloads embed the certificate).
-func (id *Identity) EncodePEM() ([]byte, error) {
-	keyDER, err := x509.MarshalECPrivateKey(id.Key)
-	if err != nil {
-		return nil, fmt.Errorf("tlsmini: marshal key: %w", err)
-	}
-	out := pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: id.CertDER})
-	out = append(out, pem.EncodeToMemory(&pem.Block{Type: "EC PRIVATE KEY", Bytes: keyDER})...)
-	return out, nil
-}
-
-// ParseIdentityPEM reads an identity produced by EncodePEM: one
-// CERTIFICATE block and one EC PRIVATE KEY block, in any order.
+// ParseIdentityPEM reads an identity stored as PEM — the container the
+// golden-trace corpus checks in, so fixture traces reproduce
+// byte-identically across processes (template payloads embed the
+// certificate): one CERTIFICATE block and one EC PRIVATE KEY block, in
+// any order.
 func ParseIdentityPEM(data []byte) (*Identity, error) {
 	id := &Identity{}
 	for len(data) > 0 {

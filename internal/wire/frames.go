@@ -54,8 +54,6 @@ func (t FrameType) String() string {
 
 // Frame is implemented by all parsed frames.
 type Frame interface {
-	// Type returns the frame's wire type.
-	Type() FrameType
 	// Append serializes the frame.
 	Append(dst []byte) []byte
 }
@@ -65,9 +63,6 @@ type PaddingFrame struct {
 	// Count is the number of consecutive zero bytes.
 	Count int
 }
-
-// Type implements Frame.
-func (f *PaddingFrame) Type() FrameType { return FrameTypePadding }
 
 // Append implements Frame.
 func (f *PaddingFrame) Append(dst []byte) []byte {
@@ -80,9 +75,6 @@ func (f *PaddingFrame) Append(dst []byte) []byte {
 // PingFrame elicits an acknowledgment. The NGINX response pattern in
 // Table 1 includes two keep-alive PINGs per handshake.
 type PingFrame struct{}
-
-// Type implements Frame.
-func (f *PingFrame) Type() FrameType { return FrameTypePing }
 
 // Append implements Frame.
 func (f *PingFrame) Append(dst []byte) []byte { return append(dst, byte(FrameTypePing)) }
@@ -99,27 +91,6 @@ type AckFrame struct {
 	// matching the wire encoding. Must be non-empty to serialize.
 	Ranges   []AckRange
 	DelayRaw uint64
-}
-
-// Type implements Frame.
-func (f *AckFrame) Type() FrameType { return FrameTypeAck }
-
-// LargestAcked returns the highest acknowledged packet number.
-func (f *AckFrame) LargestAcked() uint64 {
-	if len(f.Ranges) == 0 {
-		return 0
-	}
-	return f.Ranges[0].Largest
-}
-
-// Acks reports whether packet number pn is covered by the frame.
-func (f *AckFrame) Acks(pn uint64) bool {
-	for _, r := range f.Ranges {
-		if pn >= r.Smallest && pn <= r.Largest {
-			return true
-		}
-	}
-	return false
 }
 
 // Append implements Frame.
@@ -149,9 +120,6 @@ type CryptoFrame struct {
 	Data   []byte
 }
 
-// Type implements Frame.
-func (f *CryptoFrame) Type() FrameType { return FrameTypeCrypto }
-
 // Append implements Frame.
 func (f *CryptoFrame) Append(dst []byte) []byte {
 	dst = AppendVarint(dst, uint64(FrameTypeCrypto))
@@ -165,9 +133,6 @@ func (f *CryptoFrame) Append(dst []byte) []byte {
 type NewTokenFrame struct {
 	Token []byte
 }
-
-// Type implements Frame.
-func (f *NewTokenFrame) Type() FrameType { return FrameTypeNewToken }
 
 // Append implements Frame.
 func (f *NewTokenFrame) Append(dst []byte) []byte {
@@ -184,7 +149,8 @@ type ConnectionCloseFrame struct {
 	Reason        string
 }
 
-// Type implements Frame.
+// Type returns the frame's wire type: the transport or the application
+// variant.
 func (f *ConnectionCloseFrame) Type() FrameType {
 	if f.IsApplication {
 		return FrameTypeConnCloseApp
@@ -205,9 +171,6 @@ func (f *ConnectionCloseFrame) Append(dst []byte) []byte {
 
 // HandshakeDoneFrame confirms the handshake to the client.
 type HandshakeDoneFrame struct{}
-
-// Type implements Frame.
-func (f *HandshakeDoneFrame) Type() FrameType { return FrameTypeHandshakeDone }
 
 // Append implements Frame.
 func (f *HandshakeDoneFrame) Append(dst []byte) []byte {

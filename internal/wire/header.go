@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
@@ -54,9 +53,6 @@ func (c ConnectionID) String() string {
 	return fmt.Sprintf("%x", []byte(c))
 }
 
-// Equal reports byte equality.
-func (c ConnectionID) Equal(o ConnectionID) bool { return bytes.Equal(c, o) }
-
 // Header is a parsed QUIC packet header. For long-header packets all
 // fields are populated; for short-header packets only DstConnID (whose
 // length must be known out of band) and Type are meaningful.
@@ -84,7 +80,6 @@ type Header struct {
 	SupportedVersions []Version
 
 	// raw bookkeeping (set by ParseLongHeader).
-	firstByte byte
 	headerLen int // bytes up to and including the Length field
 	packetLen int // total bytes of this QUIC packet within the datagram
 }
@@ -96,9 +91,6 @@ var (
 	ErrShortHeader   = errors.New("wire: short header packet")
 	ErrUnknownCIDLen = errors.New("wire: unknown connection ID length")
 )
-
-// FirstByte returns the unprotected first byte as seen on the wire.
-func (h *Header) FirstByte() byte { return h.firstByte }
 
 // HeaderLen returns the number of bytes from the start of the packet up
 // to and including the Length field (i.e. the offset of the packet
@@ -148,7 +140,6 @@ func ParseLongHeaderInto(h *Header, data []byte) error {
 	if data[0]&0x80 == 0 {
 		return ErrShortHeader
 	}
-	h.firstByte = data[0]
 	h.Version = Version(uint32(data[1])<<24 | uint32(data[2])<<16 | uint32(data[3])<<8 | uint32(data[4]))
 
 	pos := 5
@@ -240,29 +231,6 @@ func ParseLongHeaderInto(h *Header, data []byte) error {
 	}
 	h.packetLen = pos + int(length)
 	return nil
-}
-
-// ParseShortHeader parses a short-header (1-RTT) packet given the
-// connection ID length negotiated for this connection. The telescope
-// dissector, which has no connection context, treats DCIDs as
-// zero-length (the paper verifies backscatter has DCID length zero).
-func ParseShortHeader(data []byte, cidLen int) (*Header, error) {
-	if len(data) < 1+cidLen {
-		return nil, ErrTruncated
-	}
-	if data[0]&0x80 != 0 {
-		return nil, fmt.Errorf("wire: long header: %w", ErrBadHeader)
-	}
-	if data[0]&0x40 == 0 {
-		return nil, ErrNotQUIC
-	}
-	return &Header{
-		Type:      PacketTypeOneRTT,
-		firstByte: data[0],
-		DstConnID: ConnectionID(data[1 : 1+cidLen]),
-		headerLen: 1 + cidLen,
-		packetLen: len(data),
-	}, nil
 }
 
 // LongHeaderBuilder assembles an unprotected long-header packet. Use it

@@ -88,7 +88,7 @@ type Config struct {
 	// in Telemetry.Ingest; MaxRetries adds bounded exponential-backoff
 	// retries for transient (Temporary()) read errors — spent in the
 	// source's byte window and nowhere else, so the budget is the same
-	// for Replay, StreamReplay and capture.Copy. Ignored by live runs —
+	// for Replay, ReplayAlerts and capture.Copy. Ignored by live runs —
 	// generators do not fail.
 	Salvage capture.SalvagePolicy
 	// FlightRecorder, when non-nil, records the run's stage/shard
@@ -748,8 +748,8 @@ func Run(cfg Config) (*Analysis, error) {
 // every packet-derived figure still computes.
 //
 // With more than one worker src must frame spans (capture.SpanSource),
-// as everything capture.OpenFile, NewSource and NewQSNDBuffer return
-// does; a Next-only source replays at Workers 1.
+// as everything capture.OpenFile and NewSource return does; a Next-only
+// source replays at Workers 1.
 func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 	a, _, err := ReplayAlerts(StreamConfig{Config: cfg}, src)
 	return a, err
@@ -789,7 +789,7 @@ func ReplayAlerts(cfg StreamConfig, src capture.Source) (*Analysis, []detect.Ale
 
 // ingestLedger completes a replay's ingest counters with what only the
 // source knows: the container format, the reader-side decode skips and
-// the salvage ledger. Replay and StreamReplay both report through it.
+// the salvage ledger. Replay and ReplayAlerts report through it.
 func ingestLedger(in telemetry.Ingest, src capture.Source) telemetry.Ingest {
 	in.Format = capture.SourceFormat(src).String()
 	// Reader-side skips add to whatever the decode side counted: on the

@@ -449,7 +449,7 @@ func TestStreamReplaySalvage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("batch salvage replay: %v", err)
 			}
-			final, err := StreamReplay(StreamConfig{Config: cfg}, openStream(t, bad), 0, nil)
+			final, err := streamReplay(StreamConfig{Config: cfg}, openStream(t, bad), 0, nil)
 			if err != nil {
 				t.Fatalf("stream salvage replay: %v", err)
 			}
@@ -476,7 +476,7 @@ func TestStreamReplaySalvage(t *testing.T) {
 // TestSalvageTransientOneBudget pins that Salvage.MaxRetries is one
 // budget whoever drives the reader: a read that fails transiently N times
 // in a row is survived — and counted as N retries — by Replay at every
-// worker count, ReplayAlerts, StreamReplay and capture.Copy alike, and
+// worker count, ReplayAlerts, streamReplay and capture.Copy alike, and
 // one more failure is terminal on all of them, with the injected error.
 // (The scatter used to retry the window's failed call again: N²+2N.)
 func TestSalvageTransientOneBudget(t *testing.T) {
@@ -508,8 +508,8 @@ func TestSalvageTransientOneBudget(t *testing.T) {
 			a, _, err := ReplayAlerts(StreamConfig{Config: cfg, Detect: &dcfg}, src)
 			return analysed(a, err)
 		}},
-		leg{"StreamReplay", func(src capture.Source) (uint64, error) {
-			final, err := StreamReplay(StreamConfig{Config: cfg}, src, 0, nil)
+		leg{"streamReplay", func(src capture.Source) (uint64, error) {
+			final, err := streamReplay(StreamConfig{Config: cfg}, src, 0, nil)
 			if err != nil {
 				return 0, err
 			}

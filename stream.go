@@ -1,9 +1,6 @@
 package quicsand
 
 import (
-	"errors"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -59,7 +56,6 @@ type StreamConfig struct {
 // (the daemon's checkpoint ticker); each is serialized by one mutex.
 type Streamer struct {
 	*pipelinePlan
-	gen    *ibr.Generator
 	shards []*pipelineShard
 
 	mu       sync.Mutex
@@ -108,27 +104,30 @@ const (
 // (Internet, census, scheduled ground truth) is prepared exactly as
 // Run/Replay do, so checkpoints carry the same joins.
 func NewStreamer(cfg StreamConfig) (*Streamer, error) {
-	return newStreamer(cfg, nil, nil)
+	s, _, err := newStreamer(cfg, nil, nil)
+	return s, err
 }
 
 // newStreamer builds a Streamer over fresh shards or, for ResumeStreamer,
-// over a checkpoint's decoded shards and their captured-packet counts.
-func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*Streamer, error) {
+// over a checkpoint's decoded shards and their captured-packet counts. It
+// also returns the scheduled generator planning built, which the
+// Streamer does not keep: a daemon's packets come from its socket.
+func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*Streamer, *ibr.Generator, error) {
 	plan, gen, shards, err := planPipeline(cfg, decoded)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if counts == nil {
 		counts = make([]uint64, plan.workers)
 	}
-	s := &Streamer{pipelinePlan: plan, gen: gen, shards: shards, counts: counts}
+	s := &Streamer{pipelinePlan: plan, shards: shards, counts: counts}
 	for _, n := range counts {
 		s.position += n
 	}
 	if s.workers > 1 {
 		s.startEngine()
 	}
-	return s, nil
+	return s, gen, nil
 }
 
 // startEngine wraps each shard's dispatch queue as an engine feed and
@@ -169,20 +168,6 @@ func (s *Streamer) startEngine() {
 	go func() {
 		run <- engine.Run(ecfg, feeds, func(i int, p *telescope.Packet) bool { return shards[i].process(p) }, nil)
 	}()
-}
-
-// Generator exposes the scheduled generator (ledger, sources, feeds)
-// so drivers can pull a live stream from the same substrate.
-func (s *Streamer) Generator() *ibr.Generator { return s.gen }
-
-// Workers returns the resolved shard count.
-func (s *Streamer) Workers() int { return s.workers }
-
-// Position returns the number of captured packets offered so far.
-func (s *Streamer) Position() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.position
 }
 
 // Offer ingests one packet and reports whether the telescope captured
@@ -290,12 +275,6 @@ type StreamCheckpoint struct {
 	stats *engine.Stats
 	rec   *telemetry.Recorder
 
-	// ingest and generate are the feed side's counters: a replay's capture
-	// ledger, a live run's merger. StreamReplay and StreamLive stamp them
-	// on their final checkpoint, everything else leaves them zero.
-	ingest   telemetry.Ingest
-	generate telemetry.Generate
-
 	// Alerts are the detector episodes closed since the previous
 	// checkpoint (canonically ordered, merged across shards).
 	Alerts []detect.Alert
@@ -380,9 +359,7 @@ func (c *StreamCheckpoint) Analysis() *Analysis {
 	if c.stats != nil {
 		pstats.ShardBusy, pstats.Stages, pstats.Engine = c.stats.ShardBusy, c.stats.Stages, c.stats.Engine
 	}
-	a := c.analysis(clones, c.detMet, pstats, c.rec)
-	a.Telemetry.Ingest, a.Telemetry.Generate = c.ingest, c.generate
-	return a
+	return c.analysis(clones, c.detMet, pstats, c.rec)
 }
 
 // Totals returns the checkpoint's two headline counts straight from the
@@ -396,73 +373,6 @@ func (c *StreamCheckpoint) Totals() (quicSessions int, telescopeTotal uint64) {
 		telescopeTotal += sh.tel.Total
 	}
 	return quicSessions, telescopeTotal
-}
-
-// ticked is Offer plus onCheckpoint every interval captured packets.
-func (s *Streamer) ticked(interval uint64, onCheckpoint func(*StreamCheckpoint)) func(*telescope.Packet) {
-	captured, next := uint64(0), interval
-	return func(p *telescope.Packet) {
-		if !s.Offer(p) {
-			return
-		}
-		if captured++; interval > 0 && onCheckpoint != nil && captured >= next {
-			onCheckpoint(s.Checkpoint())
-			next += interval
-		}
-	}
-}
-
-// StreamLive runs the streamer over its own scheduled generator — the
-// full scenario month as one time-ordered stream — checkpointing every
-// `interval` captured packets when onCheckpoint is non-nil. It is the
-// streaming twin of Run.
-func StreamLive(cfg StreamConfig, interval uint64, onCheckpoint func(*StreamCheckpoint)) (*StreamCheckpoint, error) {
-	s, err := NewStreamer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// One sequential merger yields the canonical time-ordered stream
-	// whatever the analysis worker count; slab recycling is legal
-	// because Offer consumes (or copies) the packet before returning.
-	mergers := s.Generator().Feeds(1, true)
-	mergers[0].Run(s.ticked(interval, onCheckpoint))
-	final := s.Close()
-	final.generate = mergers[0].Telemetry()
-	return final, nil
-}
-
-// StreamReplay drives a stored capture through the streamer by a
-// Source.Next loop — the push driver over a capture, for callers that
-// want mid-stream checkpoints (interval and onCheckpoint as in
-// StreamLive) and the reference ReplayAlerts is held to; a one-shot
-// analysis with alerts is ReplayAlerts. cfg.Salvage applies to the
-// source as in Replay, and the final checkpoint's Analysis carries the
-// same ingest ledger Replay reports.
-func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheckpoint func(*StreamCheckpoint)) (*StreamCheckpoint, error) {
-	s, err := NewStreamer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Salvage.Enabled() {
-		capture.SetSalvage(src, cfg.Salvage)
-	}
-	var records uint64
-	offer := s.ticked(interval, onCheckpoint)
-	for {
-		p, err := src.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			s.Close()
-			return nil, fmt.Errorf("quicsand: stream replay: %w", err)
-		}
-		records++
-		offer(p)
-	}
-	final := s.Close()
-	final.ingest = ingestLedger(telemetry.Ingest{Records: records, DecodePath: "inline"}, src)
-	return final, nil
 }
 
 // ExpectAlerts derives the analytic alert-stream prediction for cfg

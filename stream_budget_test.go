@@ -142,7 +142,7 @@ func TestStreamDetectBudgetKeepsHotSources(t *testing.T) {
 		t.Fatal("no guaranteed cluster; the budget test proves nothing")
 	}
 	dcfg.MaxSources = 4
-	final, err := StreamLive(StreamConfig{Config: cfg, Detect: &dcfg}, 0, nil)
+	final, err := streamLive(StreamConfig{Config: cfg, Detect: &dcfg}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestStreamEqualsBatch(t *testing.T) {
 			// of exactly the first N records of the stream, sharded like
 			// any other stored capture.
 			n := total / 2
-			prefix := copyCapture(t, capture.Limit(openStream(t, qsnd), n), capture.FormatQSND)
+			prefix := copyCapture(t, &limitSource{src: openStream(t, qsnd), left: n}, capture.FormatQSND)
 			truncated, err := Replay(run.cfg.Config, openStream(t, prefix))
 			if err != nil {
 				t.Fatal(err)
@@ -100,7 +100,7 @@ func TestStreamEqualsBatch(t *testing.T) {
 				cfg := run.cfg
 				cfg.Workers = workers
 
-				check := func(src string, mid, final *StreamCheckpoint) {
+				check := func(src string, mid *StreamCheckpoint, final *streamRun) {
 					t.Helper()
 					if mid == nil || mid.Position() != n {
 						t.Fatalf("%s/workers=%d: mid checkpoint at %v, want %d", src, workers, mid, n)
@@ -112,20 +112,20 @@ func TestStreamEqualsBatch(t *testing.T) {
 				}
 
 				// Live: the generator's sequential merger drives Offer.
-				s, err := NewStreamer(cfg)
+				s, gen, err := newStreamer(cfg, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var mid *StreamCheckpoint
 				var captured uint64
-				s.Generator().Feeds(1, true)[0].Run(func(p *telescope.Packet) {
+				gen.Feeds(1, true)[0].Run(func(p *telescope.Packet) {
 					if s.Offer(p) {
 						if captured++; captured == n {
 							mid = s.Checkpoint()
 						}
 					}
 				})
-				check("live", mid, s.Close())
+				check("live", mid, &streamRun{StreamCheckpoint: s.Close()})
 
 				for _, in := range []struct {
 					name string
@@ -136,7 +136,7 @@ func TestStreamEqualsBatch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					final, err := StreamReplay(cfg, rsrc, n, func(c *StreamCheckpoint) {
+					final, err := streamReplay(cfg, rsrc, n, func(c *StreamCheckpoint) {
 						if mid == nil {
 							mid = c
 						}
@@ -155,7 +155,7 @@ func TestStreamEqualsBatch(t *testing.T) {
 // whole analysis state: for every golden built-in, stream the first
 // half of the recorded month, Encode the checkpoint, decode it into a
 // fresh Streamer (fresh substrate, re-prepared ground truth), drive
-// the remaining records through capture.Skip, and the resumed run's
+// the remaining records through a skipping source, and the resumed run's
 // final Analysis must be bit-identical to the batch run of the whole
 // stream. An immediate re-checkpoint of the resumed streamer must also
 // re-encode byte-for-byte — the codec round-trip at full fidelity.
@@ -181,7 +181,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			half, err := StreamReplay(run.cfg, capture.Limit(src, n), 0, nil)
+			half, err := streamReplay(run.cfg, &limitSource{src: src, left: n}, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,12 +194,13 @@ func TestStreamCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := resumed.Position(); got != n {
+			re := resumed.Checkpoint()
+			if got := re.Position(); got != n {
 				t.Fatalf("resumed position %d, want %d", got, n)
 			}
 			// Codec round-trip: re-encoding the resumed state must
 			// reproduce the input image byte-for-byte.
-			if re := resumed.Checkpoint().Encode(); !bytes.Equal(data, re) {
+			if re := re.Encode(); !bytes.Equal(data, re) {
 				t.Errorf("re-encoded checkpoint differs: %d vs %d bytes (or content)", len(data), len(re))
 			}
 
@@ -207,7 +208,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tail := capture.Skip(rest, n)
+			tail := &skipSource{src: rest, skip: n}
 			for {
 				p, err := tail.Next()
 				if err != nil {
@@ -227,14 +228,14 @@ func TestStreamCheckpointResume(t *testing.T) {
 func TestStreamCheckpointRepeatable(t *testing.T) {
 	runs := streamGoldenConfigs(t, 2)
 	cfg := runs[1].cfg // one flood built-in is plenty
-	s, err := NewStreamer(cfg)
+	s, gen, err := newStreamer(cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mid *StreamCheckpoint
 	var captured uint64
 	var early string
-	s.Generator().Feeds(1, true)[0].Run(func(p *telescope.Packet) {
+	gen.Feeds(1, true)[0].Run(func(p *telescope.Packet) {
 		if s.Offer(p) {
 			if captured++; captured == 1000 {
 				mid = s.Checkpoint()

@@ -133,14 +133,14 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 	stream := func(workers int, data []byte) telemetry.Snapshot {
 		cfg := StreamConfig{Config: base, Detect: &dcfg}
 		cfg.Workers = workers
-		var final *StreamCheckpoint
+		var final *streamRun
 		var err error
 		if data == nil {
-			final, err = StreamLive(cfg, 0, nil)
+			final, err = streamLive(cfg, 0, nil)
 		} else {
 			var src capture.Source
 			if src, err = capture.NewSource(bytes.NewReader(data)); err == nil {
-				final, err = StreamReplay(cfg, src, 0, nil)
+				final, err = streamReplay(cfg, src, 0, nil)
 			}
 		}
 		if err != nil {
@@ -148,7 +148,7 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 		}
 		return final.Analysis().Telemetry.Stream()
 	}
-	// StreamLive drives one sequential merger over the same schedule, so
+	// streamLive drives one sequential merger over the same schedule, so
 	// its Generate stream rows must equal batch Run's at any worker count;
 	// it ran without a trace sink.
 	liveWant := want

@@ -42,25 +42,37 @@ func TestTraceCheckpointRoundTrip(t *testing.T) {
 	}
 	defer rf.Close()
 
+	// §4.1 classification: UDP/443 in either direction whose payload, when
+	// stored, dissects as QUIC.
 	d := dissect.NewDissector()
 	var reqs, resps, stored uint64
 	var lastTS telescope.Timestamp
-	err = telescope.NewReader(rf).ForEach(func(p *telescope.Packet) error {
+	for r := telescope.NewReader(rf); ; {
+		p, err := r.Read()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		stored++
 		if p.TS < lastTS {
-			return errors.New("trace out of order")
+			t.Fatal("trace out of order")
 		}
 		lastTS = p.TS
-		switch d.Classify(p) {
-		case dissect.ClassRequest:
+		if !p.IsQUICCandidate() {
+			continue
+		}
+		if p.Payload != nil {
+			if _, err := d.DissectPacket(p); err != nil {
+				continue
+			}
+		}
+		if p.IsRequest() {
 			reqs++
-		case dissect.ClassResponse:
+		} else {
 			resps++
 		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, io.EOF) {
-		t.Fatal(err)
 	}
 	if stored != a.Telescope.Total {
 		t.Errorf("stored %d packets, telescope saw %d", stored, a.Telescope.Total)
