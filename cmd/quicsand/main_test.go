@@ -661,7 +661,7 @@ func TestReplayAlertsCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	badConfig := filepath.Join(dir, "detect.json")
-	if err := os.WriteFile(badConfig, []byte(`{"buckets": 1}`), 0o644); err != nil {
+	if err := os.WriteFile(badConfig, []byte(`{"min_packets": 0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	noAlerts := filepath.Join(dir, "never.jsonl")

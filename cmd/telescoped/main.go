@@ -25,8 +25,10 @@
 // The ticker runs only when a tick has one of those outputs (detector
 // alerts, the image, a snapshot row). The analysis state grows with the
 // traffic at every window: every session and the per-source counters are
-// kept until shutdown for the final analysis, and -mem-budget bounds only
-// the active sessions, by evicting the coldest source.
+// kept until shutdown for the final analysis. -mem-budget bounds the live
+// per-source state, each sessionizer's active sessions and each detector
+// bank's window states, by evicting the coldest source; detector state
+// also expires after one window of silence.
 //
 // Observability: -metrics ADDR serves Prometheus text exposition on
 // /metrics (live per-shard counters plus heartbeat gauges, and the
@@ -73,7 +75,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the run's flight-recorder timeline as Chrome trace-event JSON at shutdown")
 	window := flag.Duration("window", 0, "detector window; 0 = no detectors, one classification line per datagram")
 	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "checkpoint interval when -window, -checkpoint or -manifest gives a tick an output (0 = final drain only)")
-	memBudget := flag.Int("mem-budget", 0, "per-sessionizer active-session budget, coldest evicted past it (0 = unbounded); finished sessions are still kept until shutdown")
+	memBudget := flag.Int("mem-budget", 0, "per-shard source budget: active sessions per sessionizer and detector window states, coldest evicted past it (0 = unbounded); finished sessions are still kept until shutdown")
 	alerts := flag.String("alerts", "", "append detector alerts as JSON lines to FILE, or - for stdout (requires -window)")
 	checkpoint := flag.String("checkpoint", "", "atomically (re)write the latest checkpoint image to FILE")
 	detectConfig := flag.String("detect-config", "", "detector-threshold JSON, default thresholds when empty (requires -window)")
@@ -152,7 +154,7 @@ type serveOpts struct {
 	detectConfig string // detector-threshold JSON path
 
 	ckptEvery  time.Duration // periodic checkpoints; 0 = final only
-	memBudget  int           // sessionizer MaxActive; 0 = unbounded
+	memBudget  int           // per-shard source budget; 0 = unbounded
 	checkpoint string        // checkpoint-image path; "" disables
 	seed       uint64        // substrate parameters stamped into
 	scale      float64       // checkpoints (resume must match them)

@@ -53,8 +53,9 @@ func BenchmarkStreamingDetect(b *testing.B) {
 // spoofed-source load, as sessions.BenchmarkObserveBudgetNewSources does
 // the sessionizer's: every packet from a source never seen before, eight
 // to a millisecond. Unbounded, each new source keeps its window state
-// for good; under MaxSources (filled before the timer starts) every
-// packet evicts the coldest source. It reports the heap retained per new
+// for one window (60 s, 480 000 sources, longer than any -benchtime CI
+// runs); under MaxSources (filled before the timer starts) every packet
+// evicts the coldest source. It reports the heap retained per new
 // source (B/source) and the sources holding state at the end.
 func BenchmarkObserveNewSources(b *testing.B) {
 	for _, budget := range []int{0, 1024, 4096} {
@@ -63,9 +64,8 @@ func BenchmarkObserveNewSources(b *testing.B) {
 			name = fmt.Sprintf("max-sources=%d", budget)
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := Default()
-			cfg.MaxSources = budget
-			d := NewShard(cfg)
+			d := NewShard(Default())
+			d.MaxSources = budget
 			base := telescope.TS(telescope.MeasurementStart)
 			p := &telescope.Packet{
 				Dst: netmodel.TelescopePrefix.Base, SrcPort: 50000, DstPort: 443,
@@ -135,7 +135,6 @@ func TestStreamingDetectZeroAllocSteadyState(t *testing.T) {
 func TestStreamingDetectWindowRollZeroAlloc(t *testing.T) {
 	cfg := Default()
 	cfg.Window = 600 * time.Millisecond
-	cfg.Buckets = 6
 	d := NewShard(cfg)
 	src := netmodel.Addr(0x0a000001)
 	p := &telescope.Packet{Src: src, Dst: netmodel.TelescopePrefix.Base,

@@ -17,11 +17,6 @@ type Config struct {
 	// Window is the sliding-window width. Default 60s — the paper's
 	// per-minute intensity slot.
 	Window time.Duration `json:"-"`
-	// Buckets is the ring resolution: the window is Buckets fixed
-	// buckets and the effective guaranteed lookback is
-	// Window − Window/Buckets. 2..MaxBuckets. Default 6 (10 s
-	// buckets for the 60 s window).
-	Buckets int `json:"buckets"`
 	// RatePPS is the per-source rate threshold in packets/second; a
 	// rate alert opens when a window holds strictly more than
 	// RatePPS×Window packets. Default 0.5 — Moore et al.'s intensity
@@ -38,16 +33,12 @@ type Config struct {
 	// MinPackets is the evidence floor for the two fraction
 	// detectors. Default 20.
 	MinPackets int `json:"min_packets"`
-	// MaxSources, when positive, bounds per-shard source state; the
-	// coldest source is evicted past it. 0 = unlimited.
-	MaxSources int `json:"max_sources"`
 }
 
 // Default returns the paper-derived detector configuration.
 func Default() Config {
 	return Config{
 		Window:             60 * time.Second,
-		Buckets:            6,
 		RatePPS:            0.5,
 		MinInitialFraction: 0.9,
 		MinCIDRatio:        0.5,
@@ -67,23 +58,26 @@ func (c *Config) RateCount() int {
 // Window minus one bucket width. Any interval of this length ending
 // at a packet is fully covered by that packet's window sum.
 func (c *Config) EffectiveWindow() time.Duration {
-	return c.Window - c.Window/time.Duration(c.Buckets)
+	return c.Window - c.Window/Buckets
 }
 
 // Validate checks the configuration invariants the shard math relies
-// on.
+// on. The shard counts packets in uint32s, so both packet thresholds
+// must fit one.
 func (c *Config) Validate() error {
 	if c.Window <= 0 {
 		return fmt.Errorf("detect: window must be positive, got %v", c.Window)
 	}
-	if c.Buckets < 2 || c.Buckets > MaxBuckets {
-		return fmt.Errorf("detect: buckets must be in [2, %d], got %d", MaxBuckets, c.Buckets)
-	}
-	if c.Window.Milliseconds()/int64(c.Buckets) < 1 {
-		return fmt.Errorf("detect: window %v too narrow for %d buckets (bucket < 1ms)", c.Window, c.Buckets)
+	if c.Window.Milliseconds()/Buckets < 1 {
+		return fmt.Errorf("detect: window %v too narrow for %d buckets (bucket < 1ms)", c.Window, Buckets)
 	}
 	if !(c.RatePPS > 0) || math.IsInf(c.RatePPS, 0) {
 		return fmt.Errorf("detect: rate_pps must be a positive finite number, got %v", c.RatePPS)
+	}
+	// RateCount = floor(x)+1 fits a uint32 exactly when x < 2^32−1.
+	if x := c.RatePPS * c.Window.Seconds(); x >= math.MaxUint32 {
+		return fmt.Errorf("detect: rate_pps %v over a %v window needs %.0f packets, above the %d a window counts",
+			c.RatePPS, c.Window, math.Floor(x)+1, uint32(math.MaxUint32))
 	}
 	if c.MinInitialFraction < 0 || c.MinInitialFraction > 1 || math.IsNaN(c.MinInitialFraction) {
 		return fmt.Errorf("detect: min_initial_fraction must be in [0, 1], got %v", c.MinInitialFraction)
@@ -91,11 +85,8 @@ func (c *Config) Validate() error {
 	if c.MinCIDRatio < 0 || c.MinCIDRatio > 1 || math.IsNaN(c.MinCIDRatio) {
 		return fmt.Errorf("detect: min_cid_ratio must be in [0, 1], got %v", c.MinCIDRatio)
 	}
-	if c.MinPackets < 1 {
-		return fmt.Errorf("detect: min_packets must be at least 1, got %d", c.MinPackets)
-	}
-	if c.MaxSources < 0 {
-		return fmt.Errorf("detect: max_sources must be non-negative, got %d", c.MaxSources)
+	if c.MinPackets < 1 || int64(c.MinPackets) > math.MaxUint32 {
+		return fmt.Errorf("detect: min_packets must be in [1, %d], got %d", uint32(math.MaxUint32), c.MinPackets)
 	}
 	return nil
 }
@@ -104,12 +95,10 @@ func (c *Config) Validate() error {
 // other knob optional with Default's value.
 type fileConfig struct {
 	Window             string   `json:"window"`
-	Buckets            *int     `json:"buckets"`
 	RatePPS            *float64 `json:"rate_pps"`
 	MinInitialFraction *float64 `json:"min_initial_fraction"`
 	MinCIDRatio        *float64 `json:"min_cid_ratio"`
 	MinPackets         *int     `json:"min_packets"`
-	MaxSources         *int     `json:"max_sources"`
 }
 
 // LoadConfig parses a detector-config JSON document. Unknown fields
@@ -135,9 +124,6 @@ func LoadConfig(data []byte) (Config, error) {
 		}
 		cfg.Window = d
 	}
-	if fc.Buckets != nil {
-		cfg.Buckets = *fc.Buckets
-	}
 	if fc.RatePPS != nil {
 		cfg.RatePPS = *fc.RatePPS
 	}
@@ -149,9 +135,6 @@ func LoadConfig(data []byte) (Config, error) {
 	}
 	if fc.MinPackets != nil {
 		cfg.MinPackets = *fc.MinPackets
-	}
-	if fc.MaxSources != nil {
-		cfg.MaxSources = *fc.MaxSources
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err

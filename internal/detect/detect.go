@@ -20,6 +20,12 @@
 // most one episode per kind — however the windowed value wobbles —
 // and an episode boundary always witnesses a real >window silence.
 //
+// A silent source's episodes close, at its last packet, as soon as any
+// packet reaches its shard more than one window later, and its window
+// state goes with them: a shard holds state only for the sources heard
+// within the last window, so a finished flood's alert drains at the
+// next checkpoint rather than at shutdown.
+//
 // # Window coverage
 //
 // The ring holds Buckets fixed-width buckets; the window sum at
@@ -34,9 +40,11 @@
 // Sources are partitioned over shards by address (one source, one
 // shard), so per-source window state sees the identical packet
 // subsequence at any worker count; per-shard alert lists are sorted
-// canonically and merged with the loser tree. Only a MaxSources
-// budget breaks this invariance (eviction depends on shard
-// residency), mirroring the sessionizer's MaxActive trade.
+// canonically and merged with the loser tree. Which drain an alert
+// lands in depends on the shard's other traffic; its content does not.
+// Only a source budget (Shard.MaxSources) breaks this invariance
+// (eviction depends on shard residency), the trade the sessionizer's
+// MaxActive makes with the same budget.
 package detect
 
 import (
@@ -47,6 +55,7 @@ import (
 	"quicsand/internal/dissect"
 	"quicsand/internal/losertree"
 	"quicsand/internal/netmodel"
+	"quicsand/internal/srcindex"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
@@ -175,20 +184,17 @@ func MergeAlerts(lists ...[]Alert) []Alert {
 	return out
 }
 
-// Fixed shape limits: the bucket ring and per-bucket CID slots are
-// inline arrays so source state is one flat allocation that recycles
-// through a freelist.
-const (
-	// MaxBuckets bounds Config.Buckets.
-	MaxBuckets = 16
-	// cidSlots is the per-bucket distinct-CID capacity; buckets
-	// saturate at this many distinct CIDs. The CID ratio divides by
-	// the uncapped QUIC packet count, so it can reach MinCIDRatio only
-	// while a window holds at most Buckets·cidSlots/MinCIDRatio QUIC
-	// packets (96 at the defaults): a flood above that never opens a
-	// cid-ratio episode, however many fresh CIDs it carries.
-	cidSlots = 8
-)
+// Buckets is the ring's resolution: the window is Buckets fixed-width
+// buckets (10 s each at the 60 s default window).
+const Buckets = 6
+
+// cidSlots is the per-bucket distinct-CID capacity; buckets saturate at
+// this many distinct CIDs. The CID ratio divides by the uncapped QUIC
+// packet count, so it can reach MinCIDRatio only while a window holds
+// at most Buckets·cidSlots/MinCIDRatio QUIC packets (96 at the
+// defaults): a flood above that never opens a cid-ratio episode,
+// however many fresh CIDs it carries.
+const cidSlots = 8
 
 type episode struct {
 	active  bool
@@ -198,30 +204,24 @@ type episode struct {
 	packets uint64
 }
 
-// srcState is one source's window ring plus open episodes. ~1.3 KiB,
-// freelist-recycled, no per-packet allocation.
+// srcState is one source's window ring plus open episodes: 592 B,
+// held inline in the shard's index, which keeps the source's address
+// and last packet time beside it. Observe allocates nothing per packet.
 type srcState struct {
-	src    netmodel.Addr
-	lastTS telescope.Timestamp
 	// curUnit is the absolute bucket index (TS/bucketMS) of the
 	// leading bucket; slot i holds unit u with u%Buckets == i.
 	curUnit int64
-	seen    bool
 
-	counts   [MaxBuckets]uint32 // QUIC-candidate packets
-	quic     [MaxBuckets]uint32 // dissected QUIC packets (coalesced incl.)
-	initials [MaxBuckets]uint32
-	cids     [MaxBuckets][cidSlots]uint64
-	cidN     [MaxBuckets]uint8
+	counts   [Buckets]uint32 // QUIC-candidate packets
+	quic     [Buckets]uint32 // dissected QUIC packets (coalesced incl.)
+	initials [Buckets]uint32
+	cids     [Buckets][cidSlots]uint64
+	cidN     [Buckets]uint8
 
 	open [numKinds]episode
 }
 
-func (s *srcState) reset(src netmodel.Addr) {
-	*s = srcState{src: src}
-}
-
-func (s *srcState) clearBucket(i int) {
+func (s *srcState) clearBucket(i int64) {
 	s.counts[i] = 0
 	s.quic[i] = 0
 	s.initials[i] = 0
@@ -238,9 +238,18 @@ type Shard struct {
 	bucketMS  int64
 	rateCount uint32
 
-	sources map[netmodel.Addr]*srcState
-	free    []*srcState
+	sources srcindex.Index[srcState] // heard within the last window
 	closed  []Alert
+
+	// MaxSources, when positive, bounds the sources holding window
+	// state; the pipeline sets it to the sessionizers' budget. Past it
+	// the coldest source (smallest last packet time, ties toward the
+	// smallest address, as in the sessionizer) is dropped with its open
+	// episodes closed at its last packet (Metrics.SourcesEvicted). While
+	// Window is no longer than the session timeout the bank's sources
+	// are a subset of the QUIC sessionizer's, so it never evicts unless
+	// the sessionizer does.
+	MaxSources int
 
 	// Metrics accumulates this shard's counters (merged at reduce).
 	Metrics telemetry.Detect
@@ -252,9 +261,9 @@ func NewShard(cfg Config) *Shard {
 	return &Shard{
 		cfg:       cfg,
 		windowMS:  cfg.Window.Milliseconds(),
-		bucketMS:  cfg.Window.Milliseconds() / int64(cfg.Buckets),
+		bucketMS:  cfg.Window.Milliseconds() / Buckets,
 		rateCount: uint32(cfg.RateCount()),
-		sources:   make(map[netmodel.Addr]*srcState),
+		sources:   srcindex.New[srcState](),
 	}
 }
 
@@ -264,38 +273,38 @@ func NewShard(cfg Config) *Shard {
 // pipeline.
 func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 	d.Metrics.Observed++
-	st := d.sources[p.Src]
-	if st == nil {
-		st = d.newSource(p.Src)
-	}
 
 	// A >window silence ends every open episode at the last packet
-	// before the gap and clears the ring: the window restarts empty.
-	if st.seen && int64(p.TS-st.lastTS) > d.windowMS {
-		d.closeAll(st, st.lastTS)
-		st.reset(st.src)
+	// before the gap, and the source's next packet starts an empty
+	// window. The silent sources are the list's tail: expire them now,
+	// so their alerts drain without waiting for them to speak again.
+	for t := d.sources.Tail(); t >= 0 && int64(p.TS-d.sources.End(t)) > d.windowMS; t = d.sources.Tail() {
+		d.drop(t)
 	}
 
 	// Advance the ring to p.TS's bucket, clearing skipped buckets.
 	unit := int64(p.TS) / d.bucketMS
-	if !st.seen {
-		st.curUnit = unit
-		st.seen = true
-	} else if unit > st.curUnit {
-		steps := unit - st.curUnit
-		if steps >= int64(d.cfg.Buckets) {
-			for i := 0; i < d.cfg.Buckets; i++ {
+	pos := d.sources.Lookup(p.Src)
+	if pos < 0 {
+		pos = d.sources.Put(p.Src, p.TS, srcState{curUnit: unit})
+		d.Metrics.SourcesTracked++
+	} else {
+		d.sources.Touch(pos, p.TS)
+	}
+	st := d.sources.At(pos)
+	if unit > st.curUnit {
+		if unit-st.curUnit >= Buckets {
+			for i := int64(0); i < Buckets; i++ {
 				st.clearBucket(i)
 			}
 		} else {
 			for u := st.curUnit + 1; u <= unit; u++ {
-				st.clearBucket(int(u % int64(d.cfg.Buckets)))
+				st.clearBucket(u % Buckets)
 			}
 		}
 		st.curUnit = unit
 	}
-	st.lastTS = p.TS
-	slot := int(unit % int64(d.cfg.Buckets))
+	slot := unit % Buckets
 
 	st.counts[slot]++
 	if res != nil {
@@ -317,7 +326,7 @@ func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 
 	// Window sums.
 	var count, quic, initials, cids uint32
-	for i := 0; i < d.cfg.Buckets; i++ {
+	for i := 0; i < Buckets; i++ {
 		count += st.counts[i]
 		quic += st.quic[i]
 		initials += st.initials[i]
@@ -339,6 +348,11 @@ func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 		// evaluated, but open episodes still ride the packet stream.
 		d.episodeStep(st, KindInitialFraction, p.TS, false, 0)
 		d.episodeStep(st, KindCIDRatio, p.TS, false, 0)
+	}
+
+	if d.MaxSources > 0 && d.sources.Len() > d.MaxSources {
+		d.Metrics.SourcesEvicted++
+		d.drop(d.sources.Coldest())
 	}
 }
 
@@ -366,15 +380,17 @@ func (d *Shard) episodeStep(st *srcState, k Kind, ts telescope.Timestamp, cond b
 	d.Metrics.AlertsOpened++
 }
 
-// closeAll closes every open episode of st at end time end.
-func (d *Shard) closeAll(st *srcState, end telescope.Timestamp) {
+// closeAll closes every open episode of the source at pos at its last
+// packet time, so no alert evidence is lost.
+func (d *Shard) closeAll(pos int32) {
+	st, src, end := d.sources.At(pos), d.sources.Src(pos), d.sources.End(pos)
 	for k := Kind(0); k < numKinds; k++ {
 		ep := &st.open[k]
 		if !ep.active {
 			continue
 		}
 		d.closed = append(d.closed, Alert{
-			Kind: k, Src: st.src,
+			Kind: k, Src: src,
 			Start: ep.start, End: end,
 			Peak: ep.peak, PeakTS: ep.peakTS,
 			Packets: ep.packets,
@@ -384,52 +400,22 @@ func (d *Shard) closeAll(st *srcState, end telescope.Timestamp) {
 	}
 }
 
-func (d *Shard) newSource(src netmodel.Addr) *srcState {
-	if d.cfg.MaxSources > 0 && len(d.sources) >= d.cfg.MaxSources {
-		d.evictColdest()
-	}
-	var st *srcState
-	if n := len(d.free); n > 0 {
-		st = d.free[n-1]
-		d.free = d.free[:n-1]
-	} else {
-		st = &srcState{}
-	}
-	st.reset(src)
-	d.sources[src] = st
-	d.Metrics.SourcesTracked++
-	return st
-}
-
-// evictColdest drops the source with the oldest last packet (ties
-// toward the smallest address), closing its open episodes first so no
-// alert evidence is lost — only future window context.
-func (d *Shard) evictColdest() {
-	var victim *srcState
-	for _, st := range d.sources {
-		if victim == nil || st.lastTS < victim.lastTS ||
-			(st.lastTS == victim.lastTS && st.src < victim.src) {
-			victim = st
-		}
-	}
-	if victim == nil {
-		return
-	}
-	d.closeAll(victim, victim.lastTS)
-	delete(d.sources, victim.src)
-	d.free = append(d.free, victim)
-	d.Metrics.SourcesEvicted++
+// drop closes the open episodes of the source at pos and forgets its
+// window state.
+func (d *Shard) drop(pos int32) {
+	d.closeAll(pos)
+	d.sources.Remove(pos)
 }
 
 // Sources returns the number of sources currently holding window
-// state — the quantity MaxSources bounds.
-func (d *Shard) Sources() int { return len(d.sources) }
+// state: those heard within the last window, at most MaxSources.
+func (d *Shard) Sources() int { return d.sources.Len() }
 
 // Flush closes every open episode at its source's last packet time —
 // end of stream or final drain.
 func (d *Shard) Flush() {
-	for _, st := range d.sources {
-		d.closeAll(st, st.lastTS)
+	for pos := range int32(d.sources.Len()) {
+		d.closeAll(pos)
 	}
 }
 
@@ -448,7 +434,7 @@ func (d *Shard) Drain() []Alert {
 
 // addCID records a CID hash in the bucket's distinct-slot set,
 // saturating at cidSlots.
-func addCID(st *srcState, slot int, h uint64) {
+func addCID(st *srcState, slot int64, h uint64) {
 	n := st.cidN[slot]
 	if n >= cidSlots {
 		return

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -10,13 +11,12 @@ import (
 )
 
 // testConfig is a tiny deterministic configuration: 1 s window over
-// two 500 ms buckets, RateCount = floor(2×1)+1 = 3, fraction detectors
+// six 166 ms buckets, RateCount = floor(2×1)+1 = 3, fraction detectors
 // parked behind an unreachable evidence floor so only the rate state
 // machine moves.
 func testConfig() Config {
 	return Config{
 		Window:             time.Second,
-		Buckets:            2,
 		RatePPS:            2,
 		MinInitialFraction: 0.9,
 		MinCIDRatio:        0.9,
@@ -92,9 +92,8 @@ func TestFlushClosesOpenEpisodes(t *testing.T) {
 // coldest source is evicted with its open episodes closed at its last
 // packet — alert evidence is never silently dropped.
 func TestMaxSourcesEviction(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxSources = 2
-	d := NewShard(cfg)
+	d := NewShard(testConfig())
+	d.MaxSources = 2
 	hot := netmodel.Addr(1)
 	for _, ts := range []telescope.Timestamp{0, 10, 20} {
 		d.Observe(pkt(hot, ts), nil) // open episode on the soon-coldest
@@ -157,5 +156,128 @@ func TestAlertJSONLines(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], `"kind":"cid-ratio"`) || !strings.Contains(lines[1], `"src":"127.0.0.1"`) {
 		t.Errorf("line 1 = %s", lines[1])
+	}
+}
+
+// TestSilentEpisodeDrainsOnShardTraffic: a source that goes quiet has
+// its open episode closed, at its last packet, by the first packet of
+// any source on the shard more than one window later — not only when
+// it speaks again, and not only at Flush.
+func TestSilentEpisodeDrainsOnShardTraffic(t *testing.T) {
+	d := NewShard(testConfig())
+	flood, other := netmodel.Addr(0x2c000001), netmodel.Addr(0x2c000002)
+	for _, ts := range []telescope.Timestamp{0, 100, 200, 300} {
+		d.Observe(pkt(flood, ts), nil)
+	}
+	d.Observe(pkt(other, 1300), nil) // exactly one window of silence: still open
+	if got := d.Drain(); got != nil {
+		t.Fatalf("episode closed after a silence of one window: %+v", got)
+	}
+	d.Observe(pkt(other, 1301), nil)
+	alerts := d.Drain()
+	want := Alert{Kind: KindRate, Src: flood, Start: 200, End: 300, Peak: 4, PeakTS: 300, Packets: 2}
+	if len(alerts) != 1 || alerts[0] != want {
+		t.Fatalf("drained %+v, want [%+v]", alerts, want)
+	}
+}
+
+// TestSourcesCountsOnlyTheWindow: window state is held only for the
+// sources heard within the last window, so spoofed one-packet sources
+// cost memory for one window and no longer.
+func TestSourcesCountsOnlyTheWindow(t *testing.T) {
+	d := NewShard(testConfig())
+	for i := 0; i < 100; i++ {
+		d.Observe(pkt(netmodel.Addr(i), telescope.Timestamp(i)), nil)
+	}
+	if n := d.Sources(); n != 100 {
+		t.Fatalf("Sources = %d inside the window, want 100", n)
+	}
+	// At t=1050 the sources last heard before t=50 are more than one
+	// window old.
+	d.Observe(pkt(netmodel.Addr(1000), 1050), nil)
+	if n := d.Sources(); n != 51 {
+		t.Errorf("Sources = %d at t=1050, want 51 (sources 50..99 and the new one)", n)
+	}
+	d.Observe(pkt(netmodel.Addr(1000), 5000), nil)
+	if n := d.Sources(); n != 1 {
+		t.Errorf("Sources = %d after a long silence, want 1", n)
+	}
+	// Source 1000 was expired before its second packet: a new state.
+	if d.Metrics.SourcesTracked != 102 {
+		t.Errorf("SourcesTracked = %d, want 102 window states opened", d.Metrics.SourcesTracked)
+	}
+}
+
+// TestBudgetEvictionMatchesLinearScan holds the budget to a reference
+// that keeps each source's last packet time in a map, expires sources
+// silent for more than a window, and finds the victim by scanning every
+// source for the smallest (last packet, address). The stream puts many
+// sources on each millisecond, so most victims are decided by the tie
+// rule, and some sources return before and after their expiry.
+func TestBudgetEvictionMatchesLinearScan(t *testing.T) {
+	cfg := testConfig()
+	cfg.RatePPS = 1 // RateCount 2: returning sources open episodes
+	for _, budget := range []int{1, 3, 17} {
+		d := NewShard(cfg)
+		d.MaxSources = budget
+		windowMS := cfg.Window.Milliseconds()
+		ref := map[netmodel.Addr]telescope.Timestamp{}
+		rng := rand.New(rand.NewSource(int64(budget)))
+		var evicted uint64
+		for i := 0; i < 20000; i++ {
+			ts := telescope.Timestamp(i / 16)
+			src := netmodel.Addr(rng.Intn(400))
+			for s, last := range ref {
+				if int64(ts-last) > windowMS {
+					delete(ref, s)
+				}
+			}
+			ref[src] = ts
+			if len(ref) > budget {
+				victim := src
+				for s, last := range ref {
+					if last < ref[victim] || (last == ref[victim] && s < victim) {
+						victim = s
+					}
+				}
+				delete(ref, victim)
+				evicted++
+			}
+			d.Observe(pkt(src, ts), nil)
+			if d.Sources() != len(ref) {
+				t.Fatalf("budget %d, packet %d: %d sources held, reference %d", budget, i, d.Sources(), len(ref))
+			}
+			for s, last := range ref {
+				if pos := d.sources.Lookup(s); pos < 0 || d.sources.End(pos) != last {
+					t.Fatalf("budget %d, packet %d: reference holds %v@%d, the shard does not", budget, i, s, last)
+				}
+			}
+		}
+		if evicted == 0 || d.Metrics.SourcesEvicted != evicted {
+			t.Errorf("budget %d: %d evictions, reference %d", budget, d.Metrics.SourcesEvicted, evicted)
+		}
+	}
+}
+
+// TestLoadConfigRejects covers inputs LoadConfig must refuse: the
+// removed knobs (the bucket count is fixed, and the source budget is
+// the run's -mem-budget), and packet thresholds a uint32 window count
+// cannot reach, which used to wrap to tiny ones.
+func TestLoadConfigRejects(t *testing.T) {
+	for _, doc := range []string{
+		`{"max_sources": 128}`,
+		`{"buckets": 6}`,
+		`{"rate_pps": 71582789}`, // RateCount 4294967341 at the 60 s window
+		`{"min_packets": 4294967297}`,
+	} {
+		if cfg, err := LoadConfig([]byte(doc)); err == nil {
+			t.Errorf("LoadConfig(%s) = %+v, want an error", doc, cfg)
+		}
+	}
+	// The largest counts that fit are accepted.
+	for _, doc := range []string{`{"rate_pps": 71582788}`, `{"min_packets": 4294967295}`} {
+		if _, err := LoadConfig([]byte(doc)); err != nil {
+			t.Errorf("LoadConfig(%s): %v", doc, err)
+		}
 	}
 }

@@ -11,16 +11,18 @@ import (
 // NewShard relies on).
 func FuzzLoadConfig(f *testing.F) {
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"window":"30s","buckets":4,"rate_pps":1.5,"min_initial_fraction":0.8,"min_cid_ratio":0.4,"min_packets":10,"max_sources":128}`))
-	f.Add([]byte(`{"window":"1ms","buckets":2}`))
+	f.Add([]byte(`{"window":"30s","rate_pps":1.5,"min_initial_fraction":0.8,"min_cid_ratio":0.4,"min_packets":10}`))
+	f.Add([]byte(`{"window":"5ms"}`))
 	f.Add([]byte(`{"window":"-5s"}`))
 	f.Add([]byte(`{"window":"banana"}`))
 	f.Add([]byte(`{"rate_pps":0}`))
 	f.Add([]byte(`{"rate_pps":1e309}`))
 	f.Add([]byte(`{"min_packets":-3}`))
 	f.Add([]byte(`{"typoed_knob":1}`))
-	f.Add([]byte(`{} {"buckets":3}`))
+	f.Add([]byte(`{} {"min_packets":3}`))
 	f.Add([]byte("\xff\xfe{broken"))
+	f.Add([]byte(`{"rate_pps":71582789}`))
+	f.Add([]byte(`{"min_packets":4294967297}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := LoadConfig(data)

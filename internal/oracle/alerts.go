@@ -85,19 +85,9 @@ func ExpectAlerts(sc *scenario.Scenario, cfg ibr.Config, dcfg detect.Config) (*A
 	if err := dcfg.Validate(); err != nil {
 		return nil, fmt.Errorf("oracle: %w", err)
 	}
-	exp, err := Expect(sc, cfg)
+	exp, g, err := expect(sc, cfg)
 	if err != nil {
 		return nil, err
-	}
-	cfg.RecordLedger = true
-	var g *ibr.Generator
-	if sc == nil {
-		g, err = ibr.New(cfg)
-	} else {
-		g, err = scenario.Compile(sc, cfg)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("oracle: %w", err)
 	}
 
 	ae := &AlertExpectation{

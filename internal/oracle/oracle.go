@@ -206,22 +206,24 @@ type Expectation struct {
 // and derives the full analytic prediction. A nil scenario means the
 // paper's hard-coded month, exactly like quicsand.Config.Scenario.
 func Expect(sc *scenario.Scenario, cfg ibr.Config) (*Expectation, error) {
+	exp, _, err := expect(sc, cfg)
+	return exp, err
+}
+
+// expect is Expect that also returns the scheduled generator, whose
+// ledger ExpectAlerts reads too.
+func expect(sc *scenario.Scenario, cfg ibr.Config) (*Expectation, *ibr.Generator, error) {
 	cfg.RecordLedger = true
-	var g *ibr.Generator
-	var err error
-	if sc == nil {
-		g, err = ibr.New(cfg)
-	} else {
-		g, err = scenario.Compile(sc, cfg)
-	}
+	g, err := scenario.Compile(sc, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("oracle: %w", err)
+		return nil, nil, fmt.Errorf("oracle: %w", err)
 	}
 	name := "paper-2021"
 	if sc != nil {
 		name = sc.Name
 	}
-	return fromLedger(name, cfg, g)
+	exp, err := fromLedger(name, cfg, g)
+	return exp, g, err
 }
 
 // attackSessionMinPackets is the hard packet floor of one detected

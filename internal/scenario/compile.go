@@ -20,10 +20,13 @@ import (
 	"quicsand/internal/wire"
 )
 
-// Compile schedules the scenario onto a generator built from cfg. The
-// paper-2021 scenario maps to the hard-coded schedule (ibr.New);
+// Compile schedules the scenario onto a generator built from cfg. A nil
+// scenario and paper-2021 map to the hard-coded paper month (ibr.New);
 // everything else compiles phase by phase onto an empty generator.
 func Compile(sc *Scenario, cfg ibr.Config) (*ibr.Generator, error) {
+	if sc == nil {
+		return ibr.New(cfg)
+	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}

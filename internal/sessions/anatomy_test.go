@@ -95,7 +95,7 @@ func TestAnatomyOnlyOnResponses(t *testing.T) {
 			resp := &telescope.Packet{TS: base + telescope.Timestamp(2*i+1), Src: netmodel.MustAddr("142.250.0.1"),
 				Dst: addrs[i], SrcPort: telescope.PortQUIC, DstPort: ports[i], Size: 1200}
 			sz.Observe(resp, r)
-			a := sz.active.entries[sz.active.lookup(resp.Src)].s
+			a := *sz.active.At(sz.active.Lookup(resp.Src))
 			if spilled := a.peerAddrs.t != nil || a.peerPorts.t != nil; spilled != (i == 8) {
 				t.Fatalf("after %d responses: spilled = %v, want %v", i+1, spilled, i == 8)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
+	"quicsand/internal/srcindex"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
@@ -216,7 +217,7 @@ func (sz *Sessionizer) Clone(emit func(*Session), gaps func(time.Duration)) *Ses
 		lastSweep:   sz.lastSweep,
 		Emitted:     sz.Emitted,
 		Metrics:     sz.Metrics,
-		active:      sz.active.clone(),
+		active:      sz.active.Clone((*Session).Clone),
 	}
 	if sz.lastSeen != nil {
 		c.lastSeen = make(map[netmodel.Addr]telescope.Timestamp, len(sz.lastSeen))
@@ -242,7 +243,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	w.U64(m.BudgetEvicted)
 	w.U64(m.SetSpills)
 
-	active := sz.active.appendSessions(make([]*Session, 0, sz.active.len()))
+	active := sz.active.AppendValues(make([]*Session, 0, sz.active.Len()))
 	sortBySrc(active)
 	w.U64(uint64(len(active)))
 	for _, s := range active {
@@ -266,7 +267,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 		seen = append(seen, seenAt{s.Src, s.End})
 	}
 	for src, ts := range sz.lastSeen {
-		if sz.active.lookup(src) < 0 {
+		if sz.active.Lookup(src) < 0 {
 			seen = append(seen, seenAt{src, ts})
 		}
 	}
@@ -282,7 +283,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 // the given Emit and GapRecorder hooks into the result. Returns nil on
 // malformed input (reader error set).
 func DecodeSessionizer(r *ckpt.Reader, emit func(*Session), gaps func(time.Duration)) *Sessionizer {
-	sz := &Sessionizer{Emit: emit, GapRecorder: gaps, active: newActiveIndex()}
+	sz := &Sessionizer{Emit: emit, GapRecorder: gaps, active: srcindex.New[*Session]()}
 	sz.Timeout = time.Duration(r.I64())
 	sz.MaxActive = r.Int(maxActiveSess)
 	sz.lastSweep = telescope.Timestamp(r.I64())
@@ -299,18 +300,27 @@ func DecodeSessionizer(r *ckpt.Reader, emit func(*Session), gaps func(time.Durat
 	if r.Err() != nil {
 		return nil
 	}
+	active := make([]*Session, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
 		s := DecodeSession(r)
 		if s == nil {
 			return nil
 		}
-		if sz.active.lookup(s.Src) >= 0 {
+		active = append(active, s)
+	}
+	// The image lists sessions by source; put them in (End, Src) order,
+	// the last-touch list's own, so the first budget eviction takes the
+	// victim it would have taken before the checkpoint.
+	slices.SortFunc(active, func(a, b *Session) int {
+		return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Src, b.Src))
+	})
+	for _, s := range active {
+		if sz.active.Lookup(s.Src) >= 0 {
 			r.Errorf("duplicate active session for source %d", uint32(s.Src))
 			return nil
 		}
-		sz.active.insert(s)
+		sz.active.Put(s.Src, s.End, s)
 	}
-	sz.active.relink()
 
 	if r.Bool() {
 		n := r.Int(maxActiveSess)

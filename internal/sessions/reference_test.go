@@ -46,19 +46,19 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 	}
 
 	var s *Session
-	if pos := sz.active.lookup(p.Src); pos >= 0 {
-		s = sz.active.entries[pos].s
+	if pos := sz.active.Lookup(p.Src); pos >= 0 {
+		s = *sz.active.At(pos)
 		if gap := p.TS - s.End; gap > timeoutMS {
 			sz.Metrics.TimeoutSplits++
 			refFinish(sz, s)
-			sz.active.remove(pos)
+			sz.active.Remove(pos)
 			s = nil
 		}
 	}
 	if s == nil {
 		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
-		sz.active.put(s)
-		if sz.MaxActive > 0 && sz.active.len() > sz.MaxActive {
+		sz.active.Put(p.Src, p.TS, s)
+		if sz.MaxActive > 0 && sz.active.Len() > sz.MaxActive {
 			refEvictColdest(sz)
 		}
 	}
@@ -108,9 +108,9 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 	if p.TS-sz.lastSweep > timeoutMS {
 		sz.lastSweep = p.TS
 		var expired []*Session
-		for _, e := range sz.active.entries {
-			if p.TS-e.s.End > timeoutMS {
-				expired = append(expired, e.s)
+		for _, s := range sz.active.AppendValues(nil) {
+			if p.TS-s.End > timeoutMS {
+				expired = append(expired, s)
 			}
 		}
 		refFinishAll(sz, expired, &sz.Metrics.SweepEvicted)
@@ -147,15 +147,15 @@ func refFinishAll(sz *Sessionizer, list []*Session, cause *uint64) {
 	for _, s := range list {
 		*cause++
 		refFinish(sz, s)
-		sz.active.remove(sz.active.lookup(s.Src))
+		sz.active.Remove(sz.active.Lookup(s.Src))
 	}
 }
 
 // refEvictColdest is the linear scan the last-touch list replaced.
 func refEvictColdest(sz *Sessionizer) {
 	var victim *Session
-	for _, e := range sz.active.entries {
-		if s := e.s; victim == nil || s.End < victim.End ||
+	for _, s := range sz.active.AppendValues(nil) {
+		if victim == nil || s.End < victim.End ||
 			(s.End == victim.End && s.Src < victim.Src) {
 			victim = s
 		}
@@ -165,15 +165,11 @@ func refEvictColdest(sz *Sessionizer) {
 	}
 	sz.Metrics.BudgetEvicted++
 	refFinish(sz, victim)
-	sz.active.remove(sz.active.lookup(victim.Src))
+	sz.active.Remove(sz.active.Lookup(victim.Src))
 }
 
 func refFlush(sz *Sessionizer) {
-	var all []*Session
-	for _, e := range sz.active.entries {
-		all = append(all, e.s)
-	}
-	refFinishAll(sz, all, &sz.Metrics.FlushEmitted)
+	refFinishAll(sz, sz.active.AppendValues(nil), &sz.Metrics.FlushEmitted)
 }
 
 func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
@@ -190,10 +186,10 @@ func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
 	w.U64(m.SetSpills)
 
 	active := map[netmodel.Addr]*Session{}
-	srcs := make([]netmodel.Addr, 0, sz.active.len())
-	for _, e := range sz.active.entries {
-		active[e.s.Src] = e.s
-		srcs = append(srcs, e.s.Src)
+	srcs := make([]netmodel.Addr, 0, sz.active.Len())
+	for _, s := range sz.active.AppendValues(nil) {
+		active[s.Src] = s
+		srcs = append(srcs, s.Src)
 	}
 	slices.Sort(srcs)
 	w.U64(uint64(len(srcs)))

@@ -6,12 +6,15 @@
 package sessions
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"quicsand/internal/dissect"
 	"quicsand/internal/netmodel"
+	"quicsand/internal/srcindex"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
@@ -227,7 +230,7 @@ type Sessionizer struct {
 	// a sweep or Flush) arrive in source-address order.
 	Emit func(*Session)
 
-	active activeIndex
+	active srcindex.Index[*Session]
 	// lastSweep bounds the lazy expiry scan.
 	lastSweep telescope.Timestamp
 	// done is the scratch list of sessions a sweep or Flush finishes.
@@ -274,7 +277,7 @@ type Sessionizer struct {
 
 // NewSessionizer creates a sessionizer with the paper's defaults.
 func NewSessionizer(emit func(*Session)) *Sessionizer {
-	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: newActiveIndex()}
+	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: srcindex.New[*Session]()}
 }
 
 // Observe ingests one classified packet with its (optional) dissection
@@ -286,16 +289,16 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
 
 	var s *Session
-	pos := sz.active.lookup(p.Src)
+	pos := sz.active.Lookup(p.Src)
 	if pos >= 0 {
-		s = sz.active.entries[pos].s
+		s = *sz.active.At(pos)
 		gap := p.TS - s.End
 		if gap > 0 && sz.GapRecorder != nil {
 			sz.GapRecorder(time.Duration(gap) * time.Millisecond)
 		}
 		if gap > timeoutMS {
 			sz.Metrics.TimeoutSplits++
-			sz.active.remove(pos)
+			sz.active.Remove(pos)
 			sz.finish(s)
 			s = nil
 		}
@@ -310,12 +313,12 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	opened := s == nil
 	if opened {
 		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
-		sz.active.put(s)
-		if sz.MaxActive > 0 && sz.active.len() > sz.MaxActive {
+		sz.active.Put(p.Src, p.TS, s)
+		if sz.MaxActive > 0 && sz.active.Len() > sz.MaxActive {
 			sz.evictColdest()
 		}
 	} else {
-		sz.active.touch(pos, p.TS)
+		sz.active.Touch(pos, p.TS)
 	}
 
 	s.End = p.TS
@@ -369,8 +372,8 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	if p.TS-sz.lastSweep > timeoutMS {
 		sz.lastSweep = p.TS
 		done := sz.done
-		for sz.active.len() > 0 && p.TS-sz.active.entries[sz.active.tail].end > timeoutMS {
-			done = append(done, sz.active.remove(sz.active.tail))
+		for t := sz.active.Tail(); t >= 0 && p.TS-sz.active.End(t) > timeoutMS; t = sz.active.Tail() {
+			done = append(done, sz.active.Remove(t))
 		}
 		sz.finishAll(done, &sz.Metrics.SweepEvicted)
 	}
@@ -420,27 +423,33 @@ func (sz *Sessionizer) finishAll(done []*Session, cause *uint64) {
 	sz.done = done[:0]
 }
 
+// sortBySrc orders sessions by source address: the order sweeps, Flush
+// and checkpoints use, so none of them depends on index layout.
+func sortBySrc(list []*Session) {
+	slices.SortFunc(list, func(a, b *Session) int { return cmp.Compare(a.Src, b.Src) })
+}
+
 // evictColdest force-finishes the coldest active session: smallest
 // End, ties toward the smallest source address. The last-touch list
 // keeps it in the tail's equal-End group, so a spoofed flood that opens
 // a session on every packet pays for that group, not the active set.
 func (sz *Sessionizer) evictColdest() {
-	if sz.active.len() == 0 {
+	if sz.active.Len() == 0 {
 		return
 	}
-	victim := sz.active.remove(sz.active.coldest())
+	victim := sz.active.Remove(sz.active.Coldest())
 	sz.Metrics.BudgetEvicted++
 	sz.finish(victim)
 }
 
 // ActiveSessions returns the number of active sessions — the quantity
 // MaxActive bounds.
-func (sz *Sessionizer) ActiveSessions() int { return sz.active.len() }
+func (sz *Sessionizer) ActiveSessions() int { return sz.active.Len() }
 
 // Flush emits all still-active sessions (end of stream).
 func (sz *Sessionizer) Flush() {
-	done := sz.active.appendSessions(sz.done)
-	sz.active.reset()
+	done := sz.active.AppendValues(sz.done)
+	sz.active.Reset()
 	sz.finishAll(done, &sz.Metrics.FlushEmitted)
 }
 

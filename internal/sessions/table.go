@@ -3,11 +3,10 @@ package sessions
 import (
 	"bytes"
 	"hash/maphash"
-	"math/bits"
-	"math/rand/v2"
 	"slices"
 
 	"quicsand/internal/netmodel"
+	"quicsand/internal/srcindex"
 )
 
 // The anatomy sets' spilled arms: exact open-addressing tables with
@@ -16,31 +15,16 @@ import (
 // per set, and a table slot holds an arena offset and a 32-bit hash tag,
 // so no SCID ever becomes a string.
 //
-// Every table in this package hashes under seeds drawn once per process.
-// Spoofed sources, client ports and SCIDs are the attacker's choice, and
-// under a fixed hash a flood could pick keys that share one probe chain
-// (Go's maps are seeded for the same reason). No output depends on the
-// seeds: whatever is encoded or emitted is sorted first.
-var (
-	scidSeed           = maphash.MakeSeed()
-	intSeed0, intSeed1 = rand.Uint64(), rand.Uint64()
-)
+// Every table in this package hashes under seeds drawn once per process
+// (integer keys through srcindex.Hash32). Spoofed sources, client ports
+// and SCIDs are the attacker's choice, and under a fixed hash a flood
+// could pick keys that share one probe chain (Go's maps are seeded for
+// the same reason). No output depends on the seeds: whatever is encoded
+// or emitted is sorted first.
+var scidSeed = maphash.MakeSeed()
 
 // minSlots is every table's initial size (a power of two).
 const minSlots = 16
-
-// mix is a 64×64→128-bit multiply folded to 64 bits.
-func mix(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return hi ^ lo
-}
-
-// hash32 hashes a 32-bit key (an address, or a port widened) under the
-// process seeds; its low bits pick the home slot.
-func hash32(k uint32) uint32 {
-	x := uint64(k)
-	return uint32(mix(mix(x^intSeed0, x^intSeed1^0xa0761d6478bd642f), 0xe7037ed1a0b428db))
-}
 
 // overLoaded reports whether n keys overfill a table of the given size.
 func overLoaded(n, slots int) bool { return n*4 > slots*3 }
@@ -126,7 +110,7 @@ func (t *intTable[K]) add(k K) {
 		return
 	}
 	mask := uint32(len(t.slots) - 1)
-	for i := hash32(uint32(k)) & mask; ; i = (i + 1) & mask {
+	for i := srcindex.Hash32(uint32(k)) & mask; ; i = (i + 1) & mask {
 		switch t.slots[i] {
 		case k:
 			return
@@ -148,7 +132,7 @@ func (t *intTable[K]) grow() {
 		if k == 0 {
 			continue
 		}
-		i := hash32(uint32(k)) & mask
+		i := srcindex.Hash32(uint32(k)) & mask
 		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}

@@ -8,7 +8,7 @@ import (
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/telescope"
+	"quicsand/internal/srcindex"
 )
 
 // The anatomy sets against Go-map models: random keys with key 0 and
@@ -261,17 +261,11 @@ func TestStructuredKeysProbeShort(t *testing.T) {
 	}
 	for _, n := range []int{1000, 6000, 12000} {
 		var addrs addrSet
-		ix := newActiveIndex()
 		for i := 0; i < n; i++ {
-			a := netmodel.Addr(uint32(i)<<16 | 0xbeef)
-			addrs.add(a)
-			ix.put(&Session{Src: a, End: telescope.Timestamp(i)})
+			addrs.add(netmodel.Addr(uint32(i)<<16 | 0xbeef))
 		}
 		check("addresses sharing their low 16 bits (peer set)", meanProbe(addrs.t.slots, func(k netmodel.Addr) (uint32, bool) {
-			return hash32(uint32(k)) & uint32(len(addrs.t.slots)-1), k != 0
-		}))
-		check("addresses sharing their low 16 bits (active index)", meanProbe(ix.slots, func(sl activeSlot) (uint32, bool) {
-			return hash32(uint32(sl.src)) & uint32(len(ix.slots)-1), sl.pos != 0
+			return srcindex.Hash32(uint32(k)) & uint32(len(addrs.t.slots)-1), k != 0
 		}))
 
 		var ports portSet
@@ -279,7 +273,7 @@ func TestStructuredKeysProbeShort(t *testing.T) {
 			ports.add(uint16(1024 + 7*i))
 		}
 		check("ports in arithmetic progression", meanProbe(ports.t.slots, func(k uint16) (uint32, bool) {
-			return hash32(uint32(k)) & uint32(len(ports.t.slots)-1), k != 0
+			return srcindex.Hash32(uint32(k)) & uint32(len(ports.t.slots)-1), k != 0
 		}))
 
 		var scids scidSet

@@ -313,7 +313,7 @@ func newPipelineShard() *pipelineShard {
 // wire connects shard i's state, fresh or decoded from a checkpoint, to
 // a run: its substrate, the hooks that chain its parts, and the run's
 // attachments — recorder ring and live bank, plus a streaming config's
-// detector bank and session budget. Nothing else sets any of these.
+// detector bank and source budget. Nothing else sets any of these.
 func (sh *pipelineShard) wire(i int, c *pipelinePlan) {
 	sh.internet = c.proto.Internet
 	sh.hourlySource.Classify = sourceClassifier(c.tum, c.rwth)
@@ -331,6 +331,7 @@ func (sh *pipelineShard) wire(i int, c *pipelinePlan) {
 	}
 	if c.cfg.Detect != nil {
 		sh.det = detect.NewShard(*c.cfg.Detect)
+		sh.det.MaxSources = c.cfg.MaxActiveSessions
 	}
 	if c.cfg.MaxActiveSessions > 0 {
 		sh.quicSz.MaxActive = c.cfg.MaxActiveSessions
@@ -489,11 +490,7 @@ func (c *pipelinePlan) prepare() (gen *ibr.Generator, err error) {
 		Census:       a.Census,
 		Identity:     cfg.Identity,
 	}
-	if cfg.Scenario != nil {
-		gen, err = scenario.Compile(cfg.Scenario, icfg)
-	} else {
-		gen, err = ibr.New(icfg)
-	}
+	gen, err = scenario.Compile(cfg.Scenario, icfg)
 	if err != nil {
 		return nil, fmt.Errorf("quicsand: generator: %w", err)
 	}
@@ -759,9 +756,9 @@ func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 // one sliding-window detector bank on every shard and the replay also
 // returns the complete alert stream (every episode, the ones still open
 // at end of stream closed there; canonical order, identical for every
-// worker count), cfg.MaxActiveSessions bounds the sessionizers. The
-// Analysis is Replay's plus Telemetry.Detect — the engine of `quicsand
-// replay -alerts`.
+// worker count), cfg.MaxActiveSessions bounds the sessionizers and the
+// detector banks. The Analysis is Replay's plus Telemetry.Detect — the
+// engine of `quicsand replay -alerts`.
 func ReplayAlerts(cfg StreamConfig, src capture.Source) (*Analysis, []detect.Alert, error) {
 	return runPipeline(cfg, func(_ *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed {
 		// Replayed packets live in scatter-owned slabs under the same §9

@@ -38,7 +38,8 @@ trap 'rm -rf "$tmp"' EXIT
 # symbols BINARY ROOT: "ROOT symbol" for every text symbol in BINARY.
 symbols() {
     go tool nm "$1" | awk -v root="$2" '$2 == "T" || $2 == "t" {
-        s = $3
+        s = $0                                 # a struct shape name has spaces
+        sub(/^[[:space:]]*[0-9a-f]+[[:space:]]+[Tt][[:space:]]+/, "", s)
         while (gsub(/\[[^][]*\]/, "", s)) {}   # generic shape suffixes
         gsub(/\(\*/, "", s); gsub(/\)/, "", s) # (*T).M → T.M
         print root, s

@@ -24,12 +24,15 @@ type StreamConfig struct {
 	// returns them).
 	Detect *detect.Config
 
-	// MaxActiveSessions, when positive, is the per-sessionizer hard
-	// memory budget: each shard's QUIC and common sessionizers evict
-	// their coldest session past this many active sources
-	// (telemetry.Sessions.BudgetEvicted). Bounded memory trades away
-	// worker-count invariance of exactly which sessions split — the
-	// differential suite runs unbudgeted.
+	// MaxActiveSessions, when positive, is the run's per-shard source
+	// budget, a hard bound on per-source state: each shard's QUIC and
+	// common sessionizers evict their coldest session past this many
+	// active sources (telemetry.Sessions.BudgetEvicted), and its
+	// detector bank its coldest window state past this many sources
+	// (telemetry.Detect.SourcesEvicted). Bounded memory trades away
+	// worker-count invariance of exactly which sessions split and which
+	// episodes an eviction cuts short — the differential suite runs
+	// unbudgeted.
 	MaxActiveSessions int
 }
 

@@ -124,12 +124,16 @@ func TestStreamSessionBudget(t *testing.T) {
 	}
 }
 
-// TestStreamDetectBudgetKeepsHotSources bounds detector memory without
-// losing flood alerts: a per-shard MaxSources budget evicts cold
-// sources (counted in telemetry) while the actively-flooding victims
-// stay resident, so the budgeted alert stream still satisfies the
-// ledger-derived oracle bounds at zero tolerance.
+// TestStreamDetectBudgetKeepsHotSources bounds detector memory under
+// spoofed sources without losing flood alerts. Every backscatter packet
+// of a checked flood victim is followed by one packet from a source
+// never heard again, so far more sources than the budget are heard
+// within each window. The run's one source budget (MaxActiveSessions)
+// evicts those one-packet sources, counted in telemetry, while the
+// flooded victims stay resident, so the budgeted alert stream still
+// satisfies the ledger-derived oracle bounds at zero tolerance.
 func TestStreamDetectBudgetKeepsHotSources(t *testing.T) {
+	const budget = 16
 	id := goldenIdentity(t)
 	cfg := goldenConfig("handshake-flood-qfam", 0.01, id, t)
 	cfg.Workers = 2
@@ -141,14 +145,40 @@ func TestStreamDetectBudgetKeepsHotSources(t *testing.T) {
 	if ae.Guaranteed == 0 {
 		t.Fatal("no guaranteed cluster; the budget test proves nothing")
 	}
-	dcfg.MaxSources = 4
-	final, err := streamLive(StreamConfig{Config: cfg, Detect: &dcfg}, 0, nil)
+	s, gen, err := newStreamer(StreamConfig{Config: cfg, Detect: &dcfg, MaxActiveSessions: budget}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm := final.Analysis().Telemetry.Detect
+	// Spoofed sources walk 198.18.0.0/15, skipping any checked victim.
+	next := netmodel.MustAddr("198.18.0.0")
+	spoof := func(p *telescope.Packet) {
+		for ae.Victims[next] != nil {
+			next++
+		}
+		q := *p
+		q.Src, q.Payload = next, nil
+		next++
+		s.Offer(&q)
+	}
+	spoofed := 0
+	mergers := gen.Feeds(1, true)
+	mergers[0].Run(func(p *telescope.Packet) {
+		if s.Offer(p) && p.IsResponse() && ae.Victims[p.Src] != nil {
+			spoof(p)
+			spoofed++
+		}
+	})
+	final := s.Close()
+	tel := final.Analysis().Telemetry
+	dm := tel.Detect
+	t.Logf("%d spoofed sources, %d detector evictions", spoofed, dm.SourcesEvicted)
 	if dm.SourcesEvicted == 0 {
 		t.Fatal("detector budget never evicted a source; the bound was not exercised")
+	}
+	// The bank's sources are a subset of the QUIC sessionizer's active
+	// sessions, so each detector eviction is also a session eviction.
+	if dm.SourcesEvicted > tel.Sessions.BudgetEvicted {
+		t.Errorf("%d detector evictions but only %d session evictions", dm.SourcesEvicted, tel.Sessions.BudgetEvicted)
 	}
 	results := oracle.CheckAlerts(ae, final.Alerts)
 	if n := oracle.CountViolations(results); n != 0 {
