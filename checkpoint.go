@@ -1,6 +1,7 @@
 package quicsand
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"quicsand/internal/ckpt"
@@ -42,12 +43,9 @@ var checkpointMagic = []byte("QCKP")
 
 const checkpointVersion = 1
 
-// encodeSlack is Encode's size allowance for everything but the
-// session logs (counters, histograms, active sessions): on flood
-// traffic the logs are > 95 % of an image and this covers the rest, so
-// the writer never regrows; a state with more beside its sessions
-// grows by append from there.
-const encodeSlack = 16 << 10
+// headerMax bounds an image's header beside the scenario name: magic,
+// six varints (the name's length among them), the scale and a bool.
+const headerMax = 4 + 6*binary.MaxVarintLen64 + 8 + 1
 
 const (
 	maxCkptWorkers  = 1 << 12
@@ -66,12 +64,35 @@ type checkpointHeader struct {
 	position     uint64
 }
 
+// shardImage is one shard's block of a checkpoint image, frozen at the
+// barrier: the encoded state, the session log that follows it and the
+// captured-packet count that ends it.
+type shardImage struct {
+	state []byte
+	log   []byte
+	items uint64
+}
+
+// freeze encodes the shard's block for a checkpoint (items: its
+// captured-packet count). It runs under the streamer's barrier, with the
+// shard worker parked. The state is encoded into a buffer the image
+// owns, sized from the previous tick's so that a steady state does not
+// regrow it; the session log is shared as a cap-limited prefix.
+func (sh *pipelineShard) freeze(items uint64) shardImage {
+	sh.logSessions()
+	w := ckpt.NewWriter(make([]byte, 0, sh.stateLen+sh.stateLen/8+1<<10))
+	sh.encodeState(w)
+	state := w.Bytes()
+	sh.stateLen = len(state)
+	return shardImage{state: state, log: sh.sessLog[:len(sh.sessLog):len(sh.sessLog)], items: items}
+}
+
 // logSessions extends the shard's session log over the sessions
-// emitted since the previous tick. It runs under the streamer's barrier
-// (the shard worker is parked), and only ever appends: a frozen clone
-// holds a cap-limited header of the log as it stood at its own tick,
-// so the bytes a concurrent Encode reads are never written again —
-// growth either lands past every frozen length or moves to a new array.
+// emitted since the previous tick. It runs under the streamer's barrier,
+// and only ever appends: a checkpoint holds a cap-limited prefix of the
+// log as it stood at its own tick, so the bytes a concurrent Encode
+// reads are never written again — growth either lands past every
+// frozen length or moves to a new array.
 func (sh *pipelineShard) logSessions() {
 	w := ckpt.NewWriter(sh.sessLog)
 	for _, s := range sh.sessions[sh.sessLogN:] {
@@ -80,28 +101,29 @@ func (sh *pipelineShard) logSessions() {
 	sh.sessLog, sh.sessLogN = w.Bytes(), len(sh.sessions)
 }
 
-// Encode serializes the checkpoint. The stored clones are only read,
-// so Encode is repeatable and composes with Analysis(). Emitted
-// sessions come from the shard's session log in one copy; only what the
-// log does not cover (everything, for a final or a resumed checkpoint)
-// is encoded here.
+// Encode serializes the checkpoint: the header, then each shard's frozen
+// state, session log and packet count. The parts are only read, so
+// Encode is repeatable and composes with Analysis().
 func (c *StreamCheckpoint) Encode() []byte {
-	size := encodeSlack
-	for _, sh := range c.shards {
-		size += len(sh.sessLog)
+	name := scenarioName(c.cfg.Config)
+	size := headerMax + len(name)
+	for _, im := range c.images {
+		size += len(im.state) + len(im.log) + binary.MaxVarintLen64
 	}
 	w := ckpt.NewWriter(make([]byte, 0, size))
 	w.Raw(checkpointMagic)
 	w.U64(checkpointVersion)
 	w.U64(c.cfg.Seed)
 	w.F64(c.cfg.Scale)
-	w.String(scenarioName(c.cfg.Config))
+	w.String(name)
 	w.U64(uint64(c.cfg.ResearchThin))
 	w.Bool(c.cfg.SkipResearch)
 	w.U64(uint64(c.workers))
 	w.U64(c.position)
-	for i, sh := range c.shards {
-		sh.encodeTo(w, c.counts[i])
+	for _, im := range c.images {
+		w.Raw(im.state)
+		w.Raw(im.log)
+		w.U64(im.items)
 	}
 	return w.Bytes()
 }
@@ -112,9 +134,11 @@ func dissectCounters(m *telemetry.Dissect) [8]*uint64 {
 		&m.ClientHellos, &m.OpenerHits, &m.OpenerMisses, &m.OpenerResets}
 }
 
-// encodeTo writes one shard block (items: its captured-packet count) in
-// the field order decodeShard reads; changing it bumps checkpointVersion.
-func (sh *pipelineShard) encodeTo(w *ckpt.Writer, items uint64) {
+// encodeState writes a shard block up to its session log, in the field
+// order decodeShard reads; the block goes on with the encoded sessions
+// (the shard's session log) and the captured-packet count. Changing the
+// order bumps checkpointVersion.
+func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 	sh.tel.EncodeTo(w)
 	sh.hourlySource.EncodeTo(w)
 	sh.hourlyType.EncodeTo(w)
@@ -127,15 +151,12 @@ func (sh *pipelineShard) encodeTo(w *ckpt.Writer, items uint64) {
 	}
 	w.U64(sh.nonQUIC)
 	w.U64(uint64(len(sh.sessions)))
-	w.Raw(sh.sessLog)
-	for _, s := range sh.sessions[sh.sessLogN:] {
-		sessions.EncodeSession(w, s)
-	}
-	w.U64(items)
 }
 
-// decodeShard reads one shard block into an unwired shard (planPipeline
-// wires it like a fresh one); unusable once the reader's error is set.
+// decodeShard reads one shard block into a chained but unwired shard:
+// a checkpoint's Analysis reduces it as it is, and planPipeline wires
+// it like a fresh one for ResumeStreamer. Unusable once the reader's
+// error is set.
 func decodeShard(r *ckpt.Reader) (sh *pipelineShard, items uint64) {
 	sh = &pipelineShard{dis: dissect.NewDissector()}
 	sh.tel = telescope.DecodeTelescope(r)
@@ -143,8 +164,8 @@ func decodeShard(r *ckpt.Reader) (sh *pipelineShard, items uint64) {
 	sh.hourlyType = telescope.DecodeHourlyCounter(r, nil)
 	sh.sweep = sessions.DecodeTimeoutSweep(r)
 	sh.commonDet = dosdetect.DecodeDetector(r)
-	sh.quicSz = sessions.DecodeSessionizer(r, nil, nil)
-	sh.commonSz = sessions.DecodeSessionizer(r, nil, nil)
+	sh.quicSz = sessions.DecodeSessionizer(r)
+	sh.commonSz = sessions.DecodeSessionizer(r)
 	for _, v := range dissectCounters(&sh.dis.Metrics) {
 		*v = r.U64()
 	}
@@ -157,13 +178,19 @@ func decodeShard(r *ckpt.Reader) (sh *pipelineShard, items uint64) {
 		}
 		sh.sessions = append(sh.sessions, s)
 	}
-	return sh, r.U64()
+	items = r.U64()
+	if r.Err() == nil {
+		sh.chain()
+	}
+	return sh, items
 }
 
 // decodeCheckpoint parses a checkpoint image into its header, unwired
-// shards and their captured-packet counts. It is a pure parse, so
-// FuzzCheckpoint can drive it directly: any malformed input must error
-// (offset-annotated), never panic, and never be silently accepted.
+// shards and their captured-packet counts — for ResumeStreamer and for
+// StreamCheckpoint.Analysis, which has no other copy of the state. It
+// is a pure parse, so FuzzCheckpoint can drive it directly: any
+// malformed input must error (offset-annotated), never panic, and never
+// be silently accepted.
 func decodeCheckpoint(data []byte) (hdr checkpointHeader, shards []*pipelineShard, counts []uint64, err error) {
 	r := ckpt.NewReader(data)
 	r.Expect(checkpointMagic, "checkpoint magic")

@@ -48,8 +48,12 @@ func TestCheckpointGoldenImage(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		_, shards, _, err := decodeCheckpoint(mid.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
 		active := 0
-		for _, sh := range mid.shards {
+		for _, sh := range shards {
 			active += sh.quicSz.ActiveSessions()
 		}
 		if active == 0 {

@@ -224,11 +224,29 @@ func (d *daemonState) emit(ck *quicsand.StreamCheckpoint, diag io.Writer) {
 // flushes: short for a scrape or heartbeat, long for a flood's packet gaps.
 const idleFlush = 100 * time.Millisecond
 
-// writeFileAtomic writes data next to path and renames it into place,
-// so a crashed daemon never leaves a torn checkpoint image behind.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes data next to path, syncs it to stable storage
+// and renames it into place, so neither a crashed daemon nor a crashed
+// machine leaves a torn checkpoint image behind. On any failure the
+// temporary file is removed and path keeps its previous image.
+func writeFileAtomic(path string, data []byte) (err error) {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

@@ -463,3 +463,39 @@ func TestClassicRejectsDaemonFlags(t *testing.T) {
 		t.Errorf("log-mode checkpoint at position %d, want 3", got)
 	}
 }
+
+// TestWriteFileAtomicCleansUp pins the checkpoint writer's two promises:
+// a written image replaces the old one with no temporary file left
+// beside it, and a failed rename (here onto a directory) returns the
+// error and still leaves no temporary file.
+func TestWriteFileAtomicCleansUp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.qckp")
+	for _, image := range []string{"first image", "second"} {
+		if err := writeFileAtomic(path, []byte(image)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != image {
+			t.Fatalf("read back %q, %v; want %q", got, err, image)
+		}
+	}
+
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(blocked, []byte("image")); err == nil {
+		t.Error("renaming onto a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"blocked", "state.qckp"}; !slices.Equal(names, want) {
+		t.Errorf("directory holds %v, want %v", names, want)
+	}
+}

@@ -8,31 +8,10 @@ import (
 	"quicsand/internal/wire"
 )
 
-// Streaming-checkpoint support. Attacks are immutable once built by
-// FromSession and excluded sessions are immutable once emitted, so
-// cloning a detector shares the records and copies only the slice
-// headers; the codec serializes full fidelity.
+// Streaming-checkpoint support: the codec serializes the detector at
+// full fidelity, and a checkpoint keeps nothing else of it.
 
 const maxDetectorItems = 1 << 26
-
-// Clone returns a snapshot copy of the detector. Attack and excluded
-// records are shared (immutable after emission); the slices are
-// copied so later Offers on the original never show in the clone.
-func (d *Detector) Clone() *Detector {
-	c := &Detector{
-		Thresholds:   d.Thresholds,
-		Vector:       d.Vector,
-		DropExcluded: d.DropExcluded,
-		Inspected:    d.Inspected,
-	}
-	if len(d.Attacks) > 0 {
-		c.Attacks = append(make([]*Attack, 0, len(d.Attacks)), d.Attacks...)
-	}
-	if len(d.Excluded) > 0 {
-		c.Excluded = append(make([]*sessions.Session, 0, len(d.Excluded)), d.Excluded...)
-	}
-	return c
-}
 
 // EncodeTo writes the detector state. Excluded sessions ride the
 // sessions codec; attack lists keep their append order (canonical

@@ -34,14 +34,6 @@ type Config struct {
 	// whole pipeline inline on the calling goroutine — the sequential
 	// path, against which parallel runs are bit-identical.
 	Workers int
-	// BatchSize is the number of items per tap batch (default 256).
-	// Larger batches amortize channel operations; smaller ones bound
-	// the reordering buffer.
-	BatchSize int
-	// TapDepth is the per-shard tap queue depth in batches (default 4).
-	// Together with BatchSize it bounds how far a fast shard can run
-	// ahead of the tap merge — the pipeline's backpressure window.
-	TapDepth int
 	// Recorder, when non-nil, is the run's flight recorder (DESIGN.md
 	// §15): every SliceItems items each worker closes an analyze span
 	// (time inside process) and a feed span (time outside it) on its
@@ -78,19 +70,16 @@ func (c Config) ResolveWorkers() int {
 	return w
 }
 
-func (c Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return 256
-}
-
-func (c Config) tapDepth() int {
-	if c.TapDepth > 0 {
-		return c.TapDepth
-	}
-	return 4
-}
+const (
+	// tapBatch is the number of items per tap batch. Larger batches
+	// amortize channel operations; smaller ones bound the reordering
+	// buffer.
+	tapBatch = 256
+	// tapDepth is the per-shard tap queue depth in batches. Together
+	// with tapBatch it bounds how far a fast shard can run ahead of the
+	// tap merge — the pipeline's backpressure window.
+	tapDepth = 4
+)
 
 // Feed streams one shard's items, in that shard's canonical order, by
 // calling emit once per item. It runs on the shard's worker goroutine
@@ -284,16 +273,15 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 		return st
 	}
 
-	batch := cfg.batchSize()
 	var tapChans, freeChans []chan []T
 	if tap != nil {
 		tapChans = make([]chan []T, n)
 		freeChans = make([]chan []T, n)
 		for i := range tapChans {
-			tapChans[i] = make(chan []T, cfg.tapDepth())
+			tapChans[i] = make(chan []T, tapDepth)
 			// One slot beyond the tap depth so returning a drained
 			// batch never blocks the merge goroutine.
-			freeChans[i] = make(chan []T, cfg.tapDepth()+1)
+			freeChans[i] = make(chan []T, tapDepth+1)
 		}
 	}
 
@@ -322,7 +310,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 						return b
 					default:
 						tel.BufAllocs++
-						return make([]T, 0, batch)
+						return make([]T, 0, tapBatch)
 					}
 				}
 				sendBatch := func() {
@@ -363,7 +351,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 							buf = nextBuf()
 						}
 						buf = append(buf, item)
-						if len(buf) >= batch {
+						if len(buf) >= tapBatch {
 							sendBatch()
 						}
 					}

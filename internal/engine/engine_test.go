@@ -70,7 +70,8 @@ func TestRunShardIsolation(t *testing.T) {
 // TestShardItemsMatchFeeds pins Stats.ShardItems to what each feed
 // emitted — uneven counts, an empty feed included — at workers 1/3/8,
 // tapped and untapped: the parallel workers count in a local and store
-// it once, when their feed returns.
+// it once, when their feed returns. Every non-empty feed crosses at
+// least two tap batch boundaries.
 func TestShardItemsMatchFeeds(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		for _, tapped := range []bool{false, true} {
@@ -78,7 +79,7 @@ func TestShardItemsMatchFeeds(t *testing.T) {
 			feeds := make([]Feed[int], workers)
 			for i := range feeds {
 				i := i
-				n := 300 + 97*i
+				n := 2*tapBatch + 1 + 97*i
 				if i == 1 {
 					n = 0 // one feed of every multi-shard run stays empty
 				}
@@ -94,7 +95,7 @@ func TestShardItemsMatchFeeds(t *testing.T) {
 			if tapped {
 				tap = &Tap[int]{Less: func(a, b int) bool { return a < b }, Sink: func(int) { sunk++ }}
 			}
-			st := Run(Config{Workers: workers, BatchSize: 16}, feeds, func(int, int) bool { return true }, tap)
+			st := Run(Config{Workers: workers}, feeds, func(int, int) bool { return true }, tap)
 			var total uint64
 			for i, want := range emitted {
 				total += want
@@ -112,16 +113,13 @@ func TestShardItemsMatchFeeds(t *testing.T) {
 
 // TestTapMergeOrder checks the k-way tap merge restores the canonical
 // global order from per-shard sorted streams, for several worker
-// counts and batch sizes (forcing batch boundaries mid-stream).
+// counts, each shard crossing at least two batch boundaries mid-stream.
 func TestTapMergeOrder(t *testing.T) {
-	// Items 0..9999 dealt round-robin-ish to shards by modulo; each
-	// shard stream is increasing, the merged stream must be 0..9999.
-	const total = 10000
-	for _, cfg := range []Config{
-		{Workers: 2},
-		{Workers: 3, BatchSize: 7},
-		{Workers: 8, BatchSize: 1, TapDepth: 1},
-	} {
+	// Items 0..total-1 dealt round-robin to shards by modulo; each shard
+	// stream is increasing, the merged stream must be the tapped subset
+	// in order. Even at 8 shards each taps 2/3 of 4*tapBatch items.
+	const total = 8 * 4 * tapBatch
+	for _, cfg := range []Config{{Workers: 2}, {Workers: 3}, {Workers: 8}} {
 		feeds := make([]Feed[int], cfg.Workers)
 		for i := range feeds {
 			i := i
@@ -161,11 +159,12 @@ func TestTapMergeOrder(t *testing.T) {
 // provided equal-comparing items share a shard.
 func TestTapEqualsSequential(t *testing.T) {
 	type item struct{ ts, src int }
-	// Build per-src streams with colliding timestamps (same src only).
+	// Build per-src streams with colliding timestamps (same src only),
+	// each long enough to cross two tap batch boundaries on its own.
 	streams := map[int][]item{}
 	for src := 0; src < 13; src++ {
 		ts := src % 3
-		for j := 0; j < 50; j++ {
+		for j := 0; j < 2*tapBatch+1; j++ {
 			streams[src] = append(streams[src], item{ts: ts, src: src})
 			if j%4 != 0 {
 				ts += j % 5 // repeated timestamps within a src
@@ -198,7 +197,7 @@ func TestTapEqualsSequential(t *testing.T) {
 			}
 		}
 		var b strings.Builder
-		Run(Config{Workers: workers, BatchSize: 3}, feeds,
+		Run(Config{Workers: workers}, feeds,
 			func(int, item) bool { return true },
 			&Tap[item]{Less: less, Sink: func(v item) { fmt.Fprintf(&b, "%d/%d ", v.ts, v.src) }})
 		return b.String()

@@ -13,12 +13,13 @@ import (
 )
 
 // This file is the sessionizer's half of the streaming-checkpoint
-// contract: deep clones (so a live Streamer can snapshot shard state
-// without stopping ingest) and a ckpt codec that round-trips every
-// field — including whether each anatomy set still lives in its
-// inline arm or has spilled, because the spill state feeds the
-// SetSpills counter and must survive a checkpoint→resume cycle
-// bit-exactly.
+// contract: a ckpt codec that round-trips every field — including
+// whether each anatomy set still lives in its inline arm or has
+// spilled, because the spill state feeds the SetSpills counter and
+// must survive a checkpoint→resume cycle bit-exactly. A checkpoint
+// tick encodes the live state under the streamer's barrier, and both a
+// checkpoint's Analysis and a resumed streamer decode it, so the image
+// is the only frozen form a sessionizer has.
 
 // Decode size limits. Sessions are bounded by what one month of
 // telescope traffic can produce; anything past these is a malformed
@@ -28,22 +29,6 @@ const (
 	maxSCIDBytes  = 255
 	maxActiveSess = 1 << 26
 )
-
-// Clone returns a deep copy of the session: the value fields are
-// copied wholesale and any SCID arena or spilled table is duplicated.
-func (s *Session) Clone() *Session {
-	c := *s
-	if s.versions.m != nil {
-		c.versions.m = make(map[wire.Version]int, len(s.versions.m))
-		for k, v := range s.versions.m {
-			c.versions.m[k] = v
-		}
-	}
-	c.scids = s.scids.clone()
-	c.peerAddrs = s.peerAddrs.clone()
-	c.peerPorts = s.peerPorts.clone()
-	return &c
-}
 
 // EncodeSession writes one session. Inline set arms keep their
 // insertion order; spilled sets are written sorted so equal states
@@ -205,29 +190,6 @@ func DecodeSession(r *ckpt.Reader) *Session {
 	return s
 }
 
-// Clone returns a deep copy of the sessionizer with its Emit and
-// GapRecorder rewired (function values cannot be meaningfully cloned;
-// the caller decides where the copy's emissions go).
-func (sz *Sessionizer) Clone(emit func(*Session), gaps func(time.Duration)) *Sessionizer {
-	c := &Sessionizer{
-		Timeout:     sz.Timeout,
-		Emit:        emit,
-		GapRecorder: gaps,
-		MaxActive:   sz.MaxActive,
-		lastSweep:   sz.lastSweep,
-		Emitted:     sz.Emitted,
-		Metrics:     sz.Metrics,
-		active:      sz.active.Clone((*Session).Clone),
-	}
-	if sz.lastSeen != nil {
-		c.lastSeen = make(map[netmodel.Addr]telescope.Timestamp, len(sz.lastSeen))
-		for src, ts := range sz.lastSeen {
-			c.lastSeen[src] = ts
-		}
-	}
-	return c
-}
-
 // EncodeTo writes the sessionizer's full state (minus the Emit and
 // GapRecorder hooks, which are runtime wiring).
 func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
@@ -279,11 +241,11 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	}
 }
 
-// DecodeSessionizer reads a sessionizer encoded by EncodeTo, wiring
-// the given Emit and GapRecorder hooks into the result. Returns nil on
-// malformed input (reader error set).
-func DecodeSessionizer(r *ckpt.Reader, emit func(*Session), gaps func(time.Duration)) *Sessionizer {
-	sz := &Sessionizer{Emit: emit, GapRecorder: gaps, active: srcindex.New[*Session]()}
+// DecodeSessionizer reads a sessionizer encoded by EncodeTo, with its
+// Emit and GapRecorder hooks unset for the caller to chain. Returns nil
+// on malformed input (reader error set).
+func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
+	sz := &Sessionizer{active: srcindex.New[*Session]()}
 	sz.Timeout = time.Duration(r.I64())
 	sz.MaxActive = r.Int(maxActiveSess)
 	sz.lastSweep = telescope.Timestamp(r.I64())
@@ -337,16 +299,6 @@ func DecodeSessionizer(r *ckpt.Reader, emit func(*Session), gaps func(time.Durat
 		return nil
 	}
 	return sz
-}
-
-// Clone returns a deep copy of the sweep accumulator.
-func (t *TimeoutSweep) Clone() *TimeoutSweep {
-	c := *t
-	c.Sources = make(map[netmodel.Addr]struct{}, len(t.Sources))
-	for a := range t.Sources {
-		c.Sources[a] = struct{}{}
-	}
-	return &c
 }
 
 // EncodeTo writes the sweep state with sources sorted.

@@ -32,7 +32,7 @@ func TestDecodeRejectsDuplicateSources(t *testing.T) {
 	}
 	dup := append(append(append([]byte(nil), img[:i]...), one...), img[i+len(two):]...)
 	r := ckpt.NewReader(dup)
-	if got := DecodeSessionizer(r, nil, nil); got != nil || r.Err() == nil {
+	if got := DecodeSessionizer(r); got != nil || r.Err() == nil {
 		t.Fatalf("duplicate sources decoded: %v, err %v", got, r.Err())
 	}
 }
@@ -50,7 +50,7 @@ func TestDecodeRelinksByEndThenSource(t *testing.T) {
 	w := ckpt.NewWriter(nil)
 	sz.EncodeTo(w)
 	r := ckpt.NewReader(w.Bytes())
-	d := DecodeSessionizer(r, nil, nil)
+	d := DecodeSessionizer(r)
 	if d == nil {
 		t.Fatal(r.Err())
 	}

@@ -8,7 +8,7 @@ package sessions
 // ref* functions below scan every active session instead —
 // refEvictColdest is the linear victim search the list replaced — over
 // the same struct, using the active index only to find, add and drop a
-// source's session (the decoded and cloned states mean the same under
+// source's session (the decoded state means the same under
 // both readings: one lastSeen entry per source ever seen is a valid,
 // merely redundant, state for the sessionizer). Sessions finished
 // together are emitted in source order on both sides. Seeded random
@@ -263,14 +263,6 @@ func (g *rig) encode() []byte {
 	return w.Bytes()
 }
 
-// clone continues on a deep copy, as a checkpoint tick's frozen shard
-// does when it is reduced.
-func (g *rig) clone() *rig {
-	c := &rig{ref: g.ref, sweep: g.sweep.Clone(), out: slices.Clone(g.out)}
-	c.sz = g.sz.Clone(c.emit, c.sweep.RecordGap)
-	return c
-}
-
 // restore continues on the decoded image, hooks wired after the parse
 // as ResumeStreamer does.
 func (g *rig) restore(t *testing.T) *rig {
@@ -278,7 +270,7 @@ func (g *rig) restore(t *testing.T) *rig {
 	r := ckpt.NewReader(g.encode())
 	c := &rig{ref: g.ref, out: slices.Clone(g.out)}
 	c.sweep = DecodeTimeoutSweep(r)
-	c.sz = DecodeSessionizer(r, nil, nil)
+	c.sz = DecodeSessionizer(r)
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("restore: err %v, %d bytes left", r.Err(), r.Remaining())
 	}
@@ -373,9 +365,7 @@ func TestSessionizerMatchesPerPacketBookkeeping(t *testing.T) {
 		now := telescope.TS(telescope.MeasurementStart)
 		for i := 0; i < 3000; i++ {
 			switch k := rng.Intn(400); k {
-			case 0:
-				got, want = got.clone(), want.clone()
-			case 1:
+			case 0, 1:
 				got, want = got.restore(t), want.restore(t)
 			case 2, 3:
 				expectSameRigs(t, "mid-stream", got, want)
@@ -421,9 +411,7 @@ func TestBudgetEvictionMatchesLinearScan(t *testing.T) {
 			now := telescope.TS(telescope.MeasurementStart)
 			for i := 0; i < 4000; i++ {
 				switch rng.Intn(300) {
-				case 0:
-					got, want = got.clone(), want.clone()
-				case 1:
+				case 0, 1:
 					got, want = got.restore(t), want.restore(t)
 				case 2, 3:
 					expectSameRigs(t, "mid-stream", got, want)

@@ -88,14 +88,6 @@ func (s *smallSet[K]) count() int {
 	return int(s.n)
 }
 
-func (s *smallSet[K]) clone() smallSet[K] {
-	c := *s
-	if s.t != nil {
-		c.t = &intTable[K]{slots: slices.Clone(s.t.slots), n: s.t.n, hasZero: s.t.hasZero}
-	}
-	return c
-}
-
 // intTable is an exact set of integer keys. A zero slot is empty, so
 // key 0 is a flag of its own.
 type intTable[K intKey] struct {
@@ -282,12 +274,4 @@ func (s *scidSet) sortedOffsets() []int {
 		return bytes.Compare(scidAt(s.arena, a), scidAt(s.arena, b))
 	})
 	return offs
-}
-
-func (s *scidSet) clone() scidSet {
-	c := scidSet{arena: slices.Clone(s.arena), n: s.n}
-	if s.t != nil {
-		c.t = &scidTable{slots: slices.Clone(s.t.slots), n: s.t.n}
-	}
-	return c
 }

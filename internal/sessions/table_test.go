@@ -12,8 +12,36 @@ import (
 )
 
 // The anatomy sets against Go-map models: random keys with key 0 and
-// repeats, growth well past the spill, clone independence, and the
-// encoded key lists.
+// repeats, growth well past the spill, the independence of a copy
+// decoded from the session codec, and the encoded key lists.
+
+// decodedSmallSet is s after an encode/decode round trip, the only copy
+// a checkpoint makes of a set.
+func decodedSmallSet[K intKey](t *testing.T, s *smallSet[K]) smallSet[K] {
+	t.Helper()
+	w := ckpt.NewWriter(nil)
+	encodeSmallSet(w, s)
+	r := ckpt.NewReader(w.Bytes())
+	var c smallSet[K]
+	decodeSmallSet(r, &c)
+	if r.Err() != nil || r.Remaining() != 0 || (c.t != nil) != (s.t != nil) {
+		t.Fatalf("round trip: err %v, %d bytes left, spilled %v want %v", r.Err(), r.Remaining(), c.t != nil, s.t != nil)
+	}
+	return c
+}
+
+// decodedSCIDSet is s after a round trip through the session codec.
+func decodedSCIDSet(t *testing.T, s *scidSet) scidSet {
+	t.Helper()
+	w := ckpt.NewWriter(nil)
+	EncodeSession(w, &Session{scids: *s})
+	r := ckpt.NewReader(w.Bytes())
+	d := DecodeSession(r)
+	if d == nil || r.Remaining() != 0 || (d.scids.t != nil) != (s.t != nil) {
+		t.Fatalf("round trip: err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	return d.scids
+}
 
 func checkSmallSet[K intKey](t *testing.T, s *smallSet[K], model map[K]bool) {
 	t.Helper()
@@ -47,7 +75,7 @@ func smallSetModel[K intKey](t *testing.T, rng *rand.Rand, key func() K) {
 			checkSmallSet(t, s, model)
 		}
 		if i == 1500 {
-			c := s.clone()
+			c := decodedSmallSet(t, s)
 			cm := map[K]bool{}
 			for k := range model {
 				cm[k] = true
@@ -122,7 +150,7 @@ func TestSCIDSetMatchesMapModel(t *testing.T) {
 				checkSCIDSet(t, s, model)
 			}
 			if i == 1500 {
-				c := s.clone()
+				c := decodedSCIDSet(t, s)
 				cm := map[string]bool{}
 				for k := range model {
 					cm[k] = true

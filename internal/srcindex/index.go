@@ -20,7 +20,6 @@ package srcindex
 import (
 	"math/bits"
 	"math/rand/v2"
-	"slices"
 
 	"quicsand/internal/netmodel"
 	"quicsand/internal/telescope"
@@ -266,13 +265,4 @@ func (ix *Index[V]) Reset() {
 	ix.entries = ix.entries[:0]
 	clear(ix.slots)
 	ix.head, ix.tail = -1, -1
-}
-
-// Clone copies the index, each value through clone.
-func (ix *Index[V]) Clone(clone func(V) V) Index[V] {
-	c := Index[V]{entries: slices.Clone(ix.entries), slots: slices.Clone(ix.slots), head: ix.head, tail: ix.tail}
-	for i := range c.entries {
-		c.entries[i].val = clone(c.entries[i].val)
-	}
-	return c
 }

@@ -134,8 +134,7 @@ func FuzzActiveIndex(f *testing.F) {
 
 // TestActiveIndexMatchesMapModel drives the index through random
 // operation streams: key 0, re-puts, growth from empty, deletion runs
-// that wrap around the end of the slot array, resets, and clones that
-// must stay independent of their originals.
+// that wrap around the end of the slot array, and resets.
 func TestActiveIndexMatchesMapModel(t *testing.T) {
 	wrapped := 0
 	for seed := int64(1); seed <= 20; seed++ {
@@ -151,21 +150,6 @@ func TestActiveIndexMatchesMapModel(t *testing.T) {
 				if sl.pos != 0 && Hash32(uint32(sl.src))&uint32(len(ix.slots)-1) > uint32(i) {
 					wrapped++
 				}
-			}
-			if rng.Intn(8) == 0 {
-				c := ix.Clone(func(v netmodel.Addr) netmodel.Addr { return v })
-				cm := make(map[netmodel.Addr]telescope.Timestamp, len(model))
-				for k, v := range model {
-					cm[k] = v
-				}
-				cnow := now
-				more := make([]byte, 40)
-				rng.Read(more)
-				indexOps(t, &c, cm, &cnow, more)
-				checkIndex(t, &ix, model) // the original is untouched
-				rng.Read(more)
-				indexOps(t, &ix, model, &now, more)
-				checkIndex(t, &c, cm) // and the clone by the original
 			}
 			if rng.Intn(16) == 0 {
 				ix.Reset()

@@ -78,9 +78,9 @@ type HourlyCounter struct {
 
 	// recent resolves the handful of labels a classifier returns to
 	// their series without hashing the label per packet. It only ever
-	// mirrors entries of this counter's own Series: Clone and decode
-	// start with it empty and Merge drops it, so it never carries a
-	// slice belonging to another counter.
+	// mirrors entries of this counter's own Series: decode starts with
+	// it empty and Merge drops it, so it never carries a slice belonging
+	// to another counter.
 	recent []labelSeries
 }
 

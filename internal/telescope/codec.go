@@ -7,17 +7,9 @@ import (
 	"quicsand/internal/netmodel"
 )
 
-// Streaming-checkpoint support: deep clones for live snapshots and a
-// ckpt codec for the counter state. Classifiers are runtime wiring and
-// are never serialized; clones share the classifier, which is
-// immutable.
-
-// Clone returns a copy of the telescope's counter state — the snapshot
-// form the checkpoint reduction consumes.
-func (t *Telescope) Clone() *Telescope {
-	c := *t
-	return &c
-}
+// Streaming-checkpoint support: a ckpt codec for the counter state, the
+// only frozen form a checkpoint keeps of it. Classifiers are runtime
+// wiring and are never serialized; the decoder's caller attaches one.
 
 // EncodeTo writes the telescope counters.
 func (t *Telescope) EncodeTo(w *ckpt.Writer) {
@@ -47,19 +39,6 @@ func DecodeTelescope(r *ckpt.Reader) *Telescope {
 		return nil
 	}
 	return t
-}
-
-// Clone returns a deep copy of the counter; the classifier func is
-// shared (it is stateless). The label cache is not carried over — it
-// points into h's series — and refills from the copy's own.
-func (h *HourlyCounter) Clone() *HourlyCounter {
-	c := &HourlyCounter{Series: make(map[string][]uint64, len(h.Series)), Classify: h.Classify}
-	for label, s := range h.Series {
-		dup := make([]uint64, len(s))
-		copy(dup, s)
-		c.Series[label] = dup
-	}
-	return c
 }
 
 // EncodeTo writes the series with labels sorted. Every series is

@@ -225,10 +225,13 @@ type pipelineShard struct {
 	// sessLog is the append-only QCKP encoding of sessions[:sessLogN]
 	// (streaming checkpoints only, DESIGN.md §17): emitted sessions are
 	// immutable, so each is encoded once, at the first tick after its
-	// emission. Batch runs leave it nil; it sits last so the fields the
-	// batch hot path reads keep their offsets (EXPERIMENTS.md PR-12).
+	// emission. stateLen is the length of the previous tick's encoded
+	// state, which sizes the next tick's buffer. Batch runs leave both
+	// zero; they sit last so the fields the batch hot path reads keep
+	// their offsets (EXPERIMENTS.md PR-12).
 	sessLog  []byte
 	sessLogN int
+	stateLen int
 }
 
 // shardFlight accumulates one recorder slice's sub-stage shares: how
@@ -307,20 +310,29 @@ func newPipelineShard() *pipelineShard {
 		dis:          dissect.NewDissector(),
 	}
 	sh.commonDet.DropExcluded = true
+	sh.chain()
 	return sh
 }
 
+// chain connects the shard's parts to each other: the QUIC sessionizer
+// emits into the session list and reports its gaps to the sweep, the
+// common sessionizer feeds the common-vector detector. A fresh shard
+// and one decoded from a checkpoint image are chained here alike, so a
+// reduction flushes either the same way.
+func (sh *pipelineShard) chain() {
+	sh.quicSz.Emit = func(s *sessions.Session) { sh.sessions = append(sh.sessions, s) }
+	sh.quicSz.GapRecorder = sh.sweep.RecordGap
+	sh.commonSz.Emit = sh.commonDet.Offer
+}
+
 // wire connects shard i's state, fresh or decoded from a checkpoint, to
-// a run: its substrate, the hooks that chain its parts, and the run's
-// attachments — recorder ring and live bank, plus a streaming config's
-// detector bank and source budget. Nothing else sets any of these.
+// a run: its substrate and the run's attachments — classifiers, recorder
+// ring and live bank, plus a streaming config's detector bank and source
+// budget. Nothing else sets any of these.
 func (sh *pipelineShard) wire(i int, c *pipelinePlan) {
 	sh.internet = c.proto.Internet
 	sh.hourlySource.Classify = sourceClassifier(c.tum, c.rwth)
 	sh.hourlyType.Classify = typeClassifier
-	sh.quicSz.Emit = func(s *sessions.Session) { sh.sessions = append(sh.sessions, s) }
-	sh.quicSz.GapRecorder = sh.sweep.RecordGap
-	sh.commonSz.Emit = sh.commonDet.Offer
 
 	rec := c.cfg.FlightRecorder
 	sh.ring = rec.ShardRing(i)
@@ -395,39 +407,6 @@ func (sh *pipelineShard) process(p *telescope.Packet) bool {
 		}
 	}
 	return true
-}
-
-// clone snapshots the shard's analysis state without disturbing it:
-// counter structures clone deeply, emitted sessions (immutable after
-// emission) are shared behind a copied slice header — as is the prefix
-// of the session log that encodes them, cap-limited so nothing
-// appended on either side is ever visible from the other — and the
-// sessionizer clones re-wire their emit hooks onto the copy. The
-// detector bank is intentionally not cloned — alerts are a drained
-// stream, not reduced state. The clone is what Checkpoint reduces
-// while ingest continues on the original.
-func (sh *pipelineShard) clone() *pipelineShard {
-	c := &pipelineShard{
-		internet:     sh.internet,
-		tel:          sh.tel.Clone(),
-		hourlySource: sh.hourlySource.Clone(),
-		hourlyType:   sh.hourlyType.Clone(),
-		sweep:        sh.sweep.Clone(),
-		commonDet:    sh.commonDet.Clone(),
-		nonQUIC:      sh.nonQUIC,
-		sessLog:      sh.sessLog[:len(sh.sessLog):len(sh.sessLog)],
-		sessLogN:     sh.sessLogN,
-	}
-	if len(sh.sessions) > 0 {
-		c.sessions = append(make([]*sessions.Session, 0, len(sh.sessions)), sh.sessions...)
-	}
-	c.quicSz = sh.quicSz.Clone(func(s *sessions.Session) {
-		c.sessions = append(c.sessions, s)
-	}, c.sweep.RecordGap)
-	c.commonSz = sh.commonSz.Clone(c.commonDet.Offer, nil)
-	c.dis = dissect.NewDissector()
-	c.dis.Metrics = sh.dis.Metrics
-	return c
 }
 
 func (sh *pipelineShard) flush() {

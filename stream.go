@@ -43,9 +43,9 @@ type StreamConfig struct {
 // A mid-stream Checkpoint at captured-packet N yields an Analysis
 // bit-identical to a batch run over the first N packets of the same
 // stream (the differential stream≡batch suite enforces this for every
-// golden built-in): shard states clone under a short barrier, and the
-// clone reduces with the same commutative merges and canonical sorts
-// the batch reduction uses.
+// golden built-in): shard states encode into a QCKP image under a short
+// barrier, and the shards decoded from that image reduce with the same
+// commutative merges and canonical sorts the batch reduction uses.
 //
 // With workers>1 the shards run on the batch runs' driver: one engine.Run
 // call, started by the constructor and joined by Close, drains each
@@ -230,7 +230,7 @@ func (s *Streamer) flushPending(k int) {
 }
 
 // Flush hands every partly filled dispatch batch to its worker (no
-// barrier, no clone), so that live telemetry and the detectors see what a
+// barrier, no image), so that live telemetry and the detectors see what a
 // now quiet source already offered. Offer never does so itself: a flood's
 // cold shard queue is mostly empty, and each packet would pay a wake-up.
 func (s *Streamer) Flush() {
@@ -262,16 +262,20 @@ func (s *Streamer) barrier(fn func()) {
 }
 
 // StreamCheckpoint is one frozen view of the pipeline at a captured
-// packet position: cloned shard states plus the alerts that closed
-// since the previous drain. Analysis() and Encode() are both
-// repeatable — each works on fresh copies of the frozen state.
+// packet position: each shard's part of the QCKP image, the alerts that
+// closed since the previous drain and the detector counters. It holds no
+// shard state; Analysis() decodes the image, so Analysis() and Encode()
+// are both repeatable.
 type StreamCheckpoint struct {
 	*pipelinePlan
 	position uint64
-	counts   []uint64
-	shards   []*pipelineShard
+	images   []shardImage
 	detMet   []telemetry.Detect
 	wall     time.Duration // since the streamer's planning began
+
+	// What Totals() reports, read off the shards at the barrier.
+	quicSessions   int
+	telescopeTotal uint64
 
 	// Only Close's checkpoint has these: the engine's statistics (nil at
 	// workers==1) and the recorder whose timeline Analysis() closes.
@@ -287,7 +291,7 @@ type StreamCheckpoint struct {
 func (c *StreamCheckpoint) Position() uint64 { return c.position }
 
 // Checkpoint freezes the current state without stopping ingest: shard
-// workers park at a barrier just long enough to clone their state and
+// workers park at a barrier just long enough to encode their state and
 // drain closed alerts, then resume. The returned checkpoint is
 // self-contained — later traffic never shows in it.
 func (s *Streamer) Checkpoint() *StreamCheckpoint {
@@ -300,28 +304,22 @@ func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 	c := &StreamCheckpoint{
 		pipelinePlan: s.pipelinePlan,
 		position:     s.position,
-		counts:       append([]uint64(nil), s.counts...),
+		images:       make([]shardImage, len(s.shards)),
 		wall:         time.Since(s.start),
 	}
 	if final {
 		c.stats, c.rec = s.stats, s.cfg.FlightRecorder
 	}
 	s.barrier(func() {
-		c.shards = make([]*pipelineShard, len(s.shards))
 		for i, sh := range s.shards {
 			if final {
-				// Clones carry no ring, so no reduction can close the live
-				// shard's open slice; Close joined the ring's writer.
+				// Decoded shards carry no ring, so no reduction can close
+				// the live shard's open slice; Close joined the ring's writer.
 				sh.flightClose()
 			}
-			if s.closed {
-				// No tick follows: drop the log, so the final
-				// checkpoint retains only the analysis state.
-				sh.sessLog, sh.sessLogN = nil, 0
-			} else {
-				sh.logSessions()
-			}
-			c.shards[i] = sh.clone()
+			c.images[i] = sh.freeze(s.counts[i])
+			c.quicSessions += len(sh.sessions) + sh.quicSz.ActiveSessions()
+			c.telescopeTotal += sh.tel.Total
 		}
 		c.detMet, c.Alerts = drainDetectors(s.shards, final)
 	})
@@ -346,36 +344,33 @@ func (s *Streamer) Close() *StreamCheckpoint {
 }
 
 // Analysis reduces the checkpoint into a full Analysis — the same
-// reduction batch Run performs, over re-cloned shard state so the
-// checkpoint itself stays frozen and Analysis can be called again.
-// Close's checkpoint also reports the run — the engine's stages and busy
-// times in Pipeline, the recorder's timeline in Flight; each call adds
-// its reduce span to that timeline, so such calls must not overlap.
+// reduction batch Run performs, over the shards decoded from the image,
+// the path ResumeStreamer takes, so the checkpoint itself stays frozen
+// and Analysis can be called again. Close's checkpoint also reports the
+// run — the engine's stages and busy times in Pipeline, the recorder's
+// timeline in Flight; each call adds its reduce span to that timeline,
+// so such calls must not overlap.
 func (c *StreamCheckpoint) Analysis() *Analysis {
-	clones := make([]*pipelineShard, len(c.shards))
-	for i, sh := range c.shards {
-		clones[i] = sh.clone()
+	_, shards, counts, err := decodeCheckpoint(c.Encode())
+	if err != nil {
+		panic("quicsand: a checkpoint's own image does not decode: " + err.Error())
 	}
 	// ShardItems are the captured counts, not the engine's: a resumed
 	// streamer's engine saw only the packets since the image.
-	pstats := &engine.Stats{Workers: c.workers, ShardItems: append([]uint64(nil), c.counts...), Wall: c.wall}
+	pstats := &engine.Stats{Workers: c.workers, ShardItems: counts, Wall: c.wall}
 	if c.stats != nil {
 		pstats.ShardBusy, pstats.Stages, pstats.Engine = c.stats.ShardBusy, c.stats.Stages, c.stats.Engine
 	}
-	return c.analysis(clones, c.detMet, pstats, c.rec)
+	return c.analysis(shards, c.detMet, pstats, c.rec)
 }
 
-// Totals returns the checkpoint's two headline counts straight from the
-// frozen shards, without reducing an Analysis: quicSessions is what
-// len(Analysis().QUICSessions) would be (emitted sessions plus the
+// Totals returns the checkpoint's two headline counts, read off the
+// shards at the barrier, without reducing an Analysis: quicSessions is
+// what len(Analysis().QUICSessions) would be (emitted sessions plus the
 // still-active ones the reduction's flush emits), telescopeTotal is
 // Analysis().Telescope.Total.
 func (c *StreamCheckpoint) Totals() (quicSessions int, telescopeTotal uint64) {
-	for _, sh := range c.shards {
-		quicSessions += len(sh.sessions) + sh.quicSz.ActiveSessions()
-		telescopeTotal += sh.tel.Total
-	}
-	return quicSessions, telescopeTotal
+	return c.quicSessions, c.telescopeTotal
 }
 
 // ExpectAlerts derives the analytic alert-stream prediction for cfg

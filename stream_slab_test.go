@@ -11,6 +11,7 @@ import (
 	"quicsand/internal/capture"
 	"quicsand/internal/ckpt"
 	"quicsand/internal/detect"
+	"quicsand/internal/netmodel"
 	"quicsand/internal/sessions"
 	"quicsand/internal/telescope"
 )
@@ -160,20 +161,23 @@ func TestStreamOfferSteadyStateAllocs(t *testing.T) {
 }
 
 // referenceEncode is the straightforward QCKP v1 encoder — every
-// session of every shard encoded afresh, no log — the encode-once path
-// must match byte for byte.
-func referenceEncode(c *StreamCheckpoint) []byte {
+// session of every shard encoded afresh, no log — over the streamer's
+// own shards; a checkpoint's image must match it byte for byte. The
+// shards must be quiescent: call it right after Checkpoint or Close
+// returns and before the next Offer (the barrier ordered the workers'
+// writes before it, and they have nothing queued).
+func referenceEncode(s *Streamer) []byte {
 	w := &ckpt.Writer{}
 	w.Raw(checkpointMagic)
 	w.U64(checkpointVersion)
-	w.U64(c.cfg.Seed)
-	w.F64(c.cfg.Scale)
-	w.String(scenarioName(c.cfg.Config))
-	w.U64(uint64(c.cfg.ResearchThin))
-	w.Bool(c.cfg.SkipResearch)
-	w.U64(uint64(c.workers))
-	w.U64(c.position)
-	for i, sh := range c.shards {
+	w.U64(s.cfg.Seed)
+	w.F64(s.cfg.Scale)
+	w.String(scenarioName(s.cfg.Config))
+	w.U64(uint64(s.cfg.ResearchThin))
+	w.Bool(s.cfg.SkipResearch)
+	w.U64(uint64(s.workers))
+	w.U64(s.position)
+	for i, sh := range s.shards {
 		sh.tel.EncodeTo(w)
 		sh.hourlySource.EncodeTo(w)
 		sh.hourlyType.EncodeTo(w)
@@ -190,7 +194,7 @@ func referenceEncode(c *StreamCheckpoint) []byte {
 		for _, s := range sh.sessions {
 			sessions.EncodeSession(w, s)
 		}
-		w.U64(c.counts[i])
+		w.U64(s.counts[i])
 	}
 	return w.Bytes()
 }
@@ -200,9 +204,10 @@ func referenceEncode(c *StreamCheckpoint) []byte {
 // Analysis run on their own goroutine while the producer keeps offering
 // and takes tick k+1 (which appends to the very log k's image reads a
 // prefix of — the race detector watches that sharing), and every image
-// must equal: the reference encoder's output for the same checkpoint,
-// the image of a fresh streamer fed the same prefix with no earlier
-// tick, and the image a streamer resumed from it re-encodes at once.
+// must equal: the reference encoder's output over the live shards as
+// the tick left them, the image of a fresh streamer fed the same prefix
+// with no earlier tick, and the image a streamer resumed from it
+// re-encodes at once.
 func TestCheckpointEncodeOnce(t *testing.T) {
 	scfg, _, pkts := floodCapture(t, 0.01)
 	scfg.Workers = 2
@@ -211,6 +216,7 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 
 	type frozen struct {
 		ck     *StreamCheckpoint
+		ref    []byte
 		image  []byte
 		render string
 	}
@@ -220,10 +226,18 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 	}
 	var froze []*frozen
 	var wg sync.WaitGroup
+	logged := 0
 	for i := range pkts {
 		s.Offer(&pkts[i])
 		if n := i + 1; n%every == 0 && len(froze) < ticks {
 			f := &frozen{ck: s.Checkpoint()}
+			f.ref = referenceEncode(s)
+			for _, sh := range s.shards {
+				if sh.sessLogN != len(sh.sessions) {
+					t.Errorf("tick %d: log covers %d of %d emitted sessions", len(froze), sh.sessLogN, len(sh.sessions))
+				}
+				logged += sh.sessLogN
+			}
 			froze = append(froze, f)
 			wg.Add(1)
 			go func() {
@@ -234,21 +248,15 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 		}
 	}
 	final := s.Close()
+	finalRef := referenceEncode(s)
 	wg.Wait()
 	if len(froze) < 5 {
 		t.Fatalf("run took %d ticks, want at least 5", len(froze))
 	}
 
-	logged := 0
 	for k, f := range froze {
 		label := fmt.Sprintf("tick %d (position %d)", k, f.ck.Position())
-		for _, sh := range f.ck.shards {
-			if sh.sessLogN != len(sh.sessions) {
-				t.Errorf("%s: log covers %d of %d emitted sessions", label, sh.sessLogN, len(sh.sessions))
-			}
-			logged += sh.sessLogN
-		}
-		if !bytes.Equal(f.image, referenceEncode(f.ck)) {
+		if !bytes.Equal(f.image, f.ref) {
 			t.Errorf("%s: Encode differs from the reference encoder", label)
 		}
 		if again := f.ck.Encode(); !bytes.Equal(f.image, again) {
@@ -289,19 +297,48 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 		t.Error("no tick ever logged an emitted session: the encode-once path was not exercised")
 	}
 
-	// Close releases the logs: the final checkpoint encodes everything
-	// afresh and must still be the same format.
-	for i, sh := range s.shards {
-		if sh.sessLog != nil || sh.sessLogN != 0 {
-			t.Errorf("shard %d keeps a %d-byte session log after Close", i, len(sh.sessLog))
-		}
-	}
-	for i, sh := range final.shards {
-		if len(sh.sessLog) != 0 {
-			t.Errorf("final checkpoint shard %d retains a %d-byte session log", i, len(sh.sessLog))
-		}
-	}
-	if !bytes.Equal(final.Encode(), referenceEncode(final)) {
+	if !bytes.Equal(final.Encode(), finalRef) {
 		t.Error("final checkpoint Encode differs from the reference encoder")
+	}
+}
+
+// TestCheckpointAllocsIndependentOfActiveSessions holds a tick's
+// allocations to a per-shard constant. The barrier encodes each shard
+// into one buffer sized from the previous tick's, so a streamer holding
+// 4 000 active TCP sessions (inline anatomy sets only) must tick within
+// 32 objects per shard of one holding none; a copy of each session
+// would cost 4 000.
+func TestCheckpointAllocsIndependentOfActiveSessions(t *testing.T) {
+	const busyActive = 4000
+	for _, workers := range []int{1, 2} {
+		cfg := StreamConfig{Config: Config{Seed: 5, Scale: 0.0005, ResearchThin: 1 << 14, Workers: workers}}
+		tick := func(active int) float64 {
+			s, err := NewStreamer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			first := netmodel.MustAddr("198.18.0.0")
+			for i := 0; i < active; i++ {
+				s.Offer(&telescope.Packet{
+					TS: telescope.Timestamp(i), Src: first + netmodel.Addr(i), Dst: netmodel.TelescopePrefix.Base,
+					SrcPort: 40000, DstPort: 80, Proto: telescope.ProtoTCP, Size: 40,
+				})
+			}
+			held := 0
+			for _, n := range s.sessionizerBudgetProbe() {
+				held += n
+			}
+			if held != active {
+				t.Fatalf("workers=%d: streamer holds %d active sessions, want %d", workers, held, active)
+			}
+			return testing.AllocsPerRun(20, func() { s.Checkpoint() })
+		}
+		idle, busy := tick(0), tick(busyActive)
+		t.Logf("workers=%d: %.0f allocations per tick at 0 active sessions, %.0f at %d", workers, idle, busy, busyActive)
+		if busy > idle+float64(32*workers) {
+			t.Errorf("workers=%d: a tick allocates %.0f objects at %d active sessions, %.0f at none; budget %d more",
+				workers, busy, busyActive, idle, 32*workers)
+		}
 	}
 }

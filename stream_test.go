@@ -224,7 +224,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 // TestStreamCheckpointRepeatable pins the frozen-view contract: one
 // checkpoint's Analysis must not be disturbed by later ingest on the
 // streamer, and calling Analysis twice on the same checkpoint must
-// agree byte-for-byte (the reduction works on re-cloned state).
+// agree byte-for-byte (each reduction decodes the checkpoint's image).
 func TestStreamCheckpointRepeatable(t *testing.T) {
 	runs := streamGoldenConfigs(t, 2)
 	cfg := runs[1].cfg // one flood built-in is plenty
