@@ -589,7 +589,6 @@ func TestReplayAlertsCLI(t *testing.T) {
 	var m struct {
 		Telemetry struct {
 			Ingest struct {
-				DecodePath    string  `json:"decode_path"`
 				SpanBytes     uint64  `json:"span_bytes"`
 				SpanCopyBytes *uint64 `json:"span_copy_bytes"`
 			} `json:"ingest"`
@@ -600,8 +599,8 @@ func TestReplayAlertsCLI(t *testing.T) {
 	} else if err := json.Unmarshal(mdata, &m); err != nil {
 		t.Fatalf("manifest not valid JSON: %v", err)
 	}
-	if in := m.Telemetry.Ingest; in.DecodePath != "shard" || in.SpanBytes == 0 || in.SpanCopyBytes == nil || *in.SpanCopyBytes != 0 {
-		t.Errorf("manifest ingest = %+v, want decode_path shard and every span byte lent", in)
+	if in := m.Telemetry.Ingest; in.SpanBytes == 0 || in.SpanCopyBytes == nil || *in.SpanCopyBytes != 0 {
+		t.Errorf("manifest ingest = %+v, want every span byte lent", in)
 	}
 	stages := loadTrace(t, traceFile).spanStages()
 	for _, want := range []string{"plan", "ingest", "decode", "scatter", "analyze", "dissect", "sessions", "reduce"} {

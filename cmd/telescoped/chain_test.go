@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -159,7 +160,14 @@ func TestBackscatterChain(t *testing.T) {
 					t.Errorf("amplification %.2f out of bounds (RETRY off: (1, 3]; on: < 1)", amp)
 				}
 
-				// The daemon's alerts: one rate episode for the server.
+				// The daemon's alerts: one rate episode for the server, and
+				// with RETRY one cid-ratio episode too — each Retry carries a
+				// fresh SCID (ratio ≈ 1), while without RETRY each SCID rides
+				// an Initial and two Handshake packets (≈ 0.33).
+				wantKinds := []string{"rate from 127.0.0.1"}
+				if retry {
+					wantKinds = append(wantKinds, "cid-ratio from 127.0.0.1")
+				}
 				data, err := os.ReadFile(opts.alerts)
 				if err != nil {
 					t.Fatal(err)
@@ -173,8 +181,8 @@ func TestBackscatterChain(t *testing.T) {
 					}
 					kinds = append(kinds, al.Kind+" from "+al.Src)
 				}
-				if len(kinds) != 1 || kinds[0] != "rate from 127.0.0.1" {
-					t.Errorf("alerts %q, want one rate alert from 127.0.0.1:\n%s", kinds, data)
+				if !slices.Equal(kinds, wantKinds) {
+					t.Errorf("alerts %q, want %q:\n%s", kinds, wantKinds, data)
 				}
 				t.Logf("%d replies (%.2f× the Initial bytes), %d SCIDs, alerts: %s",
 					replies, amp, s.UniqueSCIDs(), strings.TrimSpace(string(data)))

@@ -99,8 +99,8 @@ func TestFlightStructuralDeterminism(t *testing.T) {
 	if rq["scatter"] == 0 || rq["ingest"] == 0 || rq["generate"] != 0 {
 		t.Errorf("replay feed stages wrong: %v", rq)
 	}
-	// Decode-after-scatter runs on the shards only during multi-worker
-	// replay: live runs never decode, replays must record the stage.
+	// Decode-after-scatter runs on the shards during replay: live runs
+	// never decode, replays must record the stage.
 	if want["decode"] != 0 {
 		t.Errorf("live run recorded %d decode spans, want none", want["decode"])
 	}

@@ -445,12 +445,12 @@ func TestFormatDetection(t *testing.T) {
 
 // TestScatterShardsByAddressInOrder pins the replay sharding
 // invariant: every packet lands on ibr.ShardOf(src) and per-shard
-// order is the stored order — for the inline and the sharded feed, over
-// a streamed source (spans copied into batch arenas) and a stable one
+// order is the stored order — at one shard and at several, over a
+// streamed source (spans copied into batch arenas) and a stable one
 // (spans lent), with and without recycling. It also pins who owns the
-// packet memory on the sharded feed: recycling, every packet of a shard
-// lives in that shard's one slab; not recycling, an emitted pointer stays
-// good after the run (what a trace tap, which buffers pointers, relies on).
+// packet memory: recycling, every packet of a shard lives in that shard's
+// one slab; not recycling, an emitted pointer stays good after the run
+// (what a trace tap, which buffers pointers, relies on).
 func TestScatterShardsByAddressInOrder(t *testing.T) {
 	var pkts []*telescope.Packet
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
@@ -510,9 +510,6 @@ func TestScatterShardsByAddressInOrder(t *testing.T) {
 						t.Fatalf("%s: shard %d out of order", label, k)
 					}
 				}
-				if workers == 1 {
-					continue // inline feed: the packet is the source's own
-				}
 				for k := range got {
 					if recycle {
 						addrs := make(map[*telescope.Packet]struct{})
@@ -556,9 +553,9 @@ func (l *limitSource) Next() (*telescope.Packet, error) {
 	return p, nil
 }
 
-// TestScatterNeedsSpansToShard pins what a Next-only source gets: one
-// shard replays it inline; more than one deliver nothing and report why,
-// naming the source's type (there is no second, packet-copying scatter).
+// TestScatterNeedsSpansToShard pins what a Next-only source gets at any
+// shard count, one included: nothing delivered, and an Err naming the
+// source's type (there is no second, packet-copying feed).
 func TestScatterNeedsSpansToShard(t *testing.T) {
 	data := qsndBytes(t, salvagePackets(40))
 	for _, workers := range []int{1, 4} {
@@ -569,12 +566,6 @@ func TestScatterNeedsSpansToShard(t *testing.T) {
 		sc := NewScatter(&limitSource{src: src, left: 25}, workers, true)
 		var n uint64
 		drainScatter(sc, &n)
-		if workers == 1 {
-			if err := sc.Err(); err != nil || n != 25 || sc.Packets() != 25 {
-				t.Errorf("workers=1: %d emitted, %d scattered, err %v; want the 25 records limitSource passes", n, sc.Packets(), err)
-			}
-			continue
-		}
 		if err := sc.Err(); err == nil || !strings.Contains(err.Error(), "*capture.limitSource frames no spans") {
 			t.Errorf("workers=%d: err = %v, want the one naming *capture.limitSource", workers, err)
 		}

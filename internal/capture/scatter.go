@@ -155,18 +155,18 @@ type shardDecode struct {
 // in stored order, and the sharded replay reduces to results
 // bit-identical to the live run for any worker count (DESIGN.md §10).
 //
-// There is one sharded feed, decode-after-scatter (DESIGN.md §16): the
-// reader goroutine only frames records and routes the raw spans — lent
-// when the source's spans are stable (an OpenFile mapping of either
-// format), copied once into the routed batch's arena otherwise — and
-// each shard decodes its own batches into its own packet slab. A record
-// crosses cores once, as a span; its packet never does. With recycling on
-// the steady state allocates nothing: no packet memory at all after each
-// shard's first batch, and a span table only while the number of batches
-// in flight is still growing. A source that frames no spans cannot be
-// sharded: the scatter delivers nothing and says so through Err. One
-// shard needs no scatter at all: its feed reads Next inline, whatever the
-// source.
+// There is one feed at every shard count, one included:
+// decode-after-scatter (DESIGN.md §16). The reader goroutine only frames
+// records and routes the raw spans — lent when the source's spans are
+// stable (an OpenFile mapping of either format), copied once into the
+// routed batch's arena otherwise — and each shard decodes its own
+// batches into its own packet slab. A record crosses cores once, as a
+// span; its packet never does. With recycling on the steady state
+// allocates nothing: no packet memory at all after each shard's first
+// batch, and a span table only while the number of batches in flight is
+// still growing. A source that frames no spans cannot be scattered over
+// any number of shards: the scatter delivers nothing and says so
+// through Err.
 //
 // Slab ownership follows the §9 contract: a packet pointer emitted to
 // the engine is valid only during the sink call. With recycle=true the
@@ -178,11 +178,10 @@ type shardDecode struct {
 // shard, and is not reused), exactly like the generator's slab recycling
 // rule.
 type Scatter struct {
-	src     Source
 	n       int
 	recycle bool
 
-	// The sharded feed's framing side (nil with one shard): the reader
+	// The framing side (nil for a source that frames no spans): the reader
 	// goroutine frames through span, each shard parses its own batches
 	// with dec (concurrent-safe) into its shardDec slab. stable spans alias
 	// source-owned memory and skip the arena — its allocation and the copy
@@ -200,8 +199,8 @@ type Scatter struct {
 	err     error
 	packets uint64
 	// tel accumulates the reader goroutine's batch counters; written
-	// only by the reader (or feedInline) and read after engine.Run
-	// returns — channel close/join orders the accesses.
+	// only by the reader and read after engine.Run returns — channel
+	// close/join orders the accesses.
 	tel telemetry.Ingest
 
 	// Flight-recorder state (DESIGN.md §15), owned by the same goroutine
@@ -260,17 +259,14 @@ func (s *Scatter) flushIngest() {
 	s.ingItems = 0
 }
 
-// NewScatter prepares a scatter of src over n shards. With n > 1 src
-// must frame spans; every format reader does, and a Next-only wrapper
-// yields the Err described on Scatter instead of packets.
+// NewScatter prepares a scatter of src over n shards. src must frame
+// spans; every format reader does, and a Next-only wrapper yields the Err
+// described on Scatter instead of packets.
 func NewScatter(src Source, n int, recycle bool) *Scatter {
-	s := &Scatter{src: src, n: n, recycle: recycle}
-	if n == 1 {
-		return s
-	}
+	s := &Scatter{n: n, recycle: recycle}
 	sp, ok := src.(SpanSource)
 	if !ok {
-		s.err = fmt.Errorf("capture: %T frames no spans, so it cannot be scattered over %d shards: replay it with one worker", src, n)
+		s.err = fmt.Errorf("capture: %T frames no spans, so it cannot be scattered over shards: copy it into a capture first", src)
 		return s
 	}
 	s.span = sp
@@ -327,14 +323,9 @@ func pump(in <-chan *batch, out chan<- *batch) {
 }
 
 // Feeds returns the per-shard engine feeds. The reader goroutine
-// starts when the first feed runs (inside engine.Run); with one shard
-// everything stays on the calling goroutine.
+// starts when the first feed runs (inside engine.Run).
 func (s *Scatter) Feeds() []engine.Feed[*telescope.Packet] {
 	feeds := make([]engine.Feed[*telescope.Packet], s.n)
-	if s.n == 1 {
-		feeds[0] = s.feedInline
-		return feeds
-	}
 	for i := range feeds {
 		i := i
 		feeds[i] = func(emit func(*telescope.Packet)) { s.feed(i, emit) }
@@ -353,50 +344,22 @@ func (s *Scatter) Err() error { return s.err }
 func (s *Scatter) Packets() uint64 { return s.packets }
 
 // Telemetry returns the ingest counters for the completed run. Valid
-// like Err. On the sharded feed Records counts the records the shards
-// decoded and DecodeDrops the spans they rejected — summed over
-// shards, these equal the sequential decoder's numbers, keeping the
-// Stream() projection worker-invariant (the reader-side skips and the
-// salvage ledger, transient retries included, are the source's to
-// report: SourceSkipped, SourceSalvage).
+// like Err. Records counts the records the shards decoded and
+// DecodeDrops the spans they rejected — summed over shards, these are
+// the same at every shard count, keeping the Stream() projection
+// worker-invariant (the reader-side skips and the salvage ledger,
+// transient retries included, are the source's to report:
+// SourceSkipped, SourceSalvage).
 func (s *Scatter) Telemetry() telemetry.Ingest {
 	t := s.tel
-	t.Records = s.packets
-	if s.span != nil {
-		var decoded, drops uint64
-		for i := range s.shardDec {
-			decoded += s.shardDec[i].decoded
-			drops += s.shardDec[i].drops
-		}
-		t.Records = decoded
-		t.DecodeDrops += drops
-		t.DecodePath = "shard"
-		if !s.stable {
-			t.SpanCopyBytes = t.SpanBytes // every span went window → arena
-		}
-	} else {
-		t.DecodePath = "inline"
+	for i := range s.shardDec {
+		t.Records += s.shardDec[i].decoded
+		t.DecodeDrops += s.shardDec[i].drops
+	}
+	if !s.stable {
+		t.SpanCopyBytes = t.SpanBytes // every span went window → arena
 	}
 	return t
-}
-
-// feedInline is the single-shard path: no goroutines, no copies — the
-// source's packet is consumed synchronously before the next read, per
-// the Source contract.
-func (s *Scatter) feedInline(emit func(*telescope.Packet)) {
-	for {
-		p, err := s.src.Next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				s.err = err
-			}
-			s.flushIngest()
-			return
-		}
-		s.packets++
-		s.recordIngest()
-		emit(p)
-	}
 }
 
 func (s *Scatter) feed(i int, emit func(*telescope.Packet)) {

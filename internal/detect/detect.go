@@ -40,7 +40,7 @@
 // Sources are partitioned over shards by address (one source, one
 // shard), so per-source window state sees the identical packet
 // subsequence at any worker count; per-shard alert lists are sorted
-// canonically and merged with the loser tree. Which drain an alert
+// canonically and merged by a stable sort. Which drain an alert
 // lands in depends on the shard's other traffic; its content does not.
 // Only a source budget (Shard.MaxSources) breaks this invariance
 // (eviction depends on shard residency), the trade the sessionizer's
@@ -50,10 +50,10 @@ package detect
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 
 	"quicsand/internal/dissect"
-	"quicsand/internal/losertree"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/srcindex"
 	"quicsand/internal/telemetry"
@@ -145,56 +145,27 @@ func SortAlerts(list []Alert) {
 	sort.Slice(list, func(i, j int) bool { return alertLess(&list[i], &list[j]) })
 }
 
-// MergeAlerts k-way merges per-shard canonically-sorted alert lists
-// into one canonical stream using the loser tree.
+// MergeAlerts merges per-shard canonically-sorted alert lists into one
+// canonical stream: the lists concatenated in shard order and stably
+// sorted. Alerts from different shards have different sources and never
+// tie, and the stable sort keeps each shard's order for equal keys.
 func MergeAlerts(lists ...[]Alert) []Alert {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Alert, 0, total)
-	pos := make([]int, len(lists))
-	exhausted := func(i int32) bool { return pos[i] >= len(lists[i]) }
-	tree := losertree.New(len(lists), func(a, b int32) bool {
-		ea, eb := exhausted(a), exhausted(b)
-		if ea || eb {
-			return !ea && eb || (ea == eb && a < b)
+	out := slices.Concat(lists...)
+	slices.SortStableFunc(out, func(a, b Alert) int {
+		switch {
+		case alertLess(&a, &b):
+			return -1
+		case alertLess(&b, &a):
+			return 1
 		}
-		x, y := &lists[a][pos[a]], &lists[b][pos[b]]
-		if alertLess(x, y) {
-			return true
-		}
-		if alertLess(y, x) {
-			return false
-		}
-		return a < b
+		return 0
 	})
-	for {
-		w := tree.Winner()
-		if w < 0 || exhausted(w) {
-			break
-		}
-		out = append(out, lists[w][pos[w]])
-		pos[w]++
-		tree.Fix(w)
-	}
 	return out
 }
 
 // Buckets is the ring's resolution: the window is Buckets fixed-width
 // buckets (10 s each at the 60 s default window).
 const Buckets = 6
-
-// cidSlots is the per-bucket distinct-CID capacity; buckets saturate at
-// this many distinct CIDs. The CID ratio divides by the uncapped QUIC
-// packet count, so it can reach MinCIDRatio only while a window holds
-// at most Buckets·cidSlots/MinCIDRatio QUIC packets (96 at the
-// defaults): a flood above that never opens a cid-ratio episode,
-// however many fresh CIDs it carries.
-const cidSlots = 8
 
 type episode struct {
 	active  bool
@@ -204,7 +175,7 @@ type episode struct {
 	packets uint64
 }
 
-// srcState is one source's window ring plus open episodes: 592 B,
+// srcState is one source's window ring plus open episodes: 976 B,
 // held inline in the shard's index, which keeps the source's address
 // and last packet time beside it. Observe allocates nothing per packet.
 type srcState struct {
@@ -215,17 +186,23 @@ type srcState struct {
 	counts   [Buckets]uint32 // QUIC-candidate packets
 	quic     [Buckets]uint32 // dissected QUIC packets (coalesced incl.)
 	initials [Buckets]uint32
-	cids     [Buckets][cidSlots]uint64
-	cidN     [Buckets]uint8
+	cids     [Buckets]cidSketch // the CIDs each bucket saw (cidsketch.go)
+	cidWin   cidWindow          // the summary of their union, the window's CIDs
 
 	open [numKinds]episode
 }
 
-func (s *srcState) clearBucket(i int64) {
+// clearBucket empties slot i and reports whether its sketch held CIDs,
+// which the window's union must then forget.
+func (s *srcState) clearBucket(i int64) bool {
 	s.counts[i] = 0
-	s.quic[i] = 0
 	s.initials[i] = 0
-	s.cidN[i] = 0
+	if s.quic[i] == 0 {
+		return false // no QUIC packet, no CID
+	}
+	s.quic[i] = 0
+	s.cids[i] = cidSketch{}
+	return true
 }
 
 // Shard is one pipeline shard's detector bank. Single-writer like the
@@ -286,21 +263,19 @@ func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 	unit := int64(p.TS) / d.bucketMS
 	pos := d.sources.Lookup(p.Src)
 	if pos < 0 {
-		pos = d.sources.Put(p.Src, p.TS, srcState{curUnit: unit})
+		pos = d.sources.Put(p.Src, p.TS, srcState{curUnit: unit, cidWin: emptyCIDWindow})
 		d.Metrics.SourcesTracked++
 	} else {
 		d.sources.Touch(pos, p.TS)
 	}
 	st := d.sources.At(pos)
 	if unit > st.curUnit {
-		if unit-st.curUnit >= Buckets {
-			for i := int64(0); i < Buckets; i++ {
-				st.clearBucket(i)
-			}
-		} else {
-			for u := st.curUnit + 1; u <= unit; u++ {
-				st.clearBucket(u % Buckets)
-			}
+		dropped := false
+		for u := max(st.curUnit+1, unit-Buckets+1); u <= unit; u++ {
+			dropped = st.clearBucket(u%Buckets) || dropped
+		}
+		if dropped {
+			st.cidWin.rebuild(&st.cids)
 		}
 		st.curUnit = unit
 	}
@@ -319,18 +294,17 @@ func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 				cid = pi.DCID
 			}
 			if len(cid) > 0 {
-				addCID(st, slot, fnv64(cid))
+				st.cidWin.add(&st.cids, slot, cidHash(cid))
 			}
 		}
 	}
 
 	// Window sums.
-	var count, quic, initials, cids uint32
+	var count, quic, initials uint32
 	for i := 0; i < Buckets; i++ {
 		count += st.counts[i]
 		quic += st.quic[i]
 		initials += st.initials[i]
-		cids += uint32(st.cidN[i])
 	}
 
 	windowSec := float64(d.windowMS) / 1000
@@ -338,7 +312,9 @@ func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 		count >= d.rateCount, float64(count)/windowSec)
 	if quic >= uint32(d.cfg.MinPackets) {
 		frac := float64(initials) / float64(quic)
-		ratio := float64(cids) / float64(quic)
+		// The estimate may overshoot the packets that carried it; no
+		// window holds more distinct CIDs than QUIC packets.
+		ratio := min(st.cidWin.estimate(), float64(quic)) / float64(quic)
 		d.episodeStep(st, KindInitialFraction, p.TS,
 			frac >= d.cfg.MinInitialFraction, frac)
 		d.episodeStep(st, KindCIDRatio, p.TS,
@@ -430,29 +406,4 @@ func (d *Shard) Drain() []Alert {
 	d.closed = nil
 	SortAlerts(out)
 	return out
-}
-
-// addCID records a CID hash in the bucket's distinct-slot set,
-// saturating at cidSlots.
-func addCID(st *srcState, slot int64, h uint64) {
-	n := st.cidN[slot]
-	if n >= cidSlots {
-		return
-	}
-	for i := uint8(0); i < n; i++ {
-		if st.cids[slot][i] == h {
-			return
-		}
-	}
-	st.cids[slot][n] = h
-	st.cidN[slot] = n + 1
-}
-
-// fnv64 is FNV-1a over b (inline, alloc-free).
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
 }

@@ -30,9 +30,10 @@ import (
 
 // Config parameterizes a pipeline run.
 type Config struct {
-	// Workers is the shard count. 0 selects GOMAXPROCS; 1 runs the
-	// whole pipeline inline on the calling goroutine — the sequential
-	// path, against which parallel runs are bit-identical.
+	// Workers is the shard count. 0 selects GOMAXPROCS. One shard sees
+	// the whole stream in canonical order — the sequential reference,
+	// against which every other count is bit-identical — and runs on
+	// the same worker loop as any other count.
 	Workers int
 	// Recorder, when non-nil, is the run's flight recorder (DESIGN.md
 	// §15): every SliceItems items each worker closes an analyze span
@@ -200,10 +201,10 @@ func (st *Stats) String() string {
 
 // Run executes the sharded pipeline: feeds[i] is drained on shard i's
 // worker goroutine, each item passed to process(i, item). Process
-// returns whether the item is forwarded to the tap. With a single feed
-// everything runs inline on the calling goroutine; otherwise the tap
-// merge runs on the calling goroutine concurrently with the workers,
-// and bounded per-shard queues provide backpressure.
+// returns whether the item is forwarded to the tap. The tap merge runs
+// on the calling goroutine concurrently with the workers, and bounded
+// per-shard queues provide backpressure. A single feed is one shard:
+// one worker goroutine, and a merge of one stream.
 //
 // Process is called from at most one goroutine per shard index, so
 // per-shard state needs no locking; it must not touch other shards'
@@ -219,59 +220,6 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 	sliceLimit := uint64(rec.SliceItems())
 	feedStage := cfg.feedStage()
 	t0 := time.Now()
-
-	if n == 1 {
-		// Sequential path: no goroutines, no channels. The tap sink's
-		// own wall time is metered separately so the "tap" stage
-		// reports what the sink actually cost instead of double
-		// counting the whole analyze pass. With a recorder the same
-		// clock reads additionally close per-slice spans on shard 0's
-		// ring (analyze = process, merge = tap sink, feed = the rest).
-		var tapped uint64
-		var tapWall time.Duration
-		ring := rec.ShardRing(0)
-		var sl spanSlice
-		sl.start = ring.Now()
-		pprof.Do(context.Background(), pprof.Labels("shard", "0", "stage", "analyze"), func(context.Context) {
-			feeds[0](func(item T) {
-				st.ShardItems[0]++
-				if ring == nil {
-					if process(0, item) && tap != nil {
-						tapped++
-						s := time.Now()
-						tap.Sink(item)
-						tapWall += time.Since(s)
-					}
-					return
-				}
-				p0 := ring.Now()
-				keep := process(0, item)
-				p1 := ring.Now()
-				sl.procNS += p1 - p0
-				if keep && tap != nil {
-					tapped++
-					tap.Sink(item)
-					p2 := ring.Now()
-					sl.tapNS += p2 - p1
-					sl.tapped++
-					tapWall += time.Duration(p2 - p1)
-				}
-				if sl.items++; sl.items >= sliceLimit {
-					sl.flush(ring, feedStage, tap != nil, ring.Now())
-				}
-			})
-		})
-		if ring != nil && sl.items > 0 {
-			sl.flush(ring, feedStage, tap != nil, ring.Now())
-		}
-		st.ShardBusy[0] = time.Since(t0)
-		st.AddStage("analyze", st.ShardItems[0], st.ShardBusy[0]-tapWall)
-		if tap != nil {
-			st.AddStage("tap", tapped, tapWall)
-		}
-		st.Finish()
-		return st
-	}
 
 	var tapChans, freeChans []chan []T
 	if tap != nil {
@@ -340,7 +288,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 						sl.procNS += ring.Now() - p0
 						if sl.items++; sl.items >= sliceLimit {
 							now := ring.Now()
-							sl.flush(ring, feedStage, false, now)
+							sl.flush(ring, feedStage, now)
 							if tapChans != nil {
 								ring.Sample(telemetry.CounterQueueDepth, now, uint64(len(tapChans[i])))
 							}
@@ -357,7 +305,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 					}
 				})
 				if ring != nil && sl.items > 0 {
-					sl.flush(ring, feedStage, false, ring.Now())
+					sl.flush(ring, feedStage, ring.Now())
 				}
 				if tapChans != nil {
 					if len(buf) > 0 {
@@ -392,27 +340,21 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 }
 
 // spanSlice accumulates one in-progress recorder slice on a worker:
-// wall window start, time spent inside process, and (sequential path
-// only) time inside the tap sink. flush closes the slice's spans and
-// re-anchors it at now.
+// wall window start and time spent inside process. flush closes the
+// slice's spans and re-anchors it at now.
 type spanSlice struct {
 	start  int64
 	procNS int64
-	tapNS  int64
 	items  uint64
-	tapped uint64
 }
 
-func (s *spanSlice) flush(ring *telemetry.Ring, feedStage telemetry.Stage, withTap bool, now int64) {
+func (s *spanSlice) flush(ring *telemetry.Ring, feedStage telemetry.Stage, now int64) {
 	ring.Span(telemetry.StageAnalyze, s.start, s.procNS, s.items)
-	feedNS := (now - s.start) - s.procNS - s.tapNS
+	feedNS := (now - s.start) - s.procNS
 	if feedNS < 0 {
 		feedNS = 0
 	}
 	ring.Span(feedStage, s.start, feedNS, s.items)
-	if withTap {
-		ring.Span(telemetry.StageMerge, s.start, s.tapNS, s.tapped)
-	}
 	*s = spanSlice{start: now}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // feedOf replays a fixed int slice.
@@ -207,44 +206,6 @@ func TestTapEqualsSequential(t *testing.T) {
 		if got := render(w); got != want {
 			t.Fatalf("workers=%d tap stream diverged", w)
 		}
-	}
-}
-
-// TestSequentialTapStageTiming guards the workers=1 stats fix: the
-// "tap" stage must report the sink's own wall time, not mirror the
-// whole analyze pass, and the two stages must partition the shard's
-// busy time.
-func TestSequentialTapStageTiming(t *testing.T) {
-	var tapped int
-	st := Run(Config{}, []Feed[int]{feedOf(1, 2, 3, 4, 5, 6)},
-		func(shard, v int) bool { return v%2 == 0 },
-		&Tap[int]{
-			Less: func(a, b int) bool { return a < b },
-			Sink: func(int) { tapped++; busyWait() },
-		})
-	if tapped != 3 {
-		t.Fatalf("tapped = %d", tapped)
-	}
-	analyze, tap := st.StageNamed("analyze"), st.StageNamed("tap")
-	if tap.Items != 3 || analyze.Items != 6 {
-		t.Fatalf("stage items: analyze %d, tap %d", analyze.Items, tap.Items)
-	}
-	if tap.Wall <= 0 {
-		t.Fatal("tap stage wall not measured")
-	}
-	if tap.Wall == analyze.Wall {
-		t.Fatal("tap stage duplicates the analyze duration (double-counted wall time)")
-	}
-	if got, want := analyze.Wall+tap.Wall, st.ShardBusy[0]; got != want {
-		t.Fatalf("stages do not partition shard busy time: %v + %v != %v", analyze.Wall, tap.Wall, want)
-	}
-}
-
-// busyWait burns a little real time so the tap sink duration is
-// measurable on coarse clocks.
-func busyWait() {
-	deadline := time.Now().Add(200 * time.Microsecond)
-	for time.Now().Before(deadline) {
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"quicsand/internal/telemetry"
 )
 
 // TestStageZeroWall pins the division guards: a stage that recorded no
@@ -54,12 +52,12 @@ func TestStageNamedMissing(t *testing.T) {
 // TestEngineTelemetryInvariants checks the tap-machinery accounting on
 // real tapped runs: every batch sent was either freshly allocated or
 // recycled (TapBatches == BufAllocs + BufReuses), the fill histogram
-// saw every batch and every tapped item, and the inline single-worker
-// path — which has no tap machinery — leaves the bank zero.
+// saw every batch and every tapped item — one shard included, which
+// runs the same tap machinery as any other count.
 func TestEngineTelemetryInvariants(t *testing.T) {
 	// Even at 8 shards each crosses two tap batch boundaries.
 	const total = 8 * (2*tapBatch + 1)
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		feeds := make([]Feed[int], workers)
 		for i := range feeds {
 			i := i
@@ -95,21 +93,6 @@ func TestEngineTelemetryInvariants(t *testing.T) {
 			t.Errorf("workers=%d: fill sum %d != %d tapped items",
 				workers, e.TapBatchFill.Sum, total)
 		}
-	}
-
-	// Inline path: no tap goroutines, no batches, bank stays zero.
-	var merged []int
-	st := Run(Config{Workers: 1}, []Feed[int]{feedOf(2, 4, 6)},
-		func(shard, v int) bool { return true },
-		&Tap[int]{
-			Less: func(a, b int) bool { return a < b },
-			Sink: func(v int) { merged = append(merged, v) },
-		})
-	if len(merged) != 3 {
-		t.Fatalf("inline tap delivered %d items", len(merged))
-	}
-	if st.Engine != (telemetry.Engine{}) {
-		t.Errorf("inline run populated engine telemetry: %+v", st.Engine)
 	}
 }
 

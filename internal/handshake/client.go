@@ -31,9 +31,6 @@ type ClientConfig struct {
 	// ID, the configuration whose backscatter carries DCID length
 	// zero (the property the paper verifies on captured responses).
 	EmptySCID bool
-	// VerifyServer requires a valid CertificateVerify signature.
-	// Always enabled; present for documentation symmetry.
-	VerifyServer bool
 }
 
 // ClientState tracks handshake progress.

@@ -20,12 +20,12 @@ type ServerConfig struct {
 	ALPN string
 	// Rand supplies entropy. Defaults to crypto/rand.Reader.
 	Rand io.Reader
-	// MaxCryptoPerPacket caps CRYPTO frame payloads so the server
-	// flight splits across datagrams the way the paper observes
-	// (Initial+Handshake datagram followed by a Handshake-only
-	// datagram). Defaults to 960 bytes.
-	MaxCryptoPerPacket int
 }
+
+// maxCryptoPerPacket caps CRYPTO frame payloads so the server flight
+// splits across datagrams the way the paper observes (Initial+Handshake
+// datagram followed by a Handshake-only datagram).
+const maxCryptoPerPacket = 960
 
 // ServerConnState tracks a server-side handshake.
 type ServerConnState int
@@ -112,9 +112,6 @@ func NewServerConn(cfg ServerConfig, version wire.Version, dcid, clientSCID wire
 	}
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
-	}
-	if cfg.MaxCryptoPerPacket == 0 {
-		cfg.MaxCryptoPerPacket = 960
 	}
 	s := &ServerConn{
 		cfg:       cfg,
@@ -348,9 +345,9 @@ func (s *ServerConn) processClientHello(m tlsmini.Message) ([][]byte, error) {
 	}
 	s.pnInitial++
 
-	// Handshake packets: split the flight per MaxCryptoPerPacket.
+	// Handshake packets: split the flight per maxCryptoPerPacket.
 	var hsPackets [][]byte
-	for _, cf := range splitCrypto(hsFlight, 0, s.cfg.MaxCryptoPerPacket) {
+	for _, cf := range splitCrypto(hsFlight, 0, maxCryptoPerPacket) {
 		pkt, err := sealLongPacket(wire.PacketTypeHandshake, s.version, s.clientCID, s.scid,
 			nil, s.hsSealer, s.pnHandshake, []wire.Frame{cf}, 0)
 		if err != nil {

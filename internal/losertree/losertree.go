@@ -3,8 +3,8 @@
 // tree stores only int32 entry indices; callers keep the actual keys
 // and supply an ordering. Advancing after the winner's key changes
 // costs ⌈log2 k⌉ comparisons with no interface boxing or heap sift
-// allocations — the structure the engine's tap merge and detect's
-// alert merge run their per-item loops on.
+// allocations — the structure the engine's tap merge runs its per-item
+// loop on.
 //
 // The ordering must be a strict total order over live entry indices
 // (break key ties by index); exhausted entries are modelled by making

@@ -12,6 +12,7 @@ package quicserver
 
 import (
 	"crypto/hmac"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"quicsand/internal/handshake"
+	"quicsand/internal/quiccrypto"
 	"quicsand/internal/tlsmini"
 	"quicsand/internal/wire"
 )
@@ -44,8 +46,6 @@ type Config struct {
 	// queue capacity, so the extra round trip is paid only under
 	// attack. Ignored when EnableRetry is set (always-on wins).
 	AdaptiveRetryThreshold float64
-	// RetryKey authenticates tokens; generated when nil.
-	RetryKey []byte
 	// TokenLifetime bounds token validity. Default 30 s.
 	TokenLifetime time.Duration
 	// SupportedVersions defaults to wire.DefaultSupportedVersions.
@@ -71,6 +71,9 @@ type Metrics struct {
 type Server struct {
 	cfg  Config
 	conn net.PacketConn
+	// retryKey authenticates Retry tokens: 32 bytes from crypto/rand,
+	// fresh per server.
+	retryKey [32]byte
 
 	Metrics Metrics
 
@@ -115,16 +118,13 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 	if len(cfg.SupportedVersions) == 0 {
 		cfg.SupportedVersions = wire.DefaultSupportedVersions
 	}
-	if cfg.RetryKey == nil {
-		cfg.RetryKey = make([]byte, 32)
-		if _, err := timeSeededKey(cfg.RetryKey); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	s := &Server{cfg: cfg, conn: conn, readDone: make(chan struct{})}
+	if _, err := rand.Read(s.retryKey[:]); err != nil {
+		return nil, err
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			srv:   s,
@@ -139,21 +139,27 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the server and releases the socket. The worker queues
-// close only after readLoop has returned: a datagram it read just
-// before the socket closed is still being queued, and a send on a
-// closed channel panics even inside a select with a default.
+// Close stops the server and releases the socket. Every datagram read
+// before Close is answered: the socket closes after the workers are
+// joined. The worker queues close only after readLoop has returned: a
+// datagram it read just before it stopped is still being queued, and a
+// send on a closed channel panics even inside a select with a default.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	err := s.conn.Close()
+	// The read loop is stopped by a deadline, not by closing the socket:
+	// the workers still hold datagrams it read, and their replies need
+	// the socket until the workers are joined.
+	if err := s.conn.SetReadDeadline(time.Now()); err != nil {
+		s.conn.Close()
+	}
 	<-s.readDone
 	for _, w := range s.workers {
 		close(w.queue)
 	}
 	s.wg.Wait()
-	return err
+	return s.conn.Close()
 }
 
 // Addr returns the bound address.
@@ -165,7 +171,7 @@ func (s *Server) readLoop() {
 	for {
 		n, addr, err := s.conn.ReadFrom(buf)
 		if err != nil {
-			return // socket closed
+			return // Close's deadline, or the socket closed
 		}
 		s.Metrics.Datagrams.Add(1)
 		data := make([]byte, n)
@@ -269,7 +275,7 @@ func (w *worker) handleInitial(h *wire.Header, in inbound) {
 		scid := make(wire.ConnectionID, 8)
 		binary.BigEndian.PutUint64(scid, addrHash(in.addr)^uint64(s.cfg.Now().UnixNano()))
 		token := s.mintToken(in.addr, h.DstConnID)
-		retry, err := quicBuildRetry(h.Version, h.SrcConnID, scid, h.DstConnID, token)
+		retry, err := quiccrypto.BuildRetry(h.Version, h.SrcConnID, scid, h.DstConnID, token)
 		if err != nil {
 			return
 		}
@@ -350,7 +356,7 @@ func (s *Server) mintToken(addr net.Addr, odcid wire.ConnectionID) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(expiry))
 	buf = append(buf, byte(len(odcid)))
 	buf = append(buf, odcid...)
-	mac := hmac.New(sha256.New, s.cfg.RetryKey)
+	mac := hmac.New(sha256.New, s.retryKey[:])
 	mac.Write(buf)
 	mac.Write([]byte(addrIP(addr)))
 	return append(buf, mac.Sum(nil)...)
@@ -366,7 +372,7 @@ func (s *Server) validateToken(addr net.Addr, token []byte) bool {
 		return false
 	}
 	body, sig := token[:8+1+odcidLen], token[8+1+odcidLen:]
-	mac := hmac.New(sha256.New, s.cfg.RetryKey)
+	mac := hmac.New(sha256.New, s.retryKey[:])
 	mac.Write(body)
 	mac.Write([]byte(addrIP(addr)))
 	if !hmac.Equal(mac.Sum(nil), sig) {
@@ -387,15 +393,4 @@ func addrIP(a net.Addr) string {
 		return a.String()
 	}
 	return host
-}
-
-// timeSeededKey fills key from crypto/rand via the handshake package's
-// default entropy; extracted for testability.
-func timeSeededKey(key []byte) (int, error) {
-	return cryptoRandRead(key)
-}
-
-// quicBuildRetry is indirected for the package boundary.
-func quicBuildRetry(v wire.Version, dcid, scid, odcid wire.ConnectionID, token []byte) ([]byte, error) {
-	return buildRetry(v, dcid, scid, odcid, token)
 }

@@ -268,6 +268,47 @@ func TestCloseUnderFlood(t *testing.T) {
 	}
 }
 
+// TestCloseAnswersCountedInitials: every Initial the server has counted
+// is answered by the time Close returns. A worker counts an Initial
+// before it runs the handshake, so Close must keep the socket open
+// until the workers are joined, or the last replies are lost.
+func TestCloseAnswersCountedInitials(t *testing.T) {
+	trace, err := quicclient.RecordInitials(8, wire.Version1, "server.test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 10; round++ {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(pc, Config{Identity: serverIdentity, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range trace {
+			if _, err := client.WriteTo(d, s.Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); s.Metrics.Initials.Load() < uint64(len(trace)); {
+			if time.Now().After(deadline) {
+				t.Fatalf("server counted %d of %d Initials", s.Metrics.Initials.Load(), len(trace))
+			}
+			runtime.Gosched()
+		}
+		s.Close()
+		client.Close()
+		if got, want := s.Metrics.Responses.Load(), uint64(2*len(trace)); got != want {
+			t.Fatalf("round %d: %d replies sent by the time Close returned, want %d", round, got, want)
+		}
+	}
+}
+
 func TestMetricsAccounting(t *testing.T) {
 	s := startServer(t, Config{Workers: 2})
 	for i := 0; i < 3; i++ {

@@ -219,13 +219,10 @@ type Ingest struct {
 	BatchFill   Hist   `json:"batch_fill" help:"Scatter batch fill (packets per batch)." class:"runtime"`
 	BatchReuses uint64 `json:"batch_reuses" help:"Scatter batches recycled from shards." class:"runtime"`
 	BatchAllocs uint64 `json:"batch_allocs" help:"Scatter batches freshly allocated." class:"runtime"`
-	// Decode-after-scatter provenance (runtime: depends on the worker
-	// count and source capabilities).
-	// DecodePath is "shard" when record decode ran on the shard
-	// workers, "inline" when the reader decoded sequentially; SpanBytes
-	// counts raw record-span bytes handed to shards on the span path.
-	DecodePath string `json:"decode_path,omitempty" help:"Where record decode ran: shard workers or inline on the reader." class:"runtime"`
-	SpanBytes  uint64 `json:"span_bytes,omitempty" help:"Raw record-span bytes handed to shards undecoded." class:"runtime"`
+	// Decode-after-scatter provenance (runtime: depends on the source's
+	// capabilities). SpanBytes counts raw record-span bytes handed to
+	// shards.
+	SpanBytes uint64 `json:"span_bytes,omitempty" help:"Raw record-span bytes handed to shards undecoded." class:"runtime"`
 	// SpanCopyBytes is the part of SpanBytes the reader copied from its
 	// window into a shard arena before handing it over: all of it for a
 	// streamed capture, 0 for a mapped one, whose spans are lent as

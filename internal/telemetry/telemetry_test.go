@@ -234,7 +234,7 @@ func TestStreamProjection(t *testing.T) {
 		t.Errorf("stream-class metrics lost: %+v", st)
 	}
 	if st.Dissect.OpenerHits != 0 || st.Sessions.SweepEvicted != 0 || st.Detect.SourcesEvicted != 0 ||
-		st.Generate.SlabReuses != 0 || st.Ingest.SpanBytes != 0 || st.Ingest.SpanCopyBytes != 0 || st.Ingest.DecodePath != "" ||
+		st.Generate.SlabReuses != 0 || st.Ingest.SpanBytes != 0 || st.Ingest.SpanCopyBytes != 0 ||
 		st.Ingest.BatchFill != (Hist{}) || st.Engine != (Engine{}) {
 		t.Errorf("runtime-class metrics kept: %+v", st)
 	}

@@ -71,9 +71,10 @@ type Config struct {
 	// separate runs.
 	Identity *tlsmini.Identity
 	// Workers selects the pipeline shard count: 0 uses every CPU
-	// (GOMAXPROCS), 1 is the classic single-threaded pass, N>1 fans
-	// the month out over N analysis shards keyed by source address.
-	// Analysis results are bit-identical for every value (DESIGN.md §8).
+	// (GOMAXPROCS), N fans the month out over N analysis shards keyed
+	// by source address — 1 is one shard on the same worker loop, which
+	// sees the whole stream in canonical order. Analysis results are
+	// bit-identical for every value (DESIGN.md §8).
 	Workers int
 	// Scenario selects the workload: nil (or the paper-2021 built-in)
 	// runs the paper's hard-coded month, anything else compiles the
@@ -723,9 +724,10 @@ func Run(cfg Config) (*Analysis, error) {
 // foreign captures the ground truth is simply empty simulation state;
 // every packet-derived figure still computes.
 //
-// With more than one worker src must frame spans (capture.SpanSource),
-// as everything capture.OpenFile and NewSource return does; a Next-only
-// source replays at Workers 1.
+// src must frame spans (capture.SpanSource), as everything
+// capture.OpenFile and NewSource return does, at every worker count: a
+// Next-only source is refused, so copy it into a capture first
+// (capture.Copy).
 func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 	a, _, err := ReplayAlerts(StreamConfig{Config: cfg}, src)
 	return a, err
@@ -768,9 +770,7 @@ func ReplayAlerts(cfg StreamConfig, src capture.Source) (*Analysis, []detect.Ale
 // the salvage ledger. Replay and ReplayAlerts report through it.
 func ingestLedger(in telemetry.Ingest, src capture.Source) telemetry.Ingest {
 	in.Format = capture.SourceFormat(src).String()
-	// Reader-side skips add to whatever the decode side counted: on the
-	// sequential path the shards drop nothing and this is the whole
-	// number; on the span path it completes the shard drops to the same
+	// Reader-side skips complete the shards' decode drops to a
 	// worker-invariant total.
 	in.DecodeDrops += capture.SourceSkipped(src)
 	// The source's window keeps the one salvage ledger, retries included.

@@ -91,7 +91,7 @@ func streamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheck
 		offer(p)
 	}
 	final := s.Close()
-	return &streamRun{StreamCheckpoint: final, ingest: ingestLedger(telemetry.Ingest{Records: records, DecodePath: "inline"}, src)}, nil
+	return &streamRun{StreamCheckpoint: final, ingest: ingestLedger(telemetry.Ingest{Records: records}, src)}, nil
 }
 
 // limitSource yields at most left records from src, then a clean io.EOF.
