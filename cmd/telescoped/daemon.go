@@ -116,10 +116,9 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 
 	// Read loop on this goroutine: log each datagram (log mode), map it
 	// onto the telescope model and offer it. Offer only borrows the
-	// packet — the trace sink writes it synchronously, the single-worker
-	// path never retains a payload, and cross-shard dispatch copies into
-	// the streamer's own batches — so one Packet over the read buffer
-	// serves every datagram. Those batches wait to fill: idleFlush of
+	// packet — the trace sink writes it synchronously and dispatch copies
+	// into the streamer's own batches, at every -workers — so one Packet
+	// over the read buffer serves every datagram. Those batches wait to fill: idleFlush of
 	// silence flushes them, and the buffered log with them. Log write
 	// errors are ignored: a lost log line must not stop capture.
 	buf := make([]byte, 65535)

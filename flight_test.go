@@ -120,9 +120,8 @@ func TestFlightStructuralDeterminism(t *testing.T) {
 // TestFlightStreamDeterminism is the streaming leg of the contract: a
 // Streamer's shards run on the batch runs' engine, so streamReplay at a
 // fixed worker count records a repeatable span structure whose worker
-// tracks equal batch Replay's, every offered packet is inside exactly
-// one analyze span, and the inline workers==1 path — which runs no
-// engine — records the documented reduced track set.
+// tracks equal batch Replay's and every offered packet is inside exactly
+// one analyze span — at three shards and at one.
 func TestFlightStreamDeterminism(t *testing.T) {
 	id, err := tlsmini.GenerateSelfSigned("quic.example.net", 600)
 	if err != nil {
@@ -159,51 +158,47 @@ func TestFlightStreamDeterminism(t *testing.T) {
 		return a, final.Position()
 	}
 
-	const workers = 3
-	a, position := streamed(workers)
-	spans := a.Flight.StageSpans()
-	if again, _ := streamed(workers); !sameSpans(again.Flight.StageSpans(), spans) {
-		t.Errorf("repeated stream replay diverged:\n want %v\n got  %v", spans, again.Flight.StageSpans())
-	}
-	var analyzed uint64
-	for i := range a.Flight.Events {
-		if e := &a.Flight.Events[i]; e.IsSpan() && e.Stage == telemetry.StageAnalyze {
-			analyzed += e.Items
+	// One shard is dispatched like three: the same engine, the same tracks.
+	for _, workers := range []int{3, 1} {
+		a, position := streamed(workers)
+		spans := a.Flight.StageSpans()
+		if again, _ := streamed(workers); !sameSpans(again.Flight.StageSpans(), spans) {
+			t.Errorf("workers=%d: repeated stream replay diverged:\n want %v\n got  %v", workers, spans, again.Flight.StageSpans())
 		}
-	}
-	if analyzed != position || position == 0 {
-		t.Errorf("analyze spans cover %d items, stream position %d", analyzed, position)
-	}
-	var st engine.Stage
-	if i := slices.IndexFunc(a.Pipeline.Stages, func(s engine.Stage) bool { return s.Name == "analyze" }); i >= 0 {
-		st = a.Pipeline.Stages[i]
-	}
-	if st.Items != position || st.Wall <= 0 || a.Pipeline.Wall <= 0 ||
-		len(a.Pipeline.ShardBusy) != workers {
-		t.Errorf("final checkpoint's Pipeline lacks the engine's run: %+v", a.Pipeline)
-	}
-
-	src, err := capture.NewSource(bytes.NewReader(qsnd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcfg := base
-	bcfg.Workers, bcfg.FlightRecorder = workers, flightRec()
-	batch, err := Replay(bcfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := batch.Flight.StageSpans()
-	for _, stage := range []string{"plan", "scatter", "analyze", "dissect", "sessions", "reduce"} {
-		if spans[stage] == 0 || spans[stage] != bs[stage] {
-			t.Errorf("stage %q: stream replay %d spans, batch replay %d", stage, spans[stage], bs[stage])
+		var analyzed uint64
+		for i := range a.Flight.Events {
+			if e := &a.Flight.Events[i]; e.IsSpan() && e.Stage == telemetry.StageAnalyze {
+				analyzed += e.Items
+			}
 		}
-	}
+		if analyzed != position || position == 0 {
+			t.Errorf("workers=%d: analyze spans cover %d items, stream position %d", workers, analyzed, position)
+		}
+		var st engine.Stage
+		if i := slices.IndexFunc(a.Pipeline.Stages, func(s engine.Stage) bool { return s.Name == "analyze" }); i >= 0 {
+			st = a.Pipeline.Stages[i]
+		}
+		if st.Items != position || st.Wall <= 0 || a.Pipeline.Wall <= 0 ||
+			len(a.Pipeline.ShardBusy) != workers {
+			t.Errorf("workers=%d: final checkpoint's Pipeline lacks the engine's run: %+v", workers, a.Pipeline)
+		}
 
-	inline, _ := streamed(1)
-	is := inline.Flight.StageSpans()
-	if is["plan"] != 1 || is["reduce"] != 1 || is["dissect"] == 0 || is["sessions"] == 0 || len(is) != 4 {
-		t.Errorf("workers=1 stream timeline = %v, want only plan, reduce, dissect and sessions tracks", is)
+		src, err := capture.NewSource(bytes.NewReader(qsnd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bcfg := base
+		bcfg.Workers, bcfg.FlightRecorder = workers, flightRec()
+		batch, err := Replay(bcfg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := batch.Flight.StageSpans()
+		for _, stage := range []string{"plan", "scatter", "analyze", "dissect", "sessions", "reduce"} {
+			if spans[stage] == 0 || spans[stage] != bs[stage] {
+				t.Errorf("workers=%d: stage %q: stream replay %d spans, batch replay %d", workers, stage, spans[stage], bs[stage])
+			}
+		}
 	}
 }
 

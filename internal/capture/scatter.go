@@ -26,54 +26,6 @@ const (
 	scatterDepth = 4
 )
 
-// PacketBatch is the streaming producer's dispatch unit under the §9
-// slab contract: Pkts is the value-typed slab a shard worker processes,
-// arena backs the bytes the slab entries alias. The producer (the root
-// Streamer) fills it by Append, hands it to exactly one shard worker, and
-// may Reset and refill it once that worker is done. The replay scatter
-// does not use it: there records cross goroutines as spans (batch) and a
-// packet never does.
-type PacketBatch struct {
-	Pkts  []telescope.Packet
-	arena []byte
-}
-
-// NewPacketBatch allocates a batch of n slab entries with an arena
-// sized for n QUIC-sized datagrams.
-func NewPacketBatch(n int) *PacketBatch {
-	return &PacketBatch{
-		Pkts:  make([]telescope.Packet, 0, n),
-		arena: make([]byte, 0, n*1500),
-	}
-}
-
-// Append copies p into the slab and its payload bytes into the arena,
-// so the caller may recycle p as soon as Append returns.
-func (b *PacketBatch) Append(p *telescope.Packet) {
-	b.Pkts = append(b.Pkts, *p)
-	if len(p.Payload) == 0 {
-		return
-	}
-	q := &b.Pkts[len(b.Pkts)-1]
-	if cap(b.arena)-len(b.arena) >= len(p.Payload) {
-		// Arena append never regrows (capacity checked), so earlier
-		// packets' payload aliases stay valid.
-		off := len(b.arena)
-		b.arena = append(b.arena, p.Payload...)
-		q.Payload = b.arena[off:len(b.arena):len(b.arena)]
-	} else {
-		// Oversize payloads fall back to individual allocation without
-		// invalidating earlier aliases.
-		q.Payload = append([]byte(nil), p.Payload...)
-	}
-}
-
-// Reset empties the batch for reuse, keeping slab and arena capacity.
-func (b *PacketBatch) Reset() {
-	b.Pkts = b.Pkts[:0]
-	b.arena = b.arena[:0]
-}
-
 // batch is one scatter unit, the only thing that crosses from the reader
 // to a shard: the raw record spans the reader routed there, in stored
 // order, and — for streamed sources only — the arena those spans were

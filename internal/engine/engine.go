@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"quicsand/internal/losertree"
 	"quicsand/internal/telemetry"
 )
 
@@ -115,9 +114,9 @@ func (s Stage) PerSecond() float64 {
 	return float64(s.Items) / s.Wall.Seconds()
 }
 
-// Stats exposes per-stage throughput for one pipeline run. The engine
-// fills the shard fields and the "analyze" (and, when tapped, "tap")
-// stages; callers append their own stages (scheduling, reduction).
+// Stats exposes per-stage throughput for one pipeline run. Run fills
+// the shard fields and the "analyze" (and, when tapped, "tap") stages;
+// callers append their own stages (scheduling, reduction).
 type Stats struct {
 	// Workers is the shard count the run used.
 	Workers int
@@ -127,30 +126,15 @@ type Stats struct {
 	ShardBusy []time.Duration
 	// Stages lists stage metrics in pipeline order.
 	Stages []Stage
-	// Wall is the total wall time, set by the caller via Finish.
+	// Wall is the run's total wall time. Run sets it to its own; callers
+	// that time more (planning, reduction) overwrite it.
 	Wall time.Duration
 	// Engine holds the tap/recycling telemetry merged across shards.
 	// These counters are runtime-dependent (batch boundaries and buffer
 	// reuse vary with scheduling), not part of the deterministic stream
 	// projection.
 	Engine telemetry.Engine
-
-	start time.Time
 }
-
-// NewStats creates a Stats anchored at the current time; Finish stamps
-// the total wall duration.
-func NewStats(workers int) *Stats {
-	return &Stats{Workers: workers, start: time.Now()}
-}
-
-// AddStage appends a caller-defined stage.
-func (st *Stats) AddStage(name string, items uint64, wall time.Duration) {
-	st.Stages = append(st.Stages, Stage{Name: name, Items: items, Wall: wall})
-}
-
-// Finish stamps the total wall time.
-func (st *Stats) Finish() { st.Wall = time.Since(st.start) }
 
 // Items returns the total item count across shards.
 func (st *Stats) Items() uint64 {
@@ -212,9 +196,7 @@ func (st *Stats) String() string {
 // every kept item.
 func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) bool, tap *Tap[T]) *Stats {
 	n := len(feeds)
-	st := NewStats(n)
-	st.ShardItems = make([]uint64, n)
-	st.ShardBusy = make([]time.Duration, n)
+	st := &Stats{Workers: n, ShardItems: make([]uint64, n), ShardBusy: make([]time.Duration, n)}
 	rec := cfg.Recorder
 	rec.Prepare(n) // idempotent; nil-safe
 	sliceLimit := uint64(rec.SliceItems())
@@ -330,12 +312,11 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 		st.Engine.Merge(&workerTel[i])
 	}
 
-	wall := time.Since(t0)
-	st.AddStage("analyze", st.Items(), wall)
+	st.Wall = time.Since(t0)
+	st.Stages = append(st.Stages, Stage{Name: "analyze", Items: st.Items(), Wall: st.Wall})
 	if tap != nil {
-		st.AddStage("tap", tapped, wall)
+		st.Stages = append(st.Stages, Stage{Name: "tap", Items: tapped, Wall: st.Wall})
 	}
-	st.Finish()
 	return st
 }
 
@@ -358,26 +339,84 @@ func (s *spanSlice) flush(ring *telemetry.Ring, feedStage telemetry.Stage, now i
 	*s = spanSlice{start: now}
 }
 
+// tapHeads is the tap merge's binary min-heap of open streams:
+// heads[w][pos[w]] is stream w's least unmerged item, and open holds the
+// streams that still have one, ordered by (item, shard index). Equal
+// items must share a shard per the Tap contract, but the explicit
+// tie-break keeps the merge deterministic even for contract-violating
+// inputs. A stream leaves the heap when it closes, so the order never
+// meets a closed one.
+type tapHeads[T any] struct {
+	less  func(a, b T) bool
+	heads [][]T
+	pos   []int
+	open  []int
+}
+
+// before reports whether stream a's head merges before stream b's.
+func (h *tapHeads[T]) before(a, b int) bool {
+	x, y := h.heads[a][h.pos[a]], h.heads[b][h.pos[b]]
+	if h.less(x, y) {
+		return true
+	}
+	if h.less(y, x) {
+		return false
+	}
+	return a < b
+}
+
+// up places stream w, whose slot is i, on the path from i to the root.
+func (h *tapHeads[T]) up(i, w int) {
+	o := h.open
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(w, o[p]) {
+			break
+		}
+		o[i], i = o[p], p
+	}
+	o[i] = w
+}
+
+// down restores the heap after the root's head advanced or the root was
+// replaced, bottom-up: the hole walks the lesser children down to a leaf,
+// one comparison a level, and the root stream climbs back from there —
+// rarely far, since it has just given up its least item. container/heap
+// sifts top-down, two comparisons a level behind interface calls, and
+// took 1.7× the time per merged item at eight shards (2-vCPU Xeon).
+func (h *tapHeads[T]) down() {
+	o := h.open
+	if len(o) == 0 {
+		return
+	}
+	w, i := o[0], 0
+	for c := 1; c < len(o); c = 2*i + 1 {
+		if c+1 < len(o) && h.before(o[c+1], o[c]) {
+			c++
+		}
+		o[i], i = o[c], c
+	}
+	h.up(i, w)
+}
+
 // mergeTap performs the streaming k-way merge of the per-shard tap
 // streams. Each stream arrives batched and already ordered by
-// tap.Less; a loser tree over the stream heads emits the least head in
-// O(log shards) comparisons per item (the previous linear min-scan
-// paid O(shards) every item), refilling a stream's batch (blocking,
-// which backpressures nothing — the channel already holds data or the
-// shard is ahead) as it drains. Drained batch buffers are recycled to
-// their shard through free. Memory is bounded by shards × batch items.
-// With a recorder, every sliceLimit emitted items close one merge span
-// on the driver ring (span wall includes waiting on shard channels —
-// the merge track shows occupancy, not pure CPU).
+// tap.Less; a heap over the stream heads emits the least head in
+// O(log shards) comparisons per item, refilling a stream's batch
+// (blocking, which backpressures nothing — the channel already holds
+// data or the shard is ahead) as it drains. Drained batch buffers are
+// recycled to their shard through free. Memory is bounded by shards ×
+// batch items. With a recorder, every sliceLimit emitted items close one
+// merge span on the driver ring (span wall includes waiting on shard
+// channels — the merge track shows occupancy, not pure CPU).
 func mergeTap[T any](chans, free []chan []T, tap *Tap[T], ring *telemetry.Ring, sliceLimit uint64) uint64 {
 	n := len(chans)
-	heads := make([][]T, n) // current batch per shard; nil when closed
-	pos := make([]int, n)
-	live := 0
+	h := &tapHeads[T]{less: tap.Less, heads: make([][]T, n), pos: make([]int, n)}
 	for i, ch := range chans {
 		if b, ok := <-ch; ok {
-			heads[i] = b
-			live++
+			h.heads[i] = b
+			h.open = append(h.open, i)
+			h.up(len(h.open)-1, i)
 		}
 	}
 	var emitted uint64
@@ -401,58 +440,34 @@ func mergeTap[T any](chans, free []chan []T, tap *Tap[T], ring *telemetry.Ring, 
 	}()
 
 	// advance consumes the current head of stream w, recycling and
-	// refilling its batch as needed. Reports whether the stream closed.
-	advance := func(w int32) bool {
-		pos[w]++
-		if pos[w] < len(heads[w]) {
-			return false
-		}
-		select { // hand the drained buffer back to the shard worker
-		case free[w] <- heads[w][:0]:
-		default:
-		}
-		pos[w] = 0
-		if b, ok := <-chans[w]; ok {
-			heads[w] = b
-			return false
-		}
-		heads[w] = nil
-		live--
-		return true
-	}
-
-	// less is a strict total order over stream indices: item order
-	// first, then shard index — equal items must share a shard per the
-	// Tap contract, but the explicit tie-break keeps the merge
-	// deterministic even for contract-violating inputs. Closed streams
-	// sort last.
-	less := func(a, b int32) bool {
-		ca, cb := heads[a] == nil, heads[b] == nil
-		if ca || cb {
-			if ca != cb {
-				return cb
-			}
-			return a < b
-		}
-		x, y := heads[a][pos[a]], heads[b][pos[b]]
-		if tap.Less(x, y) {
+	// refilling its batch as needed. Reports whether the stream still
+	// has an item.
+	advance := func(w int) bool {
+		h.pos[w]++
+		if h.pos[w] < len(h.heads[w]) {
 			return true
 		}
-		if tap.Less(y, x) {
-			return false
+		select { // hand the drained buffer back to the shard worker
+		case free[w] <- h.heads[w][:0]:
+		default:
 		}
-		return a < b
+		h.pos[w] = 0
+		var ok bool
+		h.heads[w], ok = <-chans[w]
+		return ok
 	}
 
-	// Each advance of the champion costs ⌈log2 n⌉ comparisons.
-	tree := losertree.New(n, less)
-	for live > 0 {
-		w := tree.Winner()
-		tap.Sink(heads[w][pos[w]])
+	for len(h.open) > 0 {
+		w := h.open[0]
+		tap.Sink(h.heads[w][h.pos[w]])
 		emitted++
 		record()
-		advance(w)
-		tree.Fix(w)
+		if !advance(w) {
+			last := len(h.open) - 1
+			h.open[0] = h.open[last]
+			h.open = h.open[:last]
+		}
+		h.down()
 	}
 	return emitted
 }

@@ -153,6 +153,31 @@ func TestTapMergeOrder(t *testing.T) {
 	}
 }
 
+// TestTapBreaksTiesByShard pins the merge order on items the Tap
+// contract forbids — equal under Less but from different shards: the
+// lower shard index goes first, so even such a stream is deterministic.
+func TestTapBreaksTiesByShard(t *testing.T) {
+	type item struct{ key, shard int }
+	keys := [][]int{{10, 40}, {10}, {10, 10}}
+	feeds := make([]Feed[item], len(keys))
+	for i := range feeds {
+		feeds[i] = func(emit func(item)) {
+			for _, k := range keys[i] {
+				emit(item{k, i})
+			}
+		}
+	}
+	var got []item
+	Run(Config{}, feeds, func(int, item) bool { return true }, &Tap[item]{
+		Less: func(a, b item) bool { return a.key < b.key },
+		Sink: func(v item) { got = append(got, v) },
+	})
+	want := []item{{10, 0}, {10, 1}, {10, 2}, {10, 2}, {40, 0}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("merged %v, want %v", got, want)
+	}
+}
+
 // TestTapEqualsSequential is the engine-level determinism property:
 // the tapped stream for any worker count equals the 1-worker stream,
 // provided equal-comparing items share a shard.
@@ -210,10 +235,7 @@ func TestTapEqualsSequential(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	st := NewStats(2)
-	st.ShardItems = []uint64{5, 7}
-	st.AddStage("analyze", 12, 1000)
-	st.Finish()
+	st := &Stats{Workers: 2, ShardItems: []uint64{5, 7}, Stages: []Stage{{Name: "analyze", Items: 12, Wall: 1000}}, Wall: 1000}
 	out := st.String()
 	for _, want := range []string{"2 workers", "12 items", "analyze"} {
 		if !strings.Contains(out, want) {

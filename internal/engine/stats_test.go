@@ -21,12 +21,12 @@ func TestStageZeroWall(t *testing.T) {
 	}
 }
 
-// TestStatsThroughputZeroWall covers Throughput before Finish stamps
-// the wall time.
+// TestStatsThroughputZeroWall covers Throughput of a Stats with no wall
+// time.
 func TestStatsThroughputZeroWall(t *testing.T) {
 	st := &Stats{ShardItems: []uint64{500, 500}}
 	if got := st.Throughput(); got != 0 {
-		t.Errorf("unfinished Throughput = %g, want 0", got)
+		t.Errorf("zero-wall Throughput = %g, want 0", got)
 	}
 	st.Wall = 2 * time.Second
 	if got := st.Throughput(); got != 500 {

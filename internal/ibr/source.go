@@ -276,9 +276,6 @@ func ShardOf(a netmodel.Addr, n int) int {
 // scatter and the Streamer keep ShardOf; only the Analysis is compared
 // across the two maps, and it does not depend on either.
 func Partition(sources []Source, n int) [][]Source {
-	if n == 1 {
-		return [][]Source{sources[:len(sources):len(sources)]}
-	}
 	type addrLoad struct {
 		addr netmodel.Addr
 		load uint64

@@ -55,8 +55,8 @@ func TestTextSalvageLine(t *testing.T) {
 }
 
 // TestTextBatchDetail checks the ingest batch sub-clause renders only
-// when the scatter actually batched (multi-shard replays), so the
-// single-shard inline path keeps a clean line.
+// when the scatter actually batched (replays), so an ingest without
+// batches keeps a clean line.
 func TestTextBatchDetail(t *testing.T) {
 	inline := &Snapshot{Workers: 1}
 	inline.Ingest.Records = 50

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"quicsand/internal/capture"
 	"quicsand/internal/detect"
 	"quicsand/internal/engine"
 	"quicsand/internal/ibr"
@@ -47,13 +46,11 @@ type StreamConfig struct {
 // barrier, and the shards decoded from that image reduce with the same
 // commutative merges and canonical sorts the batch reduction uses.
 //
-// With workers>1 the shards run on the batch runs' driver: one engine.Run
-// call, started by the constructor and joined by Close, drains each
-// shard's dispatch queue as an engine feed, so flight recorder, live
-// banks, pprof labels and stage statistics are Run's and Replay's. With
-// workers==1 Offer processes inline — the sequential reference, on which
-// a packet is analysed the moment it arrives — and a recorded timeline has
-// plan, reduce, dissect and sessions but no analyze/scatter split.
+// The shards run on the batch runs' driver: one engine.Run call, started
+// by the constructor and joined by Close, drains each shard's dispatch
+// queue as an engine feed, so flight recorder, live banks, pprof labels
+// and stage statistics are Run's and Replay's — one shard included, the
+// sequential reference.
 //
 // Offer and Checkpoint are safe to call from different goroutines
 // (the daemon's checkpoint ticker); each is serialized by one mutex.
@@ -66,13 +63,13 @@ type Streamer struct {
 	position uint64   // captured packets offered so far
 	counts   []uint64 // captured packets per shard
 
-	// workers>1 plumbing: per-shard op queues, which the engine drains as
-	// feeds. pending[k] is the batch Offer is filling for shard k; free[k]
-	// carries drained batches back from the shard's feed (§9: a batch
-	// has one owner at a time — producer, queue, worker, free list).
+	// Per-shard op queues, which the engine drains as feeds. pending[k]
+	// is the batch Offer is filling for shard k; free[k] carries drained
+	// batches back from the shard's feed (§9: a batch has one owner at a
+	// time — producer, queue, worker, free list).
 	chans   []chan shardOp
-	pending []*capture.PacketBatch
-	free    []chan *capture.PacketBatch
+	pending []*packetBatch
+	free    []chan *packetBatch
 	parked  chan struct{}      // one send per worker per barrier
 	run     chan *engine.Stats // the engine's Run call returned
 	stats   *engine.Stats      // what Close received from run
@@ -82,12 +79,58 @@ type Streamer struct {
 // release non-nil, a barrier — the worker reports on the streamer's
 // parked channel and waits inside its feed until release closes.
 type shardOp struct {
-	batch   *capture.PacketBatch
+	batch   *packetBatch
 	release chan struct{}
 }
 
+// packetBatch is the Streamer's dispatch unit under the §9 slab
+// contract: pkts is the value-typed slab a shard worker processes, arena
+// backs the bytes the slab entries alias. Offer fills it by append, hands
+// it to exactly one shard worker, and may reset and refill it once that
+// worker is done.
+type packetBatch struct {
+	pkts  []telescope.Packet
+	arena []byte
+}
+
+// newPacketBatch allocates a batch of n slab entries with an arena sized
+// for n QUIC-sized datagrams.
+func newPacketBatch(n int) *packetBatch {
+	return &packetBatch{
+		pkts:  make([]telescope.Packet, 0, n),
+		arena: make([]byte, 0, n*1500),
+	}
+}
+
+// append copies p into the slab and its payload bytes into the arena, so
+// the caller may recycle p as soon as append returns.
+func (b *packetBatch) append(p *telescope.Packet) {
+	b.pkts = append(b.pkts, *p)
+	if len(p.Payload) == 0 {
+		return
+	}
+	q := &b.pkts[len(b.pkts)-1]
+	if cap(b.arena)-len(b.arena) >= len(p.Payload) {
+		// Arena append never regrows (capacity checked), so earlier
+		// packets' payload aliases stay valid.
+		off := len(b.arena)
+		b.arena = append(b.arena, p.Payload...)
+		q.Payload = b.arena[off:len(b.arena):len(b.arena)]
+	} else {
+		// Oversize payloads fall back to individual allocation without
+		// invalidating earlier aliases.
+		q.Payload = append([]byte(nil), p.Payload...)
+	}
+}
+
+// reset empties the batch for reuse, keeping slab and arena capacity.
+func (b *packetBatch) reset() {
+	b.pkts = b.pkts[:0]
+	b.arena = b.arena[:0]
+}
+
 const (
-	// streamBatch is the dispatch granularity for workers>1.
+	// streamBatch is the dispatch granularity.
 	streamBatch = 256
 	// streamDepth is the per-shard queue depth in batches: the
 	// producer's run-ahead window over a busy shard worker, and the
@@ -127,24 +170,17 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 	for _, n := range counts {
 		s.position += n
 	}
-	if s.workers > 1 {
-		s.startEngine()
-	}
-	return s, gen, nil
-}
-
-// startEngine wraps each shard's dispatch queue as an engine feed and
-// starts the one engine.Run call that drives them (workers>1 only).
-func (s *Streamer) startEngine() {
+	// Each shard's dispatch queue is an engine feed; the one engine.Run
+	// call that drives them runs until Close.
 	s.chans = make([]chan shardOp, s.workers)
-	s.pending = make([]*capture.PacketBatch, s.workers)
-	s.free = make([]chan *capture.PacketBatch, s.workers)
+	s.pending = make([]*packetBatch, s.workers)
+	s.free = make([]chan *packetBatch, s.workers)
 	parked := make(chan struct{}, s.workers)
 	s.parked = parked
 	feeds := make([]engine.Feed[*telescope.Packet], s.workers)
 	for i := range feeds {
 		ch := make(chan shardOp, streamDepth)
-		free := make(chan *capture.PacketBatch, streamPool)
+		free := make(chan *packetBatch, streamPool)
 		s.chans[i], s.free[i] = ch, free
 		feeds[i] = func(emit func(*telescope.Packet)) {
 			for op := range ch {
@@ -153,31 +189,32 @@ func (s *Streamer) startEngine() {
 					<-op.release
 					continue
 				}
-				for j := range op.batch.Pkts {
-					emit(&op.batch.Pkts[j])
+				for j := range op.batch.pkts {
+					emit(&op.batch.pkts[j])
 				}
-				op.batch.Reset()
+				op.batch.reset()
 				free <- op.batch // never blocks: see streamPool
 			}
 		}
 	}
-	// A local on purpose: s.shards would be re-read through *Streamer on
-	// every packet, from the cache line Offer dirties with position,
-	// counts and the mutex (false sharing: EXPERIMENTS.md PR-18).
-	shards := s.shards
+	// process indexes the local shards on purpose: s.shards would be
+	// re-read through *Streamer on every packet, from the cache line Offer
+	// dirties with position, counts and the mutex (false sharing:
+	// EXPERIMENTS.md PR-18).
 	ecfg := engine.Config{Workers: s.workers, Recorder: s.cfg.FlightRecorder, FeedStage: telemetry.StageScatter}
 	run := make(chan *engine.Stats, 1)
 	s.run = run
 	go func() {
 		run <- engine.Run(ecfg, feeds, func(i int, p *telescope.Packet) bool { return shards[i].process(p) }, nil)
 	}()
+	return s, gen, nil
 }
 
 // Offer ingests one packet and reports whether the telescope captured
 // it. Packets must arrive in non-decreasing time order (the capture
 // and generator sources both guarantee this). The packet is only
-// borrowed: with workers>1 it is copied (struct and payload bytes) into
-// the shard's recycled dispatch batch, so callers may recycle it as
+// borrowed: it is copied (struct and payload bytes) into the shard's
+// recycled dispatch batch, so callers may recycle it as
 // soon as Offer returns. Captured packets are also written to cfg.Trace
 // (in offer order — the canonical stream order) before dispatch, so a
 // recording daemon's trace replays to the same state.
@@ -200,21 +237,17 @@ func (s *Streamer) Offer(p *telescope.Packet) bool {
 	s.position++
 	k := ibr.ShardOf(p.Src, s.workers)
 	s.counts[k]++
-	if s.workers == 1 {
-		s.shards[0].process(p)
-		return true
-	}
 	b := s.pending[k]
 	if b == nil {
 		select {
 		case b = <-s.free[k]:
 		default:
-			b = capture.NewPacketBatch(streamBatch)
+			b = newPacketBatch(streamBatch)
 		}
 		s.pending[k] = b
 	}
-	b.Append(p)
-	if len(b.Pkts) >= streamBatch {
+	b.append(p)
+	if len(b.pkts) >= streamBatch {
 		s.flushPending(k)
 	}
 	return true
@@ -245,7 +278,7 @@ func (s *Streamer) Flush() {
 // batches), runs fn over the quiescent shards, then releases them.
 // Caller holds s.mu.
 func (s *Streamer) barrier(fn func()) {
-	if s.workers == 1 || s.closed {
+	if s.closed {
 		fn()
 		return
 	}
@@ -277,8 +310,8 @@ type StreamCheckpoint struct {
 	quicSessions   int
 	telescopeTotal uint64
 
-	// Only Close's checkpoint has these: the engine's statistics (nil at
-	// workers==1) and the recorder whose timeline Analysis() closes.
+	// Only Close's checkpoint has these: the engine's statistics and the
+	// recorder whose timeline Analysis() closes.
 	stats *engine.Stats
 	rec   *telemetry.Recorder
 
@@ -332,7 +365,7 @@ func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 func (s *Streamer) Close() *StreamCheckpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed && s.workers > 1 {
+	if !s.closed {
 		for i, ch := range s.chans {
 			s.flushPending(i)
 			close(ch)
