@@ -2,6 +2,7 @@ package ibr
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"quicsand/internal/dissect"
@@ -91,59 +92,66 @@ func TestResponsePacketCachedAllocs(t *testing.T) {
 	}
 }
 
-// TestSlabRecyclingFloodScratchAllocs pins where a flood's arrival
-// times live: a second equal-sized flood built through the same warm
-// pool allocates at least one object fewer than build(nil), which has
-// no pool to keep the scratch in. The pool keeps it whether or not it
-// recycles packet slabs.
-func TestSlabRecyclingFloodScratchAllocs(t *testing.T) {
-	mk := func() *floodSpec {
-		return &floodSpec{
-			vector: VectorTCP, victim: netmodel.MustAddr("38.1.2.3"),
-			startSec: 0, durSec: 3600, peakPkts: 400, basePkts: 2000,
-			nAddrs: 4, nPorts: 8, rng: netmodel.NewRNG(6),
-		}
+// TestPlanAllocsPerFlood prices planning: scheduling the paper month
+// at scale 0.05 onto a ready generator (Internet, census and templates
+// built) allocates at most 1.2 objects per planned flood — the flood
+// itself, holding its RNG by value, plus everything else the schedule
+// keeps (bots, responders, ground truth) spread over the floods.
+func TestPlanAllocsPerFlood(t *testing.T) {
+	g, err := NewEmpty(Config{Seed: 7, Scale: 0.05, Identity: ibrIdentity})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cold := testing.AllocsPerRun(20, func() { mk().build(nil) })
-	for _, recycle := range []bool{false, true} {
-		pool := &slabPool{recycle: recycle}
-		pool.put(mk().build(pool))
-		warm := testing.AllocsPerRun(20, func() { pool.put(mk().build(pool)) })
-		if warm > cold-1 {
-			t.Errorf("recycle %v: warm pool build allocates %.0f objects, build(nil) %.0f; the arrival scratch is not reused",
-				recycle, warm, cold)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.schedulePaper()
+	runtime.ReadMemStats(&after)
+	floods := g.Truth.QUICAttacks + g.Truth.CommonAttacks
+	perFlood := float64(after.Mallocs-before.Mallocs) / float64(floods)
+	if perFlood > 1.2 {
+		t.Errorf("planning allocates %.2f objects per planned flood (%d floods), want ≤ 1.2", perFlood, floods)
 	}
+	t.Logf("%d floods planned, %.3f allocations each", floods, perFlood)
 }
 
-// TestSlabRecyclingDeterminism drives one shard's merged stream with
-// and without slab recycling; the packet sequences must be identical
-// (recycling only changes storage reuse, never content or order).
+// TestSlabRecyclingDeterminism drives the merged streams with and
+// without slab recycling, over one and three feeds, and requires equal
+// packet sequences, payload bytes included: recycling only changes
+// storage reuse, never content or order. The month is the paper's at a
+// small scale plus amplified QUIC and TCP/ICMP scenario floods, whose
+// chunks hold whole arrivals.
 func TestSlabRecyclingDeterminism(t *testing.T) {
-	digest := func(recycle bool) (int, uint64) {
-		// The shared identity pins template payload bytes: certificate
-		// signatures come from real entropy, so separate runs only
-		// compare byte-identically when they sign with one identity.
+	digest := func(feeds int, recycle bool) (int, string) {
 		gen, err := New(Config{Seed: 31, Scale: 0.002, SkipResearch: true, Identity: ibrIdentity})
 		if err != nil {
 			t.Fatal(err)
 		}
+		victims := PickDistinctVictims(gen.Census().Servers, 8, gen.ForkRNG("test/victims"))
+		gen.AddFloodPlan("amp-quic", FloodPlan{Vector: VectorQUIC, Attacks: 3000, Victims: victims,
+			Amplification: 2.5, Shape: ShapeSquare, SCIDRatio: -1})
+		gen.AddFloodPlan("amp-retry", FloodPlan{Vector: VectorQUIC, Attacks: 2000, Victims: victims,
+			Amplification: 3, RetryMitigated: true, Shape: ShapeRamp, SCIDRatio: -1})
+		gen.AddFloodPlan("amp-common", FloodPlan{Vector: VectorCommonMix, Attacks: 5000,
+			Victims:       []VictimRef{{Addr: netmodel.MustAddr("38.1.2.3")}, {Addr: netmodel.MustAddr("38.1.2.4")}},
+			Amplification: 1.5})
 		var n int
-		var sum uint64
-		for _, m := range gen.Feeds(3, recycle) {
+		ph := newPacketHash()
+		for _, m := range gen.Feeds(feeds, recycle) {
 			m.Run(func(p *telescope.Packet) {
 				n++
-				sum = sum*1099511628211 ^ uint64(p.TS) ^ uint64(p.Src)<<20 ^ uint64(p.Size)
+				ph.add(p)
 			})
 		}
-		return n, sum
+		return n, ph.sum()
 	}
-	n1, s1 := digest(false)
-	n2, s2 := digest(true)
-	if n1 == 0 {
-		t.Fatal("no packets")
-	}
-	if n1 != n2 || s1 != s2 {
-		t.Fatalf("recycling changed the stream: n %d vs %d, digest %x vs %x", n1, n2, s1, s2)
+	for _, feeds := range []int{1, 3} {
+		n1, s1 := digest(feeds, false)
+		n2, s2 := digest(feeds, true)
+		if n1 == 0 {
+			t.Fatal("no packets")
+		}
+		if n1 != n2 || s1 != s2 {
+			t.Fatalf("%d feeds: recycling changed the stream: n %d vs %d, digest %s vs %s", feeds, n1, n2, s1, s2)
+		}
 	}
 }

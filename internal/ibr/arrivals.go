@@ -2,7 +2,7 @@ package ibr
 
 // Flood arrival times without a comparison sort. A flood's arrival
 // offsets are uniform (or, for ShapeRamp, linearly dense) draws over
-// ranges build knows before drawing, so each run of draws is
+// ranges the flood knows before drawing, so each run of draws is
 // bucket-sorted on its own range in linear expected time and the runs
 // are merged. Flood materialisation is most of a generated month, and a
 // comparison sort of the arrivals cost a fifth of the simulate path's
@@ -23,10 +23,10 @@ type span struct{ lo, hi float64 }
 // sorted directly: counting buckets costs more than it saves there.
 const insertionCutoff = 24
 
-// arrivalScratch is floodSpec.build's working storage for arrival
+// arrivalScratch is a flood activation's working storage for arrival
 // offsets: the draws, the sorted runs and the bucket counts. None of it
-// outlives build, so a shard's slab pool keeps one and reuses it for
-// every flood of the shard, whether or not packet slabs recycle.
+// outlives the activation, so a shard's slab pool keeps one and reuses
+// it for every flood of the shard, whether or not packet slabs recycle.
 type arrivalScratch struct {
 	raw, tmp []float64
 	counts   []uint32

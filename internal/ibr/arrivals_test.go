@@ -104,7 +104,7 @@ var testFloods = []floodSpec{
 	{vector: VectorQUIC, durSec: 500, peakPkts: 150, basePkts: 120, nPorts: 9, scidRatio: 0.5, amp: 2},
 }
 
-// newTestFlood returns a copy of spec ready to build with its own RNG.
+// newTestFlood returns a copy of spec ready to stream with its own RNG.
 func newTestFlood(t *testing.T, spec floodSpec, seed uint64) *floodSpec {
 	f := spec
 	f.victim = netmodel.MustAddr("38.1.2.3")
@@ -113,7 +113,7 @@ func newTestFlood(t *testing.T, spec floodSpec, seed uint64) *floodSpec {
 	if f.nPorts == 0 {
 		f.nPorts = 8
 	}
-	f.rng = netmodel.NewRNG(seed)
+	f.rng = *netmodel.NewRNG(seed)
 	if f.vector == VectorQUIC {
 		f.tpl = testTemplates(t)
 	}
@@ -124,8 +124,8 @@ func newTestFlood(t *testing.T, spec floodSpec, seed uint64) *floodSpec {
 // sort.Float64s bit for bit: on hand-built runs (burst window at the
 // start, middle and end; run lengths around the insertion cutoff and up
 // to 20 000; duplicates; values one ulp outside the stated range) and on
-// every flood shape's real draws, where build's timestamps must also
-// follow the reference order, amp packets per arrival.
+// every flood shape's real draws, where the streamed timestamps must
+// also follow the reference order, amp packets per arrival.
 func TestSortArrivalsMatchesSort(t *testing.T) {
 	var s arrivalScratch
 	for _, c := range sortCases {
@@ -139,7 +139,7 @@ func TestSortArrivalsMatchesSort(t *testing.T) {
 			checkSorted(t, "flood", &s, raw, split, a, b)
 
 			f := newTestFlood(t, spec, seed)
-			pkts := f.build(nil)
+			pkts := drain(f)
 			amp := max(f.amp, 1)
 			if len(pkts) != len(want)*amp {
 				t.Fatalf("flood %d seed %d: %d packets for %d arrivals × %d", i, seed, len(pkts), len(want), amp)
@@ -182,9 +182,9 @@ func FuzzSortArrivals(f *testing.F) {
 
 // TestSortArrivalsWarmScratch drives one warm recycling pool through
 // 200 mixed floods — large after small and small after large, every
-// shape, vector and amplification — and holds each build to a cold
-// build(nil) of the same spec: scratch left over from an earlier flood
-// must never leak into a later one.
+// shape, vector and amplification — and holds each stream to a cold
+// one without a pool: scratch, working state and chunks left over from
+// an earlier flood must never leak into a later one.
 func TestSortArrivalsWarmScratch(t *testing.T) {
 	pool := &slabPool{recycle: true}
 	rng := netmodel.NewRNG(77)
@@ -197,16 +197,17 @@ func TestSortArrivalsWarmScratch(t *testing.T) {
 		}
 		spec.durSec = 30 + rng.Float64()*5000
 		seed := uint64(1000 + i)
-		warm := newTestFlood(t, spec, seed).build(pool)
-		cold := newTestFlood(t, spec, seed).build(nil)
+		f := newTestFlood(t, spec, seed)
+		f.setPool(pool)
+		warm := drain(f)
+		cold := drain(newTestFlood(t, spec, seed))
 		if len(warm) != len(cold) {
-			t.Fatalf("flood %d: warm pool built %d packets, build(nil) %d", i, len(warm), len(cold))
+			t.Fatalf("flood %d: warm pool streamed %d packets, no pool %d", i, len(warm), len(cold))
 		}
 		for j := range cold {
 			if !reflect.DeepEqual(warm[j], cold[j]) {
-				t.Fatalf("flood %d packet %d: warm %+v, build(nil) %+v", i, j, warm[j], cold[j])
+				t.Fatalf("flood %d packet %d: warm %+v, no pool %+v", i, j, warm[j], cold[j])
 			}
 		}
-		pool.put(warm)
 	}
 }

@@ -2,6 +2,7 @@ package ibr
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,9 +24,8 @@ func tsAt(offsetSec float64) telescope.Timestamp {
 // researchScan emits one full-IPv4 sweep's telescope slice: 2^23
 // single packets from one university host, thinned by `thin` with
 // per-record weight, spread over the scan duration. Packets are
-// produced into slab chunks — one arena per 256 records — and, when a
-// pool is attached, a chunk is recycled once the chunk after it is
-// exhausted (by which point all its packets are long consumed).
+// written into slabChunk-record chunks (see chunks for when a chunk
+// returns to the pool).
 type researchScan struct {
 	src      netmodel.Addr
 	start    telescope.Timestamp
@@ -35,11 +35,7 @@ type researchScan struct {
 	emit     uint64 // records to emit (total/weight)
 	i        uint64
 	rng      *netmodel.RNG
-
-	pool    *slabPool
-	chunk   []telescope.Packet
-	j       int
-	retired []telescope.Packet
+	chunks   chunks
 }
 
 func newResearchScan(rng *netmodel.RNG, src netmodel.Addr, startSec float64, dur time.Duration, thinWeight uint32) *researchScan {
@@ -55,6 +51,7 @@ func newResearchScan(rng *netmodel.RNG, src netmodel.Addr, startSec float64, dur
 		weight:   thinWeight,
 		emit:     total / uint64(thinWeight),
 		rng:      rng,
+		chunks:   chunks{size: slabChunk},
 	}
 }
 
@@ -62,35 +59,23 @@ func (r *researchScan) StartTime() telescope.Timestamp { return r.start }
 
 func (r *researchScan) Src() netmodel.Addr { return r.src }
 
-func (r *researchScan) setPool(p *slabPool) { r.pool = p }
+func (r *researchScan) setPool(p *slabPool) { r.chunks.pool = p }
 
 func (r *researchScan) plannedPackets() uint64 { return r.emit }
 
 func (r *researchScan) Next() (*telescope.Packet, bool) {
 	if r.i >= r.emit {
-		// The current chunk's tail may still be buffered upstream;
-		// only the retired chunk is certainly consumed.
-		if r.retired != nil {
-			r.pool.put(r.retired)
-			r.retired = nil
-		}
+		r.chunks.release()
 		return nil, false
 	}
-	if r.j >= len(r.chunk) {
-		r.pool.put(r.retired) // consumed ≥ one whole chunk ago
-		r.retired = r.chunk
-		n := slabChunk
-		if rem := r.emit - r.i; rem < uint64(n) {
-			n = int(rem)
-		}
-		r.chunk = r.pool.get(n)[:n]
-		r.j = 0
+	if r.chunks.used() {
+		r.chunks.fresh(int(min(slabChunk, r.emit-r.i)))
 	}
 	// Records advance linearly through the scan window; the zmap-style
 	// address permutation appears as a uniform draw from the prefix.
 	frac := float64(r.i) / float64(r.emit)
 	ts := r.start + telescope.Timestamp(frac*r.duration.Seconds()*1000)
-	p := &r.chunk[r.j]
+	p := r.chunks.take()
 	*p = telescope.Packet{
 		TS:      ts,
 		Src:     r.src,
@@ -101,7 +86,6 @@ func (r *researchScan) Next() (*telescope.Packet, bool) {
 		Size:    1200,
 		Weight:  r.weight,
 	}
-	r.j++
 	r.i++
 	return p, true
 }
@@ -117,7 +101,7 @@ type botSpec struct {
 	visits   []float64 // session start offsets (seconds)
 	pktsPer  int       // mean packets per session
 	srcPort  uint16
-	rng      *netmodel.RNG
+	rng      netmodel.RNG
 	tpl      *Templates
 	withload bool // carry real QUIC payload bytes
 }
@@ -145,7 +129,7 @@ func (b *botSpec) build(pool *slabPool) []telescope.Packet {
 			out = append(out, telescope.Packet{
 				TS:      tsAt(at),
 				Src:     b.src,
-				Dst:     netmodel.TelescopePrefix.Random(b.rng),
+				Dst:     netmodel.TelescopePrefix.Random(&b.rng),
 				SrcPort: b.srcPort,
 				DstPort: telescope.PortQUIC,
 				Proto:   telescope.ProtoUDP,
@@ -182,8 +166,10 @@ const (
 	ShapeRamp
 )
 
-// floodSpec describes one DoS event's backscatter as seen at the
-// telescope.
+// floodSpec is one planned DoS event's backscatter as seen at the
+// telescope, and the Source that streams it: a planned flood is this
+// one allocation, holding its RNG by value. Its working state exists
+// only while it is live (floodLive).
 type floodSpec struct {
 	vector    int // 0 QUIC, 1 TCP, 2 ICMP
 	victim    netmodel.Addr
@@ -195,7 +181,7 @@ type floodSpec struct {
 	nAddrs    int     // spoofed client addresses landing in scope
 	nPorts    int     // spoofed client ports
 	scidRatio float64 // unique SCIDs per (addr,port) tuple (QUIC only)
-	rng       *netmodel.RNG
+	rng       netmodel.RNG
 	tpl       *Templates
 
 	// Scenario knobs (zero values reproduce the paper's profile
@@ -203,84 +189,160 @@ type floodSpec struct {
 	shape          uint8 // rate-curve shape (ShapeBurst/Square/Ramp)
 	amp            int   // response datagrams per backscatter arrival (0/1 = none)
 	retryMitigated bool  // victim answers with Retry crypto challenges
+
+	pool *slabPool
+	live *floodLive // set from activation until exhaustion
+	done bool       // exhausted
 }
 
-// planned is the exact number of packets build materializes.
-func (f *floodSpec) planned() uint64 {
+// floodChunk bounds a flood refill: at most this many packets, whole
+// arrivals only, so an amplified arrival's datagrams never straddle two
+// chunks (an arrival of more than floodChunk datagrams fills one alone).
+const floodChunk = 32
+
+// floodLive is a live flood's working state: its sorted arrival
+// offsets, spoofed tuples, SCID assignment, payload cache and packet
+// chunks. It is drawn from the shard pool at activation and returned
+// there at exhaustion, so a month holds one per live flood, not one per
+// planned flood.
+type floodLive struct {
+	base  telescope.Timestamp // tsAt(startSec)
+	offs  []uint32            // arrival i at base+offs[i] ms, ascending
+	next  int                 // first arrival not yet written
+	addrs []netmodel.Addr
+	ports []uint16
+	// QUIC only: the tuple → SCID index, and the SCIDs in creation
+	// order so pooled reuse draws deterministically (map iteration
+	// order would leak scheduler state into the SCID histogram).
+	scids    map[uint32]int32
+	scidPool [][scidLen]byte
+	payloads PayloadCache
+	chunks   chunks
+}
+
+func (f *floodSpec) StartTime() telescope.Timestamp { return tsAt(f.startSec) }
+
+func (f *floodSpec) Src() netmodel.Addr { return f.victim }
+
+func (f *floodSpec) setPool(p *slabPool) { f.pool = p }
+
+// plannedPackets is the exact number of packets the flood emits.
+func (f *floodSpec) plannedPackets() uint64 {
 	return FloodPackets(f.peakPkts, f.basePkts, f.durSec, f.shape, f.amp)
 }
 
-// build materializes the attack's telescope packets in time order into
-// one slab. QUIC backscatter payloads are interned per (version, kind,
-// SCID): floods pool SCIDs per spoofed tuple, so one attack touches
-// only a handful of distinct datagrams, each built once and shared
-// read-only by every packet that repeats it.
-func (f *floodSpec) build(pool *slabPool) []telescope.Packet {
-	amp := f.amp
-	if amp < 1 {
-		amp = 1
+func (f *floodSpec) Next() (*telescope.Packet, bool) {
+	l := f.live
+	if l == nil {
+		if f.done {
+			return nil, false
+		}
+		l = f.activate()
+		f.live = l
 	}
-	s := pool.arrivalScratch()
+	if l.chunks.used() {
+		if l.next == len(l.offs) {
+			l.chunks.release()
+			f.pool.putFloodLive(l)
+			f.live, f.done = nil, true
+			return nil, false
+		}
+		f.refill(l)
+	}
+	return l.chunks.take(), true
+}
+
+// activate draws the flood's arrival times, sorts them and keeps them
+// as millisecond offsets, then draws the spoofed addresses and ports.
+// The offsets are exact: base+offs[i] is tsAt(startSec+at) for the
+// i-th sorted arrival at.
+func (f *floodSpec) activate() *floodLive {
+	l := f.pool.floodLive()
+	s := f.pool.arrivalScratch()
 	times := s.sort(f.drawArrivals(s))
-
-	// Spoofed client tuples and their stable SCID mapping.
-	addrs := make([]netmodel.Addr, f.nAddrs)
-	for i := range addrs {
-		addrs[i] = netmodel.TelescopePrefix.Random(f.rng)
-	}
-	ports := make([]uint16, f.nPorts)
-	for i := range ports {
-		ports[i] = uint16(1024 + f.rng.Intn(64000))
-	}
-	scidCache := make(map[uint32][]byte)
-	// scidPool lists created contexts in creation order so pooled
-	// reuse draws deterministically (map iteration order would leak
-	// scheduler state into the SCID histogram).
-	var scidPool [][]byte
-	payloads := NewPayloadCache(f.tpl)
-	payloads.Stats = pool.genStats()
-
-	out := pool.get(len(times) * amp)
+	l.base = tsAt(f.startSec)
+	l.offs = slices.Grow(l.offs[:0], len(times))
 	for _, at := range times {
-		ts := tsAt(f.startSec + at)
-		dst := addrs[f.rng.Intn(len(addrs))]
-		dport := ports[f.rng.Intn(len(ports))]
+		l.offs = append(l.offs, uint32(tsAt(f.startSec+at)-l.base))
+	}
+	l.next = 0
+	l.addrs = slices.Grow(l.addrs[:0], f.nAddrs)
+	for i := 0; i < f.nAddrs; i++ {
+		l.addrs = append(l.addrs, netmodel.TelescopePrefix.Random(&f.rng))
+	}
+	l.ports = slices.Grow(l.ports[:0], f.nPorts)
+	for i := 0; i < f.nPorts; i++ {
+		l.ports = append(l.ports, uint16(1024+f.rng.Intn(64000)))
+	}
+	if f.vector == VectorQUIC {
+		if l.scids == nil {
+			l.scids = make(map[uint32]int32)
+		}
+		clear(l.scids)
+		l.scidPool = l.scidPool[:0]
+		clear(l.payloads.m)
+		l.payloads.t, l.payloads.Stats = f.tpl, f.pool.genStats()
+	}
+	per := max(floodChunk/max(f.amp, 1), 1)
+	l.chunks = chunks{pool: f.pool, size: per * max(f.amp, 1)}
+	return l
+}
+
+// refill writes the next chunk: as many whole arrivals as fit, each
+// with its amp response datagrams, continuing the flood's own draws
+// (per arrival the spoofed tuple, then each datagram's kind or flags).
+// QUIC payloads are interned per (version, kind, SCID): floods pool
+// SCIDs per spoofed tuple, so one attack touches only a handful of
+// distinct datagrams, each built once and shared read-only by every
+// packet that repeats it.
+func (f *floodSpec) refill(l *floodLive) {
+	amp := max(f.amp, 1)
+	n := min(l.chunks.size/amp, len(l.offs)-l.next)
+	out := l.chunks.fresh(n * amp)
+	k := 0
+	for _, off := range l.offs[l.next : l.next+n] {
+		ts := l.base + telescope.Timestamp(off)
+		dst := l.addrs[f.rng.Intn(len(l.addrs))]
+		dport := l.ports[f.rng.Intn(len(l.ports))]
 
 		// Amplification: the victim answers each spoofed packet with
 		// amp response datagrams to the same spoofed tuple (amp = 1
 		// reproduces the paper's draw sequence exactly).
 		switch f.vector {
-		case 0: // QUIC backscatter with real wire bytes
+		case VectorQUIC: // QUIC backscatter with real wire bytes
 			tupleKey := uint32(dst)<<16 ^ uint32(dport)
-			scid := scidCache[tupleKey]
-			if scid == nil {
-				if f.rng.Float64() >= f.scidRatio && len(scidPool) > 0 {
+			idx, ok := l.scids[tupleKey]
+			if !ok {
+				if f.rng.Float64() >= f.scidRatio && len(l.scidPool) > 0 {
 					// Reuse an existing context (mvfst-style pooling).
-					scid = scidPool[f.rng.Intn(len(scidPool))]
+					idx = int32(f.rng.Intn(len(l.scidPool)))
 				} else {
-					scid = make([]byte, scidLen) // fresh per-tuple context
-					f.rng.Bytes(scid)
-					scidPool = append(scidPool, scid)
+					// A fresh per-tuple context.
+					idx = int32(len(l.scidPool))
+					l.scidPool = append(l.scidPool, [scidLen]byte{})
+					f.rng.Bytes(l.scidPool[idx][:])
 				}
-				scidCache[tupleKey] = scid
+				l.scids[tupleKey] = idx
 			}
-			for k := 0; k < amp; k++ {
+			scid := l.scidPool[idx][:]
+			for a := 0; a < amp; a++ {
 				var kind responseKind
 				if f.retryMitigated {
-					kind = pickRetryKind(f.rng)
+					kind = pickRetryKind(&f.rng)
 				} else {
-					kind = pickResponseKind(f.rng)
+					kind = pickResponseKind(&f.rng)
 				}
-				payload := payloads.ResponsePacket(f.version, kind, scid)
-				out = append(out, telescope.Packet{
+				payload := l.payloads.ResponsePacket(f.version, kind, scid)
+				out[k] = telescope.Packet{
 					TS: ts, Src: f.victim, Dst: dst,
 					SrcPort: telescope.PortQUIC, DstPort: dport,
 					Proto: telescope.ProtoUDP, Size: clampSize(len(payload)),
 					Payload: payload,
-				})
+				}
+				k++
 			}
-		case 1: // TCP SYN-ACK / RST backscatter
-			for k := 0; k < amp; k++ {
+		case VectorTCP: // TCP SYN-ACK / RST backscatter
+			for a := 0; a < amp; a++ {
 				flags := telescope.FlagSYN | telescope.FlagACK
 				if f.rng.Float64() < 0.3 {
 					flags = telescope.FlagRST
@@ -289,22 +351,24 @@ func (f *floodSpec) build(pool *slabPool) []telescope.Packet {
 				if f.rng.Float64() < 0.5 {
 					sport = 443
 				}
-				out = append(out, telescope.Packet{
+				out[k] = telescope.Packet{
 					TS: ts, Src: f.victim, Dst: dst,
 					SrcPort: sport, DstPort: dport,
 					Proto: telescope.ProtoTCP, Flags: flags, Size: 40,
-				})
+				}
+				k++
 			}
 		default: // ICMP echo reply / unreachable
-			for k := 0; k < amp; k++ {
-				out = append(out, telescope.Packet{
+			for a := 0; a < amp; a++ {
+				out[k] = telescope.Packet{
 					TS: ts, Src: f.victim, Dst: dst,
 					Proto: telescope.ProtoICMP, Flags: 0, Size: 56,
-				})
+				}
+				k++
 			}
 		}
 	}
-	return out
+	l.next += n
 }
 
 // drawArrivals draws the attack's arrival offsets (seconds from its
@@ -364,7 +428,7 @@ type misconfigSpec struct {
 	src     netmodel.Addr
 	version wire.Version
 	visits  []float64
-	rng     *netmodel.RNG
+	rng     netmodel.RNG
 	tpl     *Templates
 }
 
@@ -385,10 +449,10 @@ func (m *misconfigSpec) build(pool *slabPool) []telescope.Packet {
 		// Appendix B profile: ~11 packets over ~7 s at ~0.18 max pps.
 		n := MisconfMinPacketsPerVisit + m.rng.Intn(MisconfMaxPacketsPerVisit-MisconfMinPacketsPerVisit+1)
 		at := visit
-		dst := netmodel.TelescopePrefix.Random(m.rng)
+		dst := netmodel.TelescopePrefix.Random(&m.rng)
 		dport := uint16(1024 + m.rng.Intn(64000))
 		for i := 0; i < n; i++ {
-			payload := payloads.ResponsePacket(m.version, pickResponseKind(m.rng), scid[:])
+			payload := payloads.ResponsePacket(m.version, pickResponseKind(&m.rng), scid[:])
 			out = append(out, telescope.Packet{
 				TS: tsAt(at), Src: m.src, Dst: dst,
 				SrcPort: telescope.PortQUIC, DstPort: dport,

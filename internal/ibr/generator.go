@@ -1,6 +1,7 @@
 package ibr
 
 import (
+	_ "embed"
 	"fmt"
 	"math"
 	"sort"
@@ -31,7 +32,10 @@ type Config struct {
 	// Internet and Census default to freshly built instances.
 	Internet *netmodel.Internet
 	Census   *activescan.Census
-	// Identity signs the template handshakes; generated when nil.
+	// Identity signs the template handshakes. Nil means the identity
+	// embedded in this package (identity.pem), so the seed alone fixes
+	// every payload byte of a run; a caller's own identity changes the
+	// certificate and signature bytes, and nothing else.
 	Identity *tlsmini.Identity
 	// RecordLedger captures every scheduled event in Generator.Ledger
 	// (see ledger.go) — the analytic oracle's input. Recording is pure
@@ -39,6 +43,14 @@ type Config struct {
 	// bit-identical with or without it.
 	RecordLedger bool
 }
+
+// defaultIdentityPEM is the template identity when Config.Identity is
+// nil: a self-signed ECDSA-P256 certificate for quic.example.net with
+// 600 bytes of subject padding, as tlsmini.GenerateSelfSigned makes,
+// fixed once so that a seed fixes a recording's bytes.
+//
+//go:embed identity.pem
+var defaultIdentityPEM []byte
 
 // Calibration constants: the paper-published magnitudes the generator
 // targets at Scale=1. Each is an *input* intensity; the reported
@@ -113,7 +125,7 @@ func NewEmpty(cfg Config) (*Generator, error) {
 		cfg.Census = activescan.Build(cfg.Internet, censusRNG, activescan.Config{})
 	}
 	if cfg.Identity == nil {
-		id, err := tlsmini.GenerateSelfSigned("quic.example.net", 600)
+		id, err := tlsmini.ParseIdentityPEM(defaultIdentityPEM)
 		if err != nil {
 			return nil, err
 		}
@@ -142,12 +154,17 @@ func New(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.schedulePaper()
+	return g, nil
+}
+
+// schedulePaper plans the paper's month onto an empty generator.
+func (g *Generator) schedulePaper() {
 	g.scheduleResearch(g.root.Fork("research"))
 	g.scheduleBots(g.root.Fork("bots"))
 	quicSpecs := g.scheduleQUICAttacks(g.root.Fork("quic-attacks"))
 	g.scheduleCommonAttacks(g.root.Fork("common-attacks"), quicSpecs)
 	g.scheduleMisconfig(g.root.Fork("misconfig"))
-	return g, nil
 }
 
 // Internet returns the simulated topology the generator schedules
@@ -294,13 +311,13 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 			visits:  visits,
 			pktsPer: 11,
 			srcPort: uint16(1024 + rng.Intn(60000)),
-			rng:     rng.Fork(fmt.Sprintf("bot/%d", i)),
+			rng:     rng.ForkIndexed("bot", i),
 			tpl:     g.tpl,
 			// Carrying full payloads on every scan packet is the
 			// default; it exercises the dissector's ClientHello path.
 			withload: true,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot.build))
+		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot))
 		g.recordBot("paper/bots", bot)
 		g.Truth.BotAddrs = append(g.Truth.BotAddrs, src)
 		if rng.Float64() < 0.023 {
@@ -456,9 +473,9 @@ func (g *Generator) scheduleQUICAttacks(rng *netmodel.RNG) []FloodEvent {
 			startSec: start, durSec: dur,
 			peakPkts: peak, basePkts: base,
 			nAddrs: nAddrs, nPorts: nPorts, scidRatio: scidRatio,
-			rng: rng.Fork(fmt.Sprintf("qattack/%d", i)), tpl: g.tpl,
+			rng: rng.ForkIndexed("qattack", i), tpl: g.tpl,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(start), victim, spec.planned(), spec.build))
+		g.sources = append(g.sources, spec)
 		g.recordFlood("paper/quic-attacks", spec, orgNames[orgIdx])
 		plans = append(plans, FloodEvent{Victim: victim, StartSec: start, DurSec: dur})
 	}

@@ -56,10 +56,10 @@ func TestMergerOrdersAcrossSources(t *testing.T) {
 func TestMergerLazyActivation(t *testing.T) {
 	built := 0
 	mkLazy := func(start int64) Source {
-		return newLazySource(telescope.Timestamp(start), 0, 2, func(*slabPool) []telescope.Packet {
+		return newLazySource(telescope.Timestamp(start), 0, 2, buildFunc(func(*slabPool) []telescope.Packet {
 			built++
 			return []telescope.Packet{{TS: telescope.Timestamp(start)}, {TS: telescope.Timestamp(start + 5)}}
-		})
+		}))
 	}
 	m := NewMerger(mkLazy(100), mkLazy(2000), mkLazy(50))
 	// Pulling the first packet must not build far-future sources.
@@ -128,9 +128,9 @@ func TestMergerMatchesBruteForce(t *testing.T) {
 			if len(pkts) > 0 {
 				start = pkts[0].TS - telescope.Timestamp(1+rng.Intn(5))
 			}
-			return newLazySource(start, src, uint64(len(pkts)), func(pool *slabPool) []telescope.Packet {
+			return newLazySource(start, src, uint64(len(pkts)), buildFunc(func(pool *slabPool) []telescope.Packet {
 				return append(pool.get(len(pkts)), pkts...)
-			})
+			}))
 		}
 		var sources []Source
 		for n := 1 + rng.Intn(60); n > 0; n-- {
@@ -302,9 +302,9 @@ func TestFloodSpecBuild(t *testing.T) {
 		vector: 0, victim: netmodel.MustAddr("142.250.3.3"),
 		version: wire.VersionDraft29, startSec: 500, durSec: 300,
 		peakPkts: 100, basePkts: 50, nAddrs: 5, nPorts: 20, scidRatio: 0.9,
-		rng: netmodel.NewRNG(5), tpl: tpl,
+		rng: *netmodel.NewRNG(5), tpl: tpl,
 	}
-	pkts := spec.build(nil)
+	pkts := drain(spec)
 	// peakPkts is a per-minute rate sustained over a 2-minute burst
 	// window, plus base packets and 2 brackets.
 	if len(pkts) != 2*100+50+2 {
@@ -359,11 +359,11 @@ func TestFloodSpecSCIDPooling(t *testing.T) {
 			vector: 0, victim: netmodel.MustAddr("157.240.9.9"),
 			version: wire.VersionMVFST27, startSec: 0, durSec: 300,
 			peakPkts: 200, basePkts: 0, nAddrs: 10, nPorts: 50, scidRatio: ratio,
-			rng: netmodel.NewRNG(9), tpl: tpl,
+			rng: *netmodel.NewRNG(9), tpl: tpl,
 		}
 		scids := map[string]bool{}
 		d := dissect.NewDissector()
-		for _, p := range spec.build(nil) {
+		for _, p := range drain(spec) {
 			r, err := d.Dissect(p.Payload)
 			if err != nil {
 				t.Fatal(err)
@@ -385,12 +385,13 @@ func TestFloodSpecSCIDPooling(t *testing.T) {
 
 func TestCommonFloodPackets(t *testing.T) {
 	tpl := testTemplates(t)
-	spec := &floodSpec{
+	spec := floodSpec{
 		vector: 1, victim: netmodel.MustAddr("38.1.2.3"),
 		startSec: 0, durSec: 120, peakPkts: 40, basePkts: 10, nAddrs: 4, nPorts: 8,
-		rng: netmodel.NewRNG(6), tpl: tpl,
+		rng: *netmodel.NewRNG(6), tpl: tpl,
 	}
-	for _, p := range spec.build(nil) {
+	icmp := spec
+	for _, p := range drain(&spec) {
 		if p.Proto != telescope.ProtoTCP || p.Payload != nil {
 			t.Fatal("TCP flood shape wrong")
 		}
@@ -398,9 +399,9 @@ func TestCommonFloodPackets(t *testing.T) {
 			t.Fatalf("flags = %x", p.Flags)
 		}
 	}
-	spec.vector = 2
-	spec.rng = netmodel.NewRNG(7)
-	for _, p := range spec.build(nil) {
+	icmp.vector = 2
+	icmp.rng = *netmodel.NewRNG(7)
+	for _, p := range drain(&icmp) {
 		if p.Proto != telescope.ProtoICMP {
 			t.Fatal("ICMP flood shape wrong")
 		}
@@ -412,7 +413,7 @@ func TestBotSpecSessions(t *testing.T) {
 	bot := &botSpec{
 		src: netmodel.MustAddr("103.110.7.7"), version: wire.Version1,
 		visits: []float64{1000, 50000}, pktsPer: 11, srcPort: 5555,
-		rng: netmodel.NewRNG(8), tpl: tpl, withload: true,
+		rng: *netmodel.NewRNG(8), tpl: tpl, withload: true,
 	}
 	pkts := bot.build(nil)
 	if len(pkts) < 2 {
@@ -523,6 +524,11 @@ func TestGeneratorDeterminism(t *testing.T) {
 		t.Fatal("no packets")
 	}
 }
+
+// buildFunc adapts a function to the lazySource builder.
+type buildFunc func(*slabPool) []telescope.Packet
+
+func (f buildFunc) build(p *slabPool) []telescope.Packet { return f(p) }
 
 func newSliceSource(start telescope.Timestamp, src netmodel.Addr, pkts []telescope.Packet) *sliceSource {
 	return &sliceSource{start: start, src: src, pkts: pkts}

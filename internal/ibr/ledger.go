@@ -105,11 +105,11 @@ type Ledger struct {
 }
 
 // FloodPackets returns the exact number of telescope packets one flood
-// event materializes. It is the schedule-time twin of floodSpec.build:
-// two bracket packets pin the attack extent, the shape draws peak+base
+// event emits. It is the schedule-time twin of the flood's stream: two
+// bracket packets pin the attack extent, the shape draws peak+base
 // arrival times (ShapeBurst expands the peak over a window of up to
 // two minutes), and every arrival elicits amp response datagrams. Only
-// arrival *times* are drawn at build time — the count is fully
+// arrival *times* are drawn at activation — the count is fully
 // determined here, which is what makes flood volumes an exact oracle
 // counter (TestFloodPacketsMatchesBuild pins the two against each
 // other).
@@ -190,7 +190,7 @@ func (g *Generator) recordFlood(label string, s *floodSpec, org string) {
 		RetryMitigated: s.retryMitigated,
 		NAddrs:         s.nAddrs,
 		NPorts:         s.nPorts,
-		Packets:        s.planned(),
+		Packets:        s.plannedPackets(),
 	})
 }
 

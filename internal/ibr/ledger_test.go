@@ -40,7 +40,7 @@ func ledgerGenerator(t *testing.T) *Generator {
 
 // TestFloodPacketsMatchesBuild is the contract behind every exact
 // flood prediction: FloodPackets (schedule-time arithmetic) must equal
-// the number of packets floodSpec.build materializes, per victim, for
+// the number of packets the floods stream, per victim, for
 // every shape, amplification level and vector.
 func TestFloodPacketsMatchesBuild(t *testing.T) {
 	g := ledgerGenerator(t)

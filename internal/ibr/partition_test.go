@@ -113,7 +113,7 @@ func TestPartitionBalancesPaperMonth(t *testing.T) {
 }
 
 // TestPartitionFloodWeightIsBuildCount pins the weight Partition gives a
-// flood: its planned count is the number of packets build makes, for
+// flood: its planned count is the number of packets it streams, for
 // every shape and amplification, not an estimate.
 func TestPartitionFloodWeightIsBuildCount(t *testing.T) {
 	for i, spec := range testFloods {
@@ -121,9 +121,8 @@ func TestPartitionFloodWeightIsBuildCount(t *testing.T) {
 			for _, shape := range []uint8{ShapeBurst, ShapeSquare, ShapeRamp} {
 				spec.amp, spec.shape = amp, shape
 				f := newTestFlood(t, spec, uint64(i+1))
-				src := newLazySource(tsAt(f.startSec), f.victim, f.planned(), f.build)
-				if got, want := plannedPackets(src), uint64(len(f.build(nil))); got != want {
-					t.Fatalf("flood %d shape %d amp %d: planned %d, build made %d", i, shape, amp, got, want)
+				if got, want := plannedPackets(f), uint64(len(drain(f))); got != want {
+					t.Fatalf("flood %d shape %d amp %d: planned %d, streamed %d", i, shape, amp, got, want)
 				}
 			}
 		}

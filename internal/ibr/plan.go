@@ -209,11 +209,11 @@ func (g *Generator) AddScanPlan(label string, p ScanPlan) {
 			visits:   visits,
 			pktsPer:  p.PacketsPerVisit,
 			srcPort:  uint16(1024 + rng.Intn(60000)),
-			rng:      rng.Fork(fmt.Sprintf("bot/%d", i)),
+			rng:      rng.ForkIndexed("bot", i),
 			tpl:      g.tpl,
 			withload: !p.NoPayload,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot.build))
+		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot))
 		g.recordBot(label, bot)
 		g.Truth.BotAddrs = append(g.Truth.BotAddrs, src)
 		if rng.Float64() < tagShare {
@@ -346,10 +346,10 @@ func (g *Generator) AddFloodPlan(label string, p FloodPlan) []FloodEvent {
 			startSec: atkStart, durSec: atkDur,
 			peakPkts: peak, basePkts: base,
 			nAddrs: nAddrs, nPorts: nPorts, scidRatio: p.SCIDRatio,
-			rng: rng.Fork(fmt.Sprintf("atk/%d", i)), tpl: g.tpl,
+			rng: rng.ForkIndexed("atk", i), tpl: g.tpl,
 			shape: p.Shape, amp: amp, retryMitigated: p.RetryMitigated,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(atkStart), v.Addr, spec.planned(), spec.build))
+		g.sources = append(g.sources, spec)
 		g.recordFlood(label, spec, v.Org)
 
 		if vector == VectorQUIC {
@@ -460,9 +460,9 @@ func (g *Generator) addCommonFlood(rng *netmodel.RNG, victim netmodel.Addr, star
 		startSec: start, durSec: dur,
 		peakPkts: peak, basePkts: base,
 		nAddrs: nAddrs, nPorts: 1 + rng.Intn(64),
-		rng: rng.Fork(fmt.Sprintf("%s/%d", forkPrefix, idx)), tpl: g.tpl,
+		rng: rng.ForkIndexed(forkPrefix, idx), tpl: g.tpl,
 	}
-	g.sources = append(g.sources, newLazySource(tsAt(start), victim, spec.planned(), spec.build))
+	g.sources = append(g.sources, spec)
 	g.recordFlood(ledgerLabel, spec, "")
 	g.Truth.CommonAttacks++
 }
@@ -649,9 +649,9 @@ func (g *Generator) scheduleMisconfigSources(rng *netmodel.RNG, n int, visitsMea
 		sort.Float64s(visits)
 		spec := &misconfigSpec{
 			src: src, version: version, visits: visits,
-			rng: rng.Fork(fmt.Sprintf("misconf/%d", i)), tpl: g.tpl,
+			rng: rng.ForkIndexed("misconf", i), tpl: g.tpl,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, spec.planned(), spec.build))
+		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, spec.planned(), spec))
 		g.recordMisconfig(ledgerLabel, spec, start)
 		g.Truth.MisconfSources++
 	}

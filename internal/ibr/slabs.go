@@ -5,13 +5,13 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// slabChunk is the packet-slab granularity for incrementally producing
-// sources (research scans): one allocation per 256 packets instead of
-// one per packet.
+// slabChunk is a research scan's chunk: one slab per 256 records
+// instead of one per record.
 const slabChunk = 256
 
-// maxFreeSlabs bounds a pool's freelist; beyond it slabs are dropped
-// for the GC rather than hoarded.
+// maxFreeSlabs bounds a pool's freelists (packet slabs and flood
+// working states); beyond it they are dropped for the GC rather than
+// hoarded.
 const maxFreeSlabs = 32
 
 // slabPool recycles value-typed packet slabs ([]telescope.Packet
@@ -22,8 +22,8 @@ const maxFreeSlabs = 32
 // goroutines — see DESIGN.md "Packet ownership & lifetime").
 //
 // A pool is single-goroutine property of its merger: sources return
-// their slab on exhaustion and later-activating sources of the same
-// shard reuse it. The merger's one-packet lookahead makes this safe —
+// their slabs and chunks (see chunks) and later sources of the same
+// shard reuse them. The merger's one-packet lookahead makes this safe —
 // a slab is only handed out again on a later Next call, after the
 // slab's final packet has been fully processed by the synchronous
 // sink chain.
@@ -36,9 +36,31 @@ type slabPool struct {
 	// stats, when set, counts slab traffic into the owning merger's
 	// Generate bank.
 	stats *telemetry.Generate
-	// arrivals is the shard's flood arrival scratch. It never leaves
-	// floodSpec.build, so it is reused whether or not recycle is set.
+	// arrivals is the shard's flood arrival scratch, and lives holds
+	// exhausted floods' working states. No packet points into either,
+	// so both are reused whether or not recycle is set.
 	arrivals arrivalScratch
+	lives    []*floodLive
+}
+
+// floodLive returns a flood working state for activation: an exhausted
+// flood's, or a new one. The caller resets every field it uses.
+func (p *slabPool) floodLive() *floodLive {
+	if p == nil || len(p.lives) == 0 {
+		return new(floodLive)
+	}
+	l := p.lives[len(p.lives)-1]
+	p.lives[len(p.lives)-1] = nil
+	p.lives = p.lives[:len(p.lives)-1]
+	return l
+}
+
+// putFloodLive keeps an exhausted flood's working state for the next
+// activation on the shard. Its chunks must already be released.
+func (p *slabPool) putFloodLive(l *floodLive) {
+	if p != nil && len(p.lives) < maxFreeSlabs {
+		p.lives = append(p.lives, l)
+	}
 }
 
 // arrivalScratch returns the pool's flood arrival scratch; a nil pool
@@ -118,6 +140,49 @@ func (p *slabPool) ensure(s []telescope.Packet, extra int) []telescope.Packet {
 	copy(grown, s)
 	p.put(s)
 	return grown
+}
+
+// chunks is a chunked source's packet storage: the chunk being handed
+// out and the one before it. fresh retires the current chunk and
+// returns the previous one to the pool, because the current chunk's
+// last packet is the one the merger has just returned and its caller
+// has not yet consumed; every packet of the chunk before it has been.
+// release returns both at exhaustion: the merger's one-packet lookahead
+// guarantees the final packet is consumed before a later Next can hand
+// either chunk to another source, as for sliceSource.
+type chunks struct {
+	pool         *slabPool
+	size         int // capacity of every chunk: a source's chunks are interchangeable
+	cur, retired []telescope.Packet
+	j            int // next packet of cur to hand out
+}
+
+// used reports whether every packet of the current chunk has been
+// handed out.
+func (c *chunks) used() bool { return c.j >= len(c.cur) }
+
+// fresh retires the current chunk and returns a new one of n ≤ size
+// packets for the caller to write.
+func (c *chunks) fresh(n int) []telescope.Packet {
+	c.pool.put(c.retired)
+	c.retired = c.cur
+	c.cur = c.pool.get(c.size)[:n]
+	c.j = 0
+	return c.cur
+}
+
+// take hands out the current chunk's next packet.
+func (c *chunks) take() *telescope.Packet {
+	p := &c.cur[c.j]
+	c.j++
+	return p
+}
+
+// release returns both chunks to the pool at exhaustion.
+func (c *chunks) release() {
+	c.pool.put(c.retired)
+	c.pool.put(c.cur)
+	c.cur, c.retired, c.j = nil, nil, 0
 }
 
 // pooled is implemented by sources that can draw their packet storage

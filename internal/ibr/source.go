@@ -22,10 +22,12 @@ import (
 // address — the invariant the sharded pipeline partitions on.
 //
 // Packet ownership: the *telescope.Packet returned by Next points into
-// source-owned storage and is guaranteed valid only until the source is
-// exhausted (and, with a recycling merger, only until the next merger
-// Next call after exhaustion). Consumers that retain packets must copy
-// them — see DESIGN.md "Packet ownership & lifetime". The replay path
+// source-owned storage. With a recycling merger it is guaranteed valid
+// only until the following merger Next call, because chunked sources
+// (research scans, floods) and exhausted sources hand their storage
+// back to the shard pool; without recycling nothing is reused.
+// Consumers that retain packets must copy them — see DESIGN.md "Packet
+// ownership & lifetime". The replay path
 // has a twin contract: capture.Source packets are valid only until the
 // following Next call, and capture.Scatter copies them into per-shard
 // slabs governed by the same rules (DESIGN.md §10).
@@ -327,12 +329,12 @@ func plannedPackets(s Source) uint64 {
 	return 1
 }
 
-// sliceSource replays a pre-built, time-sorted packet slab. Event
-// generators that materialize lazily wrap themselves in one once
-// activated. On exhaustion the slab returns to the shard pool (when
-// recycling): by then every packet except the final one has been fully
-// consumed, and the merger's one-packet lookahead guarantees the final
-// packet is processed before any later activation can reuse the slab.
+// sliceSource replays a pre-built, time-sorted packet slab: a
+// lazySource's once it is activated. On exhaustion the slab returns to
+// the shard pool (when recycling): by then every packet except the
+// final one has been fully consumed, and the merger's one-packet
+// lookahead guarantees the final packet is processed before any later
+// activation can reuse the slab.
 type sliceSource struct {
 	start telescope.Timestamp
 	src   netmodel.Addr
@@ -360,22 +362,28 @@ func (s *sliceSource) Next() (*telescope.Packet, bool) {
 	return p, true
 }
 
+// builder is a lazily built event: bots and misconfigured responders
+// materialize all their packets at once into one slab.
+type builder interface {
+	build(*slabPool) []telescope.Packet
+}
+
 // lazySource defers building its packets until the merger activates it
 // (first Next call), bounding peak memory to concurrently live events.
-// The build function receives the shard's slab pool (nil when
-// recycling is off) to draw its packet arena from. planned is the
-// schedule's packet count for the event, its weight in Partition.
+// The builder receives the shard's slab pool to draw its packet arena
+// from. planned is the schedule's packet count for the event, its
+// weight in Partition.
 type lazySource struct {
 	start   telescope.Timestamp
 	src     netmodel.Addr
 	planned uint64
-	build   func(*slabPool) []telescope.Packet
+	builder builder
 	inner   sliceSource
 	pool    *slabPool
 }
 
-func newLazySource(start telescope.Timestamp, src netmodel.Addr, planned uint64, build func(*slabPool) []telescope.Packet) *lazySource {
-	return &lazySource{start: start, src: src, planned: planned, build: build}
+func newLazySource(start telescope.Timestamp, src netmodel.Addr, planned uint64, b builder) *lazySource {
+	return &lazySource{start: start, src: src, planned: planned, builder: b}
 }
 
 func (s *lazySource) StartTime() telescope.Timestamp { return s.start }
@@ -387,9 +395,9 @@ func (s *lazySource) plannedPackets() uint64 { return s.planned }
 func (s *lazySource) setPool(p *slabPool) { s.pool = p }
 
 func (s *lazySource) Next() (*telescope.Packet, bool) {
-	if s.build != nil {
-		s.inner = sliceSource{start: s.start, src: s.src, pkts: s.build(s.pool), pool: s.pool}
-		s.build = nil
+	if s.builder != nil {
+		s.inner = sliceSource{start: s.start, src: s.src, pkts: s.builder.build(s.pool), pool: s.pool}
+		s.builder = nil
 	}
 	return s.inner.Next()
 }

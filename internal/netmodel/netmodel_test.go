@@ -1,6 +1,8 @@
 package netmodel
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -38,6 +40,41 @@ func TestRNGForkReproducible(t *testing.T) {
 	a2, b2 := mk()
 	if a1 != a2 || b1 != b2 {
 		t.Fatal("forked streams not reproducible")
+	}
+}
+
+// TestForkHashesWithFNV1a pins Fork's label hash to hash/fnv's
+// New64a, which every recorded month was forked with.
+func TestForkHashesWithFNV1a(t *testing.T) {
+	for _, name := range []string{"", "census", "plan/google-wave", "qattack/2904", "templates/0xff00001d"} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		seed := NewRNG(11)
+		want := RNG{state: seed.Uint64() ^ h.Sum64()}
+		if got := NewRNG(11).Fork(name); *got != want {
+			t.Errorf("Fork(%q) state %x, FNV-1a reference %x", name, got.state, want.state)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { NewRNG(1).ForkIndexed("atk", 12345) }); avg != 0 {
+		t.Errorf("ForkIndexed allocates %.1f objects", avg)
+	}
+}
+
+// TestForkIndexed holds ForkIndexed to the formatted fork it replaces
+// at the three flood sites, and advances the parent alike.
+func TestForkIndexed(t *testing.T) {
+	for _, prefix := range []string{"atk", "cattack", "qattack"} {
+		for _, i := range []int{0, 9, 10, 99, 12345, 1 << 40, -7} {
+			a, b := NewRNG(2021), NewRNG(2021)
+			got := a.ForkIndexed(prefix, i)
+			want := b.Fork(fmt.Sprintf("%s/%d", prefix, i))
+			if got != *want {
+				t.Errorf("ForkIndexed(%q, %d) state %x, Fork %x", prefix, i, got.state, want.state)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Errorf("ForkIndexed(%q, %d) left the parent elsewhere than Fork", prefix, i)
+			}
+		}
 	}
 }
 

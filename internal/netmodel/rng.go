@@ -5,8 +5,8 @@
 package netmodel
 
 import (
-	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // RNG is a deterministic SplitMix64 generator. It is the only source
@@ -23,9 +23,27 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // adding a new traffic source never perturbs the draws of existing
 // ones.
 func (r *RNG) Fork(name string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return &RNG{state: r.Uint64() ^ h.Sum64()}
+	return &RNG{state: r.Uint64() ^ fnv1a(fnvOffset, name)}
+}
+
+// ForkIndexed returns the generator Fork(fmt.Sprintf("%s/%d", prefix,
+// i)) would, by value and without formatting the label: the schedule
+// forks one per planned event.
+func (r *RNG) ForkIndexed(prefix string, i int) RNG {
+	var buf [24]byte
+	index := strconv.AppendInt(append(buf[:0], '/'), int64(i), 10)
+	return RNG{state: r.Uint64() ^ fnv1a(fnv1a(fnvOffset, prefix), index)}
+}
+
+// fnvOffset starts a 64-bit FNV-1a hash (hash/fnv's New64a); fnv1a
+// continues h over s, so a fork hashes its label without allocating.
+const fnvOffset = 14695981039346656037
+
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // Uint64 returns the next 64 random bits.

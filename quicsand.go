@@ -65,10 +65,10 @@ type Config struct {
 	// Trace, when set, receives every captured packet (checkpointing)
 	// in canonical global time order regardless of Workers.
 	Trace telescope.Sink
-	// Identity signs the generator's template handshakes; generated
-	// fresh when nil. Supply one (with a seeded handshake) to make
-	// template payload bytes — and thus traces — reproduce across
-	// separate runs.
+	// Identity signs the generator's template handshakes. Nil uses
+	// the generator's embedded identity, so a seed alone fixes a
+	// trace's bytes; another identity changes only the certificate and
+	// signature bytes of the payloads.
 	Identity *tlsmini.Identity
 	// Workers selects the pipeline shard count: 0 uses every CPU
 	// (GOMAXPROCS), N fans the month out over N analysis shards keyed

@@ -2,7 +2,9 @@
 # replay_roundtrip.sh — end-to-end check of the capture subsystem via
 # the CLI: simulate → export pcap → convert back → replay, asserting
 #
-#   1. QSND → pcap → QSND is byte-identical (every record preserved);
+#   1. a seed fixes a recording's bytes: two processes recording the
+#      month at -workers 2 and 8 write identical files, and QSND → pcap
+#      → QSND is byte-identical (every record preserved);
 #   2. replaying either container, at a different worker count,
 #      reproduces the recorded run's headline JSON exactly;
 #   3. the pcap replays to the same document — ingest_* lines included —
@@ -27,9 +29,15 @@ go build -o "$tmp/quicsand" ./cmd/quicsand
 sim="-seed 5 -scale $scale -thin 16384"
 
 # Record the month (workers=2) and keep its headline JSON as the
-# reference analysis — one process produces both artifacts, so the
-# comparison is free of cross-run identity noise.
+# reference analysis.
 "$tmp/quicsand" record $sim -workers 2 -o "$tmp/month.qsnd" -fig headline-json > "$tmp/direct.json"
+
+# A second process at another worker count must write the same bytes:
+# the template handshakes are signed with the generator's embedded
+# identity, so nothing but the seed decides a payload.
+"$tmp/quicsand" record $sim -workers 8 -o "$tmp/month.w8.qsnd" -fig headline-json > /dev/null
+cmp "$tmp/month.qsnd" "$tmp/month.w8.qsnd" || {
+    echo "FAIL: two recordings of one seed differ (-workers 2 vs 8)" >&2; exit 1; }
 
 "$tmp/quicsand" convert -i "$tmp/month.qsnd" -o "$tmp/month.pcap"
 "$tmp/quicsand" convert -i "$tmp/month.pcap" -o "$tmp/month2.qsnd"
@@ -64,4 +72,4 @@ diff -u "$tmp/replay.json" "$tmp/alerts.file.json" && diff -u "$tmp/alerts.file.
 cmp "$tmp/alerts.file.jsonl" "$tmp/alerts.pipe.jsonl" || {
     echo "FAIL: replay -alerts wrote different alerts from the file and from the pipe" >&2; exit 1; }
 
-echo "replay round trip OK (scale $scale): lossless convert + bit-identical replays, mapped = piped, with and without -alerts" >&2
+echo "replay round trip OK (scale $scale): reproducible recording, lossless convert + bit-identical replays, mapped = piped, with and without -alerts" >&2
