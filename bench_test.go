@@ -219,7 +219,7 @@ func BenchmarkAblationTelescopeSize(b *testing.B) {
 		b.Fatal(err)
 	}
 	var pkts []*telescope.Packet
-	gen.Run(func(p *telescope.Packet) { pkts = append(pkts, p) })
+	gen.Feeds(1, false)[0].Run(func(p *telescope.Packet) { pkts = append(pkts, p) })
 	for _, bits := range []int{9, 12, 16} {
 		prefix := netmodel.Prefix{Base: netmodel.TelescopePrefix.Base, Bits: bits}
 		b.Run(prefix.String(), func(b *testing.B) {
@@ -246,7 +246,7 @@ func BenchmarkAblationTimeout(b *testing.B) {
 		b.Fatal(err)
 	}
 	var pkts []*telescope.Packet
-	gen.Run(func(p *telescope.Packet) {
+	gen.Feeds(1, false)[0].Run(func(p *telescope.Packet) {
 		if p.IsQUICCandidate() {
 			pkts = append(pkts, p)
 		}
@@ -330,7 +330,7 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		n := 0
-		gen.Run(func(*telescope.Packet) { n++ })
+		gen.Feeds(1, false)[0].Run(func(*telescope.Packet) { n++ })
 		b.ReportMetric(float64(n), "packets/op")
 	}
 }

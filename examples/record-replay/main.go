@@ -99,11 +99,11 @@ func main() {
 	}
 	fmt.Printf("replayed in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	if live.Headline() == replayed.Headline() && live.RenderAll() == replayed.RenderAll() {
-		fmt.Println("replay reproduces the live analysis bit-identically ✓")
-	} else {
-		fmt.Println("DIVERGENCE between live and replayed analysis!")
+	if live.Headline() != replayed.Headline() || live.RenderAll() != replayed.RenderAll() {
+		os.RemoveAll(dir)
+		log.Fatal("DIVERGENCE between live and replayed analysis!")
 	}
+	fmt.Println("replay reproduces the live analysis bit-identically ✓")
 	fmt.Println()
 	fmt.Println(replayed.Headline())
 }

@@ -85,9 +85,6 @@ func (s *Store) Lookup(a netmodel.Addr) Record {
 	return Record{Addr: a, Verdict: VerdictUnknown, Country: country}
 }
 
-// Len returns the number of listed sources.
-func (s *Store) Len() int { return len(s.records) }
-
 // SourceStats summarizes a set of observed sources against the store —
 // the §5.2 join ("no benign scanners, 2.3 % known bots, origin
 // countries BD 34 %, US 27 %, DZ 8 %").

@@ -26,8 +26,8 @@ func TestStoreLookup(t *testing.T) {
 	if u.Verdict != VerdictUnknown || u.Country != "US" {
 		t.Errorf("unlisted = %+v", u)
 	}
-	if s.Len() != 1 {
-		t.Errorf("len = %d", s.Len())
+	if len(s.records) != 1 {
+		t.Errorf("len = %d", len(s.records))
 	}
 }
 

@@ -96,22 +96,49 @@ func TestResponsePacketCachedAllocs(t *testing.T) {
 // at scale 0.05 onto a ready generator (Internet, census and templates
 // built) allocates at most 1.2 objects per planned flood — the flood
 // itself, holding its RNG by value, plus everything else the schedule
-// keeps (bots, responders, ground truth) spread over the floods.
+// keeps (bots, responders, ground truth) spread over the floods. Bots
+// and responders, scheduled alone, allocate at most 2.2 objects each:
+// the spec, which is the merger's Source, and its visits.
 func TestPlanAllocsPerFlood(t *testing.T) {
-	g, err := NewEmpty(Config{Seed: 7, Scale: 0.05, Identity: ibrIdentity})
-	if err != nil {
-		t.Fatal(err)
+	newGen := func() *Generator {
+		g, err := NewEmpty(Config{Seed: 7, Scale: 0.05, Identity: ibrIdentity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g.schedulePaper()
-	runtime.ReadMemStats(&after)
+	mallocs := func(plan func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		plan()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	g := newGen()
+	all := mallocs(g.schedulePaper)
 	floods := g.Truth.QUICAttacks + g.Truth.CommonAttacks
-	perFlood := float64(after.Mallocs-before.Mallocs) / float64(floods)
+	perFlood := float64(all) / float64(floods)
 	if perFlood > 1.2 {
 		t.Errorf("planning allocates %.2f objects per planned flood (%d floods), want ≤ 1.2", perFlood, floods)
 	}
 	t.Logf("%d floods planned, %.3f allocations each", floods, perFlood)
+
+	g = newGen()
+	for _, c := range []struct {
+		what string
+		plan func(*netmodel.RNG)
+		n    func() int
+	}{
+		{"bot", g.scheduleBots, func() int { return len(g.Truth.BotAddrs) }},
+		{"responder", g.scheduleMisconfig, func() int { return g.Truth.MisconfSources }},
+	} {
+		rng := g.root.Fork(c.what)
+		per := float64(mallocs(func() { c.plan(rng) })) / float64(c.n())
+		if per > 2.2 {
+			t.Errorf("planning allocates %.2f objects per planned %s (%d), want ≤ 2.2", per, c.what, c.n())
+		}
+		t.Logf("%d %ss planned, %.3f allocations each", c.n(), c.what, per)
+	}
 }
 
 // TestSlabRecyclingDeterminism drives the merged streams with and

@@ -139,7 +139,7 @@ func TestSortArrivalsMatchesSort(t *testing.T) {
 			checkSorted(t, "flood", &s, raw, split, a, b)
 
 			f := newTestFlood(t, spec, seed)
-			pkts := drain(f)
+			pkts := drain(f, testPool(false))
 			amp := max(f.amp, 1)
 			if len(pkts) != len(want)*amp {
 				t.Fatalf("flood %d seed %d: %d packets for %d arrivals × %d", i, seed, len(pkts), len(want), amp)
@@ -183,10 +183,10 @@ func FuzzSortArrivals(f *testing.F) {
 // TestSortArrivalsWarmScratch drives one warm recycling pool through
 // 200 mixed floods — large after small and small after large, every
 // shape, vector and amplification — and holds each stream to a cold
-// one without a pool: scratch, working state and chunks left over from
-// an earlier flood must never leak into a later one.
+// one through a fresh pool: scratch, working state and chunks left over
+// from an earlier flood must never leak into a later one.
 func TestSortArrivalsWarmScratch(t *testing.T) {
-	pool := &slabPool{recycle: true}
+	pool := testPool(true)
 	rng := netmodel.NewRNG(77)
 	for i := 0; i < 200; i++ {
 		spec := testFloods[rng.Intn(len(testFloods))]
@@ -197,16 +197,14 @@ func TestSortArrivalsWarmScratch(t *testing.T) {
 		}
 		spec.durSec = 30 + rng.Float64()*5000
 		seed := uint64(1000 + i)
-		f := newTestFlood(t, spec, seed)
-		f.setPool(pool)
-		warm := drain(f)
-		cold := drain(newTestFlood(t, spec, seed))
+		warm := drain(newTestFlood(t, spec, seed), pool)
+		cold := drain(newTestFlood(t, spec, seed), testPool(false))
 		if len(warm) != len(cold) {
-			t.Fatalf("flood %d: warm pool streamed %d packets, no pool %d", i, len(warm), len(cold))
+			t.Fatalf("flood %d: warm pool streamed %d packets, fresh pool %d", i, len(warm), len(cold))
 		}
 		for j := range cold {
 			if !reflect.DeepEqual(warm[j], cold[j]) {
-				t.Fatalf("flood %d packet %d: warm %+v, no pool %+v", i, j, warm[j], cold[j])
+				t.Fatalf("flood %d packet %d: warm %+v, fresh pool %+v", i, j, warm[j], cold[j])
 			}
 		}
 	}

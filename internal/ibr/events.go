@@ -59,17 +59,15 @@ func (r *researchScan) StartTime() telescope.Timestamp { return r.start }
 
 func (r *researchScan) Src() netmodel.Addr { return r.src }
 
-func (r *researchScan) setPool(p *slabPool) { r.chunks.pool = p }
-
 func (r *researchScan) plannedPackets() uint64 { return r.emit }
 
-func (r *researchScan) Next() (*telescope.Packet, bool) {
+func (r *researchScan) next(pool *slabPool) (*telescope.Packet, bool) {
 	if r.i >= r.emit {
-		r.chunks.release()
+		r.chunks.release(pool)
 		return nil, false
 	}
 	if r.chunks.used() {
-		r.chunks.fresh(int(min(slabChunk, r.emit-r.i)))
+		r.chunks.fresh(pool, int(min(slabChunk, r.emit-r.i)))
 	}
 	// Records advance linearly through the scan window; the zmap-style
 	// address permutation appears as a uniform draw from the prefix.
@@ -93,8 +91,10 @@ func (r *researchScan) Next() (*telescope.Packet, bool) {
 // ---------------------------------------------------------------------------
 // Malicious scanners (bot request sessions)
 
-// botSpec describes one scanning bot; each visit becomes one request
-// session after the 5-minute timeout.
+// botSpec describes one scanning bot, and is the Source that emits it;
+// each visit becomes one request session after the 5-minute timeout.
+// Its packets exist only from its first next until its last: built
+// whole into one slab, handed out through chunks.
 type botSpec struct {
 	src      netmodel.Addr
 	version  wire.Version
@@ -104,10 +104,27 @@ type botSpec struct {
 	rng      netmodel.RNG
 	tpl      *Templates
 	withload bool // carry real QUIC payload bytes
+	built    bool
+	chunks   chunks
 }
 
-// planned is the bot's expected packet count: pktsPer per visit.
-func (b *botSpec) planned() uint64 { return uint64(len(b.visits) * b.pktsPer) }
+func (b *botSpec) StartTime() telescope.Timestamp { return tsAt(b.visits[0]) }
+
+func (b *botSpec) Src() netmodel.Addr { return b.src }
+
+// plannedPackets is the bot's expected packet count: pktsPer per visit.
+func (b *botSpec) plannedPackets() uint64 { return uint64(len(b.visits) * b.pktsPer) }
+
+func (b *botSpec) next(pool *slabPool) (*telescope.Packet, bool) {
+	if !b.built {
+		b.chunks.cur, b.built = b.build(pool), true
+	}
+	if b.chunks.used() {
+		b.chunks.release(pool)
+		return nil, false
+	}
+	return b.chunks.take(), true
+}
 
 // build materializes all of a bot's packets into one value-typed slab.
 // Every packet aliases the shared per-version scan template as its
@@ -190,7 +207,6 @@ type floodSpec struct {
 	amp            int   // response datagrams per backscatter arrival (0/1 = none)
 	retryMitigated bool  // victim answers with Retry crypto challenges
 
-	pool *slabPool
 	live *floodLive // set from activation until exhaustion
 	done bool       // exhausted
 }
@@ -212,7 +228,7 @@ type floodLive struct {
 	addrs []netmodel.Addr
 	ports []uint16
 	// QUIC only: the tuple → SCID index, and the SCIDs in creation
-	// order so pooled reuse draws deterministically (map iteration
+	// order so SCID reuse draws deterministically (map iteration
 	// order would leak scheduler state into the SCID histogram).
 	scids    map[uint32]int32
 	scidPool [][scidLen]byte
@@ -224,30 +240,28 @@ func (f *floodSpec) StartTime() telescope.Timestamp { return tsAt(f.startSec) }
 
 func (f *floodSpec) Src() netmodel.Addr { return f.victim }
 
-func (f *floodSpec) setPool(p *slabPool) { f.pool = p }
-
 // plannedPackets is the exact number of packets the flood emits.
 func (f *floodSpec) plannedPackets() uint64 {
 	return FloodPackets(f.peakPkts, f.basePkts, f.durSec, f.shape, f.amp)
 }
 
-func (f *floodSpec) Next() (*telescope.Packet, bool) {
+func (f *floodSpec) next(pool *slabPool) (*telescope.Packet, bool) {
 	l := f.live
 	if l == nil {
 		if f.done {
 			return nil, false
 		}
-		l = f.activate()
+		l = f.activate(pool)
 		f.live = l
 	}
 	if l.chunks.used() {
 		if l.next == len(l.offs) {
-			l.chunks.release()
-			f.pool.putFloodLive(l)
+			l.chunks.release(pool)
+			pool.putFloodLive(l)
 			f.live, f.done = nil, true
 			return nil, false
 		}
-		f.refill(l)
+		f.refill(pool, l)
 	}
 	return l.chunks.take(), true
 }
@@ -256,9 +270,9 @@ func (f *floodSpec) Next() (*telescope.Packet, bool) {
 // as millisecond offsets, then draws the spoofed addresses and ports.
 // The offsets are exact: base+offs[i] is tsAt(startSec+at) for the
 // i-th sorted arrival at.
-func (f *floodSpec) activate() *floodLive {
-	l := f.pool.floodLive()
-	s := f.pool.arrivalScratch()
+func (f *floodSpec) activate(pool *slabPool) *floodLive {
+	l := pool.floodLive()
+	s := &pool.arrivals
 	times := s.sort(f.drawArrivals(s))
 	l.base = tsAt(f.startSec)
 	l.offs = slices.Grow(l.offs[:0], len(times))
@@ -281,10 +295,10 @@ func (f *floodSpec) activate() *floodLive {
 		clear(l.scids)
 		l.scidPool = l.scidPool[:0]
 		clear(l.payloads.m)
-		l.payloads.t, l.payloads.Stats = f.tpl, f.pool.genStats()
+		l.payloads.t, l.payloads.Stats = f.tpl, pool.stats
 	}
 	per := max(floodChunk/max(f.amp, 1), 1)
-	l.chunks = chunks{pool: f.pool, size: per * max(f.amp, 1)}
+	l.chunks = chunks{size: per * max(f.amp, 1)}
 	return l
 }
 
@@ -295,10 +309,10 @@ func (f *floodSpec) activate() *floodLive {
 // SCIDs per spoofed tuple, so one attack touches only a handful of
 // distinct datagrams, each built once and shared read-only by every
 // packet that repeats it.
-func (f *floodSpec) refill(l *floodLive) {
+func (f *floodSpec) refill(pool *slabPool, l *floodLive) {
 	amp := max(f.amp, 1)
 	n := min(l.chunks.size/amp, len(l.offs)-l.next)
-	out := l.chunks.fresh(n * amp)
+	out := l.chunks.fresh(pool, n*amp)
 	k := 0
 	for _, off := range l.offs[l.next : l.next+n] {
 		ts := l.base + telescope.Timestamp(off)
@@ -424,25 +438,44 @@ func (f *floodSpec) drawArrivals(s *arrivalScratch) (raw []float64, split int, a
 // ---------------------------------------------------------------------------
 // Misconfiguration noise (Appendix B's excluded response sessions)
 
+// misconfigSpec describes one misconfigured responder, and is the
+// Source that emits it, as botSpec is a bot's.
 type misconfigSpec struct {
 	src     netmodel.Addr
 	version wire.Version
 	visits  []float64
 	rng     netmodel.RNG
 	tpl     *Templates
+	built   bool
+	chunks  chunks
 }
 
-// planned is the responder's expected packet count: the mean of the
-// per-visit range for every visit.
-func (m *misconfigSpec) planned() uint64 {
+func (m *misconfigSpec) StartTime() telescope.Timestamp { return tsAt(m.visits[0]) }
+
+func (m *misconfigSpec) Src() netmodel.Addr { return m.src }
+
+// plannedPackets is the responder's expected packet count: the mean of
+// the per-visit range for every visit.
+func (m *misconfigSpec) plannedPackets() uint64 {
 	return uint64(len(m.visits) * (MisconfMinPacketsPerVisit + MisconfMaxPacketsPerVisit) / 2)
+}
+
+func (m *misconfigSpec) next(pool *slabPool) (*telescope.Packet, bool) {
+	if !m.built {
+		m.chunks.cur, m.built = m.build(pool), true
+	}
+	if m.chunks.used() {
+		m.chunks.release(pool)
+		return nil, false
+	}
+	return m.chunks.take(), true
 }
 
 func (m *misconfigSpec) build(pool *slabPool) []telescope.Packet {
 	var scid [scidLen]byte
 	m.rng.Bytes(scid[:])
 	payloads := NewPayloadCache(m.tpl)
-	payloads.Stats = pool.genStats()
+	payloads.Stats = pool.stats
 	// 17 = 5+Intn(13) upper bound: the arena never regrows.
 	out := pool.get(len(m.visits) * 17)
 	for _, visit := range m.visits {

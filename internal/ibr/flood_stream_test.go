@@ -126,10 +126,11 @@ func packetDigest(pkts []telescope.Packet) string {
 	return ph.sum()
 }
 
-// drain streams src to exhaustion and returns copies of its packets.
-func drain(src Source) []telescope.Packet {
+// drain streams src through pool to exhaustion and returns copies of
+// its packets.
+func drain(src Source, pool *slabPool) []telescope.Packet {
 	var out []telescope.Packet
-	for p, ok := src.Next(); ok; p, ok = src.Next() {
+	for p, ok := src.next(pool); ok; p, ok = src.next(pool) {
 		out = append(out, *p)
 	}
 	return out
@@ -151,7 +152,7 @@ func pinnedTemplates(t *testing.T) *Templates {
 }
 
 // floodStreamDigests are the packet count and packetDigest of each of
-// digestCases' floods as the whole-slab flood builder made them, before
+// digestCases' floods as the whole-slab flood build made them, before
 // floods streamed in chunks.
 var floodStreamDigests = []struct {
 	packets int
@@ -243,29 +244,28 @@ var floodStreamDigests = []struct {
 }
 
 // TestFloodStreamDigests holds the chunked flood stream to the bytes the
-// whole-slab builder made, without a pool and through one warm recycling
-// pool, and checks the chunking itself: every chunk opens on an
-// arrival's first datagram and holds at most floodChunk packets, or one
-// arrival's when amp exceeds it.
+// whole-slab build made, through a non-recycling pool and through one
+// warm recycling pool, and checks the chunking itself: every chunk
+// opens on an arrival's first datagram and holds at most floodChunk
+// packets, or one arrival's when amp exceeds it.
 func TestFloodStreamDigests(t *testing.T) {
 	tpl := pinnedTemplates(t)
 	cases := digestCases()
 	if len(cases) != len(floodStreamDigests) {
 		t.Fatalf("%d cases, %d recorded digests", len(cases), len(floodStreamDigests))
 	}
-	pool := &slabPool{recycle: true}
+	pool := testPool(true)
 	for i, c := range cases {
 		want := floodStreamDigests[i]
-		if got := drain(newDigestFlood(c, tpl)); len(got) != want.packets || packetDigest(got) != want.digest {
+		if got := drain(newDigestFlood(c, tpl), testPool(false)); len(got) != want.packets || packetDigest(got) != want.digest {
 			t.Errorf("case %d (%s): %d packets digest %s, recorded %d %s", i, c.name, len(got), packetDigest(got), want.packets, want.digest)
 		}
 
 		f := newDigestFlood(c, tpl)
-		f.setPool(pool)
 		amp := max(f.amp, 1)
 		ph := newPacketHash()
 		n := 0
-		for p, ok := f.Next(); ok; p, ok = f.Next() {
+		for p, ok := f.next(pool); ok; p, ok = f.next(pool) {
 			if ch := &f.live.chunks; ch.j == 1 {
 				if n%amp != 0 {
 					t.Fatalf("case %d (%s): a chunk opens at packet %d, inside an arrival of %d datagrams", i, c.name, n, amp)

@@ -9,7 +9,6 @@ import (
 
 	"quicsand/internal/activescan"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 	"quicsand/internal/wire"
 )
@@ -178,13 +177,6 @@ func (g *Generator) Census() *activescan.Census { return g.cfg.Census }
 // count (minimum 1), exactly as the paper schedule does.
 func (g *Generator) Scaled(n float64) int { return g.scaled(n) }
 
-// Run streams the merged month through sink and returns the ground
-// truth.
-func (g *Generator) Run(sink func(*telescope.Packet)) *GroundTruth {
-	NewMerger(g.sources...).Run(sink)
-	return g.Truth
-}
-
 // Sources exposes the scheduled sources (for custom mergers).
 func (g *Generator) Sources() []Source { return g.sources }
 
@@ -192,8 +184,8 @@ func (g *Generator) Sources() []Source { return g.sources }
 // per-shard streams keyed by source address — the sharded pipeline's
 // input. Each merger materializes, merges, and streams only its own
 // shard's sources, so generation itself parallelizes across the
-// engine's workers; Feeds(1, recycle) yields the sequential stream Run
-// drains.
+// engine's workers; Feeds(1, recycle) yields the whole month as one
+// stream.
 //
 // recycle enables per-shard packet-slab recycling: exhausted sources
 // hand their arenas to later events of the same shard, making the
@@ -317,7 +309,7 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 			// default; it exercises the dissector's ClientHello path.
 			withload: true,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot))
+		g.sources = append(g.sources, bot)
 		g.recordBot("paper/bots", bot)
 		g.Truth.BotAddrs = append(g.Truth.BotAddrs, src)
 		if rng.Float64() < 0.023 {

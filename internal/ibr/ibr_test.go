@@ -7,6 +7,7 @@ import (
 
 	"quicsand/internal/dissect"
 	"quicsand/internal/netmodel"
+	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 	"quicsand/internal/wire"
@@ -37,7 +38,7 @@ func TestMergerOrdersAcrossSources(t *testing.T) {
 		for _, at := range times {
 			pkts = append(pkts, telescope.Packet{TS: telescope.Timestamp(at)})
 		}
-		return newSliceSource(telescope.Timestamp(times[0]), 0, pkts)
+		return newTestSource(telescope.Timestamp(times[0]), 0, pkts)
 	}
 	m := NewMerger(mk(5, 10, 30), mk(1, 20), mk(15))
 	var got []int64
@@ -54,12 +55,20 @@ func TestMergerOrdersAcrossSources(t *testing.T) {
 }
 
 func TestMergerLazyActivation(t *testing.T) {
-	built := 0
+	var sources []*testSource
 	mkLazy := func(start int64) Source {
-		return newLazySource(telescope.Timestamp(start), 0, 2, buildFunc(func(*slabPool) []telescope.Packet {
-			built++
-			return []telescope.Packet{{TS: telescope.Timestamp(start)}, {TS: telescope.Timestamp(start + 5)}}
-		}))
+		s := newTestSource(telescope.Timestamp(start), 0,
+			[]telescope.Packet{{TS: telescope.Timestamp(start)}, {TS: telescope.Timestamp(start + 5)}})
+		sources = append(sources, s)
+		return s
+	}
+	built := func() (n int) {
+		for _, s := range sources {
+			if s.built {
+				n++
+			}
+		}
+		return n
 	}
 	m := NewMerger(mkLazy(100), mkLazy(2000), mkLazy(50))
 	// Pulling the first packet must not build far-future sources.
@@ -67,21 +76,21 @@ func TestMergerLazyActivation(t *testing.T) {
 	if p.TS != 50 {
 		t.Fatalf("first packet at %d", p.TS)
 	}
-	if built > 2 {
-		t.Fatalf("built %d sources eagerly", built)
+	if built() > 2 {
+		t.Fatalf("built %d sources eagerly", built())
 	}
 	n := 1
 	for m.Next() != nil {
 		n++
 	}
-	if n != 6 || built != 3 {
-		t.Fatalf("n=%d built=%d", n, built)
+	if n != 6 || built() != 3 {
+		t.Fatalf("n=%d built=%d", n, built())
 	}
 }
 
 func TestMergerAddAndEmptySources(t *testing.T) {
-	m := NewMerger(newSliceSource(0, 0, nil)) // empty source
-	m.Add(newSliceSource(7, 0, []telescope.Packet{{TS: 7}}))
+	m := NewMerger(newTestSource(0, 0, nil)) // empty source
+	m.Add(newTestSource(7, 0, []telescope.Packet{{TS: 7}}))
 	p := m.Next()
 	if p == nil || p.TS != 7 {
 		t.Fatalf("got %+v", p)
@@ -128,9 +137,7 @@ func TestMergerMatchesBruteForce(t *testing.T) {
 			if len(pkts) > 0 {
 				start = pkts[0].TS - telescope.Timestamp(1+rng.Intn(5))
 			}
-			return newLazySource(start, src, uint64(len(pkts)), buildFunc(func(pool *slabPool) []telescope.Packet {
-				return append(pool.get(len(pkts)), pkts...)
-			}))
+			return newTestSource(start, src, pkts)
 		}
 		var sources []Source
 		for n := 1 + rng.Intn(60); n > 0; n-- {
@@ -266,11 +273,12 @@ func TestTemplatePatchingDoesNotAlias(t *testing.T) {
 func TestResearchScanSource(t *testing.T) {
 	rng := netmodel.NewRNG(3)
 	scan := newResearchScan(rng, netmodel.MustAddr("129.187.5.5"), 1000, time.Hour, 4096)
+	pool := testPool(false)
 	var n uint64
 	var weighted uint64
 	var last telescope.Timestamp
 	for {
-		p, ok := scan.Next()
+		p, ok := scan.next(pool)
 		if !ok {
 			break
 		}
@@ -304,7 +312,7 @@ func TestFloodSpecBuild(t *testing.T) {
 		peakPkts: 100, basePkts: 50, nAddrs: 5, nPorts: 20, scidRatio: 0.9,
 		rng: *netmodel.NewRNG(5), tpl: tpl,
 	}
-	pkts := drain(spec)
+	pkts := drain(spec, testPool(false))
 	// peakPkts is a per-minute rate sustained over a 2-minute burst
 	// window, plus base packets and 2 brackets.
 	if len(pkts) != 2*100+50+2 {
@@ -363,7 +371,7 @@ func TestFloodSpecSCIDPooling(t *testing.T) {
 		}
 		scids := map[string]bool{}
 		d := dissect.NewDissector()
-		for _, p := range drain(spec) {
+		for _, p := range drain(spec, testPool(false)) {
 			r, err := d.Dissect(p.Payload)
 			if err != nil {
 				t.Fatal(err)
@@ -379,7 +387,7 @@ func TestFloodSpecSCIDPooling(t *testing.T) {
 	google := build(0.95)
 	mvfst := build(0.30)
 	if google <= mvfst {
-		t.Errorf("SCID counts: fresh-context %d should exceed pooled %d", google, mvfst)
+		t.Errorf("SCID counts: fresh-context %d should exceed pooling %d", google, mvfst)
 	}
 }
 
@@ -391,7 +399,7 @@ func TestCommonFloodPackets(t *testing.T) {
 		rng: *netmodel.NewRNG(6), tpl: tpl,
 	}
 	icmp := spec
-	for _, p := range drain(&spec) {
+	for _, p := range drain(&spec, testPool(false)) {
 		if p.Proto != telescope.ProtoTCP || p.Payload != nil {
 			t.Fatal("TCP flood shape wrong")
 		}
@@ -401,7 +409,7 @@ func TestCommonFloodPackets(t *testing.T) {
 	}
 	icmp.vector = 2
 	icmp.rng = *netmodel.NewRNG(7)
-	for _, p := range drain(&icmp) {
+	for _, p := range drain(&icmp, testPool(false)) {
 		if p.Proto != telescope.ProtoICMP {
 			t.Fatal("ICMP flood shape wrong")
 		}
@@ -415,7 +423,7 @@ func TestBotSpecSessions(t *testing.T) {
 		visits: []float64{1000, 50000}, pktsPer: 11, srcPort: 5555,
 		rng: *netmodel.NewRNG(8), tpl: tpl, withload: true,
 	}
-	pkts := bot.build(nil)
+	pkts := drain(bot, testPool(false))
 	if len(pkts) < 2 {
 		t.Fatalf("packets = %d", len(pkts))
 	}
@@ -454,7 +462,7 @@ func TestGeneratorSmallScaleEndToEnd(t *testing.T) {
 		quicPay  int
 	)
 	inet := gen.cfg.Internet
-	truth := gen.Run(func(p *telescope.Packet) {
+	gen.Feeds(1, false)[0].Run(func(p *telescope.Packet) {
 		n++
 		if p.TS < last {
 			t.Fatalf("stream out of order at packet %d", n)
@@ -480,6 +488,7 @@ func TestGeneratorSmallScaleEndToEnd(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no packets generated")
 	}
+	truth := gen.Truth
 	if truth.QUICAttacks < 5 || truth.CommonAttacks < 500 {
 		t.Fatalf("truth: %+v", truth)
 	}
@@ -512,7 +521,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 		var n int
 		var lastTS telescope.Timestamp
-		gen.Run(func(p *telescope.Packet) { n++; lastTS = p.TS })
+		gen.Feeds(1, false)[0].Run(func(p *telescope.Packet) { n++; lastTS = p.TS })
 		return n, lastTS
 	}
 	n1, t1 := run()
@@ -525,11 +534,41 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-// buildFunc adapts a function to the lazySource builder.
-type buildFunc func(*slabPool) []telescope.Packet
+// testSource is a Source over fixed packets, planning exactly them. Like
+// a bot, it copies them into one pool slab on its first next and hands
+// them out through chunks.
+type testSource struct {
+	start   telescope.Timestamp
+	src     netmodel.Addr
+	planned uint64
+	pkts    []telescope.Packet
+	built   bool
+	chunks  chunks
+}
 
-func (f buildFunc) build(p *slabPool) []telescope.Packet { return f(p) }
+func newTestSource(start telescope.Timestamp, src netmodel.Addr, pkts []telescope.Packet) *testSource {
+	return &testSource{start: start, src: src, planned: uint64(len(pkts)), pkts: pkts}
+}
 
-func newSliceSource(start telescope.Timestamp, src netmodel.Addr, pkts []telescope.Packet) *sliceSource {
-	return &sliceSource{start: start, src: src, pkts: pkts}
+func (s *testSource) StartTime() telescope.Timestamp { return s.start }
+
+func (s *testSource) Src() netmodel.Addr { return s.src }
+
+func (s *testSource) plannedPackets() uint64 { return s.planned }
+
+func (s *testSource) next(pool *slabPool) (*telescope.Packet, bool) {
+	if !s.built {
+		s.chunks.cur, s.built = append(pool.get(len(s.pkts)), s.pkts...), true
+	}
+	if s.chunks.used() {
+		s.chunks.release(pool)
+		return nil, false
+	}
+	return s.chunks.take(), true
+}
+
+// testPool is a pool outside any merger, counting into its own bank.
+// Without recycling it allocates on get and drops on put.
+func testPool(recycle bool) *slabPool {
+	return &slabPool{recycle: recycle, stats: new(telemetry.Generate)}
 }

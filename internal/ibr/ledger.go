@@ -129,7 +129,7 @@ func FloodPackets(peakPkts, basePkts int, durSec float64, shape uint8, amp int) 
 }
 
 // TSAt converts a month offset in seconds to the telescope timestamp
-// the event builders would stamp — shared so ledger consumers compute
+// the event sources would stamp — shared so ledger consumers compute
 // bracket-packet times with bit-identical float arithmetic.
 func TSAt(offsetSec float64) telescope.Timestamp { return tsAt(offsetSec) }
 

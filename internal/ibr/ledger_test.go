@@ -9,7 +9,7 @@ import (
 
 // ledgerGenerator schedules one flood plan per rate-curve shape and
 // amplification level onto a ledger-recording generator, so the tests
-// can pin schedule-time predictions against what the builders emit.
+// can pin schedule-time predictions against what the sources emit.
 func ledgerGenerator(t *testing.T) *Generator {
 	t.Helper()
 	g, err := NewEmpty(Config{
@@ -68,7 +68,7 @@ func TestFloodPacketsMatchesBuild(t *testing.T) {
 	gotCommon := make(map[netmodel.Addr]uint64)
 	botPackets := make(map[netmodel.Addr]uint64)
 	misconfPackets := make(map[netmodel.Addr]uint64)
-	g.Run(func(p *telescope.Packet) {
+	g.Feeds(1, false)[0].Run(func(p *telescope.Packet) {
 		switch {
 		case p.Proto != telescope.ProtoUDP:
 			gotCommon[p.Src]++
@@ -128,7 +128,7 @@ func TestFloodPacketsMatchesBuild(t *testing.T) {
 }
 
 // TestLedgerBracketTimestamps pins the ledger's First/Last against the
-// builders: a flood victim's earliest and latest packets are exactly
+// sources: a flood victim's earliest and latest packets are exactly
 // the bracket packets the ledger predicts.
 func TestLedgerBracketTimestamps(t *testing.T) {
 	g := ledgerGenerator(t)
@@ -149,7 +149,7 @@ func TestLedgerBracketTimestamps(t *testing.T) {
 	}
 	gotFirst := make(map[netmodel.Addr]telescope.Timestamp)
 	gotLast := make(map[netmodel.Addr]telescope.Timestamp)
-	g.Run(func(p *telescope.Packet) {
+	g.Feeds(1, false)[0].Run(func(p *telescope.Packet) {
 		if !quicVictim[p.Src] || !p.IsResponse() {
 			return
 		}
@@ -182,7 +182,7 @@ func TestLedgerOptIn(t *testing.T) {
 		}
 		g.AddScanPlan("s", ScanPlan{Bots: 10, TagShare: -1})
 		g.AddMisconfigPlan("m", MisconfigPlan{Sources: 5})
-		g.Run(func(p *telescope.Packet) { ts = append(ts, p.TS) })
+		g.Feeds(1, false)[0].Run(func(p *telescope.Packet) { ts = append(ts, p.TS) })
 		return ts, g.Ledger
 	}
 	plain, noLedger := run(false)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"quicsand/internal/netmodel"
-	"quicsand/internal/telescope"
 )
 
 // groupLoads sums each group's planned packets.
@@ -13,7 +12,7 @@ func groupLoads(groups [][]Source) []uint64 {
 	loads := make([]uint64, len(groups))
 	for k, g := range groups {
 		for _, s := range g {
-			loads[k] += plannedPackets(s)
+			loads[k] += s.plannedPackets()
 		}
 	}
 	return loads
@@ -22,24 +21,20 @@ func groupLoads(groups [][]Source) []uint64 {
 // TestPartitionInvariants checks the deal on random schedules: every
 // source in exactly one group and every address in one group, schedule
 // order kept within a group, equal groups from two calls, and no group
-// above the mean plus the heaviest single address. Schedules mix
-// weighted sources with ones that plan nothing (weight 1) and repeat
-// addresses so several sources share one.
+// above the mean plus the heaviest single address. Schedules mix light
+// and heavy sources, some planning nothing, and repeat addresses so
+// several sources share one.
 func TestPartitionInvariants(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := netmodel.NewRNG(seed)
 		var sources []Source
 		for i := 0; i < 1+rng.Intn(400); i++ {
-			src := netmodel.Addr(1 + rng.Intn(1+rng.Intn(200)))
-			if rng.Intn(5) == 0 {
-				sources = append(sources, newSliceSource(0, src, nil))
-				continue
-			}
-			planned := uint64(rng.Intn(50))
+			src := newTestSource(0, netmodel.Addr(1+rng.Intn(1+rng.Intn(200))), nil)
+			src.planned = uint64(rng.Intn(50))
 			if rng.Intn(10) == 0 {
-				planned = uint64(rng.Intn(100000))
+				src.planned = uint64(rng.Intn(100000))
 			}
-			sources = append(sources, newLazySource(0, src, planned, nil))
+			sources = append(sources, src)
 		}
 		index := make(map[Source]int, len(sources))
 		for i, s := range sources {
@@ -72,7 +67,7 @@ func TestPartitionInvariants(t *testing.T) {
 						t.Fatalf("seed %d n %d: address %v in groups %d and %d", seed, n, s.Src(), h, k)
 					}
 					home[s.Src()] = k
-					addrLoad[s.Src()] += plannedPackets(s)
+					addrLoad[s.Src()] += s.plannedPackets()
 				}
 			}
 			if len(seen) != len(sources) {
@@ -121,14 +116,10 @@ func TestPartitionFloodWeightIsBuildCount(t *testing.T) {
 			for _, shape := range []uint8{ShapeBurst, ShapeSquare, ShapeRamp} {
 				spec.amp, spec.shape = amp, shape
 				f := newTestFlood(t, spec, uint64(i+1))
-				if got, want := plannedPackets(f), uint64(len(drain(f))); got != want {
+				if got, want := f.plannedPackets(), uint64(len(drain(f, testPool(false)))); got != want {
 					t.Fatalf("flood %d shape %d amp %d: planned %d, streamed %d", i, shape, amp, got, want)
 				}
 			}
 		}
-	}
-	// Sources that do not plan weigh one packet.
-	if w := plannedPackets(newSliceSource(0, 1, make([]telescope.Packet, 9))); w != 1 {
-		t.Fatalf("unplanned source weighs %d, want 1", w)
 	}
 }

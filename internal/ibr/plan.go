@@ -6,7 +6,7 @@ package ibr
 // root RNG under a caller-supplied label, so a given (seed, sequence
 // of labelled plans) is bit-reproducible and inserting a new phase
 // never perturbs the draws of phases before it. The paper's hard-coded
-// schedule (New) and these plans share every event builder — botSpec,
+// schedule (New) and these plans share every event source — botSpec,
 // floodSpec, researchScan, misconfigSpec — so scenario-driven months
 // ride the same allocation-free hot path.
 
@@ -213,7 +213,7 @@ func (g *Generator) AddScanPlan(label string, p ScanPlan) {
 			tpl:      g.tpl,
 			withload: !p.NoPayload,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, bot.planned(), bot))
+		g.sources = append(g.sources, bot)
 		g.recordBot(label, bot)
 		g.Truth.BotAddrs = append(g.Truth.BotAddrs, src)
 		if rng.Float64() < tagShare {
@@ -612,7 +612,7 @@ func (g *Generator) AddMisconfigPlan(label string, p MisconfigPlan) {
 // implementation shared by the paper schedule (scheduleMisconfig, over
 // the whole month) and scenario plans (over their phase window):
 // census hosts that are not flood victims, the Appendix B visit
-// profile, one lazily built source per responder. The victim-exclusion
+// profile, one source per responder. The victim-exclusion
 // draw is bounded so a census fully covered by victims degrades to
 // victim hosts instead of spinning.
 func (g *Generator) scheduleMisconfigSources(rng *netmodel.RNG, n int, visitsMean, startSec, durSec float64, ledgerLabel string) {
@@ -651,7 +651,7 @@ func (g *Generator) scheduleMisconfigSources(rng *netmodel.RNG, n int, visitsMea
 			src: src, version: version, visits: visits,
 			rng: rng.ForkIndexed("misconf", i), tpl: g.tpl,
 		}
-		g.sources = append(g.sources, newLazySource(tsAt(visits[0]), src, spec.planned(), spec))
+		g.sources = append(g.sources, spec)
 		g.recordMisconfig(ledgerLabel, spec, start)
 		g.Truth.MisconfSources++
 	}

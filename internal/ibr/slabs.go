@@ -15,26 +15,26 @@ const slabChunk = 256
 const maxFreeSlabs = 32
 
 // slabPool recycles value-typed packet slabs ([]telescope.Packet
-// arenas) within one shard. All methods are nil-receiver safe: a nil
-// pool degrades to plain allocation with no recycling, which is the
-// required mode whenever downstream stages may retain packet pointers
-// past the sink call (the engine's trace tap buffers packets across
-// goroutines — see DESIGN.md "Packet ownership & lifetime").
+// arenas) within one shard. Every merger owns one and passes it to each
+// source call, and every source draws its packet storage from it and
+// returns it there through chunks. Recycling is off until
+// Merger.EnableRecycling: a non-recycling pool allocates on get and
+// drops on put, the required mode whenever downstream stages may retain
+// packet pointers past the sink call (the engine's trace tap buffers
+// packets across goroutines — see DESIGN.md "Packet ownership &
+// lifetime").
 //
 // A pool is single-goroutine property of its merger: sources return
-// their slabs and chunks (see chunks) and later sources of the same
-// shard reuse them. The merger's one-packet lookahead makes this safe —
-// a slab is only handed out again on a later Next call, after the
-// slab's final packet has been fully processed by the synchronous
-// sink chain.
+// their slabs and chunks and later sources of the same shard reuse
+// them. The merger's one-packet lookahead makes this safe — a slab is
+// only handed out again on a later Next call, after the slab's final
+// packet has been fully processed by the synchronous sink chain.
 type slabPool struct {
 	free [][]telescope.Packet
-	// recycle gates the freelist. A non-recycling pool (the trace-tap
-	// mode, where downstream retains packet pointers) still exists as a
-	// stats conduit but degrades to plain allocation.
+	// recycle gates the freelist.
 	recycle bool
-	// stats, when set, counts slab traffic into the owning merger's
-	// Generate bank.
+	// stats counts slab traffic and payload-cache lookups into the
+	// owning merger's Generate bank.
 	stats *telemetry.Generate
 	// arrivals is the shard's flood arrival scratch, and lives holds
 	// exhausted floods' working states. No packet points into either,
@@ -46,7 +46,7 @@ type slabPool struct {
 // floodLive returns a flood working state for activation: an exhausted
 // flood's, or a new one. The caller resets every field it uses.
 func (p *slabPool) floodLive() *floodLive {
-	if p == nil || len(p.lives) == 0 {
+	if len(p.lives) == 0 {
 		return new(floodLive)
 	}
 	l := p.lives[len(p.lives)-1]
@@ -58,54 +58,30 @@ func (p *slabPool) floodLive() *floodLive {
 // putFloodLive keeps an exhausted flood's working state for the next
 // activation on the shard. Its chunks must already be released.
 func (p *slabPool) putFloodLive(l *floodLive) {
-	if p != nil && len(p.lives) < maxFreeSlabs {
+	if len(p.lives) < maxFreeSlabs {
 		p.lives = append(p.lives, l)
 	}
-}
-
-// arrivalScratch returns the pool's flood arrival scratch; a nil pool
-// gets a fresh one.
-func (p *slabPool) arrivalScratch() *arrivalScratch {
-	if p == nil {
-		return new(arrivalScratch)
-	}
-	return &p.arrivals
-}
-
-// genStats returns the pool's Generate bank, nil-receiver safe, for
-// wiring into payload caches and other per-shard consumers.
-func (p *slabPool) genStats() *telemetry.Generate {
-	if p == nil {
-		return nil
-	}
-	return p.stats
 }
 
 // get returns an empty slab with capacity ≥ n, reusing a free one when
 // available. Only the most recently freed slabs are inspected so get
 // stays O(1) under mixed slab sizes.
 func (p *slabPool) get(n int) []telescope.Packet {
-	if p != nil {
-		if p.stats != nil {
-			p.stats.SlabGets++
+	p.stats.SlabGets++
+	if p.recycle {
+		lo := len(p.free) - 4
+		if lo < 0 {
+			lo = 0
 		}
-		if p.recycle {
-			lo := len(p.free) - 4
-			if lo < 0 {
-				lo = 0
-			}
-			for i := len(p.free) - 1; i >= lo; i-- {
-				if cap(p.free[i]) >= n {
-					s := p.free[i]
-					last := len(p.free) - 1
-					p.free[i] = p.free[last]
-					p.free[last] = nil
-					p.free = p.free[:last]
-					if p.stats != nil {
-						p.stats.SlabReuses++
-					}
-					return s[:0]
-				}
+		for i := len(p.free) - 1; i >= lo; i-- {
+			if cap(p.free[i]) >= n {
+				s := p.free[i]
+				last := len(p.free) - 1
+				p.free[i] = p.free[last]
+				p.free[last] = nil
+				p.free = p.free[:last]
+				p.stats.SlabReuses++
+				return s[:0]
 			}
 		}
 	}
@@ -115,7 +91,7 @@ func (p *slabPool) get(n int) []telescope.Packet {
 // put returns a slab to the pool for reuse. The caller must guarantee
 // no packet inside s is still referenced downstream.
 func (p *slabPool) put(s []telescope.Packet) {
-	if p == nil || !p.recycle || cap(s) == 0 {
+	if !p.recycle || cap(s) == 0 {
 		return
 	}
 	if len(p.free) < maxFreeSlabs {
@@ -126,7 +102,7 @@ func (p *slabPool) put(s []telescope.Packet) {
 // ensure returns s with room for at least extra more packets. Growth
 // goes through the pool: the values move to a larger (possibly
 // recycled) arena and the abandoned one returns to the freelist —
-// a plain append would leak the pooled slab to the GC mid-build.
+// a plain append would leak the pool's slab to the GC mid-build.
 // Safe during building only, before any packet pointer escapes.
 func (p *slabPool) ensure(s []telescope.Packet, extra int) []telescope.Packet {
 	need := len(s) + extra
@@ -142,17 +118,18 @@ func (p *slabPool) ensure(s []telescope.Packet, extra int) []telescope.Packet {
 	return grown
 }
 
-// chunks is a chunked source's packet storage: the chunk being handed
-// out and the one before it. fresh retires the current chunk and
-// returns the previous one to the pool, because the current chunk's
-// last packet is the one the merger has just returned and its caller
-// has not yet consumed; every packet of the chunk before it has been.
-// release returns both at exhaustion: the merger's one-packet lookahead
-// guarantees the final packet is consumed before a later Next can hand
-// either chunk to another source, as for sliceSource.
+// chunks is a source's packet storage: the chunk being handed out and
+// the one before it. Research scans and floods write one chunk at a
+// time (fresh); a bot or responder builds its whole stream as one
+// chunk. fresh retires the current chunk and returns the previous one
+// to the pool, because the current chunk's last packet is the one the
+// merger has just returned and its caller has not yet consumed; every
+// packet of the chunk before it has been. release returns both at
+// exhaustion: the merger's one-packet lookahead guarantees the final
+// packet is consumed before a later Next can hand either chunk to
+// another source.
 type chunks struct {
-	pool         *slabPool
-	size         int // capacity of every chunk: a source's chunks are interchangeable
+	size         int // capacity of every fresh chunk: a source's chunks are interchangeable
 	cur, retired []telescope.Packet
 	j            int // next packet of cur to hand out
 }
@@ -163,10 +140,10 @@ func (c *chunks) used() bool { return c.j >= len(c.cur) }
 
 // fresh retires the current chunk and returns a new one of n ≤ size
 // packets for the caller to write.
-func (c *chunks) fresh(n int) []telescope.Packet {
-	c.pool.put(c.retired)
+func (c *chunks) fresh(pool *slabPool, n int) []telescope.Packet {
+	pool.put(c.retired)
 	c.retired = c.cur
-	c.cur = c.pool.get(c.size)[:n]
+	c.cur = pool.get(c.size)[:n]
 	c.j = 0
 	return c.cur
 }
@@ -179,14 +156,8 @@ func (c *chunks) take() *telescope.Packet {
 }
 
 // release returns both chunks to the pool at exhaustion.
-func (c *chunks) release() {
-	c.pool.put(c.retired)
-	c.pool.put(c.cur)
+func (c *chunks) release(pool *slabPool) {
+	pool.put(c.retired)
+	pool.put(c.cur)
 	c.cur, c.retired, c.j = nil, nil, 0
-}
-
-// pooled is implemented by sources that can draw their packet storage
-// from a shard slab pool; the merger injects its pool at registration.
-type pooled interface {
-	setPool(*slabPool)
 }

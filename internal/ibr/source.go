@@ -17,30 +17,36 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// Source produces packets in non-decreasing time order. Every source
-// models one emitting host, so all its packets share one source
-// address — the invariant the sharded pipeline partitions on.
+// Source is one planned event and the generator of its packets, in
+// non-decreasing time order. Every source models one emitting host, so
+// all its packets share one source address — the invariant the sharded
+// pipeline partitions on. Only this package implements it: research
+// sweeps, scanning bots, flood victims and misconfigured responders.
 //
-// Packet ownership: the *telescope.Packet returned by Next points into
-// source-owned storage. With a recycling merger it is guaranteed valid
-// only until the following merger Next call, because chunked sources
-// (research scans, floods) and exhausted sources hand their storage
-// back to the shard pool; without recycling nothing is reused.
-// Consumers that retain packets must copy them — see DESIGN.md "Packet
-// ownership & lifetime". The replay path
-// has a twin contract: capture.Source packets are valid only until the
-// following Next call, and capture.Scatter copies them into per-shard
-// slabs governed by the same rules (DESIGN.md §10).
+// Packet ownership: the *telescope.Packet returned by next points into
+// storage drawn from the shard's slab pool. With a recycling merger it
+// is guaranteed valid only until the following merger Next call,
+// because every source hands its storage back to the pool through
+// chunks; without recycling nothing is reused. Consumers that retain
+// packets must copy them — see DESIGN.md "Packet ownership & lifetime".
+// The replay path has a twin contract: capture.Source packets are valid
+// only until the following Next call, and capture.Scatter copies them
+// into per-shard slabs governed by the same rules (DESIGN.md §10).
 type Source interface {
 	// StartTime returns a lower bound on the first packet's timestamp,
-	// known before any Next call. The merger uses it to activate
+	// known before any next call. The merger uses it to activate
 	// sources lazily; activation re-keys on the true first timestamp.
 	StartTime() telescope.Timestamp
 	// Src returns the single source address all packets carry.
 	Src() netmodel.Addr
-	// Next returns successive packets in non-decreasing time order;
-	// ok=false when exhausted.
-	Next() (*telescope.Packet, bool)
+	// plannedPackets returns the packets the schedule plans — exactly
+	// for research sweeps and floods, in expectation for bots and
+	// misconfigured responders: the source's weight in Partition.
+	plannedPackets() uint64
+	// next returns successive packets in non-decreasing time order,
+	// drawing their storage from pool and returning it there; ok=false
+	// when exhausted. Every call of one source gets the same pool.
+	next(pool *slabPool) (*telescope.Packet, bool)
 }
 
 // mergeKey orders the merge by (timestamp, source address, schedule
@@ -103,8 +109,8 @@ type Merger struct {
 	next    int
 	sorted  bool
 	live    []liveEntry // min-heap of activated, unexhausted sources
-	// pool is always present as the shard's stats conduit; its freelist
-	// only engages after EnableRecycling.
+	// pool is the shard's slab pool, passed to every source call; its
+	// freelist only engages after EnableRecycling.
 	pool *slabPool
 	// tel accumulates this shard's generator counters; read via
 	// Telemetry after the stream is drained.
@@ -143,9 +149,6 @@ func (m *Merger) EnableRecycling() {
 // Add registers another source; legal at any time, also mid-stream
 // (the unactivated tail is re-sorted on the following Next).
 func (m *Merger) Add(s Source) {
-	if p, ok := s.(pooled); ok {
-		p.setPool(m.pool)
-	}
 	m.entries = append(m.entries, mergeEntry{
 		mergeKey: mergeKey{at: s.StartTime(), src: s.Src(), id: int32(len(m.entries))},
 		source:   s,
@@ -179,7 +182,7 @@ func (m *Merger) Next() *telescope.Packet {
 	// is only a lower bound). A source empty on activation is dropped.
 	for m.next < len(m.entries) && (len(m.live) == 0 || m.entries[m.next].before(&m.live[0].mergeKey)) {
 		e := &m.entries[m.next]
-		if pkt, ok := e.source.Next(); ok {
+		if pkt, ok := e.source.next(m.pool); ok {
 			m.tel.EventsEmitted++
 			e.pkt = pkt
 			m.push(liveEntry{mergeKey{pkt.TS, e.src, e.id}, int32(m.next)})
@@ -193,7 +196,7 @@ func (m *Merger) Next() *telescope.Packet {
 	e := &m.entries[top.pos]
 	out := e.pkt
 	m.tel.Packets++
-	if nxt, ok := e.source.Next(); ok {
+	if nxt, ok := e.source.next(m.pool); ok {
 		e.pkt, top.at = nxt, nxt.TS
 	} else {
 		last := len(m.live) - 1
@@ -270,9 +273,9 @@ func ShardOf(a netmodel.Addr, n int) int {
 // every per-source gap and session boundary intact.
 //
 // Addresses are dealt by planned packets: each address weighs the sum
-// of its sources' plannedPackets (1 for a source that does not say),
-// and the addresses, heaviest first (lower address on ties), go one by
-// one to the least-loaded group (lower index on ties). No group then
+// of its sources' plannedPackets, and the addresses, heaviest first
+// (lower address on ties), go one by one to the least-loaded group
+// (lower index on ties). No group then
 // carries more than the mean plus the heaviest single address. A
 // stored capture cannot be weighed before it is read, so the replay
 // scatter and the Streamer keep ShardOf; only the Analysis is compared
@@ -292,7 +295,7 @@ func Partition(sources []Source, n int) [][]Source {
 			slot[s.Src()] = i
 			loads = append(loads, addrLoad{addr: s.Src()})
 		}
-		loads[i].load += plannedPackets(s)
+		loads[i].load += s.plannedPackets()
 	}
 	slices.SortFunc(loads, func(a, b addrLoad) int {
 		if c := cmp.Compare(b.load, a.load); c != 0 {
@@ -317,87 +320,4 @@ func Partition(sources []Source, n int) [][]Source {
 		groups[k] = append(groups[k], s)
 	}
 	return groups
-}
-
-// plannedPackets returns the packets s will emit as its schedule says —
-// exactly for research sweeps and floods, in expectation for bots and
-// misconfigured responders — or 1 when s does not say.
-func plannedPackets(s Source) uint64 {
-	if p, ok := s.(interface{ plannedPackets() uint64 }); ok {
-		return p.plannedPackets()
-	}
-	return 1
-}
-
-// sliceSource replays a pre-built, time-sorted packet slab: a
-// lazySource's once it is activated. On exhaustion the slab returns to
-// the shard pool (when recycling): by then every packet except the
-// final one has been fully consumed, and the merger's one-packet
-// lookahead guarantees the final packet is processed before any later
-// activation can reuse the slab.
-type sliceSource struct {
-	start telescope.Timestamp
-	src   netmodel.Addr
-	pkts  []telescope.Packet
-	i     int
-	pool  *slabPool
-}
-
-func (s *sliceSource) StartTime() telescope.Timestamp { return s.start }
-
-func (s *sliceSource) Src() netmodel.Addr { return s.src }
-
-func (s *sliceSource) setPool(p *slabPool) { s.pool = p }
-
-func (s *sliceSource) Next() (*telescope.Packet, bool) {
-	if s.i >= len(s.pkts) {
-		if s.pool != nil && s.pkts != nil {
-			s.pool.put(s.pkts)
-			s.pkts = nil
-		}
-		return nil, false
-	}
-	p := &s.pkts[s.i]
-	s.i++
-	return p, true
-}
-
-// builder is a lazily built event: bots and misconfigured responders
-// materialize all their packets at once into one slab.
-type builder interface {
-	build(*slabPool) []telescope.Packet
-}
-
-// lazySource defers building its packets until the merger activates it
-// (first Next call), bounding peak memory to concurrently live events.
-// The builder receives the shard's slab pool to draw its packet arena
-// from. planned is the schedule's packet count for the event, its
-// weight in Partition.
-type lazySource struct {
-	start   telescope.Timestamp
-	src     netmodel.Addr
-	planned uint64
-	builder builder
-	inner   sliceSource
-	pool    *slabPool
-}
-
-func newLazySource(start telescope.Timestamp, src netmodel.Addr, planned uint64, b builder) *lazySource {
-	return &lazySource{start: start, src: src, planned: planned, builder: b}
-}
-
-func (s *lazySource) StartTime() telescope.Timestamp { return s.start }
-
-func (s *lazySource) Src() netmodel.Addr { return s.src }
-
-func (s *lazySource) plannedPackets() uint64 { return s.planned }
-
-func (s *lazySource) setPool(p *slabPool) { s.pool = p }
-
-func (s *lazySource) Next() (*telescope.Packet, bool) {
-	if s.builder != nil {
-		s.inner = sliceSource{start: s.start, src: s.src, pkts: s.builder.build(s.pool), pool: s.pool}
-		s.builder = nil
-	}
-	return s.inner.Next()
 }

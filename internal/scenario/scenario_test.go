@@ -33,7 +33,7 @@ func TestBuiltinsLoadAndCompile(t *testing.T) {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
 		n := 0
-		g.Run(func(*telescope.Packet) { n++ })
+		g.Feeds(1, false)[0].Run(func(*telescope.Packet) { n++ })
 		if n == 0 {
 			t.Errorf("%s: compiled month is empty", name)
 		}
@@ -281,7 +281,7 @@ func TestMisconfigWindow(t *testing.T) {
 	lo := telescope.TS(telescope.MeasurementStart) + telescope.Timestamp(startSec*1000)
 	hi := telescope.TS(telescope.MeasurementStart) + telescope.Timestamp((startSec+durSec)*1000)
 	n := 0
-	g.Run(func(p *telescope.Packet) {
+	g.Feeds(1, false)[0].Run(func(p *telescope.Packet) {
 		n++
 		if p.TS < lo || p.TS > hi {
 			t.Fatalf("responder packet at %d outside window [%d, %d]", p.TS, lo, hi)

@@ -175,14 +175,6 @@ func (r *Ring) Sample(c Counter, tsNS int64, value uint64) {
 	})
 }
 
-// Dropped returns how many events overflowed the ring.
-func (r *Ring) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
 // RecorderConfig sizes the flight recorder.
 type RecorderConfig struct {
 	// SliceItems is the number of items per recorded slice: every

@@ -29,9 +29,6 @@ func TestRingNilSafety(t *testing.T) {
 	}
 	ring.Span(StageAnalyze, 0, 1, 1)
 	ring.Sample(CounterQueueDepth, 0, 1)
-	if ring.Dropped() != 0 {
-		t.Fatal("nil ring Dropped != 0")
-	}
 }
 
 // TestRingOverflowDrops verifies the drop-newest policy: a full ring
@@ -42,9 +39,6 @@ func TestRingOverflowDrops(t *testing.T) {
 	ring := rec.ShardRing(0)
 	for i := 0; i < 10; i++ {
 		ring.Span(StageAnalyze, int64(i), 1, 1)
-	}
-	if got := ring.Dropped(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
 	}
 	tl := rec.Timeline(time.Second)
 	if tl.Dropped != 6 {

@@ -25,7 +25,6 @@ quicsand/internal/faultinject.*                  test support: byte-plane faults
 *.Temporary                                      salvage.Transient: linked only where a value reaches the interface
 quicsand/internal/telemetry.Snapshot.Stream      worker-invariant projection the root and telemetry tests compare
 quicsand/internal/telemetry.Timeline.StageSpans  span structure per stage the root and telemetry tests compare
-quicsand/internal/ibr.Generator.Run              the month as one merged stream, drained by the root, ibr and scenario tests
 quicsand/internal/wire.PacketNumberLen           RFC 9000 encoding length the wire and quiccrypto tests seal with
 '
 
