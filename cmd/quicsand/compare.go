@@ -79,7 +79,8 @@ func runCompare(args []string, stdout, stderr io.Writer) error {
 	}
 	for _, sel := range sels {
 		if sel == "list" {
-			return listScenarios(stdout)
+			listScenarios(stdout)
+			return nil
 		}
 	}
 	if len(sels) == 0 {

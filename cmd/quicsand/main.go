@@ -39,8 +39,8 @@
 // detector bank.
 //
 // -scenario selects the workload: a built-in scenario name
-// (`-scenario list` prints the registry), or a declarative spec file
-// in JSON or TOML (internal/scenario, examples/scenarios). The default
+// (`-scenario list` prints the registry), or a declarative JSON spec
+// file (internal/scenario, examples/scenarios). The default
 // is the paper's hard-coded April 2021 month. Replay takes the
 // recorded run's -scenario like it takes -seed and -scale.
 //
@@ -119,7 +119,7 @@ type simOpts struct {
 
 func addSimFlags(fs *flag.FlagSet) *simOpts {
 	o := addBaseSimFlags(fs)
-	o.scenarioSel = fs.String("scenario", "", "workload: built-in scenario name, spec file (.json/.toml), or 'list'")
+	o.scenarioSel = fs.String("scenario", "", "workload: built-in scenario name, JSON spec file, or 'list'")
 	// Registered here rather than in the base set: a flight recorder
 	// records exactly one run, and compare (which reuses the base set)
 	// runs two analyses per invocation.
@@ -189,11 +189,10 @@ func (o *simOpts) config() (quicsand.Config, error) {
 }
 
 // resolveScenario turns a -scenario value — a built-in name or a
-// JSON/TOML spec path — into a loaded scenario. Shared by every
+// JSON spec path — into a loaded scenario. Shared by every
 // subcommand that selects workloads (simulate/record/replay/compare).
 func resolveScenario(sel string) (*scenario.Scenario, error) {
-	sc, err := scenario.Builtin(sel)
-	if err == nil {
+	if sc, err := scenario.Builtin(sel); err == nil {
 		if info, statErr := os.Stat(sel); statErr == nil && !info.IsDir() {
 			// A local file shadowed by a built-in name must not be
 			// silently ignored; make the user disambiguate. (A mere
@@ -201,14 +200,6 @@ func resolveScenario(sel string) (*scenario.Scenario, error) {
 			return nil, fmt.Errorf("-scenario %q names both a built-in and a local file; use ./%s for the file", sel, sel)
 		}
 		return sc, nil
-	}
-	// A known built-in name that still errored means the registry
-	// itself is broken — surface that, never mask it as a path
-	// lookup failure.
-	for _, name := range scenario.Builtins() {
-		if name == sel {
-			return nil, err
-		}
 	}
 	// Not a built-in: treat the value as a spec path. Keep the
 	// stat error so ENOENT and EACCES stay distinguishable.
@@ -224,17 +215,12 @@ func resolveScenario(sel string) (*scenario.Scenario, error) {
 }
 
 // listScenarios prints the built-in registry (the -scenario list verb).
-func listScenarios(stdout io.Writer) error {
-	lines, err := scenario.Describe()
-	if err != nil {
-		return err
-	}
+func listScenarios(stdout io.Writer) {
 	fmt.Fprintln(stdout, "built-in scenarios:")
-	for _, line := range lines {
+	for _, line := range scenario.Describe() {
 		fmt.Fprintln(stdout, " ", line)
 	}
-	fmt.Fprintln(stdout, "\ncustom specs: pass a .json/.toml file (see examples/scenarios)")
-	return nil
+	fmt.Fprintln(stdout, "\ncustom specs: pass a JSON spec file (see examples/scenarios)")
 }
 
 func parse(fs *flag.FlagSet, args []string) (help bool, err error) {
@@ -291,7 +277,8 @@ func parseSim(fs *flag.FlagSet, opts *simOpts, args []string, stdout io.Writer) 
 		return true, err
 	}
 	if *opts.scenarioSel == "list" {
-		return true, listScenarios(stdout)
+		listScenarios(stdout)
+		return true, nil
 	}
 	return false, nil
 }
@@ -490,7 +477,6 @@ func runSimulate(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	opts := addSimFlags(fs)
 	fig := fs.String("fig", "all", "section to print: all, headline, headline-json, 2..13, section6")
-	tracePath := fs.String("trace", "", "write the captured month to this file (.pcap/.cap = libpcap, else QSND)")
 	if done, err := parseSim(fs, opts, args, stdout); done || err != nil {
 		return err
 	}
@@ -499,16 +485,7 @@ func runSimulate(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var finish func() error
-	var abort func()
-	if *tracePath != "" {
-		sink, fin, ab, err := traceSink(*tracePath, capture.FormatForPath(*tracePath), stderr)
-		if err != nil {
-			return err
-		}
-		cfg.Trace, finish, abort = sink, fin, ab
-	}
-	return simulateAndRender(opts, cfg, "simulate", finish, abort, *fig, stdout, stderr)
+	return simulateAndRender(opts, cfg, "simulate", nil, nil, *fig, stdout, stderr)
 }
 
 // runRecord simulates the month and checkpoints the capture; with -fig

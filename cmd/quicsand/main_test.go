@@ -87,12 +87,14 @@ func TestRunHeadlineSmoke(t *testing.T) {
 	}
 }
 
+// TestRunTraceFile writes the simulated month through record -o, the
+// one way to write a capture, while printing a figure.
 func TestRunTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "month.qsnd")
 	var out, errOut bytes.Buffer
 	err := run([]string{
-		"-seed", "3", "-scale", "0.002", "-skip-research",
-		"-workers", "4", "-fig", "headline", "-trace", path,
+		"record", "-seed", "3", "-scale", "0.002", "-skip-research",
+		"-workers", "4", "-fig", "headline", "-o", path,
 	}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +108,12 @@ func TestRunTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "records written") {
 		t.Errorf("trace summary missing:\n%s", errOut.String())
+	}
+	if !strings.Contains(out.String(), "QUIC packets captured") {
+		t.Errorf("headline missing:\n%s", out.String())
+	}
+	if err := run([]string{"-scale", "0.002", "-trace", path}, &out, &errOut); err == nil {
+		t.Error("simulate accepted -trace; captures are written by record -o")
 	}
 }
 
@@ -238,9 +246,9 @@ func TestScenarioFlag(t *testing.T) {
 		t.Errorf("headline missing scenario banner:\n%s", out.String())
 	}
 
-	spec := filepath.Join(t.TempDir(), "custom.toml")
+	spec := filepath.Join(t.TempDir(), "custom.json")
 	if err := os.WriteFile(spec, []byte(
-		"name = \"tiny-custom\"\n[[phases]]\nkind = \"misconfig\"\nsources = 2000\n"), 0o644); err != nil {
+		`{"name": "tiny-custom", "phases": [{"kind": "misconfig", "sources": 2000}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -254,8 +262,8 @@ func TestScenarioFlag(t *testing.T) {
 	if err := run([]string{"-scenario", "no-such-scenario", "-scale", "0.002"}, &out, &errOut); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.toml")
-	if err := os.WriteFile(bad, []byte("name = \"x\""), 0o644); err != nil {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"name": "x"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-scenario", bad, "-scale", "0.002"}, &out, &errOut); err == nil {
@@ -330,19 +338,19 @@ func TestReplayRejectsGarbageInput(t *testing.T) {
 }
 
 // TestScenarioFlagBadSpecs covers the -scenario file error surface
-// beyond the phase-less spec above: syntactically broken TOML, JSON
+// beyond the phase-less spec above: syntactically broken JSON, JSON
 // with unknown fields (strict decoding), and a directory passed as a
 // spec.
 func TestScenarioFlagBadSpecs(t *testing.T) {
 	dir := t.TempDir()
 	var out, errOut bytes.Buffer
 
-	mangled := filepath.Join(dir, "mangled.toml")
-	if err := os.WriteFile(mangled, []byte("name = \"x\n[[phases]"), 0o644); err != nil {
+	mangled := filepath.Join(dir, "mangled.json")
+	if err := os.WriteFile(mangled, []byte(`{"name": "x", "phases": [{"kind": "misconfig",`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-scenario", mangled, "-scale", "0.002"}, &out, &errOut); err == nil {
-		t.Error("mangled TOML accepted")
+		t.Error("mangled JSON accepted")
 	}
 
 	unknown := filepath.Join(dir, "unknown.json")
@@ -414,7 +422,7 @@ func TestCompareCLI(t *testing.T) {
 		{"compare"},
 		{"compare", "-scenario", "no-such-scenario"},
 		{"compare", "-scenario", "paper-2021", "-scenario", "paper-2021", "-scenario", "paper-2021"},
-		{"compare", "-scenario", filepath.Join(t.TempDir(), "missing.toml")},
+		{"compare", "-scenario", filepath.Join(t.TempDir(), "missing.json")},
 	} {
 		if err := run(tc, &out, &errOut); err == nil {
 			t.Errorf("%v accepted", tc)

@@ -2,7 +2,7 @@
 // the hard-coded paper month (internal/scenario, DESIGN.md §11). The
 // walkthrough runs a built-in scenario, contrasts it with its
 // Retry-mitigated counterpart, then compiles a custom spec authored
-// inline — the same TOML container `cmd/quicsand -scenario` loads from
+// inline — the same JSON container `cmd/quicsand -scenario` loads from
 // a file.
 package main
 
@@ -16,32 +16,28 @@ import (
 
 // customSpec is a small two-phase workload: an escalating QUIC flood
 // against census-unknown content hosts over a background scan wave.
-const customSpec = `
-name = "escalating-unknowns"
-description = "Ramp-shaped QUIC floods on census-unknown hosts over a draft-29 scan wave"
-
-[[phases]]
-kind = "scan"
-sources = 2000
-versions = [{version = "draft-29", share = 0.7}, {version = "v1", share = 0.3}]
-diurnal = true
-
-[[phases]]
-kind = "flood"
-label = "ramp"
-vector = "quic"
-attacks = 800
-scid_policy = "fresh"
-amplification = 2.0
-[phases.victims]
-org = "unknown"
-size = 90
-skew = 1.3
-[phases.rate]
-base_pps = 0.3
-peak_pkts = 180
-shape = "ramp"
-`
+const customSpec = `{
+  "name": "escalating-unknowns",
+  "description": "Ramp-shaped QUIC floods on census-unknown hosts over a draft-29 scan wave",
+  "phases": [
+    {
+      "kind": "scan",
+      "sources": 2000,
+      "versions": [{"version": "draft-29", "share": 0.7}, {"version": "v1", "share": 0.3}],
+      "diurnal": true
+    },
+    {
+      "kind": "flood",
+      "label": "ramp",
+      "vector": "quic",
+      "attacks": 800,
+      "scid_policy": "fresh",
+      "amplification": 2.0,
+      "victims": {"org": "unknown", "size": 90, "skew": 1.3},
+      "rate": {"base_pps": 0.3, "peak_pkts": 180, "shape": "ramp"}
+    }
+  ]
+}`
 
 func run(sc *scenario.Scenario) *quicsand.Analysis {
 	a, err := quicsand.Run(quicsand.Config{
@@ -54,12 +50,8 @@ func run(sc *scenario.Scenario) *quicsand.Analysis {
 }
 
 func main() {
-	lines, err := scenario.Describe()
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("built-in scenarios:")
-	for _, line := range lines {
+	for _, line := range scenario.Describe() {
 		fmt.Println(" ", line)
 	}
 

@@ -1,264 +1,203 @@
 package scenario
 
-// Built-in scenarios. They are written as TOML specs — the same
-// container users author — so the loader is exercised on every run and
-// the specs double as copy-paste templates (examples/scenarios).
-// Counts are paper-magnitude values at scale 1; Config.Scale shrinks
-// them like the paper schedule.
+// Built-in scenarios. Each is a Go constructor returning a fresh
+// Scenario literal, so the compiler checks every knob name; json.Marshal
+// of any built-in is a valid spec file (the same container users
+// author, examples/scenarios). Counts are paper-magnitude values at
+// scale 1; Config.Scale shrinks them like the paper schedule.
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
-var builtinSpecs = map[string]string{
-	// The paper's hard-coded April 2021 month (ibr.New).
-	"paper-2021": `
-name = "paper-2021"
-description = "The paper's April 2021 telescope month: research sweeps, scanning bots, QUIC and TCP/ICMP floods, misconfiguration noise"
-paper = true
-`,
-
-	// Handshake flooding against servers that answer with full
-	// handshake flights — the workload QFAM (arXiv:2412.08936)
-	// mitigates. Fresh per-connection contexts and amplified server
-	// flights make it the worst case for victim state and bandwidth.
-	"handshake-flood-qfam": `
-name = "handshake-flood-qfam"
-description = "Handshake flooding with full server flights: fresh SCIDs per tuple and ~3x amplified responses (the un-mitigated QFAM baseline)"
-
-[[phases]]
-kind = "scan"
-label = "recon"
-sources = 900
-visits_mean = 1.1
-diurnal = true
-versions = [{version = "v1", share = 0.6}, {version = "draft-29", share = 0.4}]
-
-[[phases]]
-kind = "flood"
-label = "google-wave"
-vector = "quic"
-attacks = 1400
-amplification = 3.0
-scid_policy = "fresh"
-versions = [{version = "draft-29", share = 0.8}, {version = "v1", share = 0.2}]
-[phases.victims]
-org = "Google"
-size = 160
-skew = 1.15
-[phases.duration]
-median_sec = 180
-sigma = 0.7
-[phases.rate]
-base_pps = 0.4
-peak_pkts = 260
-shape = "burst"
-
-[[phases]]
-kind = "flood"
-label = "cdn-wave"
-vector = "quic"
-attacks = 500
-amplification = 2.0
-scid_policy = "fresh"
-[phases.victims]
-org = "any"
-size = 120
-skew = 1.3
-[phases.rate]
-base_pps = 0.3
-peak_pkts = 160
-
-[[phases]]
-kind = "misconfig"
-sources = 400
-`,
-
-	// The same flood pressure against Retry-mitigated victims: the
-	// server answers statelessly with Retry crypto challenges, so the
-	// backscatter collapses to small Retry datagrams with pooled
-	// contexts and no amplification.
-	"retry-mitigated-flood": `
-name = "retry-mitigated-flood"
-description = "Handshake floods against Retry-mitigated victims: stateless crypto challenges, ~1x amplification, small Retry backscatter"
-
-[[phases]]
-kind = "flood"
-label = "mitigated"
-vector = "quic"
-attacks = 1400
-retry_mitigation = true
-scid_policy = "pooled"
-versions = [{version = "v1", share = 0.7}, {version = "draft-29", share = 0.3}]
-[phases.victims]
-org = "Google"
-size = 160
-skew = 1.15
-[phases.duration]
-median_sec = 180
-sigma = 0.7
-[phases.rate]
-base_pps = 0.4
-peak_pkts = 260
-
-[[phases]]
-kind = "flood"
-label = "unmitigated-rest"
-vector = "quic"
-attacks = 350
-scid_policy = "mixed"
-versions = [{version = "mvfst-draft-27", share = 0.9}, {version = "draft-29", share = 0.1}]
-[phases.victims]
-org = "Facebook"
-size = 60
-skew = 1.2
-[phases.rate]
-base_pps = 0.3
-peak_pkts = 140
-
-[[phases]]
-kind = "misconfig"
-sources = 300
-`,
-
-	// Version-heterogeneous scan campaigns: three staggered waves move
-	// the population from draft-27 through draft-29 to v1, the
-	// deployment churn "A First Look at QUIC in the Wild"
-	// (arXiv:1801.05168) observed — over two research sweeps.
-	"versionneg-scan-campaign": `
-name = "versionneg-scan-campaign"
-description = "Version-heterogeneous scan campaign: staggered draft-27 / draft-29 / v1 waves over two research sweeps"
-
-[[phases]]
-kind = "research-scan"
-sweeps = 2
-sweep_hours = 8
-
-[[phases]]
-kind = "scan"
-label = "wave-draft27"
-sources = 1500
-start_sec = 0
-dur_sec = 864000 # days 0-10
-versions = [{version = "draft-27", share = 0.7}, {version = "mvfst-draft-27", share = 0.3}]
-
-[[phases]]
-kind = "scan"
-label = "wave-draft29"
-sources = 2400
-start_sec = 777600 # days 9-19
-dur_sec = 864000
-versions = [{version = "draft-29", share = 0.8}, {version = "draft-27", share = 0.2}]
-
-[[phases]]
-kind = "scan"
-label = "wave-v1"
-sources = 3200
-start_sec = 1641600 # day 19 onward
-versions = [{version = "v1", share = 0.75}, {version = "draft-29", share = 0.25}]
-
-[[phases]]
-kind = "misconfig"
-sources = 900
-visits_mean = 4.0
-`,
-
-	// A compressed multi-vector event: QUIC floods inside a 60-hour
-	// window, paired with concurrent/sequential TCP and ICMP attacks on
-	// the same victims, over an Internet-wide common-flood floor.
-	"multi-vector-burst": `
-name = "multi-vector-burst"
-description = "60-hour QUIC flood burst with paired TCP/ICMP attacks over an Internet-wide common-flood floor"
-
-[[phases]]
-kind = "flood"
-label = "quic-burst"
-vector = "quic"
-attacks = 900
-start_sec = 1036800 # day 12
-dur_sec = 216000    # 60 hours
-scid_policy = "mixed"
-pair = {concurrent_share = 0.55, sequential_share = 0.36}
-[phases.victims]
-org = "any"
-size = 110
-skew = 1.2
-[phases.duration]
-median_sec = 240
-sigma = 0.8
-[phases.rate]
-base_pps = 0.35
-peak_pkts = 200
-shape = "ramp"
-
-[[phases]]
-kind = "flood"
-label = "common-floor"
-vector = "common-mix"
-attacks = 20000
-[phases.victims]
-org = "internet"
-size = 4000
-skew = 1.5
-[phases.rate]
-base_pps = 0.1
-peak_pkts = 80
-shape = "square"
-
-[[phases]]
-kind = "scan"
-sources = 1200
-diurnal = true
-
-[[phases]]
-kind = "misconfig"
-sources = 500
-`,
+var builtins = map[string]func() *Scenario{
+	"paper-2021":               paper2021,
+	"handshake-flood-qfam":     handshakeFloodQFAM,
+	"retry-mitigated-flood":    retryMitigatedFlood,
+	"versionneg-scan-campaign": versionnegScanCampaign,
+	"multi-vector-burst":       multiVectorBurst,
 }
 
-var (
-	builtinOnce   sync.Once
-	builtinParsed map[string]*Scenario
-	builtinErr    error
-)
-
-func parseBuiltins() {
-	builtinParsed = make(map[string]*Scenario, len(builtinSpecs))
-	for name, spec := range builtinSpecs {
-		sc, err := Load([]byte(spec))
-		if err != nil {
-			builtinErr = fmt.Errorf("scenario: built-in %q: %w", name, err)
-			return
-		}
-		if sc.Name != name {
-			builtinErr = fmt.Errorf("scenario: built-in %q names itself %q", name, sc.Name)
-			return
-		}
-		builtinParsed[name] = sc
+// paper2021 is the paper's hard-coded April 2021 month (ibr.New).
+func paper2021() *Scenario {
+	return &Scenario{
+		Name:        "paper-2021",
+		Description: "The paper's April 2021 telescope month: research sweeps, scanning bots, QUIC and TCP/ICMP floods, misconfiguration noise",
+		Paper:       true,
 	}
 }
 
-// Builtin returns a built-in scenario by name. Every call re-parses
-// the spec into a fresh value: callers may tweak the result for an
-// experiment without poisoning the process-wide registry (whose frozen
-// contents the golden corpus depends on).
+// handshakeFloodQFAM is handshake flooding against servers that answer
+// with full handshake flights — the workload QFAM (arXiv:2412.08936)
+// mitigates. Fresh per-connection contexts and amplified server flights
+// make it the worst case for victim state and bandwidth.
+func handshakeFloodQFAM() *Scenario {
+	return &Scenario{
+		Name:        "handshake-flood-qfam",
+		Description: "Handshake flooding with full server flights: fresh SCIDs per tuple and ~3x amplified responses (the un-mitigated QFAM baseline)",
+		Phases: []Phase{
+			{
+				Kind:       KindScan,
+				Label:      "recon",
+				Sources:    900,
+				VisitsMean: 1.1,
+				Diurnal:    true,
+				Versions:   []VersionShare{{Version: "v1", Share: 0.6}, {Version: "draft-29", Share: 0.4}},
+			},
+			{
+				Kind:          KindFlood,
+				Label:         "google-wave",
+				Vector:        "quic",
+				Attacks:       1400,
+				Amplification: 3.0,
+				SCIDPolicy:    "fresh",
+				Versions:      []VersionShare{{Version: "draft-29", Share: 0.8}, {Version: "v1", Share: 0.2}},
+				Victims:       VictimPool{Org: "Google", Size: 160, Skew: 1.15},
+				Duration:      Duration{MedianSec: 180, Sigma: 0.7},
+				Rate:          RateCurve{BasePPS: 0.4, PeakPkts: 260, Shape: "burst"},
+			},
+			{
+				Kind:          KindFlood,
+				Label:         "cdn-wave",
+				Vector:        "quic",
+				Attacks:       500,
+				Amplification: 2.0,
+				SCIDPolicy:    "fresh",
+				Victims:       VictimPool{Org: "any", Size: 120, Skew: 1.3},
+				Rate:          RateCurve{BasePPS: 0.3, PeakPkts: 160},
+			},
+			{Kind: KindMisconfig, Sources: 400},
+		},
+	}
+}
+
+// retryMitigatedFlood is the same flood pressure against
+// Retry-mitigated victims: the server answers statelessly with Retry
+// crypto challenges, so the backscatter collapses to small Retry
+// datagrams with pooled contexts and no amplification.
+func retryMitigatedFlood() *Scenario {
+	return &Scenario{
+		Name:        "retry-mitigated-flood",
+		Description: "Handshake floods against Retry-mitigated victims: stateless crypto challenges, ~1x amplification, small Retry backscatter",
+		Phases: []Phase{
+			{
+				Kind:            KindFlood,
+				Label:           "mitigated",
+				Vector:          "quic",
+				Attacks:         1400,
+				RetryMitigation: true,
+				SCIDPolicy:      "pooled",
+				Versions:        []VersionShare{{Version: "v1", Share: 0.7}, {Version: "draft-29", Share: 0.3}},
+				Victims:         VictimPool{Org: "Google", Size: 160, Skew: 1.15},
+				Duration:        Duration{MedianSec: 180, Sigma: 0.7},
+				Rate:            RateCurve{BasePPS: 0.4, PeakPkts: 260},
+			},
+			{
+				Kind:       KindFlood,
+				Label:      "unmitigated-rest",
+				Vector:     "quic",
+				Attacks:    350,
+				SCIDPolicy: "mixed",
+				Versions:   []VersionShare{{Version: "mvfst-draft-27", Share: 0.9}, {Version: "draft-29", Share: 0.1}},
+				Victims:    VictimPool{Org: "Facebook", Size: 60, Skew: 1.2},
+				Rate:       RateCurve{BasePPS: 0.3, PeakPkts: 140},
+			},
+			{Kind: KindMisconfig, Sources: 300},
+		},
+	}
+}
+
+// versionnegScanCampaign is a version-heterogeneous scan campaign:
+// three staggered waves move the population from draft-27 through
+// draft-29 to v1, the deployment churn "A First Look at QUIC in the
+// Wild" (arXiv:1801.05168) observed — over two research sweeps.
+func versionnegScanCampaign() *Scenario {
+	return &Scenario{
+		Name:        "versionneg-scan-campaign",
+		Description: "Version-heterogeneous scan campaign: staggered draft-27 / draft-29 / v1 waves over two research sweeps",
+		Phases: []Phase{
+			{Kind: KindResearchScan, Sweeps: 2, SweepHours: 8},
+			{
+				Kind:     KindScan,
+				Label:    "wave-draft27",
+				Sources:  1500,
+				StartSec: 0,
+				DurSec:   864000, // days 0-10
+				Versions: []VersionShare{{Version: "draft-27", Share: 0.7}, {Version: "mvfst-draft-27", Share: 0.3}},
+			},
+			{
+				Kind:     KindScan,
+				Label:    "wave-draft29",
+				Sources:  2400,
+				StartSec: 777600, // days 9-19
+				DurSec:   864000,
+				Versions: []VersionShare{{Version: "draft-29", Share: 0.8}, {Version: "draft-27", Share: 0.2}},
+			},
+			{
+				Kind:     KindScan,
+				Label:    "wave-v1",
+				Sources:  3200,
+				StartSec: 1641600, // day 19 onward
+				Versions: []VersionShare{{Version: "v1", Share: 0.75}, {Version: "draft-29", Share: 0.25}},
+			},
+			{Kind: KindMisconfig, Sources: 900, VisitsMean: 4.0},
+		},
+	}
+}
+
+// multiVectorBurst is a compressed multi-vector event: QUIC floods
+// inside a 60-hour window, paired with concurrent/sequential TCP and
+// ICMP attacks on the same victims, over an Internet-wide common-flood
+// floor.
+func multiVectorBurst() *Scenario {
+	return &Scenario{
+		Name:        "multi-vector-burst",
+		Description: "60-hour QUIC flood burst with paired TCP/ICMP attacks over an Internet-wide common-flood floor",
+		Phases: []Phase{
+			{
+				Kind:       KindFlood,
+				Label:      "quic-burst",
+				Vector:     "quic",
+				Attacks:    900,
+				StartSec:   1036800, // day 12
+				DurSec:     216000,  // 60 hours
+				SCIDPolicy: "mixed",
+				Pair:       &PairSpec{ConcurrentShare: 0.55, SequentialShare: 0.36},
+				Victims:    VictimPool{Org: "any", Size: 110, Skew: 1.2},
+				Duration:   Duration{MedianSec: 240, Sigma: 0.8},
+				Rate:       RateCurve{BasePPS: 0.35, PeakPkts: 200, Shape: "ramp"},
+			},
+			{
+				Kind:    KindFlood,
+				Label:   "common-floor",
+				Vector:  "common-mix",
+				Attacks: 20000,
+				Victims: VictimPool{Org: "internet", Size: 4000, Skew: 1.5},
+				Rate:    RateCurve{BasePPS: 0.1, PeakPkts: 80, Shape: "square"},
+			},
+			{Kind: KindScan, Sources: 1200, Diurnal: true},
+			{Kind: KindMisconfig, Sources: 500},
+		},
+	}
+}
+
+// Builtin returns a built-in scenario by name; it fails only for an
+// unknown name. Every call constructs a fresh value: callers may tweak
+// the result for an experiment without poisoning the registry (whose
+// frozen contents the golden corpus depends on).
 func Builtin(name string) (*Scenario, error) {
-	builtinOnce.Do(parseBuiltins)
-	if builtinErr != nil {
-		return nil, builtinErr
-	}
-	if _, ok := builtinParsed[name]; !ok {
+	build, ok := builtins[name]
+	if !ok {
 		return nil, fmt.Errorf("scenario: unknown built-in %q (have: %v)", name, Builtins())
 	}
-	return Load([]byte(builtinSpecs[name]))
+	return build(), nil
 }
 
 // Builtins lists the built-in scenario names, sorted.
 func Builtins() []string {
-	out := make([]string, 0, len(builtinSpecs))
-	for name := range builtinSpecs {
+	out := make([]string, 0, len(builtins))
+	for name := range builtins {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -266,16 +205,12 @@ func Builtins() []string {
 }
 
 // Describe returns a one-line "name — description" listing of every
-// built-in, for CLI help. A broken registry is an error, not a listing
-// line — callers must not exit 0 over it.
-func Describe() ([]string, error) {
-	builtinOnce.Do(parseBuiltins)
-	if builtinErr != nil {
-		return nil, builtinErr
+// built-in, for CLI help.
+func Describe() []string {
+	names := Builtins()
+	out := make([]string, len(names))
+	for i, name := range names {
+		out[i] = fmt.Sprintf("%-26s %s", name, builtins[name]().Description)
 	}
-	out := make([]string, 0, len(builtinParsed))
-	for _, name := range Builtins() {
-		out = append(out, fmt.Sprintf("%-26s %s", name, builtinParsed[name].Description))
-	}
-	return out, nil
+	return out
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -10,12 +11,20 @@ import (
 // its own Validate (the invariant Compile relies on).
 func FuzzLoad(f *testing.F) {
 	for _, name := range Builtins() {
-		f.Add([]byte(builtinSpecs[name]))
+		sc, err := Builtin(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	f.Add([]byte(`{"name": "j", "phases": [{"kind": "misconfig", "sources": 3}]}`))
-	f.Add([]byte("name = \"t\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 2\npair = {concurrent_share = 0.5, sequential_share = 0.2}\n[phases.victims]\norg = \"any\"\nsize = 2\n[phases.rate]\nbase_pps = 0.5\nshape = \"ramp\""))
-	f.Add([]byte("name = \"nan\"\n[[phases]]\nkind = \"scan\"\nsources = 1\nvisits_mean = nan"))
-	f.Add([]byte("arr = [[1, 2], [3]]\nname = \"x\""))
+	f.Add([]byte(`{"name": "t", "phases": [{"kind": "flood", "vector": "quic", "attacks": 2, "pair": {"concurrent_share": 0.5, "sequential_share": 0.2}, "victims": {"org": "any", "size": 2}, "rate": {"base_pps": 0.5, "shape": "ramp"}}]}`))
+	f.Add([]byte(`{"name": "nan", "phases": [{"kind": "scan", "sources": 1, "visits_mean": NaN}]}`))
+	f.Add([]byte(`{"name": "x", "phases": [{"kind": "misconfig", "sources": 1, "Sources": 900, "tags": [[1, {"a": 2}], []]}]}`))
 	f.Add([]byte("= \"x\""))
 	f.Add([]byte("\xff\xfe{broken"))
 

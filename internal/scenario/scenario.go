@@ -5,9 +5,9 @@
 // sharded engine streams (internal/ibr), so quicsand.Run, Replay and
 // the capture subsystem work unchanged over any scenario.
 //
-// Scenarios are plain Go values, loadable from small JSON or TOML
-// specs (Load), with a registry of built-ins (Builtin) that includes
-// the paper's April 2021 month. Compilation resolves every knob at
+// Scenarios are plain Go values, loadable from small JSON specs
+// (Load), with a registry of built-ins (Builtin) — Go constructors —
+// that includes the paper's April 2021 month. Compilation resolves every knob at
 // setup time — victim pools, version mixes, rate curves, Retry
 // mitigation, amplification — into the same event builders the paper
 // schedule uses, keeping the per-packet hot path allocation-free and

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,8 +11,8 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// TestBuiltinsLoadAndCompile pins the registry: every built-in parses,
-// validates, self-names consistently, and compiles into a non-empty
+// TestBuiltinsLoadAndCompile pins the registry: every built-in names
+// itself consistently, validates, and compiles into a non-empty
 // schedule that actually streams packets.
 func TestBuiltinsLoadAndCompile(t *testing.T) {
 	names := Builtins()
@@ -79,8 +81,8 @@ func TestBuiltinGroundTruth(t *testing.T) {
 	}
 }
 
-// TestLoadJSON exercises the JSON path with the same strictness rules
-// as TOML.
+// TestLoadJSON exercises the loader's happy path and its strictness
+// rules: unknown fields, trailing data and non-JSON input are errors.
 func TestLoadJSON(t *testing.T) {
 	sc, err := Load([]byte(`{
 		"name": "j",
@@ -102,61 +104,148 @@ func TestLoadJSON(t *testing.T) {
 	if _, err := Load([]byte(`{"name": "j", "phases": []} trailing`)); err == nil {
 		t.Error("trailing JSON data accepted")
 	}
+	for _, doc := range []string{"name = \"x\"\n[[phases]]\nkind = \"misconfig\"\nsources = 1", `[{"name": "x"}]`, ""} {
+		if _, err := Load([]byte(doc)); err == nil || !strings.Contains(err.Error(), "scenario specs are JSON") {
+			t.Errorf("%q: want a not-JSON error, got %v", doc, err)
+		}
+	}
+	_, err = Load([]byte(`{"name": "x", "phases": [{"kind": "misconfig", "sources": 1, "Sources": 900}]}`))
+	if err == nil || !strings.Contains(err.Error(), `duplicate key "Sources"`) {
+		t.Errorf("case-folded duplicate key: got %v", err)
+	}
 }
 
 // TestLoadRejectsMalformed is the spec-loader error matrix: every
 // malformed document must error (and never panic — FuzzLoad widens
 // this to arbitrary bytes).
 func TestLoadRejectsMalformed(t *testing.T) {
+	const misconfig = `{"kind": "misconfig", "sources": 1}`
+	// phase wraps one phase object into a spec named "x".
+	phase := func(p string) string { return `{"name": "x", "phases": [` + p + `]}` }
 	cases := map[string]string{
-		"no name":                "description = \"x\"\n[[phases]]\nkind = \"misconfig\"\nsources = 1",
-		"zero phases":            "name = \"x\"",
-		"paper + phases":         "name = \"x\"\npaper = true\n[[phases]]\nkind = \"misconfig\"\nsources = 1",
-		"unknown kind":           "name = \"x\"\n[[phases]]\nkind = \"ddos\"",
-		"unknown knob":           "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nwarp_factor = 9",
-		"nan rate":               "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nvisits_mean = nan",
-		"inf rate":               "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nvisits_mean = inf",
-		"negative rate":          "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nvisits_mean = -2",
-		"zero sources":           "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 0",
-		"zero attacks":           "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\n[phases.victims]\nsize = 3",
-		"no victims":             "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5",
-		"bad vector":             "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"smtp\"\nattacks = 5\n[phases.victims]\nsize = 3",
-		"bad version":            "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nversions = [{version = \"h3-27\", share = 1}]",
-		"zero share":             "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nversions = [{version = \"v1\", share = 0}]",
-		"window overrun":         "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nstart_sec = 2000000\ndur_sec = 2000000",
-		"sweep default overrun":  "name = \"x\"\n[[phases]]\nkind = \"research-scan\"\nsweeps = 1\nstart_sec = 2588400\ndur_sec = 3600",
-		"sweep explicit overrun": "name = \"x\"\n[[phases]]\nkind = \"research-scan\"\nsweeps = 1\ndur_sec = 7200\nsweep_hours = 8",
-		"diurnal with window":    "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\ndiurnal = true\ndur_sec = 864000",
-		"short scan window":      "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nstart_sec = 100\ndur_sec = 50",
-		"short misconfig window": "name = \"x\"\n[[phases]]\nkind = \"misconfig\"\nsources = 5\nstart_sec = 864000\ndur_sec = 60",
-		"negative peak":          "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\n[phases.victims]\nsize = 3\n[phases.rate]\npeak_pkts = -260",
-		"negative pkts":          "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\npackets_per_visit = -3",
-		"negative tag share":     "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\ntag_share = -0.1",
-		"start past end":         "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nstart_sec = 99999999",
-		"short flood":            "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\ndur_sec = 60\n[phases.victims]\nsize = 3",
-		"bad scid":               "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\nscid_policy = \"entropic\"\n[phases.victims]\nsize = 3",
-		"bad shape":              "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\n[phases.victims]\nsize = 3\n[phases.rate]\nshape = \"sawtooth\"",
-		"pair overflow":          "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\npair = {concurrent_share = 0.9, sequential_share = 0.4}\n[phases.victims]\nsize = 3",
-		"pair non-quic":          "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"tcp\"\nattacks = 5\npair = {concurrent_share = 0.5, sequential_share = 0.1}\n[phases.victims]\nsize = 3",
-		"amp overflow":           "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\namplification = 1000\n[phases.victims]\nsize = 3",
-		"dup key":                "name = \"x\"\nname = \"y\"\n[[phases]]\nkind = \"misconfig\"\nsources = 1",
-		"dup table":              "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\n[phases.victims]\nsize = 3\n[phases.victims]\norg = \"Google\"",
-		"array extend":           "name = \"x\"\nphases = []\n[[phases]]\nkind = \"misconfig\"\nsources = 1",
-		"inline extend":          "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\nrate = {base_pps = 0.5}\n[phases.rate]\npeak_pkts = 7\n[phases.victims]\nsize = 3",
-		"tcp retry":              "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"tcp\"\nattacks = 5\nretry_mitigation = true\n[phases.victims]\nsize = 3",
-		"tcp scid":               "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"icmp\"\nattacks = 5\nscid_policy = \"fresh\"\n[phases.victims]\nsize = 3",
-		"tcp versions":           "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"common-mix\"\nattacks = 5\nversions = [{version = \"v1\", share = 1}]\n[phases.victims]\nsize = 3",
-		"foreign knob":           "name = \"x\"\n[[phases]]\nkind = \"scan\"\nsources = 5\nattacks = 1400\n[phases.victims]\nsize = 3",
-		"misconfig knob":         "name = \"x\"\n[[phases]]\nkind = \"misconfig\"\nsources = 5\ndiurnal = true",
-		"sub-unity amp":          "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\namplification = 0.5\n[phases.victims]\nsize = 3",
-		"scid over 1":            "name = \"x\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\nscid_ratio = 1.5\n[phases.victims]\nsize = 3",
-		"bad toml":               "name = \"x\"\n[[phases]\nkind = \"misconfig\"",
-		"bad value":              "name = \"x\"\n[[phases]]\nkind = \"misconfig\"\nsources = five",
-		"unterminated":           "name = \"unterminated",
+		"no name":                `{"description": "x", "phases": [` + misconfig + `]}`,
+		"zero phases":            `{"name": "x"}`,
+		"paper + phases":         `{"name": "x", "paper": true, "phases": [` + misconfig + `]}`,
+		"unknown kind":           phase(`{"kind": "ddos"}`),
+		"unknown knob":           phase(`{"kind": "scan", "sources": 5, "warp_factor": 9}`),
+		"nan rate":               phase(`{"kind": "scan", "sources": 5, "visits_mean": NaN}`),
+		"inf rate":               phase(`{"kind": "scan", "sources": 5, "visits_mean": 1e999}`),
+		"negative rate":          phase(`{"kind": "scan", "sources": 5, "visits_mean": -2}`),
+		"zero sources":           phase(`{"kind": "scan", "sources": 0}`),
+		"zero attacks":           phase(`{"kind": "flood", "vector": "quic", "victims": {"size": 3}}`),
+		"no victims":             phase(`{"kind": "flood", "vector": "quic", "attacks": 5}`),
+		"bad vector":             phase(`{"kind": "flood", "vector": "smtp", "attacks": 5, "victims": {"size": 3}}`),
+		"bad version":            phase(`{"kind": "scan", "sources": 5, "versions": [{"version": "h3-27", "share": 1}]}`),
+		"zero share":             phase(`{"kind": "scan", "sources": 5, "versions": [{"version": "v1", "share": 0}]}`),
+		"window overrun":         phase(`{"kind": "scan", "sources": 5, "start_sec": 2000000, "dur_sec": 2000000}`),
+		"sweep default overrun":  phase(`{"kind": "research-scan", "sweeps": 1, "start_sec": 2588400, "dur_sec": 3600}`),
+		"sweep explicit overrun": phase(`{"kind": "research-scan", "sweeps": 1, "dur_sec": 7200, "sweep_hours": 8}`),
+		"diurnal with window":    phase(`{"kind": "scan", "sources": 5, "diurnal": true, "dur_sec": 864000}`),
+		"short scan window":      phase(`{"kind": "scan", "sources": 5, "start_sec": 100, "dur_sec": 50}`),
+		"short misconfig window": phase(`{"kind": "misconfig", "sources": 5, "start_sec": 864000, "dur_sec": 60}`),
+		"negative peak":          phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "victims": {"size": 3}, "rate": {"peak_pkts": -260}}`),
+		"negative pkts":          phase(`{"kind": "scan", "sources": 5, "packets_per_visit": -3}`),
+		"negative tag share":     phase(`{"kind": "scan", "sources": 5, "tag_share": -0.1}`),
+		"start past end":         phase(`{"kind": "scan", "sources": 5, "start_sec": 99999999}`),
+		"short flood":            phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "dur_sec": 60, "victims": {"size": 3}}`),
+		"bad scid":               phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "scid_policy": "entropic", "victims": {"size": 3}}`),
+		"bad shape":              phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "victims": {"size": 3}, "rate": {"shape": "sawtooth"}}`),
+		"pair overflow":          phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "pair": {"concurrent_share": 0.9, "sequential_share": 0.4}, "victims": {"size": 3}}`),
+		"pair non-quic":          phase(`{"kind": "flood", "vector": "tcp", "attacks": 5, "pair": {"concurrent_share": 0.5, "sequential_share": 0.1}, "victims": {"size": 3}}`),
+		"amp overflow":           phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "amplification": 1000, "victims": {"size": 3}}`),
+		"dup key":                `{"name": "x", "name": "y", "phases": [` + misconfig + `]}`,
+		"dup phase key":          phase(`{"kind": "misconfig", "sources": 1, "sources": 900}`),
+		"dup folded key":         phase(`{"kind": "misconfig", "sources": 1, "Sources": 900}`),
+		"dup folded top key":     `{"name": "x", "NAME": "y", "phases": [` + misconfig + `]}`,
+		"dup unicode-folded key": phase(`{"kind": "misconfig", "\u212aind": "scan", "sources": 1}`),
+		"dup nested key":         phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "victims": {"size": 3, "Size": 300}}`),
+		"tcp retry":              phase(`{"kind": "flood", "vector": "tcp", "attacks": 5, "retry_mitigation": true, "victims": {"size": 3}}`),
+		"tcp scid":               phase(`{"kind": "flood", "vector": "icmp", "attacks": 5, "scid_policy": "fresh", "victims": {"size": 3}}`),
+		"tcp versions":           phase(`{"kind": "flood", "vector": "common-mix", "attacks": 5, "versions": [{"version": "v1", "share": 1}], "victims": {"size": 3}}`),
+		"foreign knob":           phase(`{"kind": "scan", "sources": 5, "attacks": 1400, "victims": {"size": 3}}`),
+		"misconfig knob":         phase(`{"kind": "misconfig", "sources": 5, "diurnal": true}`),
+		"sub-unity amp":          phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "amplification": 0.5, "victims": {"size": 3}}`),
+		"scid over 1":            phase(`{"kind": "flood", "vector": "quic", "attacks": 5, "scid_ratio": 1.5, "victims": {"size": 3}}`),
 	}
 	for label, spec := range cases {
 		if _, err := Load([]byte(spec)); err == nil {
 			t.Errorf("%s: accepted:\n%s", label, spec)
+		}
+	}
+	// The duplicate-key cases are otherwise sound: without the
+	// repetition each loads, so the walk is what rejects them.
+	if _, err := Load([]byte(phase(misconfig))); err != nil {
+		t.Errorf("base spec rejected: %v", err)
+	}
+}
+
+// TestBuiltinsAreSpecFiles: json.Marshal of every built-in is a spec
+// that Load turns back into the same value.
+func TestBuiltinsAreSpecFiles(t *testing.T) {
+	for _, name := range Builtins() {
+		want, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(data)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, data)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: round trip changed the value:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestBuiltinFreshPerCall holds Builtin to its promise that callers
+// may tweak the result: a mutated built-in, pointer fields and slices
+// included, leaves the next call's value untouched.
+func TestBuiltinFreshPerCall(t *testing.T) {
+	share := 0.5
+	for _, name := range Builtins() {
+		orig, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig.Name, orig.Description, orig.Paper = "mutated", "mutated", !orig.Paper
+		for i := range orig.Phases {
+			p := &orig.Phases[i]
+			p.Label, p.Sources, p.StartSec = "mutated", p.Sources+1, p.StartSec+1
+			p.Victims.Org, p.Rate.PeakPkts = "mutated", p.Rate.PeakPkts+1
+			for j := range p.Versions {
+				p.Versions[j] = VersionShare{Version: "draft-27", Share: 0.01}
+			}
+			if p.TagShare != nil {
+				*p.TagShare = share
+			}
+			if p.SCIDRatio != nil {
+				*p.SCIDRatio = share
+			}
+			if p.Pair != nil {
+				*p.Pair = PairSpec{ConcurrentShare: share, SequentialShare: share}
+			}
+			p.TagShare, p.SCIDRatio, p.Pair = &share, &share, &PairSpec{}
+		}
+		orig.Phases = append(orig.Phases, Phase{Kind: KindMisconfig, Sources: 7})
+
+		again, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: mutating one Builtin result changed the next:\n got %s\nwant %s", name, got, want)
 		}
 	}
 }
@@ -199,11 +288,11 @@ func TestTagShareZeroDistinct(t *testing.T) {
 		}
 		return len(g.Truth.TaggedBots)
 	}
-	zero := compileScan("name = \"z\"\n[[phases]]\nkind = \"scan\"\nsources = 2000\ntag_share = 0.0")
+	zero := compileScan(`{"name": "z", "phases": [{"kind": "scan", "sources": 2000, "tag_share": 0.0}]}`)
 	if zero != 0 {
 		t.Errorf("tag_share = 0.0 tagged %d bots, want 0", zero)
 	}
-	def := compileScan("name = \"d\"\n[[phases]]\nkind = \"scan\"\nsources = 2000")
+	def := compileScan(`{"name": "d", "phases": [{"kind": "scan", "sources": 2000}]}`)
 	if def == 0 {
 		t.Error("omitted tag_share tagged no bots (2.3% default lost)")
 	}
@@ -250,7 +339,7 @@ func TestSkipResearchOnlyDropsSweeps(t *testing.T) {
 // SCID override: an explicit 0 (never fresh) must load and survive to
 // compilation instead of being swallowed by the policy default.
 func TestSCIDRatioZeroDistinct(t *testing.T) {
-	sc, err := Load([]byte("name = \"z\"\n[[phases]]\nkind = \"flood\"\nvector = \"quic\"\nattacks = 5\nscid_ratio = 0.0\n[phases.victims]\nsize = 3"))
+	sc, err := Load([]byte(`{"name": "z", "phases": [{"kind": "flood", "vector": "quic", "attacks": 5, "scid_ratio": 0.0, "victims": {"size": 3}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +359,7 @@ func TestSCIDRatioZeroDistinct(t *testing.T) {
 // bounds its responder visits (it was once silently ignored).
 func TestMisconfigWindow(t *testing.T) {
 	const startSec, durSec = 864000, 172800 // days 10-12
-	sc, err := Load([]byte("name = \"w\"\n[[phases]]\nkind = \"misconfig\"\nsources = 3000\nstart_sec = 864000\ndur_sec = 172800"))
+	sc, err := Load([]byte(`{"name": "w", "phases": [{"kind": "misconfig", "sources": 3000, "start_sec": 864000, "dur_sec": 172800}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,53 +392,6 @@ func TestCompileUnknownOrg(t *testing.T) {
 	if _, err := Compile(sc, ibr.Config{Seed: 1, Scale: 0.01}); err == nil ||
 		!strings.Contains(err.Error(), "Altavista") {
 		t.Errorf("unknown org compiled: %v", err)
-	}
-}
-
-// TestTOMLParserShapes locks the subset parser's structural behavior.
-func TestTOMLParserShapes(t *testing.T) {
-	tree, err := parseTOML([]byte(`
-# comment
-name = "s" # trailing comment
-flag = true
-n = 42
-f = 2.5
-arr = [1, 2, 3]
-mixed = [{a = 1}, {a = 2}]
-
-[top]
-k = "v"
-
-[top.nested]
-k2 = "v2"
-
-[[items]]
-x = 1
-[items.sub]
-y = 2
-
-[[items]]
-x = 3
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree["name"] != "s" || tree["flag"] != true || tree["n"] != int64(42) || tree["f"] != 2.5 {
-		t.Errorf("scalars mis-parsed: %+v", tree)
-	}
-	top := tree["top"].(map[string]any)
-	if top["k"] != "v" || top["nested"].(map[string]any)["k2"] != "v2" {
-		t.Errorf("tables mis-parsed: %+v", top)
-	}
-	items := tree["items"].([]any)
-	if len(items) != 2 {
-		t.Fatalf("array-of-tables mis-parsed: %+v", items)
-	}
-	if items[0].(map[string]any)["sub"].(map[string]any)["y"] != int64(2) {
-		t.Errorf("sub-table of array element mis-parsed: %+v", items[0])
-	}
-	if items[1].(map[string]any)["x"] != int64(3) {
-		t.Errorf("second array element mis-parsed: %+v", items[1])
 	}
 }
 

@@ -108,6 +108,20 @@ type Config struct {
 	Live *telemetry.Live
 }
 
+// generatorConfig is the ibr.Config that cfg's seed-path fields fix —
+// the one copy Run, Replay, Expect and ExpectAlerts share, so a new
+// generator knob reaches all of them. Substrate (Internet, Census) is
+// the caller's to add.
+func (cfg *Config) generatorConfig() ibr.Config {
+	return ibr.Config{
+		Seed:         cfg.Seed,
+		Scale:        cfg.Scale,
+		ResearchThin: cfg.ResearchThin,
+		SkipResearch: cfg.SkipResearch,
+		Identity:     cfg.Identity,
+	}
+}
+
 // Analysis is the result of one pipeline run: every figure's data,
 // recomputed from the packet stream.
 type Analysis struct {
@@ -461,15 +475,8 @@ func (c *pipelinePlan) prepare() (gen *ibr.Generator, err error) {
 	a.Internet = netmodel.BuildInternet()
 	// Census shared with the generator (same seed path).
 	a.Census = activescan.Build(a.Internet, netmodel.NewRNG(cfg.Seed).Fork("census"), activescan.Config{})
-	icfg := ibr.Config{
-		Seed:         cfg.Seed,
-		Scale:        cfg.Scale,
-		ResearchThin: cfg.ResearchThin,
-		SkipResearch: cfg.SkipResearch,
-		Internet:     a.Internet,
-		Census:       a.Census,
-		Identity:     cfg.Identity,
-	}
+	icfg := cfg.generatorConfig()
+	icfg.Internet, icfg.Census = a.Internet, a.Census
 	gen, err = scenario.Compile(cfg.Scenario, icfg)
 	if err != nil {
 		return nil, fmt.Errorf("quicsand: generator: %w", err)
@@ -792,13 +799,7 @@ func ingestLedger(in telemetry.Ingest, src capture.Source) telemetry.Ingest {
 // Expectation validates every run of the (seed, scale, scenario)
 // triple (DESIGN.md §12).
 func Expect(cfg Config) (*oracle.Expectation, error) {
-	return oracle.Expect(cfg.Scenario, ibr.Config{
-		Seed:         cfg.Seed,
-		Scale:        cfg.Scale,
-		ResearchThin: cfg.ResearchThin,
-		SkipResearch: cfg.SkipResearch,
-		Identity:     cfg.Identity,
-	})
+	return oracle.Expect(cfg.Scenario, cfg.generatorConfig())
 }
 
 // OracleObserved projects the Analysis onto the oracle's observation

@@ -410,11 +410,5 @@ func (c *StreamCheckpoint) Totals() (quicSessions int, telescopeTotal uint64) {
 // and a detector configuration without generating a packet — the
 // streaming twin of Expect (internal/oracle, DESIGN.md §17).
 func ExpectAlerts(cfg Config, dcfg detect.Config) (*oracle.AlertExpectation, error) {
-	return oracle.ExpectAlerts(cfg.Scenario, ibr.Config{
-		Seed:         cfg.Seed,
-		Scale:        cfg.Scale,
-		ResearchThin: cfg.ResearchThin,
-		SkipResearch: cfg.SkipResearch,
-		Identity:     cfg.Identity,
-	}, dcfg)
+	return oracle.ExpectAlerts(cfg.Scenario, cfg.generatorConfig(), dcfg)
 }
