@@ -18,10 +18,13 @@ type Server struct {
 	Version wire.Version // dominant deployed version at scan time
 }
 
-// Census is the scan result set.
+// Census is the scan result set. Servers is one array, allocated at
+// its final size, and the address index holds positions in it rather
+// than pointers: a pointer into an array that append outgrew would keep
+// that whole array live for as long as the census is.
 type Census struct {
 	Servers []Server
-	byAddr  map[netmodel.Addr]*Server
+	byAddr  map[netmodel.Addr]int32
 }
 
 // Config sizes the census per operator.
@@ -41,7 +44,8 @@ func Build(in *netmodel.Internet, rng *netmodel.RNG, cfg Config) *Census {
 	if cfg.ServersPerOrg == 0 {
 		cfg.ServersPerOrg = 2048
 	}
-	c := &Census{byAddr: make(map[netmodel.Addr]*Server)}
+	n := cfg.ServersPerOrg * len(in.ContentASNs)
+	c := &Census{Servers: make([]Server, 0, n), byAddr: make(map[netmodel.Addr]int32, n)}
 	r := rng.Fork("activescan")
 	for _, asn := range in.ContentASNs {
 		as := in.Registry.ByASN(asn)
@@ -59,16 +63,15 @@ func Build(in *netmodel.Internet, rng *netmodel.RNG, cfg Config) *Census {
 		default:
 			version = wire.VersionDraft29
 		}
-		seen := make(map[netmodel.Addr]bool)
-		for len(seen) < cfg.ServersPerOrg {
+		// Content-AS allocations are disjoint, so the one index
+		// rejects exactly the repeats a per-operator set would.
+		for end := len(c.Servers) + cfg.ServersPerOrg; len(c.Servers) < end; {
 			a := in.RandomHostOf(asn, r)
-			if seen[a] {
+			if _, dup := c.byAddr[a]; dup {
 				continue
 			}
-			seen[a] = true
-			s := Server{Addr: a, ASN: asn, Org: as.Name, Version: version}
-			c.Servers = append(c.Servers, s)
-			c.byAddr[a] = &c.Servers[len(c.Servers)-1]
+			c.byAddr[a] = int32(len(c.Servers))
+			c.Servers = append(c.Servers, Server{Addr: a, ASN: asn, Org: as.Name, Version: version})
 		}
 	}
 	return c
@@ -76,7 +79,10 @@ func Build(in *netmodel.Internet, rng *netmodel.RNG, cfg Config) *Census {
 
 // Lookup returns the census entry for an address, or nil.
 func (c *Census) Lookup(a netmodel.Addr) *Server {
-	return c.byAddr[a]
+	if i, ok := c.byAddr[a]; ok {
+		return &c.Servers[i]
+	}
+	return nil
 }
 
 // IsKnown reports census membership — the paper's "well-known QUIC
@@ -88,8 +94,8 @@ func (c *Census) IsKnown(a netmodel.Addr) bool {
 
 // OrgOf returns the operator name ("" when unknown).
 func (c *Census) OrgOf(a netmodel.Addr) string {
-	if s := c.byAddr[a]; s != nil {
-		return s.Org
+	if i, ok := c.byAddr[a]; ok {
+		return c.Servers[i].Org
 	}
 	return ""
 }

@@ -1,6 +1,9 @@
 package activescan
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"quicsand/internal/netmodel"
@@ -90,5 +93,62 @@ func TestDefaultConfig(t *testing.T) {
 	c := Build(in, netmodel.NewRNG(2), Config{})
 	if len(c.Servers) != 2048*len(in.ContentASNs) {
 		t.Errorf("default census size = %d", len(c.Servers))
+	}
+}
+
+// TestCensusIndexesOneArray pins the census to one array of its final
+// size: every lookup leads into Servers itself, not into an array an
+// append outgrew (which would keep that array live beside it).
+func TestCensusIndexesOneArray(t *testing.T) {
+	in := netmodel.BuildInternet()
+	c := Build(in, netmodel.NewRNG(7).Fork("census"), Config{})
+	if cap(c.Servers) != len(c.Servers) {
+		t.Errorf("cap(Servers) = %d, len = %d", cap(c.Servers), len(c.Servers))
+	}
+	for i := range c.Servers {
+		if got := c.Lookup(c.Servers[i].Addr); got != &c.Servers[i] {
+			t.Fatalf("Lookup(Servers[%d].Addr) = %p, want %p", i, got, &c.Servers[i])
+		}
+	}
+}
+
+// TestCensusBuildAllocs bounds Build to a fixed handful of allocations:
+// the array, the pre-sized index and the RNG fork, with no growth.
+func TestCensusBuildAllocs(t *testing.T) {
+	in := netmodel.BuildInternet()
+	avg := testing.AllocsPerRun(10, func() { Build(in, netmodel.NewRNG(7), Config{}) })
+	t.Logf("Build: %.0f allocations", avg)
+	if avg > 40 {
+		t.Errorf("Build allocates %.0f objects, want <= 40", avg)
+	}
+}
+
+// TestCensusDrawsUnchanged holds the census to the entries the
+// per-operator-set build drew: a SHA-256 over (Addr, ASN, Org, Version)
+// of every entry, in order, at the seed path the pipeline uses.
+func TestCensusDrawsUnchanged(t *testing.T) {
+	want := map[uint64]string{
+		1:    "d9632d4fd6acd64e78634a647e4a45382d56e3f77abdd6901c38ed2d18c4e22e",
+		7:    "f73e5682f0f69ee597caecbb77ffacf1f2dae4cd79f43224ab41fb88832fec18",
+		2021: "778f3a7bf3228d204d42489951d965e39c3cd650e64ca2e49b3dd7b987f175c7",
+	}
+	in := netmodel.BuildInternet()
+	for seed, digest := range want {
+		c := Build(in, netmodel.NewRNG(seed).Fork("census"), Config{})
+		h := sha256.New()
+		var b [4]byte
+		for _, s := range c.Servers {
+			binary.BigEndian.PutUint32(b[:], uint32(s.Addr))
+			h.Write(b[:])
+			binary.BigEndian.PutUint32(b[:], s.ASN)
+			h.Write(b[:])
+			h.Write([]byte(s.Org))
+			h.Write([]byte{0})
+			binary.BigEndian.PutUint32(b[:], uint32(s.Version))
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+			t.Errorf("seed %d: census digest %s, want %s", seed, got, digest)
+		}
 	}
 }

@@ -5,6 +5,8 @@
 package correlate
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"quicsand/internal/dosdetect"
@@ -56,24 +58,40 @@ type Result struct {
 // Correlator indexes common attacks by victim and classifies QUIC
 // attacks against them.
 type Correlator struct {
-	byVictim map[netmodel.Addr][]*dosdetect.Attack
+	// byVictim is one copy of the common attacks sorted by (Victim,
+	// Start): each victim's attacks are one run of it.
+	byVictim []*dosdetect.Attack
 }
 
 // NewCorrelator indexes the common (TCP/ICMP) attacks.
 func NewCorrelator(common []*dosdetect.Attack) *Correlator {
-	c := &Correlator{byVictim: make(map[netmodel.Addr][]*dosdetect.Attack)}
-	for _, a := range common {
-		c.byVictim[a.Victim] = append(c.byVictim[a.Victim], a)
-	}
-	for _, list := range c.byVictim {
-		sort.Slice(list, func(i, j int) bool { return list[i].Start < list[j].Start })
-	}
-	return c
+	byVictim := slices.Clone(common)
+	slices.SortFunc(byVictim, func(a, b *dosdetect.Attack) int {
+		if c := cmp.Compare(a.Victim, b.Victim); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Start, b.Start)
+	})
+	return &Correlator{byVictim: byVictim}
 }
 
-// Classify correlates one QUIC attack.
+// peers returns the common attacks on victim, in start order.
+func (c *Correlator) peers(victim netmodel.Addr) []*dosdetect.Attack {
+	i, _ := slices.BinarySearchFunc(c.byVictim, victim, func(a *dosdetect.Attack, v netmodel.Addr) int {
+		return cmp.Compare(a.Victim, v)
+	})
+	j := i
+	for j < len(c.byVictim) && c.byVictim[j].Victim == victim {
+		j++
+	}
+	return c.byVictim[i:j]
+}
+
+// Classify correlates one QUIC attack. The result does not depend on
+// the order of the victim's common attacks: the covered time is a
+// union of intervals, and the gap a minimum.
 func (c *Correlator) Classify(qa *dosdetect.Attack) Result {
-	peers := c.byVictim[qa.Victim]
+	peers := c.peers(qa.Victim)
 	if len(peers) == 0 {
 		return Result{Attack: qa, Category: CategoryQUICOnly}
 	}
@@ -99,7 +117,7 @@ func (c *Correlator) Classify(qa *dosdetect.Attack) Result {
 		}
 	}
 	if len(ivs) > 0 {
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].s < ivs[j].s })
+		slices.SortFunc(ivs, func(a, b iv) int { return cmp.Compare(a.s, b.s) })
 		var covered, curS, curE float64
 		curS, curE = ivs[0].s, ivs[0].e
 		for _, v := range ivs[1:] {

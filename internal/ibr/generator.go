@@ -2,6 +2,7 @@ package ibr
 
 import (
 	_ "embed"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -105,6 +106,12 @@ type Generator struct {
 // hard-coded month on top. The root-RNG fork order (census, then
 // templates, then schedule forks in call order) is the determinism
 // contract: a given (seed, plan sequence) always yields the same month.
+//
+// The templates' RNG is forked here, but their handshakes run only when
+// the first packet is generated (Templates), so a generator that only
+// schedules — replay, streaming, Expect — never signs one. The identity
+// is checked here all the same: an identity without a private key fails
+// NewEmpty, not the first packet.
 func NewEmpty(cfg Config) (*Generator, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1.0
@@ -130,10 +137,10 @@ func NewEmpty(cfg Config) (*Generator, error) {
 		}
 		cfg.Identity = id
 	}
-	tpl, err := BuildTemplates(root.Fork("templates"), cfg.Identity)
-	if err != nil {
-		return nil, err
+	if cfg.Identity.Key == nil {
+		return nil, errors.New("ibr: template identity has no private key")
 	}
+	tpl := newTemplates(root.Fork("templates"), cfg.Identity)
 
 	g := &Generator{cfg: cfg, root: root, tpl: tpl, Truth: &GroundTruth{
 		QUICVictims: make(map[netmodel.Addr]string),

@@ -19,7 +19,17 @@ import (
 // hand-crafting them mirrors both real attack tooling and the paper's
 // own benchmark methodology ("replaying avoids bias from hand-crafting
 // QUIC packets").
+//
+// The handshakes run on first use: the first packet a generator emits
+// builds all four versions, on whichever goroutine asks first. A run
+// that schedules a month but reads its packets from elsewhere (replay,
+// a Streamer, a checkpoint's Analysis, Expect, ExpectAlerts) never pays
+// for them. The RNG is forked when the generator is made, so when the
+// build happens moves no draw.
 type Templates struct {
+	once       sync.Once
+	rng        *netmodel.RNG     // the "templates" fork; dropped once built
+	identity   *tlsmini.Identity // signs the handshakes; dropped once built
 	perVersion map[wire.Version]*versionTemplates
 }
 
@@ -53,16 +63,21 @@ type versionTemplates struct {
 // scidLen is the server connection-ID length used by all templates.
 const scidLen = 8
 
-// BuildTemplates runs one handshake per version and captures the
-// flight bytes. rng drives all entropy, keeping templates
-// deterministic per seed: the per-version RNGs are forked up front in
-// a fixed order, so the four handshakes can run concurrently without
-// perturbing any draw.
-func BuildTemplates(rng *netmodel.RNG, identity *tlsmini.Identity) (*Templates, error) {
+// newTemplates returns templates that build from rng and identity on
+// first use.
+func newTemplates(rng *netmodel.RNG, identity *tlsmini.Identity) *Templates {
+	return &Templates{rng: rng, identity: identity}
+}
+
+// build runs one handshake per version and captures the flight bytes.
+// rng drives all entropy, keeping templates deterministic per seed: the
+// per-version RNGs are forked up front in a fixed order, so the four
+// handshakes can run concurrently without perturbing any draw.
+func (t *Templates) build() error {
 	versions := []wire.Version{wire.Version1, wire.VersionDraft29, wire.VersionDraft27, wire.VersionMVFST27}
 	rngs := make([]*netmodel.RNG, len(versions))
 	for i, v := range versions {
-		rngs[i] = rng.Fork("templates/" + v.String())
+		rngs[i] = t.rng.Fork("templates/" + v.String())
 	}
 	vts := make([]*versionTemplates, len(versions))
 	errs := make([]error, len(versions))
@@ -71,19 +86,20 @@ func BuildTemplates(rng *netmodel.RNG, identity *tlsmini.Identity) (*Templates, 
 	for i := range versions {
 		go func(i int) {
 			defer wg.Done()
-			vts[i], errs[i] = buildVersionTemplates(rngs[i], identity, versions[i])
+			vts[i], errs[i] = buildVersionTemplates(rngs[i], t.identity, versions[i])
 		}(i)
 	}
 	wg.Wait()
 
-	t := &Templates{perVersion: make(map[wire.Version]*versionTemplates)}
+	perVersion := make(map[wire.Version]*versionTemplates, len(versions))
 	for i, v := range versions {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("ibr: templates for %v: %w", v, errs[i])
+			return fmt.Errorf("ibr: templates for %v: %w", v, errs[i])
 		}
-		t.perVersion[v] = vts[i]
+		perVersion[v] = vts[i]
 	}
-	return t, nil
+	t.perVersion, t.rng, t.identity = perVersion, nil, nil
+	return nil
 }
 
 func buildVersionTemplates(rng *netmodel.RNG, identity *tlsmini.Identity, v wire.Version) (*versionTemplates, error) {
@@ -272,7 +288,15 @@ func (t *Templates) RetryPacket(v wire.Version, scid []byte) []byte {
 	return pkt
 }
 
+// versionOf returns v's templates, building every version on the first
+// call. NewEmpty has checked the identity, so a build that fails anyway
+// is a broken invariant and panics with the version's error.
 func (t *Templates) versionOf(v wire.Version) *versionTemplates {
+	t.once.Do(func() {
+		if err := t.build(); err != nil {
+			panic(err)
+		}
+	})
 	vt := t.perVersion[v]
 	if vt == nil {
 		vt = t.perVersion[wire.Version1]
