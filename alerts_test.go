@@ -6,9 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"quicsand/internal/capture"
 	"quicsand/internal/detect"
 	"quicsand/internal/oracle"
-	"quicsand/internal/telescope"
 )
 
 // streamAlerts runs the full scenario month through the streaming
@@ -122,7 +122,7 @@ func TestReplayAlertsEqualsStreamReplay(t *testing.T) {
 		run := run
 		t.Run(run.name, func(t *testing.T) {
 			var trace bytes.Buffer
-			w := telescope.NewWriter(&trace)
+			w := capture.NewSink(&trace, capture.FormatQSND)
 			recordCfg := run.cfg.Config
 			recordCfg.Trace = w
 			direct, err := Run(recordCfg)
@@ -169,7 +169,7 @@ func TestReplayAlertsEqualsStreamReplay(t *testing.T) {
 							}
 							rcfg := cfg
 							var recheck bytes.Buffer
-							rw := telescope.NewWriter(&recheck)
+							rw := capture.NewSink(&recheck, capture.FormatQSND)
 							if retrace {
 								rcfg.Trace = rw
 							}

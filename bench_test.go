@@ -136,7 +136,7 @@ func BenchmarkFigure10(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		counts, _ := dosdetect.WeightSweep(a.ResponseSessions, weights, func(v netmodel.Addr) bool {
-			org := a.Census.OrgOf(v)
+			org := a.OrgOf(v)
 			return org == "Google" || org == "Facebook"
 		})
 		if counts[2] == 0 {

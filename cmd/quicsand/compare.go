@@ -28,6 +28,7 @@ import (
 
 	"quicsand"
 	"quicsand/internal/capture"
+	"quicsand/internal/clobber"
 	"quicsand/internal/oracle"
 	"quicsand/internal/report"
 	"quicsand/internal/scenario"
@@ -93,6 +94,9 @@ func runCompare(args []string, stdout, stderr io.Writer) error {
 	}
 	if *in != "" && len(sels) > 1 {
 		return errors.New("compare: -i validates one capture against one -scenario")
+	}
+	if err := clobber.Check([]clobber.Flag{{Name: "-i", Path: *in}}, opts.outputs()); err != nil {
+		return fmt.Errorf("compare: %w", err)
 	}
 
 	pol, err := sal.policy()

@@ -71,6 +71,7 @@ import (
 
 	"quicsand"
 	"quicsand/internal/capture"
+	"quicsand/internal/clobber"
 	"quicsand/internal/detect"
 	"quicsand/internal/engine"
 	"quicsand/internal/scenario"
@@ -125,6 +126,19 @@ func addSimFlags(fs *flag.FlagSet) *simOpts {
 	// runs two analyses per invocation.
 	o.traceOut = fs.String("trace-out", "", "write the run's flight-recorder timeline as Chrome trace-event JSON (Perfetto-loadable) to this file")
 	return o
+}
+
+// outputs lists the files the shared flags write, for clobber.Check.
+func (o *simOpts) outputs() []clobber.Flag {
+	out := []clobber.Flag{
+		{Name: "-manifest", Path: *o.manifest},
+		{Name: "-cpuprofile", Path: *o.cpuProfile},
+		{Name: "-memprofile", Path: *o.memProfile},
+	}
+	if o.traceOut != nil {
+		out = append(out, clobber.Flag{Name: "-trace-out", Path: *o.traceOut})
+	}
+	return out
 }
 
 // attachRecorder arms the flight recorder when -trace-out or -stats
@@ -480,6 +494,9 @@ func runSimulate(args []string, stdout, stderr io.Writer) error {
 	if done, err := parseSim(fs, opts, args, stdout); done || err != nil {
 		return err
 	}
+	if err := clobber.Check(nil, opts.outputs()); err != nil {
+		return err
+	}
 
 	cfg, err := opts.config()
 	if err != nil {
@@ -503,6 +520,9 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 	}
 	if *out == "" {
 		return errors.New("record: -o FILE is required")
+	}
+	if err := clobber.Check(nil, append([]clobber.Flag{{Name: "-o", Path: *out}}, opts.outputs()...)); err != nil {
+		return fmt.Errorf("record: %w", err)
 	}
 	f, err := sinkFormat(*format, *out)
 	if err != nil {
@@ -551,6 +571,10 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 	}
 	if *heartbeat < 0 {
 		return fmt.Errorf("replay: -heartbeat must not be negative (got %v)", *heartbeat)
+	}
+	inputs := []clobber.Flag{{Name: "-i", Path: *in}, {Name: "-detect-config", Path: *detectConfig}}
+	if err := clobber.Check(inputs, append([]clobber.Flag{{Name: "-alerts", Path: *alerts}}, opts.outputs()...)); err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
 	cfg, err := opts.config()
 	if err != nil {
@@ -692,6 +716,9 @@ func runConvert(args []string, stderr io.Writer) error {
 	}
 	if *in == "" || *out == "" {
 		return errors.New("convert: -i FILE and -o FILE are required")
+	}
+	if err := clobber.Check([]clobber.Flag{{Name: "-i", Path: *in}}, []clobber.Flag{{Name: "-o", Path: *out}}); err != nil {
+		return fmt.Errorf("convert: %w", err)
 	}
 	of, err := sinkFormat(*format, *out)
 	if err != nil {

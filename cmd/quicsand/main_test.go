@@ -322,6 +322,72 @@ func TestConvertFailureLeavesNoPartialOutput(t *testing.T) {
 	}
 }
 
+// TestConvertRefusesToOverwriteInput: -o naming the -i file (here by
+// another spelling) must fail before anything is created, leaving the
+// input byte for byte as it was. It used to truncate the input, fail on
+// the empty header, and then unlink it as a partial output.
+func TestConvertRefusesToOverwriteInput(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.qsnd")
+	var out, errOut bytes.Buffer
+	if err := run([]string{"record", "-scale", "0.002", "-skip-research", "-o", in}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"convert", "-i", in, "-o", filepath.Join(dir, ".", "in.qsnd")}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "is the same file as -i") {
+		t.Fatalf("convert onto its input: err = %v", err)
+	}
+	if got, err := os.ReadFile(in); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("input changed: %d bytes (want %d), %v", len(got), len(want), err)
+	}
+}
+
+// TestRecordRefusesOutputCollision: two outputs naming one file must
+// fail before the run, creating neither.
+func TestRecordRefusesOutputCollision(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "month.qsnd")
+	var out, errOut bytes.Buffer
+	err := run([]string{"record", "-scale", "0.002", "-skip-research", "-o", path, "-manifest", path}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "-manifest "+path+" is the same file as -o") {
+		t.Fatalf("record -o F -manifest F: err = %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("output created before the check (stat err = %v)", err)
+	}
+}
+
+// TestReplayRefusesToOverwriteInput: -alerts naming the capture being
+// replayed must fail before the replay, leaving the capture intact.
+func TestReplayRefusesToOverwriteInput(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "month.qsnd")
+	var out, errOut bytes.Buffer
+	if err := run([]string{"record", "-scale", "0.002", "-skip-research", "-o", in}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "link.qsnd")
+	if err := os.Link(in, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, outFlag := range []string{"-alerts", "-manifest", "-trace-out"} {
+		err := run([]string{"replay", "-scale", "0.002", "-skip-research", "-i", in, outFlag, link}, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), outFlag+" "+link+" is the same file as -i") {
+			t.Errorf("replay %s onto its input: err = %v", outFlag, err)
+		}
+	}
+	if got, err := os.ReadFile(in); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("input changed: %d bytes (want %d), %v", len(got), len(want), err)
+	}
+}
+
 func TestReplayRejectsGarbageInput(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "junk.qsnd")

@@ -58,6 +58,7 @@ import (
 	"syscall"
 	"time"
 
+	"quicsand/internal/clobber"
 	"quicsand/internal/detect"
 	"quicsand/internal/dissect"
 	"quicsand/internal/netmodel"
@@ -162,7 +163,8 @@ type serveOpts struct {
 
 // check rejects a negative count or duration: each would otherwise pick
 // another mode without a word — log mode for -window, an unbounded
-// budget, no ticks, no progress log, one shard.
+// budget, no ticks, no progress log, one shard. It also rejects an
+// output that names the detector config or another output.
 func (o serveOpts) check() error {
 	for _, f := range []struct {
 		flag     string
@@ -179,7 +181,13 @@ func (o serveOpts) check() error {
 			return fmt.Errorf("%s must not be negative (got %v)", f.flag, f.value)
 		}
 	}
-	return nil
+	return clobber.Check([]clobber.Flag{{Name: "-detect-config", Path: o.detectConfig}}, []clobber.Flag{
+		{Name: "-record", Path: o.record},
+		{Name: "-checkpoint", Path: o.checkpoint},
+		{Name: "-alerts", Path: o.alerts},
+		{Name: "-manifest", Path: o.manifest},
+		{Name: "-trace-out", Path: o.traceOut},
+	})
 }
 
 // detectors returns the detector bank's configuration, nil without

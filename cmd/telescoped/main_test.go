@@ -128,6 +128,49 @@ func TestServeRejectsNegativeFlags(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOutputCollisions pins that an output naming the
+// detector config or another output is an error naming both flags,
+// returned before any file is created or the socket is read.
+func TestServeRejectsOutputCollisions(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "detect.json")
+	if err := os.WriteFile(cfgPath, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	same := filepath.Join(dir, "same")
+	for _, tc := range []struct {
+		want string
+		set  func(*serveOpts)
+	}{
+		{"-checkpoint " + same + " is the same file as -record", func(o *serveOpts) { o.record, o.checkpoint = same, same }},
+		{"-manifest " + same + " is the same file as -alerts", func(o *serveOpts) { o.alerts, o.manifest = same, same }},
+		{"-trace-out " + dir + "/./same is the same file as -record", func(o *serveOpts) { o.record, o.traceOut = same, dir+"/./same" }},
+		{"-alerts " + cfgPath + " is the same file as -detect-config", func(o *serveOpts) { o.window, o.detectConfig, o.alerts = time.Minute, cfgPath, cfgPath }},
+	} {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := logMode(2)
+		tc.set(&opts)
+		out := &lockedBuffer{}
+		err = serve(opts, pc, out, io.Discard)
+		pc.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want an error containing %q, got %v", tc.want, err)
+		}
+		if _, err := os.Stat(same); !os.IsNotExist(err) {
+			t.Errorf("%s: an output was created before the check (stat err = %v)", tc.want, err)
+		}
+		if data, err := os.ReadFile(cfgPath); err != nil || string(data) != "{}" {
+			t.Errorf("%s: detector config changed: %q, %v", tc.want, data, err)
+		}
+		if out.String() != "" {
+			t.Errorf("%s: serve ran before rejecting the flags:\n%s", tc.want, out.String())
+		}
+	}
+}
+
 // TestServeClassifiesDatagrams drives the live pipeline end to end: a
 // genuine QUIC Initial and a junk payload arrive on the socket, the read
 // loop's log classifies both, and serve returns once the socket closes —

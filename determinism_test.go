@@ -9,7 +9,6 @@ import (
 
 	"quicsand/internal/capture"
 	"quicsand/internal/scenario"
-	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 )
 
@@ -31,7 +30,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 	}
 	runWith := func(workers int) (*Analysis, []byte) {
 		var trace bytes.Buffer
-		w := telescope.NewWriter(&trace)
+		w := capture.NewSink(&trace, capture.FormatQSND)
 		a, err := Run(Config{
 			Seed: 97, Scale: 0.01, ResearchThin: 1 << 14,
 			Workers: workers, Trace: w, Identity: id,
@@ -137,7 +136,7 @@ func TestReplayBitIdentical(t *testing.T) {
 	base := Config{Seed: 97, Scale: 0.01, ResearchThin: 1 << 14, Identity: id}
 
 	var trace bytes.Buffer
-	w := telescope.NewWriter(&trace)
+	w := capture.NewSink(&trace, capture.FormatQSND)
 	recordCfg := base
 	recordCfg.Workers, recordCfg.Trace = 4, w
 	direct, err := Run(recordCfg)
@@ -201,12 +200,12 @@ func TestReplayBitIdentical(t *testing.T) {
 	for _, in := range inputs {
 		var retrace bytes.Buffer
 		cfg := base
-		cfg.Workers, cfg.Trace = 8, telescope.NewWriter(&retrace)
+		cfg.Workers, cfg.Trace = 8, capture.NewSink(&retrace, capture.FormatQSND)
 		src := in.open()
 		if _, err := Replay(cfg, src); err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Trace.(*telescope.Writer).Flush(); err != nil {
+		if err := cfg.Trace.(capture.Sink).Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if err := src.(io.Closer).Close(); err != nil {
@@ -245,7 +244,7 @@ func TestScenarioDeterminism(t *testing.T) {
 			}
 			runWith := func(workers int) (*Analysis, []byte) {
 				var trace bytes.Buffer
-				w := telescope.NewWriter(&trace)
+				w := capture.NewSink(&trace, capture.FormatQSND)
 				cfg := base
 				cfg.Workers, cfg.Trace = workers, w
 				a, err := Run(cfg)

@@ -14,7 +14,6 @@ import (
 
 	"quicsand"
 	"quicsand/internal/capture"
-	"quicsand/internal/telescope"
 )
 
 func main() {
@@ -37,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := telescope.NewWriter(f)
+	w := capture.NewSink(f, capture.FormatQSND)
 	cfg.Trace = w
 	start := time.Now()
 	live, err := quicsand.Run(cfg)

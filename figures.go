@@ -67,7 +67,7 @@ func (a *Analysis) Headline() string {
 	}
 	fmt.Fprintf(&b, "unique victims:               %s (paper: 394)\n", report.Count(uint64(len(a.Victims()))))
 	fmt.Fprintf(&b, "TCP/ICMP attacks:             %s (paper: 282k)\n", report.Count(uint64(len(a.CommonDetector.Attacks))))
-	fmt.Fprintf(&b, "victims in active-scan set:   %s (paper: 98%%)\n", report.Percent(a.Census.KnownShare(a.Victims())))
+	fmt.Fprintf(&b, "victims in active-scan set:   %s (paper: 98%%)\n", report.Percent(a.KnownShare(a.Victims())))
 	fmt.Fprintf(&b, "attacks on Google/Facebook:   %s / %s (paper: 58%% / 25%%)\n",
 		report.Percent(a.OrgShare("Google")), report.Percent(a.OrgShare("Facebook")))
 	return b.String()
@@ -298,7 +298,7 @@ func (a *Analysis) Figure9() string {
 	}
 	byOrg := map[string]*agg{}
 	for _, atk := range a.QUICDetector.Attacks {
-		org := a.Census.OrgOf(atk.Victim)
+		org := a.OrgOf(atk.Victim)
 		if org != "Google" && org != "Facebook" {
 			continue
 		}
@@ -361,7 +361,7 @@ func maxF(a, b float64) float64 {
 func (a *Analysis) Figure10() string {
 	weights := []float64{0.2, 0.5, 1, 2, 4, 6, 8, 10}
 	counts, shares := dosdetect.WeightSweep(a.ResponseSessions, weights, func(v netmodel.Addr) bool {
-		org := a.Census.OrgOf(v)
+		org := a.OrgOf(v)
 		return org == "Google" || org == "Facebook"
 	})
 	var rows [][]string
@@ -394,7 +394,7 @@ func (a *Analysis) Figure11() string {
 			fmt.Sprintf("%.0fs", e.End-e.Start),
 		})
 	}
-	return fmt.Sprintf("Figure 11: attack timeline for victim %v (%s)\n", victim, a.Census.OrgOf(victim)) +
+	return fmt.Sprintf("Figure 11: attack timeline for victim %v (%s)\n", victim, a.OrgOf(victim)) +
 		report.Table([]string{"Vector", "Start", "Stop", "Duration"}, rows)
 }
 

@@ -47,7 +47,7 @@ func TestFlightStructuralDeterminism(t *testing.T) {
 	}
 
 	var traceBuf bytes.Buffer
-	ref := liveRun(telescope.NewWriter(&traceBuf))
+	ref := liveRun(capture.NewSink(&traceBuf, capture.FormatQSND))
 	want := ref.Flight.StageSpans()
 	if want["analyze"] == 0 || want["generate"] == 0 || want["dissect"] == 0 ||
 		want["sessions"] == 0 || want["merge"] == 0 || want["plan"] != 1 || want["reduce"] != 1 {
@@ -60,7 +60,7 @@ func TestFlightStructuralDeterminism(t *testing.T) {
 	// Repeated live runs: identical span structure (checkpointed and
 	// not — the tap changes merge spans, so compare like with like).
 	var traceBuf2 bytes.Buffer
-	if got := liveRun(telescope.NewWriter(&traceBuf2)).Flight.StageSpans(); !sameSpans(got, want) {
+	if got := liveRun(capture.NewSink(&traceBuf2, capture.FormatQSND)).Flight.StageSpans(); !sameSpans(got, want) {
 		t.Errorf("repeated live run diverged:\n want %v\n got  %v", want, got)
 	}
 
@@ -129,7 +129,7 @@ func TestFlightStreamDeterminism(t *testing.T) {
 	}
 	base := Config{Seed: 97, Scale: 0.01, ResearchThin: 1 << 14, Identity: id}
 	var traceBuf bytes.Buffer
-	w := telescope.NewWriter(&traceBuf)
+	w := capture.NewSink(&traceBuf, capture.FormatQSND)
 	rcfg := base
 	rcfg.Workers, rcfg.Trace = 2, w
 	if _, err := Run(rcfg); err != nil {
@@ -217,7 +217,7 @@ func sameSpans(a, b map[string]uint64) bool {
 
 // flushWriter settles a telescope trace sink if it buffers.
 func flushWriter(s telescope.Sink) error {
-	if w, ok := s.(*telescope.Writer); ok {
+	if w, ok := s.(capture.Sink); ok {
 		return w.Flush()
 	}
 	return nil

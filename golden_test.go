@@ -14,7 +14,6 @@ import (
 
 	"quicsand/internal/capture"
 	"quicsand/internal/scenario"
-	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 )
 
@@ -157,7 +156,7 @@ func TestGolden(t *testing.T) {
 
 			// Live run with a trace tap.
 			var trace bytes.Buffer
-			w := telescope.NewWriter(&trace)
+			w := capture.NewSink(&trace, capture.FormatQSND)
 			cfg := goldenConfig(run.name, run.scale, id, t)
 			cfg.Trace = w
 			live, err := Run(cfg)

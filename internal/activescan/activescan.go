@@ -110,19 +110,3 @@ func (c *Census) ByOrg(org string) []Server {
 	}
 	return out
 }
-
-// KnownShare returns the percentage of the given victims present in
-// the census — the §5.2 "98 % of attacks target well-known QUIC
-// servers" figure.
-func (c *Census) KnownShare(victims []netmodel.Addr) float64 {
-	if len(victims) == 0 {
-		return 0
-	}
-	known := 0
-	for _, v := range victims {
-		if c.IsKnown(v) {
-			known++
-		}
-	}
-	return float64(known) / float64(len(victims)) * 100
-}

@@ -5,24 +5,23 @@
 //
 // Three pieces compose:
 //
-//   - a pure-Go (no cgo) streaming reader/writer for the classic
-//     libpcap file format (PcapReader/PcapWriter): micro- and
-//     nanosecond timestamp variants in either byte order, Ethernet,
-//     Linux-SLL and raw-IP link types, IPv4/UDP decode down to the
-//     UDP payload (plus the TCP/ICMP metadata the common-vector
-//     baseline needs);
-//   - the Source abstraction both readers implement, with format
-//     auto-detection (NewSource), and the matching Sink over both
-//     writers (NewSink);
+//   - one pure-Go (no cgo) reader and one writer serving both
+//     container formats. A format supplies only its pieces: QSND
+//     (qsnd.go) and classic libpcap (pcap.go: micro- and nanosecond
+//     timestamp variants in either byte order, Ethernet, Linux-SLL and
+//     raw-IP link types, IPv4/UDP decode down to the UDP payload plus
+//     the TCP/ICMP metadata the common-vector baseline needs);
+//   - the Source abstraction the reader implements, with format
+//     auto-detection (NewSource, OpenFile), and the matching Sink over
+//     the writer (NewSink);
 //   - the scatter stage (Scatter) that fans one stored stream out to
 //     per-shard engine feeds, sharded by source address: the reader
 //     frames records and routes their raw spans, the shards decode —
 //     the input path of every quicsand replay, with or without alerts.
 //
-// Both readers — PcapReader here, telescope.Reader for QSND — frame
-// records the same way: over a salvage.Window, validating a whole
-// record on peeked bytes and consuming it only then, so each format has
-// one framer whether its bytes stream through an io.Reader or lie in a
+// The reader frames records over a window (window.go), validating a
+// whole record on peeked bytes and consuming it only then, so there is
+// one framer whether the bytes stream through an io.Reader or lie in a
 // memory-mapped file, and a record that fails validation is still
 // entirely unread when salvage resyncs past it (DESIGN.md §14, §16).
 // OpenFile maps a regular file of either format and streams everything
@@ -50,7 +49,6 @@ import (
 	"strings"
 
 	"quicsand/internal/netmodel"
-	"quicsand/internal/salvage"
 	"quicsand/internal/telescope"
 )
 
@@ -85,11 +83,11 @@ type SpanDecoder interface {
 // FrameNext on the reader goroutine validates the next record and
 // parses just enough of it to route it (source address), TakeSpan puts
 // the raw bytes into the destination shard's arena, and the shard
-// decodes batches of spans with the SpanDecoder. Both format readers
-// implement it over either kind of window, so every source NewSource
-// and OpenFile return does; a Scatter over more than one
-// shard accepts nothing else (byte-plane fault injection wraps the
-// io.Reader underneath and keeps the interface).
+// decodes batches of spans with the SpanDecoder. The reader implements
+// it for both formats over either kind of window, so every source
+// NewSource and OpenFile return does; a Scatter accepts nothing else
+// (byte-plane fault injection wraps the io.Reader underneath and keeps
+// the interface).
 type SpanSource interface {
 	Source
 	// FrameNext frames the next record, returning the span length and
@@ -103,17 +101,17 @@ type SpanSource interface {
 	TakeSpan(dst []byte) []byte
 	// SpanStable reports whether returned spans outlive the next
 	// FrameNext without copying — true for memory-backed sources (an
-	// OpenFile mapping of either format), whose spans
-	// stay readable until the source is closed and whose memory the
-	// caller must not recycle.
+	// OpenFile mapping of either format), whose spans stay readable
+	// until the source is closed and whose memory the caller must not
+	// recycle.
 	SpanStable() bool
 	// SpanDecoder returns the source's concurrent-safe decoder.
 	SpanDecoder() SpanDecoder
 }
 
 // Sink is a trace export target: a telescope capture sink with the
-// error-reporting surface batch exporters need. telescope.Writer and
-// PcapWriter both implement it.
+// error-reporting surface batch exporters need. NewSink returns one for
+// either format.
 type Sink interface {
 	telescope.Sink
 	// Write appends one record, reporting the first error eagerly.
@@ -178,12 +176,6 @@ func sniffFormat(magic []byte) Format {
 	return FormatUnknown
 }
 
-// isQSNDMagic reports whether b starts with the QSND store magic
-// ("QSND" little endian).
-func isQSNDMagic(b []byte) bool {
-	return b[0] == 0x44 && b[1] == 0x4e && b[2] == 0x53 && b[3] == 0x51
-}
-
 // NewSource opens a stored packet stream, auto-detecting QSND vs pcap
 // by magic. The returned Source reuses one packet across Next calls and
 // its payload aliases the reader's buffer (see the Source ownership
@@ -196,74 +188,32 @@ func NewSource(r io.Reader) (Source, error) {
 		}
 		return nil, err
 	}
-	// The readers parse their own headers: hand the sniffed bytes back.
-	r = io.MultiReader(bytes.NewReader(magic[:]), r)
-	switch sniffFormat(magic[:]) {
-	case FormatQSND:
-		return &qsndSource{r: telescope.NewReader(r)}, nil
-	case FormatPcap:
-		return NewPcapReader(r)
+	f := sniffFormat(magic[:])
+	if f == FormatUnknown {
+		return nil, ErrUnknownFormat
 	}
-	return nil, ErrUnknownFormat
+	// The reader parses the file header itself: hand the sniffed bytes
+	// back.
+	rd, err := newReader(newWindow(io.MultiReader(bytes.NewReader(magic[:]), r)), f)
+	if err != nil {
+		return nil, err
+	}
+	return rd, nil
 }
 
 // NewSink creates an export sink writing the given format.
 func NewSink(w io.Writer, f Format) Sink {
-	if f == FormatPcap {
-		return NewPcapWriter(w)
+	if f != FormatPcap {
+		f = FormatQSND
 	}
-	return telescope.NewWriter(w)
+	return newWriter(w, f)
 }
-
-// qsndSource adapts telescope.Reader — streamed or laid over a byte
-// slice — to Source and SpanSource: one reused Packet whose payload
-// aliases the reader's window, honoring the Source validity contract.
-// Close unmaps when the data is a memory mapping (OpenFile).
-type qsndSource struct {
-	r *telescope.Reader
-	p telescope.Packet
-	mapping
-}
-
-func (s *qsndSource) Next() (*telescope.Packet, error) {
-	if err := s.r.ReadInto(&s.p); err != nil {
-		return nil, err
-	}
-	return &s.p, nil
-}
-
-// qsndDecoder is the QSND span decoder: telescope.DecodeRecord behind
-// the SpanDecoder interface. Every framed QSND span is a complete,
-// validated record, so decode never drops.
-type qsndDecoder struct{}
-
-func (qsndDecoder) DecodeSpan(span []byte, p *telescope.Packet) bool {
-	telescope.DecodeRecord(span, p)
-	return true
-}
-
-// SpanSource implementation: framing delegates to the telescope
-// reader; spans are stable exactly when its window is (OpenFile's
-// mapping).
-func (s *qsndSource) FrameNext() (int, netmodel.Addr, error) { return s.r.FrameNext() }
-func (s *qsndSource) TakeSpan(dst []byte) []byte             { return s.r.TakeSpan(dst) }
-func (s *qsndSource) SpanStable() bool                       { return s.r.Stable() }
-func (s *qsndSource) SpanDecoder() SpanDecoder               { return qsndDecoder{} }
-
-// SpanSource implementation for the pcap reader (FrameNext/TakeSpan in
-// pcap.go): stable over OpenFile's mapping, copied from a sliding
-// window (NewPcapReader, NewSource).
-func (pr *PcapReader) SpanStable() bool         { return pr.w.Stable() }
-func (pr *PcapReader) SpanDecoder() SpanDecoder { return pr.pcapDecoder }
 
 // SourceFormat reports which container a Source produced by NewSource
-// is reading.
+// or OpenFile is reading.
 func SourceFormat(src Source) Format {
-	switch src.(type) {
-	case *qsndSource:
-		return FormatQSND
-	case *PcapReader:
-		return FormatPcap
+	if r, ok := src.(*reader); ok {
+		return r.format
 	}
 	return FormatUnknown
 }
@@ -272,38 +222,26 @@ func SourceFormat(src Source) Format {
 // decode (non-UDP/IPv4 pcap frames); always zero for the lossless
 // native store.
 func SourceSkipped(src Source) uint64 {
-	if pr, ok := src.(*PcapReader); ok {
-		return pr.Skipped
+	if r, ok := src.(*reader); ok {
+		return r.skipped
 	}
 	return 0
 }
 
-// SalvagePolicy selects fail-fast vs degraded ingest — see
-// salvage.Policy.
-type SalvagePolicy = salvage.Policy
-
-// SalvageStats is the skipped-record ledger — see salvage.Stats.
-type SalvageStats = salvage.Stats
-
 // SetSalvage installs a salvage policy on a Source produced by
-// NewSource. Sources without a degraded mode ignore it.
+// NewSource or OpenFile. Other sources have no degraded mode and ignore
+// it.
 func SetSalvage(src Source, pol SalvagePolicy) {
-	switch s := src.(type) {
-	case *qsndSource:
-		s.r.SetSalvage(pol)
-	case *PcapReader:
-		s.SetSalvage(pol)
+	if r, ok := src.(*reader); ok {
+		r.w.pol = pol
 	}
 }
 
 // SourceSalvage reports a Source's skipped-record ledger; all zeros
 // for undamaged streams and for sources without a degraded mode.
 func SourceSalvage(src Source) SalvageStats {
-	switch s := src.(type) {
-	case *qsndSource:
-		return s.r.Salvage()
-	case *PcapReader:
-		return s.Salvage()
+	if r, ok := src.(*reader); ok {
+		return r.w.stats
 	}
 	return SalvageStats{}
 }

@@ -96,7 +96,7 @@ func drain(t *testing.T, src Source) []*telescope.Packet {
 
 func TestPcapRoundTripPreservesEveryField(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewPcapWriter(&buf)
+	w := NewSink(&buf, FormatPcap)
 	pkts := samplePackets()
 	for _, p := range pkts {
 		if err := w.Write(p); err != nil {
@@ -110,7 +110,7 @@ func TestPcapRoundTripPreservesEveryField(t *testing.T) {
 		t.Errorf("count = %d", w.Count())
 	}
 
-	r, err := NewPcapReader(&buf)
+	r, err := newPcapReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestPcapRoundTripPreservesEveryField(t *testing.T) {
 			t.Errorf("record %d:\nwrote %+v\nread  %+v", i, pkts[i], got[i])
 		}
 	}
-	if r.Skipped != 0 {
-		t.Errorf("skipped %d own frames", r.Skipped)
+	if r.skipped != 0 {
+		t.Errorf("skipped %d own frames", r.skipped)
 	}
 }
 
@@ -149,14 +149,14 @@ func TestPcapRoundTripProperty(t *testing.T) {
 			in.Payload = nil
 		}
 		var buf bytes.Buffer
-		w := NewPcapWriter(&buf)
+		w := NewSink(&buf, FormatPcap)
 		if err := w.Write(in); err != nil {
 			return false
 		}
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		r, err := NewPcapReader(&buf)
+		r, err := newPcapReader(&buf)
 		if err != nil {
 			return false
 		}
@@ -177,7 +177,7 @@ func TestPcapRoundTripProperty(t *testing.T) {
 func TestPcapICMPChecksumCoversPayload(t *testing.T) {
 	for _, payload := range [][]byte{nil, {7}, {1, 2, 3}, bytes.Repeat([]byte{0xee}, 56)} {
 		var buf bytes.Buffer
-		w := NewPcapWriter(&buf)
+		w := NewSink(&buf, FormatPcap)
 		p := &telescope.Packet{
 			TS: tsAt(time.Second), Src: netmodel.MustAddr("9.9.9.9"), Dst: netmodel.MustAddr("44.1.1.2"),
 			SrcPort: 0x1234, DstPort: 0x5678, Proto: telescope.ProtoICMP,
@@ -202,7 +202,7 @@ func TestPcapICMPChecksumCoversPayload(t *testing.T) {
 // package's trace tests.
 func TestQSNDPcapQSNDLossless(t *testing.T) {
 	var qsnd1 bytes.Buffer
-	w := telescope.NewWriter(&qsnd1)
+	w := NewSink(&qsnd1, FormatQSND)
 	for _, p := range samplePackets() {
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
@@ -231,8 +231,8 @@ func TestQSNDPcapQSNDLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src2.(*PcapReader); !ok {
-		t.Fatalf("sniffed %T for pcap input", src2)
+	if f := SourceFormat(src2); f != FormatPcap {
+		t.Fatalf("sniffed %v for pcap input", f)
 	}
 	sink2 := NewSink(&qsnd2, FormatQSND)
 	n, err := Copy(sink2, src2)
@@ -320,7 +320,7 @@ func TestPcapReaderLinkTypes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := writeForeignPcap(tc.order, tc.nanos, tc.link, [][]byte{tc.frame})
-			r, err := NewPcapReader(bytes.NewReader(data))
+			r, err := newPcapReader(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +363,7 @@ func TestPcapReaderSkipsUnrepresentable(t *testing.T) {
 		append([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x08, 0x00}, sctp...),
 		append([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x08, 0x00}, ip...),
 	}
-	r, err := NewPcapReader(bytes.NewReader(writeForeignPcap(binary.LittleEndian, false, LinkEthernet, frames)))
+	r, err := newPcapReader(bytes.NewReader(writeForeignPcap(binary.LittleEndian, false, LinkEthernet, frames)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,26 +371,26 @@ func TestPcapReaderSkipsUnrepresentable(t *testing.T) {
 	if len(got) != 1 || got[0].DstPort != 443 {
 		t.Fatalf("decoded %d packets: %+v", len(got), got)
 	}
-	if r.Skipped != 4 {
-		t.Errorf("skipped = %d, want 4", r.Skipped)
+	if r.skipped != 4 {
+		t.Errorf("skipped = %d, want 4", r.skipped)
 	}
 }
 
 func TestPcapReaderRejectsCorruption(t *testing.T) {
-	if _, err := NewPcapReader(bytes.NewReader([]byte{1, 2, 3})); !errors.Is(err, ErrBadPcap) {
+	if _, err := newPcapReader(bytes.NewReader([]byte{1, 2, 3})); !errors.Is(err, ErrBadPcap) {
 		t.Errorf("short header err = %v", err)
 	}
-	if _, err := NewPcapReader(bytes.NewReader(make([]byte, 24))); !errors.Is(err, ErrBadPcap) {
+	if _, err := newPcapReader(bytes.NewReader(make([]byte, 24))); !errors.Is(err, ErrBadPcap) {
 		t.Errorf("zero magic err = %v", err)
 	}
 	bad := writeForeignPcap(binary.LittleEndian, false, 147, nil) // LINKTYPE_USER0
-	if _, err := NewPcapReader(bytes.NewReader(bad)); !errors.Is(err, ErrBadPcap) {
+	if _, err := newPcapReader(bytes.NewReader(bad)); !errors.Is(err, ErrBadPcap) {
 		t.Errorf("link type err = %v", err)
 	}
 	// Truncated frame body.
 	data := writeForeignPcap(binary.LittleEndian, false, LinkRawIP,
 		[][]byte{rawIPv4UDP("1.1.1.1", "44.0.0.1", 1, 443, nil)})
-	r, err := NewPcapReader(bytes.NewReader(data[:len(data)-5]))
+	r, err := newPcapReader(bytes.NewReader(data[:len(data)-5]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestPcapReaderRejectsCorruption(t *testing.T) {
 	rh := make([]byte, 16)
 	binary.LittleEndian.PutUint32(rh[8:], maxFrame+1)
 	huge.Write(rh)
-	r2, err := NewPcapReader(&huge)
+	r2, err := newPcapReader(&huge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestPcapReaderRejectsCorruption(t *testing.T) {
 
 func TestFormatDetection(t *testing.T) {
 	var qsnd bytes.Buffer
-	w := telescope.NewWriter(&qsnd)
+	w := NewSink(&qsnd, FormatQSND)
 	if err := w.Write(samplePackets()[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +423,8 @@ func TestFormatDetection(t *testing.T) {
 	}
 	if src, err := NewSource(bytes.NewReader(qsnd.Bytes())); err != nil {
 		t.Fatal(err)
-	} else if _, ok := src.(*qsndSource); !ok {
-		t.Errorf("sniffed %T for qsnd", src)
+	} else if f := SourceFormat(src); f != FormatQSND {
+		t.Errorf("sniffed %v for qsnd", f)
 	}
 	if _, err := NewSource(bytes.NewReader([]byte("not a capture file"))); !errors.Is(err, ErrUnknownFormat) {
 		t.Errorf("foreign err = %v", err)
@@ -737,7 +737,7 @@ func TestStreamingAllocs(t *testing.T) {
 // failure and report it through Err.
 func TestScatterSurfacesReadError(t *testing.T) {
 	var buf bytes.Buffer
-	w := telescope.NewWriter(&buf)
+	w := NewSink(&buf, FormatQSND)
 	var breakAt uint64
 	for i, p := range salvagePackets(900) {
 		if i == 700 {

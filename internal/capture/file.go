@@ -6,12 +6,9 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"quicsand/internal/salvage"
-	"quicsand/internal/telescope"
 )
 
-// mapping is the munmap a source laid over OpenFile's mapping owns. The
+// mapping is the munmap a reader laid over OpenFile's mapping owns. The
 // zero value — a streamed or in-memory source — closes to nothing.
 type mapping struct{ unmap func() error }
 
@@ -28,13 +25,13 @@ func (m *mapping) Close() error {
 }
 
 // OpenFile opens a capture file as a Source, choosing from what it
-// observes about f how the one reader of each format gets its bytes. A
+// observes about f how the reader gets its bytes. A
 // regular file of either container is memory-mapped: framing becomes
 // offset arithmetic, spans and payloads alias the page cache, nothing
 // is read or copied on ingest. Anything else — a pipe, a device, a
 // platform without mmap, a mapping the kernel refuses — streams through
 // NewSource against the file, with identical packets, errors, offsets
-// and salvage accounting (one framer per format, DESIGN.md §16).
+// and salvage accounting (one framer, DESIGN.md §16).
 //
 // The returned Source is an io.Closer: the caller closes it once the
 // analysis is done, which releases the mapping — every span, packet and
@@ -71,14 +68,11 @@ func OpenFile(f *os.File) (Source, error) {
 	if err != nil {
 		return NewSource(f) // mapping unavailable (platform, filesystem): stream
 	}
-	if format == FormatQSND {
-		return &qsndSource{r: telescope.NewBuffer(data), mapping: mapping{unmap}}, nil
-	}
-	pr, err := newPcapReader(salvage.NewSliceWindow(data))
+	r, err := newReader(newSliceWindow(data), format)
 	if err != nil {
 		_ = unmap() // the header error is the one to report
 		return nil, err
 	}
-	pr.mapping = mapping{unmap}
-	return pr, nil
+	r.mapping = mapping{unmap}
+	return r, nil
 }

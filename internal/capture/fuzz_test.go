@@ -109,7 +109,7 @@ func FuzzRoundTrip(f *testing.F) {
 	// Minimal hand-built trace covering UDP-with-payload, TCP flags and
 	// ICMP port stashing.
 	var buf bytes.Buffer
-	w := telescope.NewWriter(&buf)
+	w := NewSink(&buf, FormatQSND)
 	for _, p := range []*telescope.Packet{
 		{TS: 1700000000000, Src: 0x01020304, Dst: 0x2c000001, SrcPort: 443, DstPort: 9999,
 			Proto: telescope.ProtoUDP, Size: 6, Payload: []byte{0xc0, 1, 2, 3, 4, 5}},
@@ -173,8 +173,8 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("reopening own pcap: %v", err)
 			}
 			out := readAllPackets(rd)
-			if pr, ok := rd.(*PcapReader); ok && pr.Skipped > 0 {
-				t.Fatalf("pcap reader skipped %d frames our writer emitted", pr.Skipped)
+			if n := SourceSkipped(rd); n > 0 {
+				t.Fatalf("pcap reader skipped %d frames our writer emitted", n)
 			}
 			if len(out) != len(in) {
 				t.Fatalf("pcap round trip lost records: %d -> %d", len(in), len(out))
@@ -260,14 +260,7 @@ func TestCopyOntoFullSink(t *testing.T) {
 			before := sink.Err()
 			sink.Capture(pkts[0])
 			sink.Capture(pkts[1])
-			var dropped uint64
-			switch s := sink.(type) {
-			case *telescope.Writer:
-				dropped = s.Dropped()
-			case *PcapWriter:
-				dropped = s.Dropped()
-			}
-			if dropped < 2 {
+			if dropped := sink.Dropped(); dropped < 2 {
 				t.Errorf("Dropped = %d after two post-failure Captures", dropped)
 			}
 			if sink.Err() != before {

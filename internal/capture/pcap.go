@@ -1,14 +1,11 @@
 package capture
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"quicsand/internal/netmodel"
-	"quicsand/internal/salvage"
 	"quicsand/internal/telescope"
 )
 
@@ -23,6 +20,10 @@ import (
 // doubles as a byte-order and timestamp-resolution marker:
 // 0xA1B2C3D4 is microseconds, 0xA1B23C4D nanoseconds, each read in
 // whichever byte order makes it match.
+//
+// This file holds what pcap contributes to the shared reader and
+// writer: its header parse and emit, its record validation and resync
+// boundary, its routing address, its span decode and record encode.
 
 // Pcap magics in file byte order as this package writes them.
 const (
@@ -33,6 +34,9 @@ const (
 	// payload bytes plus encapsulation and trailer — always yields
 	// incl_len ≤ snaplen, keeping strict readers happy.
 	pcapSnaplen = 262144
+	// pcapRecHdr is the per-record header: ts_sec, ts_subsec, incl_len,
+	// orig_len.
+	pcapRecHdr = 16
 )
 
 // Link types the reader decapsulates (tcpdump LINKTYPE_* values).
@@ -46,7 +50,7 @@ const (
 // errors wrap it and carry the byte offset of the bad region.
 var ErrBadPcap = errors.New("capture: bad pcap file")
 
-// trailerLen is the size of the telescope metadata trailer PcapWriter
+// trailerLen is the size of the telescope metadata trailer the writer
 // appends after the IP datagram inside each Ethernet frame:
 //
 //	"QSXT" magic | u16 size | u8 flags | u8 zero | u32 weight  (LE)
@@ -74,25 +78,9 @@ func isPcapMagic(m []byte) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Writer
-
-// PcapWriter exports telescope packets as a classic pcap stream
+// Writer pieces: exported months are a classic pcap stream
 // (microsecond timestamps, little endian, Ethernet link type) with
-// real IPv4/UDP/TCP/ICMP encapsulation and valid IP checksums. It
-// implements Sink; like telescope.Writer, write errors are sticky.
-type PcapWriter struct {
-	w       *bufio.Writer
-	wrote   bool
-	n       uint64
-	dropped uint64
-	err     error
-	frame   []byte // reused frame build buffer
-}
-
-// NewPcapWriter wraps w.
-func NewPcapWriter(w io.Writer) *PcapWriter {
-	return &PcapWriter{w: bufio.NewWriterSize(w, 1<<16), frame: make([]byte, 0, 2048)}
-}
+// real IPv4/UDP/TCP/ICMP encapsulation and valid IP checksums.
 
 // Synthetic MAC addresses for exported frames (locally administered).
 var (
@@ -101,7 +89,7 @@ var (
 )
 
 // recHdrZero reserves the in-frame record header slot.
-var recHdrZero [16]byte
+var recHdrZero [pcapRecHdr]byte
 
 // onesSum accumulates the RFC 1071 16-bit ones-complement sum of b
 // (odd trailing byte padded with zero) into sum, unfolded.
@@ -128,47 +116,26 @@ func ipChecksum(b []byte) uint16 {
 	return foldChecksum(onesSum(b, 0))
 }
 
-// Write appends one packet as a full Ethernet frame record.
-func (pw *PcapWriter) Write(p *telescope.Packet) error {
-	if pw.err != nil {
-		return pw.err
-	}
-	if err := pw.write(p); err != nil {
-		pw.err = err
-		return err
-	}
-	pw.n++
-	return nil
+// appendPcapHeader appends the 24-byte global header.
+func appendPcapHeader(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, pcapMagicUsec)
+	b = binary.LittleEndian.AppendUint16(b, 2) // version 2.4
+	b = binary.LittleEndian.AppendUint16(b, 4)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // thiszone, sigfigs
+	b = binary.LittleEndian.AppendUint32(b, pcapSnaplen)
+	return binary.LittleEndian.AppendUint32(b, LinkEthernet)
 }
 
-// writeHeader emits the global header once.
-func (pw *PcapWriter) writeHeader() error {
-	if pw.wrote {
-		return nil
-	}
-	var gh [24]byte
-	binary.LittleEndian.PutUint32(gh[0:], pcapMagicUsec)
-	binary.LittleEndian.PutUint16(gh[4:], 2) // version 2.4
-	binary.LittleEndian.PutUint16(gh[6:], 4)
-	binary.LittleEndian.PutUint32(gh[16:], pcapSnaplen)
-	binary.LittleEndian.PutUint32(gh[20:], LinkEthernet)
-	if _, err := pw.w.Write(gh[:]); err != nil {
-		return err
-	}
-	pw.wrote = true
-	return nil
-}
-
-func (pw *PcapWriter) write(p *telescope.Packet) error {
-	if err := pw.writeHeader(); err != nil {
-		return err
-	}
+// pcapRecord writes one packet as a full Ethernet frame record, built
+// in the writer's scratch so one buffered write covers it. It returns
+// the bytes written.
+func (w *writer) pcapRecord(p *telescope.Packet) (int, error) {
 	if p.TS < 0 {
-		return fmt.Errorf("capture: timestamp %d before the epoch: %w", p.TS, ErrBadPcap)
+		return 0, fmt.Errorf("capture: timestamp %d before the epoch: %w", p.TS, ErrBadPcap)
 	}
 	sec := uint64(p.TS) / 1000
 	if sec > 0xffffffff {
-		return fmt.Errorf("capture: timestamp %d beyond pcap range: %w", p.TS, ErrBadPcap)
+		return 0, fmt.Errorf("capture: timestamp %d beyond pcap range: %w", p.TS, ErrBadPcap)
 	}
 	usec := uint32(uint64(p.TS)%1000) * 1000
 
@@ -182,16 +149,16 @@ func (pw *PcapWriter) write(p *telescope.Packet) error {
 	case telescope.ProtoICMP:
 		tpHdr, ipProto = 8, 1
 	default:
-		return fmt.Errorf("capture: unencodable protocol %d: %w", byte(p.Proto), ErrBadPcap)
+		return 0, fmt.Errorf("capture: unencodable protocol %d: %w", byte(p.Proto), ErrBadPcap)
 	}
 
 	ipTotal := 20 + tpHdr + len(p.Payload)
 	if ipTotal > 0xffff {
-		return fmt.Errorf("capture: datagram %d bytes: %w", ipTotal, ErrBadPcap)
+		return 0, fmt.Errorf("capture: datagram %d bytes: %w", ipTotal, ErrBadPcap)
 	}
 	// The 16-byte record header is built in-place ahead of the frame so
 	// one buffered write covers both and nothing escapes per packet.
-	f := append(pw.frame[:0], recHdrZero[:]...)
+	f := append(w.buf[:0], recHdrZero[:]...)
 
 	// Ethernet.
 	f = append(f, macDst[:]...)
@@ -202,7 +169,7 @@ func (pw *PcapWriter) write(p *telescope.Packet) error {
 	ip := len(f)
 	f = append(f,
 		0x45, 0x00, byte(ipTotal>>8), byte(ipTotal),
-		byte(pw.n>>8), byte(pw.n), 0x00, 0x00,
+		byte(w.n>>8), byte(w.n), 0x00, 0x00,
 		64, ipProto, 0x00, 0x00)
 	f = binary.BigEndian.AppendUint32(f, uint32(p.Src))
 	f = binary.BigEndian.AppendUint32(f, uint32(p.Dst))
@@ -240,136 +207,67 @@ func (pw *PcapWriter) write(p *telescope.Packet) error {
 	f = binary.LittleEndian.AppendUint16(f, p.Size)
 	f = append(f, p.Flags, 0x00)
 	f = binary.LittleEndian.AppendUint32(f, p.Weight)
-	pw.frame = f
-	if len(f)-16 > pcapSnaplen {
-		return fmt.Errorf("capture: frame %d bytes exceeds snaplen %d: %w", len(f)-16, pcapSnaplen, ErrBadPcap)
+	w.buf = f
+	if len(f)-pcapRecHdr > pcapSnaplen {
+		return 0, fmt.Errorf("capture: frame %d bytes exceeds snaplen %d: %w", len(f)-pcapRecHdr, pcapSnaplen, ErrBadPcap)
 	}
 
 	binary.LittleEndian.PutUint32(f[0:], uint32(sec))
 	binary.LittleEndian.PutUint32(f[4:], usec)
-	binary.LittleEndian.PutUint32(f[8:], uint32(len(f)-16))
-	binary.LittleEndian.PutUint32(f[12:], uint32(len(f)-16))
-	_, err := pw.w.Write(f)
-	return err
-}
-
-// Capture implements telescope.Sink; errors are retained (see Err).
-func (pw *PcapWriter) Capture(p *telescope.Packet) {
-	if pw.err != nil {
-		pw.dropped++
-		return
-	}
-	_ = pw.Write(p)
-}
-
-// Count returns records written so far.
-func (pw *PcapWriter) Count() uint64 { return pw.n }
-
-// Dropped returns records discarded after the writer errored.
-func (pw *PcapWriter) Dropped() uint64 { return pw.dropped }
-
-// Err returns the first write error, or nil.
-func (pw *PcapWriter) Err() error { return pw.err }
-
-// Flush drains buffered output, reporting the sticky first error.
-func (pw *PcapWriter) Flush() error {
-	if pw.err != nil {
-		return pw.err
-	}
-	// An empty capture still gets a valid global header.
-	if err := pw.writeHeader(); err != nil {
-		pw.err = err
-		return pw.err
-	}
-	if err := pw.w.Flush(); err != nil {
-		pw.err = err
-	}
-	return pw.err
+	binary.LittleEndian.PutUint32(f[8:], uint32(len(f)-pcapRecHdr))
+	binary.LittleEndian.PutUint32(f[12:], uint32(len(f)-pcapRecHdr))
+	return w.w.Write(f)
 }
 
 // ---------------------------------------------------------------------------
-// Reader
+// Reader pieces. Frames that cannot be represented as telescope packets
+// (non-IPv4, later IP fragments, unsupported transports) are skipped
+// and counted, mirroring how the real telescope's capture filter drops
+// out-of-scope traffic; foreign captures in either byte order and
+// timestamp resolution, on any supported link type, ingest too.
 
-// PcapReader ingests classic pcap streams, framing records over a
-// salvage.Window. Frames that cannot be represented as telescope
-// packets (non-IPv4, later IP fragments, unsupported transports) are
-// skipped and counted, mirroring how the real telescope's capture
-// filter drops out-of-scope traffic.
-//
-// With SetSalvage, record-level corruption stops being terminal: the
-// reader scans forward for the next plausible record header
-// (timestamp-sanity heuristics over the fixed 16-byte framing), skips
-// the damaged span, and accounts it in Salvage(). Global-header
-// corruption stays terminal either way.
-//
-// The returned packet follows the Source contract: it and its payload
-// alias reader-owned buffers valid until the next Next call.
-//
-// The window decides how bytes arrive, nothing else: NewPcapReader
-// slides one over an io.Reader, OpenFile lays one over the mapped file,
-// whose spans are then stable (SpanStable) until Close unmaps it; on a
-// streamed reader Close does nothing.
-type PcapReader struct {
-	w *salvage.Window
-	pcapDecoder
-	pkt  telescope.Packet
-	rec  uint64 // records framed so far (decode-skips included)
-	span []byte // framed by FrameNext, handed out by TakeSpan
-	mapping
-
-	// Skipped counts records dropped during decapsulation.
-	Skipped uint64
-}
-
-// NewPcapReader parses the global header and returns a reader.
-func NewPcapReader(r io.Reader) (*PcapReader, error) {
-	return newPcapReader(salvage.NewWindow(r))
-}
-
-// newPcapReader parses the global header at the head of w.
-func newPcapReader(w *salvage.Window) (*PcapReader, error) {
-	pr := &PcapReader{w: w}
-	gh, err := w.Peek(24)
+// pcapHeader parses the global header and consumes it.
+func (r *reader) pcapHeader() error {
+	gh, err := r.w.peek(24)
 	if err != nil {
-		return nil, fmt.Errorf("capture: truncated pcap global header: %w", ErrBadPcap)
+		return fmt.Errorf("capture: truncated pcap global header: %w", ErrBadPcap)
 	}
+	d := &r.pcap
 	switch {
 	case binary.LittleEndian.Uint32(gh[0:]) == pcapMagicUsec:
-		pr.order = binary.LittleEndian
+		d.order = binary.LittleEndian
 	case binary.BigEndian.Uint32(gh[0:]) == pcapMagicUsec:
-		pr.order = binary.BigEndian
+		d.order = binary.BigEndian
 	case binary.LittleEndian.Uint32(gh[0:]) == pcapMagicNsec:
-		pr.order, pr.nanos = binary.LittleEndian, true
+		d.order, d.nanos = binary.LittleEndian, true
 	case binary.BigEndian.Uint32(gh[0:]) == pcapMagicNsec:
-		pr.order, pr.nanos = binary.BigEndian, true
+		d.order, d.nanos = binary.BigEndian, true
 	default:
-		return nil, fmt.Errorf("capture: magic %#08x is no pcap variant: %w",
+		return fmt.Errorf("capture: magic %#08x is no pcap variant: %w",
 			binary.BigEndian.Uint32(gh[0:]), ErrBadPcap)
 	}
-	pr.link = pr.order.Uint32(gh[20:])
-	switch pr.link {
+	d.link = d.order.Uint32(gh[20:])
+	switch d.link {
 	case LinkEthernet, LinkRawIP, LinkLinuxSLL:
 	default:
-		return nil, fmt.Errorf("capture: unsupported link type %d (want Ethernet=1, raw-IP=101, Linux-SLL=113): %w",
-			pr.link, ErrBadPcap)
+		return fmt.Errorf("capture: unsupported link type %d (want Ethernet=1, raw-IP=101, Linux-SLL=113): %w",
+			d.link, ErrBadPcap)
 	}
-	w.Advance(24)
-	return pr, nil
+	r.w.advance(24)
+	return nil
 }
 
-// SetSalvage installs the degraded-ingest policy. The zero policy is
-// the default fail-fast behavior.
-func (pr *PcapReader) SetSalvage(pol salvage.Policy) { pr.w.Pol = pol }
+// bodyLen returns the frame length a 16-byte record header claims and
+// whether it is within maxFrame.
+func (d *pcapDecoder) bodyLen(hdr []byte) (int, bool) {
+	incl := d.order.Uint32(hdr[8:])
+	return int(incl), incl <= maxFrame
+}
 
-// Salvage returns the skipped-record ledger accumulated so far. All
-// zeros on an undamaged stream.
-func (pr *PcapReader) Salvage() salvage.Stats { return pr.w.Stats }
-
-// badf builds an ErrBadPcap annotated with the failing record's index
-// and byte offset.
-func (pr *PcapReader) badf(at uint64, format string, args ...any) error {
-	return fmt.Errorf("capture: %s at record %d, byte offset %d: %w",
-		fmt.Sprintf(format, args...), pr.rec, at, ErrBadPcap)
+// pcapCorrupt is the error for a record header at byte offset at that
+// bodyLen rejected.
+func (r *reader) pcapCorrupt(hdr []byte, at uint64) error {
+	return r.corruptf(at, "captured length %d", r.pcap.order.Uint32(hdr[8:]))
 }
 
 // boundary is the resync probe for pcap framing: a candidate 16-byte
@@ -377,15 +275,15 @@ func (pr *PcapReader) badf(at uint64, format string, args ...any) error {
 // (≈ 2004, rejecting all-zero garbage), the sub-second field fits the
 // stream's resolution, and the length pair is sane (0 < incl ≤ orig ≤
 // maxFrame, covering snaplen-truncated foreign captures).
-func (pr *PcapReader) boundary() salvage.Boundary {
+func (d pcapDecoder) boundary() boundary {
 	maxSub := uint32(1_000_000)
-	if pr.nanos {
+	if d.nanos {
 		maxSub = 1_000_000_000
 	}
-	order := pr.order
-	return salvage.Boundary{
-		HdrLen: 16,
-		Plausible: func(hdr []byte) (int, bool) {
+	order := d.order
+	return boundary{
+		hdrLen: pcapRecHdr,
+		plausible: func(hdr []byte) (int, bool) {
 			sec := order.Uint32(hdr[0:])
 			sub := order.Uint32(hdr[4:])
 			incl := order.Uint32(hdr[8:])
@@ -396,119 +294,28 @@ func (pr *PcapReader) boundary() salvage.Boundary {
 			if incl == 0 || incl > maxFrame || orig < incl || orig > maxFrame {
 				return 0, false
 			}
-			return 16 + int(incl), true
+			return pcapRecHdr + int(incl), true
 		},
 	}
 }
 
-// short classifies a failed Peek of hdr+want bytes that returned have:
-// nothing at all is a clean end of stream (only possible at a record
-// boundary), a partial read a truncated tail reported at the byte
-// where the stream ended; other I/O errors pass through unwrapped.
-func (pr *PcapReader) short(err error, what string, have, hdr, want int) error {
-	if err == io.ErrUnexpectedEOF {
-		return pr.badf(pr.w.Offset()+uint64(have), "truncated %s (%d of %d bytes)", what, have-hdr, want)
+// route probes a framed record just far enough (link decap, IPv4
+// version and header reach) to return its IPv4 source address; false
+// means the frame cannot be routed and is skipped.
+func (d *pcapDecoder) route(span []byte) (netmodel.Addr, bool) {
+	f := span[pcapRecHdr:]
+	ipStart, ok := d.decap(f)
+	if !ok || len(f)-ipStart < 20 || f[ipStart]>>4 != 4 {
+		return 0, false
 	}
-	return err
+	return netmodel.Addr(binary.BigEndian.Uint32(f[ipStart+12:])), true
 }
 
-// frame validates one complete record — the 16-byte header plus the
-// link-layer frame — on peeked bytes and consumes it, returning its
-// span. On any error nothing of the record has been consumed.
-func (pr *PcapReader) frame() ([]byte, error) {
-	recStart := pr.w.Offset()
-	rh, err := pr.w.Peek(16)
-	if err != nil {
-		return nil, pr.short(err, "record header", len(rh), 0, 16)
-	}
-	incl := pr.order.Uint32(rh[8:])
-	if incl > maxFrame {
-		return nil, pr.badf(recStart, "captured length %d", incl)
-	}
-	span, err := pr.w.Peek(16 + int(incl))
-	if err != nil {
-		return nil, pr.short(err, "frame", len(span), 16, int(incl))
-	}
-	pr.w.Advance(len(span))
-	pr.rec++
-	return span, nil
-}
-
-// next frames the next record, salvaging corruption per policy.
-// Salvage applies only to record-level ErrBadPcap (the global header
-// was parsed in NewPcapReader); genuine I/O errors are not corruption
-// to skip over.
-func (pr *PcapReader) next() ([]byte, error) {
-	for {
-		span, err := pr.frame()
-		if err == nil || !pr.w.Pol.SkipCorrupt || !errors.Is(err, ErrBadPcap) {
-			return span, err
-		}
-		if pr.w.Resync(pr.boundary()) != nil {
-			return nil, io.EOF // torn tail: everything salvageable was read
-		}
-	}
-}
-
-// Next returns the next representable packet, or io.EOF.
-func (pr *PcapReader) Next() (*telescope.Packet, error) {
-	for {
-		span, err := pr.next()
-		if err != nil {
-			return nil, err
-		}
-		if pr.DecodeSpan(span, &pr.pkt) {
-			return &pr.pkt, nil
-		}
-		pr.Skipped++
-	}
-}
-
-// FrameNext frames the next routable record, returning its span length
-// (the 16-byte record header plus the frame) and the IPv4 source
-// address for shard routing; collect the span with TakeSpan before the
-// next FrameNext. It probes just far enough (link decap, IPv4 version
-// and header reach) to extract the routing address, leaving the full
-// decode to the shards: frames the decapsulation cannot route (non-IP
-// link payloads, non-IPv4, headerless runts) are counted in Skipped and
-// skipped here, exactly as in Next; the deeper packet-model rejections
-// surface later as DecodeSpan drops, so reader-side Skipped plus
-// shard-side drops equals the sequential path's Skipped. Corruption is
-// salvaged per policy as in Next.
-func (pr *PcapReader) FrameNext() (int, netmodel.Addr, error) {
-	for {
-		span, err := pr.next()
-		if err != nil {
-			return 0, 0, err
-		}
-		f := span[16:]
-		ipStart, ok := pr.decap(f)
-		if !ok || len(f)-ipStart < 20 || f[ipStart]>>4 != 4 {
-			pr.Skipped++
-			continue
-		}
-		pr.span = span
-		return len(span), netmodel.Addr(binary.BigEndian.Uint32(f[ipStart+12:])), nil
-	}
-}
-
-// TakeSpan hands out the record framed by the last FrameNext: the span
-// itself when the window is stable (dst is ignored), otherwise a copy
-// in dst, whose length must be the framed span length — the one copy
-// between the stream and the arena a shard decodes from.
-func (pr *PcapReader) TakeSpan(dst []byte) []byte {
-	if pr.w.Stable() {
-		return pr.span
-	}
-	copy(dst, pr.span)
-	return dst
-}
-
-// pcapDecoder is the pure record-decode half of the pcap reader: the
+// pcapDecoder is the pure record-decode half of the pcap format: the
 // stream parameters fixed by the global header plus the stateless
-// frame → packet decode. It is value-typed and immutable after
-// NewPcapReader, so shard workers can decode framed spans concurrently
-// (DecodeSpan) while the reader goroutine keeps framing.
+// frame → packet decode. It is value-typed and immutable once the
+// header is parsed, so shard workers can decode framed spans
+// concurrently (DecodeSpan) while the reader goroutine keeps framing.
 type pcapDecoder struct {
 	order binary.ByteOrder
 	nanos bool
@@ -518,7 +325,7 @@ type pcapDecoder struct {
 // DecodeSpan decodes one framed record span — the 16-byte record
 // header plus its link-layer frame, as handed out by
 // FrameNext/TakeSpan — into p. false means the frame is outside the
-// telescope's packet model (the sequential path's Skipped class).
+// telescope's packet model (a record Next skips).
 // p.Payload aliases the span. Safe for concurrent use.
 func (d pcapDecoder) DecodeSpan(span []byte, p *telescope.Packet) bool {
 	sec := d.order.Uint32(span[0:])
@@ -529,7 +336,7 @@ func (d pcapDecoder) DecodeSpan(span []byte, p *telescope.Packet) bool {
 	} else {
 		ms = int64(sec)*1000 + int64(sub)/1000
 	}
-	f := span[16:]
+	f := span[pcapRecHdr:]
 	ipStart, ok := d.decap(f)
 	if !ok {
 		return false
@@ -541,7 +348,7 @@ func (d pcapDecoder) DecodeSpan(span []byte, p *telescope.Packet) bool {
 func (d pcapDecoder) decap(f []byte) (int, bool) {
 	switch d.link {
 	case LinkRawIP:
-		return 0, len(f) > 0
+		return 0, true // callers check that an IP header fits
 	case LinkEthernet:
 		if len(f) < 14 {
 			return 0, false

@@ -1,9 +1,9 @@
-package telescope
+package capture
 
 // Arrival-shape tests for the QSND framer. There is one framer, so the
 // only seam left is how the bytes reach its window: as one slice
-// (NewBuffer, the memory-mapped path) or through an io.Reader in
-// whatever pieces it delivers (NewReader). Every arrival must yield the
+// (qsndBuffer, the memory-mapped path) or through an io.Reader in
+// whatever pieces it delivers (qsndReader). Every arrival must yield the
 // same packets, the same terminal error text and the same salvage
 // ledger, on clean and damaged stores alike.
 
@@ -16,18 +16,18 @@ import (
 
 	"quicsand/internal/faultinject"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/salvage"
+	"quicsand/internal/telescope"
 )
 
 // drainReader reads r to termination under pol, returning the
 // recovered packets, the terminal error and the salvage ledger.
-func drainReader(r *Reader, pol salvage.Policy) ([]*Packet, error, salvage.Stats) {
-	r.SetSalvage(pol)
-	var out []*Packet
+func drainReader(r *reader, pol SalvagePolicy) ([]*telescope.Packet, error, SalvageStats) {
+	SetSalvage(r, pol)
+	var out []*telescope.Packet
 	for {
-		p, err := r.Read()
+		p, err := r.read()
 		if err != nil {
-			return out, err, r.Salvage()
+			return out, err, SourceSalvage(r)
 		}
 		out = append(out, p)
 	}
@@ -58,16 +58,16 @@ func TestBufferMatchesReader(t *testing.T) {
 			Kind: faultinject.BitFlip, Offset: 4, XorMask: 0x40,
 		}),
 	}
-	policies := map[string]salvage.Policy{
+	policies := map[string]SalvagePolicy{
 		"fail-fast": {},
 		"salvage":   {SkipCorrupt: true},
 	}
 	for name, bad := range cases {
 		for pname, pol := range policies {
 			t.Run(name+"/"+pname, func(t *testing.T) {
-				bp, berr, bsv := drainReader(NewBuffer(bad), pol)
+				bp, berr, bsv := drainReader(qsndBuffer(bad), pol)
 				for _, a := range faultinject.Arrivals() {
-					rp, rerr, rsv := drainReader(NewReader(a.Open(bad)), pol)
+					rp, rerr, rsv := drainReader(qsndReader(a.Open(bad)), pol)
 					if len(rp) != len(bp) {
 						t.Fatalf("%s decoded %d records, slice %d", a.Name, len(rp), len(bp))
 					}
@@ -93,10 +93,10 @@ func TestBufferMatchesReader(t *testing.T) {
 
 // TestBufferSpanFraming pins the zero-copy contract: over a slice,
 // TakeSpan returns a subslice of the input covering exactly the framed
-// record, and DecodeRecord over that span reproduces ReadInto.
+// record, and decodeQSND over that span reproduces Next.
 func TestBufferSpanFraming(t *testing.T) {
 	data, pkts, offs := salvageTrace(t, 10)
-	b := NewBuffer(data)
+	b := qsndBuffer(data)
 	for i := range pkts {
 		spanLen, src, err := b.FrameNext()
 		if err != nil {
@@ -109,8 +109,8 @@ func TestBufferSpanFraming(t *testing.T) {
 		if &span[0] != &data[offs[i]] {
 			t.Fatalf("record %d: span does not alias the store", i)
 		}
-		var p Packet
-		DecodeRecord(span, &p)
+		var p telescope.Packet
+		decodeQSND(span, &p)
 		if p.Src != src {
 			t.Errorf("record %d: framed src %v, decoded %v", i, src, p.Src)
 		}
@@ -127,16 +127,16 @@ func TestBufferSpanFraming(t *testing.T) {
 // initial buffer — the format's maximum, a 65 535-byte payload — between
 // ordinary ones, through every arrival shape.
 func TestReaderOversizeRecord(t *testing.T) {
-	mk := func(n int, fill byte) *Packet {
-		return &Packet{
-			TS: TS(MeasurementStart.Add(time.Second)), Src: netmodel.MustAddr("1.2.3.4"),
-			Dst: netmodel.MustAddr("44.0.0.1"), SrcPort: 1, DstPort: 443, Proto: ProtoUDP,
+	mk := func(n int, fill byte) *telescope.Packet {
+		return &telescope.Packet{
+			TS: telescope.TS(telescope.MeasurementStart.Add(time.Second)), Src: netmodel.MustAddr("1.2.3.4"),
+			Dst: netmodel.MustAddr("44.0.0.1"), SrcPort: 1, DstPort: 443, Proto: telescope.ProtoUDP,
 			Size: uint16(n), Payload: bytes.Repeat([]byte{fill}, n),
 		}
 	}
-	want := []*Packet{mk(9, 1), mk(0xffff, 2), mk(11, 3)}
+	want := []*telescope.Packet{mk(9, 1), mk(0xffff, 2), mk(11, 3)}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewSink(&buf, FormatQSND)
 	for _, p := range want {
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
@@ -145,13 +145,13 @@ func TestReaderOversizeRecord(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	readers := map[string]*Reader{"slice": NewBuffer(buf.Bytes())}
+	readers := map[string]*reader{"slice": qsndBuffer(buf.Bytes())}
 	for _, a := range faultinject.Arrivals() {
-		readers[a.Name] = NewReader(a.Open(buf.Bytes()))
+		readers[a.Name] = qsndReader(a.Open(buf.Bytes()))
 	}
 	for name, r := range readers {
-		got, err, sv := drainReader(r, salvage.Policy{})
-		if !errors.Is(err, io.EOF) || len(got) != len(want) || sv != (salvage.Stats{}) {
+		got, err, sv := drainReader(r, SalvagePolicy{})
+		if !errors.Is(err, io.EOF) || len(got) != len(want) || sv != (SalvageStats{}) {
 			t.Fatalf("%s: %d records, err %v, ledger %+v", name, len(got), err, sv)
 		}
 		for i := range want {
@@ -176,15 +176,15 @@ func TestReaderTransientMidRecord(t *testing.T) {
 	fr := faultinject.NewReader(bytes.NewReader(data),
 		faultinject.Fault{Kind: faultinject.ShortRead, Offset: mid - 4, Len: 8},
 		faultinject.Fault{Kind: faultinject.Transient, Offset: mid})
-	r := NewReader(fr)
-	var p Packet
+	r := qsndReader(fr)
+	var p telescope.Packet
 	for i := 0; i < k; i++ {
-		if err := r.ReadInto(&p); err != nil || !samePacket(&p, pkts[i]) {
+		if err := r.readInto(&p); err != nil || !samePacket(&p, pkts[i]) {
 			t.Fatalf("record %d before the fault: %v", i, err)
 		}
 	}
 	var te *faultinject.TransientError
-	if err := r.ReadInto(&p); !errors.As(err, &te) {
+	if err := r.readInto(&p); !errors.As(err, &te) {
 		t.Fatalf("mid-record err = %v, want the injected TransientError", err)
 	}
 	if fr.Offset() != mid {
@@ -194,7 +194,7 @@ func TestReaderTransientMidRecord(t *testing.T) {
 		t.Fatalf("offset = %d after the failed read, want the record start %d", r.Offset(), offs[k])
 	}
 	for i := k; i < len(pkts); i++ {
-		if err := r.ReadInto(&p); err != nil || !samePacket(&p, pkts[i]) {
+		if err := r.readInto(&p); err != nil || !samePacket(&p, pkts[i]) {
 			t.Fatalf("record %d after the retry: %v", i, err)
 		}
 	}

@@ -1,4 +1,4 @@
-package telescope
+package capture
 
 import (
 	"bytes"
@@ -10,32 +10,32 @@ import (
 
 	"quicsand/internal/faultinject"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/salvage"
+	"quicsand/internal/telescope"
 )
 
 // salvageTrace writes n distinct UDP records and returns the encoded
 // trace, the packets, and every record's start offset in the stream.
-func salvageTrace(t testing.TB, n int) (data []byte, pkts []*Packet, offs []uint64) {
+func salvageTrace(t testing.TB, n int) (data []byte, pkts []*telescope.Packet, offs []uint64) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewSink(&buf, FormatQSND)
 	off := uint64(8) // file header
 	for i := 0; i < n; i++ {
 		payload := make([]byte, 5+i%7)
 		for j := range payload {
 			payload[j] = byte(i)
 		}
-		p := &Packet{
-			TS:  TS(MeasurementStart.Add(time.Duration(i) * time.Second)),
+		p := &telescope.Packet{
+			TS:  telescope.TS(telescope.MeasurementStart.Add(time.Duration(i) * time.Second)),
 			Src: netmodel.MustAddr("1.2.3.4") + netmodel.Addr(i), Dst: netmodel.MustAddr("44.0.0.1"),
 			SrcPort: uint16(1000 + i), DstPort: 443,
-			Proto: ProtoUDP, Size: uint16(len(payload)), Payload: payload,
+			Proto: telescope.ProtoUDP, Size: uint16(len(payload)), Payload: payload,
 		}
 		offs = append(offs, off)
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
 		}
-		off += uint64(recHdrLen+2) + uint64(len(payload))
+		off += uint64(qsndRecHdr) + uint64(len(payload))
 		pkts = append(pkts, p)
 	}
 	if err := w.Flush(); err != nil {
@@ -45,16 +45,8 @@ func salvageTrace(t testing.TB, n int) (data []byte, pkts []*Packet, offs []uint
 }
 
 // drainSalvage reads data, streamed, to termination under pol.
-func drainSalvage(data []byte, pol salvage.Policy) ([]*Packet, error, salvage.Stats) {
-	return drainReader(NewReader(bytes.NewReader(data)), pol)
-}
-
-// samePacket compares every stored field.
-func samePacket(a, b *Packet) bool {
-	return a.TS == b.TS && a.Src == b.Src && a.Dst == b.Dst &&
-		a.SrcPort == b.SrcPort && a.DstPort == b.DstPort &&
-		a.Proto == b.Proto && a.Flags == b.Flags && a.Size == b.Size &&
-		a.Weight == b.Weight && bytes.Equal(a.Payload, b.Payload)
+func drainSalvage(data []byte, pol SalvagePolicy) ([]*telescope.Packet, error, SalvageStats) {
+	return drainReader(qsndReader(bytes.NewReader(data)), pol)
 }
 
 // TestSalvageMidRecordFlip damages one record's proto byte mid-file:
@@ -68,7 +60,7 @@ func TestSalvageMidRecordFlip(t *testing.T) {
 		Kind: faultinject.BitFlip, Offset: offs[k] + 20, XorMask: 0xFF,
 	})
 
-	got, err, _ := drainSalvage(bad, salvage.Policy{})
+	got, err, _ := drainSalvage(bad, SalvagePolicy{})
 	if !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("fail-fast err = %v, want ErrBadTrace", err)
 	}
@@ -76,11 +68,11 @@ func TestSalvageMidRecordFlip(t *testing.T) {
 		t.Fatalf("fail-fast read %d records before aborting, want %d", len(got), k)
 	}
 
-	got, err, sv := drainSalvage(bad, salvage.Policy{SkipCorrupt: true})
+	got, err, sv := drainSalvage(bad, SalvagePolicy{SkipCorrupt: true})
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("salvage terminal err = %v, want io.EOF", err)
 	}
-	want := append(append([]*Packet(nil), pkts[:k]...), pkts[k+1:]...)
+	want := append(append([]*telescope.Packet(nil), pkts[:k]...), pkts[k+1:]...)
 	if len(got) != len(want) {
 		t.Fatalf("salvaged %d records, want %d", len(got), len(want))
 	}
@@ -107,7 +99,7 @@ func TestSalvageGarbageSplice(t *testing.T) {
 		Kind: faultinject.Garbage, Offset: offs[9], Len: spliceLen, Seed: 7,
 	})
 
-	got, err, sv := drainSalvage(bad, salvage.Policy{SkipCorrupt: true})
+	got, err, sv := drainSalvage(bad, SalvagePolicy{SkipCorrupt: true})
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("terminal err = %v, want io.EOF", err)
 	}
@@ -131,11 +123,11 @@ func TestSalvageTornTail(t *testing.T) {
 	data, pkts, offs := salvageTrace(t, 12)
 	torn := data[:offs[len(offs)-1]+13] // half of the last record
 
-	if _, err, _ := drainSalvage(torn, salvage.Policy{}); !errors.Is(err, ErrBadTrace) {
+	if _, err, _ := drainSalvage(torn, SalvagePolicy{}); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("fail-fast err = %v, want ErrBadTrace", err)
 	}
 
-	got, err, sv := drainSalvage(torn, salvage.Policy{SkipCorrupt: true})
+	got, err, sv := drainSalvage(torn, SalvagePolicy{SkipCorrupt: true})
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("terminal err = %v, want io.EOF", err)
 	}
@@ -160,7 +152,7 @@ func TestSalvageHeaderCorruptionStaysTerminal(t *testing.T) {
 		bad := faultinject.Apply(data, faultinject.Fault{
 			Kind: faultinject.BitFlip, Offset: off, XorMask: 0x40,
 		})
-		if _, err, _ := drainSalvage(bad, salvage.Policy{SkipCorrupt: true}); !errors.Is(err, ErrBadTrace) {
+		if _, err, _ := drainSalvage(bad, SalvagePolicy{SkipCorrupt: true}); !errors.Is(err, ErrBadTrace) {
 			t.Errorf("%s corruption under salvage: err = %v, want terminal ErrBadTrace", name, err)
 		}
 	}
@@ -176,21 +168,21 @@ func TestSalvageTransientRetries(t *testing.T) {
 		{Kind: faultinject.Transient, Offset: offs[4]},
 	}
 
-	r := NewReader(faultinject.NewReader(bytes.NewReader(data), faults...))
+	r := qsndReader(faultinject.NewReader(bytes.NewReader(data), faults...))
 	var firstErr error
 	for firstErr == nil {
-		_, firstErr = r.Read()
+		_, firstErr = r.read()
 	}
 	var te *faultinject.TransientError
 	if !errors.As(firstErr, &te) {
 		t.Fatalf("without retries err = %v, want injected TransientError", firstErr)
 	}
 
-	r = NewReader(faultinject.NewReader(bytes.NewReader(data), faults...))
-	r.SetSalvage(salvage.Policy{MaxRetries: 3, Sleep: func(time.Duration) {}})
-	var got []*Packet
+	r = qsndReader(faultinject.NewReader(bytes.NewReader(data), faults...))
+	SetSalvage(r, SalvagePolicy{MaxRetries: 3, Sleep: func(time.Duration) {}})
+	var got []*telescope.Packet
 	for {
-		p, err := r.Read()
+		p, err := r.read()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.Fatalf("with retries err = %v, want clean EOF", err)
@@ -202,7 +194,7 @@ func TestSalvageTransientRetries(t *testing.T) {
 	if len(got) != len(pkts) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(pkts))
 	}
-	if sv := r.Salvage(); sv.TransientRetries != 3 {
+	if sv := SourceSalvage(r); sv.TransientRetries != 3 {
 		t.Errorf("TransientRetries = %d, want 3", sv.TransientRetries)
 	}
 }
@@ -224,7 +216,7 @@ func TestSalvageErrorOffsetsUniform(t *testing.T) {
 		"torn-tail": data[:offs[k]+9],
 	}
 	for name, bad := range cases {
-		_, err, _ := drainSalvage(bad, salvage.Policy{})
+		_, err, _ := drainSalvage(bad, SalvagePolicy{})
 		if !errors.Is(err, ErrBadTrace) {
 			t.Errorf("%s: err = %v, want ErrBadTrace", name, err)
 			continue

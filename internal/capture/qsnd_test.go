@@ -1,4 +1,7 @@
-package telescope
+package capture
+
+// QSND store tests: the shared reader and writer over the native
+// format (round trips, corruption errors, the sticky writer).
 
 import (
 	"bytes"
@@ -8,28 +11,183 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"testing/quick"
 	"time"
 
 	"quicsand/internal/faultinject"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/salvage"
+	"quicsand/internal/telescope"
 )
+
+func mkPacket(ts time.Time, src, dst string, sport, dport uint16) *telescope.Packet {
+	return &telescope.Packet{
+		TS:      telescope.TS(ts),
+		Src:     netmodel.MustAddr(src),
+		Dst:     netmodel.MustAddr(dst),
+		SrcPort: sport,
+		DstPort: dport,
+		Proto:   telescope.ProtoUDP,
+		Size:    1200,
+	}
+}
+
+// ForEach streams all records through fn.
+func (r *reader) ForEach(fn func(*telescope.Packet) error) error {
+	for {
+		p, err := r.read()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(p); err != nil {
+			return err
+		}
+	}
+}
+
+// read returns the next packet as a fresh copy, safe to retain.
+func (r *reader) read() (*telescope.Packet, error) {
+	p, err := r.Next()
+	if err != nil {
+		return nil, err
+	}
+	cp := *p
+	cp.Payload = bytes.Clone(p.Payload) // off the window
+	return &cp, nil
+}
+
+// readInto decodes the next packet into p; p.Payload aliases the
+// reader's window.
+func (r *reader) readInto(p *telescope.Packet) error {
+	q, err := r.Next()
+	if err != nil {
+		return err
+	}
+	*p = *q
+	return nil
+}
+
+func TestStoreRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewSink(&buf, FormatQSND)
+	pkts := []*telescope.Packet{
+		mkPacket(telescope.MeasurementStart, "1.2.3.4", "44.0.0.1", 1234, 443),
+		{
+			TS: telescope.TS(telescope.MeasurementStart.Add(time.Second)), Src: netmodel.MustAddr("142.250.0.9"),
+			Dst: netmodel.MustAddr("44.1.2.3"), SrcPort: 443, DstPort: 9999,
+			Proto: telescope.ProtoUDP, Size: 310, Payload: []byte{0xc0, 1, 2, 3, 4, 5},
+		},
+		{
+			TS: telescope.TS(telescope.MeasurementStart.Add(2 * time.Second)), Src: netmodel.MustAddr("5.6.7.8"),
+			Dst: netmodel.MustAddr("44.9.9.9"), Proto: telescope.ProtoTCP, Flags: telescope.FlagSYN | telescope.FlagACK, Size: 40,
+		},
+	}
+	for _, p := range pkts {
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != 3 {
+		t.Errorf("count = %d", w.Count())
+	}
+
+	r := qsndReader(&buf)
+	var got []*telescope.Packet
+	if err := r.ForEach(func(p *telescope.Packet) error { got = append(got, p); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("read %d packets", len(got))
+	}
+	for i := range pkts {
+		a, b := pkts[i], got[i]
+		if a.TS != b.TS || a.Src != b.Src || a.Dst != b.Dst || a.SrcPort != b.SrcPort ||
+			a.DstPort != b.DstPort || a.Proto != b.Proto || a.Flags != b.Flags || a.Size != b.Size {
+			t.Errorf("record %d mismatch:\n%+v\n%+v", i, a, b)
+		}
+		if !bytes.Equal(a.Payload, b.Payload) {
+			t.Errorf("record %d payload mismatch", i)
+		}
+	}
+}
+
+func TestStoreRejectsGarbage(t *testing.T) {
+	r := qsndReader(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	if _, err := r.read(); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("err = %v", err)
+	}
+	// Truncated mid-record.
+	var buf bytes.Buffer
+	w := NewSink(&buf, FormatQSND)
+	if err := w.Write(mkPacket(telescope.MeasurementStart, "1.1.1.1", "44.0.0.1", 1, 443)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	trunc := buf.Bytes()[:buf.Len()-3]
+	r2 := qsndReader(bytes.NewReader(trunc))
+	if _, err := r2.read(); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("truncated err = %v", err)
+	}
+	// Empty stream yields EOF.
+	r3 := qsndReader(bytes.NewReader(nil))
+	if _, err := r3.read(); !errors.Is(err, io.EOF) {
+		t.Fatalf("empty err = %v", err)
+	}
+}
+
+func TestStoreRoundTripProperty(t *testing.T) {
+	f := func(ts int64, src, dst uint32, sp, dp uint16, proto uint8, payload []byte) bool {
+		if len(payload) > 1500 {
+			payload = payload[:1500]
+		}
+		in := &telescope.Packet{
+			TS: telescope.Timestamp(ts), Src: netmodel.Addr(src), Dst: netmodel.Addr(dst),
+			SrcPort: sp, DstPort: dp, Proto: telescope.Proto(proto % 3),
+			Size: uint16(len(payload)), Payload: payload,
+		}
+		var buf bytes.Buffer
+		w := NewSink(&buf, FormatQSND)
+		if err := w.Write(in); err != nil {
+			return false
+		}
+		if err := w.Flush(); err != nil {
+			return false
+		}
+		out, err := qsndReader(&buf).read()
+		if err != nil {
+			return false
+		}
+		return out.TS == in.TS && out.Src == in.Src && out.Dst == in.Dst &&
+			out.SrcPort == in.SrcPort && out.DstPort == in.DstPort &&
+			out.Proto == in.Proto && bytes.Equal(out.Payload, in.Payload)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
 
 // validTrace builds a small well-formed trace for corpus seeding.
 func validTrace(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	pkts := []*Packet{
-		mkPacket(MeasurementStart, "1.2.3.4", "44.0.0.1", 1234, 443),
+	w := NewSink(&buf, FormatQSND)
+	pkts := []*telescope.Packet{
+		mkPacket(telescope.MeasurementStart, "1.2.3.4", "44.0.0.1", 1234, 443),
 		{
-			TS: TS(MeasurementStart.Add(time.Second)), Src: netmodel.MustAddr("142.250.0.9"),
+			TS: telescope.TS(telescope.MeasurementStart.Add(time.Second)), Src: netmodel.MustAddr("142.250.0.9"),
 			Dst: netmodel.MustAddr("44.1.2.3"), SrcPort: 443, DstPort: 9999,
-			Proto: ProtoUDP, Size: 6, Payload: []byte{0xc0, 1, 2, 3, 4, 5}, Weight: 0,
+			Proto: telescope.ProtoUDP, Size: 6, Payload: []byte{0xc0, 1, 2, 3, 4, 5}, Weight: 0,
 		},
 		{
-			TS: TS(MeasurementStart.Add(2 * time.Second)), Src: netmodel.MustAddr("5.6.7.8"),
-			Dst: netmodel.MustAddr("44.9.9.9"), Proto: ProtoICMP, Flags: 3, Size: 56, Weight: 64,
+			TS: telescope.TS(telescope.MeasurementStart.Add(2 * time.Second)), Src: netmodel.MustAddr("5.6.7.8"),
+			Dst: netmodel.MustAddr("44.9.9.9"), Proto: telescope.ProtoICMP, Flags: 3, Size: 56, Weight: 64,
 		},
 	}
 	for _, p := range pkts {
@@ -68,10 +226,10 @@ func FuzzQSNDReader(f *testing.F) {
 	f.Add(faultinject.Apply(valid, faultinject.Fault{Kind: faultinject.Garbage, Offset: 8 + 30, Len: 41, Seed: 3}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		var decoded []*Packet
+		r := qsndReader(bytes.NewReader(data))
+		var decoded []*telescope.Packet
 		for {
-			p, err := r.Read()
+			p, err := r.read()
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrBadTrace) {
 					t.Fatalf("unexpected error class: %v", err)
@@ -92,11 +250,11 @@ func FuzzQSNDReader(f *testing.F) {
 		// Salvage mode must also terminate on the same bytes, recover at
 		// least the fail-fast prefix, and end only in a clean EOF or a
 		// terminal file-header error.
-		sr := NewReader(bytes.NewReader(data))
-		sr.SetSalvage(salvage.Policy{SkipCorrupt: true})
+		sr := qsndReader(bytes.NewReader(data))
+		SetSalvage(sr, SalvagePolicy{SkipCorrupt: true})
 		salvaged := 0
 		for {
-			_, err := sr.Read()
+			_, err := sr.read()
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrBadTrace) {
 					t.Fatalf("salvage terminal error class: %v", err)
@@ -110,16 +268,16 @@ func FuzzQSNDReader(f *testing.F) {
 		}
 		// How the bytes arrive must not show: the slice window and a
 		// one-byte-at-a-time stream account the damage identically.
-		bp, berr, bsv := drainReader(NewBuffer(data), salvage.Policy{SkipCorrupt: true})
-		op, oerr, osv := drainReader(NewReader(iotest.OneByteReader(bytes.NewReader(data))), salvage.Policy{SkipCorrupt: true})
-		if len(bp) != salvaged || len(op) != salvaged || bsv != sr.Salvage() || osv != bsv ||
+		bp, berr, bsv := drainReader(qsndBuffer(data), SalvagePolicy{SkipCorrupt: true})
+		op, oerr, osv := drainReader(qsndReader(iotest.OneByteReader(bytes.NewReader(data))), SalvagePolicy{SkipCorrupt: true})
+		if len(bp) != salvaged || len(op) != salvaged || bsv != SourceSalvage(sr) || osv != bsv ||
 			berr.Error() != oerr.Error() {
 			t.Fatalf("arrivals disagree: stream %d records %+v; slice %d %+v (%v); one-byte %d %+v (%v)",
-				salvaged, sr.Salvage(), len(bp), bsv, berr, len(op), osv, oerr)
+				salvaged, SourceSalvage(sr), len(bp), bsv, berr, len(op), osv, oerr)
 		}
 		// Accepted records re-encode canonically.
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewSink(&buf, FormatQSND)
 		for _, p := range decoded {
 			if err := w.Write(p); err != nil {
 				t.Fatalf("re-encode of accepted record failed: %v", err)
@@ -128,9 +286,9 @@ func FuzzQSNDReader(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		rr := NewReader(&buf)
+		rr := qsndReader(&buf)
 		for i, want := range decoded {
-			got, err := rr.Read()
+			got, err := rr.read()
 			if err != nil {
 				t.Fatalf("re-read record %d: %v", i, err)
 			}
@@ -149,8 +307,8 @@ func TestReaderRejectsPayloadExceedingSize(t *testing.T) {
 	data := validTrace(t)
 	// Record 0 starts at offset 8; its payloadLen field sits 28 bytes in.
 	binary.LittleEndian.PutUint16(data[8+28:], 9999)
-	r := NewReader(bytes.NewReader(data))
-	_, err := r.Read()
+	r := qsndReader(bytes.NewReader(data))
+	_, err := r.read()
 	if !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("err = %v, want ErrBadTrace", err)
 	}
@@ -161,10 +319,10 @@ func TestReaderRejectsPayloadExceedingSize(t *testing.T) {
 
 func TestReaderTruncatedTailNamesOffset(t *testing.T) {
 	data := validTrace(t)
-	r := NewReader(bytes.NewReader(data[:len(data)-3]))
+	r := qsndReader(bytes.NewReader(data[:len(data)-3]))
 	var err error
 	for err == nil {
-		_, err = r.Read()
+		_, err = r.read()
 	}
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated tail surfaced as %v, want ErrBadTrace", err)
@@ -177,7 +335,7 @@ func TestReaderTruncatedTailNamesOffset(t *testing.T) {
 func TestReaderRejectsVersion(t *testing.T) {
 	data := validTrace(t)
 	binary.LittleEndian.PutUint32(data[4:], 1)
-	_, err := NewReader(bytes.NewReader(data)).Read()
+	_, err := qsndReader(bytes.NewReader(data)).read()
 	if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("err = %v, want version ErrBadTrace", err)
 	}
@@ -185,8 +343,8 @@ func TestReaderRejectsVersion(t *testing.T) {
 
 func TestStoreWeightRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	p := mkPacket(MeasurementStart, "9.9.9.9", "44.0.0.7", 40001, 443)
+	w := NewSink(&buf, FormatQSND)
+	p := mkPacket(telescope.MeasurementStart, "9.9.9.9", "44.0.0.7", 40001, 443)
 	p.Weight = 1 << 20
 	if err := w.Write(p); err != nil {
 		t.Fatal(err)
@@ -194,7 +352,7 @@ func TestStoreWeightRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewReader(&buf).Read()
+	got, err := qsndReader(&buf).read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +367,6 @@ type failAfter struct {
 	seen int
 }
 
-var errDiskFull = errors.New("disk full")
-
 func (f *failAfter) Write(b []byte) (int, error) {
 	if f.seen+len(b) > f.n {
 		return 0, errDiskFull
@@ -220,8 +376,8 @@ func (f *failAfter) Write(b []byte) (int, error) {
 }
 
 func TestWriterStickyErrorAndDropCount(t *testing.T) {
-	w := NewWriter(&failAfter{n: 40})
-	p := mkPacket(MeasurementStart, "1.1.1.1", "44.0.0.1", 1, 443)
+	w := NewSink(&failAfter{n: 40}, FormatQSND)
+	p := mkPacket(telescope.MeasurementStart, "1.1.1.1", "44.0.0.1", 1, 443)
 	// The bufio layer defers failure until its buffer drains; force it.
 	for i := 0; i < 5000; i++ {
 		w.Capture(p)
@@ -242,25 +398,25 @@ func TestWriterStickyErrorAndDropCount(t *testing.T) {
 
 func TestEmptyTraceHasHeader(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewSink(&buf, FormatQSND)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 8 {
 		t.Fatalf("empty trace is %d bytes, want the 8-byte header", buf.Len())
 	}
-	if _, err := NewReader(&buf).Read(); !errors.Is(err, io.EOF) {
+	if _, err := qsndReader(&buf).read(); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty trace read err = %v, want clean EOF", err)
 	}
 }
 
 func TestReadIntoReusesPayload(t *testing.T) {
 	data := validTrace(t)
-	r := NewReader(bytes.NewReader(data))
-	var p Packet
+	r := qsndReader(bytes.NewReader(data))
+	var p telescope.Packet
 	var caps []int
 	for {
-		if err := r.ReadInto(&p); err != nil {
+		if err := r.readInto(&p); err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.Fatal(err)
 			}

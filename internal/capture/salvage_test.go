@@ -13,7 +13,6 @@ import (
 
 	"quicsand/internal/faultinject"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/salvage"
 	"quicsand/internal/telescope"
 )
 
@@ -51,9 +50,9 @@ func pcapRecordOffsets(t testing.TB, data []byte) []uint64 {
 }
 
 // drainPcap reads a streamed pcap to termination under pol.
-func drainPcap(t testing.TB, data []byte, pol salvage.Policy) ([]*telescope.Packet, error, salvage.Stats) {
+func drainPcap(t testing.TB, data []byte, pol SalvagePolicy) ([]*telescope.Packet, error, SalvageStats) {
 	t.Helper()
-	pr, err := NewPcapReader(bytes.NewReader(data))
+	pr, err := newPcapReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("global header: %v", err)
 	}
@@ -62,13 +61,13 @@ func drainPcap(t testing.TB, data []byte, pol salvage.Policy) ([]*telescope.Pack
 
 // drainPcapReader reads pr to termination under pol, returning the
 // recovered packets, the terminal error and the salvage ledger.
-func drainPcapReader(pr *PcapReader, pol salvage.Policy) ([]*telescope.Packet, error, salvage.Stats) {
-	pr.SetSalvage(pol)
+func drainPcapReader(pr *reader, pol SalvagePolicy) ([]*telescope.Packet, error, SalvageStats) {
+	SetSalvage(pr, pol)
 	var out []*telescope.Packet
 	for {
 		p, err := pr.Next()
 		if err != nil {
-			return out, err, pr.Salvage()
+			return out, err, SourceSalvage(pr)
 		}
 		q := *p
 		q.Payload = append([]byte(nil), p.Payload...)
@@ -100,7 +99,7 @@ func TestPcapSalvageMidRecordFlip(t *testing.T) {
 	bad := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint32(bad[offs[k]+8:], 0xFFFF0000) // incl > maxFrame
 
-	got, ferr, _ := drainPcap(t, bad, salvage.Policy{})
+	got, ferr, _ := drainPcap(t, bad, SalvagePolicy{})
 	if !errors.Is(ferr, ErrBadPcap) || !strings.Contains(ferr.Error(), "byte offset") {
 		t.Fatalf("fail-fast err = %v, want offset-annotated ErrBadPcap", ferr)
 	}
@@ -108,7 +107,7 @@ func TestPcapSalvageMidRecordFlip(t *testing.T) {
 		t.Fatalf("fail-fast read %d frames before aborting, want %d", len(got), k)
 	}
 
-	got, serr, sv := drainPcap(t, bad, salvage.Policy{SkipCorrupt: true})
+	got, serr, sv := drainPcap(t, bad, SalvagePolicy{SkipCorrupt: true})
 	if !errors.Is(serr, io.EOF) {
 		t.Fatalf("salvage terminal err = %v, want io.EOF", serr)
 	}
@@ -141,7 +140,7 @@ func TestPcapSalvageGarbageSplice(t *testing.T) {
 		Kind: faultinject.Garbage, Offset: offs[7], Len: spliceLen, Seed: 11,
 	})
 
-	got, serr, sv := drainPcap(t, bad, salvage.Policy{SkipCorrupt: true})
+	got, serr, sv := drainPcap(t, bad, SalvagePolicy{SkipCorrupt: true})
 	if !errors.Is(serr, io.EOF) {
 		t.Fatalf("terminal err = %v, want io.EOF", serr)
 	}
@@ -169,10 +168,10 @@ func TestPcapSalvageTornTail(t *testing.T) {
 	offs := pcapRecordOffsets(t, data)
 	torn := data[:offs[len(offs)-1]+21]
 
-	if _, ferr, _ := drainPcap(t, torn, salvage.Policy{}); !errors.Is(ferr, ErrBadPcap) {
+	if _, ferr, _ := drainPcap(t, torn, SalvagePolicy{}); !errors.Is(ferr, ErrBadPcap) {
 		t.Fatalf("fail-fast err = %v, want ErrBadPcap", ferr)
 	}
-	got, serr, sv := drainPcap(t, torn, salvage.Policy{SkipCorrupt: true})
+	got, serr, sv := drainPcap(t, torn, SalvagePolicy{SkipCorrupt: true})
 	if !errors.Is(serr, io.EOF) {
 		t.Fatalf("terminal err = %v, want io.EOF", serr)
 	}
@@ -220,9 +219,9 @@ func TestPcapArrivalShapes(t *testing.T) {
 	type result struct {
 		pkts []*telescope.Packet
 		err  error
-		sv   salvage.Stats
+		sv   SalvageStats
 	}
-	drain := func(pr *PcapReader, err error, pol salvage.Policy) result {
+	drain := func(pr *reader, err error, pol SalvagePolicy) result {
 		if err != nil {
 			return result{err: err}
 		}
@@ -231,12 +230,12 @@ func TestPcapArrivalShapes(t *testing.T) {
 		return r
 	}
 	for name, bad := range cases {
-		for pname, pol := range map[string]salvage.Policy{"fail-fast": {}, "salvage": {SkipCorrupt: true}} {
+		for pname, pol := range map[string]SalvagePolicy{"fail-fast": {}, "salvage": {SkipCorrupt: true}} {
 			t.Run(name+"/"+pname, func(t *testing.T) {
-				pr, err := newPcapReader(salvage.NewSliceWindow(bad))
+				pr, err := newReader(newSliceWindow(bad), FormatPcap)
 				want := drain(pr, err, pol)
 				for _, a := range faultinject.Arrivals() {
-					pr, err := NewPcapReader(a.Open(bad))
+					pr, err := newPcapReader(a.Open(bad))
 					got := drain(pr, err, pol)
 					if len(got.pkts) != len(want.pkts) {
 						t.Fatalf("%s decoded %d frames, slice %d", a.Name, len(got.pkts), len(want.pkts))
@@ -265,19 +264,19 @@ func TestPcapOversizeFrame(t *testing.T) {
 	small := rawIPv4UDP("8.8.8.8", "44.3.2.1", 1, 443, []byte{1, 2, 3})
 	big := append(rawIPv4UDP("8.8.4.4", "44.3.2.1", 2, 443, []byte{4, 5, 6}), make([]byte, maxFrame)...)[:maxFrame]
 	data := writeForeignPcap(binary.LittleEndian, false, LinkRawIP, [][]byte{small, big, small})
-	readers := map[string]func() (*PcapReader, error){
-		"slice": func() (*PcapReader, error) { return newPcapReader(salvage.NewSliceWindow(data)) },
+	readers := map[string]func() (*reader, error){
+		"slice": func() (*reader, error) { return newReader(newSliceWindow(data), FormatPcap) },
 	}
 	for _, a := range faultinject.Arrivals() {
-		readers[a.Name] = func() (*PcapReader, error) { return NewPcapReader(a.Open(data)) }
+		readers[a.Name] = func() (*reader, error) { return newPcapReader(a.Open(data)) }
 	}
 	for name, open := range readers {
 		pr, err := open()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err, sv := drainPcapReader(pr, salvage.Policy{})
-		if !errors.Is(err, io.EOF) || len(got) != 3 || sv != (salvage.Stats{}) {
+		got, err, sv := drainPcapReader(pr, SalvagePolicy{})
+		if !errors.Is(err, io.EOF) || len(got) != 3 || sv != (SalvageStats{}) {
 			t.Fatalf("%s: %d frames, err %v, ledger %+v", name, len(got), err, sv)
 		}
 		for i, want := range []struct {
@@ -396,7 +395,7 @@ func FuzzPcapReader(f *testing.F) {
 	f.Add(faultinject.Apply(valid, faultinject.Fault{Kind: faultinject.Garbage, Offset: 24, Len: 29, Seed: 5}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, err := NewPcapReader(bytes.NewReader(data))
+		pr, err := newPcapReader(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadPcap) {
 				t.Fatalf("global-header error class: %v", err)
@@ -421,11 +420,11 @@ func FuzzPcapReader(f *testing.F) {
 			t.Fatalf("offset %d beyond input %d", pr.Offset(), len(data))
 		}
 
-		spr, err := NewPcapReader(bytes.NewReader(data))
+		spr, err := newPcapReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("global header accepted then rejected: %v", err)
 		}
-		spr.SetSalvage(salvage.Policy{SkipCorrupt: true})
+		SetSalvage(spr, SalvagePolicy{SkipCorrupt: true})
 		salvaged := 0
 		for {
 			_, err := spr.Next()
@@ -442,18 +441,18 @@ func FuzzPcapReader(f *testing.F) {
 		}
 		// How the bytes arrive must not show: the slice window and a
 		// one-byte-at-a-time stream account the damage identically.
-		for name, w := range map[string]*salvage.Window{
-			"slice":    salvage.NewSliceWindow(data),
-			"one-byte": salvage.NewWindow(iotest.OneByteReader(bytes.NewReader(data))),
+		for name, w := range map[string]*window{
+			"slice":    newSliceWindow(data),
+			"one-byte": newWindow(iotest.OneByteReader(bytes.NewReader(data))),
 		} {
-			pr, err := newPcapReader(w)
+			pr, err := newReader(w, FormatPcap)
 			if err != nil {
 				t.Fatalf("%s: global header accepted then rejected: %v", name, err)
 			}
-			got, _, sv := drainPcapReader(pr, salvage.Policy{SkipCorrupt: true})
-			if len(got) != salvaged || sv != spr.Salvage() || pr.Skipped != spr.Skipped {
+			got, _, sv := drainPcapReader(pr, SalvagePolicy{SkipCorrupt: true})
+			if len(got) != salvaged || sv != SourceSalvage(spr) || pr.skipped != spr.skipped {
 				t.Fatalf("%s: %d frames, %d skipped, %+v; stream %d, %d, %+v",
-					name, len(got), pr.Skipped, sv, salvaged, spr.Skipped, spr.Salvage())
+					name, len(got), pr.skipped, sv, salvaged, spr.skipped, SourceSalvage(spr))
 			}
 		}
 	})

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"quicsand/internal/engine"
-	"quicsand/internal/salvage"
 	"quicsand/internal/telescope"
 )
 
@@ -83,7 +82,7 @@ func expectSamePackets(t *testing.T, label string, want, got []*telescope.Packet
 func qsndBytes(t *testing.T, pkts []*telescope.Packet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := telescope.NewWriter(&buf)
+	w := NewSink(&buf, FormatQSND)
 	for _, p := range pkts {
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
@@ -95,19 +94,36 @@ func qsndBytes(t *testing.T, pkts []*telescope.Packet) []byte {
 	return buf.Bytes()
 }
 
-// newQSNDBuffer opens an in-memory QSND stream as a Source that frames
+// newQSNDSource opens an in-memory QSND stream as a Source that frames
 // by offset arithmetic and hands out stable zero-copy spans, as a mapped
 // file does.
 func newQSNDBuffer(data []byte) (Source, error) {
 	if len(data) < 4 || !isQSNDMagic(data) {
 		return nil, ErrUnknownFormat
 	}
-	return &qsndSource{r: telescope.NewBuffer(data)}, nil
+	return qsndBuffer(data), nil
+}
+
+// newPcapReader parses the pcap global header streamed from r.
+func newPcapReader(r io.Reader) (*reader, error) { return newReader(newWindow(r), FormatPcap) }
+
+// qsndReader reads a QSND stream from r; its file header is parsed by
+// the first read.
+func qsndReader(r io.Reader) *reader {
+	rd, _ := newReader(newWindow(r), FormatQSND)
+	return rd
+}
+
+// qsndBuffer reads data, a whole QSND stream, in place: spans and
+// payloads alias it, as they alias a mapped file.
+func qsndBuffer(data []byte) *reader {
+	rd, _ := newReader(newSliceWindow(data), FormatQSND)
+	return rd
 }
 
 // Offset returns bytes consumed so far — after an error, the start of
 // the record that could not be read.
-func (pr *PcapReader) Offset() uint64 { return pr.w.Offset() }
+func (r *reader) Offset() uint64 { return r.w.offset() }
 
 func TestSpanPathMatchesNextQSND(t *testing.T) {
 	data := qsndBytes(t, samplePackets())
@@ -236,34 +252,34 @@ func skipSplitPcap() []byte {
 func TestSpanPathMatchesNextPcap(t *testing.T) {
 	data := skipSplitPcap()
 
-	seq, err := NewPcapReader(bytes.NewReader(data))
+	seq, err := newPcapReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := drain(t, seq)
-	wantSkipped := seq.Skipped
+	wantSkipped := seq.skipped
 
-	streamed, err := NewPcapReader(bytes.NewReader(data))
+	streamed, err := newPcapReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]*PcapReader{
+	for name, r := range map[string]*reader{
 		"streamed": streamed,
-		"mapped":   openClosed(t, fileOf(t, data)).(*PcapReader),
+		"mapped":   openClosed(t, fileOf(t, data)).(*reader),
 	} {
 		if r.SpanStable() != (name == "mapped") {
 			t.Errorf("%s: SpanStable() = %v", name, r.SpanStable())
 		}
 		got, drops := drainSpans(t, r)
 		expectSamePackets(t, name, want, got)
-		if r.Skipped+drops != wantSkipped {
+		if r.skipped+drops != wantSkipped {
 			t.Errorf("%s: skip split %d reader + %d shard != sequential %d",
-				name, r.Skipped, drops, wantSkipped)
+				name, r.skipped, drops, wantSkipped)
 		}
 		if drops == 0 {
 			t.Errorf("%s: fixture exercised no shard-side drops (frag/sctp should decode-drop)", name)
 		}
-		if r.Skipped == 0 {
+		if r.skipped == 0 {
 			t.Errorf("%s: fixture exercised no reader-side skips (arp/short should frame-skip)", name)
 		}
 	}
@@ -277,7 +293,7 @@ func TestSpanPathMatchesNextPcap(t *testing.T) {
 // one source, so one shard emits them in stored order.
 func TestScatterLendsMappedSpans(t *testing.T) {
 	data := skipSplitPcap()
-	seq, err := NewPcapReader(bytes.NewReader(data))
+	seq, err := newPcapReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +317,9 @@ func TestScatterLendsMappedSpans(t *testing.T) {
 		}
 		expectSamePackets(t, name, want, got)
 		tel := sc.Telemetry()
-		if total := SourceSkipped(src) + tel.DecodeDrops; total != seq.Skipped {
+		if total := SourceSkipped(src) + tel.DecodeDrops; total != seq.skipped {
 			t.Errorf("%s: %d reader skips + %d shard drops != sequential %d",
-				name, SourceSkipped(src), tel.DecodeDrops, seq.Skipped)
+				name, SourceSkipped(src), tel.DecodeDrops, seq.skipped)
 		}
 		if tel.SpanBytes == 0 {
 			t.Fatalf("%s: span path not taken: %+v", name, tel)
@@ -392,9 +408,9 @@ func TestOpenFileDamagedPcapMappedMatchesStreamed(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[offs[17]+8:], 0xFFFF0000) // incl > maxFrame
 	bad = bad[:offs[len(offs)-1]+21]                            // and a torn tail
 
-	for pname, pol := range map[string]salvage.Policy{"fail-fast": {}, "salvage": {SkipCorrupt: true}} {
-		mapped := openClosed(t, fileOf(t, bad)).(*PcapReader)
-		piped := openClosed(t, pipeOf(t, bad)).(*PcapReader)
+	for pname, pol := range map[string]SalvagePolicy{"fail-fast": {}, "salvage": {SkipCorrupt: true}} {
+		mapped := openClosed(t, fileOf(t, bad)).(*reader)
+		piped := openClosed(t, pipeOf(t, bad)).(*reader)
 		want, werr, wsv := drainPcapReader(piped, pol)
 		got, gerr, gsv := drainPcapReader(mapped, pol)
 		if len(got) != len(want) {
@@ -411,9 +427,9 @@ func TestOpenFileDamagedPcapMappedMatchesStreamed(t *testing.T) {
 		if pname == "fail-fast" && !strings.Contains(gerr.Error(), "at record 17, byte offset") {
 			t.Errorf("fail-fast error lost its position: %v", gerr)
 		}
-		if gsv != wsv || mapped.Skipped != piped.Skipped || mapped.Offset() != piped.Offset() {
+		if gsv != wsv || mapped.skipped != piped.skipped || mapped.Offset() != piped.Offset() {
 			t.Errorf("%s: accounting differs: mapped %+v skipped %d offset %d, streamed %+v skipped %d offset %d",
-				pname, gsv, mapped.Skipped, mapped.Offset(), wsv, piped.Skipped, piped.Offset())
+				pname, gsv, mapped.skipped, mapped.Offset(), wsv, piped.skipped, piped.Offset())
 		}
 		if pname == "salvage" && gsv.CorruptRecords != 2 {
 			t.Errorf("salvage ledger %+v, want the flipped record and the torn tail", gsv)

@@ -1,24 +1,4 @@
-// Package salvage is the degraded-ingest substrate: the policy,
-// accounting, and byte-level resynchronization machinery that lets the
-// capture readers (telescope.Reader, capture.PcapReader) survive
-// damaged inputs — torn tails from crashed recorders, bit-flips from
-// disk, short reads and transient EAGAIN-class errors from network
-// filesystems — instead of aborting on the first bad byte.
-//
-// The package deliberately knows nothing about record formats: readers
-// frame their records over a Window — peeking at unread bytes and
-// advancing only past a complete, validated record — and hand it a
-// format-specific Boundary probe when a record fails to parse. The
-// Window then scans forward from that record's first byte for the next
-// position where a plausible record starts and is confirmed by a
-// plausible successor (or a clean end of stream), counts the skipped
-// span, and leaves decoding to resume there. The same Window serves a
-// streamed capture (a sliding buffer over an io.Reader) and a
-// memory-mapped one (the whole file as one slice), so there is one
-// framer per format and one resync. Every skipped byte and record flows
-// into Stats, which the telemetry layer exposes and the oracle consumes
-// as the degraded-run error budget (DESIGN.md §14).
-package salvage
+package capture
 
 import (
 	"errors"
@@ -26,10 +6,19 @@ import (
 	"time"
 )
 
-// Policy selects how a reader reacts to damaged or failing input. The
-// zero value is fail-fast: the first corruption or exhausted read is a
-// terminal error, exactly the historical behavior.
-type Policy struct {
+// Degraded ingest (DESIGN.md §14): the policy, the ledger and the byte
+// window the reader frames through, which lets a capture survive torn
+// tails from crashed recorders, bit-flips from disk, short reads and
+// transient EAGAIN-class errors from network filesystems instead of
+// aborting on the first bad byte. The window knows nothing of record
+// formats: the reader peeks at unread bytes, advances only past a
+// complete, validated record, and hands the window its format's
+// boundary probe when a record fails to parse.
+
+// SalvagePolicy selects how a reader reacts to damaged or failing input.
+// The zero value is fail-fast: the first corruption or exhausted read is
+// a terminal error.
+type SalvagePolicy struct {
 	// SkipCorrupt enables resync: corrupt records are skipped and
 	// counted instead of killing the stream. File-header corruption
 	// (wrong magic, unsupported version) stays terminal — a damaged
@@ -46,10 +35,10 @@ type Policy struct {
 }
 
 // Enabled reports whether the policy departs from fail-fast at all.
-func (p Policy) Enabled() bool { return p.SkipCorrupt || p.MaxRetries > 0 }
+func (p SalvagePolicy) Enabled() bool { return p.SkipCorrupt || p.MaxRetries > 0 }
 
-// Wait sleeps the exponential backoff for the given 1-based attempt.
-func (p Policy) Wait(attempt int) {
+// wait sleeps the exponential backoff for the given 1-based attempt.
+func (p SalvagePolicy) wait(attempt int) {
 	d := p.Backoff
 	if d <= 0 {
 		d = time.Millisecond
@@ -65,10 +54,10 @@ func (p Policy) Wait(attempt int) {
 	time.Sleep(d)
 }
 
-// Stats is the skipped-record ledger of one salvaged stream. All
+// SalvageStats is the skipped-record ledger of one salvaged stream. All
 // fields are zero on an undamaged input, so enabling salvage on clean
 // files changes nothing observable.
-type Stats struct {
+type SalvageStats struct {
 	// CorruptRecords counts records that failed to decode and were
 	// skipped (one per resync, including torn tails).
 	CorruptRecords uint64 `json:"corrupt_records"`
@@ -84,28 +73,24 @@ type Stats struct {
 	MaxLostRecords uint64 `json:"max_lost_records"`
 }
 
-// Transient marks an error as retryable, in the net.Error tradition:
-// EAGAIN-class failures from network filesystems and the fault
-// injector implement it. Readers never import the fault layer — the
-// interface is the entire contract.
-type Transient interface{ Temporary() bool }
-
-// IsTransient reports whether err (or anything it wraps) declares
-// itself temporary.
-func IsTransient(err error) bool {
-	var t Transient
+// isTransient reports whether err (or anything it wraps) declares itself
+// temporary, in the net.Error tradition: EAGAIN-class failures from
+// network filesystems and the fault injector do. The reader never
+// imports the fault layer — the method is the entire contract.
+func isTransient(err error) bool {
+	var t interface{ Temporary() bool }
 	return errors.As(err, &t) && t.Temporary()
 }
 
-// Boundary is a format's record-framing probe for resync scans.
-type Boundary struct {
-	// HdrLen is the fixed record-header size — also the minimum
-	// record size, which bounds how many records a skipped span can
-	// have destroyed.
-	HdrLen int
-	// Plausible inspects HdrLen candidate bytes and, if they could
-	// start a record, returns the full record length (header + body).
-	Plausible func(hdr []byte) (recLen int, ok bool)
+// boundary is a format's record-framing probe for resync scans.
+type boundary struct {
+	// hdrLen is the fixed record-header size — also the minimum record
+	// size, which bounds how many records a skipped span can have
+	// destroyed.
+	hdrLen int
+	// plausible inspects hdrLen candidate bytes and, if they could start
+	// a record, returns the full record length (header + body).
+	plausible func(hdr []byte) (recLen int, ok bool)
 }
 
 const (
@@ -120,23 +105,21 @@ const (
 	maxEmptyReads = 100
 )
 
-// Window is the byte window every capture framer reads through: the
-// unread bytes of a stream, inspected with Peek and consumed with
-// Advance. Framers validate a record entirely on peeked bytes and
-// advance only past a complete one, so a record that fails validation
-// has consumed nothing and Resync starts from its first byte — there is
-// no push-back buffer and no copy of "bytes already read" to rescan.
+// window is the byte window the reader frames through: the unread bytes
+// of a stream, inspected with peek and consumed with advance. A record
+// is validated entirely on peeked bytes and consumed only when
+// complete, so a record that fails validation has consumed nothing and
+// resync starts from its first byte — there is no push-back buffer and
+// no copy of "bytes already read" to rescan.
 //
-// One struct serves both arrivals. NewWindow slides over an io.Reader:
+// One struct serves both arrivals. newWindow slides over an io.Reader:
 // a buffer that compacts on fill, grows to the largest record seen and
-// retries Temporary() errors per Pol. NewSliceWindow is the same struct
+// retries Temporary() errors per pol. newSliceWindow is the same struct
 // already full and at end of stream — the memory-mapped case: it never
 // reads or moves bytes, so the spans it hands out are stable.
-type Window struct {
-	// Pol is the active salvage policy.
-	Pol Policy
-	// Stats is the skipped-record ledger.
-	Stats Stats
+type window struct {
+	pol   SalvagePolicy
+	stats SalvageStats
 
 	r    io.Reader // nil for a slice window: buf is the whole stream
 	buf  []byte    // buf[pos:] is the unread window
@@ -144,32 +127,32 @@ type Window struct {
 	base uint64 // stream offset of buf[0]
 }
 
-// NewWindow returns a sliding window over r.
-func NewWindow(r io.Reader) *Window {
-	return &Window{r: r, buf: make([]byte, 0, windowSize)}
+// newWindow returns a sliding window over r.
+func newWindow(r io.Reader) *window {
+	return &window{r: r, buf: make([]byte, 0, windowSize)}
 }
 
-// NewSliceWindow returns a window over data, which holds the whole
+// newSliceWindow returns a window over data, which holds the whole
 // stream and must stay alive and unmodified while spans are in use.
-func NewSliceWindow(data []byte) *Window { return &Window{buf: data} }
+func newSliceWindow(data []byte) *window { return &window{buf: data} }
 
-// Stable reports whether slices returned by Peek stay valid for the
-// window's lifetime (slice windows) or only until the next Peek or
-// Resync (stream windows, whose buffer compacts and grows).
-func (w *Window) Stable() bool { return w.r == nil }
+// stable reports whether slices returned by peek stay valid for the
+// window's lifetime (slice windows) or only until the next peek or
+// resync (stream windows, whose buffer compacts and grows).
+func (w *window) stable() bool { return w.r == nil }
 
-// Offset returns the stream position of the next unread byte. A failed
-// Peek consumes nothing, so after a framing error — corruption or an
+// offset returns the stream position of the next unread byte. A failed
+// peek consumes nothing, so after a framing error — corruption or an
 // I/O error alike — this is still the start of the record being read.
-func (w *Window) Offset() uint64 { return w.base + uint64(w.pos) }
+func (w *window) offset() uint64 { return w.base + uint64(w.pos) }
 
-// Peek returns the next n unread bytes without consuming them. When the
+// peek returns the next n unread bytes without consuming them. When the
 // stream cannot supply n it returns the bytes there are and why, with
 // io.ReadFull's contract: io.EOF only when none are left,
 // io.ErrUnexpectedEOF after a partial fill; other read errors pass
-// through unchanged and leave the bytes buffered, so a later Peek
+// through unchanged and leave the bytes buffered, so a later peek
 // retries the read.
-func (w *Window) Peek(n int) ([]byte, error) {
+func (w *window) peek(n int) ([]byte, error) {
 	if len(w.buf)-w.pos < n {
 		if err := w.fill(n); err != nil {
 			return w.buf[w.pos:], err
@@ -178,14 +161,15 @@ func (w *Window) Peek(n int) ([]byte, error) {
 	return w.buf[w.pos : w.pos+n : w.pos+n], nil
 }
 
-// Advance consumes n bytes, which a Peek must have returned.
-func (w *Window) Advance(n int) { w.pos += n }
+// advance consumes n bytes, which a peek must have returned.
+func (w *window) advance(n int) { w.pos += n }
 
 // fill reads until n unread bytes are buffered. It is entered with
 // fewer than n unread — less than one record — so moving them to the
 // front of the buffer first is cheap and leaves the largest possible
-// read; transient errors are retried here per policy.
-func (w *Window) fill(n int) error {
+// read; transient errors are retried here per policy, the one retry
+// budget whoever drives the reader.
+func (w *window) fill(n int) error {
 	if w.r == nil {
 		return endOfStream(len(w.buf) - w.pos)
 	}
@@ -212,10 +196,10 @@ func (w *Window) fill(n int) error {
 			if empty++; empty >= maxEmptyReads {
 				return io.ErrNoProgress
 			}
-		case retries < w.Pol.MaxRetries && IsTransient(err):
+		case retries < w.pol.MaxRetries && isTransient(err):
 			retries++
-			w.Stats.TransientRetries++
-			w.Pol.Wait(retries)
+			w.stats.TransientRetries++
+			w.pol.wait(retries)
 		case errors.Is(err, io.EOF):
 			return endOfStream(len(w.buf))
 		default:
@@ -234,48 +218,48 @@ func endOfStream(left int) error {
 	return io.ErrUnexpectedEOF
 }
 
-// Resync recovers from a corrupt record at the current offset. It scans
-// forward for the next offset where b.Plausible accepts a header AND
+// resync recovers from a corrupt record at the current offset. It scans
+// forward for the next offset where b.plausible accepts a header AND
 // the record it frames is followed by another plausible header or the
 // end of the stream — double confirmation keeps random garbage from
 // masquerading as a boundary — consuming the scanned bytes as it goes,
 // so memory stays bounded on arbitrarily long damaged spans. On success
 // the window is left at the accepted boundary, the skipped span is
-// accounted in Stats and nil is returned; io.EOF means the stream ended
+// accounted in stats and nil is returned; io.EOF means the stream ended
 // without another boundary (torn tail — the span to the end is
 // accounted the same way). Any read error ends the scan like EOF: a
 // damaged span is already being skipped, and whatever was readable is
 // all there is to salvage.
-func (w *Window) Resync(b Boundary) error {
-	w.Stats.CorruptRecords++
-	w.Stats.ResyncScans++
+func (w *window) resync(b boundary) error {
+	w.stats.CorruptRecords++
+	w.stats.ResyncScans++
 	var skipped uint64
 	account := func() {
-		w.Stats.SalvagedBytes += skipped
-		w.Stats.MaxLostRecords += skipped/uint64(b.HdrLen) + 1
+		w.stats.SalvagedBytes += skipped
+		w.stats.MaxLostRecords += skipped/uint64(b.hdrLen) + 1
 	}
 	for {
 		// The corrupt record's own start is never a candidate: skipping
 		// at least one byte guarantees progress.
-		w.Advance(1)
+		w.advance(1)
 		skipped++
-		hdr, _ := w.Peek(b.HdrLen)
-		if len(hdr) < b.HdrLen {
+		hdr, _ := w.peek(b.hdrLen)
+		if len(hdr) < b.hdrLen {
 			skipped += uint64(len(hdr))
-			w.Advance(len(hdr))
+			w.advance(len(hdr))
 			account()
 			return io.EOF
 		}
-		n, ok := b.Plausible(hdr)
+		n, ok := b.plausible(hdr)
 		if !ok {
 			continue
 		}
-		rec, _ := w.Peek(n + b.HdrLen)
+		rec, _ := w.peek(n + b.hdrLen)
 		// A record that fits with less than a header after it ends the
 		// stream; trailing junk surfaces as its own torn-tail span.
 		confirmed := len(rec) >= n
-		if len(rec) == n+b.HdrLen {
-			_, confirmed = b.Plausible(rec[n:])
+		if len(rec) == n+b.hdrLen {
+			_, confirmed = b.plausible(rec[n:])
 		}
 		if confirmed {
 			account()

@@ -1,4 +1,4 @@
-package salvage
+package capture
 
 import (
 	"bytes"
@@ -11,7 +11,7 @@ import (
 	"quicsand/internal/faultinject"
 )
 
-// fakeRec builds a toy record format for Window tests: an 8-byte
+// fakeRec builds a toy record format for window tests: an 8-byte
 // header (u32 magic 0xFEEDFACE | u32 bodyLen) followed by the body.
 const fakeMagic = 0xFEEDFACE
 
@@ -22,10 +22,10 @@ func fakeRec(body []byte) []byte {
 	return append(hdr, body...)
 }
 
-func fakeBoundary() Boundary {
-	return Boundary{
-		HdrLen: 8,
-		Plausible: func(hdr []byte) (int, bool) {
+func fakeBoundary() boundary {
+	return boundary{
+		hdrLen: 8,
+		plausible: func(hdr []byte) (int, bool) {
 			if binary.LittleEndian.Uint32(hdr[0:4]) != fakeMagic {
 				return 0, false
 			}
@@ -60,41 +60,41 @@ func (f *flakyReader) Read(b []byte) (int, error) {
 }
 
 func TestIsTransient(t *testing.T) {
-	if !IsTransient(transientErr{}) {
+	if !isTransient(transientErr{}) {
 		t.Fatal("transientErr not recognized")
 	}
-	if IsTransient(errors.New("x")) {
+	if isTransient(errors.New("x")) {
 		t.Fatal("plain error recognized as transient")
 	}
-	if IsTransient(nil) {
+	if isTransient(nil) {
 		t.Fatal("nil recognized as transient")
 	}
 	wrapped := errors.Join(errors.New("outer"), transientErr{})
-	if !IsTransient(wrapped) {
+	if !isTransient(wrapped) {
 		t.Fatal("wrapped transient not recognized")
 	}
 }
 
-// The TestReadFull* cases pin Window.Peek's read contract; they keep
+// The TestReadFull* cases pin window.peek's read contract; they keep
 // the names they had when the same contract lived in a ReadFull method.
 
 func TestReadFullRetriesTransient(t *testing.T) {
 	var slept []time.Duration
-	w := NewWindow(&flakyReader{r: bytes.NewReader([]byte("abcdef")), fail: 3})
-	w.Pol = Policy{
+	w := newWindow(&flakyReader{r: bytes.NewReader([]byte("abcdef")), fail: 3})
+	w.pol = SalvagePolicy{
 		MaxRetries: 5,
 		Backoff:    time.Millisecond,
 		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 	}
-	buf, err := w.Peek(6)
+	buf, err := w.peek(6)
 	if err != nil {
 		t.Fatalf("Peek: %v", err)
 	}
 	if string(buf) != "abcdef" {
 		t.Fatalf("got %q", buf)
 	}
-	if w.Stats.TransientRetries != 3 {
-		t.Fatalf("TransientRetries = %d, want 3", w.Stats.TransientRetries)
+	if w.stats.TransientRetries != 3 {
+		t.Fatalf("TransientRetries = %d, want 3", w.stats.TransientRetries)
 	}
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
 	if len(slept) != len(want) {
@@ -105,55 +105,55 @@ func TestReadFullRetriesTransient(t *testing.T) {
 			t.Fatalf("backoff[%d] = %v, want %v", i, slept[i], want[i])
 		}
 	}
-	if w.Offset() != 0 {
-		t.Fatalf("offset = %d after Peek, want 0 (nothing consumed)", w.Offset())
+	if w.offset() != 0 {
+		t.Fatalf("offset = %d after Peek, want 0 (nothing consumed)", w.offset())
 	}
-	w.Advance(6)
-	if w.Offset() != 6 {
-		t.Fatalf("offset = %d, want 6", w.Offset())
+	w.advance(6)
+	if w.offset() != 6 {
+		t.Fatalf("offset = %d, want 6", w.offset())
 	}
 }
 
 func TestReadFullExhaustsRetries(t *testing.T) {
-	w := NewWindow(&flakyReader{r: bytes.NewReader(nil), fail: 100})
-	w.Pol = Policy{MaxRetries: 2, Sleep: func(time.Duration) {}}
-	_, err := w.Peek(4)
-	if !IsTransient(err) {
+	w := newWindow(&flakyReader{r: bytes.NewReader(nil), fail: 100})
+	w.pol = SalvagePolicy{MaxRetries: 2, Sleep: func(time.Duration) {}}
+	_, err := w.peek(4)
+	if !isTransient(err) {
 		t.Fatalf("want the transient error surfaced after retries, got %v", err)
 	}
-	if w.Stats.TransientRetries != 2 {
-		t.Fatalf("TransientRetries = %d, want 2", w.Stats.TransientRetries)
+	if w.stats.TransientRetries != 2 {
+		t.Fatalf("TransientRetries = %d, want 2", w.stats.TransientRetries)
 	}
 }
 
 func TestReadFullNoRetryByDefault(t *testing.T) {
-	w := NewWindow(&flakyReader{r: bytes.NewReader([]byte("ab")), fail: 1})
-	_, err := w.Peek(2)
-	if !IsTransient(err) {
+	w := newWindow(&flakyReader{r: bytes.NewReader([]byte("ab")), fail: 1})
+	_, err := w.peek(2)
+	if !isTransient(err) {
 		t.Fatalf("zero policy must fail fast on transient errors, got %v", err)
 	}
 	// The failed read consumed nothing and is not sticky: the caller's
 	// own retry (capture.Scatter's record-level loop) sees the bytes.
-	if buf, err := w.Peek(2); err != nil || string(buf) != "ab" {
+	if buf, err := w.peek(2); err != nil || string(buf) != "ab" {
 		t.Fatalf("Peek after the transient error = %q, %v", buf, err)
 	}
 }
 
 func TestReadFullEOFContract(t *testing.T) {
-	for name, open := range map[string]func([]byte) *Window{
-		"stream": func(b []byte) *Window { return NewWindow(bytes.NewReader(b)) },
-		"slice":  NewSliceWindow,
+	for name, open := range map[string]func([]byte) *window{
+		"stream": func(b []byte) *window { return newWindow(bytes.NewReader(b)) },
+		"slice":  newSliceWindow,
 	} {
-		if _, err := open(nil).Peek(1); err != io.EOF {
+		if _, err := open(nil).peek(1); err != io.EOF {
 			t.Fatalf("%s: empty stream: got %v, want io.EOF", name, err)
 		}
 		w := open([]byte("ab"))
-		buf, err := w.Peek(4)
+		buf, err := w.peek(4)
 		if err != io.ErrUnexpectedEOF || string(buf) != "ab" {
 			t.Fatalf("%s: partial fill: got %q, %v, want \"ab\", io.ErrUnexpectedEOF", name, buf, err)
 		}
-		if w.Offset() != 0 {
-			t.Fatalf("%s: offset = %d after a failed Peek, want 0", name, w.Offset())
+		if w.offset() != 0 {
+			t.Fatalf("%s: offset = %d after a failed Peek, want 0", name, w.offset())
 		}
 	}
 }
@@ -166,20 +166,20 @@ func TestPeekTransientMidRecordKeepsOffset(t *testing.T) {
 	rec := fakeRec([]byte("interrupted"))
 	data := append(fakeRec([]byte("first")), rec...)
 	start := len(data) - len(rec)
-	w := NewWindow(io.MultiReader(
+	w := newWindow(io.MultiReader(
 		bytes.NewReader(data[:start+5]),
 		&flakyReader{r: bytes.NewReader(data[start+5:]), fail: 1}))
 	got := drainFake(t, w, fakeBoundary(), 1)
 	if len(got) != 1 || string(got[0]) != "first" {
 		t.Fatalf("before the fault: %q", got)
 	}
-	if _, err := w.Peek(len(rec)); !IsTransient(err) {
+	if _, err := w.peek(len(rec)); !isTransient(err) {
 		t.Fatalf("mid-record Peek err = %v, want the transient error", err)
 	}
-	if w.Offset() != uint64(start) {
-		t.Fatalf("offset = %d after the failed Peek, want the record start %d", w.Offset(), start)
+	if w.offset() != uint64(start) {
+		t.Fatalf("offset = %d after the failed Peek, want the record start %d", w.offset(), start)
 	}
-	if buf, err := w.Peek(len(rec)); err != nil || !bytes.Equal(buf, rec) {
+	if buf, err := w.peek(len(rec)); err != nil || !bytes.Equal(buf, rec) {
 		t.Fatalf("retried Peek = %q, %v", buf, err)
 	}
 }
@@ -187,19 +187,19 @@ func TestPeekTransientMidRecordKeepsOffset(t *testing.T) {
 // drainFake drains w through the toy format the way the real framers
 // do — validate on peeked bytes, advance only past a complete record,
 // Resync on anything else — stopping after max records (0 = all).
-func drainFake(t *testing.T, w *Window, b Boundary, max int) [][]byte {
+func drainFake(t *testing.T, w *window, b boundary, max int) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for max == 0 || len(out) < max {
-		hdr, err := w.Peek(b.HdrLen)
+		hdr, err := w.peek(b.hdrLen)
 		switch err {
 		case io.EOF:
 			return out
 		case nil:
-			if n, ok := b.Plausible(hdr); ok {
-				if rec, err := w.Peek(n); err == nil {
-					out = append(out, append([]byte(nil), rec[b.HdrLen:]...))
-					w.Advance(n)
+			if n, ok := b.plausible(hdr); ok {
+				if rec, err := w.peek(n); err == nil {
+					out = append(out, append([]byte(nil), rec[b.hdrLen:]...))
+					w.advance(n)
 					continue
 				}
 			}
@@ -207,16 +207,16 @@ func drainFake(t *testing.T, w *Window, b Boundary, max int) [][]byte {
 		default:
 			t.Fatalf("header peek: %v", err)
 		}
-		if w.Resync(b) == io.EOF {
+		if w.resync(b) == io.EOF {
 			return out
 		}
 	}
 	return out
 }
 
-func salvaging(data []byte) *Window {
-	w := NewWindow(bytes.NewReader(data))
-	w.Pol = Policy{SkipCorrupt: true}
+func salvaging(data []byte) *window {
+	w := newWindow(bytes.NewReader(data))
+	w.pol = SalvagePolicy{SkipCorrupt: true}
 	return w
 }
 
@@ -241,7 +241,7 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, got[i], r)
 		}
 	}
-	st := w.Stats
+	st := w.stats
 	if st.CorruptRecords != 1 || st.ResyncScans != 1 {
 		t.Fatalf("counters = %+v, want 1 corrupt / 1 resync", st)
 	}
@@ -252,8 +252,8 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 	if st.MaxLostRecords != wantLost {
 		t.Fatalf("MaxLostRecords = %d, want %d", st.MaxLostRecords, wantLost)
 	}
-	if w.Offset() != uint64(len(damaged)) {
-		t.Fatalf("final offset = %d, want %d", w.Offset(), len(damaged))
+	if w.offset() != uint64(len(damaged)) {
+		t.Fatalf("final offset = %d, want %d", w.offset(), len(damaged))
 	}
 }
 
@@ -266,11 +266,11 @@ func TestResyncTornTail(t *testing.T) {
 	if len(got) != 1 || string(got[0]) != "one" {
 		t.Fatalf("salvaged %v, want [one]", got)
 	}
-	if w.Stats.CorruptRecords != 1 || w.Stats.MaxLostRecords == 0 {
-		t.Fatalf("counters = %+v", w.Stats)
+	if w.stats.CorruptRecords != 1 || w.stats.MaxLostRecords == 0 {
+		t.Fatalf("counters = %+v", w.stats)
 	}
-	if w.Offset() != uint64(len(torn)) {
-		t.Fatalf("offset = %d, want %d (end of stream)", w.Offset(), len(torn))
+	if w.offset() != uint64(len(torn)) {
+		t.Fatalf("offset = %d, want %d (end of stream)", w.offset(), len(torn))
 	}
 }
 
@@ -284,11 +284,11 @@ func TestResyncLongSpanSlidesWindow(t *testing.T) {
 	if len(got) != 2 || string(got[0]) != "pre" || string(got[1]) != "post" {
 		t.Fatalf("salvaged %d records: %q", len(got), got)
 	}
-	if w.Stats.SalvagedBytes != uint64(len(span)) {
-		t.Fatalf("SalvagedBytes = %d, want %d", w.Stats.SalvagedBytes, len(span))
+	if w.stats.SalvagedBytes != uint64(len(span)) {
+		t.Fatalf("SalvagedBytes = %d, want %d", w.stats.SalvagedBytes, len(span))
 	}
-	if w.Offset() != uint64(len(data)) {
-		t.Fatalf("offset = %d, want %d", w.Offset(), len(data))
+	if w.offset() != uint64(len(data)) {
+		t.Fatalf("offset = %d, want %d", w.offset(), len(data))
 	}
 	if cap(w.buf) != windowSize {
 		t.Fatalf("window grew to %d bytes scanning junk, want it to slide at %d", cap(w.buf), windowSize)
@@ -316,14 +316,14 @@ func TestResyncRejectsFalseBoundary(t *testing.T) {
 func TestWindowGrowsToLargestRecord(t *testing.T) {
 	big := bytes.Repeat([]byte{0x5a}, windowSize+windowSize/2)
 	b := fakeBoundary()
-	b.Plausible = func(hdr []byte) (int, bool) {
+	b.plausible = func(hdr []byte) (int, bool) {
 		if binary.LittleEndian.Uint32(hdr[0:4]) != fakeMagic {
 			return 0, false
 		}
 		return 8 + int(binary.LittleEndian.Uint32(hdr[4:8])), true
 	}
 	data := append(append(fakeRec([]byte("small")), fakeRec(big)...), fakeRec([]byte("after"))...)
-	w := NewWindow(bytes.NewReader(data))
+	w := newWindow(bytes.NewReader(data))
 	got := drainFake(t, w, b, 0)
 	if len(got) != 3 || string(got[0]) != "small" || !bytes.Equal(got[1], big) || string(got[2]) != "after" {
 		t.Fatalf("framed %d records around the oversize one", len(got))
@@ -331,16 +331,16 @@ func TestWindowGrowsToLargestRecord(t *testing.T) {
 	if cap(w.buf) != 2*windowSize {
 		t.Fatalf("window is %d bytes, want %d", cap(w.buf), 2*windowSize)
 	}
-	if w.Stats != (Stats{}) {
-		t.Fatalf("clean stream left a ledger: %+v", w.Stats)
+	if w.stats != (SalvageStats{}) {
+		t.Fatalf("clean stream left a ledger: %+v", w.stats)
 	}
 }
 
 func TestPolicyEnabled(t *testing.T) {
-	if (Policy{}).Enabled() {
+	if (SalvagePolicy{}).Enabled() {
 		t.Fatal("zero policy must be disabled")
 	}
-	if !(Policy{SkipCorrupt: true}).Enabled() || !(Policy{MaxRetries: 1}).Enabled() {
+	if !(SalvagePolicy{SkipCorrupt: true}).Enabled() || !(SalvagePolicy{MaxRetries: 1}).Enabled() {
 		t.Fatal("non-zero policies must be enabled")
 	}
 }
@@ -383,10 +383,10 @@ func TestResyncBufferMatchesScanner(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			slice := NewSliceWindow(data)
+			slice := newSliceWindow(data)
 			want := drainFake(t, slice, fakeBoundary(), 0)
 			for _, a := range faultinject.Arrivals() {
-				w := NewWindow(a.Open(data))
+				w := newWindow(a.Open(data))
 				got := drainFake(t, w, fakeBoundary(), 0)
 				if len(want) != len(got) {
 					t.Fatalf("%s recovered %d records, slice %d", a.Name, len(got), len(want))
@@ -396,11 +396,11 @@ func TestResyncBufferMatchesScanner(t *testing.T) {
 						t.Errorf("%s record %d: %q, slice %q", a.Name, i, got[i], want[i])
 					}
 				}
-				if w.Stats != slice.Stats {
-					t.Errorf("ledgers differ:\n %s %+v\n slice %+v", a.Name, w.Stats, slice.Stats)
+				if w.stats != slice.stats {
+					t.Errorf("ledgers differ:\n %s %+v\n slice %+v", a.Name, w.stats, slice.stats)
 				}
-				if w.Offset() != slice.Offset() {
-					t.Errorf("%s ended at offset %d, slice at %d", a.Name, w.Offset(), slice.Offset())
+				if w.offset() != slice.offset() {
+					t.Errorf("%s ended at offset %d, slice at %d", a.Name, w.offset(), slice.offset())
 				}
 			}
 		})

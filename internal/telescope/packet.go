@@ -1,7 +1,7 @@
 // Package telescope implements the /9 network-telescope substrate: the
-// packet record format every pipeline stage consumes, the capture sink
-// with its hourly counters, and a compact binary trace store standing
-// in for the paper's pcaps.
+// packet record every pipeline stage consumes, the capture sink with its
+// hourly counters, and their checkpoint codec. Stored captures (the
+// QSND store and pcap) are read and written by internal/capture.
 package telescope
 
 import (

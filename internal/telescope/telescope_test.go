@@ -1,11 +1,7 @@
 package telescope
 
 import (
-	"bytes"
-	"errors"
-	"io"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"quicsand/internal/ckpt"
@@ -223,135 +219,11 @@ func TestHourlyCounterWeight(t *testing.T) {
 	}
 }
 
-func TestStoreRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	pkts := []*Packet{
-		mkPacket(MeasurementStart, "1.2.3.4", "44.0.0.1", 1234, 443),
-		{
-			TS: TS(MeasurementStart.Add(time.Second)), Src: netmodel.MustAddr("142.250.0.9"),
-			Dst: netmodel.MustAddr("44.1.2.3"), SrcPort: 443, DstPort: 9999,
-			Proto: ProtoUDP, Size: 310, Payload: []byte{0xc0, 1, 2, 3, 4, 5},
-		},
-		{
-			TS: TS(MeasurementStart.Add(2 * time.Second)), Src: netmodel.MustAddr("5.6.7.8"),
-			Dst: netmodel.MustAddr("44.9.9.9"), Proto: ProtoTCP, Flags: FlagSYN | FlagACK, Size: 40,
-		},
-	}
-	for _, p := range pkts {
-		if err := w.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 3 {
-		t.Errorf("count = %d", w.Count())
-	}
-
-	r := NewReader(&buf)
-	var got []*Packet
-	if err := r.ForEach(func(p *Packet) error { got = append(got, p); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("read %d packets", len(got))
-	}
-	for i := range pkts {
-		a, b := pkts[i], got[i]
-		if a.TS != b.TS || a.Src != b.Src || a.Dst != b.Dst || a.SrcPort != b.SrcPort ||
-			a.DstPort != b.DstPort || a.Proto != b.Proto || a.Flags != b.Flags || a.Size != b.Size {
-			t.Errorf("record %d mismatch:\n%+v\n%+v", i, a, b)
-		}
-		if !bytes.Equal(a.Payload, b.Payload) {
-			t.Errorf("record %d payload mismatch", i)
-		}
-	}
-}
-
-func TestStoreRejectsGarbage(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}))
-	if _, err := r.Read(); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("err = %v", err)
-	}
-	// Truncated mid-record.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write(mkPacket(MeasurementStart, "1.1.1.1", "44.0.0.1", 1, 443)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	r2 := NewReader(bytes.NewReader(trunc))
-	if _, err := r2.Read(); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("truncated err = %v", err)
-	}
-	// Empty stream yields EOF.
-	r3 := NewReader(bytes.NewReader(nil))
-	if _, err := r3.Read(); !errors.Is(err, io.EOF) {
-		t.Fatalf("empty err = %v", err)
-	}
-}
-
-func TestStoreRoundTripProperty(t *testing.T) {
-	f := func(ts int64, src, dst uint32, sp, dp uint16, proto uint8, payload []byte) bool {
-		if len(payload) > 1500 {
-			payload = payload[:1500]
-		}
-		in := &Packet{
-			TS: Timestamp(ts), Src: netmodel.Addr(src), Dst: netmodel.Addr(dst),
-			SrcPort: sp, DstPort: dp, Proto: Proto(proto % 3),
-			Size: uint16(len(payload)), Payload: payload,
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.Write(in); err != nil {
-			return false
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		out, err := NewReader(&buf).Read()
-		if err != nil {
-			return false
-		}
-		return out.TS == in.TS && out.Src == in.Src && out.Dst == in.Dst &&
-			out.SrcPort == in.SrcPort && out.DstPort == in.DstPort &&
-			out.Proto == in.Proto && bytes.Equal(out.Payload, in.Payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestProtoStrings(t *testing.T) {
 	if ProtoUDP.String() != "UDP" || ProtoTCP.String() != "TCP" || ProtoICMP.String() != "ICMP" {
 		t.Error("proto strings")
 	}
 }
-
-// ForEach streams all records through fn.
-func (tr *Reader) ForEach(fn func(*Packet) error) error {
-	for {
-		p, err := tr.Read()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(p); err != nil {
-			return err
-		}
-	}
-}
-
-// Offset returns the number of bytes consumed so far — after an error,
-// the start of the record that could not be read.
-func (tr *Reader) Offset() uint64 { return tr.w.Offset() }
 
 // Time converts back to time.Time (UTC).
 func (ts Timestamp) Time() time.Time { return time.UnixMilli(int64(ts)).UTC() }

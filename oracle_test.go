@@ -9,7 +9,6 @@ import (
 	"quicsand/internal/netmodel"
 	"quicsand/internal/oracle"
 	"quicsand/internal/scenario"
-	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 )
 
@@ -50,7 +49,7 @@ func TestOracle(t *testing.T) {
 
 			// Record one checkpoint for the replay half of the matrix.
 			var trace bytes.Buffer
-			w := telescope.NewWriter(&trace)
+			w := capture.NewSink(&trace, capture.FormatQSND)
 			recCfg := base
 			recCfg.Workers = 4
 			recCfg.Trace = w

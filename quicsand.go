@@ -110,7 +110,7 @@ type Config struct {
 
 // generatorConfig is the ibr.Config that cfg's seed-path fields fix —
 // the one copy Run, Replay, Expect and ExpectAlerts share, so a new
-// generator knob reaches all of them. Substrate (Internet, Census) is
+// generator knob reaches all of them. Substrate (Internet, census) is
 // the caller's to add.
 func (cfg *Config) generatorConfig() ibr.Config {
 	return ibr.Config{
@@ -127,8 +127,14 @@ func (cfg *Config) generatorConfig() ibr.Config {
 type Analysis struct {
 	Config   Config
 	Internet *netmodel.Internet
-	Census   *activescan.Census
 	Truth    *ibr.GroundTruth
+
+	// census holds the active-scan census membership and operator of
+	// every response-session source that is a census server — the only
+	// addresses the figures ask about (attack victims and the Figure 10
+	// sweep), resolved in reduce so a held Analysis keeps this map and
+	// not the whole census. See OrgOf and KnownShare.
+	census map[netmodel.Addr]string
 
 	// Telescope overview (§5.1).
 	Telescope *telescope.Telescope
@@ -459,7 +465,8 @@ func drainDetectors(shards []*pipelineShard, final bool) ([]telemetry.Detect, []
 type pipelinePlan struct {
 	cfg       StreamConfig
 	workers   int
-	proto     *Analysis // substrate holder: Config/Internet/Census/Truth
+	proto     *Analysis // substrate holder: Config/Internet/Truth
+	census    *activescan.Census
 	tum, rwth netmodel.Prefix
 	start     time.Time    // planning began: the origin of Pipeline.Wall
 	sched     engine.Stage // the "schedule" stage
@@ -474,9 +481,9 @@ func (c *pipelinePlan) prepare() (gen *ibr.Generator, err error) {
 	cfg, a := c.cfg.Config, c.proto
 	a.Internet = netmodel.BuildInternet()
 	// Census shared with the generator (same seed path).
-	a.Census = activescan.Build(a.Internet, netmodel.NewRNG(cfg.Seed).Fork("census"), activescan.Config{})
+	c.census = activescan.Build(a.Internet, netmodel.NewRNG(cfg.Seed).Fork("census"), activescan.Config{})
 	icfg := cfg.generatorConfig()
-	icfg.Internet, icfg.Census = a.Internet, a.Census
+	icfg.Internet, icfg.Census = a.Internet, c.census
 	gen, err = scenario.Compile(cfg.Scenario, icfg)
 	if err != nil {
 		return nil, fmt.Errorf("quicsand: generator: %w", err)
@@ -531,7 +538,7 @@ func (c *pipelinePlan) analysis(shards []*pipelineShard, detMet []telemetry.Dete
 	drv := rec.DriverRing()
 	red0 := drv.Now()
 	a := *c.proto // the substrate; every result field is still zero
-	a.reduce(shards, c.tum, c.rwth)
+	a.reduce(shards, c.census, c.tum, c.rwth)
 	a.Telemetry = collectTelemetry(c.cfg.Config, shards, pstats)
 	for i := range detMet {
 		a.Telemetry.Detect.Merge(&detMet[i])
@@ -573,7 +580,7 @@ func traceTap(cfg Config) *engine.Tap[*telescope.Packet] {
 // counter merges plus one canonical sort make the result independent
 // of shard count and interleaving — and of whether the packets came
 // from the generator or a stored trace.
-func (a *Analysis) reduce(shards []*pipelineShard, tum, rwth netmodel.Prefix) {
+func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tum, rwth netmodel.Prefix) {
 	a.Telescope = telescope.New()
 	a.HourlySource = telescope.NewHourlyCounter(sourceClassifier(tum, rwth))
 	a.HourlyType = telescope.NewHourlyCounter(typeClassifier)
@@ -605,6 +612,13 @@ func (a *Analysis) reduce(shards []*pipelineShard, tum, rwth netmodel.Prefix) {
 			// Mixed sessions would contradict the paper's disjointness
 			// observation; surface them loudly in results.
 			a.RequestSessions = append(a.RequestSessions, s)
+		}
+	}
+
+	a.census = map[netmodel.Addr]string{}
+	for _, s := range a.ResponseSessions {
+		if srv := census.Lookup(s.Src); srv != nil {
+			a.census[s.Src] = srv.Org
 		}
 	}
 
@@ -878,6 +892,27 @@ func (a *Analysis) Victims() []netmodel.Addr {
 	return out
 }
 
+// OrgOf returns the census operator of a response-session source, ""
+// when it is not in the active-scan census. Every attack victim is such
+// a source; other addresses read "".
+func (a *Analysis) OrgOf(v netmodel.Addr) string { return a.census[v] }
+
+// KnownShare returns the percentage of the given victims (response-
+// session sources) present in the census — the §5.2 "98 % of attacks
+// target well-known QUIC servers" figure.
+func (a *Analysis) KnownShare(victims []netmodel.Addr) float64 {
+	if len(victims) == 0 {
+		return 0
+	}
+	known := 0
+	for _, v := range victims {
+		if _, ok := a.census[v]; ok {
+			known++
+		}
+	}
+	return float64(known) / float64(len(victims)) * 100
+}
+
 // OrgShare returns the percentage of QUIC attacks whose victim belongs
 // to the named census operator.
 func (a *Analysis) OrgShare(org string) float64 {
@@ -886,7 +921,7 @@ func (a *Analysis) OrgShare(org string) float64 {
 	}
 	n := 0
 	for _, atk := range a.QUICDetector.Attacks {
-		if a.Census.OrgOf(atk.Victim) == org {
+		if a.OrgOf(atk.Victim) == org {
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"quicsand/internal/activescan"
 	"quicsand/internal/dosdetect"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/sessions"
@@ -31,6 +32,30 @@ func pipeline(t *testing.T) *Analysis {
 		shared = a
 	}
 	return shared
+}
+
+// TestAnalysisCensusJoin pins the census join a held Analysis keeps in
+// place of the census: for every response-session source (every attack
+// victim among them) OrgOf and census membership are the census's own
+// answers, and the join holds nothing else.
+func TestAnalysisCensusJoin(t *testing.T) {
+	a := pipeline(t)
+	census := activescan.Build(netmodel.BuildInternet(), netmodel.NewRNG(a.Config.Seed).Fork("census"), activescan.Config{})
+	members := map[netAddr]bool{}
+	for _, s := range a.ResponseSessions {
+		if got, want := a.OrgOf(s.Src), census.OrgOf(s.Src); got != want {
+			t.Fatalf("OrgOf(%v) = %q, census says %q", s.Src, got, want)
+		}
+		if census.IsKnown(s.Src) {
+			members[s.Src] = true
+		}
+		if got := a.KnownShare([]netAddr{s.Src}); got != map[bool]float64{true: 100}[census.IsKnown(s.Src)] {
+			t.Fatalf("KnownShare(%v) = %v, census membership %v", s.Src, got, census.IsKnown(s.Src))
+		}
+	}
+	if len(members) == 0 || len(a.census) != len(members) {
+		t.Fatalf("join holds %d addresses, want the %d census members among response sources", len(a.census), len(members))
+	}
 }
 
 func TestPipelineHeadlineShape(t *testing.T) {
@@ -70,7 +95,7 @@ func TestPipelineHeadlineShape(t *testing.T) {
 	}
 
 	// Victims overwhelmingly inside the active-scan census.
-	if share := a.Census.KnownShare(a.Victims()); share < 85 {
+	if share := a.KnownShare(a.Victims()); share < 85 {
 		t.Errorf("known-victim share = %.1f%%, want ≈98%%", share)
 	}
 
@@ -193,7 +218,7 @@ func TestPipelineFigure9Anatomy(t *testing.T) {
 	a := pipeline(t)
 	var gScids, gPkts, fScids, fPkts, gN, fN float64
 	for _, atk := range a.QUICDetector.Attacks {
-		switch a.Census.OrgOf(atk.Victim) {
+		switch a.OrgOf(atk.Victim) {
 		case "Google":
 			gScids += float64(atk.UniqueSCIDs)
 			gPkts += float64(atk.Packets)
@@ -220,7 +245,7 @@ func TestPipelineFigure9Versions(t *testing.T) {
 	a := pipeline(t)
 	counts := map[string]map[string]int{}
 	for _, atk := range a.QUICDetector.Attacks {
-		org := a.Census.OrgOf(atk.Victim)
+		org := a.OrgOf(atk.Victim)
 		if org != "Google" && org != "Facebook" {
 			continue
 		}
@@ -249,7 +274,7 @@ func TestPipelineFigure10WeightSweep(t *testing.T) {
 	a := pipeline(t)
 	weights := []float64{0.5, 1, 2, 4, 10}
 	counts, shares := dosdetect.WeightSweep(a.ResponseSessions, weights, func(v netAddr) bool {
-		org := a.Census.OrgOf(v)
+		org := a.OrgOf(v)
 		return org == "Google" || org == "Facebook"
 	})
 	for i := 1; i < len(counts); i++ {

@@ -36,7 +36,7 @@ func salvageFixture(t *testing.T) (Config, *oracle.Expectation, []byte, []byte) 
 	}
 
 	var trace bytes.Buffer
-	w := telescope.NewWriter(&trace)
+	w := capture.NewSink(&trace, capture.FormatQSND)
 	recCfg := cfg
 	recCfg.Trace = w
 	if _, err := Run(recCfg); err != nil {
@@ -212,13 +212,13 @@ func TestReplaySalvagedDegradedOracle(t *testing.T) {
 			// Fail-fast (the zero policy) keeps the historical contract.
 			if _, err := Replay(cfg, tc.open(t, bad)); err == nil {
 				t.Fatal("fail-fast replay of damaged capture succeeded")
-			} else if !errors.Is(err, telescope.ErrBadTrace) && !errors.Is(err, capture.ErrBadPcap) {
+			} else if !errors.Is(err, capture.ErrBadTrace) && !errors.Is(err, capture.ErrBadPcap) {
 				t.Fatalf("fail-fast err = %v, want the format's corruption error", err)
 			}
 
 			// The expected re-checkpoint: clean records minus record k.
 			var wantTrace bytes.Buffer
-			ww := telescope.NewWriter(&wantTrace)
+			ww := capture.NewSink(&wantTrace, capture.FormatQSND)
 			for i, p := range clean {
 				if i == k {
 					continue
@@ -238,7 +238,7 @@ func TestReplaySalvagedDegradedOracle(t *testing.T) {
 				scfg.Salvage = capture.SalvagePolicy{SkipCorrupt: true}
 
 				var recheck bytes.Buffer
-				w := telescope.NewWriter(&recheck)
+				w := capture.NewSink(&recheck, capture.FormatQSND)
 				scfg.Trace = w
 				a, err := Replay(scfg, tc.open(t, bad))
 				if err != nil {

@@ -25,7 +25,7 @@ func floodCapture(t *testing.T, scale float64) (StreamConfig, []byte, []telescop
 	cfg := goldenConfig("handshake-flood-qfam", scale, goldenIdentity(t), t)
 	cfg.SkipResearch = true
 	var trace bytes.Buffer
-	w := telescope.NewWriter(&trace)
+	w := capture.NewSink(&trace, capture.FormatQSND)
 	recordCfg := cfg
 	recordCfg.Trace = w
 	if _, err := Run(recordCfg); err != nil {

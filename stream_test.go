@@ -53,7 +53,7 @@ func TestStreamEqualsBatch(t *testing.T) {
 			// Batch side: direct run recording the canonical trace, plus
 			// its pcap export.
 			var trace bytes.Buffer
-			w := telescope.NewWriter(&trace)
+			w := capture.NewSink(&trace, capture.FormatQSND)
 			recordCfg := run.cfg.Config
 			recordCfg.Trace = w
 			direct, err := Run(recordCfg)
@@ -164,7 +164,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 		run := run
 		t.Run(run.name, func(t *testing.T) {
 			var trace bytes.Buffer
-			w := telescope.NewWriter(&trace)
+			w := capture.NewSink(&trace, capture.FormatQSND)
 			recordCfg := run.cfg.Config
 			recordCfg.Workers, recordCfg.Trace = 4, w
 			direct, err := Run(recordCfg)

@@ -10,7 +10,6 @@ import (
 	"quicsand/internal/capture"
 	"quicsand/internal/detect"
 	"quicsand/internal/telemetry"
-	"quicsand/internal/telescope"
 	"quicsand/internal/tlsmini"
 )
 
@@ -39,12 +38,12 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 	runWith := func(workers int) (*Analysis, []byte) {
 		var trace bytes.Buffer
 		cfg := base
-		cfg.Workers, cfg.Trace = workers, telescope.NewWriter(&trace)
+		cfg.Workers, cfg.Trace = workers, capture.NewSink(&trace, capture.FormatQSND)
 		a, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Trace.(*telescope.Writer).Flush(); err != nil {
+		if err := cfg.Trace.(capture.Sink).Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return a, trace.Bytes()

@@ -23,7 +23,7 @@ func TestTraceCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := telescope.NewWriter(f)
+	w := capture.NewSink(f, capture.FormatQSND)
 
 	a, err := Run(Config{Seed: 5, Scale: 0.005, SkipResearch: true, Trace: w})
 	if err != nil {
@@ -47,8 +47,12 @@ func TestTraceCheckpointRoundTrip(t *testing.T) {
 	d := dissect.NewDissector()
 	var reqs, resps, stored uint64
 	var lastTS telescope.Timestamp
-	for r := telescope.NewReader(rf); ; {
-		p, err := r.Read()
+	r, err := capture.NewSource(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		p, err := r.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -94,7 +98,7 @@ func TestTraceCheckpointRoundTrip(t *testing.T) {
 // frames' metadata trailer (internal/capture).
 func TestMonthPcapRoundTripLossless(t *testing.T) {
 	var qsnd bytes.Buffer
-	w := telescope.NewWriter(&qsnd)
+	w := capture.NewSink(&qsnd, capture.FormatQSND)
 	if _, err := Run(Config{Seed: 31, Scale: 0.005, ResearchThin: 1 << 14, Trace: w}); err != nil {
 		t.Fatal(err)
 	}
