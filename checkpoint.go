@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"quicsand/internal/ckpt"
+	"quicsand/internal/detect"
 	"quicsand/internal/dissect"
 	"quicsand/internal/dosdetect"
 	"quicsand/internal/engine"
@@ -64,35 +65,52 @@ type checkpointHeader struct {
 	position     uint64
 }
 
-// shardImage is one shard's block of a checkpoint image, frozen at the
-// barrier: the encoded state, the session log that follows it and the
-// captured-packet count that ends it.
+// shardImage is one shard's block of a checkpoint image: the encoded
+// state, the session log that follows it and the captured-packet count
+// that ends it.
 type shardImage struct {
 	state []byte
 	log   []byte
 	items uint64
 }
 
-// freeze encodes the shard's block for a checkpoint (items: its
-// captured-packet count). It runs under the streamer's barrier, with the
-// shard worker parked. The state is encoded into a buffer the image
-// owns, sized from the previous tick's so that a steady state does not
-// regrow it; the session log is shared as a cap-limited prefix.
-func (sh *pipelineShard) freeze(items uint64) shardImage {
+// frozenShard is one shard's reply to a checkpoint op.
+type frozenShard struct {
+	shard          int
+	image          shardImage
+	quicSessions   int // emitted plus still active: Totals()
+	telescopeTotal uint64
+	det            telemetry.Detect
+	alerts         []detect.Alert
+}
+
+// freeze is shard i's part of a streaming checkpoint, taken on the
+// shard's own feed goroutine when the checkpoint op reaches it (items:
+// its captured-packet count there). Close's op (final) first closes the
+// open flight slice, which no reduction of decoded shards could, and the
+// detector bank's open episodes. The state is encoded into a buffer the
+// image owns, sized from the previous tick's so that a steady state does
+// not regrow it; the session log is shared as a cap-limited prefix.
+func (sh *pipelineShard) freeze(i int, items uint64, final bool) frozenShard {
+	if final {
+		sh.flightClose()
+	}
 	sh.logSessions()
 	w := ckpt.NewWriter(make([]byte, 0, sh.stateLen+sh.stateLen/8+1<<10))
 	sh.encodeState(w)
 	state := w.Bytes()
 	sh.stateLen = len(state)
-	return shardImage{state: state, log: sh.sessLog[:len(sh.sessLog):len(sh.sessLog)], items: items}
+	f := frozenShard{shard: i, quicSessions: len(sh.sessions) + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
+	f.image = shardImage{state: state, log: sh.sessLog[:len(sh.sessLog):len(sh.sessLog)], items: items}
+	f.det, f.alerts = sh.drain(final)
+	return f
 }
 
 // logSessions extends the shard's session log over the sessions
-// emitted since the previous tick. It runs under the streamer's barrier,
-// and only ever appends: a checkpoint holds a cap-limited prefix of the
-// log as it stood at its own tick, so the bytes a concurrent Encode
-// reads are never written again — growth either lands past every
-// frozen length or moves to a new array.
+// emitted since the previous tick. It only ever appends: a checkpoint
+// holds a cap-limited prefix of the log as it stood at its own tick, so
+// the bytes a concurrent Encode reads are never written again — growth
+// either lands past every frozen length or moves to a new array.
 func (sh *pipelineShard) logSessions() {
 	w := ckpt.NewWriter(sh.sessLog)
 	for _, s := range sh.sessions[sh.sessLogN:] {
@@ -118,7 +136,7 @@ func (c *StreamCheckpoint) Encode() []byte {
 	w.String(name)
 	w.U64(uint64(c.cfg.ResearchThin))
 	w.Bool(c.cfg.SkipResearch)
-	w.U64(uint64(c.workers))
+	w.U64(uint64(len(c.images)))
 	w.U64(c.position)
 	for _, im := range c.images {
 		w.Raw(im.state)

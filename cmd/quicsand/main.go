@@ -641,18 +641,11 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 // episodes land as JSON lines on FILE (or stdout for "-"); the Analysis
 // is the plain replay's plus the detectors' telemetry.
 func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window time.Duration, detectPath string, stdout, stderr io.Writer) (*quicsand.Analysis, error) {
-	dcfg := detect.Default()
-	if detectPath != "" {
-		c, err := detect.LoadConfigFile(detectPath)
-		if err != nil {
-			return nil, err
-		}
-		dcfg = c
+	dcfg, err := detect.Resolve(detectPath, window)
+	if err != nil {
+		return nil, err
 	}
-	if window > 0 {
-		dcfg.Window = window
-	}
-	a, alerts, err := quicsand.ReplayAlerts(quicsand.StreamConfig{Config: cfg, Detect: &dcfg}, src)
+	a, alerts, err := quicsand.ReplayAlerts(quicsand.StreamConfig{Config: cfg, Detect: dcfg}, src)
 	if err != nil {
 		return nil, err
 	}

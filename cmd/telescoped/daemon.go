@@ -83,8 +83,8 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	}
 	// Checkpoint ticks only when a tick has an output: the detectors'
 	// alerts, the -checkpoint image or a -manifest snapshot row. Each tick
-	// parks the shards and extends their session logs, so a plain log-mode
-	// run pays neither.
+	// has every shard encode itself and extend its session log, so a plain
+	// log-mode run pays neither.
 	every := opts.ckptEvery
 	if dcfg == nil && opts.checkpoint == "" && opts.manifest == "" {
 		every = 0

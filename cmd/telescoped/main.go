@@ -203,19 +203,7 @@ func (o serveOpts) detectors() (*detect.Config, error) {
 		}
 		return nil, nil
 	}
-	dcfg := detect.Default()
-	if o.detectConfig != "" {
-		c, err := detect.LoadConfigFile(o.detectConfig)
-		if err != nil {
-			return nil, err
-		}
-		dcfg = c
-	}
-	dcfg.Window = o.window
-	if err := dcfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &dcfg, nil
+	return detect.Resolve(o.detectConfig, o.window)
 }
 
 // recordPacket shapes one received datagram into the telescope store's

@@ -105,7 +105,8 @@ type SpanSource interface {
 	// until the source is closed and whose memory the caller must not
 	// recycle.
 	SpanStable() bool
-	// SpanDecoder returns the source's concurrent-safe decoder.
+	// SpanDecoder returns the source's concurrent-safe decoder, once
+	// FrameNext has framed a record (a pcap header may be parsed there).
 	SpanDecoder() SpanDecoder
 }
 

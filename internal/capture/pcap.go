@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"quicsand/internal/netmodel"
 	"quicsand/internal/telescope"
@@ -230,7 +231,10 @@ func (w *writer) pcapRecord(p *telescope.Packet) (int, error) {
 func (r *reader) pcapHeader() error {
 	gh, err := r.w.peek(24)
 	if err != nil {
-		return fmt.Errorf("capture: truncated pcap global header: %w", ErrBadPcap)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a pcap has a header, even with no records
+		}
+		return r.short(err, "pcap global header", len(gh), 0, 24)
 	}
 	d := &r.pcap
 	switch {

@@ -50,13 +50,13 @@ type reader struct {
 }
 
 // newReader reads the capture of format f at the head of w. A pcap
-// global header is parsed here, because the decoder's byte order,
-// resolution and link type come from it and its errors have always
-// surfaced at open; a QSND file header is parsed by the first read.
+// global header is parsed here, so its errors surface at open, unless a
+// read fails transiently: then the first read, under the salvage policy
+// set after open, parses it, as it always does a QSND header.
 func newReader(w *window, f Format) (*reader, error) {
 	r := &reader{w: w, format: f}
 	if f == FormatPcap {
-		if err := r.readHeader(); err != nil {
+		if err := r.readHeader(); err != nil && !isTransient(err) {
 			return nil, err
 		}
 	}

@@ -375,6 +375,65 @@ func drainScatter(sc *Scatter, n *uint64) {
 	}
 }
 
+// TestPcapHeaderTransientAtOpen holds a transient read failure inside
+// the pcap global header to the retry budget, like one anywhere else: it
+// is no corruption, so NewSource leaves the header to the first read,
+// which retries it under the policy installed after open — through Next
+// and through a Scatter alike. Without a budget the read's own error
+// surfaces there, and a corrupt header still fails at open.
+func TestPcapHeaderTransientAtOpen(t *testing.T) {
+	pkts := salvagePackets(40)
+	data, err := encodeCapture(pkts, FormatPcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(retries int) Source {
+		// Two failures: open meets the first, the first read the second.
+		src, err := NewSource(faultinject.NewReader(bytes.NewReader(data),
+			faultinject.Fault{Kind: faultinject.Transient, Offset: 6, Count: 2}))
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		SetSalvage(src, SalvagePolicy{MaxRetries: retries, Sleep: func(time.Duration) {}})
+		return src
+	}
+
+	src := open(3)
+	n := 0
+	for {
+		if _, err := src.Next(); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatalf("Next after %d records: %v", n, err)
+		}
+		n++
+	}
+	if n != len(pkts) {
+		t.Errorf("Next read %d records, want %d", n, len(pkts))
+	}
+	if sv := SourceSalvage(src); sv.TransientRetries != 1 || sv.CorruptRecords != 0 {
+		t.Errorf("salvage ledger %+v, want one transient retry and no corruption", sv)
+	}
+	for _, workers := range []int{1, 4} {
+		sc := NewScatter(open(3), workers, true)
+		var got uint64
+		drainScatter(sc, &got)
+		if err := sc.Err(); err != nil || got != uint64(len(pkts)) {
+			t.Errorf("workers=%d: scattered %d of %d records, err %v", workers, got, len(pkts), err)
+		}
+	}
+
+	var te *faultinject.TransientError
+	if _, err := open(0).Next(); !errors.As(err, &te) || errors.Is(err, ErrBadPcap) {
+		t.Errorf("no retry budget: Next err = %v, want the transient read error itself", err)
+	}
+	bad := append([]byte(nil), data...)
+	bad[20] = 0x7f // link type
+	if _, err := NewSource(bytes.NewReader(bad)); !errors.Is(err, ErrBadPcap) {
+		t.Errorf("corrupt global header: NewSource err = %v, want ErrBadPcap", err)
+	}
+}
+
 // FuzzPcapReader pins the pcap decoder's total behavior on arbitrary
 // bytes: it must terminate, never panic, and fail only with io.EOF or
 // an ErrBadPcap carrying a byte offset; salvage mode must additionally

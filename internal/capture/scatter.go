@@ -222,7 +222,6 @@ func NewScatter(src Source, n int, recycle bool) *Scatter {
 		return s
 	}
 	s.span = sp
-	s.dec = sp.SpanDecoder()
 	s.stable = sp.SpanStable()
 	s.shardDec = make([]shardDecode, n)
 	s.in = make([]chan *batch, n)
@@ -450,14 +449,9 @@ func (s *Scatter) scatter() {
 		go pump(s.in[i], s.chans[i])
 	}
 	building := make([]*batch, s.n)
-	for {
-		spanLen, src, err := s.span.FrameNext()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				s.err = err
-			}
-			break
-		}
+	spanLen, src, err := s.span.FrameNext()
+	s.dec = s.span.SpanDecoder() // after a frame: a deferred pcap header is parsed
+	for ; err == nil; spanLen, src, err = s.span.FrameNext() {
 		k := ibr.ShardOf(src, s.n)
 		b := building[k]
 		if b == nil {
@@ -485,6 +479,9 @@ func (s *Scatter) scatter() {
 			s.sendBatch(k, b)
 			building[k] = nil
 		}
+	}
+	if !errors.Is(err, io.EOF) {
+		s.err = err
 	}
 	for k, b := range building {
 		if b != nil && len(b.spans) > 0 {

@@ -31,7 +31,7 @@ func drainSpans(t *testing.T, src Source) ([]*telescope.Packet, uint64) {
 	if !ok {
 		t.Fatalf("%T does not implement SpanSource", src)
 	}
-	dec := span.SpanDecoder()
+	var dec SpanDecoder // once a record is framed, as the SpanSource contract says
 	var out []*telescope.Packet
 	var drops uint64
 	for {
@@ -41,6 +41,9 @@ func drainSpans(t *testing.T, src Source) ([]*telescope.Packet, uint64) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if dec == nil {
+			dec = span.SpanDecoder()
 		}
 		var buf []byte
 		if !span.SpanStable() {

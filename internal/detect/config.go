@@ -142,15 +142,25 @@ func LoadConfig(data []byte) (Config, error) {
 	return cfg, nil
 }
 
-// LoadConfigFile reads and parses a detector-config file.
-func LoadConfigFile(path string) (Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Config{}, err
+// Resolve returns the configuration -detect-config and -window select
+// (`quicsand replay -alerts`, telescoped): Default or the file at path,
+// its Window overridden by a positive window, validated.
+func Resolve(path string, window time.Duration) (*Config, error) {
+	cfg := Default()
+	if path != "" {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if cfg, err = LoadConfig(data); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
 	}
-	cfg, err := LoadConfig(data)
-	if err != nil {
-		return Config{}, fmt.Errorf("%s: %w", path, err)
+	if window > 0 {
+		cfg.Window = window
 	}
-	return cfg, nil
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &cfg, nil
 }

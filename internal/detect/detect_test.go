@@ -1,7 +1,10 @@
 package detect
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -279,5 +282,38 @@ func TestLoadConfigRejects(t *testing.T) {
 		if _, err := LoadConfig([]byte(doc)); err != nil {
 			t.Errorf("LoadConfig(%s): %v", doc, err)
 		}
+	}
+}
+
+// TestResolve pins the order the commands' detector flags apply in:
+// Default, then the -detect-config file, then a positive -window, then
+// validation — so -window overrides the file's window and a window too
+// narrow for the buckets fails whichever set it.
+func TestResolve(t *testing.T) {
+	if cfg, err := Resolve("", 0); err != nil || *cfg != Default() {
+		t.Errorf("Resolve(\"\", 0) = %+v, %v; want Default()", cfg, err)
+	}
+	path := t.TempDir() + "/detect.json"
+	if err := os.WriteFile(path, []byte(`{"window": "30s", "min_packets": 7}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Resolve(path, 0)
+	if err != nil || cfg.Window != 30*time.Second || cfg.MinPackets != 7 {
+		t.Errorf("Resolve(file, 0) = %+v, %v; want the file's window and min_packets", cfg, err)
+	}
+	if cfg, err = Resolve(path, 2*time.Minute); err != nil || cfg.Window != 2*time.Minute || cfg.MinPackets != 7 {
+		t.Errorf("Resolve(file, 2m) = %+v, %v; want -window over the file's", cfg, err)
+	}
+	if _, err := Resolve("", 5*time.Millisecond); err == nil || !strings.Contains(err.Error(), "too narrow") {
+		t.Errorf("Resolve(\"\", 5ms) err = %v, want the bucket-width error", err)
+	}
+	if _, err := Resolve(path+".missing", 0); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Resolve(missing file) err = %v, want ErrNotExist", err)
+	}
+	if err := os.WriteFile(path, []byte(`{"buckets": 6}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resolve(path, time.Minute); err == nil || !strings.HasPrefix(err.Error(), path+": detect: ") {
+		t.Errorf("Resolve(bad file) err = %v, want it prefixed with the path", err)
 	}
 }

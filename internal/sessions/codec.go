@@ -17,7 +17,7 @@ import (
 // whether each anatomy set still lives in its inline arm or has
 // spilled, because the spill state feeds the SetSpills counter and
 // must survive a checkpoint→resume cycle bit-exactly. A checkpoint
-// tick encodes the live state under the streamer's barrier, and both a
+// tick encodes the live state on the shard's own goroutine, and both a
 // checkpoint's Analysis and a resumed streamer decode it, so the image
 // is the only frozen form a sessionizer has.
 

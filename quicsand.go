@@ -283,9 +283,9 @@ func (sh *pipelineShard) flightSlice(now int64) {
 	*f = shardFlight{slice: f.slice, start: now, total: f.total}
 }
 
-// flightClose flushes a partial final slice after the stream drains;
-// runs on the reducing goroutine, after the worker join ordered the
-// ring writes.
+// flightClose flushes a partial final slice after the stream drains:
+// on the reducing goroutine once the worker join ordered the ring
+// writes, or on a Streamer shard's own feed at Close's checkpoint.
 func (sh *pipelineShard) flightClose() {
 	if sh.ring != nil && sh.fl.items > 0 {
 		sh.flightSlice(sh.ring.Now())
@@ -435,33 +435,22 @@ func (sh *pipelineShard) flush() {
 	sh.commonSz.Flush()
 }
 
-// drainDetectors collects what the detector banks of quiescent shards
-// have to report: each bank's counters and the alerts closed since the
-// previous drain, merged canonically across shards. final closes every
-// open episode first — the end of the stream. Batch replays call it once
-// the engine has joined, a Streamer at every checkpoint barrier; shards
-// without a bank (no StreamConfig.Detect) report nothing.
-func drainDetectors(shards []*pipelineShard, final bool) ([]telemetry.Detect, []detect.Alert) {
-	var met []telemetry.Detect
-	var lists [][]detect.Alert
-	for _, sh := range shards {
-		if sh.det == nil {
-			continue
-		}
-		if final {
-			sh.det.Flush()
-		}
-		met = append(met, sh.det.Metrics)
-		if l := sh.det.Drain(); len(l) > 0 {
-			lists = append(lists, l)
-		}
+// drain reads the shard's detector bank, if any: its counters and the
+// alerts closed since the previous drain. final closes every open
+// episode first — the end of the stream.
+func (sh *pipelineShard) drain(final bool) (telemetry.Detect, []detect.Alert) {
+	if sh.det == nil {
+		return telemetry.Detect{}, nil
 	}
-	return met, detect.MergeAlerts(lists...)
+	if final {
+		sh.det.Flush()
+	}
+	return sh.det.Metrics, sh.det.Drain()
 }
 
 // pipelinePlan is what planning fixes for a run: substrate, worker count,
-// schedule timing. A Streamer shares it with every checkpoint it freezes;
-// the generator is not in it, so a kept checkpoint keeps no schedule.
+// schedule timing. A Streamer keeps it; its checkpoints do not, and
+// prepare it afresh for Analysis.
 type pipelinePlan struct {
 	cfg       StreamConfig
 	workers   int
@@ -529,7 +518,7 @@ func planPipeline(cfg StreamConfig, shards []*pipelineShard) (*pipelinePlan, *ib
 	return c, gen, shards, nil
 }
 
-// analysis reduces shards into an Analysis; detMet is what drainDetectors
+// analysis reduces shards into an Analysis; detMet is what their drains
 // read off their detector banks. pstats arrives with the engine's part
 // and, as Wall, the time since c.start, and leaves with the schedule and
 // reduce stages; a non-nil rec's timeline ends here.
@@ -698,10 +687,14 @@ func runPipeline(cfg StreamConfig, wire func(gen *ibr.Generator, workers int, re
 		}
 	}
 	pstats.Wall = time.Since(plan.start)
-	detMet, alerts := drainDetectors(shards, true)
+	detMet := make([]telemetry.Detect, len(shards))
+	lists := make([][]detect.Alert, len(shards))
+	for i, sh := range shards {
+		detMet[i], lists[i] = sh.drain(true)
+	}
 	a := plan.analysis(shards, detMet, pstats, rec)
 	feed.report(a.Telemetry)
-	return a, alerts, nil
+	return a, detect.MergeAlerts(lists...), nil
 }
 
 // Run generates the month and performs every analysis stage in one

@@ -42,26 +42,26 @@ type StreamConfig struct {
 // A mid-stream Checkpoint at captured-packet N yields an Analysis
 // bit-identical to a batch run over the first N packets of the same
 // stream (the differential stream≡batch suite enforces this for every
-// golden built-in): shard states encode into a QCKP image under a short
-// barrier, and the shards decoded from that image reduce with the same
-// commutative merges and canonical sorts the batch reduction uses.
+// golden built-in): each shard encodes its state into a QCKP image when
+// the checkpoint's op reaches it, and the shards decoded from that image
+// reduce with the same commutative merges and canonical sorts the batch
+// reduction uses.
 //
 // The shards run on the batch runs' driver: one engine.Run call, started
 // by the constructor and joined by Close, drains each shard's dispatch
 // queue as an engine feed, so flight recorder, live banks, pprof labels
 // and stage statistics are Run's and Replay's — one shard included, the
-// sequential reference.
+// sequential reference. Only a shard's feed goroutine touches it (§9).
 //
-// Offer and Checkpoint are safe to call from different goroutines
-// (the daemon's checkpoint ticker); each is serialized by one mutex.
+// Offer, Flush, Checkpoint and Close may be called from different
+// goroutines (the daemon's ticker); each enqueues under one mutex.
 type Streamer struct {
 	*pipelinePlan
 	shards []*pipelineShard
 
-	mu       sync.Mutex
-	closed   bool
-	position uint64   // captured packets offered so far
-	counts   []uint64 // captured packets per shard
+	mu     sync.Mutex
+	counts []uint64          // captured packets per shard
+	final  *StreamCheckpoint // Close's checkpoint; non-nil once closed
 
 	// Per-shard op queues, which the engine drains as feeds. pending[k]
 	// is the batch Offer is filling for shard k; free[k] carries drained
@@ -70,17 +70,17 @@ type Streamer struct {
 	chans   []chan shardOp
 	pending []*packetBatch
 	free    []chan *packetBatch
-	parked  chan struct{}      // one send per worker per barrier
 	run     chan *engine.Stats // the engine's Run call returned
-	stats   *engine.Stats      // what Close received from run
 }
 
 // shardOp is one dispatch-queue entry: a batch to analyse or, with
-// release non-nil, a barrier — the worker reports on the streamer's
-// parked channel and waits inside its feed until release closes.
+// reply non-nil, a checkpoint: the shard freezes itself as the ops
+// before it left the shard (items: its captured-packet count there).
 type shardOp struct {
-	batch   *packetBatch
-	release chan struct{}
+	batch *packetBatch
+	items uint64
+	final bool // Close's checkpoint: the end of the stream
+	reply chan<- frozenShard
 }
 
 // packetBatch is the Streamer's dispatch unit under the §9 slab
@@ -134,7 +134,7 @@ const (
 	streamBatch = 256
 	// streamDepth is the per-shard queue depth in batches: the
 	// producer's run-ahead window over a busy shard worker, and the
-	// backlog a Checkpoint barrier waits behind. Eight batches measured
+	// backlog a checkpoint op waits behind. Eight batches measured
 	// the same flood throughput as 64 at half the tick latency and a
 	// sixth of the pooled arena memory.
 	streamDepth = 8
@@ -167,16 +167,11 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 		counts = make([]uint64, plan.workers)
 	}
 	s := &Streamer{pipelinePlan: plan, shards: shards, counts: counts}
-	for _, n := range counts {
-		s.position += n
-	}
 	// Each shard's dispatch queue is an engine feed; the one engine.Run
 	// call that drives them runs until Close.
 	s.chans = make([]chan shardOp, s.workers)
 	s.pending = make([]*packetBatch, s.workers)
 	s.free = make([]chan *packetBatch, s.workers)
-	parked := make(chan struct{}, s.workers)
-	s.parked = parked
 	feeds := make([]engine.Feed[*telescope.Packet], s.workers)
 	for i := range feeds {
 		ch := make(chan shardOp, streamDepth)
@@ -184,9 +179,8 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 		s.chans[i], s.free[i] = ch, free
 		feeds[i] = func(emit func(*telescope.Packet)) {
 			for op := range ch {
-				if op.release != nil {
-					parked <- struct{}{}
-					<-op.release
+				if op.reply != nil {
+					op.reply <- shards[i].freeze(i, op.items, op.final) // buffered: never blocks
 					continue
 				}
 				for j := range op.batch.pkts {
@@ -199,7 +193,7 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 	}
 	// process indexes the local shards on purpose: s.shards would be
 	// re-read through *Streamer on every packet, from the cache line Offer
-	// dirties with position, counts and the mutex (false sharing:
+	// dirties with counts and the mutex (false sharing:
 	// EXPERIMENTS.md PR-18).
 	ecfg := engine.Config{Workers: s.workers, Recorder: s.cfg.FlightRecorder, FeedStage: telemetry.StageScatter}
 	run := make(chan *engine.Stats, 1)
@@ -221,7 +215,7 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 func (s *Streamer) Offer(p *telescope.Packet) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.final != nil {
 		return false
 	}
 	// The capture predicate, hoisted out of Telescope.Offer: packets
@@ -234,7 +228,6 @@ func (s *Streamer) Offer(p *telescope.Packet) bool {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Capture(p)
 	}
-	s.position++
 	k := ibr.ShardOf(p.Src, s.workers)
 	s.counts[k]++
 	b := s.pending[k]
@@ -263,7 +256,7 @@ func (s *Streamer) flushPending(k int) {
 }
 
 // Flush hands every partly filled dispatch batch to its worker (no
-// barrier, no image), so that live telemetry and the detectors see what a
+// checkpoint, no image), so that live telemetry and the detectors see what a
 // now quiet source already offered. Offer never does so itself: a flood's
 // cold shard queue is mostly empty, and each packet would pay a wake-up.
 func (s *Streamer) Flush() {
@@ -274,39 +267,21 @@ func (s *Streamer) Flush() {
 	}
 }
 
-// barrier parks every shard worker (having first flushed pending
-// batches), runs fn over the quiescent shards, then releases them.
-// Caller holds s.mu.
-func (s *Streamer) barrier(fn func()) {
-	if s.closed {
-		fn()
-		return
-	}
-	release := make(chan struct{})
-	for i, ch := range s.chans {
-		s.flushPending(i)
-		ch <- shardOp{release: release}
-	}
-	for range s.chans {
-		<-s.parked
-	}
-	fn()
-	close(release)
-}
-
 // StreamCheckpoint is one frozen view of the pipeline at a captured
-// packet position: each shard's part of the QCKP image, the alerts that
-// closed since the previous drain and the detector counters. It holds no
-// shard state; Analysis() decodes the image, so Analysis() and Encode()
-// are both repeatable.
+// packet position: what Encode writes (config, worker count, position,
+// each shard's part of the QCKP image), the alerts closed since the
+// previous drain, the detector counters and the schedule stage. It holds
+// no shard state and no substrate, so Analysis() and Encode() are both
+// repeatable.
 type StreamCheckpoint struct {
-	*pipelinePlan
+	cfg      StreamConfig
 	position uint64
-	images   []shardImage
+	images   []shardImage // one per shard
 	detMet   []telemetry.Detect
+	sched    engine.Stage  // the streamer's "schedule" stage
 	wall     time.Duration // since the streamer's planning began
 
-	// What Totals() reports, read off the shards at the barrier.
+	// What Totals() reports, read off the shards as they froze.
 	quicSessions   int
 	telescopeTotal uint64
 
@@ -323,85 +298,105 @@ type StreamCheckpoint struct {
 // Position returns the captured-packet count the checkpoint froze at.
 func (c *StreamCheckpoint) Position() uint64 { return c.position }
 
-// Checkpoint freezes the current state without stopping ingest: shard
-// workers park at a barrier just long enough to encode their state and
-// drain closed alerts, then resume. The returned checkpoint is
-// self-contained — later traffic never shows in it.
+// Checkpoint freezes the current state without stopping ingest: each
+// shard freezes itself, in parallel, when its feed reaches the op queued
+// behind its pending batch, and Offer goes on meanwhile. The returned
+// checkpoint is self-contained — later traffic never shows in it; after
+// Close it is Close's checkpoint again, without alerts.
 func (s *Streamer) Checkpoint() *StreamCheckpoint {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked(false)
+	if s.final != nil {
+		s.mu.Unlock()
+		return s.Close()
+	}
+	c, reply := s.checkpoint(false)
+	s.mu.Unlock()
+	return s.collect(c, reply)
 }
 
-func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
+// checkpoint queues a checkpoint op behind each shard's pending batch
+// (the queues fix the cut; caller holds s.mu) and returns the checkpoint
+// the shards' replies fill.
+func (s *Streamer) checkpoint(final bool) (*StreamCheckpoint, <-chan frozenShard) {
 	c := &StreamCheckpoint{
-		pipelinePlan: s.pipelinePlan,
-		position:     s.position,
-		images:       make([]shardImage, len(s.shards)),
-		wall:         time.Since(s.start),
+		cfg:    s.cfg,
+		images: make([]shardImage, s.workers),
+		detMet: make([]telemetry.Detect, s.workers),
+		sched:  s.sched,
 	}
-	if final {
-		c.stats, c.rec = s.stats, s.cfg.FlightRecorder
+	reply := make(chan frozenShard, s.workers)
+	for i, ch := range s.chans {
+		s.flushPending(i)
+		ch <- shardOp{items: s.counts[i], final: final, reply: reply}
+		c.position += s.counts[i]
 	}
-	s.barrier(func() {
-		for i, sh := range s.shards {
-			if final {
-				// Decoded shards carry no ring, so no reduction can close
-				// the live shard's open slice; Close joined the ring's writer.
-				sh.flightClose()
-			}
-			c.images[i] = sh.freeze(s.counts[i])
-			c.quicSessions += len(sh.sessions) + sh.quicSz.ActiveSessions()
-			c.telescopeTotal += sh.tel.Total
-		}
-		c.detMet, c.Alerts = drainDetectors(s.shards, final)
-	})
+	return c, reply
+}
+
+// collect fills c from the shards' replies.
+func (s *Streamer) collect(c *StreamCheckpoint, reply <-chan frozenShard) *StreamCheckpoint {
+	lists := make([][]detect.Alert, len(c.images))
+	for range lists {
+		f := <-reply
+		c.images[f.shard], c.detMet[f.shard], lists[f.shard] = f.image, f.det, f.alerts
+		c.quicSessions += f.quicSessions
+		c.telescopeTotal += f.telescopeTotal
+	}
+	c.Alerts = detect.MergeAlerts(lists...)
+	c.wall = time.Since(s.start)
 	return c
 }
 
 // Close drains the shard workers, joins the engine and returns the
 // final checkpoint, with every open detector episode flushed into its
-// alert stream. Offer returns false after Close; Close is idempotent.
+// alert stream. Offer returns false after Close; Close is idempotent, a
+// later call returning the final checkpoint without its alerts.
 func (s *Streamer) Close() *StreamCheckpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed {
-		for i, ch := range s.chans {
-			s.flushPending(i)
-			close(ch)
-		}
-		s.stats = <-s.run
+	if s.final != nil {
+		again := *s.final
+		again.Alerts = nil
+		return &again
 	}
-	s.closed = true
-	return s.checkpointLocked(true)
+	c, reply := s.checkpoint(true)
+	for _, ch := range s.chans {
+		close(ch)
+	}
+	c.stats, c.rec = <-s.run, s.cfg.FlightRecorder
+	s.final = s.collect(c, reply)
+	return s.final
 }
 
 // Analysis reduces the checkpoint into a full Analysis — the same
-// reduction batch Run performs, over the shards decoded from the image,
-// the path ResumeStreamer takes, so the checkpoint itself stays frozen
-// and Analysis can be called again. Close's checkpoint also reports the
-// run — the engine's stages and busy times in Pipeline, the recorder's
-// timeline in Flight; each call adds its reduce span to that timeline,
-// so such calls must not overlap.
+// reduction batch Run performs, over the shards decoded from the image
+// and the substrate prepare rebuilds from the config (ResumeStreamer's
+// path) — so the checkpoint stays frozen and Analysis can be called
+// again. Close's checkpoint also reports the run — the engine's stages
+// and busy times in Pipeline, the recorder's timeline in Flight; each
+// call adds its reduce span to that timeline, so calls must not overlap.
 func (c *StreamCheckpoint) Analysis() *Analysis {
 	_, shards, counts, err := decodeCheckpoint(c.Encode())
 	if err != nil {
 		panic("quicsand: a checkpoint's own image does not decode: " + err.Error())
 	}
+	plan := &pipelinePlan{cfg: c.cfg, workers: len(c.images), proto: &Analysis{Config: c.cfg.Config}, sched: c.sched}
+	if _, err := plan.prepare(); err != nil {
+		panic("quicsand: a streamer's own config does not prepare: " + err.Error())
+	}
 	// ShardItems are the captured counts, not the engine's: a resumed
 	// streamer's engine saw only the packets since the image.
-	pstats := &engine.Stats{Workers: c.workers, ShardItems: counts, Wall: c.wall}
+	pstats := &engine.Stats{Workers: plan.workers, ShardItems: counts, Wall: c.wall}
 	if c.stats != nil {
 		pstats.ShardBusy, pstats.Stages, pstats.Engine = c.stats.ShardBusy, c.stats.Stages, c.stats.Engine
 	}
-	return c.analysis(shards, c.detMet, pstats, c.rec)
+	return plan.analysis(shards, c.detMet, pstats, c.rec)
 }
 
-// Totals returns the checkpoint's two headline counts, read off the
-// shards at the barrier, without reducing an Analysis: quicSessions is
-// what len(Analysis().QUICSessions) would be (emitted sessions plus the
-// still-active ones the reduction's flush emits), telescopeTotal is
-// Analysis().Telescope.Total.
+// Totals returns the checkpoint's two headline counts without reducing
+// an Analysis: quicSessions is what len(Analysis().QUICSessions) would
+// be (emitted sessions plus the still-active ones the reduction's flush
+// emits), telescopeTotal is Analysis().Telescope.Total.
 func (c *StreamCheckpoint) Totals() (quicSessions int, telescopeTotal uint64) {
 	return c.quicSessions, c.telescopeTotal
 }

@@ -192,7 +192,7 @@ func TestStreamDetectBudgetKeepsHotSources(t *testing.T) {
 }
 
 // TestStreamerNoGoroutineLeak cycles the streamer lifecycle — shard
-// workers, mid-stream barrier checkpoints, close — and asserts the
+// workers, mid-stream checkpoints, close — and asserts the
 // goroutine count returns to baseline.
 func TestStreamerNoGoroutineLeak(t *testing.T) {
 	cfg := StreamConfig{Config: Config{Seed: 5, Scale: 0.0005, ResearchThin: 1 << 14, Workers: 8}}
@@ -204,7 +204,7 @@ func TestStreamerNoGoroutineLeak(t *testing.T) {
 		}
 		budgetStream(t, s, func(captured uint64) {
 			if captured == 150 {
-				s.Checkpoint() // barrier with workers mid-stream
+				s.Checkpoint() // a checkpoint op with workers mid-stream
 			}
 		})
 		s.Close()
@@ -225,15 +225,17 @@ func TestStreamerNoGoroutineLeak(t *testing.T) {
 
 // sessionizerBudgetProbe reports the shards' current active-session
 // counts (QUIC then common, per shard) — the lifecycle tests assert
-// the memory budget holds while streaming.
+// the memory budget holds while streaming. It reads them off a
+// checkpoint's decoded image, the only view of a live shard from
+// outside its feed.
 func (s *Streamer) sessionizerBudgetProbe() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	_, shards, _, err := decodeCheckpoint(s.Checkpoint().Encode())
+	if err != nil {
+		panic(err)
+	}
 	var out []int
-	s.barrier(func() {
-		for _, sh := range s.shards {
-			out = append(out, sh.quicSz.ActiveSessions(), sh.commonSz.ActiveSessions())
-		}
-	})
+	for _, sh := range shards {
+		out = append(out, sh.quicSz.ActiveSessions(), sh.commonSz.ActiveSessions())
+	}
 	return out
 }

@@ -168,8 +168,8 @@ func TestStreamOfferSteadyStateAllocs(t *testing.T) {
 // session of every shard encoded afresh, no log — over the streamer's
 // own shards; a checkpoint's image must match it byte for byte. The
 // shards must be quiescent: call it right after Checkpoint or Close
-// returns and before the next Offer (the barrier ordered the workers'
-// writes before it, and they have nothing queued).
+// returns and before the next Offer (the shards' replies ordered their
+// feeds' writes before it, and they have nothing queued).
 func referenceEncode(s *Streamer) []byte {
 	w := &ckpt.Writer{}
 	w.Raw(checkpointMagic)
@@ -180,7 +180,11 @@ func referenceEncode(s *Streamer) []byte {
 	w.U64(uint64(s.cfg.ResearchThin))
 	w.Bool(s.cfg.SkipResearch)
 	w.U64(uint64(s.workers))
-	w.U64(s.position)
+	var position uint64
+	for _, n := range s.counts {
+		position += n
+	}
+	w.U64(position)
 	for i, sh := range s.shards {
 		sh.tel.EncodeTo(w)
 		sh.hourlySource.EncodeTo(w)
@@ -307,7 +311,7 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 }
 
 // TestCheckpointAllocsIndependentOfActiveSessions holds a tick's
-// allocations to a per-shard constant. The barrier encodes each shard
+// allocations to a per-shard constant. Each shard encodes itself
 // into one buffer sized from the previous tick's, so a streamer holding
 // 4 000 active TCP sessions (inline anatomy sets only) must tick within
 // 32 objects per shard of one holding none; a copy of each session

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"quicsand/internal/capture"
+	"quicsand/internal/detect"
 	"quicsand/internal/telescope"
 )
 
@@ -249,5 +251,81 @@ func TestStreamCheckpointRepeatable(t *testing.T) {
 	}
 	if got := mid.Analysis().Headline(); got != early {
 		t.Errorf("checkpoint Analysis changed after further ingest:\n--- before ---\n%s\n--- after ---\n%s", early, got)
+	}
+}
+
+// TestCheckpointTickerConcurrentWithOffer drives a Streamer the way
+// telescoped does: one goroutine offers a flood capture while a ticker
+// goroutine calls Checkpoint. Each checkpoint op lands wherever the
+// offering goroutine has got to, between two batches of every shard's
+// queue, so the alerts drained over all ticks plus Close must be the
+// ReplayAlerts stream and the final Analysis must render as Replay's.
+func TestCheckpointTickerConcurrentWithOffer(t *testing.T) {
+	scfg, trace, pkts := floodCapture(t, 0.01)
+	alertBytes := func(alerts []detect.Alert) []byte {
+		var buf bytes.Buffer
+		if err := detect.WriteAlerts(&buf, detect.MergeAlerts(alerts)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, workers := range []int{1, 2, 8} {
+		cfg := scfg
+		cfg.Workers = workers
+		_, wantAlerts, err := ReplayAlerts(cfg, openStream(t, trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantAlerts) == 0 {
+			t.Fatal("the flood raises no alert: nothing to drain across ticks")
+		}
+		want, err := Replay(cfg.Config, openStream(t, trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := NewStreamer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var alerts []detect.Alert
+		var mid int // ticks that froze strictly inside the stream
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					ck := s.Checkpoint()
+					alerts = append(alerts, ck.Alerts...)
+					if p := ck.Position(); p > 0 && p < uint64(len(pkts)) {
+						mid++
+					}
+				case <-stop:
+					return
+				}
+			}
+		}()
+		for i := range pkts {
+			s.Offer(&pkts[i])
+		}
+		close(stop)
+		<-done
+		final := s.Close()
+		alerts = append(alerts, final.Alerts...)
+		t.Logf("workers=%d: %d ticks inside the stream, %d alerts", workers, mid, len(alerts))
+		if mid == 0 {
+			t.Fatalf("workers=%d: no tick landed inside the stream", workers)
+		}
+
+		if !bytes.Equal(alertBytes(alerts), alertBytes(wantAlerts)) {
+			t.Errorf("workers=%d: alerts over the ticks and Close differ from ReplayAlerts (%d vs %d)",
+				workers, len(alerts), len(wantAlerts))
+		}
+		if got := final.Analysis().RenderAll(); got != want.RenderAll() {
+			t.Errorf("workers=%d: final Analysis renders differently from Replay", workers)
+		}
 	}
 }
