@@ -100,23 +100,28 @@ func (sh *pipelineShard) freeze(i int, items uint64, final bool) frozenShard {
 	sh.encodeState(w)
 	state := w.Bytes()
 	sh.stateLen = len(state)
-	f := frozenShard{shard: i, quicSessions: len(sh.sessions) + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
+	f := frozenShard{shard: i, quicSessions: sh.sessLogN + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
 	f.image = shardImage{state: state, log: sh.sessLog[:len(sh.sessLog):len(sh.sessLog)], items: items}
 	f.det, f.alerts = sh.drain(final)
 	return f
 }
 
-// logSessions extends the shard's session log over the sessions
-// emitted since the previous tick. It only ever appends: a checkpoint
-// holds a cap-limited prefix of the log as it stood at its own tick, so
-// the bytes a concurrent Encode reads are never written again — growth
-// either lands past every frozen length or moves to a new array.
+// logSessions moves the sessions emitted since the previous tick into
+// the shard's session log: each is encoded and then dropped, so a live
+// shard holds its finished sessions as bytes only and counts them in
+// sessLogN. The log only ever appends: a checkpoint holds a cap-limited
+// prefix of it as it stood at its own tick, so the bytes a concurrent
+// Encode reads are never written again — growth either lands past every
+// frozen length or moves to a new array.
 func (sh *pipelineShard) logSessions() {
 	w := ckpt.NewWriter(sh.sessLog)
-	for _, s := range sh.sessions[sh.sessLogN:] {
+	for _, s := range sh.sessions {
 		sessions.EncodeSession(w, s)
 	}
-	sh.sessLog, sh.sessLogN = w.Bytes(), len(sh.sessions)
+	sh.sessLog = w.Bytes()
+	sh.sessLogN += len(sh.sessions)
+	clear(sh.sessions)
+	sh.sessions = sh.sessions[:0]
 }
 
 // Encode serializes the checkpoint: the header, then each shard's frozen
@@ -154,8 +159,9 @@ func dissectCounters(m *telemetry.Dissect) [8]*uint64 {
 
 // encodeState writes a shard block up to its session log, in the field
 // order decodeShard reads; the block goes on with the encoded sessions
-// (the shard's session log) and the captured-packet count. Changing the
-// order bumps checkpointVersion.
+// (the shard's session log, which logSessions has just brought up to
+// date) and the captured-packet count. Changing the order bumps
+// checkpointVersion.
 func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 	sh.tel.EncodeTo(w)
 	sh.hourlySource.EncodeTo(w)
@@ -168,7 +174,7 @@ func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 		w.U64(*v)
 	}
 	w.U64(sh.nonQUIC)
-	w.U64(uint64(len(sh.sessions)))
+	w.U64(uint64(sh.sessLogN))
 }
 
 // decodeShard reads one shard block into a chained but unwired shard:

@@ -4,15 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"quicsand/internal/dosdetect"
 	"quicsand/internal/faultinject"
 )
 
 // fuzzCheckpointImages builds real checkpoint images to seed the
 // corpus: an empty stream's final checkpoint and a full tiny-scale
 // month, both at two shards.
-func fuzzCheckpointImages(f *testing.F) [][]byte {
+func fuzzCheckpointImages(f *testing.F) (cfg StreamConfig, images [][]byte) {
 	f.Helper()
-	cfg := StreamConfig{Config: Config{Seed: 5, Scale: 0.0005, ResearchThin: 1 << 14, Workers: 2}}
+	cfg = StreamConfig{Config: Config{Seed: 5, Scale: 0.0005, ResearchThin: 1 << 14, Workers: 2}}
 	s, err := NewStreamer(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -22,7 +23,30 @@ func fuzzCheckpointImages(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return [][]byte{empty, final.Encode()}
+	return cfg, [][]byte{empty, final.Encode()}
+}
+
+// anatomyOnCommonAttack re-encodes a full image with one more TCP/ICMP
+// attack in its first shard, one that carries a QUIC anatomy: only a
+// QUIC attack has one, so the decoder must reject the image.
+func anatomyOnCommonAttack(f *testing.F, cfg StreamConfig, img []byte) []byte {
+	f.Helper()
+	hdr, shards, counts, err := decodeCheckpoint(img)
+	if err != nil {
+		f.Fatal(err)
+	}
+	det := shards[0].commonDet
+	det.Attacks = append(det.Attacks, dosdetect.Attack{Vector: dosdetect.VectorCommon, Victim: 1, Start: 1000, End: 90_000,
+		Packets: 30, MaxPPS: 1, Anatomy: &dosdetect.Anatomy{UniqueSCIDs: 3}})
+	c := &StreamCheckpoint{cfg: cfg, position: hdr.position, images: make([]shardImage, len(shards))}
+	for i, sh := range shards {
+		c.images[i] = sh.freeze(i, counts[i], false).image
+	}
+	bad := c.Encode()
+	if _, _, _, err := decodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "carries a QUIC anatomy") {
+		f.Fatalf("an image with an anatomy on a TCP/ICMP attack decoded with error %v", err)
+	}
+	return bad
 }
 
 // FuzzCheckpoint pins the checkpoint decoder's total behavior on
@@ -30,15 +54,17 @@ func fuzzCheckpointImages(f *testing.F) [][]byte {
 // must terminate and never panic; every rejection must carry the
 // byte-offset annotation (ckpt.Error); and anything it does accept
 // must be self-consistent — a full shard set whose packet counts sum
-// to the header position. Seeds are real encoded images plus the
+// to the header position. Seeds are real encoded images, one of them
+// re-encoded with a QUIC anatomy on a TCP/ICMP attack, plus the
 // fault-injection damage shapes a crashed daemon can leave behind
 // (torn tail, bit flip, garbage splice).
 func FuzzCheckpoint(f *testing.F) {
-	images := fuzzCheckpointImages(f)
+	cfg, images := fuzzCheckpointImages(f)
 	for _, img := range images {
 		f.Add(img)
 	}
 	full := images[1]
+	f.Add(anatomyOnCommonAttack(f, cfg, full))
 	// Damage shapes: torn tail, a flipped byte inside shard state, a
 	// garbage splice, foreign magic, a bumped version, trailing junk.
 	f.Add(faultinject.Apply(full, faultinject.Fault{Kind: faultinject.Truncate, Offset: uint64(len(full)) - 7}))

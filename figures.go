@@ -379,7 +379,7 @@ func (a *Analysis) Figure10() string {
 
 // Figure11 renders the busiest multi-vector victim's timeline.
 func (a *Analysis) Figure11() string {
-	victim, ok := correlate.BusiestMultiVectorVictim(a.QUICDetector.Sorted(), a.CommonDetector.Sorted())
+	victim, ok := correlate.BusiestMultiVectorVictim(a.QUICDetector.Attacks, a.CommonDetector.Attacks)
 	if !ok {
 		return "Figure 11: no multi-vector victim found\n"
 	}

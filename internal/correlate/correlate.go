@@ -43,9 +43,11 @@ func (c Category) String() string {
 // share at least one second.
 const MinOverlapSeconds = 1.0
 
-// Result is the correlation of one QUIC attack.
+// Result is the correlation of one QUIC attack. It holds a copy of the
+// attack, so it names the same attack whatever later reorders the
+// slice Correlate read.
 type Result struct {
-	Attack   *dosdetect.Attack
+	Attack   dosdetect.Attack
 	Category Category
 	// OverlapShare is the fraction (0–1) of the QUIC attack's duration
 	// covered by common attacks (Figure 12; concurrent only).
@@ -60,24 +62,21 @@ type Result struct {
 type Correlator struct {
 	// byVictim is one copy of the common attacks sorted by (Victim,
 	// Start): each victim's attacks are one run of it.
-	byVictim []*dosdetect.Attack
+	byVictim []dosdetect.Attack
 }
 
 // NewCorrelator indexes the common (TCP/ICMP) attacks.
-func NewCorrelator(common []*dosdetect.Attack) *Correlator {
+func NewCorrelator(common []dosdetect.Attack) *Correlator {
 	byVictim := slices.Clone(common)
-	slices.SortFunc(byVictim, func(a, b *dosdetect.Attack) int {
-		if c := cmp.Compare(a.Victim, b.Victim); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Start, b.Start)
+	slices.SortFunc(byVictim, func(a, b dosdetect.Attack) int {
+		return cmp.Or(cmp.Compare(a.Victim, b.Victim), cmp.Compare(a.Start, b.Start))
 	})
 	return &Correlator{byVictim: byVictim}
 }
 
 // peers returns the common attacks on victim, in start order.
-func (c *Correlator) peers(victim netmodel.Addr) []*dosdetect.Attack {
-	i, _ := slices.BinarySearchFunc(c.byVictim, victim, func(a *dosdetect.Attack, v netmodel.Addr) int {
+func (c *Correlator) peers(victim netmodel.Addr) []dosdetect.Attack {
+	i, _ := slices.BinarySearchFunc(c.byVictim, victim, func(a dosdetect.Attack, v netmodel.Addr) int {
 		return cmp.Compare(a.Victim, v)
 	})
 	j := i
@@ -93,14 +92,15 @@ func (c *Correlator) peers(victim netmodel.Addr) []*dosdetect.Attack {
 func (c *Correlator) Classify(qa *dosdetect.Attack) Result {
 	peers := c.peers(qa.Victim)
 	if len(peers) == 0 {
-		return Result{Attack: qa, Category: CategoryQUICOnly}
+		return Result{Attack: *qa, Category: CategoryQUICOnly}
 	}
 
 	// Compute covered seconds via interval union against the attack.
 	type iv struct{ s, e float64 }
 	var ivs []iv
 	minGap := -1.0
-	for _, p := range peers {
+	for i := range peers {
+		p := &peers[i]
 		if ov := qa.Overlap(p); ov >= MinOverlapSeconds {
 			s, e := qa.Start, qa.End
 			if p.Start > s {
@@ -137,9 +137,9 @@ func (c *Correlator) Classify(qa *dosdetect.Attack) Result {
 				share = 1
 			}
 		}
-		return Result{Attack: qa, Category: CategoryConcurrent, OverlapShare: share}
+		return Result{Attack: *qa, Category: CategoryConcurrent, OverlapShare: share}
 	}
-	return Result{Attack: qa, Category: CategorySequential, GapSeconds: minGap}
+	return Result{Attack: *qa, Category: CategorySequential, GapSeconds: minGap}
 }
 
 // Summary aggregates Figure 8/12/13 inputs.
@@ -151,11 +151,11 @@ type Summary struct {
 }
 
 // Correlate classifies every QUIC attack.
-func Correlate(quic, common []*dosdetect.Attack) *Summary {
+func Correlate(quic, common []dosdetect.Attack) *Summary {
 	c := NewCorrelator(common)
 	s := &Summary{}
-	for _, qa := range quic {
-		r := c.Classify(qa)
+	for i := range quic {
+		r := c.Classify(&quic[i])
 		s.Results = append(s.Results, r)
 		switch r.Category {
 		case CategoryConcurrent:
@@ -212,9 +212,9 @@ type TimelineEntry struct {
 
 // Timeline returns the merged, time-ordered attack lanes for one
 // victim (Figure 11).
-func Timeline(victim netmodel.Addr, quic, common []*dosdetect.Attack, origin float64) []TimelineEntry {
+func Timeline(victim netmodel.Addr, quic, common []dosdetect.Attack, origin float64) []TimelineEntry {
 	var out []TimelineEntry
-	add := func(list []*dosdetect.Attack) {
+	add := func(list []dosdetect.Attack) {
 		for _, a := range list {
 			if a.Victim != victim {
 				continue
@@ -235,7 +235,7 @@ func Timeline(victim netmodel.Addr, quic, common []*dosdetect.Attack, origin flo
 // BusiestMultiVectorVictim picks the victim with the most QUIC attacks
 // among those that also saw common attacks — the natural Figure 11
 // exhibit. Returns false when none exists.
-func BusiestMultiVectorVictim(quic, common []*dosdetect.Attack) (netmodel.Addr, bool) {
+func BusiestMultiVectorVictim(quic, common []dosdetect.Attack) (netmodel.Addr, bool) {
 	commonVictims := make(map[netmodel.Addr]bool, len(common))
 	for _, a := range common {
 		commonVictims[a.Victim] = true

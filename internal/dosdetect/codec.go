@@ -1,6 +1,8 @@
 package dosdetect
 
 import (
+	"math"
+
 	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/sessions"
@@ -24,8 +26,8 @@ func (d *Detector) EncodeTo(w *ckpt.Writer) {
 	w.Bool(d.DropExcluded)
 	w.U64(uint64(d.Inspected))
 	w.U64(uint64(len(d.Attacks)))
-	for _, a := range d.Attacks {
-		encodeAttack(w, a)
+	for i := range d.Attacks {
+		encodeAttack(w, &d.Attacks[i])
 	}
 	w.U64(uint64(len(d.Excluded)))
 	for _, s := range d.Excluded {
@@ -45,11 +47,7 @@ func DecodeDetector(r *ckpt.Reader) *Detector {
 	d.Inspected = r.Int(maxDetectorItems)
 	n := r.Int(maxDetectorItems)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		a := decodeAttack(r)
-		if a == nil {
-			return nil
-		}
-		d.Attacks = append(d.Attacks, a)
+		d.Attacks = append(d.Attacks, decodeAttack(r))
 	}
 	n = r.Int(maxDetectorItems)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -65,6 +63,9 @@ func DecodeDetector(r *ckpt.Reader) *Detector {
 	return d
 }
 
+// encodeAttack writes one attack. The format predates the Anatomy
+// pointer: every attack carries the six anatomy fields, and a common
+// attack writes them as zeros.
 func encodeAttack(w *ckpt.Writer, a *Attack) {
 	w.U64(uint64(a.Vector))
 	w.U64(uint64(a.Victim))
@@ -72,30 +73,42 @@ func encodeAttack(w *ckpt.Writer, a *Attack) {
 	w.I64(int64(a.End))
 	w.U64(uint64(a.Packets))
 	w.F64(a.MaxPPS)
-	w.U64(uint64(a.UniqueSCIDs))
-	w.U64(uint64(a.SpoofedClients))
-	w.U64(uint64(a.ClientPorts))
-	w.U64(uint64(a.Version))
-	w.F64(a.InitialShare)
-	w.F64(a.HandshakeShare)
+	var an Anatomy
+	if a.Anatomy != nil {
+		an = *a.Anatomy
+	}
+	w.U64(uint64(an.UniqueSCIDs))
+	w.U64(uint64(an.SpoofedClients))
+	w.U64(uint64(an.ClientPorts))
+	w.U64(uint64(an.Version))
+	w.F64(an.InitialShare)
+	w.F64(an.HandshakeShare)
 }
 
-func decodeAttack(r *ckpt.Reader) *Attack {
-	a := &Attack{}
+// decodeAttack reads what encodeAttack wrote, setting the reader's
+// error on malformed input. A QUIC attack gets its anatomy back; a
+// common attack must have written zeros (the float fields bit for bit,
+// so that an accepted image re-encodes to its own bytes).
+func decodeAttack(r *ckpt.Reader) Attack {
+	var a Attack
+	var an Anatomy
 	a.Vector = Vector(r.Int(1))
 	a.Victim = netmodel.Addr(r.U64())
 	a.Start = telescope.Timestamp(r.I64())
 	a.End = telescope.Timestamp(r.I64())
 	a.Packets = r.Int(maxDetectorItems)
 	a.MaxPPS = r.F64()
-	a.UniqueSCIDs = r.Int(maxDetectorItems)
-	a.SpoofedClients = r.Int(maxDetectorItems)
-	a.ClientPorts = r.Int(maxDetectorItems)
-	a.Version = wire.Version(r.U64())
-	a.InitialShare = r.F64()
-	a.HandshakeShare = r.F64()
-	if r.Err() != nil {
-		return nil
+	an.UniqueSCIDs = r.Int(maxDetectorItems)
+	an.SpoofedClients = r.Int(maxDetectorItems)
+	an.ClientPorts = r.Int(maxDetectorItems)
+	an.Version = wire.Version(r.U64())
+	an.InitialShare = r.F64()
+	an.HandshakeShare = r.F64()
+	switch {
+	case a.Vector == VectorQUIC:
+		a.Anatomy = &an
+	case an != Anatomy{} || math.Signbit(an.InitialShare) || math.Signbit(an.HandshakeShare):
+		r.Errorf("%v attack on %v carries a QUIC anatomy", a.Vector, a.Victim)
 	}
 	return a
 }

@@ -5,7 +5,8 @@
 package dosdetect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"quicsand/internal/netmodel"
 	"quicsand/internal/sessions"
@@ -47,7 +48,7 @@ func (t Thresholds) Match(s *sessions.Session) bool {
 }
 
 // Vector distinguishes the two attack families the paper compares.
-type Vector int
+type Vector uint8
 
 // Attack vectors.
 const (
@@ -65,16 +66,27 @@ func (v Vector) String() string {
 
 // Attack is one detected DoS event. The victim is the backscatter
 // source: the host that answered spoofed packets.
+//
+// An attack is a 48-byte value: the month's TCP/ICMP attacks outnumber
+// its QUIC attacks a hundredfold, and all that the multi-vector
+// analysis reads of them is an interval on a victim. The Figure 9
+// anatomy sits behind a pointer that only QUIC attacks set; embedding
+// it keeps atk.UniqueSCIDs a field read, which is valid on QUIC
+// attacks alone.
 type Attack struct {
-	Vector     Vector
 	Victim     netmodel.Addr
+	Vector     Vector
 	Start, End telescope.Timestamp
 	Packets    int
 	MaxPPS     float64
 
-	// QUIC anatomy (Figure 9). Zero for common attacks by construction:
-	// the sessionizer records SCIDs, peers and ports from QUIC responses
-	// only, and TCP/ICMP packets carry nothing to dissect.
+	*Anatomy
+}
+
+// Anatomy is a QUIC attack's Figure 9 profile. Common attacks have
+// none: the sessionizer records SCIDs, peers and ports from QUIC
+// responses only, and TCP/ICMP packets carry nothing to dissect.
+type Anatomy struct {
 	UniqueSCIDs    int
 	SpoofedClients int
 	ClientPorts    int
@@ -117,22 +129,27 @@ func (a *Attack) Gap(b *Attack) float64 {
 }
 
 // FromSession converts a qualifying backscatter session into an attack
-// record.
-func FromSession(s *sessions.Session, vec Vector) *Attack {
-	return &Attack{
-		Vector:         vec,
-		Victim:         s.Src,
-		Start:          s.Start,
-		End:            s.End,
-		Packets:        s.Packets,
-		MaxPPS:         s.MaxPPS(),
-		UniqueSCIDs:    s.UniqueSCIDs(),
-		SpoofedClients: s.UniquePeerAddrs(),
-		ClientPorts:    s.UniquePeerPorts(),
-		Version:        s.DominantVersion(),
-		InitialShare:   s.InitialShare(),
-		HandshakeShare: s.HandshakeShare(),
+// record; only a QUIC attack reads the session's anatomy.
+func FromSession(s *sessions.Session, vec Vector) Attack {
+	a := Attack{
+		Vector:  vec,
+		Victim:  s.Src,
+		Start:   s.Start,
+		End:     s.End,
+		Packets: s.Packets,
+		MaxPPS:  s.MaxPPS(),
 	}
+	if vec == VectorQUIC {
+		a.Anatomy = &Anatomy{
+			UniqueSCIDs:    s.UniqueSCIDs(),
+			SpoofedClients: s.UniquePeerAddrs(),
+			ClientPorts:    s.UniquePeerPorts(),
+			Version:        s.DominantVersion(),
+			InitialShare:   s.InitialShare(),
+			HandshakeShare: s.HandshakeShare(),
+		}
+	}
+	return a
 }
 
 // Detector accumulates sessions and extracts attacks.
@@ -143,7 +160,7 @@ type Detector struct {
 	// retaining them; set it for the high-volume TCP/ICMP stream.
 	DropExcluded bool
 
-	Attacks []*Attack
+	Attacks []Attack
 	// Excluded tracks the below-threshold response sessions Appendix B
 	// characterizes (median 11 packets, 7 s, 0.18 max pps).
 	Excluded []*sessions.Session
@@ -169,30 +186,39 @@ func (d *Detector) Offer(s *sessions.Session) {
 	}
 }
 
-// Merge absorbs another detector's findings: attack and excluded
-// lists concatenate (order is canonicalized later by Sorted), the
-// inspection count sums. Used by the sharded pipeline's reduction —
-// each shard detects over its own sources, and no session can span
-// shards, so the merged result equals sequential detection.
-func (d *Detector) Merge(o *Detector) {
-	d.Attacks = append(d.Attacks, o.Attacks...)
-	d.Excluded = append(d.Excluded, o.Excluded...)
-	d.Inspected += o.Inspected
+// Merge absorbs other detectors' findings: attack and excluded lists
+// concatenate (order is canonicalized later by Sorted), growing once to
+// their total, and the inspection counts sum. Used by the sharded
+// pipeline's reduction — each shard detects over its own sources, and
+// no session can span shards, so the merged result equals sequential
+// detection.
+func (d *Detector) Merge(others ...*Detector) {
+	nAtk, nExc := 0, 0
+	for _, o := range others {
+		nAtk += len(o.Attacks)
+		nExc += len(o.Excluded)
+	}
+	d.Attacks = slices.Grow(d.Attacks, nAtk)
+	d.Excluded = slices.Grow(d.Excluded, nExc)
+	for _, o := range others {
+		d.Attacks = append(d.Attacks, o.Attacks...)
+		d.Excluded = append(d.Excluded, o.Excluded...)
+		d.Inspected += o.Inspected
+	}
 }
 
-// Sorted returns attacks ordered by start time.
-func (d *Detector) Sorted() []*Attack {
-	sort.Slice(d.Attacks, func(i, j int) bool {
-		if d.Attacks[i].Start != d.Attacks[j].Start {
-			return d.Attacks[i].Start < d.Attacks[j].Start
-		}
-		return d.Attacks[i].Victim < d.Attacks[j].Victim
+// Sorted orders the attacks by (start, victim) in place and returns
+// them. The key is unique — one victim's sessions never start at the
+// same instant — so sorting again moves nothing.
+func (d *Detector) Sorted() []Attack {
+	slices.SortFunc(d.Attacks, func(a, b Attack) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Victim, b.Victim))
 	})
 	return d.Attacks
 }
 
 // VictimCounts aggregates attacks per victim — Figure 6's CDF input.
-func VictimCounts(attacks []*Attack) map[netmodel.Addr]int {
+func VictimCounts(attacks []Attack) map[netmodel.Addr]int {
 	m := make(map[netmodel.Addr]int)
 	for _, a := range attacks {
 		m[a.Victim]++

@@ -151,8 +151,8 @@ func TestAttackAnatomyOnlyForQUIC(t *testing.T) {
 	}
 	for _, c := range common.Attacks {
 		want := Attack{Vector: VectorCommon, Victim: c.Victim, Start: c.Start, End: c.End, Packets: 200, MaxPPS: a.MaxPPS}
-		if *c != want {
-			t.Errorf("common attack %+v, want no anatomy: %+v", *c, want)
+		if c != want {
+			t.Errorf("common attack %+v, want no anatomy: %+v", c, want)
 		}
 	}
 }
@@ -186,7 +186,7 @@ func TestAttackOverlapAndGap(t *testing.T) {
 
 func TestVictimCounts(t *testing.T) {
 	v1, v2 := netmodel.Addr(1), netmodel.Addr(2)
-	attacks := []*Attack{{Victim: v1}, {Victim: v1}, {Victim: v2}}
+	attacks := []Attack{{Victim: v1}, {Victim: v1}, {Victim: v2}}
 	counts := VictimCounts(attacks)
 	if counts[v1] != 2 || counts[v2] != 1 {
 		t.Errorf("counts = %v", counts)
@@ -229,7 +229,7 @@ func TestVectorString(t *testing.T) {
 
 func TestDetectorSorted(t *testing.T) {
 	d := NewDetector(VectorCommon)
-	d.Attacks = []*Attack{
+	d.Attacks = []Attack{
 		{Start: 3000, Victim: 1},
 		{Start: 1000, Victim: 2},
 		{Start: 1000, Victim: 1},

@@ -32,8 +32,12 @@ const (
 
 // EncodeSession writes one session. Inline set arms keep their
 // insertion order; spilled sets are written sorted so equal states
-// encode to equal bytes.
+// encode to equal bytes. A sealed session has no sets left to write:
+// encoding one is a bug, and panics.
 func EncodeSession(w *ckpt.Writer, s *Session) {
+	if s.sealed {
+		panic("sessions: EncodeSession of a sealed session")
+	}
 	w.U64(uint64(s.Src))
 	w.I64(int64(s.Start))
 	w.I64(int64(s.End))

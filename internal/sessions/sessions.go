@@ -55,6 +55,9 @@ func (k Kind) String() string {
 // only genuinely diverse sessions (flood backscatter fanning over dozens
 // of spoofed tuples) spill, once, into an exact open-addressing table
 // (table.go). The version histogram still spills to a map.
+//
+// Seal trades the three anatomy sets for their sizes once the session
+// is finished and nothing will encode it (see Seal).
 type Session struct {
 	Src        netmodel.Addr
 	Start, End telescope.Timestamp
@@ -83,19 +86,58 @@ type Session struct {
 	maxPerMin   int
 	hasCH       int // Initials carrying a ClientHello
 	totalQUICPk int
+
+	// sealedCounts holds the three anatomy sets' sizes, in the order
+	// above, once Seal has released the sets; sealed marks that form.
+	// They sit last, in what was the struct's size-class padding, so
+	// the fields Observe touches keep their offsets.
+	sealedCounts [3]uint32
+	sealed       bool
 }
 
 // UniqueSCIDs returns the number of distinct server connection IDs
 // observed in the session's responses.
-func (s *Session) UniqueSCIDs() int { return s.scids.count() }
+func (s *Session) UniqueSCIDs() int {
+	if s.sealed {
+		return int(s.sealedCounts[0])
+	}
+	return s.scids.count()
+}
 
 // UniquePeerAddrs returns the number of distinct peer addresses the
 // session's QUIC responses went to (spoofed clients, for backscatter).
-func (s *Session) UniquePeerAddrs() int { return s.peerAddrs.count() }
+func (s *Session) UniquePeerAddrs() int {
+	if s.sealed {
+		return int(s.sealedCounts[1])
+	}
+	return s.peerAddrs.count()
+}
 
 // UniquePeerPorts returns the number of distinct peer ports the
 // session's QUIC responses went to.
-func (s *Session) UniquePeerPorts() int { return s.peerPorts.count() }
+func (s *Session) UniquePeerPorts() int {
+	if s.sealed {
+		return int(s.sealedCounts[2])
+	}
+	return s.peerPorts.count()
+}
+
+// Seal replaces the session's SCID, peer-address and peer-port sets
+// with their sizes and releases the sets' arenas and tables. Every
+// reader answers as before; what a sealed session has lost is the
+// ability to grow (Observe) and to be encoded (EncodeSession panics),
+// since an image must carry the sets. A finished run's reduction seals
+// every QUIC session once detection has read it; a live streamer's
+// sessions, which its checkpoints encode, are never sealed. Sealing
+// twice is a no-op.
+func (s *Session) Seal() {
+	if s.sealed {
+		return
+	}
+	s.sealedCounts = [3]uint32{uint32(s.scids.count()), uint32(s.peerAddrs.count()), uint32(s.peerPorts.count())}
+	s.scids, s.peerAddrs, s.peerPorts = scidSet{}, addrSet{}, portSet{}
+	s.sealed = true
+}
 
 // versionCounts is a histogram over wire versions; 2021 traffic shows
 // four, so the inline arm effectively never spills.

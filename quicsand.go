@@ -243,13 +243,16 @@ type pipelineShard struct {
 	// no concurrent observer is attached.
 	live *telemetry.LiveShard
 
-	// sessLog is the append-only QCKP encoding of sessions[:sessLogN]
-	// (streaming checkpoints only, DESIGN.md §17): emitted sessions are
-	// immutable, so each is encoded once, at the first tick after its
-	// emission. stateLen is the length of the previous tick's encoded
-	// state, which sizes the next tick's buffer. Batch runs leave both
-	// zero; they sit last so the fields the batch hot path reads keep
-	// their offsets (EXPERIMENTS.md PR-12).
+	// sessLog is the append-only QCKP encoding of the sessLogN sessions
+	// the shard emitted before its last tick (streaming checkpoints only,
+	// DESIGN.md §17): emitted sessions are immutable, so each is encoded
+	// once, at the first tick after its emission, and then leaves
+	// sessions, which holds only those emitted since. stateLen is the
+	// length of the previous tick's encoded state, which sizes the next
+	// tick's buffer. Batch runs leave all three zero, and sessions holds
+	// every emitted session for reduce; they sit last so the fields the
+	// batch hot path reads keep their offsets (inserted mid-struct, they
+	// cost a replay that runs none of them 1–11 %: EXPERIMENTS.md).
 	sessLog  []byte
 	sessLogN int
 	stateLen int
@@ -449,8 +452,9 @@ func (sh *pipelineShard) drain(final bool) (telemetry.Detect, []detect.Alert) {
 }
 
 // pipelinePlan is what planning fixes for a run: substrate, worker count,
-// schedule timing. A Streamer keeps it; its checkpoints do not, and
-// prepare it afresh for Analysis.
+// schedule timing. A batch run reduces with it; a Streamer keeps its
+// config, worker count and timing but not its substrate, and a
+// checkpoint's Analysis prepares a plan afresh.
 type pipelinePlan struct {
 	cfg       StreamConfig
 	workers   int
@@ -577,19 +581,23 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 	a.QUICDetector = dosdetect.NewDetector(dosdetect.VectorQUIC)
 	a.CommonDetector = dosdetect.NewDetector(dosdetect.VectorCommon)
 	a.CommonDetector.DropExcluded = true
-	for _, sh := range shards {
+	commonDets := make([]*dosdetect.Detector, len(shards))
+	for i, sh := range shards {
 		sh.flush()
 		sh.flightClose()
 		a.Telescope.Merge(sh.tel)
 		a.HourlySource.Merge(sh.hourlySource)
 		a.HourlyType.Merge(sh.hourlyType)
 		a.Sweep.Merge(sh.sweep)
-		a.CommonDetector.Merge(sh.commonDet)
+		commonDets[i] = sh.commonDet
 		a.QUICSessions = append(a.QUICSessions, sh.sessions...)
 		a.NonQUIC += sh.nonQUIC
 	}
+	a.CommonDetector.Merge(commonDets...)
 	sessions.SortCanonical(a.QUICSessions)
 
+	// Once the QUIC detector has read a session's anatomy, nothing needs
+	// its sets again: sealing keeps their sizes and releases them.
 	for _, s := range a.QUICSessions {
 		switch s.Kind() {
 		case sessions.KindRequestOnly:
@@ -602,6 +610,7 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 			// observation; surface them loudly in results.
 			a.RequestSessions = append(a.RequestSessions, s)
 		}
+		s.Seal()
 	}
 
 	a.census = map[netmodel.Addr]string{}

@@ -56,8 +56,14 @@ type StreamConfig struct {
 // Offer, Flush, Checkpoint and Close may be called from different
 // goroutines (the daemon's ticker); each enqueues under one mutex.
 type Streamer struct {
-	*pipelinePlan
-	shards []*pipelineShard
+	// What a live streamer reads of its plan. The substrate — Internet
+	// aside, which the shards' research filter holds — stays with the
+	// plan: a checkpoint's Analysis prepares its own.
+	cfg     StreamConfig
+	workers int
+	start   time.Time    // planning began: the origin of every checkpoint's wall time
+	sched   engine.Stage // the "schedule" stage
+	shards  []*pipelineShard
 
 	mu     sync.Mutex
 	counts []uint64          // captured packets per shard
@@ -148,7 +154,10 @@ const (
 
 // NewStreamer builds the incremental pipeline. The substrate
 // (Internet, census, scheduled ground truth) is prepared exactly as
-// Run/Replay do, so checkpoints carry the same joins.
+// Run/Replay do to wire the shards; the streamer then keeps only the
+// Internet model its shards filter research scanners with, and each
+// checkpoint's Analysis prepares the substrate again, so checkpoints
+// carry the same joins.
 func NewStreamer(cfg StreamConfig) (*Streamer, error) {
 	s, _, err := newStreamer(cfg, nil, nil)
 	return s, err
@@ -166,7 +175,7 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 	if counts == nil {
 		counts = make([]uint64, plan.workers)
 	}
-	s := &Streamer{pipelinePlan: plan, shards: shards, counts: counts}
+	s := &Streamer{cfg: plan.cfg, workers: plan.workers, start: plan.start, sched: plan.sched, shards: shards, counts: counts}
 	// Each shard's dispatch queue is an engine feed; the one engine.Run
 	// call that drives them runs until Close.
 	s.chans = make([]chan shardOp, s.workers)

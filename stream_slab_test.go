@@ -166,11 +166,13 @@ func TestStreamOfferSteadyStateAllocs(t *testing.T) {
 
 // referenceEncode is the straightforward QCKP v1 encoder — every
 // session of every shard encoded afresh, no log — over the streamer's
-// own shards; a checkpoint's image must match it byte for byte. The
-// shards must be quiescent: call it right after Checkpoint or Close
-// returns and before the next Offer (the shards' replies ordered their
-// feeds' writes before it, and they have nothing queued).
-func referenceEncode(s *Streamer) []byte {
+// own shards and the sessions each emitted (emitted[i], collected by
+// collectEmitted, since a live shard keeps its logged sessions as bytes
+// only); a checkpoint's image must match it byte for byte. The shards
+// must be quiescent: call it right after Checkpoint or Close returns
+// and before the next Offer (the shards' replies ordered their feeds'
+// writes before it, and they have nothing queued).
+func referenceEncode(s *Streamer, emitted [][]*sessions.Session) []byte {
 	w := &ckpt.Writer{}
 	w.Raw(checkpointMagic)
 	w.U64(checkpointVersion)
@@ -198,13 +200,29 @@ func referenceEncode(s *Streamer) []byte {
 			m.ClientHellos, m.OpenerHits, m.OpenerMisses, m.OpenerResets, sh.nonQUIC} {
 			w.U64(v)
 		}
-		w.U64(uint64(len(sh.sessions)))
-		for _, s := range sh.sessions {
+		w.U64(uint64(len(emitted[i])))
+		for _, s := range emitted[i] {
 			sessions.EncodeSession(w, s)
 		}
 		w.U64(s.counts[i])
 	}
 	return w.Bytes()
+}
+
+// collectEmitted chains a collector onto each shard's QUIC emission
+// hook and returns the per-shard lists it fills. Call it before the
+// first Offer: the channel send that hands a shard its first batch
+// orders the hook's installation before the shard's first read of it.
+func collectEmitted(s *Streamer) [][]*sessions.Session {
+	emitted := make([][]*sessions.Session, len(s.shards))
+	for i, sh := range s.shards {
+		emit := sh.quicSz.Emit
+		sh.quicSz.Emit = func(x *sessions.Session) {
+			emitted[i] = append(emitted[i], x)
+			emit(x)
+		}
+	}
+	return emitted
 }
 
 // TestCheckpointEncodeOnce proves the session log changes nothing but
@@ -232,6 +250,7 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	emitted := collectEmitted(s)
 	var froze []*frozen
 	var wg sync.WaitGroup
 	logged := 0
@@ -239,10 +258,13 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 		s.Offer(&pkts[i])
 		if n := i + 1; n%every == 0 && len(froze) < ticks {
 			f := &frozen{ck: s.Checkpoint()}
-			f.ref = referenceEncode(s)
-			for _, sh := range s.shards {
-				if sh.sessLogN != len(sh.sessions) {
-					t.Errorf("tick %d: log covers %d of %d emitted sessions", len(froze), sh.sessLogN, len(sh.sessions))
+			f.ref = referenceEncode(s, emitted)
+			for k, sh := range s.shards {
+				if sh.sessLogN != len(emitted[k]) {
+					t.Errorf("tick %d: log covers %d of %d emitted sessions", len(froze), sh.sessLogN, len(emitted[k]))
+				}
+				if len(sh.sessions) != 0 {
+					t.Errorf("tick %d: shard %d still holds %d logged sessions", len(froze), k, len(sh.sessions))
 				}
 				logged += sh.sessLogN
 			}
@@ -256,7 +278,7 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 		}
 	}
 	final := s.Close()
-	finalRef := referenceEncode(s)
+	finalRef := referenceEncode(s, emitted)
 	wg.Wait()
 	if len(froze) < 5 {
 		t.Fatalf("run took %d ticks, want at least 5", len(froze))
