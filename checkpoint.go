@@ -3,6 +3,7 @@ package quicsand
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/detect"
@@ -95,33 +96,27 @@ func (sh *pipelineShard) freeze(i int, items uint64, final bool) frozenShard {
 	if final {
 		sh.flightClose()
 	}
-	sh.logSessions()
 	w := ckpt.NewWriter(make([]byte, 0, sh.stateLen+sh.stateLen/8+1<<10))
 	sh.encodeState(w)
 	state := w.Bytes()
 	sh.stateLen = len(state)
-	f := frozenShard{shard: i, quicSessions: sh.sessLogN + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
-	f.image = shardImage{state: state, log: sh.sessLog[:len(sh.sessLog):len(sh.sessLog)], items: items}
+	log := sh.sessLog.Bytes()
+	f := frozenShard{shard: i, quicSessions: sh.quicSz.Emitted + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
+	f.image = shardImage{state: state, log: log[:len(log):len(log)], items: items}
 	f.det, f.alerts = sh.drain(final)
 	return f
 }
 
-// logSessions moves the sessions emitted since the previous tick into
-// the shard's session log: each is encoded and then dropped, so a live
-// shard holds its finished sessions as bytes only and counts them in
-// sessLogN. The log only ever appends: a checkpoint holds a cap-limited
-// prefix of it as it stood at its own tick, so the bytes a concurrent
-// Encode reads are never written again — growth either lands past every
-// frozen length or moves to a new array.
-func (sh *pipelineShard) logSessions() {
-	w := ckpt.NewWriter(sh.sessLog)
-	for _, s := range sh.sessions {
-		sessions.EncodeSession(w, s)
-	}
-	sh.sessLog = w.Bytes()
-	sh.sessLogN += len(sh.sessions)
-	clear(sh.sessions)
-	sh.sessions = sh.sessions[:0]
+// logFinished makes a streaming shard log each QUIC session as it
+// finishes and keep no session object. The log only ever appends: a
+// checkpoint holds a cap-limited prefix of it as it stood at its own
+// tick, so the bytes a concurrent Encode reads are never written again.
+// A resumed shard goes on from a copy of its image's log, whose bytes
+// are the caller's.
+func (sh *pipelineShard) logFinished() {
+	sh.sessLog = *ckpt.NewWriter(slices.Clone(sh.sessLog.Bytes()))
+	sh.sessions = nil
+	sh.quicSz.Log, sh.quicSz.Emit = &sh.sessLog, nil
 }
 
 // Encode serializes the checkpoint: the header, then each shard's frozen
@@ -159,9 +154,8 @@ func dissectCounters(m *telemetry.Dissect) [8]*uint64 {
 
 // encodeState writes a shard block up to its session log, in the field
 // order decodeShard reads; the block goes on with the encoded sessions
-// (the shard's session log, which logSessions has just brought up to
-// date) and the captured-packet count. Changing the order bumps
-// checkpointVersion.
+// (the shard's session log) and the captured-packet count. Changing the
+// order bumps checkpointVersion.
 func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 	sh.tel.EncodeTo(w)
 	sh.hourlySource.EncodeTo(w)
@@ -174,14 +168,16 @@ func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 		w.U64(*v)
 	}
 	w.U64(sh.nonQUIC)
-	w.U64(uint64(sh.sessLogN))
+	w.U64(uint64(sh.quicSz.Emitted)) // the log holds every session emitted
 }
 
-// decodeShard reads one shard block into a chained but unwired shard:
-// a checkpoint's Analysis reduces it as it is, and planPipeline wires
-// it like a fresh one for ResumeStreamer. Unusable once the reader's
-// error is set.
-func decodeShard(r *ckpt.Reader) (sh *pipelineShard, items uint64) {
+// decodeShard reads one shard block of data into a chained but unwired
+// shard: a checkpoint's Analysis reduces it as it is, and planPipeline
+// wires it like a fresh one for ResumeStreamer. The session log is read
+// into answers for a reduction, and kept as bytes (aliasing data) for a
+// resumed streamer to go on from. Unusable once the reader's error is
+// set.
+func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) {
 	sh = &pipelineShard{dis: dissect.NewDissector()}
 	sh.tel = telescope.DecodeTelescope(r)
 	sh.hourlySource = telescope.DecodeHourlyCounter(r, nil)
@@ -195,13 +191,12 @@ func decodeShard(r *ckpt.Reader) (sh *pipelineShard, items uint64) {
 	}
 	sh.nonQUIC = r.U64()
 	n := r.Int(maxCkptSessions)
-	for j := 0; j < n && r.Err() == nil; j++ {
-		s := sessions.DecodeSession(r)
-		if s == nil {
-			break
-		}
-		sh.sessions = append(sh.sessions, s)
+	if r.Err() == nil && n != sh.quicSz.Emitted {
+		r.Errorf("session log holds %d sessions, the QUIC sessionizer emitted %d", n, sh.quicSz.Emitted)
 	}
+	from := len(data) - r.Remaining()
+	sh.sessions = sessions.DecodeFinished(r, n)
+	sh.sessLog = *ckpt.NewWriter(data[from : len(data)-r.Remaining()])
 	items = r.U64()
 	if r.Err() == nil {
 		sh.chain()
@@ -234,7 +229,7 @@ func decodeCheckpoint(data []byte) (hdr checkpointHeader, shards []*pipelineShar
 
 	var total uint64
 	for i := 0; i < hdr.workers && r.Err() == nil; i++ {
-		sh, items := decodeShard(r)
+		sh, items := decodeShard(r, data)
 		shards, counts = append(shards, sh), append(counts, items)
 		total += items
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,7 +22,9 @@ import (
 	"quicsand/internal/capture"
 	"quicsand/internal/detect"
 	"quicsand/internal/handshake"
+	"quicsand/internal/quiccrypto"
 	"quicsand/internal/telemetry"
+	"quicsand/internal/wire"
 )
 
 // sendInitials fires n copies of one genuine QUIC Initial at addr from
@@ -97,6 +100,63 @@ func runDaemon(t *testing.T, opts serveOpts, n int, beforeClose func()) (out, di
 		t.Fatal(err)
 	}
 	return out, diag
+}
+
+// nonShortestInitial is a 43-byte client Initial to DCID
+// 0102030405060708, sealed with the public version-1 Initial keys, whose
+// plaintext 40 00 12 starts with PADDING's frame type written as a
+// two-byte varint — a frame a walk that accepted the type would consume
+// nothing of.
+const nonShortestInitial = "c7000000010801020304050607080409090909004015ab1679f50827f8b084a0d4d54d102769720fda3180"
+
+// TestDaemonSurvivesNonShortestFrameType sends that datagram to a
+// running daemon with detectors on, then genuine Initials from the same
+// source, so to the same shard: the shard must go on analysing and
+// /metrics must go on answering.
+func TestDaemonSurvivesNonShortestFrameType(t *testing.T) {
+	dg, err := hex.DecodeString(nonShortestInitial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := wire.ParseLongHeader(dg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opener, err := quiccrypto.NewInitialOpener(wire.Version1, h.DstConnID, quiccrypto.PerspectiveServer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain, _, err := opener.Open(dg, h.HeaderLen()); err != nil || !bytes.Equal(plain, []byte{0x40, 0x00, 0x12}) {
+		t.Fatalf("fixture opens to % x, err %v", plain, err)
+	}
+
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := serveOpts{workers: 2, window: 10 * time.Second, seed: 7, scale: 0.001, metrics: "127.0.0.1:0"}
+	out, diag := &lockedBuffer{}, &lockedBuffer{}
+	done := make(chan error, 1)
+	go func() { done <- serve(opts, pc, out, diag) }()
+	waitFor(t, diag, "metrics on http://")
+	line := diag.String()
+	url := strings.Fields(line[strings.Index(line, "http://"):])[0]
+
+	conn, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(dg); err != nil {
+		t.Fatal(err)
+	}
+	scrapeUntil(t, url, "quicsand_live_packets_total 1\n")
+	sendInitials(t, pc.LocalAddr().String(), 3)
+	scrapeUntil(t, url, "quicsand_live_packets_total 4\n")
+	pc.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDaemonAlertsCheckpointManifest is the daemon end-to-end: 40

@@ -26,9 +26,8 @@
 // alerts, the image, a snapshot row). The analysis state grows with the
 // traffic at every window: every finished session and the per-source
 // counters are kept until shutdown for the final analysis, a session as
-// an object until the next tick encodes it into its shard's session log
-// and as those bytes after (without ticks, until the final drain
-// encodes it). -mem-budget bounds the live
+// the bytes its shard's session log took when it finished, ticks or
+// none. -mem-budget bounds the live
 // per-source state, each sessionizer's active sessions and each detector
 // bank's window states, by evicting the coldest source; detector state
 // also expires after one window of silence.
@@ -79,7 +78,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the run's flight-recorder timeline as Chrome trace-event JSON at shutdown")
 	window := flag.Duration("window", 0, "detector window; 0 = no detectors, one classification line per datagram")
 	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "checkpoint interval when -window, -checkpoint or -manifest gives a tick an output (0 = final drain only)")
-	memBudget := flag.Int("mem-budget", 0, "per-shard source budget: active sessions per sessionizer and detector window states, coldest evicted past it (0 = unbounded); finished sessions are still kept until shutdown, encoded at each tick")
+	memBudget := flag.Int("mem-budget", 0, "per-shard source budget: active sessions per sessionizer and detector window states, coldest evicted past it (0 = unbounded); finished sessions are still kept until shutdown, encoded as they finish")
 	alerts := flag.String("alerts", "", "append detector alerts as JSON lines to FILE, or - for stdout (requires -window)")
 	checkpoint := flag.String("checkpoint", "", "atomically (re)write the latest checkpoint image to FILE")
 	detectConfig := flag.String("detect-config", "", "detector-threshold JSON, default thresholds when empty (requires -window)")

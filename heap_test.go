@@ -19,9 +19,10 @@ import (
 
 // analysisHeapBudget bounds a held multi-vector-burst Analysis (seed 7,
 // scale 0.1, two workers: 666 QUIC sessions, 86 QUIC and 1 019 TCP/ICMP
-// attacks). Measured 367 552 B. Before sessions were sealed and attacks
-// became values it was 595 920 B.
-const analysisHeapBudget = 404_300
+// attacks). Measured 271 952 B. While finished sessions kept their
+// anatomy sets until reduce (a 352-byte struct after) it was 367 552 B;
+// before that and before attacks became values, 595 920 B.
+const analysisHeapBudget = 299_200
 
 // idleStreamerHeapBudget bounds an idle streamer (handshake-flood-qfam,
 // scale 0.1, two workers): measured 17 208 B. When the streamer kept
@@ -32,8 +33,9 @@ const idleStreamerHeapBudget = 18_900
 // loggedSessionHeapBudget bounds what a live streamer's shard keeps per
 // session it has emitted and logged: the session's encoded bytes plus
 // the source's entries in the timeout sweep and the gap recorder.
-// Measured 119 B. When a shard kept its logged sessions as objects it
-// was 471 B.
+// Measured 111 B, ticking or not. When a shard kept its sessions as
+// objects until a tick logged them it was 471 B, and a shard that never
+// ticked kept them all so.
 const loggedSessionHeapBudget = 131
 
 // liveHeap is the live heap after two full collections: the second
@@ -62,9 +64,9 @@ func heapRetainedBy[T any](t *testing.T, build func() T, done func(T)) int64 {
 }
 
 // TestAnalysisRetainedHeap holds a finished run to what its readers
-// use: sealed sessions (counts in place of their anatomy sets) and
-// attacks as values, the QUIC anatomy behind a pointer only QUIC
-// attacks set.
+// use: sessions as their answers (counts in place of the anatomy sets
+// the sessionizer dropped when each finished) and attacks as values,
+// the QUIC anatomy behind a pointer only QUIC attacks set.
 func TestAnalysisRetainedHeap(t *testing.T) {
 	sc, err := scenario.Builtin("multi-vector-burst")
 	if err != nil {
@@ -112,45 +114,52 @@ func TestStreamerIdleRetainedHeap(t *testing.T) {
 }
 
 // TestStreamerLoggedSessionsRetainedHeap holds a live streamer's
-// finished sessions to their encoded bytes: once a tick has logged a
-// session, the shard drops the object. It drives one streamer shard —
-// what a daemon holds per worker, without the dispatch batches whose
-// number depends on scheduling — through n single-packet QUIC sessions
-// spaced past the timeout, so each packet's sweep closes the session
-// before it, and then freezes it as a tick does.
+// finished sessions to their encoded bytes: a session is logged as it
+// finishes, and the shard drops the object. It drives one streamer
+// shard — what a daemon holds per worker, without the dispatch batches
+// whose number depends on scheduling — through n single-packet QUIC
+// sessions spaced past the timeout, so each packet's sweep closes the
+// session before it; then it freezes the shard as a tick does, or never
+// does, as a daemon with no output to write never ticks.
 func TestStreamerLoggedSessionsRetainedHeap(t *testing.T) {
 	const n = 4000
 	cfg := StreamConfig{Config: Config{Seed: 5, Scale: 0.0005, ResearchThin: 1 << 14, Workers: 1}}
 	first := netmodel.MustAddr("198.18.0.0")
 	start := telescope.TS(telescope.MeasurementStart)
 	gap := telescope.Timestamp((sessions.DefaultTimeout + time.Minute) / time.Millisecond)
-	shard := func(packets int) func() *pipelineShard {
-		return func() *pipelineShard {
-			_, _, shards, err := planPipeline(cfg, nil)
-			if err != nil {
-				t.Fatal(err)
+	for _, tick := range []bool{true, false} {
+		t.Run(fmt.Sprintf("tick=%v", tick), func(t *testing.T) {
+			shard := func(packets int) func() *pipelineShard {
+				return func() *pipelineShard {
+					_, _, shards, err := planPipeline(cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sh := shards[0]
+					sh.logFinished()
+					for i := 0; i < packets; i++ {
+						sh.process(&telescope.Packet{
+							TS: start + telescope.Timestamp(i)*gap, Src: first + netmodel.Addr(i), Dst: netmodel.TelescopePrefix.Base,
+							SrcPort: 40000, DstPort: telescope.PortQUIC, Proto: telescope.ProtoUDP, Size: 1200,
+						})
+					}
+					if logged := sh.quicSz.Emitted; packets > 0 && (logged != packets-1 || len(sh.sessions) != 0) {
+						t.Fatalf("the shard logged %d sessions and holds %d, want %d and 0", logged, len(sh.sessions), packets-1)
+					}
+					if tick {
+						if f := sh.freeze(0, uint64(packets), false); f.quicSessions != packets {
+							t.Fatalf("the tick counts %d QUIC sessions, want %d", f.quicSessions, packets)
+						}
+					}
+					return sh
+				}
 			}
-			sh := shards[0]
-			for i := 0; i < packets; i++ {
-				sh.process(&telescope.Packet{
-					TS: start + telescope.Timestamp(i)*gap, Src: first + netmodel.Addr(i), Dst: netmodel.TelescopePrefix.Base,
-					SrcPort: 40000, DstPort: telescope.PortQUIC, Proto: telescope.ProtoUDP, Size: 1200,
-				})
+			keep := func(*pipelineShard) {}
+			perSession := float64(heapRetainedBy(t, shard(n+1), keep)-heapRetainedBy(t, shard(1), keep)) / n
+			t.Logf("a logged session retains %.0f B (budget %d B)", perSession, loggedSessionHeapBudget)
+			if perSession > loggedSessionHeapBudget {
+				t.Errorf("a live shard retains %.0f B per logged session, budget %d B", perSession, loggedSessionHeapBudget)
 			}
-			f := sh.freeze(0, uint64(packets), false)
-			if logged := sh.sessLogN; packets > 0 && logged != packets-1 {
-				t.Fatalf("the tick logged %d sessions, want %d", logged, packets-1)
-			}
-			if f.quicSessions != packets {
-				t.Fatalf("the tick counts %d QUIC sessions, want %d", f.quicSessions, packets)
-			}
-			return sh
-		}
-	}
-	keep := func(*pipelineShard) {}
-	perSession := float64(heapRetainedBy(t, shard(n+1), keep)-heapRetainedBy(t, shard(1), keep)) / n
-	t.Logf("a logged session retains %.0f B (budget %d B)", perSession, loggedSessionHeapBudget)
-	if perSession > loggedSessionHeapBudget {
-		t.Errorf("a live shard retains %.0f B per logged session, budget %d B", perSession, loggedSessionHeapBudget)
+		})
 	}
 }

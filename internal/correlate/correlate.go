@@ -60,27 +60,34 @@ type Result struct {
 // Correlator indexes common attacks by victim and classifies QUIC
 // attacks against them.
 type Correlator struct {
-	// byVictim is one copy of the common attacks sorted by (Victim,
-	// Start): each victim's attacks are one run of it.
-	byVictim []dosdetect.Attack
+	common []dosdetect.Attack
+	// byVictim holds positions in common sorted by (Victim, Start): each
+	// victim's attacks are one run of it, at 4 bytes an attack.
+	byVictim []int32
 }
 
-// NewCorrelator indexes the common (TCP/ICMP) attacks.
+// NewCorrelator indexes the common (TCP/ICMP) attacks, which must not
+// change while the correlator is in use.
 func NewCorrelator(common []dosdetect.Attack) *Correlator {
-	byVictim := slices.Clone(common)
-	slices.SortFunc(byVictim, func(a, b dosdetect.Attack) int {
+	byVictim := make([]int32, len(common))
+	for i := range byVictim {
+		byVictim[i] = int32(i)
+	}
+	slices.SortFunc(byVictim, func(i, j int32) int {
+		a, b := &common[i], &common[j]
 		return cmp.Or(cmp.Compare(a.Victim, b.Victim), cmp.Compare(a.Start, b.Start))
 	})
-	return &Correlator{byVictim: byVictim}
+	return &Correlator{common: common, byVictim: byVictim}
 }
 
-// peers returns the common attacks on victim, in start order.
-func (c *Correlator) peers(victim netmodel.Addr) []dosdetect.Attack {
-	i, _ := slices.BinarySearchFunc(c.byVictim, victim, func(a dosdetect.Attack, v netmodel.Addr) int {
-		return cmp.Compare(a.Victim, v)
+// peers returns the positions of the common attacks on victim, in start
+// order.
+func (c *Correlator) peers(victim netmodel.Addr) []int32 {
+	i, _ := slices.BinarySearchFunc(c.byVictim, victim, func(pos int32, v netmodel.Addr) int {
+		return cmp.Compare(c.common[pos].Victim, v)
 	})
 	j := i
-	for j < len(c.byVictim) && c.byVictim[j].Victim == victim {
+	for j < len(c.byVictim) && c.common[c.byVictim[j]].Victim == victim {
 		j++
 	}
 	return c.byVictim[i:j]
@@ -99,8 +106,8 @@ func (c *Correlator) Classify(qa *dosdetect.Attack) Result {
 	type iv struct{ s, e float64 }
 	var ivs []iv
 	minGap := -1.0
-	for i := range peers {
-		p := &peers[i]
+	for _, pos := range peers {
+		p := &c.common[pos]
 		if ov := qa.Overlap(p); ov >= MinOverlapSeconds {
 			s, e := qa.Start, qa.End
 			if p.Start > s {

@@ -5,7 +5,6 @@ import (
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/sessions"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
@@ -15,9 +14,13 @@ import (
 
 const maxDetectorItems = 1 << 26
 
-// EncodeTo writes the detector state. Excluded sessions ride the
-// sessions codec; attack lists keep their append order (canonical
-// order is recomputed by Sorted at read time as in a live run).
+// EncodeTo writes the detector state. Attack lists keep their append
+// order (canonical order is recomputed by Sorted at read time as in a
+// live run). Excluded sessions are not checkpoint state: the one
+// detector an image carries, a shard's TCP/ICMP detector, drops them
+// (DropExcluded), and a finished session no longer has the sets the
+// session format writes. The format's list stays, written empty; a
+// decoder rejects any other.
 func (d *Detector) EncodeTo(w *ckpt.Writer) {
 	w.U64(uint64(d.Thresholds.MinPackets))
 	w.F64(d.Thresholds.MinDuration)
@@ -29,10 +32,7 @@ func (d *Detector) EncodeTo(w *ckpt.Writer) {
 	for i := range d.Attacks {
 		encodeAttack(w, &d.Attacks[i])
 	}
-	w.U64(uint64(len(d.Excluded)))
-	for _, s := range d.Excluded {
-		sessions.EncodeSession(w, s)
-	}
+	w.U64(0) // excluded sessions
 }
 
 // DecodeDetector reads a detector encoded by EncodeTo. Returns nil on
@@ -49,13 +49,8 @@ func DecodeDetector(r *ckpt.Reader) *Detector {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		d.Attacks = append(d.Attacks, decodeAttack(r))
 	}
-	n = r.Int(maxDetectorItems)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s := sessions.DecodeSession(r)
-		if s == nil {
-			return nil
-		}
-		d.Excluded = append(d.Excluded, s)
+	if n := r.U64(); n != 0 {
+		r.Errorf("detector image lists %d excluded sessions, want none", n)
 	}
 	if r.Err() != nil {
 		return nil

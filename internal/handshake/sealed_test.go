@@ -1,0 +1,120 @@
+package handshake
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"quicsand/internal/quiccrypto"
+	"quicsand/internal/wire"
+)
+
+// The Initial keys derive from the wire DCID alone (RFC 9001 §5.2), so
+// anyone can seal an Initial whose plaintext reaches the server's frame
+// parser.
+
+// rawFrames is a plaintext written as it is.
+type rawFrames []byte
+
+func (f rawFrames) Append(dst []byte) []byte { return append(dst, f...) }
+
+var (
+	sealedDCID = wire.ConnectionID{1, 2, 3, 4, 5, 6, 7, 8}
+	sealedSCID = wire.ConnectionID{9, 9, 9, 9}
+)
+
+// sealedInitial protects plaintext (cut to one datagram) as a version-1
+// client Initial to dcid, as a client's would be.
+func sealedInitial(t testing.TB, dcid wire.ConnectionID, plaintext []byte) []byte {
+	t.Helper()
+	sealer, err := quiccrypto.NewInitialSealer(wire.Version1, dcid, quiccrypto.PerspectiveClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := sealLongPacket(wire.PacketTypeInitial, wire.Version1, dcid, sealedSCID, nil, sealer, 0,
+		[]wire.Frame{rawFrames(plaintext[:min(len(plaintext), 1400)])}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkt
+}
+
+// TestServerNonShortestFrameType: a server handed an Initial whose
+// plaintext starts with PADDING's type written in two bytes fails the
+// connection at once.
+func TestServerNonShortestFrameType(t *testing.T) {
+	dg := sealedInitial(t, sealedDCID, []byte{0x40, 0x00, 0x12})
+	if len(dg) != 43 {
+		t.Fatalf("sealed Initial is %d bytes, want 43", len(dg))
+	}
+	s, err := NewServerConn(ServerConfig{Identity: testIdentity}, wire.Version1, sealedDCID, sealedSCID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.HandleDatagram(dg)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HandleDatagram did not return within 5 s")
+	}
+	if !errors.Is(err, wire.ErrBadFrame) || s.State() != ServerStateFailed {
+		t.Errorf("err %v, state %v; want a failed connection on a malformed frame", err, s.State())
+	}
+}
+
+// FuzzServerSealedInitial hands a fresh server connection a datagram of
+// one sealed Initial with an arbitrary plaintext, coalescing a second
+// one when the fuzzer gives one. The server must return; what it sends
+// stays within three times what it received (RFC 9000 §8.1), and a
+// failure is sticky.
+func FuzzServerSealedInitial(f *testing.F) {
+	client, err := NewClient(ClientConfig{Version: wire.Version1, ServerName: "quicsand.test"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	first, err := client.Start()
+	if err != nil {
+		f.Fatal(err)
+	}
+	h, err := wire.ParseLongHeader(first)
+	if err != nil {
+		f.Fatal(err)
+	}
+	opener, err := quiccrypto.NewInitialOpener(wire.Version1, h.DstConnID, quiccrypto.PerspectiveServer)
+	if err != nil {
+		f.Fatal(err)
+	}
+	plain, _, err := opener.Open(first[:h.PacketLen()], h.HeaderLen())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain, []byte(nil))
+	f.Add(plain, plain)
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		dg := sealedInitial(t, sealedDCID, first)
+		if len(second) > 0 {
+			dg = append(dg, sealedInitial(t, sealedDCID, second)...)
+		}
+		s, err := NewServerConn(ServerConfig{Identity: testIdentity}, wire.Version1, sealedDCID, sealedSCID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.HandleDatagram(dg)
+		sent := 0
+		for _, d := range out {
+			sent += len(d)
+		}
+		if sent > 3*len(dg) {
+			t.Fatalf("sent %d bytes for a %d-byte datagram", sent, len(dg))
+		}
+		if err != nil {
+			if _, again := s.HandleDatagram(dg); again != err || s.State() != ServerStateFailed {
+				t.Fatalf("after %v: state %v, next datagram err %v", err, s.State(), again)
+			}
+		}
+	})
+}

@@ -30,14 +30,12 @@ const (
 	maxActiveSess = 1 << 26
 )
 
-// EncodeSession writes one session. Inline set arms keep their
-// insertion order; spilled sets are written sorted so equal states
-// encode to equal bytes. A sealed session has no sets left to write:
-// encoding one is a bug, and panics.
-func EncodeSession(w *ckpt.Writer, s *Session) {
-	if s.sealed {
-		panic("sessions: EncodeSession of a sealed session")
-	}
+// encodeSession writes one session with its open state: the sets, and
+// the minute slot (for a finished session, its last minute and 0).
+// Inline set arms keep their insertion order; spilled sets are written
+// sorted so equal states encode to equal bytes.
+func encodeSession(w *ckpt.Writer, e *live) {
+	s := e.s
 	w.U64(uint64(s.Src))
 	w.I64(int64(s.Start))
 	w.I64(int64(s.End))
@@ -73,11 +71,11 @@ func EncodeSession(w *ckpt.Writer, s *Session) {
 
 	// scids: the bytes String wrote when they were strings, and sorted
 	// bytewise when spilled, as strings sort.
-	arena := s.scids.arena
-	w.Bool(s.scids.t != nil)
-	w.U64(uint64(s.scids.count()))
-	if s.scids.t != nil {
-		for _, off := range s.scids.sortedOffsets() {
+	arena := e.scids.arena
+	w.Bool(e.scids.t != nil)
+	w.U64(uint64(e.scids.count()))
+	if e.scids.t != nil {
+		for _, off := range e.scids.sortedOffsets() {
 			w.Bytes8(scidAt(arena, off))
 		}
 	} else {
@@ -86,11 +84,11 @@ func EncodeSession(w *ckpt.Writer, s *Session) {
 		}
 	}
 
-	encodeSmallSet(w, &s.peerAddrs)
-	encodeSmallSet(w, &s.peerPorts)
+	encodeSmallSet(w, &e.peerAddrs)
+	encodeSmallSet(w, &e.peerPorts)
 
-	w.I64(s.curMinute)
-	w.U64(uint64(s.curCount))
+	w.I64(e.curMinute)
+	w.U64(uint64(e.curCount))
 	w.U64(uint64(s.maxPerMin))
 	w.U64(uint64(s.hasCH))
 	w.U64(uint64(s.totalQUICPk))
@@ -129,10 +127,11 @@ func decodeSmallSet[K intKey](r *ckpt.Reader, s *smallSet[K]) {
 	}
 }
 
-// DecodeSession reads one session. On malformed input it returns nil
-// and leaves the reader's sticky error set.
-func DecodeSession(r *ckpt.Reader) *Session {
+// decodeSession reads one session into e, whose sets must be empty, and
+// reports whether the input was well formed (else the reader's error is set).
+func decodeSession(r *ckpt.Reader, e *live) bool {
 	s := &Session{}
+	e.s = s
 	s.Src = netmodel.Addr(r.U64())
 	s.Start = telescope.Timestamp(r.I64())
 	s.End = telescope.Timestamp(r.I64())
@@ -165,33 +164,48 @@ func DecodeSession(r *ckpt.Reader) *Session {
 	if r.Bool() { // scids spilled
 		n := r.Int(maxSetItems)
 		if r.Err() == nil {
-			s.scids.spill(min(n, 4096))
+			e.scids.spill(min(n, 4096))
 			for i := 0; i < n && r.Err() == nil; i++ {
 				if b := r.Bytes8(maxSCIDBytes); r.Err() == nil {
-					s.scids.insert(b)
+					e.scids.insert(b)
 				}
 			}
 		}
 	} else {
 		n := r.Int(scidInline)
-		s.scids.n = uint8(n)
+		e.scids.n = uint8(n)
 		for i := 0; i < n; i++ {
-			s.scids.arena = appendSCID(s.scids.arena, r.Bytes8(maxSCIDBytes))
+			e.scids.arena = appendSCID(e.scids.arena, r.Bytes8(maxSCIDBytes))
 		}
 	}
 
-	decodeSmallSet(r, &s.peerAddrs)
-	decodeSmallSet(r, &s.peerPorts)
+	decodeSmallSet(r, &e.peerAddrs)
+	decodeSmallSet(r, &e.peerPorts)
 
-	s.curMinute = r.I64()
-	s.curCount = r.Int(maxSetItems)
+	e.curMinute = r.I64()
+	e.curCount = r.Int(maxSetItems)
 	s.maxPerMin = r.Int(maxSetItems)
 	s.hasCH = r.Int(maxSetItems)
 	s.totalQUICPk = r.Int(maxSetItems)
-	if r.Err() != nil {
-		return nil
+	return r.Err() == nil
+}
+
+// DecodeFinished reads n finished sessions, as a session log holds them,
+// into their answers through one scratch entry, so duplicate keys in a
+// set count once. On malformed input it stops early with the reader's
+// sticky error set.
+func DecodeFinished(r *ckpt.Reader, n int) []*Session {
+	list := make([]*Session, 0, min(n, 4096))
+	var e live
+	for i := 0; i < n; i++ {
+		e = live{scids: scidSet{arena: e.scids.arena[:0]}}
+		if !decodeSession(r, &e) {
+			break
+		}
+		e.close()
+		list = append(list, e.s)
 	}
-	return s
+	return list
 }
 
 // EncodeTo writes the sessionizer's full state (minus the Emit and
@@ -209,11 +223,11 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	w.U64(m.BudgetEvicted)
 	w.U64(m.SetSpills)
 
-	active := sz.active.AppendValues(make([]*Session, 0, sz.active.Len()))
+	active := sz.active.AppendValues(make([]live, 0, sz.active.Len()))
 	sortBySrc(active)
 	w.U64(uint64(len(active)))
-	for _, s := range active {
-		EncodeSession(w, s)
+	for i := range active {
+		encodeSession(w, &active[i])
 	}
 
 	// The last-seen table as the format has always stored it: one entry
@@ -229,8 +243,8 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 		ts  telescope.Timestamp
 	}
 	seen := make([]seenAt, 0, len(active)+len(sz.lastSeen))
-	for _, s := range active {
-		seen = append(seen, seenAt{s.Src, s.End})
+	for _, e := range active {
+		seen = append(seen, seenAt{e.s.Src, e.s.End})
 	}
 	for src, ts := range sz.lastSeen {
 		if sz.active.Lookup(src) < 0 {
@@ -249,7 +263,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 // Emit and GapRecorder hooks unset for the caller to chain. Returns nil
 // on malformed input (reader error set).
 func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
-	sz := &Sessionizer{active: srcindex.New[*Session]()}
+	sz := &Sessionizer{active: srcindex.New[live]()}
 	sz.Timeout = time.Duration(r.I64())
 	sz.MaxActive = r.Int(maxActiveSess)
 	sz.lastSweep = telescope.Timestamp(r.I64())
@@ -266,26 +280,26 @@ func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
 	if r.Err() != nil {
 		return nil
 	}
-	active := make([]*Session, 0, min(n, 4096))
+	active := make([]live, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
-		s := DecodeSession(r)
-		if s == nil {
+		var e live
+		if !decodeSession(r, &e) {
 			return nil
 		}
-		active = append(active, s)
+		active = append(active, e)
 	}
 	// The image lists sessions by source; put them in (End, Src) order,
 	// the last-touch list's own, so the first budget eviction takes the
 	// victim it would have taken before the checkpoint.
-	slices.SortFunc(active, func(a, b *Session) int {
-		return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Src, b.Src))
+	slices.SortFunc(active, func(a, b live) int {
+		return cmp.Or(cmp.Compare(a.s.End, b.s.End), cmp.Compare(a.s.Src, b.s.Src))
 	})
-	for _, s := range active {
-		if sz.active.Lookup(s.Src) >= 0 {
-			r.Errorf("duplicate active session for source %d", uint32(s.Src))
+	for _, e := range active {
+		if sz.active.Lookup(e.s.Src) >= 0 {
+			r.Errorf("duplicate active session for source %d", uint32(e.s.Src))
 			return nil
 		}
-		sz.active.Put(s.Src, s.End, s)
+		sz.active.Put(e.s.Src, e.s.End, e)
 	}
 
 	if r.Bool() {
@@ -294,7 +308,7 @@ func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
 			return nil
 		}
 		sz.lastSeen = make(map[netmodel.Addr]telescope.Timestamp, min(n, 4096))
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			src := netmodel.Addr(r.U64())
 			sz.lastSeen[src] = telescope.Timestamp(r.I64())
 		}
@@ -334,7 +348,7 @@ func DecodeTimeoutSweep(r *ckpt.Reader) *TimeoutSweep {
 	if r.Err() != nil {
 		return nil
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		t.Sources[netmodel.Addr(r.U64())] = struct{}{}
 	}
 	if r.Err() != nil {

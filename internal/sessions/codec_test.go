@@ -19,12 +19,12 @@ func TestDecodeRejectsDuplicateSources(t *testing.T) {
 	w := ckpt.NewWriter(nil)
 	sz.EncodeTo(w)
 	img := w.Bytes()
-	encode := func(s *Session) []byte {
+	encode := func(e *live) []byte {
 		w := ckpt.NewWriter(nil)
-		EncodeSession(w, s)
+		encodeSession(w, e)
 		return w.Bytes()
 	}
-	one, two := encode(*sz.active.At(0)), encode(*sz.active.At(1))
+	one, two := encode(sz.active.At(0)), encode(sz.active.At(1))
 	// Put the first session's bytes where the second's were.
 	i := bytes.Index(img, two)
 	if i < 0 {
@@ -56,7 +56,7 @@ func TestDecodeRelinksByEndThenSource(t *testing.T) {
 	}
 	var got []netmodel.Addr
 	for d.active.Len() > 0 {
-		got = append(got, d.active.Remove(d.active.Coldest()).Src)
+		got = append(got, d.active.Remove(d.active.Coldest()).s.Src)
 	}
 	want := []netmodel.Addr{
 		netmodel.MustAddr("3.3.3.3"), netmodel.MustAddr("5.5.5.5"), netmodel.MustAddr("7.7.7.7"),

@@ -13,12 +13,12 @@ package sessions
 // merely redundant, state for the sessionizer). Sessions finished
 // together are emitted in source order on both sides. Seeded random
 // streams drive both and everything observable must agree: the emitted
-// sessions in emission order, the gap histogram and source set, every
-// counter, and the checkpoint bytes at arbitrary cut points.
+// sessions in emission order, the session log, the gap histogram and
+// source set, every counter, and the checkpoint bytes at arbitrary cut
+// points.
 
 import (
 	"bytes"
-	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -32,7 +32,9 @@ import (
 	"quicsand/internal/wire"
 )
 
-func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
+// refObserve observes one packet and reports whether the budget evicted
+// the session the packet opened.
+func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) (selfEvicted bool) {
 	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
 
 	if sz.GapRecorder != nil {
@@ -45,24 +47,23 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 		sz.lastSeen[p.Src] = p.TS
 	}
 
-	var s *Session
+	var e *live
 	if pos := sz.active.Lookup(p.Src); pos >= 0 {
-		s = *sz.active.At(pos)
-		if gap := p.TS - s.End; gap > timeoutMS {
+		e = sz.active.At(pos)
+		if gap := p.TS - e.s.End; gap > timeoutMS {
 			sz.Metrics.TimeoutSplits++
-			refFinish(sz, s)
+			refFinish(sz, e)
 			sz.active.Remove(pos)
-			s = nil
+			e = nil
 		}
 	}
-	if s == nil {
-		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
-		sz.active.Put(p.Src, p.TS, s)
-		if sz.MaxActive > 0 && sz.active.Len() > sz.MaxActive {
-			refEvictColdest(sz)
-		}
+	opened := e == nil
+	if opened {
+		s := &Session{Src: p.Src, Start: p.TS, End: p.TS}
+		e = sz.active.At(sz.active.Put(p.Src, p.TS, live{s: s, curMinute: int64(p.TS) / 60000}))
 	}
 
+	s := e.s
 	s.End = p.TS
 	s.Packets++
 	s.Bytes += uint64(p.Size)
@@ -73,18 +74,18 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 		s.Responses++
 	}
 	if isResponse {
-		s.peerAddrs.add(p.Dst)
-		s.peerPorts.add(p.DstPort)
+		e.peerAddrs.add(p.Dst)
+		e.peerPorts.add(p.DstPort)
 	}
 	minute := int64(p.TS) / 60000
-	if minute != s.curMinute {
-		if s.curCount > s.maxPerMin {
-			s.maxPerMin = s.curCount
+	if minute != e.curMinute {
+		if e.curCount > s.maxPerMin {
+			s.maxPerMin = e.curCount
 		}
-		s.curMinute = minute
-		s.curCount = 0
+		e.curMinute = minute
+		e.curCount = 0
 	}
-	s.curCount++
+	e.curCount++
 
 	if r != nil {
 		for i := range r.Packets {
@@ -97,7 +98,7 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 				s.versions.add(pi.Version)
 			}
 			if len(pi.SCID) > 0 && isResponse {
-				s.scids.add(pi.SCID)
+				e.scids.add(pi.SCID)
 			}
 			if pi.HasClientHello {
 				s.hasCH++
@@ -105,71 +106,87 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) {
 		}
 	}
 
+	if opened && sz.MaxActive > 0 && sz.active.Len() > sz.MaxActive {
+		selfEvicted = refEvictColdest(sz) == p.Src
+	}
+
 	if p.TS-sz.lastSweep > timeoutMS {
 		sz.lastSweep = p.TS
-		var expired []*Session
-		for _, s := range sz.active.AppendValues(nil) {
-			if p.TS-s.End > timeoutMS {
-				expired = append(expired, s)
+		var expired []netmodel.Addr
+		for pos := int32(0); int(pos) < sz.active.Len(); pos++ {
+			if s := sz.active.At(pos).s; p.TS-s.End > timeoutMS {
+				expired = append(expired, s.Src)
 			}
 		}
 		refFinishAll(sz, expired, &sz.Metrics.SweepEvicted)
 	}
+	return selfEvicted
 }
 
-func refFinish(sz *Sessionizer, s *Session) {
-	if s.curCount > s.maxPerMin {
-		s.maxPerMin = s.curCount
+func refFinish(sz *Sessionizer, e *live) {
+	s := e.s
+	if e.curCount > s.maxPerMin {
+		s.maxPerMin = e.curCount
 	}
-	s.curCount = 0
+	e.curCount = 0
+	s.nSCIDs, s.nPeerAddrs, s.nPeerPorts = uint32(e.scids.count()), uint32(e.peerAddrs.count()), uint32(e.peerPorts.count())
 	sz.Emitted++
 	sz.Metrics.Emitted++
-	if s.peerAddrs.t != nil {
+	if e.peerAddrs.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.peerPorts.t != nil {
+	if e.peerPorts.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.scids.t != nil {
+	if e.scids.t != nil {
 		sz.Metrics.SetSpills++
 	}
 	if s.versions.m != nil {
 		sz.Metrics.SetSpills++
+	}
+	if sz.Log != nil {
+		encodeSession(sz.Log, e)
 	}
 	if sz.Emit != nil {
 		sz.Emit(s)
 	}
 }
 
-// refFinishAll finishes and drops the given sessions in source order.
-func refFinishAll(sz *Sessionizer, list []*Session, cause *uint64) {
-	slices.SortFunc(list, func(a, b *Session) int { return cmp.Compare(a.Src, b.Src) })
-	for _, s := range list {
+// refFinishAll finishes and drops the given sources' sessions in source
+// order.
+func refFinishAll(sz *Sessionizer, srcs []netmodel.Addr, cause *uint64) {
+	slices.Sort(srcs)
+	for _, src := range srcs {
 		*cause++
-		refFinish(sz, s)
-		sz.active.Remove(sz.active.Lookup(s.Src))
+		pos := sz.active.Lookup(src)
+		refFinish(sz, sz.active.At(pos))
+		sz.active.Remove(pos)
 	}
 }
 
-// refEvictColdest is the linear scan the last-touch list replaced.
-func refEvictColdest(sz *Sessionizer) {
-	var victim *Session
-	for _, s := range sz.active.AppendValues(nil) {
-		if victim == nil || s.End < victim.End ||
-			(s.End == victim.End && s.Src < victim.Src) {
-			victim = s
+// refEvictColdest is the linear scan the last-touch list replaced. It
+// returns the victim's source.
+func refEvictColdest(sz *Sessionizer) netmodel.Addr {
+	victim := int32(0)
+	for pos := int32(1); int(pos) < sz.active.Len(); pos++ {
+		s, v := sz.active.At(pos).s, sz.active.At(victim).s
+		if s.End < v.End || (s.End == v.End && s.Src < v.Src) {
+			victim = pos
 		}
 	}
-	if victim == nil {
-		return
-	}
+	src := sz.active.At(victim).s.Src
 	sz.Metrics.BudgetEvicted++
-	refFinish(sz, victim)
-	sz.active.Remove(sz.active.Lookup(victim.Src))
+	refFinish(sz, sz.active.At(victim))
+	sz.active.Remove(victim)
+	return src
 }
 
 func refFlush(sz *Sessionizer) {
-	refFinishAll(sz, sz.active.AppendValues(nil), &sz.Metrics.FlushEmitted)
+	var srcs []netmodel.Addr
+	for pos := int32(0); int(pos) < sz.active.Len(); pos++ {
+		srcs = append(srcs, sz.active.At(pos).s.Src)
+	}
+	refFinishAll(sz, srcs, &sz.Metrics.FlushEmitted)
 }
 
 func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
@@ -185,16 +202,17 @@ func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
 	w.U64(m.BudgetEvicted)
 	w.U64(m.SetSpills)
 
-	active := map[netmodel.Addr]*Session{}
+	active := map[netmodel.Addr]*live{}
 	srcs := make([]netmodel.Addr, 0, sz.active.Len())
-	for _, s := range sz.active.AppendValues(nil) {
-		active[s.Src] = s
-		srcs = append(srcs, s.Src)
+	for pos := int32(0); int(pos) < sz.active.Len(); pos++ {
+		e := sz.active.At(pos)
+		active[e.s.Src] = e
+		srcs = append(srcs, e.s.Src)
 	}
 	slices.Sort(srcs)
 	w.U64(uint64(len(srcs)))
 	for _, src := range srcs {
-		EncodeSession(w, active[src])
+		encodeSession(w, active[src])
 	}
 
 	if sz.lastSeen == nil {
@@ -214,20 +232,25 @@ func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
 	}
 }
 
-// rig is one sessionizer with the wiring a pipeline shard gives it: the
-// sweep that receives its gaps and sources, and the emitted sessions.
-// ref selects the old bookkeeping for every operation that differs.
+// rig is one sessionizer with the wiring a streaming shard gives it: the
+// sweep that receives its gaps and sources, the session log, and the
+// emitted sessions. ref selects the old bookkeeping for every operation
+// that differs, and counts the sessions the budget evicted at their own
+// opening packet.
 type rig struct {
-	ref   bool
-	sz    *Sessionizer
-	sweep *TimeoutSweep
-	out   []*Session
+	ref         bool
+	sz          *Sessionizer
+	sweep       *TimeoutSweep
+	log         *ckpt.Writer
+	out         []*Session
+	selfEvicted int
 }
 
 func newRig(ref bool, maxActive int) *rig {
-	g := &rig{ref: ref, sweep: NewTimeoutSweep()}
+	g := &rig{ref: ref, sweep: NewTimeoutSweep(), log: ckpt.NewWriter(nil)}
 	g.sz = NewSessionizer(g.emit)
 	g.sz.GapRecorder = g.sweep.RecordGap
+	g.sz.Log = g.log
 	g.sz.MaxActive = maxActive
 	return g
 }
@@ -237,7 +260,9 @@ func (g *rig) emit(s *Session) { g.out = append(g.out, s) }
 func (g *rig) observe(p *telescope.Packet, r *dissect.Result) {
 	if g.ref {
 		g.sweep.RecordSource(p.Src)
-		refObserve(g.sz, p, r)
+		if refObserve(g.sz, p, r) {
+			g.selfEvicted++
+		}
 	} else if g.sz.Observe(p, r) {
 		g.sweep.RecordSource(p.Src)
 	}
@@ -268,14 +293,16 @@ func (g *rig) encode() []byte {
 func (g *rig) restore(t *testing.T) *rig {
 	t.Helper()
 	r := ckpt.NewReader(g.encode())
-	c := &rig{ref: g.ref, out: slices.Clone(g.out)}
+	c := &rig{ref: g.ref, out: slices.Clone(g.out), selfEvicted: g.selfEvicted}
 	c.sweep = DecodeTimeoutSweep(r)
 	c.sz = DecodeSessionizer(r)
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("restore: err %v, %d bytes left", r.Err(), r.Remaining())
 	}
+	c.log = ckpt.NewWriter(slices.Clone(g.log.Bytes()))
 	c.sz.Emit = c.emit
 	c.sz.GapRecorder = c.sweep.RecordGap
+	c.sz.Log = c.log
 	return c
 }
 
@@ -307,6 +334,20 @@ func expectSameRigs(t *testing.T, at string, got, want *rig) {
 	for i := range a {
 		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("%s: session %d differs:\n got  %+v\n want %+v", at, i, a[i], b[i])
+		}
+	}
+	// The log holds the emitted sessions, and decodes to their answers.
+	if !bytes.Equal(got.log.Bytes(), want.log.Bytes()) {
+		t.Fatalf("%s: session logs differ", at)
+	}
+	r := ckpt.NewReader(got.log.Bytes())
+	logged := DecodeFinished(r, len(a))
+	if r.Err() != nil || r.Remaining() != 0 || len(logged) != len(a) {
+		t.Fatalf("%s: the log decodes to %d of %d sessions (err %v, %d bytes left)", at, len(logged), len(a), r.Err(), r.Remaining())
+	}
+	for i := range a {
+		if got, want := answersOf(logged[i]), answersOf(a[i]); got != want {
+			t.Fatalf("%s: logged session %d decodes to\n %+v\nemitted\n %+v", at, i, got, want)
 		}
 	}
 }
@@ -380,9 +421,9 @@ func TestSessionizerMatchesPerPacketBookkeeping(t *testing.T) {
 			t.Fatalf("seed %d: stream exercised too little: %+v, over60 %d", seed, m, want.sweep.over60)
 		}
 		// A session opened at the coldest End with the smallest source is
-		// itself the budget's victim: finished empty, then filled in. Only
-		// such a session ends with a count in its open minute slot.
-		if selfEvicted := slices.ContainsFunc(want.out, func(s *Session) bool { return s.curCount != 0 }); selfEvicted != (maxActive > 0) {
+		// itself the budget's victim, finished once its opening packet is
+		// in: the emitted sessions above agree on it, log included.
+		if selfEvicted := want.selfEvicted > 0; selfEvicted != (maxActive > 0) {
 			t.Fatalf("seed %d: self-eviction seen = %v under MaxActive %d", seed, selfEvicted, maxActive)
 		}
 

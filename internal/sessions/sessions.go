@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"quicsand/internal/ckpt"
 	"quicsand/internal/dissect"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/srcindex"
@@ -46,18 +47,10 @@ func (k Kind) String() string {
 	return "mixed"
 }
 
-// Session is one aggregated traffic session.
-//
-// The anatomy accumulators (peer addresses/ports, SCIDs, versions,
-// per-minute rate) are compact inline structures rather than maps: the
-// dominant session class is a tiny single-visit request session. Small
-// sessions stay entirely inside the struct (SCIDs in one small arena);
-// only genuinely diverse sessions (flood backscatter fanning over dozens
-// of spoofed tuples) spill, once, into an exact open-addressing table
-// (table.go). The version histogram still spills to a map.
-//
-// Seal trades the three anatomy sets for their sizes once the session
-// is finished and nothing will encode it (see Seal).
+// Session is one aggregated traffic session: its answers, final once
+// the sessionizer emits it. An open session's working state (the Figure
+// 9 anatomy sets, the open minute slot) is the sessionizer's live entry,
+// which finish folds into the counts below.
 type Session struct {
 	Src        netmodel.Addr
 	Start, End telescope.Timestamp
@@ -72,71 +65,55 @@ type Session struct {
 	// Version histogram of long-header packets.
 	versions versionCounts
 
-	// Response-session anatomy (Figure 9), recorded from QUIC responses
-	// only: TCP/ICMP and request packets leave all three sets empty, so
-	// their counts are zero by construction.
-	scids     scidSet // unique server CIDs
-	peerAddrs addrSet
-	peerPorts portSet
-
-	// Moore max-pps over 1-minute slots: packets arrive time-ordered,
-	// so one (current minute, count) pair replaces the per-minute map.
-	curMinute   int64
-	curCount    int
+	// Moore max-pps: the largest packet count of any 1-minute slot.
 	maxPerMin   int
 	hasCH       int // Initials carrying a ClientHello
 	totalQUICPk int
 
-	// sealedCounts holds the three anatomy sets' sizes, in the order
-	// above, once Seal has released the sets; sealed marks that form.
-	// They sit last, in what was the struct's size-class padding, so
-	// the fields Observe touches keep their offsets.
-	sealedCounts [3]uint32
-	sealed       bool
+	// Response-session anatomy (Figure 9): the sizes of the sets the open
+	// session recorded from QUIC responses only, so TCP/ICMP and request
+	// sessions read zero by construction.
+	nSCIDs, nPeerAddrs, nPeerPorts uint32
 }
 
 // UniqueSCIDs returns the number of distinct server connection IDs
 // observed in the session's responses.
-func (s *Session) UniqueSCIDs() int {
-	if s.sealed {
-		return int(s.sealedCounts[0])
-	}
-	return s.scids.count()
-}
+func (s *Session) UniqueSCIDs() int { return int(s.nSCIDs) }
 
 // UniquePeerAddrs returns the number of distinct peer addresses the
 // session's QUIC responses went to (spoofed clients, for backscatter).
-func (s *Session) UniquePeerAddrs() int {
-	if s.sealed {
-		return int(s.sealedCounts[1])
-	}
-	return s.peerAddrs.count()
-}
+func (s *Session) UniquePeerAddrs() int { return int(s.nPeerAddrs) }
 
 // UniquePeerPorts returns the number of distinct peer ports the
 // session's QUIC responses went to.
-func (s *Session) UniquePeerPorts() int {
-	if s.sealed {
-		return int(s.sealedCounts[2])
-	}
-	return s.peerPorts.count()
+func (s *Session) UniquePeerPorts() int { return int(s.nPeerPorts) }
+
+// live is an open session: its answers so far and what only an open
+// session needs, held by value in the sessionizer's index. The sets are
+// inline for the tiny common case and spill, once, into exact
+// open-addressing tables (table.go) for genuinely diverse sessions
+// (flood backscatter fanning over dozens of spoofed tuples). Packets
+// arrive time-ordered, so one (current minute, count) pair replaces a
+// per-minute map.
+type live struct {
+	s         *Session
+	scids     scidSet // unique server CIDs
+	peerAddrs addrSet
+	peerPorts portSet
+	curMinute int64
+	curCount  int
 }
 
-// Seal replaces the session's SCID, peer-address and peer-port sets
-// with their sizes and releases the sets' arenas and tables. Every
-// reader answers as before; what a sealed session has lost is the
-// ability to grow (Observe) and to be encoded (EncodeSession panics),
-// since an image must carry the sets. A finished run's reduction seals
-// every QUIC session once detection has read it; a live streamer's
-// sessions, which its checkpoints encode, are never sealed. Sealing
-// twice is a no-op.
-func (s *Session) Seal() {
-	if s.sealed {
-		return
+// close folds the open minute slot and the sets' sizes into the
+// session's answers, which are final after this. The sets stay for an
+// encoder to write.
+func (e *live) close() {
+	s := e.s
+	if e.curCount > s.maxPerMin {
+		s.maxPerMin = e.curCount
 	}
-	s.sealedCounts = [3]uint32{uint32(s.scids.count()), uint32(s.peerAddrs.count()), uint32(s.peerPorts.count())}
-	s.scids, s.peerAddrs, s.peerPorts = scidSet{}, addrSet{}, portSet{}
-	s.sealed = true
+	e.curCount = 0
+	s.nSCIDs, s.nPeerAddrs, s.nPeerPorts = uint32(e.scids.count()), uint32(e.peerAddrs.count()), uint32(e.peerPorts.count())
 }
 
 // versionCounts is a histogram over wire versions; 2021 traffic shows
@@ -213,13 +190,7 @@ func (s *Session) Duration() float64 {
 
 // MaxPPS is the maximum packet rate over 1-minute slots, in packets
 // per second — the Moore et al. intensity metric.
-func (s *Session) MaxPPS() float64 {
-	m := s.maxPerMin
-	if s.curCount > m {
-		m = s.curCount
-	}
-	return float64(m) / 60
-}
+func (s *Session) MaxPPS() float64 { return float64(s.maxPerMin) / 60 }
 
 // DominantVersion returns the most frequent wire version (0 if none).
 func (s *Session) DominantVersion() wire.Version {
@@ -268,15 +239,21 @@ func (s *Session) HandshakeShare() float64 {
 // of sources active within one timeout window.
 type Sessionizer struct {
 	Timeout time.Duration
-	// Emit receives completed sessions. Sessions finished together (by
-	// a sweep or Flush) arrive in source-address order.
+	// Emit receives completed sessions, final from then on. Sessions
+	// finished together (by a sweep or Flush) arrive in source-address
+	// order.
 	Emit func(*Session)
+	// Log, when set, receives each session as it finishes, before Emit:
+	// its checkpoint encoding (EncodeTo's per-session bytes) is appended,
+	// so a streaming shard keeps what it emitted as bytes only (DESIGN.md
+	// §17). The writer only ever appends.
+	Log *ckpt.Writer
 
-	active srcindex.Index[*Session]
+	active srcindex.Index[live]
 	// lastSweep bounds the lazy expiry scan.
 	lastSweep telescope.Timestamp
 	// done is the scratch list of sessions a sweep or Flush finishes.
-	done []*Session
+	done []live
 
 	// GapRecorder, when set, receives every intra-source gap — the
 	// Figure 4 sweep consumes these. Set it before the first Observe
@@ -298,10 +275,10 @@ type Sessionizer struct {
 	lastSeen map[netmodel.Addr]telescope.Timestamp
 
 	// MaxActive, when positive, is a hard budget on the active sessions
-	// (daemon mode). Whenever an insert pushes their number past the
-	// budget, the coldest session — smallest End, ties toward the
-	// smallest source — is force-finished and counted in
-	// Metrics.BudgetEvicted. The eviction choice is deterministic for a
+	// (daemon mode). Whenever a session opens past the budget, the
+	// coldest session — smallest End, ties toward the smallest source,
+	// which may be the new session itself — is force-finished and counted
+	// in Metrics.BudgetEvicted. The eviction choice is deterministic for a
 	// given stream, but which packets land on which sessionizer depends
 	// on sharding, so budgeted runs trade the worker-count invariance
 	// for bounded memory.
@@ -319,7 +296,7 @@ type Sessionizer struct {
 
 // NewSessionizer creates a sessionizer with the paper's defaults.
 func NewSessionizer(emit func(*Session)) *Sessionizer {
-	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: srcindex.New[*Session]()}
+	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: srcindex.New[live]()}
 }
 
 // Observe ingests one classified packet with its (optional) dissection
@@ -330,19 +307,19 @@ func NewSessionizer(emit func(*Session)) *Sessionizer {
 func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
 
-	var s *Session
 	pos := sz.active.Lookup(p.Src)
-	if pos >= 0 {
-		s = *sz.active.At(pos)
-		gap := p.TS - s.End
+	opened := pos < 0
+	if !opened {
+		e := sz.active.At(pos)
+		gap := p.TS - e.s.End
 		if gap > 0 && sz.GapRecorder != nil {
 			sz.GapRecorder(time.Duration(gap) * time.Millisecond)
 		}
 		if gap > timeoutMS {
 			sz.Metrics.TimeoutSplits++
+			sz.finish(e)
 			sz.active.Remove(pos)
-			sz.finish(s)
-			s = nil
+			opened = true
 		}
 	} else if sz.GapRecorder != nil {
 		if sz.lastSeen == nil {
@@ -352,17 +329,14 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 			sz.GapRecorder(time.Duration(p.TS-last) * time.Millisecond)
 		}
 	}
-	opened := s == nil
 	if opened {
-		s = &Session{Src: p.Src, Start: p.TS, End: p.TS, curMinute: int64(p.TS) / 60000}
-		sz.active.Put(p.Src, p.TS, s)
-		if sz.MaxActive > 0 && sz.active.Len() > sz.MaxActive {
-			sz.evictColdest()
-		}
+		pos = sz.active.Put(p.Src, p.TS, live{s: &Session{Src: p.Src, Start: p.TS}, curMinute: int64(p.TS) / 60000})
 	} else {
 		sz.active.Touch(pos, p.TS)
 	}
 
+	e := sz.active.At(pos)
+	s := e.s
 	s.End = p.TS
 	s.Packets++
 	s.Bytes += uint64(p.Size)
@@ -373,20 +347,20 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 		s.Responses++
 	}
 	if isResponse {
-		s.peerAddrs.add(p.Dst)
-		s.peerPorts.add(p.DstPort)
+		e.peerAddrs.add(p.Dst)
+		e.peerPorts.add(p.DstPort)
 	}
 	// Time-ordered arrival means minute slots complete monotonically;
 	// fold the finished slot into the running maximum.
 	minute := int64(p.TS) / 60000
-	if minute != s.curMinute {
-		if s.curCount > s.maxPerMin {
-			s.maxPerMin = s.curCount
+	if minute != e.curMinute {
+		if e.curCount > s.maxPerMin {
+			s.maxPerMin = e.curCount
 		}
-		s.curMinute = minute
-		s.curCount = 0
+		e.curMinute = minute
+		e.curCount = 0
 	}
-	s.curCount++
+	e.curCount++
 
 	if r != nil {
 		for i := range r.Packets {
@@ -399,12 +373,19 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 				s.versions.add(pi.Version)
 			}
 			if len(pi.SCID) > 0 && isResponse {
-				s.scids.add(pi.SCID)
+				e.scids.add(pi.SCID)
 			}
 			if pi.HasClientHello {
 				s.hasCH++
 			}
 		}
+	}
+
+	// The budget evicts once the opening packet is in, so that a new
+	// session that is its own victim is emitted final too. Put stamped
+	// its End, so the victim is the one the packet found.
+	if opened && sz.MaxActive > 0 && sz.active.Len() > sz.MaxActive {
+		sz.evictColdest()
 	}
 
 	// Lazy expiry: at most once per timeout interval, sweep sources
@@ -422,30 +403,32 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 	return opened
 }
 
-func (sz *Sessionizer) finish(s *Session) {
+// finish closes e's session, logs it when a Log is set and emits it. The
+// caller drops e from the index.
+func (sz *Sessionizer) finish(e *live) {
+	s := e.s
 	if sz.lastSeen != nil {
 		sz.lastSeen[s.Src] = s.End // the source's last packet, for the next gap
 	}
-	// Fold the final minute slot; maxPerMin is final after this.
-	if s.curCount > s.maxPerMin {
-		s.maxPerMin = s.curCount
-	}
-	s.curCount = 0
+	e.close()
 	sz.Emitted++
 	sz.Metrics.Emitted++
 	// Spilled sets are the ones whose inline capacity overflowed into a
 	// table — a stream property (same anatomy regardless of sharding).
-	if s.peerAddrs.t != nil {
+	if e.peerAddrs.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.peerPorts.t != nil {
+	if e.peerPorts.t != nil {
 		sz.Metrics.SetSpills++
 	}
-	if s.scids.t != nil {
+	if e.scids.t != nil {
 		sz.Metrics.SetSpills++
 	}
 	if s.versions.m != nil {
 		sz.Metrics.SetSpills++
+	}
+	if sz.Log != nil {
+		encodeSession(sz.Log, e)
 	}
 	if sz.Emit != nil {
 		sz.Emit(s)
@@ -455,11 +438,11 @@ func (sz *Sessionizer) finish(s *Session) {
 // finishAll finishes sessions in source-address order, counting each
 // in cause, so what a sweep or Flush emits never depends on table
 // layout. done becomes the next batch's scratch.
-func (sz *Sessionizer) finishAll(done []*Session, cause *uint64) {
+func (sz *Sessionizer) finishAll(done []live, cause *uint64) {
 	sortBySrc(done)
-	for _, s := range done {
+	for i := range done {
 		*cause++
-		sz.finish(s)
+		sz.finish(&done[i])
 	}
 	clear(done)
 	sz.done = done[:0]
@@ -467,8 +450,8 @@ func (sz *Sessionizer) finishAll(done []*Session, cause *uint64) {
 
 // sortBySrc orders sessions by source address: the order sweeps, Flush
 // and checkpoints use, so none of them depends on index layout.
-func sortBySrc(list []*Session) {
-	slices.SortFunc(list, func(a, b *Session) int { return cmp.Compare(a.Src, b.Src) })
+func sortBySrc(list []live) {
+	slices.SortFunc(list, func(a, b live) int { return cmp.Compare(a.s.Src, b.s.Src) })
 }
 
 // evictColdest force-finishes the coldest active session: smallest
@@ -476,12 +459,10 @@ func sortBySrc(list []*Session) {
 // keeps it in the tail's equal-End group, so a spoofed flood that opens
 // a session on every packet pays for that group, not the active set.
 func (sz *Sessionizer) evictColdest() {
-	if sz.active.Len() == 0 {
-		return
-	}
-	victim := sz.active.Remove(sz.active.Coldest())
+	pos := sz.active.Coldest()
 	sz.Metrics.BudgetEvicted++
-	sz.finish(victim)
+	sz.finish(sz.active.At(pos))
+	sz.active.Remove(pos)
 }
 
 // ActiveSessions returns the number of active sessions — the quantity

@@ -34,10 +34,10 @@ func decodedSmallSet[K intKey](t *testing.T, s *smallSet[K]) smallSet[K] {
 func decodedSCIDSet(t *testing.T, s *scidSet) scidSet {
 	t.Helper()
 	w := ckpt.NewWriter(nil)
-	EncodeSession(w, &Session{scids: *s})
+	encodeSession(w, &live{s: &Session{}, scids: *s})
 	r := ckpt.NewReader(w.Bytes())
-	d := DecodeSession(r)
-	if d == nil || r.Remaining() != 0 || (d.scids.t != nil) != (s.t != nil) {
+	var d live
+	if !decodeSession(r, &d) || r.Remaining() != 0 || (d.scids.t != nil) != (s.t != nil) {
 		t.Fatalf("round trip: err %v, %d bytes left", r.Err(), r.Remaining())
 	}
 	return d.scids
@@ -235,8 +235,9 @@ func encodeSpilledSession(scids [][]byte, addrs []netmodel.Addr, ports []uint16)
 }
 
 // TestDecodedDuplicateKeysCollapse: duplicate keys in an image's spilled
-// sets count once, as they did in a map, and re-encode sorted and
-// distinct.
+// sets count once, as they did in a map — in a finished session's
+// answers and in an open session's sets — and an open session
+// re-encodes them sorted and distinct.
 func TestDecodedDuplicateKeysCollapse(t *testing.T) {
 	img := encodeSpilledSession(
 		[][]byte{{9, 9}, {1}, {9, 9}, {}, {1}},
@@ -244,15 +245,22 @@ func TestDecodedDuplicateKeysCollapse(t *testing.T) {
 		[]uint16{443, 443, 0, 1},
 	)
 	r := ckpt.NewReader(img)
-	s := DecodeSession(r)
-	if s == nil || r.Remaining() != 0 {
+	list := DecodeFinished(r, 1)
+	if len(list) != 1 || r.Remaining() != 0 {
 		t.Fatalf("decode: %v, %d bytes left", r.Err(), r.Remaining())
 	}
-	if s.UniqueSCIDs() != 3 || s.UniquePeerAddrs() != 3 || s.UniquePeerPorts() != 3 {
+	if s := list[0]; s.UniqueSCIDs() != 3 || s.UniquePeerAddrs() != 3 || s.UniquePeerPorts() != 3 {
 		t.Fatalf("counts %d %d %d, want 3 3 3", s.UniqueSCIDs(), s.UniquePeerAddrs(), s.UniquePeerPorts())
 	}
+	var e live
+	if r := ckpt.NewReader(img); !decodeSession(r, &e) || r.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	if e.scids.count() != 3 || e.peerAddrs.count() != 3 || e.peerPorts.count() != 3 {
+		t.Fatalf("open counts %d %d %d, want 3 3 3", e.scids.count(), e.peerAddrs.count(), e.peerPorts.count())
+	}
 	w := ckpt.NewWriter(nil)
-	EncodeSession(w, s)
+	encodeSession(w, &e)
 	want := encodeSpilledSession([][]byte{{}, {1}, {9, 9}}, []netmodel.Addr{0, 3, 7}, []uint16{0, 1, 443})
 	if !bytes.Equal(w.Bytes(), want) {
 		t.Fatalf("re-encoded\n %x\nwant\n %x", w.Bytes(), want)

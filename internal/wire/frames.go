@@ -211,12 +211,18 @@ type FrameInfo struct {
 // each frame in wire order and may stop the walk by returning an error.
 // Runs of PADDING bytes coalesce into one visit. Frame types the
 // handshake never carries (streams, flow control) produce an error,
-// matching the dissector's strict validation role.
+// matching the dissector's strict validation role, and so does a frame
+// type not in its shortest encoding (RFC 9000 §12.4): every visit then
+// consumes at least one byte, so a payload of n bytes makes at most n
+// visits.
 func VisitFrames(payload []byte, info *FrameInfo, visit func(*FrameInfo) error) error {
 	for len(payload) > 0 {
 		ft, n, err := ConsumeVarint(payload)
 		if err != nil {
 			return err
+		}
+		if n != VarintLen(ft) {
+			return fmt.Errorf("wire: frame type %#x in a %d-byte encoding: %w", ft, n, ErrBadFrame)
 		}
 		info.Type = FrameType(ft)
 		switch FrameType(ft) {

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func roundTripFrames(t *testing.T, in []Frame) []Frame {
@@ -140,6 +143,68 @@ func TestUnexpectedFrameTypeRejected(t *testing.T) {
 	buf := AppendVarint(nil, 0x08)
 	if _, err := ParseFrames(buf); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// withinDeadline runs f and fails the test if it has not returned
+// within five seconds.
+func withinDeadline(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return within 5 s", what)
+	}
+}
+
+// TestNonShortestFrameTypeRejected: a frame type in a longer varint than
+// its value needs is a PROTOCOL_VIOLATION (RFC 9000 §12.4). The first
+// case is PADDING's type 0 written in two bytes, which a PADDING run
+// consumes nothing of: the walk must reject it, not spin on it.
+func TestNonShortestFrameTypeRejected(t *testing.T) {
+	for _, payload := range [][]byte{
+		{0x40, 0x00, 0x12},
+		{0x40, 0x01},                   // PING
+		{0x80, 0x00, 0x00, 0x1e},       // HANDSHAKE_DONE
+		{0x00, 0x00, 0x40, 0x00, 0x00}, // padding, then padding in two bytes
+	} {
+		visits := 0
+		var visitErr, parseErr error
+		withinDeadline(t, fmt.Sprintf("VisitFrames(% x)", payload), func() {
+			visitErr = VisitFrames(payload, &FrameInfo{}, func(*FrameInfo) error { visits++; return nil })
+		})
+		withinDeadline(t, fmt.Sprintf("ParseFrames(% x)", payload), func() {
+			_, parseErr = ParseFrames(payload)
+		})
+		if !errors.Is(visitErr, ErrBadFrame) || !errors.Is(parseErr, ErrBadFrame) {
+			t.Errorf("% x: VisitFrames err %v, ParseFrames err %v; want ErrBadFrame", payload, visitErr, parseErr)
+		}
+		if visits > len(payload) {
+			t.Errorf("% x: %d visits over %d bytes", payload, visits, len(payload))
+		}
+	}
+}
+
+// TestVisitsBoundedByPayload: whatever the bytes, a walk makes at most
+// one visit per payload byte.
+func TestVisitsBoundedByPayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []byte{0x00, 0x01, 0x02, 0x06, 0x1e, 0x40, 0x80, 0xc0, 0x03, 0x07}
+	for i := 0; i < 20000; i++ {
+		payload := make([]byte, 1+rng.Intn(24))
+		for j := range payload {
+			payload[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		visits := 0
+		VisitFrames(payload, &FrameInfo{}, func(*FrameInfo) error { visits++; return nil })
+		if visits > len(payload) {
+			t.Fatalf("% x: %d visits over %d bytes", payload, visits, len(payload))
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 
 	"quicsand/internal/activescan"
 	"quicsand/internal/capture"
+	"quicsand/internal/ckpt"
 	"quicsand/internal/correlate"
 	"quicsand/internal/detect"
 	"quicsand/internal/dissect"
@@ -243,18 +244,16 @@ type pipelineShard struct {
 	// no concurrent observer is attached.
 	live *telemetry.LiveShard
 
-	// sessLog is the append-only QCKP encoding of the sessLogN sessions
-	// the shard emitted before its last tick (streaming checkpoints only,
-	// DESIGN.md §17): emitted sessions are immutable, so each is encoded
-	// once, at the first tick after its emission, and then leaves
-	// sessions, which holds only those emitted since. stateLen is the
-	// length of the previous tick's encoded state, which sizes the next
-	// tick's buffer. Batch runs leave all three zero, and sessions holds
-	// every emitted session for reduce; they sit last so the fields the
-	// batch hot path reads keep their offsets (inserted mid-struct, they
-	// cost a replay that runs none of them 1–11 %: EXPERIMENTS.md).
-	sessLog  []byte
-	sessLogN int
+	// sessLog is the append-only QCKP encoding of every session the
+	// shard has emitted (streaming shards only, DESIGN.md §17): the QUIC
+	// sessionizer appends each as it finishes, and the shard keeps no
+	// session object. stateLen is the length of the previous tick's
+	// encoded state, which sizes the next tick's buffer. Batch runs leave
+	// both zero, and sessions holds every emitted session for reduce;
+	// they sit last so the fields the batch hot path reads keep their
+	// offsets (inserted mid-struct, they cost a replay that runs none of
+	// them 1–11 %: EXPERIMENTS.md).
+	sessLog  ckpt.Writer
 	stateLen int
 }
 
@@ -596,8 +595,6 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 	a.CommonDetector.Merge(commonDets...)
 	sessions.SortCanonical(a.QUICSessions)
 
-	// Once the QUIC detector has read a session's anatomy, nothing needs
-	// its sets again: sealing keeps their sizes and releases them.
 	for _, s := range a.QUICSessions {
 		switch s.Kind() {
 		case sessions.KindRequestOnly:
@@ -610,7 +607,6 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 			// observation; surface them loudly in results.
 			a.RequestSessions = append(a.RequestSessions, s)
 		}
-		s.Seal()
 	}
 
 	a.census = map[netmodel.Addr]string{}

@@ -186,6 +186,7 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 		ch := make(chan shardOp, streamDepth)
 		free := make(chan *packetBatch, streamPool)
 		s.chans[i], s.free[i] = ch, free
+		shards[i].logFinished()
 		feeds[i] = func(emit func(*telescope.Packet)) {
 			for op := range ch {
 				if op.reply != nil {

@@ -164,15 +164,16 @@ func TestStreamOfferSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// referenceEncode is the straightforward QCKP v1 encoder — every
-// session of every shard encoded afresh, no log — over the streamer's
-// own shards and the sessions each emitted (emitted[i], collected by
-// collectEmitted, since a live shard keeps its logged sessions as bytes
-// only); a checkpoint's image must match it byte for byte. The shards
-// must be quiescent: call it right after Checkpoint or Close returns
-// and before the next Offer (the shards' replies ordered their feeds'
-// writes before it, and they have nothing queued).
-func referenceEncode(s *Streamer, emitted [][]*sessions.Session) []byte {
+// referenceEncode is the straightforward QCKP v1 encoder — every shard's
+// state encoded afresh field by field, no freeze — over the streamer's
+// own shards, with each shard's finished sessions taken from logged[i]
+// (collected by collectLogged, since a finished session keeps only its
+// answers: its bytes are the ones written as it finished). A
+// checkpoint's image must match it byte for byte. The shards must be
+// quiescent: call it right after Checkpoint or Close returns and before
+// the next Offer (the shards' replies ordered their feeds' writes before
+// it, and they have nothing queued).
+func referenceEncode(s *Streamer, logged []*loggedSessions) []byte {
 	w := &ckpt.Writer{}
 	w.Raw(checkpointMagic)
 	w.U64(checkpointVersion)
@@ -200,29 +201,42 @@ func referenceEncode(s *Streamer, emitted [][]*sessions.Session) []byte {
 			m.ClientHellos, m.OpenerHits, m.OpenerMisses, m.OpenerResets, sh.nonQUIC} {
 			w.U64(v)
 		}
-		w.U64(uint64(len(emitted[i])))
-		for _, s := range emitted[i] {
-			sessions.EncodeSession(w, s)
-		}
+		w.U64(uint64(logged[i].n))
+		w.Raw(logged[i].bytes)
 		w.U64(s.counts[i])
 	}
 	return w.Bytes()
 }
 
-// collectEmitted chains a collector onto each shard's QUIC emission
-// hook and returns the per-shard lists it fills. Call it before the
-// first Offer: the channel send that hands a shard its first batch
-// orders the hook's installation before the shard's first read of it.
-func collectEmitted(s *Streamer) [][]*sessions.Session {
-	emitted := make([][]*sessions.Session, len(s.shards))
+// loggedSessions is one shard's finished sessions as collectLogged saw
+// them finish: how many, and their encodings in emission order.
+type loggedSessions struct {
+	n     int
+	bytes []byte
+}
+
+// collectLogged tees each shard's session log: the QUIC sessionizer
+// logs into a writer of the test's, and an emission hook, which runs
+// right after, moves each session's bytes on into the shard's own log
+// and copies them into the returned list. Call it before the first
+// Offer: the channel send that hands a shard its first batch orders the
+// hooks' installation before the shard's first read of them.
+func collectLogged(s *Streamer) []*loggedSessions {
+	logged := make([]*loggedSessions, len(s.shards))
 	for i, sh := range s.shards {
-		emit := sh.quicSz.Emit
-		sh.quicSz.Emit = func(x *sessions.Session) {
-			emitted[i] = append(emitted[i], x)
-			emit(x)
+		l := &loggedSessions{}
+		logged[i] = l
+		log, tee := sh.quicSz.Log, &ckpt.Writer{}
+		sh.quicSz.Log = tee
+		sh.quicSz.Emit = func(*sessions.Session) {
+			b := tee.Bytes()
+			log.Raw(b)
+			l.n++
+			l.bytes = append(l.bytes, b...)
+			*tee = *ckpt.NewWriter(b[:0])
 		}
 	}
-	return emitted
+	return logged
 }
 
 // TestCheckpointEncodeOnce proves the session log changes nothing but
@@ -250,23 +264,23 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitted := collectEmitted(s)
+	logged := collectLogged(s)
 	var froze []*frozen
 	var wg sync.WaitGroup
-	logged := 0
+	nLogged := 0
 	for i := range pkts {
 		s.Offer(&pkts[i])
 		if n := i + 1; n%every == 0 && len(froze) < ticks {
 			f := &frozen{ck: s.Checkpoint()}
-			f.ref = referenceEncode(s, emitted)
+			f.ref = referenceEncode(s, logged)
 			for k, sh := range s.shards {
-				if sh.sessLogN != len(emitted[k]) {
-					t.Errorf("tick %d: log covers %d of %d emitted sessions", len(froze), sh.sessLogN, len(emitted[k]))
+				if sh.quicSz.Emitted != logged[k].n {
+					t.Errorf("tick %d: log covers %d of %d emitted sessions", len(froze), logged[k].n, sh.quicSz.Emitted)
 				}
 				if len(sh.sessions) != 0 {
 					t.Errorf("tick %d: shard %d still holds %d logged sessions", len(froze), k, len(sh.sessions))
 				}
-				logged += sh.sessLogN
+				nLogged += logged[k].n
 			}
 			froze = append(froze, f)
 			wg.Add(1)
@@ -278,7 +292,7 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 		}
 	}
 	final := s.Close()
-	finalRef := referenceEncode(s, emitted)
+	finalRef := referenceEncode(s, logged)
 	wg.Wait()
 	if len(froze) < 5 {
 		t.Fatalf("run took %d ticks, want at least 5", len(froze))
@@ -323,7 +337,7 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 		}
 		resumed.Close()
 	}
-	if logged == 0 {
+	if nLogged == 0 {
 		t.Error("no tick ever logged an emitted session: the encode-once path was not exercised")
 	}
 
