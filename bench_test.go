@@ -260,7 +260,7 @@ func BenchmarkAblationTimeout(b *testing.B) {
 					sz.Observe(p, nil)
 				}
 				sz.Flush()
-				if sz.Emitted == 0 {
+				if sz.Metrics.Emitted == 0 {
 					b.Fatal("no sessions")
 				}
 			}

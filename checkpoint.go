@@ -101,7 +101,7 @@ func (sh *pipelineShard) freeze(i int, items uint64, final bool) frozenShard {
 	state := w.Bytes()
 	sh.stateLen = len(state)
 	log := sh.sessLog.Bytes()
-	f := frozenShard{shard: i, quicSessions: sh.quicSz.Emitted + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
+	f := frozenShard{shard: i, quicSessions: int(sh.quicSz.Metrics.Emitted) + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
 	f.image = shardImage{state: state, log: log[:len(log):len(log)], items: items}
 	f.det, f.alerts = sh.drain(final)
 	return f
@@ -168,7 +168,7 @@ func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 		w.U64(*v)
 	}
 	w.U64(sh.nonQUIC)
-	w.U64(uint64(sh.quicSz.Emitted)) // the log holds every session emitted
+	w.U64(sh.quicSz.Metrics.Emitted) // the log holds every session emitted
 }
 
 // decodeShard reads one shard block of data into a chained but unwired
@@ -191,8 +191,8 @@ func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) 
 	}
 	sh.nonQUIC = r.U64()
 	n := r.Int(maxCkptSessions)
-	if r.Err() == nil && n != sh.quicSz.Emitted {
-		r.Errorf("session log holds %d sessions, the QUIC sessionizer emitted %d", n, sh.quicSz.Emitted)
+	if r.Err() == nil && uint64(n) != sh.quicSz.Metrics.Emitted {
+		r.Errorf("session log holds %d sessions, the QUIC sessionizer emitted %d", n, sh.quicSz.Metrics.Emitted)
 	}
 	from := len(data) - r.Remaining()
 	sh.sessions = sessions.DecodeFinished(r, n)

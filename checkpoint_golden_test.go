@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// The QCKP format fixture (ROADMAP item 1(d)): one mid-stream flood
-// checkpoint written by the build that introduced QCKP v1's current
-// codec, checked in with the headline it reduces to. Every later build
-// must resume it to the same state and re-encode it byte for byte — or
-// reject it with a version error, never misread it.
+// The QCKP format fixture (ROADMAP item 5 plans its v2 successor): one
+// mid-stream flood checkpoint written by the build that introduced QCKP
+// v1's current codec, checked in with the headline it reduces to. Every
+// later build must resume it to the same state and re-encode it byte
+// for byte — or reject it with a version error, never misread it.
 //
 // Regenerate only for an intentional format change (with a version
 // bump): go test -run TestCheckpointGoldenImage -update

@@ -7,9 +7,9 @@ import (
 
 	"quicsand/internal/correlate"
 	"quicsand/internal/dosdetect"
+	"quicsand/internal/ibr"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/report"
-	"quicsand/internal/scenario"
 	"quicsand/internal/stats"
 	"quicsand/internal/wire"
 )
@@ -487,11 +487,11 @@ func (a *Analysis) ScenarioInfo() string {
 		start, dur := ph.Window()
 		var load string
 		switch ph.Kind {
-		case scenario.KindResearchScan:
+		case ibr.KindResearchScan:
 			load = fmt.Sprintf("%d sweeps", ph.Sweeps)
-		case scenario.KindScan:
+		case ibr.KindScan:
 			load = fmt.Sprintf("%d bots", ph.Sources)
-		case scenario.KindFlood:
+		case ibr.KindFlood:
 			load = fmt.Sprintf("%d %s attacks / %d victims", ph.Attacks, ph.Vector, ph.Victims.Size)
 			if ph.RetryMitigation {
 				load += " (retry-mitigated)"
@@ -499,7 +499,7 @@ func (a *Analysis) ScenarioInfo() string {
 			if ph.Pair != nil {
 				load += " (paired)"
 			}
-		case scenario.KindMisconfig:
+		case ibr.KindMisconfig:
 			load = fmt.Sprintf("%d responders", ph.Sources)
 		}
 		rows = append(rows, []string{

@@ -143,7 +143,7 @@ func TestStreamerLoggedSessionsRetainedHeap(t *testing.T) {
 							SrcPort: 40000, DstPort: telescope.PortQUIC, Proto: telescope.ProtoUDP, Size: 1200,
 						})
 					}
-					if logged := sh.quicSz.Emitted; packets > 0 && (logged != packets-1 || len(sh.sessions) != 0) {
+					if logged := int(sh.quicSz.Metrics.Emitted); packets > 0 && (logged != packets-1 || len(sh.sessions) != 0) {
 						t.Fatalf("the shard logged %d sessions and holds %d, want %d and 0", logged, len(sh.sessions), packets-1)
 					}
 					if tick {

@@ -1,14 +1,12 @@
 package detect
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"time"
+
+	"quicsand/internal/strictjson"
 )
 
 // Config parameterizes the sliding-window detectors. The zero value
@@ -101,21 +99,16 @@ type fileConfig struct {
 	MinPackets         *int     `json:"min_packets"`
 }
 
-// LoadConfig parses a detector-config JSON document. Unknown fields
-// are errors — a typoed knob must fail loudly, not silently keep its
-// default — and malformed input yields a clean error, never a panic
-// (FuzzLoadConfig). Omitted fields keep Default's values.
+// LoadConfig parses a detector-config JSON document: one object.
+// Unknown fields and repeated keys (also case-folded ones) are errors —
+// a typoed or doubled knob must fail loudly, not silently keep its
+// default or its last value — and malformed input yields a clean error,
+// never a panic (FuzzLoadConfig). Omitted fields keep Default's values.
 func LoadConfig(data []byte) (Config, error) {
 	cfg := Default()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var fc fileConfig
-	if err := dec.Decode(&fc); err != nil {
-		return Config{}, fmt.Errorf("detect: %w", err)
-	}
-	var tail any
-	if err := dec.Decode(&tail); !errors.Is(err, io.EOF) {
-		return Config{}, fmt.Errorf("detect: trailing data after config document")
+	if err := strictjson.Decode(data, &fc, "detect", "config"); err != nil {
+		return Config{}, err
 	}
 	if fc.Window != "" {
 		d, err := time.ParseDuration(fc.Window)

@@ -285,6 +285,28 @@ func TestLoadConfigRejects(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsRepeatedKeys: a knob given twice, in any
+// spelling encoding/json folds onto its field, is an error, never its
+// last value; so are documents that are not one object.
+func TestLoadConfigRejectsRepeatedKeys(t *testing.T) {
+	for _, doc := range []string{
+		`{"rate_pps": 5, "RATE_PPS": 100, "rate_pps": 7}`,
+		`{"rate_pps": 5, "rate_pps": 7}`,
+		`{"min_packets": 5, "Min_Packets": 7}`,
+		`{"window": "30s", "WINDOW": "10s"}`,
+		`null`,
+		`[{"rate_pps": 5}]`,
+	} {
+		if cfg, err := LoadConfig([]byte(doc)); err == nil {
+			t.Errorf("LoadConfig(%s) = %+v, want an error", doc, cfg)
+		}
+	}
+	_, err := LoadConfig([]byte(`{"rate_pps": 5, "RATE_PPS": 100}`))
+	if want := `detect: duplicate key "RATE_PPS" (keys match case-insensitively: "rate_pps" came first)`; err == nil || err.Error() != want {
+		t.Errorf("got %v, want %q", err, want)
+	}
+}
+
 // TestResolve pins the order the commands' detector flags apply in:
 // Default, then the -detect-config file, then a positive -window, then
 // validation — so -window overrides the file's window and a window too

@@ -23,6 +23,7 @@ func FuzzLoadConfig(f *testing.F) {
 	f.Add([]byte("\xff\xfe{broken"))
 	f.Add([]byte(`{"rate_pps":71582789}`))
 	f.Add([]byte(`{"min_packets":4294967297}`))
+	f.Add([]byte(`{"rate_pps": 5, "RATE_PPS": 100, "rate_pps": 7}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := LoadConfig(data)

@@ -96,12 +96,6 @@ type openerKey struct {
 // Internet mix) resets it wholesale rather than thrashing per packet.
 const maxOpeners = 64
 
-// cryptoSeg is one CRYPTO frame's extent inside a packet.
-type cryptoSeg struct {
-	off  uint64
-	data []byte
-}
-
 // Dissector decodes datagrams. It is not safe for concurrent use; use
 // one per goroutine (they are cheap).
 type Dissector struct {
@@ -116,18 +110,17 @@ type Dissector struct {
 
 	result Result
 	// Reused scratch: long-header parse target, frame-visitor record,
-	// decrypted plaintext, CRYPTO segment list, reassembly buffer and
-	// the ClientHello parse target (its strings re-allocate only when
-	// a value actually changes — interned scan templates keep this
-	// path allocation-free, see ParseClientHelloInto).
-	hdr       wire.Header
-	frame     wire.FrameInfo
-	plain     []byte
-	segs      []cryptoSeg
-	cryptoBuf []byte
-	msgs      []tlsmini.Message
-	hello     tlsmini.ClientHello
-	openers   map[openerKey]*quiccrypto.Opener
+	// decrypted plaintext, CRYPTO reassembler and the ClientHello parse
+	// target (its strings re-allocate only when a value actually
+	// changes — interned scan templates keep this path
+	// allocation-free, see ParseClientHelloInto).
+	hdr     wire.Header
+	frame   wire.FrameInfo
+	plain   []byte
+	crypto  wire.CryptoAssembler
+	msgs    []tlsmini.Message
+	hello   tlsmini.ClientHello
+	openers map[openerKey]*quiccrypto.Opener
 }
 
 // NewDissector returns a dissector with full validation enabled.
@@ -266,11 +259,11 @@ func (d *Dissector) tryDecryptInitial(h *wire.Header, pkt []byte, info *PacketIn
 	}
 	info.Decrypted = true
 	d.Metrics.Decrypted++
-	d.segs = d.segs[:0]
+	d.crypto.Reset()
 	err = wire.VisitFrames(payload, &d.frame, func(fi *wire.FrameInfo) error {
 		info.FrameTypes = append(info.FrameTypes, fi.Type)
 		if fi.Type == wire.FrameTypeCrypto {
-			d.segs = append(d.segs, cryptoSeg{off: fi.CryptoOffset, data: fi.CryptoData})
+			return d.crypto.Add(fi.CryptoOffset, fi.CryptoData)
 		}
 		return nil
 	})
@@ -278,8 +271,8 @@ func (d *Dissector) tryDecryptInitial(h *wire.Header, pkt []byte, info *PacketIn
 		info.FrameTypes = info.FrameTypes[:0]
 		return
 	}
-	crypto, ok := d.assembleCrypto()
-	if !ok || len(crypto) == 0 {
+	crypto, err := d.crypto.Assemble()
+	if err != nil || len(crypto) == 0 {
 		return
 	}
 	msgs, err := tlsmini.AppendMessages(d.msgs[:0], crypto)
@@ -294,39 +287,4 @@ func (d *Dissector) tryDecryptInitial(h *wire.Header, pkt []byte, info *PacketIn
 			info.SNI = d.hello.ServerName
 		}
 	}
-}
-
-// assembleCrypto reassembles the CRYPTO stream from the collected
-// segments, which must cover a contiguous range starting at offset 0
-// (single-datagram handshake messages always do). The dominant
-// one-segment case aliases the plaintext; multi-segment packets reuse
-// the dissector's reassembly buffer.
-func (d *Dissector) assembleCrypto() ([]byte, bool) {
-	segs := d.segs
-	if len(segs) == 0 {
-		return nil, true
-	}
-	if len(segs) == 1 {
-		if segs[0].off != 0 {
-			return nil, false
-		}
-		return segs[0].data, true
-	}
-	// Insertion sort by offset; handshake packets carry few segments.
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j-1].off > segs[j].off; j-- {
-			segs[j-1], segs[j] = segs[j], segs[j-1]
-		}
-	}
-	out := d.cryptoBuf[:0]
-	var next uint64
-	for _, s := range segs {
-		if s.off != next {
-			return nil, false
-		}
-		out = append(out, s.data...)
-		next += uint64(len(s.data))
-	}
-	d.cryptoBuf = out
-	return out, true
 }

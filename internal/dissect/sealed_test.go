@@ -114,6 +114,49 @@ func TestDissectNonShortestFrameType(t *testing.T) {
 	}
 }
 
+// cryptoInFrames rewrites a client Initial's plaintext as its CRYPTO
+// stream cut into n frames, written last piece first.
+func cryptoInFrames(t testing.TB, plain []byte, n int) []byte {
+	t.Helper()
+	frames, err := wire.ParseFrames(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crypto, err := wire.CryptoData(frames)
+	if err != nil || len(crypto) < n {
+		t.Fatalf("%d CRYPTO bytes (%v), want at least %d", len(crypto), err, n)
+	}
+	var out []byte
+	for i := n - 1; i >= 0; i-- {
+		lo, hi := i*len(crypto)/n, (i+1)*len(crypto)/n
+		out = (&wire.CryptoFrame{Offset: uint64(lo), Data: crypto[lo:hi]}).Append(out)
+	}
+	if len(out) > maxSealedPlaintext {
+		t.Fatalf("%d frames take %d bytes, more than one datagram", n, len(out))
+	}
+	return out
+}
+
+// TestDissectCryptoFrameBound: a ClientHello sent in
+// wire.MaxCryptoFrames CRYPTO frames, out of order, is reassembled; in
+// one frame more, the Initial opens but its frames are rejected.
+func TestDissectCryptoFrameBound(t *testing.T) {
+	plain := clientInitialPlaintext(t)
+	d := NewDissector()
+	for _, n := range []int{wire.MaxCryptoFrames, wire.MaxCryptoFrames + 1} {
+		dg, _ := sealInitial(t, wire.ConnectionID{1, 2, 3, 4, 5, 6, 7, 8}, wire.ConnectionID{9, 9, 9, 9}, cryptoInFrames(t, plain, n))
+		r, err := d.DissectPacket(request(dg))
+		if err != nil || len(r.Packets) != 1 {
+			t.Fatalf("%d frames: %d packets, err %v", n, len(r.Packets), err)
+		}
+		pi := r.Packets[0]
+		within := n <= wire.MaxCryptoFrames
+		if !pi.Decrypted || pi.HasClientHello != within || (len(pi.FrameTypes) == n) != within {
+			t.Errorf("%d frames: decrypted %v, %d frame types, ClientHello %v", n, pi.Decrypted, len(pi.FrameTypes), pi.HasClientHello)
+		}
+	}
+}
+
 // FuzzDissectSealedInitial seals an arbitrary plaintext as a client
 // Initial, coalescing a second one when the fuzzer gives one, and
 // dissects the datagram as a request. Every packet must open, and a

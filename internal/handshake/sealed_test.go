@@ -39,6 +39,65 @@ func sealedInitial(t testing.TB, dcid wire.ConnectionID, plaintext []byte) []byt
 	return pkt
 }
 
+// clientInitialPlaintext opens a real client's first Initial.
+func clientInitialPlaintext(t testing.TB) []byte {
+	t.Helper()
+	client, err := NewClient(ClientConfig{Version: wire.Version1, ServerName: "quicsand.test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := client.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := wire.ParseLongHeader(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opener, err := quiccrypto.NewInitialOpener(wire.Version1, h.DstConnID, quiccrypto.PerspectiveServer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := opener.Open(first[:h.PacketLen()], h.HeaderLen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plain
+}
+
+// TestServerCryptoFrameBound: a server answers a ClientHello sent in
+// wire.MaxCryptoFrames CRYPTO frames, out of order, and fails the
+// connection on one frame more.
+func TestServerCryptoFrameBound(t *testing.T) {
+	frames, err := wire.ParseFrames(clientInitialPlaintext(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crypto, err := wire.CryptoData(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{wire.MaxCryptoFrames, wire.MaxCryptoFrames + 1} {
+		var plain []byte
+		for i := n - 1; i >= 0; i-- {
+			lo, hi := i*len(crypto)/n, (i+1)*len(crypto)/n
+			plain = (&wire.CryptoFrame{Offset: uint64(lo), Data: crypto[lo:hi]}).Append(plain)
+		}
+		s, err := NewServerConn(ServerConfig{Identity: testIdentity}, wire.Version1, sealedDCID, sealedSCID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.HandleDatagram(sealedInitial(t, sealedDCID, plain))
+		if n <= wire.MaxCryptoFrames {
+			if err != nil || len(out) == 0 {
+				t.Errorf("%d frames: %d replies, err %v; want an answer", n, len(out), err)
+			}
+		} else if !errors.Is(err, wire.ErrBadFrame) || len(out) != 0 || s.State() != ServerStateFailed {
+			t.Errorf("%d frames: %d replies, err %v, state %v; want a failed connection", n, len(out), err, s.State())
+		}
+	}
+}
+
 // TestServerNonShortestFrameType: a server handed an Initial whose
 // plaintext starts with PADDING's type written in two bytes fails the
 // connection at once.
@@ -72,26 +131,7 @@ func TestServerNonShortestFrameType(t *testing.T) {
 // stays within three times what it received (RFC 9000 §8.1), and a
 // failure is sticky.
 func FuzzServerSealedInitial(f *testing.F) {
-	client, err := NewClient(ClientConfig{Version: wire.Version1, ServerName: "quicsand.test"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	first, err := client.Start()
-	if err != nil {
-		f.Fatal(err)
-	}
-	h, err := wire.ParseLongHeader(first)
-	if err != nil {
-		f.Fatal(err)
-	}
-	opener, err := quiccrypto.NewInitialOpener(wire.Version1, h.DstConnID, quiccrypto.PerspectiveServer)
-	if err != nil {
-		f.Fatal(err)
-	}
-	plain, _, err := opener.Open(first[:h.PacketLen()], h.HeaderLen())
-	if err != nil {
-		f.Fatal(err)
-	}
+	plain := clientInitialPlaintext(f)
 	f.Add(plain, []byte(nil))
 	f.Add(plain, plain)
 	f.Fuzz(func(t *testing.T, first, second []byte) {

@@ -153,14 +153,14 @@ func TestSlabRecyclingDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		victims := PickDistinctVictims(gen.Census().Servers, 8, gen.ForkRNG("test/victims"))
-		gen.AddFloodPlan("amp-quic", FloodPlan{Vector: VectorQUIC, Attacks: 3000, Victims: victims,
-			Amplification: 2.5, Shape: ShapeSquare, SCIDRatio: -1})
-		gen.AddFloodPlan("amp-retry", FloodPlan{Vector: VectorQUIC, Attacks: 2000, Victims: victims,
-			Amplification: 3, RetryMitigated: true, Shape: ShapeRamp, SCIDRatio: -1})
-		gen.AddFloodPlan("amp-common", FloodPlan{Vector: VectorCommonMix, Attacks: 5000,
-			Victims:       []VictimRef{{Addr: netmodel.MustAddr("38.1.2.3")}, {Addr: netmodel.MustAddr("38.1.2.4")}},
-			Amplification: 1.5})
+		// Pool sizes are at scale 1: 8 census victims for the QUIC
+		// floods, 2 Internet hosts for the TCP/ICMP ones.
+		addPhase(t, gen, "amp-quic", Phase{Kind: KindFlood, Vector: "quic", Attacks: 3000,
+			Victims: VictimPool{Size: 4000}, Amplification: 2.5, Rate: RateCurve{Shape: "square"}})
+		addPhase(t, gen, "amp-retry", Phase{Kind: KindFlood, Vector: "quic", Attacks: 2000,
+			Victims: VictimPool{Size: 4000}, Amplification: 3, RetryMitigation: true, Rate: RateCurve{Shape: "ramp"}})
+		addPhase(t, gen, "amp-common", Phase{Kind: KindFlood, Vector: "common-mix", Attacks: 5000,
+			Victims: VictimPool{Org: "internet", Size: 1000}, Amplification: 1.5})
 		var n int
 		ph := newPacketHash()
 		for _, m := range gen.Feeds(feeds, recycle) {

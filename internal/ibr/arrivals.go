@@ -1,7 +1,7 @@
 package ibr
 
 // Flood arrival times without a comparison sort. A flood's arrival
-// offsets are uniform (or, for ShapeRamp, linearly dense) draws over
+// offsets are uniform (or, for shapeRamp, linearly dense) draws over
 // ranges the flood knows before drawing, so each run of draws is
 // bucket-sorted on its own range in linear expected time and the runs
 // are merged. Flood materialisation is most of a generated month, and a

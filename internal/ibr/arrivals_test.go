@@ -97,10 +97,10 @@ var testFloods = []floodSpec{
 	{vector: VectorICMP, durSec: 90000, peakPkts: 2000, basePkts: 20000},
 	{vector: VectorTCP, durSec: 65, peakPkts: 6, basePkts: 2},
 	{vector: VectorTCP, durSec: 0, peakPkts: 10, basePkts: 5},
-	{vector: VectorTCP, durSec: 600, peakPkts: 300, basePkts: 900, shape: ShapeSquare},
-	{vector: VectorICMP, durSec: 600, peakPkts: 300, basePkts: 900, shape: ShapeRamp},
+	{vector: VectorTCP, durSec: 600, peakPkts: 300, basePkts: 900, shape: shapeSquare},
+	{vector: VectorICMP, durSec: 600, peakPkts: 300, basePkts: 900, shape: shapeRamp},
 	{vector: VectorTCP, durSec: 400, peakPkts: 200, basePkts: 100, amp: 3},
-	{vector: VectorICMP, durSec: 800, peakPkts: 50, basePkts: 400, shape: ShapeRamp, amp: 2},
+	{vector: VectorICMP, durSec: 800, peakPkts: 50, basePkts: 400, shape: shapeRamp, amp: 2},
 	{vector: VectorQUIC, durSec: 500, peakPkts: 150, basePkts: 120, nPorts: 9, scidRatio: 0.5, amp: 2},
 }
 

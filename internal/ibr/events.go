@@ -172,15 +172,15 @@ func (b *botSpec) build(pool *slabPool) []telescope.Packet {
 // ---------------------------------------------------------------------------
 // Flood backscatter
 
-// Rate-curve shapes for flood backscatter (Shape knob of scenario
-// flood phases). ShapeBurst is the paper's profile — a sustained base
-// rate plus a two-minute peak window; ShapeSquare spreads the whole
-// packet budget uniformly; ShapeRamp ramps density linearly toward the
+// Rate-curve shapes for flood backscatter (RateCurve.Shape of a flood
+// phase). shapeBurst is the paper's profile — a sustained base rate
+// plus a two-minute peak window; shapeSquare spreads the whole packet
+// budget uniformly; shapeRamp ramps density linearly toward the
 // attack's end (an escalating flood).
 const (
-	ShapeBurst uint8 = iota
-	ShapeSquare
-	ShapeRamp
+	shapeBurst uint8 = iota
+	shapeSquare
+	shapeRamp
 )
 
 // floodSpec is one planned DoS event's backscatter as seen at the
@@ -203,7 +203,7 @@ type floodSpec struct {
 
 	// Scenario knobs (zero values reproduce the paper's profile
 	// draw-for-draw; see DESIGN.md §11).
-	shape          uint8 // rate-curve shape (ShapeBurst/Square/Ramp)
+	shape          uint8 // rate-curve shape (shapeBurst/Square/Ramp)
 	amp            int   // response datagrams per backscatter arrival (0/1 = none)
 	retryMitigated bool  // victim answers with Retry crypto challenges
 
@@ -390,7 +390,7 @@ func (f *floodSpec) refill(pool *slabPool, l *floodLive) {
 // and raw[split:] from b.
 func (f *floodSpec) drawArrivals(s *arrivalScratch) (raw []float64, split int, a, b span) {
 	whole := span{0, f.durSec}
-	if f.shape == ShapeSquare || f.shape == ShapeRamp {
+	if f.shape == shapeSquare || f.shape == shapeRamp {
 		n := f.peakPkts + f.basePkts
 		raw = s.draws(n + 2)
 		// Bracket packets pin the observed session to the attack's true
@@ -399,7 +399,7 @@ func (f *floodSpec) drawArrivals(s *arrivalScratch) (raw []float64, split int, a
 		raw = append(raw, 0, f.durSec)
 		for i := 0; i < n; i++ {
 			u := f.rng.Float64()
-			if f.shape == ShapeRamp {
+			if f.shape == shapeRamp {
 				// Escalating: density grows linearly toward the end
 				// (CDF t², so t = dur·√u).
 				u = math.Sqrt(u)
@@ -408,7 +408,7 @@ func (f *floodSpec) drawArrivals(s *arrivalScratch) (raw []float64, split int, a
 		}
 		return raw, 0, span{}, whole
 	}
-	// ShapeBurst, the paper's profile. Burst phase: peakPkts per minute
+	// shapeBurst, the paper's profile. Burst phase: peakPkts per minute
 	// sustained over a two-minute window placed uniformly inside the
 	// attack. A 120-second window always covers one full wall-clock
 	// minute regardless of phase, so the Moore max-pps metric observes

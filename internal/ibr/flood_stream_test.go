@@ -30,7 +30,7 @@ func digestCases() []digestCase {
 	var cs []digestCase
 	i := 0
 	for _, vector := range []int{VectorQUIC, VectorTCP, VectorICMP} {
-		for _, shape := range []uint8{ShapeBurst, ShapeSquare, ShapeRamp} {
+		for _, shape := range []uint8{shapeBurst, shapeSquare, shapeRamp} {
 			for _, amp := range []int{1, 2, 3} {
 				for _, retry := range []bool{false, true} {
 					if retry && vector != VectorQUIC {
@@ -65,18 +65,18 @@ func digestCases() []digestCase {
 		}}
 	}
 	cs = append(cs,
-		edge("short", VectorQUIC, ShapeSquare, 1, 10, 5),          // 17 packets
-		edge("short-amp", VectorTCP, ShapeRamp, 3, 3, 1),          // 18 packets
-		edge("one-chunk", VectorQUIC, ShapeSquare, 1, 20, 10),     // 32 arrivals
-		edge("one-chunk-burst", VectorICMP, ShapeBurst, 1, 15, 0), // 32 arrivals
-		edge("chunk-minus-one", VectorTCP, ShapeSquare, 1, 19, 10),
-		edge("chunk-plus-one", VectorTCP, ShapeSquare, 1, 21, 10),
-		edge("three-chunks", VectorQUIC, ShapeRamp, 1, 60, 34),        // 96 arrivals
-		edge("three-chunks-amp2", VectorQUIC, ShapeSquare, 2, 30, 16), // 48 arrivals × 2
-		edge("two-chunks-amp3", VectorICMP, ShapeSquare, 3, 10, 8),    // 20 arrivals × 3
-		edge("two-chunks-burst", VectorTCP, ShapeBurst, 1, 30, 2),     // 64 arrivals
+		edge("short", VectorQUIC, shapeSquare, 1, 10, 5),          // 17 packets
+		edge("short-amp", VectorTCP, shapeRamp, 3, 3, 1),          // 18 packets
+		edge("one-chunk", VectorQUIC, shapeSquare, 1, 20, 10),     // 32 arrivals
+		edge("one-chunk-burst", VectorICMP, shapeBurst, 1, 15, 0), // 32 arrivals
+		edge("chunk-minus-one", VectorTCP, shapeSquare, 1, 19, 10),
+		edge("chunk-plus-one", VectorTCP, shapeSquare, 1, 21, 10),
+		edge("three-chunks", VectorQUIC, shapeRamp, 1, 60, 34),        // 96 arrivals
+		edge("three-chunks-amp2", VectorQUIC, shapeSquare, 2, 30, 16), // 48 arrivals × 2
+		edge("two-chunks-amp3", VectorICMP, shapeSquare, 3, 10, 8),    // 20 arrivals × 3
+		edge("two-chunks-burst", VectorTCP, shapeBurst, 1, 30, 2),     // 64 arrivals
 	)
-	instant := edge("zero-duration", VectorTCP, ShapeBurst, 2, 10, 5)
+	instant := edge("zero-duration", VectorTCP, shapeBurst, 2, 10, 5)
 	instant.spec.durSec = 0
 	return append(cs, instant)
 }

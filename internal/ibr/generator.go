@@ -56,11 +56,13 @@ var defaultIdentityPEM []byte
 // targets at Scale=1. Each is an *input* intensity; the reported
 // results are still measured from the packet stream.
 const (
-	calBots          = 9600   // distinct scanning bot addresses
-	calBotVisitsMean = 1.25   // extra visits per bot (+1)
-	calQUICAttacks   = 2905   // QUIC flood events
-	calQUICVictims   = 394    // distinct QUIC victims
-	calCommonAttacks = 282000 // TCP/ICMP flood events
+	calBots               = 9600   // distinct scanning bot addresses
+	calBotVisitsMean      = 1.25   // extra visits per bot (+1)
+	calBotPacketsPerVisit = 11     // mean packets per scan session
+	calBotTagShare        = 0.023  // bots the GreyNoise join tags
+	calQUICAttacks        = 2905   // QUIC flood events
+	calQUICVictims        = 394    // distinct QUIC victims
+	calCommonAttacks      = 282000 // TCP/ICMP flood events
 	// calCommonVictims keeps attacks-per-victim near Jonker et al.'s
 	// macroscopic view (millions of targets ⇒ ~1.4 attacks/victim);
 	// small pools would merge attacks into month-long sessions.
@@ -102,7 +104,7 @@ type Generator struct {
 // NewEmpty builds a generator with the shared substrate — simulated
 // Internet, census, identity, per-version packet templates — but an
 // empty schedule. The scenario compiler (internal/scenario) populates
-// it through the Add*Plan methods in plan.go; New layers the paper's
+// it phase by phase (AddPhase, plan.go); New layers the paper's
 // hard-coded month on top. The root-RNG fork order (census, then
 // templates, then schedule forks in call order) is the determinism
 // contract: a given (seed, plan sequence) always yields the same month.
@@ -174,15 +176,8 @@ func (g *Generator) schedulePaper() {
 }
 
 // Internet returns the simulated topology the generator schedules
-// against (the scenario compiler resolves victim pools on it).
+// against.
 func (g *Generator) Internet() *netmodel.Internet { return g.cfg.Internet }
-
-// Census returns the active-scan census shared with the analyses.
-func (g *Generator) Census() *activescan.Census { return g.cfg.Census }
-
-// Scaled applies the configured event-count scale to a paper-magnitude
-// count (minimum 1), exactly as the paper schedule does.
-func (g *Generator) Scaled(n float64) int { return g.scaled(n) }
 
 // Sources exposes the scheduled sources (for custom mergers).
 func (g *Generator) Sources() []Source { return g.sources }
@@ -287,8 +282,6 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 	for i, p := range pools {
 		weights[i] = p.weight
 	}
-	versions := []wire.Version{wire.Version1, wire.VersionDraft29, wire.VersionDraft27, wire.VersionMVFST27}
-	versionWeights := []float64{0.5, 0.3, 0.1, 0.1}
 
 	nBots := g.scaled(calBots)
 	for i := 0; i < nBots; i++ {
@@ -306,9 +299,9 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 		sort.Float64s(visits)
 		bot := &botSpec{
 			src:     src,
-			version: versions[rng.Pick(versionWeights)],
+			version: botVersions[rng.Pick(botVersionWeights)],
 			visits:  visits,
-			pktsPer: 11,
+			pktsPer: calBotPacketsPerVisit,
 			srcPort: uint16(1024 + rng.Intn(60000)),
 			rng:     rng.ForkIndexed("bot", i),
 			tpl:     g.tpl,
@@ -319,80 +312,47 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 		g.sources = append(g.sources, bot)
 		g.recordBot("paper/bots", bot)
 		g.Truth.BotAddrs = append(g.Truth.BotAddrs, src)
-		if rng.Float64() < 0.023 {
-			tag := "Mirai"
-			switch x := rng.Float64(); {
-			case x > 0.75:
-				tag = "Eternalblue"
-			case x > 0.55:
-				tag = "SSH Bruteforcer"
-			}
-			g.Truth.TaggedBots[src] = append(g.Truth.TaggedBots[src], tag)
+		if rng.Float64() < calBotTagShare {
+			g.Truth.TaggedBots[src] = append(g.Truth.TaggedBots[src], drawBotTag(rng))
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 
-// Scheduled QUIC attacks are retained as FloodEvents (plan.go) for
+// The paper's QUIC attacks are retained as floodEvents (plan.go) for
 // multi-vector pairing.
 
-// assignVictims distributes nAttacks over a victim pool with the
-// paper's Figure 6 skew (alpha 1.15) — a thin wrapper over the shared
-// assignVictimRefs engine in plan.go, so the hot/cold split and the
-// popularity draw have one source of truth.
-func assignVictims(addrs []netmodel.Addr, nAttacks int, rng *netmodel.RNG) []netmodel.Addr {
-	if len(addrs) == 0 || nAttacks == 0 {
-		return nil
-	}
-	refs := make([]VictimRef, len(addrs))
-	for i, a := range addrs {
-		refs[i] = VictimRef{Addr: a}
-	}
-	out := make([]netmodel.Addr, 0, nAttacks)
-	for _, r := range assignVictimRefs(refs, nAttacks, 1.15, rng) {
-		out = append(out, r.Addr)
-	}
-	return out
-}
-
-func (g *Generator) scheduleQUICAttacks(rng *netmodel.RNG) []FloodEvent {
+func (g *Generator) scheduleQUICAttacks(rng *netmodel.RNG) []floodEvent {
 	census := g.cfg.Census
 
-	mkPool := func(servers []activescan.Server, n int, r *netmodel.RNG) []netmodel.Addr {
-		refs := PickDistinctVictims(servers, n, r)
-		addrs := make([]netmodel.Addr, len(refs))
-		for i, v := range refs {
-			addrs[i] = v.Addr
-		}
-		return addrs
-	}
 	nVictims := g.scaled(calQUICVictims)
-	google := mkPool(census.ByOrg("Google"), maxInt(2, nVictims*43/100), rng.Fork("victims/google"))
-	facebook := mkPool(census.ByOrg("Facebook"), maxInt(2, nVictims*28/100), rng.Fork("victims/facebook"))
+	google := pickDistinctVictims(census.ByOrg("Google"), maxInt(2, nVictims*43/100), rng.Fork("victims/google"))
+	facebook := pickDistinctVictims(census.ByOrg("Facebook"), maxInt(2, nVictims*28/100), rng.Fork("victims/facebook"))
 	var otherServers []activescan.Server
 	for _, s := range census.Servers {
 		if s.Org != "Google" && s.Org != "Facebook" {
 			otherServers = append(otherServers, s)
 		}
 	}
-	other := mkPool(otherServers, maxInt(2, nVictims*25/100), rng.Fork("victims/other"))
+	other := pickDistinctVictims(otherServers, maxInt(2, nVictims*25/100), rng.Fork("victims/other"))
 	// Unknown victims: content-space hosts absent from the census.
-	var unknown []netmodel.Addr
+	var unknown []victimRef
 	for len(unknown) < maxInt(1, nVictims*4/100) {
 		a := g.cfg.Internet.RandomHostOf(netmodel.ASNCloudflare, rng)
 		if !census.IsKnown(a) {
-			unknown = append(unknown, a)
+			unknown = append(unknown, victimRef{addr: a})
 		}
 	}
 
 	nAttacks := g.scaled(calQUICAttacks)
-	plans := make([]FloodEvent, 0, nAttacks)
+	plans := make([]floodEvent, 0, nAttacks)
 	orgNames := []string{"Google", "Facebook", "Other", "Unknown"}
 	orgShares := []float64{0.58, 0.25, 0.15, 0.02}
-	orgPools := [][]netmodel.Addr{google, facebook, other, unknown}
+	orgPools := [][]victimRef{google, facebook, other, unknown}
 
-	// Pre-assign victims per organisation with the Figure 6 skew.
+	// Pre-assign victims per organisation with the Figure 6 skew (alpha
+	// 1.15).
 	type pending struct {
 		orgIdx int
 		victim netmodel.Addr
@@ -405,8 +365,8 @@ func (g *Generator) scheduleQUICAttacks(rng *netmodel.RNG) []FloodEvent {
 			n = nAttacks - assigned
 		}
 		assigned += n
-		for _, v := range assignVictims(orgPools[oi], n, rng.Fork("assign/"+orgNames[oi])) {
-			queue = append(queue, pending{orgIdx: oi, victim: v})
+		for _, v := range assignVictims(orgPools[oi], n, 1.15, rng.Fork("assign/"+orgNames[oi])) {
+			queue = append(queue, pending{orgIdx: oi, victim: v.addr})
 		}
 	}
 	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
@@ -476,7 +436,7 @@ func (g *Generator) scheduleQUICAttacks(rng *netmodel.RNG) []FloodEvent {
 		}
 		g.sources = append(g.sources, spec)
 		g.recordFlood("paper/quic-attacks", spec, orgNames[orgIdx])
-		plans = append(plans, FloodEvent{Victim: victim, StartSec: start, DurSec: dur})
+		plans = append(plans, floodEvent{victim: victim, startSec: start, durSec: dur})
 	}
 	g.Truth.QUICAttacks = nAttacks
 	return plans
@@ -505,7 +465,7 @@ func maxInt(a, b int) int {
 
 // ---------------------------------------------------------------------------
 
-func (g *Generator) scheduleCommonAttacks(rng *netmodel.RNG, quicEvents []FloodEvent) {
+func (g *Generator) scheduleCommonAttacks(rng *netmodel.RNG, quicEvents []floodEvent) {
 	in := g.cfg.Internet
 
 	// 1) Multi-vector pairing against the scheduled QUIC attacks
@@ -519,7 +479,7 @@ func (g *Generator) scheduleCommonAttacks(rng *netmodel.RNG, quicEvents []FloodE
 	commonVictims := make([]netmodel.Addr, nVictims)
 	vWeights := make([]float64, nVictims)
 	for i := range commonVictims {
-		commonVictims[i] = RandomCommonVictim(in, rng)
+		commonVictims[i] = randomCommonVictim(in, rng)
 		vWeights[i] = rng.Pareto(1, 1.5)
 	}
 	// One sampler for the whole fill: rng.Pick would re-sum and scan the
@@ -540,5 +500,5 @@ func (g *Generator) scheduleMisconfig(rng *netmodel.RNG) {
 	// flood victims (mostly), matching Figure 5's content-heavy
 	// response population. Shared with scenario misconfig phases
 	// (scheduleMisconfigSources in plan.go).
-	g.scheduleMisconfigSources(rng, g.scaled(calMisconfSources), calMisconfVisits, 0, 0, "paper/misconfig")
+	g.scheduleMisconfigSources(rng, g.scaled(calMisconfSources), calMisconfVisits, 0, measurementSeconds, "paper/misconfig")
 }

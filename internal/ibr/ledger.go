@@ -107,7 +107,7 @@ type Ledger struct {
 // FloodPackets returns the exact number of telescope packets one flood
 // event emits. It is the schedule-time twin of the flood's stream: two
 // bracket packets pin the attack extent, the shape draws peak+base
-// arrival times (ShapeBurst expands the peak over a window of up to
+// arrival times (shapeBurst expands the peak over a window of up to
 // two minutes), and every arrival elicits amp response datagrams. Only
 // arrival *times* are drawn at activation — the count is fully
 // determined here, which is what makes flood volumes an exact oracle
@@ -118,7 +118,7 @@ func FloodPackets(peakPkts, basePkts int, durSec float64, shape uint8, amp int) 
 		amp = 1
 	}
 	arrivals := 2 + peakPkts + basePkts
-	if shape == ShapeBurst {
+	if shape == shapeBurst {
 		window := 120.0
 		if durSec < window {
 			window = durSec

@@ -7,7 +7,15 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// ledgerGenerator schedules one flood plan per rate-curve shape and
+// addPhase schedules p onto g under label.
+func addPhase(t *testing.T, g *Generator, label string, p Phase) {
+	t.Helper()
+	if err := g.AddPhase(label, &p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ledgerGenerator schedules one flood phase per rate-curve shape and
 // amplification level onto a ledger-recording generator, so the tests
 // can pin schedule-time predictions against what the sources emit.
 func ledgerGenerator(t *testing.T) *Generator {
@@ -19,22 +27,18 @@ func ledgerGenerator(t *testing.T) *Generator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victims := PickDistinctVictims(g.Census().Servers, 6, g.ForkRNG("test/victims"))
-	if len(victims) < 6 {
-		t.Fatalf("census too small: %d victims", len(victims))
-	}
-	for i, p := range []FloodPlan{
-		{Vector: VectorQUIC, Attacks: 5, Shape: ShapeBurst, SCIDRatio: -1},
-		{Vector: VectorQUIC, Attacks: 5, Shape: ShapeSquare, SCIDRatio: -1, Amplification: 3},
-		{Vector: VectorQUIC, Attacks: 5, Shape: ShapeRamp, SCIDRatio: -1, Amplification: 2.5,
-			RetryMitigated: true, DurMedianSec: 90},
-		{Vector: VectorCommonMix, Attacks: 8, BasePPS: 0.1},
+	for i, p := range []Phase{
+		{Vector: "quic", Attacks: 5},
+		{Vector: "quic", Attacks: 5, Rate: RateCurve{Shape: "square"}, Amplification: 3},
+		{Vector: "quic", Attacks: 5, Rate: RateCurve{Shape: "ramp"}, Amplification: 2.5,
+			RetryMitigation: true, Duration: Duration{MedianSec: 90}},
+		{Vector: "common-mix", Attacks: 8, Rate: RateCurve{BasePPS: 0.1}},
 	} {
-		p.Victims = victims[i%3 : i%3+3]
-		g.AddFloodPlan(string(rune('a'+i)), p)
+		p.Kind, p.Victims = KindFlood, VictimPool{Size: 3}
+		addPhase(t, g, string(rune('a'+i)), p)
 	}
-	g.AddScanPlan("scan", ScanPlan{Bots: 20, TagShare: -1})
-	g.AddMisconfigPlan("misc", MisconfigPlan{Sources: 15})
+	addPhase(t, g, "scan", Phase{Kind: KindScan, Sources: 20})
+	addPhase(t, g, "misc", Phase{Kind: KindMisconfig, Sources: 15})
 	return g
 }
 
@@ -180,8 +184,8 @@ func TestLedgerOptIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.AddScanPlan("s", ScanPlan{Bots: 10, TagShare: -1})
-		g.AddMisconfigPlan("m", MisconfigPlan{Sources: 5})
+		addPhase(t, g, "s", Phase{Kind: KindScan, Sources: 10})
+		addPhase(t, g, "m", Phase{Kind: KindMisconfig, Sources: 5})
 		g.Feeds(1, false)[0].Run(func(p *telescope.Packet) { ts = append(ts, p.TS) })
 		return ts, g.Ledger
 	}

@@ -113,7 +113,7 @@ func TestPartitionBalancesPaperMonth(t *testing.T) {
 func TestPartitionFloodWeightIsBuildCount(t *testing.T) {
 	for i, spec := range testFloods {
 		for _, amp := range []int{0, 1, 2, 5} {
-			for _, shape := range []uint8{ShapeBurst, ShapeSquare, ShapeRamp} {
+			for _, shape := range []uint8{shapeBurst, shapeSquare, shapeRamp} {
 				spec.amp, spec.shape = amp, shape
 				f := newTestFlood(t, spec, uint64(i+1))
 				if got, want := f.plannedPackets(), uint64(len(drain(f, testPool(false)))); got != want {

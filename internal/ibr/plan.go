@@ -1,16 +1,16 @@
 package ibr
 
-// This file is the generator's exported scheduling surface: the
-// scenario compiler (internal/scenario) turns declarative phase specs
-// into Add*Plan calls on a NewEmpty generator. Each call forks the
-// root RNG under a caller-supplied label, so a given (seed, sequence
-// of labelled plans) is bit-reproducible and inserting a new phase
-// never perturbs the draws of phases before it. The paper's hard-coded
-// schedule (New) and these plans share every event source — botSpec,
-// floodSpec, researchScan, misconfigSpec — so scenario-driven months
-// ride the same allocation-free hot path.
+// This file schedules scenario phases (phase.go) onto a generator:
+// internal/scenario calls AddPhase once per phase on a NewEmpty
+// generator. Each call forks the root RNG under the caller's label, so
+// a given (seed, sequence of labelled phases) is bit-reproducible and
+// inserting a phase never perturbs the draws of the phases before it.
+// The paper's hard-coded schedule (New) and the phases share every
+// event source — botSpec, floodSpec, researchScan, misconfigSpec — so
+// scenario months ride the same allocation-free hot path.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -21,98 +21,82 @@ import (
 	"quicsand/internal/wire"
 )
 
-// Flood vectors for FloodPlan.
+// Flood vectors.
 const (
 	VectorQUIC = 0
 	VectorTCP  = 1
 	VectorICMP = 2
-	// VectorCommonMix draws TCP or ICMP per attack with the paper's
-	// 80/20 mix.
-	VectorCommonMix = 3
 )
 
-// VictimRef is one resolved flood victim with its ground-truth
+// victimRef is one resolved flood victim with its ground-truth
 // organisation label (census org, or "Unknown").
-type VictimRef struct {
-	Addr netmodel.Addr
-	Org  string
+type victimRef struct {
+	addr netmodel.Addr
+	org  string
 }
 
-// FloodEvent records one scheduled attack, for multi-vector pairing.
-type FloodEvent struct {
-	Victim   netmodel.Addr
-	StartSec float64
-	DurSec   float64
+// floodEvent records one scheduled attack, for multi-vector pairing.
+type floodEvent struct {
+	victim   netmodel.Addr
+	startSec float64
+	durSec   float64
 }
+
+// Default version mixes: a scan bot's (the paper's bots too) and a
+// QUIC flood phase's.
+var (
+	botVersions         = []wire.Version{wire.Version1, wire.VersionDraft29, wire.VersionDraft27, wire.VersionMVFST27}
+	botVersionWeights   = []float64{0.5, 0.3, 0.1, 0.1}
+	floodVersions       = []wire.Version{wire.Version1, wire.VersionDraft29}
+	floodVersionWeights = []float64{0.6, 0.4}
+)
 
 // planRNG forks the deterministic RNG stream for a labelled plan.
 func (g *Generator) planRNG(label string) *netmodel.RNG {
 	return g.root.Fork("plan/" + label)
 }
 
-// ForkRNG exposes the labelled fork to the scenario compiler (victim
-// pool resolution draws from it). Calls advance the root stream, so
-// they are part of the deterministic plan sequence.
-func (g *Generator) ForkRNG(label string) *netmodel.RNG { return g.planRNG(label) }
-
-// ResolveWindow resolves a (start, dur) pair against the measurement
-// month — dur <= 0 means "to the end of the month", out-of-range
-// values clamp into it. It is the single window resolver shared by the
-// plan schedulers and scenario validation (Phase.Window), so the two
-// layers can never drift apart.
-func ResolveWindow(startSec, durSec float64) (float64, float64) {
-	if startSec < 0 {
-		startSec = 0
+// AddPhase validates p and schedules it under label. A phase forks the
+// root RNG under "plan/<label>"; a flood phase forks
+// "plan/<label>/victims" before it to draw its victim pool, and a
+// paired one "plan/<label>/pair" after it. The scheduled events carry
+// label in the ledger ("<label>/pair" for the TCP/ICMP partners).
+func (g *Generator) AddPhase(label string, p *Phase) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
-	if startSec > measurementSeconds-1 {
-		startSec = measurementSeconds - 1
+	start, dur := p.Window()
+	switch p.Kind {
+	case KindResearchScan:
+		g.addResearch(label, p, start, dur)
+	case KindScan:
+		g.addScan(label, p, start, dur)
+	case KindFlood:
+		return g.addFlood(label, p, start, dur)
+	case KindMisconfig:
+		rng := g.planRNG(label)
+		g.scheduleMisconfigSources(rng, g.scaled(float64(p.Sources)), cmp.Or(p.VisitsMean, calMisconfVisits), start, dur, label)
 	}
-	if durSec <= 0 || startSec+durSec > measurementSeconds {
-		durSec = measurementSeconds - startSec
-	}
-	return startSec, durSec
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Research sweeps
 
-// DefaultSweepHours is the research-sweep duration applied when a
-// ResearchPlan leaves SweepHours unset. scenario.Validate checks
-// defaulted sweeps against their window with this same value.
-const DefaultSweepHours = 10
-
-// ResearchPlan schedules extra full-IPv4 research sweeps (thinned by
-// Config.ResearchThin, like the paper's TUM/RWTH scanners).
-type ResearchPlan struct {
-	Sweeps     int     // sweeps across the window (not scaled; thinning bounds cost)
-	SweepHours float64 // duration of one sweep (default DefaultSweepHours)
-	StartSec   float64 // window start offset
-	DurSec     float64 // window length; 0 = rest of month
-}
-
-// AddResearchPlan spreads the sweeps evenly (with jitter) over the
-// window, alternating between the TUM and RWTH scanner hosts. It is a
-// no-op when Config.SkipResearch is set.
-func (g *Generator) AddResearchPlan(label string, p ResearchPlan) {
+// addResearch spreads the phase's full-IPv4 sweeps (thinned by
+// Config.ResearchThin, like the paper's TUM/RWTH scanners) evenly, with
+// jitter, over the window, alternating between the TUM and RWTH
+// scanner hosts. It schedules nothing when Config.SkipResearch is set.
+func (g *Generator) addResearch(label string, p *Phase, start, dur float64) {
 	// Fork unconditionally, like the paper schedule's "research" fork:
 	// a skipped phase must consume its root draw anyway, or
 	// SkipResearch would reshuffle every later phase of the scenario
 	// instead of only dropping the sweeps.
 	rng := g.planRNG(label)
-	if g.cfg.SkipResearch || p.Sweeps <= 0 {
+	if g.cfg.SkipResearch {
 		return
 	}
-	if p.SweepHours <= 0 {
-		p.SweepHours = DefaultSweepHours
-	}
-	start, dur := ResolveWindow(p.StartSec, p.DurSec)
-	sweepSec := p.SweepHours * 3600
-	if sweepSec > dur {
-		// Never overrun the window (or the month): a sweep longer than
-		// the phase is compressed into it. scenario.Validate rejects
-		// such specs up front; this guards direct plan callers.
-		sweepSec = dur
-	}
+	sweepSec := p.sweepHours() * 3600
 	avail := dur - sweepSec
 
 	tum := g.cfg.Internet.Registry.ByASN(netmodel.ASNTUM).Prefixes[0].Nth(77)
@@ -140,57 +124,23 @@ func (g *Generator) AddResearchPlan(label string, p ResearchPlan) {
 // ---------------------------------------------------------------------------
 // Scanning bots
 
-// ScanPlan schedules a wave of scanning bots.
-type ScanPlan struct {
-	Bots            int            // distinct bot addresses (scaled)
-	ASNs            []uint32       // source networks; default: all eyeball ASes
-	Versions        []wire.Version // per-bot version mix
-	VersionWeights  []float64      // parallel to Versions
-	VisitsMean      float64        // mean extra visits per bot (+1); default 1.25
-	PacketsPerVisit int            // mean packets per session; default 11
-	Diurnal         bool           // draw visits with the 06:00/18:00 double peak (whole month)
-	NoPayload       bool           // omit QUIC payload bytes (metadata-only scans)
-	TagShare        float64        // share of bots the GreyNoise join tags; < 0 = the 2.3% default, 0 = none
-	StartSec        float64        // visit window (ignored when Diurnal)
-	DurSec          float64
-}
-
-// AddScanPlan schedules the bots and records them in the ground truth.
-func (g *Generator) AddScanPlan(label string, p ScanPlan) {
+// addScan schedules a wave of scanning bots from the eyeball ASes and
+// records them in the ground truth.
+func (g *Generator) addScan(label string, p *Phase, start, dur float64) {
 	rng := g.planRNG(label)
 	in := g.cfg.Internet
-	n := g.scaled(float64(p.Bots))
-	if p.Bots <= 0 {
-		return
+	n := g.scaled(float64(p.Sources))
+	versions, weights := versionMix(p.Versions, botVersions, botVersionWeights)
+	visitsMean := cmp.Or(p.VisitsMean, calBotVisitsMean)
+	tagShare := calBotTagShare
+	if p.TagShare != nil {
+		tagShare = *p.TagShare
 	}
-	asns := p.ASNs
-	if len(asns) == 0 {
-		asns = in.EyeballASNs
-	}
-	versions, weights := p.Versions, p.VersionWeights
-	if len(versions) == 0 {
-		versions = []wire.Version{wire.Version1, wire.VersionDraft29, wire.VersionDraft27, wire.VersionMVFST27}
-		weights = []float64{0.5, 0.3, 0.1, 0.1}
-	}
-	if p.VisitsMean <= 0 {
-		p.VisitsMean = calBotVisitsMean
-	}
-	if p.PacketsPerVisit <= 0 {
-		p.PacketsPerVisit = 11
-	}
-	tagShare := p.TagShare
-	if tagShare < 0 {
-		tagShare = 0.023
-	}
-	start, dur := ResolveWindow(p.StartSec, p.DurSec)
-	avail := dur - 600 // leave room for the session tail
-	if avail < 1 {
-		avail = 1
-	}
+	avail := dur - scanTailSec
 
 	for i := 0; i < n; i++ {
-		src := in.RandomHostOf(asns[rng.Intn(len(asns))], rng)
-		nVisits := 1 + int(rng.Exp(p.VisitsMean))
+		src := in.RandomHostOf(in.EyeballASNs[rng.Intn(len(in.EyeballASNs))], rng)
+		nVisits := 1 + int(rng.Exp(visitsMean))
 		if nVisits > 12 {
 			nVisits = 12
 		}
@@ -207,7 +157,7 @@ func (g *Generator) AddScanPlan(label string, p ScanPlan) {
 			src:      src,
 			version:  versions[rng.Pick(weights)],
 			visits:   visits,
-			pktsPer:  p.PacketsPerVisit,
+			pktsPer:  cmp.Or(p.PacketsPerVisit, calBotPacketsPerVisit),
 			srcPort:  uint16(1024 + rng.Intn(60000)),
 			rng:      rng.ForkIndexed("bot", i),
 			tpl:      g.tpl,
@@ -234,64 +184,54 @@ func drawBotTag(rng *netmodel.RNG) string {
 	}
 }
 
+// versionMix resolves a validated version-share list, or returns the
+// default mix for an empty one.
+func versionMix(shares []VersionShare, defVersions []wire.Version, defWeights []float64) ([]wire.Version, []float64) {
+	if len(shares) == 0 {
+		return defVersions, defWeights
+	}
+	versions := make([]wire.Version, len(shares))
+	weights := make([]float64, len(shares))
+	for i, vs := range shares {
+		versions[i] = versionByName[vs.Version]
+		weights[i] = vs.Share
+	}
+	return versions, weights
+}
+
 // ---------------------------------------------------------------------------
 // Floods
 
-// FloodPlan schedules flood events against a resolved victim pool.
-type FloodPlan struct {
-	Vector         int         // VectorQUIC, VectorTCP, VectorICMP or VectorCommonMix
-	Attacks        int         // attack events (scaled)
-	Victims        []VictimRef // resolved pool (see scenario.Compile)
-	Skew           float64     // Pareto alpha of victim popularity; 0 = uniform coverage
-	Versions       []wire.Version
-	VersionWeights []float64
-	DurMedianSec   float64 // lognormal attack-duration median; default 260
-	DurSigma       float64 // lognormal sigma; default 0.85
-	BasePPS        float64 // sustained backscatter rate; default 0.25
-	PeakPkts       int     // mean packets in the peak minute; default 120
-	Shape          uint8   // ShapeBurst (default), ShapeSquare, ShapeRamp
-	SCIDRatio      float64 // fresh-SCID probability per tuple; < 0 = the 0.6 default, 0 = always pool (QUIC)
-	RetryMitigated bool    // victim answers with Retry crypto challenges (QUIC)
-	Amplification  float64 // mean response datagrams per arrival; <1 = 1
-	StartSec       float64 // scheduling window
-	DurSec         float64 // 0 = rest of month
-}
-
-// AddFloodPlan schedules the attacks, updates the ground truth, and
-// returns the scheduled events for multi-vector pairing.
-func (g *Generator) AddFloodPlan(label string, p FloodPlan) []FloodEvent {
+// addFlood resolves the phase's victim pool, schedules its attacks and
+// updates the ground truth; a paired phase then schedules the TCP/ICMP
+// partners of its attacks.
+func (g *Generator) addFlood(label string, p *Phase, start, dur float64) error {
+	pool, err := g.resolveVictims(p.Victims, label)
+	if err != nil {
+		return err
+	}
 	rng := g.planRNG(label)
 	n := g.scaled(float64(p.Attacks))
-	if p.Attacks <= 0 || len(p.Victims) == 0 {
-		return nil
+	durMedian := cmp.Or(p.Duration.MedianSec, 260)
+	durSigma := cmp.Or(p.Duration.Sigma, 0.85)
+	basePPS := cmp.Or(p.Rate.BasePPS, 0.25)
+	peakPkts := cmp.Or(p.Rate.PeakPkts, 120)
+	shape := shapeOf(p.Rate.Shape)
+	scidRatio := p.scidRatio()
+	versions, weights := versionMix(p.Versions, floodVersions, floodVersionWeights)
+	var events []floodEvent
+	if p.Pair != nil {
+		events = make([]floodEvent, 0, n)
 	}
-	if p.DurMedianSec <= 0 {
-		p.DurMedianSec = 260
-	}
-	if p.DurSigma <= 0 {
-		p.DurSigma = 0.85
-	}
-	if p.BasePPS <= 0 {
-		p.BasePPS = 0.25
-	}
-	if p.PeakPkts <= 0 {
-		p.PeakPkts = 120
-	}
-	if p.SCIDRatio < 0 {
-		p.SCIDRatio = 0.6
-	}
-	versions, weights := p.Versions, p.VersionWeights
-	if len(versions) == 0 {
-		versions = []wire.Version{wire.Version1, wire.VersionDraft29}
-		weights = []float64{0.6, 0.4}
-	}
-	start, dur := ResolveWindow(p.StartSec, p.DurSec)
 
-	victims := assignVictimRefs(p.Victims, n, p.Skew, rng.Fork("victims"))
-	events := make([]FloodEvent, 0, n)
-	for i, v := range victims {
-		vector := p.Vector
-		if vector == VectorCommonMix {
+	for i, v := range assignVictims(pool, n, p.Victims.Skew, rng.Fork("victims")) {
+		vector := VectorQUIC
+		switch p.Vector {
+		case "tcp":
+			vector = VectorTCP
+		case "icmp":
+			vector = VectorICMP
+		case "common-mix": // the paper's 80/20 TCP/ICMP mix, per attack
 			vector = VectorTCP
 			if rng.Float64() < 0.2 {
 				vector = VectorICMP
@@ -300,7 +240,7 @@ func (g *Generator) AddFloodPlan(label string, p FloodPlan) []FloodEvent {
 		// One magnitude couples duration, rate and budget so large
 		// attacks are large in every dimension (the Figure 10 tail).
 		mag := rng.LogNormal(0, 0.75)
-		atkDur := clampF(rng.LogNormal(math.Log(p.DurMedianSec), p.DurSigma)*math.Pow(mag, 0.5), 65, 90000)
+		atkDur := clampF(rng.LogNormal(math.Log(durMedian), durSigma)*math.Pow(mag, 0.5), 65, 90000)
 		if atkDur > dur-1 {
 			atkDur = dur - 1
 		}
@@ -310,9 +250,9 @@ func (g *Generator) AddFloodPlan(label string, p FloodPlan) []FloodEvent {
 		}
 		atkStart := start + rng.Float64()*avail
 
-		peak := int(float64(p.PeakPkts) * mag)
+		peak := int(float64(peakPkts) * mag)
 		peak = clampInt(peak, 6, 5000)
-		base := int(atkDur * p.BasePPS * mag)
+		base := int(atkDur * basePPS * mag)
 		if floor := int(atkDur * 0.04); base < floor {
 			// Floods sustain backscatter for their whole duration: the
 			// floor keeps sessions from fragmenting at the 5-minute
@@ -341,37 +281,142 @@ func (g *Generator) AddFloodPlan(label string, p FloodPlan) []FloodEvent {
 		}
 
 		spec := &floodSpec{
-			vector: vector, victim: v.Addr,
+			vector: vector, victim: v.addr,
 			version:  versions[rng.Pick(weights)],
 			startSec: atkStart, durSec: atkDur,
 			peakPkts: peak, basePkts: base,
-			nAddrs: nAddrs, nPorts: nPorts, scidRatio: p.SCIDRatio,
+			nAddrs: nAddrs, nPorts: nPorts, scidRatio: scidRatio,
 			rng: rng.ForkIndexed("atk", i), tpl: g.tpl,
-			shape: p.Shape, amp: amp, retryMitigated: p.RetryMitigated,
+			shape: shape, amp: amp, retryMitigated: p.RetryMitigation,
 		}
 		g.sources = append(g.sources, spec)
-		g.recordFlood(label, spec, v.Org)
+		g.recordFlood(label, spec, v.org)
 
 		if vector == VectorQUIC {
 			g.Truth.QUICAttacks++
-			g.Truth.QUICVictims[v.Addr] = v.Org
+			g.Truth.QUICVictims[v.addr] = v.org
 		} else {
 			g.Truth.CommonAttacks++
 		}
-		events = append(events, FloodEvent{Victim: v.Addr, StartSec: atkStart, DurSec: atkDur})
+		if p.Pair != nil {
+			events = append(events, floodEvent{victim: v.addr, startSec: atkStart, durSec: atkDur})
+		}
 	}
-	return events
+	if p.Pair != nil {
+		pair := label + "/pair"
+		g.pairCommonEvents(g.planRNG(pair), events, p.Pair.ConcurrentShare, p.Pair.SequentialShare, "pair", pair)
+	}
+	return nil
 }
 
-// assignVictimRefs distributes n attacks over the pool. skew <= 0
+func shapeOf(s string) uint8 {
+	switch s {
+	case "square":
+		return shapeSquare
+	case "ramp":
+		return shapeRamp
+	default:
+		return shapeBurst
+	}
+}
+
+// resolveVictims draws a flood phase's victim pool from the fork
+// "plan/<label>/victims". Org pools come from the census; "unknown"
+// draws content hosts the census missed; "internet" reproduces the
+// paper's common-flood victim mix across all network classes.
+func (g *Generator) resolveVictims(pool VictimPool, label string) ([]victimRef, error) {
+	rng := g.planRNG(label + "/victims")
+	census := g.cfg.Census
+	in := g.cfg.Internet
+	size := g.scaled(float64(pool.Size))
+
+	var out []victimRef
+	switch pool.Org {
+	case "", "any":
+		out = pickDistinctVictims(census.Servers, size, rng)
+	case "unknown":
+		out = drawDistinct(size, func() (victimRef, bool) {
+			a := in.RandomHostOf(netmodel.ASNCloudflare, rng)
+			return victimRef{a, "Unknown"}, !census.IsKnown(a)
+		})
+	case "internet":
+		out = drawDistinct(size, func() (victimRef, bool) {
+			a := randomCommonVictim(in, rng)
+			// Hosts outside the census keep the victimRef contract's
+			// "Unknown" label rather than an empty org.
+			return victimRef{a, cmp.Or(census.OrgOf(a), "Unknown")}, true
+		})
+	default:
+		servers := census.ByOrg(pool.Org)
+		if len(servers) == 0 {
+			return nil, fmt.Errorf("no census servers for org %q", pool.Org)
+		}
+		out = pickDistinctVictims(servers, size, rng)
+	}
+	if len(out) == 0 {
+		// An empty pool would silently drop the whole phase — fail as
+		// loudly as an unknown org does.
+		return nil, fmt.Errorf("victim pool %q resolved to zero hosts", pool.Org)
+	}
+	return out, nil
+}
+
+// pickDistinctVictims draws up to n distinct census servers as victim
+// refs: the paper schedule's per-org pools and a phase's census pools.
+func pickDistinctVictims(servers []activescan.Server, n int, rng *netmodel.RNG) []victimRef {
+	return drawDistinct(min(n, len(servers)), func() (victimRef, bool) {
+		s := servers[rng.Intn(len(servers))]
+		return victimRef{s.Addr, s.Org}, true
+	})
+}
+
+// drawDistinct fills a pool of up to n distinct victims from draw,
+// skipping draws it marks !ok (e.g. census hits for the "unknown"
+// pool), with a bounded try budget: an oversized pool (a huge Scale
+// against a finite address space) degrades to fewer victims instead of
+// spinning forever.
+func drawDistinct(n int, draw func() (victimRef, bool)) []victimRef {
+	out := make([]victimRef, 0, n)
+	seen := make(map[netmodel.Addr]bool, n)
+	for tries := 0; len(out) < n && tries < 64*n+1024; tries++ {
+		v, ok := draw()
+		if !ok || seen[v.addr] {
+			continue
+		}
+		seen[v.addr] = true
+		out = append(out, v)
+	}
+	return out
+}
+
+// randomCommonVictim draws one victim with the paper's common-flood
+// mixture across all network classes — content, transit, eyeball,
+// enterprise, unallocated noise: the paper schedule's independent
+// common floods and a phase's "internet" pool.
+func randomCommonVictim(in *netmodel.Internet, r *netmodel.RNG) netmodel.Addr {
+	switch x := r.Float64(); {
+	case x < 0.30:
+		return in.RandomHostOf(in.ContentASNs[r.Intn(len(in.ContentASNs))], r)
+	case x < 0.55:
+		return in.RandomHostOf(174, r) // Cogent transit space
+	case x < 0.75:
+		return in.RandomHostOf(in.EyeballASNs[r.Intn(len(in.EyeballASNs))], r)
+	case x < 0.85:
+		return in.RandomHostOf(64500, r)
+	default:
+		return netmodel.Addr(r.Uint32()) // unallocated noise
+	}
+}
+
+// assignVictims distributes n attacks over the pool. skew <= 0
 // cycles the pool for even coverage; skew > 0 reproduces the paper's
 // Figure 6 split — a cold majority hit exactly once and a hot set
 // absorbing the rest with Pareto(1, skew) popularity.
-func assignVictimRefs(pool []VictimRef, n int, skew float64, rng *netmodel.RNG) []VictimRef {
+func assignVictims(pool []victimRef, n int, skew float64, rng *netmodel.RNG) []victimRef {
 	if len(pool) == 0 || n <= 0 {
 		return nil
 	}
-	out := make([]VictimRef, 0, n)
+	out := make([]victimRef, 0, n)
 	if skew <= 0 {
 		for len(out) < n {
 			take := n - len(out)
@@ -406,31 +451,10 @@ func assignVictimRefs(pool []VictimRef, n int, skew float64, rng *netmodel.RNG) 
 // ---------------------------------------------------------------------------
 // Multi-vector pairing
 
-// PairPlan schedules TCP/ICMP attacks correlated with already-scheduled
-// QUIC flood events (Figures 8/12/13).
-type PairPlan struct {
-	// Shares of the QUIC attack mass paired concurrently and
-	// sequentially; the remainder stays QUIC-only. Their sum must be
-	// in (0, 1].
-	ConcurrentShare float64
-	SequentialShare float64
-}
-
-// AddPairedCommon mirrors the paper's pairing: victims covering the
-// QUIC-only share are exempted first (QUIC-only is a victim property),
-// then each remaining event draws a concurrent or sequential partner.
-func (g *Generator) AddPairedCommon(label string, events []FloodEvent, p PairPlan) {
-	rng := g.planRNG(label) // fork before any guard: see AddResearchPlan
-	if len(events) == 0 || p.ConcurrentShare+p.SequentialShare <= 0 {
-		return
-	}
-	g.pairCommonEvents(rng, events, p.ConcurrentShare, p.SequentialShare, "pair", label)
-}
-
 // addCommonFlood schedules one TCP/ICMP attack with the paper's
 // common-flood profile — the single source of truth shared by the
-// hard-coded schedule's pairing and independent fills and by scenario
-// PairPlans (a calibration change here moves every path together).
+// hard-coded schedule's pairing and independent fills and by paired
+// flood phases (a calibration change here moves every path together).
 // ledgerLabel tags the scheduled event in the ledger; forkPrefix is
 // part of the frozen RNG fork naming and must never change with it.
 func (g *Generator) addCommonFlood(rng *netmodel.RNG, victim netmodel.Addr, start, dur float64, forkPrefix string, idx int, ledgerLabel string) {
@@ -467,14 +491,16 @@ func (g *Generator) addCommonFlood(rng *netmodel.RNG, victim netmodel.Addr, star
 	g.Truth.CommonAttacks++
 }
 
-// pairCommonEvents is the shared multi-vector pairing engine: the
-// QUIC-only exemption scan, then per-event concurrent/sequential
-// partner draws (Figures 8/12/13). It returns the next fork index so
-// the paper schedule can continue numbering its independent fills.
-func (g *Generator) pairCommonEvents(rng *netmodel.RNG, events []FloodEvent, cShare, sShare float64, forkPrefix, ledgerLabel string) int {
+// pairCommonEvents is the shared multi-vector pairing engine (the
+// paper's and a paired phase's): victims covering the QUIC-only share
+// are exempted first (QUIC-only is a victim property), then each
+// remaining event draws a concurrent or sequential partner (Figures
+// 8/12/13). It returns the next fork index so the paper schedule can
+// continue numbering its independent fills.
+func (g *Generator) pairCommonEvents(rng *netmodel.RNG, events []floodEvent, cShare, sShare float64, forkPrefix, ledgerLabel string) int {
 	byVictim := make(map[netmodel.Addr]int)
 	for _, e := range events {
-		byVictim[e.Victim]++
+		byVictim[e.victim]++
 	}
 	victims := make([]netmodel.Addr, 0, len(byVictim))
 	for v := range byVictim {
@@ -500,7 +526,7 @@ func (g *Generator) pairCommonEvents(rng *netmodel.RNG, events []FloodEvent, cSh
 
 	idx := 0
 	for _, e := range events {
-		if quicOnly[e.Victim] {
+		if quicOnly[e.victim] {
 			g.Truth.QUICOnly++
 			idx++
 			continue
@@ -508,123 +534,61 @@ func (g *Generator) pairCommonEvents(rng *netmodel.RNG, events []FloodEvent, cSh
 		x := rng.Float64() * (cShare + sShare)
 		if x < cShare {
 			g.Truth.Concurrent++
-			dur := clampF(rng.LogNormal(math.Log(1499), 1.0), e.DurSec*0.3+61, 90000)
+			dur := clampF(rng.LogNormal(math.Log(1499), 1.0), e.durSec*0.3+61, 90000)
 			var start float64
 			if rng.Float64() < 0.78 {
 				// Full containment: the common attack brackets the
 				// QUIC flood (Figure 12's dominant mode).
-				lead := 1 + rng.Exp(0.15*e.DurSec+30)
-				start = e.StartSec - lead
-				if dur < e.DurSec+lead+60 {
-					dur = e.DurSec + lead + 60 + rng.Exp(120)
+				lead := 1 + rng.Exp(0.15*e.durSec+30)
+				start = e.startSec - lead
+				if dur < e.durSec+lead+60 {
+					dur = e.durSec + lead + 60 + rng.Exp(120)
 				}
 			} else {
 				// Partial overlap: start inside the QUIC attack.
-				start = e.StartSec + e.DurSec*(0.15+0.7*rng.Float64())
+				start = e.startSec + e.durSec*(0.15+0.7*rng.Float64())
 			}
 			if start < 0 {
 				start = 0
 			}
-			g.addCommonFlood(rng, e.Victim, start, dur, forkPrefix, idx, ledgerLabel)
+			g.addCommonFlood(rng, e.victim, start, dur, forkPrefix, idx, ledgerLabel)
 		} else {
 			g.Truth.Sequential++
 			gap := clampF(rng.LogNormal(math.Log(9*3600), 1.9), 400, 28*86400)
 			dur := clampF(rng.LogNormal(math.Log(1499), 1.2), 65, 90000)
 			var start float64
 			if rng.Float64() < 0.5 {
-				start = e.StartSec + e.DurSec + gap
+				start = e.startSec + e.durSec + gap
 			} else {
-				start = e.StartSec - gap - dur
+				start = e.startSec - gap - dur
 			}
 			if start < 0 || start+dur > measurementSeconds {
 				// Fold back inside the month on the other side.
-				start = clampF(e.StartSec+e.DurSec+gap, 0, measurementSeconds-dur-1)
+				start = clampF(e.startSec+e.durSec+gap, 0, measurementSeconds-dur-1)
 			}
-			g.addCommonFlood(rng, e.Victim, start, dur, forkPrefix, idx, ledgerLabel)
+			g.addCommonFlood(rng, e.victim, start, dur, forkPrefix, idx, ledgerLabel)
 		}
 		idx++
 	}
 	return idx
 }
 
-// PickDistinctVictims draws up to n distinct census servers as victim
-// refs — the single distinct-draw used by the paper schedule's per-org
-// pools (scheduleQUICAttacks) and the scenario compiler's census
-// pools.
-func PickDistinctVictims(servers []activescan.Server, n int, rng *netmodel.RNG) []VictimRef {
-	out := make([]VictimRef, 0, n)
-	seen := make(map[netmodel.Addr]bool, n)
-	for len(out) < n && len(seen) < len(servers) {
-		s := servers[rng.Intn(len(servers))]
-		if seen[s.Addr] {
-			continue
-		}
-		seen[s.Addr] = true
-		out = append(out, VictimRef{Addr: s.Addr, Org: s.Org})
-	}
-	return out
-}
-
-// RandomCommonVictim draws one victim with the paper's common-flood
-// mixture across all network classes — content, transit, eyeball,
-// enterprise, unallocated noise. Shared by the hard-coded schedule and
-// the scenario compiler's "internet" victim pool.
-func RandomCommonVictim(in *netmodel.Internet, r *netmodel.RNG) netmodel.Addr {
-	switch x := r.Float64(); {
-	case x < 0.30:
-		return in.RandomHostOf(in.ContentASNs[r.Intn(len(in.ContentASNs))], r)
-	case x < 0.55:
-		return in.RandomHostOf(174, r) // Cogent transit space
-	case x < 0.75:
-		return in.RandomHostOf(in.EyeballASNs[r.Intn(len(in.EyeballASNs))], r)
-	case x < 0.85:
-		return in.RandomHostOf(64500, r)
-	default:
-		return netmodel.Addr(r.Uint32()) // unallocated noise
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Misconfiguration noise
 
-// MisconfigPlan schedules low-volume responder noise (Appendix B).
-type MisconfigPlan struct {
-	Sources    int     // responder count (scaled)
-	VisitsMean float64 // mean extra visits (+1); default 5.8
-	StartSec   float64 // visit window
-	DurSec     float64 // 0 = rest of month
-}
-
-// AddMisconfigPlan schedules the responders over census content hosts
-// that are not already flood victims (at scheduling time).
-func (g *Generator) AddMisconfigPlan(label string, p MisconfigPlan) {
-	rng := g.planRNG(label) // fork before any guard: see AddResearchPlan
-	if p.Sources <= 0 {
-		return
-	}
-	if p.VisitsMean <= 0 {
-		p.VisitsMean = calMisconfVisits
-	}
-	g.scheduleMisconfigSources(rng, g.scaled(float64(p.Sources)), p.VisitsMean, p.StartSec, p.DurSec, label)
-}
-
 // scheduleMisconfigSources is the single misconfig-responder
 // implementation shared by the paper schedule (scheduleMisconfig, over
-// the whole month) and scenario plans (over their phase window):
-// census hosts that are not flood victims, the Appendix B visit
-// profile, one source per responder. The victim-exclusion
-// draw is bounded so a census fully covered by victims degrades to
-// victim hosts instead of spinning.
-func (g *Generator) scheduleMisconfigSources(rng *netmodel.RNG, n int, visitsMean, startSec, durSec float64, ledgerLabel string) {
+// the whole month) and misconfig phases (over their window): n
+// low-volume responders (Appendix B) on census hosts that are not
+// flood victims at scheduling time, one source per responder. The
+// victim-exclusion draw is bounded so a census fully covered by
+// victims degrades to victim hosts instead of spinning.
+func (g *Generator) scheduleMisconfigSources(rng *netmodel.RNG, n int, visitsMean, start, dur float64, ledgerLabel string) {
 	census := g.cfg.Census
-	if n <= 0 || len(census.Servers) == 0 {
+	if len(census.Servers) == 0 {
 		return
 	}
-	start, dur := ResolveWindow(startSec, durSec)
-	avail := dur - 120 // leave room for the session tail
-	if avail < 1 {
-		avail = 1
-	}
+	avail := dur - misconfigTailSec
 	for i := 0; i < n; i++ {
 		var src netmodel.Addr
 		for tries := 0; ; tries++ {
@@ -679,5 +643,5 @@ func containsAddr(xs []netmodel.Addr, a netmodel.Addr) bool {
 }
 
 // MonthSeconds is the measurement-month length in seconds — the
-// coordinate system of plan and scenario windows.
+// coordinate system of phase windows.
 func MonthSeconds() float64 { return measurementSeconds }

@@ -12,9 +12,9 @@ import (
 	"sort"
 	"strings"
 
+	"quicsand/internal/ibr"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/report"
-	"quicsand/internal/scenario"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
@@ -504,7 +504,7 @@ func phaseTable(exp *Expectation) string {
 	for i := range exp.Phases {
 		p := &exp.Phases[i]
 		extra := ""
-		if p.Kind == scenario.KindFlood {
+		if p.Kind == ibr.KindFlood {
 			extra = fmt.Sprintf("%d victims, x%.2f amp", p.Victims, p.AmpRatio)
 			if p.Retry {
 				extra += ", retry"

@@ -294,7 +294,7 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 	for _, r := range led.Research {
 		exp.ResearchRecords += r.Records
 		exp.ResearchPackets += r.Records * uint64(r.Weight)
-		p := phase(r.Label, scenario.KindResearchScan, false)
+		p := phase(r.Label, ibr.KindResearchScan, false)
 		p.Events++
 		p.Packets = p.Packets.Add(Exact(r.Records * uint64(r.Weight)))
 	}
@@ -303,7 +303,7 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 		exp.ScanBots++
 		exp.ScanVisits += uint64(b.Visits)
 		exp.ScanSources[b.Src] = true
-		p := phase(b.Label, scenario.KindScan, false)
+		p := phase(b.Label, ibr.KindScan, false)
 		p.Events++
 		p.Sources[b.Src] = true
 		p.Packets = p.Packets.Add(Range{
@@ -348,7 +348,7 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 			if last := f.Last(); last > v.Last {
 				v.Last = last
 			}
-			p := phase(f.Label, scenario.KindFlood, true)
+			p := phase(f.Label, ibr.KindFlood, true)
 			p.Events++
 			p.Packets = p.Packets.Add(Exact(f.Packets))
 			p.Arrivals += f.Arrivals()
@@ -365,7 +365,7 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 			}
 			cv.Events++
 			cv.Packets += f.Packets
-			p := phase(f.Label, scenario.KindFlood, false)
+			p := phase(f.Label, ibr.KindFlood, false)
 			p.Events++
 			p.Packets = p.Packets.Add(Exact(f.Packets))
 			p.Arrivals += f.Arrivals()
@@ -385,7 +385,7 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 		if ws := ibr.TSAt(m.StartSec); ws < me.WindowStart {
 			me.WindowStart = ws
 		}
-		p := phase(m.Label, scenario.KindMisconfig, true)
+		p := phase(m.Label, ibr.KindMisconfig, true)
 		p.Events++
 		p.Sources[m.Src] = true
 		p.Packets = p.Packets.Add(Range{
@@ -412,7 +412,7 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 		if me, dual := exp.Misconf[addr]; dual {
 			v.Degraded = true
 			v.PacketRange = Exact(v.Packets).Add(me.Packets)
-			v.AttackCap = attackCap(exp.Thresholds, v.PacketRange.Max, scenario.MonthSeconds())
+			v.AttackCap = attackCap(exp.Thresholds, v.PacketRange.Max, ibr.MonthSeconds())
 			exp.Collisions = append(exp.Collisions,
 				fmt.Sprintf("victim %v doubles as a misconfig responder", addr))
 		}
@@ -461,13 +461,13 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 	for _, label := range order {
 		p := phases[label]
 		p.Victims = 0
-		if p.Kind == scenario.KindFlood {
+		if p.Kind == ibr.KindFlood {
 			p.Victims = len(p.Sources)
 			if p.Arrivals > 0 {
 				p.AmpRatio = float64(p.Packets.Min) / float64(p.Arrivals)
 			}
 		}
-		if p.Kind == scenario.KindResearchScan {
+		if p.Kind == ibr.KindResearchScan {
 			exp.Phases = append(exp.Phases, *p)
 			continue
 		}
@@ -484,7 +484,7 @@ func fromLedger(name string, cfg ibr.Config, g *ibr.Generator) (*Expectation, er
 		}
 		// Common-vector flood phases leave no per-source trace in the
 		// analysis (the common detector drops excluded sessions).
-		if p.Kind == scenario.KindFlood && !p.Response {
+		if p.Kind == ibr.KindFlood && !p.Response {
 			measurable = false
 		}
 		p.Measurable = measurable

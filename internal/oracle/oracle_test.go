@@ -79,13 +79,13 @@ func TestAttackCap(t *testing.T) {
 func TestExpectInvariants(t *testing.T) {
 	sc := &scenario.Scenario{
 		Name: "oracle-unit",
-		Phases: []scenario.Phase{
-			{Kind: scenario.KindScan, Sources: 30},
-			{Kind: scenario.KindFlood, Vector: "quic", Attacks: 12,
-				Victims:  scenario.VictimPool{Org: "Google", Size: 5},
-				Rate:     scenario.RateCurve{Shape: "square", BasePPS: 0.3},
-				Duration: scenario.Duration{MedianSec: 120, Sigma: 0.5}},
-			{Kind: scenario.KindMisconfig, Sources: 10},
+		Phases: []ibr.Phase{
+			{Kind: ibr.KindScan, Sources: 30},
+			{Kind: ibr.KindFlood, Vector: "quic", Attacks: 12,
+				Victims:  ibr.VictimPool{Org: "Google", Size: 5},
+				Rate:     ibr.RateCurve{Shape: "square", BasePPS: 0.3},
+				Duration: ibr.Duration{MedianSec: 120, Sigma: 0.5}},
+			{Kind: ibr.KindMisconfig, Sources: 10},
 		},
 	}
 	if err := sc.Validate(); err != nil {
@@ -138,7 +138,7 @@ func TestExpectInvariants(t *testing.T) {
 		}
 	}
 	flood := exp.Phases[1]
-	if flood.Kind != scenario.KindFlood || !flood.Packets.IsExact() ||
+	if flood.Kind != ibr.KindFlood || !flood.Packets.IsExact() ||
 		flood.Packets.Min != exp.QUICPackets {
 		t.Errorf("flood phase: %+v", flood)
 	}

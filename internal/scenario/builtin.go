@@ -9,6 +9,8 @@ package scenario
 import (
 	"fmt"
 	"sort"
+
+	"quicsand/internal/ibr"
 )
 
 var builtins = map[string]func() *Scenario{
@@ -36,38 +38,38 @@ func handshakeFloodQFAM() *Scenario {
 	return &Scenario{
 		Name:        "handshake-flood-qfam",
 		Description: "Handshake flooding with full server flights: fresh SCIDs per tuple and ~3x amplified responses (the un-mitigated QFAM baseline)",
-		Phases: []Phase{
+		Phases: []ibr.Phase{
 			{
-				Kind:       KindScan,
+				Kind:       ibr.KindScan,
 				Label:      "recon",
 				Sources:    900,
 				VisitsMean: 1.1,
 				Diurnal:    true,
-				Versions:   []VersionShare{{Version: "v1", Share: 0.6}, {Version: "draft-29", Share: 0.4}},
+				Versions:   []ibr.VersionShare{{Version: "v1", Share: 0.6}, {Version: "draft-29", Share: 0.4}},
 			},
 			{
-				Kind:          KindFlood,
+				Kind:          ibr.KindFlood,
 				Label:         "google-wave",
 				Vector:        "quic",
 				Attacks:       1400,
 				Amplification: 3.0,
 				SCIDPolicy:    "fresh",
-				Versions:      []VersionShare{{Version: "draft-29", Share: 0.8}, {Version: "v1", Share: 0.2}},
-				Victims:       VictimPool{Org: "Google", Size: 160, Skew: 1.15},
-				Duration:      Duration{MedianSec: 180, Sigma: 0.7},
-				Rate:          RateCurve{BasePPS: 0.4, PeakPkts: 260, Shape: "burst"},
+				Versions:      []ibr.VersionShare{{Version: "draft-29", Share: 0.8}, {Version: "v1", Share: 0.2}},
+				Victims:       ibr.VictimPool{Org: "Google", Size: 160, Skew: 1.15},
+				Duration:      ibr.Duration{MedianSec: 180, Sigma: 0.7},
+				Rate:          ibr.RateCurve{BasePPS: 0.4, PeakPkts: 260, Shape: "burst"},
 			},
 			{
-				Kind:          KindFlood,
+				Kind:          ibr.KindFlood,
 				Label:         "cdn-wave",
 				Vector:        "quic",
 				Attacks:       500,
 				Amplification: 2.0,
 				SCIDPolicy:    "fresh",
-				Victims:       VictimPool{Org: "any", Size: 120, Skew: 1.3},
-				Rate:          RateCurve{BasePPS: 0.3, PeakPkts: 160},
+				Victims:       ibr.VictimPool{Org: "any", Size: 120, Skew: 1.3},
+				Rate:          ibr.RateCurve{BasePPS: 0.3, PeakPkts: 160},
 			},
-			{Kind: KindMisconfig, Sources: 400},
+			{Kind: ibr.KindMisconfig, Sources: 400},
 		},
 	}
 }
@@ -80,30 +82,30 @@ func retryMitigatedFlood() *Scenario {
 	return &Scenario{
 		Name:        "retry-mitigated-flood",
 		Description: "Handshake floods against Retry-mitigated victims: stateless crypto challenges, ~1x amplification, small Retry backscatter",
-		Phases: []Phase{
+		Phases: []ibr.Phase{
 			{
-				Kind:            KindFlood,
+				Kind:            ibr.KindFlood,
 				Label:           "mitigated",
 				Vector:          "quic",
 				Attacks:         1400,
 				RetryMitigation: true,
 				SCIDPolicy:      "pooled",
-				Versions:        []VersionShare{{Version: "v1", Share: 0.7}, {Version: "draft-29", Share: 0.3}},
-				Victims:         VictimPool{Org: "Google", Size: 160, Skew: 1.15},
-				Duration:        Duration{MedianSec: 180, Sigma: 0.7},
-				Rate:            RateCurve{BasePPS: 0.4, PeakPkts: 260},
+				Versions:        []ibr.VersionShare{{Version: "v1", Share: 0.7}, {Version: "draft-29", Share: 0.3}},
+				Victims:         ibr.VictimPool{Org: "Google", Size: 160, Skew: 1.15},
+				Duration:        ibr.Duration{MedianSec: 180, Sigma: 0.7},
+				Rate:            ibr.RateCurve{BasePPS: 0.4, PeakPkts: 260},
 			},
 			{
-				Kind:       KindFlood,
+				Kind:       ibr.KindFlood,
 				Label:      "unmitigated-rest",
 				Vector:     "quic",
 				Attacks:    350,
 				SCIDPolicy: "mixed",
-				Versions:   []VersionShare{{Version: "mvfst-draft-27", Share: 0.9}, {Version: "draft-29", Share: 0.1}},
-				Victims:    VictimPool{Org: "Facebook", Size: 60, Skew: 1.2},
-				Rate:       RateCurve{BasePPS: 0.3, PeakPkts: 140},
+				Versions:   []ibr.VersionShare{{Version: "mvfst-draft-27", Share: 0.9}, {Version: "draft-29", Share: 0.1}},
+				Victims:    ibr.VictimPool{Org: "Facebook", Size: 60, Skew: 1.2},
+				Rate:       ibr.RateCurve{BasePPS: 0.3, PeakPkts: 140},
 			},
-			{Kind: KindMisconfig, Sources: 300},
+			{Kind: ibr.KindMisconfig, Sources: 300},
 		},
 	}
 }
@@ -116,32 +118,32 @@ func versionnegScanCampaign() *Scenario {
 	return &Scenario{
 		Name:        "versionneg-scan-campaign",
 		Description: "Version-heterogeneous scan campaign: staggered draft-27 / draft-29 / v1 waves over two research sweeps",
-		Phases: []Phase{
-			{Kind: KindResearchScan, Sweeps: 2, SweepHours: 8},
+		Phases: []ibr.Phase{
+			{Kind: ibr.KindResearchScan, Sweeps: 2, SweepHours: 8},
 			{
-				Kind:     KindScan,
+				Kind:     ibr.KindScan,
 				Label:    "wave-draft27",
 				Sources:  1500,
 				StartSec: 0,
 				DurSec:   864000, // days 0-10
-				Versions: []VersionShare{{Version: "draft-27", Share: 0.7}, {Version: "mvfst-draft-27", Share: 0.3}},
+				Versions: []ibr.VersionShare{{Version: "draft-27", Share: 0.7}, {Version: "mvfst-draft-27", Share: 0.3}},
 			},
 			{
-				Kind:     KindScan,
+				Kind:     ibr.KindScan,
 				Label:    "wave-draft29",
 				Sources:  2400,
 				StartSec: 777600, // days 9-19
 				DurSec:   864000,
-				Versions: []VersionShare{{Version: "draft-29", Share: 0.8}, {Version: "draft-27", Share: 0.2}},
+				Versions: []ibr.VersionShare{{Version: "draft-29", Share: 0.8}, {Version: "draft-27", Share: 0.2}},
 			},
 			{
-				Kind:     KindScan,
+				Kind:     ibr.KindScan,
 				Label:    "wave-v1",
 				Sources:  3200,
 				StartSec: 1641600, // day 19 onward
-				Versions: []VersionShare{{Version: "v1", Share: 0.75}, {Version: "draft-29", Share: 0.25}},
+				Versions: []ibr.VersionShare{{Version: "v1", Share: 0.75}, {Version: "draft-29", Share: 0.25}},
 			},
-			{Kind: KindMisconfig, Sources: 900, VisitsMean: 4.0},
+			{Kind: ibr.KindMisconfig, Sources: 900, VisitsMean: 4.0},
 		},
 	}
 }
@@ -154,30 +156,30 @@ func multiVectorBurst() *Scenario {
 	return &Scenario{
 		Name:        "multi-vector-burst",
 		Description: "60-hour QUIC flood burst with paired TCP/ICMP attacks over an Internet-wide common-flood floor",
-		Phases: []Phase{
+		Phases: []ibr.Phase{
 			{
-				Kind:       KindFlood,
+				Kind:       ibr.KindFlood,
 				Label:      "quic-burst",
 				Vector:     "quic",
 				Attacks:    900,
 				StartSec:   1036800, // day 12
 				DurSec:     216000,  // 60 hours
 				SCIDPolicy: "mixed",
-				Pair:       &PairSpec{ConcurrentShare: 0.55, SequentialShare: 0.36},
-				Victims:    VictimPool{Org: "any", Size: 110, Skew: 1.2},
-				Duration:   Duration{MedianSec: 240, Sigma: 0.8},
-				Rate:       RateCurve{BasePPS: 0.35, PeakPkts: 200, Shape: "ramp"},
+				Pair:       &ibr.PairSpec{ConcurrentShare: 0.55, SequentialShare: 0.36},
+				Victims:    ibr.VictimPool{Org: "any", Size: 110, Skew: 1.2},
+				Duration:   ibr.Duration{MedianSec: 240, Sigma: 0.8},
+				Rate:       ibr.RateCurve{BasePPS: 0.35, PeakPkts: 200, Shape: "ramp"},
 			},
 			{
-				Kind:    KindFlood,
+				Kind:    ibr.KindFlood,
 				Label:   "common-floor",
 				Vector:  "common-mix",
 				Attacks: 20000,
-				Victims: VictimPool{Org: "internet", Size: 4000, Skew: 1.5},
-				Rate:    RateCurve{BasePPS: 0.1, PeakPkts: 80, Shape: "square"},
+				Victims: ibr.VictimPool{Org: "internet", Size: 4000, Skew: 1.5},
+				Rate:    ibr.RateCurve{BasePPS: 0.1, PeakPkts: 80, Shape: "square"},
 			},
-			{Kind: KindScan, Sources: 1200, Diurnal: true},
-			{Kind: KindMisconfig, Sources: 500},
+			{Kind: ibr.KindScan, Sources: 1200, Diurnal: true},
+			{Kind: ibr.KindMisconfig, Sources: 500},
 		},
 	}
 }

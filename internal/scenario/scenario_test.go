@@ -221,7 +221,7 @@ func TestBuiltinFreshPerCall(t *testing.T) {
 			p.Label, p.Sources, p.StartSec = "mutated", p.Sources+1, p.StartSec+1
 			p.Victims.Org, p.Rate.PeakPkts = "mutated", p.Rate.PeakPkts+1
 			for j := range p.Versions {
-				p.Versions[j] = VersionShare{Version: "draft-27", Share: 0.01}
+				p.Versions[j] = ibr.VersionShare{Version: "draft-27", Share: 0.01}
 			}
 			if p.TagShare != nil {
 				*p.TagShare = share
@@ -230,11 +230,11 @@ func TestBuiltinFreshPerCall(t *testing.T) {
 				*p.SCIDRatio = share
 			}
 			if p.Pair != nil {
-				*p.Pair = PairSpec{ConcurrentShare: share, SequentialShare: share}
+				*p.Pair = ibr.PairSpec{ConcurrentShare: share, SequentialShare: share}
 			}
-			p.TagShare, p.SCIDRatio, p.Pair = &share, &share, &PairSpec{}
+			p.TagShare, p.SCIDRatio, p.Pair = &share, &share, &ibr.PairSpec{}
 		}
-		orig.Phases = append(orig.Phases, Phase{Kind: KindMisconfig, Sources: 7})
+		orig.Phases = append(orig.Phases, ibr.Phase{Kind: ibr.KindMisconfig, Sources: 7})
 
 		again, err := Builtin(name)
 		if err != nil {
@@ -254,16 +254,16 @@ func TestBuiltinFreshPerCall(t *testing.T) {
 // between): NaN and Inf knobs must fail validation directly.
 func TestValidateNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		sc := &Scenario{Name: "x", Phases: []Phase{{
-			Kind: KindFlood, Vector: "quic", Attacks: 5,
-			Victims: VictimPool{Size: 3},
-			Rate:    RateCurve{BasePPS: v},
+		sc := &Scenario{Name: "x", Phases: []ibr.Phase{{
+			Kind: ibr.KindFlood, Vector: "quic", Attacks: 5,
+			Victims: ibr.VictimPool{Size: 3},
+			Rate:    ibr.RateCurve{BasePPS: v},
 		}}}
 		if err := sc.Validate(); err == nil {
 			t.Errorf("BasePPS = %v validated", v)
 		}
 	}
-	sc := &Scenario{Name: "x", Phases: []Phase{{Kind: KindScan, Sources: 2, StartSec: math.NaN()}}}
+	sc := &Scenario{Name: "x", Phases: []ibr.Phase{{Kind: ibr.KindScan, Sources: 2, StartSec: math.NaN()}}}
 	if err := sc.Validate(); err == nil {
 		t.Error("NaN start_sec validated")
 	}
@@ -336,8 +336,9 @@ func TestSkipResearchOnlyDropsSweeps(t *testing.T) {
 }
 
 // TestSCIDRatioZeroDistinct pins the unset-vs-zero contract for the
-// SCID override: an explicit 0 (never fresh) must load and survive to
-// compilation instead of being swallowed by the policy default.
+// SCID override: an explicit 0 (never fresh) must load instead of being
+// swallowed by the policy default. TestPhaseSCIDRatio (internal/ibr)
+// holds the scheduler to it.
 func TestSCIDRatioZeroDistinct(t *testing.T) {
 	sc, err := Load([]byte(`{"name": "z", "phases": [{"kind": "flood", "vector": "quic", "attacks": 5, "scid_ratio": 0.0, "victims": {"size": 3}}]}`))
 	if err != nil {
@@ -345,13 +346,6 @@ func TestSCIDRatioZeroDistinct(t *testing.T) {
 	}
 	if sc.Phases[0].SCIDRatio == nil || *sc.Phases[0].SCIDRatio != 0 {
 		t.Fatalf("explicit scid_ratio = 0 lost: %+v", sc.Phases[0].SCIDRatio)
-	}
-	if got := scidRatioOf(&sc.Phases[0]); got != 0 {
-		t.Errorf("scidRatioOf = %v, want 0 (explicit zero must not fall back to the policy default)", got)
-	}
-	unset := &Phase{Kind: KindFlood}
-	if got := scidRatioOf(unset); got != 0.6 {
-		t.Errorf("unset scid_ratio resolved to %v, want the 0.6 default", got)
 	}
 }
 
@@ -385,9 +379,9 @@ func TestMisconfigWindow(t *testing.T) {
 // compile time; a missing organisation is a compile error, not an
 // empty month.
 func TestCompileUnknownOrg(t *testing.T) {
-	sc := &Scenario{Name: "x", Phases: []Phase{{
-		Kind: KindFlood, Vector: "quic", Attacks: 5,
-		Victims: VictimPool{Org: "Altavista", Size: 3},
+	sc := &Scenario{Name: "x", Phases: []ibr.Phase{{
+		Kind: ibr.KindFlood, Vector: "quic", Attacks: 5,
+		Victims: ibr.VictimPool{Org: "Altavista", Size: 3},
 	}}}
 	if _, err := Compile(sc, ibr.Config{Seed: 1, Scale: 0.01}); err == nil ||
 		!strings.Contains(err.Error(), "Altavista") {
@@ -397,9 +391,9 @@ func TestCompileUnknownOrg(t *testing.T) {
 
 // TestWindowResolution checks the DurSec-0 "rest of month" semantics.
 func TestWindowResolution(t *testing.T) {
-	p := Phase{StartSec: 86400}
+	p := ibr.Phase{StartSec: 86400}
 	start, dur := p.Window()
-	if start != 86400 || dur != MonthSeconds()-86400 {
+	if start != 86400 || dur != ibr.MonthSeconds()-86400 {
 		t.Errorf("window = (%v, %v)", start, dur)
 	}
 }

@@ -214,8 +214,8 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	w.I64(int64(sz.Timeout))
 	w.U64(uint64(sz.MaxActive))
 	w.I64(int64(sz.lastSweep))
-	w.U64(uint64(sz.Emitted))
 	m := &sz.Metrics
+	w.U64(m.Emitted) // the format's first emitted slot, equal to the second
 	w.U64(m.Emitted)
 	w.U64(m.TimeoutSplits)
 	w.U64(m.SweepEvicted)
@@ -267,9 +267,12 @@ func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
 	sz.Timeout = time.Duration(r.I64())
 	sz.MaxActive = r.Int(maxActiveSess)
 	sz.lastSweep = telescope.Timestamp(r.I64())
-	sz.Emitted = r.Int(maxActiveSess)
+	emitted := r.Int(maxActiveSess)
 	m := &sz.Metrics
 	m.Emitted = r.U64()
+	if r.Err() == nil && uint64(emitted) != m.Emitted {
+		r.Errorf("sessionizer emitted %d sessions, its metrics count %d", emitted, m.Emitted)
+	}
 	m.TimeoutSplits = r.U64()
 	m.SweepEvicted = r.U64()
 	m.FlushEmitted = r.U64()

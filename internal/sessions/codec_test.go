@@ -37,6 +37,42 @@ func TestDecodeRejectsDuplicateSources(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnequalEmittedCounts: an image carries the emitted
+// count twice, and one whose two slots differ is malformed.
+func TestDecodeRejectsUnequalEmittedCounts(t *testing.T) {
+	sz := NewSessionizer(nil)
+	sz.Observe(pkt("1.1.1.1", 0, false), nil)
+	sz.Observe(pkt("2.2.2.2", 0, false), nil)
+	sz.Flush()
+	sz.Observe(pkt("3.3.3.3", time.Hour, false), nil)
+	w := ckpt.NewWriter(nil)
+	sz.EncodeTo(w)
+	img := w.Bytes()
+
+	// Re-write the image with the first slot one higher.
+	r := ckpt.NewReader(img)
+	timeout, maxActive, lastSweep, emitted := r.I64(), r.U64(), r.I64(), r.U64()
+	if emitted != 2 || r.Err() != nil {
+		t.Fatalf("first emitted slot %d (%v), want 2", emitted, r.Err())
+	}
+	w = ckpt.NewWriter(nil)
+	w.I64(timeout)
+	w.U64(maxActive)
+	w.I64(lastSweep)
+	w.U64(emitted + 1)
+	w.Raw(img[len(img)-r.Remaining():])
+
+	for _, c := range []struct {
+		img []byte
+		ok  bool
+	}{{img, true}, {w.Bytes(), false}} {
+		r := ckpt.NewReader(c.img)
+		if got := DecodeSessionizer(r); (got != nil && r.Err() == nil) != c.ok {
+			t.Errorf("decoded %v, err %v; want ok %v", got != nil, r.Err(), c.ok)
+		}
+	}
+}
+
 // TestDecodeRelinksByEndThenSource: after a decode the budget's victims
 // come in (End, Src) order, so the first eviction takes the same victim
 // as before the checkpoint.

@@ -284,9 +284,6 @@ type Sessionizer struct {
 	// for bounded memory.
 	MaxActive int
 
-	// Count of emitted sessions.
-	Emitted int
-
 	// Metrics accumulates this sessionizer's counters; shard-local,
 	// merged by the caller at reduce time. Emitted and SetSpills are
 	// properties of the stream; the eviction-cause split (gap vs sweep
@@ -411,7 +408,6 @@ func (sz *Sessionizer) finish(e *live) {
 		sz.lastSeen[s.Src] = s.End // the source's last packet, for the next gap
 	}
 	e.close()
-	sz.Emitted++
 	sz.Metrics.Emitted++
 	// Spilled sets are the ones whose inline capacity overflowed into a
 	// table — a stream property (same anatomy regardless of sharding).

@@ -160,8 +160,8 @@ func TestLazyExpiryBoundsMemory(t *testing.T) {
 		t.Errorf("active map holds %d sources; expiry not working", sz.ActiveSessions())
 	}
 	sz.Flush()
-	if sz.Emitted != 10000 {
-		t.Errorf("emitted = %d", sz.Emitted)
+	if sz.Metrics.Emitted != 10000 {
+		t.Errorf("emitted = %d", sz.Metrics.Emitted)
 	}
 	if sz.ActiveSessions() != 0 {
 		t.Error("flush left active sessions")

@@ -399,33 +399,82 @@ func ParseFrames(payload []byte) ([]Frame, error) {
 	return frames, err
 }
 
-// CryptoData reassembles the CRYPTO stream carried by frames, which
-// must cover a contiguous range starting at offset 0 (single-datagram
-// handshake messages always do). It returns an error on gaps.
-func CryptoData(frames []Frame) ([]byte, error) {
-	var segs []*CryptoFrame
-	for _, f := range frames {
-		if cf, ok := f.(*CryptoFrame); ok {
-			segs = append(segs, cf)
-		}
+// MaxCryptoFrames bounds the CRYPTO frames one packet may carry. Real
+// clients send a ClientHello in one to a few frames; the bound keeps
+// reassembly, whose sort is quadratic in the frame count, constant work
+// per packet, although anyone can seal an Initial (the keys are public)
+// and a 1 200-byte plaintext holds a few hundred one-byte frames.
+const MaxCryptoFrames = 64
+
+// CryptoAssembler reassembles the CRYPTO stream of one packet. The zero
+// value is ready; Reset readies it for the next packet, reusing its
+// storage.
+type CryptoAssembler struct {
+	segs []cryptoSeg
+	buf  []byte
+}
+
+// cryptoSeg is one CRYPTO frame's extent.
+type cryptoSeg struct {
+	off  uint64
+	data []byte
+}
+
+// Reset forgets the frames added so far.
+func (a *CryptoAssembler) Reset() { a.segs = a.segs[:0] }
+
+// Add records one CRYPTO frame; data is aliased, not copied. A packet's
+// frame past MaxCryptoFrames is an error.
+func (a *CryptoAssembler) Add(offset uint64, data []byte) error {
+	if len(a.segs) == MaxCryptoFrames {
+		return fmt.Errorf("wire: more than %d CRYPTO frames in one packet: %w", MaxCryptoFrames, ErrBadFrame)
 	}
+	a.segs = append(a.segs, cryptoSeg{off: offset, data: data})
+	return nil
+}
+
+// Assemble returns the stream the added frames carry, which must cover
+// a contiguous range starting at offset 0 (single-datagram handshake
+// messages always do); nil without frames. The dominant one-frame case
+// aliases the frame's data; several frames are joined in the
+// assembler's buffer, valid until its next Assemble.
+func (a *CryptoAssembler) Assemble() ([]byte, error) {
+	segs := a.segs
 	if len(segs) == 0 {
 		return nil, nil
 	}
-	// Insertion sort by offset; handshake packets carry few segments.
+	if len(segs) == 1 && segs[0].off == 0 {
+		return segs[0].data, nil
+	}
+	// Insertion sort by offset, over at most MaxCryptoFrames segments.
 	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j-1].Offset > segs[j].Offset; j-- {
+		for j := i; j > 0 && segs[j-1].off > segs[j].off; j-- {
 			segs[j-1], segs[j] = segs[j], segs[j-1]
 		}
 	}
-	var out []byte
+	out := a.buf[:0]
 	var next uint64
 	for _, s := range segs {
-		if s.Offset != next {
-			return nil, fmt.Errorf("wire: crypto stream gap at %d (have %d): %w", next, s.Offset, ErrBadFrame)
+		if s.off != next {
+			return nil, fmt.Errorf("wire: crypto stream gap at %d (have %d): %w", next, s.off, ErrBadFrame)
 		}
-		out = append(out, s.Data...)
-		next += uint64(len(s.Data))
+		out = append(out, s.data...)
+		next += uint64(len(s.data))
 	}
+	a.buf = out
 	return out, nil
+}
+
+// CryptoData reassembles the CRYPTO stream carried by frames (see
+// CryptoAssembler).
+func CryptoData(frames []Frame) ([]byte, error) {
+	var a CryptoAssembler
+	for _, f := range frames {
+		if cf, ok := f.(*CryptoFrame); ok {
+			if err := a.Add(cf.Offset, cf.Data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return a.Assemble()
 }

@@ -238,6 +238,30 @@ func TestCryptoDataNone(t *testing.T) {
 	}
 }
 
+// TestCryptoFrameBound: a packet's CRYPTO frames up to MaxCryptoFrames
+// reassemble, in any order; one more is a malformed packet. A reset
+// assembler reuses its buffer for the next packet.
+func TestCryptoFrameBound(t *testing.T) {
+	var a CryptoAssembler
+	for round := 0; round < 2; round++ {
+		a.Reset()
+		want := make([]byte, MaxCryptoFrames)
+		for i := MaxCryptoFrames - 1; i >= 0; i-- {
+			want[i] = byte(i + round)
+			if err := a.Add(uint64(i), want[i:i+1]); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		got, err := a.Assemble()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: assembled %x, %v; want %x", round, got, err, want)
+		}
+		if err := a.Add(MaxCryptoFrames, []byte{0}); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("frame %d accepted: %v", MaxCryptoFrames+1, err)
+		}
+	}
+}
+
 func TestAckRoundTripProperty(t *testing.T) {
 	f := func(seed []uint16) bool {
 		if len(seed) == 0 {

@@ -274,8 +274,8 @@ func TestCheckpointEncodeOnce(t *testing.T) {
 			f := &frozen{ck: s.Checkpoint()}
 			f.ref = referenceEncode(s, logged)
 			for k, sh := range s.shards {
-				if sh.quicSz.Emitted != logged[k].n {
-					t.Errorf("tick %d: log covers %d of %d emitted sessions", len(froze), logged[k].n, sh.quicSz.Emitted)
+				if int(sh.quicSz.Metrics.Emitted) != logged[k].n {
+					t.Errorf("tick %d: log covers %d of %d emitted sessions", len(froze), logged[k].n, sh.quicSz.Metrics.Emitted)
 				}
 				if len(sh.sessions) != 0 {
 					t.Errorf("tick %d: shard %d still holds %d logged sessions", len(froze), k, len(sh.sessions))
