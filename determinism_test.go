@@ -194,25 +194,29 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 
 	// Replay with a trace sink re-checkpoints the identical byte
-	// stream (the analyze-while-converting path). From a mapped capture
-	// the tapped packets' payloads alias the mapping across goroutines
-	// until the source is closed, after the run.
-	for _, in := range inputs {
-		var retrace bytes.Buffer
-		cfg := base
-		cfg.Workers, cfg.Trace = 8, capture.NewSink(&retrace, capture.FormatQSND)
-		src := in.open()
-		if _, err := Replay(cfg, src); err != nil {
-			t.Fatal(err)
-		}
-		if err := cfg.Trace.(capture.Sink).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.(io.Closer).Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(qsnd, retrace.Bytes()) {
-			t.Errorf("%s: re-checkpoint differs: %d vs %d bytes (or content)", in.name, len(qsnd), len(retrace.Bytes()))
+	// stream (the analyze-while-converting path). The tap copies packet
+	// structs, not payloads: from a mapped capture the payloads alias
+	// the mapping until the source is closed, after the run; from a
+	// streamed one they live in the scatter's batch arenas, which the
+	// scatter must not recycle under a tap.
+	for _, workers := range []int{1, 8} {
+		for _, in := range inputs {
+			var retrace bytes.Buffer
+			cfg := base
+			cfg.Workers, cfg.Trace = workers, capture.NewSink(&retrace, capture.FormatQSND)
+			src := in.open()
+			if _, err := Replay(cfg, src); err != nil {
+				t.Fatal(err)
+			}
+			if err := cfg.Trace.(capture.Sink).Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.(io.Closer).Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(qsnd, retrace.Bytes()) {
+				t.Errorf("%s/workers=%d: re-checkpoint differs: %d vs %d bytes (or content)", in.name, workers, len(qsnd), len(retrace.Bytes()))
+			}
 		}
 	}
 }

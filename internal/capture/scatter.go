@@ -82,10 +82,9 @@ func (f *freeStack) take() *batch {
 type shardDecode struct {
 	// slab is the shard's one scatterBatch-entry packet slab, allocated by
 	// the shard itself on its first batch and overwritten by every later
-	// one. Only kept when the scatter recycles: reusing it is the same §9
-	// licence as reusing a batch (a pointer is valid only during the sink
-	// call), and a trace tap that buffers pointers gets a fresh slab per
-	// batch instead.
+	// one. Only kept when the scatter recycles; without recycling each
+	// batch gets a fresh slab and the emitted packets stay valid after the
+	// run.
 	slab []telescope.Packet
 	// touched is where the first-touch pass leaves the bytes it loaded, so
 	// the loads have a use the compiler must keep.
@@ -123,12 +122,12 @@ type shardDecode struct {
 // Slab ownership follows the §9 contract: a packet pointer emitted to
 // the engine is valid only during the sink call. With recycle=true the
 // shard decodes every batch into the same slab and returns the drained
-// batch to the reader through the free stack — legal only when nothing
-// retains packet pointers past the sink call, so replays that attach a
-// trace tap must pass recycle=false (the tap buffers packets across
-// goroutines; each batch then gets a slab of its own, allocated by the
-// shard, and is not reused), exactly like the generator's slab recycling
-// rule.
+// batch, arena included, to the reader through the free stack — legal
+// only when nothing retains a packet or its payload past the sink call.
+// The engine's trace tap copies the packet struct but not its payload,
+// and a streamed source's payloads live in the batch arenas, so replays
+// that attach a trace tap pass recycle=false: each batch then gets a
+// slab of its own, allocated by the shard, and neither is reused.
 type Scatter struct {
 	n       int
 	recycle bool
@@ -275,8 +274,8 @@ func pump(in <-chan *batch, out chan<- *batch) {
 
 // Feeds returns the per-shard engine feeds. The reader goroutine
 // starts when the first feed runs (inside engine.Run).
-func (s *Scatter) Feeds() []engine.Feed[*telescope.Packet] {
-	feeds := make([]engine.Feed[*telescope.Packet], s.n)
+func (s *Scatter) Feeds() []engine.Feed {
+	feeds := make([]engine.Feed, s.n)
 	for i := range feeds {
 		i := i
 		feeds[i] = func(emit func(*telescope.Packet)) { s.feed(i, emit) }
@@ -339,9 +338,10 @@ func (s *Scatter) feed(i int, emit func(*telescope.Packet)) {
 // decodeBatch parses one batch of framed spans into the shard's packet
 // slab, on the shard's own goroutine — the decode-after-scatter half —
 // and returns the decoded packets, valid until the shard's next
-// decodeBatch when recycling and for good otherwise. The slab has
-// capacity for a full batch, so the appends never reallocate and the
-// emitted pointers stay inside it. Per-slice decode spans land on the
+// decodeBatch when recycling and for good otherwise (their payloads as
+// long as the batch arena, which a recycling scatter reuses). The slab
+// has capacity for a full batch, so the appends never reallocate and
+// the emitted pointers stay inside it. Per-slice decode spans land on the
 // shard's flight-recorder ring: batch composition is a pure function of
 // the stream and the shard count, so span structure stays deterministic
 // for a fixed worker count.

@@ -8,10 +8,12 @@
 // counter merges, canonical sorts), any worker count produces results
 // bit-identical to the sequential single-shard run — see DESIGN.md §8.
 //
-// The engine is generic over the item type and knows nothing about
-// packets: quicsand.Run, Replay and the Streamer drive it with
-// *telescope.Packet items — a generated month, a stored capture, or the
-// live traffic cmd/telescoped offers to a Streamer.
+// The engine runs packets: quicsand.Run, Replay and the Streamer drive
+// it with a generated month, a stored capture, or the live traffic
+// cmd/telescoped offers to a Streamer. The tap copies each kept packet's
+// struct into a per-shard value batch, so no packet pointer a feed emits
+// is retained past the process call, and merges the batches in the
+// canonical capture order (timestamp, source address).
 package engine
 
 import (
@@ -24,7 +26,9 @@ import (
 	"sync"
 	"time"
 
+	"quicsand/internal/netmodel"
 	"quicsand/internal/telemetry"
+	"quicsand/internal/telescope"
 )
 
 // Config parameterizes a pipeline run.
@@ -71,7 +75,7 @@ func (c Config) ResolveWorkers() int {
 }
 
 const (
-	// tapBatch is the number of items per tap batch. Larger batches
+	// tapBatch is the number of packets per tap batch. Larger batches
 	// amortize channel operations; smaller ones bound the reordering
 	// buffer.
 	tapBatch = 256
@@ -79,24 +83,31 @@ const (
 	// with tapBatch it bounds how far a fast shard can run ahead of the
 	// tap merge — the pipeline's backpressure window.
 	tapDepth = 4
+	// tapBatches is the most batches one shard's tap can hold at once:
+	// one filling, tapDepth queued and one merging. The free list holds
+	// that many, so a drained batch always finds room there.
+	tapBatches = tapDepth + 2
 )
 
-// Feed streams one shard's items, in that shard's canonical order, by
-// calling emit once per item. It runs on the shard's worker goroutine
-// and returns at end of stream.
-type Feed[T any] func(emit func(T))
+// Feed streams one shard's packets, in that shard's canonical order, by
+// calling emit once per packet. It runs on the shard's worker goroutine
+// and returns at end of stream. The packet need stay valid only during
+// the emit call: the engine retains no packet pointer past it.
+type Feed func(emit func(*telescope.Packet))
 
-// Tap reassembles the per-shard streams into one globally ordered
-// stream. Sink observes every item that Process kept, in the unique
-// order defined by Less — independent of the worker count.
-type Tap[T any] struct {
-	// Less must be a strict weak ordering consistent across shards.
-	// Items comparing equal must originate from the same shard: the
-	// merge is stable within a shard but breaks cross-shard ties by
-	// shard index, which varies with the worker count.
-	Less func(a, b T) bool
-	// Sink receives the merged stream on the caller's goroutine.
-	Sink func(T)
+// Tap reassembles the per-shard streams into one stream in canonical
+// capture order: (timestamp, source address), stable within a shard.
+// One source address never spans shards, so packets with equal keys
+// share a shard and the merged stream is independent of the worker
+// count. Keys equal across shards — which that rule forbids — go in
+// shard index order.
+type Tap struct {
+	// Sink receives every packet process kept, on the caller's
+	// goroutine. The packet lives in a tap batch that is refilled once
+	// the merge has passed it: it is valid only during the call, and its
+	// Payload is the feed's (§9: shared read-only or GC-owned, unless the
+	// feed recycles payload memory).
+	Sink func(*telescope.Packet)
 }
 
 // Stage records one pipeline stage's volume and latency.
@@ -184,17 +195,18 @@ func (st *Stats) String() string {
 }
 
 // Run executes the sharded pipeline: feeds[i] is drained on shard i's
-// worker goroutine, each item passed to process(i, item). Process
-// returns whether the item is forwarded to the tap. The tap merge runs
-// on the calling goroutine concurrently with the workers, and bounded
-// per-shard queues provide backpressure. A single feed is one shard:
-// one worker goroutine, and a merge of one stream.
+// worker goroutine, each packet passed to process(i, p). Process
+// returns whether the packet is forwarded to the tap, which copies its
+// struct. The tap merge runs on the calling goroutine concurrently with
+// the workers, and bounded per-shard queues provide backpressure. A
+// single feed is one shard: one worker goroutine, and a merge of one
+// stream.
 //
 // Process is called from at most one goroutine per shard index, so
 // per-shard state needs no locking; it must not touch other shards'
 // state. Run returns once every feed is drained and the tap has seen
-// every kept item.
-func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) bool, tap *Tap[T]) *Stats {
+// every kept packet.
+func Run(cfg Config, feeds []Feed, process func(shard int, p *telescope.Packet) bool, tap *Tap) *Stats {
 	n := len(feeds)
 	st := &Stats{Workers: n, ShardItems: make([]uint64, n), ShardBusy: make([]time.Duration, n)}
 	rec := cfg.Recorder
@@ -203,15 +215,15 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 	feedStage := cfg.feedStage()
 	t0 := time.Now()
 
-	var tapChans, freeChans []chan []T
+	var tapChans, freeChans []chan []telescope.Packet
 	if tap != nil {
-		tapChans = make([]chan []T, n)
-		freeChans = make([]chan []T, n)
+		tapChans = make([]chan []telescope.Packet, n)
+		freeChans = make([]chan []telescope.Packet, n)
 		for i := range tapChans {
-			tapChans[i] = make(chan []T, tapDepth)
-			// One slot beyond the tap depth so returning a drained
-			// batch never blocks the merge goroutine.
-			freeChans[i] = make(chan []T, tapDepth+1)
+			tapChans[i] = make(chan []telescope.Packet, tapDepth)
+			// Room for every batch the shard can own, so returning a
+			// drained one never blocks the merge nor drops it.
+			freeChans[i] = make(chan []telescope.Packet, tapBatches)
 		}
 	}
 
@@ -230,8 +242,8 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 				ring := rec.ShardRing(i)
 				var sl spanSlice
 				sl.start = ring.Now()
-				var buf []T
-				nextBuf := func() []T {
+				var buf []telescope.Packet
+				nextBuf := func() []telescope.Packet {
 					// Reuse a batch the merge side has drained; allocate
 					// only while the recycling loop is still priming.
 					select {
@@ -240,7 +252,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 						return b
 					default:
 						tel.BufAllocs++
-						return make([]T, 0, tapBatch)
+						return make([]telescope.Packet, 0, tapBatch)
 					}
 				}
 				sendBatch := func() {
@@ -259,14 +271,14 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 					items uint64
 					_     [56]byte
 				}
-				feeds[i](func(item T) {
+				feeds[i](func(p *telescope.Packet) {
 					local.items++
 					var keep bool
 					if ring == nil {
-						keep = process(i, item)
+						keep = process(i, p)
 					} else {
 						p0 := ring.Now()
-						keep = process(i, item)
+						keep = process(i, p)
 						sl.procNS += ring.Now() - p0
 						if sl.items++; sl.items >= sliceLimit {
 							now := ring.Now()
@@ -280,7 +292,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 						if buf == nil {
 							buf = nextBuf()
 						}
-						buf = append(buf, item)
+						buf = append(buf, *p)
 						if len(buf) >= tapBatch {
 							sendBatch()
 						}
@@ -304,7 +316,7 @@ func Run[T any](cfg Config, feeds []Feed[T], process func(shard int, item T) boo
 	var tapped uint64
 	if tap != nil {
 		pprof.Do(context.Background(), pprof.Labels("shard", "merge", "stage", "merge"), func(context.Context) {
-			tapped = mergeTap(tapChans, freeChans, tap, rec.DriverRing(), sliceLimit)
+			tapped = mergeTap(tapChans, freeChans, tap.Sink, rec.DriverRing(), sliceLimit)
 		})
 	}
 	wg.Wait()
@@ -339,84 +351,90 @@ func (s *spanSlice) flush(ring *telemetry.Ring, feedStage telemetry.Stage, now i
 	*s = spanSlice{start: now}
 }
 
-// tapHeads is the tap merge's binary min-heap of open streams:
-// heads[w][pos[w]] is stream w's least unmerged item, and open holds the
-// streams that still have one, ordered by (item, shard index). Equal
-// items must share a shard per the Tap contract, but the explicit
-// tie-break keeps the merge deterministic even for contract-violating
-// inputs. A stream leaves the heap when it closes, so the order never
-// meets a closed one.
-type tapHeads[T any] struct {
-	less  func(a, b T) bool
-	heads [][]T
-	pos   []int
-	open  []int
+// tapHead is one open stream of the tap merge: its shard index and the
+// merge key of its least unmerged packet, copied out of the batch so the
+// heap compares its own entries and never reads a packet.
+type tapHead struct {
+	ts  telescope.Timestamp
+	src netmodel.Addr
+	w   int
 }
 
-// before reports whether stream a's head merges before stream b's.
-func (h *tapHeads[T]) before(a, b int) bool {
-	x, y := h.heads[a][h.pos[a]], h.heads[b][h.pos[b]]
-	if h.less(x, y) {
-		return true
+// before orders heads by (timestamp, source address, shard index). Equal
+// keys must share a shard per the Tap contract, but the shard tie-break
+// keeps the merge deterministic even for inputs that break it.
+func (a *tapHead) before(b *tapHead) bool {
+	if a.ts != b.ts {
+		return a.ts < b.ts
 	}
-	if h.less(y, x) {
-		return false
+	if a.src != b.src {
+		return a.src < b.src
 	}
-	return a < b
+	return a.w < b.w
 }
 
-// up places stream w, whose slot is i, on the path from i to the root.
-func (h *tapHeads[T]) up(i, w int) {
+// tapHeads is the tap merge's binary min-heap of open streams. A stream
+// leaves the heap when it closes, so the order never meets a closed one.
+type tapHeads struct {
+	open []tapHead
+}
+
+// up places e, whose slot is i, on the path from i to the root.
+func (h *tapHeads) up(i int, e tapHead) {
 	o := h.open
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.before(w, o[p]) {
+		if !e.before(&o[p]) {
 			break
 		}
 		o[i], i = o[p], p
 	}
-	o[i] = w
+	o[i] = e
 }
 
-// down restores the heap after the root's head advanced or the root was
+// down restores the heap after the root's key advanced or the root was
 // replaced, bottom-up: the hole walks the lesser children down to a leaf,
-// one comparison a level, and the root stream climbs back from there —
-// rarely far, since it has just given up its least item. container/heap
-// sifts top-down, two comparisons a level behind interface calls, and
-// took 1.7× the time per merged item at eight shards (2-vCPU Xeon).
-func (h *tapHeads[T]) down() {
+// one comparison a level, and the root climbs back from there — rarely
+// far, since its stream has just given up its least packet.
+// container/heap sifts top-down, two comparisons a level behind
+// interface calls, and took 1.7× the time per merged item at eight
+// shards (2-vCPU Xeon).
+func (h *tapHeads) down() {
 	o := h.open
 	if len(o) == 0 {
 		return
 	}
-	w, i := o[0], 0
+	e, i := o[0], 0
 	for c := 1; c < len(o); c = 2*i + 1 {
-		if c+1 < len(o) && h.before(o[c+1], o[c]) {
+		if c+1 < len(o) && o[c+1].before(&o[c]) {
 			c++
 		}
 		o[i], i = o[c], c
 	}
-	h.up(i, w)
+	h.up(i, e)
 }
 
 // mergeTap performs the streaming k-way merge of the per-shard tap
-// streams. Each stream arrives batched and already ordered by
-// tap.Less; a heap over the stream heads emits the least head in
-// O(log shards) comparisons per item, refilling a stream's batch
-// (blocking, which backpressures nothing — the channel already holds
-// data or the shard is ahead) as it drains. Drained batch buffers are
-// recycled to their shard through free. Memory is bounded by shards ×
-// batch items. With a recorder, every sliceLimit emitted items close one
-// merge span on the driver ring (span wall includes waiting on shard
-// channels — the merge track shows occupancy, not pure CPU).
-func mergeTap[T any](chans, free []chan []T, tap *Tap[T], ring *telemetry.Ring, sliceLimit uint64) uint64 {
+// streams. Each stream arrives as value batches already in canonical
+// order; a heap over the stream heads hands sink a pointer to the least
+// head in O(log shards) comparisons per packet, refilling a stream's
+// batch (blocking, which backpressures nothing — the channel already
+// holds data or the shard is ahead) as it drains. Drained batches go
+// back to their shard through free, which has room for all of them.
+// Memory is bounded by shards × tapBatches × tapBatch packets. With a
+// recorder, every sliceLimit emitted packets close one merge span on the
+// driver ring (span wall includes waiting on shard channels — the merge
+// track shows occupancy, not pure CPU).
+func mergeTap(chans, free []chan []telescope.Packet, sink func(*telescope.Packet), ring *telemetry.Ring, sliceLimit uint64) uint64 {
 	n := len(chans)
-	h := &tapHeads[T]{less: tap.Less, heads: make([][]T, n), pos: make([]int, n)}
-	for i, ch := range chans {
+	batches := make([][]telescope.Packet, n)
+	pos := make([]int, n)
+	h := &tapHeads{open: make([]tapHead, 0, n)}
+	for w, ch := range chans {
 		if b, ok := <-ch; ok {
-			h.heads[i] = b
-			h.open = append(h.open, i)
-			h.up(len(h.open)-1, i)
+			batches[w] = b
+			h.open = append(h.open, tapHead{})
+			h.up(len(h.open)-1, tapHead{ts: b[0].TS, src: b[0].Src, w: w})
 		}
 	}
 	var emitted uint64
@@ -439,34 +457,28 @@ func mergeTap[T any](chans, free []chan []T, tap *Tap[T], ring *telemetry.Ring, 
 		}
 	}()
 
-	// advance consumes the current head of stream w, recycling and
-	// refilling its batch as needed. Reports whether the stream still
-	// has an item.
-	advance := func(w int) bool {
-		h.pos[w]++
-		if h.pos[w] < len(h.heads[w]) {
-			return true
-		}
-		select { // hand the drained buffer back to the shard worker
-		case free[w] <- h.heads[w][:0]:
-		default:
-		}
-		h.pos[w] = 0
-		var ok bool
-		h.heads[w], ok = <-chans[w]
-		return ok
-	}
-
 	for len(h.open) > 0 {
-		w := h.open[0]
-		tap.Sink(h.heads[w][h.pos[w]])
+		top := &h.open[0]
+		w := top.w
+		sink(&batches[w][pos[w]])
 		emitted++
 		record()
-		if !advance(w) {
-			last := len(h.open) - 1
-			h.open[0] = h.open[last]
-			h.open = h.open[:last]
+		if pos[w]++; pos[w] == len(batches[w]) {
+			// The sink is done with the batch: hand it back to the shard
+			// worker, then wait for the stream's next one.
+			free[w] <- batches[w][:0]
+			pos[w] = 0
+			var ok bool
+			if batches[w], ok = <-chans[w]; !ok {
+				last := len(h.open) - 1
+				h.open[0] = h.open[last]
+				h.open = h.open[:last]
+				h.down()
+				continue
+			}
 		}
+		p := &batches[w][pos[w]]
+		top.ts, top.src = p.TS, p.Src
 		h.down()
 	}
 	return emitted

@@ -6,28 +6,50 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"quicsand/internal/netmodel"
+	"quicsand/internal/telescope"
 )
 
-// feedOf replays a fixed int slice.
-func feedOf(items ...int) Feed[int] {
-	return func(emit func(int)) {
-		for _, v := range items {
-			emit(v)
+// pkt is a test packet keyed by (ts, src); tag rides along unmerged, to
+// tell equal-keyed packets apart.
+func pkt(ts int, src int, tag uint16) telescope.Packet {
+	return telescope.Packet{TS: telescope.Timestamp(ts), Src: netmodel.Addr(src), DstPort: tag}
+}
+
+// feedOf replays fixed packets, emitting every one from the same
+// variable: the engine must copy what it keeps before the next emit
+// overwrites it.
+func feedOf(pkts ...telescope.Packet) Feed {
+	return func(emit func(*telescope.Packet)) {
+		var p telescope.Packet
+		for _, v := range pkts {
+			p = v
+			emit(&p)
 		}
 	}
 }
 
+// tsFeed emits packets with the given timestamps from source src.
+func tsFeed(src int, ts ...int) Feed {
+	pkts := make([]telescope.Packet, len(ts))
+	for i, v := range ts {
+		pkts[i] = pkt(v, src, 0)
+	}
+	return feedOf(pkts...)
+}
+
 func TestRunInlineSequential(t *testing.T) {
-	var got []int
-	st := Run(Config{}, []Feed[int]{feedOf(3, 1, 4, 1, 5)},
-		func(shard int, v int) bool {
+	var got []telescope.Timestamp
+	st := Run(Config{}, []Feed{tsFeed(1, 3, 1, 4, 1, 5)},
+		func(shard int, p *telescope.Packet) bool {
 			if shard != 0 {
 				t.Fatalf("shard %d on single-feed run", shard)
 			}
-			got = append(got, v)
+			got = append(got, p.TS)
 			return true
 		}, nil)
-	if len(got) != 5 || st.Items() != 5 || st.Workers != 1 {
+	if fmt.Sprint(got) != "[3 1 4 1 5]" || st.Items() != 5 || st.Workers != 1 {
 		t.Fatalf("got %v items=%d workers=%d", got, st.Items(), st.Workers)
 	}
 	if st.StageNamed("analyze").Items != 5 {
@@ -37,31 +59,30 @@ func TestRunInlineSequential(t *testing.T) {
 
 func TestRunShardIsolation(t *testing.T) {
 	const shards = 4
-	feeds := make([]Feed[int], shards)
+	feeds := make([]Feed, shards)
 	for i := range feeds {
-		i := i
-		feeds[i] = func(emit func(int)) {
-			for j := 0; j < 1000; j++ {
-				emit(i) // each feed emits its own shard index
-			}
+		ts := make([]int, 1000)
+		for j := range ts {
+			ts[j] = j
 		}
+		feeds[i] = tsFeed(i, ts...) // each feed emits its own shard index as Src
 	}
 	var wrong atomic.Int64
-	st := Run(Config{Workers: shards}, feeds, func(shard int, v int) bool {
-		if v != shard {
+	st := Run(Config{Workers: shards}, feeds, func(shard int, p *telescope.Packet) bool {
+		if int(p.Src) != shard {
 			wrong.Add(1)
 		}
 		return false
 	}, nil)
 	if wrong.Load() != 0 {
-		t.Fatalf("%d items processed on the wrong shard", wrong.Load())
+		t.Fatalf("%d packets processed on the wrong shard", wrong.Load())
 	}
 	if st.Items() != shards*1000 {
 		t.Fatalf("items = %d", st.Items())
 	}
 	for i, n := range st.ShardItems {
 		if n != 1000 {
-			t.Fatalf("shard %d processed %d items", i, n)
+			t.Fatalf("shard %d processed %d packets", i, n)
 		}
 	}
 }
@@ -75,26 +96,26 @@ func TestShardItemsMatchFeeds(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		for _, tapped := range []bool{false, true} {
 			emitted := make([]uint64, workers)
-			feeds := make([]Feed[int], workers)
+			feeds := make([]Feed, workers)
 			for i := range feeds {
-				i := i
 				n := 2*tapBatch + 1 + 97*i
 				if i == 1 {
 					n = 0 // one feed of every multi-shard run stays empty
 				}
-				feeds[i] = func(emit func(int)) {
+				feeds[i] = func(emit func(*telescope.Packet)) {
 					for v := 0; v < n; v++ {
-						emit(v*workers + i) // increasing per shard, distinct across
+						p := pkt(v*workers+i, i, 0) // increasing per shard, distinct across
+						emit(&p)
 						emitted[i]++
 					}
 				}
 			}
-			var tap *Tap[int]
+			var tap *Tap
 			var sunk uint64
 			if tapped {
-				tap = &Tap[int]{Less: func(a, b int) bool { return a < b }, Sink: func(int) { sunk++ }}
+				tap = &Tap{Sink: func(*telescope.Packet) { sunk++ }}
 			}
-			st := Run(Config{Workers: workers}, feeds, func(int, int) bool { return true }, tap)
+			st := Run(Config{Workers: workers}, feeds, func(int, *telescope.Packet) bool { return true }, tap)
 			var total uint64
 			for i, want := range emitted {
 				total += want
@@ -114,27 +135,23 @@ func TestShardItemsMatchFeeds(t *testing.T) {
 // global order from per-shard sorted streams, for several worker
 // counts, each shard crossing at least two batch boundaries mid-stream.
 func TestTapMergeOrder(t *testing.T) {
-	// Items 0..total-1 dealt round-robin to shards by modulo; each shard
-	// stream is increasing, the merged stream must be the tapped subset
-	// in order. Even at 8 shards each taps 2/3 of 4*tapBatch items.
+	// Timestamps 0..total-1 dealt round-robin to shards by modulo; each
+	// shard stream is increasing, the merged stream must be the tapped
+	// subset in order. Even at 8 shards each taps 2/3 of 4*tapBatch.
 	const total = 8 * 4 * tapBatch
 	for _, cfg := range []Config{{Workers: 2}, {Workers: 3}, {Workers: 8}} {
-		feeds := make([]Feed[int], cfg.Workers)
+		feeds := make([]Feed, cfg.Workers)
 		for i := range feeds {
-			i := i
-			feeds[i] = func(emit func(int)) {
-				for v := i; v < total; v += cfg.Workers {
-					emit(v)
-				}
+			var ts []int
+			for v := i; v < total; v += cfg.Workers {
+				ts = append(ts, v)
 			}
+			feeds[i] = tsFeed(i, ts...)
 		}
 		var merged []int
 		st := Run(cfg, feeds,
-			func(shard, v int) bool { return v%3 != 0 }, // tap a subset
-			&Tap[int]{
-				Less: func(a, b int) bool { return a < b },
-				Sink: func(v int) { merged = append(merged, v) },
-			})
+			func(_ int, p *telescope.Packet) bool { return p.TS%3 != 0 }, // tap a subset
+			&Tap{Sink: func(p *telescope.Packet) { merged = append(merged, int(p.TS)) }})
 		if !sort.IntsAreSorted(merged) {
 			t.Fatalf("cfg %+v: merged stream out of order", cfg)
 		}
@@ -145,7 +162,7 @@ func TestTapMergeOrder(t *testing.T) {
 			}
 		}
 		if len(merged) != want {
-			t.Fatalf("cfg %+v: merged %d items, want %d", cfg, len(merged), want)
+			t.Fatalf("cfg %+v: merged %d packets, want %d", cfg, len(merged), want)
 		}
 		if st.StageNamed("tap").Items != uint64(want) {
 			t.Fatalf("tap stage = %+v", st.StageNamed("tap"))
@@ -153,26 +170,21 @@ func TestTapMergeOrder(t *testing.T) {
 	}
 }
 
-// TestTapBreaksTiesByShard pins the merge order on items the Tap
-// contract forbids — equal under Less but from different shards: the
-// lower shard index goes first, so even such a stream is deterministic.
+// TestTapBreaksTiesByShard pins the merge order on packets the Tap
+// contract forbids — equal (timestamp, source) but from different
+// shards: the lower shard index goes first, so even such a stream is
+// deterministic. Source breaks timestamp ties before the shard does.
 func TestTapBreaksTiesByShard(t *testing.T) {
-	type item struct{ key, shard int }
-	keys := [][]int{{10, 40}, {10}, {10, 10}}
-	feeds := make([]Feed[item], len(keys))
-	for i := range feeds {
-		feeds[i] = func(emit func(item)) {
-			for _, k := range keys[i] {
-				emit(item{k, i})
-			}
-		}
+	feeds := []Feed{
+		feedOf(pkt(10, 5, 0), pkt(40, 5, 0)),
+		feedOf(pkt(10, 5, 1), pkt(10, 6, 1)),
+		feedOf(pkt(10, 5, 2), pkt(10, 5, 2), pkt(10, 7, 2)),
 	}
-	var got []item
-	Run(Config{}, feeds, func(int, item) bool { return true }, &Tap[item]{
-		Less: func(a, b item) bool { return a.key < b.key },
-		Sink: func(v item) { got = append(got, v) },
+	var got []string
+	Run(Config{}, feeds, func(int, *telescope.Packet) bool { return true }, &Tap{
+		Sink: func(p *telescope.Packet) { got = append(got, fmt.Sprintf("%d/%d@%d", p.TS, p.Src, p.DstPort)) },
 	})
-	want := []item{{10, 0}, {10, 1}, {10, 2}, {10, 2}, {40, 0}}
+	want := []string{"10/5@0", "10/5@1", "10/5@2", "10/5@2", "10/6@1", "10/7@2", "40/5@0"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("merged %v, want %v", got, want)
 	}
@@ -180,50 +192,45 @@ func TestTapBreaksTiesByShard(t *testing.T) {
 
 // TestTapEqualsSequential is the engine-level determinism property:
 // the tapped stream for any worker count equals the 1-worker stream,
-// provided equal-comparing items share a shard.
+// provided packets with equal (timestamp, source) share a shard.
 func TestTapEqualsSequential(t *testing.T) {
-	type item struct{ ts, src int }
-	// Build per-src streams with colliding timestamps (same src only),
-	// each long enough to cross two tap batch boundaries on its own.
-	streams := map[int][]item{}
+	// Build per-src streams with colliding timestamps, each long enough
+	// to cross two tap batch boundaries on its own; tag numbers a
+	// source's packets, so per-shard stability shows in the output.
+	streams := map[int][]telescope.Packet{}
 	for src := 0; src < 13; src++ {
 		ts := src % 3
 		for j := 0; j < 2*tapBatch+1; j++ {
-			streams[src] = append(streams[src], item{ts: ts, src: src})
+			streams[src] = append(streams[src], pkt(ts, src, uint16(j)))
 			if j%4 != 0 {
 				ts += j % 5 // repeated timestamps within a src
 			}
 		}
 	}
-	less := func(a, b item) bool {
-		if a.ts != b.ts {
-			return a.ts < b.ts
+	less := func(a, b telescope.Packet) bool {
+		if a.TS != b.TS {
+			return a.TS < b.TS
 		}
-		return a.src < b.src
+		return a.Src < b.Src
 	}
 	render := func(workers int) string {
 		// Partition srcs over shards, k-way merge within each shard
 		// (stable for equal keys) to mimic the ibr shard mergers.
-		groups := make([][]item, workers)
+		groups := make([][]telescope.Packet, workers)
 		for src := 0; src < 13; src++ {
 			g := src % workers
 			merged := append(groups[g], streams[src]...)
 			sort.SliceStable(merged, func(i, j int) bool { return less(merged[i], merged[j]) })
 			groups[g] = merged
 		}
-		feeds := make([]Feed[item], workers)
+		feeds := make([]Feed, workers)
 		for i := range feeds {
-			i := i
-			feeds[i] = func(emit func(item)) {
-				for _, v := range groups[i] {
-					emit(v)
-				}
-			}
+			feeds[i] = feedOf(groups[i]...)
 		}
 		var b strings.Builder
 		Run(Config{Workers: workers}, feeds,
-			func(int, item) bool { return true },
-			&Tap[item]{Less: less, Sink: func(v item) { fmt.Fprintf(&b, "%d/%d ", v.ts, v.src) }})
+			func(int, *telescope.Packet) bool { return true },
+			&Tap{Sink: func(p *telescope.Packet) { fmt.Fprintf(&b, "%d/%d/%d ", p.TS, p.Src, p.DstPort) }})
 		return b.String()
 	}
 	want := render(1)

@@ -4,6 +4,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"quicsand/internal/ibr"
+	"quicsand/internal/telescope"
 )
 
 // TestStageZeroWall pins the division guards: a stage that recorded no
@@ -58,22 +61,18 @@ func TestEngineTelemetryInvariants(t *testing.T) {
 	// Even at 8 shards each crosses two tap batch boundaries.
 	const total = 8 * (2*tapBatch + 1)
 	for _, workers := range []int{1, 2, 4, 8} {
-		feeds := make([]Feed[int], workers)
+		feeds := make([]Feed, workers)
 		for i := range feeds {
-			i := i
-			feeds[i] = func(emit func(int)) {
-				for v := i; v < total; v += workers {
-					emit(v)
-				}
+			var ts []int
+			for v := i; v < total; v += workers {
+				ts = append(ts, v)
 			}
+			feeds[i] = tsFeed(i, ts...)
 		}
 		var merged []int
 		st := Run(Config{Workers: workers}, feeds,
-			func(shard, v int) bool { return true },
-			&Tap[int]{
-				Less: func(a, b int) bool { return a < b },
-				Sink: func(v int) { merged = append(merged, v) },
-			})
+			func(int, *telescope.Packet) bool { return true },
+			&Tap{Sink: func(p *telescope.Packet) { merged = append(merged, int(p.TS)) }})
 		e := &st.Engine
 		if !sort.IntsAreSorted(merged) || len(merged) != total {
 			t.Fatalf("workers=%d: merge broken (%d items)", workers, len(merged))
@@ -92,6 +91,47 @@ func TestEngineTelemetryInvariants(t *testing.T) {
 		if e.TapBatchFill.Sum != total {
 			t.Errorf("workers=%d: fill sum %d != %d tapped items",
 				workers, e.TapBatchFill.Sum, total)
+		}
+	}
+}
+
+// TestTapFreeListHoldsEveryBatch records a generated month through the
+// tap at workers 1, 2 and 8 and checks that no shard allocated more tap
+// batches than it can hold at once (one filling, tapDepth queued, one
+// merging): the free list has room for all of them, so the merge never
+// drops a drained batch for the worker to allocate again. The sink also
+// checks the merged stream is in canonical order.
+func TestTapFreeListHoldsEveryBatch(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		gen, err := ibr.New(ibr.Config{Seed: 7, Scale: 0.01}) // a month is drained once
+		if err != nil {
+			t.Fatal(err)
+		}
+		feeds := make([]Feed, workers)
+		for i, m := range gen.Feeds(workers, true) {
+			feeds[i] = m.Run
+		}
+		var last telescope.Packet
+		var n, disorder uint64
+		st := Run(Config{Workers: workers}, feeds,
+			func(int, *telescope.Packet) bool { return true },
+			&Tap{Sink: func(p *telescope.Packet) {
+				if p.TS < last.TS || (p.TS == last.TS && p.Src < last.Src) {
+					disorder++
+				}
+				last = *p
+				n++
+			}})
+		e := &st.Engine
+		if n != st.Items() || disorder != 0 {
+			t.Fatalf("workers=%d: merged %d of %d packets, %d out of order", workers, n, st.Items(), disorder)
+		}
+		if e.TapBatches < 100*uint64(workers) {
+			t.Fatalf("workers=%d: only %d tap batches", workers, e.TapBatches)
+		}
+		t.Logf("workers=%d: %d tap batches, %d allocated", workers, e.TapBatches, e.BufAllocs)
+		if max := uint64(workers * tapBatches); e.BufAllocs > max {
+			t.Errorf("workers=%d: %d tap batches allocated of %d sent, want ≤ %d", workers, e.BufAllocs, e.TapBatches, max)
 		}
 	}
 }

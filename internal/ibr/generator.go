@@ -192,9 +192,10 @@ func (g *Generator) Sources() []Source { return g.sources }
 // recycle enables per-shard packet-slab recycling: exhausted sources
 // hand their arenas to later events of the same shard, making the
 // generate path allocation-free per packet. It is only legal when
-// every packet is fully consumed during the engine sink call — set it
-// false whenever a trace tap (or any other consumer) buffers packet
-// pointers past that call (DESIGN.md "Packet ownership & lifetime").
+// every packet is fully consumed during the engine sink call, which the
+// engine guarantees, trace tap included: the tap copies packet structs
+// (DESIGN.md "Packet ownership & lifetime"). quicsand.Run always passes
+// true; false is for a consumer that keeps packet pointers.
 func (g *Generator) Feeds(n int, recycle bool) []*Merger {
 	groups := Partition(g.sources, n)
 	feeds := make([]*Merger, n)

@@ -19,10 +19,9 @@ const maxFreeSlabs = 32
 // source call, and every source draws its packet storage from it and
 // returns it there through chunks. Recycling is off until
 // Merger.EnableRecycling: a non-recycling pool allocates on get and
-// drops on put, the required mode whenever downstream stages may retain
-// packet pointers past the sink call (the engine's trace tap buffers
-// packets across goroutines — see DESIGN.md "Packet ownership &
-// lifetime").
+// drops on put, the required mode whenever a consumer may retain packet
+// pointers past the sink call. The engine never does — its trace tap
+// copies packet structs (DESIGN.md "Packet ownership & lifetime").
 //
 // A pool is single-goroutine property of its merger: sources return
 // their slabs and chunks and later sources of the same shard reuse

@@ -137,11 +137,13 @@ func (m *Merger) Telemetry() telemetry.Generate {
 	return t
 }
 
-// EnableRecycling attaches a fresh slab pool: exhausted sources return
-// their packet arenas for later sources of this merger to reuse. Only
-// legal when every packet is fully consumed during the sink call it is
-// emitted in — never when a trace tap (or any other stage) buffers
-// packet pointers past that call.
+// EnableRecycling turns on the merger's slab freelist: exhausted sources
+// return their packet arenas for later sources of this merger to reuse.
+// Only legal when every packet is fully consumed during the sink call it
+// is emitted in, as it is in the engine, whose trace tap copies the
+// packet struct; never when a consumer keeps packet pointers past that
+// call. Payloads are never recycled: they are shared read-only
+// templates or GC-owned.
 func (m *Merger) EnableRecycling() {
 	m.pool.recycle = true
 }

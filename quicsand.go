@@ -64,7 +64,9 @@ type Config struct {
 	// Figure 2 then lacks its dominant series).
 	SkipResearch bool
 	// Trace, when set, receives every captured packet (checkpointing)
-	// in canonical global time order regardless of Workers.
+	// in canonical global time order regardless of Workers. A packet
+	// passed to Capture is the engine tap's copy and valid only during
+	// the call.
 	Trace telescope.Sink
 	// Identity signs the generator's template handshakes. Nil uses
 	// the generator's embedded identity, so a seed alone fixes a
@@ -549,23 +551,11 @@ func (c *pipelinePlan) analysis(shards []*pipelineShard, detMet []telemetry.Dete
 }
 
 // traceTap builds the checkpoint tap when a trace sink is configured.
-func traceTap(cfg Config) *engine.Tap[*telescope.Packet] {
+func traceTap(cfg Config) *engine.Tap {
 	if cfg.Trace == nil {
 		return nil
 	}
-	return &engine.Tap[*telescope.Packet]{
-		// (timestamp, source address) totally orders captured
-		// packets across shards: one address never spans shards,
-		// and equal-key packets within a shard keep stream order —
-		// reproducing the sequential merger's canonical sequence.
-		Less: func(x, y *telescope.Packet) bool {
-			if x.TS != y.TS {
-				return x.TS < y.TS
-			}
-			return x.Src < y.Src
-		},
-		Sink: cfg.Trace.Capture,
-	}
+	return &engine.Tap{Sink: cfg.Trace.Capture}
 }
 
 // reduce folds the drained shards into the Analysis: commutative
@@ -662,7 +652,7 @@ func collectTelemetry(cfg Config, shards []*pipelineShard, pstats *engine.Stats)
 type pipelineFeed struct {
 	// stage labels the feed goroutines' flight-recorder spans.
 	stage telemetry.Stage
-	feeds []engine.Feed[*telescope.Packet]
+	feeds []engine.Feed
 	// err reports the feed side's first failure once the engine has
 	// drained; nil when the feed cannot fail.
 	err func() error
@@ -706,11 +696,12 @@ func runPipeline(cfg StreamConfig, wire func(gen *ibr.Generator, workers int, re
 // sharded streaming pass (see Config.Workers).
 func Run(cfg Config) (*Analysis, error) {
 	a, _, err := runPipeline(StreamConfig{Config: cfg}, func(gen *ibr.Generator, workers int, _ *telemetry.Recorder) pipelineFeed {
-		// Packet-slab recycling is legal only when nothing retains packet
-		// pointers past the sink call; the trace tap buffers packets across
-		// goroutines, so checkpointing runs pay the allocations instead.
-		mergers := gen.Feeds(workers, cfg.Trace == nil)
-		feeds := make([]engine.Feed[*telescope.Packet], workers)
+		// The generator always recycles its packet slabs: nothing retains
+		// a packet pointer past the sink call, because the trace tap copies
+		// each packet's struct, and generated payloads are shared templates
+		// or GC-owned (DESIGN.md §9).
+		mergers := gen.Feeds(workers, true)
+		feeds := make([]engine.Feed, workers)
 		for i, m := range mergers {
 			feeds[i] = m.Run
 		}
@@ -761,9 +752,9 @@ func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 // engine of `quicsand replay -alerts`.
 func ReplayAlerts(cfg StreamConfig, src capture.Source) (*Analysis, []detect.Alert, error) {
 	return runPipeline(cfg, func(_ *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed {
-		// Replayed packets live in scatter-owned slabs under the same §9
-		// ownership contract as generator slabs: recycling is legal exactly
-		// when no trace tap buffers packet pointers past the sink call.
+		// The tap copies packet structs, not payload bytes, and a streamed
+		// source's payloads live in the scatter's recycled arenas: recycling
+		// is legal exactly when no trace tap is attached (DESIGN.md §9).
 		sc := capture.NewScatter(src, workers, cfg.Trace == nil)
 		sc.SetRecorder(rec)
 		if cfg.Salvage.Enabled() {

@@ -1,0 +1,58 @@
+package quicsand
+
+import (
+	"io"
+	"runtime"
+	"testing"
+
+	"quicsand/internal/capture"
+	"quicsand/internal/scenario"
+)
+
+// TestRecordingRecyclesSlabs holds a recording to the cost of the same
+// run without a sink: the trace tap copies packet structs, so the
+// generator recycles its slabs while recording. The recorded run must
+// reuse exactly the slabs the untraced run does and allocate at most
+// 1.5× its bytes. A tap that kept packet pointers would force recycling
+// off and a fresh slab slot for every packet: 17× the bytes on the paper
+// month.
+func TestRecordingRecyclesSlabs(t *testing.T) {
+	for _, name := range []string{"paper-2021", "handshake-flood-qfam"} {
+		run := func(trace bool) (*Analysis, uint64) {
+			sc, err := scenario.Builtin(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Scenario: sc, Seed: 7, Scale: 0.01, ResearchThin: 64, Workers: 2}
+			var sink capture.Sink
+			if trace {
+				sink = capture.NewSink(io.Discard, capture.FormatQSND)
+				cfg.Trace = sink
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a, err := Run(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trace && (sink.Count() != a.Telescope.Total || sink.Dropped() != 0) {
+				t.Fatalf("%s: recorded %d of %d packets (%d dropped)", name, sink.Count(), a.Telescope.Total, sink.Dropped())
+			}
+			return a, after.TotalAlloc - before.TotalAlloc
+		}
+		run(false) // warm: the first generated packet builds the templates
+		plain, plainBytes := run(false)
+		rec, recBytes := run(true)
+		pg, rg := plain.Telemetry.Generate, rec.Telemetry.Generate
+		t.Logf("%s: %d packets; untraced %d B, recorded %d B (%.2f×); slab reuses %d / %d gets",
+			name, rec.Telescope.Total, plainBytes, recBytes, float64(recBytes)/float64(plainBytes), rg.SlabReuses, rg.SlabGets)
+		if rg.SlabReuses != pg.SlabReuses || rg.SlabGets != pg.SlabGets {
+			t.Errorf("%s: recording reused %d of %d slabs, the untraced run %d of %d",
+				name, rg.SlabReuses, rg.SlabGets, pg.SlabReuses, pg.SlabGets)
+		}
+		if float64(recBytes) > 1.5*float64(plainBytes) {
+			t.Errorf("%s: recording allocated %d B, more than 1.5× the untraced run's %d B", name, recBytes, plainBytes)
+		}
+	}
+}

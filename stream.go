@@ -181,7 +181,7 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 	s.chans = make([]chan shardOp, s.workers)
 	s.pending = make([]*packetBatch, s.workers)
 	s.free = make([]chan *packetBatch, s.workers)
-	feeds := make([]engine.Feed[*telescope.Packet], s.workers)
+	feeds := make([]engine.Feed, s.workers)
 	for i := range feeds {
 		ch := make(chan shardOp, streamDepth)
 		free := make(chan *packetBatch, streamPool)
