@@ -637,6 +637,34 @@ func TestScatterFreeStack(t *testing.T) {
 	}
 }
 
+// TestPumpQueueReusesStorage: pump's queue allocates only while its
+// backlog grows. Bursts of 64 pushes, each drained back to 8, allocate as
+// often over 100 000 batches as over 1 000, and every pop takes the
+// oldest batch.
+func TestPumpQueueReusesStorage(t *testing.T) {
+	bs := make([]batch, 100)
+	run := func(ops int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			var q batchRing
+			for pushed, popped := 0, 0; pushed < ops; {
+				for k := 0; k < 64; k++ {
+					q.push(&bs[pushed%len(bs)])
+					pushed++
+				}
+				for ; q.n > 8; popped++ {
+					if q.buf[q.head] != &bs[popped%len(bs)] {
+						t.Fatalf("pop %d is not the oldest batch", popped)
+					}
+					q.pop()
+				}
+			}
+		})
+	}
+	if short, long := run(1_000), run(100_000); long != short {
+		t.Errorf("%.0f allocations over 100 000 batches, %.0f over 1 000", long, short)
+	}
+}
+
 // TestScatterReplayAllocs locks the sharded replay's memory budget over a
 // stable source: at most 40 bytes allocated per record. A span table that
 // is never recycled costs 24 (one slice header per record); packet memory

@@ -126,8 +126,10 @@ type shardDecode struct {
 // only when nothing retains a packet or its payload past the sink call.
 // The engine's trace tap copies the packet struct but not its payload,
 // and a streamed source's payloads live in the batch arenas, so replays
-// that attach a trace tap pass recycle=false: each batch then gets a
-// slab of its own, allocated by the shard, and neither is reused.
+// that attach a trace tap to a streamed source pass recycle=false: each
+// batch then gets a slab of its own, allocated by the shard, and neither
+// is reused. A stable source's payloads alias its memory and outlive
+// recycling.
 type Scatter struct {
 	n       int
 	recycle bool
@@ -249,13 +251,13 @@ func NewScatter(src Source, n int, recycle bool) *Scatter {
 // through an unbounded free stack and not a list sized to the channel
 // depth.
 func pump(in <-chan *batch, out chan<- *batch) {
-	var q []*batch
-	for in != nil || len(q) > 0 {
+	var q batchRing
+	for in != nil || q.n > 0 {
 		var send chan<- *batch
 		var head *batch
-		if len(q) > 0 {
+		if q.n > 0 {
 			send = out
-			head = q[0]
+			head = q.buf[q.head]
 		}
 		select {
 		case b, ok := <-in:
@@ -263,13 +265,35 @@ func pump(in <-chan *batch, out chan<- *batch) {
 				in = nil
 				continue
 			}
-			q = append(q, b)
+			q.push(b)
 		case send <- head:
-			q[0] = nil
-			q = q[1:]
+			q.pop()
 		}
 	}
 	close(out)
+}
+
+// batchRing is pump's queue: a ring that reuses its array and grows it
+// only when full, so a backlog that stays bounded stops allocating.
+type batchRing struct {
+	buf     []*batch
+	head, n int
+}
+
+func (r *batchRing) push(b *batch) {
+	if r.n == len(r.buf) {
+		grown := make([]*batch, max(16, 2*len(r.buf)))
+		copy(grown[copy(grown, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = b
+	r.n++
+}
+
+func (r *batchRing) pop() {
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
 }
 
 // Feeds returns the per-shard engine feeds. The reader goroutine

@@ -117,7 +117,7 @@ type Dissector struct {
 	hdr     wire.Header
 	frame   wire.FrameInfo
 	plain   []byte
-	crypto  wire.CryptoAssembler
+	crypto  wire.CryptoStream
 	msgs    []tlsmini.Message
 	hello   tlsmini.ClientHello
 	openers map[openerKey]*quiccrypto.Opener
@@ -271,9 +271,9 @@ func (d *Dissector) tryDecryptInitial(h *wire.Header, pkt []byte, info *PacketIn
 		info.FrameTypes = info.FrameTypes[:0]
 		return
 	}
-	crypto, err := d.crypto.Assemble()
-	if err != nil || len(crypto) == 0 {
-		return
+	crypto := d.crypto.Contiguous()
+	if len(crypto) == 0 || len(crypto) != d.crypto.Buffered() {
+		return // no CRYPTO frame, or frames that leave a gap
 	}
 	msgs, err := tlsmini.AppendMessages(d.msgs[:0], crypto)
 	d.msgs = msgs[:0]

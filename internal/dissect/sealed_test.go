@@ -118,11 +118,13 @@ func TestDissectNonShortestFrameType(t *testing.T) {
 // stream cut into n frames, written last piece first.
 func cryptoInFrames(t testing.TB, plain []byte, n int) []byte {
 	t.Helper()
-	frames, err := wire.ParseFrames(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crypto, err := wire.CryptoData(frames)
+	var crypto []byte
+	err := wire.VisitFrames(plain, &wire.FrameInfo{}, func(fi *wire.FrameInfo) error {
+		if fi.Type == wire.FrameTypeCrypto && fi.CryptoOffset == uint64(len(crypto)) {
+			crypto = append(crypto, fi.CryptoData...)
+		}
+		return nil
+	})
 	if err != nil || len(crypto) < n {
 		t.Fatalf("%d CRYPTO bytes (%v), want at least %d", len(crypto), err, n)
 	}

@@ -82,7 +82,7 @@ type Client struct {
 	ks        *quiccrypto.KeySchedule
 	ecdhPriv  *ecdh.PrivateKey
 	chRaw     []byte
-	hsStream  *cryptoStream
+	hsStream  wire.CryptoStream
 	clientHS  []byte
 	serverHS  []byte
 	clientApp []byte
@@ -118,7 +118,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	c := &Client{cfg: cfg, version: cfg.Version, hsStream: newCryptoStream()}
+	c := &Client{cfg: cfg, version: cfg.Version}
 	if !cfg.EmptySCID {
 		c.scid = make(wire.ConnectionID, 8)
 		if _, err := io.ReadFull(cfg.Rand, c.scid); err != nil {
@@ -270,22 +270,11 @@ func (c *Client) handlePacket(h *wire.Header, pkt []byte) ([][]byte, error) {
 			return nil, err
 		}
 		c.serverCID = append(wire.ConnectionID(nil), h.SrcConnID...)
-		frames, err := wire.ParseFrames(payload)
+		msgs, err := initialMessages(payload)
 		if err != nil {
 			return nil, err
 		}
-		crypto, err := wire.CryptoData(frames)
-		if err != nil {
-			return nil, err
-		}
-		if len(crypto) == 0 {
-			return nil, nil // pure ACK
-		}
-		msgs, err := tlsmini.SplitMessages(crypto)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range msgs {
+		for _, m := range msgs { // none in a pure ACK
 			if m.Type != tlsmini.TypeServerHello {
 				return nil, fmt.Errorf("%w: %v in Initial", ErrUnexpectedMessage, m.Type)
 			}
@@ -303,19 +292,9 @@ func (c *Client) handlePacket(h *wire.Header, pkt []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		frames, err := wire.ParseFrames(payload)
+		ackEliciting, err := addCrypto(&c.hsStream, payload)
 		if err != nil {
 			return nil, err
-		}
-		ackEliciting := false
-		for _, f := range frames {
-			switch fr := f.(type) {
-			case *wire.CryptoFrame:
-				c.hsStream.add(fr)
-				ackEliciting = true
-			case *wire.PingFrame:
-				ackEliciting = true
-			}
 		}
 		out, err := c.processHandshakeMessages()
 		if err != nil {
@@ -376,7 +355,7 @@ func (c *Client) processServerHello(m tlsmini.Message) error {
 // flight. Messages may arrive split across datagrams, so progress is
 // kept on the Client.
 func (c *Client) processHandshakeMessages() ([][]byte, error) {
-	for _, m := range c.hsStream.messages() {
+	for _, m := range levelMessages(&c.hsStream) {
 		switch m.Type {
 		case tlsmini.TypeEncryptedExtensions:
 			if _, err := tlsmini.ParseEncryptedExtensions(m.Body); err != nil {

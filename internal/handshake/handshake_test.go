@@ -396,21 +396,32 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
+// TestCryptoStreamReordering: a Handshake level's stream yields a
+// message once its halves arrived, in any order over two packets, and
+// the message keeps its bytes while the stream takes the next packet's.
 func TestCryptoStreamReordering(t *testing.T) {
-	cs := newCryptoStream()
+	var cs wire.CryptoStream
 	msg := (&tlsmini.Finished{VerifyData: bytes.Repeat([]byte{7}, 32)}).Marshal()
+	next := (&tlsmini.Finished{VerifyData: bytes.Repeat([]byte{8}, 32)}).Marshal()
 	// Deliver the second half first.
-	cs.add(&wire.CryptoFrame{Offset: 20, Data: msg[20:]})
-	if got := cs.messages(); len(got) != 0 {
+	if err := cs.Add(20, msg[20:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := levelMessages(&cs); len(got) != 0 {
 		t.Fatalf("premature messages: %d", len(got))
 	}
-	cs.add(&wire.CryptoFrame{Offset: 0, Data: msg[:20]})
-	got := cs.messages()
+	if err := cs.Add(0, msg[:20]); err != nil {
+		t.Fatal(err)
+	}
+	got := levelMessages(&cs)
 	if len(got) != 1 || got[0].Type != tlsmini.TypeFinished {
 		t.Fatalf("got %+v", got)
 	}
-	if !bytes.Equal(got[0].Raw, msg) {
-		t.Fatal("reassembled bytes differ")
+	if err := cs.Add(uint64(len(msg)), next); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[0].Raw, msg) || cs.Buffered() != len(next) {
+		t.Fatalf("reassembled bytes differ, or %d bytes buffered", cs.Buffered())
 	}
 }
 

@@ -96,59 +96,53 @@ func sealShortPacket(dcid wire.ConnectionID, sealer *quiccrypto.Sealer, pn uint6
 	return sealer.Seal(pkt, pnOffset, pnLen, pn)
 }
 
-// cryptoStream reassembles CRYPTO frames for one encryption level and
-// yields complete TLS handshake messages in order.
-type cryptoStream struct {
-	buf      []byte
-	consumed uint64 // absolute stream offset of buf[0]
-	pending  map[uint64][]byte
-}
-
-func newCryptoStream() *cryptoStream {
-	return &cryptoStream{pending: make(map[uint64][]byte)}
-}
-
-// add ingests a CRYPTO frame; out-of-order segments are buffered.
-func (cs *cryptoStream) add(f *wire.CryptoFrame) {
-	switch {
-	case f.Offset == cs.consumed+uint64(len(cs.buf)):
-		cs.buf = append(cs.buf, f.Data...)
-		// Drain any now-contiguous pending segments.
-		for {
-			next, ok := cs.pending[cs.consumed+uint64(len(cs.buf))]
-			if !ok {
-				break
-			}
-			delete(cs.pending, cs.consumed+uint64(len(cs.buf)))
-			cs.buf = append(cs.buf, next...)
+// addCrypto walks a decrypted payload's frames, adding each CRYPTO
+// frame to cs. It reports whether any frame was ack-eliciting (CRYPTO or
+// PING).
+func addCrypto(cs *wire.CryptoStream, payload []byte) (ackEliciting bool, err error) {
+	var info wire.FrameInfo
+	err = wire.VisitFrames(payload, &info, func(fi *wire.FrameInfo) error {
+		switch fi.Type {
+		case wire.FrameTypeCrypto:
+			ackEliciting = true
+			return cs.Add(fi.CryptoOffset, fi.CryptoData)
+		case wire.FrameTypePing:
+			ackEliciting = true
 		}
-	case f.Offset > cs.consumed+uint64(len(cs.buf)):
-		cs.pending[f.Offset] = append([]byte(nil), f.Data...)
-	default:
-		// Retransmission overlap; the handshake flights we generate
-		// never overlap, so ignore.
-	}
+		return nil
+	})
+	return ackEliciting, err
 }
 
-// messages returns all complete handshake messages available and
-// consumes them from the stream.
-func (cs *cryptoStream) messages() []tlsmini.Message {
-	var out []tlsmini.Message
-	for len(cs.buf) >= 4 {
-		bodyLen := int(cs.buf[1])<<16 | int(cs.buf[2])<<8 | int(cs.buf[3])
-		if len(cs.buf) < 4+bodyLen {
-			break
-		}
-		raw := append([]byte(nil), cs.buf[:4+bodyLen]...)
-		out = append(out, tlsmini.Message{
-			Type: tlsmini.HandshakeType(raw[0]),
-			Raw:  raw,
-			Body: raw[4:],
-		})
-		cs.buf = cs.buf[4+bodyLen:]
-		cs.consumed += uint64(4 + bodyLen)
+// initialMessages splits the handshake messages out of one Initial
+// packet, which must carry them whole: its CRYPTO frames may arrive in
+// any order but must leave no gap.
+func initialMessages(payload []byte) ([]tlsmini.Message, error) {
+	var cs wire.CryptoStream
+	if _, err := addCrypto(&cs, payload); err != nil {
+		return nil, err
 	}
-	return out
+	crypto := cs.Contiguous()
+	if len(crypto) != cs.Buffered() {
+		return nil, fmt.Errorf("handshake: Initial CRYPTO frames leave a gap at offset %d: %w", len(crypto), wire.ErrBadFrame)
+	}
+	return tlsmini.SplitMessages(crypto)
+}
+
+// levelMessages takes the complete messages off the front of a level's
+// stream once a packet's frames went in; an incomplete last message
+// waits for more frames. Each message is copied out, since a Certificate
+// outlives its packet and the stream reuses its room.
+func levelMessages(cs *wire.CryptoStream) []tlsmini.Message {
+	msgs, _ := tlsmini.SplitMessages(cs.Contiguous()) // its one error is an incomplete last message
+	n := 0
+	for i, m := range msgs {
+		raw := append([]byte(nil), m.Raw...)
+		msgs[i] = tlsmini.Message{Type: m.Type, Raw: raw, Body: raw[4:]}
+		n += len(raw)
+	}
+	cs.Discard(n)
+	return msgs
 }
 
 // splitCrypto splits a crypto stream into CRYPTO frames of at most

@@ -78,7 +78,7 @@ type ServerConn struct {
 	clientApp []byte
 	serverApp []byte
 
-	hsStream *cryptoStream
+	hsStream wire.CryptoStream
 
 	pnInitial   uint64
 	pnHandshake uint64
@@ -119,7 +119,6 @@ func NewServerConn(cfg ServerConfig, version wire.Version, dcid, clientSCID wire
 		state:     ServerStateAwaitingInitial,
 		clientCID: append(wire.ConnectionID(nil), clientSCID...),
 		odcid:     append(wire.ConnectionID(nil), dcid...),
-		hsStream:  newCryptoStream(),
 		ks:        quiccrypto.NewKeySchedule(),
 	}
 	s.scid = make(wire.ConnectionID, 8)
@@ -213,15 +212,7 @@ func (s *ServerConn) handlePacket(h *wire.Header, pkt []byte) ([][]byte, error) 
 		if err != nil {
 			return nil, err
 		}
-		frames, err := wire.ParseFrames(payload)
-		if err != nil {
-			return nil, err
-		}
-		crypto, err := wire.CryptoData(frames)
-		if err != nil {
-			return nil, err
-		}
-		msgs, err := tlsmini.SplitMessages(crypto)
+		msgs, err := initialMessages(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -241,14 +232,8 @@ func (s *ServerConn) handlePacket(h *wire.Header, pkt []byte) ([][]byte, error) 
 		if err != nil {
 			return nil, err
 		}
-		frames, err := wire.ParseFrames(payload)
-		if err != nil {
+		if _, err := addCrypto(&s.hsStream, payload); err != nil {
 			return nil, err
-		}
-		for _, f := range frames {
-			if cf, ok := f.(*wire.CryptoFrame); ok {
-				s.hsStream.add(cf)
-			}
 		}
 		return s.processClientFinished()
 	}
@@ -376,7 +361,7 @@ func (s *ServerConn) processClientHello(m tlsmini.Message) ([][]byte, error) {
 // processClientFinished verifies the client Finished and completes the
 // handshake, emitting a 1-RTT HANDSHAKE_DONE datagram.
 func (s *ServerConn) processClientFinished() ([][]byte, error) {
-	for _, m := range s.hsStream.messages() {
+	for _, m := range levelMessages(&s.hsStream) {
 		if m.Type != tlsmini.TypeFinished {
 			return nil, fmt.Errorf("%w: %v from client at handshake level", ErrUnexpectedMessage, m.Type)
 		}

@@ -97,8 +97,14 @@ type worker struct {
 	// duplicate Initials) and by our own SCID (the DCID of the
 	// client's Handshake packets). active counts distinct connections
 	// against the queue limit.
-	conns  map[string]*handshake.ServerConn
+	conns  map[string]*entry
 	active int
+}
+
+// entry is one admitted connection and its two conns keys.
+type entry struct {
+	*handshake.ServerConn
+	clientKey, serverKey string
 }
 
 // New creates a server on conn. Close the server, not the conn.
@@ -129,7 +135,7 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 		w := &worker{
 			srv:   s,
 			queue: make(chan inbound, cfg.QueuePerWorker),
-			conns: make(map[string]*handshake.ServerConn),
+			conns: make(map[string]*entry),
 		}
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
@@ -234,22 +240,32 @@ func (w *worker) handle(in inbound) {
 		w.handleInitial(h, in)
 
 	case wire.PacketTypeHandshake:
-		key := connKey(in.addr, h.DstConnID)
-		if conn := w.conns[key]; conn != nil {
-			wasDone := conn.Done()
-			out, err := conn.HandleDatagram(data)
-			if err != nil {
-				delete(w.conns, key)
-				return
-			}
-			for _, d := range out {
-				s.send(d, in.addr)
-			}
-			if !wasDone && conn.Done() {
+		if c := w.conns[connKey(in.addr, h.DstConnID)]; c != nil {
+			wasDone := c.Done()
+			if w.answer(c, in) && !wasDone && c.Done() {
 				s.Metrics.Handshakes.Add(1)
 			}
 		}
 	}
+}
+
+// answer hands a datagram to its connection and sends the replies. A
+// connection that fails is torn down: both its keys go, its slot frees
+// and the datagram counts as bad. It reports whether the connection
+// survived.
+func (w *worker) answer(c *entry, in inbound) bool {
+	out, err := c.HandleDatagram(in.data)
+	if err != nil {
+		delete(w.conns, c.clientKey)
+		delete(w.conns, c.serverKey)
+		w.active--
+		w.srv.Metrics.BadDatagrams.Add(1)
+		return false
+	}
+	for _, d := range out {
+		w.srv.send(d, in.addr)
+	}
+	return true
 }
 
 // retryActive reports whether this worker currently demands address
@@ -294,40 +310,27 @@ func (w *worker) handleInitial(h *wire.Header, in inbound) {
 	}
 
 	key := connKey(in.addr, h.SrcConnID)
-	conn := w.conns[key]
-	isNew := conn == nil
-	if isNew {
+	c := w.conns[key]
+	if c == nil {
 		if w.active >= s.cfg.QueuePerWorker {
 			// Connection table full: the state-overflow condition.
 			s.Metrics.Dropped.Add(1)
 			return
 		}
-		var err error
-		conn, err = handshake.NewServerConn(handshake.ServerConfig{Identity: s.cfg.Identity}, h.Version, h.DstConnID, h.SrcConnID)
+		hs, err := handshake.NewServerConn(handshake.ServerConfig{Identity: s.cfg.Identity}, h.Version, h.DstConnID, h.SrcConnID)
 		if err != nil {
 			s.Metrics.BadDatagrams.Add(1)
 			return
 		}
-		w.conns[key] = conn
+		// The client's Handshake packets will carry our SCID as their
+		// destination; index the connection under it as well.
+		c = &entry{ServerConn: hs, clientKey: key, serverKey: connKey(in.addr, hs.SourceCID())}
+		w.conns[c.clientKey] = c
+		w.conns[c.serverKey] = c
 		w.active++
 		s.Metrics.Accepted.Add(1)
 	}
-	out, err := conn.HandleDatagram(in.data)
-	if err != nil {
-		delete(w.conns, key)
-		delete(w.conns, connKey(in.addr, conn.SourceCID()))
-		w.active--
-		s.Metrics.BadDatagrams.Add(1)
-		return
-	}
-	for _, d := range out {
-		s.send(d, in.addr)
-	}
-	if isNew {
-		// The client's Handshake packets will carry our SCID as their
-		// destination; index the connection under it as well.
-		w.conns[connKey(in.addr, conn.SourceCID())] = conn
-	}
+	w.answer(c, in)
 }
 
 func (s *Server) send(data []byte, addr net.Addr) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"quicsand/internal/handshake"
 	"quicsand/internal/quicclient"
 	"quicsand/internal/tlsmini"
 	"quicsand/internal/wire"
@@ -325,4 +326,53 @@ func TestMetricsAccounting(t *testing.T) {
 	eventually(t, func() bool { return s.Metrics.Handshakes.Load() == 3 }, "handshakes != 3")
 	// Each handshake elicits ≥3 response datagrams (flight + done).
 	eventually(t, func() bool { return s.Metrics.Responses.Load() >= 9 }, "responses < 9")
+}
+
+// TestFailedHandshakeFreesItsSlot: a connection that fails on a
+// Handshake packet, here a client Finished whose AEAD tag was flipped,
+// is torn down like one that fails on its Initial. It counts as a bad
+// datagram and frees its slot, so the next honest client completes on a
+// one-slot server.
+func TestFailedHandshakeFreesItsSlot(t *testing.T) {
+	s := startServer(t, Config{Workers: 1, QueuePerWorker: 1})
+	conn, err := net.Dial("udp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	client, err := handshake.NewClient(handshake.ClientConfig{ServerName: "server.test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := client.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	// The client's ACKs are not sent: with a one-datagram worker queue,
+	// an ACK still queued would make the server drop the Finished.
+	var out [][]byte
+	buf := make([]byte, 65535)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for !client.Done() {
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = client.HandleDatagram(append([]byte(nil), buf[:n]...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finished := out[len(out)-1]
+	finished[len(finished)-1] ^= 1 // the AEAD tag
+	if _, err := conn.Write(finished); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, func() bool { return s.Metrics.BadDatagrams.Load() == 1 }, "the failed connection counted no bad datagram")
+	res, err := quicclient.Dial(s.Addr().String(), quicclient.Config{ServerName: "server.test", Timeout: 300 * time.Millisecond, Retries: 1})
+	if err != nil || !res.Completed {
+		t.Fatalf("honest client after a failed one: %+v, err %v (dropped %d)", res, err, s.Metrics.Dropped.Load())
+	}
 }

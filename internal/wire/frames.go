@@ -52,7 +52,7 @@ func (t FrameType) String() string {
 	return fmt.Sprintf("FRAME(%#x)", uint64(t))
 }
 
-// Frame is implemented by all parsed frames.
+// Frame is a frame to write into a packet; VisitFrames reads them back.
 type Frame interface {
 	// Append serializes the frame.
 	Append(dst []byte) []byte
@@ -126,47 +126,6 @@ func (f *CryptoFrame) Append(dst []byte) []byte {
 	dst = AppendVarint(dst, f.Offset)
 	dst = AppendVarint(dst, uint64(len(f.Data)))
 	return append(dst, f.Data...)
-}
-
-// NewTokenFrame delivers an address-validation token for a future
-// connection (used with adaptive RETRY deployments).
-type NewTokenFrame struct {
-	Token []byte
-}
-
-// Append implements Frame.
-func (f *NewTokenFrame) Append(dst []byte) []byte {
-	dst = AppendVarint(dst, uint64(FrameTypeNewToken))
-	dst = AppendVarint(dst, uint64(len(f.Token)))
-	return append(dst, f.Token...)
-}
-
-// ConnectionCloseFrame signals connection termination with an error.
-type ConnectionCloseFrame struct {
-	IsApplication bool
-	ErrorCode     uint64
-	FrameType     uint64 // transport closes only
-	Reason        string
-}
-
-// Type returns the frame's wire type: the transport or the application
-// variant.
-func (f *ConnectionCloseFrame) Type() FrameType {
-	if f.IsApplication {
-		return FrameTypeConnCloseApp
-	}
-	return FrameTypeConnectionClose
-}
-
-// Append implements Frame.
-func (f *ConnectionCloseFrame) Append(dst []byte) []byte {
-	dst = AppendVarint(dst, uint64(f.Type()))
-	dst = AppendVarint(dst, f.ErrorCode)
-	if !f.IsApplication {
-		dst = AppendVarint(dst, f.FrameType)
-	}
-	dst = AppendVarint(dst, uint64(len(f.Reason)))
-	return append(dst, f.Reason...)
 }
 
 // HandshakeDoneFrame confirms the handshake to the client.
@@ -362,119 +321,107 @@ func VisitFrames(payload []byte, info *FrameInfo, visit func(*FrameInfo) error) 
 	return nil
 }
 
-// ParseFrames parses a decrypted packet payload into frames. Runs of
-// PADDING bytes are coalesced into a single PaddingFrame. It is the
-// materializing wrapper over VisitFrames; streaming consumers that only
-// inspect frames should visit instead and skip the allocations.
-func ParseFrames(payload []byte) ([]Frame, error) {
-	var frames []Frame
-	var info FrameInfo
-	err := VisitFrames(payload, &info, func(fi *FrameInfo) error {
-		switch fi.Type {
-		case FrameTypePadding:
-			frames = append(frames, &PaddingFrame{Count: fi.PaddingCount})
-		case FrameTypePing:
-			frames = append(frames, &PingFrame{})
-		case FrameTypeAck, FrameTypeAckECN:
-			frames = append(frames, &AckFrame{
-				Ranges:   append([]AckRange(nil), fi.Ranges...),
-				DelayRaw: fi.DelayRaw,
-			})
-		case FrameTypeCrypto:
-			frames = append(frames, &CryptoFrame{Offset: fi.CryptoOffset, Data: fi.CryptoData})
-		case FrameTypeNewToken:
-			frames = append(frames, &NewTokenFrame{Token: fi.Token})
-		case FrameTypeConnectionClose, FrameTypeConnCloseApp:
-			frames = append(frames, &ConnectionCloseFrame{
-				IsApplication: fi.Type == FrameTypeConnCloseApp,
-				ErrorCode:     fi.ErrorCode,
-				FrameType:     fi.CloseFrameType,
-				Reason:        string(fi.Reason),
-			})
-		case FrameTypeHandshakeDone:
-			frames = append(frames, &HandshakeDoneFrame{})
-		}
-		return nil
-	})
-	return frames, err
-}
-
-// MaxCryptoFrames bounds the CRYPTO frames one packet may carry. Real
-// clients send a ClientHello in one to a few frames; the bound keeps
-// reassembly, whose sort is quadratic in the frame count, constant work
-// per packet, although anyone can seal an Initial (the keys are public)
-// and a 1 200-byte plaintext holds a few hundred one-byte frames.
+// MaxCryptoFrames bounds the CRYPTO frames a CryptoStream takes between
+// two reads (Reset or Discard). Its readers read after every packet, so
+// it bounds one packet's frames: real clients send a ClientHello in one
+// to a few, while anyone can seal an Initial (the keys are public) and a
+// 1 200-byte plaintext holds a few hundred one-byte frames.
 const MaxCryptoFrames = 64
 
-// CryptoAssembler reassembles the CRYPTO stream of one packet. The zero
-// value is ready; Reset readies it for the next packet, reusing its
-// storage.
-type CryptoAssembler struct {
-	segs []cryptoSeg
-	buf  []byte
+// MaxCryptoBuffer bounds what a CryptoStream buffers (RFC 9000 §7.5,
+// which asks for at least 4 096 bytes): no byte it holds lies
+// MaxCryptoBuffer or more past the first unread one, so the contiguous
+// bytes not yet read plus those past a gap never exceed it. 16 KiB holds
+// a real server's certificate chain in one message; the generator's
+// whole Handshake-level flight is 1 761 bytes.
+const MaxCryptoBuffer = 16 << 10
+
+// ErrCryptoBufferExceeded is RFC 9000's CRYPTO_BUFFER_EXCEEDED: CRYPTO
+// data ends more than MaxCryptoBuffer past the first unread byte.
+var ErrCryptoBufferExceeded = errors.New("wire: CRYPTO_BUFFER_EXCEEDED")
+
+// CryptoStream reassembles one CRYPTO stream (RFC 9000 §19.6) from
+// frames in any order, within MaxCryptoBuffer. A per-packet reader (the
+// dissector, the Initial level) resets it for each packet; a per-level
+// one (the Handshake level) keeps it across packets and discards what it
+// has read after each. The zero value is ready.
+type CryptoStream struct {
+	base   uint64 // stream offset of buf[0]: every byte before it was read
+	buf    []byte // stream bytes from base up to the furthest frame end
+	got    []bool // got[i], i >= next: buf[i] has arrived
+	next   int    // buf[:next] is the contiguous run
+	held   int    // arrived bytes in buf
+	frames int    // frames added since the last Reset or Discard
 }
 
-// cryptoSeg is one CRYPTO frame's extent.
-type cryptoSeg struct {
-	off  uint64
-	data []byte
-}
+// Reset empties the stream back to offset 0, keeping its storage.
+func (s *CryptoStream) Reset() { *s = CryptoStream{buf: s.buf[:0], got: s.got[:0]} }
 
-// Reset forgets the frames added so far.
-func (a *CryptoAssembler) Reset() { a.segs = a.segs[:0] }
-
-// Add records one CRYPTO frame; data is aliased, not copied. A packet's
-// frame past MaxCryptoFrames is an error.
-func (a *CryptoAssembler) Add(offset uint64, data []byte) error {
-	if len(a.segs) == MaxCryptoFrames {
+// Add copies one CRYPTO frame's data into the stream. Bytes it already
+// holds in the contiguous run, or that were read, are a retransmission
+// and ignored. Frame MaxCryptoFrames+1 since the last read fails with
+// ErrBadFrame, and data ending more than MaxCryptoBuffer past the first
+// unread byte with ErrCryptoBufferExceeded.
+func (s *CryptoStream) Add(offset uint64, data []byte) error {
+	if s.frames == MaxCryptoFrames {
 		return fmt.Errorf("wire: more than %d CRYPTO frames in one packet: %w", MaxCryptoFrames, ErrBadFrame)
 	}
-	a.segs = append(a.segs, cryptoSeg{off: offset, data: data})
+	s.frames++
+	run, end := s.base+uint64(s.next), offset+uint64(len(data))
+	if end <= run {
+		return nil
+	}
+	if end-s.base > MaxCryptoBuffer {
+		return fmt.Errorf("wire: CRYPTO data to offset %d, %d bytes past the first unread one: %w",
+			end, end-s.base, ErrCryptoBufferExceeded)
+	}
+	if offset < run {
+		data, offset = data[run-offset:], run
+	}
+	lo := int(offset - s.base)
+	if lo == len(s.buf) && lo == s.next { // extends the run, and nothing lies past it
+		s.buf = append(s.buf, data...)
+		s.got = append(s.got, make([]bool, len(data))...)
+		s.next, s.held = len(s.buf), s.held+len(data)
+		return nil
+	}
+	hi := lo + len(data)
+	if hi > len(s.buf) {
+		s.buf = append(s.buf, make([]byte, hi-len(s.buf))...)
+		s.got = append(s.got, make([]bool, hi-len(s.got))...)
+	}
+	copy(s.buf[lo:], data)
+	for i := lo; i < hi; i++ {
+		if !s.got[i] {
+			s.got[i] = true
+			s.held++
+		}
+	}
+	for s.next < len(s.buf) && s.got[s.next] {
+		s.next++
+	}
 	return nil
 }
 
-// Assemble returns the stream the added frames carry, which must cover
-// a contiguous range starting at offset 0 (single-datagram handshake
-// messages always do); nil without frames. The dominant one-frame case
-// aliases the frame's data; several frames are joined in the
-// assembler's buffer, valid until its next Assemble.
-func (a *CryptoAssembler) Assemble() ([]byte, error) {
-	segs := a.segs
-	if len(segs) == 0 {
-		return nil, nil
-	}
-	if len(segs) == 1 && segs[0].off == 0 {
-		return segs[0].data, nil
-	}
-	// Insertion sort by offset, over at most MaxCryptoFrames segments.
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j-1].off > segs[j].off; j-- {
-			segs[j-1], segs[j] = segs[j], segs[j-1]
-		}
-	}
-	out := a.buf[:0]
-	var next uint64
-	for _, s := range segs {
-		if s.off != next {
-			return nil, fmt.Errorf("wire: crypto stream gap at %d (have %d): %w", next, s.off, ErrBadFrame)
-		}
-		out = append(out, s.data...)
-		next += uint64(len(s.data))
-	}
-	a.buf = out
-	return out, nil
-}
+// Contiguous returns the unread bytes that arrived without a gap. It
+// aliases the stream's buffer, valid until the next Add, Discard or
+// Reset.
+func (s *CryptoStream) Contiguous() []byte { return s.buf[:s.next] }
 
-// CryptoData reassembles the CRYPTO stream carried by frames (see
-// CryptoAssembler).
-func CryptoData(frames []Frame) ([]byte, error) {
-	var a CryptoAssembler
-	for _, f := range frames {
-		if cf, ok := f.(*CryptoFrame); ok {
-			if err := a.Add(cf.Offset, cf.Data); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return a.Assemble()
+// Buffered returns how many bytes the stream holds: the contiguous
+// unread ones and any past a gap, so more than len(Contiguous()) means
+// the frames so far leave a gap.
+func (s *CryptoStream) Buffered() int { return s.held }
+
+// Discard marks the first n contiguous bytes read (n ≤
+// len(Contiguous())), freeing their room, and starts a new packet's
+// frame count.
+func (s *CryptoStream) Discard(n int) {
+	m := copy(s.buf, s.buf[n:])
+	copy(s.got, s.got[n:])
+	s.buf, s.got = s.buf[:m], s.got[:m]
+	s.base += uint64(n)
+	s.next -= n
+	s.held -= n
+	s.frames = 0
 }

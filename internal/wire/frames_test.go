@@ -5,63 +5,79 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func roundTripFrames(t *testing.T, in []Frame) []Frame {
+// visitAll walks buf with VisitFrames and returns a copy of every visit.
+func visitAll(buf []byte) ([]FrameInfo, error) {
+	var out []FrameInfo
+	err := VisitFrames(buf, &FrameInfo{}, func(fi *FrameInfo) error {
+		c := *fi
+		c.Ranges = slices.Clone(fi.Ranges)
+		out = append(out, c)
+		return nil
+	})
+	return out, err
+}
+
+// roundTripFrames appends in and walks the bytes back.
+func roundTripFrames(t *testing.T, in ...Frame) []FrameInfo {
 	t.Helper()
 	var buf []byte
 	for _, f := range in {
 		buf = f.Append(buf)
 	}
-	out, err := ParseFrames(buf)
+	out, err := visitAll(buf)
 	if err != nil {
-		t.Fatalf("ParseFrames: %v", err)
+		t.Fatalf("VisitFrames: %v", err)
 	}
 	return out
 }
 
 func TestCryptoFrameRoundTrip(t *testing.T) {
 	in := &CryptoFrame{Offset: 1200, Data: []byte("client hello bytes")}
-	out := roundTripFrames(t, []Frame{in})
+	out := roundTripFrames(t, in)
 	if len(out) != 1 {
 		t.Fatalf("got %d frames", len(out))
 	}
-	cf, ok := out[0].(*CryptoFrame)
-	if !ok || cf.Offset != in.Offset || !bytes.Equal(cf.Data, in.Data) {
-		t.Fatalf("got %+v", out[0])
+	if cf := out[0]; cf.Type != FrameTypeCrypto || cf.CryptoOffset != in.Offset || !bytes.Equal(cf.CryptoData, in.Data) {
+		t.Fatalf("got %+v", cf)
 	}
 }
 
 func TestPaddingCoalesced(t *testing.T) {
-	buf := (&PingFrame{}).Append(nil)
-	buf = (&PaddingFrame{Count: 37}).Append(buf)
-	out, err := ParseFrames(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := roundTripFrames(t, &PingFrame{}, &PaddingFrame{Count: 37})
 	if len(out) != 2 {
 		t.Fatalf("frames = %d", len(out))
 	}
-	pad, ok := out[1].(*PaddingFrame)
-	if !ok || pad.Count != 37 {
-		t.Fatalf("got %+v", out[1])
+	if pad := out[1]; pad.Type != FrameTypePadding || pad.PaddingCount != 37 {
+		t.Fatalf("got %+v", pad)
 	}
+}
+
+// acks reports whether ranges cover packet number pn.
+func acks(ranges []AckRange, pn uint64) bool {
+	for _, r := range ranges {
+		if pn >= r.Smallest && pn <= r.Largest {
+			return true
+		}
+	}
+	return false
 }
 
 func TestAckFrameSingleRange(t *testing.T) {
 	in := &AckFrame{Ranges: []AckRange{{Smallest: 3, Largest: 7}}, DelayRaw: 25}
-	out := roundTripFrames(t, []Frame{in})
-	ack := out[0].(*AckFrame)
-	if ack.LargestAcked() != 7 || ack.DelayRaw != 25 {
+	ack := roundTripFrames(t, in)[0]
+	if ack.Type != FrameTypeAck || ack.Ranges[0].Largest != 7 || ack.DelayRaw != 25 {
 		t.Fatalf("got %+v", ack)
 	}
 	for pn := uint64(0); pn < 10; pn++ {
 		want := pn >= 3 && pn <= 7
-		if ack.Acks(pn) != want {
-			t.Errorf("Acks(%d) = %v", pn, !want)
+		if acks(ack.Ranges, pn) != want {
+			t.Errorf("acks(%d) = %v", pn, !want)
 		}
 	}
 }
@@ -72,18 +88,12 @@ func TestAckFrameMultiRange(t *testing.T) {
 		{Smallest: 50, Largest: 60},
 		{Smallest: 10, Largest: 10},
 	}}
-	out := roundTripFrames(t, []Frame{in})
-	ack := out[0].(*AckFrame)
-	if len(ack.Ranges) != 3 {
-		t.Fatalf("ranges = %+v", ack.Ranges)
+	ack := roundTripFrames(t, in)[0]
+	if !slices.Equal(ack.Ranges, in.Ranges) {
+		t.Fatalf("ranges = %+v, want %+v", ack.Ranges, in.Ranges)
 	}
-	for i, r := range in.Ranges {
-		if ack.Ranges[i] != r {
-			t.Errorf("range %d = %+v, want %+v", i, ack.Ranges[i], r)
-		}
-	}
-	if ack.Acks(61) || !ack.Acks(10) || !ack.Acks(95) {
-		t.Error("Acks membership wrong")
+	if acks(ack.Ranges, 61) || !acks(ack.Ranges, 10) || !acks(ack.Ranges, 95) {
+		t.Error("ack membership wrong")
 	}
 }
 
@@ -94,7 +104,7 @@ func TestAckFrameMalformed(t *testing.T) {
 	buf = AppendVarint(buf, 0)  // delay
 	buf = AppendVarint(buf, 0)  // count
 	buf = AppendVarint(buf, 10) // first range > largest
-	if _, err := ParseFrames(buf); !errors.Is(err, ErrBadFrame) {
+	if _, err := visitAll(buf); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -104,44 +114,39 @@ func TestConnectionCloseRoundTrip(t *testing.T) {
 		{ErrorCode: 0x0a, FrameType: 6, Reason: "PROTOCOL_VIOLATION"},
 		{IsApplication: true, ErrorCode: 99, Reason: "bye"},
 	} {
-		out := roundTripFrames(t, []Frame{in})
-		cc := out[0].(*ConnectionCloseFrame)
-		if cc.IsApplication != in.IsApplication || cc.ErrorCode != in.ErrorCode || cc.Reason != in.Reason {
+		cc := roundTripFrames(t, in)[0]
+		if cc.Type != in.Type() || cc.ErrorCode != in.ErrorCode || string(cc.Reason) != in.Reason {
 			t.Fatalf("got %+v want %+v", cc, in)
 		}
-		if !in.IsApplication && cc.FrameType != in.FrameType {
-			t.Fatalf("frame type %d want %d", cc.FrameType, in.FrameType)
+		if !in.IsApplication && cc.CloseFrameType != in.FrameType {
+			t.Fatalf("frame type %d want %d", cc.CloseFrameType, in.FrameType)
 		}
 	}
 }
 
 func TestNewTokenRoundTripAndEmptyRejected(t *testing.T) {
-	out := roundTripFrames(t, []Frame{&NewTokenFrame{Token: []byte{1, 2, 3}}})
-	nt := out[0].(*NewTokenFrame)
-	if !bytes.Equal(nt.Token, []byte{1, 2, 3}) {
+	nt := roundTripFrames(t, &NewTokenFrame{Token: []byte{1, 2, 3}})[0]
+	if nt.Type != FrameTypeNewToken || !bytes.Equal(nt.Token, []byte{1, 2, 3}) {
 		t.Fatalf("token = %x", nt.Token)
 	}
 	buf := AppendVarint(nil, uint64(FrameTypeNewToken))
 	buf = AppendVarint(buf, 0)
-	if _, err := ParseFrames(buf); !errors.Is(err, ErrBadFrame) {
+	if _, err := visitAll(buf); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("empty token err = %v", err)
 	}
 }
 
 func TestHandshakeDoneAndPing(t *testing.T) {
-	out := roundTripFrames(t, []Frame{&HandshakeDoneFrame{}, &PingFrame{}})
-	if _, ok := out[0].(*HandshakeDoneFrame); !ok {
-		t.Fatalf("got %T", out[0])
-	}
-	if _, ok := out[1].(*PingFrame); !ok {
-		t.Fatalf("got %T", out[1])
+	out := roundTripFrames(t, &HandshakeDoneFrame{}, &PingFrame{})
+	if len(out) != 2 || out[0].Type != FrameTypeHandshakeDone || out[1].Type != FrameTypePing {
+		t.Fatalf("got %+v", out)
 	}
 }
 
 func TestUnexpectedFrameTypeRejected(t *testing.T) {
 	// A STREAM frame (0x08) must not appear in handshake packets.
 	buf := AppendVarint(nil, 0x08)
-	if _, err := ParseFrames(buf); !errors.Is(err, ErrBadFrame) {
+	if _, err := visitAll(buf); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -174,15 +179,12 @@ func TestNonShortestFrameTypeRejected(t *testing.T) {
 		{0x00, 0x00, 0x40, 0x00, 0x00}, // padding, then padding in two bytes
 	} {
 		visits := 0
-		var visitErr, parseErr error
+		var visitErr error
 		withinDeadline(t, fmt.Sprintf("VisitFrames(% x)", payload), func() {
 			visitErr = VisitFrames(payload, &FrameInfo{}, func(*FrameInfo) error { visits++; return nil })
 		})
-		withinDeadline(t, fmt.Sprintf("ParseFrames(% x)", payload), func() {
-			_, parseErr = ParseFrames(payload)
-		})
-		if !errors.Is(visitErr, ErrBadFrame) || !errors.Is(parseErr, ErrBadFrame) {
-			t.Errorf("% x: VisitFrames err %v, ParseFrames err %v; want ErrBadFrame", payload, visitErr, parseErr)
+		if !errors.Is(visitErr, ErrBadFrame) {
+			t.Errorf("% x: VisitFrames err %v; want ErrBadFrame", payload, visitErr)
 		}
 		if visits > len(payload) {
 			t.Errorf("% x: %d visits over %d bytes", payload, visits, len(payload))
@@ -209,55 +211,136 @@ func TestVisitsBoundedByPayload(t *testing.T) {
 }
 
 func TestCryptoDataReassembly(t *testing.T) {
-	frames := []Frame{
-		&CryptoFrame{Offset: 10, Data: []byte("world")},
-		&PingFrame{},
-		&CryptoFrame{Offset: 0, Data: []byte("hello, ")},
-		&CryptoFrame{Offset: 7, Data: []byte("big")},
+	var s CryptoStream
+	for _, f := range []CryptoFrame{
+		{Offset: 10, Data: []byte("world")},
+		{Offset: 0, Data: []byte("hello, ")},
+		{Offset: 7, Data: []byte("big")},
+		{Offset: 3, Data: []byte("lo")}, // a retransmission
+	} {
+		if err := s.Add(f.Offset, f.Data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	data, err := CryptoData(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "hello, bigworld" {
-		t.Fatalf("data = %q", data)
+	if got := s.Contiguous(); string(got) != "hello, bigworld" || s.Buffered() != len(got) {
+		t.Fatalf("contiguous %q, %d buffered", got, s.Buffered())
 	}
 }
 
+// TestCryptoDataGap: bytes past a gap are buffered but not contiguous.
 func TestCryptoDataGap(t *testing.T) {
-	_, err := CryptoData([]Frame{&CryptoFrame{Offset: 5, Data: []byte("x")}})
-	if !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("err = %v", err)
+	var s CryptoStream
+	if err := s.Add(5, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Contiguous()) != 0 || s.Buffered() != 1 {
+		t.Fatalf("contiguous %q, %d buffered; want a gap", s.Contiguous(), s.Buffered())
 	}
 }
 
 func TestCryptoDataNone(t *testing.T) {
-	data, err := CryptoData([]Frame{&PingFrame{}})
-	if err != nil || data != nil {
-		t.Fatalf("got %v, %v", data, err)
+	var s CryptoStream
+	if len(s.Contiguous()) != 0 || s.Buffered() != 0 {
+		t.Fatalf("empty stream: contiguous %q, %d buffered", s.Contiguous(), s.Buffered())
 	}
 }
 
-// TestCryptoFrameBound: a packet's CRYPTO frames up to MaxCryptoFrames
+// TestCryptoFrameBound: up to MaxCryptoFrames frames between two reads
 // reassemble, in any order; one more is a malformed packet. A reset
-// assembler reuses its buffer for the next packet.
+// stream reuses its buffer for the next packet, and a discard opens the
+// next packet's count.
 func TestCryptoFrameBound(t *testing.T) {
-	var a CryptoAssembler
-	for round := 0; round < 2; round++ {
-		a.Reset()
+	var s CryptoStream
+	for round := 0; round < 3; round++ {
+		if round < 2 {
+			s.Reset()
+		} else {
+			s.Discard(MaxCryptoFrames)
+		}
+		base := uint64(round / 2 * MaxCryptoFrames)
 		want := make([]byte, MaxCryptoFrames)
 		for i := MaxCryptoFrames - 1; i >= 0; i-- {
 			want[i] = byte(i + round)
-			if err := a.Add(uint64(i), want[i:i+1]); err != nil {
+			if err := s.Add(base+uint64(i), want[i:i+1]); err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
 		}
-		got, err := a.Assemble()
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("round %d: assembled %x, %v; want %x", round, got, err, want)
+		if got := s.Contiguous(); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: assembled %x; want %x", round, got, want)
 		}
-		if err := a.Add(MaxCryptoFrames, []byte{0}); !errors.Is(err, ErrBadFrame) {
+		if err := s.Add(base+MaxCryptoFrames, []byte{0}); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("frame %d accepted: %v", MaxCryptoFrames+1, err)
+		}
+	}
+}
+
+// TestCryptoBufferBound: a stream takes data up to MaxCryptoBuffer past
+// its first unread byte, contiguous or not, and no further; reading
+// frees room.
+func TestCryptoBufferBound(t *testing.T) {
+	var s CryptoStream
+	if err := s.Add(MaxCryptoBuffer-1, []byte{1}); err != nil {
+		t.Fatalf("last byte in bound: %v", err)
+	}
+	if err := s.Add(MaxCryptoBuffer, []byte{1}); !errors.Is(err, ErrCryptoBufferExceeded) {
+		t.Fatalf("first byte past the bound: %v", err)
+	}
+	if err := s.Add(0, make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	s.Discard(1000)
+	if err := s.Add(MaxCryptoBuffer, make([]byte, 1000)); err != nil || s.Buffered() != 1001 {
+		t.Fatalf("after reading 1000 bytes: %v, %d buffered", err, s.Buffered())
+	}
+	if err := s.Add(1000+MaxCryptoBuffer, []byte{1}); !errors.Is(err, ErrCryptoBufferExceeded) {
+		t.Fatalf("first byte past the moved bound: %v", err)
+	}
+}
+
+// TestCryptoStreamMatchesStream cuts random streams into overlapping,
+// shuffled frames delivered over several packets and reads them as a
+// Handshake level does: the contiguous bytes are always the stream's
+// next ones, and the stream never buffers more than its bound.
+func TestCryptoStreamMatchesStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		stream := make([]byte, 1+rng.Intn(3*MaxCryptoBuffer))
+		rng.Read(stream)
+		var frames []CryptoFrame
+		for off := 0; off < len(stream); {
+			n := 1 + rng.Intn(1500)
+			lo := max(0, off-rng.Intn(8)) // some frames overlap the last
+			hi := min(len(stream), off+n)
+			frames = append(frames, CryptoFrame{Offset: uint64(lo), Data: stream[lo:hi]})
+			off = hi
+		}
+		var s CryptoStream
+		read := 0
+		for len(frames) > 0 {
+			k := min(len(frames), 1+rng.Intn(4)) // one packet's frames
+			pkt := frames[:k]
+			rng.Shuffle(len(pkt), func(i, j int) { pkt[i], pkt[j] = pkt[j], pkt[i] })
+			for _, f := range pkt {
+				if err := s.Add(f.Offset, f.Data); errors.Is(err, ErrCryptoBufferExceeded) {
+					frames = append(frames, f) // resend once there is room
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames = frames[k:]
+			if s.Buffered() > MaxCryptoBuffer {
+				t.Fatalf("trial %d: %d bytes buffered", trial, s.Buffered())
+			}
+			got := s.Contiguous()
+			if !bytes.Equal(got, stream[read:read+len(got)]) {
+				t.Fatalf("trial %d: contiguous bytes at %d differ", trial, read)
+			}
+			n := rng.Intn(len(got) + 1)
+			s.Discard(n)
+			read += n
+		}
+		if s.Discard(len(s.Contiguous())); s.Buffered() != 0 {
+			t.Fatalf("trial %d: %d bytes left past a gap", trial, s.Buffered())
 		}
 	}
 }
@@ -280,21 +363,8 @@ func TestAckRoundTripProperty(t *testing.T) {
 			}
 			next = smallest - 2 - uint64(s%37) // gap ≥ 0 on the wire
 		}
-		in := &AckFrame{Ranges: ranges}
-		out, err := ParseFrames(in.Append(nil))
-		if err != nil || len(out) != 1 {
-			return false
-		}
-		ack, ok := out[0].(*AckFrame)
-		if !ok || len(ack.Ranges) != len(ranges) {
-			return false
-		}
-		for i := range ranges {
-			if ack.Ranges[i] != ranges[i] {
-				return false
-			}
-		}
-		return true
+		out, err := visitAll((&AckFrame{Ranges: ranges}).Append(nil))
+		return err == nil && len(out) == 1 && slices.Equal(out[0].Ranges, ranges)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -310,20 +380,46 @@ func TestFrameTypeValues(t *testing.T) {
 	}
 }
 
-// LargestAcked returns the highest acknowledged packet number.
-func (f *AckFrame) LargestAcked() uint64 {
-	if len(f.Ranges) == 0 {
-		return 0
-	}
-	return f.Ranges[0].Largest
+// The program writes neither of the two frames below; the walk's tests
+// encode them to read them back.
+
+// NewTokenFrame delivers an address-validation token for a future
+// connection (used with adaptive RETRY deployments).
+type NewTokenFrame struct {
+	Token []byte
 }
 
-// Acks reports whether packet number pn is covered by the frame.
-func (f *AckFrame) Acks(pn uint64) bool {
-	for _, r := range f.Ranges {
-		if pn >= r.Smallest && pn <= r.Largest {
-			return true
-		}
+// Append implements Frame.
+func (f *NewTokenFrame) Append(dst []byte) []byte {
+	dst = AppendVarint(dst, uint64(FrameTypeNewToken))
+	dst = AppendVarint(dst, uint64(len(f.Token)))
+	return append(dst, f.Token...)
+}
+
+// ConnectionCloseFrame signals connection termination with an error.
+type ConnectionCloseFrame struct {
+	IsApplication bool
+	ErrorCode     uint64
+	FrameType     uint64 // transport closes only
+	Reason        string
+}
+
+// Type returns the frame's wire type: the transport or the application
+// variant.
+func (f *ConnectionCloseFrame) Type() FrameType {
+	if f.IsApplication {
+		return FrameTypeConnCloseApp
 	}
-	return false
+	return FrameTypeConnectionClose
+}
+
+// Append implements Frame.
+func (f *ConnectionCloseFrame) Append(dst []byte) []byte {
+	dst = AppendVarint(dst, uint64(f.Type()))
+	dst = AppendVarint(dst, f.ErrorCode)
+	if !f.IsApplication {
+		dst = AppendVarint(dst, f.FrameType)
+	}
+	dst = AppendVarint(dst, uint64(len(f.Reason)))
+	return append(dst, f.Reason...)
 }

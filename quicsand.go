@@ -752,10 +752,12 @@ func Replay(cfg Config, src capture.Source) (*Analysis, error) {
 // engine of `quicsand replay -alerts`.
 func ReplayAlerts(cfg StreamConfig, src capture.Source) (*Analysis, []detect.Alert, error) {
 	return runPipeline(cfg, func(_ *ibr.Generator, workers int, rec *telemetry.Recorder) pipelineFeed {
-		// The tap copies packet structs, not payload bytes, and a streamed
-		// source's payloads live in the scatter's recycled arenas: recycling
-		// is legal exactly when no trace tap is attached (DESIGN.md §9).
-		sc := capture.NewScatter(src, workers, cfg.Trace == nil)
+		// The tap copies packet structs, not payload bytes. A mapped
+		// source's payloads alias the mapping and outlive recycling; a
+		// streamed source's live in the scatter's recycled arenas, so only
+		// those turn recycling off under a trace tap (DESIGN.md §9).
+		ss, ok := src.(capture.SpanSource)
+		sc := capture.NewScatter(src, workers, cfg.Trace == nil || ok && ss.SpanStable())
 		sc.SetRecorder(rec)
 		if cfg.Salvage.Enabled() {
 			// Resync and transient retry both live in the source's window.

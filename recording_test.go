@@ -1,6 +1,8 @@
 package quicsand
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"io"
 	"runtime"
 	"testing"
@@ -54,5 +56,48 @@ func TestRecordingRecyclesSlabs(t *testing.T) {
 		if float64(recBytes) > 1.5*float64(plainBytes) {
 			t.Errorf("%s: recording allocated %d B, more than 1.5× the untraced run's %d B", name, recBytes, plainBytes)
 		}
+	}
+}
+
+// TestReRecordingMappedRecycles: a replay that re-records a mapped
+// capture keeps the scatter recycling, since the tap copies packet
+// structs and the payloads alias the mapping, and the re-recorded bytes
+// equal the capture. Each shard then decodes into its one packet slab, so
+// the replay allocates at most 40 B per record: 24 are a span table per
+// record should no batch come back, and a slab per batch adds 56 more
+// (92 B per record in all when recycling was off under every tap).
+func TestReRecordingMappedRecycles(t *testing.T) {
+	cfg := Config{Seed: 7, Scale: 0.01, ResearchThin: 64, Workers: 2}
+	var month bytes.Buffer
+	sink := capture.NewSink(&month, capture.FormatQSND)
+	cfg.Trace = sink
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := writeCapture(t, month.Bytes())
+	digest := sha256.New()
+	cfg.Trace = capture.NewSink(digest, capture.FormatQSND)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, _, err := ReplayAlerts(StreamConfig{Config: cfg}, openMapped(t, path))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Trace.(capture.Sink).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	in := a.Telemetry.Ingest
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(in.Records)
+	t.Logf("%d records in %d batches: %d batches allocated, %d reused; %.1f B allocated per record",
+		in.Records, in.Batches, in.BatchAllocs, in.BatchReuses, perRecord)
+	if perRecord > 40 {
+		t.Errorf("re-recording allocated %.1f B per record, more than 40", perRecord)
+	}
+	if want := sha256.Sum256(month.Bytes()); !bytes.Equal(digest.Sum(nil), want[:]) {
+		t.Error("the re-recorded bytes differ from the capture")
 	}
 }
