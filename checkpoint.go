@@ -29,8 +29,9 @@ import (
 //
 // A shard block is, in order: telescope counters, the two hourly
 // histograms, the timeout sweep, the common-vector detector, the QUIC
-// and common sessionizers, the dissector metrics (8 counters),
-// nonQUIC, the emitted-session list, and the shard's captured-packet
+// and common sessionizers, the dissector metrics (8 counters), the
+// non-QUIC count (a copy of the parse failures, which the decoder
+// checks), the emitted-session list, and the shard's captured-packet
 // count. Decoders never panic: every malformed field fails with a
 // byte-offset-annotated error (internal/ckpt, FuzzCheckpoint).
 //
@@ -167,8 +168,8 @@ func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 	for _, v := range dissectCounters(&sh.dis.Metrics) {
 		w.U64(*v)
 	}
-	w.U64(sh.nonQUIC)
-	w.U64(sh.quicSz.Metrics.Emitted) // the log holds every session emitted
+	w.U64(sh.dis.Metrics.ParseFailures) // the non-QUIC count
+	w.U64(sh.quicSz.Metrics.Emitted)    // the log holds every session emitted
 }
 
 // decodeShard reads one shard block of data into a chained but unwired
@@ -189,7 +190,9 @@ func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) 
 	for _, v := range dissectCounters(&sh.dis.Metrics) {
 		*v = r.U64()
 	}
-	sh.nonQUIC = r.U64()
+	if n := r.U64(); r.Err() == nil && n != sh.dis.Metrics.ParseFailures {
+		r.Errorf("shard counts %d non-QUIC datagrams, its dissector %d parse failures", n, sh.dis.Metrics.ParseFailures)
+	}
 	n := r.Int(maxCkptSessions)
 	if r.Err() == nil && uint64(n) != sh.quicSz.Metrics.Emitted {
 		r.Errorf("session log holds %d sessions, the QUIC sessionizer emitted %d", n, sh.quicSz.Metrics.Emitted)

@@ -4,9 +4,32 @@ import (
 	"strings"
 	"testing"
 
+	"quicsand/internal/ckpt"
 	"quicsand/internal/dosdetect"
 	"quicsand/internal/faultinject"
 )
+
+// TestDecodeShardPinsNonQUIC: a shard block's non-QUIC slot is a copy
+// of its dissector's parse failures, and a block whose slot differs
+// from them is rejected.
+func TestDecodeShardPinsNonQUIC(t *testing.T) {
+	sh := newPipelineShard()
+	sh.dis.Metrics.ParseFailures = 5
+	var w ckpt.Writer
+	sh.encodeState(&w) // ends with the slot and the empty log's length
+	w.U64(0)           // the shard's packet count
+	block := w.Bytes()
+	r := ckpt.NewReader(block)
+	if dec, _ := decodeShard(r, block); r.Err() != nil || dec.dis.Metrics.ParseFailures != 5 {
+		t.Fatalf("decoding a shard block: %v", r.Err())
+	}
+	block[len(block)-3] = 6
+	r = ckpt.NewReader(block)
+	decodeShard(r, block)
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "shard counts 6 non-QUIC datagrams, its dissector 5 parse failures") {
+		t.Errorf("a non-QUIC slot off its parse failures decoded with error %v", err)
+	}
+}
 
 // fuzzCheckpointImages builds real checkpoint images to seed the
 // corpus: an empty stream's final checkpoint and a full tiny-scale

@@ -149,10 +149,10 @@ func TestCIDWindowForgetsDroppedBuckets(t *testing.T) {
 }
 
 // TestSrcStateSize pins the per-source window state -mem-budget is sized
-// from: at most 1 KiB, CID sketches included.
+// from: at most 912 B, CID sketches included.
 func TestSrcStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(srcState{}); n > 1024 {
-		t.Errorf("srcState is %d B, want ≤ 1024", n)
+	if n := unsafe.Sizeof(srcState{}); n > 912 {
+		t.Errorf("srcState is %d B, want ≤ 912", n)
 	} else {
 		t.Logf("srcState is %d B", n)
 	}

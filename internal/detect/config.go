@@ -20,27 +20,22 @@ type Config struct {
 	// RatePPS×Window packets. Default 0.5 — Moore et al.'s intensity
 	// criterion, matching the batch detector.
 	RatePPS float64 `json:"rate_pps"`
-	// MinInitialFraction opens an Initial-fraction alert when
-	// initials/quic ≥ this with at least MinPackets QUIC packets in
-	// the window. Default 0.9.
-	MinInitialFraction float64 `json:"min_initial_fraction"`
 	// MinCIDRatio opens a CID-ratio alert when distinct CIDs per QUIC
 	// packet ≥ this with at least MinPackets QUIC packets in the
 	// window. Default 0.5.
 	MinCIDRatio float64 `json:"min_cid_ratio"`
-	// MinPackets is the evidence floor for the two fraction
-	// detectors. Default 20.
+	// MinPackets is the CID-ratio detector's evidence floor: the QUIC
+	// packets a window must hold before the ratio is read. Default 20.
 	MinPackets int `json:"min_packets"`
 }
 
 // Default returns the paper-derived detector configuration.
 func Default() Config {
 	return Config{
-		Window:             60 * time.Second,
-		RatePPS:            0.5,
-		MinInitialFraction: 0.9,
-		MinCIDRatio:        0.5,
-		MinPackets:         20,
+		Window:      60 * time.Second,
+		RatePPS:     0.5,
+		MinCIDRatio: 0.5,
+		MinPackets:  20,
 	}
 }
 
@@ -77,9 +72,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("detect: rate_pps %v over a %v window needs %.0f packets, above the %d a window counts",
 			c.RatePPS, c.Window, math.Floor(x)+1, uint32(math.MaxUint32))
 	}
-	if c.MinInitialFraction < 0 || c.MinInitialFraction > 1 || math.IsNaN(c.MinInitialFraction) {
-		return fmt.Errorf("detect: min_initial_fraction must be in [0, 1], got %v", c.MinInitialFraction)
-	}
 	if c.MinCIDRatio < 0 || c.MinCIDRatio > 1 || math.IsNaN(c.MinCIDRatio) {
 		return fmt.Errorf("detect: min_cid_ratio must be in [0, 1], got %v", c.MinCIDRatio)
 	}
@@ -89,45 +81,28 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// fileConfig is the on-disk form: window as a duration string, every
-// other knob optional with Default's value.
-type fileConfig struct {
-	Window             string   `json:"window"`
-	RatePPS            *float64 `json:"rate_pps"`
-	MinInitialFraction *float64 `json:"min_initial_fraction"`
-	MinCIDRatio        *float64 `json:"min_cid_ratio"`
-	MinPackets         *int     `json:"min_packets"`
-}
-
-// LoadConfig parses a detector-config JSON document: one object.
-// Unknown fields and repeated keys (also case-folded ones) are errors —
-// a typoed or doubled knob must fail loudly, not silently keep its
-// default or its last value — and malformed input yields a clean error,
-// never a panic (FuzzLoadConfig). Omitted fields keep Default's values.
+// LoadConfig parses a detector-config JSON document: one object, with
+// the window as a duration string and every other knob under its JSON
+// tag. Unknown fields and repeated keys (also case-folded ones) are
+// errors — a typoed or doubled knob must fail loudly, not silently keep
+// its default or its last value — and malformed input yields a clean
+// error, never a panic (FuzzLoadConfig). Omitted and null fields keep
+// Default's values.
 func LoadConfig(data []byte) (Config, error) {
 	cfg := Default()
-	var fc fileConfig
-	if err := strictjson.Decode(data, &fc, "detect", "config"); err != nil {
+	file := struct {
+		Window string `json:"window"`
+		*Config
+	}{Config: &cfg}
+	if err := strictjson.Decode(data, &file, "detect", "config"); err != nil {
 		return Config{}, err
 	}
-	if fc.Window != "" {
-		d, err := time.ParseDuration(fc.Window)
+	if file.Window != "" {
+		d, err := time.ParseDuration(file.Window)
 		if err != nil {
 			return Config{}, fmt.Errorf("detect: window: %w", err)
 		}
 		cfg.Window = d
-	}
-	if fc.RatePPS != nil {
-		cfg.RatePPS = *fc.RatePPS
-	}
-	if fc.MinInitialFraction != nil {
-		cfg.MinInitialFraction = *fc.MinInitialFraction
-	}
-	if fc.MinCIDRatio != nil {
-		cfg.MinCIDRatio = *fc.MinCIDRatio
-	}
-	if fc.MinPackets != nil {
-		cfg.MinPackets = *fc.MinPackets
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err

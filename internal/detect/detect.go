@@ -2,11 +2,12 @@
 // detectors: ring-buffered sliding-window detectors over per-source
 // telescope traffic, emitting a deterministic alert stream.
 //
-// Three windowed quantities are watched per source — exactly the
-// thresholds the paper applies post-hoc (§5.2, Figure 9), evaluated
-// online: packet rate (Moore et al.'s intensity criterion), the
-// Initial-packet fraction of QUIC traffic, and the unique-CID/packet
-// ratio that separates flood backscatter from ordinary responders.
+// Two windowed quantities are watched per source, thresholds the paper
+// applies post-hoc (§5.2, Figure 9) evaluated online: packet rate
+// (Moore et al.'s intensity criterion) and the unique-CID/packet ratio
+// that separates flood backscatter from ordinary responders. A flood's
+// Initial share is read after the fact, in its anatomy: per source it
+// never crosses a threshold where these detectors run.
 //
 // # Alert episodes
 //
@@ -58,7 +59,6 @@ import (
 	"quicsand/internal/srcindex"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
-	"quicsand/internal/wire"
 )
 
 // Kind identifies which windowed detector raised an alert.
@@ -66,9 +66,8 @@ type Kind uint8
 
 // Alert kinds.
 const (
-	KindRate            Kind = iota // per-source packet rate above RatePPS
-	KindInitialFraction             // Initial share of QUIC packets above threshold
-	KindCIDRatio                    // unique-CID/packet ratio above threshold
+	KindRate     Kind = iota // per-source packet rate above RatePPS
+	KindCIDRatio             // unique-CID/packet ratio above threshold
 	numKinds
 )
 
@@ -77,8 +76,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindRate:
 		return "rate"
-	case KindInitialFraction:
-		return "initial-fraction"
 	case KindCIDRatio:
 		return "cid-ratio"
 	}
@@ -175,7 +172,7 @@ type episode struct {
 	packets uint64
 }
 
-// srcState is one source's window ring plus open episodes: 976 B,
+// srcState is one source's window ring plus open episodes: 912 B,
 // held inline in the shard's index, which keeps the source's address
 // and last packet time beside it. Observe allocates nothing per packet.
 type srcState struct {
@@ -183,11 +180,10 @@ type srcState struct {
 	// leading bucket; slot i holds unit u with u%Buckets == i.
 	curUnit int64
 
-	counts   [Buckets]uint32 // QUIC-candidate packets
-	quic     [Buckets]uint32 // dissected QUIC packets (coalesced incl.)
-	initials [Buckets]uint32
-	cids     [Buckets]cidSketch // the CIDs each bucket saw (cidsketch.go)
-	cidWin   cidWindow          // the summary of their union, the window's CIDs
+	counts [Buckets]uint32    // QUIC-candidate packets
+	quic   [Buckets]uint32    // dissected QUIC packets (coalesced incl.)
+	cids   [Buckets]cidSketch // the CIDs each bucket saw (cidsketch.go)
+	cidWin cidWindow          // the summary of their union, the window's CIDs
 
 	open [numKinds]episode
 }
@@ -196,7 +192,6 @@ type srcState struct {
 // which the window's union must then forget.
 func (s *srcState) clearBucket(i int64) bool {
 	s.counts[i] = 0
-	s.initials[i] = 0
 	if s.quic[i] == 0 {
 		return false // no QUIC packet, no CID
 	}
@@ -286,9 +281,6 @@ func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 		for i := range res.Packets {
 			pi := &res.Packets[i]
 			st.quic[slot]++
-			if pi.Type == wire.PacketTypeInitial {
-				st.initials[slot]++
-			}
 			cid := pi.SCID
 			if len(cid) == 0 {
 				cid = pi.DCID
@@ -300,29 +292,24 @@ func (d *Shard) Observe(p *telescope.Packet, res *dissect.Result) {
 	}
 
 	// Window sums.
-	var count, quic, initials uint32
+	var count, quic uint32
 	for i := 0; i < Buckets; i++ {
 		count += st.counts[i]
 		quic += st.quic[i]
-		initials += st.initials[i]
 	}
 
 	windowSec := float64(d.windowMS) / 1000
 	d.episodeStep(st, KindRate, p.TS,
 		count >= d.rateCount, float64(count)/windowSec)
 	if quic >= uint32(d.cfg.MinPackets) {
-		frac := float64(initials) / float64(quic)
 		// The estimate may overshoot the packets that carried it; no
 		// window holds more distinct CIDs than QUIC packets.
 		ratio := min(st.cidWin.estimate(), float64(quic)) / float64(quic)
-		d.episodeStep(st, KindInitialFraction, p.TS,
-			frac >= d.cfg.MinInitialFraction, frac)
 		d.episodeStep(st, KindCIDRatio, p.TS,
 			ratio >= d.cfg.MinCIDRatio, ratio)
 	} else {
-		// Below the evidence floor the fraction conditions are not
-		// evaluated, but open episodes still ride the packet stream.
-		d.episodeStep(st, KindInitialFraction, p.TS, false, 0)
+		// Below the evidence floor the ratio condition is not
+		// evaluated, but an open episode still rides the packet stream.
 		d.episodeStep(st, KindCIDRatio, p.TS, false, 0)
 	}
 

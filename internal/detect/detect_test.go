@@ -14,16 +14,15 @@ import (
 )
 
 // testConfig is a tiny deterministic configuration: 1 s window over
-// six 166 ms buckets, RateCount = floor(2×1)+1 = 3, fraction detectors
-// parked behind an unreachable evidence floor so only the rate state
-// machine moves.
+// six 166 ms buckets, RateCount = floor(2×1)+1 = 3, and the one
+// fraction detector, CID ratio, parked behind an unreachable evidence
+// floor so only the rate state machine moves.
 func testConfig() Config {
 	return Config{
-		Window:             time.Second,
-		RatePPS:            2,
-		MinInitialFraction: 0.9,
-		MinCIDRatio:        0.9,
-		MinPackets:         1 << 20,
+		Window:      time.Second,
+		RatePPS:     2,
+		MinCIDRatio: 0.9,
+		MinPackets:  1 << 20,
 	}
 }
 
@@ -123,7 +122,7 @@ func TestMergeAlertsCanonical(t *testing.T) {
 		{Kind: KindRate, Src: 2, Start: 10, End: 20},
 		{Kind: KindRate, Src: 1, Start: 30, End: 40},
 	}
-	b := []Alert{{Kind: KindInitialFraction, Src: 1, Start: 10, End: 15}}
+	b := []Alert{{Kind: KindCIDRatio, Src: 1, Start: 10, End: 15}}
 	merged := MergeAlerts(a, b)
 	if len(merged) != 3 {
 		t.Fatalf("merged %d alerts, want 3", len(merged))
@@ -263,13 +262,15 @@ func TestBudgetEvictionMatchesLinearScan(t *testing.T) {
 }
 
 // TestLoadConfigRejects covers inputs LoadConfig must refuse: the
-// removed knobs (the bucket count is fixed, and the source budget is
-// the run's -mem-budget), and packet thresholds a uint32 window count
-// cannot reach, which used to wrap to tiny ones.
+// removed knobs (the bucket count is fixed, the source budget is the
+// run's -mem-budget, and the Initial-fraction detector is gone), and
+// packet thresholds a uint32 window count cannot reach, which used to
+// wrap to tiny ones.
 func TestLoadConfigRejects(t *testing.T) {
 	for _, doc := range []string{
 		`{"max_sources": 128}`,
 		`{"buckets": 6}`,
+		`{"min_initial_fraction": 0.9}`,
 		`{"rate_pps": 71582789}`, // RateCount 4294967341 at the 60 s window
 		`{"min_packets": 4294967297}`,
 	} {
@@ -282,6 +283,17 @@ func TestLoadConfigRejects(t *testing.T) {
 		if _, err := LoadConfig([]byte(doc)); err != nil {
 			t.Errorf("LoadConfig(%s): %v", doc, err)
 		}
+	}
+}
+
+// TestLoadConfigKeepsDefaults: a knob the file omits, or sets to null,
+// keeps Default's value; the knobs it sets replace theirs.
+func TestLoadConfigKeepsDefaults(t *testing.T) {
+	cfg, err := LoadConfig([]byte(`{"window": null, "rate_pps": null, "min_cid_ratio": 0.7}`))
+	want := Default()
+	want.MinCIDRatio = 0.7
+	if err != nil || cfg != want {
+		t.Errorf("LoadConfig = %+v, %v; want %+v", cfg, err, want)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // NewShard relies on).
 func FuzzLoadConfig(f *testing.F) {
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"window":"30s","rate_pps":1.5,"min_initial_fraction":0.8,"min_cid_ratio":0.4,"min_packets":10}`))
+	f.Add([]byte(`{"window":"30s","rate_pps":1.5,"min_cid_ratio":0.4,"min_packets":10}`))
 	f.Add([]byte(`{"window":"5ms"}`))
 	f.Add([]byte(`{"window":"-5s"}`))
 	f.Add([]byte(`{"window":"banana"}`))

@@ -35,8 +35,8 @@ type Config struct {
 	// Workers is the worker-pool size; default 4 (the paper's small
 	// configuration; "auto" mode passes runtime.NumCPU()).
 	Workers int
-	// QueuePerWorker bounds each worker's pending-connection queue;
-	// default 1024 (the paper's configuration, twice NGINX's default).
+	// QueuePerWorker bounds each worker's connection table; default
+	// 1024 (the paper's configuration, twice NGINX's default).
 	QueuePerWorker int
 	// EnableRetry turns on stateless address validation.
 	EnableRetry bool
@@ -88,6 +88,14 @@ type inbound struct {
 	addr net.Addr
 }
 
+// datagramQueue is the capacity of each worker's datagram channel, the
+// read loop's hand-off to the worker: 1024, the depth every command ran
+// at when the channel took QueuePerWorker's default. It is not
+// QueuePerWorker, which bounds a worker's connections: a connection
+// sends several datagrams, so a one-slot table must still queue a
+// client's ACK and then its Finished.
+const datagramQueue = 1024
+
 // worker owns a shard of connections, mirroring an NGINX worker
 // process with its listen-socket share.
 type worker struct {
@@ -134,7 +142,7 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			srv:   s,
-			queue: make(chan inbound, cfg.QueuePerWorker),
+			queue: make(chan inbound, datagramQueue),
 			conns: make(map[string]*entry),
 		}
 		s.workers = append(s.workers, w)

@@ -18,7 +18,6 @@ type Telescope struct {
 	// Counters for the §5.1 overview.
 	Total     uint64
 	UDP443    uint64
-	NonQUIC   uint64 // UDP/443 but failed deep validation (set by dissector feedback)
 	TCPICMP   uint64
 	FirstSeen Timestamp
 	LastSeen  Timestamp
@@ -58,7 +57,6 @@ func (t *Telescope) Offer(p *Packet) bool {
 func (t *Telescope) Merge(o *Telescope) {
 	t.Total += o.Total
 	t.UDP443 += o.UDP443
-	t.NonQUIC += o.NonQUIC
 	t.TCPICMP += o.TCPICMP
 	if o.FirstSeen != 0 && (t.FirstSeen == 0 || o.FirstSeen < t.FirstSeen) {
 		t.FirstSeen = o.FirstSeen

@@ -164,7 +164,8 @@ type Analysis struct {
 	ScanSources *greynoise.SourceStats
 
 	// NonQUIC counts UDP/443 packets rejected by deep dissection
-	// (the false-positive filter ablation).
+	// (the false-positive filter ablation): the shards' dissector
+	// ParseFailures, summed.
 	NonQUIC uint64
 
 	// Pipeline reports per-stage throughput (packets/s, stage
@@ -230,7 +231,6 @@ type pipelineShard struct {
 	commonDet    *dosdetect.Detector
 	dis          *dissect.Dissector
 	sessions     []*sessions.Session
-	nonQUIC      uint64
 
 	// det is the shard's sliding-window detector bank, attached by a
 	// StreamConfig.Detect (a Streamer, ReplayAlerts); nil otherwise,
@@ -410,7 +410,6 @@ func (sh *pipelineShard) process(p *telescope.Packet) bool {
 		if p.Payload != nil {
 			r, err := sh.dissectPkt(p)
 			if err != nil {
-				sh.nonQUIC++
 				if sh.live != nil {
 					sh.live.NonQUIC.Add(1)
 				}
@@ -580,7 +579,7 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 		a.Sweep.Merge(sh.sweep)
 		commonDets[i] = sh.commonDet
 		a.QUICSessions = append(a.QUICSessions, sh.sessions...)
-		a.NonQUIC += sh.nonQUIC
+		a.NonQUIC += sh.dis.Metrics.ParseFailures
 	}
 	a.CommonDetector.Merge(commonDets...)
 	sessions.SortCanonical(a.QUICSessions)

@@ -198,7 +198,7 @@ func referenceEncode(s *Streamer, logged []*loggedSessions) []byte {
 		sh.commonSz.EncodeTo(w)
 		m := &sh.dis.Metrics
 		for _, v := range []uint64{m.Datagrams, m.Packets, m.ParseFailures, m.Decrypted,
-			m.ClientHellos, m.OpenerHits, m.OpenerMisses, m.OpenerResets, sh.nonQUIC} {
+			m.ClientHellos, m.OpenerHits, m.OpenerMisses, m.OpenerResets, m.ParseFailures} {
 			w.U64(v)
 		}
 		w.U64(uint64(logged[i].n))
