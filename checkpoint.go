@@ -15,25 +15,26 @@ import (
 	"quicsand/internal/telescope"
 )
 
-// Binary streaming-checkpoint container (DESIGN.md §17). A checkpoint
-// stores the pipeline's full reducible state — everything the batch
-// reduction folds — plus the run parameters it was taken under, so a
-// daemon restarted from the file resumes mid-stream and still produces
+// Binary streaming-checkpoint container, QCKP v2 (DESIGN.md §17). A
+// checkpoint stores the pipeline's full reducible state — everything the
+// batch reduction folds — plus the run parameters it was taken under, so
+// a daemon restarted from the file resumes mid-stream and still produces
 // the bit-identical full-run Analysis.
 //
 // Layout (all integers varint unless noted):
 //
-//	"QCKP" | version=1 | seed | scale (8B) | scenario name |
+//	"QCKP" | version=2 | seed | scale (8B) | scenario name |
 //	researchThin | skipResearch | workers | position |
 //	workers × shard block | (end of input)
 //
 // A shard block is, in order: telescope counters, the two hourly
-// histograms, the timeout sweep, the common-vector detector, the QUIC
-// and common sessionizers, the dissector metrics (8 counters), the
-// non-QUIC count (a copy of the parse failures, which the decoder
-// checks), the emitted-session list, and the shard's captured-packet
-// count. Decoders never panic: every malformed field fails with a
-// byte-offset-annotated error (internal/ckpt, FuzzCheckpoint).
+// histograms, the timeout sweep, the TCP/ICMP detector, the QUIC and
+// TCP/ICMP sessionizers, the dissector metrics (8 counters), the session
+// log (one entry per session the QUIC sessionizer emitted: its answers
+// and set sizes, never its sets) and the captured-packet count. No slot
+// is a copy of another. Decoders never panic: every malformed field
+// fails with a byte-offset-annotated error (internal/ckpt,
+// FuzzCheckpoint).
 //
 // Detector (sliding-window) state is deliberately NOT serialized:
 // alerts are a drained stream, not reduced state, and a resumed
@@ -44,7 +45,7 @@ import (
 // changes.
 var checkpointMagic = []byte("QCKP")
 
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // headerMax bounds an image's header beside the scenario name: magic,
 // six varints (the name's length among them), the scale and a bool.
@@ -52,7 +53,6 @@ const headerMax = 4 + 6*binary.MaxVarintLen64 + 8 + 1
 
 const (
 	maxCkptWorkers  = 1 << 12
-	maxCkptSessions = 1 << 26
 	maxScenarioName = 1 << 10
 )
 
@@ -154,9 +154,9 @@ func dissectCounters(m *telemetry.Dissect) [8]*uint64 {
 }
 
 // encodeState writes a shard block up to its session log, in the field
-// order decodeShard reads; the block goes on with the encoded sessions
-// (the shard's session log) and the captured-packet count. Changing the
-// order bumps checkpointVersion.
+// order decodeShard reads; the block goes on with the session log, one
+// entry per session the QUIC sessionizer emitted, and the captured-packet
+// count. Changing the order bumps checkpointVersion.
 func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 	sh.tel.EncodeTo(w)
 	sh.hourlySource.EncodeTo(w)
@@ -168,8 +168,6 @@ func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 	for _, v := range dissectCounters(&sh.dis.Metrics) {
 		w.U64(*v)
 	}
-	w.U64(sh.dis.Metrics.ParseFailures) // the non-QUIC count
-	w.U64(sh.quicSz.Metrics.Emitted)    // the log holds every session emitted
 }
 
 // decodeShard reads one shard block of data into a chained but unwired
@@ -190,12 +188,9 @@ func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) 
 	for _, v := range dissectCounters(&sh.dis.Metrics) {
 		*v = r.U64()
 	}
-	if n := r.U64(); r.Err() == nil && n != sh.dis.Metrics.ParseFailures {
-		r.Errorf("shard counts %d non-QUIC datagrams, its dissector %d parse failures", n, sh.dis.Metrics.ParseFailures)
-	}
-	n := r.Int(maxCkptSessions)
-	if r.Err() == nil && uint64(n) != sh.quicSz.Metrics.Emitted {
-		r.Errorf("session log holds %d sessions, the QUIC sessionizer emitted %d", n, sh.quicSz.Metrics.Emitted)
+	n := 0
+	if r.Err() == nil {
+		n = int(sh.quicSz.Metrics.Emitted) // the log holds every session emitted
 	}
 	from := len(data) - r.Remaining()
 	sh.sessions = sessions.DecodeFinished(r, n)

@@ -2,22 +2,29 @@ package quicsand
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The QCKP format fixture (ROADMAP item 5 plans its v2 successor): one
-// mid-stream flood checkpoint written by the build that introduced QCKP
-// v1's current codec, checked in with the headline it reduces to. Every
-// later build must resume it to the same state and re-encode it byte
-// for byte — or reject it with a version error, never misread it.
+// The QCKP format fixtures: one mid-stream flood checkpoint in the
+// current format (QCKP v2, in which the session log carries each
+// session's answers and set sizes, never its sets), checked in with the
+// headline it reduces to, and the same checkpoint as the last v1 build
+// wrote it. Every later build must resume the v2 image to the same
+// state and re-encode it byte for byte — or reject it with a version
+// error, never misread it — and must reject the v1 image with that
+// version error: no command resumes a checkpoint, so there is no v1
+// reader to keep.
 //
 // Regenerate only for an intentional format change (with a version
-// bump): go test -run TestCheckpointGoldenImage -update
+// bump, keeping the old image as a rejected fixture):
+// go test -run TestCheckpointGoldenImage -update
 const (
 	qckpGoldenImage    = "testdata/qckp/handshake-flood-qfam.w2.qckp"
+	qckpV1Image        = "testdata/qckp/handshake-flood-qfam.w2.v1.qckp"
 	qckpGoldenHeadline = "testdata/qckp/handshake-flood-qfam.w2.headline.json"
 )
 
@@ -82,7 +89,7 @@ func TestCheckpointGoldenImage(t *testing.T) {
 
 	s, err := ResumeStreamer(cfg, image)
 	if err != nil {
-		t.Fatalf("checked-in QCKP v1 image no longer resumes: %v", err)
+		t.Fatalf("checked-in QCKP v%d image no longer resumes: %v", checkpointVersion, err)
 	}
 	final := s.Close()
 	if re := final.Encode(); !bytes.Equal(re, image) {
@@ -100,9 +107,28 @@ func TestCheckpointGoldenImage(t *testing.T) {
 	if err == nil {
 		t.Fatal("image with a bumped version resumed")
 	}
-	for _, want := range []string{"unsupported checkpoint version 2 (want 1)", "offset 0x5"} {
+	for _, want := range []string{fmt.Sprintf("unsupported checkpoint version %d (want %d)", checkpointVersion+1, checkpointVersion), "offset 0x5"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("version rejection %q does not say %q", err, want)
+		}
+	}
+}
+
+// TestCheckpointV1Rejected: the last QCKP v1 image, the same flood
+// checkpoint as the v2 fixture, is refused with the version error and
+// its offset, never decoded as v2.
+func TestCheckpointV1Rejected(t *testing.T) {
+	image, err := os.ReadFile(qckpV1Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ResumeStreamer(qckpGoldenConfig(t), image)
+	if err == nil {
+		t.Fatal("a QCKP v1 image resumed")
+	}
+	for _, want := range []string{"unsupported checkpoint version 1 (want 2)", "offset 0x5"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("v1 rejection %q does not say %q", err, want)
 		}
 	}
 }

@@ -544,7 +544,7 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 // magic) through the sharded engine. The simulation flags must match
 // the recorded run for the ground-truth joins to line up; for foreign
 // captures they only seed an empty simulation context.
-func runReplay(args []string, stdout, stderr io.Writer) error {
+func runReplay(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("quicsand replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	opts := addSimFlags(fs)
@@ -583,6 +583,25 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 	if cfg.Salvage, err = sal.policy(); err != nil {
 		return err
 	}
+	// The detector flags and the alert file are checked before the
+	// capture is opened, so that each error names its own flag and file.
+	var dcfg *detect.Config
+	if *alerts != "" {
+		if dcfg, err = detect.Resolve(*detectConfig, *window); err != nil {
+			return fmt.Errorf("replay: %w", err)
+		}
+		var created bool
+		if created, err = probeCreate(*alerts); err != nil {
+			return fmt.Errorf("replay: -alerts: %w", err)
+		}
+		if created {
+			defer func() {
+				if err != nil { // a failed replay leaves no alert file
+					_ = os.Remove(*alerts) // best effort: err is what to report
+				}
+			}()
+		}
+	}
 	opts.attachRecorder(&cfg)
 	var hb *telemetry.Heartbeat
 	if *heartbeat > 0 {
@@ -616,7 +635,7 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 			a, err = quicsand.Replay(cfg, src)
 			return err
 		}
-		a, err = replayAlerts(cfg, src, *alerts, *window, *detectConfig, stdout, stderr)
+		a, err = replayAlerts(cfg, src, *alerts, dcfg, stdout, stderr)
 		return err
 	})
 	// Progress ends with the pipeline; stopping here (Stop waits for the
@@ -640,11 +659,7 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 // a sliding-window detector bank on every shard (DESIGN.md §17). Alert
 // episodes land as JSON lines on FILE (or stdout for "-"); the Analysis
 // is the plain replay's plus the detectors' telemetry.
-func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window time.Duration, detectPath string, stdout, stderr io.Writer) (*quicsand.Analysis, error) {
-	dcfg, err := detect.Resolve(detectPath, window)
-	if err != nil {
-		return nil, err
-	}
+func replayAlerts(cfg quicsand.Config, src capture.Source, path string, dcfg *detect.Config, stdout, stderr io.Writer) (*quicsand.Analysis, error) {
 	a, alerts, err := quicsand.ReplayAlerts(quicsand.StreamConfig{Config: cfg, Detect: dcfg}, src)
 	if err != nil {
 		return nil, err
@@ -670,6 +685,23 @@ func replayAlerts(cfg quicsand.Config, src capture.Source, path string, window t
 	}
 	fmt.Fprintf(stderr, "quicsand: replay: %d alerts (window=%s)\n", len(alerts), dcfg.Window)
 	return a, nil
+}
+
+// probeCreate checks that path can be opened for writing, creating it
+// if it does not exist (reported by created) and leaving an existing
+// file's bytes alone. "-" is stdout.
+func probeCreate(path string) (created bool, err error) {
+	if path == "-" {
+		return false, nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if created = err == nil; errors.Is(err, os.ErrExist) {
+		f, err = os.OpenFile(path, os.O_WRONLY, 0)
+	}
+	if err != nil {
+		return false, err
+	}
+	return created, f.Close()
 }
 
 // closeSource releases source-owned resources (the capture's mapping)

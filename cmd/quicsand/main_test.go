@@ -758,3 +758,60 @@ func TestReplayAlertsCLI(t *testing.T) {
 		t.Errorf("replay -window without -alerts: want a requires error, got %v", err)
 	}
 }
+
+// TestReplayNamesDetectorFlagErrors: a bad -detect-config file and an
+// -alerts path that cannot be created are reported under their own flag
+// and file, before the capture is opened — the capture named here does
+// not exist, and neither error may name it — and leave no alert file.
+func TestReplayNamesDetectorFlagErrors(t *testing.T) {
+	dir := t.TempDir()
+	capture := filepath.Join(dir, "missing.qsnd")
+	alerts := filepath.Join(dir, "alerts.jsonl")
+	config := filepath.Join(dir, "dc.json")
+	if err := os.WriteFile(config, []byte(`{"min_initial_fraction": 0.9}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-alerts", alerts, "-detect-config", config}, []string{"replay: -detect-config: ", config + ": detect: ", "min_initial_fraction"}},
+		{[]string{"-alerts", alerts, "-window", "5ms"}, []string{"replay: -window: detect: window 5ms too narrow"}},
+		{[]string{"-alerts", filepath.Join(dir, "nonexistent", "a.jsonl")}, []string{"replay: -alerts: open " + filepath.Join(dir, "nonexistent", "a.jsonl")}},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append([]string{"replay", "-i", capture}, c.args...), &stdout, &stderr)
+		if err == nil {
+			t.Fatalf("replay %v succeeded", c.args)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("replay %v: error %q does not say %q", c.args, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), capture) {
+			t.Errorf("replay %v: error %q names the capture", c.args, err)
+		}
+	}
+	if _, err := os.Stat(alerts); !os.IsNotExist(err) {
+		t.Errorf("failed replays left an alert file behind (stat err=%v)", err)
+	}
+
+	// A replay that fails on its capture removes the alert file it
+	// created, and leaves one that was there before untouched.
+	if err := run([]string{"replay", "-i", capture, "-alerts", alerts}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), capture) {
+		t.Fatalf("replay of a missing capture: err = %v, want it named", err)
+	}
+	if _, err := os.Stat(alerts); !os.IsNotExist(err) {
+		t.Errorf("a replay failing on its capture left an alert file behind (stat err=%v)", err)
+	}
+	if err := os.WriteFile(alerts, []byte("kept\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"replay", "-i", capture, "-alerts", alerts}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
+		t.Fatal("replay of a missing capture succeeded")
+	}
+	if data, err := os.ReadFile(alerts); err != nil || string(data) != "kept\n" {
+		t.Errorf("a failed replay changed the existing alert file: %q, %v", data, err)
+	}
+}

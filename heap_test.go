@@ -33,9 +33,10 @@ const idleStreamerHeapBudget = 18_900
 // loggedSessionHeapBudget bounds what a live streamer's shard keeps per
 // session it has emitted and logged: the session's encoded bytes plus
 // the source's entries in the timeout sweep and the gap recorder.
-// Measured 111 B, ticking or not. When a shard kept its sessions as
-// objects until a tick logged them it was 471 B, and a shard that never
-// ticked kept them all so.
+// Measured 89 B, ticking or not; 111 B while the log wrote each
+// session's sets (QCKP v1). When a shard kept its sessions as objects
+// until a tick logged them it was 471 B, and a shard that never ticked
+// kept them all so.
 const loggedSessionHeapBudget = 131
 
 // liveHeap is the live heap after two full collections: the second

@@ -112,23 +112,24 @@ func LoadConfig(data []byte) (Config, error) {
 
 // Resolve returns the configuration -detect-config and -window select
 // (`quicsand replay -alerts`, telescoped): Default or the file at path,
-// its Window overridden by a positive window, validated.
+// its Window overridden by a positive window, validated. Each error
+// names the flag behind it.
 func Resolve(path string, window time.Duration) (*Config, error) {
 	cfg := Default()
 	if path != "" {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-detect-config: %w", err)
 		}
 		if cfg, err = LoadConfig(data); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, fmt.Errorf("-detect-config: %s: %w", path, err)
 		}
 	}
-	if window > 0 {
+	if window > 0 { // Default and LoadConfig's result are valid
 		cfg.Window = window
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("-window: %w", err)
+		}
 	}
 	return &cfg, nil
 }

@@ -338,8 +338,8 @@ func TestResolve(t *testing.T) {
 	if cfg, err = Resolve(path, 2*time.Minute); err != nil || cfg.Window != 2*time.Minute || cfg.MinPackets != 7 {
 		t.Errorf("Resolve(file, 2m) = %+v, %v; want -window over the file's", cfg, err)
 	}
-	if _, err := Resolve("", 5*time.Millisecond); err == nil || !strings.Contains(err.Error(), "too narrow") {
-		t.Errorf("Resolve(\"\", 5ms) err = %v, want the bucket-width error", err)
+	if _, err := Resolve("", 5*time.Millisecond); err == nil || !strings.HasPrefix(err.Error(), "-window: detect: window 5ms too narrow") {
+		t.Errorf("Resolve(\"\", 5ms) err = %v, want the bucket-width error under -window", err)
 	}
 	if _, err := Resolve(path+".missing", 0); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("Resolve(missing file) err = %v, want ErrNotExist", err)
@@ -347,7 +347,7 @@ func TestResolve(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"buckets": 6}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resolve(path, time.Minute); err == nil || !strings.HasPrefix(err.Error(), path+": detect: ") {
-		t.Errorf("Resolve(bad file) err = %v, want it prefixed with the path", err)
+	if _, err := Resolve(path, time.Minute); err == nil || !strings.HasPrefix(err.Error(), "-detect-config: "+path+": detect: ") {
+		t.Errorf("Resolve(bad file) err = %v, want it prefixed with the flag and the path", err)
 	}
 }

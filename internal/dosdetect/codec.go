@@ -14,13 +14,11 @@ import (
 
 const maxDetectorItems = 1 << 26
 
-// EncodeTo writes the detector state. Attack lists keep their append
-// order (canonical order is recomputed by Sorted at read time as in a
-// live run). Excluded sessions are not checkpoint state: the one
-// detector an image carries, a shard's TCP/ICMP detector, drops them
-// (DropExcluded), and a finished session no longer has the sets the
-// session format writes. The format's list stays, written empty; a
-// decoder rejects any other.
+// EncodeTo writes the detector state: thresholds, vector, inspection
+// count, then the attacks in append order (canonical order is
+// recomputed by Sorted at read time as in a live run). Excluded
+// sessions are not checkpoint state: the one detector an image carries,
+// a shard's TCP/ICMP detector, drops them (DropExcluded).
 func (d *Detector) EncodeTo(w *ckpt.Writer) {
 	w.U64(uint64(d.Thresholds.MinPackets))
 	w.F64(d.Thresholds.MinDuration)
@@ -29,10 +27,12 @@ func (d *Detector) EncodeTo(w *ckpt.Writer) {
 	w.Bool(d.DropExcluded)
 	w.U64(uint64(d.Inspected))
 	w.U64(uint64(len(d.Attacks)))
+	var prev telescope.Timestamp
 	for i := range d.Attacks {
-		encodeAttack(w, &d.Attacks[i])
+		a := &d.Attacks[i]
+		encodeAttack(w, a, prev, d.Vector == VectorQUIC)
+		prev = a.Start
 	}
-	w.U64(0) // excluded sessions
 }
 
 // DecodeDetector reads a detector encoded by EncodeTo. Returns nil on
@@ -46,11 +46,14 @@ func DecodeDetector(r *ckpt.Reader) *Detector {
 	d.DropExcluded = r.Bool()
 	d.Inspected = r.Int(maxDetectorItems)
 	n := r.Int(maxDetectorItems)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		d.Attacks = append(d.Attacks, decodeAttack(r))
+	if r.Err() == nil && n > 0 {
+		d.Attacks = make([]Attack, 0, min(n, 4096))
 	}
-	if n := r.U64(); n != 0 {
-		r.Errorf("detector image lists %d excluded sessions, want none", n)
+	var prev telescope.Timestamp
+	for i := 0; i < n && r.Err() == nil; i++ {
+		a := decodeAttack(r, prev, d.Vector)
+		d.Attacks = append(d.Attacks, a)
+		prev = a.Start
 	}
 	if r.Err() != nil {
 		return nil
@@ -58,16 +61,20 @@ func DecodeDetector(r *ckpt.Reader) *Detector {
 	return d
 }
 
-// encodeAttack writes one attack. The format predates the Anatomy
-// pointer: every attack carries the six anatomy fields, and a common
-// attack writes them as zeros.
-func encodeAttack(w *ckpt.Writer, a *Attack) {
-	w.U64(uint64(a.Vector))
+// encodeAttack writes one attack as what it is: its victim, its start
+// as a signed offset from the previous attack's (prev), its duration,
+// its packets and its per-minute maximum, MaxPPS × 60, which FromSession
+// divided by 60 and the decoder divides again, bit for bit. The vector
+// is the detector's, and only a QUIC attack (anatomy) writes an anatomy.
+func encodeAttack(w *ckpt.Writer, a *Attack, prev telescope.Timestamp, anatomy bool) {
 	w.U64(uint64(a.Victim))
-	w.I64(int64(a.Start))
-	w.I64(int64(a.End))
+	w.I64(int64(a.Start - prev))
+	w.U64(uint64(a.End - a.Start))
 	w.U64(uint64(a.Packets))
-	w.F64(a.MaxPPS)
+	w.U64(uint64(math.Round(a.MaxPPS * 60)))
+	if !anatomy {
+		return
+	}
 	var an Anatomy
 	if a.Anatomy != nil {
 		an = *a.Anatomy
@@ -80,30 +87,25 @@ func encodeAttack(w *ckpt.Writer, a *Attack) {
 	w.F64(an.HandshakeShare)
 }
 
-// decodeAttack reads what encodeAttack wrote, setting the reader's
-// error on malformed input. A QUIC attack gets its anatomy back; a
-// common attack must have written zeros (the float fields bit for bit,
-// so that an accepted image re-encodes to its own bytes).
-func decodeAttack(r *ckpt.Reader) Attack {
-	var a Attack
-	var an Anatomy
-	a.Vector = Vector(r.Int(1))
+// decodeAttack reads what encodeAttack wrote for a detector of vector
+// vec, setting the reader's error on malformed input.
+func decodeAttack(r *ckpt.Reader, prev telescope.Timestamp, vec Vector) Attack {
+	a := Attack{Vector: vec}
 	a.Victim = netmodel.Addr(r.U64())
-	a.Start = telescope.Timestamp(r.I64())
-	a.End = telescope.Timestamp(r.I64())
+	a.Start = prev + telescope.Timestamp(r.I64())
+	a.End = a.Start + telescope.Timestamp(r.U64())
 	a.Packets = r.Int(maxDetectorItems)
-	a.MaxPPS = r.F64()
-	an.UniqueSCIDs = r.Int(maxDetectorItems)
-	an.SpoofedClients = r.Int(maxDetectorItems)
-	an.ClientPorts = r.Int(maxDetectorItems)
-	an.Version = wire.Version(r.U64())
-	an.InitialShare = r.F64()
-	an.HandshakeShare = r.F64()
-	switch {
-	case a.Vector == VectorQUIC:
-		a.Anatomy = &an
-	case an != Anatomy{} || math.Signbit(an.InitialShare) || math.Signbit(an.HandshakeShare):
-		r.Errorf("%v attack on %v carries a QUIC anatomy", a.Vector, a.Victim)
+	a.MaxPPS = float64(r.Int(maxDetectorItems)) / 60
+	if vec != VectorQUIC {
+		return a
+	}
+	a.Anatomy = &Anatomy{
+		UniqueSCIDs:    r.Int(maxDetectorItems),
+		SpoofedClients: r.Int(maxDetectorItems),
+		ClientPorts:    r.Int(maxDetectorItems),
+		Version:        wire.Version(r.U64()),
+		InitialShare:   r.F64(),
+		HandshakeShare: r.F64(),
 	}
 	return a
 }

@@ -2,6 +2,7 @@ package sessions
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"time"
 
@@ -13,13 +14,19 @@ import (
 )
 
 // This file is the sessionizer's half of the streaming-checkpoint
-// contract: a ckpt codec that round-trips every field — including
-// whether each anatomy set still lives in its inline arm or has
-// spilled, because the spill state feeds the SetSpills counter and
-// must survive a checkpoint→resume cycle bit-exactly. A checkpoint
-// tick encodes the live state on the shard's own goroutine, and both a
-// checkpoint's Analysis and a resumed streamer decode it, so the image
-// is the only frozen form a sessionizer has.
+// contract (QCKP v2). A session has two encodings that share its
+// answers' codec: a finished session, as the session log holds it, is
+// its answers and its three anatomy set sizes — all that Figure 9 and
+// the attack anatomy read of it — and an open session, in the
+// sessionizer's state, is its answers so far, its sets and its open
+// minute slot, because a resumed sessionizer goes on adding to them. A
+// set or histogram is its entry count and entries, and decoding adds
+// the entries back one by one, so it spills exactly when the original
+// had (past its inline capacity: the spill state feeds SetSpills) and
+// duplicate keys count once. A checkpoint tick encodes the live state
+// on the shard's own goroutine, and both a checkpoint's Analysis and a
+// resumed streamer decode it, so the image is the only frozen form a
+// sessionizer has.
 
 // Decode size limits. Sessions are bounded by what one month of
 // telescope traffic can produce; anything past these is a malformed
@@ -30,15 +37,15 @@ const (
 	maxActiveSess = 1 << 26
 )
 
-// encodeSession writes one session with its open state: the sets, and
-// the minute slot (for a finished session, its last minute and 0).
-// Inline set arms keep their insertion order; spilled sets are written
-// sorted so equal states encode to equal bytes.
-func encodeSession(w *ckpt.Writer, e *live) {
-	s := e.s
+// encodeAnswers writes what a session answers: the fixed fields (End as
+// its offset from Start), the version histogram and the rate and
+// message-mix counts. Inline arms keep their insertion order here and
+// below; spilled ones are written sorted, so equal states encode to
+// equal bytes.
+func encodeAnswers(w *ckpt.Writer, s *Session) {
 	w.U64(uint64(s.Src))
 	w.I64(int64(s.Start))
-	w.I64(int64(s.End))
+	w.U64(uint64(s.End - s.Start))
 	w.U64(uint64(s.Packets))
 	w.U64(uint64(s.Requests))
 	w.U64(uint64(s.Responses))
@@ -46,33 +53,79 @@ func encodeSession(w *ckpt.Writer, e *live) {
 	for _, n := range s.TypeCounts {
 		w.U64(uint64(n))
 	}
-
-	// versions
-	if s.versions.m != nil {
-		w.Bool(true)
-		keys := make([]wire.Version, 0, len(s.versions.m))
-		for v := range s.versions.m {
-			keys = append(keys, v)
-		}
-		slices.Sort(keys)
-		w.U64(uint64(len(keys)))
-		for _, v := range keys {
+	if c := &s.versions; c.m != nil {
+		w.U64(uint64(len(c.m)))
+		for _, v := range slices.Sorted(maps.Keys(c.m)) {
 			w.U64(uint64(v))
-			w.U64(uint64(s.versions.m[v]))
+			w.U64(uint64(c.m[v]))
 		}
 	} else {
-		w.Bool(false)
-		w.U64(uint64(s.versions.n))
-		for i := uint8(0); i < s.versions.n; i++ {
-			w.U64(uint64(s.versions.vs[i]))
-			w.U64(uint64(s.versions.ns[i]))
+		w.U64(uint64(c.n))
+		for i := range c.n {
+			w.U64(uint64(c.vs[i]))
+			w.U64(uint64(c.ns[i]))
 		}
 	}
+	w.U64(uint64(s.maxPerMin))
+	w.U64(uint64(s.hasCH))
+	w.U64(uint64(s.totalQUICPk))
+}
 
-	// scids: the bytes String wrote when they were strings, and sorted
-	// bytewise when spilled, as strings sort.
+// decodeAnswers reads what encodeAnswers wrote into s. On malformed
+// input the reader's error is set.
+func decodeAnswers(r *ckpt.Reader, s *Session) {
+	s.Src = netmodel.Addr(r.U64())
+	s.Start = telescope.Timestamp(r.I64())
+	s.End = s.Start + telescope.Timestamp(r.U64())
+	s.Packets = r.Int(maxSetItems)
+	s.Requests = r.Int(maxSetItems)
+	s.Responses = r.Int(maxSetItems)
+	s.Bytes = r.U64()
+	for i := range s.TypeCounts {
+		s.TypeCounts[i] = r.Int(maxSetItems)
+	}
+	for i, n := 0, r.Int(maxSetItems); i < n && r.Err() == nil; i++ {
+		v := wire.Version(r.U64())
+		s.versions.add(v, r.Int(maxSetItems))
+	}
+	s.maxPerMin = r.Int(maxSetItems)
+	s.hasCH = r.Int(maxSetItems)
+	s.totalQUICPk = r.Int(maxSetItems)
+}
+
+// encodeFinished writes a finished session as the session log holds it:
+// its answers and its three set sizes.
+func encodeFinished(w *ckpt.Writer, s *Session) {
+	encodeAnswers(w, s)
+	w.U64(uint64(s.nSCIDs))
+	w.U64(uint64(s.nPeerAddrs))
+	w.U64(uint64(s.nPeerPorts))
+}
+
+// DecodeFinished reads n finished sessions, as a session log holds them,
+// straight into their answers. On malformed input it stops early with
+// the reader's sticky error set.
+func DecodeFinished(r *ckpt.Reader, n int) []*Session {
+	list := make([]*Session, 0, min(n, 4096))
+	for i := 0; i < n; i++ {
+		s := &Session{}
+		decodeAnswers(r, s)
+		s.nSCIDs = uint32(r.Int(maxSetItems))
+		s.nPeerAddrs = uint32(r.Int(maxSetItems))
+		s.nPeerPorts = uint32(r.Int(maxSetItems))
+		if r.Err() != nil {
+			break
+		}
+		list = append(list, s)
+	}
+	return list
+}
+
+// encodeLive writes an open session: its answers so far, its SCID, peer
+// address and peer port sets, and its open minute slot.
+func encodeLive(w *ckpt.Writer, e *live) {
+	encodeAnswers(w, e.s)
 	arena := e.scids.arena
-	w.Bool(e.scids.t != nil)
 	w.U64(uint64(e.scids.count()))
 	if e.scids.t != nil {
 		for _, off := range e.scids.sortedOffsets() {
@@ -83,25 +136,37 @@ func encodeSession(w *ckpt.Writer, e *live) {
 			w.Bytes8(scidAt(arena, off))
 		}
 	}
-
 	encodeSmallSet(w, &e.peerAddrs)
 	encodeSmallSet(w, &e.peerPorts)
-
 	w.I64(e.curMinute)
 	w.U64(uint64(e.curCount))
-	w.U64(uint64(s.maxPerMin))
-	w.U64(uint64(s.hasCH))
-	w.U64(uint64(s.totalQUICPk))
 }
 
-// encodeSmallSet writes a peer address or port set: the spill flag, then
-// the inline keys in insertion order or the spilled keys sorted.
+// decodeLive reads an open session into e, whose sets must be empty, and
+// reports whether the input was well formed (else the reader's error is
+// set).
+func decodeLive(r *ckpt.Reader, e *live) bool {
+	e.s = &Session{}
+	decodeAnswers(r, e.s)
+	for i, n := 0, r.Int(maxSetItems); i < n && r.Err() == nil; i++ {
+		if b := r.Bytes8(maxSCIDBytes); r.Err() == nil {
+			e.scids.add(b)
+		}
+	}
+	decodeSmallSet(r, &e.peerAddrs)
+	decodeSmallSet(r, &e.peerPorts)
+	e.curMinute = r.I64()
+	e.curCount = r.Int(maxSetItems)
+	return r.Err() == nil
+}
+
+// encodeSmallSet writes a peer address or port set: its size, then the
+// inline keys in insertion order or the spilled keys sorted.
 func encodeSmallSet[K intKey](w *ckpt.Writer, s *smallSet[K]) {
 	keys := s.inline[:s.n]
 	if s.t != nil {
 		keys = s.t.sortedKeys()
 	}
-	w.Bool(s.t != nil)
 	w.U64(uint64(len(keys)))
 	for _, k := range keys {
 		w.U64(uint64(k))
@@ -110,102 +175,9 @@ func encodeSmallSet[K intKey](w *ckpt.Writer, s *smallSet[K]) {
 
 // decodeSmallSet reads what encodeSmallSet wrote into s.
 func decodeSmallSet[K intKey](r *ckpt.Reader, s *smallSet[K]) {
-	if r.Bool() { // spilled
-		n := r.Int(maxSetItems)
-		if r.Err() == nil {
-			s.spill(min(n, 4096))
-			for i := 0; i < n && r.Err() == nil; i++ {
-				s.t.add(K(r.U64()))
-			}
-		}
-		return
+	for i, n := 0, r.Int(maxSetItems); i < n && r.Err() == nil; i++ {
+		s.add(K(r.U64()))
 	}
-	n := r.Int(len(s.inline))
-	s.n = uint8(n)
-	for i := 0; i < n; i++ {
-		s.inline[i] = K(r.U64())
-	}
-}
-
-// decodeSession reads one session into e, whose sets must be empty, and
-// reports whether the input was well formed (else the reader's error is set).
-func decodeSession(r *ckpt.Reader, e *live) bool {
-	s := &Session{}
-	e.s = s
-	s.Src = netmodel.Addr(r.U64())
-	s.Start = telescope.Timestamp(r.I64())
-	s.End = telescope.Timestamp(r.I64())
-	s.Packets = r.Int(maxSetItems)
-	s.Requests = r.Int(maxSetItems)
-	s.Responses = r.Int(maxSetItems)
-	s.Bytes = r.U64()
-	for i := range s.TypeCounts {
-		s.TypeCounts[i] = r.Int(maxSetItems)
-	}
-
-	if r.Bool() { // versions spilled
-		n := r.Int(maxSetItems)
-		if r.Err() == nil {
-			s.versions.m = make(map[wire.Version]int, n)
-			for i := 0; i < n && r.Err() == nil; i++ {
-				v := wire.Version(r.U64())
-				s.versions.m[v] = r.Int(maxSetItems)
-			}
-		}
-	} else {
-		n := r.Int(len(s.versions.vs))
-		s.versions.n = uint8(n)
-		for i := 0; i < n; i++ {
-			s.versions.vs[i] = wire.Version(r.U64())
-			s.versions.ns[i] = r.Int(maxSetItems)
-		}
-	}
-
-	if r.Bool() { // scids spilled
-		n := r.Int(maxSetItems)
-		if r.Err() == nil {
-			e.scids.spill(min(n, 4096))
-			for i := 0; i < n && r.Err() == nil; i++ {
-				if b := r.Bytes8(maxSCIDBytes); r.Err() == nil {
-					e.scids.insert(b)
-				}
-			}
-		}
-	} else {
-		n := r.Int(scidInline)
-		e.scids.n = uint8(n)
-		for i := 0; i < n; i++ {
-			e.scids.arena = appendSCID(e.scids.arena, r.Bytes8(maxSCIDBytes))
-		}
-	}
-
-	decodeSmallSet(r, &e.peerAddrs)
-	decodeSmallSet(r, &e.peerPorts)
-
-	e.curMinute = r.I64()
-	e.curCount = r.Int(maxSetItems)
-	s.maxPerMin = r.Int(maxSetItems)
-	s.hasCH = r.Int(maxSetItems)
-	s.totalQUICPk = r.Int(maxSetItems)
-	return r.Err() == nil
-}
-
-// DecodeFinished reads n finished sessions, as a session log holds them,
-// into their answers through one scratch entry, so duplicate keys in a
-// set count once. On malformed input it stops early with the reader's
-// sticky error set.
-func DecodeFinished(r *ckpt.Reader, n int) []*Session {
-	list := make([]*Session, 0, min(n, 4096))
-	var e live
-	for i := 0; i < n; i++ {
-		e = live{scids: scidSet{arena: e.scids.arena[:0]}}
-		if !decodeSession(r, &e) {
-			break
-		}
-		e.close()
-		list = append(list, e.s)
-	}
-	return list
 }
 
 // EncodeTo writes the sessionizer's full state (minus the Emit and
@@ -215,7 +187,6 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	w.U64(uint64(sz.MaxActive))
 	w.I64(int64(sz.lastSweep))
 	m := &sz.Metrics
-	w.U64(m.Emitted) // the format's first emitted slot, equal to the second
 	w.U64(m.Emitted)
 	w.U64(m.TimeoutSplits)
 	w.U64(m.SweepEvicted)
@@ -227,7 +198,7 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	sortBySrc(active)
 	w.U64(uint64(len(active)))
 	for i := range active {
-		encodeSession(w, &active[i])
+		encodeLive(w, &active[i])
 	}
 
 	// The last-seen table as the format has always stored it: one entry
@@ -267,12 +238,8 @@ func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
 	sz.Timeout = time.Duration(r.I64())
 	sz.MaxActive = r.Int(maxActiveSess)
 	sz.lastSweep = telescope.Timestamp(r.I64())
-	emitted := r.Int(maxActiveSess)
 	m := &sz.Metrics
-	m.Emitted = r.U64()
-	if r.Err() == nil && uint64(emitted) != m.Emitted {
-		r.Errorf("sessionizer emitted %d sessions, its metrics count %d", emitted, m.Emitted)
-	}
+	m.Emitted = uint64(r.Int(maxActiveSess))
 	m.TimeoutSplits = r.U64()
 	m.SweepEvicted = r.U64()
 	m.FlushEmitted = r.U64()
@@ -286,7 +253,7 @@ func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
 	active := make([]live, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
 		var e live
-		if !decodeSession(r, &e) {
+		if !decodeLive(r, &e) {
 			return nil
 		}
 		active = append(active, e)

@@ -1,6 +1,7 @@
 package sessions
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -103,4 +104,35 @@ func TestLoggedSessionsKeepEveryAnswer(t *testing.T) {
 	if len(list) < 50 || spilled == 0 {
 		t.Fatalf("flood capture made %d sessions, %d with a spilled SCID set: large sets are not exercised", len(list), spilled)
 	}
+}
+
+// BenchmarkFinishLogged prices finishing one spilled session onto a
+// session log: a flood victim's response session with 50 000 distinct
+// SCIDs, closed, counted and logged as a streaming shard's sessionizer
+// does. The log is rewound before each finish, so only the entry's own
+// bytes are written.
+func BenchmarkFinishLogged(b *testing.B) {
+	e := live{s: &Session{Src: 0x0a000001, Start: 1000, End: 61_000, Packets: 50_000, Responses: 50_000}}
+	scid := make([]byte, 8)
+	for i := uint32(0); i < 50_000; i++ {
+		binary.BigEndian.PutUint32(scid[4:], i*0x9e3779b1) // a bijection: never a repeat
+		e.scids.add(scid)
+	}
+	if e.scids.t == nil || e.scids.count() != 50_000 {
+		b.Fatalf("set holds %d SCIDs, spilled %v", e.scids.count(), e.scids.t != nil)
+	}
+	sz := NewSessionizer(nil)
+	buf := make([]byte, 0, 1<<20)
+	sz.Log = ckpt.NewWriter(buf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		*sz.Log = *ckpt.NewWriter(buf[:0])
+		sz.finish(&e)
+	}
+	b.StopTimer()
+	if n := len(sz.Log.Bytes()); n == 0 {
+		b.Fatal("finish logged nothing")
+	}
+	b.ReportMetric(float64(len(sz.Log.Bytes())), "log-B")
 }

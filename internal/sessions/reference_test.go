@@ -95,7 +95,7 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) (selfEv
 			}
 			s.totalQUICPk++
 			if pi.Type != wire.PacketTypeOneRTT && pi.Version != 0 {
-				s.versions.add(pi.Version)
+				s.versions.add(pi.Version, 1)
 			}
 			if len(pi.SCID) > 0 && isResponse {
 				e.scids.add(pi.SCID)
@@ -144,7 +144,7 @@ func refFinish(sz *Sessionizer, e *live) {
 		sz.Metrics.SetSpills++
 	}
 	if sz.Log != nil {
-		encodeSession(sz.Log, e)
+		encodeFinished(sz.Log, s)
 	}
 	if sz.Emit != nil {
 		sz.Emit(s)
@@ -194,7 +194,6 @@ func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
 	w.I64(int64(sz.lastSweep))
 	m := &sz.Metrics
 	w.U64(m.Emitted)
-	w.U64(m.Emitted)
 	w.U64(m.TimeoutSplits)
 	w.U64(m.SweepEvicted)
 	w.U64(m.FlushEmitted)
@@ -211,7 +210,7 @@ func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
 	slices.Sort(srcs)
 	w.U64(uint64(len(srcs)))
 	for _, src := range srcs {
-		encodeSession(w, active[src])
+		encodeLive(w, active[src])
 	}
 
 	if sz.lastSeen == nil {

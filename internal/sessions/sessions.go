@@ -105,8 +105,7 @@ type live struct {
 }
 
 // close folds the open minute slot and the sets' sizes into the
-// session's answers, which are final after this. The sets stay for an
-// encoder to write.
+// session's answers, which are final after this.
 func (e *live) close() {
 	s := e.s
 	if e.curCount > s.maxPerMin {
@@ -125,20 +124,21 @@ type versionCounts struct {
 	m  map[wire.Version]int
 }
 
-func (c *versionCounts) add(v wire.Version) {
+// add counts n more packets of version v.
+func (c *versionCounts) add(v wire.Version, n int) {
 	if c.m != nil {
-		c.m[v]++
+		c.m[v] += n
 		return
 	}
 	for i := uint8(0); i < c.n; i++ {
 		if c.vs[i] == v {
-			c.ns[i]++
+			c.ns[i] += n
 			return
 		}
 	}
 	if int(c.n) < len(c.vs) {
 		c.vs[c.n] = v
-		c.ns[c.n] = 1
+		c.ns[c.n] = n
 		c.n++
 		return
 	}
@@ -146,7 +146,7 @@ func (c *versionCounts) add(v wire.Version) {
 	for i := range c.vs {
 		c.m[c.vs[i]] = c.ns[i]
 	}
-	c.m[v]++
+	c.m[v] += n
 }
 
 // dominant returns the most frequent version, ties broken toward the
@@ -244,9 +244,9 @@ type Sessionizer struct {
 	// order.
 	Emit func(*Session)
 	// Log, when set, receives each session as it finishes, before Emit:
-	// its checkpoint encoding (EncodeTo's per-session bytes) is appended,
-	// so a streaming shard keeps what it emitted as bytes only (DESIGN.md
-	// §17). The writer only ever appends.
+	// its answers' checkpoint encoding is appended (DecodeFinished reads
+	// it back), so a streaming shard keeps what it emitted as bytes only
+	// (DESIGN.md §17). The writer only ever appends.
 	Log *ckpt.Writer
 
 	active srcindex.Index[live]
@@ -367,7 +367,7 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 			}
 			s.totalQUICPk++
 			if pi.Type != wire.PacketTypeOneRTT && pi.Version != 0 {
-				s.versions.add(pi.Version)
+				s.versions.add(pi.Version, 1)
 			}
 			if len(pi.SCID) > 0 && isResponse {
 				e.scids.add(pi.SCID)
@@ -424,7 +424,7 @@ func (sz *Sessionizer) finish(e *live) {
 		sz.Metrics.SetSpills++
 	}
 	if sz.Log != nil {
-		encodeSession(sz.Log, e)
+		encodeFinished(sz.Log, s)
 	}
 	if sz.Emit != nil {
 		sz.Emit(s)

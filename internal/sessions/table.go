@@ -69,13 +69,13 @@ func (s *smallSet[K]) add(k K) {
 		s.n++
 		return
 	}
-	s.spill(2 * len(s.inline))
+	s.spill()
 	s.t.add(k)
 }
 
-// spill moves the inline keys into a table sized for hint keys.
-func (s *smallSet[K]) spill(hint int) {
-	s.t = &intTable[K]{slots: make([]K, tableSize(hint))}
+// spill moves the inline keys into a table sized for twice as many.
+func (s *smallSet[K]) spill() {
+	s.t = &intTable[K]{slots: make([]K, tableSize(2*len(s.inline)))}
 	for _, k := range s.inline[:s.n] {
 		s.t.add(k)
 	}
@@ -205,18 +205,17 @@ func (s *scidSet) add(b []byte) {
 			s.n++
 			return
 		}
-		s.spill(2 * scidInline)
+		s.spill()
 	}
 	s.insert(b)
 }
 
-// spill indexes the inline SCIDs in a table sized for hint keys. They
-// are re-added to a fresh arena, so duplicates a decoded inline arm may
-// carry collapse, as a map's keys would.
-func (s *scidSet) spill(hint int) {
+// spill indexes the inline SCIDs in a table sized for twice as many,
+// re-adding them to a fresh arena.
+func (s *scidSet) spill() {
 	inline := s.arena
 	s.arena = make([]byte, 0, max(2*len(inline), 64))
-	s.t = &scidTable{slots: make([]scidSlot, tableSize(hint))}
+	s.t = &scidTable{slots: make([]scidSlot, tableSize(2*scidInline))}
 	for off := 0; off < len(inline); off += 1 + int(inline[off]) {
 		s.insert(scidAt(inline, off))
 	}

@@ -30,14 +30,14 @@ func decodedSmallSet[K intKey](t *testing.T, s *smallSet[K]) smallSet[K] {
 	return c
 }
 
-// decodedSCIDSet is s after a round trip through the session codec.
+// decodedSCIDSet is s after a round trip through the open-session codec.
 func decodedSCIDSet(t *testing.T, s *scidSet) scidSet {
 	t.Helper()
 	w := ckpt.NewWriter(nil)
-	encodeSession(w, &live{s: &Session{}, scids: *s})
+	encodeLive(w, &live{s: &Session{}, scids: *s})
 	r := ckpt.NewReader(w.Bytes())
 	var d live
-	if !decodeSession(r, &d) || r.Remaining() != 0 || (d.scids.t != nil) != (s.t != nil) {
+	if !decodeLive(r, &d) || r.Remaining() != 0 || (d.scids.t != nil) != (s.t != nil) {
 		t.Fatalf("round trip: err %v, %d bytes left", r.Err(), r.Remaining())
 	}
 	return d.scids
@@ -198,70 +198,58 @@ func TestSpillCounts(t *testing.T) {
 	}
 }
 
-// encodeSpilledSession writes a session whose three anatomy sets are
-// spilled and carry the given keys verbatim, duplicates included — what
-// a damaged or hand-made image may hold.
-func encodeSpilledSession(scids [][]byte, addrs []netmodel.Addr, ports []uint16) []byte {
+// encodeOpenSession writes an open session whose three anatomy sets
+// carry the given keys verbatim, duplicates included — what a damaged
+// or hand-made image may hold.
+func encodeOpenSession(scids [][]byte, addrs []netmodel.Addr, ports []uint16) []byte {
 	w := ckpt.NewWriter(nil)
-	w.U64(0x0a000001)
-	for i := 0; i < 2; i++ {
-		w.I64(0)
-	}
-	for i := 0; i < 4+6; i++ { // Packets..Bytes, TypeCounts
-		w.U64(0)
-	}
-	w.Bool(false) // versions inline
-	w.U64(0)
-	w.Bool(true)
+	encodeAnswers(w, &Session{Src: 0x0a000001})
 	w.U64(uint64(len(scids)))
 	for _, b := range scids {
 		w.Bytes8(b)
 	}
-	w.Bool(true)
 	w.U64(uint64(len(addrs)))
 	for _, a := range addrs {
 		w.U64(uint64(a))
 	}
-	w.Bool(true)
 	w.U64(uint64(len(ports)))
 	for _, p := range ports {
 		w.U64(uint64(p))
 	}
-	w.I64(0)
-	for i := 0; i < 4; i++ {
-		w.U64(0)
-	}
+	w.I64(0) // the open minute
+	w.U64(0) // and its count
 	return w.Bytes()
 }
 
-// TestDecodedDuplicateKeysCollapse: duplicate keys in an image's spilled
-// sets count once, as they did in a map — in a finished session's
-// answers and in an open session's sets — and an open session
-// re-encodes them sorted and distinct.
+// TestDecodedDuplicateKeysCollapse: duplicate keys in an image's sets
+// count once, as they did in a map; a set spills exactly when its
+// distinct keys pass the inline capacity; and an open session
+// re-encodes its sets distinct, inline arms in first-seen order and
+// spilled ones sorted.
 func TestDecodedDuplicateKeysCollapse(t *testing.T) {
-	img := encodeSpilledSession(
+	var addrs, distinctAddrs []netmodel.Addr
+	for i := 12; i > 0; i-- { // 12 distinct, each twice: past the inline 8
+		addrs = append(addrs, netmodel.Addr(i), netmodel.Addr(i))
+		distinctAddrs = append(distinctAddrs, netmodel.Addr(13-i))
+	}
+	img := encodeOpenSession(
 		[][]byte{{9, 9}, {1}, {9, 9}, {}, {1}},
-		[]netmodel.Addr{7, 0, 7, 3, 0},
+		addrs,
 		[]uint16{443, 443, 0, 1},
 	)
-	r := ckpt.NewReader(img)
-	list := DecodeFinished(r, 1)
-	if len(list) != 1 || r.Remaining() != 0 {
-		t.Fatalf("decode: %v, %d bytes left", r.Err(), r.Remaining())
-	}
-	if s := list[0]; s.UniqueSCIDs() != 3 || s.UniquePeerAddrs() != 3 || s.UniquePeerPorts() != 3 {
-		t.Fatalf("counts %d %d %d, want 3 3 3", s.UniqueSCIDs(), s.UniquePeerAddrs(), s.UniquePeerPorts())
-	}
 	var e live
-	if r := ckpt.NewReader(img); !decodeSession(r, &e) || r.Remaining() != 0 {
+	if r := ckpt.NewReader(img); !decodeLive(r, &e) || r.Remaining() != 0 {
 		t.Fatalf("decode: %v, %d bytes left", r.Err(), r.Remaining())
 	}
-	if e.scids.count() != 3 || e.peerAddrs.count() != 3 || e.peerPorts.count() != 3 {
-		t.Fatalf("open counts %d %d %d, want 3 3 3", e.scids.count(), e.peerAddrs.count(), e.peerPorts.count())
+	if e.scids.count() != 3 || e.peerAddrs.count() != 12 || e.peerPorts.count() != 3 {
+		t.Fatalf("open counts %d %d %d, want 3 12 3", e.scids.count(), e.peerAddrs.count(), e.peerPorts.count())
+	}
+	if e.scids.t != nil || e.peerAddrs.t == nil || e.peerPorts.t != nil {
+		t.Fatalf("spilled %v %v %v, want only the peer addresses", e.scids.t != nil, e.peerAddrs.t != nil, e.peerPorts.t != nil)
 	}
 	w := ckpt.NewWriter(nil)
-	encodeSession(w, &e)
-	want := encodeSpilledSession([][]byte{{}, {1}, {9, 9}}, []netmodel.Addr{0, 3, 7}, []uint16{0, 1, 443})
+	encodeLive(w, &e)
+	want := encodeOpenSession([][]byte{{9, 9}, {1}, {}}, distinctAddrs, []uint16{443, 0, 1})
 	if !bytes.Equal(w.Bytes(), want) {
 		t.Fatalf("re-encoded\n %x\nwant\n %x", w.Bytes(), want)
 	}

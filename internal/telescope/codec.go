@@ -17,7 +17,6 @@ func (t *Telescope) EncodeTo(w *ckpt.Writer) {
 	w.U64(uint64(t.Prefix.Bits))
 	w.U64(t.Total)
 	w.U64(t.UDP443)
-	w.U64(0) // a non-QUIC count no telescope keeps (Analysis.NonQUIC)
 	w.U64(t.TCPICMP)
 	w.I64(int64(t.FirstSeen))
 	w.I64(int64(t.LastSeen))
@@ -31,9 +30,6 @@ func DecodeTelescope(r *ckpt.Reader) *Telescope {
 	t.Prefix.Bits = r.Int(32)
 	t.Total = r.U64()
 	t.UDP443 = r.U64()
-	if n := r.U64(); r.Err() == nil && n != 0 {
-		r.Errorf("telescope image counts %d non-QUIC packets, want 0", n)
-	}
 	t.TCPICMP = r.U64()
 	t.FirstSeen = Timestamp(r.I64())
 	t.LastSeen = Timestamp(r.I64())

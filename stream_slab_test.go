@@ -164,7 +164,7 @@ func TestStreamOfferSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// referenceEncode is the straightforward QCKP v1 encoder — every shard's
+// referenceEncode is the straightforward QCKP v2 encoder — every shard's
 // state encoded afresh field by field, no freeze — over the streamer's
 // own shards, with each shard's finished sessions taken from logged[i]
 // (collected by collectLogged, since a finished session keeps only its
@@ -198,10 +198,9 @@ func referenceEncode(s *Streamer, logged []*loggedSessions) []byte {
 		sh.commonSz.EncodeTo(w)
 		m := &sh.dis.Metrics
 		for _, v := range []uint64{m.Datagrams, m.Packets, m.ParseFailures, m.Decrypted,
-			m.ClientHellos, m.OpenerHits, m.OpenerMisses, m.OpenerResets, m.ParseFailures} {
+			m.ClientHellos, m.OpenerHits, m.OpenerMisses, m.OpenerResets} {
 			w.U64(v)
 		}
-		w.U64(uint64(logged[i].n))
 		w.Raw(logged[i].bytes)
 		w.U64(s.counts[i])
 	}
