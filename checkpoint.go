@@ -8,14 +8,13 @@ import (
 	"quicsand/internal/ckpt"
 	"quicsand/internal/detect"
 	"quicsand/internal/dissect"
-	"quicsand/internal/dosdetect"
 	"quicsand/internal/engine"
 	"quicsand/internal/sessions"
 	"quicsand/internal/telemetry"
 	"quicsand/internal/telescope"
 )
 
-// Binary streaming-checkpoint container, QCKP v2 (DESIGN.md §17). A
+// Binary streaming-checkpoint container, QCKP v3 (DESIGN.md §17). A
 // checkpoint stores the pipeline's full reducible state — everything the
 // batch reduction folds — plus the run parameters it was taken under, so
 // a daemon restarted from the file resumes mid-stream and still produces
@@ -23,18 +22,24 @@ import (
 //
 // Layout (all integers varint unless noted):
 //
-//	"QCKP" | version=2 | seed | scale (8B) | scenario name |
+//	"QCKP" | version=3 | seed | scale (8B) | scenario name |
 //	researchThin | skipResearch | workers | position |
 //	workers × shard block | (end of input)
 //
 // A shard block is, in order: telescope counters, the two hourly
-// histograms, the timeout sweep, the TCP/ICMP detector, the QUIC and
-// TCP/ICMP sessionizers, the dissector metrics (8 counters), the session
+// histograms, the timeout sweep's gaps inside sessions, the TCP/ICMP
+// detector's two counts, the QUIC and TCP/ICMP sessionizers (counters
+// and open sessions), the dissector metrics (9 counters), the session
 // log (one entry per session the QUIC sessionizer emitted: its answers
-// and set sizes, never its sets) and the captured-packet count. No slot
-// is a copy of another. Decoders never panic: every malformed field
-// fails with a byte-offset-annotated error (internal/ckpt,
-// FuzzCheckpoint).
+// and set sizes, never its sets), the attack log (one entry per attack
+// the TCP/ICMP detector found) and the captured-packet count. No slot is
+// a copy of another, none holds configuration (the run's parameters are
+// the header's), and none holds an entry per source ever seen: the
+// sources and the gaps between sessions that Figure 4 counts are
+// derived from the session log when the image is reduced. Each log entry
+// is written once, as its session or attack finishes. Decoders never
+// panic: every malformed field fails with a byte-offset-annotated error
+// (internal/ckpt, FuzzCheckpoint).
 //
 // Detector (sliding-window) state is deliberately NOT serialized:
 // alerts are a drained stream, not reduced state, and a resumed
@@ -45,7 +50,7 @@ import (
 // changes.
 var checkpointMagic = []byte("QCKP")
 
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // headerMax bounds an image's header beside the scenario name: magic,
 // six varints (the name's length among them), the scale and a bool.
@@ -68,12 +73,13 @@ type checkpointHeader struct {
 }
 
 // shardImage is one shard's block of a checkpoint image: the encoded
-// state, the session log that follows it and the captured-packet count
-// that ends it.
+// state, the session and attack logs that follow it and the
+// captured-packet count that ends it.
 type shardImage struct {
-	state []byte
-	log   []byte
-	items uint64
+	state   []byte
+	log     []byte
+	attacks []byte
+	items   uint64
 }
 
 // frozenShard is one shard's reply to a checkpoint op.
@@ -92,7 +98,8 @@ type frozenShard struct {
 // open flight slice, which no reduction of decoded shards could, and the
 // detector bank's open episodes. The state is encoded into a buffer the
 // image owns, sized from the previous tick's so that a steady state does
-// not regrow it; the session log is shared as a cap-limited prefix.
+// not regrow it; the session and attack logs are shared as cap-limited
+// prefixes, so a tick encodes no finished session or attack.
 func (sh *pipelineShard) freeze(i int, items uint64, final bool) frozenShard {
 	if final {
 		sh.flightClose()
@@ -101,33 +108,42 @@ func (sh *pipelineShard) freeze(i int, items uint64, final bool) frozenShard {
 	sh.encodeState(w)
 	state := w.Bytes()
 	sh.stateLen = len(state)
-	log := sh.sessLog.Bytes()
 	f := frozenShard{shard: i, quicSessions: int(sh.quicSz.Metrics.Emitted) + sh.quicSz.ActiveSessions(), telescopeTotal: sh.tel.Total}
-	f.image = shardImage{state: state, log: log[:len(log):len(log)], items: items}
+	f.image = shardImage{state: state, log: prefix(&sh.sessLog), attacks: prefix(&sh.atkLog), items: items}
 	f.det, f.alerts = sh.drain(final)
 	return f
 }
 
-// logFinished makes a streaming shard log each QUIC session as it
-// finishes and keep no session object. The log only ever appends: a
-// checkpoint holds a cap-limited prefix of it as it stood at its own
-// tick, so the bytes a concurrent Encode reads are never written again.
-// A resumed shard goes on from a copy of its image's log, whose bytes
-// are the caller's.
+// prefix is w's bytes so far, cap-limited: no holder can write into the
+// array the writer goes on appending to.
+func prefix(w *ckpt.Writer) []byte {
+	b := w.Bytes()
+	return b[:len(b):len(b)]
+}
+
+// logFinished makes a streaming shard log each QUIC session and each
+// TCP/ICMP attack as it finishes and keep neither as an object. The logs
+// only ever append: a checkpoint holds a cap-limited prefix of each as
+// it stood at its own tick, so the bytes a concurrent Encode reads are
+// never written again. A resumed shard goes on from copies of its
+// image's logs, whose bytes are the caller's.
 func (sh *pipelineShard) logFinished() {
 	sh.sessLog = *ckpt.NewWriter(slices.Clone(sh.sessLog.Bytes()))
 	sh.sessions = nil
 	sh.quicSz.Log, sh.quicSz.Emit = &sh.sessLog, nil
+	sh.atkLog = *ckpt.NewWriter(slices.Clone(sh.atkLog.Bytes()))
+	sh.commonDet.Attacks = nil
+	sh.commonDet.Log = &sh.atkLog
 }
 
 // Encode serializes the checkpoint: the header, then each shard's frozen
-// state, session log and packet count. The parts are only read, so
-// Encode is repeatable and composes with Analysis().
+// state, session log, attack log and packet count. The parts are only
+// read, so Encode is repeatable and composes with Analysis().
 func (c *StreamCheckpoint) Encode() []byte {
 	name := scenarioName(c.cfg.Config)
 	size := headerMax + len(name)
 	for _, im := range c.images {
-		size += len(im.state) + len(im.log) + binary.MaxVarintLen64
+		size += len(im.state) + len(im.log) + len(im.attacks) + binary.MaxVarintLen64
 	}
 	w := ckpt.NewWriter(make([]byte, 0, size))
 	w.Raw(checkpointMagic)
@@ -142,20 +158,22 @@ func (c *StreamCheckpoint) Encode() []byte {
 	for _, im := range c.images {
 		w.Raw(im.state)
 		w.Raw(im.log)
+		w.Raw(im.attacks)
 		w.U64(im.items)
 	}
 	return w.Bytes()
 }
 
 // dissectCounters lists a shard block's dissector counters in wire order.
-func dissectCounters(m *telemetry.Dissect) [8]*uint64 {
-	return [8]*uint64{&m.Datagrams, &m.Packets, &m.ParseFailures, &m.Decrypted,
+func dissectCounters(m *telemetry.Dissect) [9]*uint64 {
+	return [9]*uint64{&m.Datagrams, &m.Packets, &m.ParseFailures, &m.Decrypted, &m.FrameErrors,
 		&m.ClientHellos, &m.OpenerHits, &m.OpenerMisses, &m.OpenerResets}
 }
 
 // encodeState writes a shard block up to its session log, in the field
 // order decodeShard reads; the block goes on with the session log, one
-// entry per session the QUIC sessionizer emitted, and the captured-packet
+// entry per session the QUIC sessionizer emitted, the attack log, one
+// entry per attack the TCP/ICMP detector found, and the captured-packet
 // count. Changing the order bumps checkpointVersion.
 func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 	sh.tel.EncodeTo(w)
@@ -171,18 +189,19 @@ func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 }
 
 // decodeShard reads one shard block of data into a chained but unwired
-// shard: a checkpoint's Analysis reduces it as it is, and planPipeline
-// wires it like a fresh one for ResumeStreamer. The session log is read
-// into answers for a reduction, and kept as bytes (aliasing data) for a
-// resumed streamer to go on from. Unusable once the reader's error is
-// set.
+// shard, its parts configured as newPipelineShard configures them: a
+// checkpoint's Analysis reduces it as it is, and planPipeline wires it
+// like a fresh one for ResumeStreamer. The session and attack logs are
+// read into answers for a reduction, and kept as bytes (aliasing data)
+// for a resumed streamer to go on from. Unusable once the reader's error
+// is set.
 func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) {
-	sh = &pipelineShard{dis: dissect.NewDissector()}
+	sh = &pipelineShard{dis: dissect.NewDissector(), commonDet: newCommonDetector()}
 	sh.tel = telescope.DecodeTelescope(r)
 	sh.hourlySource = telescope.DecodeHourlyCounter(r, nil)
 	sh.hourlyType = telescope.DecodeHourlyCounter(r, nil)
 	sh.sweep = sessions.DecodeTimeoutSweep(r)
-	sh.commonDet = dosdetect.DecodeDetector(r)
+	sh.commonDet.DecodeFrom(r)
 	sh.quicSz = sessions.DecodeSessionizer(r)
 	sh.commonSz = sessions.DecodeSessionizer(r)
 	for _, v := range dissectCounters(&sh.dis.Metrics) {
@@ -195,6 +214,9 @@ func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) 
 	from := len(data) - r.Remaining()
 	sh.sessions = sessions.DecodeFinished(r, n)
 	sh.sessLog = *ckpt.NewWriter(data[from : len(data)-r.Remaining()])
+	from = len(data) - r.Remaining()
+	sh.commonDet.DecodeAttacks(r)
+	sh.atkLog = *ckpt.NewWriter(data[from : len(data)-r.Remaining()])
 	items = r.U64()
 	if r.Err() == nil {
 		sh.chain()
@@ -247,8 +269,10 @@ func decodeCheckpoint(data []byte) (hdr checkpointHeader, shards []*pipelineShar
 // must carry the recorded run's parameters (seed, scale, scenario,
 // thinning) — the substrate is re-prepared from them, exactly as
 // Replay rebuilds ground truth — and resolve to the checkpoint's
-// worker count, since shard state is partitioned by it. Sliding-window
-// detectors resume cold (see the package comment above). Offering the
+// worker count, since shard state is partitioned by it; the session
+// budget is the config's (MaxActiveSessions), as the image holds no
+// configuration. Sliding-window detectors resume cold (see the package
+// comment above). Offering the
 // original stream's records after the checkpoint's Position reproduces
 // the full-run Analysis byte-for-byte.
 func ResumeStreamer(cfg StreamConfig, data []byte) (*Streamer, error) {

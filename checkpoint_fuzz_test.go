@@ -33,7 +33,7 @@ func fuzzCheckpointImages(f *testing.F) [][]byte {
 // must be self-consistent — a full shard set whose packet counts sum
 // to the header position. Seeds are real encoded images (the checked-in
 // mid-stream fixture among them, whose open sessions carry their sets),
-// the last QCKP v1 image, plus the fault-injection damage shapes a
+// the last QCKP v1 and v2 images, plus the fault-injection damage shapes a
 // crashed daemon can leave behind (torn tail, bit flip, garbage splice).
 func FuzzCheckpoint(f *testing.F) {
 	images := fuzzCheckpointImages(f)
@@ -41,7 +41,7 @@ func FuzzCheckpoint(f *testing.F) {
 		f.Add(img)
 	}
 	full := images[1]
-	for _, path := range []string{qckpV1Image, qckpGoldenImage} {
+	for _, path := range []string{qckpV1Image, qckpV2Image, qckpGoldenImage} {
 		img, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

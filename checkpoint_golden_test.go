@@ -10,14 +10,15 @@ import (
 )
 
 // The QCKP format fixtures: one mid-stream flood checkpoint in the
-// current format (QCKP v2, in which the session log carries each
-// session's answers and set sizes, never its sets), checked in with the
-// headline it reduces to, and the same checkpoint as the last v1 build
-// wrote it. Every later build must resume the v2 image to the same
-// state and re-encode it byte for byte — or reject it with a version
-// error, never misread it — and must reject the v1 image with that
-// version error: no command resumes a checkpoint, so there is no v1
-// reader to keep.
+// current format (QCKP v3, in which each session and TCP/ICMP attack is
+// logged once, as its answers, and no slot holds configuration or an
+// entry per source ever seen), checked in with the headline it reduces
+// to, and the same checkpoint as the last v1 and v2 builds wrote it.
+// Every later build must resume the v3 image to the same state and
+// re-encode it byte for byte — or reject it with a version error, never
+// misread it — and must reject the older images with that version
+// error: no command resumes a checkpoint, so there is no old reader to
+// keep.
 //
 // Regenerate only for an intentional format change (with a version
 // bump, keeping the old image as a rejected fixture):
@@ -25,6 +26,7 @@ import (
 const (
 	qckpGoldenImage    = "testdata/qckp/handshake-flood-qfam.w2.qckp"
 	qckpV1Image        = "testdata/qckp/handshake-flood-qfam.w2.v1.qckp"
+	qckpV2Image        = "testdata/qckp/handshake-flood-qfam.w2.v2.qckp"
 	qckpGoldenHeadline = "testdata/qckp/handshake-flood-qfam.w2.headline.json"
 )
 
@@ -114,21 +116,24 @@ func TestCheckpointGoldenImage(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1Rejected: the last QCKP v1 image, the same flood
-// checkpoint as the v2 fixture, is refused with the version error and
-// its offset, never decoded as v2.
+// TestCheckpointV1Rejected: the last QCKP v1 and v2 images, the same
+// flood checkpoint as the current fixture, are refused with the version
+// error naming their version and its offset, never decoded as the
+// current one.
 func TestCheckpointV1Rejected(t *testing.T) {
-	image, err := os.ReadFile(qckpV1Image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ResumeStreamer(qckpGoldenConfig(t), image)
-	if err == nil {
-		t.Fatal("a QCKP v1 image resumed")
-	}
-	for _, want := range []string{"unsupported checkpoint version 1 (want 2)", "offset 0x5"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("v1 rejection %q does not say %q", err, want)
+	for v, path := range map[int]string{1: qckpV1Image, 2: qckpV2Image} {
+		image, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ResumeStreamer(qckpGoldenConfig(t), image)
+		if err == nil {
+			t.Fatalf("a QCKP v%d image resumed", v)
+		}
+		for _, want := range []string{fmt.Sprintf("unsupported checkpoint version %d (want %d)", v, checkpointVersion), "offset 0x5"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d rejection %q does not say %q", v, err, want)
+			}
 		}
 	}
 }

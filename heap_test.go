@@ -31,13 +31,14 @@ const analysisHeapBudget = 299_200
 const idleStreamerHeapBudget = 18_900
 
 // loggedSessionHeapBudget bounds what a live streamer's shard keeps per
-// session it has emitted and logged: the session's encoded bytes plus
-// the source's entries in the timeout sweep and the gap recorder.
-// Measured 89 B, ticking or not; 111 B while the log wrote each
+// session it has emitted and logged: the session's encoded bytes.
+// Measured 33 B, ticking or not; 89 B while the shard also kept an entry
+// per source in the sessionizer's last-seen table and the timeout
+// sweep's source set (QCKP v2), and 111 B while the log wrote each
 // session's sets (QCKP v1). When a shard kept its sessions as objects
 // until a tick logged them it was 471 B, and a shard that never ticked
 // kept them all so.
-const loggedSessionHeapBudget = 131
+const loggedSessionHeapBudget = 36
 
 // liveHeap is the live heap after two full collections: the second
 // frees what sync.Pool victim caches kept through the first.

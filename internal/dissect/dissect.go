@@ -269,6 +269,7 @@ func (d *Dissector) tryDecryptInitial(h *wire.Header, pkt []byte, info *PacketIn
 	})
 	if err != nil {
 		info.FrameTypes = info.FrameTypes[:0]
+		d.Metrics.FrameErrors++
 		return
 	}
 	crypto := d.crypto.Contiguous()

@@ -86,7 +86,8 @@ func request(payload []byte) *telescope.Packet {
 
 // TestDissectNonShortestFrameType: an Initial whose plaintext starts
 // with a frame type in a longer encoding than it needs opens, and its
-// frame walk fails at once: no frames, no ClientHello.
+// frame walk fails at once: no frames, no ClientHello, and the failure
+// is counted.
 func TestDissectNonShortestFrameType(t *testing.T) {
 	dg, _ := sealInitial(t, wire.ConnectionID{1, 2, 3, 4, 5, 6, 7, 8}, wire.ConnectionID{9, 9, 9, 9}, nonShortestPadding)
 	if len(dg) != 43 {
@@ -111,6 +112,9 @@ func TestDissectNonShortestFrameType(t *testing.T) {
 	if pi := r.Packets[0]; !pi.Decrypted || len(pi.FrameTypes) != 0 || pi.HasClientHello {
 		t.Errorf("decrypted %v, frames %v, ClientHello %v; want an opened Initial whose frames were rejected",
 			pi.Decrypted, pi.FrameTypes, pi.HasClientHello)
+	}
+	if m := d.Metrics; m.Decrypted != 1 || m.FrameErrors != 1 || m.ParseFailures != 0 {
+		t.Errorf("decrypted %d, frame errors %d, parse failures %d; want 1, 1 and 0", m.Decrypted, m.FrameErrors, m.ParseFailures)
 	}
 }
 

@@ -2,6 +2,7 @@ package dosdetect
 
 import (
 	"math"
+	"slices"
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
@@ -9,56 +10,46 @@ import (
 	"quicsand/internal/wire"
 )
 
-// Streaming-checkpoint support: the codec serializes the detector at
-// full fidelity, and a checkpoint keeps nothing else of it.
+// Streaming-checkpoint support. A detector's configuration is its
+// owner's, and its attacks are in its Log, written once each as it finds
+// them; its state proper is two counts.
 
 const maxDetectorItems = 1 << 26
 
-// EncodeTo writes the detector state: thresholds, vector, inspection
-// count, then the attacks in append order (canonical order is
-// recomputed by Sorted at read time as in a live run). Excluded
-// sessions are not checkpoint state: the one detector an image carries,
-// a shard's TCP/ICMP detector, drops them (DropExcluded).
+// EncodeTo writes the detector's state: the sessions it inspected and
+// the attacks it logged.
 func (d *Detector) EncodeTo(w *ckpt.Writer) {
-	w.U64(uint64(d.Thresholds.MinPackets))
-	w.F64(d.Thresholds.MinDuration)
-	w.F64(d.Thresholds.MinMaxPPS)
-	w.U64(uint64(d.Vector))
-	w.Bool(d.DropExcluded)
 	w.U64(uint64(d.Inspected))
-	w.U64(uint64(len(d.Attacks)))
-	var prev telescope.Timestamp
-	for i := range d.Attacks {
-		a := &d.Attacks[i]
-		encodeAttack(w, a, prev, d.Vector == VectorQUIC)
-		prev = a.Start
+	w.U64(uint64(d.logged))
+}
+
+// DecodeFrom reads what EncodeTo wrote into d, a detector configured as
+// the encoding one was. DecodeAttacks then reads its log.
+func (d *Detector) DecodeFrom(r *ckpt.Reader) {
+	d.Inspected = r.Int(maxDetectorItems)
+	d.logged = r.Int(maxDetectorItems)
+}
+
+// DecodeAttacks reads the attacks d logged, as many as DecodeFrom
+// counted into d, from a copy of its Log into Attacks, and takes the last
+// one's start as the next logged attack's base, so that a resumed
+// detector logging onto that copy goes on writing the bytes an
+// uninterrupted one would. On malformed input it stops early with the
+// reader's error set.
+func (d *Detector) DecodeAttacks(r *ckpt.Reader) {
+	d.Attacks = slices.Grow(d.Attacks, min(d.logged, 4096))
+	for i := 0; i < d.logged && r.Err() == nil; i++ {
+		a := decodeAttack(r, d.logStart, d.Vector)
+		d.Attacks = append(d.Attacks, a)
+		d.logStart = a.Start
 	}
 }
 
-// DecodeDetector reads a detector encoded by EncodeTo. Returns nil on
-// malformed input (reader error set).
-func DecodeDetector(r *ckpt.Reader) *Detector {
-	d := &Detector{}
-	d.Thresholds.MinPackets = r.Int(maxDetectorItems)
-	d.Thresholds.MinDuration = r.F64()
-	d.Thresholds.MinMaxPPS = r.F64()
-	d.Vector = Vector(r.Int(1))
-	d.DropExcluded = r.Bool()
-	d.Inspected = r.Int(maxDetectorItems)
-	n := r.Int(maxDetectorItems)
-	if r.Err() == nil && n > 0 {
-		d.Attacks = make([]Attack, 0, min(n, 4096))
-	}
-	var prev telescope.Timestamp
-	for i := 0; i < n && r.Err() == nil; i++ {
-		a := decodeAttack(r, prev, d.Vector)
-		d.Attacks = append(d.Attacks, a)
-		prev = a.Start
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return d
+// logAttack appends a's encoding to the log.
+func (d *Detector) logAttack(a Attack) {
+	encodeAttack(d.Log, &a, d.logStart, d.Vector == VectorQUIC)
+	d.logStart = a.Start
+	d.logged++
 }
 
 // encodeAttack writes one attack as what it is: its victim, its start

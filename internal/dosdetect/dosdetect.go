@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"slices"
 
+	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/sessions"
 	"quicsand/internal/telescope"
@@ -159,6 +160,11 @@ type Detector struct {
 	// DropExcluded discards below-threshold sessions instead of
 	// retaining them; set it for the high-volume TCP/ICMP stream.
 	DropExcluded bool
+	// Log, when set, receives each attack as it is found in place of
+	// Attacks: its checkpoint encoding is appended (DecodeAttacks reads
+	// it back), so a streaming shard keeps what it found as bytes only
+	// (DESIGN.md §17). The writer only ever appends.
+	Log *ckpt.Writer
 
 	Attacks []Attack
 	// Excluded tracks the below-threshold response sessions Appendix B
@@ -166,6 +172,11 @@ type Detector struct {
 	Excluded []*sessions.Session
 	// total response sessions inspected.
 	Inspected int
+
+	// logged counts the attacks written to Log, and logStart is the last
+	// one's start, from which the next one's is written.
+	logged   int
+	logStart telescope.Timestamp
 }
 
 // NewDetector creates a detector with the paper's default thresholds.
@@ -179,10 +190,15 @@ func (d *Detector) Offer(s *sessions.Session) {
 		return
 	}
 	d.Inspected++
-	if d.Thresholds.Match(s) {
+	switch {
+	case !d.Thresholds.Match(s):
+		if !d.DropExcluded {
+			d.Excluded = append(d.Excluded, s)
+		}
+	case d.Log != nil:
+		d.logAttack(FromSession(s, d.Vector))
+	default:
 		d.Attacks = append(d.Attacks, FromSession(s, d.Vector))
-	} else if !d.DropExcluded {
-		d.Excluded = append(d.Excluded, s)
 	}
 }
 

@@ -4,17 +4,15 @@ import (
 	"cmp"
 	"maps"
 	"slices"
-	"time"
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
-	"quicsand/internal/srcindex"
 	"quicsand/internal/telescope"
 	"quicsand/internal/wire"
 )
 
 // This file is the sessionizer's half of the streaming-checkpoint
-// contract (QCKP v2). A session has two encodings that share its
+// contract (QCKP v3). A session has two encodings that share its
 // answers' codec: a finished session, as the session log holds it, is
 // its answers and its three anatomy set sizes — all that Figure 9 and
 // the attack anatomy read of it — and an open session, in the
@@ -180,11 +178,11 @@ func decodeSmallSet[K intKey](r *ckpt.Reader, s *smallSet[K]) {
 	}
 }
 
-// EncodeTo writes the sessionizer's full state (minus the Emit and
-// GapRecorder hooks, which are runtime wiring).
+// EncodeTo writes the sessionizer's state: its sweep cursor, its
+// counters and its open sessions by source. The Emit, GapRecorder and
+// Log hooks are runtime wiring and Timeout and MaxActive are
+// configuration, so none is written.
 func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
-	w.I64(int64(sz.Timeout))
-	w.U64(uint64(sz.MaxActive))
 	w.I64(int64(sz.lastSweep))
 	m := &sz.Metrics
 	w.U64(m.Emitted)
@@ -200,43 +198,13 @@ func (sz *Sessionizer) EncodeTo(w *ckpt.Writer) {
 	for i := range active {
 		encodeLive(w, &active[i])
 	}
-
-	// The last-seen table as the format has always stored it: one entry
-	// per source ever observed. A source with an active session was last
-	// seen at that session's End (its lastSeen entry, if any, is stale).
-	if sz.lastSeen == nil {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	type seenAt struct {
-		src netmodel.Addr
-		ts  telescope.Timestamp
-	}
-	seen := make([]seenAt, 0, len(active)+len(sz.lastSeen))
-	for _, e := range active {
-		seen = append(seen, seenAt{e.s.Src, e.s.End})
-	}
-	for src, ts := range sz.lastSeen {
-		if sz.active.Lookup(src) < 0 {
-			seen = append(seen, seenAt{src, ts})
-		}
-	}
-	slices.SortFunc(seen, func(a, b seenAt) int { return cmp.Compare(a.src, b.src) })
-	w.U64(uint64(len(seen)))
-	for _, e := range seen {
-		w.U64(uint64(e.src))
-		w.I64(int64(e.ts))
-	}
 }
 
-// DecodeSessionizer reads a sessionizer encoded by EncodeTo, with its
-// Emit and GapRecorder hooks unset for the caller to chain. Returns nil
-// on malformed input (reader error set).
+// DecodeSessionizer reads a sessionizer encoded by EncodeTo into one
+// built as NewSessionizer(nil) builds it, for the caller to configure
+// and chain. Returns nil on malformed input (reader error set).
 func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
-	sz := &Sessionizer{active: srcindex.New[live]()}
-	sz.Timeout = time.Duration(r.I64())
-	sz.MaxActive = r.Int(maxActiveSess)
+	sz := NewSessionizer(nil)
 	sz.lastSweep = telescope.Timestamp(r.I64())
 	m := &sz.Metrics
 	m.Emitted = uint64(r.Int(maxActiveSess))
@@ -271,39 +239,16 @@ func DecodeSessionizer(r *ckpt.Reader) *Sessionizer {
 		}
 		sz.active.Put(e.s.Src, e.s.End, e)
 	}
-
-	if r.Bool() {
-		n := r.Int(maxActiveSess)
-		if r.Err() != nil {
-			return nil
-		}
-		sz.lastSeen = make(map[netmodel.Addr]telescope.Timestamp, min(n, 4096))
-		for i := 0; i < n && r.Err() == nil; i++ {
-			src := netmodel.Addr(r.U64())
-			sz.lastSeen[src] = telescope.Timestamp(r.I64())
-		}
-	}
-	if r.Err() != nil {
-		return nil
-	}
 	return sz
 }
 
-// EncodeTo writes the sweep state with sources sorted.
+// EncodeTo writes the sweep's gap histogram. A shard's sweep has no
+// sources: the reduction records them from the sessions.
 func (t *TimeoutSweep) EncodeTo(w *ckpt.Writer) {
 	for _, n := range t.gapMinutes {
 		w.U64(n)
 	}
 	w.U64(t.over60)
-	srcs := make([]netmodel.Addr, 0, len(t.Sources))
-	for a := range t.Sources {
-		srcs = append(srcs, a)
-	}
-	slices.Sort(srcs)
-	w.U64(uint64(len(srcs)))
-	for _, a := range srcs {
-		w.U64(uint64(a))
-	}
 }
 
 // DecodeTimeoutSweep reads a sweep encoded by EncodeTo. Returns nil on
@@ -314,13 +259,6 @@ func DecodeTimeoutSweep(r *ckpt.Reader) *TimeoutSweep {
 		t.gapMinutes[i] = r.U64()
 	}
 	t.over60 = r.U64()
-	n := r.Int(maxActiveSess)
-	if r.Err() != nil {
-		return nil
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		t.Sources[netmodel.Addr(r.U64())] = struct{}{}
-	}
 	if r.Err() != nil {
 		return nil
 	}

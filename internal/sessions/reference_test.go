@@ -1,24 +1,24 @@
 package sessions
 
-// The sessionizer against reference bookkeeping. The reference writes
-// lastSeen[src] and registers the source with the sweep on every packet;
-// the sessionizer touches both only when a session opens or finishes, on
-// the invariant that an active session's End is its source's last packet
-// time. Its sweeps and budget eviction read the last-touch list; the
-// ref* functions below scan every active session instead —
-// refEvictColdest is the linear victim search the list replaced — over
-// the same struct, using the active index only to find, add and drop a
-// source's session (the decoded state means the same under
-// both readings: one lastSeen entry per source ever seen is a valid,
-// merely redundant, state for the sessionizer). Sessions finished
-// together are emitted in source order on both sides. Seeded random
-// streams drive both and everything observable must agree: the emitted
-// sessions in emission order, the session log, the gap histogram and
-// source set, every counter, and the checkpoint bytes at arbitrary cut
-// points.
+// The sessionizer against reference bookkeeping. The reference keeps a
+// last-seen table of its own and, on every packet, records the gap
+// since the source's previous packet and registers the source with its
+// sweep; the sessionizer reports only the gaps inside a session, and
+// the sweep gets the sources and the gaps between sessions from the
+// sessions at the end (TimeoutSweep.RecordSessions). Its sweeps and
+// budget eviction read the last-touch list; the ref* functions below
+// scan every active session instead — refEvictColdest is the linear
+// victim search the list replaced — over the same struct, using the
+// active index only to find, add and drop a source's session. Sessions
+// finished together are emitted in source order on both sides. Seeded
+// random streams drive both and everything observable must agree: the
+// emitted sessions in emission order, the session log, the sweep bin
+// for bin with its source set, every counter, and the sessionizer's
+// checkpoint bytes at arbitrary cut points.
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -36,16 +36,6 @@ import (
 // the session the packet opened.
 func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) (selfEvicted bool) {
 	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
-
-	if sz.GapRecorder != nil {
-		if sz.lastSeen == nil {
-			sz.lastSeen = make(map[netmodel.Addr]telescope.Timestamp)
-		}
-		if last, ok := sz.lastSeen[p.Src]; ok && p.TS > last {
-			sz.GapRecorder(time.Duration(p.TS-last) * time.Millisecond)
-		}
-		sz.lastSeen[p.Src] = p.TS
-	}
 
 	var e *live
 	if pos := sz.active.Lookup(p.Src); pos >= 0 {
@@ -189,8 +179,6 @@ func refFlush(sz *Sessionizer) {
 }
 
 func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
-	w.I64(int64(sz.Timeout))
-	w.U64(uint64(sz.MaxActive))
 	w.I64(int64(sz.lastSweep))
 	m := &sz.Metrics
 	w.U64(m.Emitted)
@@ -212,33 +200,19 @@ func refEncodeTo(sz *Sessionizer, w *ckpt.Writer) {
 	for _, src := range srcs {
 		encodeLive(w, active[src])
 	}
-
-	if sz.lastSeen == nil {
-		w.Bool(false)
-	} else {
-		w.Bool(true)
-		seen := make([]netmodel.Addr, 0, len(sz.lastSeen))
-		for src := range sz.lastSeen {
-			seen = append(seen, src)
-		}
-		slices.Sort(seen)
-		w.U64(uint64(len(seen)))
-		for _, src := range seen {
-			w.U64(uint64(src))
-			w.I64(int64(sz.lastSeen[src]))
-		}
-	}
 }
 
 // rig is one sessionizer with the wiring a streaming shard gives it: the
-// sweep that receives its gaps and sources, the session log, and the
-// emitted sessions. ref selects the old bookkeeping for every operation
-// that differs, and counts the sessions the budget evicted at their own
-// opening packet.
+// sweep that receives its gaps, the session log, and the emitted
+// sessions. ref selects the old bookkeeping for every operation that
+// differs: the reference sweep gets every gap and source per packet,
+// through lastSeen. It also counts the sessions the budget evicted at
+// their own opening packet.
 type rig struct {
 	ref         bool
 	sz          *Sessionizer
 	sweep       *TimeoutSweep
+	lastSeen    map[netmodel.Addr]telescope.Timestamp
 	log         *ckpt.Writer
 	out         []*Session
 	selfEvicted int
@@ -247,22 +221,30 @@ type rig struct {
 func newRig(ref bool, maxActive int) *rig {
 	g := &rig{ref: ref, sweep: NewTimeoutSweep(), log: ckpt.NewWriter(nil)}
 	g.sz = NewSessionizer(g.emit)
-	g.sz.GapRecorder = g.sweep.RecordGap
 	g.sz.Log = g.log
 	g.sz.MaxActive = maxActive
+	if ref {
+		g.lastSeen = map[netmodel.Addr]telescope.Timestamp{}
+	} else {
+		g.sz.GapRecorder = g.sweep.RecordGap
+	}
 	return g
 }
 
 func (g *rig) emit(s *Session) { g.out = append(g.out, s) }
 
 func (g *rig) observe(p *telescope.Packet, r *dissect.Result) {
-	if g.ref {
-		g.sweep.RecordSource(p.Src)
-		if refObserve(g.sz, p, r) {
-			g.selfEvicted++
-		}
-	} else if g.sz.Observe(p, r) {
-		g.sweep.RecordSource(p.Src)
+	if !g.ref {
+		g.sz.Observe(p, r)
+		return
+	}
+	if last, ok := g.lastSeen[p.Src]; ok && p.TS > last {
+		g.sweep.RecordGap(time.Duration(p.TS-last) * time.Millisecond)
+	}
+	g.lastSeen[p.Src] = p.TS
+	g.sweep.RecordSource(p.Src)
+	if refObserve(g.sz, p, r) {
+		g.selfEvicted++
 	}
 }
 
@@ -274,10 +256,9 @@ func (g *rig) flush() {
 	}
 }
 
-// encode is the shard's checkpoint fragment: sweep, then sessionizer.
+// encode is the sessionizer's checkpoint fragment.
 func (g *rig) encode() []byte {
 	w := ckpt.NewWriter(nil)
-	g.sweep.EncodeTo(w)
 	if g.ref {
 		refEncodeTo(g.sz, w)
 	} else {
@@ -286,11 +267,15 @@ func (g *rig) encode() []byte {
 	return w.Bytes()
 }
 
-// restore continues on the decoded image, hooks wired after the parse
-// as ResumeStreamer does.
+// restore continues on the decoded image, configured and hooked after
+// the parse as ResumeStreamer does. A shard's sweep is its gap
+// histogram; the reference's bookkeeping is copied.
 func (g *rig) restore(t *testing.T) *rig {
 	t.Helper()
-	r := ckpt.NewReader(g.encode())
+	w := ckpt.NewWriter(nil)
+	g.sweep.EncodeTo(w)
+	w.Raw(g.encode())
+	r := ckpt.NewReader(w.Bytes())
 	c := &rig{ref: g.ref, out: slices.Clone(g.out), selfEvicted: g.selfEvicted}
 	c.sweep = DecodeTimeoutSweep(r)
 	c.sz = DecodeSessionizer(r)
@@ -299,9 +284,31 @@ func (g *rig) restore(t *testing.T) *rig {
 	}
 	c.log = ckpt.NewWriter(slices.Clone(g.log.Bytes()))
 	c.sz.Emit = c.emit
-	c.sz.GapRecorder = c.sweep.RecordGap
 	c.sz.Log = c.log
+	c.sz.MaxActive = g.sz.MaxActive
+	if g.ref {
+		c.sweep.Sources = maps.Clone(g.sweep.Sources)
+		c.lastSeen = maps.Clone(g.lastSeen)
+	} else {
+		c.sz.GapRecorder = c.sweep.RecordGap
+	}
 	return c
+}
+
+// figure4 is the sweep a reduction of g's state would report: for the
+// sessionizer, its gaps plus RecordSessions over a restored copy's
+// sessions, flushed; the reference's sweep as it stands.
+func (g *rig) figure4(t *testing.T) *TimeoutSweep {
+	t.Helper()
+	if g.ref {
+		return g.sweep
+	}
+	c := g.restore(t)
+	c.flush()
+	list := slices.Clone(c.out)
+	SortCanonical(list)
+	c.sweep.RecordSessions(list)
+	return c.sweep
 }
 
 // expectSameRigs compares everything a run can observe of the two.
@@ -314,12 +321,13 @@ func expectSameRigs(t *testing.T, at string, got, want *rig) {
 		t.Fatalf("%s: counters differ:\n got  %+v active %d\n want %+v active %d", at,
 			got.sz.Metrics, got.sz.ActiveSessions(), want.sz.Metrics, want.sz.ActiveSessions())
 	}
-	if got.sweep.gapMinutes != want.sweep.gapMinutes || got.sweep.over60 != want.sweep.over60 {
+	gs, ws := got.figure4(t), want.figure4(t)
+	if gs.gapMinutes != ws.gapMinutes || gs.over60 != ws.over60 {
 		t.Fatalf("%s: gap histograms differ:\n got  %v +%d\n want %v +%d", at,
-			got.sweep.gapMinutes, got.sweep.over60, want.sweep.gapMinutes, want.sweep.over60)
+			gs.gapMinutes, gs.over60, ws.gapMinutes, ws.over60)
 	}
-	if !reflect.DeepEqual(got.sweep.Sources, want.sweep.Sources) {
-		t.Fatalf("%s: source sets differ: %d vs %d sources", at, len(got.sweep.Sources), len(want.sweep.Sources))
+	if !reflect.DeepEqual(gs.Sources, ws.Sources) {
+		t.Fatalf("%s: source sets differ: %d vs %d sources", at, len(gs.Sources), len(ws.Sources))
 	}
 	// Emission order included: sessions finished together go out in
 	// source order, whatever the tables' layout.
@@ -506,35 +514,5 @@ func TestSweepAndFlushEmitInSourceOrder(t *testing.T) {
 	want := append(slices.Clone(sorted), withProbe...)
 	if !slices.Equal(got, want) {
 		t.Errorf("emitted %v, want %v", got, want)
-	}
-}
-
-// TestObserveTouchesLastSeenOnlyAtSessionEdges pins the point of the
-// change: a packet that continues an active session leaves lastSeen
-// alone (the session's End carries the time), so the steady state is
-// one map probe per packet.
-func TestObserveTouchesLastSeenOnlyAtSessionEdges(t *testing.T) {
-	var gaps []time.Duration
-	sz := NewSessionizer(nil)
-	sz.GapRecorder = func(g time.Duration) { gaps = append(gaps, g) }
-	if !sz.Observe(pkt("5.5.5.5", 0, false), nil) {
-		t.Fatal("first packet did not report an opened session")
-	}
-	for i := 1; i <= 3; i++ {
-		if sz.Observe(pkt("5.5.5.5", time.Duration(i)*time.Second, false), nil) {
-			t.Fatal("continuing packet reported an opened session")
-		}
-	}
-	if len(sz.lastSeen) != 0 {
-		t.Errorf("lastSeen written while the session is active: %v", sz.lastSeen)
-	}
-	if !sz.Observe(pkt("5.5.5.5", 10*time.Minute, false), nil) { // gap-split: finish, reopen
-		t.Fatal("packet past the timeout did not report an opened session")
-	}
-	if got := sz.lastSeen[netmodel.MustAddr("5.5.5.5")]; got != telescope.TS(telescope.MeasurementStart.Add(3*time.Second)) {
-		t.Errorf("finish stored %d, want the finished session's End", got)
-	}
-	if want := []time.Duration{time.Second, time.Second, time.Second, 10*time.Minute - 3*time.Second}; !slices.Equal(gaps, want) {
-		t.Errorf("gaps %v, want %v", gaps, want)
 	}
 }

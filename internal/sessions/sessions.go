@@ -255,24 +255,13 @@ type Sessionizer struct {
 	// done is the scratch list of sessions a sweep or Flush finishes.
 	done []live
 
-	// GapRecorder, when set, receives every intra-source gap — the
-	// Figure 4 sweep consumes these. Set it before the first Observe
-	// (on a decoded sessionizer: before the stream continues).
+	// GapRecorder, when set, receives every gap inside a session: the
+	// time between two consecutive packets of one session, 0 < gap ≤
+	// Timeout. A longer gap lies between two sessions of the source, and
+	// TimeoutSweep.RecordSessions takes it from them. Set it before the
+	// first Observe (on a decoded sessionizer: before the stream
+	// continues).
 	GapRecorder func(gap time.Duration)
-	// lastSeen persists each source's previous packet time past lazy
-	// session eviction, so gap recording is a pure per-source property
-	// of the stream: every inter-packet gap is recorded exactly once,
-	// whatever the sweep cadence (which varies with shard count).
-	//
-	// While a source has an active session that time is the session's
-	// End, so Observe reads it there — the one index probe it makes
-	// anyway — and lastSeen is touched only when a session opens (read)
-	// or finishes (finish stores End). An entry for a source that is
-	// active is therefore stale and never read; EncodeTo writes End in
-	// its place, which keeps checkpoint bytes what they were when every
-	// packet updated the map. Non-nil from the first session opened with
-	// a GapRecorder on.
-	lastSeen map[netmodel.Addr]telescope.Timestamp
 
 	// MaxActive, when positive, is a hard budget on the active sessions
 	// (daemon mode). Whenever a session opens past the budget, the
@@ -296,34 +285,22 @@ func NewSessionizer(emit func(*Session)) *Sessionizer {
 	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: srcindex.New[live]()}
 }
 
-// Observe ingests one classified packet with its (optional) dissection
-// and reports whether the packet opened a session — the only packets on
-// which a caller keeping a per-source set (TimeoutSweep.RecordSource)
-// can learn of a new source. Packets must arrive in non-decreasing time
-// order.
-func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
+// Observe ingests one classified packet with its (optional)
+// dissection. Packets must arrive in non-decreasing time order.
+func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) {
 	timeoutMS := telescope.Timestamp(sz.Timeout.Milliseconds())
 
 	pos := sz.active.Lookup(p.Src)
 	opened := pos < 0
 	if !opened {
 		e := sz.active.At(pos)
-		gap := p.TS - e.s.End
-		if gap > 0 && sz.GapRecorder != nil {
-			sz.GapRecorder(time.Duration(gap) * time.Millisecond)
-		}
-		if gap > timeoutMS {
+		if gap := p.TS - e.s.End; gap > timeoutMS {
 			sz.Metrics.TimeoutSplits++
 			sz.finish(e)
 			sz.active.Remove(pos)
 			opened = true
-		}
-	} else if sz.GapRecorder != nil {
-		if sz.lastSeen == nil {
-			sz.lastSeen = make(map[netmodel.Addr]telescope.Timestamp)
-		}
-		if last, ok := sz.lastSeen[p.Src]; ok && p.TS > last {
-			sz.GapRecorder(time.Duration(p.TS-last) * time.Millisecond)
+		} else if gap > 0 && sz.GapRecorder != nil {
+			sz.GapRecorder(time.Duration(gap) * time.Millisecond)
 		}
 	}
 	if opened {
@@ -397,16 +374,12 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) bool {
 		}
 		sz.finishAll(done, &sz.Metrics.SweepEvicted)
 	}
-	return opened
 }
 
 // finish closes e's session, logs it when a Log is set and emits it. The
 // caller drops e from the index.
 func (sz *Sessionizer) finish(e *live) {
 	s := e.s
-	if sz.lastSeen != nil {
-		sz.lastSeen[s.Src] = s.End // the source's last packet, for the next gap
-	}
 	e.close()
 	sz.Metrics.Emitted++
 	// Spilled sets are the ones whose inline capacity overflowed into a
@@ -475,7 +448,11 @@ func (sz *Sessionizer) Flush() {
 // TimeoutSweep reproduces Figure 4: given the gap distribution and the
 // number of distinct sources, it computes the session count for each
 // timeout value. sessions(T) = sources + #gaps > T, because every gap
-// exceeding the timeout splits one session in two.
+// exceeding the timeout splits one session in two. A pipeline shard's
+// sweep holds the gaps inside its sessions (Sessionizer.GapRecorder);
+// the reduction adds the sources and the gaps between sessions from the
+// sessions themselves (RecordSessions), so no shard keeps a per-source
+// table for it.
 type TimeoutSweep struct {
 	// gapMinutes[i] counts gaps in (i, i+1] minutes, i ∈ [0, 60).
 	gapMinutes [61]uint64
@@ -489,17 +466,35 @@ func NewTimeoutSweep() *TimeoutSweep {
 	return &TimeoutSweep{Sources: make(map[netmodel.Addr]struct{})}
 }
 
-// RecordSource registers a distinct source. Calling it for every packet
-// is correct; calling it only when Sessionizer.Observe reports an
-// opened session registers the same set, since a source's first packet
-// always opens one.
+// RecordSource registers a distinct source; calling it again for a
+// known source changes nothing.
 func (t *TimeoutSweep) RecordSource(a netmodel.Addr) {
 	t.Sources[a] = struct{}{}
 }
 
-// RecordGap registers one intra-source inactivity gap. A gap g is
-// binned at b = ⌈g⌉ minutes: it splits exactly the sessions of all
-// timeouts m < b (g > m ⇔ b > m for integer m).
+// RecordSessions records each session's source and, between two
+// consecutive sessions of one source, the gap from the first's End to
+// the second's Start: the gaps a sessionizer splits at and those a
+// budget eviction leaves. With the gaps inside sessions, which a
+// Sessionizer's GapRecorder reports, that is every gap between two
+// packets of one source, once. list must hold every session of its
+// sources, in canonical order (SortCanonical).
+func (t *TimeoutSweep) RecordSessions(list []*Session) {
+	last := make(map[netmodel.Addr]telescope.Timestamp)
+	for _, s := range list {
+		if end, ok := last[s.Src]; ok && s.Start > end {
+			t.RecordGap(time.Duration(s.Start-end) * time.Millisecond)
+		}
+		last[s.Src] = s.End
+	}
+	for a := range last {
+		t.RecordSource(a)
+	}
+}
+
+// RecordGap registers one gap between two packets of one source. A
+// gap g is binned at b = ⌈g⌉ minutes: it splits exactly the sessions of
+// all timeouts m < b (g > m ⇔ b > m for integer m).
 func (t *TimeoutSweep) RecordGap(gap time.Duration) {
 	b := int(math.Ceil(gap.Minutes()))
 	if b < 1 {

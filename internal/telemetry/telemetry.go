@@ -103,6 +103,9 @@ type Dissect struct {
 	// Decrypted counts Initials whose protection was removable with
 	// the on-wire DCID (genuine client Initials).
 	Decrypted uint64 `json:"decrypted" help:"Initials decrypted with on-wire DCID keys." class:"stream"`
+	// FrameErrors counts decrypted Initials whose frames do not parse:
+	// the datagram counts as QUIC, the Initial carries no frames.
+	FrameErrors uint64 `json:"frame_errors,omitempty" help:"Decrypted Initials whose frames do not parse." class:"stream"`
 	// ClientHellos counts decrypted Initials carrying a parseable
 	// ClientHello.
 	ClientHellos uint64 `json:"client_hellos" help:"Decrypted Initials carrying a ClientHello." class:"stream"`

@@ -246,16 +246,19 @@ type pipelineShard struct {
 	// no concurrent observer is attached.
 	live *telemetry.LiveShard
 
-	// sessLog is the append-only QCKP encoding of every session the
-	// shard has emitted (streaming shards only, DESIGN.md §17): the QUIC
-	// sessionizer appends each as it finishes, and the shard keeps no
-	// session object. stateLen is the length of the previous tick's
-	// encoded state, which sizes the next tick's buffer. Batch runs leave
-	// both zero, and sessions holds every emitted session for reduce;
-	// they sit last so the fields the batch hot path reads keep their
-	// offsets (inserted mid-struct, they cost a replay that runs none of
-	// them 1–11 %: EXPERIMENTS.md).
+	// sessLog and atkLog are the append-only QCKP encodings of every
+	// session the shard has emitted and every TCP/ICMP attack it has
+	// found (streaming shards only, DESIGN.md §17): the QUIC sessionizer
+	// and the TCP/ICMP detector append each as it finishes, and the
+	// shard keeps neither as an object. stateLen is the length of the
+	// previous tick's encoded state, which sizes the next tick's buffer.
+	// Batch runs leave all three zero, sessions holds every emitted
+	// session for reduce and the detector its attacks; they sit last so
+	// the fields the batch hot path reads keep their offsets (inserted
+	// mid-struct, they cost a replay that runs none of them 1–11 %:
+	// EXPERIMENTS.md).
 	sessLog  ckpt.Writer
+	atkLog   ckpt.Writer
 	stateLen int
 }
 
@@ -309,17 +312,16 @@ func (sh *pipelineShard) dissectPkt(p *telescope.Packet) (*dissect.Result, error
 	return r, err
 }
 
-// observe meters one sessionizer offer when the recorder is on, and
-// passes on whether the packet opened a session.
-func (sh *pipelineShard) observe(sz *sessions.Sessionizer, p *telescope.Packet, res *dissect.Result) bool {
+// observe meters one sessionizer offer when the recorder is on.
+func (sh *pipelineShard) observe(sz *sessions.Sessionizer, p *telescope.Packet, res *dissect.Result) {
 	if sh.ring == nil {
-		return sz.Observe(p, res)
+		sz.Observe(p, res)
+		return
 	}
 	t0 := sh.ring.Now()
-	opened := sz.Observe(p, res)
+	sz.Observe(p, res)
 	sh.fl.sessNS += sh.ring.Now() - t0
 	sh.fl.sessN++
-	return opened
 }
 
 // newPipelineShard builds one shard's empty analysis state, unwired.
@@ -331,16 +333,24 @@ func newPipelineShard() *pipelineShard {
 		sweep:        sessions.NewTimeoutSweep(),
 		quicSz:       sessions.NewSessionizer(nil),
 		commonSz:     sessions.NewSessionizer(nil),
-		commonDet:    dosdetect.NewDetector(dosdetect.VectorCommon),
+		commonDet:    newCommonDetector(),
 		dis:          dissect.NewDissector(),
 	}
-	sh.commonDet.DropExcluded = true
 	sh.chain()
 	return sh
 }
 
+// newCommonDetector builds a TCP/ICMP detector: the paper's thresholds,
+// and no excluded sessions kept, for the stream's high volume.
+func newCommonDetector() *dosdetect.Detector {
+	d := dosdetect.NewDetector(dosdetect.VectorCommon)
+	d.DropExcluded = true
+	return d
+}
+
 // chain connects the shard's parts to each other: the QUIC sessionizer
-// emits into the session list and reports its gaps to the sweep, the
+// emits into the session list and reports the gaps inside its sessions
+// to the sweep, the
 // common sessionizer feeds the common-vector detector. A fresh shard
 // and one decoded from a checkpoint image are chained here alike, so a
 // reduction flushes either the same way.
@@ -418,11 +428,7 @@ func (sh *pipelineShard) process(p *telescope.Packet) bool {
 			res = r
 		}
 		sh.hourlyType.Capture(p)
-		if sh.observe(sh.quicSz, p, res) {
-			// A source's first packet opens a session, so the sweep's
-			// source set needs touching on no other packet.
-			sh.sweep.RecordSource(p.Src)
-		}
+		sh.observe(sh.quicSz, p, res)
 		if sh.det != nil {
 			sh.det.Observe(p, res)
 			if sh.live != nil {
@@ -567,8 +573,7 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 	a.HourlyType = telescope.NewHourlyCounter(typeClassifier)
 	a.Sweep = sessions.NewTimeoutSweep()
 	a.QUICDetector = dosdetect.NewDetector(dosdetect.VectorQUIC)
-	a.CommonDetector = dosdetect.NewDetector(dosdetect.VectorCommon)
-	a.CommonDetector.DropExcluded = true
+	a.CommonDetector = newCommonDetector()
 	commonDets := make([]*dosdetect.Detector, len(shards))
 	for i, sh := range shards {
 		sh.flush()
@@ -583,6 +588,7 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 	}
 	a.CommonDetector.Merge(commonDets...)
 	sessions.SortCanonical(a.QUICSessions)
+	a.Sweep.RecordSessions(a.QUICSessions)
 
 	for _, s := range a.QUICSessions {
 		switch s.Kind() {

@@ -164,11 +164,13 @@ func TestStreamOfferSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// referenceEncode is the straightforward QCKP v2 encoder — every shard's
+// referenceEncode is the straightforward QCKP v3 encoder — every shard's
 // state encoded afresh field by field, no freeze — over the streamer's
 // own shards, with each shard's finished sessions taken from logged[i]
 // (collected by collectLogged, since a finished session keeps only its
-// answers: its bytes are the ones written as it finished). A
+// answers: its bytes are the ones written as it finished) and its
+// TCP/ICMP attacks found afresh by a detector offered the TCP/ICMP
+// sessions logged[i] saw finish. A
 // checkpoint's image must match it byte for byte. The shards must be
 // quiescent: call it right after Checkpoint or Close returns and before
 // the next Offer (the shards' replies ordered their feeds' writes before
@@ -193,31 +195,41 @@ func referenceEncode(s *Streamer, logged []*loggedSessions) []byte {
 		sh.hourlySource.EncodeTo(w)
 		sh.hourlyType.EncodeTo(w)
 		sh.sweep.EncodeTo(w)
-		sh.commonDet.EncodeTo(w)
+		det := newCommonDetector()
+		det.Log = ckpt.NewWriter(nil)
+		for _, c := range logged[i].common {
+			det.Offer(c)
+		}
+		det.EncodeTo(w)
 		sh.quicSz.EncodeTo(w)
 		sh.commonSz.EncodeTo(w)
 		m := &sh.dis.Metrics
-		for _, v := range []uint64{m.Datagrams, m.Packets, m.ParseFailures, m.Decrypted,
+		for _, v := range []uint64{m.Datagrams, m.Packets, m.ParseFailures, m.Decrypted, m.FrameErrors,
 			m.ClientHellos, m.OpenerHits, m.OpenerMisses, m.OpenerResets} {
 			w.U64(v)
 		}
 		w.Raw(logged[i].bytes)
+		w.Raw(det.Log.Bytes())
 		w.U64(s.counts[i])
 	}
 	return w.Bytes()
 }
 
 // loggedSessions is one shard's finished sessions as collectLogged saw
-// them finish: how many, and their encodings in emission order.
+// them finish: how many QUIC sessions and their encodings in emission
+// order, and the TCP/ICMP sessions.
 type loggedSessions struct {
-	n     int
-	bytes []byte
+	n      int
+	bytes  []byte
+	common []*sessions.Session
 }
 
 // collectLogged tees each shard's session log: the QUIC sessionizer
 // logs into a writer of the test's, and an emission hook, which runs
 // right after, moves each session's bytes on into the shard's own log
-// and copies them into the returned list. Call it before the first
+// and copies them into the returned list; the TCP/ICMP sessionizer's
+// emission hook, which offers each session to the shard's detector, also
+// appends it to the list. Call it before the first
 // Offer: the channel send that hands a shard its first batch orders the
 // hooks' installation before the shard's first read of them.
 func collectLogged(s *Streamer) []*loggedSessions {
@@ -233,6 +245,11 @@ func collectLogged(s *Streamer) []*loggedSessions {
 			l.n++
 			l.bytes = append(l.bytes, b...)
 			*tee = *ckpt.NewWriter(b[:0])
+		}
+		offer := sh.commonSz.Emit
+		sh.commonSz.Emit = func(c *sessions.Session) {
+			offer(c)
+			l.common = append(l.common, c)
 		}
 	}
 	return logged
