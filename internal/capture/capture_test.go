@@ -637,6 +637,93 @@ func TestScatterFreeStack(t *testing.T) {
 	}
 }
 
+// TestScatterPacedFreeStack pins the paced take: it lets the reader
+// allocate while some shard has no batch in flight, waits while every
+// shard has one, and a put ends the wait with the batch put.
+func TestScatterPacedFreeStack(t *testing.T) {
+	var f freeStack
+	f.pace(2)
+	b0, b1 := new(batch), new(batch)
+	if b := f.take(); b != nil {
+		t.Fatalf("empty stack handed out %p", b)
+	}
+	f.sent(0, b0)
+	if b := f.take(); b != nil {
+		t.Fatalf("with shard 1 starved, take returned %p, want nil", b)
+	}
+	f.sent(1, b1)
+	got := make(chan *batch)
+	go func() { got <- f.take() }()
+	select {
+	case b := <-got:
+		t.Fatalf("with every shard holding a batch, take returned %p at once", b)
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.put(b1)
+	if b := <-got; b != b1 {
+		t.Fatalf("take returned %p, want the batch put (%p)", b, b1)
+	}
+	if b := f.take(); b != nil {
+		t.Fatalf("with shard 1 starved again, take returned %p, want nil", b)
+	}
+}
+
+// TestScatterPacedUnderTap runs a paced recycling scatter of a stable
+// capture through a tapped engine at workers 1, 3 and 8. The stream
+// alternates runs of one source, which starve every other shard, with
+// stretches that interleave all of them, so the reader both allocates
+// and waits while the tap holds the shards to the merge. The run must
+// end, and the tap must see every record once in stored order. Over one
+// shard the reader waits for the shard's one batch each time it needs
+// another, so a single batch circulates.
+func TestScatterPacedUnderTap(t *testing.T) {
+	var pkts []*telescope.Packet
+	for i := 0; i < 60000; i++ {
+		src := uint32(i % 37)
+		if (i/3000)%2 == 1 {
+			src = uint32(i / 3000 % 37) // a run of one source
+		}
+		pkts = append(pkts, &telescope.Packet{
+			TS:  tsAt(time.Duration(i) * time.Millisecond),
+			Src: netmodel.Addr(0x01010101 + src*0x11), Dst: netmodel.MustAddr("44.0.0.1"),
+			SrcPort: uint16(i), DstPort: 443, Proto: telescope.ProtoUDP,
+		})
+	}
+	data := qsndBytes(t, pkts)
+	for _, workers := range []int{1, 3, 8} {
+		src, err := newQSNDBuffer(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScatter(src, workers, true)
+		sc.Pace()
+		n, wrong := 0, -1
+		engine.Run(engine.Config{Workers: workers}, sc.Feeds(),
+			func(int, *telescope.Packet) bool { return true },
+			&engine.Tap{Sink: func(p *telescope.Packet) {
+				if wrong < 0 && (n >= len(pkts) || p.TS != pkts[n].TS || p.SrcPort != pkts[n].SrcPort) {
+					wrong = n
+				}
+				n++
+			}})
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if wrong >= 0 {
+			t.Errorf("workers=%d: tapped record %d is not the stored one", workers, wrong)
+		}
+		in := sc.Telemetry()
+		t.Logf("workers=%d: %d batches, %d allocated", workers, in.Batches, in.BatchAllocs)
+		if n != len(pkts) || in.BatchAllocs+in.BatchReuses != in.Batches {
+			t.Errorf("workers=%d: tapped %d of %d records; %d batches allocated + %d reused of %d",
+				workers, n, len(pkts), in.BatchAllocs, in.BatchReuses, in.Batches)
+		}
+		if workers == 1 && in.BatchAllocs != 1 {
+			t.Errorf("one shard: the paced reader allocated %d batches, want 1", in.BatchAllocs)
+		}
+	}
+}
+
 // TestPumpQueueReusesStorage: pump's queue allocates only while its
 // backlog grows. Bursts of 64 pushes, each drained back to 8, allocate as
 // often over 100 000 batches as over 1 000, and every pop takes the

@@ -36,6 +36,7 @@ const (
 type batch struct {
 	spans [][]byte
 	arena []byte
+	shard int // the shard it was dealt to, when the free stack is paced
 }
 
 // freeStack holds the drained batches on their way back to the reader:
@@ -49,21 +50,71 @@ type batch struct {
 // fungible (with a streamed source every batch has an arena, with a
 // stable one none does), and last-in-first-out hands the reader the span
 // table most recently in a cache.
+//
+// A paced stack (Scatter.Pace) also counts each shard's batches in
+// flight — sent by the reader and not yet put back — and take waits for a
+// put, rather than return nil, while every shard has one.
 type freeStack struct {
 	mu sync.Mutex
 	bs []*batch
+
+	paced    bool
+	returned sync.Cond // signalled by every put while paced
+	inFlight []int
+	starved  int // shards with no batch in flight
+}
+
+// pace turns on the in-flight accounting for n shards, none of which has
+// a batch yet.
+func (f *freeStack) pace(n int) {
+	f.paced = true
+	f.returned.L = &f.mu
+	f.inFlight = make([]int, n)
+	f.starved = n
+}
+
+// sent records that the reader deals b to shard k. It must precede the
+// hand-off, so the shard's put never finds the count at zero.
+func (f *freeStack) sent(k int, b *batch) {
+	if !f.paced {
+		return
+	}
+	b.shard = k
+	f.mu.Lock()
+	if f.inFlight[k] == 0 {
+		f.starved--
+	}
+	f.inFlight[k]++
+	f.mu.Unlock()
 }
 
 func (f *freeStack) put(b *batch) {
 	f.mu.Lock()
 	f.bs = append(f.bs, b)
+	if f.paced {
+		if f.inFlight[b.shard]--; f.inFlight[b.shard] == 0 {
+			f.starved++
+		}
+		f.returned.Signal()
+	}
 	f.mu.Unlock()
 }
 
-// take returns a drained batch, or nil when none has come back yet.
+// take returns a drained batch, or nil when none has come back yet and
+// the reader may allocate: always when unpaced, and when paced only once
+// some shard has no batch in flight. Waiting while every shard has one
+// cannot deadlock. The tap merge blocks only on an empty tap queue, so
+// the shard it waits for is not blocked on its own queue, and that shard
+// holds a batch it has not finished: it finishes it and puts it back,
+// which ends the wait. A shard with no batch may be the one the merge
+// waits for, and its next record may lie behind records the reader must
+// deal to the others first, so then the reader allocates.
 func (f *freeStack) take() *batch {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	for f.paced && len(f.bs) == 0 && f.starved == 0 {
+		f.returned.Wait()
+	}
 	n := len(f.bs)
 	if n == 0 {
 		return nil
@@ -169,6 +220,21 @@ type Scatter struct {
 	lastFillS  uint64
 }
 
+// Pace makes the reader of a recycling scatter wait for a drained batch,
+// rather than allocate one, while every shard has a batch in flight (see
+// freeStack.take). Call it before the feeds run when a trace tap merges
+// the shards' output: the tap holds every shard to the merge's time
+// frontier, so a reader left free runs ahead of them and allocates a
+// batch for most of the ones it deals. Untapped shards drain as fast as
+// they can, and a reader running ahead keeps them fed, so an untapped
+// scatter is not paced. Without recycling no batch comes back, and Pace
+// does nothing.
+func (s *Scatter) Pace() {
+	if s.recycle && s.span != nil {
+		s.free.pace(s.n)
+	}
+}
+
 // SetRecorder attaches the run's flight recorder; the scatter records
 // onto the recorder's reader ring. Call after rec.Prepare and before
 // the feeds start running.
@@ -242,7 +308,9 @@ func NewScatter(src Source, n int, recycle bool) *Scatter {
 // one stalled shard before the frontier shard's next packet appears in
 // the file. The pump always accepts, so the reader always reaches that
 // packet; under a tap queue growth is bounded by how unevenly the stored
-// stream interleaves shards across the merge window. Without one the
+// stream interleaves shards across the merge window, and a paced reader
+// (Pace) deals from drained batches while every shard holds one, so the
+// batches in flight grow only while some shard has none. Without a tap the
 // queue is not empty either: a reader that only frames (a mapped file)
 // is several times faster than a shard that dissects and sessionises, so
 // it runs hundreds of batches ahead and they wait here — measured 200–400
@@ -436,9 +504,10 @@ func (s *Scatter) flushDecode(i int) {
 // nextBatch takes a drained batch off the free stack, or allocates one
 // when none has come back yet — which happens only while the number of
 // batches in flight is still growing, so BatchAllocs is bounded by that
-// peak. A fresh batch is a span table, at full size (growing it by append
-// would cost nine reallocations), plus an arena for a streamed source;
-// stable spans need none. No packet memory is allocated here, on the
+// peak (paced, the take waits for one while every shard has a batch). A
+// fresh batch is a span table, at full size (growing it by append would
+// cost nine reallocations), plus an arena for a streamed source; stable
+// spans need none. No packet memory is allocated here, on the
 // reader's core: the slab is the decoding shard's.
 func (s *Scatter) nextBatch() *batch {
 	if b := s.free.take(); b != nil {
@@ -457,6 +526,7 @@ func (s *Scatter) nextBatch() *batch {
 func (s *Scatter) sendBatch(k int, b *batch) {
 	s.tel.Batches++
 	s.tel.BatchFill.Observe(uint64(len(b.spans)))
+	s.free.sent(k, b)
 	s.in[k] <- b
 }
 

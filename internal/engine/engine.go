@@ -81,8 +81,13 @@ const (
 	tapBatch = 256
 	// tapDepth is the per-shard tap queue depth in batches. Together
 	// with tapBatch it bounds how far a fast shard can run ahead of the
-	// tap merge — the pipeline's backpressure window.
-	tapDepth = 4
+	// tap merge — the pipeline's backpressure window. The merge advances
+	// at the least head over all shards, so the window must span the skew
+	// between the shards' clocks: a shard whose packets are dense in time
+	// fills a short window while its neighbours are still behind, and then
+	// the shards take turns instead of running side by side (DESIGN.md §8).
+	// 64 is the knee of a sweep over 16–128 recording the paper month.
+	tapDepth = 64
 	// tapBatches is the most batches one shard's tap can hold at once:
 	// one filling, tapDepth queued and one merging. The free list holds
 	// that many, so a drained batch always finds room there.
@@ -261,7 +266,13 @@ func Run(cfg Config, feeds []Feed, process func(shard int, p *telescope.Packet) 
 					if q := uint64(len(tapChans[i])); q > tel.QueueHighWater {
 						tel.QueueHighWater = q
 					}
-					tapChans[i] <- buf
+					select {
+					case tapChans[i] <- buf:
+					default:
+						// The window is full: the shard waits for the merge.
+						tel.TapStalls++
+						tapChans[i] <- buf
+					}
 					buf = nil
 				}
 				// Counted in a line of the worker's own and stored once below:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -166,6 +167,64 @@ func TestTapMergeOrder(t *testing.T) {
 		}
 		if st.StageNamed("tap").Items != uint64(want) {
 			t.Fatalf("tap stage = %+v", st.StageNamed("tap"))
+		}
+	}
+}
+
+// TestTapFullWindow fills every queue the window has. Shard 0 holds
+// its first packet back until each other shard has begun to emit packet
+// tapBatch × (tapDepth + 1), whose batch no longer fits its queue: the
+// merge waits for shard 0's first batch meanwhile, so the other shards
+// block on full queues. Shard 0's packets precede all the others', so
+// past the first batch of each the merge takes nothing from the other
+// queues until shard 0 is done.
+func TestTapFullWindow(t *testing.T) {
+	const (
+		held = 16 * tapBatch
+		each = (tapDepth + 2) * tapBatch
+	)
+	for _, workers := range []int{2, 8} {
+		var started sync.WaitGroup
+		started.Add(workers - 1)
+		feeds := make([]Feed, workers)
+		feeds[0] = func(emit func(*telescope.Packet)) {
+			started.Wait()
+			for v := 0; v < held; v++ {
+				p := pkt(v, 0, 0)
+				emit(&p)
+			}
+		}
+		for i := 1; i < workers; i++ {
+			feeds[i] = func(emit func(*telescope.Packet)) {
+				for j := 0; j < each; j++ {
+					if j == tapBatch*(tapDepth+1)-1 {
+						started.Done()
+					}
+					p := pkt(held+j*(workers-1)+i-1, i, 0)
+					emit(&p)
+				}
+			}
+		}
+		var merged []int
+		st := Run(Config{Workers: workers}, feeds,
+			func(int, *telescope.Packet) bool { return true },
+			&Tap{Sink: func(p *telescope.Packet) { merged = append(merged, int(p.TS)) }})
+		want := held + (workers-1)*each
+		if len(merged) != want {
+			t.Fatalf("workers=%d: merged %d packets, want %d", workers, len(merged), want)
+		}
+		for i, v := range merged {
+			if v != i {
+				t.Fatalf("workers=%d: merged[%d] = %d, want %d", workers, i, v, i)
+			}
+		}
+		e := &st.Engine
+		t.Logf("workers=%d: queue high-water %d, %d of %d sends found the queue full", workers, e.QueueHighWater, e.TapStalls, e.TapBatches)
+		if e.QueueHighWater != tapDepth {
+			t.Errorf("workers=%d: queue high-water %d, want tapDepth = %d", workers, e.QueueHighWater, tapDepth)
+		}
+		if e.TapStalls == 0 {
+			t.Errorf("workers=%d: no tap send found its queue full", workers)
 		}
 	}
 }

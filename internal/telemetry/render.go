@@ -61,8 +61,8 @@ func (s *Snapshot) Text() string {
 		}
 	}
 	if e := &s.Engine; e.TapBatches > 0 {
-		fmt.Fprintf(&b, "  tap:      %d batches (mean fill %.1f), bufs %d reused / %d allocated, queue high-water %d\n",
-			e.TapBatches, e.TapBatchFill.Mean(), e.BufReuses, e.BufAllocs, e.QueueHighWater)
+		fmt.Fprintf(&b, "  tap:      %d batches (mean fill %.1f), bufs %d reused / %d allocated, queue high-water %d, %d sends found it full\n",
+			e.TapBatches, e.TapBatchFill.Mean(), e.BufReuses, e.BufAllocs, e.QueueHighWater, e.TapStalls)
 	}
 	if t := &s.Trace; t.Written > 0 || t.Dropped > 0 {
 		fmt.Fprintf(&b, "  trace:    %d records written, %d dropped\n", t.Written, t.Dropped)

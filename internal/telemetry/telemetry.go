@@ -247,6 +247,9 @@ type Engine struct {
 	// QueueHighWater is the deepest per-shard tap queue seen (in
 	// batches) — how far a fast shard ran ahead of the merge.
 	QueueHighWater uint64 `json:"queue_high_water" help:"Deepest per-shard tap queue seen (batches)." class:"runtime" merge:"max"`
+	// TapStalls counts tap batch sends that found the shard's queue full,
+	// so the shard waited for the merge: how often the window paced it.
+	TapStalls uint64 `json:"tap_stalls,omitempty" help:"Tap batch sends that found the shard's queue full." class:"runtime"`
 }
 
 // Merge folds o into e field by field, as the metric table directs.

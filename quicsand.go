@@ -65,8 +65,9 @@ type Config struct {
 	SkipResearch bool
 	// Trace, when set, receives every captured packet (checkpointing)
 	// in canonical global time order regardless of Workers. A packet
-	// passed to Capture is the engine tap's copy and valid only during
-	// the call.
+	// passed to Capture is valid only during the call: Run and Replay
+	// pass the engine tap's copy, a Streamer the packet its caller
+	// offered.
 	Trace telescope.Sink
 	// Identity signs the generator's template handshakes. Nil uses
 	// the generator's embedded identity, so a seed alone fixes a
@@ -763,6 +764,9 @@ func ReplayAlerts(cfg StreamConfig, src capture.Source) (*Analysis, []detect.Ale
 		// those turn recycling off under a trace tap (DESIGN.md §9).
 		ss, ok := src.(capture.SpanSource)
 		sc := capture.NewScatter(src, workers, cfg.Trace == nil || ok && ss.SpanStable())
+		if cfg.Trace != nil {
+			sc.Pace()
+		}
 		sc.SetRecorder(rec)
 		if cfg.Salvage.Enabled() {
 			// Resync and transient retry both live in the source's window.
