@@ -184,7 +184,11 @@ func NewDetector(vec Vector) *Detector {
 	return &Detector{Thresholds: Default(), Vector: vec}
 }
 
-// Offer inspects one session; response-only sessions qualify.
+// Offer inspects one session; response-only sessions qualify. It keeps
+// s only when DropExcluded is false (in Excluded), so only a session the
+// caller owns may reach such a detector; with DropExcluded set, Offer
+// reads s during the call only and may be a Sessionizer's Emit, which
+// lends each session for the call.
 func (d *Detector) Offer(s *sessions.Session) {
 	if d.Vector == VectorQUIC && s.Kind() != sessions.KindResponseOnly {
 		return

@@ -38,12 +38,12 @@ type researchScan struct {
 	chunks   chunks
 }
 
-func newResearchScan(rng *netmodel.RNG, src netmodel.Addr, startSec float64, dur time.Duration, thinWeight uint32) *researchScan {
+func newResearchScan(rng *netmodel.RNG, src netmodel.Addr, startSec float64, dur time.Duration, thinWeight uint32) researchScan {
 	total := netmodel.TelescopePrefix.Size()
 	if thinWeight == 0 {
 		thinWeight = 1
 	}
-	return &researchScan{
+	return researchScan{
 		src:      src,
 		start:    tsAt(startSec),
 		duration: dur,
@@ -185,8 +185,8 @@ const (
 
 // floodSpec is one planned DoS event's backscatter as seen at the
 // telescope, and the Source that streams it: a planned flood is this
-// one allocation, holding its RNG by value. Its working state exists
-// only while it is live (floodLive).
+// value in its generator's slab (planSlab), holding its RNG by value.
+// Its working state exists only while it is live (floodLive).
 type floodSpec struct {
 	vector    int // 0 QUIC, 1 TCP, 2 ICMP
 	victim    netmodel.Addr

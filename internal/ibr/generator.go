@@ -99,6 +99,33 @@ type Generator struct {
 	// Ledger is the schedule-time event record (nil unless
 	// Config.RecordLedger).
 	Ledger *Ledger
+
+	// The planned sources themselves, which sources points into.
+	scans      planSlab[researchScan]
+	bots       planSlab[botSpec]
+	floods     planSlab[floodSpec]
+	misconfigs planSlab[misconfigSpec]
+}
+
+// planChunk is how many planned sources of one kind share an
+// allocation.
+const planChunk = 128
+
+// planSlab hands out a generator's planned sources of one kind from
+// chunks of planChunk, so a month's plan costs one allocation per chunk,
+// not one per event. A chunk is never reused: it lives as long as the
+// sources in it, which is as long as the generator and its mergers hold
+// them. The ledger and Truth copy what they record, so nothing after a
+// run points into a chunk.
+type planSlab[T any] struct{ chunk []T }
+
+// next returns the next zero source.
+func (s *planSlab[T]) next() *T {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]T, 0, planChunk)
+	}
+	s.chunk = s.chunk[:len(s.chunk)+1]
+	return &s.chunk[len(s.chunk)-1]
 }
 
 // NewEmpty builds a generator with the shared substrate — simulated
@@ -243,7 +270,8 @@ func (g *Generator) scheduleResearch(rng *netmodel.RNG) {
 	}
 	for i, s := range starts {
 		start := (s.day + rng.Float64()*0.3) * 86400
-		scan := newResearchScan(rng.Fork(fmt.Sprintf("scan/%d", i)), s.host, start, s.dur, g.cfg.ResearchThin)
+		scan := g.scans.next()
+		*scan = newResearchScan(rng.Fork(fmt.Sprintf("scan/%d", i)), s.host, start, s.dur, g.cfg.ResearchThin)
 		g.sources = append(g.sources, scan)
 		g.recordResearch("paper/research", scan, s.dur.Seconds())
 	}
@@ -298,7 +326,8 @@ func (g *Generator) scheduleBots(rng *netmodel.RNG) {
 			visits[j] = diurnalOffset(rng)
 		}
 		sort.Float64s(visits)
-		bot := &botSpec{
+		bot := g.bots.next()
+		*bot = botSpec{
 			src:     src,
 			version: botVersions[rng.Pick(botVersionWeights)],
 			visits:  visits,
@@ -428,7 +457,8 @@ func (g *Generator) scheduleQUICAttacks(rng *netmodel.RNG) []floodEvent {
 			nPorts = 200
 		}
 
-		spec := &floodSpec{
+		spec := g.floods.next()
+		*spec = floodSpec{
 			vector: 0, victim: victim, version: version,
 			startSec: start, durSec: dur,
 			peakPkts: peak, basePkts: base,

@@ -113,7 +113,8 @@ func (g *Generator) addResearch(label string, p *Phase, start, dur float64) {
 		}
 		frac := (float64(i) + 0.1 + 0.8*rng.Float64()) / float64(p.Sweeps)
 		at := start + frac*avail
-		scan := newResearchScan(
+		scan := g.scans.next()
+		*scan = newResearchScan(
 			rng.Fork(fmt.Sprintf("sweep/%d", i)), host, at,
 			time.Duration(sweepSec*float64(time.Second)), g.cfg.ResearchThin)
 		g.sources = append(g.sources, scan)
@@ -153,7 +154,8 @@ func (g *Generator) addScan(label string, p *Phase, start, dur float64) {
 			}
 		}
 		sort.Float64s(visits)
-		bot := &botSpec{
+		bot := g.bots.next()
+		*bot = botSpec{
 			src:      src,
 			version:  versions[rng.Pick(weights)],
 			visits:   visits,
@@ -280,7 +282,8 @@ func (g *Generator) addFlood(label string, p *Phase, start, dur float64) error {
 			}
 		}
 
-		spec := &floodSpec{
+		spec := g.floods.next()
+		*spec = floodSpec{
 			vector: vector, victim: v.addr,
 			version:  versions[rng.Pick(weights)],
 			startSec: atkStart, durSec: atkDur,
@@ -479,7 +482,8 @@ func (g *Generator) addCommonFlood(rng *netmodel.RNG, victim netmodel.Addr, star
 	if nAddrs > 64 {
 		nAddrs = 64
 	}
-	spec := &floodSpec{
+	spec := g.floods.next()
+	*spec = floodSpec{
 		vector: vector, victim: victim,
 		startSec: start, durSec: dur,
 		peakPkts: peak, basePkts: base,
@@ -611,7 +615,8 @@ func (g *Generator) scheduleMisconfigSources(rng *netmodel.RNG, n int, visitsMea
 			visits[j] = start + rng.Float64()*avail
 		}
 		sort.Float64s(visits)
-		spec := &misconfigSpec{
+		spec := g.misconfigs.next()
+		*spec = misconfigSpec{
 			src: src, version: version, visits: visits,
 			rng: rng.ForkIndexed("misconf", i), tpl: g.tpl,
 		}

@@ -9,9 +9,10 @@ import (
 
 // TestObserveAllocsSinglePacketSession bounds the allocation cost of
 // the dominant telescope session class: a source that appears once.
-// With the inline accumulators (no eager maps, no per-minute map) a
-// whole tiny session costs one Session allocation plus the amortized
-// growth of the active index's slice and slots.
+// With the inline accumulators (no eager maps, no per-minute map) and
+// the Session held in its index entry, a whole tiny session costs only
+// the amortized growth of the active index's slice and slots; the
+// budget also covers the loop's own MustAddr.
 func TestObserveAllocsSinglePacketSession(t *testing.T) {
 	sz := NewSessionizer(nil)
 	base := telescope.TS(telescope.MeasurementStart)
@@ -31,7 +32,7 @@ func TestObserveAllocsSinglePacketSession(t *testing.T) {
 		}, nil)
 		next++
 	}); avg > 2 {
-		t.Errorf("single-packet session costs %.2f allocs, budget 2 (Session + index growth)", avg)
+		t.Errorf("single-packet session costs %.2f allocs, budget 2 (MustAddr + index growth)", avg)
 	}
 
 	// Steady-state packets of one long-lived session allocate nothing.

@@ -101,20 +101,20 @@ func encodeFinished(w *ckpt.Writer, s *Session) {
 }
 
 // DecodeFinished reads n finished sessions, as a session log holds them,
-// straight into their answers. On malformed input it stops early with
-// the reader's sticky error set.
-func DecodeFinished(r *ckpt.Reader, n int) []*Session {
-	list := make([]*Session, 0, min(n, 4096))
+// straight into their answers, held by value. On malformed input it
+// stops early with the reader's sticky error set.
+func DecodeFinished(r *ckpt.Reader, n int) []Session {
+	list := make([]Session, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
-		s := &Session{}
+		list = append(list, Session{})
+		s := &list[len(list)-1]
 		decodeAnswers(r, s)
 		s.nSCIDs = uint32(r.Int(maxSetItems))
 		s.nPeerAddrs = uint32(r.Int(maxSetItems))
 		s.nPeerPorts = uint32(r.Int(maxSetItems))
 		if r.Err() != nil {
-			break
+			return list[:len(list)-1]
 		}
-		list = append(list, s)
 	}
 	return list
 }
@@ -122,7 +122,7 @@ func DecodeFinished(r *ckpt.Reader, n int) []*Session {
 // encodeLive writes an open session: its answers so far, its SCID, peer
 // address and peer port sets, and its open minute slot.
 func encodeLive(w *ckpt.Writer, e *live) {
-	encodeAnswers(w, e.s)
+	encodeAnswers(w, &e.s)
 	arena := e.scids.arena
 	w.U64(uint64(e.scids.count()))
 	if e.scids.t != nil {
@@ -144,8 +144,7 @@ func encodeLive(w *ckpt.Writer, e *live) {
 // reports whether the input was well formed (else the reader's error is
 // set).
 func decodeLive(r *ckpt.Reader, e *live) bool {
-	e.s = &Session{}
-	decodeAnswers(r, e.s)
+	decodeAnswers(r, &e.s)
 	for i, n := 0, r.Int(maxSetItems); i < n && r.Err() == nil; i++ {
 		if b := r.Bytes8(maxSCIDBytes); r.Err() == nil {
 			e.scids.add(b)

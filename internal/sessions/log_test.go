@@ -96,7 +96,7 @@ func TestLoggedSessionsKeepEveryAnswer(t *testing.T) {
 		if s.UniqueSCIDs() > scidInline {
 			spilled++
 		}
-		if got, want := answersOf(decoded[i]), answersOf(s); got != want {
+		if got, want := answersOf(&decoded[i]), answersOf(s); got != want {
 			t.Errorf("session %d: logged answers %+v, emitted %+v", i, got, want)
 		}
 	}
@@ -112,7 +112,7 @@ func TestLoggedSessionsKeepEveryAnswer(t *testing.T) {
 // does. The log is rewound before each finish, so only the entry's own
 // bytes are written.
 func BenchmarkFinishLogged(b *testing.B) {
-	e := live{s: &Session{Src: 0x0a000001, Start: 1000, End: 61_000, Packets: 50_000, Responses: 50_000}}
+	e := live{s: Session{Src: 0x0a000001, Start: 1000, End: 61_000, Packets: 50_000, Responses: 50_000}}
 	scid := make([]byte, 8)
 	for i := uint32(0); i < 50_000; i++ {
 		binary.BigEndian.PutUint32(scid[4:], i*0x9e3779b1) // a bijection: never a repeat

@@ -49,11 +49,11 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) (selfEv
 	}
 	opened := e == nil
 	if opened {
-		s := &Session{Src: p.Src, Start: p.TS, End: p.TS}
+		s := Session{Src: p.Src, Start: p.TS, End: p.TS}
 		e = sz.active.At(sz.active.Put(p.Src, p.TS, live{s: s, curMinute: int64(p.TS) / 60000}))
 	}
 
-	s := e.s
+	s := &e.s
 	s.End = p.TS
 	s.Packets++
 	s.Bytes += uint64(p.Size)
@@ -114,7 +114,7 @@ func refObserve(sz *Sessionizer, p *telescope.Packet, r *dissect.Result) (selfEv
 }
 
 func refFinish(sz *Sessionizer, e *live) {
-	s := e.s
+	s := &e.s
 	if e.curCount > s.maxPerMin {
 		s.maxPerMin = e.curCount
 	}
@@ -220,7 +220,8 @@ type rig struct {
 
 func newRig(ref bool, maxActive int) *rig {
 	g := &rig{ref: ref, sweep: NewTimeoutSweep(), log: ckpt.NewWriter(nil)}
-	g.sz = NewSessionizer(g.emit)
+	g.sz = NewSessionizer(nil)
+	g.sz.Emit = g.emit
 	g.sz.Log = g.log
 	g.sz.MaxActive = maxActive
 	if ref {
@@ -231,7 +232,11 @@ func newRig(ref bool, maxActive int) *rig {
 	return g
 }
 
-func (g *rig) emit(s *Session) { g.out = append(g.out, s) }
+// emit keeps a copy of the session it is lent.
+func (g *rig) emit(s *Session) {
+	c := *s
+	g.out = append(g.out, &c)
+}
 
 func (g *rig) observe(p *telescope.Packet, r *dissect.Result) {
 	if !g.ref {
@@ -350,7 +355,7 @@ func expectSameRigs(t *testing.T, at string, got, want *rig) {
 		t.Fatalf("%s: the log decodes to %d of %d sessions (err %v, %d bytes left)", at, len(logged), len(a), r.Err(), r.Remaining())
 	}
 	for i := range a {
-		if got, want := answersOf(logged[i]), answersOf(a[i]); got != want {
+		if got, want := answersOf(&logged[i]), answersOf(a[i]); got != want {
 			t.Fatalf("%s: logged session %d decodes to\n %+v\nemitted\n %+v", at, i, got, want)
 		}
 	}

@@ -89,14 +89,15 @@ func (s *Session) UniquePeerAddrs() int { return int(s.nPeerAddrs) }
 func (s *Session) UniquePeerPorts() int { return int(s.nPeerPorts) }
 
 // live is an open session: its answers so far and what only an open
-// session needs, held by value in the sessionizer's index. The sets are
+// session needs, held by value in the sessionizer's index, so opening a
+// session allocates nothing. The sets are
 // inline for the tiny common case and spill, once, into exact
 // open-addressing tables (table.go) for genuinely diverse sessions
 // (flood backscatter fanning over dozens of spoofed tuples). Packets
 // arrive time-ordered, so one (current minute, count) pair replaces a
 // per-minute map.
 type live struct {
-	s         *Session
+	s         Session
 	scids     scidSet // unique server CIDs
 	peerAddrs addrSet
 	peerPorts portSet
@@ -107,7 +108,7 @@ type live struct {
 // close folds the open minute slot and the sets' sizes into the
 // session's answers, which are final after this.
 func (e *live) close() {
-	s := e.s
+	s := &e.s
 	if e.curCount > s.maxPerMin {
 		s.maxPerMin = e.curCount
 	}
@@ -241,12 +242,16 @@ type Sessionizer struct {
 	Timeout time.Duration
 	// Emit receives completed sessions, final from then on. Sessions
 	// finished together (by a sweep or Flush) arrive in source-address
-	// order.
+	// order. The session is borrowed: the pointer is valid only for the
+	// call, the contract capture.Source.Next has, because it points into
+	// storage the sessionizer reuses. A consumer that keeps a session
+	// copies it (NewSessionizer's argument is handed copies).
 	Emit func(*Session)
 	// Log, when set, receives each session as it finishes, before Emit:
 	// its answers' checkpoint encoding is appended (DecodeFinished reads
 	// it back), so a streaming shard keeps what it emitted as bytes only
-	// (DESIGN.md §17). The writer only ever appends.
+	// (DESIGN.md §17). The writer only ever appends, and holds the bytes,
+	// never the session.
 	Log *ckpt.Writer
 
 	active srcindex.Index[live]
@@ -280,9 +285,19 @@ type Sessionizer struct {
 	Metrics telemetry.Sessions
 }
 
-// NewSessionizer creates a sessionizer with the paper's defaults.
-func NewSessionizer(emit func(*Session)) *Sessionizer {
-	return &Sessionizer{Timeout: DefaultTimeout, Emit: emit, active: srcindex.New[live]()}
+// NewSessionizer creates a sessionizer with the paper's defaults. keep,
+// when non-nil, receives each finished session as a copy of its own,
+// which it may hold (one allocation per session); a consumer that only
+// reads sessions sets Emit instead, which lends them for the call.
+func NewSessionizer(keep func(*Session)) *Sessionizer {
+	sz := &Sessionizer{Timeout: DefaultTimeout, active: srcindex.New[live]()}
+	if keep != nil {
+		sz.Emit = func(s *Session) {
+			c := *s
+			keep(&c)
+		}
+	}
+	return sz
 }
 
 // Observe ingests one classified packet with its (optional)
@@ -304,13 +319,13 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) {
 		}
 	}
 	if opened {
-		pos = sz.active.Put(p.Src, p.TS, live{s: &Session{Src: p.Src, Start: p.TS}, curMinute: int64(p.TS) / 60000})
+		pos = sz.active.Put(p.Src, p.TS, live{s: Session{Src: p.Src, Start: p.TS}, curMinute: int64(p.TS) / 60000})
 	} else {
 		sz.active.Touch(pos, p.TS)
 	}
 
 	e := sz.active.At(pos)
-	s := e.s
+	s := &e.s
 	s.End = p.TS
 	s.Packets++
 	s.Bytes += uint64(p.Size)
@@ -377,9 +392,10 @@ func (sz *Sessionizer) Observe(p *telescope.Packet, r *dissect.Result) {
 }
 
 // finish closes e's session, logs it when a Log is set and emits it. The
-// caller drops e from the index.
+// caller drops e from the index, so what Log and Emit were lent is
+// overwritten by a later session.
 func (sz *Sessionizer) finish(e *live) {
-	s := e.s
+	s := &e.s
 	e.close()
 	sz.Metrics.Emitted++
 	// Spilled sets are the ones whose inline capacity overflowed into a

@@ -34,7 +34,7 @@ func decodedSmallSet[K intKey](t *testing.T, s *smallSet[K]) smallSet[K] {
 func decodedSCIDSet(t *testing.T, s *scidSet) scidSet {
 	t.Helper()
 	w := ckpt.NewWriter(nil)
-	encodeLive(w, &live{s: &Session{}, scids: *s})
+	encodeLive(w, &live{scids: *s})
 	r := ckpt.NewReader(w.Bytes())
 	var d live
 	if !decodeLive(r, &d) || r.Remaining() != 0 || (d.scids.t != nil) != (s.t != nil) {

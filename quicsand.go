@@ -231,7 +231,7 @@ type pipelineShard struct {
 	commonSz     *sessions.Sessionizer
 	commonDet    *dosdetect.Detector
 	dis          *dissect.Dissector
-	sessions     []*sessions.Session
+	sessions     []sessions.Session
 
 	// det is the shard's sliding-window detector bank, attached by a
 	// StreamConfig.Detect (a Streamer, ReplayAlerts); nil otherwise,
@@ -350,13 +350,13 @@ func newCommonDetector() *dosdetect.Detector {
 }
 
 // chain connects the shard's parts to each other: the QUIC sessionizer
-// emits into the session list and reports the gaps inside its sessions
-// to the sweep, the
-// common sessionizer feeds the common-vector detector. A fresh shard
-// and one decoded from a checkpoint image are chained here alike, so a
-// reduction flushes either the same way.
+// copies what it emits into the session list and reports the gaps inside
+// its sessions to the sweep, the common sessionizer feeds the
+// common-vector detector, which keeps no session it is lent. A fresh
+// shard and one decoded from a checkpoint image are chained here alike,
+// so a reduction flushes either the same way.
 func (sh *pipelineShard) chain() {
-	sh.quicSz.Emit = func(s *sessions.Session) { sh.sessions = append(sh.sessions, s) }
+	sh.quicSz.Emit = func(s *sessions.Session) { sh.sessions = append(sh.sessions, *s) }
 	sh.quicSz.GapRecorder = sh.sweep.RecordGap
 	sh.commonSz.Emit = sh.commonDet.Offer
 }
@@ -576,6 +576,7 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 	a.QUICDetector = dosdetect.NewDetector(dosdetect.VectorQUIC)
 	a.CommonDetector = newCommonDetector()
 	commonDets := make([]*dosdetect.Detector, len(shards))
+	n := 0
 	for i, sh := range shards {
 		sh.flush()
 		sh.flightClose()
@@ -584,10 +585,20 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 		a.HourlyType.Merge(sh.hourlyType)
 		a.Sweep.Merge(sh.sweep)
 		commonDets[i] = sh.commonDet
-		a.QUICSessions = append(a.QUICSessions, sh.sessions...)
+		n += len(sh.sessions)
 		a.NonQUIC += sh.dis.Metrics.ParseFailures
 	}
 	a.CommonDetector.Merge(commonDets...)
+	// The shards' sessions, gathered into one exact-size array: a held
+	// Analysis keeps it and the pointers into it, not the shards' lists.
+	held := make([]sessions.Session, 0, n)
+	for _, sh := range shards {
+		held = append(held, sh.sessions...)
+	}
+	a.QUICSessions = make([]*sessions.Session, n)
+	for i := range held {
+		a.QUICSessions[i] = &held[i]
+	}
 	sessions.SortCanonical(a.QUICSessions)
 	a.Sweep.RecordSessions(a.QUICSessions)
 

@@ -229,7 +229,8 @@ type loggedSessions struct {
 // right after, moves each session's bytes on into the shard's own log
 // and copies them into the returned list; the TCP/ICMP sessionizer's
 // emission hook, which offers each session to the shard's detector, also
-// appends it to the list. Call it before the first
+// appends a copy of it (the session is lent for the call) to the list.
+// Call it before the first
 // Offer: the channel send that hands a shard its first batch orders the
 // hooks' installation before the shard's first read of them.
 func collectLogged(s *Streamer) []*loggedSessions {
@@ -249,7 +250,8 @@ func collectLogged(s *Streamer) []*loggedSessions {
 		offer := sh.commonSz.Emit
 		sh.commonSz.Emit = func(c *sessions.Session) {
 			offer(c)
-			l.common = append(l.common, c)
+			kept := *c // lent for the call
+			l.common = append(l.common, &kept)
 		}
 	}
 	return logged
