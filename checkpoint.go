@@ -3,7 +3,6 @@ package quicsand
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/detect"
@@ -15,10 +14,10 @@ import (
 )
 
 // Binary streaming-checkpoint container, QCKP v3 (DESIGN.md §17). A
-// checkpoint stores the pipeline's full reducible state — everything the
-// batch reduction folds — plus the run parameters it was taken under, so
-// a daemon restarted from the file resumes mid-stream and still produces
-// the bit-identical full-run Analysis.
+// checkpoint stores each shard's state as every shard holds it, the logs
+// that reduce reads answers from included, plus the run parameters it
+// was taken under, so a daemon restarted from the file resumes
+// mid-stream and still produces the bit-identical full-run Analysis.
 //
 // Layout (all integers varint unless noted):
 //
@@ -121,21 +120,6 @@ func prefix(w *ckpt.Writer) []byte {
 	return b[:len(b):len(b)]
 }
 
-// logFinished makes a streaming shard log each QUIC session and each
-// TCP/ICMP attack as it finishes and keep neither as an object. The logs
-// only ever append: a checkpoint holds a cap-limited prefix of each as
-// it stood at its own tick, so the bytes a concurrent Encode reads are
-// never written again. A resumed shard goes on from copies of its
-// image's logs, whose bytes are the caller's.
-func (sh *pipelineShard) logFinished() {
-	sh.sessLog = *ckpt.NewWriter(slices.Clone(sh.sessLog.Bytes()))
-	sh.sessions = nil
-	sh.quicSz.Log, sh.quicSz.Emit = &sh.sessLog, nil
-	sh.atkLog = *ckpt.NewWriter(slices.Clone(sh.atkLog.Bytes()))
-	sh.commonDet.Attacks = nil
-	sh.commonDet.Log = &sh.atkLog
-}
-
 // Encode serializes the checkpoint: the header, then each shard's frozen
 // state, session log, attack log and packet count. The parts are only
 // read, so Encode is repeatable and composes with Analysis().
@@ -191,10 +175,8 @@ func (sh *pipelineShard) encodeState(w *ckpt.Writer) {
 // decodeShard reads one shard block of data into a chained but unwired
 // shard, its parts configured as newPipelineShard configures them: a
 // checkpoint's Analysis reduces it as it is, and planPipeline wires it
-// like a fresh one for ResumeStreamer. The session and attack logs are
-// read into answers for a reduction, and kept as bytes (aliasing data)
-// for a resumed streamer to go on from. Unusable once the reader's error
-// is set.
+// like a fresh one for ResumeStreamer; its logs stay bytes of data
+// (walkLog). Unusable once the reader's error is set.
 func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) {
 	sh = &pipelineShard{dis: dissect.NewDissector(), commonDet: newCommonDetector()}
 	sh.tel = telescope.DecodeTelescope(r)
@@ -207,21 +189,29 @@ func decodeShard(r *ckpt.Reader, data []byte) (sh *pipelineShard, items uint64) 
 	for _, v := range dissectCounters(&sh.dis.Metrics) {
 		*v = r.U64()
 	}
-	n := 0
 	if r.Err() == nil {
-		n = int(sh.quicSz.Metrics.Emitted) // the log holds every session emitted
+		// One entry per session emitted, then one per attack logged.
+		sh.sessLog = walkLog(r, data, int(sh.quicSz.Metrics.Emitted), sessions.AppendFinished)
+		sh.atkLog = walkLog(r, data, sh.commonDet.Logged(), sh.commonDet.AppendLogged)
 	}
-	from := len(data) - r.Remaining()
-	sh.sessions = sessions.DecodeFinished(r, n)
-	sh.sessLog = *ckpt.NewWriter(data[from : len(data)-r.Remaining()])
-	from = len(data) - r.Remaining()
-	sh.commonDet.DecodeAttacks(r)
-	sh.atkLog = *ckpt.NewWriter(data[from : len(data)-r.Remaining()])
 	items = r.U64()
 	if r.Err() == nil {
 		sh.chain()
 	}
 	return sh, items
+}
+
+// walkLog checks the n entries of the log at r's position, keeping none,
+// and returns a writer over its bytes in data, cap-limited so that the
+// first entry a shard appends moves the log off the caller's image.
+func walkLog[T any](r *ckpt.Reader, data []byte, n int, appendNext func([]T, *ckpt.Reader, int) []T) ckpt.Writer {
+	from := len(data) - r.Remaining()
+	var slot [1]T
+	for i := 0; i < n && r.Err() == nil; i++ {
+		appendNext(slot[:0], r, 1)
+	}
+	to := len(data) - r.Remaining()
+	return *ckpt.NewWriter(data[from:to:to])
 }
 
 // decodeCheckpoint parses a checkpoint image into its header, unwired

@@ -25,7 +25,7 @@ func entrySizes(t *testing.T, cfg StreamConfig) (perSession, perAttack float64, 
 		logBytes += len(sh.sessLog.Bytes())
 		sessions += int(sh.quicSz.Metrics.Emitted)
 		atkBytes += len(sh.atkLog.Bytes())
-		attacks += len(sh.commonDet.Attacks)
+		attacks += sh.commonDet.Logged()
 	}
 	if sessions > 0 {
 		perSession = float64(logBytes) / float64(sessions)
@@ -71,7 +71,6 @@ func TestShardStateIgnoresAttacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := shards[0]
-	sh.logFinished()
 	start := telescope.TS(telescope.MeasurementStart)
 	first, probe := netmodel.MustAddr("198.18.0.0"), netmodel.MustAddr("198.19.0.1")
 	tcp := func(ts telescope.Timestamp, src netmodel.Addr) *telescope.Packet {

@@ -357,15 +357,17 @@ func maxF(a, b float64) float64 {
 	return b
 }
 
+// figure10Weights are the threshold weights Figure 10 sweeps.
+var figure10Weights = []float64{0.2, 0.5, 1, 2, 4, 6, 8, 10}
+
 // Figure10 renders the threshold-weight sweep.
 func (a *Analysis) Figure10() string {
-	weights := []float64{0.2, 0.5, 1, 2, 4, 6, 8, 10}
-	counts, shares := dosdetect.WeightSweep(a.ResponseSessions, weights, func(v netmodel.Addr) bool {
+	counts, shares := dosdetect.WeightSweep(a.ResponseSessions, figure10Weights, func(v netmodel.Addr) bool {
 		org := a.OrgOf(v)
 		return org == "Google" || org == "Facebook"
 	})
 	var rows [][]string
-	for i, w := range weights {
+	for i, w := range figure10Weights {
 		rows = append(rows, []string{
 			fmt.Sprintf("%.1f", w),
 			report.Count(uint64(counts[i])),

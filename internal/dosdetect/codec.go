@@ -2,7 +2,6 @@ package dosdetect
 
 import (
 	"math"
-	"slices"
 
 	"quicsand/internal/ckpt"
 	"quicsand/internal/netmodel"
@@ -24,25 +23,27 @@ func (d *Detector) EncodeTo(w *ckpt.Writer) {
 }
 
 // DecodeFrom reads what EncodeTo wrote into d, a detector configured as
-// the encoding one was. DecodeAttacks then reads its log.
+// the encoding one was. AppendLogged then reads its log.
 func (d *Detector) DecodeFrom(r *ckpt.Reader) {
 	d.Inspected = r.Int(maxDetectorItems)
 	d.logged = r.Int(maxDetectorItems)
 }
 
-// DecodeAttacks reads the attacks d logged, as many as DecodeFrom
-// counted into d, from a copy of its Log into Attacks, and takes the last
-// one's start as the next logged attack's base, so that a resumed
-// detector logging onto that copy goes on writing the bytes an
-// uninterrupted one would. On malformed input it stops early with the
-// reader's error set.
-func (d *Detector) DecodeAttacks(r *ckpt.Reader) {
-	d.Attacks = slices.Grow(d.Attacks, min(d.logged, 4096))
-	for i := 0; i < d.logged && r.Err() == nil; i++ {
+// Logged returns the number of attacks d has written to its Log.
+func (d *Detector) Logged() int { return d.logged }
+
+// AppendLogged appends the next n attacks of a log of d's vector, read
+// from r, to dst. Each start is read from the previous one's, the first
+// from d's, and d keeps the last: a detector that read its own log goes
+// on writing the bytes an uninterrupted one would. On malformed input it
+// stops early with the reader's error set.
+func (d *Detector) AppendLogged(dst []Attack, r *ckpt.Reader, n int) []Attack {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		a := decodeAttack(r, d.logStart, d.Vector)
-		d.Attacks = append(d.Attacks, a)
+		dst = append(dst, a)
 		d.logStart = a.Start
 	}
+	return dst
 }
 
 // logAttack appends a's encoding to the log.

@@ -33,7 +33,7 @@ func decoded(t *testing.T, vec Vector, state, log []byte) *Detector {
 	r := ckpt.NewReader(state)
 	d.DecodeFrom(r)
 	rl := ckpt.NewReader(log)
-	d.DecodeAttacks(rl)
+	d.Attacks = d.AppendLogged(d.Attacks, rl, d.Logged())
 	if r.Err() != nil || r.Remaining() != 0 || rl.Err() != nil || rl.Remaining() != 0 {
 		t.Fatalf("%v detector does not decode: state %v (%d left), log %v (%d left)", vec, r.Err(), r.Remaining(), rl.Err(), rl.Remaining())
 	}

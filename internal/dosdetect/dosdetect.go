@@ -161,8 +161,8 @@ type Detector struct {
 	// retaining them; set it for the high-volume TCP/ICMP stream.
 	DropExcluded bool
 	// Log, when set, receives each attack as it is found in place of
-	// Attacks: its checkpoint encoding is appended (DecodeAttacks reads
-	// it back), so a streaming shard keeps what it found as bytes only
+	// Attacks: its checkpoint encoding is appended (AppendLogged reads
+	// it back), so a pipeline shard keeps what it found as bytes only
 	// (DESIGN.md §17). The writer only ever appends.
 	Log *ckpt.Writer
 
@@ -203,27 +203,6 @@ func (d *Detector) Offer(s *sessions.Session) {
 		d.logAttack(FromSession(s, d.Vector))
 	default:
 		d.Attacks = append(d.Attacks, FromSession(s, d.Vector))
-	}
-}
-
-// Merge absorbs other detectors' findings: attack and excluded lists
-// concatenate (order is canonicalized later by Sorted), growing once to
-// their total, and the inspection counts sum. Used by the sharded
-// pipeline's reduction — each shard detects over its own sources, and
-// no session can span shards, so the merged result equals sequential
-// detection.
-func (d *Detector) Merge(others ...*Detector) {
-	nAtk, nExc := 0, 0
-	for _, o := range others {
-		nAtk += len(o.Attacks)
-		nExc += len(o.Excluded)
-	}
-	d.Attacks = slices.Grow(d.Attacks, nAtk)
-	d.Excluded = slices.Grow(d.Excluded, nExc)
-	for _, o := range others {
-		d.Attacks = append(d.Attacks, o.Attacks...)
-		d.Excluded = append(d.Excluded, o.Excluded...)
-		d.Inspected += o.Inspected
 	}
 }
 

@@ -100,23 +100,22 @@ func encodeFinished(w *ckpt.Writer, s *Session) {
 	w.U64(uint64(s.nPeerPorts))
 }
 
-// DecodeFinished reads n finished sessions, as a session log holds them,
-// straight into their answers, held by value. On malformed input it
+// AppendFinished appends the next n finished sessions of a session log,
+// read from r straight into their answers, to dst. On malformed input it
 // stops early with the reader's sticky error set.
-func DecodeFinished(r *ckpt.Reader, n int) []Session {
-	list := make([]Session, 0, min(n, 4096))
+func AppendFinished(dst []Session, r *ckpt.Reader, n int) []Session {
 	for i := 0; i < n; i++ {
-		list = append(list, Session{})
-		s := &list[len(list)-1]
+		dst = append(dst, Session{})
+		s := &dst[len(dst)-1]
 		decodeAnswers(r, s)
 		s.nSCIDs = uint32(r.Int(maxSetItems))
 		s.nPeerAddrs = uint32(r.Int(maxSetItems))
 		s.nPeerPorts = uint32(r.Int(maxSetItems))
 		if r.Err() != nil {
-			return list[:len(list)-1]
+			return dst[:len(dst)-1]
 		}
 	}
-	return list
+	return dst
 }
 
 // encodeLive writes an open session: its answers so far, its SCID, peer

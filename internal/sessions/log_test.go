@@ -87,7 +87,7 @@ func answersOf(s *Session) answers {
 func TestLoggedSessionsKeepEveryAnswer(t *testing.T) {
 	list, log := floodSessions(t)
 	r := ckpt.NewReader(log)
-	decoded := DecodeFinished(r, len(list))
+	decoded := AppendFinished(nil, r, len(list))
 	if r.Err() != nil || r.Remaining() != 0 || len(decoded) != len(list) {
 		t.Fatalf("the log decodes to %d of %d sessions: err %v, %d bytes left", len(decoded), len(list), r.Err(), r.Remaining())
 	}

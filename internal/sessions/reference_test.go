@@ -350,7 +350,7 @@ func expectSameRigs(t *testing.T, at string, got, want *rig) {
 		t.Fatalf("%s: session logs differ", at)
 	}
 	r := ckpt.NewReader(got.log.Bytes())
-	logged := DecodeFinished(r, len(a))
+	logged := AppendFinished(nil, r, len(a))
 	if r.Err() != nil || r.Remaining() != 0 || len(logged) != len(a) {
 		t.Fatalf("%s: the log decodes to %d of %d sessions (err %v, %d bytes left)", at, len(logged), len(a), r.Err(), r.Remaining())
 	}

@@ -248,8 +248,8 @@ type Sessionizer struct {
 	// copies it (NewSessionizer's argument is handed copies).
 	Emit func(*Session)
 	// Log, when set, receives each session as it finishes, before Emit:
-	// its answers' checkpoint encoding is appended (DecodeFinished reads
-	// it back), so a streaming shard keeps what it emitted as bytes only
+	// its answers' checkpoint encoding is appended (AppendFinished reads
+	// it back), so a pipeline shard keeps what it emitted as bytes only
 	// (DESIGN.md §17). The writer only ever appends, and holds the bytes,
 	// never the session.
 	Log *ckpt.Writer

@@ -231,7 +231,6 @@ type pipelineShard struct {
 	commonSz     *sessions.Sessionizer
 	commonDet    *dosdetect.Detector
 	dis          *dissect.Dissector
-	sessions     []sessions.Session
 
 	// det is the shard's sliding-window detector bank, attached by a
 	// StreamConfig.Detect (a Streamer, ReplayAlerts); nil otherwise,
@@ -247,17 +246,9 @@ type pipelineShard struct {
 	// no concurrent observer is attached.
 	live *telemetry.LiveShard
 
-	// sessLog and atkLog are the append-only QCKP encodings of every
-	// session the shard has emitted and every TCP/ICMP attack it has
-	// found (streaming shards only, DESIGN.md §17): the QUIC sessionizer
-	// and the TCP/ICMP detector append each as it finishes, and the
-	// shard keeps neither as an object. stateLen is the length of the
-	// previous tick's encoded state, which sizes the next tick's buffer.
-	// Batch runs leave all three zero, sessions holds every emitted
-	// session for reduce and the detector its attacks; they sit last so
-	// the fields the batch hot path reads keep their offsets (inserted
-	// mid-struct, they cost a replay that runs none of them 1–11 %:
-	// EXPERIMENTS.md).
+	// sessLog and atkLog encode every session the shard emitted and every
+	// TCP/ICMP attack it found, appended as each finishes (DESIGN.md §17);
+	// stateLen, the previous checkpoint's state length, sizes the next.
 	sessLog  ckpt.Writer
 	atkLog   ckpt.Writer
 	stateLen int
@@ -350,15 +341,15 @@ func newCommonDetector() *dosdetect.Detector {
 }
 
 // chain connects the shard's parts to each other: the QUIC sessionizer
-// copies what it emits into the session list and reports the gaps inside
-// its sessions to the sweep, the common sessionizer feeds the
-// common-vector detector, which keeps no session it is lent. A fresh
-// shard and one decoded from a checkpoint image are chained here alike,
-// so a reduction flushes either the same way.
+// logs its sessions and reports the gaps inside them to the sweep, and
+// the common sessionizer feeds the common-vector detector, which logs
+// its attacks. Every shard, fresh or decoded from a checkpoint image, is
+// chained here, so every shard keeps what it finished only in its logs.
 func (sh *pipelineShard) chain() {
-	sh.quicSz.Emit = func(s *sessions.Session) { sh.sessions = append(sh.sessions, *s) }
+	sh.quicSz.Log = &sh.sessLog
 	sh.quicSz.GapRecorder = sh.sweep.RecordGap
 	sh.commonSz.Emit = sh.commonDet.Offer
+	sh.commonDet.Log = &sh.atkLog
 }
 
 // wire connects shard i's state, fresh or decoded from a checkpoint, to
@@ -567,7 +558,8 @@ func traceTap(cfg Config) *engine.Tap {
 // reduce folds the drained shards into the Analysis: commutative
 // counter merges plus one canonical sort make the result independent
 // of shard count and interleaving — and of whether the packets came
-// from the generator or a stored trace.
+// from the generator or a stored trace. Sessions and TCP/ICMP attacks
+// come from the shards' logs alone.
 func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tum, rwth netmodel.Prefix) {
 	a.Telescope = telescope.New()
 	a.HourlySource = telescope.NewHourlyCounter(sourceClassifier(tum, rwth))
@@ -575,27 +567,27 @@ func (a *Analysis) reduce(shards []*pipelineShard, census *activescan.Census, tu
 	a.Sweep = sessions.NewTimeoutSweep()
 	a.QUICDetector = dosdetect.NewDetector(dosdetect.VectorQUIC)
 	a.CommonDetector = newCommonDetector()
-	commonDets := make([]*dosdetect.Detector, len(shards))
-	n := 0
-	for i, sh := range shards {
-		sh.flush()
+	nSess, nAtk := 0, 0
+	for _, sh := range shards {
+		sh.flush() // logs the open sessions and the attacks they make
 		sh.flightClose()
 		a.Telescope.Merge(sh.tel)
 		a.HourlySource.Merge(sh.hourlySource)
 		a.HourlyType.Merge(sh.hourlyType)
 		a.Sweep.Merge(sh.sweep)
-		commonDets[i] = sh.commonDet
-		n += len(sh.sessions)
+		a.CommonDetector.Inspected += sh.commonDet.Inspected
+		nSess += int(sh.quicSz.Metrics.Emitted)
+		nAtk += sh.commonDet.Logged()
 		a.NonQUIC += sh.dis.Metrics.ParseFailures
 	}
-	a.CommonDetector.Merge(commonDets...)
-	// The shards' sessions, gathered into one exact-size array: a held
-	// Analysis keeps it and the pointers into it, not the shards' lists.
-	held := make([]sessions.Session, 0, n)
-	for _, sh := range shards {
-		held = append(held, sh.sessions...)
+	// One exact-size array each: a held Analysis keeps the sessions'.
+	held := make([]sessions.Session, 0, nSess)
+	a.CommonDetector.Attacks = make([]dosdetect.Attack, 0, nAtk)
+	for _, sh := range shards { // a fresh detector reads an attack log from its start
+		held = sessions.AppendFinished(held, ckpt.NewReader(sh.sessLog.Bytes()), int(sh.quicSz.Metrics.Emitted))
+		a.CommonDetector.Attacks = newCommonDetector().AppendLogged(a.CommonDetector.Attacks, ckpt.NewReader(sh.atkLog.Bytes()), sh.commonDet.Logged())
 	}
-	a.QUICSessions = make([]*sessions.Session, n)
+	a.QUICSessions = make([]*sessions.Session, nSess)
 	for i := range held {
 		a.QUICSessions[i] = &held[i]
 	}

@@ -44,8 +44,8 @@ type StreamConfig struct {
 // stream (the differential stream≡batch suite enforces this for every
 // golden built-in): each shard encodes its state into a QCKP image when
 // the checkpoint's op reaches it, and the shards decoded from that image
-// reduce with the same commutative merges and canonical sorts the batch
-// reduction uses.
+// reduce as a batch run's own shards do. With one answer path, the suite
+// compares feeds: the engine over a generator or scatter against Offer.
 //
 // The shards run on the batch runs' driver: one engine.Run call, started
 // by the constructor and joined by Close, drains each shard's dispatch
@@ -186,7 +186,6 @@ func newStreamer(cfg StreamConfig, decoded []*pipelineShard, counts []uint64) (*
 		ch := make(chan shardOp, streamDepth)
 		free := make(chan *packetBatch, streamPool)
 		s.chans[i], s.free[i] = ch, free
-		shards[i].logFinished()
 		feeds[i] = func(emit func(*telescope.Packet)) {
 			for op := range ch {
 				if op.reply != nil {
@@ -378,13 +377,13 @@ func (s *Streamer) Close() *StreamCheckpoint {
 	return s.final
 }
 
-// Analysis reduces the checkpoint into a full Analysis — the same
-// reduction batch Run performs, over the shards decoded from the image
-// and the substrate prepare rebuilds from the config (ResumeStreamer's
-// path) — so the checkpoint stays frozen and Analysis can be called
-// again. Close's checkpoint also reports the run — the engine's stages
-// and busy times in Pipeline, the recorder's timeline in Flight; each
-// call adds its reduce span to that timeline, so calls must not overlap.
+// Analysis decodes the checkpoint's image into shards, as ResumeStreamer
+// does, and reduces them as a batch run reduces its own, over the
+// substrate prepare rebuilds from the config. The checkpoint stays
+// frozen, so Analysis can be called again. Close's checkpoint also
+// reports the run — the engine's stages and busy times in Pipeline, the
+// recorder's timeline in Flight; each call adds its reduce span to that
+// timeline, so calls must not overlap.
 func (c *StreamCheckpoint) Analysis() *Analysis {
 	_, shards, counts, err := decodeCheckpoint(c.Encode())
 	if err != nil {

@@ -191,6 +191,13 @@ func TestStreamCheckpointResume(t *testing.T) {
 				t.Fatalf("half stream stopped at %d, want %d", half.Position(), n)
 			}
 			data := half.Encode()
+			// The image is the caller's: neither reducing the checkpoint
+			// nor resuming from the image and going on writes its bytes.
+			image := bytes.Clone(data)
+			half.Analysis()
+			if !bytes.Equal(half.Encode(), image) {
+				t.Error("the checkpoint encodes differently after its Analysis()")
+			}
 
 			resumed, err := ResumeStreamer(run.cfg, data)
 			if err != nil {
@@ -218,7 +225,11 @@ func TestStreamCheckpointResume(t *testing.T) {
 				}
 				resumed.Offer(p)
 			}
-			expectSameAnalysis(t, "resumed final", direct, resumed.Close().Analysis())
+			final := resumed.Close()
+			if !bytes.Equal(data, image) {
+				t.Fatal("the resumed streamer wrote into the image it was resumed from")
+			}
+			expectSameAnalysis(t, "resumed final", direct, final.Analysis())
 		})
 	}
 }
